@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build build-cmds test race bench bench-json bench-smoke trend trend-gate dist-e2e load-smoke fleet-smoke recal-e2e fmt vet ci clean
+.PHONY: build build-cmds test race bench bench-json bench-smoke trend trend-gate dist-e2e load-smoke fuzz-smoke fleet-smoke recal-e2e fmt vet ci clean
 
 build:
 	$(GO) build ./...
@@ -47,11 +47,22 @@ trend-gate:
 dist-e2e:
 	scripts/dist_e2e.sh
 
-## load-smoke: fire a short seeded actorload trace at a real actord —
-## twice, memo off then on — asserting zero errors, sane throughput/p99
-## and byte-identical responses on replay (CI).
+## load-smoke: fire a short seeded actorload trace at a real actord,
+## asserting zero errors, sane throughput/p99 and byte-identical responses
+## on replay (CI).
 load-smoke:
 	scripts/load_smoke.sh
+
+## fuzz-smoke: run every Fuzz* target of the wire codec and the serving
+## path for 10 s each (the toolchain fuzzes one target per invocation).
+## A crasher lands under the package's testdata/fuzz/ — commit it (CI).
+fuzz-smoke:
+	@set -e; for pkg in ./pkg/actor ./internal/wire; do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "== fuzz $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s $$pkg; \
+		done; \
+	done
 
 ## fleet-smoke: seeded 100-job/16-machine fleet scheduling run on both
 ## scorers — asserts the pinned deterministic schedule digest and zero

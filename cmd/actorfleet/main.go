@@ -7,8 +7,8 @@
 //	actorfleet -fleet "600*2x2,400*4x2+2x2:little" -jobs 10000 -rate 8
 //	actorfleet -jobs 100 -machines "16*2x2" -digest   # CI smoke mode
 //
-// ACTOR_FLEET_SCORER=naive forces the O(M) reference scorer (the fleet
-// sibling of ACTOR_SIMD=off); -scorer overrides both.
+// -scorer naive selects the O(M) reference scorer (the fleet sibling of
+// ACTOR_SIMD=off).
 package main
 
 import (
@@ -29,7 +29,7 @@ func main() {
 		rate     = flag.Float64("rate", 4, "mean arrival rate (jobs/sec)")
 		meanSize = flag.Float64("meansize", 3, "mean job size in iterations (bounded Pareto)")
 		qos      = flag.Float64("qos", 0.25, "QoS degradation bound (admissible slowdown = 1+qos)")
-		scorer   = flag.String("scorer", "", "placement scorer: incremental, naive or binpack (default: $ACTOR_FLEET_SCORER or incremental)")
+		scorer   = flag.String("scorer", "", "placement scorer: incremental, naive or binpack (default incremental)")
 		probe    = flag.Int("probe", 8, "incremental scorer probe batch width")
 		compare  = flag.Bool("compare", true, "also run the bin-packing baseline and report the delta")
 		digest   = flag.Bool("digest", false, "print only the schedule digest and violation count (CI smoke mode)")

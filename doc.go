@@ -9,9 +9,10 @@
 // actor.WithFast(), actor.WithSeed(...)), and actor.Bank carries trained
 // predictors through a versioned, self-describing serialization format
 // whose predictions are bit-identical across a save/load round trip. The
-// implementation lives under internal/ (see DESIGN.md for the system
-// inventory); every runnable entry point under cmd/ is a thin wrapper over
-// the facade. Run
+// implementation lives under internal/. Most entry points under cmd/ are
+// thin wrappers over the facade; actorctl, actorfleet and actorload drive
+// subsystems the facade does not re-export and import internal/dist,
+// internal/fleet, internal/loadgen and internal/report directly. Run
 //
 //	go run ./cmd/actorsim all
 //
@@ -24,7 +25,8 @@
 //
 // To serve a trained bank behind an HTTP JSON API (ranked configuration
 // predictions and micro-batched phase sweeps), train with cmd/actor-train
-// and serve with cmd/actord — see docs/SERVING.md for the quickstart:
+// and serve with cmd/actord — see docs/SERVING.md for the quickstart and
+// for the strict v1 request grammar its POST routes accept:
 //
 //	go run ./cmd/actor-train -fast -bank models/bank.json
 //	go run ./cmd/actord -bank models/bank.json
@@ -57,7 +59,7 @@
 // and the interference-aware scheduler places each under a QoS degradation
 // bound, reporting fleet ED² and utilization against naive bin-packing.
 // The shipped incremental scorer (treap probe order + sharded score memo)
-// is digest-identical to the naive O(M) reference — ACTOR_FLEET_SCORER
+// is digest-identical to the naive O(M) reference — actorfleet -scorer
 // selects between them — and schedules are byte-identical across runs and
 // GOMAXPROCS settings. See docs/FLEET.md:
 //

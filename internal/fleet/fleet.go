@@ -34,8 +34,8 @@
 // identical co-run configurations are solved once fleet-wide. Both paths
 // evaluate candidates through the same pure functions over the same
 // template values, so their schedules are byte-identical — the same
-// scalar/SIMD pattern the kernel engine uses, with ACTOR_FLEET_SCORER=naive
-// as the kill switch.
+// scalar/SIMD pattern the kernel engine uses; Options.Scorer selects the
+// naive reference.
 package fleet
 
 import (

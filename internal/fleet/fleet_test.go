@@ -53,6 +53,15 @@ func TestScorerBitIdentity(t *testing.T) {
 	if inc.Violations != 0 || nai.Violations != 0 {
 		t.Fatalf("QoS-aware scorers reported violations: inc=%d naive=%d", inc.Violations, nai.Violations)
 	}
+	// An empty Options.Scorer is the incremental scorer; an unknown one is
+	// refused.
+	def := mustSchedule(t, f, jobs, Options{})
+	if def.Scorer != ScorerIncremental || def.Digest() != nai.Digest() {
+		t.Fatalf("default scorer = %q digest %x, want incremental %x", def.Scorer, def.Digest(), nai.Digest())
+	}
+	if _, err := Schedule(f, jobs, Options{Scorer: "bogus"}); err == nil {
+		t.Fatal("unknown scorer accepted")
+	}
 	if nai.ScoredMachines <= 2*inc.ScoredMachines {
 		t.Fatalf("incremental scorer did not reduce scoring work: inc=%d naive=%d",
 			inc.ScoredMachines, nai.ScoredMachines)
@@ -81,29 +90,6 @@ func TestRepeatedRunsIdentical(t *testing.T) {
 	b := mustSchedule(t, f2, j2, Options{})
 	if a.Digest() != b.Digest() {
 		t.Fatalf("repeated fixed-seed runs diverge: %x vs %x", a.Digest(), b.Digest())
-	}
-}
-
-// TestScorerKillSwitch covers ACTOR_FLEET_SCORER=naive, the escape hatch
-// mirroring ACTOR_SIMD=off: the env forces the reference scorer and the
-// schedule stays identical.
-func TestScorerKillSwitch(t *testing.T) {
-	f, jobs := testStream(t, 80)
-	def := mustSchedule(t, f, jobs, Options{})
-	if def.Scorer != ScorerIncremental {
-		t.Fatalf("default scorer = %q, want incremental", def.Scorer)
-	}
-	t.Setenv(EnvScorer, "naive")
-	forced := mustSchedule(t, f, jobs, Options{})
-	if forced.Scorer != ScorerNaive {
-		t.Fatalf("with %s=naive scorer = %q", EnvScorer, forced.Scorer)
-	}
-	if forced.Digest() != def.Digest() {
-		t.Fatalf("kill-switch scorer changed the schedule: %x vs %x", forced.Digest(), def.Digest())
-	}
-	t.Setenv(EnvScorer, "bogus")
-	if _, err := Schedule(f, jobs, Options{}); err == nil {
-		t.Fatal("bogus ACTOR_FLEET_SCORER accepted")
 	}
 }
 

@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"sync/atomic"
 
@@ -20,19 +19,13 @@ const (
 	ScorerBinpack     = "binpack"
 )
 
-// EnvScorer is the kill switch: ACTOR_FLEET_SCORER=naive forces the O(M)
-// reference scorer fleet-wide, the same escape hatch pattern as
-// ACTOR_SIMD=off for the vector kernels.
-const EnvScorer = "ACTOR_FLEET_SCORER"
-
 // Options configures a scheduling run.
 type Options struct {
 	// QoS is the degradation bound: a placement is admissible only if the
 	// job's predicted slowdown over its fleet-wide solo best — and every
 	// resident's — stays within 1+QoS. Zero means the 0.25 default.
 	QoS float64
-	// Scorer picks the placement engine; empty consults ACTOR_FLEET_SCORER
-	// and defaults to incremental.
+	// Scorer picks the placement engine; empty means incremental.
 	Scorer string
 	// ProbeWidth is the incremental scorer's speculative batch: how many
 	// machines per treap probe round are scored in parallel. Zero means 8.
@@ -49,9 +42,6 @@ func (o *Options) resolve() (Options, error) {
 	}
 	if r.ProbeWidth <= 0 {
 		r.ProbeWidth = 8
-	}
-	if r.Scorer == "" {
-		r.Scorer = os.Getenv(EnvScorer)
 	}
 	switch r.Scorer {
 	case "":

@@ -249,8 +249,8 @@ func post(ctx context.Context, client *http.Client, url string, body []byte) boo
 
 // Check replays every distinct body of trace twice, sequentially, and
 // fails unless both responses are 200 with byte-identical bodies — the
-// serving determinism contract (and, with ACTOR_PREDICT_MEMO toggled
-// between server runs, the memo's byte-identity check).
+// serving determinism contract (the second delivery is a prediction-memo
+// hit, so this is also the memo's byte-identity check).
 func Check(ctx context.Context, client *http.Client, url string, trace []Request) error {
 	seen := make(map[string][]byte)
 	order := make([]string, 0, len(trace))

@@ -10,15 +10,16 @@
 //     SetIndent("", " ") and default HTML escaping — the exact
 //     configuration the server has always used — including Go's
 //     shortest-round-trip float formatting and its exponent cleanup.
-//   - Scanner: an iterative decoder over a fully-read body that accepts
-//     exactly the inputs a json.Decoder with DisallowUnknownFields
-//     accepts for the server's flat wire types (case-folded keys,
-//     duplicate keys last-wins, null semantics, U+FFFD replacement of
-//     invalid UTF-8, single-value reads with trailing bytes ignored).
+//   - Scanner: an iterative, pull-based reader over a fully-read body:
+//     RFC 8259 structure and numbers, strings decoded exactly as
+//     encoding/json decodes them (U+FFFD replacement of invalid UTF-8,
+//     surrogate pairing). It is the only request decoder: what it
+//     rejects, the server rejects.
 //
-// Byte-identity and acceptance parity are not aspirations, they are the
-// contract: pkg/actor's property and fuzz tests compare every composed
-// codec against encoding/json, and the serving handlers fall back to
-// encoding/json whenever the Scanner rejects, so a codec disagreement can
-// cost the fast path but can never change a served byte.
+// Byte-identity of the Emitter and string/number parity of the Scanner are
+// not aspirations, they are the contract: this package's and pkg/actor's
+// property and fuzz tests compare both against encoding/json, which is the
+// tests' reference and never runs on the serving path. The request grammar
+// built on the Scanner — exact keys, no duplicates, no nulls — lives in
+// pkg/actor/codec.go and is specified in docs/SERVING.md.
 package wire

@@ -11,13 +11,11 @@ import (
 )
 
 // ErrReject is the single error every Scanner method returns on input it
-// does not handle. It deliberately carries no detail: the serving handlers
-// respond to it by re-decoding the same bytes with encoding/json, which
-// either accepts (scanner was merely conservative) or produces the exact
-// error text and status code the server has always returned. The scanner
-// therefore only has to be right about the inputs it accepts, never about
-// how it phrases a rejection.
-var ErrReject = errors.New("wire: input rejected, fall back to encoding/json")
+// does not accept, and it is final: there is no second decoder behind the
+// scanner. It deliberately carries no detail. The caller knows which value
+// of which key it asked for, so it — not the scanner — phrases the
+// rejection the client sees (pkg/actor/codec.go, the v1 request grammar).
+var ErrReject = errors.New("wire: input rejected")
 
 const maxScanDepth = 32 // wire types nest 4 deep; anything past this is garbage
 
@@ -25,7 +23,8 @@ const maxScanDepth = 32 // wire types nest 4 deep; anything past this is garbage
 // The caller drives it in document order: BeginObjectOrNull, then ObjKey
 // until it reports the closing brace, with a value read (Str, Float, Int,
 // TryNull, or a nested Begin...) after each key. It reads exactly one
-// top-level value and ignores trailing bytes, like json.Decoder.Decode.
+// top-level value and leaves trailing bytes unread; Pos tells the caller
+// where they start.
 //
 // Returned byte slices alias either the input buffer or the scanner's
 // internal arena and are valid only until Reset. Scanners are not safe for
@@ -70,9 +69,8 @@ func (s *Scanner) Reset(data []byte) {
 }
 
 // Pos reports how many input bytes the scanner has consumed. After the
-// top-level value closes this is the value's end offset, which the server
-// compares against the request-body cap to reproduce MaxBytesReader's
-// "the first value must complete within the limit" rule.
+// top-level value closes this is the value's end offset; the server
+// rejects a body with anything but whitespace past it.
 func (s *Scanner) Pos() int { return s.pos }
 
 func (s *Scanner) skipWS() {
@@ -99,8 +97,8 @@ func (s *Scanner) TryNull() bool {
 }
 
 // BeginObjectOrNull consumes `{` (returning false) or a null literal
-// (returning true, matching encoding/json's treat-null-as-no-op rule for
-// structs and maps).
+// (returning true, so the caller decides what null means; the v1 request
+// grammar rejects it).
 func (s *Scanner) BeginObjectOrNull() (isNull bool, err error) {
 	if s.TryNull() {
 		return true, nil
@@ -115,8 +113,8 @@ func (s *Scanner) BeginObjectOrNull() (isNull bool, err error) {
 }
 
 // ObjKey returns the next object key, or ok=false once it consumes the
-// closing `}`. The key is unescaped; callers match it with FoldEq to get
-// encoding/json's case-insensitive field binding.
+// closing `}`. The key is unescaped; the v1 request grammar matches it
+// exactly (string(key) == "rates").
 func (s *Scanner) ObjKey() (key []byte, ok bool, err error) {
 	s.skipWS()
 	if s.pos >= len(s.data) {
@@ -152,7 +150,7 @@ func (s *Scanner) ObjKey() (key []byte, ok bool, err error) {
 }
 
 // BeginArrayOrNull consumes `[` (returning false) or a null literal
-// (returning true; encoding/json leaves the destination slice nil).
+// (returning true; see BeginObjectOrNull).
 func (s *Scanner) BeginArrayOrNull() (isNull bool, err error) {
 	if s.TryNull() {
 		return true, nil
@@ -202,7 +200,7 @@ func (s *Scanner) Str() ([]byte, error) {
 }
 
 // Float reads one JSON number as a float64. Out-of-range values reject
-// (encoding/json errors on them too; the fallback phrases it).
+// (encoding/json errors on them too), so an accepted value is finite.
 func (s *Scanner) Float() (float64, error) {
 	s.skipWS()
 	tok, err := s.numberToken()
@@ -411,7 +409,8 @@ func hex4(b []byte) rune {
 // under encoding/json's field folding: ASCII case-insensitive, plus the
 // two non-ASCII runes whose simple case-fold chain lands on an ASCII
 // letter — U+017F LATIN SMALL LETTER LONG S (folds to s) and U+212A
-// KELVIN SIGN (folds to k).
+// KELVIN SIGN (folds to k). The v1 request grammar matches keys exactly
+// and does not call this; it stays for benchmarks/actorbench's wire probe.
 func FoldEq(key []byte, lower string) bool {
 	i := 0
 	for j := 0; j < len(lower); j++ {

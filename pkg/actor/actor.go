@@ -43,19 +43,26 @@ import (
 // rate sampled at the maximal-concurrency configuration.
 type Rates map[string]float64
 
-// toPMU resolves mnemonic keys into the internal event space.
+// toPMU resolves mnemonic keys into the internal event space. Names are
+// walked in sorted order so the outcome — including which unknown mnemonic
+// an error names — never depends on map iteration order.
 func (r Rates) toPMU() (pmu.Rates, error) {
+	names := make([]string, 0, len(r))
+	for name := range r {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	out := make(pmu.Rates, len(r))
-	for name, v := range r {
-		if name == "IPC" {
-			out[pmu.Instructions] = v
-			continue
-		}
-		e, ok := pmu.EventByName(name)
+	for _, name := range names {
+		e, ok := eventIDByName[name]
 		if !ok {
 			return nil, fmt.Errorf("actor: unknown event %q (IPC plus the PAPI mnemonics of the bank's event sets are accepted)", name)
 		}
-		out[e] = v
+		if _, dup := out[e]; dup {
+			// Map keys are distinct, so only the "IPC" alias can collide.
+			return nil, fmt.Errorf("actor: %q and %q name the same event", e.String(), "IPC")
+		}
+		out[e] = r[name]
 	}
 	return out, nil
 }

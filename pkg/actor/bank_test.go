@@ -266,3 +266,26 @@ func TestAttachBankMismatch(t *testing.T) {
 		t.Errorf("mismatch error %q does not mention the topology", err)
 	}
 }
+
+// TestPredictRatesOrderIndependent pins Rates resolution against Go's map
+// iteration order: with two unknown mnemonics the error always names the
+// first in sorted order, and naming one event twice through its "IPC" alias
+// is always an error rather than whichever value the map visited last.
+func TestPredictRatesOrderIndependent(t *testing.T) {
+	_, bank := servingFixture(t)
+	cases := []struct {
+		rates actor.Rates
+		want  string
+	}{
+		{actor.Rates{"IPC": 1, "ZZ_UNKNOWN": 1, "AA_UNKNOWN": 1, "MM_UNKNOWN": 1}, `unknown event "AA_UNKNOWN"`},
+		{actor.Rates{"IPC": 1.1, "INST_RETIRED": 0.5}, `"INST_RETIRED" and "IPC" name the same event`},
+	}
+	for _, tc := range cases {
+		for i := 0; i < 64; i++ {
+			_, err := bank.Predict(context.Background(), tc.rates)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run %d: Predict(%v) error = %v, want one mentioning %s", i, tc.rates, err, tc.want)
+			}
+		}
+	}
+}

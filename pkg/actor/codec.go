@@ -2,7 +2,8 @@ package actor
 
 import (
 	"bytes"
-	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -13,13 +14,14 @@ import (
 )
 
 // This file composes internal/wire's Emitter and Scanner into the server's
-// per-type codecs. Encoding is byte-identical to the json.Encoder
-// configuration writeJSON always used (SetIndent("", " "), HTML escaping,
-// trailing newline) — enforced by codec property and fuzz tests against
-// encoding/json. Decoding is two-tier: the scanner handles well-formed
-// requests without reflection, and anything it declines is re-decoded by
-// encoding/json over the same bytes (fallbackDecode), so rejected payloads
-// produce exactly the error text and status codes they always have.
+// per-type codecs, and is the one place that knows the wire format.
+// Encoding is byte-identical to a json.Encoder configured with
+// SetIndent("", " "), HTML escaping and a trailing newline — enforced by
+// codec property and fuzz tests against encoding/json. Decoding is the
+// strict v1 request grammar (see "request grammar" below): the scanner is
+// the only decoder, and what it does not accept is rejected with a
+// documented reason. encoding/json is the tests' reference, not a
+// serving-path fallback.
 
 // headerJSONValue is the shared Content-Type value slice. Handlers assign
 // it into the header map directly: http.Header.Set allocates a fresh
@@ -33,17 +35,23 @@ func writeBody(w http.ResponseWriter, code int, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// writeWire encodes one response with build and writes it. On an encode
-// error (NaN in a float field) it writes the headers and no body, exactly
-// as json.Encoder.Encode did in writeJSON.
+// finish returns e's completed document. A non-finite float anywhere in it
+// withholds the whole document; finish then answers 500 itself and
+// reports false, so no reply ever goes out as headers without a body.
+func finish(w http.ResponseWriter, e *wire.Emitter) ([]byte, bool) {
+	body, err := e.Finish()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return nil, false
+	}
+	return body, true
+}
+
+// writeWire encodes one response with build and writes it.
 func writeWire(w http.ResponseWriter, code int, build func(e *wire.Emitter)) {
 	e := wire.GetEmitter()
 	build(e)
-	body, err := e.Finish()
-	if err != nil {
-		w.Header()["Content-Type"] = headerJSONValue
-		w.WriteHeader(code)
-	} else {
+	if body, ok := finish(w, e); ok {
 		writeBody(w, code, body)
 	}
 	wire.PutEmitter(e)
@@ -245,16 +253,58 @@ func encodeBankInfo(e *wire.Emitter, info *BankInfo) {
 	e.EndObject()
 }
 
-// --- request bodies ---
+// --- request grammar (v1) ---
+//
+// docs/SERVING.md "Wire contract (v1)" is the specification and the
+// functions below are its only implementation. A request body is exactly
+// one JSON object with exact-case keys, no key twice, no null anywhere and
+// nothing but whitespace after it. Every violation is an error whose text
+// is the documented <reason> of a `bad payload: <reason>` reply — 413 for
+// errBodyTooLarge, 400 for the rest — and the first violation in document
+// order is the one reported.
+
+var (
+	errBodyTooLarge = fmt.Errorf("body exceeds %d bytes", maxRequestBody)
+	errNotObject    = errors.New("body must be one JSON object")
+	errMalformed    = errors.New("malformed JSON")
+	errTrailingData = errors.New("trailing data after the JSON object")
+	errRatesMissing = errors.New(`"rates" is required and must be non-empty`)
+)
+
+func errFieldType(key, want string) error { return fmt.Errorf("%q must be %s", key, want) }
+
+// The keys of each request object, indexed by their fieldSet bit.
+var (
+	predictFields = []string{"phase", "rates"}
+	sweepFields   = []string{"bench", "phases"}
+	evalFields    = []string{"topology", "seed", "bank_version", "shard", "units"}
+	shardFields   = []string{"index", "total", "fingerprint"}
+)
+
+// fieldSet tracks which keys of one object have been seen.
+type fieldSet uint8
+
+// field resolves key against names exactly (no case folding) and returns
+// the matched name, rejecting unknown keys and second occurrences.
+func (f *fieldSet) field(key []byte, names []string) (string, error) {
+	for i, name := range names {
+		if string(key) != name {
+			continue
+		}
+		if *f&(1<<i) != 0 {
+			return "", fmt.Errorf("duplicate field %q", name)
+		}
+		*f |= 1 << i
+		return name, nil
+	}
+	return "", fmt.Errorf("unknown field %q", key)
+}
 
 // bodyPool holds POST body read buffers.
 var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// readBody slurps r.Body into buf (reusing its capacity), stopping one
-// byte past maxRequestBody: that is enough to distinguish "the first JSON
-// value completes within the cap" (accepted, trailing bytes ignored) from
-// "needs more" (413), which is exactly http.MaxBytesReader's behaviour as
-// observed through a json.Decoder.
+// readBody slurps r.Body into buf (reusing its capacity), giving up with
+// errBodyTooLarge one byte past maxRequestBody.
 func readBody(body io.Reader, buf []byte) ([]byte, error) {
 	buf = buf[:0]
 	for {
@@ -263,252 +313,218 @@ func readBody(body io.Reader, buf []byte) ([]byte, error) {
 		}
 		n, err := body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
+		if len(buf) > maxRequestBody {
+			return buf, errBodyTooLarge
+		}
 		if err == io.EOF {
 			return buf, nil
 		}
 		if err != nil {
-			return buf, err
-		}
-		if len(buf) > maxRequestBody {
-			return buf, nil
+			return buf, fmt.Errorf("reading body: %v", err)
 		}
 	}
 }
 
-// fallbackDecode re-decodes body exactly the way the handlers always did —
-// json.Decoder over a MaxBytesReader with DisallowUnknownFields — so every
-// payload the fast scanner declines gets the historical error text and
-// status (400 or 413 via badPayloadStatus).
-func fallbackDecode(w http.ResponseWriter, body []byte, v any) error {
-	rd := http.MaxBytesReader(w, io.NopCloser(bytes.NewReader(body)), maxRequestBody)
-	dec := json.NewDecoder(rd)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+// beginBody consumes the opening brace of the body's single object.
+func beginBody(sc *wire.Scanner) error {
+	if isNull, err := sc.BeginObjectOrNull(); err != nil || isNull {
+		return errNotObject
+	}
+	return nil
+}
+
+// endBody checks that only whitespace follows the body's object.
+func endBody(sc *wire.Scanner, body []byte) error {
+	for _, c := range body[sc.Pos():] {
+		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			return errTrailingData
+		}
+	}
+	return nil
+}
+
+func scanString(sc *wire.Scanner, key string) ([]byte, error) {
+	b, err := sc.Str()
+	if err != nil {
+		return nil, errFieldType(key, "a string")
+	}
+	return b, nil
+}
+
+// scanInt reads an integer literal that fits the platform's int.
+func scanInt(sc *wire.Scanner, key string) (int, error) {
+	v, err := sc.Int()
+	if err != nil || int64(int(v)) != v {
+		return 0, errFieldType(key, "an integer")
+	}
+	return int(v), nil
 }
 
 // decodeSweepFields scans one SweepRequest object body (after its opening
 // brace has been consumed) into req. Shared by /v1/sweep and the unit
 // elements of /v1/eval.
 func decodeSweepFields(sc *wire.Scanner, req *SweepRequest) error {
-	seenPhases := false
+	var seen fieldSet
 	for {
 		key, ok, err := sc.ObjKey()
 		if err != nil {
-			return err
+			return errMalformed
 		}
 		if !ok {
 			return nil
 		}
-		switch {
-		case wire.FoldEq(key, "bench"):
-			if sc.TryNull() {
-				continue // null into a string field is a no-op
-			}
-			b, err := sc.Str()
+		name, err := seen.field(key, sweepFields)
+		if err != nil {
+			return err
+		}
+		switch name {
+		case "bench":
+			b, err := scanString(sc, name)
 			if err != nil {
 				return err
 			}
 			req.Bench = string(b)
-		case wire.FoldEq(key, "phases"):
-			if seenPhases {
-				// A re-keyed array merges element-wise into the previous
-				// decode under encoding/json (existing elements are reused,
-				// not zeroed); the fallback owns that corner.
-				return wire.ErrReject
+		case "phases":
+			if isNull, err := sc.BeginArrayOrNull(); err != nil || isNull {
+				return errFieldType(name, "an array of strings")
 			}
-			seenPhases = true
-			isNull, err := sc.BeginArrayOrNull()
-			if err != nil {
-				return err
-			}
-			if isNull {
-				req.Phases = nil // null into a slice field stores nil
-				continue
-			}
-			phases := req.Phases[:0]
 			for {
 				more, err := sc.ArrayNext()
 				if err != nil {
-					return err
+					return errMalformed
 				}
 				if !more {
 					break
 				}
-				if sc.TryNull() {
-					phases = append(phases, "") // null element appends the zero value
-					continue
-				}
 				p, err := sc.Str()
 				if err != nil {
-					return err
+					return errFieldType(name, "an array of strings")
 				}
-				phases = append(phases, string(p))
+				req.Phases = append(req.Phases, string(p))
 			}
-			req.Phases = phases
-		default:
-			return wire.ErrReject // unknown field; fallback phrases the 400
 		}
 	}
 }
 
 // decodeSweepRequest scans a whole /v1/sweep body.
-func decodeSweepRequest(sc *wire.Scanner, req *SweepRequest) error {
-	isNull, err := sc.BeginObjectOrNull()
-	if err != nil || isNull {
+func decodeSweepRequest(body []byte, req *SweepRequest) error {
+	sc := wire.GetScanner(body)
+	defer wire.PutScanner(sc)
+	if err := beginBody(sc); err != nil {
 		return err
 	}
-	return decodeSweepFields(sc, req)
+	if err := decodeSweepFields(sc, req); err != nil {
+		return err
+	}
+	return endBody(sc, body)
 }
 
 // decodeEvalRequest scans a whole /v1/eval body.
-func decodeEvalRequest(sc *wire.Scanner, req *EvalRequest) error {
-	isNull, err := sc.BeginObjectOrNull()
-	if err != nil || isNull {
+func decodeEvalRequest(body []byte, req *EvalRequest) error {
+	sc := wire.GetScanner(body)
+	defer wire.PutScanner(sc)
+	if err := beginBody(sc); err != nil {
 		return err
 	}
-	seenUnits := false
+	var seen fieldSet
 	for {
 		key, ok, err := sc.ObjKey()
 		if err != nil {
-			return err
+			return errMalformed
 		}
 		if !ok {
-			return nil
+			return endBody(sc, body)
 		}
-		switch {
-		case wire.FoldEq(key, "topology"):
-			if sc.TryNull() {
-				continue
-			}
-			b, err := sc.Str()
+		name, err := seen.field(key, evalFields)
+		if err != nil {
+			return err
+		}
+		switch name {
+		case "topology":
+			b, err := scanString(sc, name)
 			if err != nil {
 				return err
 			}
 			req.Topology = string(b)
-		case wire.FoldEq(key, "seed"):
-			if sc.TryNull() {
-				continue
+		case "seed":
+			if req.Seed, err = sc.Int(); err != nil {
+				return errFieldType(name, "an integer")
 			}
-			v, err := sc.Int()
-			if err != nil {
+		case "bank_version":
+			if req.BankVersion, err = scanInt(sc, name); err != nil {
 				return err
 			}
-			req.Seed = v
-		case wire.FoldEq(key, "bank_version"):
-			if sc.TryNull() {
-				continue
-			}
-			v, err := sc.Int()
-			if err != nil {
-				return err
-			}
-			if int64(int(v)) != v {
-				return wire.ErrReject
-			}
-			req.BankVersion = int(v)
-		case wire.FoldEq(key, "shard"):
-			isNull, err := sc.BeginObjectOrNull()
-			if err != nil || isNull {
-				if err != nil {
-					return err
-				}
-				continue
+		case "shard":
+			if isNull, err := sc.BeginObjectOrNull(); err != nil || isNull {
+				return errFieldType(name, "an object")
 			}
 			if err := decodeShardFields(sc, &req.Shard); err != nil {
 				return err
 			}
-		case wire.FoldEq(key, "units"):
-			if seenUnits {
-				return wire.ErrReject // see decodeSweepFields on re-keyed arrays
+		case "units":
+			if isNull, err := sc.BeginArrayOrNull(); err != nil || isNull {
+				return errFieldType(name, "an array of objects")
 			}
-			seenUnits = true
-			isNull, err := sc.BeginArrayOrNull()
-			if err != nil {
-				return err
-			}
-			if isNull {
-				req.Units = nil
-				continue
-			}
-			units := req.Units[:0]
 			for {
 				more, err := sc.ArrayNext()
 				if err != nil {
-					return err
+					return errMalformed
 				}
 				if !more {
 					break
 				}
-				var u SweepRequest
-				if sc.TryNull() {
-					units = append(units, u)
-					continue
+				if isNull, err := sc.BeginObjectOrNull(); err != nil || isNull {
+					return errFieldType(name, "an array of objects")
 				}
-				isNull, err := sc.BeginObjectOrNull()
-				if err != nil {
+				var u SweepRequest
+				if err := decodeSweepFields(sc, &u); err != nil {
 					return err
 				}
-				if !isNull {
-					if err := decodeSweepFields(sc, &u); err != nil {
-						return err
-					}
-				}
-				units = append(units, u)
+				req.Units = append(req.Units, u)
 			}
-			req.Units = units
-		default:
-			return wire.ErrReject
 		}
 	}
 }
 
 func decodeShardFields(sc *wire.Scanner, shard *ShardSpec) error {
+	var seen fieldSet
 	for {
 		key, ok, err := sc.ObjKey()
 		if err != nil {
-			return err
+			return errMalformed
 		}
 		if !ok {
 			return nil
 		}
-		switch {
-		case wire.FoldEq(key, "index"), wire.FoldEq(key, "total"):
-			if sc.TryNull() {
-				continue
-			}
-			v, err := sc.Int()
-			if err != nil {
+		name, err := seen.field(key, shardFields)
+		if err != nil {
+			return err
+		}
+		switch name {
+		case "index":
+			if shard.Index, err = scanInt(sc, name); err != nil {
 				return err
 			}
-			if int64(int(v)) != v {
-				return wire.ErrReject
+		case "total":
+			if shard.Total, err = scanInt(sc, name); err != nil {
+				return err
 			}
-			if wire.FoldEq(key, "index") {
-				shard.Index = int(v)
-			} else {
-				shard.Total = int(v)
-			}
-		case wire.FoldEq(key, "fingerprint"):
-			if sc.TryNull() {
-				continue
-			}
-			b, err := sc.Str()
+		case "fingerprint":
+			b, err := scanString(sc, name)
 			if err != nil {
 				return err
 			}
 			shard.Fingerprint = string(b)
-		default:
-			return wire.ErrReject
 		}
 	}
 }
 
-// --- predict fast path scratch ---
+// --- predict request ---
 
 // eventIDByName resolves a rate mnemonic to its internal event without
 // allocating: the map is built once, and m[string(b)] lookups don't copy.
-// "IPC" shares pmu.Instructions with the raw mnemonic, which is why the
-// fast path refuses requests naming the same event twice (see buildMemoKey).
+// "IPC" is an alias of pmu.Instructions' own mnemonic; a request naming both
+// is rejected (see predictScratch.addRate).
 var eventIDByName = func() map[string]pmu.Event {
 	m := make(map[string]pmu.Event, pmu.NumEvents+1)
 	for e := pmu.Event(0); int(e) < pmu.NumEvents; e++ {
@@ -518,11 +534,11 @@ var eventIDByName = func() map[string]pmu.Event {
 	return m
 }()
 
-// predictScratch is the pooled per-request state of the /v1/predict fast
-// path: the body buffer, the parsed rate vector as parallel arrays, the
-// memo key under construction, and a reusable pmu.Rates map for the miss
-// path. Name slices alias the body buffer or the scanner arena, so the
-// scratch is only valid while both are held.
+// predictScratch is the pooled per-request state of /v1/predict: the body
+// buffer, the parsed rate vector as parallel arrays, the memo key under
+// construction, and a reusable pmu.Rates map for the miss path. Name slices
+// alias the body buffer or the scanner arena, so the scratch is only valid
+// while both are held.
 type predictScratch struct {
 	body  []byte
 	key   []byte
@@ -555,26 +571,84 @@ func putPredictScratch(sc *predictScratch) {
 	predictScratchPool.Put(sc)
 }
 
-// clearPairs resets the parsed rate vector (a "rates": null re-key).
-func (sc *predictScratch) clearPairs() {
-	sc.names = sc.names[:0]
-	sc.ids = sc.ids[:0]
-	sc.vals = sc.vals[:0]
-}
-
-// setPair records name=v with encoding/json map semantics: a repeated key
-// overwrites its previous value. The vectors are a dozen entries, so the
-// linear probe beats any map.
-func (sc *predictScratch) setPair(name []byte, id pmu.Event, v float64) {
-	for i, n := range sc.names {
-		if bytes.Equal(n, name) {
-			sc.vals[i] = v
-			return
+// decodePredictRequest scans a whole /v1/predict body: the rate vector
+// lands in sc, the phase label (aliasing body or the scanner arena) is
+// returned.
+func decodePredictRequest(scan *wire.Scanner, body []byte, sc *predictScratch) ([]byte, error) {
+	if err := beginBody(scan); err != nil {
+		return nil, err
+	}
+	var phase []byte
+	var seen fieldSet
+	for {
+		key, ok, err := scan.ObjKey()
+		if err != nil {
+			return nil, errMalformed
+		}
+		if !ok {
+			break
+		}
+		name, err := seen.field(key, predictFields)
+		if err != nil {
+			return nil, err
+		}
+		switch name {
+		case "phase":
+			if phase, err = scanString(scan, name); err != nil {
+				return nil, err
+			}
+		case "rates":
+			if isNull, err := scan.BeginObjectOrNull(); err != nil || isNull {
+				return nil, errFieldType(name, "an object")
+			}
+			for {
+				mnemonic, more, err := scan.ObjKey()
+				if err != nil {
+					return nil, errMalformed
+				}
+				if !more {
+					break
+				}
+				id, known := eventIDByName[string(mnemonic)]
+				if !known {
+					return nil, fmt.Errorf("unknown event %q", mnemonic)
+				}
+				v, err := scan.Float()
+				if err != nil {
+					return nil, fmt.Errorf("rate %q must be a finite number", mnemonic)
+				}
+				if err := sc.addRate(mnemonic, id, v); err != nil {
+					return nil, err
+				}
+			}
 		}
 	}
-	sc.names = append(sc.names, name)
+	if err := endBody(scan, body); err != nil {
+		return nil, err
+	}
+	if len(sc.ids) == 0 {
+		return nil, errRatesMissing
+	}
+	return phase, nil
+}
+
+// addRate records mnemonic=v, rejecting a repeated mnemonic and two
+// mnemonics that resolve to one event. The vectors are a dozen entries, so
+// the linear probe beats any map.
+func (sc *predictScratch) addRate(mnemonic []byte, id pmu.Event, v float64) error {
+	for i, seen := range sc.ids {
+		if seen != id {
+			continue
+		}
+		if bytes.Equal(sc.names[i], mnemonic) {
+			return fmt.Errorf("duplicate event %q", mnemonic)
+		}
+		return fmt.Errorf("%q and %q name the same event", sc.names[i], mnemonic)
+	}
+	sc.names = append(sc.names, mnemonic)
 	sc.ids = append(sc.ids, id)
 	sc.vals = append(sc.vals, v)
+	return nil
 }
 
 // pmuRates rebuilds the reusable pmu.Rates map from the parsed pairs.
@@ -588,11 +662,8 @@ func (sc *predictScratch) pmuRates() pmu.Rates {
 
 // buildMemoKey canonicalizes the request into the memo key: bank version,
 // pair count, (event id, float64 bits) pairs sorted by id, then the phase
-// bytes. The fixed-width prefix makes the layout unambiguous. Returns nil
-// when two mnemonics resolved to the same event ("IPC" plus the raw
-// instructions mnemonic): their merge order is map-iteration-dependent on
-// the stdlib path today, so those requests stay off the fast path
-// entirely rather than having the memo freeze one arbitrary outcome.
+// bytes. The fixed-width prefix makes the layout unambiguous, and the
+// grammar guarantees the ids are distinct.
 func (sc *predictScratch) buildMemoKey(bankVersion int, phase []byte) []byte {
 	// Insertion-sort ids and vals together; names are done being useful.
 	ids, vals := sc.ids, sc.vals
@@ -600,11 +671,6 @@ func (sc *predictScratch) buildMemoKey(bankVersion int, phase []byte) []byte {
 		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 			vals[j], vals[j-1] = vals[j-1], vals[j]
-		}
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i] == ids[i-1] {
-			return nil
 		}
 	}
 	k := sc.key[:0]

@@ -4,16 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
 	"github.com/greenhpc/actor/internal/wire"
 )
 
-// stdlibBytes renders v exactly the way the server's historical writeJSON
-// did: json.Encoder with SetIndent("", " "), HTML escaping on, trailing
-// newline. Every encode test in this file compares the wire codec against
-// this reference.
+// stdlibBytes renders v with json.Encoder, SetIndent("", " "), HTML
+// escaping on and a trailing newline. Every encode test in this file
+// compares the wire codec against this reference.
 func stdlibBytes(t *testing.T, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -163,7 +164,9 @@ func TestEncodeBankInfoMatchesStdlib(t *testing.T) {
 func TestEncodeErrorAndStatusMatchStdlib(t *testing.T) {
 	for _, msg := range nastyStrings {
 		got := wireBytes(t, func(e *wire.Emitter) { encodeError(e, msg) })
-		want := stdlibBytes(t, errorResponse{Error: msg})
+		want := stdlibBytes(t, struct {
+			Error string `json:"error"`
+		}{msg})
 		checkBytes(t, got, want)
 
 		got = wireBytes(t, func(e *wire.Emitter) { encodeStatus(e, msg) })
@@ -175,13 +178,22 @@ func TestEncodeErrorAndStatusMatchStdlib(t *testing.T) {
 }
 
 // TestEncodeNaNWithholdsBody pins the all-or-nothing failure mode: a NaN
-// anywhere in a response produces no bytes, matching json.Encoder.Encode.
+// anywhere in a response withholds every byte of it, and the client gets a
+// 500 with a JSON error body instead — never headers without a body.
 func TestEncodeNaNWithholdsBody(t *testing.T) {
-	_, err := encodeJSON(func(e *wire.Emitter) {
+	nan := func(e *wire.Emitter) {
 		encodeSweepResponse(e, []PhaseSweep{{Bench: "SP", Rows: []SweepRow{{AggIPC: math.NaN()}}}})
-	})
-	if err == nil {
+	}
+	if _, err := encodeJSON(nan); err == nil {
 		t.Fatal("encoding a NaN succeeded; json.Encoder refuses it")
+	}
+	rec := httptest.NewRecorder()
+	writeWire(rec, http.StatusOK, nan)
+	want := wireBytes(t, func(e *wire.Emitter) {
+		encodeError(e, "encoding response: "+wire.ErrUnsupportedValue.Error())
+	})
+	if rec.Code != http.StatusInternalServerError || !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Errorf("NaN response = %d %q, want 500 %q", rec.Code, rec.Body, want)
 	}
 }
 
@@ -211,19 +223,17 @@ func FuzzEncodePredictResponse(f *testing.F) {
 
 // --- decode parity ---
 
-// stdlibDecode decodes data the way the fallback path does (one value,
-// unknown fields rejected) without the HTTP plumbing.
+// stdlibDecode is the reference decoder: one value, unknown fields rejected.
 func stdlibDecode(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
 
-// FuzzDecodeSweepRequestParity is the wire-scanner acceptance contract for
-// /v1/sweep bodies: any input the scanner accepts must be one encoding/json
-// also accepts, decoded to the identical struct. Inputs the scanner
-// declines are out of scope — the handler replays them through
-// encoding/json itself.
+// FuzzDecodeSweepRequestParity is the one-way acceptance contract for
+// /v1/sweep bodies: any input the grammar accepts must be one encoding/json
+// also accepts, decoded to the identical struct. (The grammar rejects
+// strictly more — case-variant and duplicate keys, nulls, trailing data.)
 func FuzzDecodeSweepRequestParity(f *testing.F) {
 	f.Add([]byte(`{"bench":"SP"}`))
 	f.Add([]byte(`{"BENCH":"sp","phases":["a",null,"b"]}`))
@@ -232,20 +242,21 @@ func FuzzDecodeSweepRequestParity(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(` { "bench" : "\u0053P" } trailing garbage`))
+	f.Add([]byte(` { "phases" : [ ] , "bench" : "\u0053P" } `))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sc := wire.GetScanner(data)
 		var got SweepRequest
-		err := decodeSweepRequest(sc, &got)
-		wire.PutScanner(sc)
-		if err != nil {
-			return // declined: the fallback path owns this input
+		if err := decodeSweepRequest(data, &got); err != nil {
+			if err.Error() == "" {
+				t.Fatalf("rejected %q without a reason", data)
+			}
+			return
 		}
 		var want SweepRequest
 		if serr := stdlibDecode(data, &want); serr != nil {
-			t.Fatalf("scanner accepted %q but encoding/json rejects it: %v", data, serr)
+			t.Fatalf("grammar accepted %q but encoding/json rejects it: %v", data, serr)
 		}
 		if got.Bench != want.Bench || !reflect.DeepEqual(normSlice(got.Phases), normSlice(want.Phases)) {
-			t.Fatalf("decode mismatch for %q:\nscanner: %+v\nstdlib:  %+v", data, got, want)
+			t.Fatalf("decode mismatch for %q:\ngrammar: %+v\nstdlib:  %+v", data, got, want)
 		}
 	})
 }
@@ -259,27 +270,30 @@ func FuzzDecodeEvalRequestParity(f *testing.F) {
 	f.Add([]byte(`{"seed":9007199254740993}`))
 	f.Add([]byte(`{"units":[{"bench":"a"},{"bench":"b"}],"units":[{"bench":"c"}]}`))
 	f.Add([]byte(`null`))
+	f.Add([]byte(`{"topology":"2s2c1t","seed":-7,"bank_version":3,` +
+		`"shard":{"index":1,"total":4,"fingerprint":"ab"},` +
+		`"units":[{"bench":"SP","phases":["x"]},{}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sc := wire.GetScanner(data)
 		var got EvalRequest
-		err := decodeEvalRequest(sc, &got)
-		wire.PutScanner(sc)
-		if err != nil {
+		if err := decodeEvalRequest(data, &got); err != nil {
+			if err.Error() == "" {
+				t.Fatalf("rejected %q without a reason", data)
+			}
 			return
 		}
 		var want EvalRequest
 		if serr := stdlibDecode(data, &want); serr != nil {
-			t.Fatalf("scanner accepted %q but encoding/json rejects it: %v", data, serr)
+			t.Fatalf("grammar accepted %q but encoding/json rejects it: %v", data, serr)
 		}
 		got.Units = normUnits(got.Units)
 		want.Units = normUnits(want.Units)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("decode mismatch for %q:\nscanner: %+v\nstdlib:  %+v", data, got, want)
+			t.Fatalf("decode mismatch for %q:\ngrammar: %+v\nstdlib:  %+v", data, got, want)
 		}
 	})
 }
 
-// normSlice maps empty to nil: for `[]` the scanner yields a nil slice
+// normSlice maps empty to nil: for `[]` the grammar yields a nil slice
 // where the stdlib allocates an empty one. Handlers only ever len() and
 // range request slices (they are never re-encoded), so the difference is
 // unobservable; the parity check normalizes it away.

@@ -2,10 +2,8 @@ package actor
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -54,9 +52,8 @@ type Server struct {
 	evals *evalCache
 
 	// memo caches fully encoded /v1/predict responses by exact canonical
-	// request (nil when ACTOR_PREDICT_MEMO=off). The bank state's memo
-	// generation joins the key, so entries cached against a previous bank
-	// can never be served after a swap.
+	// request. The bank state's memo generation joins the key, so entries
+	// cached against a previous bank can never be served after a swap.
 	memo *predictMemo
 
 	// state is the served bank plus everything derived from it, swapped as
@@ -113,9 +110,7 @@ func NewServer(eng *Engine) (*Server, error) {
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 		evals: newEvalCache(256),
-	}
-	if os.Getenv("ACTOR_PREDICT_MEMO") != "off" {
-		s.memo = newPredictMemo()
+		memo:  newPredictMemo(),
 	}
 	// The initial memo generation is the bank's format version, preserving
 	// the historical key layout; swaps move strictly upward from there.
@@ -290,19 +285,13 @@ func (s *Server) dispatch() {
 	}
 }
 
-// errorResponse documents the error body shape; encodeError emits it.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
 	writeWire(w, code, func(e *wire.Emitter) { encodeError(e, msg) })
 }
 
 // Responses that never vary are encoded once at init and served as cached
-// bytes: the health and readiness bodies, the method-mismatch errors, and
-// the fixed predict validation error.
+// bytes: the health and readiness bodies and the method-mismatch errors.
 var (
 	statusOKBody        = mustEncodeStatus("ok")
 	statusReadyBody     = mustEncodeStatus("ready")
@@ -310,8 +299,6 @@ var (
 	statusSaturatedBody = mustEncodeStatus("saturated")
 	errUseGETBody       = mustEncodeError("use GET")
 	errUsePOSTBody      = mustEncodeError("use POST")
-
-	errRatesRequiredBody = mustEncodeError(`bad payload: "rates" is required and must be non-empty`)
 )
 
 func mustEncodeStatus(status string) []byte {
@@ -404,10 +391,8 @@ type PredictResponse struct {
 
 // handlePredict is the serving hot path: pooled body read, wire-codec
 // parse, memo probe, and a single response Write — allocation-free end to
-// end on a memo hit. Anything the fast path declines (malformed JSON,
-// unknown fields or mnemonics, oversize bodies, duplicate event ids)
-// replays through slowPredict, the historical stdlib handler, so observable
-// behaviour — every byte, every status — is unchanged.
+// end on a memo hit. A body outside the v1 grammar is answered with its
+// documented `bad payload` rejection.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeBody(w, http.StatusMethodNotAllowed, errUsePOSTBody)
@@ -416,121 +401,44 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	sc := getPredictScratch()
 	body, err := readBody(r.Body, sc.body)
 	sc.body = body
-	if err != nil {
-		putPredictScratch(sc)
-		writeError(w, badPayloadStatus(err), "bad payload: %v", err)
-		return
+	if err == nil {
+		scan := wire.GetScanner(body)
+		var phase []byte
+		if phase, err = decodePredictRequest(scan, body, sc); err == nil {
+			s.servePredict(w, r, sc, phase)
+		}
+		wire.PutScanner(scan)
 	}
-	// One state load serves the whole request: the memo key, the predictor
-	// and the fallback path all see the same bank even mid-swap.
-	st := s.state.Load()
-	scan := wire.GetScanner(body)
-	done := s.tryFastPredict(w, r, scan, sc, st)
-	wire.PutScanner(scan)
-	if !done {
-		s.slowPredict(w, r, body, st)
+	if err != nil {
+		writeBadPayload(w, err)
 	}
 	putPredictScratch(sc)
 }
 
-// tryFastPredict parses, predicts and responds through the wire codec.
-// It reports false — having written nothing — when the request belongs on
-// the stdlib path instead.
-func (s *Server) tryFastPredict(w http.ResponseWriter, r *http.Request, scan *wire.Scanner, sc *predictScratch, st *bankState) bool {
-	var phase []byte
-	isNull, err := scan.BeginObjectOrNull()
-	if err != nil {
-		return false
-	}
-	if !isNull {
-		for {
-			key, ok, err := scan.ObjKey()
-			if err != nil {
-				return false
-			}
-			if !ok {
-				break
-			}
-			switch {
-			case wire.FoldEq(key, "phase"):
-				if scan.TryNull() {
-					continue // null into a string field is a no-op
-				}
-				b, err := scan.Str()
-				if err != nil {
-					return false
-				}
-				phase = b
-			case wire.FoldEq(key, "rates"):
-				mNull, err := scan.BeginObjectOrNull()
-				if err != nil {
-					return false
-				}
-				if mNull {
-					sc.clearPairs() // null stores a nil map
-					continue
-				}
-				// A repeated "rates" key merges into the existing map, like
-				// encoding/json decoding an object into a non-nil map — so
-				// pairs accumulate across keys and setPair overwrites.
-				for {
-					name, mok, err := scan.ObjKey()
-					if err != nil {
-						return false
-					}
-					if !mok {
-						break
-					}
-					id, known := eventIDByName[string(name)]
-					if !known {
-						return false // unknown mnemonic: fallback owns the error
-					}
-					var v float64
-					if !scan.TryNull() {
-						if v, err = scan.Float(); err != nil {
-							return false
-						}
-					}
-					sc.setPair(name, id, v)
-				}
-			default:
-				return false // unknown field: fallback phrases the 400
-			}
-		}
-	}
-	if scan.Pos() > maxRequestBody {
-		return false // first value needs more than the cap: fallback serves the 413
-	}
-	if len(sc.ids) == 0 {
-		writeBody(w, http.StatusBadRequest, errRatesRequiredBody)
-		return true
-	}
+// servePredict answers one decoded predict request from the memo, or
+// predicts, encodes and caches it.
+func (s *Server) servePredict(w http.ResponseWriter, r *http.Request, sc *predictScratch, phase []byte) {
 	if err := r.Context().Err(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return true
+		return
 	}
+	// One state load serves the whole request: the memo key and the
+	// predictor see the same bank even mid-swap.
+	st := s.state.Load()
 	key := sc.buildMemoKey(st.gen, phase)
-	if key == nil {
-		// Two mnemonics resolved to one event: merge order is
-		// map-iteration-dependent on the stdlib path, and the memo must not
-		// freeze one arbitrary outcome.
-		return false
-	}
 	rec := s.recal.Load()
-	if s.memo != nil {
-		if entry := s.memo.lookup(key); entry != nil {
-			if rec != nil {
-				rec.observe(sc, phase, entry.obsErr)
-			}
-			writeBody(w, http.StatusOK, entry.resp)
-			return true
+	if entry := s.memo.lookup(key); entry != nil {
+		if rec != nil {
+			rec.observe(sc, phase, entry.obsErr)
 		}
+		writeBody(w, http.StatusOK, entry.resp)
+		return
 	}
 	pr := sc.pmuRates()
 	ranked, err := st.bank.predictPMU(pr)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return true
+		return
 	}
 	var obsErr float64
 	if rec != nil {
@@ -539,44 +447,14 @@ func (s *Server) tryFastPredict(w http.ResponseWriter, r *http.Request, scan *wi
 	}
 	e := wire.GetEmitter()
 	encodePredictResponse(e, phase, ranked)
-	respBody, err := e.Finish()
-	if err != nil {
-		// NaN in a prediction: headers then no body, as json.Encoder did.
-		w.Header()["Content-Type"] = headerJSONValue
-		w.WriteHeader(http.StatusOK)
-	} else {
-		if s.memo != nil {
-			s.memo.put(key, respBody, obsErr)
-		}
+	if respBody, ok := finish(w, e); ok {
+		s.memo.put(key, respBody, obsErr)
 		if rec != nil {
 			rec.observe(sc, phase, obsErr)
 		}
 		writeBody(w, http.StatusOK, respBody)
 	}
 	wire.PutEmitter(e)
-	return true
-}
-
-// slowPredict is the historical handler over the already-read body:
-// stdlib decode for exact error text, bank.Predict, wire-encoded success.
-func (s *Server) slowPredict(w http.ResponseWriter, r *http.Request, body []byte, st *bankState) {
-	var req PredictRequest
-	if err := fallbackDecode(w, body, &req); err != nil {
-		writeError(w, badPayloadStatus(err), "bad payload: %v", err)
-		return
-	}
-	if len(req.Rates) == 0 {
-		writeBody(w, http.StatusBadRequest, errRatesRequiredBody)
-		return
-	}
-	ranked, err := st.bank.Predict(r.Context(), req.Rates)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeWire(w, http.StatusOK, func(e *wire.Emitter) {
-		encodePredictResponse(e, []byte(req.Phase), ranked)
-	})
 }
 
 // SweepResponse is the /v1/sweep reply.
@@ -584,34 +462,21 @@ type SweepResponse struct {
 	Sweeps []PhaseSweep `json:"sweeps"`
 }
 
-// decodePOSTBody reads and decodes one POST body through the wire scanner
-// with stdlib fallback. decode runs the scanner into v; when it declines
-// (or the value overruns the cap), v is reset to zero and re-decoded by
-// encoding/json for the historical behaviour. Returns false with the
-// error response already written.
-func decodePOSTBody(w http.ResponseWriter, r *http.Request, v any, decode func(*wire.Scanner) error, reset func()) bool {
+// decodePOSTBody reads one POST body into a pooled buffer and runs decode
+// over it. It reports false with the rejection already written.
+func decodePOSTBody(w http.ResponseWriter, r *http.Request, decode func(body []byte) error) bool {
 	bufp := bodyPool.Get().(*[]byte)
 	body, err := readBody(r.Body, *bufp)
 	*bufp = body
-	defer func() {
-		if cap(*bufp) <= 1<<20 {
-			bodyPool.Put(bufp)
-		}
-	}()
-	if err != nil {
-		writeError(w, badPayloadStatus(err), "bad payload: %v", err)
-		return false
+	if err == nil {
+		err = decode(body)
 	}
-	scan := wire.GetScanner(body)
-	derr := decode(scan)
-	pos := scan.Pos()
-	wire.PutScanner(scan)
-	if derr != nil || pos > maxRequestBody {
-		reset()
-		if err := fallbackDecode(w, body, v); err != nil {
-			writeError(w, badPayloadStatus(err), "bad payload: %v", err)
-			return false
-		}
+	if cap(*bufp) <= 1<<20 {
+		bodyPool.Put(bufp)
+	}
+	if err != nil {
+		writeBadPayload(w, err)
+		return false
 	}
 	return true
 }
@@ -622,10 +487,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	ok := decodePOSTBody(w, r, &req,
-		func(scan *wire.Scanner) error { return decodeSweepRequest(scan, &req) },
-		func() { req = SweepRequest{} })
-	if !ok {
+	if !decodePOSTBody(w, r, func(body []byte) error { return decodeSweepRequest(body, &req) }) {
 		return
 	}
 	if req.Bench == "" {
@@ -660,14 +522,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// badPayloadStatus maps a decode error to its HTTP status: 413 when the
-// MaxBytesReader tripped, 400 otherwise.
-func badPayloadStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
+// writeBadPayload answers a request the v1 grammar rejects: 413 when the
+// body outgrew the cap, 400 otherwise.
+func writeBadPayload(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	if err == errBodyTooLarge {
+		code = http.StatusRequestEntityTooLarge
 	}
-	return http.StatusBadRequest
+	writeError(w, code, "bad payload: %v", err)
 }
 
 // handleEval evaluates one shard of a distributed sweep (see EvalRequest).
@@ -683,10 +545,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EvalRequest
-	ok := decodePOSTBody(w, r, &req,
-		func(scan *wire.Scanner) error { return decodeEvalRequest(scan, &req) },
-		func() { req = EvalRequest{} })
-	if !ok {
+	if !decodePOSTBody(w, r, func(body []byte) error { return decodeEvalRequest(body, &req) }) {
 		return
 	}
 	if err := s.validateEval(&req); err != nil {
@@ -719,11 +578,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	// is answered with one Write and zero re-encoding.
 	e := wire.GetEmitter()
 	encodeEvalResponse(e, fp, sweeps)
-	body, err := e.Finish()
-	if err != nil {
-		w.Header()["Content-Type"] = headerJSONValue
-		w.WriteHeader(http.StatusOK)
-	} else {
+	if body, ok := finish(w, e); ok {
 		s.evals.put(fp, append([]byte(nil), body...))
 		writeBody(w, http.StatusOK, body)
 	}

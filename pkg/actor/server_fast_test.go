@@ -4,107 +4,47 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 
-	"github.com/greenhpc/actor/internal/pmu"
 	"github.com/greenhpc/actor/pkg/actor"
 )
 
-// This file pins the serving fast path (internal/wire codec + prediction
-// memo) to the historical stdlib handlers, byte for byte. The reference
-// handlers below are verbatim re-implementations of the pre-wire-codec
-// server code — json.Decoder with DisallowUnknownFields over a
-// MaxBytesReader, json.Encoder with SetIndent("", " ") — and the parity
-// fuzzers assert the live server answers every request with the same
-// status and body the reference does.
+// This file pins the serving path's two contracts. Responses: every served
+// byte equals what encoding/json would have written for the in-process
+// answer. Requests: the strict v1 grammar of docs/SERVING.md — one row of
+// TestV1GrammarRejections per row of its rejection table, and one-way
+// fuzzers asserting that nothing panics, every rejection is a well-formed
+// error reply, and everything accepted means what encoding/json says it
+// means. encoding/json is the reference here and only here; the server
+// itself never decodes with it.
 
-func refWriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+const maxBody = 1 << 20
+
+// stdlibJSON renders v the way the wire Emitter must: json.Encoder with a
+// one-space indent, HTML escaping and a trailing newline.
+func stdlibJSON(t testing.TB, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
-}
-
-func refWriteError(w http.ResponseWriter, code int, format string, args ...any) {
-	refWriteJSON(w, code, struct {
-		Error string `json:"error"`
-	}{fmt.Sprintf(format, args...)})
-}
-
-func refBadPayloadStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
 	}
-	return http.StatusBadRequest
+	return buf.Bytes()
 }
 
-const refMaxBody = 1 << 20
-
-func refPredictHandler(bank *actor.Bank) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			refWriteError(w, http.StatusMethodNotAllowed, "use POST")
-			return
-		}
-		var req actor.PredictRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, refMaxBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			refWriteError(w, refBadPayloadStatus(err), "bad payload: %v", err)
-			return
-		}
-		if len(req.Rates) == 0 {
-			refWriteError(w, http.StatusBadRequest, `bad payload: "rates" is required and must be non-empty`)
-			return
-		}
-		ranked, err := bank.Predict(r.Context(), req.Rates)
-		if err != nil {
-			refWriteError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		refWriteJSON(w, http.StatusOK, actor.PredictResponse{
-			Phase:       req.Phase,
-			Best:        ranked[0].Config,
-			Predictions: ranked,
-		})
-	}
-}
-
-func refSweepHandler(eng *actor.Engine) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			refWriteError(w, http.StatusMethodNotAllowed, "use POST")
-			return
-		}
-		var req actor.SweepRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, refMaxBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			refWriteError(w, refBadPayloadStatus(err), "bad payload: %v", err)
-			return
-		}
-		if req.Bench == "" {
-			refWriteError(w, http.StatusBadRequest, `bad payload: "bench" is required`)
-			return
-		}
-		// The live server routes this through the dispatcher; with no
-		// cancellation in play the observable result is one Sweep call.
-		sweeps, err := eng.Sweep(context.Background(), req)
-		if err != nil {
-			refWriteError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		refWriteJSON(w, http.StatusOK, actor.SweepResponse{Sweeps: sweeps})
-	}
+// strictDecode is the reference decoder: encoding/json with unknown fields
+// rejected.
+func strictDecode(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 func postBytes(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
@@ -114,42 +54,37 @@ func postBytes(h http.Handler, path string, body []byte) *httptest.ResponseRecor
 	return rec
 }
 
-// ratesAnomalies inspects a decoded predict body for the two spots where
-// the historical handler's output is legitimately nondeterministic (map
-// iteration order), so the parity fuzzer knows when a byte comparison is
-// meaningful.
-func ratesAnomalies(rates actor.Rates) (unknown int, dup bool) {
-	seen := make(map[pmu.Event]int)
-	for name := range rates {
-		if name == "IPC" {
-			seen[pmu.Instructions]++
-			continue
-		}
-		e, ok := pmu.EventByName(name)
-		if !ok {
-			unknown++
-			continue
-		}
-		seen[e]++
+// checkReply asserts the reply-shape half of the contract for one fuzzed
+// request: a documented status, and on anything but 200 a body that is
+// exactly one {"error": "<non-empty>"} object. A 500 is only ever the
+// non-finite-prediction reply. It reports whether the request was served.
+func checkReply(t *testing.T, body []byte, rec *httptest.ResponseRecorder) bool {
+	t.Helper()
+	switch rec.Code {
+	case http.StatusOK:
+		return true
+	case http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge, http.StatusInternalServerError:
+	default:
+		t.Fatalf("undocumented status %d for %q: %s", rec.Code, body, rec.Body)
 	}
-	for _, n := range seen {
-		if n > 1 {
-			dup = true
-		}
+	var reply struct {
+		Error string `json:"error"`
 	}
-	return unknown, dup
+	if err := strictDecode(rec.Body.Bytes(), &reply); err != nil || reply.Error == "" {
+		t.Fatalf("status %d for %q without a well-formed error body (%v): %q", rec.Code, body, err, rec.Body)
+	}
+	if rec.Code == http.StatusInternalServerError && !strings.HasPrefix(reply.Error, "encoding response:") {
+		t.Fatalf("500 for %q is not the non-finite-prediction reply: %q", body, reply.Error)
+	}
+	return false
 }
 
-// FuzzPredictServedParity feeds arbitrary bodies to the live /v1/predict
-// fast path and to the historical stdlib handler and demands identical
-// statuses — and identical bytes whenever the historical handler itself was
-// deterministic. This is the satellite contract: the wire decoder rejects
-// exactly what encoding/json plus validation rejected, with the same status
-// codes and error text.
+// FuzzPredictServedParity feeds arbitrary bodies to /v1/predict. Whatever
+// the server accepts, encoding/json must decode to a request whose
+// in-process prediction, stdlib-encoded, is byte for byte what was served.
 func FuzzPredictServedParity(f *testing.F) {
 	_, bank := servingFixture(f)
 	srv := newTestServer(f)
-	ref := refPredictHandler(bank)
 	f.Add([]byte(`{"phase":"x_solve","rates":{"IPC":1.1,"INST_RETIRED":0.5}}`))
 	f.Add([]byte(`{"PHASE":"p","RATES":{"IPC":2}}`))
 	f.Add([]byte(`{"rates":{"IPC":1},"rates":{"IPC":3}}`))
@@ -162,38 +97,27 @@ func FuzzPredictServedParity(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{} trailing`))
 	f.Add([]byte(`{"rate":{"IPC":1}}`))
+	f.Add([]byte(` {"phase":"<\u0041>","rates":{"IPC":1.25,"L2_LINES_IN":3e-3}} `))
+	f.Add([]byte(`{"rates":{"IPC":1e308,"BUS_TRANS_MEM":1e308}}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) > 1<<16 {
-			return // oversize is pinned by TestServerPredictOversize
+			return // the cap is pinned by TestServerPredictOversize
 		}
 		got := postBytes(srv, "/v1/predict", body)
-		want := postBytes(ref, "/v1/predict", body)
-		if got.Code != want.Code {
-			t.Fatalf("status %d, historical handler gave %d for %q\nserved: %s\nref:    %s",
-				got.Code, want.Code, body, got.Body, want.Body)
+		if !checkReply(t, body, got) {
+			return
 		}
 		var req actor.PredictRequest
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if dec.Decode(&req) == nil && len(req.Rates) > 0 {
-			unknown, dup := ratesAnomalies(req.Rates)
-			if unknown > 1 || (unknown == 1 && dup) {
-				// Which unknown event the error names depends on map order.
-				if !strings.Contains(got.Body.String(), "unknown event") {
-					t.Fatalf("expected an unknown-event error, got %s", got.Body)
-				}
-				return
-			}
-			if unknown == 0 && dup {
-				// Two mnemonics resolved to one event: the surviving value is
-				// map-order-dependent even historically, so only the status is
-				// comparable.
-				return
-			}
+		if err := strictDecode(body, &req); err != nil {
+			t.Fatalf("served %q, which encoding/json rejects: %v", body, err)
 		}
-		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-			t.Fatalf("served body differs from historical handler for %q:\nserved: %q\nref:    %q",
-				body, got.Body, want.Body)
+		ranked, err := bank.Predict(context.Background(), req.Rates)
+		if err != nil {
+			t.Fatalf("served %q, which Bank.Predict rejects: %v", body, err)
+		}
+		want := stdlibJSON(t, actor.PredictResponse{Phase: req.Phase, Best: ranked[0].Config, Predictions: ranked})
+		if !bytes.Equal(got.Body.Bytes(), want) {
+			t.Fatalf("served body differs from the in-process answer for %q:\nserved: %q\nwant:   %q", body, got.Body, want)
 		}
 	})
 }
@@ -202,7 +126,6 @@ func FuzzPredictServedParity(f *testing.F) {
 func FuzzSweepServedParity(f *testing.F) {
 	eng, _ := servingFixture(f)
 	srv := newTestServer(f)
-	ref := refSweepHandler(eng)
 	f.Add([]byte(`{"bench":"SP"}`))
 	f.Add([]byte(`{"bench":"SP","phases":["x_solve"]}`))
 	f.Add([]byte(`{"BENCH":"CG","phases":[null]}`))
@@ -217,91 +140,203 @@ func FuzzSweepServedParity(f *testing.F) {
 			return
 		}
 		got := postBytes(srv, "/v1/sweep", body)
-		want := postBytes(ref, "/v1/sweep", body)
-		if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-			t.Fatalf("served sweep differs from historical handler for %q:\nserved: %d %q\nref:    %d %q",
-				body, got.Code, got.Body, want.Code, want.Body)
+		if !checkReply(t, body, got) {
+			return
+		}
+		var req actor.SweepRequest
+		if err := strictDecode(body, &req); err != nil {
+			t.Fatalf("served %q, which encoding/json rejects: %v", body, err)
+		}
+		sweeps, err := eng.Sweep(context.Background(), req)
+		if err != nil {
+			t.Fatalf("served %q, which Engine.Sweep rejects: %v", body, err)
+		}
+		if want := stdlibJSON(t, actor.SweepResponse{Sweeps: sweeps}); !bytes.Equal(got.Body.Bytes(), want) {
+			t.Fatalf("served sweep differs from the in-process answer for %q:\nserved: %q\nwant:   %q", body, got.Body, want)
 		}
 	})
 }
 
-// FuzzEvalDecodeParity pins the /v1/eval decoder's reject behaviour: any
-// body encoding/json rejects must come back from the live server with the
-// stdlib's exact error text and status. (Accepted bodies proceed to shard
-// validation, which is shared code on both paths and covered by the dist
-// and eval tests.)
+// FuzzEvalDecodeParity is the same contract for /v1/eval: rejections (400
+// from the grammar, 409 from shard validation) are well-formed, and a
+// served shard is one encoding/json reads as a self-consistent request.
 func FuzzEvalDecodeParity(f *testing.F) {
+	eng, _ := servingFixture(f)
 	srv := newTestServer(f)
 	f.Add([]byte(`{"seed":"not a number"}`))
 	f.Add([]byte(`{"units":[{"bench":1}]}`))
 	f.Add([]byte(`{"shard":{"index":1.5}}`))
 	f.Add([]byte(`{"nope":1}`))
 	f.Add([]byte(`{"units":[{"bench":"SP","phases":["x"]}],"seed":0}`))
+	units := eng.Workload()[:1]
+	valid, err := json.Marshal(actor.EvalRequest{
+		Topology: eng.TopologyDesc(), Seed: eng.Seed(), BankVersion: actor.BankVersion, Units: units,
+		Shard: actor.ShardSpec{Total: 1, Fingerprint: actor.ShardFingerprint(eng.TopologyDesc(), eng.Seed(), units)},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) > 1<<16 {
 			return
 		}
-		var req actor.EvalRequest
-		dec := json.NewDecoder(http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)), refMaxBody))
-		dec.DisallowUnknownFields()
-		err := dec.Decode(&req)
-		if err == nil {
+		got := postBytes(srv, "/v1/eval", body)
+		if !checkReply(t, body, got) {
 			return
 		}
-		want := httptest.NewRecorder()
-		refWriteError(want, refBadPayloadStatus(err), "bad payload: %v", err)
-		got := postBytes(srv, "/v1/eval", body)
-		if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-			t.Fatalf("served eval reject differs from stdlib for %q:\nserved: %d %q\nref:    %d %q",
-				body, got.Code, got.Body, want.Code, want.Body)
+		var req actor.EvalRequest
+		if err := strictDecode(body, &req); err != nil {
+			t.Fatalf("served %q, which encoding/json rejects: %v", body, err)
+		}
+		var resp actor.EvalResponse
+		if err := strictDecode(got.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("unreadable eval reply for %q: %v", body, err)
+		}
+		if resp.Fingerprint != req.Fingerprint() || len(resp.Sweeps) < len(req.Units) {
+			t.Fatalf("served shard %q inconsistently: fingerprint %q (want %q), %d sweeps for %d units",
+				body, resp.Fingerprint, req.Fingerprint(), len(resp.Sweeps), len(req.Units))
 		}
 	})
 }
 
-// TestServerPredictMemoIdentity serves the same request set through a
-// memo-enabled server (twice: miss then hit) and a memo-disabled server,
-// and requires every response byte-identical — the acceptance criterion
-// that the memo can never change served bytes.
+// TestV1GrammarRejections has one row per line of the rejection table in
+// docs/SERVING.md ("Wire contract (v1)"), asserting the exact status and
+// error string on every route the row applies to.
+func TestV1GrammarRejections(t *testing.T) {
+	srv := newTestServer(t)
+	const predict, sweep, eval = "/v1/predict", "/v1/sweep", "/v1/eval"
+	all := []string{predict, sweep, eval}
+	pad := func(body string, n int) string { return body + strings.Repeat(" ", n-len(body)) }
+	cases := []struct {
+		name   string
+		routes []string
+		body   string
+		code   int
+		reason string // the reply is {"error": "bad payload: <reason>"}
+	}{
+		// Framing.
+		{"cap+1 bytes", all, pad(`{"rates":{"IPC":1}}`, maxBody+1), 413, `body exceeds 1048576 bytes`},
+		{"empty body", all, ``, 400, `body must be one JSON object`},
+		{"top-level null", all, `null`, 400, `body must be one JSON object`},
+		{"top-level array", all, `[1,2]`, 400, `body must be one JSON object`},
+		{"truncated object", all, `{`, 400, `malformed JSON`},
+		{"missing colon", all, `{"a" 1}`, 400, `malformed JSON`},
+		{"bad key escape", all, `{"\q":1}`, 400, `malformed JSON`},
+		{"missing comma", []string{sweep}, `{"bench":"SP" "phases":[]}`, 400, `malformed JSON`},
+		{"trailing garbage", []string{predict}, `{"rates":{"IPC":1}} trailing`, 400, `trailing data after the JSON object`},
+		{"second value", []string{sweep}, `{"bench":"SP"}{}`, 400, `trailing data after the JSON object`},
+		{"trailing after eval", []string{eval}, `{"seed":1}x`, 400, `trailing data after the JSON object`},
+		// Keys.
+		{"unknown key", all, `{"nope":1}`, 400, `unknown field "nope"`},
+		{"case-variant key", []string{predict}, `{"RATES":{"IPC":2}}`, 400, `unknown field "RATES"`},
+		{"case-variant key", []string{sweep}, `{"Bench":"SP"}`, 400, `unknown field "Bench"`},
+		{"case-variant key", []string{eval}, `{"SEED":12}`, 400, `unknown field "SEED"`},
+		{"unknown shard key", []string{eval}, `{"shard":{"Index":1}}`, 400, `unknown field "Index"`},
+		{"unknown unit key", []string{eval}, `{"units":[{"bench":"SP","extra":1}]}`, 400, `unknown field "extra"`},
+		{"duplicate key", []string{predict}, `{"rates":{"IPC":1},"rates":{"IPC":3}}`, 400, `duplicate field "rates"`},
+		{"duplicate key", []string{sweep}, `{"phases":["a"],"phases":["b","c"]}`, 400, `duplicate field "phases"`},
+		{"duplicate key", []string{eval}, `{"units":[{"bench":"a"}],"units":[{"bench":"c"}]}`, 400, `duplicate field "units"`},
+		{"duplicate shard key", []string{eval}, `{"shard":{"total":1,"total":1}}`, 400, `duplicate field "total"`},
+		{"duplicate escaped key", []string{sweep}, `{"bench":"SP","\u0062ench":"CG"}`, 400, `duplicate field "bench"`},
+		// Types; null is a type error at every position.
+		{"null phase", []string{predict}, `{"phase":null,"rates":{"IPC":1}}`, 400, `"phase" must be a string`},
+		{"null rates", []string{predict}, `{"rates":null}`, 400, `"rates" must be an object`},
+		{"rates not an object", []string{predict}, `{"rates": nope}`, 400, `"rates" must be an object`},
+		{"null rate", []string{predict}, `{"rates":{"IPC":null}}`, 400, `rate "IPC" must be a finite number`},
+		{"string rate", []string{predict}, `{"rates":{"IPC":"1"}}`, 400, `rate "IPC" must be a finite number`},
+		{"overflowing rate", []string{predict}, `{"rates":{"IPC":1e309}}`, 400, `rate "IPC" must be a finite number`},
+		{"null bench", []string{sweep}, `{"bench":null}`, 400, `"bench" must be a string`},
+		{"numeric bench", []string{sweep}, `{"bench":1}`, 400, `"bench" must be a string`},
+		{"null phases", []string{sweep}, `{"bench":"SP","phases":null}`, 400, `"phases" must be an array of strings`},
+		{"null phase element", []string{sweep}, `{"bench":"CG","phases":[null]}`, 400, `"phases" must be an array of strings`},
+		{"null topology", []string{eval}, `{"topology":null}`, 400, `"topology" must be a string`},
+		{"null seed", []string{eval}, `{"seed":null}`, 400, `"seed" must be an integer`},
+		{"string seed", []string{eval}, `{"seed":"not a number"}`, 400, `"seed" must be an integer`},
+		{"fractional seed", []string{eval}, `{"seed":1.5}`, 400, `"seed" must be an integer`},
+		{"out-of-range seed", []string{eval}, `{"seed":9223372036854775808}`, 400, `"seed" must be an integer`},
+		{"exponent bank_version", []string{eval}, `{"bank_version":1e2}`, 400, `"bank_version" must be an integer`},
+		{"null shard", []string{eval}, `{"shard":null}`, 400, `"shard" must be an object`},
+		{"fractional shard index", []string{eval}, `{"shard":{"index":1.5}}`, 400, `"index" must be an integer`},
+		{"null shard total", []string{eval}, `{"shard":{"total":null}}`, 400, `"total" must be an integer`},
+		{"null fingerprint", []string{eval}, `{"shard":{"fingerprint":null}}`, 400, `"fingerprint" must be a string`},
+		{"null units", []string{eval}, `{"units":null}`, 400, `"units" must be an array of objects`},
+		{"null unit", []string{eval}, `{"units":[null]}`, 400, `"units" must be an array of objects`},
+		{"unit bench not a string", []string{eval}, `{"units":[{"bench":1}]}`, 400, `"bench" must be a string`},
+		// Route rules.
+		{"rates missing", []string{predict}, `{"phase":"x"}`, 400, `"rates" is required and must be non-empty`},
+		{"rates empty", []string{predict}, `{"rates":{}}`, 400, `"rates" is required and must be non-empty`},
+		{"unknown event, first in document order", []string{predict}, `{"rates":{"ZZ_LATER":1,"IPC":1,"AA_EARLIER":1}}`, 400, `unknown event "ZZ_LATER"`},
+		{"duplicate event", []string{predict}, `{"rates":{"IPC":1,"IPC":2}}`, 400, `duplicate event "IPC"`},
+		{"alias collision", []string{predict}, `{"rates":{"IPC":1.1,"INST_RETIRED":0.5}}`, 400, `"IPC" and "INST_RETIRED" name the same event`},
+		{"bench missing", []string{sweep}, `{}`, 400, `"bench" is required`},
+		{"units missing", []string{eval}, `{"seed":1}`, 400, `"units" is required and must be non-empty`},
+		{"units empty", []string{eval}, `{"units":[]}`, 400, `"units" is required and must be non-empty`},
+	}
+	for _, tc := range cases {
+		for _, route := range tc.routes {
+			t.Run(tc.name+route, func(t *testing.T) {
+				rec := postBytes(srv, route, []byte(tc.body))
+				want := stdlibJSON(t, map[string]string{"error": "bad payload: " + tc.reason})
+				if rec.Code != tc.code || !bytes.Equal(rec.Body.Bytes(), want) {
+					t.Errorf("%.60q\n got %d %q\nwant %d %q", tc.body, rec.Code, rec.Body, tc.code, want)
+				}
+			})
+		}
+	}
+	t.Run("body read error", func(t *testing.T) {
+		req := httptest.NewRequest(http.MethodPost, predict, iotest.ErrReader(io.ErrUnexpectedEOF))
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		want := stdlibJSON(t, map[string]string{"error": "bad payload: reading body: unexpected EOF"})
+		if rec.Code != http.StatusBadRequest || !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("got %d %q, want 400 %q", rec.Code, rec.Body, want)
+		}
+	})
+	// The cap itself is inclusive: a valid body of exactly 1 MiB is served.
+	if rec := postBytes(srv, predict, []byte(pad(`{"rates":{"IPC":1}}`, maxBody))); rec.Code != http.StatusOK {
+		t.Errorf("cap-sized predict = %d, want 200 (%s)", rec.Code, rec.Body)
+	}
+	if rec := postBytes(srv, sweep, []byte(pad(`{"bench":"SP"}`, maxBody))); rec.Code != http.StatusOK {
+		t.Errorf("cap-sized sweep = %d, want 200 (%.80s)", rec.Code, rec.Body)
+	}
+}
+
+// TestServerPredictMemoIdentity serves each request twice — a memo miss,
+// then a hit — and requires both byte-identical to the stdlib encoding of
+// the in-process prediction: the memo can never change served bytes.
 func TestServerPredictMemoIdentity(t *testing.T) {
-	eng, bank := servingFixture(t)
-	srvOn, err := actor.NewServer(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srvOn.Close()
-	t.Setenv("ACTOR_PREDICT_MEMO", "off")
-	srvOff, err := actor.NewServer(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srvOff.Close()
-
-	var bodies [][]byte
+	_, bank := servingFixture(t)
+	srv := newTestServer(t)
+	var reqs []actor.PredictRequest
 	for _, ipc := range []float64{0.25, 1.5, 1.5, 3.75} {
-		b, _ := json.Marshal(actor.PredictRequest{Phase: "x_solve", Rates: testRates(bank, ipc)})
-		bodies = append(bodies, b)
+		reqs = append(reqs, actor.PredictRequest{Phase: "x_solve", Rates: testRates(bank, ipc)})
 	}
-	bodies = append(bodies, []byte(`{"rates":{"IPC":1.25}}`))
-
-	for _, body := range bodies {
-		first := postBytes(srvOn, "/v1/predict", body)
-		second := postBytes(srvOn, "/v1/predict", body) // memo hit
-		off := postBytes(srvOff, "/v1/predict", body)
-		if first.Code != http.StatusOK {
-			t.Fatalf("predict = %d: %s", first.Code, first.Body)
+	reqs = append(reqs, actor.PredictRequest{Rates: actor.Rates{"IPC": 1.25}})
+	for _, req := range reqs {
+		body, _ := json.Marshal(req)
+		miss := postBytes(srv, "/v1/predict", body)
+		hit := postBytes(srv, "/v1/predict", body)
+		if miss.Code != http.StatusOK {
+			t.Fatalf("predict = %d: %s", miss.Code, miss.Body)
 		}
-		if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
-			t.Errorf("memo hit served different bytes:\nmiss: %q\nhit:  %q", first.Body, second.Body)
+		if !bytes.Equal(miss.Body.Bytes(), hit.Body.Bytes()) {
+			t.Errorf("memo hit served different bytes:\nmiss: %q\nhit:  %q", miss.Body, hit.Body)
 		}
-		if !bytes.Equal(first.Body.Bytes(), off.Body.Bytes()) {
-			t.Errorf("memo-off server served different bytes:\non:  %q\noff: %q", first.Body, off.Body)
+		ranked, err := bank.Predict(context.Background(), req.Rates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := stdlibJSON(t, actor.PredictResponse{Phase: req.Phase, Best: ranked[0].Config, Predictions: ranked})
+		if !bytes.Equal(miss.Body.Bytes(), want) {
+			t.Errorf("served bytes differ from the in-process prediction:\nserved: %q\nwant:   %q", miss.Body, want)
 		}
 	}
 }
 
 // TestServerBankContentLength checks the precomputed /v1/bank response: an
 // explicit, correct Content-Length and a body byte-identical to the
-// historical json.Encoder output.
+// json.Encoder output.
 func TestServerBankContentLength(t *testing.T) {
 	srv := newTestServer(t)
 	eng, bank := servingFixture(t)
@@ -312,39 +347,29 @@ func TestServerBankContentLength(t *testing.T) {
 	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
 		t.Errorf("Content-Length %q, body is %d bytes", cl, rec.Body.Len())
 	}
-	want := httptest.NewRecorder()
-	refWriteJSON(want, http.StatusOK, actor.BankInfo{
+	want := stdlibJSON(t, actor.BankInfo{
 		Meta:     bank.Meta(),
 		Benches:  eng.BenchNames(),
 		Topology: eng.TopologyDesc(),
 	})
-	if !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
-		t.Errorf("bank body differs from historical encoding:\nserved: %q\nref:    %q", rec.Body, want.Body)
+	if !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Errorf("bank body differs from the stdlib encoding:\nserved: %q\nref:    %q", rec.Body, want)
 	}
 }
 
-// TestServerPredictOversize pins the 1 MiB body cap: a request whose first
-// JSON value needs more than the cap gets the historical 413, with the
-// MaxBytesReader's exact error text.
+// TestServerPredictOversize pins the 1 MiB body cap: one byte more is the
+// documented 413, whatever the body would have parsed to.
 func TestServerPredictOversize(t *testing.T) {
-	_, bank := servingFixture(t)
 	srv := newTestServer(t)
-	ref := refPredictHandler(bank)
-	huge := `{"rates":{"IPC":1},"phase":"` + strings.Repeat("a", refMaxBody) + `"}`
+	huge := `{"rates":{"IPC":1},"phase":"` + strings.Repeat("a", maxBody) + `"}`
 	got := postBytes(srv, "/v1/predict", []byte(huge))
-	want := postBytes(ref, "/v1/predict", []byte(huge))
-	if got.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize predict = %d, want 413 (%s)", got.Code, got.Body)
+	want := stdlibJSON(t, map[string]string{"error": "bad payload: body exceeds 1048576 bytes"})
+	if got.Code != http.StatusRequestEntityTooLarge || !bytes.Equal(got.Body.Bytes(), want) {
+		t.Errorf("oversize predict = %d %q, want 413 %q", got.Code, got.Body, want)
 	}
-	if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-		t.Errorf("oversize response differs from historical handler:\nserved: %d %q\nref:    %d %q",
-			got.Code, got.Body, want.Code, want.Body)
-	}
-	// A value that completes exactly within the cap is accepted even with
-	// trailing bytes beyond it, like a buffered json.Decoder read.
-	pad := refMaxBody - len(`{"rates":{"IPC":1}}`)
-	okBody := `{"rates":{"IPC":1}}` + strings.Repeat(" ", pad) + "trailing"
-	if rec := postBytes(srv, "/v1/predict", []byte(okBody)); rec.Code != http.StatusOK {
-		t.Errorf("cap-sized predict = %d, want 200 (%s)", rec.Code, rec.Body)
+	// Whitespace counts: a valid object padded past the cap is still a 413.
+	padded := `{"rates":{"IPC":1}}` + strings.Repeat(" ", maxBody)
+	if rec := postBytes(srv, "/v1/predict", []byte(padded)); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("padded predict = %d, want 413 (%s)", rec.Code, rec.Body)
 	}
 }

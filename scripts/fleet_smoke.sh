@@ -2,10 +2,9 @@
 # fleet_smoke.sh — fleet scheduler determinism smoke (CI).
 #
 # Runs the seeded 100-job / 16-machine study through actorfleet's digest
-# mode with the incremental scorer, the naive O(M) reference (via the
-# ACTOR_FLEET_SCORER kill switch) and an explicit -scorer override, and
-# asserts all three reproduce the pinned schedule digest with zero QoS
-# violations. Any policy, float or ordering drift — or any divergence
+# mode with the incremental scorer and the naive O(M) reference
+# (-scorer naive), and asserts both reproduce the pinned schedule digest
+# with zero QoS violations. Any policy, float or ordering drift — or any divergence
 # between the fast path and the reference — changes the digest and fails.
 set -euo pipefail
 
@@ -27,8 +26,7 @@ check() {
     esac
 }
 
-check "incremental"              "$(go run ./cmd/actorfleet "${ARGS[@]}")"
-check "naive (env kill switch)"  "$(ACTOR_FLEET_SCORER=naive go run ./cmd/actorfleet "${ARGS[@]}")"
-check "naive (-scorer flag)"     "$(go run ./cmd/actorfleet "${ARGS[@]}" -scorer naive)"
+check "incremental" "$(go run ./cmd/actorfleet "${ARGS[@]}")"
+check "naive"       "$(go run ./cmd/actorfleet "${ARGS[@]}" -scorer naive)"
 
 exit "$fail"

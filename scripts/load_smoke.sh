@@ -1,14 +1,12 @@
 #!/usr/bin/env bash
-# load_smoke.sh — CI smoke test for the serving fast path under load
+# load_smoke.sh — CI smoke test for the serving path under load
 # (make load-smoke): build the binaries, train a fast bank, start a real
-# actord process, and fire a short seeded actorload trace at it twice —
-# once with the prediction memo disabled (ACTOR_PREDICT_MEMO=off) and once
-# with it on. Each run asserts zero failed requests, non-trivial
-# throughput, a (very generous, CI-runner-proof) p99 bound, and — via
-# actorload -check — that replaying every distinct request returns
-# byte-identical responses. The memo-off leg pins the wire codec's output
-# on the uncached path; the memo-on leg pins that caching never changes a
-# served byte.
+# actord process, and fire a short seeded actorload trace at it. The run
+# asserts zero failed requests, non-trivial throughput, a (very generous,
+# CI-runner-proof) p99 bound, and — via actorload -check — that replaying
+# every distinct request returns byte-identical responses: the first
+# delivery of each body is a memo miss and the replay a hit, so this pins
+# that caching never changes a served byte.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,32 +25,26 @@ $GO build -o "$workdir/bin/" ./cmd/actor-train ./cmd/actord ./cmd/actorload
 echo "== training a fast MLR bank"
 "$workdir/bin/actor-train" -fast -mlr -bank "$workdir/bank.json" >/dev/null
 
-run_leg() {
-  local label="$1" port="$2" memo="$3"
-  echo "== starting actord on :$port (ACTOR_PREDICT_MEMO=$memo)"
-  ACTOR_PREDICT_MEMO="$memo" "$workdir/bin/actord" \
-    -bank "$workdir/bank.json" -addr "127.0.0.1:$port" 2>"$workdir/actord-$port.log" &
-  pids+=($!)
-  local ok=""
-  for _ in $(seq 1 100); do
-    if curl -fsS "http://127.0.0.1:$port/readyz" >/dev/null 2>&1; then ok=1; break; fi
-    sleep 0.1
-  done
-  if [ -z "$ok" ]; then
-    echo "FAIL: actord :$port never became ready"
-    cat "$workdir/actord-$port.log"
-    exit 1
-  fi
-  echo "== load smoke ($label)"
-  # 2s seeded trace; the gates are deliberately loose — this asserts the
-  # path works under concurrency, not a performance number (bench_trend
-  # owns the numbers).
-  "$workdir/bin/actorload" -addr "http://127.0.0.1:$port" \
-    -duration 2s -rate 1000 -seed 42 -conns 8 -check \
-    -min-rps 50 -p99-max 2s -json "$workdir/load-$label.json"
-}
+port=7751
+echo "== starting actord on :$port"
+"$workdir/bin/actord" -bank "$workdir/bank.json" -addr "127.0.0.1:$port" 2>"$workdir/actord.log" &
+pids+=($!)
+ok=""
+for _ in $(seq 1 100); do
+  if curl -fsS "http://127.0.0.1:$port/readyz" >/dev/null 2>&1; then ok=1; break; fi
+  sleep 0.1
+done
+if [ -z "$ok" ]; then
+  echo "FAIL: actord :$port never became ready"
+  cat "$workdir/actord.log"
+  exit 1
+fi
+echo "== load smoke"
+# 2s seeded trace; the gates are deliberately loose — this asserts the
+# path works under concurrency, not a performance number (bench_trend
+# owns the numbers).
+"$workdir/bin/actorload" -addr "http://127.0.0.1:$port" \
+  -duration 2s -rate 1000 -seed 42 -conns 8 -check \
+  -min-rps 50 -p99-max 2s -json "$workdir/load.json"
 
-run_leg memo-off 7751 off
-run_leg memo-on 7752 ""
-
-echo "PASS: load smoke green with memo off and on (byte-identical replays)"
+echo "PASS: load smoke green (byte-identical replays)"
