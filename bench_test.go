@@ -268,38 +268,30 @@ func BenchmarkAblationANNvsMLR(b *testing.B) {
 		return errSum / float64(n)
 	}
 
-	legacy := ann.DefaultConfig()
-	legacy.MaxEpochs = 150
-	batched := legacy
-	batched.BatchSize = 8
-	batched.WarmStartEpochs = 30
-	// legacy trains per-sample from cold starts; batched is the fast
-	// trainer's pipeline configuration (mini-batch GEMM + warm-start fold
-	// fine-tuning, see exp.FastOptions) — snapshots track its accuracy/cost
-	// tradeoff against both the legacy path and MLR.
-	for _, mode := range []struct {
-		name string
-		cfg  ann.Config
-	}{{"legacy", legacy}, {"batched", batched}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			var annErr, mlrErr float64
-			for i := 0; i < b.N; i++ {
-				annBank, err := core.TrainANNBank(train, []int{12}, exp.TargetConfigs, 5, mode.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mlrBank, err := core.TrainMLRBank(train, []int{12}, exp.TargetConfigs, 1e-6)
-				if err != nil {
-					b.Fatal(err)
-				}
-				annErr = evalPred(annBank.Predictors()[0])
-				mlrErr = evalPred(mlrBank.Predictors()[0])
+	// The fast trainer's pipeline configuration (mini-batch GEMM +
+	// warm-start fold fine-tuning, see exp.FastOptions) — snapshots track
+	// its accuracy/cost tradeoff against MLR.
+	cfg := ann.DefaultConfig()
+	cfg.MaxEpochs = 150
+	cfg.BatchSize = 8
+	cfg.WarmStartEpochs = 30
+	b.Run("batched", func(b *testing.B) {
+		var annErr, mlrErr float64
+		for i := 0; i < b.N; i++ {
+			annBank, err := core.TrainANNBank(train, []int{12}, exp.TargetConfigs, 5, cfg)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(annErr*100, "ann-mean-error-pct")
-			b.ReportMetric(mlrErr*100, "mlr-mean-error-pct")
-		})
-	}
+			mlrBank, err := core.TrainMLRBank(train, []int{12}, exp.TargetConfigs, 1e-6)
+			if err != nil {
+				b.Fatal(err)
+			}
+			annErr = evalPred(annBank.Predictors()[0])
+			mlrErr = evalPred(mlrBank.Predictors()[0])
+		}
+		b.ReportMetric(annErr*100, "ann-mean-error-pct")
+		b.ReportMetric(mlrErr*100, "mlr-mean-error-pct")
+	})
 	_ = events
 }
 
@@ -319,31 +311,23 @@ func BenchmarkAblationEnsembleSize(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	legacy := ann.DefaultConfig()
-	legacy.MaxEpochs = 120
-	batched := legacy
-	batched.BatchSize = 8
-	batched.WarmStartEpochs = 30
+	cfg := ann.DefaultConfig()
+	cfg.MaxEpochs = 120
+	cfg.BatchSize = 8
+	cfg.WarmStartEpochs = 30
 	for _, k := range []int{3, 10} {
-		k := k
 		kName := map[int]string{3: "k3", 10: "k10"}[k]
-		for _, mode := range []struct {
-			name string
-			cfg  ann.Config
-		}{{"legacy", legacy}, {"batched", batched}} {
-			mode := mode
-			b.Run(kName+"/"+mode.name, func(b *testing.B) {
-				var est float64
-				for i := 0; i < b.N; i++ {
-					ens, err := ann.TrainEnsemble(ss, k, mode.cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					est = ens.EstimateMSE
+		b.Run(kName+"/batched", func(b *testing.B) {
+			var est float64
+			for i := 0; i < b.N; i++ {
+				ens, err := ann.TrainEnsemble(ss, k, cfg)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(est, "estimate-mse")
-			})
-		}
+				est = ens.EstimateMSE
+			}
+			b.ReportMetric(est, "estimate-mse")
+		})
 	}
 }
 

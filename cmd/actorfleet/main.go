@@ -30,7 +30,6 @@ func main() {
 		meanSize = flag.Float64("meansize", 3, "mean job size in iterations (bounded Pareto)")
 		qos      = flag.Float64("qos", 0.25, "QoS degradation bound (admissible slowdown = 1+qos)")
 		scorer   = flag.String("scorer", "", "placement scorer: incremental, naive or binpack (default incremental)")
-		probe    = flag.Int("probe", 8, "incremental scorer probe batch width")
 		compare  = flag.Bool("compare", true, "also run the bin-packing baseline and report the delta")
 		digest   = flag.Bool("digest", false, "print only the schedule digest and violation count (CI smoke mode)")
 	)
@@ -43,7 +42,7 @@ func main() {
 	})
 	fail(err)
 
-	opt := fleet.Options{QoS: *qos, Scorer: *scorer, ProbeWidth: *probe}
+	opt := fleet.Options{QoS: *qos, Scorer: *scorer}
 	t0 := time.Now()
 	res, err := fleet.Schedule(f, stream, opt)
 	fail(err)

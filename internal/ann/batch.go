@@ -1,6 +1,5 @@
-// Packed training corpus and the per-epoch drivers of the two training
-// paths: the legacy per-sample stochastic pass and the mini-batch pass
-// built on the kernels in gemm.go.
+// Packed training corpus and the per-epoch driver of training: the
+// mini-batch pass built on the kernels in gemm.go.
 package ann
 
 import (
@@ -84,17 +83,6 @@ func (n *Network) newBatchScratch(rows int) *batchScratch {
 		bs.deltas[l-1] = make([]float64, rows*n.Sizes[l])
 	}
 	return bs
-}
-
-// epochPerSample runs one epoch of per-sample stochastic backprop over the
-// rows listed in order (already shuffled), returning the summed squared
-// error before each update — the legacy training inner loop.
-func (n *Network) epochPerSample(ds *dataSet, order []int, lr, momentum float64, vel [][]float64, sc *scratch) float64 {
-	var sum float64
-	for _, id := range order {
-		sum += n.backprop(ds.row(id), ds.y[id], lr, momentum, vel, sc)
-	}
-	return sum
 }
 
 // epochBatched runs one epoch of mini-batch gradient descent: the shuffled

@@ -6,22 +6,22 @@
 //
 // The implementation is self-contained (stdlib only), deterministic under a
 // caller-provided seed, and trains fold models in parallel. Weights are
-// stored flat (one contiguous row-major slice per layer) and the forward and
-// backprop passes run on reusable scratch buffers, so prediction allocates
+// stored flat (one contiguous row-major slice per layer) and the forward
+// pass runs on reusable scratch buffers, so prediction allocates
 // nothing in steady state — the predictor sits on the runtime's
 // decision path, where allocation churn is measurable.
 //
-// Training has two engines sharing one packed corpus (normalised samples in
-// flat row-major matrices; folds, batches and validation sets are index
-// views into it). The default is the original per-sample stochastic pass.
-// Config.BatchSize > 1 switches the inner loop to the mini-batch kernels in
-// gemm.go — fused dense-forward/backward/update passes over B samples at a
-// time — and Config.WarmStartEpochs > 0 makes TrainEnsemble fine-tune every
-// fold from one shared base model instead of training each from scratch.
-// Both knobs preserve determinism under a seed (fixed shuffle → fixed batch
-// partition) and at batch size one the batched pass is bit-identical to the
-// per-sample pass; together they make leave-one-out training the pipeline's
-// fast path (see PERFORMANCE.md).
+// Training runs on one packed corpus (normalised samples in flat row-major
+// matrices; folds, batches and validation sets are index views into it)
+// through the mini-batch kernels in gemm.go — fused
+// dense-forward/backward/update passes over Config.BatchSize samples at a
+// time. At the default batch size of one that pass is bit-identical to
+// classic per-sample stochastic backprop (the reference lives beside the
+// test that pins it). Config.WarmStartEpochs > 0 makes TrainEnsemble
+// fine-tune every fold from one shared base model instead of training each
+// from scratch. Both knobs preserve determinism under a seed (fixed shuffle
+// → fixed batch partition); together they make leave-one-out training the
+// pipeline's fast path (see PERFORMANCE.md).
 package ann
 
 import (
@@ -42,7 +42,7 @@ type Network struct {
 	// rows of (Sizes[l]+1) columns, the last column being the unit bias.
 	w [][]float64
 
-	// pool recycles forward/backprop scratch buffers across calls;
+	// pool recycles forward scratch buffers across calls;
 	// the zero value is ready to use and is not copied (Network is
 	// handled by pointer throughout).
 	pool sync.Pool
@@ -91,13 +91,11 @@ func sigmoid(x float64) float64 {
 	return 1 / (1 + fastExp(-x))
 }
 
-// scratch holds the per-call working memory of forward and backprop:
-// activations for every layer past the input, and backprop deltas. One
-// scratch serves any number of sequential passes; the pool hands each
-// concurrent caller its own.
+// scratch holds the per-call working memory of forward: activations for
+// every layer past the input. One scratch serves any number of sequential
+// passes; the pool hands each concurrent caller its own.
 type scratch struct {
-	acts   [][]float64 // acts[l] is layer l+1's activations
-	deltas [][]float64 // deltas[l] matches acts[l]
+	acts [][]float64 // acts[l] is layer l+1's activations
 }
 
 // getScratch fetches (or sizes) a scratch matching the network topology.
@@ -105,13 +103,9 @@ func (n *Network) getScratch() *scratch {
 	if s, ok := n.pool.Get().(*scratch); ok && s.fits(n) {
 		return s
 	}
-	s := &scratch{
-		acts:   make([][]float64, len(n.Sizes)-1),
-		deltas: make([][]float64, len(n.Sizes)-1),
-	}
+	s := &scratch{acts: make([][]float64, len(n.Sizes)-1)}
 	for l := 1; l < len(n.Sizes); l++ {
 		s.acts[l-1] = make([]float64, n.Sizes[l])
-		s.deltas[l-1] = make([]float64, n.Sizes[l])
 	}
 	return s
 }
@@ -199,55 +193,6 @@ func (n *Network) copyWeightsFrom(src *Network) {
 	for l := range n.w {
 		copy(n.w[l], src.w[l])
 	}
-}
-
-// backprop performs one stochastic gradient step on sample (x, y) with the
-// given learning rate, accumulating momentum into vel (same shape as the
-// flattened weights) and using s as working memory. It returns the squared
-// error before the update.
-func (n *Network) backprop(x []float64, y, lr, momentum float64, vel [][]float64, s *scratch) float64 {
-	out := n.forward(x, s)
-	errOut := out - y
-
-	// Deltas per layer (output layer is linear: delta = error).
-	nl := len(n.w)
-	s.deltas[nl-1][0] = errOut
-	for l := nl - 2; l >= 0; l-- {
-		d := s.deltas[l]
-		next := s.deltas[l+1]
-		nextRowW := n.rowWidth(l + 1)
-		nextLayer := n.w[l+1]
-		for j := range d {
-			var sum float64
-			for k, nd := range next {
-				sum += nextLayer[k*nextRowW+j] * nd
-			}
-			a := s.acts[l][j]
-			d[j] = sum * a * (1 - a) // sigmoid derivative
-		}
-	}
-
-	// Weight update with momentum: v ← μv − η∂E/∂w; w ← w + v
-	// (equation (1) of the paper plus the standard momentum term).
-	in := x
-	for l := range n.w {
-		rowW := n.rowWidth(l)
-		layer := n.w[l]
-		vlayer := vel[l]
-		for j, d := range s.deltas[l] {
-			row := layer[j*rowW : (j+1)*rowW]
-			v := vlayer[j*rowW : (j+1)*rowW]
-			for i := range in {
-				v[i] = momentum*v[i] - lr*d*in[i]
-				row[i] += v[i]
-			}
-			bi := rowW - 1
-			v[bi] = momentum*v[bi] - lr*d
-			row[bi] += v[bi]
-		}
-		in = s.acts[l]
-	}
-	return errOut * errOut
 }
 
 // zeroLike allocates a weight-shaped flat buffer of zeros (momentum

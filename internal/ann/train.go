@@ -32,9 +32,9 @@ type Config struct {
 	// Seed makes training deterministic.
 	Seed int64
 	// BatchSize is the mini-batch size B of the fused GEMM training pass.
-	// 0 or 1 (the default) selects per-sample stochastic backprop — the
-	// classic update rule, which the batched pass reproduces bit-for-bit
-	// at B = 1. Larger values process B samples per fused
+	// 0 or 1 (the default) is per-sample stochastic backprop — the classic
+	// update rule, which the pass reproduces bit-for-bit at B = 1. Larger
+	// values process B samples per fused
 	// forward/backward/update call with summed (not averaged) gradients,
 	// so one batch step approximates B consecutive per-sample steps at
 	// the same learning rate. The epoch shuffle is unchanged and batches
@@ -139,26 +139,12 @@ func trainCore(ds *dataSet, trainIdx []int, vds *dataSet, validIdx []int, init *
 
 	// All working memory for the whole training run is allocated once here
 	// and reused across every epoch and batch. The shuffled order holds
-	// dataset row ids directly: shuffling the id slice applies the same
-	// permutation the legacy position shuffle did, sample for sample.
-	batch := cfg.BatchSize
-	if batch < 1 {
-		batch = 1
-	}
+	// dataset row ids directly. Validation forward passes batch at least
+	// 16 rows.
+	batch := max(cfg.BatchSize, 1)
 	vel := net.zeroLike()
 	order := append([]int(nil), trainIdx...)
-	var sc *scratch
-	var bs *batchScratch
-	if batch > 1 || len(validIdx) > 0 {
-		rows := batch
-		if rows < 16 {
-			rows = 16 // validation forward passes batch at least 16 rows
-		}
-		bs = net.newBatchScratch(rows)
-	}
-	if batch == 1 {
-		sc = net.getScratch()
-	}
+	bs := net.newBatchScratch(max(batch, 16))
 
 	// Early stopping needs a snapshot of the best weights seen; without a
 	// validation set no snapshot is ever consulted, so skip the clone.
@@ -172,12 +158,7 @@ func trainCore(ds *dataSet, trainIdx []int, vds *dataSet, validIdx []int, init *
 
 	for epoch := 0; epoch < cfg.MaxEpochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var sum float64
-		if batch > 1 {
-			sum = net.epochBatched(ds, order, batch, cfg.LearningRate, cfg.Momentum, vel, bs)
-		} else {
-			sum = net.epochPerSample(ds, order, cfg.LearningRate, cfg.Momentum, vel, sc)
-		}
+		sum := net.epochBatched(ds, order, batch, cfg.LearningRate, cfg.Momentum, vel, bs)
 		res.Epochs = epoch + 1
 		res.TrainMSE = sum / float64(len(order))
 
@@ -196,9 +177,6 @@ func trainCore(ds *dataSet, trainIdx []int, vds *dataSet, validIdx []int, init *
 				break
 			}
 		}
-	}
-	if sc != nil {
-		net.putScratch(sc)
 	}
 	if len(validIdx) > 0 {
 		net = best

@@ -34,6 +34,56 @@ func weightsEqual(a, b *Network) bool {
 	return true
 }
 
+// backprop is classic per-sample stochastic backprop, the bit-identity
+// reference of the batched trainer: one gradient step on sample (x, y) with
+// the given learning rate, accumulating momentum into vel (same shape as
+// the flattened weights) and using s and deltas (same shape as s.acts) as
+// working memory. It returns the squared error before the update.
+func (n *Network) backprop(x []float64, y, lr, momentum float64, vel [][]float64, s *scratch, deltas [][]float64) float64 {
+	out := n.forward(x, s)
+	errOut := out - y
+
+	// Deltas per layer (output layer is linear: delta = error).
+	nl := len(n.w)
+	deltas[nl-1][0] = errOut
+	for l := nl - 2; l >= 0; l-- {
+		d := deltas[l]
+		next := deltas[l+1]
+		nextRowW := n.rowWidth(l + 1)
+		nextLayer := n.w[l+1]
+		for j := range d {
+			var sum float64
+			for k, nd := range next {
+				sum += nextLayer[k*nextRowW+j] * nd
+			}
+			a := s.acts[l][j]
+			d[j] = sum * a * (1 - a) // sigmoid derivative
+		}
+	}
+
+	// Weight update with momentum: v ← μv − η∂E/∂w; w ← w + v
+	// (equation (1) of the paper plus the standard momentum term).
+	in := x
+	for l := range n.w {
+		rowW := n.rowWidth(l)
+		layer := n.w[l]
+		vlayer := vel[l]
+		for j, d := range deltas[l] {
+			row := layer[j*rowW : (j+1)*rowW]
+			v := vlayer[j*rowW : (j+1)*rowW]
+			for i := range in {
+				v[i] = momentum*v[i] - lr*d*in[i]
+				row[i] += v[i]
+			}
+			bi := rowW - 1
+			v[bi] = momentum*v[bi] - lr*d
+			row[bi] += v[bi]
+		}
+		in = s.acts[l]
+	}
+	return errOut * errOut
+}
+
 // TestBatchedEpochMatchesPerSampleAtBatchOne is the correctness anchor of
 // the batched trainer: with a batch of one, the fused GEMM pass must
 // reproduce the per-sample stochastic pass bit-for-bit — identical squared
@@ -52,13 +102,17 @@ func TestBatchedEpochMatchesPerSampleAtBatchOne(t *testing.T) {
 	}
 	velA, velB := netA.zeroLike(), netB.zeroLike()
 	sc := netA.getScratch()
+	deltas := [][]float64{make([]float64, 16), make([]float64, 1)}
 	bs := netB.newBatchScratch(1)
 	orderA := identityIdx(ds.n())
 	orderB := identityIdx(ds.n())
 	for epoch := 0; epoch < 10; epoch++ {
 		rngA.Shuffle(len(orderA), func(i, j int) { orderA[i], orderA[j] = orderA[j], orderA[i] })
 		rngB.Shuffle(len(orderB), func(i, j int) { orderB[i], orderB[j] = orderB[j], orderB[i] })
-		sumA := netA.epochPerSample(ds, orderA, 0.05, 0.5, velA, sc)
+		var sumA float64
+		for _, id := range orderA {
+			sumA += netA.backprop(ds.row(id), ds.y[id], 0.05, 0.5, velA, sc, deltas)
+		}
 		sumB := netB.epochBatched(ds, orderB, 1, 0.05, 0.5, velB, bs)
 		if math.Float64bits(sumA) != math.Float64bits(sumB) {
 			t.Fatalf("epoch %d: squared-error sums differ: %v vs %v", epoch, sumA, sumB)

@@ -29,19 +29,19 @@
 // The incremental scorer maintains machines in a congestion-ordered treap
 // (placing or completing a job updates only the touched machine's key, in
 // O(log M)), probes candidates in key order until the first feasible
-// machine, and serves candidate solves from a sharded score memo keyed on
-// (machine class, residual-template fingerprint, job signature), so
-// identical co-run configurations are solved once fleet-wide. Both paths
-// evaluate candidates through the same pure functions over the same
-// template values, so their schedules are byte-identical — the same
+// machine, and serves candidate solves from internal/memo tables keyed on
+// typed (machine class, residual template, job signature) structs (see
+// keys.go), so identical co-run configurations are solved once fleet-wide.
+// Both paths evaluate candidates through the same pure functions over the
+// same template values, so their schedules are byte-identical — the same
 // scalar/SIMD pattern the kernel engine uses; Options.Scorer selects the
 // naive reference.
 package fleet
 
 import (
+	"cmp"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/greenhpc/actor/internal/machine"
@@ -344,58 +344,15 @@ func canonGroups(c *Class, m *machState, dst []groupView) []groupView {
 			real:    g,
 		})
 	}
-	sort.Slice(dst, func(i, j int) bool {
-		a, b := &dst[i], &dst[j]
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		if a.free != b.free {
-			return a.free > b.free
-		}
-		if a.ws != b.ws {
-			return a.ws < b.ws
-		}
-		if a.occ != b.occ {
-			return a.occ < b.occ
-		}
-		if a.sensMax != b.sensMax {
-			return a.sensMax < b.sensMax
-		}
-		return a.real < b.real
+	slices.SortFunc(dst, func(a, b groupView) int {
+		return cmp.Or(
+			cmp.Compare(a.kind, b.kind),
+			cmp.Compare(b.free, a.free),
+			cmp.Compare(a.ws, b.ws),
+			cmp.Compare(a.occ, b.occ),
+			cmp.Compare(a.sensMax, b.sensMax),
+			cmp.Compare(a.real, b.real),
+		)
 	})
 	return dst
-}
-
-// templateKey encodes the scoring-relevant residual state of a canonical
-// template into a string — the fleet-wide score-memo key prefix. Floats
-// are encoded as exact bit patterns: the memo may only serve a cached
-// decision to a machine whose template would reproduce it bit for bit.
-func templateKey(buf []byte, class int, groups []groupView, busSum, maxSens float64) []byte {
-	buf = buf[:0]
-	buf = appendUvarint(buf, uint64(class))
-	for i := range groups {
-		g := &groups[i]
-		buf = appendUvarint(buf, uint64(g.kind))
-		buf = appendUvarint(buf, uint64(g.free))
-		buf = appendUvarint(buf, uint64(g.occ))
-		buf = appendU64(buf, math.Float64bits(g.ws))
-		buf = appendU64(buf, math.Float64bits(g.sensMax))
-	}
-	buf = appendU64(buf, math.Float64bits(busSum))
-	buf = appendU64(buf, math.Float64bits(maxSens))
-	return buf
-}
-
-func appendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return append(b,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }

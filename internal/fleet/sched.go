@@ -27,9 +27,6 @@ type Options struct {
 	QoS float64
 	// Scorer picks the placement engine; empty means incremental.
 	Scorer string
-	// ProbeWidth is the incremental scorer's speculative batch: how many
-	// machines per treap probe round are scored in parallel. Zero means 8.
-	ProbeWidth int
 }
 
 func (o *Options) resolve() (Options, error) {
@@ -39,9 +36,6 @@ func (o *Options) resolve() (Options, error) {
 	}
 	if r.QoS < 0 {
 		return r, fmt.Errorf("fleet: negative QoS bound %g", r.QoS)
-	}
-	if r.ProbeWidth <= 0 {
-		r.ProbeWidth = 8
 	}
 	switch r.Scorer {
 	case "":
@@ -211,6 +205,13 @@ type run struct {
 // completion. Jobs and fleet are read-only; one Fleet serves concurrent
 // Schedule calls.
 func Schedule(f *Fleet, jobs []Job, opt Options) (*Result, error) {
+	return newScorer(f).schedule(jobs, opt)
+}
+
+// schedule is Schedule on a caller-held scorer, so a test can read the
+// memo tables the run filled.
+func (s *scorer) schedule(jobs []Job, opt Options) (*Result, error) {
+	f := s.f
 	ropt, err := opt.resolve()
 	if err != nil {
 		return nil, err
@@ -220,7 +221,7 @@ func Schedule(f *Fleet, jobs []Job, opt Options) (*Result, error) {
 	}
 	r := &run{
 		f:      f,
-		s:      newScorer(f),
+		s:      s,
 		opt:    ropt,
 		states: make([]machState, f.Machines()),
 		byID:   make(map[int]*placedJob, 64),
@@ -403,15 +404,19 @@ func (r *run) selectNaive(j *Job) (int, candidate, bool) {
 	return best, cands[best], true
 }
 
-// selectIncremental probes machines in treap order, scoring ProbeWidth of
+// probeWidth is how many machines the incremental scorer scores
+// speculatively in parallel per treap probe round. The schedule does not
+// depend on it: rounds are merged in treap order.
+const probeWidth = 8
+
+// selectIncremental probes machines in treap order, scoring probeWidth of
 // them speculatively in parallel per round, and stops at the first
 // feasible machine — identical to the naive argmin because the congestion
 // key is job-independent.
 func (r *run) selectIncremental(j *Job) (int, candidate, bool) {
 	soloBest := r.s.soloBest(j)
-	w := r.opt.ProbeWidth
-	batch := make([]int32, 0, w)
-	cands := make([]candidate, w)
+	batch := make([]int32, 0, probeWidth)
+	cands := make([]candidate, probeWidth)
 	afterKey := math.Inf(-1)
 	afterIdx := int32(-1)
 	for {
@@ -420,7 +425,7 @@ func (r *run) selectIncremental(j *Job) (int, candidate, bool) {
 			if r.states[i].freeTotal >= 1 {
 				batch = append(batch, i)
 			}
-			return len(batch) < w
+			return len(batch) < probeWidth
 		})
 		if len(batch) == 0 {
 			return 0, candidate{}, false
@@ -472,9 +477,8 @@ func (r *run) selectBinpack(j *Job) (int, candidate, bool) {
 				break
 			}
 		}
-		sk := shapeKey(sc.views, dist)
-		sm := r.s.soloFor(m.class, j, sk)
-		cand := candidate{feasible: true, threads: t, shapeKey: sk,
+		sm := r.s.soloFor(m.class, j, makeShapeKey(sc.views, dist))
+		cand := candidate{feasible: true, threads: t,
 			unitSec: sm.unitSec, busJ: sm.busJ, sensJ: sm.sensJ}
 		for i := range sc.views {
 			cand.dist[sc.views[i].real] = dist[i]

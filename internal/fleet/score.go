@@ -1,13 +1,11 @@
 package fleet
 
 import (
-	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"sync"
 
 	"github.com/greenhpc/actor/internal/machine"
+	"github.com/greenhpc/actor/internal/memo"
 	"github.com/greenhpc/actor/internal/topology"
 )
 
@@ -96,38 +94,6 @@ func enumerateShapes(views []groupView, maxT int, dst []shape) []shape {
 	return dst
 }
 
-// shapeKey canonicalises a shape into the per-kind load multiset that
-// determines its solo behaviour: which group kinds host how many threads.
-// Loads are sorted descending within a kind, so "2 threads in one big
-// group" keys the same however the canonical template happened to order
-// equal groups.
-func shapeKey(views []groupView, dist distVec) string {
-	type kl struct{ kind, load int }
-	var loads [maxGroups]kl
-	n := 0
-	for i := range views {
-		if dist[i] > 0 {
-			loads[n] = kl{views[i].kind, int(dist[i])}
-			n++
-		}
-	}
-	s := loads[:n]
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].kind != s[j].kind {
-			return s[i].kind < s[j].kind
-		}
-		return s[i].load > s[j].load
-	})
-	var b strings.Builder
-	for i, l := range s {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d:%d", l.kind, l.load)
-	}
-	return b.String()
-}
-
 // soloMetrics is the outcome of solving a job signature solo on an empty
 // machine under one shape: seconds per iteration plus the time-weighted
 // activity summary that parameterises the job's interference profile.
@@ -137,90 +103,35 @@ type soloMetrics struct {
 	sensJ   float64 // 1 − time-weighted mean core utilisation
 }
 
-// placementFor builds the canonical placement realising a shape-key on an
+// placementFor builds the canonical placement realising a shape on an
 // empty machine of class c: the first real groups of each kind host the
-// sorted loads. The placement Name is the shape key itself so the machine
+// sorted loads. The placement is named after the shape so the machine
 // model's deterministic response perturbation is keyed consistently for
-// both scorers (and memoised once).
-func (c *Class) placementFor(key string) (topology.Placement, error) {
-	pl := topology.Placement{Name: "fleet:" + key}
-	nextGroup := make([]int, len(c.kinds))
-	for _, term := range strings.Split(key, ",") {
-		var kind, load int
-		if _, err := fmt.Sscanf(term, "%d:%d", &kind, &load); err != nil {
-			return pl, fmt.Errorf("fleet: bad shape key %q", key)
-		}
-		gi := c.kindGroups[kind][nextGroup[kind]]
-		nextGroup[kind]++
-		grp := c.Topo.L2Groups[gi]
-		for i := 0; i < load; i++ {
-			pl.Cores = append(pl.Cores, grp[i])
-		}
+// both scorers.
+func (c *Class) placementFor(sk shapeKey) topology.Placement {
+	pl := topology.Placement{Name: "fleet:" + sk.String()}
+	var nextGroup [maxGroups]int
+	for _, l := range sk.kl[:sk.n] {
+		gi := c.kindGroups[l.kind][nextGroup[l.kind]]
+		nextGroup[l.kind]++
+		pl.Cores = append(pl.Cores, c.Topo.L2Groups[gi][:l.load]...)
 	}
-	return pl, nil
+	return pl
 }
 
-// shardedMemo is a 64-way sharded string-keyed map, the mutex sibling of
-// the machine model's lock-free phase memo: cheap enough for the fleet
-// path (entries are coarse decisions, not per-iteration hits) and safe for
-// the deterministic parallel probes that read it concurrently.
-type shardedMemo struct {
-	shards [64]struct {
-		sync.Mutex
-		m map[string]any
-	}
-}
-
-func (s *shardedMemo) shard(key string) *struct {
-	sync.Mutex
-	m map[string]any
-} {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return &s.shards[h&63]
-}
-
-// getOrCompute returns the memoised value for key, computing and storing
-// it on first use. compute runs outside the shard lock (it can be an
-// expensive model solve); concurrent first computations of one key are
-// benign because compute is pure — last store wins with an equal value.
-func (s *shardedMemo) getOrCompute(key string, compute func() any) any {
-	sh := s.shard(key)
-	sh.Lock()
-	if v, ok := sh.m[key]; ok {
-		sh.Unlock()
-		return v
-	}
-	sh.Unlock()
-	v := compute()
-	sh.Lock()
-	if sh.m == nil {
-		sh.m = make(map[string]any)
-	}
-	sh.m[key] = v
-	sh.Unlock()
-	return v
-}
-
-// scorer holds the scoring caches shared by a scheduling run (and safely
-// by concurrent probe goroutines): solo metrics per (class, signature,
-// shape), solo-best unit times per (signature, budget), and — for the
-// incremental scorer only — the decision memo keyed on (class,
-// residual-template fingerprint, signature, budget).
+// scorer holds the scoring memos shared by a scheduling run (and safely by
+// concurrent probe goroutines), all internal/memo tables over the typed
+// keys of keys.go.
 type scorer struct {
 	f *Fleet
-	// solo memoises soloMetrics; keys "solo|<class>|<sig>|<shapeKey>".
-	solo shardedMemo
-	// best memoises soloBest; keys "best|<sig>|<maxT>".
-	best shardedMemo
-	// decision memoises *candidate; keys templateKey‖sig‖maxT. Only the
-	// incremental scorer consults it; the naive reference recomputes.
-	decision shardedMemo
-	// placements memoises canonical placements per class and shape key.
-	placements shardedMemo
+	// solo memoises the solo metrics per (class, signature, shape).
+	solo memo.Table[soloKey, soloMetrics]
+	// best memoises soloBest per (signature, budget).
+	best memo.Table[bestKey, float64]
+	// decision memoises chooseShape per (class, residual template,
+	// signature, budget). Only the incremental scorer consults it; the
+	// naive reference recomputes.
+	decision memo.Table[decisionKey, candidate]
 
 	pool sync.Pool // *scratch
 }
@@ -228,8 +139,7 @@ type scorer struct {
 type scratch struct {
 	views  []groupView
 	shapes []shape
-	key    []byte
-	res    []machine.Result
+	dkey   decisionKey
 }
 
 func newScorer(f *Fleet) *scorer {
@@ -238,68 +148,64 @@ func newScorer(f *Fleet) *scorer {
 		return &scratch{
 			views:  make([]groupView, 0, maxGroups),
 			shapes: make([]shape, 0, 2*maxGroups),
-			key:    make([]byte, 0, 256),
-			res:    make([]machine.Result, 0, 8),
 		}
 	}
 	return s
 }
 
-// soloFor solves (or recalls) the solo metrics of job signature sig under
-// shape key sk on class ci.
-func (s *scorer) soloFor(ci int, j *Job, sk string) *soloMetrics {
-	key := "solo|" + itoa(ci) + "|" + j.SigKey + "|" + sk
-	return s.solo.getOrCompute(key, func() any {
-		c := s.f.Classes[ci]
-		pl := s.placements.getOrCompute("pl|"+itoa(ci)+"|"+sk, func() any {
-			p, err := c.placementFor(sk)
-			if err != nil {
-				panic(err)
-			}
-			return p
-		}).(topology.Placement)
-		m := &soloMetrics{}
-		res := make([]machine.Result, 1)
-		var util float64
-		for pi := range j.Phases {
-			c.Model.RunPhaseSweep(&j.Phases[pi], j.Idio, []topology.Placement{pl}, res)
-			m.unitSec += res[0].TimeSec
-			m.busJ += res[0].TimeSec * res[0].Activity.BusUtilization
-			util += res[0].TimeSec * res[0].Activity.AvgCoreUtil
-		}
-		m.busJ /= m.unitSec
-		m.sensJ = 1 - util/m.unitSec
-		if m.sensJ < 0 {
-			m.sensJ = 0
-		}
+// soloFor solves (or recalls) the solo metrics of job j's signature under
+// shape sk on class ci.
+func (s *scorer) soloFor(ci int, j *Job, sk shapeKey) *soloMetrics {
+	key := soloKey{class: ci, sig: j.SigKey, shape: sk}
+	h := key.hash()
+	if m := s.solo.Get(h, &key); m != nil {
 		return m
-	}).(*soloMetrics)
+	}
+	c := s.f.Classes[ci]
+	pls := []topology.Placement{c.placementFor(sk)}
+	var m soloMetrics
+	var res [1]machine.Result
+	var util float64
+	for pi := range j.Phases {
+		c.Model.RunPhaseSweep(&j.Phases[pi], j.Idio, pls, res[:])
+		m.unitSec += res[0].TimeSec
+		m.busJ += res[0].TimeSec * res[0].Activity.BusUtilization
+		util += res[0].TimeSec * res[0].Activity.AvgCoreUtil
+	}
+	m.busJ /= m.unitSec
+	m.sensJ = 1 - util/m.unitSec
+	if m.sensJ < 0 {
+		m.sensJ = 0
+	}
+	return s.solo.Put(h, key, m)
 }
 
-// soloBest returns the fastest solo unit time of sig across every fleet
-// class and admissible shape with budget maxT — the QoS reference point:
-// a job's degradation bound is relative to the best the fleet could have
-// given it on an empty machine.
+// soloBest returns the fastest solo unit time of j's signature across
+// every fleet class and admissible shape with budget j.MaxThreads — the QoS
+// reference point: a job's degradation bound is relative to the best the
+// fleet could have given it on an empty machine.
 func (s *scorer) soloBest(j *Job) float64 {
-	key := "best|" + j.SigKey + "|" + itoa(j.MaxThreads)
-	return s.best.getOrCompute(key, func() any {
-		sc := s.pool.Get().(*scratch)
-		defer s.pool.Put(sc)
-		best := math.Inf(1)
-		for ci, c := range s.f.Classes {
-			empty := &machState{class: ci}
-			empty.recompute(c)
-			sc.views = canonGroups(c, empty, sc.views)
-			sc.shapes = enumerateShapes(sc.views, j.MaxThreads, sc.shapes)
-			for _, sh := range sc.shapes {
-				m := s.soloFor(ci, j, shapeKey(sc.views, sh.dist))
-				if m.unitSec < best {
-					best = m.unitSec
-				}
+	key := bestKey{sig: j.SigKey, maxT: j.MaxThreads}
+	h := key.hash()
+	if v := s.best.Get(h, &key); v != nil {
+		return *v
+	}
+	sc := s.pool.Get().(*scratch)
+	defer s.pool.Put(sc)
+	best := math.Inf(1)
+	for ci, c := range s.f.Classes {
+		empty := &machState{class: ci}
+		empty.recompute(c)
+		sc.views = canonGroups(c, empty, sc.views)
+		sc.shapes = enumerateShapes(sc.views, j.MaxThreads, sc.shapes)
+		for _, sh := range sc.shapes {
+			m := s.soloFor(ci, j, makeShapeKey(sc.views, sh.dist))
+			if m.unitSec < best {
+				best = m.unitSec
 			}
 		}
-		return best
-	}).(float64)
+	}
+	return *s.best.Put(h, key, best)
 }
 
 // candidate is a scoring decision for (machine template, job): the chosen
@@ -310,7 +216,6 @@ type candidate struct {
 	feasible bool
 	threads  int
 	dist     distVec // canonical-group coordinates
-	shapeKey string
 	unitSec  float64 // solo seconds per iteration under the shape
 	factor   float64 // predicted interference factor at admission
 	busJ     float64
@@ -322,15 +227,14 @@ type candidate struct {
 // with the fastest predicted unit time (solo × interference), candidate
 // order breaking ties. Pure function of its arguments — the incremental
 // scorer memoises it under the template fingerprint.
-func (s *scorer) chooseShape(ci int, views []groupView, busSum float64, j *Job, soloBest float64, qos float64, sc *scratch) *candidate {
+func (s *scorer) chooseShape(ci int, views []groupView, busSum float64, j *Job, soloBest float64, qos float64, sc *scratch) candidate {
 	c := s.f.Classes[ci]
 	sc.shapes = enumerateShapes(views, j.MaxThreads, sc.shapes)
 	bound := (1 + qos) * soloBest
-	dec := &candidate{}
+	var dec candidate
 	bestPred := math.Inf(1)
 	for _, sh := range sc.shapes {
-		sk := shapeKey(views, sh.dist)
-		sm := s.soloFor(ci, j, sk)
+		sm := s.soloFor(ci, j, makeShapeKey(views, sh.dist))
 		// External cache pressure the job sees: resident working sets in
 		// the groups it occupies, thread-weighted.
 		var ext float64
@@ -347,11 +251,10 @@ func (s *scorer) chooseShape(ci int, views []groupView, busSum float64, j *Job, 
 		}
 		if pred < bestPred {
 			bestPred = pred
-			*dec = candidate{
+			dec = candidate{
 				feasible: true,
 				threads:  sh.threads,
 				dist:     sh.dist,
-				shapeKey: sk,
 				unitSec:  sm.unitSec,
 				factor:   fac,
 				busJ:     sm.busJ,
@@ -380,13 +283,13 @@ func (s *scorer) scoreMachine(mi int, m *machState, j *Job, soloBest, qos float6
 
 	var dec *candidate
 	if memoise {
-		sc.key = templateKey(sc.key, ci, sc.views, m.busSum, m.maxSens)
-		key := string(sc.key) + "|" + j.SigKey + "|" + itoa(j.MaxThreads)
-		dec = s.decision.getOrCompute(key, func() any {
-			return s.chooseShape(ci, sc.views, m.busSum, j, soloBest, qos, sc)
-		}).(*candidate)
+		h := sc.dkey.fill(ci, sc.views, m.busSum, m.maxSens, j)
+		if dec = s.decision.Get(h, &sc.dkey); dec == nil {
+			dec = s.decision.Put(h, sc.dkey, s.chooseShape(ci, sc.views, m.busSum, j, soloBest, qos, sc))
+		}
 	} else {
-		dec = s.chooseShape(ci, sc.views, m.busSum, j, soloBest, qos, sc)
+		d := s.chooseShape(ci, sc.views, m.busSum, j, soloBest, qos, sc)
+		dec = &d
 	}
 	if !dec.feasible {
 		return candidate{}
@@ -436,26 +339,4 @@ func residentFactor(c *Class, m *machState, r *placedJob) float64 {
 	}
 	ext /= float64(r.threads)
 	return composeFactor(r.sensJ, ext, m.busSum)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -2,9 +2,9 @@ package machine
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 
+	"github.com/greenhpc/actor/internal/memo"
 	"github.com/greenhpc/actor/internal/topology"
 	"github.com/greenhpc/actor/internal/workload"
 )
@@ -17,57 +17,23 @@ import (
 // the same (phase, placement) pair at every timestep, so hit rates in the
 // evaluation pipeline are extremely high.
 //
-// The cache is a sharded, open-addressed hash table. The hot lookup is
-// lock-free and allocation-free: readers atomically load a shard's table
-// pointer and linearly probe immutable entries published with atomic slot
-// stores. Writers (misses only) serialise on a per-shard mutex and grow
-// the shard's table copy-on-write, so a replay-heavy workload never
-// contends on a lock after warm-up. Compare the previous sync.Map design:
-// every lookup boxed its key into an interface (one allocation per hit)
-// and every hit copied the result's PerThreadIPC slice (a second
-// allocation).
+// The table itself is internal/memo's grow-only Table: hits are lock-free
+// and allocation-free, and a stored Result's PerThreadIPC is the canonical
+// slice shared with every Result served from the cache — callers must
+// treat it as read-only (see WithMemo). This file owns only the key, its
+// hash and the params-epoch counter.
 //
 // The cache deliberately excludes measurement noise: RunPhase applies
 // perturbation after the lookup, so noisy machines share the memo with
 // their noiseless ground-truth counterpart.
 type phaseMemo struct {
-	shards       [memoShardCount]memoShard
-	hits, misses atomic.Uint64
+	memo.Table[memoKey, Result]
 
 	// epochCounter allocates params epochs (see Machine.SetParams). It
 	// lives on the shared memo so every machine sharing the cache draws
 	// from one sequence: each SetParams call gets a unique epoch and two
 	// derived machines with different Params cannot key the same entries.
 	epochCounter atomic.Uint64
-}
-
-// memoShardCount is a power of two; the low hash bits select the shard and
-// the remaining bits seed the in-shard probe sequence.
-const memoShardCount = 64
-
-// memoShard is one lock domain of the cache.
-type memoShard struct {
-	mu    sync.Mutex // serialises writers; readers never take it
-	count int        // live entries, guarded by mu
-	table atomic.Pointer[memoTable]
-}
-
-// memoTable is an open-addressed slot array with linear probing. Slots are
-// write-once: nil → *memoEntry. Tables are replaced wholesale on growth;
-// a reader holding a superseded table still sees every entry that was
-// published in it.
-type memoTable struct {
-	mask  uint64
-	slots []atomic.Pointer[memoEntry]
-}
-
-// memoEntry is an immutable (key, result) pair. res.PerThreadIPC is the
-// canonical slice shared with every Result served from the cache — callers
-// must treat it as read-only (see WithMemo).
-type memoEntry struct {
-	hash uint64
-	key  memoKey
-	res  Result
 }
 
 type memoKey struct {
@@ -137,86 +103,6 @@ func (m *Machine) keyFor(p *workload.PhaseProfile, idio float64, pl *topology.Pl
 	}
 }
 
-// get probes the shard for hash/key. The fast path takes no locks and
-// performs no allocations.
-func (c *phaseMemo) get(hash uint64, key *memoKey) *memoEntry {
-	sh := &c.shards[hash&(memoShardCount-1)]
-	t := sh.table.Load()
-	if t == nil {
-		return nil
-	}
-	for i, probes := hash>>6, uint64(0); probes <= t.mask; i, probes = i+1, probes+1 {
-		e := t.slots[i&t.mask].Load()
-		if e == nil {
-			return nil
-		}
-		if e.hash == hash && e.key == *key {
-			return e
-		}
-	}
-	return nil
-}
-
-// insert publishes an entry for (hash, key), returning the canonical entry
-// (a concurrent writer may have published first — the computation is
-// deterministic, so either result serves). res must own its PerThreadIPC
-// slice: the cache keeps it forever and shares it with every hit.
-func (c *phaseMemo) insert(hash uint64, key memoKey, res Result) *memoEntry {
-	sh := &c.shards[hash&(memoShardCount-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-
-	t := sh.table.Load()
-	if t != nil {
-		// Re-probe under the lock: we may have raced another writer.
-		for i, probes := hash>>6, uint64(0); probes <= t.mask; i, probes = i+1, probes+1 {
-			e := t.slots[i&t.mask].Load()
-			if e == nil {
-				break
-			}
-			if e.hash == hash && e.key == key {
-				return e
-			}
-		}
-	}
-	// Grow at 50% load so probe chains stay short for the lock-free
-	// readers. Growth publishes a fresh table; readers mid-probe on the
-	// old one still see a consistent (if slightly stale) view and retry
-	// through the slow path on a miss.
-	if t == nil || uint64(sh.count+1)*2 > t.mask+1 {
-		newSize := uint64(64)
-		if t != nil {
-			newSize = (t.mask + 1) * 2
-		}
-		nt := &memoTable{mask: newSize - 1, slots: make([]atomic.Pointer[memoEntry], newSize)}
-		if t != nil {
-			for i := range t.slots {
-				if e := t.slots[i].Load(); e != nil {
-					nt.place(e)
-				}
-			}
-		}
-		sh.table.Store(nt)
-		t = nt
-	}
-	e := &memoEntry{hash: hash, key: key, res: res}
-	t.place(e)
-	sh.count++
-	return e
-}
-
-// place stores an entry in the first free slot of its probe sequence. The
-// caller holds the shard lock and has verified the key is absent.
-func (t *memoTable) place(e *memoEntry) {
-	for i := e.hash >> 6; ; i++ {
-		slot := &t.slots[i&t.mask]
-		if slot.Load() == nil {
-			slot.Store(e)
-			return
-		}
-	}
-}
-
 // lookup returns the memoised deterministic result for the task, computing
 // and inserting it on first use. Served results share the cache's canonical
 // PerThreadIPC slice; see WithMemo for the read-only contract.
@@ -224,13 +110,12 @@ func (c *phaseMemo) lookup(m *Machine, p *workload.PhaseProfile, idio float64, p
 	coresHash := hashCores(pl.Cores)
 	hash := memoHash(m.memoSeed(p), idio, &pl, coresHash)
 	key := m.keyFor(p, idio, &pl, coresHash)
-	if e := c.get(hash, &key); e != nil {
-		c.hits.Add(1)
-		return e.res
+	if res := c.Get(hash, &key); res != nil {
+		return *res
 	}
-	c.misses.Add(1)
+	// res owns its PerThreadIPC slice: the table keeps it forever.
 	res := m.computePhase(p, idio, pl)
-	return c.insert(hash, key, res).res
+	return *c.Put(hash, key, res)
 }
 
 // hashCores folds a placement's core list into an FNV-1a hash, so distinct
@@ -279,7 +164,8 @@ func (m *Machine) MemoStats() (hits, misses uint64) {
 	if m.memo == nil {
 		return 0, 0
 	}
-	return m.memo.hits.Load(), m.memo.misses.Load()
+	hits, misses, _ = m.memo.Stats()
+	return hits, misses
 }
 
 // memoEquivalent reports whether two float64s are identical including NaN

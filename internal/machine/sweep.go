@@ -653,7 +653,7 @@ func (m *Machine) RunPhaseSweep(p *workload.PhaseProfile, idio float64, placemen
 			ipc := slab[pe.thrOff : pe.thrOff+pe.n : pe.thrOff+pe.n]
 			res := m.finishPlacement(ctx, pe, i, p, idio, ipc)
 			if useMemo {
-				res = m.memo.insert(pe.hash, pe.key, res).res
+				res = *m.memo.Put(pe.hash, pe.key, res)
 			}
 			dst[pe.idx] = res
 		}
@@ -665,12 +665,10 @@ func (m *Machine) RunPhaseSweep(p *workload.PhaseProfile, idio float64, placemen
 		if useMemo {
 			hash := memoHash(seed, idio, &pl, coresHash)
 			key := m.keyFor(p, idio, &pl, coresHash)
-			if e := m.memo.get(hash, &key); e != nil {
-				m.memo.hits.Add(1)
-				dst[i] = e.res
+			if res := m.memo.Get(hash, &key); res != nil {
+				dst[i] = *res
 				continue
 			}
-			m.memo.misses.Add(1)
 			m.prepPlacement(ctx, p, pl, i, coresHash, hash, key)
 		} else {
 			m.prepPlacement(ctx, p, pl, i, coresHash, 0, memoKey{})

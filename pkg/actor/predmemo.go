@@ -16,9 +16,12 @@ import (
 //
 // The layout is internal/cache's SetAssoc — power-of-two sets × small ways,
 // true-LRU within a set via a global clock — adapted for concurrency the
-// way internal/machine's phase memo is: lock-free probes through per-way
+// way internal/memo's grow-only Table is: lock-free probes through per-way
 // atomic pointers, a per-set mutex only on install, and entries that are
-// immutable once published.
+// immutable once published. It is deliberately not built on that table
+// (nor merged with evalCache): request bodies mint unbounded keys, so this
+// cache must evict and cap value size, and the table can do neither
+// without branching on its caller.
 type predictMemo struct {
 	sets    int
 	setMask uint64

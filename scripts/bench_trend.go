@@ -9,7 +9,9 @@
 // more than -max-regress percent against the previous snapshot. Benchmarks
 // named in the -allow list (comma-separated, matched after stripping the
 // -<GOMAXPROCS> suffix) are reported but never fail the gate — the escape
-// hatch for intentional trade-offs.
+// hatch for intentional trade-offs. Two snapshots whose _meta.cpu differ
+// were taken on different hosts; the gate refuses to compare them and
+// passes.
 //
 // Usage:
 //
@@ -30,9 +32,11 @@ import (
 	"strings"
 )
 
-// snapshot is one BENCH_<n>.json: benchmark name → metric name → value.
+// snapshot is one BENCH_<n>.json: benchmark name → metric name → value,
+// plus the CPU model string of the host that recorded it.
 type snapshot struct {
 	num    int
+	cpu    string
 	values map[string]map[string]float64
 }
 
@@ -41,42 +45,47 @@ type snapshot struct {
 // up by benchmark.
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
-func load(path string) (map[string]map[string]float64, error) {
+func load(path string) (snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return snapshot{}, err
 	}
 	var raw map[string]json.RawMessage
 	if err := json.Unmarshal(data, &raw); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return snapshot{}, fmt.Errorf("%s: %w", path, err)
 	}
-	out := make(map[string]map[string]float64, len(raw))
+	snap := snapshot{values: make(map[string]map[string]float64, len(raw))}
 	for name, msg := range raw {
 		if name == "_meta" {
-			// The _meta block may carry a loadgen snapshot (written by
-			// scripts/bench.sh via actorload): open-loop serving metrics.
-			// Surface it as the _loadgen pseudo-benchmark so it rides the
-			// same trend/gate machinery as real benchmarks.
+			// The _meta block names the recording host's CPU and may carry
+			// a loadgen snapshot (written by scripts/bench.sh via
+			// actorload): open-loop serving metrics, surfaced as the
+			// _loadgen pseudo-benchmark of the trend print.
 			var meta struct {
+				CPU     string             `json:"cpu"`
 				Loadgen map[string]float64 `json:"loadgen"`
 			}
-			if err := json.Unmarshal(msg, &meta); err == nil && len(meta.Loadgen) > 0 {
-				out[loadgenName] = meta.Loadgen
+			if err := json.Unmarshal(msg, &meta); err == nil {
+				snap.cpu = meta.CPU
+				if len(meta.Loadgen) > 0 {
+					snap.values[loadgenName] = meta.Loadgen
+				}
 			}
 			continue
 		}
 		var metrics map[string]float64
 		if err := json.Unmarshal(msg, &metrics); err != nil {
-			return nil, fmt.Errorf("%s: benchmark %q: %w", path, name, err)
+			return snapshot{}, fmt.Errorf("%s: benchmark %q: %w", path, name, err)
 		}
-		out[gomaxprocsSuffix.ReplaceAllString(name, "")] = metrics
+		snap.values[gomaxprocsSuffix.ReplaceAllString(name, "")] = metrics
 	}
-	return out, nil
+	return snap, nil
 }
 
 // loadgenName is the pseudo-benchmark the _meta.loadgen snapshot appears
-// under. Its metrics are gated by direction: req_per_s must not drop and
-// p99_us must not rise beyond -max-load-regress percent.
+// under. It is printed, never gated: its req_per_s is the offered rate and
+// its p99_us doubles between identical runs (BENCHMARK.json carries the
+// end-to-end claims).
 const loadgenName = "_loadgen"
 
 var snapshotName = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
@@ -99,12 +108,13 @@ func loadSnapshots() []snapshot {
 		if err != nil {
 			continue
 		}
-		values, err := load(path)
+		snap, err := load(path)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		snaps = append(snaps, snapshot{num: n, values: values})
+		snap.num = n
+		snaps = append(snaps, snap)
 	}
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].num < snaps[j].num })
 	if len(snaps) == 0 {
@@ -211,6 +221,11 @@ func gate(snaps []snapshot, names []string, maxRegressPct float64, allowed map[s
 		return true
 	}
 	prev, last := snaps[len(snaps)-2], snaps[len(snaps)-1]
+	if prev.cpu != last.cpu {
+		fmt.Printf("trend gate: BENCH_%d (%s) vs BENCH_%d (%s): different host, not comparable — pass\n",
+			last.num, last.cpu, prev.num, prev.cpu)
+		return true
+	}
 	fmt.Printf("trend gate: BENCH_%d vs BENCH_%d, ns/op regression threshold %+.0f%%\n",
 		last.num, prev.num, maxRegressPct)
 	ok := true
@@ -222,7 +237,7 @@ func gate(snaps []snapshot, names []string, maxRegressPct float64, allowed map[s
 	var added, removed, odd []string
 	for _, name := range names {
 		if name == loadgenName {
-			continue // gated separately, by direction-aware metrics
+			continue
 		}
 		was, okPrev := prev.values[name]["ns_per_op"]
 		now, okLast := last.values[name]["ns_per_op"]
@@ -271,55 +286,9 @@ func gate(snaps []snapshot, names []string, maxRegressPct float64, allowed map[s
 	return ok
 }
 
-// gateLoadgen compares the _loadgen pseudo-benchmark between the two most
-// recent snapshots that carry one. Direction-aware: req_per_s regresses by
-// dropping, the latency percentiles by rising. The tolerance is separate
-// from -max-regress (and looser by default) because open-loop load numbers
-// ride on runner scheduling noise that ns/op micro-benchmarks average out.
-func gateLoadgen(snaps []snapshot, maxRegressPct float64) bool {
-	var have []snapshot
-	for _, s := range snaps {
-		if _, ok := s.values[loadgenName]; ok {
-			have = append(have, s)
-		}
-	}
-	if len(have) < 2 {
-		fmt.Println("load gate: fewer than two snapshots with loadgen metrics — pass")
-		return true
-	}
-	prev, last := have[len(have)-2], have[len(have)-1]
-	fmt.Printf("load gate: BENCH_%d vs BENCH_%d, regression threshold %+.0f%%\n",
-		last.num, prev.num, maxRegressPct)
-	ok := true
-	check := func(metric string, higherIsBetter bool) {
-		was, okPrev := prev.values[loadgenName][metric]
-		now, okLast := last.values[loadgenName][metric]
-		if !okPrev || !okLast || was <= 0 {
-			return
-		}
-		change := (now - was) / was * 100
-		regress := change
-		if higherIsBetter {
-			regress = -change
-		}
-		if regress <= maxRegressPct {
-			return
-		}
-		fmt.Printf("  FAIL    %-20s %.0f → %.0f (%+.1f%%)\n", metric, was, now, change)
-		ok = false
-	}
-	check("req_per_s", true)
-	check("p99_us", false)
-	if ok {
-		fmt.Println("load gate: pass")
-	}
-	return ok
-}
-
 func main() {
 	gateMode := flag.Bool("gate", false, "fail (exit 1) when ns/op regresses beyond -max-regress vs the previous snapshot")
 	maxRegress := flag.Float64("max-regress", 30, "maximum tolerated ns/op regression in percent (gate mode)")
-	maxLoadRegress := flag.Float64("max-load-regress", 100, "maximum tolerated _loadgen regression in percent: req_per_s dropping or p99_us rising (gate mode)")
 	allowList := flag.String("allow", "", "comma-separated benchmark names exempt from the gate")
 	flag.Parse()
 
@@ -336,11 +305,7 @@ func main() {
 			allowed[name] = true
 		}
 	}
-	pass := gate(snaps, names, *maxRegress, allowed)
-	if !gateLoadgen(snaps, *maxLoadRegress) {
-		pass = false
-	}
-	if !pass {
+	if !gate(snaps, names, *maxRegress, allowed) {
 		os.Exit(1)
 	}
 }
