@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build build-cmds test race bench bench-json bench-smoke trend trend-gate dist-e2e load-smoke fuzz-smoke fleet-smoke recal-e2e fmt vet ci clean
+.PHONY: build build-cmds test race bench bench-json bench-smoke bench-contract trend trend-gate dist-e2e load-smoke fuzz-smoke fleet-smoke recal-e2e fmt vet ci clean
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,12 @@ bench-json:
 ## compiling and executing without paying for real measurements (CI).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
+
+## bench-contract: vet and smoke-test benchmarks/ — a Go module of its own,
+## so `go build ./... && go test ./...` at the root never compiles it and a
+## renamed identifier actorbench imports would otherwise pass CI (~4 s).
+bench-contract:
+	cd benchmarks && $(GO) vet ./... && $(GO) test ./...
 
 ## trend: print ns/op and allocs/op deltas across all BENCH_<n>.json.
 trend:
@@ -83,7 +89,7 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet build build-cmds race
+ci: fmt vet build build-cmds race bench-contract
 
 clean:
 	rm -rf .bench-baseline bin

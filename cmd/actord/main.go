@@ -4,16 +4,15 @@
 // topology descriptor rides inside the bank), and serves:
 //
 //	GET  /healthz     liveness probe
-//	GET  /readyz      readiness probe (503 while loading, draining or saturated)
+//	GET  /readyz      readiness probe (503 while loading or draining)
 //	GET  /v1/bank     bank metadata (topology, configs, event sets)
 //	POST /v1/predict  observed rates → ranked configurations
 //	POST /v1/sweep    benchmark phases → per-placement modelled responses
 //	POST /v1/eval     one shard of a distributed sweep (see cmd/actorctl)
 //
-// Concurrent sweep requests are micro-batched into shared phase-sweep
-// calls over the engine's sharded memo. See docs/SERVING.md for a
-// train → save → serve → curl walkthrough and the distributed-evaluation
-// quickstart.
+// Sweeps run on their request goroutines over the engine's shared phase
+// memo. See docs/SERVING.md for a train → save → serve → curl walkthrough
+// and the distributed-evaluation quickstart.
 //
 // With -recal the online recalibration loop runs alongside serving:
 // predict traffic feeds a drift detector, drift (or POST /v1/recal/trigger)
@@ -86,7 +85,7 @@ func main() {
 	// Server-side timeouts bound every connection: a client that stalls
 	// mid-headers, trickles a body or never reads its response cannot wedge
 	// a serving goroutine forever. Request bodies are additionally capped by
-	// the handlers themselves (http.MaxBytesReader).
+	// the handlers themselves (pkg/actor's readBody: 1 MiB, then 413).
 	hs := &http.Server{
 		Addr:              *addr,
 		Handler:           &swap,
@@ -141,7 +140,7 @@ func main() {
 		<-ctx.Done()
 		// Graceful drain: readiness flips to 503 first so health-checking
 		// clients stop routing here, then in-flight requests get a grace
-		// window before the listener and the sweep dispatcher go away.
+		// window before the listener goes away.
 		srv.BeginDrain()
 		shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

@@ -24,7 +24,7 @@
 //	go run ./cmd/actorsim -fast hetero
 //
 // To serve a trained bank behind an HTTP JSON API (ranked configuration
-// predictions and micro-batched phase sweeps), train with cmd/actor-train
+// predictions and per-placement phase sweeps), train with cmd/actor-train
 // and serve with cmd/actord — see docs/SERVING.md for the quickstart and
 // for the strict v1 request grammar its POST routes accept:
 //

@@ -1,7 +1,6 @@
 package ann
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -151,46 +150,6 @@ func TestTrainDeterministicUnderSeed(t *testing.T) {
 	}
 }
 
-func TestNetworkSerializationRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n, _ := NewNetwork([]int{4, 6, 1}, rng)
-	data, err := json.Marshal(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Network
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0.1, -0.2, 0.3, 0.4}
-	if n.Predict(x) != back.Predict(x) {
-		t.Error("serialisation round trip changed predictions")
-	}
-}
-
-func TestNetworkUnmarshalRejectsMalformed(t *testing.T) {
-	cases := []string{
-		`{"sizes":[2],"weights":[]}`,
-		`{"sizes":[2,1],"weights":[[[1,2,3]]]}`, // wrong weight count (needs 3 = 2+bias ✓ actually)
-		`{"sizes":[2,2],"weights":[[[1,2,3]]]}`, // wrong unit count
-		`{"sizes":[2,1],"weights":[[[1,2]]]}`,   // missing bias weight
-	}
-	for _, c := range cases[1:] { // first case: wrong layer count
-		var n Network
-		if err := json.Unmarshal([]byte(cases[0]), &n); err == nil {
-			t.Error("layer-count mismatch accepted")
-		}
-		_ = c
-	}
-	var n Network
-	if err := json.Unmarshal([]byte(`{"sizes":[2,2],"weights":[[[1,2,3]]]}`), &n); err == nil {
-		t.Error("unit-count mismatch accepted")
-	}
-	if err := json.Unmarshal([]byte(`{"sizes":[2,1],"weights":[[[1,2]]]}`), &n); err == nil {
-		t.Error("missing bias weight accepted")
-	}
-}
-
 func TestScalerRoundTrip(t *testing.T) {
 	samples := synthSamples(50, 11, 0)
 	sc, err := FitScaler(samples)
@@ -220,18 +179,6 @@ func TestScalerStandardisation(t *testing.T) {
 	// Constant feature passes through as zero without dividing by zero.
 	if x[1] != 0 || math.IsNaN(x[1]) {
 		t.Errorf("constant feature = %g, want 0", x[1])
-	}
-}
-
-func TestScalerSerialization(t *testing.T) {
-	sc, _ := FitScaler(synthSamples(20, 1, 0))
-	data, _ := json.Marshal(sc)
-	var back Scaler
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.YMin != sc.YMin || back.YMax != sc.YMax {
-		t.Error("scaler round trip lost target range")
 	}
 }
 
@@ -266,19 +213,6 @@ func TestEnsembleBeatsGuessingAndRoundTrips(t *testing.T) {
 	}
 	if ens.EstimateMSE <= 0 {
 		t.Error("ensemble estimate MSE not populated")
-	}
-
-	data, err := json.Marshal(ens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Ensemble
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0.2, -0.4, 0.6}
-	if math.Abs(back.Predict(x)-ens.Predict(x)) > 1e-12 {
-		t.Error("ensemble round trip changed predictions")
 	}
 }
 

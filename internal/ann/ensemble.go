@@ -1,7 +1,6 @@
 package ann
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -145,30 +144,4 @@ func (e *Ensemble) InputDim() int {
 		return 0
 	}
 	return e.Nets[0].InputDim()
-}
-
-// MarshalJSON serialises the whole ensemble (networks + scaler).
-func (e *Ensemble) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Nets        []*Network `json:"nets"`
-		Scaler      *Scaler    `json:"scaler"`
-		EstimateMSE float64    `json:"estimate_mse"`
-	}{e.Nets, e.Scaler, e.EstimateMSE})
-}
-
-// UnmarshalJSON restores a serialised ensemble.
-func (e *Ensemble) UnmarshalJSON(data []byte) error {
-	var raw struct {
-		Nets        []*Network `json:"nets"`
-		Scaler      *Scaler    `json:"scaler"`
-		EstimateMSE float64    `json:"estimate_mse"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	if len(raw.Nets) == 0 || raw.Scaler == nil {
-		return errors.New("ann: malformed serialised ensemble")
-	}
-	e.Nets, e.Scaler, e.EstimateMSE = raw.Nets, raw.Scaler, raw.EstimateMSE
-	return nil
 }

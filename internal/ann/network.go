@@ -25,7 +25,6 @@
 package ann
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -112,8 +111,8 @@ func (n *Network) getScratch() *scratch {
 
 func (n *Network) putScratch(s *scratch) { n.pool.Put(s) }
 
-// fits reports whether the scratch matches the network's topology — a
-// Network whose shape changed via UnmarshalJSON must not reuse old buffers.
+// fits reports whether the scratch matches the network's topology — Sizes
+// is an exported field, so a pooled scratch is re-checked, never trusted.
 func (s *scratch) fits(n *Network) bool {
 	if len(s.acts) != len(n.Sizes)-1 {
 		return false
@@ -223,64 +222,4 @@ func (n *Network) MSE(set []Sample) float64 {
 	}
 	n.putScratch(s)
 	return sum / float64(len(set))
-}
-
-// nestedWeights converts the flat storage to the serialised
-// Weights[l][j][i] form (index i == Sizes[l] is unit j's bias).
-func (n *Network) nestedWeights() [][][]float64 {
-	out := make([][][]float64, len(n.w))
-	for l := range n.w {
-		units, rowW := n.LayerShape(l)
-		out[l] = make([][]float64, units)
-		for j := 0; j < units; j++ {
-			out[l][j] = append([]float64(nil), n.w[l][j*rowW:(j+1)*rowW]...)
-		}
-	}
-	return out
-}
-
-// MarshalJSON/UnmarshalJSON give the network a stable serialised form used
-// by the offline trainer (cmd/actor-train) and loader (cmd/actor-predict).
-// The wire format is unchanged from the nested-slice implementation.
-func (n *Network) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Sizes   []int         `json:"sizes"`
-		Weights [][][]float64 `json:"weights"`
-	}{n.Sizes, n.nestedWeights()})
-}
-
-// UnmarshalJSON restores a serialised network, validating shape consistency.
-func (n *Network) UnmarshalJSON(data []byte) error {
-	var raw struct {
-		Sizes   []int         `json:"sizes"`
-		Weights [][][]float64 `json:"weights"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	if len(raw.Sizes) < 2 || len(raw.Weights) != len(raw.Sizes)-1 {
-		return errors.New("ann: malformed serialised network")
-	}
-	for l := range raw.Weights {
-		if len(raw.Weights[l]) != raw.Sizes[l+1] {
-			return fmt.Errorf("ann: layer %d has %d units, want %d", l, len(raw.Weights[l]), raw.Sizes[l+1])
-		}
-		for j := range raw.Weights[l] {
-			if len(raw.Weights[l][j]) != raw.Sizes[l]+1 {
-				return fmt.Errorf("ann: layer %d unit %d has %d weights, want %d",
-					l, j, len(raw.Weights[l][j]), raw.Sizes[l]+1)
-			}
-		}
-	}
-	n.Sizes = raw.Sizes
-	n.w = make([][]float64, len(raw.Weights))
-	for l := range raw.Weights {
-		rowW := raw.Sizes[l] + 1
-		flat := make([]float64, len(raw.Weights[l])*rowW)
-		for j, row := range raw.Weights[l] {
-			copy(flat[j*rowW:(j+1)*rowW], row)
-		}
-		n.w[l] = flat
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package ann
 
 import (
-	"encoding/json"
 	"errors"
 	"math"
 )
@@ -109,32 +108,4 @@ func (sc *Scaler) Apply(samples []Sample) []Sample {
 		out[i] = Sample{X: sc.X(s.X), Y: sc.Y(s.Y)}
 	}
 	return out
-}
-
-// MarshalJSON serialises the scaler alongside its ensemble.
-func (sc *Scaler) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Mean []float64 `json:"mean"`
-		Std  []float64 `json:"std"`
-		YMin float64   `json:"ymin"`
-		YMax float64   `json:"ymax"`
-	}{sc.Mean, sc.Std, sc.YMin, sc.YMax})
-}
-
-// UnmarshalJSON restores a serialised scaler.
-func (sc *Scaler) UnmarshalJSON(data []byte) error {
-	var raw struct {
-		Mean []float64 `json:"mean"`
-		Std  []float64 `json:"std"`
-		YMin float64   `json:"ymin"`
-		YMax float64   `json:"ymax"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	if len(raw.Mean) != len(raw.Std) {
-		return errors.New("ann: malformed scaler")
-	}
-	sc.Mean, sc.Std, sc.YMin, sc.YMax = raw.Mean, raw.Std, raw.YMin, raw.YMax
-	return nil
 }

@@ -121,7 +121,7 @@ func (w *worker) loadSnapshot() (State, int) {
 }
 
 // probe hits the worker's /readyz and advances the state machine with the
-// outcome. A 503 (draining, saturated, loading) counts as a failure — the
+// outcome. A 503 (draining, loading) counts as a failure — the
 // worker is alive but must not be handed work.
 func (c *Coordinator) probe(ctx context.Context, w *worker) bool {
 	pctx, cancel := context.WithTimeout(ctx, c.probeTimeout())

@@ -6,7 +6,6 @@
 package mlr
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -152,26 +151,4 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// MarshalJSON serialises the model.
-func (m *Model) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Coef []float64 `json:"coef"`
-	}{m.Coef})
-}
-
-// UnmarshalJSON restores a serialised model.
-func (m *Model) UnmarshalJSON(data []byte) error {
-	var raw struct {
-		Coef []float64 `json:"coef"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	if len(raw.Coef) < 1 {
-		return errors.New("mlr: malformed serialised model")
-	}
-	m.Coef = raw.Coef
-	return nil
 }

@@ -1,7 +1,6 @@
 package mlr
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -94,26 +93,6 @@ func TestMSE(t *testing.T) {
 	}
 	if got := m.MSE(nil); got != 0 {
 		t.Errorf("MSE(nil) = %g", got)
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	m, _ := Fit(linearSamples(50, 4, 0), 0)
-	data, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Model
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0.3, 0.6, 0.9}
-	if m.Predict(x) != back.Predict(x) {
-		t.Error("round trip changed predictions")
-	}
-	var bad Model
-	if err := json.Unmarshal([]byte(`{"coef":[]}`), &bad); err == nil {
-		t.Error("empty coefficient vector accepted")
 	}
 }
 

@@ -210,6 +210,13 @@ func TestTrainDeterministic(t *testing.T) {
 // TestDecodeBankRejects checks that malformed, foreign and future-versioned
 // payloads are rejected with descriptive errors.
 func TestDecodeBankRejects(t *testing.T) {
+	// annBank is a one-predictor, one-target ANN bank around the given
+	// two-feature scaler vectors and member networks.
+	annBank := func(mean, std, nets string) string {
+		return `{"format":"actor-bank","version":1,"configs":["1","4"],"sample_config":"4",
+			"predictors":[{"events":["L2_LINES_IN"],"ann":{"1":{"scaler":{"mean":` + mean + `,"std":` + std + `,"ymin":0,"ymax":1},
+			"nets":` + nets + `}}}]}`
+	}
 	cases := []struct {
 		name, data, want string
 	}{
@@ -231,6 +238,14 @@ func TestDecodeBankRejects(t *testing.T) {
 		{"scaler/net dim mismatch", `{"format":"actor-bank","version":1,"configs":["1","4"],"sample_config":"4",
 			"predictors":[{"events":["L2_LINES_IN"],"ann":{"1":{"scaler":{"mean":[0,0,0],"std":[1,1,1],"ymin":0,"ymax":1},
 			"nets":[{"sizes":[2,1],"weights":[[0.1,0.2,0.3]]}]}}}]}`, "does not match the scaler"},
+		{"net with one layer size", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2],"weights":[]}]`), "need at least input and output"},
+		{"net layer count mismatch", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1],"weights":[]}]`), "0 weight layers for 2 layer sizes"},
+		{"net unit count mismatch", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,2],"weights":[[1,2,3]]}]`), "layer 0 has 3 weights, want 6"},
+		{"net short weight row", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1],"weights":[[1,2]]}]`), "layer 0 has 2 weights, want 3"},
+		{"empty ensemble", annBank(`[0,0]`, `[1,1]`, `[]`), "no member networks"},
+		{"scaler mean/std mismatch", annBank(`[0,0]`, `[1]`, `[{"sizes":[2,1],"weights":[[1,2,3]]}]`), "mean/std length mismatch"},
+		{"empty coefficient vector", `{"format":"actor-bank","version":1,"configs":["1","4"],"sample_config":"4",
+			"predictors":[{"events":["L2_LINES_IN"],"mlr":{"1":[]}}]}`, "at least an intercept"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

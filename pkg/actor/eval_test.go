@@ -129,7 +129,8 @@ func TestServerEvalRejections(t *testing.T) {
 }
 
 // TestServerReadyz: readiness is distinct from liveness — a draining
-// server stays alive but reports 503 so routers stop sending work.
+// server stays alive but reports 503 so routers stop sending work — and
+// reflects drain only: any number of in-flight sweeps leaves it ready.
 func TestServerReadyz(t *testing.T) {
 	eng, _ := servingFixture(t)
 	srv, err := actor.NewServer(eng)
@@ -137,14 +138,50 @@ func TestServerReadyz(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if rec := do(t, srv, http.MethodGet, "/readyz", ""); rec.Code != http.StatusOK {
-		t.Fatalf("fresh server readyz = %d: %s", rec.Code, rec.Body)
+
+	// 64 goroutines sweep without pause while the probe reads.
+	const inflight = 64
+	stop := make(chan struct{})
+	var started, done sync.WaitGroup
+	started.Add(inflight)
+	done.Add(inflight)
+	for g := 0; g < inflight; g++ {
+		go func() {
+			defer done.Done()
+			started.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if rec := do(t, srv, http.MethodPost, "/v1/sweep", `{"bench":"SP"}`); rec.Code != http.StatusOK {
+					t.Errorf("sweep under load = %d: %s", rec.Code, rec.Body)
+					return
+				}
+			}
+		}()
+	}
+	started.Wait()
+	for i := 0; i < 32; i++ {
+		rec := do(t, srv, http.MethodGet, "/readyz", "")
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "ready") {
+			t.Errorf("readyz under %d in-flight sweeps = %d: %s", inflight, rec.Code, rec.Body)
+			break
+		}
+	}
+	close(stop)
+	done.Wait()
+
+	wantDraining := func(srv *actor.Server, after string) {
+		t.Helper()
+		rec := do(t, srv, http.MethodGet, "/readyz", "")
+		if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "draining") {
+			t.Fatalf("readyz after %s = %d: %s", after, rec.Code, rec.Body)
+		}
 	}
 	srv.BeginDrain()
-	rec := do(t, srv, http.MethodGet, "/readyz", "")
-	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "draining") {
-		t.Fatalf("draining readyz = %d: %s", rec.Code, rec.Body)
-	}
+	wantDraining(srv, "BeginDrain")
 	// Liveness is unaffected, and the data path still answers while
 	// in-flight work drains.
 	if rec := do(t, srv, http.MethodGet, "/healthz", ""); rec.Code != http.StatusOK {
@@ -153,12 +190,45 @@ func TestServerReadyz(t *testing.T) {
 	if rec := do(t, srv, http.MethodPost, "/v1/sweep", `{"bench":"SP"}`); rec.Code != http.StatusOK {
 		t.Errorf("draining sweep = %d: %s", rec.Code, rec.Body)
 	}
+
+	// Close drains too.
+	closed, err := actor.NewServer(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	wantDraining(closed, "Close")
+}
+
+// TestServerOwnsNoGoroutine: a Server is its handlers and nothing else, so
+// NewServer, traffic and Close each leave the goroutine count where it was.
+func TestServerOwnsNoGoroutine(t *testing.T) {
+	eng, _ := servingFixture(t)
+	baseline := runtime.NumGoroutine()
+	census := func(stage string) {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Fatalf("%s: %d goroutines, %d before NewServer", stage, n, baseline)
+		}
+	}
+	srv, err := actor.NewServer(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	census("after NewServer")
+	for _, body := range []string{`{"bench":"SP"}`, `{"bench":"CG","phases":["nope"]}`} {
+		do(t, srv, http.MethodPost, "/v1/sweep", body)
+	}
+	do(t, srv, http.MethodPost, "/v1/eval", evalBody(t, eng, eng.Workload()[:1]))
+	census("after traffic")
+	srv.Close()
+	census("after Close")
 }
 
 // TestServerCloseDuringSweeps hammers Close concurrently with in-flight
 // sweeps: every request must resolve to 200 or 503 — never a hang, never
-// a panic (send on closed channel) — and Close must wait for the
-// dispatcher to exit. Run under -race in CI.
+// a panic — and Close must be concurrency-safe and idempotent. Run under
+// -race in CI.
 func TestServerCloseDuringSweeps(t *testing.T) {
 	eng, _ := servingFixture(t)
 	for round := 0; round < 4; round++ {
@@ -179,8 +249,7 @@ func TestServerCloseDuringSweeps(t *testing.T) {
 				}
 			}()
 		}
-		// Close mid-flight from two goroutines at once (Close must be
-		// concurrency-safe and idempotent).
+		// Close mid-flight from two goroutines at once.
 		wg.Add(2)
 		for k := 0; k < 2; k++ {
 			go func() {
@@ -199,9 +268,9 @@ func TestServerCloseDuringSweeps(t *testing.T) {
 }
 
 // TestServerCanceledRequestsReleaseSlots: client-abandoned requests must
-// not leak goroutines or wedge the dispatcher. The goroutine census is the
-// goleak-style assertion; the follow-up sweep proves the dispatcher still
-// owns a free slot.
+// not leak goroutines or wedge the server. A sweep whose context is already
+// cancelled is a 503; the goroutine census is the goleak-style assertion;
+// the follow-up sweep proves live requests are still served.
 func TestServerCanceledRequestsReleaseSlots(t *testing.T) {
 	srv := newTestServer(t)
 	_, bank := servingFixture(t)
@@ -219,7 +288,7 @@ func TestServerCanceledRequestsReleaseSlots(t *testing.T) {
 		req := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(`{"bench":"SP"}`)).WithContext(canceled)
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK && rec.Code != http.StatusServiceUnavailable {
+		if rec.Code != http.StatusServiceUnavailable {
 			t.Fatalf("canceled sweep %d answered %d: %s", i, rec.Code, rec.Body)
 		}
 		req = httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(string(predictBody))).WithContext(canceled)
@@ -230,7 +299,6 @@ func TestServerCanceledRequestsReleaseSlots(t *testing.T) {
 		}
 	}
 
-	// The dispatcher must still have capacity: a live request succeeds.
 	if rec := do(t, srv, http.MethodPost, "/v1/sweep", `{"bench":"SP"}`); rec.Code != http.StatusOK {
 		t.Fatalf("sweep after canceled storm = %d: %s", rec.Code, rec.Body)
 	}

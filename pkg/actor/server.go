@@ -1,7 +1,6 @@
 package actor
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -22,27 +21,21 @@ const maxRequestBody = 1 << 20
 //
 //	GET  /healthz     liveness probe (process is up)
 //	GET  /readyz      readiness probe (willing to take traffic; 503 while
-//	                  draining or while the sweep dispatcher is saturated)
+//	                  draining)
 //	GET  /v1/bank     bank metadata (topology, configs, event sets)
 //	POST /v1/predict  observed rates (+ optional phase label) → ranked configs
 //	POST /v1/sweep    benchmark (+ optional phases) → per-placement responses
 //	POST /v1/eval     one shard of a distributed sweep → deterministic rows
 //
-// Predictions run directly on the bank (steady-state allocation-free).
-// Sweeps funnel through a single dispatcher goroutine that micro-batches
-// concurrent requests: all requests queued at dispatch time are drained,
-// deduplicated, executed back-to-back over the engine's shared sharded
-// phase memo (repeat sweeps are memo hits), and fanned back out. Create
-// with NewServer; Close drains the dispatcher and releases it.
+// Every request runs to completion on the goroutine net/http gave it:
+// predictions directly on the bank (steady-state allocation-free), sweeps
+// and eval shards through Engine.Sweep over the engine's shared phase memo
+// (repeat sweeps are memo hits). The Server owns no goroutine and no queue,
+// so in-flight request lifetime belongs to http.Server.Shutdown alone.
+// Create with NewServer.
 type Server struct {
 	eng *Engine
 	mux *http.ServeMux
-
-	jobs chan *sweepJob
-	stop chan struct{}
-	// done is closed when the dispatcher goroutine has exited; Close waits
-	// for it so no micro-batch is mid-flight after Close returns.
-	done chan struct{}
 
 	// draining flips readiness to 503 ahead of shutdown (BeginDrain) so
 	// health-checking clients stop routing new work here while in-flight
@@ -69,8 +62,6 @@ type Server struct {
 	// (EnableRecalibration): predict traffic feeds its observation store
 	// and the /v1/recal/* admin routes come alive.
 	recal atomic.Pointer[Recalibrator]
-
-	closeOnce sync.Once
 }
 
 // bankState is one immutable served-bank snapshot: the bank, the memo key
@@ -83,19 +74,6 @@ type bankState struct {
 	blen []string
 }
 
-type sweepJob struct {
-	req SweepRequest
-	// ctx is the requester's context: the dispatcher skips a batch group
-	// when every requester has already gone away.
-	ctx   context.Context
-	reply chan sweepReply
-}
-
-type sweepReply struct {
-	sweeps []PhaseSweep
-	err    error
-}
-
 // NewServer builds a Server over the engine's attached bank. The engine
 // must have a bank (Train, LoadBank via ForBank, or AttachBank).
 func NewServer(eng *Engine) (*Server, error) {
@@ -106,9 +84,6 @@ func NewServer(eng *Engine) (*Server, error) {
 	s := &Server{
 		eng:   eng,
 		mux:   http.NewServeMux(),
-		jobs:  make(chan *sweepJob, 64),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
 		evals: newEvalCache(256),
 		memo:  newPredictMemo(),
 	}
@@ -130,7 +105,6 @@ func NewServer(eng *Engine) (*Server, error) {
 	s.mux.HandleFunc("/v1/recal/trigger", s.handleRecalTrigger)
 	s.mux.HandleFunc("/v1/recal/promote", s.handleRecalPromote)
 	s.mux.HandleFunc("/v1/recal/rollback", s.handleRecalRollback)
-	go s.dispatch()
 	return s, nil
 }
 
@@ -195,95 +169,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // sending new work. Call it ahead of http.Server.Shutdown.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Close stops the sweep dispatcher and waits for it to finish the batch it
-// is executing, then fails every sweep still queued with a
-// server-closing error (their handlers answer 503 — never a hang, never a
-// send on a closed channel). Safe to call concurrently and repeatedly;
-// the Server must not be used afterwards.
-func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		s.draining.Store(true)
-		close(s.stop)
-		<-s.done
-		// The dispatcher is gone; drain jobs that raced into the queue so
-		// their waiters get a definitive reply instead of relying solely on
-		// the stop select.
-		for {
-			select {
-			case j := <-s.jobs:
-				j.reply <- sweepReply{err: errServerClosing}
-			default:
-				return
-			}
-		}
-	})
-}
-
-var errServerClosing = fmt.Errorf("server closing")
-
-// dispatch is the sweep micro-batcher: it blocks for one job, greedily
-// drains everything else already queued, deduplicates identical requests,
-// executes each distinct sweep once and replies to every waiter.
-func (s *Server) dispatch() {
-	defer close(s.done)
-	for {
-		var first *sweepJob
-		select {
-		case first = <-s.jobs:
-		case <-s.stop:
-			return
-		}
-		batch := []*sweepJob{first}
-	drain:
-		for {
-			select {
-			case j := <-s.jobs:
-				batch = append(batch, j)
-			default:
-				break drain
-			}
-		}
-		// Group identical requests so one RunPhaseSweep serves them all.
-		type group struct {
-			req  SweepRequest
-			jobs []*sweepJob
-		}
-		var order []string
-		groups := make(map[string]*group, len(batch))
-		for _, j := range batch {
-			key := j.req.Bench + "\x00" + strings.Join(j.req.Phases, "\x00")
-			g, ok := groups[key]
-			if !ok {
-				g = &group{req: j.req}
-				groups[key] = g
-				order = append(order, key)
-			}
-			g.jobs = append(g.jobs, j)
-		}
-		for _, key := range order {
-			g := groups[key]
-			// Don't burn the single dispatcher on work nobody will read:
-			// skip the group when every requester has disconnected. The
-			// sweep itself runs on a background context — a batched result
-			// outlives any one requester — so one client bailing mid-sweep
-			// cannot cancel the others' answer.
-			live := false
-			for _, j := range g.jobs {
-				if j.ctx.Err() == nil {
-					live = true
-					break
-				}
-			}
-			rep := sweepReply{err: context.Canceled}
-			if live {
-				rep.sweeps, rep.err = s.eng.Sweep(context.Background(), g.req)
-			}
-			for _, j := range g.jobs {
-				j.reply <- rep // buffered: never blocks the dispatcher
-			}
-		}
-	}
-}
+// Close is BeginDrain: the Server holds nothing to release. Safe to call
+// concurrently and repeatedly; requests arriving afterwards are still
+// served, as during any drain.
+func (s *Server) Close() { s.BeginDrain() }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
@@ -293,12 +182,11 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // Responses that never vary are encoded once at init and served as cached
 // bytes: the health and readiness bodies and the method-mismatch errors.
 var (
-	statusOKBody        = mustEncodeStatus("ok")
-	statusReadyBody     = mustEncodeStatus("ready")
-	statusDrainingBody  = mustEncodeStatus("draining")
-	statusSaturatedBody = mustEncodeStatus("saturated")
-	errUseGETBody       = mustEncodeError("use GET")
-	errUsePOSTBody      = mustEncodeError("use POST")
+	statusOKBody       = mustEncodeStatus("ok")
+	statusReadyBody    = mustEncodeStatus("ready")
+	statusDrainingBody = mustEncodeStatus("draining")
+	errUseGETBody      = mustEncodeError("use GET")
+	errUsePOSTBody     = mustEncodeError("use POST")
 )
 
 func mustEncodeStatus(status string) []byte {
@@ -325,15 +213,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusOK, statusOKBody)
 }
 
-// readyzSaturation is the queue depth (as a fraction of capacity) at which
-// the sweep dispatcher is considered saturated and readiness flips to 503:
-// the worker is alive but should not be handed more work.
-const readyzSaturation = 0.75
-
 // handleReadyz is the readiness probe, distinct from liveness: a 503 here
 // means "alive but do not route new work to me". Not-ready while draining
-// (BeginDrain/Close) and while the sweep dispatcher queue is saturated.
-// The dist coordinator's worker health state machine consumes this.
+// (BeginDrain/Close). The dist coordinator's worker health state machine
+// consumes this.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeBody(w, http.StatusMethodNotAllowed, errUseGETBody)
@@ -341,10 +224,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.draining.Load() {
 		writeBody(w, http.StatusServiceUnavailable, statusDrainingBody)
-		return
-	}
-	if float64(len(s.jobs)) >= readyzSaturation*float64(cap(s.jobs)) {
-		writeBody(w, http.StatusServiceUnavailable, statusSaturatedBody)
 		return
 	}
 	writeBody(w, http.StatusOK, statusReadyBody)
@@ -494,32 +373,25 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, `bad payload: "bench" is required`)
 		return
 	}
-	job := &sweepJob{req: req, ctx: r.Context(), reply: make(chan sweepReply, 1)}
-	select {
-	case s.jobs <- job:
-	case <-s.stop:
-		writeError(w, http.StatusServiceUnavailable, "server closing")
-		return
-	case <-r.Context().Done():
-		writeError(w, http.StatusServiceUnavailable, "request cancelled")
-		return
+	if sweeps, ok := s.sweep(w, r, req); ok {
+		writeWire(w, http.StatusOK, func(e *wire.Emitter) { encodeSweepResponse(e, sweeps) })
 	}
-	select {
-	case rep := <-job.reply:
-		if rep.err != nil {
-			code := http.StatusBadRequest
-			if rep.err == errServerClosing || rep.err == context.Canceled {
-				code = http.StatusServiceUnavailable
-			}
-			writeError(w, code, "%v", rep.err)
-			return
+}
+
+// sweep runs one sweep on the request goroutine for /v1/sweep and /v1/eval.
+// It reports false with the error already written: 503 when the request's
+// context was cancelled, 400 for anything the engine rejects.
+func (s *Server) sweep(w http.ResponseWriter, r *http.Request, req SweepRequest) ([]PhaseSweep, bool) {
+	sweeps, err := s.eng.Sweep(r.Context(), req)
+	if err != nil {
+		code := http.StatusBadRequest
+		if r.Context().Err() != nil {
+			code = http.StatusServiceUnavailable
 		}
-		writeWire(w, http.StatusOK, func(e *wire.Emitter) { encodeSweepResponse(e, rep.sweeps) })
-	case <-s.stop:
-		writeError(w, http.StatusServiceUnavailable, "server closing")
-	case <-r.Context().Done():
-		writeError(w, http.StatusServiceUnavailable, "request cancelled")
+		writeError(w, code, "%v", err)
+		return nil, false
 	}
+	return sweeps, true
 }
 
 // writeBadPayload answers a request the v1 grammar rejects: 413 when the
@@ -563,13 +435,8 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	sweeps := make([]PhaseSweep, 0, len(req.Units))
 	for _, u := range req.Units {
-		got, err := s.eng.Sweep(r.Context(), u)
-		if err != nil {
-			code := http.StatusBadRequest
-			if r.Context().Err() != nil {
-				code = http.StatusServiceUnavailable
-			}
-			writeError(w, code, "%v", err)
+		got, ok := s.sweep(w, r, u)
+		if !ok {
 			return
 		}
 		sweeps = append(sweeps, got...)

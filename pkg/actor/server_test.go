@@ -237,15 +237,23 @@ func TestServerSweepBadPayloads(t *testing.T) {
 }
 
 // TestServerConcurrentPredictRace hammers /v1/predict and /v1/sweep from 8
-// goroutines. Predictions share the bank's scratch pools; sweeps are
-// micro-batched over the engine's shared sharded memo — run under -race
-// this is the serving-path data-race check.
+// goroutines. Predictions share the bank's scratch pools; sweeps of distinct
+// benchmarks run concurrently on their request goroutines over the engine's
+// shared phase memo, and every reply must equal the sequential bytes — run
+// under -race this is the serving-path data-race check.
 func TestServerConcurrentPredictRace(t *testing.T) {
 	srv := newTestServer(t)
 	eng, bank := servingFixture(t)
-	wantSweep, err := eng.Sweep(context.Background(), actor.SweepRequest{Bench: "CG"})
-	if err != nil {
-		t.Fatal(err)
+	benches := eng.BenchNames()
+	bodies := make([]string, len(benches))
+	wantSweep := make([]string, len(benches))
+	for i, name := range benches {
+		bodies[i] = `{"bench":"` + name + `"}`
+		rec := do(t, srv, http.MethodPost, "/v1/sweep", bodies[i])
+		if rec.Code != http.StatusOK {
+			t.Fatalf("sequential sweep %s = %d: %s", name, rec.Code, rec.Body)
+		}
+		wantSweep[i] = rec.Body.String()
 	}
 	const goroutines = 8
 	const perG = 24
@@ -264,20 +272,68 @@ func TestServerConcurrentPredictRace(t *testing.T) {
 					return
 				}
 				if i%4 == 0 {
-					rec = do(t, srv, http.MethodPost, "/v1/sweep", `{"bench":"CG"}`)
+					// Goroutines are on different benches at any instant.
+					b := (g + i/4) % len(benches)
+					rec = do(t, srv, http.MethodPost, "/v1/sweep", bodies[b])
 					if rec.Code != http.StatusOK {
 						errc <- errFromBody("sweep", rec)
 						return
 					}
-					var resp actor.SweepResponse
-					if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-						errc <- err
-						return
-					}
-					if !reflect.DeepEqual(resp.Sweeps, wantSweep) {
+					if rec.Body.String() != wantSweep[b] {
 						errc <- errSweepMismatch
 						return
 					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+}
+
+// TestServerSweepNoCrossRequestLeak: a request's answer depends on that
+// request alone. The v1 grammar accepts \u0000 inside a string, so (bench
+// "SP\x00x_solve", phase "y_solve") and (bench "SP", phases "x_solve",
+// "y_solve") are different grammar-valid requests that a NUL-joined key
+// conflates; served concurrently, the first is always the 400 naming its
+// unknown benchmark and the second always the sequential 200 bytes.
+func TestServerSweepNoCrossRequestLeak(t *testing.T) {
+	srv := newTestServer(t)
+	const unknown = `{"bench":"SP\u0000x_solve","phases":["y_solve"]}`
+	const valid = `{"bench":"SP","phases":["x_solve","y_solve"]}`
+	seq := do(t, srv, http.MethodPost, "/v1/sweep", valid)
+	if seq.Code != http.StatusOK {
+		t.Fatalf("sequential sweep = %d: %s", seq.Code, seq.Body)
+	}
+	want := seq.Body.String()
+	const goroutines = 8
+	const perG = 64
+	var wg sync.WaitGroup
+	errc := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				if (g+i)%2 == 0 {
+					rec := do(t, srv, http.MethodPost, "/v1/sweep", unknown)
+					if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unknown benchmark") {
+						errc <- errFromBody("unknown-bench sweep", rec)
+						return
+					}
+					continue
+				}
+				rec := do(t, srv, http.MethodPost, "/v1/sweep", valid)
+				if rec.Code != http.StatusOK {
+					errc <- errFromBody("valid sweep", rec)
+					return
+				}
+				if rec.Body.String() != want {
+					errc <- errSweepMismatch
+					return
 				}
 			}
 		}(g)
