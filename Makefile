@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build build-cmds test race bench bench-json bench-smoke bench-contract trend trend-gate dist-e2e load-smoke fuzz-smoke fleet-smoke recal-e2e fmt vet ci clean
+.PHONY: build build-cmds test race bench bench-json bench-smoke bench-contract trend trend-gate dist-e2e load-smoke fuzz-smoke fleet-smoke determinism recal-e2e fmt vet ci clean
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,13 @@ fuzz-smoke:
 ## QoS-bound violations (CI; see docs/FLEET.md).
 fleet-smoke:
 	scripts/fleet_smoke.sh
+
+## determinism: the bit-identity tests, the pinned fleet digest and the
+## printed `actorsim -fast` tables under every GOMAXPROCS={1,2,N} × {AVX2,
+## ACTOR_SIMD=off, -tags actor_noasm} leg — a PR that changes model
+## arithmetic proves here that determinism survived (CI).
+determinism:
+	scripts/determinism.sh
 
 ## recal-e2e: end-to-end online recalibration — a real actord -recal under
 ## drifted actorload traffic must promote a new bank generation with

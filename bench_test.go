@@ -660,6 +660,31 @@ func BenchmarkSweepLanes(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkRunPhaseSweepHetero measures the memo-less sweep path the hetero
+// study runs (BenchmarkSweepLanes covers only the lane step inside it): one
+// phase across the 4 224 balanced placements of the 128-core big/little
+// machine per iteration.
+func BenchmarkRunPhaseSweepHetero(b *testing.B) {
+	topo, err := topology.ParseDesc("16x4+32x2:little")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := machine.New(topo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	placements := topology.BalancedPlacements(topo)
+	dst := make([]machine.Result, len(placements))
+	bench, _ := npb.ByName("SP")
+	m.RunPhaseSweep(&bench.Phases[0], bench.Idiosyncrasy, placements, dst) // resolve the plans
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.RunPhaseSweep(&bench.Phases[i%len(bench.Phases)], bench.Idiosyncrasy, placements, dst)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(placements)), "ns/placement")
+}
+
 func BenchmarkMLRFit(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	samples := make([]ann.Sample, 400)

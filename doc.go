@@ -71,9 +71,10 @@
 // definition — and build the same heterogeneous descriptors the
 // topology.NewBuilder API assembles programmatically. Strategy replays,
 // oracle searches, figure drivers and served sweeps all execute on the
-// batched phase-sweep engine (machine.RunPhaseSweep), whose
-// per-(class, load) vectorised solve is bit-identical to the per-thread
-// model on homogeneous machines.
+// batched phase-sweep engine (machine.RunPhaseSweep), which solves one
+// lane per distinct (class, load) key of a placement and weights every
+// reduction by how many threads share the key — bit-identical to
+// per-placement RunPhase, and within rounding of the per-thread model.
 //
 // On amd64 machines with AVX2 the hot numeric kernels — the ANN trainer's
 // dense forward, backprop delta and SGD update, and the sweep engine's

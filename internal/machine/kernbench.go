@@ -11,7 +11,7 @@ func AdvanceLanesBench(n, iters int) float64 {
 	ls := &laneState{}
 	for i := 0; i < n; i++ {
 		f := 1 + float64(i%7)/7
-		ls.append(0.4+0.1*f, 180*f, 0.004*f, 1.0/4, f)
+		ls.append(0.4+0.1*f, 180*f, 0.004*f, 1.0/4, f, 1, 0)
 	}
 	ls.sizeDerived()
 	for i := range ls.bus {

@@ -1,25 +1,33 @@
-// Multi-lane fixed-point kernel: one lane per distinct (class, load) solve
-// key, advanced as struct-of-arrays blocks so one iteration updates every
-// lane of every placement in the current sweep block.
+// Multi-lane fixed-point kernel. A *lane* is one distinct (core class, L2
+// group load) key of a placement together with its multiplicity — how many of
+// the placement's threads carry that key. Every thread of a lane has the same
+// L2 miss rate, the same CPI and the same offered bus traffic, so the phase
+// model is defined over lanes: the solve advances one CPI per lane, and every
+// placement-level reduction (offered traffic, average miss rate, summed IPC,
+// worst CPI) runs over lanes weighted by multiplicity, lanes in the order
+// their first thread appears in the placement. Lanes advance as
+// struct-of-arrays blocks, so one iteration updates every lane of every
+// placement in the current sweep block.
 //
-// Bit-identity contract: the scalar phase model computed, per thread and
-// per fixed-point iteration,
+// Per lane and per fixed-point iteration the step computes
 //
 //	memLat  = ((MemLatencyCycles·clock)·FreqMult · busFactor) · prefetchHide
 //	memTerm = ((mpiL1·missL2) · memLat) / MLP
 //	cpi     = max(base + memTerm, CPIMult/PeakIssueIPC) / FreqMult
 //	contrib = ((mpiL1·missL2) · (freq/cpi)) · trafficPerMiss
 //
-// with base = ((coreCPI + branch) + tlb) + l2Term. Each lane holds the
-// iteration-invariant factors of those expressions — pfx =
-// (MemLatencyCycles·clock)·FreqMult, q = mpiL1·missL2, min =
-// CPIMult/PeakIssueIPC, divf = FreqMult — computed once with exactly the
-// operand order above, so advancing a lane performs the identical IEEE-754
-// operation sequence the scalar model performed for every thread sharing
-// the key. Lanes are independent (no cross-lane reduction), which is what
-// lets a vector implementation process several lanes per instruction
-// without reordering a single float operation. The always-built scalar
-// reference below is the semantics; advanceLanes is the dispatch point.
+// with base = ((coreCPI + branch) + tlb) + l2Term — the operand order of
+// Machine.threadCPI, which still evaluates the serial section and the stall
+// fraction. Each lane holds the iteration-invariant factors of those
+// expressions — pfx = (MemLatencyCycles·clock)·FreqMult, q = mpiL1·missL2,
+// min = CPIMult/PeakIssueIPC, divf = FreqMult — computed once with exactly
+// the operand order above, so a lane's CPI is bit for bit threadCPI(...)/
+// FreqMult at the lane's key. The step is element-wise (no cross-lane
+// reduction), which is what lets a vector implementation process several
+// lanes per instruction without reordering a single float operation; the
+// cross-lane reductions live in sweep.go and are plain scalar Go on every
+// build. The always-built scalar reference below is the semantics;
+// advanceLanes is the dispatch point.
 package machine
 
 // laneState is the struct-of-arrays solve state for the lanes of one block
@@ -33,10 +41,14 @@ type laneState struct {
 	min  []float64 // issue-width clamp: CPIMult/PeakIssueIPC
 	divf []float64 // nominal-clock referencing divisor: FreqMult
 
+	// Per-lane reduction weights (never read by the lane step).
+	cnt  []float64 // multiplicity: placement threads on this lane
+	miss []float64 // the lane's L2 miss rate
+
 	// Per-iteration inputs and outputs.
 	bus     []float64 // owning placement's current bus latency factor
 	cpi     []float64 // nominal-clock-referenced CPI after the last step
-	contrib []float64 // per-thread FSB traffic of one thread on this lane
+	contrib []float64 // FSB traffic offered by one thread on this lane
 	done    []bool    // lane retired: owning placement converged exactly
 }
 
@@ -50,15 +62,19 @@ func (ls *laneState) reset() {
 	ls.q = ls.q[:0]
 	ls.min = ls.min[:0]
 	ls.divf = ls.divf[:0]
+	ls.cnt = ls.cnt[:0]
+	ls.miss = ls.miss[:0]
 }
 
-// append adds one lane's invariant factors.
-func (ls *laneState) append(base, pfx, q, min, divf float64) {
+// append adds one lane: its invariant factors and its reduction weights.
+func (ls *laneState) append(base, pfx, q, min, divf, cnt, miss float64) {
 	ls.base = append(ls.base, base)
 	ls.pfx = append(ls.pfx, pfx)
 	ls.q = append(ls.q, q)
 	ls.min = append(ls.min, min)
 	ls.divf = append(ls.divf, divf)
+	ls.cnt = append(ls.cnt, cnt)
+	ls.miss = append(ls.miss, miss)
 }
 
 // sizeDerived sizes the per-iteration arrays to match the appended lanes

@@ -33,7 +33,7 @@ func laneInputs(rng *rand.Rand, n int) *laneState {
 		}
 	}
 	for i := 0; i < n; i++ {
-		ls.append(pick(i+1), pick(i+2), pick(i+3), pick(i+5), 0.5+rng.Float64())
+		ls.append(pick(i+1), pick(i+2), pick(i+3), pick(i+5), 0.5+rng.Float64(), 1, 0)
 	}
 	ls.sizeDerived()
 	for i := range ls.bus {

@@ -229,7 +229,9 @@ func (m *Machine) WithNoiseSource(src *noise.Source) *Machine {
 	return &cp
 }
 
-// Result is the outcome of executing one phase under one placement.
+// Result is the outcome of executing one phase under one placement. It holds
+// no pointer: a Result is a plain value, and the slices of them that sweeps
+// fill are never scanned by the garbage collector.
 type Result struct {
 	// TimeSec is the wall-clock time of the phase execution.
 	TimeSec float64
@@ -239,14 +241,6 @@ type Result struct {
 	// per-phase "observed IPC" (Fig. 2), which exceeds one core's peak
 	// when threads run concurrently.
 	AggIPC float64
-	// PerThreadIPC is each thread's own IPC during the parallel part,
-	// referenced to the machine's nominal clock (on heterogeneous
-	// machines a little core's value is its own-clock IPC times its
-	// FreqMult, so values across classes compare on one time base). On a
-	// memoised machine this slice is the cache's canonical copy, shared by
-	// every Result served for the same (phase, placement) — treat it as
-	// read-only (the zero-allocation hit path depends on it).
-	PerThreadIPC []float64
 	// Counts are the aggregate hardware event counts for the execution.
 	Counts pmu.Counts
 	// Activity summarises what the power model needs.
@@ -262,7 +256,11 @@ type Activity struct {
 	// TotalCores is the machine's core count (idle cores consume only
 	// base power).
 	TotalCores int
-	// AvgCoreIPC is the mean per-active-core IPC (drives dynamic power).
+	// AvgCoreIPC is the mean per-active-core IPC during the parallel part
+	// (drives dynamic power), each core's IPC referenced to the machine's
+	// nominal clock: on heterogeneous machines a little core contributes
+	// its own-clock IPC times its FreqMult, so classes average on one time
+	// base.
 	AvgCoreIPC float64
 	// PeakIPC is the core's issue-width bound, for normalising AvgCoreIPC.
 	PeakIPC float64
@@ -294,9 +292,9 @@ type Activity struct {
 func (m *Machine) RunPhase(p *workload.PhaseProfile, idio float64, pl topology.Placement) Result {
 	var res Result
 	if m.memo != nil && p.Fingerprint != "" {
-		res = m.memo.lookup(m, p, idio, pl)
+		m.memo.lookup(m, p, idio, pl, &res)
 	} else {
-		res = m.computePhase(p, idio, pl)
+		m.computePhase(p, idio, pl, &res)
 	}
 	if m.noiseSrc != nil {
 		m.perturb(&res)
@@ -379,51 +377,41 @@ func (m *Machine) stallFraction(p *workload.PhaseProfile, mpiL1, missL2, busFact
 	return f
 }
 
-// eventCounts builds the aggregate ground-truth PMU counts for the phase.
-// cls is the class of the placement's first core: on heterogeneous machines
-// the synthesised stall cycles carry that core's frequency/CPI multipliers,
-// the same convention the per-phase Activity uses.
-func (m *Machine) eventCounts(p *workload.PhaseProfile, missL2 []float64, wallCycles, busUtil float64, cls *topology.CoreClass) pmu.Counts {
+// eventCounts fills c with the aggregate ground-truth PMU counts for the
+// phase. avgMiss is the placement's L2 miss rate averaged over its threads
+// (weighted evenly: threads do near-equal work). cls is the class of the
+// placement's first core: on heterogeneous machines the synthesised stall
+// cycles carry that core's frequency/CPI multipliers, the same convention
+// the per-phase Activity uses.
+func (m *Machine) eventCounts(c *pmu.Counts, p *workload.PhaseProfile, avgMiss, wallCycles, busUtil float64, cls *topology.CoreClass) {
 	instr := p.Instructions
 	memRefs := instr * p.MemRefsPerInstr
 	l1Miss := memRefs * p.L1MissRate
-	// Average L2 miss rate across threads weighted evenly (threads do
-	// near-equal work).
-	var avgMiss float64
-	for _, mr := range missL2 {
-		avgMiss += mr
-	}
-	avgMiss /= float64(len(missL2))
 	l2Miss := l1Miss * avgMiss
 	storeFrac := 1 - p.LoadFraction
-	busTrans := l2Miss * (1 + p.StoreBandwidthBoost*storeFrac)
 
 	stall := m.stallFraction(p, p.MemRefsPerInstr*p.L1MissRate, avgMiss, 1, cls)
 
-	return pmu.Counts{
-		pmu.Instructions:   instr,
-		pmu.Cycles:         wallCycles,
-		pmu.L1DReferences:  memRefs,
-		pmu.L1DMisses:      l1Miss,
-		pmu.L2References:   l1Miss,
-		pmu.L2Misses:       l2Miss,
-		pmu.BusTransMem:    busTrans,
-		pmu.BusDrdyClocks:  busUtil * wallCycles,
-		pmu.LoadsRetired:   memRefs * p.LoadFraction,
-		pmu.StoresRetired:  memRefs * storeFrac,
-		pmu.BranchesRet:    instr * p.BranchRate,
-		pmu.BranchMisses:   instr * p.BranchRate * p.BranchMissRate,
-		pmu.DTLBMisses:     memRefs * p.TLBMissRate,
-		pmu.ResourceStalls: stall * wallCycles,
-	}
+	c[pmu.Instructions] = instr
+	c[pmu.Cycles] = wallCycles
+	c[pmu.L1DReferences] = memRefs
+	c[pmu.L1DMisses] = l1Miss
+	c[pmu.L2References] = l1Miss
+	c[pmu.L2Misses] = l2Miss
+	c[pmu.BusTransMem] = l2Miss * (1 + p.StoreBandwidthBoost*storeFrac)
+	c[pmu.BusDrdyClocks] = busUtil * wallCycles
+	c[pmu.LoadsRetired] = memRefs * p.LoadFraction
+	c[pmu.StoresRetired] = memRefs * storeFrac
+	c[pmu.BranchesRet] = instr * p.BranchRate
+	c[pmu.BranchMisses] = instr * p.BranchRate * p.BranchMissRate
+	c[pmu.DTLBMisses] = memRefs * p.TLBMissRate
+	c[pmu.ResourceStalls] = stall * wallCycles
 }
 
 // perturb applies run-to-run measurement noise to a result in place.
 // Events are perturbed in catalogue order so the draws a result consumes
 // from the noise stream are deterministic (the old map-backed Counts
 // iterated in random order, silently breaking seed reproducibility).
-// PerThreadIPC is deliberately untouched: on memoised machines it aliases
-// the cache's canonical slice.
 func (m *Machine) perturb(r *Result) {
 	tf := m.noiseSrc.Multiplicative(m.timeSigma)
 	r.TimeSec *= tf

@@ -18,10 +18,8 @@ import (
 // evaluation pipeline are extremely high.
 //
 // The table itself is internal/memo's grow-only Table: hits are lock-free
-// and allocation-free, and a stored Result's PerThreadIPC is the canonical
-// slice shared with every Result served from the cache — callers must
-// treat it as read-only (see WithMemo). This file owns only the key, its
-// hash and the params-epoch counter.
+// and allocation-free, and every Result served is a value copy of the stored
+// one. This file owns only the key, its hash and the params-epoch counter.
 //
 // The cache deliberately excludes measurement noise: RunPhase applies
 // perturbation after the lookup, so noisy machines share the memo with
@@ -103,19 +101,18 @@ func (m *Machine) keyFor(p *workload.PhaseProfile, idio float64, pl *topology.Pl
 	}
 }
 
-// lookup returns the memoised deterministic result for the task, computing
-// and inserting it on first use. Served results share the cache's canonical
-// PerThreadIPC slice; see WithMemo for the read-only contract.
-func (c *phaseMemo) lookup(m *Machine, p *workload.PhaseProfile, idio float64, pl topology.Placement) Result {
+// lookup writes the memoised deterministic result for the task into *res,
+// computing and inserting it on first use.
+func (c *phaseMemo) lookup(m *Machine, p *workload.PhaseProfile, idio float64, pl topology.Placement, res *Result) {
 	coresHash := hashCores(pl.Cores)
 	hash := memoHash(m.memoSeed(p), idio, &pl, coresHash)
 	key := m.keyFor(p, idio, &pl, coresHash)
-	if res := c.Get(hash, &key); res != nil {
-		return *res
+	if hit := c.Get(hash, &key); hit != nil {
+		*res = *hit
+		return
 	}
-	// res owns its PerThreadIPC slice: the table keeps it forever.
-	res := m.computePhase(p, idio, pl)
-	return *c.Put(hash, key, res)
+	m.computePhase(p, idio, pl, res)
+	c.Put(hash, key, *res)
 }
 
 // hashCores folds a placement's core list into an FNV-1a hash, so distinct
@@ -137,11 +134,9 @@ func hashCores(cores []topology.CoreID) uint64 {
 // field is unexported precisely so stale cached responses cannot be served
 // by accident).
 //
-// Results served from the cache share one canonical PerThreadIPC backing
-// array per (phase, placement) — the hot hit path performs zero
-// allocations. Callers must treat PerThreadIPC as read-only on memoised
-// machines; every other Result field is a value copy and may be mutated
-// freely (measurement noise is applied to the copy).
+// Results served from the cache are value copies — the hot hit path performs
+// zero allocations and callers may mutate what they receive (measurement
+// noise is applied to the copy).
 //
 // Phases without a Fingerprint bypass the cache entirely.
 func (m *Machine) WithMemo() *Machine {

@@ -9,44 +9,47 @@ import (
 	"github.com/greenhpc/actor/internal/workload"
 )
 
-// This file is the batched phase-sweep engine: the multi-lane form of the
-// phase model plus RunPhaseSweep, which evaluates one phase across many
-// placements in a single call.
+// This file is the batched phase-sweep engine: the lane form of the phase
+// model plus RunPhaseSweep, which evaluates one phase across many placements
+// in a single call. RunPhase is the same engine on a block of one.
 //
-// Three observations make the solve cheap without changing a single output
-// bit:
+// The model is defined over lanes (see lanes.go): a placement of n threads is
+// a short list of (core class, L2 group load, multiplicity) lanes in the order
+// their first thread appears — 3 lanes on average for the 55-thread balanced
+// placements of the 64–128-core hetero study — and one placement-phase
+// evaluation costs O(lanes), not O(threads):
 //
-//  1. Within a placement, a thread's L2 miss rate depends on the placement
-//     only through its group load (how many placement threads share its
-//     L2), and its CPI only through (core class, group load). A 32-thread
-//     placement on paired-L2 groups of one class has at most two distinct
-//     (class, load) keys, so the fixed point needs two threadCPI solves
-//     per iteration instead of 32. Per-thread quantities are then fanned
-//     back out in thread order, so every sum accumulates the exact same
-//     values in the exact same order as the per-thread loop did. On
-//     homogeneous machines the class dimension is a single value and the
-//     key degenerates to the bare load — the dedup is test-enforced
-//     bit-identical to the per-thread loop either way.
+//  1. The fixed point advances one CPI per lane per iteration, and a
+//     placement's offered bus traffic is Σ_l count_l · contrib_l over its
+//     lanes. Average L2 miss rate, summed per-core IPC and the worst CPI are
+//     the same multiplicity-weighted reductions (finishPlacement).
 //  2. Across the placements of a sweep, the miss-rate-per-group-load table
-//     depends only on the phase, so it is computed once for the whole
-//     sweep rather than once per placement.
-//  3. Each distinct (class, load) key is a *lane*: everything in its CPI
-//     that does not change across fixed-point iterations — the core,
-//     branch, TLB and L2 terms, the memory-latency prefix, the L2-miss
-//     traffic weight, the issue-width clamp — is precomputed once per
-//     lane, leaving the per-iteration step a handful of element-wise
-//     operations over struct-of-arrays lane blocks (see lanes.go). Lanes
-//     from up to sweepSolveBlock placements advance together in one
-//     iteration, each placement carrying its own bus factor and a
-//     convergence mask that retires it the moment the damped update stops
-//     moving (the update is idempotent from that point, so skipping the
-//     remaining iterations is exact). Every factored term is the same
-//     float product, in the same order, the scalar expression computed —
-//     bit-identity is by construction and test-enforced.
+//     depends only on the phase, so it is computed once for the whole sweep.
+//  3. Everything in a lane's CPI that does not change across fixed-point
+//     iterations is precomputed once per lane, leaving the per-iteration step
+//     a handful of element-wise operations over struct-of-arrays lane blocks.
+//     Lanes from up to sweepSolveBlock placements advance together, each
+//     placement carrying its own bus factor and a convergence mask that
+//     retires it the moment the damped update stops moving (the update is
+//     idempotent from that point, so skipping the rest is exact).
+//  4. A placement's lane list depends only on the topology and class layout,
+//     never on the phase, so it is resolved once and replayed for every later
+//     phase swept over the same placements (placementPlan).
 //
-// Scratch state lives in a pooled phaseCtx, so steady-state evaluation
-// allocates only each Result's PerThreadIPC slice (and nothing at all when
-// the memo serves a hit).
+// What holds bit for bit, test-enforced: RunPhaseSweep equals RunPhase per
+// placement in slice order (both run solveBlock/finishPlacement), memoised
+// equals memo-less, any GOMAXPROCS, and the vector lane kernel equals the
+// scalar one (ACTOR_SIMD on/off, -tags actor_noasm) — the kernel is
+// element-wise and every reduction below is the same scalar Go on every
+// build. What does not: PR ≤ 14 summed one term per thread, so its outputs
+// differ from these in the last ULPs (k equal addends versus one product);
+// TestLaneModelMatchesPerThreadReference bounds the difference at 1e-12
+// relative against a per-thread reference in that older order. The products
+// in the reductions are wrapped in float64(...) so no architecture fuses them
+// into the following add.
+//
+// Scratch state lives in a pooled phaseCtx and Result holds no pointer, so
+// steady-state evaluation allocates nothing.
 
 // sweepSolveBlock bounds how many memo-missing placements accumulate into
 // one multi-lane solve block. The bound keeps scratch memory proportional
@@ -66,7 +69,7 @@ type phaseCtx struct {
 	haveMiss   []bool
 
 	// keyToLane maps a (class, load) solve key — key = class·(n+1) + load —
-	// to laneIndex+1 while one placement is being prepared; keyScratch
+	// to laneIndex+1 while one placement's plan is being resolved; keyScratch
 	// lists the keys written so the map clears in O(distinct keys).
 	keyToLane  []int
 	keyScratch []int
@@ -74,10 +77,6 @@ type phaseCtx struct {
 	// lanes is the flat struct-of-arrays lane state shared by every
 	// placement of the current solve block (see laneState).
 	lanes laneState
-
-	// Per-thread state, flat across the block's placements.
-	thrLane []int     // lane index of each thread
-	thrMiss []float64 // each thread's L2 miss rate
 
 	// Per-placement solve state for the current block.
 	bus       []float64
@@ -95,34 +94,36 @@ type phaseCtx struct {
 	respFP   string
 	respSeed uint64
 
-	// plans caches each placement's solve structure — thread loads, the
-	// thread→lane fanout and the (class, load) key of every lane — keyed by
-	// the placement's cores hash. The structure depends only on the
-	// topology and class layout, never on the phase, so sweeping the same
-	// placements across many phases (the future-scaling pattern) resolves
-	// keys once instead of once per phase. planTopo/planSig pin the
-	// machine the plans were built against; a pooled context picked up by
-	// a machine with a different topology or class layout drops them.
-	plans    map[uint64]*placementPlan
+	// plans[i] is the lane list last resolved for the placement at index i
+	// of a sweep's placements slice (RunPhase uses index 0). The list
+	// depends only on the topology and class layout, never on the phase, so
+	// sweeping the same placements across many phases resolves each once
+	// and replays it afterwards; a lookup is an index plus a comparison
+	// against the plan's own copy of the cores, and a different placement
+	// turning up at the index just re-resolves in place. planTopo/planSig
+	// pin the machine the plans were built against; a pooled context picked
+	// up by a machine with a different topology or class layout drops them.
+	plans    []placementPlan
 	planTopo *topology.Topology
 	planSig  uint64
 }
 
-// placementPlan is the phase-independent solve structure of one placement.
-// Replaying it appends lanes (and the thread fanout) in exactly the order
-// the key-resolution loop discovered them, so the solve consumes identical
-// state either way.
+// placementPlan is the phase-independent solve structure of one placement:
+// its lanes in first-appearance order, so lane 0 is the first thread's.
 type placementPlan struct {
-	cores    []topology.CoreID // exact cores (verifies hash-keyed lookups)
-	loads    []int32           // per-thread L2-group load
-	thrLane  []int32           // per-thread lane index, plan-relative
-	laneLoad []int32           // per-lane group load (first-appearance order)
-	laneCi   []int32           // per-lane class index
+	cores []topology.CoreID // the cores the lanes were resolved for (owned copy)
+	lanes []planLane
+}
+
+// planLane is one distinct (class, load) key of a placement and the number
+// of its threads that carry it.
+type planLane struct {
+	load, ci, cnt int32
 }
 
 // pendingPlacement is one memo-missing placement queued into the current
-// solve block: where its lanes and threads live in the flat scratch, and
-// everything needed to finish the result and insert it into the memo.
+// solve block: where its lanes live in the flat scratch, and everything
+// needed to finish the result and insert it into the memo.
 type pendingPlacement struct {
 	idx  int // position in the sweep's placements/dst slices
 	pl   topology.Placement
@@ -130,7 +131,6 @@ type pendingPlacement struct {
 	key  memoKey
 
 	laneOff, laneN int
-	thrOff, n      int
 }
 
 var ctxPool = sync.Pool{New: func() any { return &phaseCtx{} }}
@@ -142,12 +142,10 @@ func (ctx *phaseCtx) resetPhase() {
 	}
 }
 
-// resetBlock clears the lane, thread and placement state of the current
-// solve block while keeping the per-phase miss cache (and all capacity).
+// resetBlock clears the lane and placement state of the current solve block
+// while keeping the per-phase miss cache (and all capacity).
 func (ctx *phaseCtx) resetBlock() {
 	ctx.lanes.reset()
-	ctx.thrLane = ctx.thrLane[:0]
-	ctx.thrMiss = ctx.thrMiss[:0]
 	ctx.pend = ctx.pend[:0]
 }
 
@@ -188,35 +186,24 @@ func (ctx *phaseCtx) missFor(m *Machine, p *workload.PhaseProfile, load int) flo
 }
 
 // computePhase is the deterministic phase model — everything RunPhase does
-// except measurement noise — on pooled scratch.
-func (m *Machine) computePhase(p *workload.PhaseProfile, idio float64, pl topology.Placement) Result {
+// except measurement noise — on pooled scratch: a solve block of one.
+func (m *Machine) computePhase(p *workload.PhaseProfile, idio float64, pl topology.Placement, res *Result) {
 	ctx := ctxPool.Get().(*phaseCtx)
 	ctx.resetPhase()
-	res := m.computePhaseCtx(ctx, p, idio, pl)
-	ctxPool.Put(ctx)
-	return res
-}
-
-// computePhaseCtx evaluates the phase model for one placement using (and
-// filling) the context's per-phase caches: a solve block of one. The caller
-// must have reset the context when switching phase, machine parameters, or
-// L2 capacity.
-func (m *Machine) computePhaseCtx(ctx *phaseCtx, p *workload.PhaseProfile, idio float64, pl topology.Placement) Result {
 	ctx.resetBlock()
 	ctx.bindMachine(m)
-	m.prepPlacement(ctx, p, pl, 0, hashCores(pl.Cores), 0, memoKey{})
+	m.prepPlacement(ctx, p, pl, 0, 0, memoKey{})
 	m.solveBlock(ctx, p)
-	return m.finishPlacement(ctx, &ctx.pend[0], 0, p, idio, make([]float64, ctx.pend[0].n))
+	m.finishPlacement(ctx, &ctx.pend[0], 0, p, idio, res)
+	ctxPool.Put(ctx)
 }
 
-// prepPlacement appends one placement to the current solve block: it
-// resolves each thread's (class, load) solve key, creates one lane per
-// distinct key with the iteration-invariant part of that key's CPI fully
-// factored out, and records the thread→lane fanout. The factored terms are
-// the exact sub-expressions (same operands, same order) of the scalar
-// threadCPI composition, so the per-iteration lane step reproduces it
-// bit-for-bit (see lanes.go).
-func (m *Machine) prepPlacement(ctx *phaseCtx, p *workload.PhaseProfile, pl topology.Placement, idx int, coresHash, hash uint64, key memoKey) {
+// prepPlacement appends one placement to the current solve block: one lane
+// per entry of the placement's plan, with the iteration-invariant part of
+// that lane's CPI fully factored out. The factored terms are the exact
+// sub-expressions (same operands, same order) of the threadCPI composition
+// (see lanes.go).
+func (m *Machine) prepPlacement(ctx *phaseCtx, p *workload.PhaseProfile, pl topology.Placement, idx int, hash uint64, key memoKey) {
 	n := pl.Threads()
 	if n == 0 {
 		panic("machine: placement with no cores")
@@ -230,99 +217,75 @@ func (m *Machine) prepPlacement(ctx *phaseCtx, p *workload.PhaseProfile, pl topo
 	mlpL2 := math.Max(1, 0.7*p.MLP) // L2 hits overlap slightly less than misses
 	memPfx := m.params.MemLatencyCycles * m.clockScale()
 
-	thrOff := len(ctx.thrLane)
-	laneOff := ctx.lanes.len()
-
-	if plan, ok := ctx.plans[coresHash]; ok && coresEqual(plan.cores, pl.Cores) {
-		// Structure already resolved for these cores by an earlier phase:
-		// replay the lanes in their recorded first-appearance order, then
-		// the thread fanout — the identical appends the resolution loop
-		// below would have made.
-		for k := range plan.laneLoad {
-			m.appendLane(ctx, p, int(plan.laneLoad[k]), int(plan.laneCi[k]), mpiL1, branch, tlb, mlpL2, memPfx)
-		}
-		for t, ln := range plan.thrLane {
-			ctx.thrLane = append(ctx.thrLane, laneOff+int(ln))
-			ctx.thrMiss = append(ctx.thrMiss, ctx.missByLoad[plan.loads[t]])
-		}
-		ctx.pend = append(ctx.pend, pendingPlacement{
-			idx: idx, pl: pl, hash: hash, key: key,
-			laneOff: laneOff, laneN: len(plan.laneLoad),
-			thrOff: thrOff, n: n,
-		})
-		return
+	for len(ctx.plans) <= idx {
+		ctx.plans = append(ctx.plans, placementPlan{})
 	}
+	plan := &ctx.plans[idx]
+	if !coresEqual(plan.cores, pl.Cores) {
+		m.resolvePlan(ctx, plan, pl.Cores)
+	}
+
+	laneOff := ctx.lanes.len()
+	for _, ln := range plan.lanes {
+		m.appendLane(ctx, p, ln, mpiL1, branch, tlb, mlpL2, memPfx)
+	}
+	ctx.pend = append(ctx.pend, pendingPlacement{
+		idx: idx, pl: pl, hash: hash, key: key,
+		laneOff: laneOff, laneN: len(plan.lanes),
+	})
+}
+
+// resolvePlan rebuilds plan for cores: each thread's solve key is its core's
+// class and the number of placement threads sharing its L2 group, and each
+// distinct key becomes one lane, counted once per thread that carries it.
+// The plan's slices are reused, so re-resolving a slot allocates only when a
+// larger placement than any before lands in it.
+func (m *Machine) resolvePlan(ctx *phaseCtx, plan *placementPlan, cores []topology.CoreID) {
+	plan.cores = append(plan.cores[:0], cores...)
+	plan.lanes = plan.lanes[:0]
 
 	// Per-L2-group occupancy of this placement.
 	occ := ctx.occ
 	for i := range occ {
 		occ[i] = 0
 	}
-	for _, c := range pl.Cores {
+	for _, c := range cores {
 		if g := m.groupOf(c); g >= 0 {
 			occ[g]++
 		}
 	}
 
-	plan := &placementPlan{
-		cores:   pl.Cores,
-		loads:   make([]int32, 0, n),
-		thrLane: make([]int32, 0, n),
-	}
-	stride := n + 1
-	for _, c := range pl.Cores {
+	stride := len(cores) + 1
+	for _, c := range cores {
 		load := 0
 		if g := m.groupOf(c); g >= 0 {
 			load = occ[g]
 		}
-		keyv := load
 		ci := m.classIdxOf(c)
-		if ci > 0 {
-			keyv += ci * stride
-		}
+		keyv := ci*stride + load
 		ln := ctx.keyToLane[keyv]
 		if ln == 0 {
-			m.appendLane(ctx, p, load, ci, mpiL1, branch, tlb, mlpL2, memPfx)
-			ln = ctx.lanes.len() // global lane index + 1 (len is idx+1 post-append)
+			plan.lanes = append(plan.lanes, planLane{load: int32(load), ci: int32(ci)})
+			ln = len(plan.lanes) // lane index + 1
 			ctx.keyToLane[keyv] = ln
 			ctx.keyScratch = append(ctx.keyScratch, keyv)
-			plan.laneLoad = append(plan.laneLoad, int32(load))
-			plan.laneCi = append(plan.laneCi, int32(ci))
 		}
-		ctx.thrLane = append(ctx.thrLane, ln-1)
-		ctx.thrMiss = append(ctx.thrMiss, ctx.missByLoad[load])
-		plan.loads = append(plan.loads, int32(load))
-		plan.thrLane = append(plan.thrLane, int32(ln-1-laneOff))
+		plan.lanes[ln-1].cnt++
 	}
 	for _, kv := range ctx.keyScratch {
 		ctx.keyToLane[kv] = 0
 	}
 	ctx.keyScratch = ctx.keyScratch[:0]
-
-	// Cache the structure for the next phase's sweep. A 64-bit-hash
-	// collision (cores mismatch above) leaves the first plan in place; the
-	// colliding placement just resolves unplanned every time.
-	if _, taken := ctx.plans[coresHash]; !taken {
-		if ctx.plans == nil {
-			ctx.plans = make(map[uint64]*placementPlan)
-		}
-		ctx.plans[coresHash] = plan
-	}
-
-	ctx.pend = append(ctx.pend, pendingPlacement{
-		idx: idx, pl: pl, hash: hash, key: key,
-		laneOff: laneOff, laneN: ctx.lanes.len() - laneOff,
-		thrOff: thrOff, n: n,
-	})
 }
 
 // appendLane creates one (class, load) lane, factoring everything that does
 // not change across fixed-point iterations out of threadCPI while
 // preserving the exact association order of the scalar expressions (see
 // lanes.go for the term-by-term correspondence).
-func (m *Machine) appendLane(ctx *phaseCtx, p *workload.PhaseProfile, load, ci int, mpiL1, branch, tlb, mlpL2, memPfx float64) {
+func (m *Machine) appendLane(ctx *phaseCtx, p *workload.PhaseProfile, ln planLane, mpiL1, branch, tlb, mlpL2, memPfx float64) {
+	load := int(ln.load)
 	missL2 := ctx.missFor(m, p, load)
-	cls := &m.classes[ci]
+	cls := &m.classes[ln.ci]
 	coreCPI := cls.CPIMult / p.BaseIPC
 	l2Lat := m.params.L2LatencyCycles
 	if load > 1 {
@@ -335,6 +298,8 @@ func (m *Machine) appendLane(ctx *phaseCtx, p *workload.PhaseProfile, load, ci i
 		mpiL1*missL2,                      // L2 misses per instruction
 		cls.CPIMult/m.params.PeakIssueIPC, // issue-width clamp
 		cls.FreqMult,                      // nominal-clock referencing divisor
+		float64(ln.cnt),
+		missL2,
 	)
 }
 
@@ -347,7 +312,9 @@ func (ctx *phaseCtx) bindMachine(m *Machine) {
 		return
 	}
 	ctx.planTopo, ctx.planSig = m.Topo, m.classSig
-	ctx.plans = nil
+	for i := range ctx.plans {
+		ctx.plans[i].cores = ctx.plans[i].cores[:0]
+	}
 }
 
 func coresEqual(a, b []topology.CoreID) bool {
@@ -364,12 +331,12 @@ func coresEqual(a, b []topology.CoreID) bool {
 
 // solveBlock iterates the CPI ↔ bus-bandwidth fixed point for every
 // placement of the current block at once: one lane step advances every
-// distinct (class, load) key of every unconverged placement, then each
-// placement reduces its threads' offered traffic (in thread order, exactly
-// as the scalar loop did) and applies the damped bus-factor update. A
-// placement whose update leaves the bus factor unchanged is converged —
-// every remaining iteration would reproduce the same state bit-for-bit, so
-// its lanes are masked and it stops paying for the rest of the loop.
+// lane of every unconverged placement, then each placement reduces its
+// lanes' offered traffic, weighted by multiplicity in lane order, and
+// applies the damped bus-factor update. A placement whose update leaves the
+// bus factor unchanged is converged — every remaining iteration would
+// reproduce the same state bit-for-bit, so its lanes are masked and it stops
+// paying for the rest of the loop.
 func (m *Machine) solveBlock(ctx *phaseCtx, p *workload.PhaseProfile) {
 	nPl := len(ctx.pend)
 	freq := m.Topo.FrequencyHz * m.clockScale()
@@ -413,11 +380,10 @@ func (m *Machine) solveBlock(ctx *phaseCtx, p *workload.PhaseProfile) {
 				continue
 			}
 			pe := &ctx.pend[o]
-			// Offered FSB traffic accumulates in thread order — the same
-			// values in the same order as the per-thread scalar loop.
+			// Offered FSB traffic: every thread of a lane offers the same.
 			var traffic float64
-			for _, ln := range ctx.thrLane[pe.thrOff : pe.thrOff+pe.n] {
-				traffic += ctx.lanes.contrib[ln]
+			for l := pe.laneOff; l < pe.laneOff+pe.laneN; l++ {
+				traffic += float64(ctx.lanes.cnt[l] * ctx.lanes.contrib[l])
 			}
 			newFactor := m.fsb.LatencyFactor(traffic)
 			updated := 0.5*ctx.bus[o] + 0.5*newFactor
@@ -495,15 +461,12 @@ func (m *Machine) responseFactorCtx(ctx *phaseCtx, p *workload.PhaseProfile, pl 
 	return math.Exp(m.params.ResponseSigma * z)
 }
 
-// finishPlacement turns one solved placement into a Result: cycle
-// accounting, PMU event synthesis and power-model activity, identical to
-// the scalar tail of the phase model. o is the placement's index within the
-// solve block (its slot in ctx.bus/ctx.traffic); perThreadIPC is the
-// caller-provided backing for the Result's per-thread IPC (length n — block
-// flushes carve it out of one slab allocation instead of one make per
-// result).
-func (m *Machine) finishPlacement(ctx *phaseCtx, pe *pendingPlacement, o int, p *workload.PhaseProfile, idio float64, perThreadIPC []float64) Result {
-	n := pe.n
+// finishPlacement turns one solved placement into *res: cycle accounting,
+// PMU event synthesis and power-model activity. o is the placement's index
+// within the solve block (its slot in ctx.bus/ctx.traffic). Every field of
+// *res is overwritten.
+func (m *Machine) finishPlacement(ctx *phaseCtx, pe *pendingPlacement, o int, p *workload.PhaseProfile, idio float64, res *Result) {
+	n := pe.pl.Threads()
 	busFactor := ctx.bus[o]
 	busUtil := m.fsb.Utilization(ctx.traffic[o])
 	freq := m.Topo.FrequencyHz * m.clockScale()
@@ -533,19 +496,23 @@ func (m *Machine) finishPlacement(ctx *phaseCtx, pe *pendingPlacement, o int, p 
 		idioFactor = 0.5
 	}
 
-	// The slowest thread gates the end-of-phase barrier: the heaviest
-	// chunk share executed at the worst per-thread CPI.
-	thrLane := ctx.thrLane[pe.thrOff : pe.thrOff+n]
-	maxCPI := 0.0
-	for t := 0; t < n; t++ {
-		c := ctx.lanes.cpi[thrLane[t]]
+	// One pass over the lanes: the slowest thread gates the end-of-phase
+	// barrier (the heaviest chunk share executed at the worst CPI), and the
+	// per-core IPC and L2 miss rate sum with each lane's multiplicity. A
+	// lane whose CPI is not positive contributes no IPC rather than +Inf.
+	ls := &ctx.lanes
+	var maxCPI, sumIPC, sumMiss float64
+	for l := pe.laneOff; l < pe.laneOff+pe.laneN; l++ {
+		c := ls.cpi[l]
 		if c > maxCPI {
 			maxCPI = c
 		}
 		if c > 0 {
-			perThreadIPC[t] = 1 / (c * critFactor * idioFactor)
+			sumIPC += float64(ls.cnt[l] * (1 / (c * critFactor * idioFactor)))
 		}
+		sumMiss += float64(ls.cnt[l] * ls.miss[l])
 	}
+	avgMissL2 := sumMiss / float64(n)
 	parCycles := parInstr * heavyShare * maxCPI * critFactor * idioFactor
 
 	syncCycles := 0.0
@@ -566,12 +533,6 @@ func (m *Machine) finishPlacement(ctx *phaseCtx, pe *pendingPlacement, o int, p 
 	lineBytes := 64.0
 	storeFrac := 1 - p.LoadFraction
 	trafficPerMiss := lineBytes * (1 + p.StoreBandwidthBoost*storeFrac)
-	missL2 := ctx.thrMiss[pe.thrOff : pe.thrOff+n]
-	var avgMissL2 float64
-	for _, mr := range missL2 {
-		avgMissL2 += mr
-	}
-	avgMissL2 /= float64(n)
 	totalBytes := p.Instructions * mpiL1 * avgMissL2 * trafficPerMiss
 	bwCycles := m.fsb.MinTransferTime(totalBytes) * freq
 
@@ -582,36 +543,27 @@ func (m *Machine) finishPlacement(ctx *phaseCtx, pe *pendingPlacement, o int, p 
 	wallCycles *= m.responseFactorCtx(ctx, p, pe.pl)
 	timeSec := wallCycles / freq
 
+	res.TimeSec = timeSec
+	res.WallCycles = wallCycles
+	res.AggIPC = p.Instructions / wallCycles
+
 	// --- Event counts ---------------------------------------------------
-	counts := m.eventCounts(p, missL2, wallCycles, busUtil, cls0)
+	m.eventCounts(&res.Counts, p, avgMissL2, wallCycles, busUtil, cls0)
 
 	// --- Activity for the power model ------------------------------------
-	var sumIPC float64
-	for _, v := range perThreadIPC {
-		sumIPC += v
-	}
-	avgCoreIPC := sumIPC / float64(n)
-	stall := m.stallFraction(p, mpiL1, missL2[0], busFactor, cls0)
-	act := Activity{
+	// The representative core is the placement's first: lane 0's.
+	stall := m.stallFraction(p, mpiL1, ls.miss[pe.laneOff], busFactor, cls0)
+	res.Activity = Activity{
 		TimeSec:          timeSec,
 		ActiveCores:      n,
 		TotalCores:       m.Topo.NumCores,
-		AvgCoreIPC:       avgCoreIPC,
+		AvgCoreIPC:       sumIPC / float64(n),
 		PeakIPC:          m.params.PeakIssueIPC,
 		AvgCoreUtil:      1 - stall,
 		BusUtilization:   busUtil,
-		BusBytes:         counts[pmu.BusTransMem] * lineBytes,
-		L2AccessesPerSec: counts[pmu.L2References] / math.Max(timeSec, 1e-12),
+		BusBytes:         res.Counts[pmu.BusTransMem] * lineBytes,
+		L2AccessesPerSec: res.Counts[pmu.L2References] / math.Max(timeSec, 1e-12),
 		FreqScale:        m.clockScale(),
-	}
-
-	return Result{
-		TimeSec:      timeSec,
-		WallCycles:   wallCycles,
-		AggIPC:       p.Instructions / wallCycles,
-		PerThreadIPC: perThreadIPC,
-		Counts:       counts,
-		Activity:     act,
 	}
 }
 
@@ -622,8 +574,8 @@ func (m *Machine) finishPlacement(ctx *phaseCtx, pe *pendingPlacement, o int, p 
 // placement in slice order, but hoists the per-phase invariant part of the
 // solve (the L2 miss-rate table, the scratch buffers, the memo key prefix)
 // out of the placement loop and solves memo-missing placements as
-// multi-lane blocks (see solveBlock). Memo hits fill dst without
-// allocating; see WithMemo for the PerThreadIPC read-only contract.
+// multi-lane blocks (see solveBlock). It allocates nothing once the pooled
+// scratch is warm; a memoised machine allocates the entry it stores per miss.
 //
 // It panics when dst is shorter than placements, mirroring RunPhase's
 // contract violations.
@@ -645,33 +597,28 @@ func (m *Machine) RunPhaseSweep(p *workload.PhaseProfile, idio float64, placemen
 			return
 		}
 		m.solveBlock(ctx, p)
-		// One PerThreadIPC slab for the whole block; each result gets a
-		// capacity-capped window so no result can grow into its neighbour.
-		slab := make([]float64, len(ctx.thrLane))
 		for i := range ctx.pend {
 			pe := &ctx.pend[i]
-			ipc := slab[pe.thrOff : pe.thrOff+pe.n : pe.thrOff+pe.n]
-			res := m.finishPlacement(ctx, pe, i, p, idio, ipc)
+			m.finishPlacement(ctx, pe, i, p, idio, &dst[pe.idx])
 			if useMemo {
-				res = *m.memo.Put(pe.hash, pe.key, res)
+				m.memo.Put(pe.hash, pe.key, dst[pe.idx])
 			}
-			dst[pe.idx] = res
 		}
 		ctx.resetBlock()
 	}
 	for i := range placements {
 		pl := placements[i]
-		coresHash := hashCores(pl.Cores)
 		if useMemo {
+			coresHash := hashCores(pl.Cores)
 			hash := memoHash(seed, idio, &pl, coresHash)
 			key := m.keyFor(p, idio, &pl, coresHash)
 			if res := m.memo.Get(hash, &key); res != nil {
 				dst[i] = *res
 				continue
 			}
-			m.prepPlacement(ctx, p, pl, i, coresHash, hash, key)
+			m.prepPlacement(ctx, p, pl, i, hash, key)
 		} else {
-			m.prepPlacement(ctx, p, pl, i, coresHash, 0, memoKey{})
+			m.prepPlacement(ctx, p, pl, i, 0, memoKey{})
 		}
 		if len(ctx.pend) >= sweepSolveBlock {
 			flush()
@@ -701,8 +648,7 @@ func (m *Machine) RunPhaseSweepDeterministic(p *workload.PhaseProfile, idio floa
 
 // ApplyNoise perturbs res in place, consuming exactly the measurement-noise
 // draws RunPhase would have consumed for one execution. It is a no-op on
-// machines without a noise source. res.PerThreadIPC is never touched (on
-// memoised machines it aliases the cache's canonical slice).
+// machines without a noise source.
 func (m *Machine) ApplyNoise(res *Result) {
 	if m.noiseSrc != nil {
 		m.perturb(res)

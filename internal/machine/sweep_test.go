@@ -19,14 +19,6 @@ func resultsBitIdentical(a, b Result) bool {
 		!memoEquivalent(a.AggIPC, b.AggIPC) {
 		return false
 	}
-	if len(a.PerThreadIPC) != len(b.PerThreadIPC) {
-		return false
-	}
-	for i := range a.PerThreadIPC {
-		if !memoEquivalent(a.PerThreadIPC[i], b.PerThreadIPC[i]) {
-			return false
-		}
-	}
 	for e := range a.Counts {
 		if !memoEquivalent(a.Counts[e], b.Counts[e]) {
 			return false
