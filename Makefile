@@ -59,11 +59,12 @@ dist-e2e:
 load-smoke:
 	scripts/load_smoke.sh
 
-## fuzz-smoke: run every Fuzz* target of the wire codec and the serving
-## path for 10 s each (the toolchain fuzzes one target per invocation).
-## A crasher lands under the package's testdata/fuzz/ — commit it (CI).
+## fuzz-smoke: run every Fuzz* target of the wire codec, the serving path
+## and the fleet spec parser for 10 s each (the toolchain fuzzes one target
+## per invocation). A crasher lands under the package's testdata/fuzz/ —
+## commit it (CI).
 fuzz-smoke:
-	@set -e; for pkg in ./pkg/actor ./internal/wire; do \
+	@set -e; for pkg in ./pkg/actor ./internal/wire ./internal/fleet; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s $$pkg; \
@@ -71,8 +72,9 @@ fuzz-smoke:
 	done
 
 ## fleet-smoke: seeded 100-job/16-machine fleet scheduling run on both
-## scorers — asserts the pinned deterministic schedule digest and zero
-## QoS-bound violations (CI; see docs/FLEET.md).
+## scorers — asserts the pinned deterministic schedule digest, zero
+## QoS-bound violations and a clean `actorfleet -verify` (CI; see
+## docs/FLEET.md).
 fleet-smoke:
 	scripts/fleet_smoke.sh
 

@@ -419,13 +419,29 @@ func fleetBench(b *testing.B, spec string, jobs int, rate float64) (*fleet.Fleet
 	return f, stream
 }
 
+// BenchmarkFleetGenJobs generates the 10k-job stream BenchmarkFleetSchedule
+// places: four draws per job from the job's own counter-based stream.
+func BenchmarkFleetGenJobs(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := fleet.GenJobs(fleet.StreamConfig{Jobs: 10000, Seed: 42, ArrivalRate: 60, MeanSize: 3}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFleetSchedule is the PR 9 headline: 10k jobs against a 1000
 // machine heterogeneous fleet. The incremental sub-benchmark is the
-// shipped scorer (treap probe order + sharded score memo); naive is the
-// O(M)-per-decision bit-identity reference, so the ns/op ratio between
-// the two sub-benchmarks is the measured speedup (target ≥10×). Every
-// naive iteration asserts its schedule digest matches the incremental
+// shipped scorer (treap probe order, interned templates, decision memo);
+// naive is the O(M)-per-decision bit-identity reference, so the ns/op ratio
+// between the two sub-benchmarks is the measured speedup (target ≥10×).
+// Every naive iteration asserts its schedule digest matches the incremental
 // scorer's, keeping the fast path honest inside the benchmark itself.
+// templates and decision-entries are why the incremental probe runs in
+// order on one goroutine: with a few hundred of either against some
+// hundred thousand probes, nearly every probe is a table hit and there is
+// no work for a fan-out to overlap. A workload that multiplies them is the
+// one to re-measure that choice on.
 func BenchmarkFleetSchedule(b *testing.B) {
 	const spec = "400*4x2+2x2:little,600*2x2"
 	f, stream := fleetBench(b, spec, 10000, 60)
@@ -440,6 +456,7 @@ func BenchmarkFleetSchedule(b *testing.B) {
 	for _, scorer := range []string{fleet.ScorerIncremental, fleet.ScorerNaive} {
 		scorer := scorer
 		b.Run(scorer, func(b *testing.B) {
+			b.ReportAllocs()
 			var res *fleet.Result
 			for i := 0; i < b.N; i++ {
 				var err error
@@ -454,6 +471,8 @@ func BenchmarkFleetSchedule(b *testing.B) {
 			b.ReportMetric(float64(res.ScoredMachines)/float64(len(stream)), "scored-machines/job")
 			b.ReportMetric(res.ED2/bp.ED2, "ED2-vs-binpack")
 			b.ReportMetric(float64(res.Violations), "qos-violations")
+			b.ReportMetric(float64(res.Templates), "templates")
+			b.ReportMetric(float64(res.DecisionEntries), "decision-entries")
 		})
 	}
 }

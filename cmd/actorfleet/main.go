@@ -8,7 +8,9 @@
 //	actorfleet -jobs 100 -machines "16*2x2" -digest   # CI smoke mode
 //
 // -scorer naive selects the O(M) reference scorer (the fleet sibling of
-// ACTOR_SIMD=off).
+// ACTOR_SIMD=off). -verify re-checks every schedule the run produced with
+// fleet.Validate, which shares no state with the scheduler, and exits 1
+// naming the first violated property.
 package main
 
 import (
@@ -32,6 +34,7 @@ func main() {
 		scorer   = flag.String("scorer", "", "placement scorer: incremental, naive or binpack (default incremental)")
 		compare  = flag.Bool("compare", true, "also run the bin-packing baseline and report the delta")
 		digest   = flag.Bool("digest", false, "print only the schedule digest and violation count (CI smoke mode)")
+		verify   = flag.Bool("verify", false, "validate every schedule independently of the scheduler; exit 1 on the first violated property")
 	)
 	flag.Parse()
 
@@ -47,6 +50,9 @@ func main() {
 	res, err := fleet.Schedule(f, stream, opt)
 	fail(err)
 	wall := time.Since(t0)
+	if *verify {
+		fail(fleet.Validate(f, stream, res))
+	}
 
 	if *digest {
 		fmt.Printf("digest=%016x violations=%d scorer=%s\n", res.Digest(), res.Violations, res.Scorer)
@@ -79,6 +85,9 @@ func main() {
 		bp, err := fleet.Schedule(f, stream, bopt)
 		fail(err)
 		row(bp, time.Since(t0))
+		if *verify {
+			fail(fleet.Validate(f, stream, bp))
+		}
 		t.Render(w)
 		fmt.Fprintf(w, "\nED2 vs binpack: %.3f× (lower is better), violations %d vs %d\n",
 			res.ED2/bp.ED2, res.Violations, bp.Violations)

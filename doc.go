@@ -58,10 +58,12 @@
 // machines ("count*descriptor" terms, e.g. "400*4x2+2x2:little,600*2x2"),
 // and the interference-aware scheduler places each under a QoS degradation
 // bound, reporting fleet ED² and utilization against naive bin-packing.
-// The shipped incremental scorer (treap probe order + sharded score memo)
-// is digest-identical to the naive O(M) reference — actorfleet -scorer
-// selects between them — and schedules are byte-identical across runs and
-// GOMAXPROCS settings. See docs/FLEET.md:
+// The shipped incremental scorer (treap probe order, templates interned
+// when a machine changes, decisions memoised per template) is
+// digest-identical to the naive O(M) reference — actorfleet -scorer
+// selects between them — schedules are byte-identical across runs and
+// GOMAXPROCS settings, and actorfleet -verify re-checks one independently
+// of the scheduler. See docs/FLEET.md:
 //
 //	go run ./cmd/actorfleet -fleet "400*4x2+2x2:little,600*2x2" -jobs 10000 -rate 60
 //

@@ -28,12 +28,14 @@
 // machine on every arrival — O(M) template builds and candidate solves.
 // The incremental scorer maintains machines in a congestion-ordered treap
 // (placing or completing a job updates only the touched machine's key, in
-// O(log M)), probes candidates in key order until the first feasible
-// machine, and serves candidate solves from internal/memo tables keyed on
-// typed (machine class, residual template, job signature) structs (see
-// keys.go), so identical co-run configurations are solved once fleet-wide.
-// Both paths evaluate candidates through the same pure functions over the
-// same template values, so their schedules are byte-identical — the same
+// O(log M)) and walks them in key order on the calling goroutine until the
+// first feasible machine. A machine's canonical template is rebuilt and
+// interned into a small integer id only when its resident set changes, so a
+// probe is a lookup of (template id, job signature, budget) in an
+// internal/memo table (see keys.go) plus the resident-impact check, and
+// identical co-run configurations are solved once fleet-wide. Both paths
+// evaluate candidates through the same pure functions over the same
+// template values, so their schedules are byte-identical — the same
 // scalar/SIMD pattern the kernel engine uses; Options.Scorer selects the
 // naive reference.
 package fleet
@@ -42,6 +44,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"github.com/greenhpc/actor/internal/machine"
@@ -214,8 +217,10 @@ func ParseFleet(spec string, params *machine.Params) (*Fleet, error) {
 		if star <= 0 {
 			return nil, fmt.Errorf("fleet: spec term %q is not count*descriptor", term)
 		}
-		var n int
-		if _, err := fmt.Sscanf(term[:star], "%d", &n); err != nil || n <= 0 {
+		// The count is decimal digits and nothing else: ParseUint refuses a
+		// sign, inner whitespace, an empty count and trailing garbage alike.
+		n, err := strconv.ParseUint(term[:star], 10, 31)
+		if err != nil || n == 0 {
 			return nil, fmt.Errorf("fleet: bad machine count in %q", term)
 		}
 		c, err := NewClass(term[star+1:], params)
@@ -223,7 +228,7 @@ func ParseFleet(spec string, params *machine.Params) (*Fleet, error) {
 			return nil, err
 		}
 		classes = append(classes, c)
-		counts = append(counts, n)
+		counts = append(counts, int(n))
 	}
 	return NewFleet(classes, counts)
 }
@@ -259,7 +264,17 @@ type machState struct {
 	freeTotal  int
 	congestion float64 // the policy's machine-ordering key K
 	power      float64 // instantaneous power draw (W)
+
+	// views holds the canonical template — the class's groups in
+	// canonGroups order — rebuilt by recompute, so a probe reads it instead
+	// of re-sorting. tmpl is the id scorer.intern gave (class, busSum,
+	// maxSens, views); scorer.retemplate keeps the two in step.
+	views [maxGroups]groupView
+	tmpl  int32
 }
+
+// canon returns m's canonical template as of the last recompute.
+func (m *machState) canon(c *Class) []groupView { return m.views[:len(c.groupSize)] }
 
 // wsContribution is the external L2 pressure k threads of a job exert on
 // one group: the first thread brings the full per-thread footprint, and
@@ -311,6 +326,7 @@ func (m *machState) recompute(c *Class) {
 	// works — the policy only needs K to be a pure function of the
 	// template so both scorers order machines identically.
 	m.congestion = m.busSum + 0.5*press/float64(ng) + 0.5*used
+	canonGroups(c, m, m.views[:0])
 }
 
 // groupView is one group of a machine's canonical template: the residual

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/greenhpc/actor/internal/core"
@@ -68,16 +69,20 @@ func TestScorerBitIdentity(t *testing.T) {
 	}
 }
 
-// TestGOMAXPROCSDeterminism pins the parallel-probe merge: the schedule is
-// byte-identical whether candidate scoring runs sequentially or fanned out.
+// TestGOMAXPROCSDeterminism: the schedule does not depend on GOMAXPROCS.
+// The incremental scorer runs on the calling goroutine, so what this guards
+// is the naive reference's fan-out merge and stream generation.
 func TestGOMAXPROCSDeterminism(t *testing.T) {
 	f, jobs := testStream(t, 120)
-	par := mustSchedule(t, f, jobs, Options{})
+	par := mustSchedule(t, f, jobs, Options{Scorer: ScorerNaive})
 	prev := runtime.GOMAXPROCS(1)
-	seq := mustSchedule(t, f, jobs, Options{})
+	_, seqJobs := testStream(t, 120)
+	seq := mustSchedule(t, f, seqJobs, Options{Scorer: ScorerNaive})
+	inc := mustSchedule(t, f, seqJobs, Options{})
 	runtime.GOMAXPROCS(prev)
-	if par.Digest() != seq.Digest() {
-		t.Fatalf("schedule depends on GOMAXPROCS: %x (parallel) vs %x (sequential)", par.Digest(), seq.Digest())
+	if par.Digest() != seq.Digest() || par.Digest() != inc.Digest() {
+		t.Fatalf("schedule depends on GOMAXPROCS: %x (parallel) vs %x (sequential naive) vs %x (sequential incremental)",
+			par.Digest(), seq.Digest(), inc.Digest())
 	}
 }
 
@@ -300,4 +305,89 @@ func TestGenJobsReproducible(t *testing.T) {
 	if same {
 		t.Fatal("different seeds produced an identical stream")
 	}
+}
+
+// TestParseFleet: a term is digits, '*', descriptor — and the count is
+// nothing but digits.
+func TestParseFleet(t *testing.T) {
+	for _, tc := range []struct {
+		spec     string
+		machines int // 0: refused
+	}{
+		{"64*2x2", 64},
+		{"12*2x2,4*1x4+2x2:little", 16},
+		{" 3*2x2 , 2*4x2 ", 5},
+		{"007*2x2", 7},
+		{"3abc*2x2", 0}, // trailing garbage
+		{"3 4*2x2", 0},  // inner whitespace
+		{"+2 *2x2", 0},  // whitespace before the star
+		{"+2*2x2", 0},   // sign
+		{"-2*2x2", 0},   // sign
+		{"*2x2", 0},     // empty count
+		{" *2x2", 0},    // blank count
+		{"0*2x2", 0},    // no machines
+		{"2x2", 0},      // no count at all
+		{"3*", 0},       // no descriptor
+		{"3*2x2,", 0},   // empty term
+		{"0x10*2x2", 0}, // not decimal
+		{"1e3*2x2", 0},  // not an integer
+		{"99999999999*2x2", 0},
+	} {
+		f, err := ParseFleet(tc.spec, nil)
+		switch {
+		case tc.machines == 0 && err == nil:
+			t.Errorf("ParseFleet(%q) accepted as %d machines", tc.spec, f.Machines())
+		case tc.machines != 0 && err != nil:
+			t.Errorf("ParseFleet(%q): %v", tc.spec, err)
+		case tc.machines != 0 && f.Machines() != tc.machines:
+			t.Errorf("ParseFleet(%q) built %d machines, want %d", tc.spec, f.Machines(), tc.machines)
+		}
+	}
+	if _, err := ParseFleet("3abc*2x2", nil); err == nil || !strings.Contains(err.Error(), `bad machine count in "3abc*2x2"`) {
+		t.Errorf("count error does not name the term: %v", err)
+	}
+}
+
+// FuzzParseFleet: no spec panics, and an accepted spec builds as many
+// machines as its counts — each read here as a bare run of digits — add up
+// to.
+func FuzzParseFleet(f *testing.F) {
+	for _, seed := range []string{
+		"64*2x2", "12*2x2,4*1x4+2x2:little", "3abc*2x2", "+2 *2x2", "*2x2", "3*",
+		"2*1x4+2x2:slow(0.5,1.2)@2.4", "1*2x2,,", "9*9x9+9x9", "1*17x1",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		// Counts, group counts and group sizes of three digits and more
+		// build fleets and topologies of millions of cores: correct, but
+		// not what ten seconds of fuzzing should spend its memory on.
+		digits := 0
+		for i := 0; i < len(spec); i++ {
+			if spec[i] < '0' || spec[i] > '9' {
+				digits = 0
+			} else if digits++; digits > 2 {
+				t.Skip()
+			}
+		}
+		fl, err := ParseFleet(spec, nil)
+		if err != nil {
+			return
+		}
+		want := 0
+		for _, term := range strings.Split(spec, ",") {
+			count, _, _ := strings.Cut(strings.TrimSpace(term), "*")
+			n := 0
+			for i := 0; i < len(count); i++ {
+				if count[i] < '0' || count[i] > '9' {
+					t.Fatalf("ParseFleet(%q) accepted the count %q", spec, count)
+				}
+				n = 10*n + int(count[i]-'0')
+			}
+			want += n
+		}
+		if fl.Machines() != want || len(fl.MachineClass) != want {
+			t.Fatalf("ParseFleet(%q) built %d machines, its counts add up to %d", spec, fl.Machines(), want)
+		}
+	})
 }

@@ -3,10 +3,10 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"github.com/greenhpc/actor/internal/npb"
-	"github.com/greenhpc/actor/internal/parallel"
 	"github.com/greenhpc/actor/internal/workload"
 )
 
@@ -45,7 +45,7 @@ type Job struct {
 type StreamConfig struct {
 	// Jobs is the stream length.
 	Jobs int
-	// Seed feeds parallel.Rand; one seed reproduces one stream exactly.
+	// Seed keys every job's draws; one seed reproduces one stream exactly.
 	Seed int64
 	// ArrivalRate is the mean arrival rate in jobs/sec (Poisson process).
 	ArrivalRate float64
@@ -65,10 +65,48 @@ const paretoAlpha = 1.5
 // pathological draw cannot dominate a whole study.
 const sizeCapMult = 50.0
 
+// jobDraws is the private random stream of one job: splitmix64 over a
+// counter that starts at a hash of (seed, job index). Job i draws the same
+// numbers whatever the stream's length and whichever jobs were generated
+// before it.
+type jobDraws uint64
+
+func drawsFor(seed int64, i int) jobDraws {
+	return jobDraws(splitmix64(uint64(seed) ^ splitmix64(uint64(i))))
+}
+
+func (d *jobDraws) next() uint64 {
+	z := splitmix64(uint64(*d))
+	*d += 0x9e3779b97f4a7c15
+	return z
+}
+
+// unit draws uniformly from [0, 1).
+func (d *jobDraws) unit() float64 { return float64(d.next()>>11) / (1 << 53) }
+
+// intn draws uniformly from [0, n).
+func (d *jobDraws) intn(n int) int {
+	hi, _ := bits.Mul64(d.next(), uint64(n))
+	return int(hi)
+}
+
+// footprint summarises a phase bundle's placement-independent L2 footprint:
+// the instruction-weighted per-thread working set and sharing factor.
+func footprint(phases []workload.PhaseProfile) (wsJ, shareJ float64) {
+	var work, ws, share float64
+	for pi := range phases {
+		p := &phases[pi]
+		work += p.Instructions
+		ws += p.Instructions * p.WorkingSetBytes
+		share += p.Instructions * p.SharingFactor
+	}
+	return ws / work, share / work
+}
+
 // GenJobs generates the seeded arriving-job stream. Every per-job draw
-// comes from a private parallel.Rand keyed on the job index, so the stream
-// is reproducible and each job's randomness is independent of generation
-// order; only the arrival prefix-sum is sequential.
+// comes from the job's own jobDraws, so the stream is reproducible and each
+// job's randomness is independent of generation order; only the arrival
+// prefix-sum is sequential.
 func GenJobs(cfg StreamConfig) ([]Job, error) {
 	if cfg.Jobs <= 0 {
 		return nil, fmt.Errorf("fleet: stream of %d jobs", cfg.Jobs)
@@ -85,6 +123,12 @@ func GenJobs(cfg StreamConfig) ([]Job, error) {
 	}
 	benches := npb.All()
 	sort.Slice(benches, func(i, j int) bool { return benches[i].Name < benches[j].Name })
+	// What a job inherits from its benchmark, built once per benchmark.
+	protos := make([]Job, len(benches))
+	for bi, b := range benches {
+		protos[bi] = Job{SigKey: b.Name, Phases: b.Phases, Idio: b.Idiosyncrasy}
+		protos[bi].wsJ, protos[bi].shareJ = footprint(b.Phases)
+	}
 
 	// Bounded Pareto with the configured mean: solve for the scale xm so
 	// E[min(xm·U^(-1/a), cap)] ≈ MeanSize, using the unbounded mean
@@ -97,41 +141,21 @@ func GenJobs(cfg StreamConfig) ([]Job, error) {
 	sizeCap := cfg.MeanSize * sizeCapMult
 
 	jobs := make([]Job, cfg.Jobs)
-	gaps := make([]float64, cfg.Jobs)
-	parallel.ForEach(cfg.Jobs, func(i int) {
-		rng := parallel.Rand(cfg.Seed, fmt.Sprintf("fleet/job/%d", i))
-		b := benches[rng.Intn(len(benches))]
-		size := xm * math.Pow(1-rng.Float64(), -1/paretoAlpha)
+	t := 0.0
+	for i := range jobs {
+		d := drawsFor(cfg.Seed, i)
+		j := &jobs[i]
+		*j = protos[d.intn(len(protos))]
+		j.ID = i
+		size := xm * math.Pow(1-d.unit(), -1/paretoAlpha)
 		if size > sizeCap {
 			size = sizeCap
 		}
-		j := Job{
-			ID:         i,
-			SigKey:     b.Name,
-			Phases:     b.Phases,
-			Idio:       b.Idiosyncrasy,
-			MaxThreads: 1 + rng.Intn(maxT),
-			Size:       int(size),
-		}
-		if j.Size < 1 {
-			j.Size = 1
-		}
-		var work, ws, share float64
-		for pi := range b.Phases {
-			p := &b.Phases[pi]
-			work += p.Instructions
-			ws += p.Instructions * p.WorkingSetBytes
-			share += p.Instructions * p.SharingFactor
-		}
-		j.wsJ = ws / work
-		j.shareJ = share / work
-		jobs[i] = j
-		gaps[i] = rng.ExpFloat64() / cfg.ArrivalRate
-	})
-	t := 0.0
-	for i := range jobs {
-		t += gaps[i]
-		jobs[i].Arrival = t
+		j.Size = max(int(size), 1)
+		j.MaxThreads = 1 + d.intn(maxT)
+		// Exponential inter-arrival gap of the Poisson process.
+		t += -math.Log(1-d.unit()) / cfg.ArrivalRate
+		j.Arrival = t
 	}
 	return jobs, nil
 }

@@ -77,27 +77,22 @@ type groupKey struct {
 	ws, sensMax     uint64
 }
 
-// decisionKey keys a shape decision: the machine class, the residual state
-// of its canonical template, and the job's signature and budget. A class
-// fixes how many groups are in use.
-type decisionKey struct {
-	class, maxT     int
-	sig             string
+// templateKey is a machine's canonical residual template — everything about
+// the machine a shape decision reads. scorer.intern maps it to a small
+// integer id when a machine's resident set changes, so the per-probe
+// decision key carries the id instead of these 432 bytes. A class fixes how
+// many groups are in use; the rest stay zero.
+type templateKey struct {
+	class           int
 	busSum, maxSens uint64
 	groups          [maxGroups]groupKey
 }
 
-// fill overwrites k with the key of job j on the canonical template
-// (views, busSum, maxSens) of a class-ci machine and returns its hash. k is
-// scratch reused across machines of different widths, hence the full
-// overwrite.
-func (k *decisionKey) fill(ci int, views []groupView, busSum, maxSens float64, j *Job) uint64 {
-	*k = decisionKey{
-		class: ci, maxT: j.MaxThreads, sig: j.SigKey,
-		busSum: math.Float64bits(busSum), maxSens: math.Float64bits(maxSens),
-	}
-	h := mix(mix(mixString(mix(hashInit, uint64(ci)), j.SigKey), uint64(j.MaxThreads)), k.busSum)
-	h = mix(h, k.maxSens)
+// makeTemplateKey builds the key of the canonical template (views, busSum,
+// maxSens) of a class-ci machine, and its hash.
+func makeTemplateKey(ci int, views []groupView, busSum, maxSens float64) (templateKey, uint64) {
+	k := templateKey{class: ci, busSum: math.Float64bits(busSum), maxSens: math.Float64bits(maxSens)}
+	h := mix(mix(mix(hashInit, uint64(ci)), k.busSum), k.maxSens)
 	for i := range views {
 		g := &views[i]
 		gk := groupKey{int16(g.kind), int16(g.free), int16(g.occ), math.Float64bits(g.ws), math.Float64bits(g.sensMax)}
@@ -105,7 +100,19 @@ func (k *decisionKey) fill(ci int, views []groupView, busSum, maxSens float64, j
 		h = mix(h, uint64(gk.kind)<<32|uint64(gk.free)<<16|uint64(gk.occ))
 		h = mix(mix(h, gk.ws), gk.sensMax)
 	}
-	return splitmix64(h)
+	return k, splitmix64(h)
+}
+
+// decisionKey keys a shape decision: the interned template of the machine
+// and the job's signature and budget.
+type decisionKey struct {
+	tmpl int32
+	maxT int
+	sig  string
+}
+
+func (k *decisionKey) hash() uint64 {
+	return splitmix64(mix(mixString(mix(hashInit, uint64(k.tmpl)), k.sig), uint64(k.maxT)))
 }
 
 func (k *soloKey) hash() uint64 {

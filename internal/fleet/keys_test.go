@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -90,45 +91,69 @@ func TestPlacementForPinned(t *testing.T) {
 	}
 }
 
-// TestDecisionKeyEquality: machines with equal residual state key
-// identically (== and hash), a difference in any one field keys apart, and
-// a scratch key refilled after a wider template carries no stale tail.
+// TestDecisionKeyEquality: machines with equal residual state intern to one
+// template id — and so share every decision key — while a difference in any
+// one field of the template interns apart, and the part of a template key a
+// narrow class does not use stays zero.
 func TestDecisionKeyEquality(t *testing.T) {
-	views := []groupView{
-		{kind: 0, free: 2, occ: 0, ws: 0, sensMax: 0, real: 1},
-		{kind: 0, free: 1, occ: 1, ws: 3e5, sensMax: 0.4, real: 0},
-		{kind: 1, free: 0, occ: 2, ws: 7e5, sensMax: 0.6, real: 2},
+	// Class 0 has four groups, class 1 three ([0 1 2 3] of kind 0, [4 5]
+	// [6 7] of kind 1) and class 2 the same three again.
+	f, err := ParseFleet("1*4x2,1*1x4+2x2:little,1*1x4+2x2:little", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	job := &Job{SigKey: "CG", MaxThreads: 3}
-	var base decisionKey
-	baseHash := base.fill(1, views, 0.8, 0.6, job)
+	s := newScorer(f)
+	state := func(ci int, busSum, maxSens float64, views ...groupView) *machState {
+		m := &machState{class: ci, busSum: busSum, maxSens: maxSens}
+		copy(m.views[:], views)
+		return m
+	}
+	views := []groupView{
+		{kind: 0, free: 3, occ: 1, ws: 3e5, sensMax: 0.4, real: 0},
+		{kind: 1, free: 2, occ: 0, ws: 0, sensMax: 0, real: 2},
+		{kind: 1, free: 0, occ: 2, ws: 7e5, sensMax: 0.6, real: 1},
+	}
+	base := s.intern(state(1, 0.8, 0.6, views...))
 
 	// Same residual state on another machine: only the real indices —
 	// which never feed scoring — differ.
 	twin := append([]groupView(nil), views...)
-	twin[0].real, twin[1].real = 0, 1
-	var k decisionKey
-	if h := k.fill(1, twin, 0.8, 0.6, job); k != base || h != baseHash {
-		t.Fatal("equal residual states produced different keys")
+	twin[1].real, twin[2].real = 1, 2
+	if id := s.intern(state(1, 0.8, 0.6, twin...)); id != base {
+		t.Fatalf("equal residual states on different real groups interned apart: %d vs %d", id, base)
+	}
+	// The same through the scheduler's own path: one resident thread on
+	// either little group of two machines.
+	var onFirst, onSecond machState
+	for m, g := range map[*machState]int{&onFirst: 1, &onSecond: 2} {
+		pj := &placedJob{threads: 1, wsJ: 2e5, shareJ: 0.3, busJ: 0.2, sensJ: 0.5}
+		pj.dist[g] = 1
+		m.class, m.residents = 1, []*placedJob{pj}
+		m.recompute(f.Classes[1])
+	}
+	if onFirst.canon(f.Classes[1])[1].real == onSecond.canon(f.Classes[1])[1].real {
+		t.Fatal("test machines hold their resident on the same real group")
+	}
+	if a, b := s.intern(&onFirst), s.intern(&onSecond); a != b || a == base {
+		t.Fatalf("mirrored machines interned to %d and %d (base %d)", a, b, base)
 	}
 
-	differs := func(name string, ci int, v []groupView, bus, sens float64, j *Job) {
+	seen := map[int32]string{base: "base"}
+	differs := func(name string, m *machState) {
 		t.Helper()
-		var k decisionKey
-		h := k.fill(ci, v, bus, sens, j)
-		if k == base {
-			t.Errorf("%s: key unchanged", name)
+		id := s.intern(m)
+		if prev, dup := seen[id]; dup {
+			t.Errorf("%s: interned to id %d, the id of %s", name, id, prev)
 		}
-		if h == baseHash {
-			t.Errorf("%s: hash unchanged", name)
+		seen[id] = name
+		if again := s.intern(m); again != id {
+			t.Errorf("%s: interned to %d, then to %d", name, id, again)
 		}
 	}
-	differs("class", 2, views, 0.8, 0.6, job)
-	differs("busSum", 1, views, 0.8000000000000002, 0.6, job)
-	differs("maxSens", 1, views, 0.8, 0.7, job)
-	differs("sig", 1, views, 0.8, 0.6, &Job{SigKey: "MG", MaxThreads: 3})
-	differs("maxT", 1, views, 0.8, 0.6, &Job{SigKey: "CG", MaxThreads: 4})
-	differs("narrower template", 1, views[:2], 0.8, 0.6, job)
+	differs("class", state(2, 0.8, 0.6, views...))
+	differs("busSum", state(1, 0.8000000000000002, 0.6, views...))
+	differs("maxSens", state(1, 0.8, 0.7, views...))
+	differs("wider class", state(0, 0.8, 0.6, append(append([]groupView(nil), views...), groupView{kind: 1, free: 2, real: 3})...))
 	for gi := range views {
 		for name, mutate := range map[string]func(*groupView){
 			"kind":    func(g *groupView) { g.kind++ },
@@ -139,18 +164,36 @@ func TestDecisionKeyEquality(t *testing.T) {
 		} {
 			v := append([]groupView(nil), views...)
 			mutate(&v[gi])
-			differs(name, 1, v, 0.8, 0.6, job)
+			differs(fmt.Sprintf("group %d %s", gi, name), state(1, 0.8, 0.6, v...))
 		}
 	}
+	if got, want := int(s.templates.Load()), len(seen)+1; got != want { // +1: the mirrored pair
+		t.Errorf("%d ids handed out for %d distinct templates", got, want)
+	}
 
-	// Scratch reuse: fill from a wider template, then from views.
-	wide := append(append([]groupView(nil), views...),
-		groupView{kind: 1, free: 2, ws: 9e5, sensMax: 0.9, real: 3},
-		groupView{kind: 2, free: 4, occ: 1, ws: 1e6, sensMax: 0.2, real: 4})
-	var scratch decisionKey
-	scratch.fill(1, wide, 0.8, 0.6, job)
-	if h := scratch.fill(1, views, 0.8, 0.6, job); scratch != base || h != baseHash {
-		t.Fatal("key refilled after a wider template differs from a fresh one (stale tail)")
+	// A three-group class fills three groups of the key, whatever the
+	// machine's array holds beyond them.
+	wide := state(1, 0.8, 0.6, append(append([]groupView(nil), views...), groupView{kind: 1, free: 2, ws: 9e5, real: 3})...)
+	key, _ := makeTemplateKey(1, wide.canon(f.Classes[1]), wide.busSum, wide.maxSens)
+	for g := len(views); g < maxGroups; g++ {
+		if key.groups[g] != (groupKey{}) {
+			t.Errorf("unused group %d of the template key holds %+v", g, key.groups[g])
+		}
+	}
+	if id := s.intern(wide); id != base {
+		t.Errorf("state beyond the class's groups changed the id: %d vs %d", id, base)
+	}
+
+	// The decision key adds the job half.
+	k := decisionKey{tmpl: base, maxT: 3, sig: "CG"}
+	for name, other := range map[string]decisionKey{
+		"template": {tmpl: base + 1, maxT: 3, sig: "CG"},
+		"maxT":     {tmpl: base, maxT: 4, sig: "CG"},
+		"sig":      {tmpl: base, maxT: 3, sig: "MG"},
+	} {
+		if other == k || other.hash() == k.hash() {
+			t.Errorf("decision keys differing in %s collide", name)
+		}
 	}
 }
 
@@ -182,6 +225,10 @@ func classShapes(c *Class, maxT int) int {
 // TestMemoStateBoundedByCatalogue: the solo and solo-best memos are
 // grow-only, so what bounds them must be the catalogue (classes ×
 // signatures × shapes), not the stream: a 1000-job run stays inside it.
+// The template table grows with what happened, never with what was probed:
+// one idle template per class plus at most one per placement and one per
+// completion; and the decision table holds at most one entry per template,
+// signature and budget.
 func TestMemoStateBoundedByCatalogue(t *testing.T) {
 	f, jobs := testStream(t, 1000)
 	sigs := map[string]bool{}
@@ -207,8 +254,16 @@ func TestMemoStateBoundedByCatalogue(t *testing.T) {
 	_, _, solo := s.solo.Stats()
 	_, _, best := s.best.Stats()
 	hits, _, decisions := s.decision.Stats()
-	t.Logf("1000 jobs: solo %d/%d, best %d/%d, decision entries %d (%d hits)",
-		solo, soloBound, best, bestBound, decisions, hits)
+	_, _, templates := s.template.Stats()
+	templateBound := len(f.Classes) + 2*len(jobs)
+	t.Logf("1000 jobs: solo %d/%d, best %d/%d, templates %d/%d, decision entries %d (%d hits)",
+		solo, soloBound, best, bestBound, templates, templateBound, decisions, hits)
+	if templates < uint64(len(f.Classes)) || templates > uint64(templateBound) || int(templates) != res.Templates {
+		t.Errorf("template table holds %d entries (result says %d), event bound is %d", templates, res.Templates, templateBound)
+	}
+	if decisions > templates*uint64(bestBound) || int(decisions) != res.DecisionEntries {
+		t.Errorf("decision table holds %d entries (result says %d) for %d templates", decisions, res.DecisionEntries, templates)
+	}
 	if solo == 0 || solo > uint64(soloBound) {
 		t.Errorf("solo memo holds %d entries, catalogue bound is %d", solo, soloBound)
 	}

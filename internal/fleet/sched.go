@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"github.com/greenhpc/actor/internal/parallel"
 )
@@ -73,9 +72,14 @@ type Result struct {
 	MeanWait     float64 // mean queue delay (Start − Arrival)
 	CoreUtil     float64 // busy core-seconds / (fleet cores × makespan)
 	Violations   int     // jobs whose stretch exceeded 1+QoS
-	// ScoredMachines counts scoreMachine calls — the work the perf story
-	// is about: naive pays jobs×machines, incremental a few per arrival.
+	// ScoredMachines counts machines scored — the work the perf story is
+	// about: naive pays jobs×machines, incremental a few per arrival.
 	ScoredMachines int64
+	// Templates and DecisionEntries are the sizes the template and decision
+	// tables ended the run at: how few distinct residual states the fleet
+	// passed through, and how many decisions were ever computed for them.
+	Templates       int
+	DecisionEntries int
 }
 
 // Digest is an FNV-1a fingerprint of the schedule rows in job-ID order
@@ -197,8 +201,19 @@ type run struct {
 	energy     float64
 	busySec    float64
 
-	scored atomic.Int64
+	// arrival numbers selectIncremental's calls and decided[id] holds the
+	// decision on template id of the call stamped in it, so machines
+	// sharing a template pay one decision-table probe per arrival.
+	arrival int
+	decided []arrivalDecision
+
+	scored int64
 	res    *Result
+}
+
+type arrivalDecision struct {
+	arrival int
+	dec     *candidate
 }
 
 // Schedule places the job stream on the fleet and simulates it to
@@ -219,26 +234,7 @@ func (s *scorer) schedule(jobs []Job, opt Options) (*Result, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("fleet: empty job stream")
 	}
-	r := &run{
-		f:      f,
-		s:      s,
-		opt:    ropt,
-		states: make([]machState, f.Machines()),
-		byID:   make(map[int]*placedJob, 64),
-		res:    &Result{Scorer: ropt.Scorer, QoS: ropt.QoS, Placed: make([]Placed, len(jobs))},
-	}
-	for i := range r.states {
-		m := &r.states[i]
-		m.class = f.MachineClass[i]
-		m.recompute(f.Classes[m.class])
-		r.totalPower += m.power
-	}
-	if ropt.Scorer == ScorerIncremental {
-		r.treap = newMachTreap(f.Machines())
-		for i := range r.states {
-			r.treap.Insert(int32(i), r.states[i].congestion)
-		}
-	}
+	r := s.newRun(len(jobs), ropt)
 
 	order := make([]int, len(jobs))
 	for i := range order {
@@ -302,8 +298,39 @@ func (s *scorer) schedule(jobs []Job, opt Options) (*Result, error) {
 	}
 	res.MeanSlowdown = sumSlow / float64(len(jobs))
 	res.MeanWait = sumWait / float64(len(jobs))
-	res.ScoredMachines = r.scored.Load()
+	res.ScoredMachines = r.scored
+	res.Templates = int(s.templates.Load())
+	_, _, decisions := s.decision.Stats()
+	res.DecisionEntries = int(decisions)
 	return res, nil
+}
+
+// newRun builds the idle-fleet state of one scheduling pass: every machine
+// recomputed and interned, and the congestion treap for the incremental
+// scorer.
+func (s *scorer) newRun(jobs int, opt Options) *run {
+	f := s.f
+	r := &run{
+		f:      f,
+		s:      s,
+		opt:    opt,
+		states: make([]machState, f.Machines()),
+		byID:   make(map[int]*placedJob, 64),
+		res:    &Result{Scorer: opt.Scorer, QoS: opt.QoS, Placed: make([]Placed, jobs)},
+	}
+	for i := range r.states {
+		m := &r.states[i]
+		m.class = f.MachineClass[i]
+		s.retemplate(m)
+		r.totalPower += m.power
+	}
+	if opt.Scorer == ScorerIncremental {
+		r.treap = newMachTreap(f.Machines())
+		for i := range r.states {
+			r.treap.Insert(int32(i), r.states[i].congestion)
+		}
+	}
+	return r
 }
 
 // peek returns the next live completion event time.
@@ -348,9 +375,9 @@ func (r *run) drainAfterCompletion(jobs []Job, mi int, t float64) {
 		var cand candidate
 		var ok bool
 		if r.opt.Scorer == ScorerIncremental {
-			soloBest := r.s.soloBest(j)
-			cand = r.s.scoreMachine(mi, &r.states[mi], j, soloBest, r.opt.QoS, true)
-			r.scored.Add(1)
+			m := &r.states[mi]
+			cand = r.s.admit(m, j, r.s.decide(m, j, r.s.soloBest(j), r.opt.QoS), r.opt.QoS)
+			r.scored++
 			pmi, ok = mi, cand.feasible
 		} else {
 			pmi, cand, ok = r.selectMachine(j)
@@ -384,9 +411,9 @@ func (r *run) selectNaive(j *Job) (int, candidate, bool) {
 	n := len(r.states)
 	cands := make([]candidate, n)
 	parallel.ForEach(n, func(i int) {
-		cands[i] = r.s.scoreMachine(i, &r.states[i], j, soloBest, r.opt.QoS, false)
+		cands[i] = r.s.scoreMachine(&r.states[i], j, soloBest, r.opt.QoS)
 	})
-	r.scored.Add(int64(n))
+	r.scored += int64(n)
 	best := -1
 	for i := range cands {
 		if !cands[i].feasible {
@@ -404,47 +431,34 @@ func (r *run) selectNaive(j *Job) (int, candidate, bool) {
 	return best, cands[best], true
 }
 
-// probeWidth is how many machines the incremental scorer scores
-// speculatively in parallel per treap probe round. The schedule does not
-// depend on it: rounds are merged in treap order.
-const probeWidth = 8
-
-// selectIncremental probes machines in treap order, scoring probeWidth of
-// them speculatively in parallel per round, and stops at the first
-// feasible machine — identical to the naive argmin because the congestion
-// key is job-independent.
+// selectIncremental walks machines in treap order on the calling goroutine
+// and stops at the first feasible one — identical to the naive argmin
+// because the congestion key is job-independent. Nearly every probe is a
+// decision-table hit, so there is nothing for a fan-out to overlap.
 func (r *run) selectIncremental(j *Job) (int, candidate, bool) {
 	soloBest := r.s.soloBest(j)
-	batch := make([]int32, 0, probeWidth)
-	cands := make([]candidate, probeWidth)
-	afterKey := math.Inf(-1)
-	afterIdx := int32(-1)
-	for {
-		batch = batch[:0]
-		r.treap.WalkFrom(afterKey, afterIdx, func(i int32) bool {
-			if r.states[i].freeTotal >= 1 {
-				batch = append(batch, i)
-			}
-			return len(batch) < probeWidth
-		})
-		if len(batch) == 0 {
-			return 0, candidate{}, false
-		}
-		bn := len(batch)
-		parallel.ForEach(bn, func(k int) {
-			mi := batch[k]
-			cands[k] = r.s.scoreMachine(int(mi), &r.states[mi], j, soloBest, r.opt.QoS, true)
-		})
-		r.scored.Add(int64(bn))
-		for k := 0; k < bn; k++ {
-			if cands[k].feasible {
-				return int(batch[k]), cands[k], true
-			}
-		}
-		last := batch[bn-1]
-		afterKey = r.treap.nodes[last].key
-		afterIdx = last
+	r.arrival++
+	if n := int(r.s.templates.Load()); n > len(r.decided) {
+		r.decided = append(r.decided, make([]arrivalDecision, n)...) // at least doubles
 	}
+	var cand candidate
+	mi := -1
+	r.treap.WalkFrom(math.Inf(-1), -1, func(i int32) bool {
+		m := &r.states[i]
+		if m.freeTotal < 1 {
+			return true
+		}
+		r.scored++
+		d := &r.decided[m.tmpl]
+		if d.arrival != r.arrival {
+			*d = arrivalDecision{r.arrival, r.s.decide(m, j, soloBest, r.opt.QoS)}
+		}
+		if cand = r.s.admit(m, j, d.dec, r.opt.QoS); cand.feasible {
+			mi = int(i)
+		}
+		return mi < 0
+	})
+	return mi, cand, mi >= 0
 }
 
 // selectBinpack is the interference-blind baseline: first machine by index
@@ -456,18 +470,16 @@ func (r *run) selectBinpack(j *Job) (int, candidate, bool) {
 		if m.freeTotal < 1 {
 			continue
 		}
-		r.scored.Add(1)
-		c := r.f.Classes[m.class]
-		sc := r.s.pool.Get().(*scratch)
-		sc.views = canonGroups(c, m, sc.views)
+		r.scored++
+		views := m.canon(r.f.Classes[m.class])
 		t := j.MaxThreads
 		if t > m.freeTotal {
 			t = m.freeTotal
 		}
 		var dist distVec
 		left := t
-		for i := range sc.views {
-			k := sc.views[i].free
+		for i := range views {
+			k := views[i].free
 			if k > left {
 				k = left
 			}
@@ -477,13 +489,12 @@ func (r *run) selectBinpack(j *Job) (int, candidate, bool) {
 				break
 			}
 		}
-		sm := r.s.soloFor(m.class, j, makeShapeKey(sc.views, dist))
+		sm := r.s.soloFor(m.class, j, makeShapeKey(views, dist))
 		cand := candidate{feasible: true, threads: t,
 			unitSec: sm.unitSec, busJ: sm.busJ, sensJ: sm.sensJ}
-		for i := range sc.views {
-			cand.dist[sc.views[i].real] = dist[i]
+		for i := range views {
+			cand.dist[views[i].real] = dist[i]
 		}
-		r.s.pool.Put(sc)
 		return mi, cand, true
 	}
 	return 0, candidate{}, false
@@ -513,7 +524,7 @@ func (r *run) refresh(mi int, t float64) {
 	c := r.f.Classes[m.class]
 	oldPower := m.power
 	oldOcc := c.cores - m.freeTotal
-	m.recompute(c)
+	r.s.retemplate(m)
 	r.totalPower += m.power - oldPower
 	r.totalOcc += (c.cores - m.freeTotal) - oldOcc
 	for _, pj := range m.residents {

@@ -3,6 +3,7 @@ package fleet
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"github.com/greenhpc/actor/internal/machine"
 	"github.com/greenhpc/actor/internal/memo"
@@ -120,37 +121,54 @@ func (c *Class) placementFor(sk shapeKey) topology.Placement {
 }
 
 // scorer holds the scoring memos shared by a scheduling run (and safely by
-// concurrent probe goroutines), all internal/memo tables over the typed
-// keys of keys.go.
+// the naive reference's scoring goroutines), all internal/memo tables over
+// the typed keys of keys.go.
 type scorer struct {
 	f *Fleet
 	// solo memoises the solo metrics per (class, signature, shape).
 	solo memo.Table[soloKey, soloMetrics]
 	// best memoises soloBest per (signature, budget).
 	best memo.Table[bestKey, float64]
-	// decision memoises chooseShape per (class, residual template,
-	// signature, budget). Only the incremental scorer consults it; the
-	// naive reference recomputes.
+	// template interns canonical residual templates into ids, dense from 0
+	// in first-seen order; templates counts the ids handed out.
+	template  memo.Table[templateKey, int32]
+	templates atomic.Int32
+	// decision memoises chooseShape per (template id, signature, budget).
+	// Only the incremental scorer consults it; the naive reference
+	// recomputes.
 	decision memo.Table[decisionKey, candidate]
 
 	pool sync.Pool // *scratch
 }
 
 type scratch struct {
-	views  []groupView
 	shapes []shape
-	dkey   decisionKey
 }
 
 func newScorer(f *Fleet) *scorer {
 	s := &scorer{f: f}
 	s.pool.New = func() any {
-		return &scratch{
-			views:  make([]groupView, 0, maxGroups),
-			shapes: make([]shape, 0, 2*maxGroups),
-		}
+		return &scratch{shapes: make([]shape, 0, 2*maxGroups)}
 	}
 	return s
+}
+
+// retemplate brings m's aggregates, canonical template and template id up
+// to date with its resident list — the one thing to call after changing it.
+func (s *scorer) retemplate(m *machState) {
+	m.recompute(s.f.Classes[m.class])
+	m.tmpl = s.intern(m)
+}
+
+// intern returns the id of m's canonical template as of its last recompute.
+// Machines whose residual states are equal group-for-group — whichever real
+// groups hold them — share an id, and with it every memoised decision.
+func (s *scorer) intern(m *machState) int32 {
+	key, h := makeTemplateKey(m.class, m.canon(s.f.Classes[m.class]), m.busSum, m.maxSens)
+	if id := s.template.Get(h, &key); id != nil {
+		return *id
+	}
+	return *s.template.Put(h, key, s.templates.Add(1)-1)
 }
 
 // soloFor solves (or recalls) the solo metrics of job j's signature under
@@ -196,10 +214,10 @@ func (s *scorer) soloBest(j *Job) float64 {
 	for ci, c := range s.f.Classes {
 		empty := &machState{class: ci}
 		empty.recompute(c)
-		sc.views = canonGroups(c, empty, sc.views)
-		sc.shapes = enumerateShapes(sc.views, j.MaxThreads, sc.shapes)
+		views := empty.canon(c)
+		sc.shapes = enumerateShapes(views, j.MaxThreads, sc.shapes)
 		for _, sh := range sc.shapes {
-			m := s.soloFor(ci, j, makeShapeKey(sc.views, sh.dist))
+			m := s.soloFor(ci, j, makeShapeKey(views, sh.dist))
 			if m.unitSec < best {
 				best = m.unitSec
 			}
@@ -222,19 +240,21 @@ type candidate struct {
 	sensJ    float64
 }
 
-// chooseShape evaluates every admissible shape of j on the canonical
-// template (views, busSum) and returns the decision: the feasible shape
+// chooseShape evaluates every admissible shape of j on m's canonical
+// template and returns the decision: the feasible shape
 // with the fastest predicted unit time (solo × interference), candidate
-// order breaking ties. Pure function of its arguments — the incremental
-// scorer memoises it under the template fingerprint.
-func (s *scorer) chooseShape(ci int, views []groupView, busSum float64, j *Job, soloBest float64, qos float64, sc *scratch) candidate {
-	c := s.f.Classes[ci]
+// order breaking ties. It reads nothing of m but the template, which is
+// what lets the incremental scorer memoise it under the template's id
+// (decide).
+func (s *scorer) chooseShape(m *machState, j *Job, soloBest, qos float64, sc *scratch) candidate {
+	c := s.f.Classes[m.class]
+	views := m.canon(c)
 	sc.shapes = enumerateShapes(views, j.MaxThreads, sc.shapes)
 	bound := (1 + qos) * soloBest
 	var dec candidate
 	bestPred := math.Inf(1)
 	for _, sh := range sc.shapes {
-		sm := s.soloFor(ci, j, makeShapeKey(views, sh.dist))
+		sm := s.soloFor(m.class, j, makeShapeKey(views, sh.dist))
 		// External cache pressure the job sees: resident working sets in
 		// the groups it occupies, thread-weighted.
 		var ext float64
@@ -244,7 +264,7 @@ func (s *scorer) chooseShape(ci int, views []groupView, busSum float64, j *Job, 
 			}
 		}
 		ext /= float64(sh.threads)
-		fac := composeFactor(sm.sensJ, ext, busSum+sm.busJ)
+		fac := composeFactor(sm.sensJ, ext, m.busSum+sm.busJ)
 		pred := sm.unitSec * fac
 		if pred > bound {
 			continue
@@ -265,44 +285,50 @@ func (s *scorer) chooseShape(ci int, views []groupView, busSum float64, j *Job, 
 	return dec
 }
 
-// scoreMachine runs the full admission decision of job j on machine m:
-// the template-level shape choice (memoised for the incremental scorer,
-// recomputed for the naive reference) followed by the resident-impact
-// check — placing the job must not push any resident's predicted slowdown
-// beyond its own QoS bound. The returned candidate has dist already mapped
-// to real group indices.
-func (s *scorer) scoreMachine(mi int, m *machState, j *Job, soloBest, qos float64, memoise bool) candidate {
+// decide is chooseShape on m's template, memoised under the template's id.
+func (s *scorer) decide(m *machState, j *Job, soloBest, qos float64) *candidate {
+	key := decisionKey{tmpl: m.tmpl, maxT: j.MaxThreads, sig: j.SigKey}
+	h := key.hash()
+	if dec := s.decision.Get(h, &key); dec != nil {
+		return dec
+	}
+	sc := s.pool.Get().(*scratch)
+	defer s.pool.Put(sc)
+	return s.decision.Put(h, key, s.chooseShape(m, j, soloBest, qos, sc))
+}
+
+// scoreMachine is the naive reference's admission decision of job j on
+// machine m: the template-level shape choice, recomputed where the
+// incremental scorer calls decide, followed by the same admit.
+func (s *scorer) scoreMachine(m *machState, j *Job, soloBest, qos float64) candidate {
 	if m.freeTotal < 1 {
 		return candidate{}
 	}
-	ci := m.class
-	c := s.f.Classes[ci]
 	sc := s.pool.Get().(*scratch)
 	defer s.pool.Put(sc)
-	sc.views = canonGroups(c, m, sc.views)
+	dec := s.chooseShape(m, j, soloBest, qos, sc)
+	return s.admit(m, j, &dec, qos)
+}
 
-	var dec *candidate
-	if memoise {
-		h := sc.dkey.fill(ci, sc.views, m.busSum, m.maxSens, j)
-		if dec = s.decision.Get(h, &sc.dkey); dec == nil {
-			dec = s.decision.Put(h, sc.dkey, s.chooseShape(ci, sc.views, m.busSum, j, soloBest, qos, sc))
-		}
-	} else {
-		d := s.chooseShape(ci, sc.views, m.busSum, j, soloBest, qos, sc)
-		dec = &d
-	}
+// admit takes the template-level decision dec for job j to machine m:
+// placing the job must not push any resident's predicted slowdown beyond
+// its own QoS bound. The returned candidate has dist mapped to m's real
+// group indices; it is infeasible when dec is or a resident objects.
+func (s *scorer) admit(m *machState, j *Job, dec *candidate, qos float64) candidate {
 	if !dec.feasible {
 		return candidate{}
 	}
+	c := s.f.Classes[m.class]
+	views := m.canon(c)
 
 	// Map the canonical-group distribution onto real groups, then check
 	// the marginal impact on every resident against its absolute bound.
 	out := *dec
 	var real distVec
 	var addWs [maxGroups]float64
-	for i := range sc.views {
+	for i := range views {
 		if k := dec.dist[i]; k > 0 {
-			g := sc.views[i].real
+			g := views[i].real
 			real[g] = k
 			addWs[g] = wsContribution(j.wsJ, j.shareJ, int(k))
 		}

@@ -1,0 +1,174 @@
+package fleet
+
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// TestValidateSchedules: every schedule the scorers produce — on the
+// shipped stream and on the legacy one — passes the independent validator.
+func TestValidateSchedules(t *testing.T) {
+	f, jobs := testStream(t, 160)
+	streams := map[string][]Job{
+		"stream": jobs,
+		"legacy": legacyGenJobs(t, StreamConfig{Jobs: 160, Seed: 42, ArrivalRate: 2, MeanSize: 3}),
+	}
+	for name, jobs := range streams {
+		for _, scorer := range []string{ScorerIncremental, ScorerNaive, ScorerBinpack} {
+			res := mustSchedule(t, f, jobs, Options{Scorer: scorer})
+			if err := Validate(f, jobs, res); err != nil {
+				t.Errorf("%s/%s: %v", name, scorer, err)
+			}
+		}
+	}
+}
+
+// TestValidateStudy validates the 10 000-job / 1000-machine study the
+// benchmarks schedule.
+func TestValidateStudy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10 000-job study")
+	}
+	f, err := ParseFleet("400*4x2+2x2:little,600*2x2", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := GenJobs(StreamConfig{Jobs: 10000, Seed: 42, ArrivalRate: 60, MeanSize: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scorer := range []string{ScorerIncremental, ScorerBinpack} {
+		res := mustSchedule(t, f, jobs, Options{Scorer: scorer})
+		if err := Validate(f, jobs, res); err != nil {
+			t.Errorf("%s: %v", scorer, err)
+		}
+	}
+}
+
+// TestValidateNamesTheViolation breaks one property of a valid schedule at a
+// time and expects the validator to name it.
+func TestValidateNamesTheViolation(t *testing.T) {
+	f, jobs := testStream(t, 160)
+	good := mustSchedule(t, f, jobs, Options{})
+	if err := Validate(f, jobs, good); err != nil {
+		t.Fatal(err)
+	}
+	// The capacity fault: job a, moved to fill group g of a machine on which
+	// row b held a core of that group at the same time.
+	a, b, g := -1, -1, -1
+	for i := range good.Placed {
+		for k := range good.Placed {
+			p, q := &good.Placed[i], &good.Placed[k]
+			if i == k || !(p.Start < q.Finish && q.Start < p.Finish) {
+				continue
+			}
+			for gi, size := range f.Classes[f.MachineClass[q.Machine]].groupSize {
+				if q.Dist[gi] > 0 && size <= jobs[i].MaxThreads {
+					a, b, g = i, k, gi
+				}
+			}
+		}
+	}
+	if a < 0 {
+		t.Fatal("no two rows to build the capacity fault from")
+	}
+	for _, tc := range []struct {
+		property string
+		breakIt  func(r *Result)
+	}{
+		{"placed once", func(r *Result) { r.Placed = r.Placed[:len(r.Placed)-1] }},
+		{"placed once", func(r *Result) { r.Placed[3].JobID = 4 }},
+		{"placed once", func(r *Result) { r.Placed[3].Machine = f.Machines() }},
+		{"start after arrival", func(r *Result) { r.Placed[3].Start = jobs[3].Arrival - 1e-6 }},
+		{"start after arrival", func(r *Result) { r.Placed[3].Finish = r.Placed[3].Start }},
+		{"thread budget", func(r *Result) { r.Placed[3].Threads = jobs[3].MaxThreads + 1 }},
+		{"distribution", func(r *Result) { r.Placed[3].Dist[0]++ }},
+		{"distribution", func(r *Result) { r.Placed[3].Dist[maxGroups-1] = 1 }},
+		{"core capacity", func(r *Result) {
+			p := &r.Placed[a]
+			p.Machine = r.Placed[b].Machine
+			p.Threads = f.Classes[f.MachineClass[p.Machine]].groupSize[g]
+			p.Dist = distVec{}
+			p.Dist[g] = int8(p.Threads)
+		}},
+		{"solo time", func(r *Result) { r.Placed[3].SoloSec *= 1 + 1e-9 }},
+		{"slowdown", func(r *Result) { r.Placed[3].Slowdown *= 1 + 1e-9 }},
+		{"QoS bound", func(r *Result) {
+			p := &r.Placed[3]
+			p.Finish = p.Start + 1.3*p.SoloSec
+			p.Slowdown = (p.Finish - p.Start) / p.SoloSec
+		}},
+		{"QoS bound", func(r *Result) { r.Violations = 1 }},
+		{"makespan", func(r *Result) { r.Makespan *= 2 }},
+		{"energy", func(r *Result) { r.EnergyJ *= 1 + 1e-6 }},
+		{"energy", func(r *Result) { r.ED2 *= 2 }},
+	} {
+		bad := *good
+		bad.Placed = slices.Clone(good.Placed)
+		tc.breakIt(&bad)
+		err := Validate(f, jobs, &bad)
+		if err == nil || !strings.Contains(err.Error(), "validate: "+tc.property+":") {
+			t.Errorf("broken %q reported as: %v", tc.property, err)
+		}
+	}
+}
+
+// TestTemplatesNeverStale drives a run through a random interleaving of
+// placements and completions and, after every event, re-derives every
+// machine's canonical template from its resident list alone: the cached
+// views and the interned id must be what a fresh recompute, canonGroups and
+// intern give, and no id may ever name two templates.
+func TestTemplatesNeverStale(t *testing.T) {
+	f, jobs := testStream(t, 400)
+	s := newScorer(f)
+	r := s.newRun(len(jobs), Options{QoS: 0.25, Scorer: ScorerIncremental})
+	named := map[int32]templateKey{}
+	check := func(event string) {
+		t.Helper()
+		for mi := range r.states {
+			m := &r.states[mi]
+			c := f.Classes[m.class]
+			fresh := machState{class: m.class, residents: m.residents}
+			fresh.recompute(c)
+			if want := canonGroups(c, &fresh, nil); !slices.Equal(m.canon(c), want) {
+				t.Fatalf("after %s: machine %d caches views %+v, residents give %+v", event, mi, m.canon(c), want)
+			}
+			if id := s.intern(&fresh); id != m.tmpl {
+				t.Fatalf("after %s: machine %d carries template %d, residents intern to %d", event, mi, m.tmpl, id)
+			}
+			key, _ := makeTemplateKey(m.class, m.canon(c), m.busSum, m.maxSens)
+			if prev, ok := named[m.tmpl]; ok && prev != key {
+				t.Fatalf("after %s: template id %d names two templates", event, m.tmpl)
+			}
+			named[m.tmpl] = key
+		}
+	}
+	check("start")
+	rng := rand.New(rand.NewSource(5))
+	now, next := 0.0, 0
+	for next < len(jobs) || len(r.byID) > 0 {
+		now += rng.ExpFloat64()
+		if next < len(jobs) && (len(r.byID) == 0 || rng.Intn(2) == 0) {
+			j := &jobs[next]
+			next++
+			if mi, cand, ok := r.selectMachine(j); ok {
+				r.place(j, mi, cand, now)
+				check("a placement")
+			}
+			continue
+		}
+		ids := make([]int, 0, len(r.byID))
+		for id := range r.byID {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		r.complete(jobs, ids[rng.Intn(len(ids))], now)
+		check("a completion")
+	}
+	if len(named) < 10 {
+		t.Errorf("run passed through only %d templates", len(named))
+	}
+}

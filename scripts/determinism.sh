@@ -7,14 +7,14 @@
 #   - pass the bit-identity tests: the parallel pipeline against its
 #     one-worker run, RunPhaseSweep against per-placement RunPhase, the lane
 #     and GEMM kernels against their scalar references, the fleet scorers
-#     against each other;
+#     against each other and against the legacy-stream pin;
 #   - reproduce the pinned fleet schedule digest (scripts/fleet_smoke.sh);
 #   - print `actorsim -fast` byte-identically to the first leg.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-TESTS='TestParallelPipelineDeterminism|TestRunPhaseSweep|TestHeteroSweepMatchesRunPhaseProperty|TestConcurrentHeteroSweeps|TestShardedMemoConcurrentSweeps|BitIdenti|TestGOMAXPROCSDeterminism'
+TESTS='TestParallelPipelineDeterminism|TestRunPhaseSweep|TestHeteroSweepMatchesRunPhaseProperty|TestConcurrentHeteroSweeps|TestShardedMemoConcurrentSweeps|BitIdenti|TestGOMAXPROCSDeterminism|TestLegacyStreamPinned'
 PKGS=(./internal/exp ./internal/machine ./internal/ann ./internal/fleet)
 
 ncpu="$(getconf _NPROCESSORS_ONLN)"
