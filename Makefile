@@ -59,12 +59,12 @@ dist-e2e:
 load-smoke:
 	scripts/load_smoke.sh
 
-## fuzz-smoke: run every Fuzz* target of the wire codec, the serving path
-## and the fleet spec parser for 10 s each (the toolchain fuzzes one target
-## per invocation). A crasher lands under the package's testdata/fuzz/ —
+## fuzz-smoke: run every Fuzz* target of the wire codec, the serving path,
+## the fleet spec parser and the topology descriptor parser for 10 s each
+## (the toolchain fuzzes one target per invocation). A crasher lands under the package's testdata/fuzz/ —
 ## commit it (CI).
 fuzz-smoke:
-	@set -e; for pkg in ./pkg/actor ./internal/wire ./internal/fleet; do \
+	@set -e; for pkg in ./pkg/actor ./internal/wire ./internal/fleet ./internal/topology; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s $$pkg; \

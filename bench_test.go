@@ -14,8 +14,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	pubactor "github.com/greenhpc/actor/pkg/actor"
 
@@ -174,18 +176,47 @@ func BenchmarkExtensionDVFS(b *testing.B) {
 	b.ReportMetric(avg("joint"), "joint-ED2")
 }
 
+// reportScalingFanOut closes a scaling-study benchmark: with the timer
+// stopped it runs op once more at GOMAXPROCS=1 and reports speedup — that
+// serial wall time over the benchmark's mean op, i.e. what the study's
+// (scale × benchmark × phase) fan-out gains from the cores it was given —
+// and tasks, the number of sweeps one op fans out.
+func reportScalingFanOut(b *testing.B, s *exp.Suite, scales int, op func() error) {
+	b.StopTimer()
+	perOp := b.Elapsed() / time.Duration(b.N)
+	prev := runtime.GOMAXPROCS(1)
+	t0 := time.Now()
+	err := op()
+	serial := time.Since(t0)
+	runtime.GOMAXPROCS(prev)
+	if err != nil {
+		b.Fatal(err)
+	}
+	phases := 0
+	for _, bench := range s.Benches {
+		phases += len(bench.Phases)
+	}
+	b.ReportMetric(serial.Seconds()/perOp.Seconds(), "speedup")
+	b.ReportMetric(float64(scales*phases), "tasks")
+}
+
 // BenchmarkExtensionFutureScaling reports the oracle throttling gain at 4
-// and 32 cores.
+// and 32 cores, and what the study's fan-out gains over one worker.
 func BenchmarkExtensionFutureScaling(b *testing.B) {
 	s, _ := sharedSuite(b)
 	var r *exp.FutureScalingResult
-	for i := 0; i < b.N; i++ {
-		var err error
+	op := func() (err error) {
 		r, err = s.FutureScaling()
-		if err != nil {
+		return err
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportScalingFanOut(b, s, len(r.Cores), op)
 	b.ReportMetric(r.AverageGain(4)*100, "gain4cores-pct")
 	b.ReportMetric(r.AverageGain(32)*100, "gain32cores-pct")
 }
@@ -193,17 +224,23 @@ func BenchmarkExtensionFutureScaling(b *testing.B) {
 // BenchmarkExtensionHeteroScaling reports the oracle throttling gain on the
 // default heterogeneous scenarios (64-core homogeneous baseline up to the
 // 128-core big/little part), exercising the balanced placement enumeration
-// and the class-aware sweep solve end to end.
+// and the class-aware sweep solve end to end, and what the study's fan-out
+// gains over one worker.
 func BenchmarkExtensionHeteroScaling(b *testing.B) {
 	s, _ := sharedSuite(b)
 	var r *exp.HeteroScalingResult
-	for i := 0; i < b.N; i++ {
-		var err error
+	op := func() (err error) {
 		r, err = s.HeteroScaling(nil)
-		if err != nil {
+		return err
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportScalingFanOut(b, s, len(r.Scenarios), op)
 	b.ReportMetric(r.AverageGain("64 big")*100, "gain64big-pct")
 	b.ReportMetric(r.AverageGain("64b+64L")*100, "gain128hetero-pct")
 }

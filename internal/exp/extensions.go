@@ -16,7 +16,6 @@ import (
 
 	"github.com/greenhpc/actor/internal/core"
 	"github.com/greenhpc/actor/internal/dvfs"
-	"github.com/greenhpc/actor/internal/machine"
 	"github.com/greenhpc/actor/internal/parallel"
 	"github.com/greenhpc/actor/internal/report"
 	"github.com/greenhpc/actor/internal/topology"
@@ -103,61 +102,33 @@ type FutureScalingResult struct {
 // machines: the paper's prediction that "future generation systems with
 // many cores will be further prone to scalability limitations".
 //
-// The (core count × benchmark) cells are independent and fan out through
-// the parallel engine with index-addressed results; each cell sweeps every
-// phase across the scale's full placement set in one RunPhaseSweep call, so
-// the per-phase invariants (miss-rate tables, scratch, the all-cores
-// evaluation the gain is normalised against) are solved once per phase
-// instead of once per placement. The machine model is pure, so the table is
-// bit-identical to the sequential loop at any GOMAXPROCS.
+// Candidates are each machine's full canonical placement enumeration. The
+// study runs on the shared scaling driver (scalingGains): one task per (core
+// count, benchmark, phase), each sweeping the phase across the scale's whole
+// placement set in one RunPhaseSweep call, bit-identical at any GOMAXPROCS.
 func (s *Suite) FutureScaling() (*FutureScalingResult, error) {
 	res := &FutureScalingResult{
 		Cores:      []int{4, 8, 16, 32},
 		Gain:       map[int]map[string]float64{},
 		Placements: map[int]int{},
 	}
-	type scale struct {
-		m          *machine.Machine
-		placements []topology.Placement
-	}
 	scales := make([]scale, len(res.Cores))
 	for si, cores := range res.Cores {
-		topo := topology.Manycore(cores, 2)
-		m, err := machine.New(topo)
-		if err != nil {
-			return nil, err
+		scales[si] = scale{
+			name:      fmt.Sprintf("future scaling at %d cores", cores),
+			topo:      func() (*topology.Topology, error) { return topology.Manycore(cores, 2), nil },
+			enumerate: topology.EnumeratePlacements,
 		}
-		scales[si] = scale{m: m, placements: topology.EnumeratePlacements(topo)}
-		res.Placements[cores] = len(scales[si].placements)
 	}
-	nb := len(s.Benches)
-	gains, err := parallel.Map(len(res.Cores)*nb, func(i int) (float64, error) {
-		sc, b := scales[i/nb], s.Benches[i%nb]
-		// EnumeratePlacements orders by thread count: the last placement
-		// is the all-cores configuration the paper normalises against.
-		dst := make([]machine.Result, len(sc.placements))
-		var tAll, tBest float64
-		for pi := range b.Phases {
-			sc.m.RunPhaseSweep(&b.Phases[pi], b.Idiosyncrasy, sc.placements, dst)
-			ta := dst[len(dst)-1].TimeSec
-			tb := ta
-			for ri := range dst {
-				if tt := dst[ri].TimeSec; tt < tb {
-					tb = tt
-				}
-			}
-			tAll += ta
-			tBest += tb
-		}
-		return 1 - tBest/tAll, nil
-	})
+	gains, err := scalingGains(scales, s.Benches)
 	if err != nil {
 		return nil, err
 	}
 	for si, cores := range res.Cores {
+		res.Placements[cores] = len(scales[si].placements)
 		row := map[string]float64{}
 		for bi, b := range s.Benches {
-			row[b.Name] = gains[si*nb+bi]
+			row[b.Name] = gains[si][bi]
 		}
 		res.Gain[cores] = row
 	}

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/greenhpc/actor/internal/machine"
-	"github.com/greenhpc/actor/internal/parallel"
 	"github.com/greenhpc/actor/internal/report"
 	"github.com/greenhpc/actor/internal/topology"
 )
@@ -59,13 +57,23 @@ type HeteroScalingResult struct {
 // actually choose, and the space that stays tractable at 128 cores where
 // the full occupancy-multiset enumeration has millions of members.
 //
-// The (scenario × benchmark) cells are independent and fan out through the
-// parallel engine; each cell sweeps every phase across the scenario's full
-// candidate set in one RunPhaseSweep call. The machine model is pure, so
-// the table is bit-identical at any GOMAXPROCS.
+// The study runs on the shared scaling driver (scalingGains): one task per
+// (scenario, benchmark, phase), bit-identical at any GOMAXPROCS.
 func (s *Suite) HeteroScaling(scenarios []HeteroScenario) (*HeteroScalingResult, error) {
 	if scenarios == nil {
 		scenarios = DefaultHeteroScenarios()
+	}
+	scales := make([]scale, len(scenarios))
+	for si, sc := range scenarios {
+		scales[si] = scale{
+			name:      fmt.Sprintf("hetero scenario %q", sc.Name),
+			topo:      func() (*topology.Topology, error) { return topology.ParseDesc(sc.Desc) },
+			enumerate: topology.BalancedPlacements,
+		}
+	}
+	gains, err := scalingGains(scales, s.Benches)
+	if err != nil {
+		return nil, err
 	}
 	res := &HeteroScalingResult{
 		Scenarios:  scenarios,
@@ -73,53 +81,12 @@ func (s *Suite) HeteroScaling(scenarios []HeteroScenario) (*HeteroScalingResult,
 		Placements: map[string]int{},
 		Gain:       map[string]map[string]float64{},
 	}
-	type scale struct {
-		m          *machine.Machine
-		placements []topology.Placement
-	}
-	scales := make([]scale, len(scenarios))
 	for si, sc := range scenarios {
-		topo, err := topology.ParseDesc(sc.Desc)
-		if err != nil {
-			return nil, fmt.Errorf("hetero scenario %q: %w", sc.Name, err)
-		}
-		m, err := machine.New(topo)
-		if err != nil {
-			return nil, fmt.Errorf("hetero scenario %q: %w", sc.Name, err)
-		}
-		scales[si] = scale{m: m, placements: topology.BalancedPlacements(topo)}
-		res.Cores[sc.Name] = topo.NumCores
+		res.Cores[sc.Name] = scales[si].m.Topo.NumCores
 		res.Placements[sc.Name] = len(scales[si].placements)
-	}
-	nb := len(s.Benches)
-	gains, err := parallel.Map(len(scenarios)*nb, func(i int) (float64, error) {
-		sc, b := scales[i/nb], s.Benches[i%nb]
-		// The balanced enumeration orders by thread count: the last
-		// placement occupies every core of every family — the "use the
-		// whole machine" default the gain is normalised against.
-		dst := make([]machine.Result, len(sc.placements))
-		var tAll, tBest float64
-		for pi := range b.Phases {
-			sc.m.RunPhaseSweep(&b.Phases[pi], b.Idiosyncrasy, sc.placements, dst)
-			ta := dst[len(dst)-1].TimeSec
-			tb := ta
-			for ri := range dst {
-				if tt := dst[ri].TimeSec; tt < tb {
-					tb = tt
-				}
-			}
-			tAll += ta
-			tBest += tb
-		}
-		return 1 - tBest/tAll, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for si, sc := range scenarios {
 		row := map[string]float64{}
 		for bi, b := range s.Benches {
-			row[b.Name] = gains[si*nb+bi]
+			row[b.Name] = gains[si][bi]
 		}
 		res.Gain[sc.Name] = row
 	}

@@ -203,14 +203,20 @@ func NewFleet(classes []*Class, counts []int) (*Fleet, error) {
 	return f, nil
 }
 
+// maxSpecMachines bounds the fleet a spec may describe: a Fleet holds a
+// class index per machine, and a run holds a machState (≈1 KiB) per machine.
+const maxSpecMachines = 1 << 20
+
 // ParseFleet builds a fleet from a compact spec: comma-separated
-// "count*descriptor" terms, where descriptor follows topology.ParseDesc.
+// "count*descriptor" terms, where descriptor follows topology.ParseDesc and
+// the counts add up to at most maxSpecMachines.
 //
 //	"64*2x2"                          — 64 quad-cores
 //	"600*4x2,400*2x4+2x2:little"      — a 1000-machine heterogeneous fleet
 func ParseFleet(spec string, params *machine.Params) (*Fleet, error) {
 	var classes []*Class
 	var counts []int
+	var machines uint64
 	for _, term := range strings.Split(spec, ",") {
 		term = strings.TrimSpace(term)
 		star := strings.Index(term, "*")
@@ -222,6 +228,9 @@ func ParseFleet(spec string, params *machine.Params) (*Fleet, error) {
 		n, err := strconv.ParseUint(term[:star], 10, 31)
 		if err != nil || n == 0 {
 			return nil, fmt.Errorf("fleet: bad machine count in %q", term)
+		}
+		if machines += n; machines > maxSpecMachines {
+			return nil, fmt.Errorf("fleet: spec %q describes more than the limit of %d machines", spec, maxSpecMachines)
 		}
 		c, err := NewClass(term[star+1:], params)
 		if err != nil {

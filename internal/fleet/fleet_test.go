@@ -332,6 +332,9 @@ func TestParseFleet(t *testing.T) {
 		{"0x10*2x2", 0}, // not decimal
 		{"1e3*2x2", 0},  // not an integer
 		{"99999999999*2x2", 0},
+		{"1048577*2x2", 0},       // one past maxSpecMachines
+		{"1048576*2x2,1*2x2", 0}, // the terms add up past it
+		{"1*999999x999999", 0},   // topology.ParseDesc's core limit
 	} {
 		f, err := ParseFleet(tc.spec, nil)
 		switch {
@@ -346,6 +349,9 @@ func TestParseFleet(t *testing.T) {
 	if _, err := ParseFleet("3abc*2x2", nil); err == nil || !strings.Contains(err.Error(), `bad machine count in "3abc*2x2"`) {
 		t.Errorf("count error does not name the term: %v", err)
 	}
+	if _, err := ParseFleet("2000000000*2x2", nil); err == nil || !strings.Contains(err.Error(), "limit of 1048576 machines") {
+		t.Errorf("fleet-size error does not name the limit: %v", err)
+	}
 }
 
 // FuzzParseFleet: no spec panics, and an accepted spec builds as many
@@ -355,21 +361,11 @@ func FuzzParseFleet(f *testing.F) {
 	for _, seed := range []string{
 		"64*2x2", "12*2x2,4*1x4+2x2:little", "3abc*2x2", "+2 *2x2", "*2x2", "3*",
 		"2*1x4+2x2:slow(0.5,1.2)@2.4", "1*2x2,,", "9*9x9+9x9", "1*17x1",
+		"999999*2x2", "2000000000*1x1", "1*999999x999999", "600000*2x2,600000*1x4",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		// Counts, group counts and group sizes of three digits and more
-		// build fleets and topologies of millions of cores: correct, but
-		// not what ten seconds of fuzzing should spend its memory on.
-		digits := 0
-		for i := 0; i < len(spec); i++ {
-			if spec[i] < '0' || spec[i] > '9' {
-				digits = 0
-			} else if digits++; digits > 2 {
-				t.Skip()
-			}
-		}
 		fl, err := ParseFleet(spec, nil)
 		if err != nil {
 			return

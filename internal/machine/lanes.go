@@ -77,8 +77,9 @@ func (ls *laneState) append(base, pfx, q, min, divf, cnt, miss float64) {
 	ls.miss = append(ls.miss, miss)
 }
 
-// sizeDerived sizes the per-iteration arrays to match the appended lanes
-// and clears the retirement mask.
+// sizeDerived sizes the per-iteration arrays to match the appended lanes,
+// clears the retirement mask and starts every lane's bus factor at 1 — the
+// uncontended bus every placement's fixed point starts from.
 func (ls *laneState) sizeDerived() {
 	n := ls.len()
 	if cap(ls.bus) < n {
@@ -93,6 +94,7 @@ func (ls *laneState) sizeDerived() {
 	ls.done = ls.done[:n]
 	for i := range ls.done {
 		ls.done[i] = false
+		ls.bus[i] = 1
 	}
 }
 

@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"bytes"
 	"math"
 	"sync"
+	"unsafe"
 
 	"github.com/greenhpc/actor/internal/pmu"
 	"github.com/greenhpc/actor/internal/topology"
@@ -83,8 +85,10 @@ type phaseCtx struct {
 	traffic   []float64
 	converged []bool
 
-	// pend lists the block's placements awaiting solve + finish.
-	pend []pendingPlacement
+	// pend lists the block's placements awaiting solve + finish; on a
+	// memoised sweep pendMemo[i] is where pend[i]'s result will be stored.
+	pend     []pendingPlacement
+	pendMemo []pendingMemo
 
 	// respFP/respSeed cache the response-factor hash state after mixing
 	// the phase fingerprint and separator — the prefix is identical for
@@ -98,7 +102,7 @@ type phaseCtx struct {
 	// of a sweep's placements slice (RunPhase uses index 0). The list
 	// depends only on the topology and class layout, never on the phase, so
 	// sweeping the same placements across many phases resolves each once
-	// and replays it afterwards; a lookup is an index plus a comparison
+	// and replays it afterwards; a lookup is an index plus one memory compare
 	// against the plan's own copy of the cores, and a different placement
 	// turning up at the index just re-resolves in place. planTopo/planSig
 	// pin the machine the plans were built against; a pooled context picked
@@ -122,15 +126,20 @@ type planLane struct {
 }
 
 // pendingPlacement is one memo-missing placement queued into the current
-// solve block: where its lanes live in the flat scratch, and everything
-// needed to finish the result and insert it into the memo.
+// solve block: its position in the sweep's placements/dst slices and where
+// its lanes live in the flat scratch. It holds no pointer — the placement
+// itself is read back through idx — so a pooled context never pins a
+// caller's placements.
 type pendingPlacement struct {
-	idx  int // position in the sweep's placements/dst slices
-	pl   topology.Placement
-	hash uint64 // memo hash/key (memoised sweeps only)
-	key  memoKey
+	idx            int
+	laneOff, laneN int32
+}
 
-	laneOff, laneN int
+// pendingMemo is what a memoised sweep keeps of a miss between lookup and
+// store: the two hashes the lookup computed. The verification key is rebuilt
+// from the placement at store time (keyFor is field copies).
+type pendingMemo struct {
+	hash, coresHash uint64
 }
 
 var ctxPool = sync.Pool{New: func() any { return &phaseCtx{} }}
@@ -147,6 +156,7 @@ func (ctx *phaseCtx) resetPhase() {
 func (ctx *phaseCtx) resetBlock() {
 	ctx.lanes.reset()
 	ctx.pend = ctx.pend[:0]
+	ctx.pendMemo = ctx.pendMemo[:0]
 }
 
 // sizeFor grows the per-placement scratch for a placement of n threads over
@@ -192,9 +202,9 @@ func (m *Machine) computePhase(p *workload.PhaseProfile, idio float64, pl topolo
 	ctx.resetPhase()
 	ctx.resetBlock()
 	ctx.bindMachine(m)
-	m.prepPlacement(ctx, p, pl, 0, 0, memoKey{})
+	m.prepPlacement(ctx, p, &pl, 0)
 	m.solveBlock(ctx, p)
-	m.finishPlacement(ctx, &ctx.pend[0], 0, p, idio, res)
+	m.finishPlacement(ctx, 0, &pl, p, idio, res)
 	ctxPool.Put(ctx)
 }
 
@@ -203,7 +213,7 @@ func (m *Machine) computePhase(p *workload.PhaseProfile, idio float64, pl topolo
 // that lane's CPI fully factored out. The factored terms are the exact
 // sub-expressions (same operands, same order) of the threadCPI composition
 // (see lanes.go).
-func (m *Machine) prepPlacement(ctx *phaseCtx, p *workload.PhaseProfile, pl topology.Placement, idx int, hash uint64, key memoKey) {
+func (m *Machine) prepPlacement(ctx *phaseCtx, p *workload.PhaseProfile, pl *topology.Placement, idx int) {
 	n := pl.Threads()
 	if n == 0 {
 		panic("machine: placement with no cores")
@@ -230,8 +240,7 @@ func (m *Machine) prepPlacement(ctx *phaseCtx, p *workload.PhaseProfile, pl topo
 		m.appendLane(ctx, p, ln, mpiL1, branch, tlb, mlpL2, memPfx)
 	}
 	ctx.pend = append(ctx.pend, pendingPlacement{
-		idx: idx, pl: pl, hash: hash, key: key,
-		laneOff: laneOff, laneN: len(plan.lanes),
+		idx: idx, laneOff: int32(laneOff), laneN: int32(len(plan.lanes)),
 	})
 }
 
@@ -317,16 +326,15 @@ func (ctx *phaseCtx) bindMachine(m *Machine) {
 	}
 }
 
+// coresEqual compares two core lists by content — a plan must re-resolve when
+// a caller edits a placement's Cores in place — as one memory compare over the
+// slices' bytes.
 func coresEqual(a, b []topology.CoreID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(coreBytes(a), coreBytes(b))
+}
+
+func coreBytes(c []topology.CoreID) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(c))), len(c)*int(unsafe.Sizeof(topology.CoreID(0))))
 }
 
 // solveBlock iterates the CPI ↔ bus-bandwidth fixed point for every
@@ -358,32 +366,26 @@ func (m *Machine) solveBlock(ctx *phaseCtx, p *workload.PhaseProfile) {
 		ctx.traffic[o] = 0
 		ctx.converged[o] = false
 	}
-	ctx.lanes.sizeDerived()
+	ls := &ctx.lanes
+	ls.sizeDerived()
 
 	remaining := nPl
 	for iter := 0; iter < m.params.FixedPointIters && remaining > 0; iter++ {
-		// Fan each placement's bus factor out to its lanes, then advance
-		// every live lane in one element-wise step.
-		for o := range ctx.pend {
-			if ctx.converged[o] {
-				continue
-			}
-			pe := &ctx.pend[o]
-			for l := pe.laneOff; l < pe.laneOff+pe.laneN; l++ {
-				ctx.lanes.bus[l] = ctx.bus[o]
-			}
-		}
-		advanceLanes(&ctx.lanes, prefetchHide, p.MLP, freq, trafficPerMiss)
+		// Advance every live lane in one element-wise step; each lane reads
+		// its placement's bus factor from ls.bus, which starts at 1
+		// (sizeDerived) and is rewritten below by the update that moves it.
+		advanceLanes(ls, prefetchHide, p.MLP, freq, trafficPerMiss)
 
 		for o := range ctx.pend {
 			if ctx.converged[o] {
 				continue
 			}
 			pe := &ctx.pend[o]
+			lo, hi := int(pe.laneOff), int(pe.laneOff+pe.laneN)
 			// Offered FSB traffic: every thread of a lane offers the same.
 			var traffic float64
-			for l := pe.laneOff; l < pe.laneOff+pe.laneN; l++ {
-				traffic += float64(ctx.lanes.cnt[l] * ctx.lanes.contrib[l])
+			for l := lo; l < hi; l++ {
+				traffic += float64(ls.cnt[l] * ls.contrib[l])
 			}
 			newFactor := m.fsb.LatencyFactor(traffic)
 			updated := 0.5*ctx.bus[o] + 0.5*newFactor
@@ -394,11 +396,15 @@ func (m *Machine) solveBlock(ctx *phaseCtx, p *workload.PhaseProfile) {
 				// lanes out of subsequent steps.
 				ctx.converged[o] = true
 				remaining--
-				for l := pe.laneOff; l < pe.laneOff+pe.laneN; l++ {
-					ctx.lanes.done[l] = true
+				for l := lo; l < hi; l++ {
+					ls.done[l] = true
 				}
+				continue
 			}
 			ctx.bus[o] = updated
+			for l := lo; l < hi; l++ {
+				ls.bus[l] = updated
+			}
 		}
 	}
 }
@@ -430,7 +436,7 @@ func log2N(n int) float64 {
 // placement name is folded per result. The byte sequence folded into the
 // hash is identical either way, so the factor is bit-identical to
 // responseFactor (test-enforced).
-func (m *Machine) responseFactorCtx(ctx *phaseCtx, p *workload.PhaseProfile, pl topology.Placement) float64 {
+func (m *Machine) responseFactorCtx(ctx *phaseCtx, p *workload.PhaseProfile, pl *topology.Placement) float64 {
 	if m.params.ResponseSigma <= 0 || p.Fingerprint == "" || pl.Threads() <= 1 {
 		return 1
 	}
@@ -463,10 +469,12 @@ func (m *Machine) responseFactorCtx(ctx *phaseCtx, p *workload.PhaseProfile, pl 
 
 // finishPlacement turns one solved placement into *res: cycle accounting,
 // PMU event synthesis and power-model activity. o is the placement's index
-// within the solve block (its slot in ctx.bus/ctx.traffic). Every field of
-// *res is overwritten.
-func (m *Machine) finishPlacement(ctx *phaseCtx, pe *pendingPlacement, o int, p *workload.PhaseProfile, idio float64, res *Result) {
-	n := pe.pl.Threads()
+// within the solve block (its slot in ctx.pend/ctx.bus/ctx.traffic) and pl
+// the placement queued there. Every field of *res is overwritten.
+func (m *Machine) finishPlacement(ctx *phaseCtx, o int, pl *topology.Placement, p *workload.PhaseProfile, idio float64, res *Result) {
+	pe := &ctx.pend[o]
+	laneLo, laneHi := int(pe.laneOff), int(pe.laneOff+pe.laneN)
+	n := pl.Threads()
 	busFactor := ctx.bus[o]
 	busUtil := m.fsb.Utilization(ctx.traffic[o])
 	freq := m.Topo.FrequencyHz * m.clockScale()
@@ -483,7 +491,7 @@ func (m *Machine) finishPlacement(ctx *phaseCtx, pe *pendingPlacement, o int, p 
 	// --- Cycle accounting ----------------------------------------------
 	// Serial section runs on one thread — the placement's first core, with
 	// a single-thread L2 share and that core's class.
-	cls0 := m.classOf(pe.pl.Cores[0])
+	cls0 := m.classOf(pl.Cores[0])
 	serMiss := ctx.missFor(m, p, 1)
 	serCPI := m.threadCPI(p, mpiL1, serMiss, busFactor, 1, cls0) / cls0.FreqMult
 	serCycles := serInstr * serCPI
@@ -502,7 +510,7 @@ func (m *Machine) finishPlacement(ctx *phaseCtx, pe *pendingPlacement, o int, p 
 	// lane whose CPI is not positive contributes no IPC rather than +Inf.
 	ls := &ctx.lanes
 	var maxCPI, sumIPC, sumMiss float64
-	for l := pe.laneOff; l < pe.laneOff+pe.laneN; l++ {
+	for l := laneLo; l < laneHi; l++ {
 		c := ls.cpi[l]
 		if c > maxCPI {
 			maxCPI = c
@@ -540,7 +548,7 @@ func (m *Machine) finishPlacement(ctx *phaseCtx, pe *pendingPlacement, o int, p 
 	if bwCycles > wallCycles {
 		wallCycles = bwCycles
 	}
-	wallCycles *= m.responseFactorCtx(ctx, p, pe.pl)
+	wallCycles *= m.responseFactorCtx(ctx, p, pl)
 	timeSec := wallCycles / freq
 
 	res.TimeSec = timeSec
@@ -552,7 +560,7 @@ func (m *Machine) finishPlacement(ctx *phaseCtx, pe *pendingPlacement, o int, p 
 
 	// --- Activity for the power model ------------------------------------
 	// The representative core is the placement's first: lane 0's.
-	stall := m.stallFraction(p, mpiL1, ls.miss[pe.laneOff], busFactor, cls0)
+	stall := m.stallFraction(p, mpiL1, ls.miss[laneLo], busFactor, cls0)
 	res.Activity = Activity{
 		TimeSec:          timeSec,
 		ActiveCores:      n,
@@ -584,6 +592,12 @@ func (m *Machine) RunPhaseSweep(p *workload.PhaseProfile, idio float64, placemen
 		panic("machine: RunPhaseSweep dst shorter than placements")
 	}
 	ctx := ctxPool.Get().(*phaseCtx)
+	m.sweepOn(ctx, p, idio, placements, dst)
+	ctxPool.Put(ctx)
+}
+
+// sweepOn is RunPhaseSweep on the given scratch context.
+func (m *Machine) sweepOn(ctx *phaseCtx, p *workload.PhaseProfile, idio float64, placements []topology.Placement, dst []Result) {
 	ctx.resetPhase()
 	ctx.resetBlock()
 	ctx.bindMachine(m)
@@ -597,29 +611,30 @@ func (m *Machine) RunPhaseSweep(p *workload.PhaseProfile, idio float64, placemen
 			return
 		}
 		m.solveBlock(ctx, p)
-		for i := range ctx.pend {
-			pe := &ctx.pend[i]
-			m.finishPlacement(ctx, pe, i, p, idio, &dst[pe.idx])
+		for o := range ctx.pend {
+			idx := ctx.pend[o].idx
+			pl := &placements[idx]
+			m.finishPlacement(ctx, o, pl, p, idio, &dst[idx])
 			if useMemo {
-				m.memo.Put(pe.hash, pe.key, dst[pe.idx])
+				pm := ctx.pendMemo[o]
+				m.memo.Put(pm.hash, m.keyFor(p, idio, pl, pm.coresHash), dst[idx])
 			}
 		}
 		ctx.resetBlock()
 	}
 	for i := range placements {
-		pl := placements[i]
+		pl := &placements[i]
 		if useMemo {
 			coresHash := hashCores(pl.Cores)
-			hash := memoHash(seed, idio, &pl, coresHash)
-			key := m.keyFor(p, idio, &pl, coresHash)
+			hash := memoHash(seed, idio, pl, coresHash)
+			key := m.keyFor(p, idio, pl, coresHash)
 			if res := m.memo.Get(hash, &key); res != nil {
 				dst[i] = *res
 				continue
 			}
-			m.prepPlacement(ctx, p, pl, i, hash, key)
-		} else {
-			m.prepPlacement(ctx, p, pl, i, 0, memoKey{})
+			ctx.pendMemo = append(ctx.pendMemo, pendingMemo{hash: hash, coresHash: coresHash})
 		}
+		m.prepPlacement(ctx, p, pl, i)
 		if len(ctx.pend) >= sweepSolveBlock {
 			flush()
 		}
@@ -630,7 +645,6 @@ func (m *Machine) RunPhaseSweep(p *workload.PhaseProfile, idio float64, placemen
 			m.perturb(&dst[i])
 		}
 	}
-	ctxPool.Put(ctx)
 }
 
 // RunPhaseSweepDeterministic fills dst like RunPhaseSweep but never draws

@@ -2,9 +2,11 @@ package machine
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/greenhpc/actor/internal/noise"
 	"github.com/greenhpc/actor/internal/topology"
@@ -203,5 +205,163 @@ func TestShardedMemoConcurrentSweeps(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Error("no memo hits under concurrent sweeps")
+	}
+}
+
+// heteroSweepFixture is a 12-core big/little machine, its balanced
+// placements, and a second placement set of the same length with different
+// cores at every index (the same placements in reverse order).
+func heteroSweepFixture(t *testing.T) (m *Machine, a, b []topology.Placement) {
+	t.Helper()
+	topo, err := topology.ParseDesc("2x4+2x2:little")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err = New(topo); err != nil {
+		t.Fatal(err)
+	}
+	a = topology.BalancedPlacements(topo)
+	b = make([]topology.Placement, len(a))
+	for i := range a {
+		b[i] = a[len(a)-1-i]
+	}
+	for i := range a {
+		if coresEqual(a[i].Cores, b[i].Cores) {
+			t.Fatalf("fixture: index %d holds the same cores in both sets", i)
+		}
+	}
+	return m, a, b
+}
+
+func checkSweepAgainstRunPhase(t *testing.T, what string, m *Machine, p *workload.PhaseProfile, idio float64, placements []topology.Placement, dst []Result) {
+	t.Helper()
+	for i, pl := range placements {
+		if !resultsBitIdentical(dst[i], m.RunPhase(p, idio, pl)) {
+			t.Fatalf("%s: sweep result %d (%s) diverges from RunPhase", what, i, pl)
+		}
+	}
+}
+
+// TestSweepPlansFollowPlacementContent pins the plan cache of a sweep
+// context: plans are looked up by index but verified by content, so a
+// different placement set on the same context — and a Cores slice edited in
+// place — re-resolves instead of replaying a stale lane list.
+func TestSweepPlansFollowPlacementContent(t *testing.T) {
+	m, setA, setB := heteroSweepFixture(t)
+	p := testPhase()
+	ctx := &phaseCtx{}
+	dst := make([]Result, len(setA))
+
+	m.sweepOn(ctx, &p, 0.1, setA, dst)
+	checkSweepAgainstRunPhase(t, "set A", m, &p, 0.1, setA, dst)
+	m.sweepOn(ctx, &p, 0.1, setB, dst)
+	checkSweepAgainstRunPhase(t, "set B after set A", m, &p, 0.1, setB, dst)
+
+	// Move one thread of one placement from a big core to a little core,
+	// writing through the slice the context already resolved a plan for.
+	var edit *topology.Placement
+	for i := range setB {
+		if pl := &setB[i]; pl.Threads() == 1 && m.classIdxOf(pl.Cores[0]) == 0 {
+			edit = pl
+			break
+		}
+	}
+	if edit == nil {
+		t.Fatal("fixture has no single-thread big-core placement")
+	}
+	before := m.RunPhase(&p, 0.1, *edit)
+	edit.Cores[0] = topology.CoreID(m.Topo.NumCores - 1)
+	if resultsBitIdentical(before, m.RunPhase(&p, 0.1, *edit)) {
+		t.Fatal("fixture: the in-place edit does not change the placement's result")
+	}
+	m.sweepOn(ctx, &p, 0.1, setB, dst)
+	checkSweepAgainstRunPhase(t, "set B after an in-place edit", m, &p, 0.1, setB, dst)
+}
+
+// TestMemoisedSweepStoresEachMissUnderItsOwnKey sweeps a cold memo and then
+// re-reads every placement through RunPhase: each must be a hit (no new
+// miss) and return what a memo-less machine computes for that placement.
+func TestMemoisedSweepStoresEachMissUnderItsOwnKey(t *testing.T) {
+	plain, placements, _ := heteroSweepFixture(t)
+	memoised := plain.WithMemo()
+	p := testPhase()
+	dst := make([]Result, len(placements))
+	memoised.RunPhaseSweep(&p, 0.1, placements, dst)
+	if _, misses := memoised.MemoStats(); misses != uint64(len(placements)) {
+		t.Fatalf("cold sweep of %d placements recorded %d misses", len(placements), misses)
+	}
+	for i, pl := range placements {
+		got := memoised.RunPhase(&p, 0.1, pl)
+		if want := plain.RunPhase(&p, 0.1, pl); !resultsBitIdentical(got, want) || !resultsBitIdentical(dst[i], want) {
+			t.Fatalf("placement %d (%s): memo entry differs from the memo-less result", i, pl)
+		}
+	}
+	if hits, misses := memoised.MemoStats(); misses != uint64(len(placements)) || hits != uint64(len(placements)) {
+		t.Errorf("re-reading %d swept placements: %d hits, %d misses — an entry was stored under another placement's key",
+			len(placements), hits, misses)
+	}
+}
+
+// TestSweepContextReleasesPlacements: once a sweep returns, nothing reachable
+// from its (pooled) context points into the caller's placements — the slice,
+// any Cores array or any Name — so a long-lived context cannot pin a placement
+// set the caller has dropped. Memoised and memo-less sweeps alike.
+func TestSweepContextReleasesPlacements(t *testing.T) {
+	plain, placements, _ := heteroSweepFixture(t)
+	type span struct{ lo, hi uintptr }
+	spanOf := func(p unsafe.Pointer, n uintptr) span { return span{uintptr(p), uintptr(p) + n} }
+	callers := []span{spanOf(unsafe.Pointer(unsafe.SliceData(placements)), uintptr(len(placements))*unsafe.Sizeof(placements[0]))}
+	for _, pl := range placements {
+		callers = append(callers,
+			spanOf(unsafe.Pointer(unsafe.SliceData(pl.Cores)), uintptr(len(pl.Cores))*unsafe.Sizeof(pl.Cores[0])),
+			spanOf(unsafe.Pointer(unsafe.StringData(pl.Name)), uintptr(len(pl.Name))))
+	}
+	seen := map[uintptr]bool{}
+	var walk func(path string, v reflect.Value)
+	check := func(path string, p unsafe.Pointer) {
+		for _, s := range callers {
+			if a := uintptr(p); p != nil && a >= s.lo && a < s.hi {
+				t.Fatalf("%s points into the caller's placements", path)
+			}
+		}
+	}
+	walk = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || seen[v.Pointer()] {
+				return
+			}
+			seen[v.Pointer()] = true
+			check(path, v.UnsafePointer())
+			walk(path, v.Elem())
+		case reflect.Slice:
+			check(path, v.UnsafePointer())
+			full := v.Slice(0, v.Cap()) // truncated slices keep their elements alive
+			for i := 0; i < full.Len(); i++ {
+				walk(path+"[]", full.Index(i))
+			}
+		case reflect.String:
+			check(path, unsafe.Pointer(unsafe.StringData(v.String())))
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(path+"[]", v.Index(i))
+			}
+		case reflect.Map, reflect.Interface, reflect.Chan, reflect.Func:
+			if !v.IsNil() {
+				t.Fatalf("%s is a %s: teach this walk to follow it", path, v.Kind())
+			}
+		}
+	}
+	p := testPhase()
+	dst := make([]Result, len(placements))
+	for _, m := range []*Machine{plain, plain.WithMemo()} {
+		ctx := &phaseCtx{}
+		m.sweepOn(ctx, &p, 0.1, placements, dst)
+		ctx.planTopo = nil // the machine's topology, not the caller's placements
+		walk("ctx", reflect.ValueOf(ctx))
 	}
 }

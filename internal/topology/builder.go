@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -75,8 +76,8 @@ func (b *Builder) DefineClass(c CoreClass) *Builder {
 		b.fail(fmt.Errorf("topology: class with empty name"))
 		return b
 	}
-	if c.FreqMult <= 0 || c.CPIMult <= 0 {
-		b.fail(fmt.Errorf("topology: class %q has non-positive multipliers (freq %g, cpi %g)", c.Name, c.FreqMult, c.CPIMult))
+	if !finitePositive(c.FreqMult) || !finitePositive(c.CPIMult) {
+		b.fail(fmt.Errorf("topology: class %q multipliers must be finite and positive (freq %g, cpi %g)", c.Name, c.FreqMult, c.CPIMult))
 		return b
 	}
 	if c.SMTWidth < 1 {
@@ -265,6 +266,18 @@ func (b *Builder) describe() string {
 	return fmt.Sprintf("%d-core (%s)", cores, sb.String())
 }
 
+// finitePositive reports whether x is a usable clock or multiplier: NaN fails
+// every comparison, so "x <= 0" alone lets it through.
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// maxDescCores bounds the logical cores — count × size × SMT width, summed
+// over specs — a descriptor may ask ParseDesc to build, and with them every
+// group count and group size. Descriptors arrive from flags, fleet specs and
+// bank files, and everything downstream (the builder, machine.New, the
+// placement enumerations) allocates per core; the largest machine the studies
+// build has 128.
+const maxDescCores = 4096
+
 // ParseDesc builds a topology from a compact descriptor string:
 //
 //	desc  := spec { "+" spec } [ "@" GHz ]
@@ -282,7 +295,8 @@ func (b *Builder) describe() string {
 //	"16x2@3.0"                 — 32 cores clocked at 3 GHz
 //
 // Everything not in the descriptor (cache sizes, bus bandwidth) takes the
-// builder's defaults.
+// builder's defaults. Clocks and multipliers must be finite and positive, and
+// the machine described at most maxDescCores logical cores.
 func ParseDesc(desc string) (*Topology, error) {
 	s := strings.TrimSpace(desc)
 	if s == "" {
@@ -291,12 +305,13 @@ func ParseDesc(desc string) (*Topology, error) {
 	b := NewBuilder("")
 	if at := strings.LastIndex(s, "@"); at >= 0 {
 		ghz, err := strconv.ParseFloat(s[at+1:], 64)
-		if err != nil || ghz <= 0 {
+		if err != nil || !finitePositive(ghz*1e9) {
 			return nil, fmt.Errorf("topology: bad clock %q in descriptor %q", s[at+1:], desc)
 		}
 		b.Frequency(ghz * 1e9)
 		s = s[:at]
 	}
+	cores := 0
 	for _, spec := range strings.Split(s, "+") {
 		spec = strings.TrimSpace(spec)
 		className := ""
@@ -314,13 +329,24 @@ func ParseDesc(desc string) (*Topology, error) {
 			return nil, fmt.Errorf("topology: bad group spec %q in descriptor %q", spec, desc)
 		}
 		var opts []GroupOption
+		smt := 1
 		if className != "" {
 			name, err := parseClassInto(b, className)
 			if err != nil {
 				return nil, fmt.Errorf("topology: %w (descriptor %q)", err, desc)
 			}
+			if ci, ok := b.byName[name]; ok {
+				smt = b.classes[ci].SMTWidth
+			}
 			opts = append(opts, Class(name))
 		}
+		// Each factor is checked before it multiplies, so the running total
+		// stays far from overflow and nothing is allocated for a refused spec.
+		if count > maxDescCores || size > maxDescCores || smt > maxDescCores ||
+			count*size > maxDescCores || count*size*smt > maxDescCores-cores {
+			return nil, fmt.Errorf("topology: descriptor %q describes more than the limit of %d logical cores", desc, maxDescCores)
+		}
+		cores += count * size * smt
 		b.Groups(count, size, opts...)
 	}
 	t, err := b.Build()

@@ -110,6 +110,9 @@ func TestParseDesc(t *testing.T) {
 		{"16x4+32x2:little", 128, 48, true, 2.4e9},
 		{"2x2:eff(0.5,1.5,2)", 8, 2, true, 2.4e9},
 		{"4x2@3.0", 8, 4, false, 3.0e9},
+		{"1024x4", 4096, 1024, false, 2.4e9},                   // the core limit itself
+		{"1x4096", 4096, 1, false, 2.4e9},                      // in one group
+		{"512x2+256x2:eff(0.5,1.5,4)", 3072, 768, true, 2.4e9}, // SMT siblings count
 	}
 	for _, c := range cases {
 		topo, err := ParseDesc(c.desc)
@@ -129,11 +132,72 @@ func TestParseDesc(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"", "x", "2x", "x2", "0x2", "2x2:nosuch", "2x2:c(", "2x2@-1", "2x2:c(1)",
-		"2x2:c(1,1,-1)", "2x2:c(1,1,0)", "2x2:c(0,1)", "2x2:c(1,-2)"} {
+		"2x2:c(1,1,-1)", "2x2:c(1,1,0)", "2x2:c(0,1)", "2x2:c(1,-2)",
+		// Non-finite clocks and multipliers: NaN fails every sign check.
+		"2x2@NaN", "2x2@Inf", "2x2@+Inf", "2x2@1e300", "2x2:e(NaN,1)", "2x2:e(1,NaN)", "2x2:e(Inf,1)", "2x2:e(1,Inf)"} {
 		if _, err := ParseDesc(bad); err == nil {
 			t.Errorf("ParseDesc(%q) accepted", bad)
 		}
 	}
+	// Past the core limit, whichever factor carries it there; the error names
+	// the limit.
+	for _, big := range []string{"4097x1", "1x4097", "999999x999999", "1025x4", "1024x4+1x1", "2x3+1023x4",
+		"2x2:e(1,1,4097)", "1024x2:e(1,1,4)", "4611686018427387904x4", "3037000500x3037000500"} {
+		_, err := ParseDesc(big)
+		if err == nil {
+			t.Errorf("ParseDesc(%q) accepted", big)
+		} else if !strings.Contains(err.Error(), "limit of 4096") {
+			t.Errorf("ParseDesc(%q): error %q does not name the limit", big, err)
+		}
+	}
+}
+
+// FuzzParseDesc: no descriptor panics, and an accepted one is a machine the
+// rest of the system can take — valid, finitely clocked, inside the core
+// bound, and enumerable with the all-cores placement last.
+func FuzzParseDesc(f *testing.F) {
+	for _, seed := range []string{
+		"2x2", "16x4+32x2:little", "8x4+8x2:eff(0.5,1.5,2)", "16x2@3.0", "2x2@NaN", "2x2:e(1,Inf)",
+		"999999x999999", "1x1+1x2+1x3:little", "2x2:little(1,1,8)", " 3 x 2 : big @ 1.5 ", "2x2:e(1,1,1)+2x2:e(1,1,4)",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, desc string) {
+		topo, err := ParseDesc(desc)
+		if err != nil {
+			return
+		}
+		if err := topo.Validate(); err != nil {
+			t.Fatalf("ParseDesc(%q) built an invalid topology: %v", desc, err)
+		}
+		if !finitePositive(topo.FrequencyHz) {
+			t.Fatalf("ParseDesc(%q): FrequencyHz = %g", desc, topo.FrequencyHz)
+		}
+		if topo.NumCores > maxDescCores {
+			t.Fatalf("ParseDesc(%q): %d cores, limit %d", desc, topo.NumCores, maxDescCores)
+		}
+		for _, c := range topo.Classes {
+			if !finitePositive(c.FreqMult) || !finitePositive(c.CPIMult) {
+				t.Fatalf("ParseDesc(%q): class %+v", desc, c)
+			}
+		}
+		// The balanced space is Π(family cores + 1) placements of up to
+		// NumCores cores each: enumerate it only where that fits a fuzz
+		// iteration.
+		space := 1
+		for _, fam := range topo.groupFamilies() {
+			if space *= fam.capacity() + 1; space*topo.NumCores > 1<<18 {
+				return
+			}
+		}
+		pls := BalancedPlacements(topo)
+		if len(pls) != space-1 {
+			t.Fatalf("ParseDesc(%q): %d balanced placements, want %d", desc, len(pls), space-1)
+		}
+		if last := pls[len(pls)-1]; last.Threads() != topo.NumCores {
+			t.Fatalf("ParseDesc(%q): last balanced placement %s is not all %d cores", desc, last, topo.NumCores)
+		}
+	})
 }
 
 // TestEnumerateAsymmetricGroups pins the family canonicalization: on a
