@@ -59,12 +59,13 @@ dist-e2e:
 load-smoke:
 	scripts/load_smoke.sh
 
-## fuzz-smoke: run every Fuzz* target of the wire codec, the serving path,
-## the fleet spec parser and the topology descriptor parser for 10 s each
-## (the toolchain fuzzes one target per invocation). A crasher lands under the package's testdata/fuzz/ —
-## commit it (CI).
+## fuzz-smoke: run every Fuzz* target of the wire codec, the serving path
+## and bank format, the fleet spec parser, the topology descriptor parser
+## and the SIMD bit-identity kernels (ann, machine) for 10 s each (the
+## toolchain fuzzes one target per invocation). A crasher lands under the
+## package's testdata/fuzz/ — commit it (CI).
 fuzz-smoke:
-	@set -e; for pkg in ./pkg/actor ./internal/wire ./internal/fleet ./internal/topology; do \
+	@set -e; for pkg in ./pkg/actor ./internal/wire ./internal/fleet ./internal/topology ./internal/ann ./internal/machine; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "== fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s $$pkg; \

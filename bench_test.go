@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -43,6 +44,9 @@ var (
 	looModels *exp.LOOModels
 	suiteErr  error
 )
+
+// benchSink keeps the compiler from discarding a benchmarked pure call.
+var benchSink float64
 
 func sharedSuite(b *testing.B) (*exp.Suite, *exp.LOOModels) {
 	b.Helper()
@@ -601,6 +605,45 @@ func BenchmarkANNForward(b *testing.B) {
 	}
 }
 
+// BenchmarkEnsemblePredict measures one k-member [13,16,1] ensemble
+// prediction — scaler, the stacked forward pass, member mean — on distinct
+// inputs: the unit of work a bank predict repeats once per target.
+func BenchmarkEnsemblePredict(b *testing.B) {
+	for _, k := range []int{5, 10} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			nets := make([]*ann.Network, k)
+			for m := range nets {
+				net, err := ann.NewNetwork([]int{13, 16, 1}, rng)
+				if err != nil {
+					b.Fatal(err)
+				}
+				nets[m] = net
+			}
+			sc := &ann.Scaler{Mean: make([]float64, 13), Std: make([]float64, 13), YMax: 1}
+			for i := range sc.Std {
+				sc.Mean[i], sc.Std[i] = rng.Float64(), 0.5+rng.Float64()
+			}
+			ens, err := ann.NewEnsemble(nets, sc, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			xs := make([][]float64, 64)
+			for r := range xs {
+				xs[r] = make([]float64, 13)
+				for i := range xs[r] {
+					xs[r][i] = rng.Float64()
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += ens.Predict(xs[i%len(xs)])
+			}
+		})
+	}
+}
+
 func BenchmarkANNTrain(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	samples := make([]ann.Sample, 200)
@@ -900,8 +943,10 @@ func BenchmarkServePredict(b *testing.B) {
 // a memo miss: a six-digit IPC fraction in the body is rewritten from the
 // iteration counter (the way actorbench's serve_cold patches its frame), so
 // each request pays decode + bank inference + wire encode + memo insert.
-// The gap to BenchmarkServePredict is the memo's win; this benchmark keeps
-// the uncached path honest in the trend gate.
+// The gap to BenchmarkServePredict is the memo's win. Budget: ≤ 7.5 µs/op
+// and ≤ 3 allocs/op — the memo entry's retained key, body and header —
+// on the 2-vCPU 2.1 GHz reference host (15.0 µs and 9 allocs before bank
+// inference was stacked; PERFORMANCE.md "The miss path").
 func BenchmarkServePredictMiss(b *testing.B) {
 	srv, req, rdr, body, w := newServeBench(b)
 	const ipc = `"IPC":1.`
@@ -921,6 +966,37 @@ func BenchmarkServePredictMiss(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// BenchmarkBankPredict measures the public Bank.Predict on a fast ANN bank
+// over distinct rate vectors: mnemonic resolution, predictor selection, one
+// stacked ensemble pass per target and the ranking — the inference share of
+// a memo miss, and what actorbench reports as actor.bank.predict_us.
+func BenchmarkBankPredict(b *testing.B) {
+	eng, err := pubactor.New(pubactor.WithFast(), pubactor.WithRepetitions(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	bank, err := eng.Train(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	rates := make([]pubactor.Rates, 256)
+	for i := range rates {
+		rates[i] = pubactor.Rates{"IPC": 1 + rng.Float64()}
+		for _, name := range bank.Meta().EventSets[0] {
+			rates[i][name] = 0.1 * rng.Float64()
+		}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bank.Predict(ctx, rates[i%len(rates)]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkRecalObserve is BenchmarkServePredict with the online

@@ -1,8 +1,9 @@
-// Kernel dispatch: the trainer's hot kernels are function variables bound
-// once at init. The pure-Go implementations in gemm.go are the always-built
-// reference and the default binding; dispatch_amd64.go rebinds them to the
-// AVX2 implementations when internal/simd reports the machine supports it
-// and ACTOR_SIMD does not opt out.
+// Kernel dispatch: the trainer's hot kernels and the ensemble's stacked
+// forward pass are function variables bound once at init. The pure-Go
+// implementations in gemm.go are the always-built reference and the default
+// binding; gemm_amd64.go rebinds them to the AVX2 implementations when
+// internal/simd reports the machine supports it and ACTOR_SIMD does not opt
+// out.
 //
 // Every vector implementation is lane-wise — it vectorizes across
 // independent outputs (batch samples, units, weight indices) and performs,
@@ -15,6 +16,7 @@ var (
 	denseForward = denseForwardScalar
 	hiddenDelta  = hiddenDeltaScalar
 	sgdStep      = sgdStepScalar
+	stackForward = stackForwardScalar
 
 	// kernelVariant names the bound implementation ("scalar" or "avx2")
 	// for benchmark metadata and diagnostics.

@@ -21,8 +21,49 @@ type Ensemble struct {
 	// normalised target units).
 	EstimateMSE float64
 
-	// pool recycles the normalised-input buffer Predict uses.
+	// stack is the members' packed inference form (stack.go), built by
+	// NewEnsemble; nil when the members do not share one [d, h, 1]
+	// topology, and Predict then evaluates them one by one.
+	stack *stack
+	// pool recycles Predict's scratch: the normalised input followed by
+	// the stack's lane activations.
 	pool sync.Pool
+}
+
+// NewEnsemble assembles an ensemble from trained members and the scaler
+// they were trained under, and packs the members for stacked inference.
+// Every member must take the scaler's feature count, and the scaler must be
+// usable: a standard deviation that is not positive or an inverted target
+// range would turn every prediction into ±Inf or NaN. Nets is read-only
+// from here on — the stack holds a copy of the members' weights.
+func NewEnsemble(nets []*Network, scaler *Scaler, estimateMSE float64) (*Ensemble, error) {
+	if len(nets) == 0 {
+		return nil, errors.New("ann: ensemble has no member networks")
+	}
+	if scaler == nil {
+		return nil, errors.New("ann: ensemble has no scaler")
+	}
+	if len(scaler.Mean) != len(scaler.Std) {
+		return nil, errors.New("ann: scaler mean/std length mismatch")
+	}
+	for i, n := range nets {
+		if n == nil {
+			return nil, fmt.Errorf("ann: ensemble member %d is nil", i)
+		}
+		if n.InputDim() != len(scaler.Mean) {
+			return nil, fmt.Errorf("ann: net %d: input dim %d does not match the scaler's %d features",
+				i, n.InputDim(), len(scaler.Mean))
+		}
+	}
+	for i, sd := range scaler.Std {
+		if !(sd > 0) {
+			return nil, fmt.Errorf("ann: scaler std[%d] = %v, must be positive", i, sd)
+		}
+	}
+	if !(scaler.YMax >= scaler.YMin) {
+		return nil, fmt.Errorf("ann: scaler target range is inverted (ymin %v, ymax %v)", scaler.YMin, scaler.YMax)
+	}
+	return &Ensemble{Nets: nets, Scaler: scaler, EstimateMSE: estimateMSE, stack: newStack(nets)}, nil
 }
 
 // TrainEnsemble builds a k-fold ensemble from samples. Fold assignment is a
@@ -79,7 +120,7 @@ func TrainEnsemble(samples []Sample, k int, cfg Config) (*Ensemble, error) {
 		}
 	}
 
-	ens := &Ensemble{Nets: make([]*Network, k), Scaler: scaler}
+	nets := make([]*Network, k)
 	estimates := make([]float64, k)
 	errs := make([]error, k)
 	parallel.ForEach(k, func(member int) {
@@ -106,7 +147,7 @@ func TrainEnsemble(samples []Sample, k int, cfg Config) (*Ensemble, error) {
 			errs[member] = err
 			return
 		}
-		ens.Nets[member] = net
+		nets[member] = net
 		estimates[member] = net.mseIdx(ds, foldIdx[estFold])
 	})
 	if err := parallel.FirstError(errs); err != nil {
@@ -116,8 +157,7 @@ func TrainEnsemble(samples []Sample, k int, cfg Config) (*Ensemble, error) {
 	for _, e := range estimates {
 		sum += e
 	}
-	ens.EstimateMSE = sum / float64(k)
-	return ens, nil
+	return NewEnsemble(nets, scaler, sum/float64(k))
 }
 
 // Predict returns the ensemble's prediction for a raw (unnormalised)
@@ -128,11 +168,22 @@ func (e *Ensemble) Predict(x []float64) float64 {
 	if !ok {
 		bp = new([]float64)
 	}
-	nx := e.Scaler.XInto(*bp, x)
-	*bp = nx // keep any regrown backing array
 	var sum float64
-	for _, n := range e.Nets {
-		sum += n.Predict(nx)
+	if s := e.stack; s != nil {
+		if len(x) != s.inDim {
+			panic(fmt.Sprintf("ann: input dim %d, want %d", len(x), s.inDim))
+		}
+		if cap(*bp) < s.inDim+s.lanes {
+			*bp = make([]float64, s.inDim+s.lanes)
+		}
+		buf := (*bp)[:s.inDim+s.lanes]
+		sum = s.sum(e.Scaler.XInto(buf[:s.inDim], x), buf[s.inDim:])
+	} else {
+		nx := e.Scaler.XInto(*bp, x)
+		*bp = nx // keep any regrown backing array
+		for _, n := range e.Nets {
+			sum += n.Predict(nx)
+		}
 	}
 	e.pool.Put(bp)
 	return e.Scaler.InvY(sum / float64(len(e.Nets)))

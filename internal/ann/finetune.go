@@ -49,7 +49,7 @@ func FineTuneEnsemble(base *Ensemble, samples []Sample, cfg Config) (*Ensemble, 
 		foldIdx[f] = append(foldIdx[f], id)
 	}
 
-	ens := &Ensemble{Nets: make([]*Network, k), Scaler: base.Scaler}
+	nets := make([]*Network, k)
 	estimates := make([]float64, k)
 	errs := make([]error, k)
 	parallel.ForEach(k, func(member int) {
@@ -75,7 +75,7 @@ func FineTuneEnsemble(base *Ensemble, samples []Sample, cfg Config) (*Ensemble, 
 			errs[member] = err
 			return
 		}
-		ens.Nets[member] = net
+		nets[member] = net
 		estimates[member] = net.mseIdx(ds, foldIdx[estFold])
 	})
 	if err := parallel.FirstError(errs); err != nil {
@@ -85,6 +85,5 @@ func FineTuneEnsemble(base *Ensemble, samples []Sample, cfg Config) (*Ensemble, 
 	for _, e := range estimates {
 		sum += e
 	}
-	ens.EstimateMSE = sum / float64(k)
-	return ens, nil
+	return NewEnsemble(nets, base.Scaler, sum/float64(k))
 }

@@ -92,6 +92,27 @@ func denseForwardScalar(out, x, w []float64, batch, inDim, units, ldx int, sigmo
 	}
 }
 
+// stackForward computes the hidden activations of a stacked ensemble (see
+// stack.go) for one input: with lanes = len(acts) and wT holding
+// (len(x)+1) feature-major rows of lanes columns, bias row first,
+//
+//	acts[u] = sigmoid( wT[u] + Σ_i wT[(i+1)·lanes+u] · x[i] )
+//
+// Each lane accumulates bias first, then ascending i — Network.forward's
+// order for the hidden unit the lane holds.
+func stackForwardScalar(acts, wT, x []float64) {
+	lanes := len(acts)
+	copy(acts, wT[:lanes])
+	for i, xv := range x {
+		for u, w := range wT[(i+1)*lanes:][:lanes] {
+			acts[u] += w * xv
+		}
+	}
+	for u, s := range acts {
+		acts[u] = sigmoid(s)
+	}
+}
+
 // hiddenDelta runs the backprop recurrence for one hidden layer over a
 // mini-batch: for every sample b and unit j,
 //

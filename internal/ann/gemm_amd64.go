@@ -19,6 +19,7 @@ func init() {
 		denseForward = denseForwardAVX2
 		hiddenDelta = hiddenDeltaAVX2
 		sgdStep = sgdStepAVX2
+		stackForward = stackForwardAVX2
 		kernelVariant = "avx2"
 	}
 }
@@ -31,6 +32,9 @@ func sigmoidVec4(v *float64, n int)
 
 //go:noescape
 func denseSumsT4(tmp, w, xT *float64, units, inDim int)
+
+//go:noescape
+func stackSums4(acc, wT, x *float64, lanes, inDim int)
 
 //go:noescape
 func packT4(xT, x0, x1, x2, x3 *float64, n int)
@@ -136,6 +140,20 @@ func denseForwardAVX2(out, x, w []float64, batch, inDim, units, ldx int, sigmoid
 		}
 	}
 	fwdPool.Put(buf)
+}
+
+// stackForwardAVX2 computes a stacked ensemble's hidden activations four
+// lanes per instruction: one pass over the feature-major weights for the
+// pre-activations, one sigmoid pass over all lanes. A lane is one hidden
+// unit, so nothing is reduced across lanes. len(acts) is a multiple of 4
+// (newStack pads it).
+func stackForwardAVX2(acts, wT, x []float64) {
+	if len(acts) == 0 || len(x) == 0 {
+		stackForwardScalar(acts, wT, x)
+		return
+	}
+	stackSums4(&acts[0], &wT[0], &x[0], len(acts), len(x))
+	sigmoidVec4(&acts[0], len(acts))
 }
 
 // hiddenDeltaAVX2 runs the backprop recurrence with four units per vector

@@ -253,6 +253,83 @@ dsdone:
 	VZEROUPPER
 	RET
 
+// func stackSums4(acc, wT, x *float64, lanes, inDim int)
+// Pre-activations of a stacked ensemble (stack.go) for one input x: wT is
+// (inDim+1) feature-major rows of `lanes` columns, bias row first, and
+//
+//	acc[u] = wT[u] + Σ_i wT[(i+1)*lanes+u]·x[i]
+//
+// Four lanes advance per instruction and four vectors share each broadcast
+// of x[i]; every lane accumulates bias-first then ascending i with a
+// separate multiply and add, exactly like the scalar forward. lanes is a
+// positive multiple of 4, inDim ≥ 1.
+TEXT ·stackSums4(SB), NOSPLIT, $0-40
+	MOVQ acc+0(FP), DI
+	MOVQ wT+8(FP), SI
+	MOVQ x+16(FP), DX
+	MOVQ lanes+24(FP), CX
+	MOVQ inDim+32(FP), R8
+	MOVQ CX, R10
+	SHLQ $3, R10                // row stride in bytes
+	SHRQ $2, CX                 // vectors
+	MOVQ CX, BX
+	SHRQ $2, BX                 // blocks of four vectors
+	JZ   ss1setup
+ss4loop:
+	VMOVUPD (SI), Y0            // bias row
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	LEAQ (SI)(R10*1), R9        // feature-row cursor
+	MOVQ DX, AX                 // x cursor
+	MOVQ R8, R11
+ss4iloop:
+	VBROADCASTSD (AX), Y4
+	VMULPD  (R9), Y4, Y5
+	VADDPD  Y5, Y0, Y0
+	VMULPD  32(R9), Y4, Y6
+	VADDPD  Y6, Y1, Y1
+	VMULPD  64(R9), Y4, Y7
+	VADDPD  Y7, Y2, Y2
+	VMULPD  96(R9), Y4, Y8
+	VADDPD  Y8, Y3, Y3
+	ADDQ R10, R9
+	ADDQ $8, AX
+	DECQ R11
+	JNZ  ss4iloop
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, SI
+	DECQ BX
+	JNZ  ss4loop
+ss1setup:
+	ANDQ $3, CX                 // leftover vectors
+	JZ   ssdone
+ss1loop:
+	VMOVUPD (SI), Y0
+	LEAQ (SI)(R10*1), R9
+	MOVQ DX, AX
+	MOVQ R8, R11
+ss1iloop:
+	VBROADCASTSD (AX), Y4
+	VMULPD  (R9), Y4, Y5
+	VADDPD  Y5, Y0, Y0
+	ADDQ R10, R9
+	ADDQ $8, AX
+	DECQ R11
+	JNZ  ss1iloop
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	DECQ CX
+	JNZ  ss1loop
+ssdone:
+	VZEROUPPER
+	RET
+
 // func packT4(xT, x0, x1, x2, x3 *float64, n int)
 // Transposes four sample rows into the column-major group layout:
 // xT[i*4+k] = xk[i]. Pure data movement — no arithmetic, so no rounding.

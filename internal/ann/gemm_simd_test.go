@@ -254,3 +254,40 @@ func FuzzSGDStepBitIdentity(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStackedEnsembleBitIdentical fuzzes the stacked inference pass over
+// ensemble shapes and weight scales: the AVX2 kernel against the scalar
+// kernel on the packed weights, and Ensemble.Predict (whichever kernel is
+// bound) against the per-member loop.
+func FuzzStackedEnsembleBitIdentical(f *testing.F) {
+	f.Add(int64(1), uint8(5), uint8(16), uint8(13), uint8(0))
+	f.Add(int64(2), uint8(3), uint8(1), uint8(1), uint8(3))
+	f.Add(int64(3), uint8(10), uint8(17), uint8(3), uint8(6))
+	f.Fuzz(func(t *testing.T, seed int64, kB, hiddenB, inDimB, scaleB uint8) {
+		fz := simd.Detect()
+		if !fz.AVX2 || !fz.OSYMM {
+			t.Skip("no AVX2")
+		}
+		k := 1 + int(kB%12)
+		h := 1 + int(hiddenB%20)
+		d := 1 + int(inDimB%20)
+		rng := rand.New(rand.NewSource(seed))
+		e := randomEnsemble(t, rng, k, []int{d, h, 1}, math.Pow(10, float64(scaleB%7)-2))
+		s := e.stack
+		got := make([]float64, s.lanes)
+		want := make([]float64, s.lanes)
+		for _, x := range stackInputs(rng, d, 16) {
+			nx := e.Scaler.X(x)
+			stackForwardAVX2(got, s.wT, nx)
+			stackForwardScalar(want, s.wT, nx)
+			if i := diffIndex(got, want); i >= 0 {
+				t.Fatalf("k=%d [%d,%d,1] x=%v: lane %d = %x, want %x", k, d, h, x, i,
+					math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+			if p, m := e.Predict(x), memberMean(e, x); !bitsEqual(p, m) {
+				t.Fatalf("k=%d [%d,%d,1] x=%v: Predict = %x, members give %x", k, d, h, x,
+					math.Float64bits(p), math.Float64bits(m))
+			}
+		}
+	})
+}

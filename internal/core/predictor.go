@@ -19,6 +19,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -39,9 +40,53 @@ type Predictor interface {
 	// NumEvents returns len(Events()) without exposing the slice — the
 	// bank's budget arithmetic calls this in a loop.
 	NumEvents() int
-	// PredictIPC maps observed rates to predicted IPC per target
-	// configuration name.
+	// TargetNames returns the target configuration names, sorted. The
+	// returned slice is the predictor's own and must not be mutated.
+	TargetNames() []string
+	// PredictInto writes the predicted IPC of every target configuration,
+	// in TargetNames order, into dst (grown when too small) and returns
+	// the filled slice. It allocates nothing when dst has the capacity.
+	PredictInto(dst []float64, rates pmu.Rates) []float64
+	// PredictIPC is PredictInto keyed by target configuration name, for
+	// callers off the serving path.
 	PredictIPC(rates pmu.Rates) (map[string]float64, error)
+}
+
+// sortedTargets splits a per-target model map into name-sorted parallel
+// slices — the order PredictInto reports in.
+func sortedTargets[M any](targets map[string]M) ([]string, []M) {
+	names := make([]string, 0, len(targets))
+	for name := range targets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	models := make([]M, len(names))
+	for i, name := range names {
+		models[i] = targets[name]
+	}
+	return names, models
+}
+
+// predictIPC keys a predictor's PredictInto values by target name.
+func predictIPC(p Predictor, rates pmu.Rates) (map[string]float64, error) {
+	names := p.TargetNames()
+	vals := p.PredictInto(nil, rates)
+	out := make(map[string]float64, len(names))
+	for i, name := range names {
+		out[name] = vals[i]
+	}
+	return out, nil
+}
+
+// featureVector extracts the predictor's feature vector into a pooled
+// buffer; the caller returns it with pool.Put once the models have run.
+func featureVector(pool *sync.Pool, rates pmu.Rates, events []pmu.Event) *[]float64 {
+	bp, ok := pool.Get().(*[]float64)
+	if !ok {
+		bp = new([]float64)
+	}
+	*bp = rates.VectorInto(*bp, events) // keep any regrown backing array
+	return bp
 }
 
 // ANNPredictor wraps one ann.Ensemble per target configuration, all sharing
@@ -49,6 +94,9 @@ type Predictor interface {
 type ANNPredictor struct {
 	events  []pmu.Event
 	targets map[string]*ann.Ensemble
+	// names and models are targets in name order, the form inference walks.
+	names   []string
+	models  []*ann.Ensemble
 	vecPool sync.Pool // recycled feature vectors
 }
 
@@ -65,7 +113,8 @@ func NewANNPredictor(events []pmu.Event, targets map[string]*ann.Ensemble) (*ANN
 				name, e.InputDim(), want)
 		}
 	}
-	return &ANNPredictor{events: append([]pmu.Event(nil), events...), targets: targets}, nil
+	names, models := sortedTargets(targets)
+	return &ANNPredictor{events: append([]pmu.Event(nil), events...), targets: targets, names: names, models: models}, nil
 }
 
 // Events returns the feature event list (read-only; not a copy).
@@ -79,26 +128,32 @@ func (p *ANNPredictor) Targets() map[string]*ann.Ensemble { return p.targets }
 // NumEvents returns the feature event count.
 func (p *ANNPredictor) NumEvents() int { return len(p.events) }
 
-// PredictIPC evaluates every target ensemble on the rates.
-func (p *ANNPredictor) PredictIPC(rates pmu.Rates) (map[string]float64, error) {
-	bp, ok := p.vecPool.Get().(*[]float64)
-	if !ok {
-		bp = new([]float64)
-	}
-	x := rates.VectorInto(*bp, p.events)
-	*bp = x // keep any regrown backing array
-	out := make(map[string]float64, len(p.targets))
-	for name, e := range p.targets {
-		out[name] = e.Predict(x)
+// TargetNames returns the target configuration names, sorted (read-only).
+func (p *ANNPredictor) TargetNames() []string { return p.names }
+
+// PredictInto evaluates every target ensemble on the rates, in TargetNames
+// order.
+func (p *ANNPredictor) PredictInto(dst []float64, rates pmu.Rates) []float64 {
+	bp := featureVector(&p.vecPool, rates, p.events)
+	dst = slices.Grow(dst[:0], len(p.models))
+	for _, e := range p.models {
+		dst = append(dst, e.Predict(*bp))
 	}
 	p.vecPool.Put(bp)
-	return out, nil
+	return dst
+}
+
+// PredictIPC evaluates every target ensemble on the rates.
+func (p *ANNPredictor) PredictIPC(rates pmu.Rates) (map[string]float64, error) {
+	return predictIPC(p, rates)
 }
 
 // MLRPredictor is the regression-baseline equivalent of ANNPredictor.
 type MLRPredictor struct {
 	events  []pmu.Event
 	targets map[string]*mlr.Model
+	names   []string // targets in name order, as in ANNPredictor
+	models  []*mlr.Model
 	vecPool sync.Pool
 }
 
@@ -115,7 +170,8 @@ func NewMLRPredictor(events []pmu.Event, targets map[string]*mlr.Model) (*MLRPre
 				name, m.InputDim(), want)
 		}
 	}
-	return &MLRPredictor{events: append([]pmu.Event(nil), events...), targets: targets}, nil
+	names, models := sortedTargets(targets)
+	return &MLRPredictor{events: append([]pmu.Event(nil), events...), targets: targets, names: names, models: models}, nil
 }
 
 // Events returns the feature event list (read-only; not a copy).
@@ -128,20 +184,24 @@ func (p *MLRPredictor) Targets() map[string]*mlr.Model { return p.targets }
 // NumEvents returns the feature event count.
 func (p *MLRPredictor) NumEvents() int { return len(p.events) }
 
-// PredictIPC evaluates every target model on the rates.
-func (p *MLRPredictor) PredictIPC(rates pmu.Rates) (map[string]float64, error) {
-	bp, ok := p.vecPool.Get().(*[]float64)
-	if !ok {
-		bp = new([]float64)
-	}
-	x := rates.VectorInto(*bp, p.events)
-	*bp = x // keep any regrown backing array
-	out := make(map[string]float64, len(p.targets))
-	for name, m := range p.targets {
-		out[name] = m.Predict(x)
+// TargetNames returns the target configuration names, sorted (read-only).
+func (p *MLRPredictor) TargetNames() []string { return p.names }
+
+// PredictInto evaluates every target model on the rates, in TargetNames
+// order.
+func (p *MLRPredictor) PredictInto(dst []float64, rates pmu.Rates) []float64 {
+	bp := featureVector(&p.vecPool, rates, p.events)
+	dst = slices.Grow(dst[:0], len(p.models))
+	for _, m := range p.models {
+		dst = append(dst, m.Predict(*bp))
 	}
 	p.vecPool.Put(bp)
-	return out, nil
+	return dst
+}
+
+// PredictIPC evaluates every target model on the rates.
+func (p *MLRPredictor) PredictIPC(rates pmu.Rates) (map[string]float64, error) {
+	return predictIPC(p, rates)
 }
 
 // Bank holds predictors for several feature-set sizes so the runtime can

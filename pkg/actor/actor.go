@@ -32,7 +32,9 @@ package actor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/greenhpc/actor/internal/pmu"
 )
@@ -43,28 +45,41 @@ import (
 // rate sampled at the maximal-concurrency configuration.
 type Rates map[string]float64
 
-// toPMU resolves mnemonic keys into the internal event space. Names are
-// walked in sorted order so the outcome — including which unknown mnemonic
-// an error names — never depends on map iteration order.
+// toPMU resolves mnemonic keys into the internal event space.
 func (r Rates) toPMU() (pmu.Rates, error) {
+	out := make(pmu.Rates, len(r))
+	for name, v := range r {
+		e, known := eventIDByName[name]
+		if _, dup := out[e]; !known || dup {
+			return nil, r.resolveError()
+		}
+		out[e] = v
+	}
+	return out, nil
+}
+
+// resolveError names what toPMU tripped over. Names are walked in sorted
+// order so the outcome — including which unknown mnemonic the error names —
+// never depends on map iteration order.
+func (r Rates) resolveError() error {
 	names := make([]string, 0, len(r))
 	for name := range r {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	out := make(pmu.Rates, len(r))
+	seen := make(map[pmu.Event]bool, len(r))
 	for _, name := range names {
 		e, ok := eventIDByName[name]
 		if !ok {
-			return nil, fmt.Errorf("actor: unknown event %q (IPC plus the PAPI mnemonics of the bank's event sets are accepted)", name)
+			return fmt.Errorf("actor: unknown event %q (IPC plus the PAPI mnemonics of the bank's event sets are accepted)", name)
 		}
-		if _, dup := out[e]; dup {
+		if seen[e] {
 			// Map keys are distinct, so only the "IPC" alias can collide.
-			return nil, fmt.Errorf("actor: %q and %q name the same event", e.String(), "IPC")
+			return fmt.Errorf("actor: %q and %q name the same event", e.String(), "IPC")
 		}
-		out[e] = r[name]
+		seen[e] = true
 	}
-	return out, nil
+	return nil
 }
 
 // Prediction is one configuration's predicted (or, for the sampling
@@ -82,10 +97,13 @@ type Prediction struct {
 // rankPredictions orders predictions by descending IPC, breaking ties by
 // configuration name so the ranking is deterministic.
 func rankPredictions(ps []Prediction) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].IPC != ps[j].IPC {
-			return ps[i].IPC > ps[j].IPC
+	slices.SortFunc(ps, func(a, b Prediction) int {
+		switch {
+		case a.IPC > b.IPC:
+			return -1
+		case a.IPC < b.IPC:
+			return 1
 		}
-		return ps[i].Config < ps[j].Config
+		return strings.Compare(a.Config, b.Config)
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 
 	"github.com/greenhpc/actor/internal/core"
 	"github.com/greenhpc/actor/internal/pmu"
@@ -74,7 +75,24 @@ type Bank struct {
 	// preds is the bank's predictor list (richest first), cached here so
 	// the per-request selection never copies it.
 	preds []core.Predictor
-	meta  Meta
+	// gapPairs lists, in canonical configuration order, where each target
+	// that both the richest and the most-reduced predictor model sits in
+	// their TargetNames — what disagreement walks. Empty for
+	// single-predictor banks.
+	gapPairs [][2]int
+	meta     Meta
+}
+
+// predictBuf is the working memory of one predictPMU call and the
+// disagreement that may follow it. The serving path keeps one in its pooled
+// request scratch; the zero value is ready to use.
+type predictBuf struct {
+	pred   core.Predictor // the predictor the last predictPMU ran
+	vals   []float64      // its per-target IPCs, in pred.TargetNames order
+	ranked []Prediction
+	// rich and red hold the richest and most-reduced predictors' values
+	// when disagreement has to evaluate them itself.
+	rich, red []float64
 }
 
 // newBank wraps a trained core bank, deriving the per-predictor event sets.
@@ -87,7 +105,18 @@ func newBank(cb *core.Bank, meta Meta) *Bank {
 		}
 		meta.EventSets = append(meta.EventSets, names)
 	}
-	return &Bank{bank: cb, preds: preds, meta: meta}
+	b := &Bank{bank: cb, preds: preds, meta: meta}
+	if len(preds) > 1 {
+		rich, red := preds[0].TargetNames(), preds[len(preds)-1].TargetNames()
+		for _, cfg := range meta.Configs {
+			i, okRich := slices.BinarySearch(rich, cfg)
+			j, okRed := slices.BinarySearch(red, cfg)
+			if okRich && okRed {
+				b.gapPairs = append(b.gapPairs, [2]int{i, j})
+			}
+		}
+	}
+	return b
 }
 
 // Meta returns the bank's self-describing header.
@@ -124,28 +153,30 @@ func (b *Bank) Predict(ctx context.Context, rates Rates) ([]Prediction, error) {
 	if err != nil {
 		return nil, err
 	}
-	return b.predictPMU(pr)
+	var buf predictBuf // fresh: the ranking is the caller's to keep
+	return b.predictPMU(pr, &buf), nil
 }
 
 // predictPMU is Predict past mnemonic resolution: rank every target
 // configuration for already-resolved event rates. The serving fast path
-// calls this directly with a pooled pmu.Rates it fills itself, skipping
-// the per-request map toPMU would build.
-func (b *Bank) predictPMU(pr pmu.Rates) ([]Prediction, error) {
+// calls this directly with a pooled pmu.Rates it fills itself and a pooled
+// buf, so a request allocates neither the rates map nor the ranking. The
+// returned slice is buf.ranked, valid until buf's next use.
+func (b *Bank) predictPMU(pr pmu.Rates, buf *predictBuf) []Prediction {
 	pred := b.predictorFor(pr)
-	byConfig, err := pred.PredictIPC(pr)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Prediction, 0, len(byConfig)+1)
-	for name, ipc := range byConfig {
-		out = append(out, Prediction{Config: name, IPC: ipc})
+	buf.pred = pred
+	buf.vals = pred.PredictInto(buf.vals, pr)
+	names := pred.TargetNames()
+	out := slices.Grow(buf.ranked[:0], len(names)+1)
+	for i, name := range names {
+		out = append(out, Prediction{Config: name, IPC: buf.vals[i]})
 	}
 	if obs, ok := pr[pmu.Instructions]; ok {
 		out = append(out, Prediction{Config: b.meta.SampleConfig, IPC: obs, Observed: true})
 	}
 	rankPredictions(out)
-	return out, nil
+	buf.ranked = out
+	return out
 }
 
 // predictorFor returns the richest predictor whose every feature event is
@@ -175,40 +206,32 @@ func (b *Bank) predictorFor(pr pmu.Rates) core.Predictor {
 // traffic drifts off that campaign's distribution their extrapolations
 // diverge, so the gap rises with model staleness. Zero for single-predictor
 // banks. Deterministic: configs are walked in canonical meta order.
-func (b *Bank) disagreement(pr pmu.Rates) float64 {
-	if len(b.preds) < 2 {
+//
+// buf is the one predictPMU has just filled for the same rates: whichever
+// of the two predictors it ran is not evaluated again.
+func (b *Bank) disagreement(pr pmu.Rates, buf *predictBuf) float64 {
+	if len(b.gapPairs) == 0 {
 		return 0
 	}
-	rich, err := b.preds[0].PredictIPC(pr)
-	if err != nil {
-		return 0
+	rich, red := buf.vals, buf.vals
+	if p := b.preds[0]; p != buf.pred {
+		buf.rich = p.PredictInto(buf.rich, pr)
+		rich = buf.rich
 	}
-	red, err := b.preds[len(b.preds)-1].PredictIPC(pr)
-	if err != nil {
-		return 0
+	if p := b.preds[len(b.preds)-1]; p != buf.pred {
+		buf.red = p.PredictInto(buf.red, pr)
+		red = buf.red
 	}
 	var sum float64
-	n := 0
-	for _, cfg := range b.meta.Configs {
-		r, ok := rich[cfg]
-		if !ok {
-			continue
-		}
-		d, ok := red[cfg]
-		if !ok {
-			continue
-		}
+	for _, at := range b.gapPairs {
+		r, d := rich[at[0]], red[at[1]]
 		den := math.Abs(r)
 		if den < 1e-9 {
 			den = 1e-9
 		}
 		sum += math.Abs(r-d) / den
-		n++
 	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return sum / float64(len(b.gapPairs))
 }
 
 // BestConfig returns the single best configuration for the observed rates:

@@ -207,9 +207,9 @@ func TestTrainDeterministic(t *testing.T) {
 	}
 }
 
-// TestDecodeBankRejects checks that malformed, foreign and future-versioned
-// payloads are rejected with descriptive errors.
-func TestDecodeBankRejects(t *testing.T) {
+// decodeBankRejects lists payloads DecodeBank must refuse, each with a
+// fragment its error must carry. FuzzDecodeBank seeds from the same rows.
+func decodeBankRejects() []struct{ name, data, want string } {
 	// annBank is a one-predictor, one-target ANN bank around the given
 	// two-feature scaler vectors and member networks.
 	annBank := func(mean, std, nets string) string {
@@ -217,9 +217,7 @@ func TestDecodeBankRejects(t *testing.T) {
 			"predictors":[{"events":["L2_LINES_IN"],"ann":{"1":{"scaler":{"mean":` + mean + `,"std":` + std + `,"ymin":0,"ymax":1},
 			"nets":` + nets + `}}}]}`
 	}
-	cases := []struct {
-		name, data, want string
-	}{
+	return []struct{ name, data, want string }{
 		{"not JSON", `weights go here`, "not a bank file"},
 		{"wrong magic", `{"format":"parquet","version":1}`, "not an ACTOR bank"},
 		{"missing version", `{"format":"actor-bank"}`, "no valid format version"},
@@ -244,9 +242,21 @@ func TestDecodeBankRejects(t *testing.T) {
 		{"net short weight row", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1],"weights":[[1,2]]}]`), "layer 0 has 2 weights, want 3"},
 		{"empty ensemble", annBank(`[0,0]`, `[1,1]`, `[]`), "no member networks"},
 		{"scaler mean/std mismatch", annBank(`[0,0]`, `[1]`, `[{"sizes":[2,1],"weights":[[1,2,3]]}]`), "mean/std length mismatch"},
+		{"zero scaler std", annBank(`[0,0]`, `[1,0]`, `[{"sizes":[2,1],"weights":[[1,2,3]]}]`), `predictor 0 target "1": ann: scaler std[1] = 0`},
+		{"negative scaler std", annBank(`[0,0]`, `[-1,1]`, `[{"sizes":[2,1],"weights":[[1,2,3]]}]`), `predictor 0 target "1": ann: scaler std[0] = -1`},
+		{"inverted target range", `{"format":"actor-bank","version":1,"configs":["1","4"],"sample_config":"4",
+			"predictors":[{"events":["L2_LINES_IN"],"ann":{"1":{"scaler":{"mean":[0,0],"std":[1,1],"ymin":2,"ymax":1},
+			"nets":[{"sizes":[2,1],"weights":[[1,2,3]]}]}}}]}`, `predictor 0 target "1": ann: scaler target range is inverted`},
+		{"overflowing weights", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1],"weights":[[1,2,1e308]]},{"sizes":[2,1],"weights":[[1,2,1e308]]}]`), `predictor 0: target "1" predicts a non-finite IPC`},
 		{"empty coefficient vector", `{"format":"actor-bank","version":1,"configs":["1","4"],"sample_config":"4",
 			"predictors":[{"events":["L2_LINES_IN"],"mlr":{"1":[]}}]}`, "at least an intercept"},
 	}
+}
+
+// TestDecodeBankRejects checks that malformed, foreign, future-versioned
+// and unservable payloads are rejected with descriptive errors.
+func TestDecodeBankRejects(t *testing.T) {
+	cases := decodeBankRejects()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := actor.DecodeBank([]byte(tc.data))

@@ -3,6 +3,7 @@ package actor
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"github.com/greenhpc/actor/internal/ann"
 	"github.com/greenhpc/actor/internal/core"
@@ -132,6 +133,19 @@ func (b *Bank) Encode() ([]byte, error) {
 	return json.MarshalIndent(&bf, "", " ")
 }
 
+// probePredictor evaluates a freshly decoded predictor on the all-zero rate
+// vector. Models that cannot produce a finite IPC even there — overflowing
+// weights, a vanishing std — would answer every request with a 500, so the
+// bank is refused at load instead.
+func probePredictor(p core.Predictor) error {
+	for i, ipc := range p.PredictInto(nil, pmu.Rates{}) {
+		if math.IsNaN(ipc) || math.IsInf(ipc, 0) {
+			return fmt.Errorf("target %q predicts a non-finite IPC (%v) for the all-zero rate vector", p.TargetNames()[i], ipc)
+		}
+	}
+	return nil
+}
+
 // DecodeBank parses data written by Encode, validating the header, the
 // topology descriptor and every model's shape before constructing the live
 // bank.
@@ -191,35 +205,32 @@ func DecodeBank(data []byte) (*Bank, error) {
 			}
 			targets := make(map[string]*ann.Ensemble, len(bp.ANN))
 			for name, be := range bp.ANN {
-				ens := &ann.Ensemble{
-					Scaler: &ann.Scaler{
-						Mean: be.Scaler.Mean,
-						Std:  be.Scaler.Std,
-						YMin: be.Scaler.YMin,
-						YMax: be.Scaler.YMax,
-					},
-					EstimateMSE: be.EstimateMSE,
-				}
-				if len(be.Nets) == 0 {
-					return nil, fmt.Errorf("predictor %d target %q: ensemble has no member networks", i, name)
-				}
-				if len(be.Scaler.Mean) != len(be.Scaler.Std) {
-					return nil, fmt.Errorf("predictor %d target %q: scaler mean/std length mismatch", i, name)
-				}
+				nets := make([]*ann.Network, len(be.Nets))
 				for ni, bn := range be.Nets {
 					net, err := ann.NewNetworkFromFlat(bn.Sizes, bn.Weights)
 					if err != nil {
 						return nil, fmt.Errorf("predictor %d target %q net %d: %w", i, name, ni, err)
 					}
-					if net.InputDim() != len(be.Scaler.Mean) {
-						return nil, fmt.Errorf("predictor %d target %q net %d: input dim %d does not match the scaler's %d features",
-							i, name, ni, net.InputDim(), len(be.Scaler.Mean))
-					}
-					ens.Nets = append(ens.Nets, net)
+					nets[ni] = net
+				}
+				// NewEnsemble rejects an empty ensemble and a scaler that
+				// does not fit the members or cannot normalise: mismatched
+				// lengths, a non-positive std, an inverted target range.
+				ens, err := ann.NewEnsemble(nets, &ann.Scaler{
+					Mean: be.Scaler.Mean,
+					Std:  be.Scaler.Std,
+					YMin: be.Scaler.YMin,
+					YMax: be.Scaler.YMax,
+				}, be.EstimateMSE)
+				if err != nil {
+					return nil, fmt.Errorf("predictor %d target %q: %w", i, name, err)
 				}
 				targets[name] = ens
 			}
 			p, err := core.NewANNPredictor(events, targets)
+			if err == nil {
+				err = probePredictor(p)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("predictor %d: %w", i, err)
 			}
@@ -237,6 +248,9 @@ func DecodeBank(data []byte) (*Bank, error) {
 				targets[name] = m
 			}
 			p, err := core.NewMLRPredictor(events, targets)
+			if err == nil {
+				err = probePredictor(p)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("predictor %d: %w", i, err)
 			}

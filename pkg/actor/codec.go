@@ -536,9 +536,9 @@ var eventIDByName = func() map[string]pmu.Event {
 
 // predictScratch is the pooled per-request state of /v1/predict: the body
 // buffer, the parsed rate vector as parallel arrays, the memo key under
-// construction, and a reusable pmu.Rates map for the miss path. Name slices
-// alias the body buffer or the scanner arena, so the scratch is only valid
-// while both are held.
+// construction, and for the miss path a reusable pmu.Rates map and the
+// bank's ranking buffers. Name slices alias the body buffer or the scanner
+// arena, so the scratch is only valid while both are held.
 type predictScratch struct {
 	body  []byte
 	key   []byte
@@ -546,6 +546,7 @@ type predictScratch struct {
 	ids   []pmu.Event
 	vals  []float64
 	pr    pmu.Rates
+	rank  predictBuf
 }
 
 var predictScratchPool = sync.Pool{New: func() any {
@@ -561,6 +562,7 @@ func getPredictScratch() *predictScratch {
 	sc.names = sc.names[:0]
 	sc.ids = sc.ids[:0]
 	sc.vals = sc.vals[:0]
+	sc.rank.pred = nil // never compare against a previous request's bank
 	return sc
 }
 

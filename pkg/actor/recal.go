@@ -179,8 +179,8 @@ func (r *Recalibrator) shadowScore(sc *predictScratch) {
 	if cand == nil {
 		return
 	}
-	ranked, err := cand.predictPMU(sc.pmuRates())
-	if err != nil || len(ranked) == 0 || math.IsNaN(ranked[0].IPC) || math.IsInf(ranked[0].IPC, 0) {
+	ranked := cand.predictPMU(sc.pmuRates(), &sc.rank)
+	if len(ranked) == 0 || math.IsNaN(ranked[0].IPC) || math.IsInf(ranked[0].IPC, 0) {
 		r.ctl.Failed.Add(1)
 	}
 	r.ctl.Scored.Add(1)

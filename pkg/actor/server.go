@@ -314,15 +314,11 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request, sc *predic
 		return
 	}
 	pr := sc.pmuRates()
-	ranked, err := st.bank.predictPMU(pr)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	ranked := st.bank.predictPMU(pr, &sc.rank)
 	var obsErr float64
 	if rec != nil {
 		// Miss path only: hits reuse the value cached in the memo entry.
-		obsErr = st.bank.disagreement(pr)
+		obsErr = st.bank.disagreement(pr, &sc.rank)
 	}
 	e := wire.GetEmitter()
 	encodePredictResponse(e, phase, ranked)
