@@ -27,9 +27,11 @@ bench-json:
 	scripts/bench.sh
 
 ## bench-smoke: run every benchmark exactly once — keeps the bench suite
-## compiling and executing without paying for real measurements (CI).
+## (the root one and the kernel benchmarks beside internal/ann's unexported
+## kernels) compiling and executing without paying for real measurements
+## (CI).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/ann
 
 ## bench-contract: vet and smoke-test benchmarks/ — a Go module of its own,
 ## so `go build ./... && go test ./...` at the root never compiles it and a

@@ -589,6 +589,38 @@ func BenchmarkLOOTrainParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainANNBank measures one leave-one-out bank at the paper
+// fidelity options (exp.DefaultOptions: 10 folds, B = 8, warm start): the
+// four targets of CG's held-out training set in one lockstep run per fold
+// member — the unit of work train_loo repeats once per benchmark.
+func BenchmarkTrainANNBank(b *testing.B) {
+	s, err := exp.NewSuite(exp.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	collector := dataset.NewCollector(s.Noisy, s.Truth)
+	collector.Configs = s.Configs
+	collector.SampleConfig = s.SampleConfig()
+	collector.Repetitions = s.Opts.Repetitions
+	samples, err := collector.CollectSuite(s.Benches)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cg, err := s.Bench("CG")
+	if err != nil {
+		b.Fatal(err)
+	}
+	events := len(pmu.ReducedEventSet(pmu.SamplingBudget(cg.Iterations, 0.20)))
+	train := dataset.LeaveOneOut(samples, "CG")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.TrainANNBank(train, []int{events}, s.Targets(), s.Opts.Folds, s.Opts.ANN); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkANNForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	net, err := ann.NewNetwork([]int{13, 16, 1}, rng)

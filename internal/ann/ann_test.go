@@ -3,6 +3,7 @@ package ann
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -223,6 +224,54 @@ func TestEnsembleErrors(t *testing.T) {
 	}
 	if _, err := TrainEnsemble(samples[:2], 5, DefaultConfig()); err == nil {
 		t.Error("fewer samples than folds accepted")
+	}
+}
+
+// TestNonFiniteTrainingDataRejected asserts a NaN or infinite feature or
+// label is refused before any epoch runs, naming the sample and the
+// feature — not trained into NaN weights, a NaN EstimateMSE or a misleading
+// scaler error.
+func TestNonFiniteTrainingDataRejected(t *testing.T) {
+	poison := func(i int, f func(*Sample)) []Sample {
+		s := synthSamples(40, 3, 0.02)
+		s[i].X = append([]float64(nil), s[i].X...)
+		f(&s[i])
+		return s
+	}
+	cfg := DefaultConfig()
+	cfg.MaxEpochs = 5
+	base, err := TrainEnsemble(synthSamples(40, 4, 0.02), 4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		samples []Sample
+		want    string
+	}{
+		{"NaN label", poison(7, func(s *Sample) { s.Y = math.NaN() }), "sample 7 target is NaN"},
+		{"+Inf feature", poison(0, func(s *Sample) { s.X[0] = math.Inf(1) }), "sample 0 feature 0 is +Inf"},
+		{"-Inf label", poison(39, func(s *Sample) { s.Y = math.Inf(-1) }), "sample 39 target is -Inf"},
+		{"NaN feature", poison(12, func(s *Sample) { s.X[2] = math.NaN() }), "sample 12 feature 2 is NaN"},
+	} {
+		for _, run := range []struct {
+			entry string
+			fn    func() error
+		}{
+			{"FitScaler", func() error { _, err := FitScaler(c.samples); return err }},
+			{"Train", func() error { _, _, err := Train(c.samples, nil, cfg); return err }},
+			{"TrainEnsemble", func() error { _, err := TrainEnsemble(c.samples, 4, cfg); return err }},
+			{"FineTuneEnsemble", func() error { _, err := FineTuneEnsemble(base, c.samples, cfg); return err }},
+		} {
+			err := run.fn()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s with a %s: error %v, want one naming %q", run.entry, c.name, err, c.want)
+			}
+		}
+	}
+	// A validation set is checked too.
+	if _, _, err := Train(synthSamples(20, 5, 0), poison(3, func(s *Sample) { s.Y = math.NaN() }), cfg); err == nil {
+		t.Error("NaN validation label accepted")
 	}
 }
 

@@ -1,45 +1,73 @@
-// Packed training corpus and the per-epoch driver of training: the
-// mini-batch pass built on the kernels in gemm.go.
+// Packed training corpus: the one layout every training run reads.
 package ann
 
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
-// dataSet is a packed, row-major training corpus: feature row i lives at
-// x[i·d : (i+1)·d] with target y[i]. Packing happens once per training run;
-// every fold, batch and validation view is then an index slice into the
-// packed rows, so no per-fold sample copying survives on the training path.
+// dataSet is a packed training corpus shared by one or more targets: input
+// row i lives at x[i·(d+1) : (i+1)·(d+1)] as the constant 1 the bias
+// weights multiply followed by the d features, and target t's label for it
+// is y[t][i]. Packing happens once per training run; every fold, batch and
+// validation view is then an index slice into the packed rows, so no
+// per-fold sample copying survives on the training path, and targets whose
+// inputs are bitwise identical share one x.
 type dataSet struct {
 	x []float64
-	y []float64
+	y [][]float64
 	d int
 }
 
 // n returns the number of rows.
-func (ds *dataSet) n() int { return len(ds.y) }
+func (ds *dataSet) n() int { return len(ds.x) / (ds.d + 1) }
 
-// row returns feature row i.
-func (ds *dataSet) row(i int) []float64 { return ds.x[i*ds.d : (i+1)*ds.d] }
+// input returns row i as the first layer consumes it: the bias input 1,
+// then the features.
+func (ds *dataSet) input(i int) []float64 { return ds.x[i*(ds.d+1) : (i+1)*(ds.d+1)] }
 
-// packWith packs samples into a dataSet of feature dimension d, filling
-// each feature row through fillX and each target through mapY, and
-// validating every sample's dimension (the caller fixes d from the
-// training set so a validation set cannot silently disagree). It is the
-// single point of truth for both the raw and the normalising packers.
+// row returns the features of row i (without the leading 1).
+func (ds *dataSet) row(i int) []float64 { return ds.input(i)[1:] }
+
+// checkFinite rejects a sample with a NaN or infinite feature or label:
+// one such value would train every network of the run into NaN weights (or
+// an ensemble whose error estimate is NaN) without any error.
+func checkFinite(i int, s Sample) error {
+	for f, v := range s.X {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("ann: sample %d feature %d is %v; training data must be finite", i, f, v)
+		}
+	}
+	if math.IsNaN(s.Y) || math.IsInf(s.Y, 0) {
+		return fmt.Errorf("ann: sample %d target is %v; training data must be finite", i, s.Y)
+	}
+	return nil
+}
+
+// packWith packs samples into a one-target dataSet of feature dimension d,
+// filling each feature row through fillX and each label through mapY, and
+// validating every sample's dimension and finiteness (the caller fixes d
+// from the training set so a validation set cannot silently disagree). It
+// is the single point of truth for both the raw and the normalising
+// packers.
 func packWith(samples []Sample, d int, fillX func(dst, x []float64), mapY func(float64) float64) (*dataSet, error) {
 	ds := &dataSet{
-		x: make([]float64, len(samples)*d),
-		y: make([]float64, len(samples)),
+		x: make([]float64, len(samples)*(d+1)),
+		y: [][]float64{make([]float64, len(samples))},
 		d: d,
 	}
 	for i := range samples {
 		if len(samples[i].X) != d {
 			return nil, errors.New("ann: inconsistent feature dimensions")
 		}
-		fillX(ds.x[i*d:(i+1)*d], samples[i].X)
-		ds.y[i] = mapY(samples[i].Y)
+		if err := checkFinite(i, samples[i]); err != nil {
+			return nil, err
+		}
+		row := ds.input(i)
+		row[0] = 1
+		fillX(row[1:], samples[i].X)
+		ds.y[0][i] = mapY(samples[i].Y)
 	}
 	return ds, nil
 }
@@ -51,6 +79,45 @@ func packSamples(samples []Sample, d int) (*dataSet, error) {
 		func(y float64) float64 { return y })
 }
 
+// sameX reports whether two corpora hold bitwise-identical input rows.
+func sameX(a, b *dataSet) bool {
+	if a.d != b.d || len(a.x) != len(b.x) {
+		return false
+	}
+	for i, v := range a.x {
+		if math.Float64bits(v) != math.Float64bits(b.x[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// groupShared partitions one-target corpora into lockstep groups: sets
+// join the first group whose first member has bitwise-identical input rows
+// and is compatible with them by same (nil accepts any). Groups and their
+// members keep the input order. It returns each group's set indices and
+// its merged corpus, whose target t is the group's t-th set.
+func groupShared(sets []*dataSet, same func(a, b int) bool) ([][]int, []*dataSet) {
+	var groups [][]int
+	var merged []*dataSet
+	for i, ds := range sets {
+		g := 0
+		for ; g < len(groups); g++ {
+			first := groups[g][0]
+			if (same == nil || same(first, i)) && sameX(sets[first], ds) {
+				break
+			}
+		}
+		if g == len(groups) {
+			groups = append(groups, nil)
+			merged = append(merged, &dataSet{x: ds.x, d: ds.d})
+		}
+		groups[g] = append(groups[g], i)
+		merged[g].y = append(merged[g].y, ds.y[0])
+	}
+	return groups, merged
+}
+
 // identityIdx returns [0, 1, …, n).
 func identityIdx(n int) []int {
 	idx := make([]int, n)
@@ -60,132 +127,11 @@ func identityIdx(n int) []int {
 	return idx
 }
 
-// batchScratch is the working memory of the mini-batch pass: the gathered
-// input rows plus batch-sized activation and delta matrices per layer. One
-// scratch serves a whole training run.
-type batchScratch struct {
-	rows   int         // batch capacity
-	x      []float64   // gathered inputs, rows×inDim
-	acts   [][]float64 // acts[l]: rows×Sizes[l+1]
-	deltas [][]float64 // deltas[l] matches acts[l]
-}
-
-// newBatchScratch sizes a scratch for the network topology and batch size.
-func (n *Network) newBatchScratch(rows int) *batchScratch {
-	bs := &batchScratch{
-		rows:   rows,
-		x:      make([]float64, rows*n.Sizes[0]),
-		acts:   make([][]float64, len(n.Sizes)-1),
-		deltas: make([][]float64, len(n.Sizes)-1),
-	}
-	for l := 1; l < len(n.Sizes); l++ {
-		bs.acts[l-1] = make([]float64, rows*n.Sizes[l])
-		bs.deltas[l-1] = make([]float64, rows*n.Sizes[l])
-	}
-	return bs
-}
-
-// epochBatched runs one epoch of mini-batch gradient descent: the shuffled
-// order is split into consecutive chunks of up to batch rows (fixed shuffle
-// → fixed batch partition, so training stays deterministic under a seed),
-// and each chunk does one fused forward/backward/update pass. Gradients are
-// summed (not averaged) over the chunk, so a batch of one reproduces the
-// per-sample pass bit-for-bit; see gemm.go.
-func (n *Network) epochBatched(ds *dataSet, order []int, batch int, lr, momentum float64, vel [][]float64, bs *batchScratch) float64 {
-	var sum float64
-	for start := 0; start < len(order); start += batch {
-		end := start + batch
-		if end > len(order) {
-			end = len(order)
-		}
-		sum += n.batchStep(ds, order[start:end], lr, momentum, vel, bs)
-	}
-	return sum
-}
-
-// batchStep runs forward, backward and weight update for one mini-batch,
-// returning the batch's summed squared error (computed before the update,
-// as the per-sample path does).
-func (n *Network) batchStep(ds *dataSet, batchIdx []int, lr, momentum float64, vel [][]float64, bs *batchScratch) float64 {
-	m := len(batchIdx)
-	d := ds.d
-	for r, id := range batchIdx {
-		copy(bs.x[r*d:(r+1)*d], ds.row(id))
-	}
-
-	// Forward through every layer; hidden layers apply the sigmoid.
-	nl := len(n.w)
-	in, ld := bs.x, d
-	for l := 0; l < nl; l++ {
-		units := n.Sizes[l+1]
-		denseForward(bs.acts[l], in, n.w[l], m, n.Sizes[l], units, ld, l != nl-1)
-		in, ld = bs.acts[l], units
-	}
-
-	// Output deltas (linear unit: delta = error) and squared error.
-	out := bs.acts[nl-1]
-	dOut := bs.deltas[nl-1]
-	var sum float64
-	for r, id := range batchIdx {
-		e := out[r] - ds.y[id]
-		dOut[r] = e
-		sum += e * e
-	}
-
-	// Hidden deltas, output layer inward.
-	for l := nl - 2; l >= 0; l-- {
-		hiddenDelta(bs.deltas[l], bs.deltas[l+1], n.w[l+1], bs.acts[l], m, n.Sizes[l+1], n.Sizes[l+2])
-	}
-
-	// Fused momentum/AXPY update per layer.
-	in, ld = bs.x, d
-	for l := 0; l < nl; l++ {
-		sgdStep(n.w[l], vel[l], bs.deltas[l], in, m, n.Sizes[l+1], n.Sizes[l], ld, lr, momentum)
-		in, ld = bs.acts[l], n.Sizes[l+1]
-	}
-	return sum
-}
-
-// mseBatched returns the mean squared error over the listed rows using
-// batched forward passes. Each sample's output is an independent dot-product
-// chain and errors accumulate in row order, so the result is bit-identical
-// to the per-sample MSE regardless of batch size.
-func (n *Network) mseBatched(ds *dataSet, idx []int, bs *batchScratch) float64 {
-	if len(idx) == 0 {
-		return 0
-	}
-	d := ds.d
-	nl := len(n.w)
-	var sum float64
-	for start := 0; start < len(idx); start += bs.rows {
-		end := start + bs.rows
-		if end > len(idx) {
-			end = len(idx)
-		}
-		chunk := idx[start:end]
-		m := len(chunk)
-		for r, id := range chunk {
-			copy(bs.x[r*d:(r+1)*d], ds.row(id))
-		}
-		in, ld := bs.x, d
-		for l := 0; l < nl; l++ {
-			units := n.Sizes[l+1]
-			denseForward(bs.acts[l], in, n.w[l], m, n.Sizes[l], units, ld, l != nl-1)
-			in, ld = bs.acts[l], units
-		}
-		out := bs.acts[nl-1]
-		for r, id := range chunk {
-			e := out[r] - ds.y[id]
-			sum += e * e
-		}
-	}
-	return sum / float64(len(idx))
-}
-
-// mseIdx returns the network's mean squared error over the listed rows of
-// the packed dataset using the pooled per-sample scratch — the index-view
-// counterpart of MSE, used for ensemble fold estimates.
-func (n *Network) mseIdx(ds *dataSet, idx []int) float64 {
+// mseIdx returns the network's mean squared error against labels y over
+// the listed rows of the packed corpus, using the pooled per-sample
+// scratch — the index-view counterpart of MSE, used for ensemble fold
+// estimates.
+func (n *Network) mseIdx(ds *dataSet, y []float64, idx []int) float64 {
 	if len(idx) == 0 {
 		return 0
 	}
@@ -195,7 +141,7 @@ func (n *Network) mseIdx(ds *dataSet, idx []int) float64 {
 	s := n.getScratch()
 	var sum float64
 	for _, id := range idx {
-		e := n.forward(ds.row(id), s) - ds.y[id]
+		e := n.forward(ds.row(id), s) - y[id]
 		sum += e * e
 	}
 	n.putScratch(s)

@@ -13,10 +13,12 @@
 package ann
 
 var (
-	denseForward = denseForwardScalar
-	hiddenDelta  = hiddenDeltaScalar
-	sgdStep      = sgdStepScalar
-	stackForward = stackForwardScalar
+	denseForward    = denseForwardScalar
+	hiddenDelta     = hiddenDeltaScalar
+	hiddenEta       = hiddenEtaScalar
+	sgdStep         = sgdStepScalar
+	sgdFeatureMajor = sgdFeatureMajorScalar
+	stackForward    = stackForwardScalar
 
 	// kernelVariant names the bound implementation ("scalar" or "avx2")
 	// for benchmark metadata and diagnostics.

@@ -80,48 +80,107 @@ func NewEnsemble(nets []*Network, scaler *Scaler, estimateMSE float64) (*Ensembl
 // the paper-level leave-one-out evaluation is unaffected because the
 // held-out benchmark never enters any fold.
 func TrainEnsemble(samples []Sample, k int, cfg Config) (*Ensemble, error) {
+	ens, err := TrainEnsembles([][]Sample{samples}, k, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return ens[0], nil
+}
+
+// TrainEnsembles builds one k-fold ensemble per sample set under one cfg —
+// ensemble i is bit-identical to TrainEnsemble(sets[i], k, cfg). Sets whose
+// feature vectors are bitwise identical (the targets of one feature set, as
+// dataset.ToSamplesMulti produces them) share their fold assignment,
+// initial weights and every mini-batch, so each fold member and the
+// warm-start base train them together in one lockstep run (trainCore).
+func TrainEnsembles(sets [][]Sample, k int, cfg Config) ([]*Ensemble, error) {
 	if k < 3 {
 		return nil, errors.New("ann: ensemble needs k ≥ 3 folds (train/stop/estimate)")
 	}
-	if len(samples) < k {
-		return nil, fmt.Errorf("ann: %d samples cannot fill %d folds", len(samples), k)
-	}
-	scaler, err := FitScaler(samples)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := scaler.pack(samples)
-	if err != nil {
-		return nil, err
-	}
-
-	// Deterministic shuffled fold assignment: fold f holds the packed rows
-	// assigned to it, in assignment order — the same sample sequence the
-	// copying implementation produced.
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
-	idx := rng.Perm(ds.n())
-	foldIdx := make([][]int, k)
-	for i, id := range idx {
-		f := i % k
-		foldIdx[f] = append(foldIdx[f], id)
-	}
-
-	var base *Network
-	if cfg.WarmStartEpochs > 0 {
-		var trainIdx []int
-		for f := 1; f < k; f++ {
-			trainIdx = append(trainIdx, foldIdx[f]...)
+	scalers := make([]*Scaler, len(sets))
+	packed := make([]*dataSet, len(sets))
+	for i, samples := range sets {
+		if len(samples) < k {
+			return nil, setErr(i, len(sets), fmt.Errorf("ann: %d samples cannot fill %d folds", len(samples), k))
 		}
-		bcfg := cfg
-		bcfg.Seed = cfg.Seed ^ 0x7a57 // base draws its own init/shuffle stream
-		base, _, err = trainCore(ds, trainIdx, ds, foldIdx[0], nil, bcfg)
+		scaler, err := FitScaler(samples)
+		if err != nil {
+			return nil, setErr(i, len(sets), err)
+		}
+		if packed[i], err = scaler.pack(samples); err != nil {
+			return nil, setErr(i, len(sets), err)
+		}
+		scalers[i] = scaler
+	}
+
+	out := make([]*Ensemble, len(sets))
+	groups, merged := groupShared(packed, nil)
+	for g, ids := range groups {
+		ds := merged[g]
+		foldIdx := assignFolds(ds.n(), k, cfg.Seed)
+		mcfg := cfg
+		var bases []*Network
+		if cfg.WarmStartEpochs > 0 {
+			var trainIdx []int
+			for f := 1; f < k; f++ {
+				trainIdx = append(trainIdx, foldIdx[f]...)
+			}
+			bcfg := cfg
+			bcfg.Seed = cfg.Seed ^ 0x7a57 // bases draw their own init/shuffle stream
+			var err error
+			if bases, _, err = trainCore(ds, trainIdx, ds, foldIdx[0], nil, bcfg); err != nil {
+				return nil, err
+			}
+			// Fine-tuning starts next to a minimum the base already found,
+			// so cap the epochs and halve the patience — a fold whose
+			// validation error stalls this close to convergence is done,
+			// not warming up.
+			mcfg.MaxEpochs = cfg.WarmStartEpochs
+			mcfg.Patience = (cfg.Patience + 1) / 2
+		}
+		members, estimates, err := trainFolds(ds, foldIdx, mcfg, func(int) []*Network { return bases })
 		if err != nil {
 			return nil, err
 		}
+		for t, i := range ids {
+			if out[i], err = NewEnsemble(members[t], scalers[i], estimates[t]); err != nil {
+				return nil, setErr(i, len(sets), err)
+			}
+		}
 	}
+	return out, nil
+}
 
-	nets := make([]*Network, k)
-	estimates := make([]float64, k)
+// setErr names the failing set when there is more than one.
+func setErr(i, n int, err error) error {
+	if n == 1 {
+		return err
+	}
+	return fmt.Errorf("set %d: %w", i, err)
+}
+
+// assignFolds deals the n corpus rows into k folds by a deterministic
+// shuffle under seed: fold f holds the rows assigned to it, in assignment
+// order — the same sample sequence the copying implementation produced.
+func assignFolds(n, k int, seed int64) [][]int {
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	foldIdx := make([][]int, k)
+	for i, id := range rng.Perm(n) {
+		foldIdx[i%k] = append(foldIdx[i%k], id)
+	}
+	return foldIdx
+}
+
+// trainFolds trains the k = len(foldIdx) fold members of every target of
+// ds, the members concurrently and each member's targets in lockstep:
+// member m early-stops on fold m, estimates on fold (m+1) mod k, trains on
+// the rest under seed cfg.Seed + 7919·m, and starts from init(m) (nil:
+// cold start). It returns the members per target and each target's
+// EstimateMSE, the mean of its members' estimate-fold errors.
+func trainFolds(ds *dataSet, foldIdx [][]int, cfg Config, init func(member int) []*Network) ([][]*Network, []float64, error) {
+	k, targets := len(foldIdx), len(ds.y)
+	nets := make([][]*Network, k)
+	estimates := make([][]float64, k)
 	errs := make([]error, k)
 	parallel.ForEach(k, func(member int) {
 		stopFold := member
@@ -134,30 +193,32 @@ func TrainEnsemble(samples []Sample, k int, cfg Config) (*Ensemble, error) {
 		}
 		mcfg := cfg
 		mcfg.Seed = cfg.Seed + int64(member)*7919
-		if base != nil {
-			// Fine-tuning starts next to a minimum the base already
-			// found, so cap the epochs and halve the patience — a fold
-			// whose validation error stalls this close to convergence
-			// is done, not warming up.
-			mcfg.MaxEpochs = cfg.WarmStartEpochs
-			mcfg.Patience = (cfg.Patience + 1) / 2
-		}
-		net, _, err := trainCore(ds, trainIdx, ds, foldIdx[stopFold], base, mcfg)
+		got, _, err := trainCore(ds, trainIdx, ds, foldIdx[stopFold], init(member), mcfg)
 		if err != nil {
 			errs[member] = err
 			return
 		}
-		nets[member] = net
-		estimates[member] = net.mseIdx(ds, foldIdx[estFold])
+		nets[member] = got
+		estimates[member] = make([]float64, targets)
+		for t, net := range got {
+			estimates[member][t] = net.mseIdx(ds, ds.y[t], foldIdx[estFold])
+		}
 	})
 	if err := parallel.FirstError(errs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var sum float64
-	for _, e := range estimates {
-		sum += e
+	members := make([][]*Network, targets)
+	means := make([]float64, targets)
+	for t := range members {
+		members[t] = make([]*Network, k)
+		var sum float64
+		for m := range nets {
+			members[t][m] = nets[m][t]
+			sum += estimates[m][t]
+		}
+		means[t] = sum / float64(k)
 	}
-	return NewEnsemble(nets, scaler, sum/float64(k))
+	return members, means, nil
 }
 
 // Predict returns the ensemble's prediction for a raw (unnormalised)

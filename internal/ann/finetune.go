@@ -3,9 +3,7 @@ package ann
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-
-	"github.com/greenhpc/actor/internal/parallel"
+	"slices"
 )
 
 // FineTuneEnsemble warm-starts a new k-fold ensemble from base on fresh
@@ -22,47 +20,52 @@ import (
 // uses); otherwise cfg.MaxEpochs applies. Deterministic under cfg.Seed at
 // any GOMAXPROCS.
 func FineTuneEnsemble(base *Ensemble, samples []Sample, cfg Config) (*Ensemble, error) {
-	if base == nil || len(base.Nets) == 0 || base.Scaler == nil {
-		return nil, errors.New("ann: fine-tuning needs a trained base ensemble")
-	}
-	k := len(base.Nets)
-	if k < 3 {
-		return nil, fmt.Errorf("ann: base ensemble has %d members, fine-tuning needs k ≥ 3", k)
-	}
-	if len(samples) < k {
-		return nil, fmt.Errorf("ann: %d samples cannot fill %d folds", len(samples), k)
-	}
-	// The base topology drives trainCore's shape check.
-	sizes := base.Nets[0].Sizes
-	cfg.Hidden = append([]int(nil), sizes[1:len(sizes)-1]...)
-	ds, err := base.Scaler.pack(samples)
+	ens, err := FineTuneEnsembles([]*Ensemble{base}, [][]Sample{samples}, cfg)
 	if err != nil {
 		return nil, err
 	}
+	return ens[0], nil
+}
 
-	// Same deterministic shuffled fold assignment as TrainEnsemble.
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
-	idx := rng.Perm(ds.n())
-	foldIdx := make([][]int, k)
-	for i, id := range idx {
-		f := i % k
-		foldIdx[f] = append(foldIdx[f], id)
+// FineTuneEnsembles fine-tunes bases[i] on sets[i] for every i — ensemble i
+// is bit-identical to FineTuneEnsemble(bases[i], sets[i], cfg). Targets
+// whose bases share member count and topology and whose base scalers turn
+// their samples into bitwise-identical feature rows train together in one
+// lockstep run per fold member; any other target forms its own group.
+func FineTuneEnsembles(bases []*Ensemble, sets [][]Sample, cfg Config) ([]*Ensemble, error) {
+	if len(bases) != len(sets) {
+		return nil, fmt.Errorf("ann: %d base ensembles for %d sample sets", len(bases), len(sets))
+	}
+	packed := make([]*dataSet, len(sets))
+	for i, base := range bases {
+		if base == nil || len(base.Nets) == 0 || base.Scaler == nil {
+			return nil, setErr(i, len(sets), errors.New("ann: fine-tuning needs a trained base ensemble"))
+		}
+		k := len(base.Nets)
+		if k < 3 {
+			return nil, setErr(i, len(sets), fmt.Errorf("ann: base ensemble has %d members, fine-tuning needs k ≥ 3", k))
+		}
+		if len(sets[i]) < k {
+			return nil, setErr(i, len(sets), fmt.Errorf("ann: %d samples cannot fill %d folds", len(sets[i]), k))
+		}
+		var err error
+		if packed[i], err = base.Scaler.pack(sets[i]); err != nil {
+			return nil, setErr(i, len(sets), err)
+		}
 	}
 
-	nets := make([]*Network, k)
-	estimates := make([]float64, k)
-	errs := make([]error, k)
-	parallel.ForEach(k, func(member int) {
-		stopFold := member
-		estFold := (member + 1) % k
-		var trainIdx []int
-		for f := range foldIdx {
-			if f != stopFold && f != estFold {
-				trainIdx = append(trainIdx, foldIdx[f]...)
-			}
-		}
+	out := make([]*Ensemble, len(sets))
+	groups, merged := groupShared(packed, func(a, b int) bool {
+		na, nb := bases[a].Nets, bases[b].Nets
+		return len(na) == len(nb) && slices.Equal(na[0].Sizes, nb[0].Sizes)
+	})
+	for g, ids := range groups {
+		ds := merged[g]
+		first := bases[ids[0]].Nets
+		// The base topology drives trainCore's shape check.
+		sizes := first[0].Sizes
 		mcfg := cfg
-		mcfg.Seed = cfg.Seed + int64(member)*7919
+		mcfg.Hidden = slices.Clone(sizes[1 : len(sizes)-1])
 		if cfg.WarmStartEpochs > 0 {
 			// Fine-tuning starts next to a minimum the base member already
 			// found — cap the epochs and halve the patience, exactly as
@@ -70,20 +73,22 @@ func FineTuneEnsemble(base *Ensemble, samples []Sample, cfg Config) (*Ensemble, 
 			mcfg.MaxEpochs = cfg.WarmStartEpochs
 			mcfg.Patience = (cfg.Patience + 1) / 2
 		}
-		net, _, err := trainCore(ds, trainIdx, ds, foldIdx[stopFold], base.Nets[member], mcfg)
+		foldIdx := assignFolds(ds.n(), len(first), cfg.Seed)
+		members, estimates, err := trainFolds(ds, foldIdx, mcfg, func(member int) []*Network {
+			inits := make([]*Network, len(ids))
+			for t, i := range ids {
+				inits[t] = bases[i].Nets[member]
+			}
+			return inits
+		})
 		if err != nil {
-			errs[member] = err
-			return
+			return nil, err
 		}
-		nets[member] = net
-		estimates[member] = net.mseIdx(ds, foldIdx[estFold])
-	})
-	if err := parallel.FirstError(errs); err != nil {
-		return nil, err
+		for t, i := range ids {
+			if out[i], err = NewEnsemble(members[t], bases[i].Scaler, estimates[t]); err != nil {
+				return nil, setErr(i, len(sets), err)
+			}
+		}
 	}
-	var sum float64
-	for _, e := range estimates {
-		sum += e
-	}
-	return NewEnsemble(nets, base.Scaler, sum/float64(k))
+	return out, nil
 }

@@ -1,16 +1,15 @@
 // Batched linear-algebra kernels for the trainer: a dense forward layer
 // with fused sigmoid, the batched backprop delta recurrence, and a fused
-// momentum/AXPY weight update that consumes a whole mini-batch per call.
+// momentum/AXPY weight update that consumes a whole mini-batch per call —
+// each for the network's flat row-major layers — plus the η·δ and update
+// kernels of the feature-major first layer the lockstep trainer keeps
+// (lockstep.go).
 //
-// All kernels operate on the network's flat row-major layer storage and on
-// row-major batch matrices (one sample per row), so the inner loops stream
-// contiguous memory: a weight row stays register/L1-resident while the
-// batch rows stream past it. Register blocking is over *independent*
-// outputs only — every individual output accumulates in exactly the order
-// the per-sample path uses (bias first, then ascending feature index), so
-// a batch of one is bit-for-bit identical to per-sample training. That
-// equivalence is the correctness anchor the batched trainer is tested
-// against (see train_batch_test.go).
+// Register blocking is over *independent* outputs only — every individual
+// output accumulates in exactly the order the per-sample path uses (bias
+// first, then ascending feature index), so a batch of one is bit-for-bit
+// identical to per-sample training. That equivalence is the correctness
+// anchor the trainer is tested against (see train_batch_test.go).
 package ann
 
 import "math"
@@ -164,6 +163,85 @@ func hiddenDeltaScalar(d, dNext, wNext, acts []float64, batch, units, unitsNext 
 			}
 			a := ab[j]
 			db[j] = sum * a * (1 - a)
+		}
+	}
+}
+
+// hiddenEta is hiddenDelta for the lanes of a feature-major layer, already
+// multiplied by the learning rate: for every sample b and unit j,
+//
+//	t[b·ld+j] = lr · ( ( Σ_k wNext[k·(units+1)+j] · dNext[b·unitsNext+k] ) · a·(1−a) )
+//
+// where a = acts[b·ld+j] and ld is the row stride of t and acts. Per
+// element it is hiddenDelta's δ followed by the η·δ that sgdStep forms from
+// it, so the update that consumes t sees the reference's bits.
+func hiddenEtaScalar(t, dNext, wNext, acts []float64, batch, units, unitsNext, ld int, lr float64) {
+	rowW := units + 1
+	for b := 0; b < batch; b++ {
+		tb := t[b*ld:][:units]
+		ab := acts[b*ld:][:units]
+		nd := dNext[b*unitsNext:][:unitsNext]
+		for j := range tb {
+			var sum float64
+			for k, ndk := range nd {
+				sum += wNext[k*rowW+j] * ndk
+			}
+			a := ab[j]
+			tb[j] = lr * (sum * a * (1 - a))
+		}
+	}
+}
+
+// sgdFeatureMajor is sgdStep for a layer stored feature-major: w and vel
+// hold rows rows of lanes columns, lane u being one unit and row i its
+// weight for input i. t holds the batch's η·δ, one row of lanes per
+// sample, and x the batch's input rows at stride ldx, each starting with
+// the constant 1 that row 0 (the biases) multiplies:
+//
+//	v ← μ·v − Σ_b t_b ⊗ x_b ;  w ← w + v
+//
+// Every element gets sgdStep's operation sequence for the weight it holds:
+// the momentum fold with the first block of four samples, one subtraction
+// per later block or straggler, then w += v. A bias weight multiplies the
+// constant 1, and t·1 = t exactly, so it gets sgdStep's bias sequence too.
+func sgdFeatureMajorScalar(w, vel, t, x []float64, batch, rows, lanes, ldx int, momentum float64) {
+	for i := 0; i < rows; i++ {
+		wr := w[i*lanes:][:lanes]
+		vr := vel[i*lanes:][:lanes]
+		var b int
+		if batch >= 4 {
+			x0, x1, x2, x3 := x[i], x[ldx+i], x[2*ldx+i], x[3*ldx+i]
+			t0 := t[:lanes]
+			t1 := t[lanes:][:lanes]
+			t2 := t[2*lanes:][:lanes]
+			t3 := t[3*lanes:][:lanes]
+			for u := range vr {
+				vr[u] = momentum*vr[u] - (t0[u]*x0 + t1[u]*x1 + t2[u]*x2 + t3[u]*x3)
+			}
+			b = 4
+		} else {
+			for u, vv := range vr {
+				vr[u] = momentum * vv
+			}
+		}
+		for ; b+4 <= batch; b += 4 {
+			x0, x1, x2, x3 := x[b*ldx+i], x[(b+1)*ldx+i], x[(b+2)*ldx+i], x[(b+3)*ldx+i]
+			t0 := t[b*lanes:][:lanes]
+			t1 := t[(b+1)*lanes:][:lanes]
+			t2 := t[(b+2)*lanes:][:lanes]
+			t3 := t[(b+3)*lanes:][:lanes]
+			for u := range vr {
+				vr[u] -= t0[u]*x0 + t1[u]*x1 + t2[u]*x2 + t3[u]*x3
+			}
+		}
+		for ; b < batch; b++ {
+			xv := x[b*ldx+i]
+			for u, tv := range t[b*lanes:][:lanes] {
+				vr[u] -= tv * xv
+			}
+		}
+		for u, vv := range vr {
+			wr[u] += vv
 		}
 	}
 }

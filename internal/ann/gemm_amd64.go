@@ -18,7 +18,9 @@ func init() {
 	if simd.Enabled() {
 		denseForward = denseForwardAVX2
 		hiddenDelta = hiddenDeltaAVX2
+		hiddenEta = hiddenEtaAVX2
 		sgdStep = sgdStepAVX2
+		sgdFeatureMajor = sgdFeatureMajorAVX2
 		stackForward = stackForwardAVX2
 		kernelVariant = "avx2"
 	}
@@ -34,6 +36,9 @@ func sigmoidVec4(v *float64, n int)
 func denseSumsT4(tmp, w, xT *float64, units, inDim int)
 
 //go:noescape
+func dotRows4(out, x, w *float64, rows, inDim, ldx int)
+
+//go:noescape
 func stackSums4(acc, wT, x *float64, lanes, inDim int)
 
 //go:noescape
@@ -43,7 +48,10 @@ func packT4(xT, x0, x1, x2, x3 *float64, n int)
 func scatterT4(o0, o1, o2, o3, tmp *float64, n int)
 
 //go:noescape
-func hiddenDeltaRow4(d, dNext, wNext, acts *float64, units4, unitsNext, rowW int)
+func deltaRows4(d, acts, wNext, dNext *float64, rows, ld, units4, unitsNext, rowW int, scale float64)
+
+//go:noescape
+func sgdFeatureMajor4(w, vel, t, x *float64, batch, rows, lanes, ldx int, mom float64)
 
 //go:noescape
 func sgdFoldAll(vel, x0, x1, x2, x3, d *float64, units, inDim int, lr, mom float64)
@@ -112,6 +120,32 @@ func denseForwardAVX2(out, x, w []float64, batch, inDim, units, ldx int, sigmoid
 		return
 	}
 	rowW := inDim + 1
+	if units == 1 {
+		// One unit (an output layer): a single sum chain per row, so
+		// four rows share each instruction straight from their stride —
+		// no packing buffer to fill or scatter.
+		b4 := batch &^ 3
+		if b4 > 0 {
+			_ = x[(b4-1)*ldx+inDim-1]
+			_ = w[inDim]
+			_ = out[b4-1]
+			dotRows4(&out[0], &x[0], &w[0], b4, inDim, ldx)
+			if sigmoidAct {
+				sigmoidVec4(&out[0], b4)
+			}
+		}
+		for b := b4; b < batch; b++ {
+			sum := w[inDim]
+			for i, wv := range w[:inDim] {
+				sum += wv * x[b*ldx+i]
+			}
+			if sigmoidAct {
+				sum = sigmoid(sum)
+			}
+			out[b] = sum
+		}
+		return
+	}
 	buf := fwdPool.Get().(*fwdBuf)
 	buf.ensure(inDim*4, units*4)
 	var b int
@@ -157,29 +191,63 @@ func stackForwardAVX2(acts, wT, x []float64) {
 }
 
 // hiddenDeltaAVX2 runs the backprop recurrence with four units per vector
-// lane. wNext is row-major in k, so the four j-columns of one k are
-// contiguous — no transpose needed; the k-sum ascends inside each lane.
+// lane: hiddenEtaAVX2 on contiguous rows at scale 1, which multiplies
+// every δ by 1 — exact, so the bits are hiddenDeltaScalar's.
 func hiddenDeltaAVX2(d, dNext, wNext, acts []float64, batch, units, unitsNext int) {
+	hiddenEtaAVX2(d, dNext, wNext, acts, batch, units, unitsNext, units, 1)
+}
+
+// hiddenEtaAVX2 runs the scaled backprop recurrence with four units per
+// vector lane and the whole batch per call. wNext is row-major in k, so
+// the four j-columns of one k are contiguous — no transpose needed; the
+// k-sum ascends inside each lane. The unit tail runs the scalar
+// reference's expression.
+func hiddenEtaAVX2(t, dNext, wNext, acts []float64, batch, units, unitsNext, ld int, lr float64) {
 	units4 := units &^ 3
-	if units4 == 0 || unitsNext == 0 {
-		hiddenDeltaScalar(d, dNext, wNext, acts, batch, units, unitsNext)
+	if units4 == 0 || unitsNext == 0 || batch == 0 {
+		hiddenEtaScalar(t, dNext, wNext, acts, batch, units, unitsNext, ld, lr)
+		return
+	}
+	// Panic, as the scalar reference would, before the assembly touches
+	// memory a slice does not cover.
+	_ = t[(batch-1)*ld+units-1]
+	_ = acts[(batch-1)*ld+units-1]
+	_ = dNext[batch*unitsNext-1]
+	_ = wNext[unitsNext*(units+1)-1]
+	deltaRows4(&t[0], &acts[0], &wNext[0], &dNext[0], batch, ld, units4, unitsNext, units+1, lr)
+	if units4 == units {
 		return
 	}
 	rowW := units + 1
 	for b := 0; b < batch; b++ {
-		db := d[b*units:][:units]
+		tb := t[b*ld:][:units]
+		ab := acts[b*ld:][:units]
 		nd := dNext[b*unitsNext:][:unitsNext]
-		ab := acts[b*units:][:units]
-		hiddenDeltaRow4(&db[0], &nd[0], &wNext[0], &ab[0], units4, unitsNext, rowW)
 		for j := units4; j < units; j++ {
 			var sum float64
 			for k, ndk := range nd {
 				sum += wNext[k*rowW+j] * ndk
 			}
 			a := ab[j]
-			db[j] = sum * a * (1 - a)
+			tb[j] = lr * (sum * a * (1 - a))
 		}
 	}
+}
+
+// sgdFeatureMajorAVX2 runs the feature-major update four lanes per
+// instruction, carrying each velocity through the whole batch in a
+// register before w += v. Lane counts that are not a multiple of four
+// (the trainer always pads to four) take the scalar reference.
+func sgdFeatureMajorAVX2(w, vel, t, x []float64, batch, rows, lanes, ldx int, momentum float64) {
+	if lanes&3 != 0 || lanes == 0 || rows == 0 || batch == 0 {
+		sgdFeatureMajorScalar(w, vel, t, x, batch, rows, lanes, ldx, momentum)
+		return
+	}
+	_ = w[rows*lanes-1]
+	_ = vel[rows*lanes-1]
+	_ = t[batch*lanes-1]
+	_ = x[(batch-1)*ldx+rows-1]
+	sgdFeatureMajor4(&w[0], &vel[0], &t[0], &x[0], batch, rows, lanes, ldx, momentum)
 }
 
 // sgdStepAVX2 applies the fused momentum/AXPY update with four weight

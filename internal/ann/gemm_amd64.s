@@ -69,10 +69,10 @@ DATA expconsts<>+384(SB)/8, $0x3ff0000000000000 // 1.0
 DATA expconsts<>+392(SB)/8, $0x3ff0000000000000
 DATA expconsts<>+400(SB)/8, $0x3ff0000000000000
 DATA expconsts<>+408(SB)/8, $0x3ff0000000000000
-DATA expconsts<>+416(SB)/8, $0x00000000000003ff // exponent bias 1023 (int64)
-DATA expconsts<>+424(SB)/8, $0x00000000000003ff
-DATA expconsts<>+432(SB)/8, $0x00000000000003ff
-DATA expconsts<>+440(SB)/8, $0x00000000000003ff
+DATA expconsts<>+416(SB)/8, $0x43300000000003ff // 2^52 + 1023 (exponent bias in the low mantissa bits)
+DATA expconsts<>+424(SB)/8, $0x43300000000003ff
+DATA expconsts<>+432(SB)/8, $0x43300000000003ff
+DATA expconsts<>+440(SB)/8, $0x43300000000003ff
 DATA expconsts<>+448(SB)/8, $0x8000000000000000 // sign-bit mask
 DATA expconsts<>+456(SB)/8, $0x8000000000000000
 DATA expconsts<>+464(SB)/8, $0x8000000000000000
@@ -83,19 +83,20 @@ GLOBL expconsts<>(SB), RODATA|NOPTR, $480
 // Y1-Y4. Transcribes gemm.go fastExp operation for operation:
 //
 //	Y4 ← x < -708 (LT_OQ: false on NaN, like the scalar <)
-//	x  ← x > 709 ? 709 : x (GT_OQ compare + blend: NaN passes through)
+//	x  ← 709 < x ? 709 : x (VMINPD with 709 first: NaN passes through)
 //	k  ← floor(x·log2e + 0.5) (VROUNDPD mode 1 = math.Floor)
 //	r  ← (x − k·ln2hi) − k·ln2lo
 //	p  ← Horner degree 8, each step one VMULPD then one VADDPD —
 //	     two roundings, exactly like the scalar `c + r*p`
-//	k  → int32 → int64 lanes, +1023, <<52: the exponent bits of 2^k
-//	     (|k| ≤ 1024 on live lanes; underflowed lanes are garbage here)
+//	k  → k + (2^52 + 1023), <<52: the exponent bits of 2^k. On live lanes
+//	     −1021 ≤ k ≤ 1023, so the sum is exact and its low mantissa bits
+//	     hold the integer k+1023 the scalar uint64(int64(k)+1023) forms
+//	     (underflowed lanes are garbage here; a NaN lane stays NaN in p)
 //	Y0 ← p · 2^k, then zero the x < -708 lanes (the scalar early return)
 #define EXPCORE \
 	VCMPPD  $0x11, 32(R13), Y0, Y4 \
 	VMOVUPD 0(R13), Y1             \
-	VCMPPD  $0x1e, Y1, Y0, Y2      \
-	VBLENDVPD Y2, Y1, Y0, Y0       \
+	VMINPD  Y0, Y1, Y0             \
 	VMULPD  64(R13), Y0, Y1        \
 	VADDPD  96(R13), Y1, Y1        \
 	VROUNDPD $1, Y1, Y1            \
@@ -120,9 +121,7 @@ GLOBL expconsts<>(SB), RODATA|NOPTR, $480
 	VADDPD  384(R13), Y3, Y3       \
 	VMULPD  Y2, Y3, Y3             \
 	VADDPD  384(R13), Y3, Y3       \
-	VCVTTPD2DQY Y1, X1             \
-	VPMOVSXDQ X1, Y1               \
-	VPADDQ  416(R13), Y1, Y1       \
+	VADDPD  416(R13), Y1, Y1       \
 	VPSLLQ  $52, Y1, Y1            \
 	VMULPD  Y1, Y3, Y0             \
 	VANDNPD Y0, Y4, Y0
@@ -250,6 +249,90 @@ ds1iloop:
 	DECQ CX
 	JNZ  ds1jloop
 dsdone:
+	VZEROUPPER
+	RET
+
+// func dotRows4(out, x, w *float64, rows, inDim, ldx int)
+// A one-unit dense layer, four rows per instruction:
+//
+//	out[b] = w[inDim] + Σ_i w[i]·x[b*ldx+i]   for b < rows
+//
+// Each group of four rows is transposed in registers four columns at a
+// time (no packing buffer, any row stride), and its lane sums bias-first
+// then ascending i, exactly like the scalar forward. rows is a positive
+// multiple of 4, inDim ≥ 1.
+TEXT ·dotRows4(SB), NOSPLIT, $0-48
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ w+16(FP), DX
+	MOVQ rows+24(FP), BX
+	MOVQ inDim+32(FP), CX
+	MOVQ ldx+40(FP), R8
+	SHLQ $3, R8                 // row stride in bytes
+	LEAQ (R8)(R8*2), R9         // three rows
+	VBROADCASTSD (DX)(CX*8), Y7 // bias
+	MOVQ CX, R10
+	SHRQ $2, R10                // column blocks of four
+	ANDQ $3, CX                 // tail columns
+drgroup:
+	VMOVAPD Y7, Y0              // the group's four sums
+	MOVQ SI, R11                // row 0's column cursor
+	MOVQ DX, R12                // weight cursor
+	MOVQ R10, R13
+	TESTQ R13, R13
+	JZ   drtail
+drblock:
+	VMOVUPD (R11), Y1           // row 0, columns i..i+3
+	VMOVUPD (R11)(R8*1), Y2     // row 1
+	VMOVUPD (R11)(R8*2), Y3     // row 2
+	VMOVUPD (R11)(R9*1), Y4     // row 3
+	VUNPCKLPD Y2, Y1, Y5        // r0[i] r1[i] r0[i+2] r1[i+2]
+	VUNPCKHPD Y2, Y1, Y6        // r0[i+1] r1[i+1] r0[i+3] r1[i+3]
+	VUNPCKLPD Y4, Y3, Y1        // r2[i] r3[i] r2[i+2] r3[i+2]
+	VUNPCKHPD Y4, Y3, Y2        // r2[i+1] r3[i+1] r2[i+3] r3[i+3]
+	VPERM2F128 $0x20, Y1, Y5, Y3 // column i of the four rows
+	VPERM2F128 $0x20, Y2, Y6, Y4 // column i+1
+	VPERM2F128 $0x31, Y1, Y5, Y5 // column i+2
+	VPERM2F128 $0x31, Y2, Y6, Y6 // column i+3
+	VBROADCASTSD (R12), Y1
+	VMULPD  Y3, Y1, Y1
+	VADDPD  Y1, Y0, Y0
+	VBROADCASTSD 8(R12), Y1
+	VMULPD  Y4, Y1, Y1
+	VADDPD  Y1, Y0, Y0
+	VBROADCASTSD 16(R12), Y1
+	VMULPD  Y5, Y1, Y1
+	VADDPD  Y1, Y0, Y0
+	VBROADCASTSD 24(R12), Y1
+	VMULPD  Y6, Y1, Y1
+	VADDPD  Y1, Y0, Y0
+	ADDQ $32, R11
+	ADDQ $32, R12
+	DECQ R13
+	JNZ  drblock
+drtail:
+	MOVQ CX, R13
+	TESTQ R13, R13
+	JZ   drstore
+drtloop:
+	VMOVSD  (R11), X1           // column i of the four rows, gathered
+	VMOVHPD (R11)(R8*1), X1, X1
+	VMOVSD  (R11)(R8*2), X2
+	VMOVHPD (R11)(R9*1), X2, X2
+	VINSERTF128 $1, X2, Y1, Y1
+	VBROADCASTSD (R12), Y2
+	VMULPD  Y1, Y2, Y2
+	VADDPD  Y2, Y0, Y0
+	ADDQ $8, R11
+	ADDQ $8, R12
+	DECQ R13
+	JNZ  drtloop
+drstore:
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	LEAQ (SI)(R8*4), SI         // next four rows
+	SUBQ $4, BX
+	JNZ  drgroup
 	VZEROUPPER
 	RET
 
@@ -450,47 +533,154 @@ stdone:
 	VZEROUPPER
 	RET
 
-// func hiddenDeltaRow4(d, dNext, wNext, acts *float64, units4, unitsNext, rowW int)
-// One sample's backprop recurrence, four units per instruction:
+// func deltaRows4(d, acts, wNext, dNext *float64, rows, ld, units4, unitsNext, rowW int, scale float64)
+// The backprop recurrence of a batch, four units per instruction, scaled:
 //
-//	d[j] = (Σ_k wNext[k*rowW+j]·dNext[k]) · a[j]·(1−a[j])   for j < units4
+//	d[b*ld+j] = ((Σ_k wNext[k*rowW+j]·dNext[b*unitsNext+k]) · a·(1−a)) · scale
 //
-// The k-sum ascends within each lane; units4 is a positive multiple of 4
-// (the caller handles the j tail), unitsNext ≥ 1.
-TEXT ·hiddenDeltaRow4(SB), NOSPLIT, $0-56
+// with a = acts[b*ld+j], for b < rows and j < units4. The k-sum starts
+// from zero and ascends within each lane. units4 is a positive multiple of
+// 4 (the caller handles the j tail); rows, unitsNext ≥ 1. hiddenDelta
+// passes scale 1 (x·1 = x exactly), the lockstep trainer the learning rate.
+TEXT ·deltaRows4(SB), NOSPLIT, $0-80
 	MOVQ d+0(FP), DI
-	MOVQ dNext+8(FP), SI
+	MOVQ acts+8(FP), R9
 	MOVQ wNext+16(FP), DX
-	MOVQ acts+24(FP), R9
-	MOVQ units4+32(FP), CX
-	MOVQ unitsNext+40(FP), R8
-	MOVQ rowW+48(FP), R10
-	SHLQ $3, R10                // rowW in bytes
-	LEAQ expconsts<>(SB), R13
-	VMOVUPD 384(R13), Y6        // 1.0
-hdjloop:
+	MOVQ dNext+24(FP), SI
+	MOVQ rows+32(FP), BX
+	MOVQ ld+40(FP), R8
+	MOVQ units4+48(FP), CX
+	MOVQ rowW+64(FP), R11
+	VBROADCASTSD scale+72(FP), Y7
+	LEAQ expconsts<>(SB), AX
+	VMOVUPD 384(AX), Y6         // 1.0
+	SHLQ $3, R8                 // ld in bytes
+	SHLQ $3, CX                 // units4 in bytes
+	SHLQ $3, R11                // rowW in bytes
+drloop:
+	XORQ AX, AX                 // j in bytes
+djloop:
 	VXORPD Y0, Y0, Y0
-	MOVQ DX, R11                // &wNext[j] column cursor
+	LEAQ (DX)(AX*1), R13        // &wNext[j] column cursor
 	MOVQ SI, R12                // dNext cursor
-	MOVQ R8, R13
-hdkloop:
+	MOVQ unitsNext+56(FP), R10
+dkloop:
 	VBROADCASTSD (R12), Y1
-	VMULPD  (R11), Y1, Y1       // wNext[k*rowW+j..j+3] · dNext[k]
+	VMULPD  (R13), Y1, Y1       // wNext[k*rowW+j..j+3] · dNext[k]
 	VADDPD  Y1, Y0, Y0
-	ADDQ R10, R11
+	ADDQ R11, R13
 	ADDQ $8, R12
-	DECQ R13
-	JNZ  hdkloop
-	VMOVUPD (R9), Y1            // a
+	DECQ R10
+	JNZ  dkloop
+	VMOVUPD (R9)(AX*1), Y1      // a
 	VMULPD  Y1, Y0, Y0          // s·a
 	VSUBPD  Y1, Y6, Y2          // 1−a
 	VMULPD  Y2, Y0, Y0          // (s·a)·(1−a)
-	VMOVUPD Y0, (DI)
-	ADDQ $32, DI
-	ADDQ $32, R9
-	ADDQ $32, DX
-	SUBQ $4, CX
-	JNZ  hdjloop
+	VMULPD  Y7, Y0, Y0          // ·scale
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JLT  djloop
+	ADDQ R8, DI
+	ADDQ R8, R9
+	MOVQ R12, SI                // next sample's dNext row
+	DECQ BX
+	JNZ  drloop
+	VZEROUPPER
+	RET
+
+// SGDFMBLOCK: Y1 = ((t0·x0 + t1·x1) + t2·x2) + t3·x3 for one four-sample
+// block of sgdFeatureMajor4, advancing the t cursor R12 and the x cursor
+// R13 past it. Clobbers Y2.
+#define SGDFMBLOCK \
+	VBROADCASTSD (R13), Y1 \
+	VMULPD  (R12), Y1, Y1  \
+	ADDQ R10, R12          \
+	ADDQ R11, R13          \
+	VBROADCASTSD (R13), Y2 \
+	VMULPD  (R12), Y2, Y2  \
+	VADDPD  Y2, Y1, Y1     \
+	ADDQ R10, R12          \
+	ADDQ R11, R13          \
+	VBROADCASTSD (R13), Y2 \
+	VMULPD  (R12), Y2, Y2  \
+	VADDPD  Y2, Y1, Y1     \
+	ADDQ R10, R12          \
+	ADDQ R11, R13          \
+	VBROADCASTSD (R13), Y2 \
+	VMULPD  (R12), Y2, Y2  \
+	VADDPD  Y2, Y1, Y1     \
+	ADDQ R10, R12          \
+	ADDQ R11, R13
+
+// func sgdFeatureMajor4(w, vel, t, x *float64, batch, rows, lanes, ldx int, mom float64)
+// The feature-major weight update (gemm.go sgdFeatureMajor), four lanes
+// per instruction and the whole batch per element: for each of the rows
+// rows of lanes weights, with t_b = t[b*lanes+u] and x_b = x[b*ldx+i],
+//
+//	v = mom·v − (((t0·x0 + t1·x1) + t2·x2) + t3·x3)   first block (or v = mom·v if batch < 4)
+//	v −= ((t4·x4 + t5·x5) + t6·x6) + t7·x7           each later block
+//	v −= t_b·x_b                                    each straggler
+//	w += v
+//
+// lanes is a positive multiple of 4; rows, batch ≥ 1.
+TEXT ·sgdFeatureMajor4(SB), NOSPLIT, $0-72
+	MOVQ w+0(FP), DI
+	MOVQ vel+8(FP), SI
+	MOVQ t+16(FP), DX
+	MOVQ x+24(FP), R8
+	MOVQ rows+40(FP), R9
+	MOVQ lanes+48(FP), R10
+	MOVQ ldx+56(FP), R11
+	VBROADCASTSD mom+64(FP), Y8
+	SHLQ $3, R10                // lane row in bytes (t, w and vel rows)
+	SHLQ $3, R11                // x row in bytes
+fmrow:
+	XORQ AX, AX                 // lane offset in bytes
+fmlane:
+	VMOVUPD (SI)(AX*1), Y0      // v
+	LEAQ (DX)(AX*1), R12        // &t[0*lanes+u]
+	MOVQ R8, R13                // &x[0*ldx+i]
+	MOVQ batch+32(FP), BX       // samples left
+	CMPQ BX, $4
+	JLT  fmscale
+	SGDFMBLOCK
+	VMULPD  Y8, Y0, Y0          // mom·v
+	VSUBPD  Y1, Y0, Y0          // − block
+	SUBQ $4, BX
+	JMP  fmblocks
+fmscale:
+	VMULPD  Y8, Y0, Y0
+fmblocks:
+	CMPQ BX, $4
+	JLT  fmtail
+	SGDFMBLOCK
+	VSUBPD  Y1, Y0, Y0
+	SUBQ $4, BX
+	JMP  fmblocks
+fmtail:
+	TESTQ BX, BX
+	JZ   fmstore
+fmtloop:
+	VBROADCASTSD (R13), Y1
+	VMULPD  (R12), Y1, Y1       // t·x
+	VSUBPD  Y1, Y0, Y0
+	ADDQ R10, R12
+	ADDQ R11, R13
+	DECQ BX
+	JNZ  fmtloop
+fmstore:
+	VMOVUPD Y0, (SI)(AX*1)
+	VADDPD  (DI)(AX*1), Y0, Y1  // w + v
+	VMOVUPD Y1, (DI)(AX*1)
+	ADDQ $32, AX
+	CMPQ AX, R10
+	JLT  fmlane
+	ADDQ R10, SI
+	ADDQ R10, DI
+	ADDQ $8, R8                 // next input
+	DECQ R9
+	JNZ  fmrow
 	VZEROUPPER
 	RET
 

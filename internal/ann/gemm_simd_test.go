@@ -291,3 +291,172 @@ func FuzzStackedEnsembleBitIdentical(f *testing.F) {
 		}
 	})
 }
+
+// sgdFeatureMajorCase draws one feature-major update: inputs whose first
+// column is the bias input 1, lanes a multiple of four (the trainer pads).
+func sgdFeatureMajorCase(rng *rand.Rand, batch, rows, lanes, ldx int) (w, vel, tv, x []float64) {
+	w = randSlice(rng, rows*lanes)
+	vel = randSlice(rng, rows*lanes)
+	tv = randSlice(rng, batch*lanes)
+	x = randSlice(rng, batch*ldx)
+	for b := 0; b < batch; b++ {
+		x[b*ldx] = 1
+	}
+	return w, vel, tv, x
+}
+
+// requireSGDFeatureMajorMatches runs both implementations on copies of one
+// case and fails on the first differing bit.
+func requireSGDFeatureMajorMatches(t *testing.T, w, vel, tv, x []float64, batch, rows, lanes, ldx int, momentum float64) {
+	t.Helper()
+	wGot, velGot := append([]float64(nil), w...), append([]float64(nil), vel...)
+	sgdFeatureMajorAVX2(wGot, velGot, tv, x, batch, rows, lanes, ldx, momentum)
+	wWant, velWant := append([]float64(nil), w...), append([]float64(nil), vel...)
+	sgdFeatureMajorScalar(wWant, velWant, tv, x, batch, rows, lanes, ldx, momentum)
+	if i := diffIndex(velGot, velWant); i >= 0 {
+		t.Fatalf("batch=%d rows=%d lanes=%d ldx=%d: vel[%d] = %x, want %x", batch, rows, lanes, ldx, i,
+			math.Float64bits(velGot[i]), math.Float64bits(velWant[i]))
+	}
+	if i := diffIndex(wGot, wWant); i >= 0 {
+		t.Fatalf("batch=%d rows=%d lanes=%d ldx=%d: w[%d] = %x, want %x", batch, rows, lanes, ldx, i,
+			math.Float64bits(wGot[i]), math.Float64bits(wWant[i]))
+	}
+}
+
+// TestSGDFeatureMajorBitIdentical also holds the feature-major update to
+// the row-major one it replaces for the first layer: transposing a layer,
+// updating it feature-major and transposing back gives sgdStep's bits.
+func TestSGDFeatureMajorBitIdentical(t *testing.T) {
+	needAVX2(t)
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 200; trial++ {
+		batch := 1 + rng.Intn(12)
+		inDim := 1 + rng.Intn(17)
+		units := 1 + rng.Intn(20)
+		lanes := (units + 3) &^ 3
+		rows, ldx := inDim+1, inDim+1+rng.Intn(3)
+		lr, momentum := rng.Float64(), rng.Float64()
+		w, vel, _, x := sgdFeatureMajorCase(rng, batch, rows, lanes, ldx)
+		d := randSlice(rng, batch*units)
+		tv := make([]float64, batch*lanes)
+		for b := 0; b < batch; b++ {
+			for j := 0; j < units; j++ {
+				tv[b*lanes+j] = lr * d[b*units+j]
+			}
+		}
+		requireSGDFeatureMajorMatches(t, w, vel, tv, x, batch, rows, lanes, ldx, momentum)
+
+		// The row-major twin: row j = unit j's feature weights, then its bias.
+		rw := make([]float64, units*rows)
+		rv := make([]float64, units*rows)
+		for j := 0; j < units; j++ {
+			for i := 0; i < inDim; i++ {
+				rw[j*rows+i], rv[j*rows+i] = w[(i+1)*lanes+j], vel[(i+1)*lanes+j]
+			}
+			rw[j*rows+inDim], rv[j*rows+inDim] = w[j], vel[j]
+		}
+		sgdStep(rw, rv, d, x[1:], batch, units, inDim, ldx, lr, momentum)
+		sgdFeatureMajor(w, vel, tv, x, batch, rows, lanes, ldx, momentum)
+		for j := 0; j < units; j++ {
+			for i := 0; i <= inDim; i++ {
+				fm := (i+1)*lanes + j
+				if i == inDim {
+					fm = j
+				}
+				if !bitsEqual(rw[j*rows+i], w[fm]) || !bitsEqual(rv[j*rows+i], vel[fm]) {
+					t.Fatalf("trial %d (batch=%d inDim=%d units=%d): unit %d input %d: feature-major w/v %x/%x, row-major %x/%x",
+						trial, batch, inDim, units, j, i, math.Float64bits(w[fm]), math.Float64bits(vel[fm]),
+						math.Float64bits(rw[j*rows+i]), math.Float64bits(rv[j*rows+i]))
+				}
+			}
+		}
+	}
+}
+
+// FuzzFeatureMajorSGDBitIdentical fuzzes the feature-major update kernel
+// against its scalar reference across batch sizes on both sides of the
+// momentum-folding block, lane counts and input strides.
+func FuzzFeatureMajorSGDBitIdentical(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(13), uint8(16), uint8(0))
+	f.Add(int64(2), uint8(3), uint8(1), uint8(1), uint8(2))
+	f.Add(int64(3), uint8(5), uint8(5), uint8(4), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, batchB, inDimB, vecsB, padB uint8) {
+		fz := simd.Detect()
+		if !fz.AVX2 || !fz.OSYMM {
+			t.Skip("no AVX2")
+		}
+		batch := 1 + int(batchB%13)
+		rows := 2 + int(inDimB%20)
+		lanes := 4 * (1 + int(vecsB%24))
+		ldx := rows + int(padB%4)
+		rng := rand.New(rand.NewSource(seed))
+		w, vel, tv, x := sgdFeatureMajorCase(rng, batch, rows, lanes, ldx)
+		requireSGDFeatureMajorMatches(t, w, vel, tv, x, batch, rows, lanes, ldx, rng.Float64())
+	})
+}
+
+func TestHiddenEtaBitIdentical(t *testing.T) {
+	needAVX2(t)
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		batch := 1 + rng.Intn(9)
+		units := 1 + rng.Intn(20)
+		unitsNext := 1 + rng.Intn(5)
+		ld := units + rng.Intn(9)
+		lr := rng.Float64()
+		dNext := randSlice(rng, batch*unitsNext)
+		wNext := randSlice(rng, unitsNext*(units+1))
+		acts := randSlice(rng, batch*ld)
+		for i := range acts {
+			acts[i] = 1 / (1 + math.Exp(-acts[i]))
+		}
+		got := make([]float64, batch*ld)
+		want := make([]float64, batch*ld)
+		hiddenEtaAVX2(got, dNext, wNext, acts, batch, units, unitsNext, ld, lr)
+		hiddenEtaScalar(want, dNext, wNext, acts, batch, units, unitsNext, ld, lr)
+		if i := diffIndex(got, want); i >= 0 {
+			t.Fatalf("trial %d (batch=%d units=%d next=%d ld=%d): t[%d] = %x, want %x",
+				trial, batch, units, unitsNext, ld, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+		// η·δ is lr times hiddenDelta's δ, element by element.
+		d := make([]float64, batch*units)
+		packed := make([]float64, batch*units)
+		for b := 0; b < batch; b++ {
+			copy(packed[b*units:(b+1)*units], acts[b*ld:])
+		}
+		hiddenDeltaScalar(d, dNext, wNext, packed, batch, units, unitsNext)
+		for b := 0; b < batch; b++ {
+			for j := 0; j < units; j++ {
+				if !bitsEqual(lr*d[b*units+j], got[b*ld+j]) {
+					t.Fatalf("trial %d: sample %d unit %d: η·δ %v, lr·δ %v", trial, b, j, got[b*ld+j], lr*d[b*units+j])
+				}
+			}
+		}
+	}
+}
+
+// TestDenseForwardOneUnitBitIdentical sweeps the one-unit path (the output
+// layer the trainer runs once per target) over every batch tail, every
+// column tail and strided rows.
+func TestDenseForwardOneUnitBitIdentical(t *testing.T) {
+	needAVX2(t)
+	rng := rand.New(rand.NewSource(8))
+	for batch := 1; batch <= 13; batch++ {
+		for inDim := 1; inDim <= 19; inDim++ {
+			for _, pad := range []int{0, 1, 47} {
+				ldx := inDim + pad
+				sig := (batch+inDim)%2 == 0
+				x := randSlice(rng, batch*ldx)
+				w := randSlice(rng, inDim+1)
+				got := make([]float64, batch)
+				want := make([]float64, batch)
+				denseForwardAVX2(got, x, w, batch, inDim, 1, ldx, sig)
+				denseForwardScalar(want, x, w, batch, inDim, 1, ldx, sig)
+				if i := diffIndex(got, want); i >= 0 {
+					t.Fatalf("batch=%d inDim=%d ldx=%d sig=%v: out[%d] = %x, want %x", batch, inDim, ldx, sig, i,
+						math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}

@@ -13,15 +13,17 @@
 //
 // Training runs on one packed corpus (normalised samples in flat row-major
 // matrices; folds, batches and validation sets are index views into it)
-// through the mini-batch kernels in gemm.go — fused
-// dense-forward/backward/update passes over Config.BatchSize samples at a
-// time. At the default batch size of one that pass is bit-identical to
-// classic per-sample stochastic backprop (the reference lives beside the
-// test that pins it). Config.WarmStartEpochs > 0 makes TrainEnsemble
-// fine-tune every fold from one shared base model instead of training each
-// from scratch. Both knobs preserve determinism under a seed (fixed shuffle
-// → fixed batch partition); together they make leave-one-out training the
-// pipeline's fast path (see PERFORMANCE.md).
+// through one loop, trainCore, that trains every target sharing the
+// corpus's feature rows in lockstep (lockstep.go): fused
+// forward/backward/update passes over Config.BatchSize samples at a time,
+// with the first layer of all targets packed into one feature-major matrix.
+// Each target's result is bit-identical to training it alone, and at the
+// default batch size of one to classic per-sample stochastic backprop (the
+// references live beside the tests that pin them). Config.WarmStartEpochs
+// > 0 makes TrainEnsemble fine-tune every fold from one shared base model
+// instead of training each from scratch. Both knobs preserve determinism
+// under a seed (fixed shuffle → fixed batch partition); together they make
+// leave-one-out training the pipeline's fast path (see PERFORMANCE.md).
 package ann
 
 import (
@@ -184,24 +186,6 @@ func (n *Network) Clone() *Network {
 		cp.w[l] = append([]float64(nil), n.w[l]...)
 	}
 	return cp
-}
-
-// copyWeightsFrom overwrites n's weights with src's (same topology), the
-// allocation-free alternative to Clone used by early-stopping snapshots.
-func (n *Network) copyWeightsFrom(src *Network) {
-	for l := range n.w {
-		copy(n.w[l], src.w[l])
-	}
-}
-
-// zeroLike allocates a weight-shaped flat buffer of zeros (momentum
-// velocities).
-func (n *Network) zeroLike() [][]float64 {
-	vel := make([][]float64, len(n.w))
-	for l := range n.w {
-		vel[l] = make([]float64, len(n.w[l]))
-	}
-	return vel
 }
 
 // MSE returns the mean squared error of the network over the samples. Like

@@ -16,7 +16,8 @@ type Scaler struct {
 
 // FitScaler computes feature means/standard deviations and the target range
 // from the samples. Constant features get Std 1 so they pass through as
-// zeros.
+// zeros. A NaN or infinite feature or label is an error naming the sample
+// and the feature.
 func FitScaler(samples []Sample) (*Scaler, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("ann: cannot fit scaler on empty set")
@@ -28,9 +29,12 @@ func FitScaler(samples []Sample) (*Scaler, error) {
 		YMin: math.Inf(1),
 		YMax: math.Inf(-1),
 	}
-	for _, s := range samples {
+	for si, s := range samples {
 		if len(s.X) != d {
 			return nil, errors.New("ann: inconsistent feature dimensions")
+		}
+		if err := checkFinite(si, s); err != nil {
+			return nil, err
 		}
 		for i, v := range s.X {
 			sc.Mean[i] += v

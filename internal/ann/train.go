@@ -1,11 +1,6 @@
 package ann
 
-import (
-	"errors"
-	"fmt"
-	"math"
-	"math/rand"
-)
+import "errors"
 
 // Sample is one supervised training example: feature vector X and scalar
 // target Y (normalised IPC in ACTOR's use).
@@ -104,85 +99,13 @@ func TrainFrom(init *Network, train, valid []Sample, cfg Config) (*Network, Trai
 	if err != nil {
 		return nil, TrainResult{}, err
 	}
-	return trainCore(ds, identityIdx(ds.n()), vds, identityIdx(vds.n()), init, cfg)
-}
-
-// trainCore is the trainer both public entry points and TrainEnsemble
-// share: it fits a network to the trainIdx rows of ds, early-stopping on
-// the validIdx rows of vds (vds may alias ds — fold views are index slices
-// into one packed corpus). With init non-nil it fine-tunes a copy of init.
-func trainCore(ds *dataSet, trainIdx []int, vds *dataSet, validIdx []int, init *Network, cfg Config) (*Network, TrainResult, error) {
-	if len(trainIdx) == 0 {
-		return nil, TrainResult{}, errors.New("ann: empty training set")
-	}
-	sizes := append([]int{ds.d}, cfg.Hidden...)
-	sizes = append(sizes, 1)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var net *Network
+	var inits []*Network
 	if init != nil {
-		if len(init.Sizes) != len(sizes) {
-			return nil, TrainResult{}, fmt.Errorf("ann: warm-start topology %v, want %v", init.Sizes, sizes)
-		}
-		for i, s := range sizes {
-			if init.Sizes[i] != s {
-				return nil, TrainResult{}, fmt.Errorf("ann: warm-start topology %v, want %v", init.Sizes, sizes)
-			}
-		}
-		net = init.Clone()
-	} else {
-		var err error
-		net, err = NewNetwork(sizes, rng)
-		if err != nil {
-			return nil, TrainResult{}, err
-		}
+		inits = []*Network{init}
 	}
-
-	// All working memory for the whole training run is allocated once here
-	// and reused across every epoch and batch. The shuffled order holds
-	// dataset row ids directly. Validation forward passes batch at least
-	// 16 rows.
-	batch := max(cfg.BatchSize, 1)
-	vel := net.zeroLike()
-	order := append([]int(nil), trainIdx...)
-	bs := net.newBatchScratch(max(batch, 16))
-
-	// Early stopping needs a snapshot of the best weights seen; without a
-	// validation set no snapshot is ever consulted, so skip the clone.
-	var best *Network
-	bestValid := math.Inf(1)
-	bad := 0
-	res := TrainResult{}
-	if len(validIdx) > 0 {
-		best = net.Clone()
+	nets, res, err := trainCore(ds, identityIdx(ds.n()), vds, identityIdx(vds.n()), inits, cfg)
+	if err != nil {
+		return nil, TrainResult{}, err
 	}
-
-	for epoch := 0; epoch < cfg.MaxEpochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		sum := net.epochBatched(ds, order, batch, cfg.LearningRate, cfg.Momentum, vel, bs)
-		res.Epochs = epoch + 1
-		res.TrainMSE = sum / float64(len(order))
-
-		if len(validIdx) == 0 {
-			continue
-		}
-		v := net.mseBatched(vds, validIdx, bs)
-		if v < bestValid-1e-12 {
-			bestValid = v
-			best.copyWeightsFrom(net)
-			bad = 0
-		} else {
-			bad++
-			if bad >= cfg.Patience {
-				res.Stopped = true
-				break
-			}
-		}
-	}
-	if len(validIdx) > 0 {
-		net = best
-		res.ValidMSE = bestValid
-	} else {
-		res.ValidMSE = res.TrainMSE
-	}
-	return net, res, nil
+	return nets[0], res[0], nil
 }

@@ -84,63 +84,95 @@ func (n *Network) backprop(x []float64, y, lr, momentum float64, vel [][]float64
 	return errOut * errOut
 }
 
-// TestBatchedEpochMatchesPerSampleAtBatchOne is the correctness anchor of
-// the batched trainer: with a batch of one, the fused GEMM pass must
-// reproduce the per-sample stochastic pass bit-for-bit — identical squared
-// errors and identical weights after every epoch.
-func TestBatchedEpochMatchesPerSampleAtBatchOne(t *testing.T) {
-	ds := packedSynth(t, 60, 31)
-	rngA := rand.New(rand.NewSource(5))
-	rngB := rand.New(rand.NewSource(5))
-	netA, err := NewNetwork([]int{3, 16, 1}, rngA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	netB, err := NewNetwork([]int{3, 16, 1}, rngB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	velA, velB := netA.zeroLike(), netB.zeroLike()
-	sc := netA.getScratch()
-	deltas := [][]float64{make([]float64, 16), make([]float64, 1)}
-	bs := netB.newBatchScratch(1)
-	orderA := identityIdx(ds.n())
-	orderB := identityIdx(ds.n())
-	for epoch := 0; epoch < 10; epoch++ {
-		rngA.Shuffle(len(orderA), func(i, j int) { orderA[i], orderA[j] = orderA[j], orderA[i] })
-		rngB.Shuffle(len(orderB), func(i, j int) { orderB[i], orderB[j] = orderB[j], orderB[i] })
-		var sumA float64
-		for _, id := range orderA {
-			sumA += netA.backprop(ds.row(id), ds.y[id], 0.05, 0.5, velA, sc, deltas)
+// withTargets adds labels for more targets to a packed one-target corpus:
+// the same rows, target t's label f_t(x, y₀).
+func withTargets(ds *dataSet, fs ...func(x []float64, y float64) float64) {
+	y0 := ds.y[0]
+	for _, f := range fs {
+		y := make([]float64, ds.n())
+		for i := range y {
+			y[i] = f(ds.row(i), y0[i])
 		}
-		sumB := netB.epochBatched(ds, orderB, 1, 0.05, 0.5, velB, bs)
-		if math.Float64bits(sumA) != math.Float64bits(sumB) {
-			t.Fatalf("epoch %d: squared-error sums differ: %v vs %v", epoch, sumA, sumB)
-		}
-		if !weightsEqual(netA, netB) {
-			t.Fatalf("epoch %d: batched weights diverged from per-sample weights", epoch)
-		}
+		ds.y = append(ds.y, y)
 	}
-	netA.putScratch(sc)
 }
 
-// TestBatchedMSEMatchesPerSample asserts the batched validation pass is
-// bit-identical to the per-sample MSE at any batch size: each sample's
-// forward pass is an independent dot-product chain and errors accumulate
-// in sample order.
-func TestBatchedMSEMatchesPerSample(t *testing.T) {
-	ds := packedSynth(t, 37, 8) // odd count exercises the tail chunk
-	rng := rand.New(rand.NewSource(2))
-	net, err := NewNetwork([]int{3, 16, 1}, rng)
+// TestBatchedEpochMatchesPerSampleAtBatchOne is the correctness anchor of
+// the trainer: with a batch of one, the lockstep pass must reproduce the
+// per-sample stochastic pass of every target bit-for-bit — identical
+// squared errors and identical weights after every epoch.
+func TestBatchedEpochMatchesPerSampleAtBatchOne(t *testing.T) {
+	ds := packedSynth(t, 60, 31)
+	withTargets(ds,
+		func(x []float64, _ float64) float64 { return 0.1 + 0.8*x[0]*x[0]/4 },
+		func(_ []float64, y float64) float64 { return 1 - y })
+	init, err := NewNetwork([]int{3, 16, 1}, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	targets := len(ds.y)
+	refs := make([]*Network, targets)
+	lsNets := make([]*Network, targets)
+	vels := make([][][]float64, targets)
+	for i := range refs {
+		refs[i], lsNets[i] = init.Clone(), init.Clone()
+		vels[i] = refs[i].zeroLike()
+	}
+	ls := newLockstep(lsNets, 1)
+	for i, tg := range ls.live {
+		tg.y = ds.y[i]
+	}
+	sc := init.getScratch()
+	deltas := [][]float64{make([]float64, 16), make([]float64, 1)}
+	got := init.Clone()
+	rng := rand.New(rand.NewSource(5))
+	order := identityIdx(ds.n())
+	for epoch := 0; epoch < 10; epoch++ {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		ls.epoch(ds, order, 1, 0.05, 0.5)
+		for i, ref := range refs {
+			var sum float64
+			for _, id := range order {
+				sum += ref.backprop(ds.row(id), ds.y[i][id], 0.05, 0.5, vels[i], sc, deltas)
+			}
+			if math.Float64bits(sum) != math.Float64bits(ls.live[i].sum) {
+				t.Fatalf("epoch %d target %d: squared-error sums differ: %v vs %v", epoch, i, sum, ls.live[i].sum)
+			}
+			ls.snapshot(i, got)
+			if !weightsEqual(ref, got) {
+				t.Fatalf("epoch %d target %d: lockstep weights diverged from per-sample weights", epoch, i)
+			}
+		}
+	}
+	init.putScratch(sc)
+}
+
+// TestBatchedMSEMatchesPerSample asserts the lockstep validation pass is
+// bit-identical to every target's per-sample MSE at any chunk size: each
+// sample's forward pass is an independent dot-product chain and errors
+// accumulate in sample order.
+func TestBatchedMSEMatchesPerSample(t *testing.T) {
+	ds := packedSynth(t, 37, 8) // odd count exercises the tail chunk
+	withTargets(ds, func(x []float64, y float64) float64 { return y * x[1] })
+	rng := rand.New(rand.NewSource(2))
+	nets := make([]*Network, len(ds.y))
+	for i := range nets {
+		var err error
+		if nets[i], err = NewNetwork([]int{3, 17, 1}, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
 	idx := identityIdx(ds.n())
-	want := net.mseIdx(ds, idx)
 	for _, rows := range []int{1, 4, 16, 64} {
-		bs := net.newBatchScratch(rows)
-		if got := net.mseBatched(ds, idx, bs); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("batch rows %d: MSE %v, per-sample %v", rows, got, want)
+		ls := newLockstep(nets, rows)
+		for i, tg := range ls.live {
+			tg.vy = ds.y[i]
+		}
+		ls.validate(ds, idx)
+		for i, tg := range ls.live {
+			if want := nets[i].mseIdx(ds, ds.y[i], idx); math.Float64bits(tg.valid) != math.Float64bits(want) {
+				t.Errorf("chunk rows %d target %d: MSE %v, per-sample %v", rows, i, tg.valid, want)
+			}
 		}
 	}
 }

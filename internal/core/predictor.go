@@ -245,42 +245,49 @@ func (b *Bank) Predictors() []Predictor {
 // set. eventCounts lists the feature-set sizes (e.g. 12, 4, 2); targets
 // lists target configuration names; folds is the cross-validation k.
 func TrainANNBank(samples []dataset.PhaseSample, eventCounts []int, targets []string, folds int, cfg ann.Config) (*Bank, error) {
-	var preds []Predictor
-	for _, ec := range eventCounts {
+	// Feature sets are independent training problems; fan them out. Each
+	// set's folds fan out one level further inside TrainEnsembles, which
+	// trains the set's targets in lockstep.
+	preds, err := parallel.Map(len(eventCounts), func(i int) (Predictor, error) {
+		ec := eventCounts[i]
 		events := pmu.ReducedEventSet((ec + 1) / 2)
 		if len(events) > ec {
 			events = events[:ec]
 		}
 		// Feature vectors are target-independent: extract them once and
-		// share across every target's training set.
+		// share them across every target's training set.
 		byTarget, err := dataset.ToSamplesMulti(samples, events, targets)
 		if err != nil {
 			return nil, err
 		}
-		// Targets are independent training problems; fan them out. Each
-		// ensemble's folds fan out one level further inside TrainEnsemble.
-		ensembles, err := parallel.Map(len(targets), func(i int) (*ann.Ensemble, error) {
-			t := targets[i]
-			ens, err := ann.TrainEnsemble(byTarget[t], folds, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("train ANN (events=%d, target=%s): %w", ec, t, err)
-			}
-			return ens, nil
-		})
+		ensembles, err := ann.TrainEnsembles(targetSets(byTarget, targets), folds, cfg)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("train ANN (events=%d, targets %v): %w", ec, targets, err)
 		}
-		models := make(map[string]*ann.Ensemble, len(targets))
-		for i, t := range targets {
-			models[t] = ensembles[i]
-		}
-		p, err := NewANNPredictor(events, models)
-		if err != nil {
-			return nil, err
-		}
-		preds = append(preds, p)
+		return NewANNPredictor(events, targetModels(targets, ensembles))
+	})
+	if err != nil {
+		return nil, err
 	}
 	return NewBank(preds...)
+}
+
+// targetSets lists the per-target sample sets in targets order.
+func targetSets(byTarget map[string][]ann.Sample, targets []string) [][]ann.Sample {
+	sets := make([][]ann.Sample, len(targets))
+	for i, t := range targets {
+		sets[i] = byTarget[t]
+	}
+	return sets
+}
+
+// targetModels keys ensembles (in targets order) by target name.
+func targetModels(targets []string, ensembles []*ann.Ensemble) map[string]*ann.Ensemble {
+	models := make(map[string]*ann.Ensemble, len(targets))
+	for i, t := range targets {
+		models[t] = ensembles[i]
+	}
+	return models
 }
 
 // TrainMLRBank is the linear-regression counterpart of TrainANNBank.

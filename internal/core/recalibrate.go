@@ -20,40 +20,36 @@ func FineTuneANNBank(base *Bank, samples []dataset.PhaseSample, targets []string
 	if base == nil || len(base.predictors) == 0 {
 		return nil, errors.New("core: fine-tuning needs a non-empty base bank")
 	}
-	var preds []Predictor
-	for _, bp := range base.predictors {
+	aps := make([]*ANNPredictor, len(base.predictors))
+	for i, bp := range base.predictors {
 		ap, ok := bp.(*ANNPredictor)
 		if !ok {
 			return nil, fmt.Errorf("core: fine-tuning an ANN bank, found %T predictor", bp)
 		}
+		aps[i] = ap
+	}
+	// Predictors fan out; each one's targets fine-tune in lockstep inside
+	// FineTuneEnsembles, and its folds fan out one level further.
+	preds, err := parallel.Map(len(aps), func(i int) (Predictor, error) {
+		ap := aps[i]
 		byTarget, err := dataset.ToSamplesMulti(samples, ap.events, targets)
 		if err != nil {
 			return nil, err
 		}
-		ensembles, err := parallel.Map(len(targets), func(i int) (*ann.Ensemble, error) {
-			t := targets[i]
-			baseEns, ok := ap.targets[t]
-			if !ok {
+		bases := make([]*ann.Ensemble, len(targets))
+		for j, t := range targets {
+			if bases[j] = ap.targets[t]; bases[j] == nil {
 				return nil, fmt.Errorf("core: base bank has no model for target %q", t)
 			}
-			ens, err := ann.FineTuneEnsemble(baseEns, byTarget[t], cfg)
-			if err != nil {
-				return nil, fmt.Errorf("fine-tune ANN (events=%d, target=%s): %w", ap.NumEvents(), t, err)
-			}
-			return ens, nil
-		})
+		}
+		ensembles, err := ann.FineTuneEnsembles(bases, targetSets(byTarget, targets), cfg)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fine-tune ANN (events=%d, targets %v): %w", ap.NumEvents(), targets, err)
 		}
-		models := make(map[string]*ann.Ensemble, len(targets))
-		for i, t := range targets {
-			models[t] = ensembles[i]
-		}
-		p, err := NewANNPredictor(ap.events, models)
-		if err != nil {
-			return nil, err
-		}
-		preds = append(preds, p)
+		return NewANNPredictor(ap.events, targetModels(targets, ensembles))
+	})
+	if err != nil {
+		return nil, err
 	}
 	return NewBank(preds...)
 }
