@@ -714,87 +714,10 @@ func BenchmarkANNTrainBatched(b *testing.B) {
 	}
 }
 
-// --- Per-kernel microbenchmarks -------------------------------------------
-//
-// Each benchmark drives one dispatched hot kernel at the trainer's own
-// shape ([13,16,1] network, batch 8), measuring whichever implementation
-// (scalar or AVX2) this machine bound at startup — see PERFORMANCE.md.
-
-func BenchmarkDenseForward(b *testing.B) {
-	rng := rand.New(rand.NewSource(20))
-	const batch, inDim, units = 8, 13, 16
-	x := make([]float64, batch*inDim)
-	w := make([]float64, units*(inDim+1))
-	out := make([]float64, batch*units)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	for i := range w {
-		w[i] = rng.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ann.DenseForwardKernel(out, x, w, batch, inDim, units, inDim, true)
-	}
-}
-
-func BenchmarkHiddenDelta(b *testing.B) {
-	rng := rand.New(rand.NewSource(21))
-	const batch, units, unitsNext = 8, 16, 1
-	dNext := make([]float64, batch*unitsNext)
-	wNext := make([]float64, unitsNext*(units+1))
-	acts := make([]float64, batch*units)
-	d := make([]float64, batch*units)
-	for i := range dNext {
-		dNext[i] = rng.NormFloat64()
-	}
-	for i := range wNext {
-		wNext[i] = rng.NormFloat64()
-	}
-	for i := range acts {
-		acts[i] = rng.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ann.HiddenDeltaKernel(d, dNext, wNext, acts, batch, units, unitsNext)
-	}
-}
-
-func BenchmarkSGDStep(b *testing.B) {
-	rng := rand.New(rand.NewSource(22))
-	const batch, units, inDim = 8, 16, 13
-	w := make([]float64, units*(inDim+1))
-	vel := make([]float64, units*(inDim+1))
-	d := make([]float64, batch*units)
-	x := make([]float64, batch*inDim)
-	for i := range w {
-		w[i] = rng.NormFloat64()
-	}
-	for i := range d {
-		d[i] = rng.NormFloat64()
-	}
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ann.SGDStepKernel(w, vel, d, x, batch, units, inDim, inDim, 0.01, 0.9)
-	}
-}
-
-func BenchmarkSweepLanes(b *testing.B) {
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += machine.AdvanceLanesBench(64, 16)
-	}
-	_ = sink
-}
-
 // BenchmarkRunPhaseSweepHetero measures the memo-less sweep path the hetero
-// study runs (BenchmarkSweepLanes covers only the lane step inside it): one
-// phase across the 4 224 balanced placements of the 128-core big/little
-// machine per iteration.
+// study runs (internal/machine's BenchmarkSweepLanes covers only the lane
+// step inside it): one phase across the 4 224 balanced placements of the
+// 128-core big/little machine per iteration.
 func BenchmarkRunPhaseSweepHetero(b *testing.B) {
 	topo, err := topology.ParseDesc("16x4+32x2:little")
 	if err != nil {

@@ -8,9 +8,9 @@
 //	actorfleet -jobs 100 -machines "16*2x2" -digest   # CI smoke mode
 //
 // -scorer naive selects the O(M) reference scorer (the fleet sibling of
-// ACTOR_SIMD=off). -verify re-checks every schedule the run produced with
-// fleet.Validate, which shares no state with the scheduler, and exits 1
-// naming the first violated property.
+// the -tags actor_noasm scalar kernels). -verify re-checks every schedule
+// the run produced with fleet.Validate, which shares no state with the
+// scheduler, and exits 1 naming the first violated property.
 package main
 
 import (

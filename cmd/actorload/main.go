@@ -8,18 +8,14 @@
 // silently stretching the arrival process.
 //
 // The same seed always produces the same trace, so two runs differ only by
-// server behaviour — which is what makes the emitted metrics gateable
-// (scripts/bench.sh embeds them into BENCH_<n>.json, and bench_trend -gate
-// fails the build when they regress).
+// server behaviour. The reported throughput is the offered rate, not a
+// capacity measurement; the repository's performance record is
+// benchmarks/ (bash benchmarks/run.sh, see benchmarks/README.md).
 //
 // Usage:
 //
 //	actorload -addr http://127.0.0.1:7690 -duration 5s -rate 2000
-//	actorload -selfserve -duration 2s -rate 5000 -check -min-rps 100
-//
-// With -selfserve it trains a fast MLR bank, serves it from an in-process
-// actord handler on a loopback listener, and drives that — the zero-setup
-// mode CI's load-smoke job uses.
+//	actorload -addr http://127.0.0.1:7690 -duration 2s -rate 500 -check -min-rps 100
 package main
 
 import (
@@ -27,7 +23,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"time"
@@ -59,14 +54,13 @@ func main() {
 	vectors := flag.Int("vectors", 32, "distinct rate-vector population (Zipf popularity)")
 	phaseChange := flag.Bool("phase-change", true, "relabel the second half of the trace with a new phase")
 	jsonOut := flag.String("json", "-", "write the metrics JSON here (- for stdout)")
-	selfserve := flag.Bool("selfserve", false, "train a fast bank and serve it in-process instead of targeting -addr")
 	check := flag.Bool("check", false, "after the run, replay each distinct request twice and fail unless responses are byte-identical")
 	p99Max := flag.Duration("p99-max", 0, "fail when p99 latency exceeds this (0: no gate)")
 	minRPS := flag.Float64("min-rps", 0, "fail when achieved throughput falls below this (0: no gate)")
 	flag.Parse()
 
 	if err := run(*addr, *duration, *rate, *seed, *conns, *amp, *period, *tail,
-		*vectors, *phaseChange, *jsonOut, *selfserve, *check, *p99Max, *minRPS); err != nil {
+		*vectors, *phaseChange, *jsonOut, *check, *p99Max, *minRPS); err != nil {
 		fmt.Fprintln(os.Stderr, "actorload:", err)
 		os.Exit(1)
 	}
@@ -74,41 +68,11 @@ func main() {
 
 func run(addr string, duration time.Duration, rate float64, seed int64, conns int,
 	amp float64, period time.Duration, tail float64, vectors int, phaseChange bool,
-	jsonOut string, selfserve, check bool, p99Max time.Duration, minRPS float64) error {
+	jsonOut string, check bool, p99Max time.Duration, minRPS float64) error {
 	ctx := context.Background()
-	var events []string
-
-	if selfserve {
-		fmt.Fprintln(os.Stderr, "training fast MLR bank for self-serve mode...")
-		eng, err := actor.New(actor.WithFast(), actor.WithRepetitions(1), actor.WithMLR())
-		if err != nil {
-			return err
-		}
-		bank, err := eng.Train(ctx)
-		if err != nil {
-			return err
-		}
-		srv, err := actor.NewServer(eng)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		hs := &http.Server{Handler: srv}
-		go func() { _ = hs.Serve(ln) }()
-		defer hs.Close()
-		addr = "http://" + ln.Addr().String()
-		events = bank.Meta().EventSets[0]
-		fmt.Fprintln(os.Stderr, "serving on", addr)
-	} else {
-		var err error
-		events, err = fetchEvents(ctx, addr)
-		if err != nil {
-			return err
-		}
+	events, err := fetchEvents(ctx, addr)
+	if err != nil {
+		return err
 	}
 
 	cfg := loadgen.Config{

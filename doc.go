@@ -86,7 +86,7 @@
 // solve lanes) and performs, per output, the scalar reference's exact
 // IEEE-754 operation sequence, so results are bit-identical regardless of
 // which implementation ran; fuzzed tests enforce that equality to the
-// last bit. The pure-Go reference is always built: set ACTOR_SIMD=off (or
-// build with -tags actor_noasm) to force it, and see PERFORMANCE.md for
-// the dispatch details and measured effect.
+// last bit. The pure-Go reference is always built: build with -tags
+// actor_noasm to force it, and see PERFORMANCE.md for the dispatch details
+// and measured effect.
 package actor

@@ -2,8 +2,8 @@
 // forward pass are function variables bound once at init. The pure-Go
 // implementations in gemm.go are the always-built reference and the default
 // binding; gemm_amd64.go rebinds them to the AVX2 implementations when
-// internal/simd reports the machine supports it and ACTOR_SIMD does not opt
-// out.
+// internal/simd reports the machine supports it (-tags actor_noasm keeps
+// the reference bound).
 //
 // Every vector implementation is lane-wise — it vectorizes across
 // independent outputs (batch samples, units, weight indices) and performs,

@@ -16,10 +16,9 @@ import (
 )
 
 // needAVX2 skips the test when the machine cannot run the vector kernels
-// at all (the assembly is still compiled in). ACTOR_SIMD=off does NOT skip
-// these tests: the env var only changes the default binding, and calling
-// the AVX2 implementations directly keeps them covered on the scalar CI
-// leg.
+// at all (the assembly is still compiled in). The tests call the AVX2 and
+// scalar implementations directly, so they do not depend on the default
+// binding; the -tags actor_noasm build excludes this file.
 func needAVX2(t testing.TB) {
 	t.Helper()
 	f := simd.Detect()

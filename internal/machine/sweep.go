@@ -41,7 +41,7 @@ import (
 // What holds bit for bit, test-enforced: RunPhaseSweep equals RunPhase per
 // placement in slice order (both run solveBlock/finishPlacement), memoised
 // equals memo-less, any GOMAXPROCS, and the vector lane kernel equals the
-// scalar one (ACTOR_SIMD on/off, -tags actor_noasm) — the kernel is
+// scalar one (AVX2 and -tags actor_noasm builds) — the kernel is
 // element-wise and every reduction below is the same scalar Go on every
 // build. What does not: PR ≤ 14 summed one term per thread, so its outputs
 // differ from these in the last ULPs (k equal addends versus one product);

@@ -2,15 +2,13 @@
 // for enabling the repository's vector kernels (internal/ann GEMM,
 // internal/machine lane solve).
 //
-// Three independent switches gate a vector kernel, all visible here:
+// Two independent switches gate a vector kernel, both visible here:
 //
 //   - the build: assembly exists only for GOARCH=amd64 and is excluded by
 //     the `actor_noasm` build tag, which forces the pure-Go reference on
 //     any platform;
 //   - the machine: AVX2 must be reported by CPUID and the OS must save
-//     YMM state (OSXSAVE + XCR0.SSE/AVX), checked once at startup;
-//   - the run: setting ACTOR_SIMD=off (or 0/false/scalar) selects the
-//     scalar reference at process start without rebuilding.
+//     YMM state (OSXSAVE + XCR0.SSE/AVX), checked once at startup.
 //
 // Every vector kernel in this repository is written lane-wise — it
 // vectorizes across independent outputs and never reassociates a
@@ -21,7 +19,6 @@ package simd
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 )
@@ -45,33 +42,16 @@ func Detect() Features { return detectOnce() }
 // (GOARCH=amd64 without the actor_noasm tag).
 func AsmBuilt() bool { return asmBuilt }
 
-// envOff reports whether value (the ACTOR_SIMD environment variable)
-// requests the scalar reference path.
-func envOff(value string) bool {
-	switch strings.ToLower(strings.TrimSpace(value)) {
-	case "off", "0", "false", "no", "scalar":
-		return true
-	}
-	return false
-}
-
 var enabledOnce = sync.OnceValue(func() bool {
-	if !asmBuilt || envOff(os.Getenv("ACTOR_SIMD")) {
-		return false
-	}
 	f := Detect()
-	return f.AVX2 && f.OSYMM
+	return asmBuilt && f.AVX2 && f.OSYMM
 })
 
 // Enabled reports whether the AVX2 kernels should be bound: assembly is
-// built, the CPU and OS support it, and ACTOR_SIMD does not opt out. The
-// decision is made once at first use and never changes during the
-// process.
+// built and the CPU and OS support it. The decision is made once at first
+// use and never changes during the process; the scalar reference is
+// reached by building with -tags actor_noasm.
 func Enabled() bool { return enabledOnce() }
-
-// GoAMD64 returns the GOAMD64 microarchitecture level the binary was
-// compiled for ("v1".."v4"), or "" on non-amd64 builds.
-func GoAMD64() string { return goamd64Level }
 
 // FeatureString renders the detected features compactly ("avx,avx2,fma"),
 // or "none" when nothing relevant was detected.

@@ -5,30 +5,14 @@ import (
 	"testing"
 )
 
-func TestEnvOff(t *testing.T) {
-	for _, v := range []string{"off", "OFF", " Off ", "0", "false", "no", "scalar", "SCALAR"} {
-		if !envOff(v) {
-			t.Errorf("envOff(%q) = false, want true", v)
-		}
-	}
-	for _, v := range []string{"", "on", "1", "avx2", "yes"} {
-		if envOff(v) {
-			t.Errorf("envOff(%q) = true, want false", v)
-		}
-	}
-}
-
 func TestEnabledRequiresHardware(t *testing.T) {
-	// Enabled may only be true when assembly is built and the machine
-	// reports both AVX2 and OS-managed YMM state.
-	if Enabled() {
-		if !AsmBuilt() {
-			t.Fatal("Enabled() with no assembly built")
-		}
-		f := Detect()
-		if !f.AVX2 || !f.OSYMM {
-			t.Fatalf("Enabled() with features %v", f)
-		}
+	// Enabled is exactly "assembly built ∧ AVX2 ∧ OS saves YMM": there is
+	// no runtime opt-out, so an AVX2 host binds the vector kernels unless
+	// the binary was built with -tags actor_noasm.
+	f := Detect()
+	want := AsmBuilt() && f.AVX2 && f.OSYMM
+	if got := Enabled(); got != want {
+		t.Fatalf("Enabled() = %v, want %v (asm built %v, features %v)", got, want, AsmBuilt(), f)
 	}
 }
 
@@ -49,7 +33,11 @@ func TestSummaryShape(t *testing.T) {
 	if !strings.Contains(s, "goamd64=") || !strings.Contains(s, "features=") {
 		t.Fatalf("Summary missing fields: %q", s)
 	}
-	if !strings.HasPrefix(s, "avx2 ") && !strings.HasPrefix(s, "scalar ") {
-		t.Fatalf("Summary mode missing: %q", s)
+	mode := "scalar "
+	if Enabled() {
+		mode = "avx2 "
+	}
+	if !strings.HasPrefix(s, mode) {
+		t.Fatalf("Summary mode disagrees with Enabled() = %v: %q", Enabled(), s)
 	}
 }

@@ -2,8 +2,8 @@
 # determinism.sh — the one place a change to model arithmetic proves that
 # determinism survived it (CI; `make determinism`).
 #
-# Every leg of GOMAXPROCS={1,2,N} × {AVX2 kernels, ACTOR_SIMD=off, -tags
-# actor_noasm} must
+# Every leg of GOMAXPROCS={1,2,N} × {AVX2 kernels, -tags actor_noasm}
+# must
 #   - pass the bit-identity tests: the parallel pipeline against its
 #     one-worker run, RunPhaseSweep against per-placement RunPhase, the lane
 #     and GEMM kernels against their scalar references, the fleet scorers
@@ -24,15 +24,12 @@ out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
 fail=0
-for kernels in avx2 simd-off noasm; do
+for kernels in avx2 noasm; do
     for p in $procs; do
         leg="GOMAXPROCS=$p kernels=$kernels"
-        simd=on flags=""
-        case "$kernels" in
-            simd-off) simd=off ;;
-            noasm)    flags="-tags=actor_noasm" ;;
-        esac
-        export GOMAXPROCS="$p" ACTOR_SIMD="$simd" GOFLAGS="$flags"
+        flags=""
+        [ "$kernels" = noasm ] && flags="-tags=actor_noasm"
+        export GOMAXPROCS="$p" GOFLAGS="$flags"
 
         if ! go test -count=1 -run "$TESTS" "${PKGS[@]}" >"$out/test.log" 2>&1; then
             cat "$out/test.log"

@@ -41,8 +41,8 @@ if [ -z "$ok" ]; then
 fi
 echo "== load smoke"
 # 2s seeded trace; the gates are deliberately loose — this asserts the
-# path works under concurrency, not a performance number (bench_trend
-# owns the numbers).
+# path works under concurrency, not a performance number (benchmarks/,
+# run with `bash benchmarks/run.sh`, owns the numbers).
 "$workdir/bin/actorload" -addr "http://127.0.0.1:$port" \
   -duration 2s -rate 1000 -seed 42 -conns 8 -check \
   -min-rps 50 -p99-max 2s -json "$workdir/load.json"
