@@ -59,9 +59,9 @@ fuzz-smoke:
 		done; \
 	done
 
-## fleet-smoke: seeded 100-job/16-machine fleet scheduling run on both
-## scorers — asserts the pinned deterministic schedule digest, zero
-## QoS-bound violations and a clean `actorfleet -verify` (CI; see
+## fleet-smoke: seeded 100-job/16-machine fleet scheduling run on the
+## incremental scorer — asserts the pinned deterministic schedule digest,
+## zero QoS-bound violations and a clean `actorfleet -verify` (CI; see
 ## docs/FLEET.md).
 fleet-smoke:
 	scripts/fleet_smoke.sh

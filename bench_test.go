@@ -285,6 +285,7 @@ func BenchmarkAblationANNvsMLR(b *testing.B) {
 	train := dataset.LeaveOneOut(samples, "SP")
 	test := samples["SP"]
 	events := pmu.FullEventSet()
+	targets := s.Targets()
 
 	evalPred := func(p core.Predictor) float64 {
 		var errSum float64
@@ -294,7 +295,7 @@ func BenchmarkAblationANNvsMLR(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, tgt := range exp.TargetConfigs {
+			for _, tgt := range targets {
 				obs := ps.MeasuredIPC[tgt]
 				if obs > 0 {
 					d := (preds[tgt] - obs) / obs
@@ -319,11 +320,11 @@ func BenchmarkAblationANNvsMLR(b *testing.B) {
 	b.Run("batched", func(b *testing.B) {
 		var annErr, mlrErr float64
 		for i := 0; i < b.N; i++ {
-			annBank, err := core.TrainANNBank(train, []int{12}, exp.TargetConfigs, 5, cfg)
+			annBank, err := core.TrainANNBank(train, []int{12}, targets, 5, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			mlrBank, err := core.TrainMLRBank(train, []int{12}, exp.TargetConfigs, 1e-6)
+			mlrBank, err := core.TrainMLRBank(train, []int{12}, targets, 1e-6)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -471,13 +472,11 @@ func BenchmarkFleetGenJobs(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetSchedule is the PR 9 headline: 10k jobs against a 1000
-// machine heterogeneous fleet. The incremental sub-benchmark is the
-// shipped scorer (treap probe order, interned templates, decision memo);
-// naive is the O(M)-per-decision bit-identity reference, so the ns/op ratio
-// between the two sub-benchmarks is the measured speedup (target ≥10×).
-// Every naive iteration asserts its schedule digest matches the incremental
-// scorer's, keeping the fast path honest inside the benchmark itself.
+// BenchmarkFleetSchedule is the fleet headline: 10k jobs against a 1000
+// machine heterogeneous fleet on the shipped incremental scorer (treap
+// probe order, interned templates, decision memo). Every iteration asserts
+// the schedule digest of the first run, and internal/fleet's
+// TestScorerBitIdentity holds that digest to the O(M) reference's.
 // templates and decision-entries are why the incremental probe runs in
 // order on one goroutine: with a few hundred of either against some
 // hundred thousand probes, nearly every probe is a table hit and there is
@@ -494,45 +493,39 @@ func BenchmarkFleetSchedule(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, scorer := range []string{fleet.ScorerIncremental, fleet.ScorerNaive} {
-		scorer := scorer
-		b.Run(scorer, func(b *testing.B) {
-			b.ReportAllocs()
-			var res *fleet.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = fleet.Schedule(f, stream, fleet.Options{Scorer: scorer})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Digest() != ref.Digest() {
-					b.Fatalf("%s digest %016x != incremental %016x", scorer, res.Digest(), ref.Digest())
-				}
+	b.Run(fleet.ScorerIncremental, func(b *testing.B) {
+		b.ReportAllocs()
+		var res *fleet.Result
+		for i := 0; i < b.N; i++ {
+			var err error
+			res, err = fleet.Schedule(f, stream, fleet.Options{})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(res.ScoredMachines)/float64(len(stream)), "scored-machines/job")
-			b.ReportMetric(res.ED2/bp.ED2, "ED2-vs-binpack")
-			b.ReportMetric(float64(res.Violations), "qos-violations")
-			b.ReportMetric(float64(res.Templates), "templates")
-			b.ReportMetric(float64(res.DecisionEntries), "decision-entries")
-		})
-	}
+			if res.Digest() != ref.Digest() {
+				b.Fatalf("digest %016x != first run's %016x", res.Digest(), ref.Digest())
+			}
+		}
+		b.ReportMetric(float64(res.ScoredMachines)/float64(len(stream)), "scored-machines/job")
+		b.ReportMetric(res.ED2/bp.ED2, "ED2-vs-binpack")
+		b.ReportMetric(float64(res.Violations), "qos-violations")
+		b.ReportMetric(float64(res.Templates), "templates")
+		b.ReportMetric(float64(res.DecisionEntries), "decision-entries")
+	})
 }
 
 // BenchmarkFleetScheduleSmall is the trend-friendly variant: a 16-machine
 // mixed fleet under the same policy, cheap enough for -benchtime scaling
-// to produce stable ns/op on both scorers.
+// to produce stable ns/op.
 func BenchmarkFleetScheduleSmall(b *testing.B) {
 	f, stream := fleetBench(b, "12*2x2,4*1x4+2x2:little", 200, 2)
-	for _, scorer := range []string{fleet.ScorerIncremental, fleet.ScorerNaive} {
-		scorer := scorer
-		b.Run(scorer, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := fleet.Schedule(f, stream, fleet.Options{Scorer: scorer}); err != nil {
-					b.Fatal(err)
-				}
+	b.Run(fleet.ScorerIncremental, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := fleet.Schedule(f, stream, fleet.Options{}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // --- Micro-benchmarks ------------------------------------------------------
@@ -676,44 +669,6 @@ func BenchmarkEnsemblePredict(b *testing.B) {
 	}
 }
 
-func BenchmarkANNTrain(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	samples := make([]ann.Sample, 200)
-	for i := range samples {
-		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		samples[i] = ann.Sample{X: x, Y: x[0]*x[1] - x[2]}
-	}
-	cfg := ann.DefaultConfig()
-	cfg.MaxEpochs = 50
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ann.Train(samples[:160], samples[160:], cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkANNTrainBatched is BenchmarkANNTrain on the mini-batch GEMM
-// engine (Config.BatchSize = 8) — the inner-loop configuration the
-// evaluation pipeline trains with (see exp.FastOptions).
-func BenchmarkANNTrainBatched(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	samples := make([]ann.Sample, 200)
-	for i := range samples {
-		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		samples[i] = ann.Sample{X: x, Y: x[0]*x[1] - x[2]}
-	}
-	cfg := ann.DefaultConfig()
-	cfg.MaxEpochs = 50
-	cfg.BatchSize = 8
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ann.Train(samples[:160], samples[160:], cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRunPhaseSweepHetero measures the memo-less sweep path the hetero
 // study runs (internal/machine's BenchmarkSweepLanes covers only the lane
 // step inside it): one phase across the 4 224 balanced placements of the
@@ -789,7 +744,7 @@ func BenchmarkKernels(b *testing.B) {
 	for _, k := range kernels.All(1) {
 		k := k
 		b.Run(k.Name(), func(b *testing.B) {
-			team := omp.NewTeam(2, false)
+			team := omp.NewTeam(2)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k.Step(team)
@@ -799,7 +754,7 @@ func BenchmarkKernels(b *testing.B) {
 }
 
 func BenchmarkOMPParallelFor(b *testing.B) {
-	team := omp.NewTeam(4, false)
+	team := omp.NewTeam(4)
 	data := make([]float64, 1<<16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -12,6 +12,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -21,44 +22,61 @@ import (
 )
 
 func main() {
-	f := actor.BindFlags(flag.CommandLine, actor.FlagsBank)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
 
+// run is the command behind main: it parses args, reads the rates from
+// stdin, writes the ranking and the recommendation to stdout and errors to
+// stderr, and returns the exit code — 0 on success, 1 on a failed
+// prediction, 2 on a bad flag.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("actor-predict", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	f := actor.BindFlags(fs, actor.FlagsBank)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := predict(f, stdin, stdout); err != nil {
+		fmt.Fprintln(stderr, "actor-predict:", err)
+		return 1
+	}
+	return 0
+}
+
+func predict(f *actor.Flags, stdin io.Reader, stdout io.Writer) error {
 	bank, err := f.LoadBank()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	in, err := io.ReadAll(os.Stdin)
+	in, err := io.ReadAll(stdin)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var rates actor.Rates
 	if err := json.Unmarshal(in, &rates); err != nil {
-		fatal(fmt.Errorf("parsing rates from stdin: %w", err))
+		return fmt.Errorf("parsing rates from stdin: %w", err)
 	}
 
 	ranked, err := bank.Predict(context.Background(), rates)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println("predicted IPC by configuration (best first):")
+	fmt.Fprintln(stdout, "predicted IPC by configuration (best first):")
 	for _, p := range ranked {
 		note := ""
 		if p.Observed {
 			note = " (observed)"
 		}
-		fmt.Printf("  %-4s %.3f%s\n", p.Config, p.IPC, note)
+		fmt.Fprintf(stdout, "  %-4s %.3f%s\n", p.Config, p.IPC, note)
 	}
 	best := ranked[0]
 	if best.Observed {
-		fmt.Printf("recommendation: stay at the sampling configuration (observed IPC %.3f)\n", best.IPC)
+		fmt.Fprintf(stdout, "recommendation: stay at the sampling configuration (observed IPC %.3f)\n", best.IPC)
 	} else {
-		fmt.Printf("recommendation: throttle to configuration %s\n", best.Config)
+		fmt.Fprintf(stdout, "recommendation: throttle to configuration %s\n", best.Config)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "actor-predict:", err)
-	os.Exit(1)
+	return nil
 }

@@ -5,17 +5,18 @@
 // slowdowns against the naive bin-packing baseline.
 //
 //	actorfleet -fleet "600*2x2,400*4x2+2x2:little" -jobs 10000 -rate 8
-//	actorfleet -jobs 100 -machines "16*2x2" -digest   # CI smoke mode
+//	actorfleet -jobs 100 -fleet "16*2x2" -digest   # CI smoke mode
 //
-// -scorer naive selects the O(M) reference scorer (the fleet sibling of
-// the -tags actor_noasm scalar kernels). -verify re-checks every schedule
-// the run produced with fleet.Validate, which shares no state with the
-// scheduler, and exits 1 naming the first violated property.
+// -scorer binpack runs the baseline alone. -verify re-checks every
+// schedule the run produced with fleet.Validate, which shares no state
+// with the scheduler, and exits 1 naming the first violated property.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -24,42 +25,68 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command behind main: it parses args, writes the study (or the
+// digest line) to stdout and errors to stderr, and returns the exit code —
+// 0 on success, 1 on a failed run, 2 on a bad flag.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("actorfleet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		spec     = flag.String("fleet", "64*2x2", "fleet spec: comma-separated count*topology-descriptor terms")
-		jobs     = flag.Int("jobs", 1000, "number of jobs in the arrival stream")
-		seed     = flag.Int64("seed", 42, "stream seed")
-		rate     = flag.Float64("rate", 4, "mean arrival rate (jobs/sec)")
-		meanSize = flag.Float64("meansize", 3, "mean job size in iterations (bounded Pareto)")
-		qos      = flag.Float64("qos", 0.25, "QoS degradation bound (admissible slowdown = 1+qos)")
-		scorer   = flag.String("scorer", "", "placement scorer: incremental, naive or binpack (default incremental)")
-		compare  = flag.Bool("compare", true, "also run the bin-packing baseline and report the delta")
-		digest   = flag.Bool("digest", false, "print only the schedule digest and violation count (CI smoke mode)")
-		verify   = flag.Bool("verify", false, "validate every schedule independently of the scheduler; exit 1 on the first violated property")
+		spec     = fs.String("fleet", "64*2x2", "fleet spec: comma-separated count*topology-descriptor terms")
+		jobs     = fs.Int("jobs", 1000, "number of jobs in the arrival stream")
+		seed     = fs.Int64("seed", 42, "stream seed")
+		rate     = fs.Float64("rate", 4, "mean arrival rate (jobs/sec)")
+		meanSize = fs.Float64("meansize", 3, "mean job size in iterations (bounded Pareto)")
+		qos      = fs.Float64("qos", 0.25, "QoS degradation bound (admissible slowdown = 1+qos)")
+		scorer   = fs.String("scorer", "", "placement scorer: incremental or binpack (default incremental)")
+		compare  = fs.Bool("compare", true, "also run the bin-packing baseline and report the delta")
+		digest   = fs.Bool("digest", false, "print only the schedule digest and violation count (CI smoke mode)")
+		verify   = fs.Bool("verify", false, "validate every schedule independently of the scheduler; exit 1 on the first violated property")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "actorfleet:", err)
+		return 1
+	}
 
 	f, err := fleet.ParseFleet(*spec, nil)
-	fail(err)
+	if err != nil {
+		return fail(err)
+	}
 	stream, err := fleet.GenJobs(fleet.StreamConfig{
 		Jobs: *jobs, Seed: *seed, ArrivalRate: *rate, MeanSize: *meanSize,
 	})
-	fail(err)
+	if err != nil {
+		return fail(err)
+	}
 
 	opt := fleet.Options{QoS: *qos, Scorer: *scorer}
 	t0 := time.Now()
 	res, err := fleet.Schedule(f, stream, opt)
-	fail(err)
+	if err != nil {
+		return fail(err)
+	}
 	wall := time.Since(t0)
 	if *verify {
-		fail(fleet.Validate(f, stream, res))
+		if err := fleet.Validate(f, stream, res); err != nil {
+			return fail(err)
+		}
 	}
 
 	if *digest {
-		fmt.Printf("digest=%016x violations=%d scorer=%s\n", res.Digest(), res.Violations, res.Scorer)
-		return
+		fmt.Fprintf(stdout, "digest=%016x violations=%d scorer=%s\n", res.Digest(), res.Violations, res.Scorer)
+		return 0
 	}
 
-	w := os.Stdout
+	w := stdout
 	report.Section(w, "Fleet scheduling study")
 	fmt.Fprintf(w, "fleet %s (%d machines, %d cores), %d jobs, seed %d\n\n",
 		*spec, f.Machines(), f.TotalCores(), *jobs, *seed)
@@ -83,10 +110,14 @@ func main() {
 		bopt.Scorer = fleet.ScorerBinpack
 		t0 = time.Now()
 		bp, err := fleet.Schedule(f, stream, bopt)
-		fail(err)
+		if err != nil {
+			return fail(err)
+		}
 		row(bp, time.Since(t0))
 		if *verify {
-			fail(fleet.Validate(f, stream, bp))
+			if err := fleet.Validate(f, stream, bp); err != nil {
+				return fail(err)
+			}
 		}
 		t.Render(w)
 		fmt.Fprintf(w, "\nED2 vs binpack: %.3f× (lower is better), violations %d vs %d\n",
@@ -95,11 +126,5 @@ func main() {
 		t.Render(w)
 	}
 	fmt.Fprintf(w, "schedule digest %016x\n", res.Digest())
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "actorfleet:", err)
-		os.Exit(1)
-	}
+	return 0
 }

@@ -60,10 +60,11 @@
 // bound, reporting fleet ED² and utilization against naive bin-packing.
 // The shipped incremental scorer (treap probe order, templates interned
 // when a machine changes, decisions memoised per template) is
-// digest-identical to the naive O(M) reference — actorfleet -scorer
-// selects between them — schedules are byte-identical across runs and
-// GOMAXPROCS settings, and actorfleet -verify re-checks one independently
-// of the scheduler. See docs/FLEET.md:
+// digest-identical to the O(M) reference its tests keep, actorfleet
+// -scorer picks it or the bin-packing baseline, schedules are
+// byte-identical across runs and GOMAXPROCS settings, and actorfleet
+// -verify re-checks one independently of the scheduler. See
+// docs/FLEET.md:
 //
 //	go run ./cmd/actorfleet -fleet "400*4x2+2x2:little,600*2x2" -jobs 10000 -rate 60
 //

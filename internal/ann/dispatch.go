@@ -19,12 +19,4 @@ var (
 	sgdStep         = sgdStepScalar
 	sgdFeatureMajor = sgdFeatureMajorScalar
 	stackForward    = stackForwardScalar
-
-	// kernelVariant names the bound implementation ("scalar" or "avx2")
-	// for benchmark metadata and diagnostics.
-	kernelVariant = "scalar"
 )
-
-// KernelVariant reports which kernel implementation this process bound at
-// startup: "avx2" when the vector kernels are active, "scalar" otherwise.
-func KernelVariant() string { return kernelVariant }

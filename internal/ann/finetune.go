@@ -6,32 +6,22 @@ import (
 	"slices"
 )
 
-// FineTuneEnsemble warm-starts a new k-fold ensemble from base on fresh
-// samples: each member fine-tunes a copy of the corresponding base member's
-// weights (TrainFrom semantics) under the same deterministic fold protocol
-// as TrainEnsemble — member i early-stops on fold i and estimates on fold
-// (i+1) mod k. The base's Scaler is reused, not refit: the member weights
-// are expressed in the base's normalised feature space, so refitting the
-// scaler on the new samples would silently invalidate the warm start.
-//
-// cfg.Hidden is ignored; the topology is taken from the base networks.
-// With cfg.WarmStartEpochs > 0 each member trains at most that many epochs
-// at halved patience (the fine-tune caps TrainEnsemble's warm-start mode
-// uses); otherwise cfg.MaxEpochs applies. Deterministic under cfg.Seed at
-// any GOMAXPROCS.
-func FineTuneEnsemble(base *Ensemble, samples []Sample, cfg Config) (*Ensemble, error) {
-	ens, err := FineTuneEnsembles([]*Ensemble{base}, [][]Sample{samples}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return ens[0], nil
-}
-
 // FineTuneEnsembles fine-tunes bases[i] on sets[i] for every i — ensemble i
-// is bit-identical to FineTuneEnsemble(bases[i], sets[i], cfg). Targets
-// whose bases share member count and topology and whose base scalers turn
-// their samples into bitwise-identical feature rows train together in one
-// lockstep run per fold member; any other target forms its own group.
+// is bit-identical to fine-tuning bases[i] on sets[i] alone. Each member
+// fine-tunes a copy of the corresponding base member's weights under the
+// same deterministic fold protocol as TrainEnsemble — member i early-stops
+// on fold i and estimates on fold (i+1) mod k. The base's Scaler is reused,
+// not refit: the member weights are expressed in the base's normalised
+// feature space, so refitting the scaler on the new samples would silently
+// invalidate the warm start. cfg.Hidden is ignored; the topology is taken
+// from the base networks. With cfg.WarmStartEpochs > 0 each member trains
+// at most that many epochs at halved patience; otherwise cfg.MaxEpochs
+// applies. Deterministic under cfg.Seed at any GOMAXPROCS.
+//
+// Targets whose bases share member count and topology and whose base
+// scalers turn their samples into bitwise-identical feature rows train
+// together in one lockstep run per fold member; any other target forms its
+// own group.
 func FineTuneEnsembles(bases []*Ensemble, sets [][]Sample, cfg Config) ([]*Ensemble, error) {
 	if len(bases) != len(sets) {
 		return nil, fmt.Errorf("ann: %d base ensembles for %d sample sets", len(bases), len(sets))

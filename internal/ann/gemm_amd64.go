@@ -22,7 +22,6 @@ func init() {
 		sgdStep = sgdStepAVX2
 		sgdFeatureMajor = sgdFeatureMajorAVX2
 		stackForward = stackForwardAVX2
-		kernelVariant = "avx2"
 	}
 }
 

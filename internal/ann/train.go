@@ -1,7 +1,5 @@
 package ann
 
-import "errors"
-
 // Sample is one supervised training example: feature vector X and scalar
 // target Y (normalised IPC in ACTOR's use).
 type Sample struct {
@@ -72,40 +70,4 @@ type TrainResult struct {
 	TrainMSE, ValidMSE float64
 	// Stopped reports whether early stopping fired before MaxEpochs.
 	Stopped bool
-}
-
-// Train fits a network to train, early-stopping on valid. The returned
-// network is the snapshot with the best validation error seen (not the last
-// epoch's weights). Inputs must be pre-normalised; see Scaler.
-func Train(train, valid []Sample, cfg Config) (*Network, TrainResult, error) {
-	return TrainFrom(nil, train, valid, cfg)
-}
-
-// TrainFrom is Train with a warm start: when init is non-nil, training
-// fine-tunes a copy of init's weights instead of a fresh random
-// initialisation (init itself is never mutated). The init topology must
-// match the one cfg.Hidden and the sample dimension imply. cfg.Seed still
-// drives the epoch shuffles, so fine-tuning is deterministic.
-func TrainFrom(init *Network, train, valid []Sample, cfg Config) (*Network, TrainResult, error) {
-	if len(train) == 0 {
-		return nil, TrainResult{}, errors.New("ann: empty training set")
-	}
-	inDim := len(train[0].X)
-	ds, err := packSamples(train, inDim)
-	if err != nil {
-		return nil, TrainResult{}, err
-	}
-	vds, err := packSamples(valid, inDim)
-	if err != nil {
-		return nil, TrainResult{}, err
-	}
-	var inits []*Network
-	if init != nil {
-		inits = []*Network{init}
-	}
-	nets, res, err := trainCore(ds, identityIdx(ds.n()), vds, identityIdx(vds.n()), inits, cfg)
-	if err != nil {
-		return nil, TrainResult{}, err
-	}
-	return nets[0], res[0], nil
 }

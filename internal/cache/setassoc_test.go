@@ -3,8 +3,7 @@ package cache
 // This file implements an executable set-associative cache with true-LRU
 // replacement. It is not on the simulator's hot path: it exists to validate
 // the analytic SharingModel against concrete address streams (tests replay
-// synthetic working-set streams through both and compare miss-rate shapes),
-// and it backs the cache-behaviour demos in the examples.
+// synthetic working-set streams through both and compare miss-rate shapes).
 
 import (
 	"errors"

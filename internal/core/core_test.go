@@ -84,6 +84,32 @@ func TestStaticStrategy(t *testing.T) {
 	}
 }
 
+// TestStaticRunHasNoSamplingEvents checks execute's accounting for a policy
+// that never samples: no sampled rounds, one configuration for every phase,
+// and a run time that is exactly its executions (no migrations to charge).
+func TestStaticRunHasNoSamplingEvents(t *testing.T) {
+	env := newEnv(t)
+	b := smallBench(t)
+	res, err := (&Static{Config: "2b"}).Run(b, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SampleRounds != 0 {
+		t.Errorf("static run sampled %d rounds", res.SampleRounds)
+	}
+	if res.Migrations != 0 || res.MigrationTimeSec != 0 {
+		t.Errorf("static run migrated: %d times, %g s", res.Migrations, res.MigrationTimeSec)
+	}
+	if len(res.PhaseConfigs) != len(b.Phases) {
+		t.Errorf("%d phase configs for %d phases", len(res.PhaseConfigs), len(b.Phases))
+	}
+	for phase, cfg := range res.PhaseConfigs {
+		if cfg != "2b" {
+			t.Errorf("phase %s on %s, want 2b", phase, cfg)
+		}
+	}
+}
+
 func TestOracleRelations(t *testing.T) {
 	env := newEnv(t)
 	// Use the pristine machine for measurement too, so oracle relations

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -16,8 +17,9 @@ import (
 // measured phase throughput as its fitness signal and the empirical-search
 // policy of the authors' earlier work [17] — probing each candidate
 // concurrency level for a configurable number of executions, then locking
-// in the fastest. (The substitution is documented in DESIGN.md; the
-// simulated path exercises the full counter + ANN pipeline.)
+// in the fastest — on a tie, the fewest threads. (The substitution is
+// documented in DESIGN.md; the simulated path exercises the full counter +
+// ANN pipeline.)
 type LiveTuner struct {
 	candidates []int
 	probes     int
@@ -83,13 +85,7 @@ func (lt *LiveTuner) End() {
 	lt.times[lt.currentCandidate()] += elapsed
 	lt.phase++
 	if lt.phase >= len(lt.candidates)*lt.probes {
-		best, bestT := 0, lt.times[0]
-		for i, t := range lt.times {
-			if t < bestT {
-				bestT, best = t, i
-			}
-		}
-		lt.choice = lt.candidates[best]
+		lt.choice = lt.ProbeTimes()[0].Threads
 		lt.decided = true
 	}
 }
@@ -116,13 +112,23 @@ func (lt *LiveTuner) Choice() int {
 // Executions returns the number of completed Begin/End pairs.
 func (lt *LiveTuner) Executions() int { return lt.executions }
 
-// ProbeTimes returns the accumulated probe time per candidate (by candidate
-// order), for diagnostics.
-func (lt *LiveTuner) ProbeTimes() map[int]float64 {
-	out := make(map[int]float64, len(lt.candidates))
+// LiveProbe is one candidate thread count's accumulated probe time.
+type LiveProbe struct {
+	Threads  int
+	ProbeSec float64
+}
+
+// ProbeTimes returns every candidate's accumulated probe time, fastest
+// first; equal times rank the smaller thread count first. Once the tuner
+// has decided, the first entry is its choice.
+func (lt *LiveTuner) ProbeTimes() []LiveProbe {
+	out := make([]LiveProbe, len(lt.candidates))
 	for i, c := range lt.candidates {
-		out[c] = lt.times[i]
+		out[i] = LiveProbe{Threads: c, ProbeSec: lt.times[i]}
 	}
+	slices.SortStableFunc(out, func(a, b LiveProbe) int {
+		return cmp.Or(cmp.Compare(a.ProbeSec, b.ProbeSec), cmp.Compare(a.Threads, b.Threads))
+	})
 	return out
 }
 
@@ -136,6 +142,5 @@ func DefaultCandidates(max int) []int {
 	for c := max; c >= 1; c-- {
 		out = append(out, c)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
 	return out
 }

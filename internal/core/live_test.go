@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -50,8 +51,42 @@ func TestLiveTunerPicksFastest(t *testing.T) {
 		lt.End()
 	}
 	pt := lt.ProbeTimes()
-	if pt[2] >= pt[1] || pt[2] >= pt[4] {
-		t.Errorf("probe times inconsistent: %v", pt)
+	if len(pt) != 3 || pt[0].Threads != 2 || pt[1].Threads != 4 || pt[2].Threads != 1 {
+		t.Errorf("probe times not fastest first: %v", pt)
+	}
+}
+
+// TestLiveTunerProbeTimesTies scripts tied durations: equal probe times
+// rank by thread count, the same way every run, and the decision is the
+// first of that ranking.
+func TestLiveTunerProbeTimesTies(t *testing.T) {
+	durations := map[int]time.Duration{
+		8: 20 * time.Millisecond,
+		4: 10 * time.Millisecond,
+		3: 20 * time.Millisecond,
+		2: 10 * time.Millisecond,
+		1: 10 * time.Millisecond,
+	}
+	want := []LiveProbe{{1, 0.02}, {2, 0.02}, {4, 0.02}, {3, 0.04}, {8, 0.04}}
+	for run := 0; run < 20; run++ {
+		lt, err := NewLiveTuner([]int{8, 4, 3, 2, 1}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := time.Unix(0, 0)
+		lt.now = func() time.Time { return now }
+		for !lt.Decided() {
+			n := lt.Begin()
+			now = now.Add(durations[n])
+			lt.End()
+		}
+		got := lt.ProbeTimes()
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d: probe times %v, want %v", run, got, want)
+		}
+		if lt.Choice() != 1 {
+			t.Fatalf("run %d: chose %d threads on a three-way tie, want 1", run, lt.Choice())
+		}
 	}
 }
 

@@ -127,8 +127,6 @@ func (pp *predictionPolicy) decide() error {
 	return nil
 }
 
-func (pp *predictionPolicy) sampling() bool { return !pp.decided }
-
 func (pp *predictionPolicy) sampledRounds() int { return pp.rounds }
 
 func (pp *predictionPolicy) finalConfig() string {

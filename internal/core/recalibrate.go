@@ -12,7 +12,7 @@ import (
 
 // FineTuneANNBank rebuilds an ANN bank from a live base: every ensemble in
 // every predictor is warm-started from its live counterpart and fine-tuned
-// on the fresh recalibration samples (ann.FineTuneEnsemble semantics — the
+// on the fresh recalibration samples (ann.FineTuneEnsembles semantics — the
 // live scaler is reused, topology and member count are preserved). The base
 // bank is never mutated; predictors keep their exact event sets so the new
 // bank is a drop-in replacement for the old one.

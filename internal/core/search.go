@@ -83,8 +83,6 @@ func (sp *searchPolicy) observe(_ int, res machine.Result) error {
 	return nil
 }
 
-func (sp *searchPolicy) sampling() bool { return !sp.decided }
-
 func (sp *searchPolicy) sampledRounds() int { return sp.tried }
 
 func (sp *searchPolicy) finalConfig() string {

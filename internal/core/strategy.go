@@ -34,9 +34,6 @@ type Env struct {
 	// MaxSampleFraction caps sampling at this fraction of total
 	// iterations (0.20 in the paper).
 	MaxSampleFraction float64
-	// Tracer, when non-nil, receives a TraceEvent for every phase
-	// execution (see trace.go).
-	Tracer Tracer
 }
 
 // NewEnv builds an environment over the given machines and power model with
@@ -143,9 +140,6 @@ type Strategy interface {
 type phasePolicy interface {
 	place(iter int) topology.Placement
 	observe(iter int, res machine.Result) error
-	// sampling reports whether the policy is still in its online probing
-	// state (counter sampling or search testing).
-	sampling() bool
 	sampledRounds() int
 	finalConfig() string
 }
@@ -261,32 +255,16 @@ func execute(name string, b *workload.Benchmark, env *Env, policies []phasePolic
 		for pi := range b.Phases {
 			p := &b.Phases[pi]
 			pl := policies[pi].place(it)
-			var migSec float64
 			if havePrev && !samePlacement(prev, pl) {
 				extraSec, extraBytes := env.Machine.MigrationPenalty(p, prev, pl)
 				if extraSec > 0 {
 					res.Migrations++
 					res.MigrationTimeSec += extraSec
-					migSec = extraSec
 					acc.Add(extraSec, env.Power.Power(migrationActivity(env, pl, extraSec, extraBytes)))
 				}
 			}
-			wasSampling := policies[pi].sampling()
 			r := tables[pi].run(env, p, b.Idiosyncrasy, pl)
-			watts := env.Power.Power(r.Activity)
-			acc.Add(r.TimeSec, watts)
-			if env.Tracer != nil {
-				env.Tracer.Event(TraceEvent{
-					Iteration:    it,
-					Phase:        p.Name,
-					Config:       pl.Name,
-					TimeSec:      r.TimeSec,
-					PowerW:       watts,
-					Sampling:     wasSampling,
-					Migration:    migSec > 0,
-					MigrationSec: migSec,
-				})
-			}
+			acc.Add(r.TimeSec, env.Power.Power(r.Activity))
 			if err := policies[pi].observe(it, r); err != nil {
 				return RunResult{}, err
 			}
@@ -345,7 +323,6 @@ type staticPolicy struct {
 
 func (s *staticPolicy) place(int) topology.Placement      { return s.pl }
 func (s *staticPolicy) observe(int, machine.Result) error { return nil }
-func (s *staticPolicy) sampling() bool                    { return false }
 func (s *staticPolicy) sampledRounds() int                { return 0 }
 func (s *staticPolicy) finalConfig() string               { return s.pl.Name }
 

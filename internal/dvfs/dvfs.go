@@ -53,32 +53,8 @@ func Space(placements []topology.Placement, levels []float64) []Config {
 // Objective scores a phase execution; lower is better.
 type Objective func(timeSec, energyJ float64) float64
 
-// Objectives mirroring the paper's metrics and the related work's
-// constraint formulations.
-var (
-	// MinTime optimises pure performance.
-	MinTime Objective = func(t, e float64) float64 { return t }
-	// MinEnergy optimises pure energy.
-	MinEnergy Objective = func(t, e float64) float64 { return e }
-	// MinED2 optimises the paper's headline metric E·T².
-	MinED2 Objective = func(t, e float64) float64 { return e * t * t }
-	// MinEDP optimises the classic energy-delay product.
-	MinEDP Objective = func(t, e float64) float64 { return e * t }
-)
-
-// ConstrainedEnergy returns an objective minimising energy subject to the
-// execution time staying within slack × the best achievable time — the Li &
-// Martínez formulation ("optimize power consumption given a fixed
-// performance requirement"). bestTime is the phase's minimum time over the
-// space.
-func ConstrainedEnergy(bestTime, slack float64) Objective {
-	return func(t, e float64) float64 {
-		if t > bestTime*slack {
-			return math.Inf(1)
-		}
-		return e
-	}
-}
+// MinED2 optimises the paper's headline metric E·T².
+var MinED2 Objective = func(t, e float64) float64 { return e * t * t }
 
 // Evaluator runs phases at joint operating points. With a noiseless Base
 // (every in-repo caller: oracles evaluate ground truth) it is safe for

@@ -71,11 +71,11 @@ func TestBestPerPhaseObjectives(t *testing.T) {
 	b, _ := npb.ByName("MG")
 	space := Space(topology.PaperConfigs(), DefaultLevels())
 
-	fastest, err := ev.BestPerPhase(b, space, MinTime)
+	fastest, err := ev.BestPerPhase(b, space, minTime)
 	if err != nil {
 		t.Fatal(err)
 	}
-	greenest, err := ev.BestPerPhase(b, space, MinEnergy)
+	greenest, err := ev.BestPerPhase(b, space, minEnergy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +85,10 @@ func TestBestPerPhaseObjectives(t *testing.T) {
 		tg, eg := ev.RunPhase(&b.Phases[pi], b.Idiosyncrasy, greenest[pi])
 		_, ef := ev.RunPhase(&b.Phases[pi], b.Idiosyncrasy, fastest[pi])
 		if tf > tg+1e-12 {
-			t.Errorf("phase %d: MinTime pick slower than MinEnergy pick", pi)
+			t.Errorf("phase %d: minTime pick slower than minEnergy pick", pi)
 		}
 		if eg > ef+1e-9 {
-			t.Errorf("phase %d: MinEnergy pick uses more energy than MinTime pick", pi)
+			t.Errorf("phase %d: minEnergy pick uses more energy than minTime pick", pi)
 		}
 	}
 }
@@ -106,7 +106,7 @@ func TestConstrainedEnergy(t *testing.T) {
 			best = tt
 		}
 	}
-	obj := ConstrainedEnergy(best, 1.10)
+	obj := constrainedEnergy(best, 1.10)
 	// The chosen config must satisfy the 10% slack constraint.
 	bestCfg := space[0]
 	bestE := math.Inf(1)
@@ -173,5 +173,27 @@ func TestStrategyString(t *testing.T) {
 		if s.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(s), s.String(), want)
 		}
+	}
+}
+
+// Objectives of the related work's formulations, for the objective tests.
+var (
+	// minTime optimises pure performance.
+	minTime Objective = func(t, e float64) float64 { return t }
+	// minEnergy optimises pure energy.
+	minEnergy Objective = func(t, e float64) float64 { return e }
+)
+
+// constrainedEnergy returns an objective minimising energy subject to the
+// execution time staying within slack × the best achievable time — the Li &
+// Martínez formulation ("optimize power consumption given a fixed
+// performance requirement"). bestTime is the phase's minimum time over the
+// space.
+func constrainedEnergy(bestTime, slack float64) Objective {
+	return func(t, e float64) float64 {
+		if t > bestTime*slack {
+			return math.Inf(1)
+		}
+		return e
 	}
 }

@@ -12,12 +12,6 @@ import (
 	"github.com/greenhpc/actor/internal/report"
 )
 
-// TargetConfigs are the configurations the models predict on the paper
-// platform; the sampling configuration (4) is observed directly during the
-// online sample period. Suites on other topologies derive their targets
-// from the active configuration space (Suite.Targets).
-var TargetConfigs = []string{"1", "2a", "2b", "3"}
-
 // LOOModels holds everything the prediction experiments share: the
 // collected counter samples and one leave-one-out predictor bank per
 // benchmark (each trained without ever seeing its benchmark's data).

@@ -130,12 +130,13 @@ func TestDefaultSuiteUnchanged(t *testing.T) {
 		}
 	}
 	targets := s.Targets()
-	if len(targets) != len(TargetConfigs) {
+	wantTargets := []string{"1", "2a", "2b", "3"}
+	if len(targets) != len(wantTargets) {
 		t.Fatalf("targets = %v", targets)
 	}
-	for i := range TargetConfigs {
-		if targets[i] != TargetConfigs[i] {
-			t.Fatalf("targets = %v, want %v", targets, TargetConfigs)
+	for i := range wantTargets {
+		if targets[i] != wantTargets[i] {
+			t.Fatalf("targets = %v, want %v", targets, wantTargets)
 		}
 	}
 	if s.SampleConfig().Name != "4" {

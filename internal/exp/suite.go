@@ -202,7 +202,7 @@ func (s *Suite) SampleConfig() topology.Placement {
 
 // Targets returns the configuration names the predictors learn: every
 // configuration except the sampling one, whose IPC is observed directly.
-// On the paper platform this is exactly TargetConfigs.
+// On the paper platform this is 1, 2a, 2b and 3.
 func (s *Suite) Targets() []string {
 	out := make([]string, 0, len(s.Configs)-1)
 	for _, c := range s.Configs[:len(s.Configs)-1] {

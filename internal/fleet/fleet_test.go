@@ -38,11 +38,12 @@ func mustSchedule(t *testing.T, f *Fleet, jobs []Job, opt Options) *Result {
 
 // TestScorerBitIdentity is the fleet's scalar/SIMD-style contract: the
 // incremental+memoized scorer and the naive re-score-everything reference
-// implement one policy and must produce byte-identical schedules.
+// (naive_test.go) implement one policy and must produce byte-identical
+// schedules.
 func TestScorerBitIdentity(t *testing.T) {
 	f, jobs := testStream(t, 160)
 	inc := mustSchedule(t, f, jobs, Options{Scorer: ScorerIncremental})
-	nai := mustSchedule(t, f, jobs, Options{Scorer: ScorerNaive})
+	nai := mustSchedule(t, f, jobs, naive(Options{}))
 	if inc.Digest() != nai.Digest() {
 		t.Fatalf("schedule digests diverge: incremental %x vs naive %x", inc.Digest(), nai.Digest())
 	}
@@ -54,14 +55,16 @@ func TestScorerBitIdentity(t *testing.T) {
 	if inc.Violations != 0 || nai.Violations != 0 {
 		t.Fatalf("QoS-aware scorers reported violations: inc=%d naive=%d", inc.Violations, nai.Violations)
 	}
-	// An empty Options.Scorer is the incremental scorer; an unknown one is
-	// refused.
+	// An empty Options.Scorer is the incremental scorer; an unknown one —
+	// the retired "naive" included — is refused.
 	def := mustSchedule(t, f, jobs, Options{})
 	if def.Scorer != ScorerIncremental || def.Digest() != nai.Digest() {
 		t.Fatalf("default scorer = %q digest %x, want incremental %x", def.Scorer, def.Digest(), nai.Digest())
 	}
-	if _, err := Schedule(f, jobs, Options{Scorer: "bogus"}); err == nil {
-		t.Fatal("unknown scorer accepted")
+	for _, bad := range []string{"bogus", "naive"} {
+		if _, err := Schedule(f, jobs, Options{Scorer: bad}); err == nil {
+			t.Fatalf("unknown scorer %q accepted", bad)
+		}
 	}
 	if nai.ScoredMachines <= 2*inc.ScoredMachines {
 		t.Fatalf("incremental scorer did not reduce scoring work: inc=%d naive=%d",
@@ -74,10 +77,10 @@ func TestScorerBitIdentity(t *testing.T) {
 // is the naive reference's fan-out merge and stream generation.
 func TestGOMAXPROCSDeterminism(t *testing.T) {
 	f, jobs := testStream(t, 120)
-	par := mustSchedule(t, f, jobs, Options{Scorer: ScorerNaive})
+	par := mustSchedule(t, f, jobs, naive(Options{}))
 	prev := runtime.GOMAXPROCS(1)
 	_, seqJobs := testStream(t, 120)
-	seq := mustSchedule(t, f, seqJobs, Options{Scorer: ScorerNaive})
+	seq := mustSchedule(t, f, seqJobs, naive(Options{}))
 	inc := mustSchedule(t, f, seqJobs, Options{})
 	runtime.GOMAXPROCS(prev)
 	if par.Digest() != seq.Digest() || par.Digest() != inc.Digest() {

@@ -50,8 +50,8 @@ func legacyGenJobs(t testing.TB, cfg StreamConfig) []Job {
 func TestLegacyStreamPinned(t *testing.T) {
 	f, _ := testStream(t, 1)
 	jobs := legacyGenJobs(t, StreamConfig{Jobs: 100, Seed: 42, ArrivalRate: 2, MeanSize: 3})
-	for _, scorer := range []string{ScorerIncremental, ScorerNaive} {
-		res := mustSchedule(t, f, jobs, Options{Scorer: scorer})
+	for scorer, opt := range map[string]Options{"incremental": {}, "naive": naive(Options{})} {
+		res := mustSchedule(t, f, jobs, opt)
 		if res.Digest() != 0x570c7ac66d750e18 || res.Violations != 0 {
 			t.Errorf("%s: digest %016x with %d violations, pinned 570c7ac66d750e18 with 0", scorer, res.Digest(), res.Violations)
 		}

@@ -4,17 +4,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"github.com/greenhpc/actor/internal/parallel"
 )
 
-// Scorer names select the placement engine. Incremental and naive
-// implement the identical policy — first feasible machine in (congestion
-// key, index) order — and produce byte-identical schedules; binpack is the
+// Scorer names select the placement engine. Incremental runs the policy —
+// first feasible machine in (congestion key, index) order; binpack is the
 // interference-blind baseline the study compares against.
 const (
 	ScorerIncremental = "incremental"
-	ScorerNaive       = "naive"
 	ScorerBinpack     = "binpack"
 )
 
@@ -26,6 +22,11 @@ type Options struct {
 	QoS float64
 	// Scorer picks the placement engine; empty means incremental.
 	Scorer string
+
+	// selectRef, when set, replaces the incremental walk and its
+	// single-machine queue retry with a reference selection: the tests'
+	// O(M) argmin, which must schedule byte-identically.
+	selectRef func(r *run, j *Job) (int, candidate, bool)
 }
 
 func (o *Options) resolve() (Options, error) {
@@ -39,9 +40,9 @@ func (o *Options) resolve() (Options, error) {
 	switch r.Scorer {
 	case "":
 		r.Scorer = ScorerIncremental
-	case ScorerIncremental, ScorerNaive, ScorerBinpack:
+	case ScorerIncremental, ScorerBinpack:
 	default:
-		return r, fmt.Errorf("fleet: unknown scorer %q (have incremental, naive, binpack)", r.Scorer)
+		return r, fmt.Errorf("fleet: unknown scorer %q (have incremental, binpack)", r.Scorer)
 	}
 	return r, nil
 }
@@ -364,8 +365,8 @@ func (r *run) accrue(t float64) {
 // never turns an infeasible machine feasible, and a queued job was
 // infeasible fleet-wide when it queued — so the only machine that can
 // newly admit a queued job is the one that just completed. The incremental
-// scorer therefore re-scores mi alone (O(1) per queued job); the naive
-// reference re-scores the whole fleet and, by the same monotonicity, lands
+// scorer therefore re-scores mi alone (O(1) per queued job); a reference
+// selection re-scores the whole fleet and, by the same monotonicity, lands
 // on the identical decision.
 func (r *run) drainAfterCompletion(jobs []Job, mi int, t float64) {
 	kept := r.pending[:0]
@@ -374,7 +375,7 @@ func (r *run) drainAfterCompletion(jobs []Job, mi int, t float64) {
 		var pmi int
 		var cand candidate
 		var ok bool
-		if r.opt.Scorer == ScorerIncremental {
+		if r.opt.Scorer == ScorerIncremental && r.opt.selectRef == nil {
 			m := &r.states[mi]
 			cand = r.s.admit(m, j, r.s.decide(m, j, r.s.soloBest(j), r.opt.QoS), r.opt.QoS)
 			r.scored++
@@ -394,47 +395,21 @@ func (r *run) drainAfterCompletion(jobs []Job, mi int, t float64) {
 // selectMachine runs the placement policy for j: the first machine in
 // (congestion, index) order on which j has an admissible placement.
 func (r *run) selectMachine(j *Job) (int, candidate, bool) {
-	switch r.opt.Scorer {
-	case ScorerBinpack:
+	switch {
+	case r.opt.selectRef != nil:
+		return r.opt.selectRef(r, j)
+	case r.opt.Scorer == ScorerBinpack:
 		return r.selectBinpack(j)
-	case ScorerNaive:
-		return r.selectNaive(j)
 	default:
 		return r.selectIncremental(j)
 	}
 }
 
-// selectNaive is the reference implementation: score every machine, take
-// the feasible one with the smallest (congestion, index).
-func (r *run) selectNaive(j *Job) (int, candidate, bool) {
-	soloBest := r.s.soloBest(j)
-	n := len(r.states)
-	cands := make([]candidate, n)
-	parallel.ForEach(n, func(i int) {
-		cands[i] = r.s.scoreMachine(&r.states[i], j, soloBest, r.opt.QoS)
-	})
-	r.scored += int64(n)
-	best := -1
-	for i := range cands {
-		if !cands[i].feasible {
-			continue
-		}
-		if best < 0 ||
-			r.states[i].congestion < r.states[best].congestion ||
-			(r.states[i].congestion == r.states[best].congestion && i < best) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return 0, candidate{}, false
-	}
-	return best, cands[best], true
-}
-
 // selectIncremental walks machines in treap order on the calling goroutine
-// and stops at the first feasible one — identical to the naive argmin
-// because the congestion key is job-independent. Nearly every probe is a
-// decision-table hit, so there is nothing for a fan-out to overlap.
+// and stops at the first feasible one — identical to the O(M) argmin over
+// (congestion, index) because the congestion key is job-independent.
+// Nearly every probe is a decision-table hit, so there is nothing for a
+// fan-out to overlap.
 func (r *run) selectIncremental(j *Job) (int, candidate, bool) {
 	soloBest := r.s.soloBest(j)
 	r.arrival++

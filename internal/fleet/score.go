@@ -121,8 +121,8 @@ func (c *Class) placementFor(sk shapeKey) topology.Placement {
 }
 
 // scorer holds the scoring memos shared by a scheduling run (and safely by
-// the naive reference's scoring goroutines), all internal/memo tables over
-// the typed keys of keys.go.
+// the tests' O(M) reference, which scores machines concurrently), all
+// internal/memo tables over the typed keys of keys.go.
 type scorer struct {
 	f *Fleet
 	// solo memoises the solo metrics per (class, signature, shape).
@@ -134,7 +134,7 @@ type scorer struct {
 	template  memo.Table[templateKey, int32]
 	templates atomic.Int32
 	// decision memoises chooseShape per (template id, signature, budget).
-	// Only the incremental scorer consults it; the naive reference
+	// Only the incremental scorer consults it; the O(M) reference
 	// recomputes.
 	decision memo.Table[decisionKey, candidate]
 
@@ -295,19 +295,6 @@ func (s *scorer) decide(m *machState, j *Job, soloBest, qos float64) *candidate 
 	sc := s.pool.Get().(*scratch)
 	defer s.pool.Put(sc)
 	return s.decision.Put(h, key, s.chooseShape(m, j, soloBest, qos, sc))
-}
-
-// scoreMachine is the naive reference's admission decision of job j on
-// machine m: the template-level shape choice, recomputed where the
-// incremental scorer calls decide, followed by the same admit.
-func (s *scorer) scoreMachine(m *machState, j *Job, soloBest, qos float64) candidate {
-	if m.freeTotal < 1 {
-		return candidate{}
-	}
-	sc := s.pool.Get().(*scratch)
-	defer s.pool.Put(sc)
-	dec := s.chooseShape(m, j, soloBest, qos, sc)
-	return s.admit(m, j, &dec, qos)
 }
 
 // admit takes the template-level decision dec for job j to machine m:

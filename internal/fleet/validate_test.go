@@ -17,8 +17,12 @@ func TestValidateSchedules(t *testing.T) {
 		"legacy": legacyGenJobs(t, StreamConfig{Jobs: 160, Seed: 42, ArrivalRate: 2, MeanSize: 3}),
 	}
 	for name, jobs := range streams {
-		for _, scorer := range []string{ScorerIncremental, ScorerNaive, ScorerBinpack} {
-			res := mustSchedule(t, f, jobs, Options{Scorer: scorer})
+		for scorer, opt := range map[string]Options{
+			"incremental": {},
+			"naive":       naive(Options{}),
+			"binpack":     {Scorer: ScorerBinpack},
+		} {
+			res := mustSchedule(t, f, jobs, opt)
 			if err := Validate(f, jobs, res); err != nil {
 				t.Errorf("%s/%s: %v", name, scorer, err)
 			}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestAllKernelsRunAndProduceFiniteChecksums(t *testing.T) {
-	team := omp.NewTeam(2, false)
+	team := omp.NewTeam(2)
 	for _, k := range All(1) {
 		k := k
 		t.Run(k.Name(), func(t *testing.T) {
@@ -37,7 +37,7 @@ func TestKernelsDeterministicAtFixedTeamSize(t *testing.T) {
 	for _, name := range []string{"CG", "MG", "FT", "IS", "LU", "LU-HP", "BT", "SP"} {
 		a, _ := ByName(name, 1)
 		b, _ := ByName(name, 1)
-		team := omp.NewTeam(2, false)
+		team := omp.NewTeam(2)
 		for i := 0; i < 2; i++ {
 			a.Step(team)
 			b.Step(team)
@@ -54,8 +54,8 @@ func TestThreadCountInvariantKernels(t *testing.T) {
 	for _, name := range []string{"CG", "MG", "FT", "LU", "LU-HP", "BT", "SP"} {
 		a, _ := ByName(name, 1)
 		b, _ := ByName(name, 1)
-		t1 := omp.NewTeam(1, false)
-		t4 := omp.NewTeam(4, false)
+		t1 := omp.NewTeam(1)
+		t4 := omp.NewTeam(4)
 		for i := 0; i < 2; i++ {
 			a.Step(t1)
 			b.Step(t4)
@@ -68,7 +68,7 @@ func TestThreadCountInvariantKernels(t *testing.T) {
 
 func TestCGResidualDecreases(t *testing.T) {
 	cg := NewCG(48, 8)
-	team := omp.NewTeam(2, false)
+	team := omp.NewTeam(2)
 	first := cg.Residual()
 	for i := 0; i < 10; i++ {
 		cg.Step(team)
@@ -83,7 +83,7 @@ func TestCGResidualDecreases(t *testing.T) {
 
 func TestISSortsCorrectly(t *testing.T) {
 	is := NewIS(1<<14, 1<<10)
-	team := omp.NewTeam(4, false)
+	team := omp.NewTeam(4)
 	for i := 0; i < 3; i++ {
 		is.Step(team)
 		if !is.Sorted() {
@@ -96,7 +96,7 @@ func TestBTSolvesTridiagonalSystems(t *testing.T) {
 	bt := NewBT(8, 32)
 	// Capture the RHS before the step mutates it.
 	d0 := append([]float64(nil), bt.d...)
-	team := omp.NewTeam(2, false)
+	team := omp.NewTeam(2)
 	bt.Step(team)
 	// Verify A·x = d for every line.
 	n := bt.n
@@ -120,7 +120,7 @@ func TestBTSolvesTridiagonalSystems(t *testing.T) {
 func TestSPSolvesPentadiagonalSystems(t *testing.T) {
 	sp := NewSP(6, 24)
 	d0 := append([]float64(nil), sp.d...)
-	team := omp.NewTeam(2, false)
+	team := omp.NewTeam(2)
 	sp.Step(team)
 	n := sp.n
 	for line := 0; line < sp.lines; line++ {
@@ -151,10 +151,10 @@ func TestLUHPMatchesSequentialGaussSeidel(t *testing.T) {
 	// sweep in the same traversal order.
 	hp := NewLUHP(64)
 	seq := NewLUHP(64)
-	team := omp.NewTeam(4, false)
+	team := omp.NewTeam(4)
 	hp.Step(team)
 	// Sequential reference: identical double sweep with one thread.
-	t1 := omp.NewTeam(1, false)
+	t1 := omp.NewTeam(1)
 	seq.Step(t1)
 	if math.Abs(hp.Checksum()-seq.Checksum()) > 1e-9 {
 		t.Errorf("wavefront result %g differs from sequential %g", hp.Checksum(), seq.Checksum())
@@ -163,7 +163,7 @@ func TestLUHPMatchesSequentialGaussSeidel(t *testing.T) {
 
 func TestMGChecksumEvolves(t *testing.T) {
 	mg := NewMG(16)
-	team := omp.NewTeam(2, false)
+	team := omp.NewTeam(2)
 	c0 := mg.Checksum()
 	mg.Step(team)
 	c1 := mg.Checksum()
@@ -177,7 +177,7 @@ func TestMGChecksumEvolves(t *testing.T) {
 
 func TestFTStepKeepsFieldBounded(t *testing.T) {
 	ft := NewFT(32)
-	team := omp.NewTeam(2, false)
+	team := omp.NewTeam(2)
 	for i := 0; i < 5; i++ {
 		ft.Step(team)
 	}

@@ -107,14 +107,6 @@ func (ls *laneState) sizeDerived() {
 // lanes (their inputs no longer change, so recomputation is exact).
 var advanceLanes = advanceLanesScalar
 
-// laneKernelVariant names the bound lane kernel ("scalar" or "avx2") for
-// benchmark metadata and diagnostics.
-var laneKernelVariant = "scalar"
-
-// LaneKernelVariant reports which sweep lane kernel this process bound at
-// startup: "avx2" when the vector kernel is active, "scalar" otherwise.
-func LaneKernelVariant() string { return laneKernelVariant }
-
 // advanceLanesScalar is the always-built reference implementation.
 func advanceLanesScalar(ls *laneState, prefetchHide, mlp, freq, trafficPerMiss float64) {
 	for l := range ls.base {

@@ -7,7 +7,6 @@ import "github.com/greenhpc/actor/internal/simd"
 func init() {
 	if simd.Enabled() {
 		advanceLanes = advanceLanesAVX2
-		laneKernelVariant = "avx2"
 	}
 }
 

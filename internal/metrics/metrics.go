@@ -38,29 +38,6 @@ func Median(xs []float64) (float64, error) {
 	return (s[n/2-1] + s[n/2]) / 2, nil
 }
 
-// Percentile returns the p-th percentile (0–100) by linear interpolation.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, errors.New("metrics: percentile of empty slice")
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("metrics: percentile out of [0,100]")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0], nil
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo], nil
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
-}
-
 // FractionBelow returns the share of values strictly below the threshold.
 func FractionBelow(xs []float64, threshold float64) float64 {
 	if len(xs) == 0 {
@@ -99,10 +76,10 @@ func CDF(xs []float64, levels []float64) []CDFPoint {
 	return out
 }
 
-// RankOf returns the 1-based position of needle within ranking, or 0 when
+// rankOf returns the 1-based position of needle within ranking, or 0 when
 // absent. Used to score a selected configuration against the oracle
 // fastest-to-slowest order (Fig. 7).
-func RankOf(ranking []string, needle string) int {
+func rankOf(ranking []string, needle string) int {
 	for i, r := range ranking {
 		if r == needle {
 			return i + 1
@@ -132,7 +109,7 @@ func NewRankHistogram(n int) *RankHistogram {
 // Add scores one selection.
 func (h *RankHistogram) Add(ranking []string, selected string) {
 	h.Total++
-	r := RankOf(ranking, selected)
+	r := rankOf(ranking, selected)
 	if r == 0 || r > len(h.Counts) {
 		h.Missing++
 		return

@@ -40,23 +40,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{0, 10, 20, 30, 40}
-	cases := []struct{ p, want float64 }{{0, 0}, {100, 40}, {50, 20}, {25, 10}, {10, 4}}
-	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
-		if err != nil || math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Percentile(%g) = %g (%v), want %g", c.p, got, err, c.want)
-		}
-	}
-	if _, err := Percentile(nil, 50); err == nil {
-		t.Error("empty percentile accepted")
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Error("out-of-range percentile accepted")
-	}
-}
-
 func TestFractionBelow(t *testing.T) {
 	xs := []float64{0.01, 0.04, 0.05, 0.2}
 	if got := FractionBelow(xs, 0.05); got != 0.5 {
@@ -120,11 +103,11 @@ func TestRankHistogram(t *testing.T) {
 
 func TestRankOf(t *testing.T) {
 	r := []string{"a", "b", "c"}
-	if RankOf(r, "b") != 2 {
-		t.Error("RankOf(b) != 2")
+	if rankOf(r, "b") != 2 {
+		t.Error("rankOf(b) != 2")
 	}
-	if RankOf(r, "z") != 0 {
-		t.Error("RankOf(missing) != 0")
+	if rankOf(r, "z") != 0 {
+		t.Error("rankOf(missing) != 0")
 	}
 }
 

@@ -3,8 +3,7 @@
 // The paper's accuracy results (median IPC prediction error ≈ 9%) only make
 // sense against realistic run-to-run variance in hardware counter readings
 // and power-meter samples. This package supplies reproducible multiplicative
-// noise streams used by the machine model, the PMU sampler and the power
-// meter model. Every stream is derived from an explicit seed so experiments
+// noise streams used by the machine model and the PMU sampler. Every stream is derived from an explicit seed so experiments
 // are bit-reproducible.
 package noise
 
@@ -38,12 +37,6 @@ func (s *Source) Fork(id string) *Source {
 	return New(h ^ s.seed)
 }
 
-// Seed returns the seed the source was constructed with.
-func (s *Source) Seed() int64 { return s.seed }
-
-// Gaussian returns a single standard normal draw.
-func (s *Source) Gaussian() float64 { return s.rng.NormFloat64() }
-
 // Multiplicative returns a noise factor with mean ≈ 1 and relative standard
 // deviation sigma, drawn from a log-normal distribution (always positive).
 // sigma = 0 returns exactly 1.
@@ -56,18 +49,3 @@ func (s *Source) Multiplicative(sigma float64) float64 {
 	mu := -0.5 * s2
 	return math.Exp(mu + math.Sqrt(s2)*s.rng.NormFloat64())
 }
-
-// Uniform returns a uniform draw in [lo, hi).
-func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.rng.Float64()
-}
-
-// Intn returns a uniform integer in [0, n).
-func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
-
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
-
-// Rand exposes the underlying *rand.Rand for callers that need the full API
-// (e.g. shuffling training sets).
-func (s *Source) Rand() *rand.Rand { return s.rng }

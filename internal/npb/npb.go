@@ -23,16 +23,12 @@ package npb
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/greenhpc/actor/internal/workload"
 )
 
-// KB and MB express working-set sizes in bytes.
-const (
-	KB = 1024.0
-	MB = 1024.0 * 1024.0
-)
+// MB expresses working-set sizes in bytes.
+const MB = 1024.0 * 1024.0
 
 // finalize stamps each phase with its globally unique fingerprint
 // ("BENCH/phase"), which seeds the machine model's per-(phase, placement)
@@ -69,16 +65,6 @@ func Names() []string {
 		names[i] = b.Name
 	}
 	return names
-}
-
-// TotalPhases returns the number of phases across the whole suite (59,
-// matching the paper).
-func TotalPhases() int {
-	n := 0
-	for _, b := range All() {
-		n += len(b.Phases)
-	}
-	return n
 }
 
 // phase fills in universally shared defaults, leaving benchmark-specific
@@ -596,12 +582,4 @@ func Validate() error {
 		names[b.Name] = true
 	}
 	return nil
-}
-
-// SortedNames returns the benchmark names sorted alphabetically (for
-// deterministic map iteration in reports).
-func SortedNames() []string {
-	n := Names()
-	sort.Strings(n)
-	return n
 }

@@ -26,8 +26,12 @@ func TestSuiteComposition(t *testing.T) {
 			t.Errorf("benchmark %d = %q, want %q", i, names[i], n)
 		}
 	}
-	if TotalPhases() != 59 {
-		t.Errorf("suite has %d phases, want the paper's 59", TotalPhases())
+	phases := 0
+	for _, b := range All() {
+		phases += len(b.Phases)
+	}
+	if phases != 59 {
+		t.Errorf("suite has %d phases, want the paper's 59", phases)
 	}
 }
 

@@ -1,43 +1,33 @@
 // Package omp is a small OpenMP-like runtime for Go: a persistent worker
-// team executing parallel loops and regions with static or dynamic
-// scheduling, a reusable barrier, and a runtime-adjustable thread count —
-// the knob ACTOR's live throttling turns between phases.
+// team executing statically scheduled parallel loops, regions and
+// reductions, and a runtime-adjustable thread count — the knob ACTOR's live
+// throttling turns between phases.
 //
 // It is the live-execution counterpart of the simulated platform: the same
 // instrumentation API (internal/core's LiveTuner) drives either. Note Go
 // cannot pin goroutines to specific cores portably, so placement control
 // (the paper's 2a/2b distinction) exists only in the simulator; live
-// throttling controls concurrency degree via team size and GOMAXPROCS.
+// throttling controls concurrency degree via team size.
 package omp
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Team is a persistent group of workers executing parallel work items. The
 // zero value is not usable; construct with NewTeam.
 type Team struct {
-	mu       sync.Mutex
-	threads  int
-	maxProcs bool
+	mu      sync.Mutex
+	threads int
 }
 
 // NewTeam returns a team of n workers (n ≤ 0 selects runtime.NumCPU()).
-// When adjustGOMAXPROCS is true, SetThreads also adjusts GOMAXPROCS so the
-// Go scheduler's parallelism follows the team size — the closest portable
-// analogue to leaving cores idle.
-func NewTeam(n int, adjustGOMAXPROCS bool) *Team {
+func NewTeam(n int) *Team {
 	if n <= 0 {
 		n = runtime.NumCPU()
 	}
-	t := &Team{threads: n, maxProcs: adjustGOMAXPROCS}
-	if adjustGOMAXPROCS {
-		runtime.GOMAXPROCS(n)
-	}
-	return t
+	return &Team{threads: n}
 }
 
 // SetThreads changes the concurrency level used by subsequent parallel
@@ -49,9 +39,6 @@ func (t *Team) SetThreads(n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.threads = n
-	if t.maxProcs {
-		runtime.GOMAXPROCS(n)
-	}
 }
 
 // Threads returns the current concurrency level.
@@ -88,20 +75,9 @@ func (t *Team) ParallelRegion(fn func(tid, nthreads int)) {
 	wg.Wait()
 }
 
-// ParallelFor executes body(i) for i in [0, n) with static scheduling:
-// the iteration space is split into one contiguous block per thread —
-// `omp parallel for schedule(static)`.
-func (t *Team) ParallelFor(n int, body func(i int)) {
-	t.ParallelBlocks(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
 // ParallelBlocks statically partitions [0, n) into one block per thread and
-// runs body(lo, hi) on each — the bulk form of ParallelFor, avoiding
-// per-iteration closure overhead for inner loops. The team size is
+// runs body(lo, hi) on each — `omp parallel for schedule(static)` in bulk
+// form, avoiding per-iteration closure overhead for inner loops. The team size is
 // snapshotted once at entry; see snapshot.
 func (t *Team) ParallelBlocks(n int, body func(lo, hi int)) {
 	if n <= 0 {
@@ -131,39 +107,6 @@ func (t *Team) ParallelBlocks(n int, body func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ParallelForDynamic executes body over [0, n) in chunks claimed from a
-// shared counter — `omp parallel for schedule(dynamic, chunk)`, which
-// balances irregular iteration costs.
-func (t *Team) ParallelForDynamic(n, chunk int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	nt := t.snapshot()
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(nt)
-	for tid := 0; tid < nt; tid++ {
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(atomic.AddInt64(&next, int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				body(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // Reduce runs body(tid, nthreads) on every member and combines the returned
 // partials with combine — an `omp parallel reduction`.
 func (t *Team) Reduce(body func(tid, nthreads int) float64, combine func(a, b float64) float64) float64 {
@@ -183,42 +126,4 @@ func (t *Team) Reduce(body func(tid, nthreads int) float64, combine func(a, b fl
 		acc = combine(acc, p)
 	}
 	return acc
-}
-
-// Barrier is a reusable cyclic barrier for nthreads participants, for
-// wavefront codes that synchronise inside a parallel region.
-type Barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	parties int
-	waiting int
-	phase   uint64
-}
-
-// NewBarrier creates a barrier for the given number of participants.
-func NewBarrier(parties int) (*Barrier, error) {
-	if parties < 1 {
-		return nil, fmt.Errorf("omp: barrier parties = %d", parties)
-	}
-	b := &Barrier{parties: parties}
-	b.cond = sync.NewCond(&b.mu)
-	return b, nil
-}
-
-// Wait blocks until all participants arrive, then releases them together.
-func (b *Barrier) Wait() {
-	b.mu.Lock()
-	phase := b.phase
-	b.waiting++
-	if b.waiting == b.parties {
-		b.waiting = 0
-		b.phase++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for phase == b.phase {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
 }

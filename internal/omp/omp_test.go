@@ -6,31 +6,17 @@ import (
 	"testing"
 )
 
-func TestParallelForCoversAllIndices(t *testing.T) {
-	team := NewTeam(4, false)
-	const n = 1000
-	var hits [n]int32
-	team.ParallelFor(n, func(i int) {
-		atomic.AddInt32(&hits[i], 1)
-	})
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d executed %d times", i, h)
-		}
-	}
-}
-
-func TestParallelForEmpty(t *testing.T) {
-	team := NewTeam(2, false)
+func TestParallelBlocksEmpty(t *testing.T) {
+	team := NewTeam(2)
 	ran := false
-	team.ParallelFor(0, func(int) { ran = true })
+	team.ParallelBlocks(0, func(int, int) { ran = true })
 	if ran {
 		t.Error("body ran for empty range")
 	}
 }
 
 func TestParallelBlocksPartition(t *testing.T) {
-	team := NewTeam(3, false)
+	team := NewTeam(3)
 	const n = 100
 	var mu sync.Mutex
 	covered := make([]bool, n)
@@ -51,25 +37,8 @@ func TestParallelBlocksPartition(t *testing.T) {
 	}
 }
 
-func TestParallelForDynamic(t *testing.T) {
-	team := NewTeam(4, false)
-	const n = 997 // prime, so chunks don't divide evenly
-	var sum int64
-	team.ParallelForDynamic(n, 16, func(lo, hi int) {
-		var local int64
-		for i := lo; i < hi; i++ {
-			local += int64(i)
-		}
-		atomic.AddInt64(&sum, local)
-	})
-	want := int64(n*(n-1)) / 2
-	if sum != want {
-		t.Errorf("sum = %d, want %d", sum, want)
-	}
-}
-
 func TestReduce(t *testing.T) {
-	team := NewTeam(4, false)
+	team := NewTeam(4)
 	got := team.Reduce(func(tid, nt int) float64 {
 		return float64(tid + 1)
 	}, func(a, b float64) float64 { return a + b })
@@ -79,7 +48,7 @@ func TestReduce(t *testing.T) {
 }
 
 func TestSetThreads(t *testing.T) {
-	team := NewTeam(4, false)
+	team := NewTeam(4)
 	team.SetThreads(2)
 	if team.Threads() != 2 {
 		t.Errorf("Threads = %d", team.Threads())
@@ -103,10 +72,19 @@ func TestSetThreads(t *testing.T) {
 	}
 }
 
-func TestParallelForMoreThreadsThanWork(t *testing.T) {
-	team := NewTeam(8, false)
+func TestParallelBlocksMoreThreadsThanWork(t *testing.T) {
+	team := NewTeam(8)
 	var hits [3]int32
-	team.ParallelFor(3, func(i int) { atomic.AddInt32(&hits[i], 1) })
+	var blocks atomic.Int32
+	team.ParallelBlocks(3, func(lo, hi int) {
+		blocks.Add(1)
+		for i := lo; i < hi; i++ {
+			atomic.AddInt32(&hits[i], 1)
+		}
+	})
+	if got := blocks.Load(); got != 3 {
+		t.Errorf("%d blocks for 3 iterations on 8 threads, want 3", got)
+	}
 	for i, h := range hits {
 		if h != 1 {
 			t.Errorf("index %d executed %d times", i, h)
@@ -114,47 +92,8 @@ func TestParallelForMoreThreadsThanWork(t *testing.T) {
 	}
 }
 
-func TestBarrier(t *testing.T) {
-	const parties = 4
-	b, err := NewBarrier(parties)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewBarrier(0); err == nil {
-		t.Error("zero-party barrier accepted")
-	}
-	const rounds = 20
-	var phase int32
-	errs := make(chan string, parties*rounds)
-	var wg sync.WaitGroup
-	for p := 0; p < parties; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				cur := atomic.LoadInt32(&phase)
-				if int(cur) > r {
-					errs <- "thread raced ahead of the barrier"
-					return
-				}
-				b.Wait()
-				atomic.StoreInt32(&phase, int32(r+1))
-				b.Wait()
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-	if phase != rounds {
-		t.Errorf("completed %d rounds, want %d", phase, rounds)
-	}
-}
-
 func TestNewTeamDefaults(t *testing.T) {
-	team := NewTeam(0, false)
+	team := NewTeam(0)
 	if team.Threads() < 1 {
 		t.Error("default team empty")
 	}

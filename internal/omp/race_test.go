@@ -12,7 +12,7 @@ import (
 // consistent team size: exactly nthreads bodies run, and each body sees the
 // same nthreads value.
 func TestSetThreadsRacesParallelRegion(t *testing.T) {
-	team := NewTeam(4, false)
+	team := NewTeam(4)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup

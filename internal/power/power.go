@@ -14,7 +14,6 @@ import (
 	"math"
 
 	"github.com/greenhpc/actor/internal/machine"
-	"github.com/greenhpc/actor/internal/noise"
 )
 
 // Model holds the coefficients of the full-system power model.
@@ -84,29 +83,6 @@ func (m *Model) Power(a machine.Activity) float64 {
 // Energy returns power × time for the interval, in joules.
 func (m *Model) Energy(a machine.Activity) float64 {
 	return m.Power(a) * a.TimeSec
-}
-
-// Meter wraps a Model with measurement noise, mimicking a physical wall
-// meter's sampling error.
-type Meter struct {
-	Model *Model
-	src   *noise.Source
-	sigma float64
-}
-
-// NewMeter returns a meter over the model with relative read noise sigma.
-// A nil source yields exact readings.
-func NewMeter(m *Model, src *noise.Source, sigma float64) *Meter {
-	return &Meter{Model: m, src: src, sigma: sigma}
-}
-
-// Read returns a (possibly noisy) power reading for the activity.
-func (mt *Meter) Read(a machine.Activity) float64 {
-	p := mt.Model.Power(a)
-	if mt.src != nil {
-		p *= mt.src.Multiplicative(mt.sigma)
-	}
-	return p
 }
 
 // Accumulator integrates energy and time over a run, producing the metrics

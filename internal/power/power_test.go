@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"github.com/greenhpc/actor/internal/machine"
-	"github.com/greenhpc/actor/internal/noise"
 )
 
 func activity(cores int, util, ipc, bus float64) machine.Activity {
@@ -105,24 +104,5 @@ func TestAccumulator(t *testing.T) {
 	}
 	if got, want := acc.ED2(), acc.EnergyJ*25; math.Abs(got-want) > 1e-9 {
 		t.Errorf("ED2 = %g, want %g", got, want)
-	}
-}
-
-func TestMeter(t *testing.T) {
-	m := Default()
-	a := activity(2, 0.5, 1, 0.1)
-	exact := NewMeter(m, nil, 0.05)
-	if exact.Read(a) != m.Power(a) {
-		t.Error("nil-source meter not exact")
-	}
-	noisy := NewMeter(m, noise.New(1), 0.05)
-	r1 := noisy.Read(a)
-	r2 := noisy.Read(a)
-	if r1 == r2 {
-		t.Error("noisy meter produced identical reads")
-	}
-	again := NewMeter(m, noise.New(1), 0.05)
-	if again.Read(a) != r1 {
-		t.Error("meter noise not reproducible by seed")
 	}
 }

@@ -28,23 +28,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// AddRowf appends a row of formatted cells: each argument is rendered with
-// %v unless it is a float64, which uses %.3f.
-func (t *Table) AddRowf(cells ...interface{}) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row = append(row, fmt.Sprintf("%.3f", v))
-		case string:
-			row = append(row, v)
-		default:
-			row = append(row, fmt.Sprintf("%v", v))
-		}
-	}
-	t.AddRow(row...)
-}
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.Headers))

@@ -37,18 +37,6 @@ func TestTableShortRowsPadded(t *testing.T) {
 	}
 }
 
-func TestAddRowf(t *testing.T) {
-	tbl := NewTable("", "a", "b", "c")
-	tbl.AddRowf("x", 1.23456, 7)
-	out := tbl.String()
-	if !strings.Contains(out, "1.235") {
-		t.Errorf("float not formatted to 3 places:\n%s", out)
-	}
-	if !strings.Contains(out, "7") {
-		t.Error("int cell missing")
-	}
-}
-
 func TestSectionAndKV(t *testing.T) {
 	var b strings.Builder
 	Section(&b, "Results")

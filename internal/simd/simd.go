@@ -38,10 +38,6 @@ var detectOnce = sync.OnceValue(detect)
 // Detect returns the CPU features, probing once per process.
 func Detect() Features { return detectOnce() }
 
-// AsmBuilt reports whether vector assembly is compiled into this binary
-// (GOARCH=amd64 without the actor_noasm tag).
-func AsmBuilt() bool { return asmBuilt }
-
 var enabledOnce = sync.OnceValue(func() bool {
 	f := Detect()
 	return asmBuilt && f.AVX2 && f.OSYMM

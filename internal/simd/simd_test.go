@@ -10,9 +10,9 @@ func TestEnabledRequiresHardware(t *testing.T) {
 	// no runtime opt-out, so an AVX2 host binds the vector kernels unless
 	// the binary was built with -tags actor_noasm.
 	f := Detect()
-	want := AsmBuilt() && f.AVX2 && f.OSYMM
+	want := asmBuilt && f.AVX2 && f.OSYMM
 	if got := Enabled(); got != want {
-		t.Fatalf("Enabled() = %v, want %v (asm built %v, features %v)", got, want, AsmBuilt(), f)
+		t.Fatalf("Enabled() = %v, want %v (asm built %v, features %v)", got, want, asmBuilt, f)
 	}
 }
 

@@ -1,6 +1,5 @@
 // Package stats provides the small statistical toolkit used to report
-// reproduction robustness: summary statistics, normal-approximation
-// confidence intervals, and bootstrap intervals for medians. The
+// reproduction robustness: normal-approximation confidence intervals. The
 // evaluation's headline numbers (median prediction error, ED² savings) are
 // seed-dependent; internal/exp's robustness driver re-runs them across
 // seeds and reports intervals instead of point estimates.
@@ -9,24 +8,22 @@ package stats
 import (
 	"errors"
 	"math"
-	"math/rand"
-	"sort"
 )
 
-// Summary holds the usual moments of a sample.
-type Summary struct {
+// summary holds the usual moments of a sample.
+type summary struct {
 	N        int
 	Mean     float64
 	StdDev   float64 // sample standard deviation (n−1)
 	Min, Max float64
 }
 
-// Summarize computes a Summary; it errors on empty input.
-func Summarize(xs []float64) (Summary, error) {
+// summarize computes a summary; it errors on empty input.
+func summarize(xs []float64) (summary, error) {
 	if len(xs) == 0 {
-		return Summary{}, errors.New("stats: empty sample")
+		return summary{}, errors.New("stats: empty sample")
 	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
+	s := summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
 	for _, x := range xs {
 		s.Mean += x
 		if x < s.Min {
@@ -51,7 +48,7 @@ func Summarize(xs []float64) (Summary, error) {
 // MeanCI returns the mean and its normal-approximation confidence interval
 // half-width at the given z (1.96 ≈ 95 %).
 func MeanCI(xs []float64, z float64) (mean, halfWidth float64, err error) {
-	s, err := Summarize(xs)
+	s, err := summarize(xs)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -59,75 +56,4 @@ func MeanCI(xs []float64, z float64) (mean, halfWidth float64, err error) {
 		return s.Mean, math.Inf(1), nil
 	}
 	return s.Mean, z * s.StdDev / math.Sqrt(float64(s.N)), nil
-}
-
-// BootstrapMedianCI returns the sample median and a percentile-bootstrap
-// confidence interval [lo, hi] at the given confidence level (e.g. 0.95),
-// using resamples drawn from the seeded generator.
-func BootstrapMedianCI(xs []float64, resamples int, level float64, seed int64) (median, lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, 0, errors.New("stats: empty sample")
-	}
-	if resamples < 10 {
-		return 0, 0, 0, errors.New("stats: need at least 10 resamples")
-	}
-	if level <= 0 || level >= 1 {
-		return 0, 0, 0, errors.New("stats: confidence level out of (0,1)")
-	}
-	median = medianOf(xs)
-	rng := rand.New(rand.NewSource(seed))
-	boots := make([]float64, resamples)
-	buf := make([]float64, len(xs))
-	for b := 0; b < resamples; b++ {
-		for i := range buf {
-			buf[i] = xs[rng.Intn(len(xs))]
-		}
-		boots[b] = medianOf(buf)
-	}
-	sort.Float64s(boots)
-	alpha := (1 - level) / 2
-	lo = quantileSorted(boots, alpha)
-	hi = quantileSorted(boots, 1-alpha)
-	return median, lo, hi, nil
-}
-
-func medianOf(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// AcrossSeeds evaluates f at each seed and returns the collected values —
-// the helper behind robustness reporting.
-func AcrossSeeds(seeds []int64, f func(seed int64) (float64, error)) ([]float64, error) {
-	if len(seeds) == 0 {
-		return nil, errors.New("stats: no seeds")
-	}
-	out := make([]float64, 0, len(seeds))
-	for _, s := range seeds {
-		v, err := f(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

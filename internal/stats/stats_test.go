@@ -1,14 +1,12 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3, 4})
+	s, err := summarize([]float64{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,13 +17,13 @@ func TestSummarize(t *testing.T) {
 	if math.Abs(s.StdDev-want) > 1e-12 {
 		t.Errorf("StdDev = %g, want %g", s.StdDev, want)
 	}
-	if _, err := Summarize(nil); err == nil {
+	if _, err := summarize(nil); err == nil {
 		t.Error("empty summary accepted")
 	}
 }
 
 func TestSummarizeSingle(t *testing.T) {
-	s, err := Summarize([]float64{7})
+	s, err := summarize([]float64{7})
 	if err != nil || s.StdDev != 0 || s.Mean != 7 {
 		t.Errorf("single-sample summary = %+v (%v)", s, err)
 	}
@@ -46,68 +44,5 @@ func TestMeanCI(t *testing.T) {
 	_, hw, err = MeanCI([]float64{1}, 1.96)
 	if err != nil || !math.IsInf(hw, 1) {
 		t.Errorf("single-sample CI = %g (%v)", hw, err)
-	}
-}
-
-func TestBootstrapMedianCI(t *testing.T) {
-	xs := make([]float64, 101)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	med, lo, hi, err := BootstrapMedianCI(xs, 500, 0.95, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if med != 50 {
-		t.Errorf("median = %g", med)
-	}
-	if lo > med || hi < med {
-		t.Errorf("CI [%g, %g] excludes the median %g", lo, hi, med)
-	}
-	if hi-lo <= 0 || hi-lo > 40 {
-		t.Errorf("implausible CI width %g", hi-lo)
-	}
-	// Deterministic under the seed.
-	_, lo2, hi2, _ := BootstrapMedianCI(xs, 500, 0.95, 1)
-	if lo2 != lo || hi2 != hi {
-		t.Error("bootstrap not deterministic under equal seeds")
-	}
-	if _, _, _, err := BootstrapMedianCI(nil, 100, 0.95, 1); err == nil {
-		t.Error("empty sample accepted")
-	}
-	if _, _, _, err := BootstrapMedianCI(xs, 5, 0.95, 1); err == nil {
-		t.Error("too few resamples accepted")
-	}
-	if _, _, _, err := BootstrapMedianCI(xs, 100, 1.5, 1); err == nil {
-		t.Error("bad level accepted")
-	}
-}
-
-func TestBootstrapCoversTruthQuick(t *testing.T) {
-	// For symmetric samples the bootstrap CI should bracket the sample
-	// median.
-	f := func(seed int64) bool {
-		xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
-		med, lo, hi, err := BootstrapMedianCI(xs, 200, 0.9, seed)
-		return err == nil && lo <= med && med <= hi
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAcrossSeeds(t *testing.T) {
-	vals, err := AcrossSeeds([]int64{1, 2, 3}, func(seed int64) (float64, error) {
-		return float64(seed * 2), nil
-	})
-	if err != nil || len(vals) != 3 || vals[2] != 6 {
-		t.Errorf("AcrossSeeds = %v (%v)", vals, err)
-	}
-	if _, err := AcrossSeeds(nil, nil); err == nil {
-		t.Error("empty seeds accepted")
-	}
-	wantErr := errors.New("boom")
-	if _, err := AcrossSeeds([]int64{1}, func(int64) (float64, error) { return 0, wantErr }); err == nil {
-		t.Error("callback error swallowed")
 	}
 }

@@ -329,15 +329,6 @@ func TestPaperConfigsOnValidation(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("error not descriptive: %v", err)
 	}
-	if _, err := ConfigByNameOn(small, "4"); err == nil {
-		t.Error("ConfigByNameOn(tiny, 4) accepted")
-	}
-	if _, err := ConfigByNameOn(small, "1"); err != nil {
-		t.Errorf("ConfigByNameOn(tiny, 1): %v", err)
-	}
-	if _, err := ConfigByNameOn(QuadCoreXeon(), "9z"); err == nil {
-		t.Error("ConfigByNameOn accepted unknown name")
-	}
 }
 
 // TestEnumerateHeteroProperties fuzzes builder topologies (group sizes and

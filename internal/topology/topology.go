@@ -358,16 +358,3 @@ func PaperConfigsOn(t *Topology) ([]Placement, error) {
 	}
 	return cfgs, nil
 }
-
-// ConfigByNameOn returns the named paper configuration validated against t,
-// with a descriptive error for unknown names or out-of-range cores.
-func ConfigByNameOn(t *Topology, name string) (Placement, error) {
-	pl, ok := ConfigByName(name)
-	if !ok {
-		return Placement{}, fmt.Errorf("unknown paper config %q (have 1, 2a, 2b, 3, 4)", name)
-	}
-	if err := t.ValidatePlacement(pl); err != nil {
-		return Placement{}, fmt.Errorf("paper config %q does not fit topology %q: %w", name, t.Name, err)
-	}
-	return pl, nil
-}

@@ -3,7 +3,6 @@ package actor
 import (
 	"context"
 	"runtime"
-	"sort"
 	"time"
 
 	"github.com/greenhpc/actor/internal/core"
@@ -34,7 +33,7 @@ type LiveProbe struct {
 
 // LiveResult is one kernel's outcome: the concurrency level the tuner
 // locked, total elapsed time, and the per-candidate probe times (fastest
-// first).
+// first, equal times by thread count).
 type LiveResult struct {
 	Kernel     string
 	Choice     int
@@ -74,7 +73,7 @@ func RunLive(ctx context.Context, o LiveOptions) ([]LiveResult, error) {
 
 	out := make([]LiveResult, 0, len(list))
 	for _, k := range list {
-		team := omp.NewTeam(o.MaxThreads, false)
+		team := omp.NewTeam(o.MaxThreads)
 		tuner, err := core.NewLiveTuner(core.DefaultCandidates(o.MaxThreads), o.Probes)
 		if err != nil {
 			return nil, err
@@ -94,10 +93,9 @@ func RunLive(ctx context.Context, o LiveOptions) ([]LiveResult, error) {
 			Steps:      o.Steps,
 			ElapsedSec: time.Since(start).Seconds(),
 		}
-		for th, sec := range tuner.ProbeTimes() {
-			res.Probes = append(res.Probes, LiveProbe{Threads: th, ProbeSec: sec})
+		for _, p := range tuner.ProbeTimes() {
+			res.Probes = append(res.Probes, LiveProbe(p))
 		}
-		sort.Slice(res.Probes, func(i, j int) bool { return res.Probes[i].ProbeSec < res.Probes[j].ProbeSec })
 		out = append(out, res)
 	}
 	return out, nil

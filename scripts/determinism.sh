@@ -6,8 +6,8 @@
 # must
 #   - pass the bit-identity tests: the parallel pipeline against its
 #     one-worker run, RunPhaseSweep against per-placement RunPhase, the lane
-#     and GEMM kernels against their scalar references, the fleet scorers
-#     against each other and against the legacy-stream pin;
+#     and GEMM kernels against their scalar references, the fleet scorer
+#     against its O(M) reference and against the legacy-stream pin;
 #   - reproduce the pinned fleet schedule digest (scripts/fleet_smoke.sh);
 #   - print `actorsim -fast` byte-identically to the first leg.
 set -euo pipefail

@@ -1,0 +1,244 @@
+package actor_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// modulePath is the root module's import path; the benchmarks module nests
+// under it, so for both modules an import path minus this prefix is the
+// package's directory relative to the repository root.
+const modulePath = "github.com/greenhpc/actor"
+
+// surfaceExceptions lists internal exports allowed to have no caller outside
+// their own tests, each with the reason the test prints. Keys are
+// "<dir>.<Name>".
+var surfaceExceptions = map[string]string{
+	"internal/topology.ConfigByName": "test fixture shared by the machine, dvfs and root benchmark tests, which name paper configurations through it; one copy beats three",
+}
+
+// surfaceKey names one package-level identifier: its package directory
+// (slash-separated, relative to the repository root) and its name.
+type surfaceKey struct{ dir, name string }
+
+func (k surfaceKey) String() string { return k.dir + "." + k.name }
+
+// TestInternalExportsHaveCallers fails for every exported package-level
+// func, type, var or const declared in a non-test file under internal/
+// that no other non-test file references — by a pkg.Name selector from
+// another package, or by a bare Name elsewhere in its own package. Test
+// files, examples/, cmd/ and benchmarks/ are all scanned; only non-test
+// files count as callers. Methods are out of scope. It parses and never
+// type-checks, so a bare identifier that merely shares a declared name
+// (a shadowing local, say) also counts as a reference and the guard errs
+// toward missing dead code. The one way it can report live code is a name
+// used only as a composite-literal key, which it reads as a field name.
+func TestInternalExportsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{} // dir → its non-test files
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		files[dir] = append(files[dir], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	declared := map[surfaceKey]token.Pos{}
+	for dir, fs := range files {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		for _, f := range fs {
+			for _, decl := range f.Decls {
+				for _, id := range declaredNames(decl) {
+					if id.IsExported() {
+						declared[surfaceKey{dir, id.Name}] = id.Pos()
+					}
+				}
+			}
+		}
+	}
+
+	used := map[surfaceKey]bool{}
+	for dir, fs := range files {
+		for _, f := range fs {
+			imports := map[string]string{} // local name → package dir
+			for _, imp := range f.Imports {
+				ip, _ := strconv.Unquote(imp.Path.Value)
+				rel, ok := strings.CutPrefix(ip, modulePath+"/")
+				if !ok {
+					continue
+				}
+				local := path.Base(rel)
+				if pf := files[rel]; len(pf) > 0 {
+					local = pf[0].Name.Name
+				}
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+				imports[local] = rel
+			}
+			for _, decl := range f.Decls {
+				markReferences(decl, dir, imports, used)
+			}
+		}
+	}
+
+	var missing []string
+	for k, pos := range declared {
+		reason, excepted := surfaceExceptions[k.String()]
+		switch {
+		case used[k] && excepted:
+			t.Errorf("%s has a caller now; drop its exception", k)
+		case excepted:
+			t.Logf("exception %s: %s", k, reason)
+		case !used[k]:
+			missing = append(missing, fset.Position(pos).String()+": "+k.String())
+		}
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("%s is exported but no non-test file references it; delete or unexport it", m)
+	}
+	for k := range surfaceExceptions {
+		var dir, name string
+		if i := strings.LastIndex(k, "."); i >= 0 {
+			dir, name = k[:i], k[i+1:]
+		}
+		if _, ok := declared[surfaceKey{dir, name}]; !ok {
+			t.Errorf("exception %s names no exported declaration", k)
+		}
+	}
+}
+
+// declaredNames returns the package-level names a declaration introduces;
+// methods introduce none.
+func declaredNames(decl ast.Decl) []*ast.Ident {
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		if d.Recv == nil {
+			return []*ast.Ident{d.Name}
+		}
+	case *ast.GenDecl:
+		var ids []*ast.Ident
+		for _, spec := range d.Specs {
+			switch s := spec.(type) {
+			case *ast.TypeSpec:
+				ids = append(ids, s.Name)
+			case *ast.ValueSpec:
+				ids = append(ids, s.Names...)
+			}
+		}
+		return ids
+	}
+	return nil
+}
+
+// markReferences records in used every package-level name decl refers to:
+// pkg.Name selectors through the file's imports, and bare identifiers as
+// names of decl's own package. A spec's or func's references to the names
+// it declares itself, a method's to its receiver type, field and method
+// names and the keys of composite literals do not count.
+func markReferences(decl ast.Decl, dir string, imports map[string]string, used map[surfaceKey]bool) {
+	if gd, ok := decl.(*ast.GenDecl); ok && len(gd.Specs) > 1 {
+		for _, spec := range gd.Specs {
+			markReferences(&ast.GenDecl{Tok: gd.Tok, Specs: []ast.Spec{spec}}, dir, imports, used)
+		}
+		return
+	}
+	self := map[string]bool{}
+	for _, id := range declaredNames(decl) {
+		self[id.Name] = true
+	}
+	var visit func(ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Recv != nil {
+				for _, field := range n.Recv.List {
+					self[receiverType(field.Type)] = true
+				}
+			}
+			if n.Type.TypeParams != nil {
+				ast.Inspect(n.Type.TypeParams, visit)
+			}
+			ast.Inspect(n.Type.Params, visit)
+			if n.Type.Results != nil {
+				ast.Inspect(n.Type.Results, visit)
+			}
+			if n.Body != nil {
+				ast.Inspect(n.Body, visit)
+			}
+			return false
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); ok {
+				if pkg, ok := imports[x.Name]; ok {
+					used[surfaceKey{pkg, n.Sel.Name}] = true
+					return false
+				}
+			}
+			ast.Inspect(n.X, visit)
+			return false
+		case *ast.Field:
+			ast.Inspect(n.Type, visit)
+			return false
+		case *ast.KeyValueExpr:
+			if _, ok := n.Key.(*ast.Ident); !ok {
+				ast.Inspect(n.Key, visit)
+			}
+			ast.Inspect(n.Value, visit)
+			return false
+		case *ast.Ident:
+			if !self[n.Name] {
+				used[surfaceKey{dir, n.Name}] = true
+			}
+		}
+		return true
+	}
+	ast.Inspect(decl, visit)
+}
+
+// receiverType returns the base type name of a method receiver.
+func receiverType(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
+}
