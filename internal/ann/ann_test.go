@@ -31,38 +31,32 @@ func TestNewNetworkShapes(t *testing.T) {
 	if n.InputDim() != 3 {
 		t.Errorf("InputDim = %d", n.InputDim())
 	}
-	if n.NumLayers() != 2 {
-		t.Fatalf("layers = %d", n.NumLayers())
+	if len(n.w) != 2 || len(n.w[0]) != 5*4 || len(n.w[1]) != 6 {
+		t.Errorf("weights %v, want a 5×4 hidden layer and a 1×6 output unit (incl. bias)", n.w)
 	}
-	if units, rowW := n.LayerShape(0); units != 5 || rowW != 4 {
-		t.Errorf("hidden layer shape = %d×%d, want 5×4 (incl. bias)", units, rowW)
-	}
-	if _, err := NewNetwork([]int{3}, rng); err == nil {
-		t.Error("single-layer network accepted")
-	}
-	if _, err := NewNetwork([]int{3, 0, 1}, rng); err == nil {
-		t.Error("zero-width layer accepted")
+	for _, sizes := range [][]int{{3}, {3, 1}, {3, 0, 1}, {3, 4, 4, 1}, {3, 4, 2}} {
+		if _, err := NewNetwork(sizes, rng); err == nil {
+			t.Errorf("network %v accepted", sizes)
+		}
 	}
 }
 
 func TestPredictDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	n, _ := NewNetwork([]int{2, 4, 1}, rng)
+	e := randomEnsemble(t, rand.New(rand.NewSource(1)), 3, []int{2, 4, 1}, 1)
 	x := []float64{0.3, -0.7}
-	if n.Predict(x) != n.Predict(x) {
+	if e.Predict(x) != e.Predict(x) {
 		t.Error("Predict not deterministic")
 	}
 }
 
 func TestPredictPanicsOnDimMismatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	n, _ := NewNetwork([]int{2, 4, 1}, rng)
+	e := randomEnsemble(t, rand.New(rand.NewSource(1)), 3, []int{2, 4, 1}, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic on wrong input dimension")
 		}
 	}()
-	n.Predict([]float64{1})
+	e.Predict([]float64{1})
 }
 
 func TestTrainLearnsNonlinearFunction(t *testing.T) {
@@ -71,7 +65,7 @@ func TestTrainLearnsNonlinearFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	norm := scaler.Apply(samples)
+	norm := normalise(scaler, samples)
 	train, valid := norm[:320], norm[320:]
 	cfg := DefaultConfig()
 	cfg.MaxEpochs = 300
@@ -95,8 +89,8 @@ func TestTrainLearnsNonlinearFunction(t *testing.T) {
 		varY += d * d
 	}
 	varY /= float64(len(valid))
-	if net.MSE(valid) > varY/3 {
-		t.Errorf("validation MSE %.5f not well below target variance %.5f", net.MSE(valid), varY)
+	if mse := setMSE(t, net, valid); mse > varY/3 {
+		t.Errorf("validation MSE %.5f not well below target variance %.5f", mse, varY)
 	}
 }
 
@@ -118,7 +112,7 @@ func TestEarlyStoppingFires(t *testing.T) {
 		samples[i].Y = float64(i%7) * 0.1 // decorrelate target from X
 	}
 	scaler, _ := FitScaler(samples)
-	norm := scaler.Apply(samples)
+	norm := normalise(scaler, samples)
 	cfg := DefaultConfig()
 	cfg.MaxEpochs = 2000
 	cfg.Patience = 10
@@ -137,7 +131,7 @@ func TestEarlyStoppingFires(t *testing.T) {
 func TestTrainDeterministicUnderSeed(t *testing.T) {
 	samples := synthSamples(100, 5, 0.05)
 	scaler, _ := FitScaler(samples)
-	norm := scaler.Apply(samples)
+	norm := normalise(scaler, samples)
 	cfg := DefaultConfig()
 	cfg.MaxEpochs = 50
 	a, _, err := Train(norm[:80], norm[80:], cfg)
@@ -145,8 +139,7 @@ func TestTrainDeterministicUnderSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _, _ := Train(norm[:80], norm[80:], cfg)
-	x := scaler.X([]float64{0.1, 0.2, 0.3})
-	if a.Predict(x) != b.Predict(x) {
+	if !weightsEqual(a, b) {
 		t.Error("training not deterministic under equal seeds")
 	}
 }
@@ -173,7 +166,7 @@ func TestScalerStandardisation(t *testing.T) {
 		{X: []float64{5, 10}, Y: 3},
 	}
 	sc, _ := FitScaler(samples)
-	x := sc.X([]float64{3, 10})
+	x := sc.XInto(nil, []float64{3, 10})
 	if math.Abs(x[0]) > 1e-9 {
 		t.Errorf("mean-centred feature = %g, want 0", x[0])
 	}

@@ -72,13 +72,6 @@ func packWith(samples []Sample, d int, fillX func(dst, x []float64), mapY func(f
 	return ds, nil
 }
 
-// packSamples packs already-normalised samples verbatim.
-func packSamples(samples []Sample, d int) (*dataSet, error) {
-	return packWith(samples, d,
-		func(dst, x []float64) { copy(dst, x) },
-		func(y float64) float64 { return y })
-}
-
 // sameX reports whether two corpora hold bitwise-identical input rows.
 func sameX(a, b *dataSet) bool {
 	if a.d != b.d || len(a.x) != len(b.x) {
@@ -128,9 +121,8 @@ func identityIdx(n int) []int {
 }
 
 // mseIdx returns the network's mean squared error against labels y over
-// the listed rows of the packed corpus, using the pooled per-sample
-// scratch — the index-view counterpart of MSE, used for ensemble fold
-// estimates.
+// the listed rows of the packed corpus, one per-sample forward pass each —
+// the ensemble's fold estimates.
 func (n *Network) mseIdx(ds *dataSet, y []float64, idx []int) float64 {
 	if len(idx) == 0 {
 		return 0
@@ -138,12 +130,11 @@ func (n *Network) mseIdx(ds *dataSet, y []float64, idx []int) float64 {
 	if ds.d != n.Sizes[0] {
 		panic(fmt.Sprintf("ann: input dim %d, want %d", ds.d, n.Sizes[0]))
 	}
-	s := n.getScratch()
+	hidden := make([]float64, n.Sizes[1])
 	var sum float64
 	for _, id := range idx {
-		e := n.forward(ds.row(id), s) - y[id]
+		e := n.forward(ds.row(id), hidden) - y[id]
 		sum += e * e
 	}
-	n.putScratch(s)
 	return sum / float64(len(idx))
 }

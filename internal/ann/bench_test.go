@@ -10,12 +10,15 @@ import (
 // implementation (scalar or AVX2) this machine bound at startup — see
 // PERFORMANCE.md.
 
+// BenchmarkDenseForward drives the output unit's forward pass over a batch
+// of 16 hidden activations per row, the rows at the lane stride of a
+// four-target lockstep run (64).
 func BenchmarkDenseForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(20))
-	const batch, inDim, units = 8, 13, 16
-	x := make([]float64, batch*inDim)
-	w := make([]float64, units*(inDim+1))
-	out := make([]float64, batch*units)
+	const batch, inDim, ldx = 8, 16, 64
+	x := make([]float64, batch*ldx)
+	w := make([]float64, inDim+1)
+	out := make([]float64, batch)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
@@ -24,29 +27,7 @@ func BenchmarkDenseForward(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		denseForward(out, x, w, batch, inDim, units, inDim, true)
-	}
-}
-
-func BenchmarkHiddenDelta(b *testing.B) {
-	rng := rand.New(rand.NewSource(21))
-	const batch, units, unitsNext = 8, 16, 1
-	dNext := make([]float64, batch*unitsNext)
-	wNext := make([]float64, unitsNext*(units+1))
-	acts := make([]float64, batch*units)
-	d := make([]float64, batch*units)
-	for i := range dNext {
-		dNext[i] = rng.NormFloat64()
-	}
-	for i := range wNext {
-		wNext[i] = rng.NormFloat64()
-	}
-	for i := range acts {
-		acts[i] = rng.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hiddenDelta(d, dNext, wNext, acts, batch, units, unitsNext)
+		denseForward(out, x, w, batch, inDim, ldx)
 	}
 }
 

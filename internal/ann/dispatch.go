@@ -14,7 +14,6 @@ package ann
 
 var (
 	denseForward    = denseForwardScalar
-	hiddenDelta     = hiddenDeltaScalar
 	hiddenEta       = hiddenEtaScalar
 	sgdStep         = sgdStepScalar
 	sgdFeatureMajor = sgdFeatureMajorScalar

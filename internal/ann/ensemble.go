@@ -22,8 +22,7 @@ type Ensemble struct {
 	EstimateMSE float64
 
 	// stack is the members' packed inference form (stack.go), built by
-	// NewEnsemble; nil when the members do not share one [d, h, 1]
-	// topology, and Predict then evaluates them one by one.
+	// NewEnsemble; Predict runs on it alone.
 	stack *stack
 	// pool recycles Predict's scratch: the normalised input followed by
 	// the stack's lane activations.
@@ -32,10 +31,11 @@ type Ensemble struct {
 
 // NewEnsemble assembles an ensemble from trained members and the scaler
 // they were trained under, and packs the members for stacked inference.
-// Every member must take the scaler's feature count, and the scaler must be
-// usable: a standard deviation that is not positive or an inverted target
-// range would turn every prediction into ±Inf or NaN. Nets is read-only
-// from here on — the stack holds a copy of the members' weights.
+// Every member must be an [inputs, hidden, 1] network of one hidden width
+// taking the scaler's feature count, and the scaler must be usable: a
+// standard deviation that is not positive or an inverted target range would
+// turn every prediction into ±Inf or NaN. Nets is read-only from here on —
+// the stack holds a copy of the members' weights.
 func NewEnsemble(nets []*Network, scaler *Scaler, estimateMSE float64) (*Ensemble, error) {
 	if len(nets) == 0 {
 		return nil, errors.New("ann: ensemble has no member networks")
@@ -49,6 +49,12 @@ func NewEnsemble(nets []*Network, scaler *Scaler, estimateMSE float64) (*Ensembl
 	for i, n := range nets {
 		if n == nil {
 			return nil, fmt.Errorf("ann: ensemble member %d is nil", i)
+		}
+		if err := checkSizes(n.Sizes); err != nil {
+			return nil, fmt.Errorf("ann: net %d: %w", i, err)
+		}
+		if h := nets[0].Sizes[1]; n.Sizes[1] != h {
+			return nil, fmt.Errorf("ann: net %d has %d hidden units, net 0 has %d; members share one width", i, n.Sizes[1], h)
 		}
 		if n.InputDim() != len(scaler.Mean) {
 			return nil, fmt.Errorf("ann: net %d: input dim %d does not match the scaler's %d features",
@@ -225,27 +231,19 @@ func trainFolds(ds *dataSet, foldIdx [][]int, cfg Config, init func(member int) 
 // feature vector, in raw target units. It is safe for concurrent use and
 // allocates nothing in steady state.
 func (e *Ensemble) Predict(x []float64) float64 {
+	s := e.stack
+	if len(x) != s.inDim {
+		panic(fmt.Sprintf("ann: input dim %d, want %d", len(x), s.inDim))
+	}
 	bp, ok := e.pool.Get().(*[]float64)
 	if !ok {
 		bp = new([]float64)
 	}
-	var sum float64
-	if s := e.stack; s != nil {
-		if len(x) != s.inDim {
-			panic(fmt.Sprintf("ann: input dim %d, want %d", len(x), s.inDim))
-		}
-		if cap(*bp) < s.inDim+s.lanes {
-			*bp = make([]float64, s.inDim+s.lanes)
-		}
-		buf := (*bp)[:s.inDim+s.lanes]
-		sum = s.sum(e.Scaler.XInto(buf[:s.inDim], x), buf[s.inDim:])
-	} else {
-		nx := e.Scaler.XInto(*bp, x)
-		*bp = nx // keep any regrown backing array
-		for _, n := range e.Nets {
-			sum += n.Predict(nx)
-		}
+	if cap(*bp) < s.inDim+s.lanes {
+		*bp = make([]float64, s.inDim+s.lanes)
 	}
+	buf := (*bp)[:s.inDim+s.lanes]
+	sum := s.sum(e.Scaler.XInto(buf[:s.inDim], x), buf[s.inDim:])
 	e.pool.Put(bp)
 	return e.Scaler.InvY(sum / float64(len(e.Nets)))
 }

@@ -13,8 +13,8 @@ import (
 // on fold i and estimates on fold (i+1) mod k. The base's Scaler is reused,
 // not refit: the member weights are expressed in the base's normalised
 // feature space, so refitting the scaler on the new samples would silently
-// invalidate the warm start. cfg.Hidden is ignored; the topology is taken
-// from the base networks. With cfg.WarmStartEpochs > 0 each member trains
+// invalidate the warm start. cfg.Hidden is ignored; the width is taken from
+// the base networks. With cfg.WarmStartEpochs > 0 each member trains
 // at most that many epochs at halved patience; otherwise cfg.MaxEpochs
 // applies. Deterministic under cfg.Seed at any GOMAXPROCS.
 //
@@ -52,10 +52,9 @@ func FineTuneEnsembles(bases []*Ensemble, sets [][]Sample, cfg Config) ([]*Ensem
 	for g, ids := range groups {
 		ds := merged[g]
 		first := bases[ids[0]].Nets
-		// The base topology drives trainCore's shape check.
-		sizes := first[0].Sizes
+		// The base width drives trainCore's shape check.
 		mcfg := cfg
-		mcfg.Hidden = slices.Clone(sizes[1 : len(sizes)-1])
+		mcfg.Hidden = first[0].Sizes[1]
 		if cfg.WarmStartEpochs > 0 {
 			// Fine-tuning starts next to a minimum the base member already
 			// found — cap the epochs and halve the patience, exactly as

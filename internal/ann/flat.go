@@ -16,16 +16,11 @@ func (n *Network) FlatWeights() [][]float64 {
 }
 
 // NewNetworkFromFlat constructs a network directly from flat per-layer
-// weights as produced by FlatWeights, validating every layer's length
-// against sizes. Both arguments are copied.
+// weights as produced by FlatWeights, validating the [inputs, hidden, 1]
+// shape and every layer's length against sizes. Both arguments are copied.
 func NewNetworkFromFlat(sizes []int, weights [][]float64) (*Network, error) {
-	if len(sizes) < 2 {
-		return nil, fmt.Errorf("ann: %d layer sizes, need at least input and output", len(sizes))
-	}
-	for _, s := range sizes {
-		if s < 1 {
-			return nil, fmt.Errorf("ann: invalid layer size %d", s)
-		}
+	if err := checkSizes(sizes); err != nil {
+		return nil, err
 	}
 	if len(weights) != len(sizes)-1 {
 		return nil, fmt.Errorf("ann: %d weight layers for %d layer sizes", len(weights), len(sizes))

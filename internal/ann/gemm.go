@@ -1,9 +1,9 @@
-// Batched linear-algebra kernels for the trainer: a dense forward layer
-// with fused sigmoid, the batched backprop delta recurrence, and a fused
-// momentum/AXPY weight update that consumes a whole mini-batch per call —
-// each for the network's flat row-major layers — plus the η·δ and update
-// kernels of the feature-major first layer the lockstep trainer keeps
-// (lockstep.go).
+// Batched linear-algebra kernels for the trainer: the output unit's
+// forward pass and a fused momentum/AXPY weight update that consumes a
+// whole mini-batch per call — each for the network's flat row-major layers
+// — plus the forward, η·δ and update kernels of the feature-major hidden
+// layer the lockstep trainer and the stacked ensemble keep (lockstep.go,
+// stack.go).
 //
 // Register blocking is over *independent* outputs only — every individual
 // output accumulates in exactly the order the per-sample path uses (bias
@@ -39,55 +39,19 @@ func fastExp(x float64) float64 {
 	return p * math.Float64frombits(uint64(int64(k)+1023)<<52)
 }
 
-// denseForward computes one layer's activations for a mini-batch:
+// denseForward computes the linear output unit for a mini-batch:
 //
-//	out[b·units+j] = act( w[j·(inDim+1)+inDim] + Σ_i x[b·ldx+i] · w[j·(inDim+1)+i] )
+//	out[b] = w[inDim] + Σ_i x[b·ldx+i] · w[i]
 //
-// where act is the sigmoid for hidden layers and identity for the output
-// layer. x holds batch rows of length ldx (≥ inDim); out is batch×units.
-func denseForwardScalar(out, x, w []float64, batch, inDim, units, ldx int, sigmoidAct bool) {
-	rowW := inDim + 1
-	var b int
-	// Four samples per pass share one traversal of the weight row. Each
-	// sample keeps its own accumulator, so per-output rounding matches the
-	// per-sample forward exactly.
-	for b = 0; b+4 <= batch; b += 4 {
-		x0 := x[(b+0)*ldx:][:inDim]
-		x1 := x[(b+1)*ldx:][:inDim]
-		x2 := x[(b+2)*ldx:][:inDim]
-		x3 := x[(b+3)*ldx:][:inDim]
-		for j := 0; j < units; j++ {
-			row := w[j*rowW:][:rowW]
-			bias := row[inDim]
-			s0, s1, s2, s3 := bias, bias, bias, bias
-			for i, wv := range row[:inDim] {
-				s0 += wv * x0[i]
-				s1 += wv * x1[i]
-				s2 += wv * x2[i]
-				s3 += wv * x3[i]
-			}
-			if sigmoidAct {
-				s0, s1, s2, s3 = sigmoid(s0), sigmoid(s1), sigmoid(s2), sigmoid(s3)
-			}
-			out[(b+0)*units+j] = s0
-			out[(b+1)*units+j] = s1
-			out[(b+2)*units+j] = s2
-			out[(b+3)*units+j] = s3
+// x holds batch rows of hidden activations at stride ldx (≥ inDim). Each
+// sum accumulates bias first, then ascending i — Network.forward's order.
+func denseForwardScalar(out, x, w []float64, batch, inDim, ldx int) {
+	for b := 0; b < batch; b++ {
+		sum := w[inDim]
+		for i, wv := range w[:inDim] {
+			sum += wv * x[b*ldx+i]
 		}
-	}
-	for ; b < batch; b++ {
-		xb := x[b*ldx:][:inDim]
-		for j := 0; j < units; j++ {
-			row := w[j*rowW:][:rowW]
-			sum := row[inDim]
-			for i, wv := range row[:inDim] {
-				sum += wv * xb[i]
-			}
-			if sigmoidAct {
-				sum = sigmoid(sum)
-			}
-			out[b*units+j] = sum
-		}
+		out[b] = sum
 	}
 }
 
@@ -112,69 +76,16 @@ func stackForwardScalar(acts, wT, x []float64) {
 	}
 }
 
-// hiddenDelta runs the backprop recurrence for one hidden layer over a
-// mini-batch: for every sample b and unit j,
-//
-//	d[b·units+j] = ( Σ_k wNext[k·(units+1)+j] · dNext[b·unitsNext+k] ) · a·(1−a)
-//
-// where a is the unit's forward activation. The k-sum runs in ascending
-// order, matching the per-sample backward pass bit-for-bit.
-func hiddenDeltaScalar(d, dNext, wNext, acts []float64, batch, units, unitsNext int) {
-	rowW := units + 1
-	var b int
-	// Four samples share one walk down each weight column; every sample
-	// keeps its own k-ordered accumulator.
-	for b = 0; b+4 <= batch; b += 4 {
-		d0 := d[(b+0)*units:][:units]
-		d1 := d[(b+1)*units:][:units]
-		d2 := d[(b+2)*units:][:units]
-		d3 := d[(b+3)*units:][:units]
-		n0 := dNext[(b+0)*unitsNext:][:unitsNext]
-		n1 := dNext[(b+1)*unitsNext:][:unitsNext]
-		n2 := dNext[(b+2)*unitsNext:][:unitsNext]
-		n3 := dNext[(b+3)*unitsNext:][:unitsNext]
-		a0 := acts[(b+0)*units:][:units]
-		a1 := acts[(b+1)*units:][:units]
-		a2 := acts[(b+2)*units:][:units]
-		a3 := acts[(b+3)*units:][:units]
-		for j := 0; j < units; j++ {
-			var s0, s1, s2, s3 float64
-			for k := 0; k < unitsNext; k++ {
-				wv := wNext[k*rowW+j]
-				s0 += wv * n0[k]
-				s1 += wv * n1[k]
-				s2 += wv * n2[k]
-				s3 += wv * n3[k]
-			}
-			d0[j] = s0 * a0[j] * (1 - a0[j])
-			d1[j] = s1 * a1[j] * (1 - a1[j])
-			d2[j] = s2 * a2[j] * (1 - a2[j])
-			d3[j] = s3 * a3[j] * (1 - a3[j])
-		}
-	}
-	for ; b < batch; b++ {
-		db := d[b*units:][:units]
-		nd := dNext[b*unitsNext:][:unitsNext]
-		ab := acts[b*units:][:units]
-		for j := range db {
-			var sum float64
-			for k, ndk := range nd {
-				sum += wNext[k*rowW+j] * ndk
-			}
-			a := ab[j]
-			db[j] = sum * a * (1 - a)
-		}
-	}
-}
-
-// hiddenEta is hiddenDelta for the lanes of a feature-major layer, already
-// multiplied by the learning rate: for every sample b and unit j,
+// hiddenEta runs the backprop recurrence into the lanes of a feature-major
+// hidden layer, already multiplied by the learning rate: for every sample b
+// and unit j,
 //
 //	t[b·ld+j] = lr · ( ( Σ_k wNext[k·(units+1)+j] · dNext[b·unitsNext+k] ) · a·(1−a) )
 //
-// where a = acts[b·ld+j] and ld is the row stride of t and acts. Per
-// element it is hiddenDelta's δ followed by the η·δ that sgdStep forms from
-// it, so the update that consumes t sees the reference's bits.
+// where a = acts[b·ld+j] and ld is the row stride of t and acts. The k-sum
+// ascends; per element this is the per-sample backward pass's δ followed by
+// the η·δ that sgdStep forms from it, so the update that consumes t sees
+// the reference's bits.
 func hiddenEtaScalar(t, dNext, wNext, acts []float64, batch, units, unitsNext, ld int, lr float64) {
 	rowW := units + 1
 	for b := 0; b < batch; b++ {

@@ -8,16 +8,11 @@
 // tail. See gemm_simd_test.go for the fuzzed bit-identity enforcement.
 package ann
 
-import (
-	"sync"
-
-	"github.com/greenhpc/actor/internal/simd"
-)
+import "github.com/greenhpc/actor/internal/simd"
 
 func init() {
 	if simd.Enabled() {
 		denseForward = denseForwardAVX2
-		hiddenDelta = hiddenDeltaAVX2
 		hiddenEta = hiddenEtaAVX2
 		sgdStep = sgdStepAVX2
 		sgdFeatureMajor = sgdFeatureMajorAVX2
@@ -32,19 +27,10 @@ func expVec4(v *float64, n int)
 func sigmoidVec4(v *float64, n int)
 
 //go:noescape
-func denseSumsT4(tmp, w, xT *float64, units, inDim int)
-
-//go:noescape
 func dotRows4(out, x, w *float64, rows, inDim, ldx int)
 
 //go:noescape
 func stackSums4(acc, wT, x *float64, lanes, inDim int)
-
-//go:noescape
-func packT4(xT, x0, x1, x2, x3 *float64, n int)
-
-//go:noescape
-func scatterT4(o0, o1, o2, o3, tmp *float64, n int)
 
 //go:noescape
 func deltaRows4(d, acts, wNext, dNext *float64, rows, ld, units4, unitsNext, rowW int, scale float64)
@@ -88,91 +74,22 @@ func sigmoidVec(v []float64) {
 	}
 }
 
-// fwdBuf is the per-call scratch of denseForwardAVX2: the column-major
-// 4-sample input pack and the 4-wide pre-activation block.
-type fwdBuf struct {
-	xT  []float64
-	tmp []float64
-}
-
-var fwdPool = sync.Pool{New: func() any { return new(fwdBuf) }}
-
-func (b *fwdBuf) ensure(xt, tmp int) {
-	if cap(b.xT) < xt {
-		b.xT = make([]float64, xt)
-	}
-	b.xT = b.xT[:xt]
-	if cap(b.tmp) < tmp {
-		b.tmp = make([]float64, tmp)
-	}
-	b.tmp = b.tmp[:tmp]
-}
-
-// denseForwardAVX2 computes the batched dense layer with four samples per
-// vector lane. The group's rows are packed column-major once (xT[i*4+k] =
-// sample k's feature i) so the assembly kernel streams contiguous loads;
-// each sample's accumulator still sums bias-first then ascending i, which
-// keeps every output bit-identical to denseForwardScalar.
-func denseForwardAVX2(out, x, w []float64, batch, inDim, units, ldx int, sigmoidAct bool) {
-	if units == 0 || inDim == 0 {
-		denseForwardScalar(out, x, w, batch, inDim, units, ldx, sigmoidAct)
+// denseForwardAVX2 computes the output unit with four rows per instruction
+// straight from their stride — one sum chain per row, so no packing buffer
+// — and the row tail through the scalar reference.
+func denseForwardAVX2(out, x, w []float64, batch, inDim, ldx int) {
+	b4 := batch &^ 3
+	if b4 == 0 || inDim == 0 {
+		denseForwardScalar(out, x, w, batch, inDim, ldx)
 		return
 	}
-	rowW := inDim + 1
-	if units == 1 {
-		// One unit (an output layer): a single sum chain per row, so
-		// four rows share each instruction straight from their stride —
-		// no packing buffer to fill or scatter.
-		b4 := batch &^ 3
-		if b4 > 0 {
-			_ = x[(b4-1)*ldx+inDim-1]
-			_ = w[inDim]
-			_ = out[b4-1]
-			dotRows4(&out[0], &x[0], &w[0], b4, inDim, ldx)
-			if sigmoidAct {
-				sigmoidVec4(&out[0], b4)
-			}
-		}
-		for b := b4; b < batch; b++ {
-			sum := w[inDim]
-			for i, wv := range w[:inDim] {
-				sum += wv * x[b*ldx+i]
-			}
-			if sigmoidAct {
-				sum = sigmoid(sum)
-			}
-			out[b] = sum
-		}
-		return
+	_ = x[(b4-1)*ldx+inDim-1]
+	_ = w[inDim]
+	_ = out[b4-1]
+	dotRows4(&out[0], &x[0], &w[0], b4, inDim, ldx)
+	if b4 < batch {
+		denseForwardScalar(out[b4:], x[b4*ldx:], w, batch-b4, inDim, ldx)
 	}
-	buf := fwdPool.Get().(*fwdBuf)
-	buf.ensure(inDim*4, units*4)
-	var b int
-	for b = 0; b+4 <= batch; b += 4 {
-		packT4(&buf.xT[0], &x[(b+0)*ldx], &x[(b+1)*ldx], &x[(b+2)*ldx], &x[(b+3)*ldx], inDim)
-		denseSumsT4(&buf.tmp[0], &w[0], &buf.xT[0], units, inDim)
-		if sigmoidAct {
-			sigmoidVec4(&buf.tmp[0], units*4)
-		}
-		scatterT4(&out[(b+0)*units], &out[(b+1)*units], &out[(b+2)*units], &out[(b+3)*units],
-			&buf.tmp[0], units)
-	}
-	// Sample tail: the scalar reference's own per-sample loop.
-	for ; b < batch; b++ {
-		xb := x[b*ldx:][:inDim]
-		for j := 0; j < units; j++ {
-			row := w[j*rowW:][:rowW]
-			sum := row[inDim]
-			for i, wv := range row[:inDim] {
-				sum += wv * xb[i]
-			}
-			if sigmoidAct {
-				sum = sigmoid(sum)
-			}
-			out[b*units+j] = sum
-		}
-	}
-	fwdPool.Put(buf)
 }
 
 // stackForwardAVX2 computes a stacked ensemble's hidden activations four
@@ -187,13 +104,6 @@ func stackForwardAVX2(acts, wT, x []float64) {
 	}
 	stackSums4(&acts[0], &wT[0], &x[0], len(acts), len(x))
 	sigmoidVec4(&acts[0], len(acts))
-}
-
-// hiddenDeltaAVX2 runs the backprop recurrence with four units per vector
-// lane: hiddenEtaAVX2 on contiguous rows at scale 1, which multiplies
-// every δ by 1 — exact, so the bits are hiddenDeltaScalar's.
-func hiddenDeltaAVX2(d, dNext, wNext, acts []float64, batch, units, unitsNext int) {
-	hiddenEtaAVX2(d, dNext, wNext, acts, batch, units, unitsNext, units, 1)
 }
 
 // hiddenEtaAVX2 runs the scaled backprop recurrence with four units per

@@ -168,90 +168,6 @@ sigdone:
 	VZEROUPPER
 	RET
 
-// func denseSumsT4(tmp, w, xT *float64, units, inDim int)
-// For a group of four batch samples packed column-major in xT
-// (xT[i*4+k] = sample k's feature i):
-//
-//	tmp[j*4+k] = w[j*rowW+inDim] + Σ_i w[j*rowW+i]·xT[i*4+k],  rowW = inDim+1
-//
-// Four samples advance per instruction and four weight rows share each
-// traversal of xT (register blocking over independent outputs only); each
-// sample's sum accumulates bias-first then ascending i, exactly like the
-// scalar forward. units ≥ 1, inDim ≥ 1.
-TEXT ·denseSumsT4(SB), NOSPLIT, $0-40
-	MOVQ tmp+0(FP), DI
-	MOVQ w+8(FP), SI
-	MOVQ xT+16(FP), DX
-	MOVQ units+24(FP), CX
-	MOVQ inDim+32(FP), R8
-	LEAQ 1(R8), R10
-	SHLQ $3, R10                // rowW bytes
-	LEAQ (R10)(R10*1), R11      // 2·rowW bytes
-	LEAQ (R10)(R10*2), R12      // 3·rowW bytes
-	MOVQ CX, BX
-	SHRQ $2, BX                 // unit blocks of four
-	JZ   ds1setup
-ds4jloop:
-	LEAQ (SI)(R8*8), AX         // &row0[inDim] (the bias column)
-	VBROADCASTSD (AX), Y0
-	VBROADCASTSD (AX)(R10*1), Y1
-	VBROADCASTSD (AX)(R11*1), Y2
-	VBROADCASTSD (AX)(R12*1), Y3
-	MOVQ SI, R9                 // row0 weight cursor
-	MOVQ DX, AX                 // xT cursor
-	MOVQ R8, R13
-ds4iloop:
-	VMOVUPD (AX), Y4            // x{0..3}[i]
-	VBROADCASTSD (R9), Y5
-	VMULPD  Y4, Y5, Y5
-	VADDPD  Y5, Y0, Y0
-	VBROADCASTSD (R9)(R10*1), Y5
-	VMULPD  Y4, Y5, Y5
-	VADDPD  Y5, Y1, Y1
-	VBROADCASTSD (R9)(R11*1), Y5
-	VMULPD  Y4, Y5, Y5
-	VADDPD  Y5, Y2, Y2
-	VBROADCASTSD (R9)(R12*1), Y5
-	VMULPD  Y4, Y5, Y5
-	VADDPD  Y5, Y3, Y3
-	ADDQ $8, R9
-	ADDQ $32, AX
-	DECQ R13
-	JNZ  ds4iloop
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	ADDQ $128, DI
-	ADDQ R12, SI                // advance four weight rows
-	ADDQ R10, SI
-	DECQ BX
-	JNZ  ds4jloop
-ds1setup:
-	ANDQ $3, CX                 // leftover units
-	JZ   dsdone
-ds1jloop:
-	VBROADCASTSD (SI)(R8*8), Y0 // acc = bias (row[inDim])
-	MOVQ SI, R9                 // weight-row cursor
-	MOVQ DX, R13                // xT cursor
-	MOVQ R8, R11
-ds1iloop:
-	VBROADCASTSD (R9), Y1
-	VMULPD  (R13), Y1, Y1       // w[i] · x{0..3}[i]
-	VADDPD  Y1, Y0, Y0
-	ADDQ $8, R9
-	ADDQ $32, R13
-	DECQ R11
-	JNZ  ds1iloop
-	VMOVUPD Y0, (DI)
-	ADDQ $32, DI
-	LEAQ 8(SI)(R8*8), SI        // next weight row (rowW = inDim+1 doubles)
-	DECQ CX
-	JNZ  ds1jloop
-dsdone:
-	VZEROUPPER
-	RET
-
 // func dotRows4(out, x, w *float64, rows, inDim, ldx int)
 // A one-unit dense layer, four rows per instruction:
 //
@@ -413,126 +329,6 @@ ssdone:
 	VZEROUPPER
 	RET
 
-// func packT4(xT, x0, x1, x2, x3 *float64, n int)
-// Transposes four sample rows into the column-major group layout:
-// xT[i*4+k] = xk[i]. Pure data movement — no arithmetic, so no rounding.
-TEXT ·packT4(SB), NOSPLIT, $0-48
-	MOVQ xT+0(FP), DI
-	MOVQ x0+8(FP), SI
-	MOVQ x1+16(FP), DX
-	MOVQ x2+24(FP), R8
-	MOVQ x3+32(FP), R9
-	MOVQ n+40(FP), CX
-	MOVQ CX, BX
-	SHRQ $2, BX
-	JZ   pttail
-ptloop:
-	VMOVUPD (SI), Y0
-	VMOVUPD (DX), Y1
-	VMOVUPD (R8), Y2
-	VMOVUPD (R9), Y3
-	VUNPCKLPD Y1, Y0, Y4        // x0[0] x1[0] x0[2] x1[2]
-	VUNPCKHPD Y1, Y0, Y5        // x0[1] x1[1] x0[3] x1[3]
-	VUNPCKLPD Y3, Y2, Y6        // x2[0] x3[0] x2[2] x3[2]
-	VUNPCKHPD Y3, Y2, Y7        // x2[1] x3[1] x2[3] x3[3]
-	VPERM2F128 $0x20, Y6, Y4, Y0
-	VPERM2F128 $0x20, Y7, Y5, Y1
-	VPERM2F128 $0x31, Y6, Y4, Y2
-	VPERM2F128 $0x31, Y7, Y5, Y3
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	ADDQ $32, SI
-	ADDQ $32, DX
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $128, DI
-	DECQ BX
-	JNZ  ptloop
-pttail:
-	ANDQ $3, CX
-	JZ   ptdone
-pttloop:
-	MOVQ (SI), AX
-	MOVQ AX, (DI)
-	MOVQ (DX), AX
-	MOVQ AX, 8(DI)
-	MOVQ (R8), AX
-	MOVQ AX, 16(DI)
-	MOVQ (R9), AX
-	MOVQ AX, 24(DI)
-	ADDQ $8, SI
-	ADDQ $8, DX
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  pttloop
-ptdone:
-	VZEROUPPER
-	RET
-
-// func scatterT4(o0, o1, o2, o3, tmp *float64, n int)
-// Inverse of packT4: ok[j] = tmp[j*4+k] — distributes the group block back
-// into four output rows. Pure data movement.
-TEXT ·scatterT4(SB), NOSPLIT, $0-48
-	MOVQ o0+0(FP), SI
-	MOVQ o1+8(FP), DX
-	MOVQ o2+16(FP), R8
-	MOVQ o3+24(FP), R9
-	MOVQ tmp+32(FP), DI
-	MOVQ n+40(FP), CX
-	MOVQ CX, BX
-	SHRQ $2, BX
-	JZ   sttail
-stloop:
-	VMOVUPD (DI), Y0            // samples of unit j
-	VMOVUPD 32(DI), Y1          // unit j+1
-	VMOVUPD 64(DI), Y2
-	VMOVUPD 96(DI), Y3
-	VUNPCKLPD Y1, Y0, Y4
-	VUNPCKHPD Y1, Y0, Y5
-	VUNPCKLPD Y3, Y2, Y6
-	VUNPCKHPD Y3, Y2, Y7
-	VPERM2F128 $0x20, Y6, Y4, Y0 // sample 0's units j..j+3
-	VPERM2F128 $0x20, Y7, Y5, Y1
-	VPERM2F128 $0x31, Y6, Y4, Y2
-	VPERM2F128 $0x31, Y7, Y5, Y3
-	VMOVUPD Y0, (SI)
-	VMOVUPD Y1, (DX)
-	VMOVUPD Y2, (R8)
-	VMOVUPD Y3, (R9)
-	ADDQ $32, SI
-	ADDQ $32, DX
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $128, DI
-	DECQ BX
-	JNZ  stloop
-sttail:
-	ANDQ $3, CX
-	JZ   stdone
-sttloop:
-	MOVQ (DI), AX
-	MOVQ AX, (SI)
-	MOVQ 8(DI), AX
-	MOVQ AX, (DX)
-	MOVQ 16(DI), AX
-	MOVQ AX, (R8)
-	MOVQ 24(DI), AX
-	MOVQ AX, (R9)
-	ADDQ $32, DI
-	ADDQ $8, SI
-	ADDQ $8, DX
-	ADDQ $8, R8
-	ADDQ $8, R9
-	DECQ CX
-	JNZ  sttloop
-stdone:
-	VZEROUPPER
-	RET
-
 // func deltaRows4(d, acts, wNext, dNext *float64, rows, ld, units4, unitsNext, rowW int, scale float64)
 // The backprop recurrence of a batch, four units per instruction, scaled:
 //
@@ -540,8 +336,8 @@ stdone:
 //
 // with a = acts[b*ld+j], for b < rows and j < units4. The k-sum starts
 // from zero and ascends within each lane. units4 is a positive multiple of
-// 4 (the caller handles the j tail); rows, unitsNext ≥ 1. hiddenDelta
-// passes scale 1 (x·1 = x exactly), the lockstep trainer the learning rate.
+// 4 (the caller handles the j tail); rows, unitsNext ≥ 1. The lockstep
+// trainer passes the learning rate as scale.
 TEXT ·deltaRows4(SB), NOSPLIT, $0-80
 	MOVQ d+0(FP), DI
 	MOVQ acts+8(FP), R9

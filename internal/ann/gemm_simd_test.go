@@ -104,50 +104,49 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
+// TestDenseForwardBitIdentical draws random shapes, strides and weight
+// scales for the output unit's forward pass.
 func TestDenseForwardBitIdentical(t *testing.T) {
 	needAVX2(t)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
 		batch := 1 + rng.Intn(9)
 		inDim := 1 + rng.Intn(17)
-		units := 1 + rng.Intn(17)
 		ldx := inDim + rng.Intn(3)
-		sig := rng.Intn(2) == 0
 		x := randSlice(rng, batch*ldx)
-		w := randSlice(rng, units*(inDim+1))
-		got := make([]float64, batch*units)
-		want := make([]float64, batch*units)
-		denseForwardAVX2(got, x, w, batch, inDim, units, ldx, sig)
-		denseForwardScalar(want, x, w, batch, inDim, units, ldx, sig)
+		w := randSlice(rng, inDim+1)
+		got := make([]float64, batch)
+		want := make([]float64, batch)
+		denseForwardAVX2(got, x, w, batch, inDim, ldx)
+		denseForwardScalar(want, x, w, batch, inDim, ldx)
 		if i := diffIndex(got, want); i >= 0 {
-			t.Fatalf("trial %d (batch=%d inDim=%d units=%d ldx=%d sig=%v): out[%d] = %x, want %x",
-				trial, batch, inDim, units, ldx, sig, i,
-				math.Float64bits(got[i]), math.Float64bits(want[i]))
+			t.Fatalf("trial %d (batch=%d inDim=%d ldx=%d): out[%d] = %x, want %x",
+				trial, batch, inDim, ldx, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 		}
 	}
 }
 
-func TestHiddenDeltaBitIdentical(t *testing.T) {
+// TestDenseForwardOneUnitBitIdentical sweeps the output unit's forward pass
+// (run once per target and batch) over every batch tail, every column tail
+// and strided rows.
+func TestDenseForwardOneUnitBitIdentical(t *testing.T) {
 	needAVX2(t)
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 200; trial++ {
-		batch := 1 + rng.Intn(9)
-		units := 1 + rng.Intn(17)
-		unitsNext := 1 + rng.Intn(9)
-		dNext := randSlice(rng, batch*unitsNext)
-		wNext := randSlice(rng, unitsNext*(units+1))
-		acts := randSlice(rng, batch*units)
-		for i := range acts {
-			acts[i] = 1 / (1 + math.Exp(-acts[i])) // plausible activations
-		}
-		got := make([]float64, batch*units)
-		want := make([]float64, batch*units)
-		hiddenDeltaAVX2(got, dNext, wNext, acts, batch, units, unitsNext)
-		hiddenDeltaScalar(want, dNext, wNext, acts, batch, units, unitsNext)
-		if i := diffIndex(got, want); i >= 0 {
-			t.Fatalf("trial %d (batch=%d units=%d next=%d): d[%d] = %x, want %x",
-				trial, batch, units, unitsNext, i,
-				math.Float64bits(got[i]), math.Float64bits(want[i]))
+	rng := rand.New(rand.NewSource(8))
+	for batch := 1; batch <= 13; batch++ {
+		for inDim := 1; inDim <= 19; inDim++ {
+			for _, pad := range []int{0, 1, 47} {
+				ldx := inDim + pad
+				x := randSlice(rng, batch*ldx)
+				w := randSlice(rng, inDim+1)
+				got := make([]float64, batch)
+				want := make([]float64, batch)
+				denseForwardAVX2(got, x, w, batch, inDim, ldx)
+				denseForwardScalar(want, x, w, batch, inDim, ldx)
+				if i := diffIndex(got, want); i >= 0 {
+					t.Fatalf("batch=%d inDim=%d ldx=%d: out[%d] = %x, want %x", batch, inDim, ldx, i,
+						math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
 		}
 	}
 }
@@ -191,28 +190,26 @@ func TestSGDStepBitIdentical(t *testing.T) {
 // FuzzDenseForwardBitIdentity lets the fuzzer search shape corners and
 // value patterns the fixed trials miss.
 func FuzzDenseForwardBitIdentity(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(3), uint8(2), uint8(0), true)
-	f.Add(int64(7), uint8(1), uint8(1), uint8(1), uint8(2), false)
-	f.Add(int64(9), uint8(8), uint8(13), uint8(16), uint8(1), true)
-	f.Fuzz(func(t *testing.T, seed int64, batchB, inDimB, unitsB, padB uint8, sig bool) {
+	f.Add(int64(1), uint8(4), uint8(3), uint8(0))
+	f.Add(int64(7), uint8(1), uint8(1), uint8(2))
+	f.Add(int64(9), uint8(8), uint8(13), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, batchB, inDimB, padB uint8) {
 		fz := simd.Detect()
 		if !fz.AVX2 || !fz.OSYMM {
 			t.Skip("no AVX2")
 		}
 		batch := 1 + int(batchB%12)
 		inDim := 1 + int(inDimB%20)
-		units := 1 + int(unitsB%20)
 		ldx := inDim + int(padB%4)
 		rng := rand.New(rand.NewSource(seed))
 		x := randSlice(rng, batch*ldx)
-		w := randSlice(rng, units*(inDim+1))
-		got := make([]float64, batch*units)
-		want := make([]float64, batch*units)
-		denseForwardAVX2(got, x, w, batch, inDim, units, ldx, sig)
-		denseForwardScalar(want, x, w, batch, inDim, units, ldx, sig)
+		w := randSlice(rng, inDim+1)
+		got := make([]float64, batch)
+		want := make([]float64, batch)
+		denseForwardAVX2(got, x, w, batch, inDim, ldx)
+		denseForwardScalar(want, x, w, batch, inDim, ldx)
 		if i := diffIndex(got, want); i >= 0 {
-			t.Fatalf("batch=%d inDim=%d units=%d ldx=%d sig=%v: out[%d] = %x, want %x",
-				batch, inDim, units, ldx, sig, i,
+			t.Fatalf("batch=%d inDim=%d ldx=%d: out[%d] = %x, want %x", batch, inDim, ldx, i,
 				math.Float64bits(got[i]), math.Float64bits(want[i]))
 		}
 	})
@@ -257,7 +254,7 @@ func FuzzSGDStepBitIdentity(f *testing.F) {
 // FuzzStackedEnsembleBitIdentical fuzzes the stacked inference pass over
 // ensemble shapes and weight scales: the AVX2 kernel against the scalar
 // kernel on the packed weights, and Ensemble.Predict (whichever kernel is
-// bound) against the per-member loop.
+// bound) against the members' own forward passes.
 func FuzzStackedEnsembleBitIdentical(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(16), uint8(13), uint8(0))
 	f.Add(int64(2), uint8(3), uint8(1), uint8(1), uint8(3))
@@ -276,7 +273,7 @@ func FuzzStackedEnsembleBitIdentical(f *testing.F) {
 		got := make([]float64, s.lanes)
 		want := make([]float64, s.lanes)
 		for _, x := range stackInputs(rng, d, 16) {
-			nx := e.Scaler.X(x)
+			nx := e.Scaler.XInto(nil, x)
 			stackForwardAVX2(got, s.wT, nx)
 			stackForwardScalar(want, s.wT, nx)
 			if i := diffIndex(got, want); i >= 0 {
@@ -417,43 +414,17 @@ func TestHiddenEtaBitIdentical(t *testing.T) {
 			t.Fatalf("trial %d (batch=%d units=%d next=%d ld=%d): t[%d] = %x, want %x",
 				trial, batch, units, unitsNext, ld, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 		}
-		// η·δ is lr times hiddenDelta's δ, element by element.
+		// η·δ is lr times the reference trainer's δ, element by element.
 		d := make([]float64, batch*units)
 		packed := make([]float64, batch*units)
 		for b := 0; b < batch; b++ {
 			copy(packed[b*units:(b+1)*units], acts[b*ld:])
 		}
-		hiddenDeltaScalar(d, dNext, wNext, packed, batch, units, unitsNext)
+		hiddenDelta(d, dNext, wNext, packed, batch, units, unitsNext)
 		for b := 0; b < batch; b++ {
 			for j := 0; j < units; j++ {
 				if !bitsEqual(lr*d[b*units+j], got[b*ld+j]) {
 					t.Fatalf("trial %d: sample %d unit %d: η·δ %v, lr·δ %v", trial, b, j, got[b*ld+j], lr*d[b*units+j])
-				}
-			}
-		}
-	}
-}
-
-// TestDenseForwardOneUnitBitIdentical sweeps the one-unit path (the output
-// layer the trainer runs once per target) over every batch tail, every
-// column tail and strided rows.
-func TestDenseForwardOneUnitBitIdentical(t *testing.T) {
-	needAVX2(t)
-	rng := rand.New(rand.NewSource(8))
-	for batch := 1; batch <= 13; batch++ {
-		for inDim := 1; inDim <= 19; inDim++ {
-			for _, pad := range []int{0, 1, 47} {
-				ldx := inDim + pad
-				sig := (batch+inDim)%2 == 0
-				x := randSlice(rng, batch*ldx)
-				w := randSlice(rng, inDim+1)
-				got := make([]float64, batch)
-				want := make([]float64, batch)
-				denseForwardAVX2(got, x, w, batch, inDim, 1, ldx, sig)
-				denseForwardScalar(want, x, w, batch, inDim, 1, ldx, sig)
-				if i := diffIndex(got, want); i >= 0 {
-					t.Fatalf("batch=%d inDim=%d ldx=%d sig=%v: out[%d] = %x, want %x", batch, inDim, ldx, sig, i,
-						math.Float64bits(got[i]), math.Float64bits(want[i]))
 				}
 			}
 		}

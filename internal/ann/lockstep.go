@@ -8,8 +8,8 @@ import (
 	"slices"
 )
 
-// trainCore is the one training loop. It fits len(tr.y) networks of one
-// topology in lockstep — one per target of the packed corpus tr — to the
+// trainCore is the one training loop. It fits len(tr.y) [d, cfg.Hidden, 1]
+// networks in lockstep — one per target of the packed corpus tr — to the
 // trainIdx rows, early-stopping each on its labels over the validIdx rows
 // of vd (vd may alias tr: fold views are index slices into one corpus).
 // With inits nil every target starts from the same random initialisation
@@ -19,18 +19,17 @@ import (
 // rows, the initialisation stream, and the per-epoch shuffle, hence every
 // mini-batch. So each target's network and TrainResult are bit-identical to
 // training it alone — what trainCore does when there is one target. The
-// first layer of all targets is one feature-major matrix whose vector
-// lanes are (target, hidden unit) pairs (see lockstep); the layers past it
-// run per target through the row-major kernels.
+// hidden layer of all targets is one feature-major matrix whose vector
+// lanes are (target, hidden unit) pairs (see lockstep); each target's
+// output unit runs through the row-major kernels.
 func trainCore(tr *dataSet, trainIdx []int, vd *dataSet, validIdx []int, inits []*Network, cfg Config) ([]*Network, []TrainResult, error) {
 	if len(trainIdx) == 0 {
 		return nil, nil, errors.New("ann: empty training set")
 	}
-	if len(cfg.Hidden) == 0 {
-		return nil, nil, errors.New("ann: training needs at least one hidden layer")
+	if cfg.Hidden < 1 {
+		return nil, nil, fmt.Errorf("ann: hidden layer width %d, need at least 1", cfg.Hidden)
 	}
-	sizes := append([]int{tr.d}, cfg.Hidden...)
-	sizes = append(sizes, 1)
+	sizes := []int{tr.d, cfg.Hidden, 1}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nets := make([]*Network, len(tr.y))
 	if inits != nil {
@@ -109,7 +108,7 @@ func trainCore(tr *dataSet, trainIdx []int, vd *dataSet, validIdx []int, inits [
 	return out, res, nil
 }
 
-// lockstep is the working state of trainCore: the live targets' first
+// lockstep is the working state of trainCore: the live targets' hidden
 // layers packed feature-major — row 0 the biases, row i+1 every lane's
 // weight for feature i — with lane s·hp+j holding hidden unit j of live
 // target s, plus the batch scratch of that layer. A target whose early
@@ -122,49 +121,51 @@ func trainCore(tr *dataSet, trainIdx []int, vd *dataSet, validIdx []int, inits [
 // sequence (sgdFeatureMajor) — the bits of the row-major layer it stands
 // for.
 type lockstep struct {
-	sizes []int
-	// hp is the lanes per target: the first hidden width rounded up to
-	// the vector width. Pad lanes hold zero weights and a zero η·δ.
+	// d is the feature count and h the hidden width.
+	d, h int
+	// hp is the lanes per target: h rounded up to the vector width. Pad
+	// lanes hold zero weights and a zero η·δ.
 	hp int
 	// rows is the scratch capacity in samples.
 	rows int
-	// w0 and v0 are the first layer's weights and velocities, (d+1) rows
+	// w0 and v0 are the hidden layer's weights and velocities, (d+1) rows
 	// of lanes() columns.
 	w0, v0 []float64
 	// x holds a batch's gathered input rows, 1 first (the bias input).
 	x []float64
-	// acts0 and eta0 hold one row of lanes() per sample: the first hidden
+	// acts0 and eta0 hold one row of lanes() per sample: the hidden
 	// layer's activations, and its η·δ.
 	acts0, eta0 []float64
 	live        []*target
 }
 
-// target is one network of a lockstep run: the layers past the first,
-// their batch scratch, its labels and its early-stopping state.
+// target is one network of a lockstep run: its output unit and that unit's
+// batch scratch, its labels and its early-stopping state.
 type target struct {
-	// net holds the current weights of layers ≥ 1; its first layer is
-	// only written by snapshot.
+	// net holds the current output-unit weights (w[1]); its hidden layer
+	// is only written by snapshot.
 	net *Network
-	// vel, acts and deltas are indexed by layer; index 0 is unused (the
-	// first layer lives in the lockstep's lanes).
-	vel, acts, deltas [][]float64
-	y, vy             []float64 // training and validation labels
-	sum, valid        float64   // the epoch's summed squared error, the last validation MSE
-	best              *Network
-	bestValid         float64
-	bad               int
-	res               TrainResult
+	// vel is the output unit's velocity. out holds the batch's outputs,
+	// which step overwrites with their errors: the output deltas, the
+	// unit being linear.
+	vel, out   []float64
+	y, vy      []float64 // training and validation labels
+	sum, valid float64   // the epoch's summed squared error, the last validation MSE
+	best       *Network
+	bestValid  float64
+	bad        int
+	res        TrainResult
 }
 
-// newLockstep packs nets (one topology, at least one hidden layer) into
-// lanes, with batch scratch for rows samples.
+// newLockstep packs nets (one [d, h, 1] shape) into lanes, with batch
+// scratch for rows samples.
 func newLockstep(nets []*Network, rows int) *lockstep {
-	sizes := nets[0].Sizes
-	d, h := sizes[0], sizes[1]
+	d, h := nets[0].Sizes[0], nets[0].Sizes[1]
 	hp := (h + 3) &^ 3
 	lanes := len(nets) * hp
 	ls := &lockstep{
-		sizes: sizes,
+		d:     d,
+		h:     h,
 		hp:    hp,
 		rows:  rows,
 		w0:    make([]float64, (d+1)*lanes),
@@ -182,14 +183,7 @@ func newLockstep(nets []*Network, rows int) *lockstep {
 				ls.w0[(i+1)*lanes+u] = w
 			}
 		}
-		nl := len(n.w)
-		tg := &target{net: n, vel: make([][]float64, nl), acts: make([][]float64, nl), deltas: make([][]float64, nl)}
-		for l := 1; l < nl; l++ {
-			tg.vel[l] = make([]float64, len(n.w[l]))
-			tg.acts[l] = make([]float64, rows*sizes[l+1])
-			tg.deltas[l] = make([]float64, rows*sizes[l+1])
-		}
-		ls.live = append(ls.live, tg)
+		ls.live = append(ls.live, &target{net: n, vel: make([]float64, len(n.w[1])), out: make([]float64, rows)})
 	}
 	return ls
 }
@@ -212,8 +206,8 @@ func (ls *lockstep) epoch(ds *dataSet, order []int, batch int, lr, momentum floa
 	}
 }
 
-// forward0 gathers the listed rows' inputs into x and computes the first
-// hidden layer's activations of every live lane.
+// forward0 gathers the listed rows' inputs into x and computes the hidden
+// layer's activations of every live lane.
 func (ls *lockstep) forward0(ds *dataSet, idx []int) {
 	d1 := ds.d + 1
 	lanes := ls.lanes()
@@ -225,16 +219,11 @@ func (ls *lockstep) forward0(ds *dataSet, idx []int) {
 	}
 }
 
-// forward runs layers ≥ 1 of target s over m rows of the first hidden
-// layer's activations.
+// forward runs target s's output unit over m rows of hidden activations
+// into its out.
 func (ls *lockstep) forward(s, m int) {
 	tg := ls.live[s]
-	nl := len(ls.sizes) - 1
-	in, ld := ls.acts0[s*ls.hp:], ls.lanes()
-	for l := 1; l < nl; l++ {
-		denseForward(tg.acts[l], in, tg.net.w[l], m, ls.sizes[l], ls.sizes[l+1], ld, l != nl-1)
-		in, ld = tg.acts[l], ls.sizes[l+1]
-	}
+	denseForward(tg.out, ls.acts0[s*ls.hp:], tg.net.w[1], m, ls.h, ls.lanes())
 }
 
 // step runs forward, backward and weight update of one mini-batch for every
@@ -243,36 +232,24 @@ func (ls *lockstep) forward(s, m int) {
 func (ls *lockstep) step(ds *dataSet, idx []int, lr, momentum float64) {
 	m := len(idx)
 	lanes := ls.lanes()
-	sizes := ls.sizes
-	nl := len(sizes) - 1
 	ls.forward0(ds, idx)
 	for s, tg := range ls.live {
 		ls.forward(s, m)
 
 		// Output deltas (linear unit: delta = error) and squared error.
-		out, dOut := tg.acts[nl-1], tg.deltas[nl-1]
 		var sum float64
 		for r, id := range idx {
-			e := out[r] - tg.y[id]
-			dOut[r] = e
+			e := tg.out[r] - tg.y[id]
+			tg.out[r] = e
 			sum += e * e
 		}
 		tg.sum += sum
 
-		// Hidden deltas, output layer inward; the first layer's straight
-		// into its lanes as η·δ.
-		for l := nl - 2; l >= 1; l-- {
-			hiddenDelta(tg.deltas[l], tg.deltas[l+1], tg.net.w[l+1], tg.acts[l], m, sizes[l+1], sizes[l+2])
-		}
+		// The hidden deltas go straight into the lanes as η·δ; then the
+		// fused momentum/AXPY update of the output unit.
 		a0 := ls.acts0[s*ls.hp:]
-		hiddenEta(ls.eta0[s*ls.hp:], tg.deltas[1], tg.net.w[1], a0, m, sizes[1], sizes[2], lanes, lr)
-
-		// Fused momentum/AXPY update of layers ≥ 1.
-		in, ld := a0, lanes
-		for l := 1; l < nl; l++ {
-			sgdStep(tg.net.w[l], tg.vel[l], tg.deltas[l], in, m, sizes[l+1], sizes[l], ld, lr, momentum)
-			in, ld = tg.acts[l], sizes[l+1]
-		}
+		hiddenEta(ls.eta0[s*ls.hp:], tg.out, tg.net.w[1], a0, m, ls.h, 1, lanes, lr)
+		sgdStep(tg.net.w[1], tg.vel, tg.out, a0, m, 1, ls.h, lanes, lr, momentum)
 	}
 	d1 := ds.d + 1
 	sgdFeatureMajor(ls.w0[:d1*lanes], ls.v0[:d1*lanes], ls.eta0, ls.x, m, d1, lanes, d1, momentum)
@@ -283,7 +260,6 @@ func (ls *lockstep) step(ds *dataSet, idx []int, lr, momentum float64) {
 // errors accumulate in row order, so the result is the per-sample MSE's
 // bits at any chunk size.
 func (ls *lockstep) validate(ds *dataSet, idx []int) {
-	nl := len(ls.sizes) - 1
 	for _, tg := range ls.live {
 		tg.valid = 0
 	}
@@ -292,9 +268,8 @@ func (ls *lockstep) validate(ds *dataSet, idx []int) {
 		ls.forward0(ds, chunk)
 		for s, tg := range ls.live {
 			ls.forward(s, len(chunk))
-			out := tg.acts[nl-1]
 			for r, id := range chunk {
-				e := out[r] - tg.vy[id]
+				e := tg.out[r] - tg.vy[id]
 				tg.valid += e * e
 			}
 		}
@@ -305,22 +280,18 @@ func (ls *lockstep) validate(ds *dataSet, idx []int) {
 }
 
 // snapshot copies live target s's current weights into dst, a network of
-// the same topology.
+// the same shape.
 func (ls *lockstep) snapshot(s int, dst *Network) {
 	lanes := ls.lanes()
-	d, h := ls.sizes[0], ls.sizes[1]
-	for j := 0; j < h; j++ {
+	for j := 0; j < ls.h; j++ {
 		u := s*ls.hp + j
 		row := dst.layerRow(0, j)
-		row[d] = ls.w0[u]
-		for i := range row[:d] {
+		row[ls.d] = ls.w0[u]
+		for i := range row[:ls.d] {
 			row[i] = ls.w0[(i+1)*lanes+u]
 		}
 	}
-	src := ls.live[s].net
-	for l := 1; l < len(dst.w); l++ {
-		copy(dst.w[l], src.w[l])
-	}
+	copy(dst.w[1], ls.live[s].net.w[1])
 }
 
 // retire compacts the targets whose early stop fired out of the lanes.
@@ -340,7 +311,7 @@ func (ls *lockstep) retire() {
 	}
 	old, hp := ls.lanes(), ls.hp
 	lanes := len(keep) * hp
-	for i := 0; i <= ls.sizes[0]; i++ {
+	for i := 0; i <= ls.d; i++ {
 		for n, s := range from {
 			copy(ls.w0[i*lanes+n*hp:][:hp], ls.w0[i*old+s*hp:][:hp])
 			copy(ls.v0[i*lanes+n*hp:][:hp], ls.v0[i*old+s*hp:][:hp])

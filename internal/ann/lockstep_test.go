@@ -53,30 +53,25 @@ func requireSameEnsemble(t *testing.T, label string, got, want *Ensemble) {
 // to the row-major reference (reference_test.go) training every target
 // alone: weights and EstimateMSE compared by math.Float64bits, across
 // target counts, hidden widths (with and without pad lanes), feature
-// counts, batch sizes, cold start, warm start and fine-tuning, and one
-// two-hidden-layer topology.
+// counts, batch sizes, cold start, warm start and fine-tuning.
 func TestLockstepBitIdenticalToIndependentTrainers(t *testing.T) {
 	cases := []struct {
-		targets int
-		hidden  []int
-		d, b    int
-		mode    string
+		targets, hidden, d, b int
+		mode                  string
 	}{
-		{1, []int{16}, 13, 8, "warm"},
-		{2, []int{1}, 1, 1, "cold"},
-		{3, []int{3}, 3, 5, "finetune"},
-		{4, []int{4}, 5, 8, "cold"},
-		{5, []int{17}, 13, 5, "warm"},
-		{4, []int{16}, 3, 8, "finetune"},
-		{3, []int{17}, 5, 1, "warm"},
-		{2, []int{16}, 13, 5, "cold"},
-		{5, []int{3}, 1, 8, "finetune"},
-		{1, []int{4}, 3, 1, "cold"},
-		{4, []int{8, 4}, 5, 5, "warm"},
-		{3, []int{8, 4}, 3, 8, "finetune"},
+		{1, 16, 13, 8, "warm"},
+		{2, 1, 1, 1, "cold"},
+		{3, 3, 3, 5, "finetune"},
+		{4, 4, 5, 8, "cold"},
+		{5, 17, 13, 5, "warm"},
+		{4, 16, 3, 8, "finetune"},
+		{3, 17, 5, 1, "warm"},
+		{2, 16, 13, 5, "cold"},
+		{5, 3, 1, 8, "finetune"},
+		{1, 4, 3, 1, "cold"},
 	}
 	for _, c := range cases {
-		name := fmt.Sprintf("T%d_h%v_d%d_B%d_%s", c.targets, c.hidden, c.d, c.b, c.mode)
+		name := fmt.Sprintf("T%d_h[%d]_d%d_B%d_%s", c.targets, c.hidden, c.d, c.b, c.mode)
 		t.Run(name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Hidden = c.hidden

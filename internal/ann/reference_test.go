@@ -11,8 +11,53 @@ import (
 
 // The row-major, one-target trainer the lockstep loop replaced, kept as the
 // reference its bit-identity tests hold it to: each target trained alone,
-// every layer (the first included) through the row-major batch kernels,
-// each ensemble's members fanned out on their own.
+// both layers row-major — the hidden layer's forward pass and δ through the
+// scalar loops below, the output unit and both updates through the
+// dispatched kernels — each ensemble's members fanned out on their own.
+
+// hiddenForward computes the sigmoid hidden layer for a mini-batch:
+//
+//	out[b·units+j] = sigmoid( w[j·(inDim+1)+inDim] + Σ_i x[b·ldx+i] · w[j·(inDim+1)+i] )
+//
+// each sum bias first, then ascending i — Network.forward's order.
+func hiddenForward(out, x, w []float64, batch, inDim, units, ldx int) {
+	rowW := inDim + 1
+	for b := 0; b < batch; b++ {
+		xb := x[b*ldx:][:inDim]
+		for j := 0; j < units; j++ {
+			row := w[j*rowW:][:rowW]
+			sum := row[inDim]
+			for i, wv := range row[:inDim] {
+				sum += wv * xb[i]
+			}
+			out[b*units+j] = sigmoid(sum)
+		}
+	}
+}
+
+// hiddenDelta runs the backprop recurrence for the hidden layer over a
+// mini-batch: for every sample b and unit j,
+//
+//	d[b·units+j] = ( Σ_k wNext[k·(units+1)+j] · dNext[b·unitsNext+k] ) · a·(1−a)
+//
+// where a is the unit's forward activation. The k-sum runs in ascending
+// order, matching the per-sample backward pass bit-for-bit.
+func hiddenDelta(d, dNext, wNext, acts []float64, batch, units, unitsNext int) {
+	rowW := units + 1
+	for b := 0; b < batch; b++ {
+		db := d[b*units:][:units]
+		nd := dNext[b*unitsNext:][:unitsNext]
+		ab := acts[b*units:][:units]
+		for j := range db {
+			var sum float64
+			for k, ndk := range nd {
+				sum += wNext[k*rowW+j] * ndk
+			}
+			a := ab[j]
+			db[j] = sum * a * (1 - a)
+		}
+	}
+}
 
 // copyWeightsFrom overwrites n's weights with src's (same topology).
 func (n *Network) copyWeightsFrom(src *Network) {
@@ -31,27 +76,35 @@ func (n *Network) zeroLike() [][]float64 {
 	return vel
 }
 
-// batchScratch is the reference's working memory: the gathered input rows
-// plus batch-sized activation and delta matrices per layer.
+// batchScratch is the reference's working memory: the gathered input rows,
+// the hidden layer's batch activations and deltas, and the batch outputs.
 type batchScratch struct {
-	rows   int
-	x      []float64   // gathered inputs, rows×inDim
-	acts   [][]float64 // acts[l]: rows×Sizes[l+1]
-	deltas [][]float64 // deltas[l] matches acts[l]
+	rows            int
+	x               []float64 // gathered inputs, rows×inDim
+	hidden, dHidden []float64 // rows×Sizes[1]
+	out             []float64 // rows outputs, overwritten by their errors
 }
 
 func (n *Network) newBatchScratch(rows int) *batchScratch {
-	bs := &batchScratch{
-		rows:   rows,
-		x:      make([]float64, rows*n.Sizes[0]),
-		acts:   make([][]float64, len(n.Sizes)-1),
-		deltas: make([][]float64, len(n.Sizes)-1),
+	h := n.Sizes[1]
+	return &batchScratch{
+		rows:    rows,
+		x:       make([]float64, rows*n.Sizes[0]),
+		hidden:  make([]float64, rows*h),
+		dHidden: make([]float64, rows*h),
+		out:     make([]float64, rows),
 	}
-	for l := 1; l < len(n.Sizes); l++ {
-		bs.acts[l-1] = make([]float64, rows*n.Sizes[l])
-		bs.deltas[l-1] = make([]float64, rows*n.Sizes[l])
+}
+
+// forwardBatch gathers the listed rows into bs.x and runs the network over
+// them into bs.hidden and bs.out.
+func (n *Network) forwardBatch(ds *dataSet, idx []int, bs *batchScratch) {
+	d, h := ds.d, n.Sizes[1]
+	for r, id := range idx {
+		copy(bs.x[r*d:(r+1)*d], ds.row(id))
 	}
-	return bs
+	hiddenForward(bs.hidden, bs.x, n.w[0], len(idx), d, h, d)
+	denseForward(bs.out, bs.hidden, n.w[1], len(idx), h, h)
 }
 
 // epochBatched runs one epoch over the shuffled order in consecutive chunks
@@ -68,33 +121,17 @@ func (n *Network) epochBatched(ds *dataSet, y []float64, order []int, batch int,
 // returning the batch's summed squared error before the update.
 func (n *Network) batchStep(ds *dataSet, y []float64, batchIdx []int, lr, momentum float64, vel [][]float64, bs *batchScratch) float64 {
 	m := len(batchIdx)
-	d := ds.d
-	for r, id := range batchIdx {
-		copy(bs.x[r*d:(r+1)*d], ds.row(id))
-	}
-	nl := len(n.w)
-	in, ld := bs.x, d
-	for l := 0; l < nl; l++ {
-		units := n.Sizes[l+1]
-		denseForward(bs.acts[l], in, n.w[l], m, n.Sizes[l], units, ld, l != nl-1)
-		in, ld = bs.acts[l], units
-	}
-	out := bs.acts[nl-1]
-	dOut := bs.deltas[nl-1]
+	d, h := ds.d, n.Sizes[1]
+	n.forwardBatch(ds, batchIdx, bs)
 	var sum float64
 	for r, id := range batchIdx {
-		e := out[r] - y[id]
-		dOut[r] = e
+		e := bs.out[r] - y[id] // the linear output unit's delta
+		bs.out[r] = e
 		sum += e * e
 	}
-	for l := nl - 2; l >= 0; l-- {
-		hiddenDelta(bs.deltas[l], bs.deltas[l+1], n.w[l+1], bs.acts[l], m, n.Sizes[l+1], n.Sizes[l+2])
-	}
-	in, ld = bs.x, d
-	for l := 0; l < nl; l++ {
-		sgdStep(n.w[l], vel[l], bs.deltas[l], in, m, n.Sizes[l+1], n.Sizes[l], ld, lr, momentum)
-		in, ld = bs.acts[l], n.Sizes[l+1]
-	}
+	hiddenDelta(bs.dHidden, bs.out, n.w[1], bs.hidden, m, h, 1)
+	sgdStep(n.w[0], vel[0], bs.dHidden, bs.x, m, h, d, d, lr, momentum)
+	sgdStep(n.w[1], vel[1], bs.out, bs.hidden, m, 1, h, h, lr, momentum)
 	return sum
 }
 
@@ -104,24 +141,12 @@ func (n *Network) mseBatched(ds *dataSet, y []float64, idx []int, bs *batchScrat
 	if len(idx) == 0 {
 		return 0
 	}
-	d := ds.d
-	nl := len(n.w)
 	var sum float64
 	for start := 0; start < len(idx); start += bs.rows {
 		chunk := idx[start:min(start+bs.rows, len(idx))]
-		m := len(chunk)
+		n.forwardBatch(ds, chunk, bs)
 		for r, id := range chunk {
-			copy(bs.x[r*d:(r+1)*d], ds.row(id))
-		}
-		in, ld := bs.x, d
-		for l := 0; l < nl; l++ {
-			units := n.Sizes[l+1]
-			denseForward(bs.acts[l], in, n.w[l], m, n.Sizes[l], units, ld, l != nl-1)
-			in, ld = bs.acts[l], units
-		}
-		out := bs.acts[nl-1]
-		for r, id := range chunk {
-			e := out[r] - y[id]
+			e := bs.out[r] - y[id]
 			sum += e * e
 		}
 	}
@@ -134,8 +159,7 @@ func refTrainCore(ds *dataSet, y []float64, trainIdx []int, vds *dataSet, vy []f
 	if len(trainIdx) == 0 {
 		return nil, TrainResult{}, errors.New("ann: empty training set")
 	}
-	sizes := append([]int{ds.d}, cfg.Hidden...)
-	sizes = append(sizes, 1)
+	sizes := []int{ds.d, cfg.Hidden, 1}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var net *Network
 	if init != nil {
@@ -268,8 +292,7 @@ func refTrainEnsemble(samples []Sample, k int, cfg Config) (*Ensemble, error) {
 
 // refFineTuneEnsemble is FineTuneEnsemble on the reference trainer.
 func refFineTuneEnsemble(base *Ensemble, samples []Sample, cfg Config) (*Ensemble, error) {
-	sizes := base.Nets[0].Sizes
-	cfg.Hidden = append([]int(nil), sizes[1:len(sizes)-1]...)
+	cfg.Hidden = base.Nets[0].Sizes[1]
 	ds, err := base.Scaler.pack(samples)
 	if err != nil {
 		return nil, err

@@ -68,13 +68,7 @@ func FitScaler(samples []Sample) (*Scaler, error) {
 	return sc, nil
 }
 
-// X standardises a feature vector.
-func (sc *Scaler) X(x []float64) []float64 {
-	return sc.XInto(nil, x)
-}
-
-// XInto standardises x into dst (grown when too small), the
-// allocation-free form of X used on the prediction hot path.
+// XInto standardises the feature vector x into dst (grown when too small).
 func (sc *Scaler) XInto(dst, x []float64) []float64 {
 	if cap(dst) < len(x) {
 		dst = make([]float64, len(x))
@@ -96,20 +90,10 @@ func (sc *Scaler) InvY(y float64) float64 {
 	return sc.YMin + (y-0.1)/0.8*(sc.YMax-sc.YMin)
 }
 
-// pack normalises a whole sample set straight into a packed dataSet — the
-// allocation-lean form of Apply the ensemble trainer uses (two flat buffers
-// instead of one X slice per sample). Values are identical to Apply's.
+// pack normalises a whole sample set straight into a packed dataSet (two
+// flat buffers, not one X slice per sample) — the form the trainers read.
 func (sc *Scaler) pack(samples []Sample) (*dataSet, error) {
 	return packWith(samples, len(sc.Mean),
 		func(dst, x []float64) { sc.XInto(dst, x) },
 		sc.Y)
-}
-
-// Apply transforms a whole sample set.
-func (sc *Scaler) Apply(samples []Sample) []Sample {
-	out := make([]Sample, len(samples))
-	for i, s := range samples {
-		out[i] = Sample{X: sc.X(s.X), Y: sc.Y(s.Y)}
-	}
-	return out
 }

@@ -1,11 +1,41 @@
 package ann
 
-import "errors"
+import (
+	"errors"
+	"testing"
+)
 
 // Test-side entry points. No shipped code trains a lone network or
 // fine-tunes a lone ensemble — banks train through TrainEnsembles and
 // FineTuneEnsembles — so these forms live beside the tests and benchmarks
-// that drive them, each a thin call into the same trainCore.
+// that drive them, each a thin call into the same trainCore, together with
+// the helpers that hand them normalised samples and score the result.
+
+// normalise maps samples through sc: the pre-normalised form Train takes.
+func normalise(sc *Scaler, samples []Sample) []Sample {
+	out := make([]Sample, len(samples))
+	for i, s := range samples {
+		out[i] = Sample{X: sc.XInto(nil, s.X), Y: sc.Y(s.Y)}
+	}
+	return out
+}
+
+// packSamples packs already-normalised samples verbatim.
+func packSamples(samples []Sample, d int) (*dataSet, error) {
+	return packWith(samples, d,
+		func(dst, x []float64) { copy(dst, x) },
+		func(y float64) float64 { return y })
+}
+
+// setMSE returns n's mean squared error over normalised samples.
+func setMSE(t testing.TB, n *Network, set []Sample) float64 {
+	t.Helper()
+	ds, err := packSamples(set, n.InputDim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n.mseIdx(ds, ds.y[0], identityIdx(ds.n()))
+}
 
 // Train fits a network to train, early-stopping on valid. The returned
 // network is the snapshot with the best validation error seen (not the last

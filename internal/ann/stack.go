@@ -2,16 +2,14 @@ package ann
 
 // stack is an ensemble's inference form: the first layers of all members
 // packed so that one vector lane is one (member, hidden unit), and the
-// output layers side by side. It exists only for ensembles whose members
-// all share one [d, h, 1] topology — every ensemble the trainer produces —
-// and is built once, when the ensemble is; members of any other shape are
-// evaluated one by one (Ensemble.Predict's reference loop).
+// output layers side by side. NewEnsemble builds it once, from members that
+// share one [d, h, 1] shape.
 //
 // Per output the stacked pass performs exactly Network.forward's operation
 // sequence — hidden pre-activation bias first then ascending feature index,
 // the shared sigmoid, output dot bias first then ascending unit index — and
-// sums the members in ascending order, so it returns the bits the
-// per-member loop returns.
+// sums the members in ascending order, so it returns the bits a loop over
+// the members' own forward passes returns.
 type stack struct {
 	inDim, hidden, members int
 	// lanes is members·hidden rounded up to the vector width; lane
@@ -25,18 +23,10 @@ type stack struct {
 	w2 []float64
 }
 
-// newStack packs nets, or returns nil when they are not all the same
-// [d, h, 1] topology.
+// newStack packs nets, which NewEnsemble has checked share one [d, h, 1]
+// shape.
 func newStack(nets []*Network) *stack {
-	if len(nets) == 0 || len(nets[0].Sizes) != 3 || nets[0].Sizes[2] != 1 {
-		return nil
-	}
 	d, h := nets[0].Sizes[0], nets[0].Sizes[1]
-	for _, n := range nets[1:] {
-		if len(n.Sizes) != 3 || n.Sizes[0] != d || n.Sizes[1] != h || n.Sizes[2] != 1 {
-			return nil
-		}
-	}
 	s := &stack{inDim: d, hidden: h, members: len(nets), lanes: (len(nets)*h + 3) &^ 3}
 	s.wT = make([]float64, (d+1)*s.lanes)
 	s.w2 = make([]float64, 0, len(nets)*(h+1))

@@ -8,12 +8,12 @@ import (
 )
 
 // memberMean is the reference the stacked pass is held to: the ensemble's
-// prediction computed one member at a time through Network.Predict.
+// prediction computed one member at a time through Network.forward.
 func memberMean(e *Ensemble, x []float64) float64 {
-	nx := e.Scaler.X(x)
+	nx := e.Scaler.XInto(nil, x)
 	var sum float64
 	for _, n := range e.Nets {
-		sum += n.Predict(nx)
+		sum += n.forward(nx, make([]float64, n.Sizes[1]))
 	}
 	return e.Scaler.InvY(sum / float64(len(e.Nets)))
 }
@@ -85,7 +85,8 @@ func requireStackMatchesMembers(t *testing.T, e *Ensemble, inputs [][]float64, l
 }
 
 // TestStackedEnsembleBitIdenticalToMembers holds the stacked pass to the
-// per-member loop, bit for bit, under whichever kernel this leg bound.
+// members' own forward passes, bit for bit, under whichever kernel this leg
+// bound.
 func TestStackedEnsembleBitIdenticalToMembers(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, k := range []int{3, 5, 7, 10} {
@@ -93,9 +94,6 @@ func TestStackedEnsembleBitIdenticalToMembers(t *testing.T) {
 			for _, d := range []int{1, 3, 13} {
 				for _, scale := range []float64{1, 1e3} {
 					e := randomEnsemble(t, rng, k, []int{d, h, 1}, scale)
-					if e.stack == nil {
-						t.Fatalf("k=%d [%d,%d,1]: no stack built", k, d, h)
-					}
 					requireStackMatchesMembers(t, e, stackInputs(rng, d, 40), "random")
 				}
 			}
@@ -104,32 +102,11 @@ func TestStackedEnsembleBitIdenticalToMembers(t *testing.T) {
 
 	set := synthSamples(240, 5, 0.01)
 	for _, k := range []int{3, 5} {
-		e, err := TrainEnsemble(set, k, Config{Hidden: []int{16}, MaxEpochs: 30, Seed: 9})
+		e, err := TrainEnsemble(set, k, Config{Hidden: 16, MaxEpochs: 30, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.stack == nil {
-			t.Fatalf("trained k=%d ensemble has no stack", k)
-		}
 		requireStackMatchesMembers(t, e, stackInputs(rng, len(set[0].X), 120), "trained")
-	}
-
-	// Shapes the stack does not cover fall back to the member loop.
-	deep := randomEnsemble(t, rng, 5, []int{3, 8, 4, 1}, 1)
-	mixed := randomEnsemble(t, rng, 4, []int{3, 8, 1}, 1)
-	odd, err := NewNetwork([]int{3, 5, 1}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed, err = NewEnsemble(append(mixed.Nets[:3:3], odd), mixed.Scaler, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, e := range map[string]*Ensemble{"deep": deep, "mixed": mixed} {
-		if e.stack != nil {
-			t.Fatalf("%s ensemble was stacked", name)
-		}
-		requireStackMatchesMembers(t, e, stackInputs(rng, 3, 40), name)
 	}
 }
 
@@ -167,10 +144,21 @@ func TestNewEnsembleRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	nets := []*Network{net}
+	narrow, err := NewNetwork([]int{2, 2, 1}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// NewNetwork refuses these shapes; Sizes is exported, so NewEnsemble
+	// checks them again.
+	deep := &Network{Sizes: []int{2, 3, 3, 1}, w: [][]float64{make([]float64, 9), make([]float64, 12), make([]float64, 4)}}
+	wide := &Network{Sizes: []int{2, 3, 2}, w: [][]float64{make([]float64, 9), make([]float64, 8)}}
 	ok := func() *Scaler { return &Scaler{Mean: []float64{0, 0}, Std: []float64{1, 1}, YMax: 1} }
 	cases := map[string]func() ([]*Network, *Scaler){
 		"no members":     func() ([]*Network, *Scaler) { return nil, ok() },
 		"nil member":     func() ([]*Network, *Scaler) { return []*Network{nil}, ok() },
+		"deep member":    func() ([]*Network, *Scaler) { return []*Network{net, deep}, ok() },
+		"wide output":    func() ([]*Network, *Scaler) { return []*Network{wide}, ok() },
+		"mixed widths":   func() ([]*Network, *Scaler) { return []*Network{net, narrow}, ok() },
 		"no scaler":      func() ([]*Network, *Scaler) { return nets, nil },
 		"mean/std":       func() ([]*Network, *Scaler) { s := ok(); s.Std = s.Std[:1]; return nets, s },
 		"input dim":      func() ([]*Network, *Scaler) { s := ok(); s.Mean, s.Std = s.Mean[:1], s.Std[:1]; return nets, s },

@@ -9,9 +9,9 @@ type Sample struct {
 
 // Config controls network construction and training.
 type Config struct {
-	// Hidden lists hidden-layer widths; the paper's three-layer topology
-	// corresponds to one entry (e.g. 16).
-	Hidden []int
+	// Hidden is the width of the one sigmoid hidden layer: every network is
+	// the paper's three-layer [inputs, Hidden, 1]. It must be at least 1.
+	Hidden int
 	// LearningRate is the backprop step size η.
 	LearningRate float64
 	// Momentum is the velocity retention μ.
@@ -47,12 +47,12 @@ type Config struct {
 }
 
 // DefaultConfig returns the training configuration used throughout the
-// reproduction: one 16-unit hidden layer, η = 0.05, μ = 0.5, up to 400
-// epochs with patience 25, per-sample updates and cold-start ensembles
-// (BatchSize and WarmStartEpochs are opt-in performance knobs).
+// reproduction: 16 hidden units, η = 0.05, μ = 0.5, up to 400 epochs with
+// patience 25, per-sample updates and cold-start ensembles (BatchSize and
+// WarmStartEpochs are opt-in performance knobs).
 func DefaultConfig() Config {
 	return Config{
-		Hidden:       []int{16},
+		Hidden:       16,
 		LearningRate: 0.05,
 		Momentum:     0.5,
 		MaxEpochs:    400,

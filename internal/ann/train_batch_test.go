@@ -37,49 +37,35 @@ func weightsEqual(a, b *Network) bool {
 // backprop is classic per-sample stochastic backprop, the bit-identity
 // reference of the batched trainer: one gradient step on sample (x, y) with
 // the given learning rate, accumulating momentum into vel (same shape as
-// the flattened weights) and using s and deltas (same shape as s.acts) as
+// the flattened weights) and using acts and deltas (hidden-width each) as
 // working memory. It returns the squared error before the update.
-func (n *Network) backprop(x []float64, y, lr, momentum float64, vel [][]float64, s *scratch, deltas [][]float64) float64 {
-	out := n.forward(x, s)
-	errOut := out - y
+func (n *Network) backprop(x []float64, y, lr, momentum float64, vel [][]float64, acts, deltas []float64) float64 {
+	errOut := n.forward(x, acts) - y // the linear output unit's delta
 
-	// Deltas per layer (output layer is linear: delta = error).
-	nl := len(n.w)
-	deltas[nl-1][0] = errOut
-	for l := nl - 2; l >= 0; l-- {
-		d := deltas[l]
-		next := deltas[l+1]
-		nextRowW := n.rowWidth(l + 1)
-		nextLayer := n.w[l+1]
-		for j := range d {
-			var sum float64
-			for k, nd := range next {
-				sum += nextLayer[k*nextRowW+j] * nd
-			}
-			a := s.acts[l][j]
-			d[j] = sum * a * (1 - a) // sigmoid derivative
-		}
+	// Hidden deltas through the output weights, sigmoid derivative; each
+	// sum starts from zero, as hiddenEta's does.
+	for j := range deltas {
+		var sum float64
+		sum += n.w[1][j] * errOut
+		a := acts[j]
+		deltas[j] = sum * a * (1 - a)
 	}
 
 	// Weight update with momentum: v ← μv − η∂E/∂w; w ← w + v
 	// (equation (1) of the paper plus the standard momentum term).
-	in := x
-	for l := range n.w {
+	for l, layer := range []struct{ in, d []float64 }{{x, deltas}, {acts, []float64{errOut}}} {
 		rowW := n.rowWidth(l)
-		layer := n.w[l]
-		vlayer := vel[l]
-		for j, d := range deltas[l] {
-			row := layer[j*rowW : (j+1)*rowW]
-			v := vlayer[j*rowW : (j+1)*rowW]
-			for i := range in {
-				v[i] = momentum*v[i] - lr*d*in[i]
+		for j, d := range layer.d {
+			row := n.w[l][j*rowW : (j+1)*rowW]
+			v := vel[l][j*rowW : (j+1)*rowW]
+			for i := range layer.in {
+				v[i] = momentum*v[i] - lr*d*layer.in[i]
 				row[i] += v[i]
 			}
 			bi := rowW - 1
 			v[bi] = momentum*v[bi] - lr*d
 			row[bi] += v[bi]
 		}
-		in = s.acts[l]
 	}
 	return errOut * errOut
 }
@@ -122,8 +108,7 @@ func TestBatchedEpochMatchesPerSampleAtBatchOne(t *testing.T) {
 	for i, tg := range ls.live {
 		tg.y = ds.y[i]
 	}
-	sc := init.getScratch()
-	deltas := [][]float64{make([]float64, 16), make([]float64, 1)}
+	acts, deltas := make([]float64, 16), make([]float64, 16)
 	got := init.Clone()
 	rng := rand.New(rand.NewSource(5))
 	order := identityIdx(ds.n())
@@ -133,7 +118,7 @@ func TestBatchedEpochMatchesPerSampleAtBatchOne(t *testing.T) {
 		for i, ref := range refs {
 			var sum float64
 			for _, id := range order {
-				sum += ref.backprop(ds.row(id), ds.y[i][id], 0.05, 0.5, vels[i], sc, deltas)
+				sum += ref.backprop(ds.row(id), ds.y[i][id], 0.05, 0.5, vels[i], acts, deltas)
 			}
 			if math.Float64bits(sum) != math.Float64bits(ls.live[i].sum) {
 				t.Fatalf("epoch %d target %d: squared-error sums differ: %v vs %v", epoch, i, sum, ls.live[i].sum)
@@ -144,7 +129,6 @@ func TestBatchedEpochMatchesPerSampleAtBatchOne(t *testing.T) {
 			}
 		}
 	}
-	init.putScratch(sc)
 }
 
 // TestBatchedMSEMatchesPerSample asserts the lockstep validation pass is
@@ -182,7 +166,7 @@ func TestBatchedMSEMatchesPerSample(t *testing.T) {
 func TestTrainBatchSizeZeroAndOneEquivalent(t *testing.T) {
 	samples := synthSamples(80, 17, 0.02)
 	scaler, _ := FitScaler(samples)
-	norm := scaler.Apply(samples)
+	norm := normalise(scaler, samples)
 	cfg := DefaultConfig()
 	cfg.MaxEpochs = 30
 	a, _, err := Train(norm[:60], norm[60:], cfg)
@@ -204,7 +188,7 @@ func TestTrainBatchSizeZeroAndOneEquivalent(t *testing.T) {
 func TestBatchedTrainingLearns(t *testing.T) {
 	samples := synthSamples(400, 7, 0)
 	scaler, _ := FitScaler(samples)
-	norm := scaler.Apply(samples)
+	norm := normalise(scaler, samples)
 	train, valid := norm[:320], norm[320:]
 	cfg := DefaultConfig()
 	cfg.MaxEpochs = 300
@@ -226,7 +210,7 @@ func TestBatchedTrainingLearns(t *testing.T) {
 		varY += d * d
 	}
 	varY /= float64(len(valid))
-	if mse := net.MSE(valid); mse > varY/3 {
+	if mse := setMSE(t, net, valid); mse > varY/3 {
 		t.Errorf("batched validation MSE %.5f not well below target variance %.5f", mse, varY)
 	}
 }
@@ -238,7 +222,7 @@ func TestBatchedTrainingLearns(t *testing.T) {
 func TestWarmStartReachesColdStartValidMSE(t *testing.T) {
 	samples := synthSamples(300, 23, 0.03)
 	scaler, _ := FitScaler(samples)
-	norm := scaler.Apply(samples)
+	norm := normalise(scaler, samples)
 	train, valid := norm[:240], norm[240:]
 	cfg := DefaultConfig()
 	cfg.MaxEpochs = 200
@@ -286,7 +270,7 @@ func TestTrainFromRejectsTopologyMismatch(t *testing.T) {
 func TestTrainNoValidationSkipsSnapshot(t *testing.T) {
 	samples := synthSamples(40, 9, 0.02)
 	scaler, _ := FitScaler(samples)
-	norm := scaler.Apply(samples)
+	norm := normalise(scaler, samples)
 	cfg := DefaultConfig()
 	cfg.MaxEpochs = 2
 

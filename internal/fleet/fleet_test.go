@@ -237,8 +237,8 @@ func TestCoSchedulingParity(t *testing.T) {
 	}
 }
 
-// TestTreapOrder exercises the probe structure directly: inserts, updates
-// and bounded walks must agree with a sorted reference.
+// TestTreapOrder exercises the probe structure directly: after inserts and
+// updates, a walk must agree with a sorted reference.
 func TestTreapOrder(t *testing.T) {
 	const n = 200
 	tr := newMachTreap(n)
@@ -260,18 +260,6 @@ func TestTreapOrder(t *testing.T) {
 		a, b := got[i-1], got[i]
 		if keys[a] > keys[b] || (keys[a] == keys[b] && a >= b) {
 			t.Fatalf("walk out of order at %d: (%.0f,%d) before (%.0f,%d)", i, keys[a], a, keys[b], b)
-		}
-	}
-	// WalkFrom resumes strictly after the bound.
-	mid := got[n/2]
-	var tail []int32
-	tr.WalkFrom(keys[mid], mid, func(i int32) bool { tail = append(tail, i); return true })
-	if len(tail) != n-n/2-1 {
-		t.Fatalf("WalkFrom visited %d, want %d", len(tail), n-n/2-1)
-	}
-	for k, i := range tail {
-		if i != got[n/2+1+k] {
-			t.Fatalf("WalkFrom order diverges at %d", k)
 		}
 	}
 }

@@ -418,7 +418,7 @@ func (r *run) selectIncremental(j *Job) (int, candidate, bool) {
 	}
 	var cand candidate
 	mi := -1
-	r.treap.WalkFrom(math.Inf(-1), -1, func(i int32) bool {
+	r.treap.Walk(func(i int32) bool {
 		m := &r.states[i]
 		if m.freeTotal < 1 {
 			return true

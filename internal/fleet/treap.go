@@ -1,7 +1,5 @@
 package fleet
 
-import "math"
-
 // machTreap keeps fleet machines ordered by (congestion key, machine
 // index) so the incremental scorer can probe candidates
 // least-congested-first and update a touched machine in O(log M). The
@@ -117,43 +115,23 @@ func (t *machTreap) Update(i int32, key float64) {
 }
 
 // Walk visits machines in (key, index) order, calling visit until it
-// returns false. The explicit stack avoids recursion on the hot path.
+// returns false — the incremental scorer's least-congested-first probe.
+// The explicit stack avoids recursion on the hot path.
 func (t *machTreap) Walk(visit func(i int32) bool) {
-	t.WalkFrom(math.Inf(-1), -1, visit)
-}
-
-// WalkFrom visits machines strictly after (key, idx) in (key, index)
-// order, calling visit until it returns false — the incremental scorer's
-// probe resumption: O(log M) to reach the bound, then in-order.
-func (t *machTreap) WalkFrom(key float64, idx int32, visit func(i int32) bool) {
+	// The stack holds the ancestors whose node and right subtree are still
+	// pending: a node's whole left spine is stacked before it is visited.
 	t.stack = t.stack[:0]
-	n := t.root
-	// Descend to the first node after the bound, stacking ancestors whose
-	// left subtrees are still pending.
-	for n != nilNode {
-		nk := t.nodes[n].key
-		if nk < key || (nk == key && n <= idx) {
-			n = t.nodes[n].right
-		} else {
-			t.stack = append(t.stack, n)
-			n = t.nodes[n].left
-		}
+	for n := t.root; n != nilNode; n = t.nodes[n].left {
+		t.stack = append(t.stack, n)
 	}
 	for len(t.stack) > 0 {
-		n = t.stack[len(t.stack)-1]
+		n := t.stack[len(t.stack)-1]
 		t.stack = t.stack[:len(t.stack)-1]
 		if !visit(n) {
 			return
 		}
-		n = t.nodes[n].right
-		for n != nilNode {
-			nk := t.nodes[n].key
-			if nk < key || (nk == key && n <= idx) {
-				n = t.nodes[n].right
-			} else {
-				t.stack = append(t.stack, n)
-				n = t.nodes[n].left
-			}
+		for n = t.nodes[n].right; n != nilNode; n = t.nodes[n].left {
+			t.stack = append(t.stack, n)
 		}
 	}
 }

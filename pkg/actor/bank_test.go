@@ -235,21 +235,25 @@ func decodeBankRejects() []struct{ name, data, want string } {
 			"nets":[{"sizes":[2,3,1],"weights":[[0.1],[0.2]]}]}}}]}`, "weights"},
 		{"scaler/net dim mismatch", `{"format":"actor-bank","version":1,"configs":["1","4"],"sample_config":"4",
 			"predictors":[{"events":["L2_LINES_IN"],"ann":{"1":{"scaler":{"mean":[0,0,0],"std":[1,1,1],"ymin":0,"ymax":1},
-			"nets":[{"sizes":[2,1],"weights":[[0.1,0.2,0.3]]}]}}}]}`, "does not match the scaler"},
-		{"net with one layer size", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2],"weights":[]}]`), "need at least input and output"},
-		{"net layer count mismatch", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1],"weights":[]}]`), "0 weight layers for 2 layer sizes"},
-		{"net unit count mismatch", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,2],"weights":[[1,2,3]]}]`), "layer 0 has 3 weights, want 6"},
-		{"net short weight row", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1],"weights":[[1,2]]}]`), "layer 0 has 2 weights, want 3"},
+			"nets":[{"sizes":[2,1,1],"weights":[[0.1,0.2,0.3],[0.4,0.5]]}]}}}]}`, "does not match the scaler"},
+		{"net with one layer size", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2],"weights":[]}]`), "exactly one hidden layer"},
+		{"net layer count mismatch", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1,1],"weights":[]}]`), "0 weight layers for 3 layer sizes"},
+		{"net unit count mismatch", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,2,1],"weights":[[1,2,3],[1,2,3]]}]`), "layer 0 has 3 weights, want 6"},
+		{"net short weight row", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1,1],"weights":[[1,2],[1,2]]}]`), "layer 0 has 2 weights, want 3"},
 		{"empty ensemble", annBank(`[0,0]`, `[1,1]`, `[]`), "no member networks"},
-		{"scaler mean/std mismatch", annBank(`[0,0]`, `[1]`, `[{"sizes":[2,1],"weights":[[1,2,3]]}]`), "mean/std length mismatch"},
-		{"zero scaler std", annBank(`[0,0]`, `[1,0]`, `[{"sizes":[2,1],"weights":[[1,2,3]]}]`), `predictor 0 target "1": ann: scaler std[1] = 0`},
-		{"negative scaler std", annBank(`[0,0]`, `[-1,1]`, `[{"sizes":[2,1],"weights":[[1,2,3]]}]`), `predictor 0 target "1": ann: scaler std[0] = -1`},
+		{"scaler mean/std mismatch", annBank(`[0,0]`, `[1]`, `[{"sizes":[2,1,1],"weights":[[1,2,3],[1,0]]}]`), "mean/std length mismatch"},
+		{"zero scaler std", annBank(`[0,0]`, `[1,0]`, `[{"sizes":[2,1,1],"weights":[[1,2,3],[1,0]]}]`), `predictor 0 target "1": ann: scaler std[1] = 0`},
+		{"negative scaler std", annBank(`[0,0]`, `[-1,1]`, `[{"sizes":[2,1,1],"weights":[[1,2,3],[1,0]]}]`), `predictor 0 target "1": ann: scaler std[0] = -1`},
 		{"inverted target range", `{"format":"actor-bank","version":1,"configs":["1","4"],"sample_config":"4",
 			"predictors":[{"events":["L2_LINES_IN"],"ann":{"1":{"scaler":{"mean":[0,0],"std":[1,1],"ymin":2,"ymax":1},
-			"nets":[{"sizes":[2,1],"weights":[[1,2,3]]}]}}}]}`, `predictor 0 target "1": ann: scaler target range is inverted`},
-		{"overflowing weights", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1],"weights":[[1,2,1e308]]},{"sizes":[2,1],"weights":[[1,2,1e308]]}]`), `predictor 0: target "1" predicts a non-finite IPC`},
+			"nets":[{"sizes":[2,1,1],"weights":[[1,2,3],[1,0]]}]}}}]}`, `predictor 0 target "1": ann: scaler target range is inverted`},
+		{"overflowing weights", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1,1],"weights":[[1,2,3],[1,1e308]]},{"sizes":[2,1,1],"weights":[[1,2,3],[1,1e308]]}]`), `predictor 0: target "1" predicts a non-finite IPC`},
 		{"empty coefficient vector", `{"format":"actor-bank","version":1,"configs":["1","4"],"sample_config":"4",
 			"predictors":[{"events":["L2_LINES_IN"],"mlr":{"1":[]}}]}`, "at least an intercept"},
+		{"two hidden layers", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1,1,1],"weights":[[1,2,3],[1,0],[1,0]]}]`), `predictor 0 target "1" net 0: ann: layer sizes [2 1 1 1]: a network has exactly one hidden layer`},
+		{"no hidden layer", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1],"weights":[[1,2,3]]}]`), `predictor 0 target "1" net 0: ann: layer sizes [2 1]: a network has exactly one hidden layer`},
+		{"two-unit output layer", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1,2],"weights":[[1,2,3],[1,0,1,0]]}]`), "output layer of 2 units: a network has one linear output unit"},
+		{"ensemble mixing widths", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1,1],"weights":[[1,2,3],[1,0]]},{"sizes":[2,2,1],"weights":[[1,2,3,1,2,3],[1,1,0]]}]`), "net 1 has 2 hidden units, net 0 has 1; members share one width"},
 	}
 }
 

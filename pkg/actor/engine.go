@@ -11,6 +11,7 @@ import (
 	"github.com/greenhpc/actor/internal/dataset"
 	"github.com/greenhpc/actor/internal/exp"
 	"github.com/greenhpc/actor/internal/machine"
+	"github.com/greenhpc/actor/internal/noise"
 	"github.com/greenhpc/actor/internal/parallel"
 	"github.com/greenhpc/actor/internal/topology"
 )
@@ -148,20 +149,12 @@ func (e *Engine) Train(ctx context.Context) (*Bank, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	collector := dataset.NewCollector(e.suite.Noisy, e.suite.Truth)
-	collector.Configs = e.suite.Configs
-	collector.SampleConfig = e.suite.SampleConfig()
-	collector.Repetitions = e.suite.Opts.Repetitions
-	suiteSamples, err := collector.CollectSuite(e.suite.Benches)
+	all, err := e.collectCampaign(nil)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	var all []dataset.PhaseSample
-	for _, b := range e.suite.Benches {
-		all = append(all, suiteSamples[b.Name]...)
 	}
 	targets := e.suite.Targets()
 	ecs := e.cfg.eventCounts
@@ -190,6 +183,28 @@ func (e *Engine) Train(ctx context.Context) (*Bank, error) {
 	e.bank = wrapped
 	e.mu.Unlock()
 	return wrapped, nil
+}
+
+// collectCampaign runs a characterisation campaign for the whole benchmark
+// suite at the sampling configuration and returns the samples in benchmark
+// order. With noiseBase nil the suite's noisy machine draws the noise
+// (Train); otherwise every benchmark's noise forks from noiseBase (a
+// recalibration campaign).
+func (e *Engine) collectCampaign(noiseBase *noise.Source) ([]dataset.PhaseSample, error) {
+	collector := dataset.NewCollector(e.suite.Noisy, e.suite.Truth)
+	collector.Configs = e.suite.Configs
+	collector.SampleConfig = e.suite.SampleConfig()
+	collector.Repetitions = e.suite.Opts.Repetitions
+	collector.NoiseBase = noiseBase
+	suiteSamples, err := collector.CollectSuite(e.suite.Benches)
+	if err != nil {
+		return nil, err
+	}
+	var all []dataset.PhaseSample
+	for _, b := range e.suite.Benches {
+		all = append(all, suiteSamples[b.Name]...)
+	}
+	return all, nil
 }
 
 // TrainLeaveOneOut trains one bank per benchmark under the paper's

@@ -269,8 +269,11 @@ func (r *Recalibrator) runRetrain(ctx context.Context, trigger string) (RecalOut
 	// The attempt counter joins the seed chain so a rejected candidate is
 	// not deterministically re-derived (and re-rejected) forever: the next
 	// attempt at the same generation sees a fresh campaign.
+	// The campaign's noise forks from noise.New(genSeed), so the samples —
+	// and everything trained from them — are a pure function of the seed
+	// chain, independent of traffic, wall clock and GOMAXPROCS.
 	genSeed := parallel.SeedFor(live.meta.Seed, fmt.Sprintf("recal/gen/%d/attempt/%d", gen, r.attempt))
-	samples, err := r.collectSamples(genSeed)
+	samples, err := r.eng.collectCampaign(noise.New(genSeed))
 	if err != nil {
 		return out, err
 	}
@@ -483,29 +486,6 @@ func (r *Recalibrator) Status() recal.Snapshot {
 		}
 	}
 	return snap
-}
-
-// collectSamples runs a fresh characterisation campaign on the engine's
-// platform, mirroring Engine.Train's collection exactly except for the
-// noise stream: it forks from noise.New(genSeed), so the samples — and
-// everything trained from them — are a pure function of the seed chain,
-// independent of traffic, wall clock and GOMAXPROCS.
-func (r *Recalibrator) collectSamples(genSeed int64) ([]dataset.PhaseSample, error) {
-	e := r.eng
-	collector := dataset.NewCollector(e.suite.Noisy, e.suite.Truth)
-	collector.Configs = e.suite.Configs
-	collector.SampleConfig = e.suite.SampleConfig()
-	collector.Repetitions = e.suite.Opts.Repetitions
-	collector.NoiseBase = noise.New(genSeed)
-	suiteSamples, err := collector.CollectSuite(e.suite.Benches)
-	if err != nil {
-		return nil, err
-	}
-	var all []dataset.PhaseSample
-	for _, b := range e.suite.Benches {
-		all = append(all, suiteSamples[b.Name]...)
-	}
-	return all, nil
 }
 
 // medianRelErr scores one predictor on held-out samples: the median of

@@ -9,10 +9,15 @@
 #     and GEMM kernels against their scalar references, the fleet scorer
 #     against its O(M) reference and against the legacy-stream pin;
 #   - reproduce the pinned fleet schedule digest (scripts/fleet_smoke.sh);
+#   - write the pinned `actor-train -fast` bank, byte for byte;
 #   - print `actorsim -fast` byte-identically to the first leg.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# sha256 of `actor-train -fast -bank` (seed 42). A change that moves it
+# changes model arithmetic: re-pin only with the reason in CHANGES.md.
+BANK_SHA256=89ad510828ba7843bfd63698c14bc3827dc0cbd66f21341b4432cc8b13b19f47
 
 TESTS='TestParallelPipelineDeterminism|TestRunPhaseSweep|TestHeteroSweepMatchesRunPhaseProperty|TestConcurrentHeteroSweeps|TestShardedMemoConcurrentSweeps|BitIdenti|TestGOMAXPROCSDeterminism|TestLegacyStreamPinned'
 PKGS=(./internal/exp ./internal/machine ./internal/ann ./internal/fleet)
@@ -37,6 +42,11 @@ for kernels in avx2 noasm; do
         elif ! scripts/fleet_smoke.sh >"$out/fleet.log" 2>&1; then
             cat "$out/fleet.log"
             echo "FAIL $leg: fleet digest"; fail=1
+        elif ! go run ./cmd/actor-train -fast -bank "$out/bank.json" >"$out/train.log" 2>&1; then
+            cat "$out/train.log"
+            echo "FAIL $leg: actor-train"; fail=1
+        elif ! bank="$(sha256sum "$out/bank.json" | cut -d' ' -f1)" || [ "$bank" != "$BANK_SHA256" ]; then
+            echo "FAIL $leg: actor-train -fast bank sha256 $bank, pinned $BANK_SHA256"; fail=1
         elif ! go run ./cmd/actorsim -fast >"$out/sim.txt" 2>"$out/sim.log"; then
             cat "$out/sim.log"
             echo "FAIL $leg: actorsim"; fail=1
