@@ -17,8 +17,10 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	_ "unsafe" // go:linkname
 
 	pubactor "github.com/greenhpc/actor/pkg/actor"
 
@@ -675,6 +677,41 @@ func BenchmarkRunPhaseSweepHetero(b *testing.B) {
 		m.RunPhaseSweep(&bench.Phases[i%len(bench.Phases)], bench.Idiosyncrasy, placements, dst)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(placements)), "ns/placement")
+}
+
+// bestTimeSolved is machine's count of the placements Machine.BestTime has
+// solved exactly, read for the prune census below.
+//
+//go:linkname bestTimeSolved github.com/greenhpc/actor/internal/machine.bestTimeSolved
+var bestTimeSolved atomic.Int64
+
+// BenchmarkBestTimeHetero is BenchmarkRunPhaseSweepHetero's machine,
+// placements and phase rotation through the oracle search the scaling
+// studies run (Machine.BestTime): ns/placement is per candidate, solved-pct
+// the share of placement-phases it solved exactly rather than pruned by
+// their lower bound.
+func BenchmarkBestTimeHetero(b *testing.B) {
+	topo, err := topology.ParseDesc("16x4+32x2:little")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := machine.New(topo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	placements := topology.BalancedPlacements(topo)
+	bench, _ := npb.ByName("SP")
+	m.BestTime(&bench.Phases[0], bench.Idiosyncrasy, placements) // resolve the plans
+	solved0 := bestTimeSolved.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.BestTime(&bench.Phases[i%len(bench.Phases)], bench.Idiosyncrasy, placements)
+	}
+	b.StopTimer()
+	n := float64(b.N * len(placements))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/placement")
+	b.ReportMetric(100*float64(bestTimeSolved.Load()-solved0)/n, "solved-pct")
 }
 
 func BenchmarkMLRFit(b *testing.B) {

@@ -73,11 +73,15 @@
 // "big", "little", or an inline "name(freqMult,cpiMult[,smtWidth])"
 // definition — and build the same heterogeneous descriptors the
 // topology.NewBuilder API assembles programmatically. Strategy replays,
-// oracle searches, figure drivers and served sweeps all execute on the
-// batched phase-sweep engine (machine.RunPhaseSweep), which solves one
-// lane per distinct (class, load) key of a placement and weights every
-// reduction by how many threads share the key — bit-identical to
-// per-placement RunPhase, and within rounding of the per-thread model.
+// figure drivers and served sweeps execute on the batched phase-sweep
+// engine (machine.RunPhaseSweep), which solves one lane per distinct
+// (class, load) key of a placement and weights every reduction by how many
+// threads share the key — bit-identical to per-placement RunPhase, and
+// within rounding of the per-thread model. The scaling studies' oracle
+// searches run machine.BestTime on the same engine: it bounds every
+// placement's time from below with one lane step at the uncontended bus,
+// solves the fixed point only where the bound can still beat the best time
+// found, and returns the minimum a full sweep would, bit for bit.
 //
 // On amd64 machines with AVX2 the hot numeric kernels — the ANN trainer's
 // dense forward, backprop delta and SGD update, and the sweep engine's

@@ -21,9 +21,6 @@ func init() {
 }
 
 //go:noescape
-func expVec4(v *float64, n int)
-
-//go:noescape
 func sigmoidVec4(v *float64, n int)
 
 //go:noescape
@@ -52,27 +49,6 @@ func vecScale4(v *float64, n int, s float64)
 
 //go:noescape
 func vecAdd4(dst, src *float64, n int)
-
-// expVec applies fastExp elementwise: four lanes per instruction, scalar
-// fastExp for the tail.
-func expVec(v []float64) {
-	if n4 := len(v) &^ 3; n4 > 0 {
-		expVec4(&v[0], n4)
-	}
-	for i := len(v) &^ 3; i < len(v); i++ {
-		v[i] = fastExp(v[i])
-	}
-}
-
-// sigmoidVec applies the sigmoid elementwise (same fastExp core).
-func sigmoidVec(v []float64) {
-	if n4 := len(v) &^ 3; n4 > 0 {
-		sigmoidVec4(&v[0], n4)
-	}
-	for i := len(v) &^ 3; i < len(v); i++ {
-		v[i] = sigmoid(v[i])
-	}
-}
 
 // denseForwardAVX2 computes the output unit with four rows per instruction
 // straight from their stride — one sum chain per row, so no packing buffer

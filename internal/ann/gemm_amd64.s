@@ -126,25 +126,6 @@ GLOBL expconsts<>(SB), RODATA|NOPTR, $480
 	VMULPD  Y1, Y3, Y0             \
 	VANDNPD Y0, Y4, Y0
 
-// func expVec4(v *float64, n int)
-// v[0:n] = fastExp(v[0:n]); n must be a multiple of 4.
-TEXT ·expVec4(SB), NOSPLIT, $0-16
-	MOVQ v+0(FP), DI
-	MOVQ n+8(FP), CX
-	LEAQ expconsts<>(SB), R13
-	SHRQ $2, CX
-	JZ   expdone
-exploop:
-	VMOVUPD (DI), Y0
-	EXPCORE
-	VMOVUPD Y0, (DI)
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  exploop
-expdone:
-	VZEROUPPER
-	RET
-
 // func sigmoidVec4(v *float64, n int)
 // v[0:n] = 1/(1+fastExp(-v[0:n])); n must be a multiple of 4.
 TEXT ·sigmoidVec4(SB), NOSPLIT, $0-16

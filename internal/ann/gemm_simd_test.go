@@ -60,21 +60,14 @@ func expInputs(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-func TestExpVecBitIdentical(t *testing.T) {
-	needAVX2(t)
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 64, 257} {
-		in := expInputs(rng, n)
-		got := append([]float64(nil), in...)
-		expVec(got)
-		want := append([]float64(nil), in...)
-		for i := range want {
-			want[i] = fastExp(want[i])
-		}
-		if i := diffIndex(got, want); i >= 0 {
-			t.Fatalf("n=%d: expVec(%v)[%d] = %x, fastExp = %x",
-				n, in[i], i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-		}
+// sigmoidVec applies the sigmoid elementwise: the vector kernel
+// stackForwardAVX2 runs (sigmoidVec4), then the scalar sigmoid for the tail.
+func sigmoidVec(v []float64) {
+	if n4 := len(v) &^ 3; n4 > 0 {
+		sigmoidVec4(&v[0], n4)
+	}
+	for i := len(v) &^ 3; i < len(v); i++ {
+		v[i] = sigmoid(v[i])
 	}
 }
 

@@ -1,7 +1,7 @@
 package exp
 
 // The one driver behind the two scaling studies (FutureScaling,
-// HeteroScaling): build a list of synthetic machines, sweep every phase of
+// HeteroScaling): build a list of synthetic machines, search every phase of
 // every benchmark across each machine's candidate placements, and report per
 // (machine, benchmark) how much of the all-cores time the per-phase best
 // placement saves.
@@ -9,7 +9,6 @@ package exp
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/greenhpc/actor/internal/machine"
 	"github.com/greenhpc/actor/internal/parallel"
@@ -49,24 +48,22 @@ func (sc *scale) build() error {
 // and under its best placement.
 type phaseTimes struct{ all, best float64 }
 
-// sweepResults pools the rows a task sweeps into: a task needs one
-// machine.Result per candidate placement only until it has taken their
-// minimum, so workers hand the same few buffers from task to task.
-var sweepResults = sync.Pool{New: func() any { return new([]machine.Result) }}
-
 // scalingGains builds every scale and returns gain[scale][bench] =
 // 1 − bestTime/allCoresTime with oracle per-phase placements.
 //
-// Both stages fan out through the parallel engine. The sweep stage runs one
+// Both stages fan out through the parallel engine. The search stage runs one
 // task per (scale, benchmark, phase), the scale with the most placements
 // first: tasks are claimed in order, so the work left when the queue runs dry
 // is a single phase of the smallest machine rather than a whole benchmark of
-// the largest, and consecutive tasks of a worker sweep the same placements,
-// which keeps its pooled machine context's placement plans warm. Each task
-// writes only its own slot; the slots of a cell are then added up serially in
-// phase order — the additions a per-cell loop would make, in its order — and
-// the machine model is pure, so the gains are bit-identical at any
-// GOMAXPROCS.
+// the largest, and consecutive tasks of a worker search the same placements,
+// which keeps its pooled machine context's placement plans warm. A task
+// takes the all-cores time from RunPhase and the oracle's from
+// Machine.BestTime, which solves the fixed point only for the placements
+// whose lower bound can still beat the best time found, and returns the
+// minimum a full RunPhaseSweep would, bit for bit. Each task writes only its
+// own slot; the slots of a cell are then added up serially in phase order —
+// the additions a per-cell loop would make, in its order — and the machine
+// model is pure, so the gains are bit-identical at any GOMAXPROCS.
 func scalingGains(scales []scale, benches []*workload.Benchmark) ([][]float64, error) {
 	errs := make([]error, len(scales))
 	parallel.ForEach(len(scales), func(si int) { errs[si] = scales[si].build() })
@@ -104,21 +101,10 @@ func scalingGains(scales []scale, benches []*workload.Benchmark) ([][]float64, e
 	}
 	parallel.ForEach(len(tasks), func(i int) {
 		t := &tasks[i]
-		buf := sweepResults.Get().(*[]machine.Result)
-		if cap(*buf) < len(t.sc.placements) {
-			*buf = make([]machine.Result, len(t.sc.placements))
-		}
-		dst := (*buf)[:len(t.sc.placements)]
-		t.sc.m.RunPhaseSweep(t.phase, t.idio, t.sc.placements, dst)
-		all := dst[len(dst)-1].TimeSec
-		best := all
-		for ri := range dst {
-			if tt := dst[ri].TimeSec; tt < best {
-				best = tt
-			}
-		}
+		pls := t.sc.placements
+		all := t.sc.m.RunPhase(t.phase, t.idio, pls[len(pls)-1]).TimeSec
+		best, _ := t.sc.m.BestTime(t.phase, t.idio, pls)
 		*t.out = phaseTimes{all, best}
-		sweepResults.Put(buf)
 	})
 
 	gains := make([][]float64, len(scales))

@@ -66,6 +66,37 @@ func DefaultParams() Params {
 	}
 }
 
+// validate reports the first parameter the model cannot evaluate. With no
+// fixed-point iteration the solve never computes a lane CPI, so the cycle
+// accounting would read stale scratch. A negative or non-finite latency,
+// penalty or ResponseSigma, or an issue width that is not finite and
+// positive, breaks what every time in the model rests on — non-negative
+// cycle terms and a positive CPI — and with it the lower bound BestTime
+// prunes by.
+func (p Params) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"L2LatencyCycles", p.L2LatencyCycles},
+		{"MemLatencyCycles", p.MemLatencyCycles},
+		{"BranchMissPenaltyCycles", p.BranchMissPenaltyCycles},
+		{"TLBMissPenaltyCycles", p.TLBMissPenaltyCycles},
+		{"ResponseSigma", p.ResponseSigma},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("%s = %g, want finite and non-negative", f.name, f.v)
+		}
+	}
+	if !(p.PeakIssueIPC > 0) || math.IsInf(p.PeakIssueIPC, 1) {
+		return fmt.Errorf("PeakIssueIPC = %g, want finite and positive", p.PeakIssueIPC)
+	}
+	if p.FixedPointIters < 1 {
+		return fmt.Errorf("FixedPointIters = %d, want at least 1", p.FixedPointIters)
+	}
+	return nil
+}
+
 // Machine couples a topology with cache/bus models and core parameters.
 type Machine struct {
 	Topo *topology.Topology
@@ -199,7 +230,13 @@ func (m *Machine) Params() Params { return m.params }
 // from a counter on the shared memo, so two derived machines (WithNoise,
 // WithFrequency copies share one memo) that diverge their Params can never
 // collide on an epoch and serve each other's entries.
+//
+// It panics, as WithFrequency does on a non-positive scale, on parameters
+// the model cannot evaluate (see Params.validate).
 func (m *Machine) SetParams(p Params) {
+	if err := p.validate(); err != nil {
+		panic("machine: SetParams: " + err.Error())
+	}
 	m.params = p
 	if m.memo != nil {
 		m.paramsEpoch = m.memo.nextEpoch()

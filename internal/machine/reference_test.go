@@ -191,8 +191,8 @@ func TestLaneModelMatchesPerThreadReference(t *testing.T) {
 }
 
 // TestSweepAllocatesNothing pins the pointer-free Result and the pooled
-// scratch: once warm, neither a 4 224-placement sweep of the 128-core machine
-// nor a single RunPhase allocates on a memo-less machine.
+// scratch: once warm, neither a 4 224-placement sweep or oracle search of the
+// 128-core machine nor a single RunPhase allocates on a memo-less machine.
 func TestSweepAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -213,6 +213,12 @@ func TestSweepAllocatesNothing(t *testing.T) {
 		m.RunPhaseSweep(&p, 0.1, placements, dst)
 	}); allocs != 0 {
 		t.Errorf("warm RunPhaseSweep allocates %.0f objects/op, want 0", allocs)
+	}
+	m.BestTime(&p, 0.1, placements)
+	if allocs := testing.AllocsPerRun(5, func() {
+		m.BestTime(&p, 0.1, placements)
+	}); allocs != 0 {
+		t.Errorf("warm BestTime allocates %.0f objects/op, want 0", allocs)
 	}
 	all := placements[len(placements)-1]
 	m.RunPhase(&p, 0.1, all)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"github.com/greenhpc/actor/internal/pmu"
@@ -13,7 +14,9 @@ import (
 
 // This file is the batched phase-sweep engine: the lane form of the phase
 // model plus RunPhaseSweep, which evaluates one phase across many placements
-// in a single call. RunPhase is the same engine on a block of one.
+// in a single call. RunPhase is the same engine on a block of one, and
+// BestTime the same engine searching for the fastest placement, solving only
+// the placements a lower bound cannot rule out.
 //
 // The model is defined over lanes (see lanes.go): a placement of n threads is
 // a short list of (core class, L2 group load, multiplicity) lanes in the order
@@ -24,7 +27,7 @@ import (
 //  1. The fixed point advances one CPI per lane per iteration, and a
 //     placement's offered bus traffic is Σ_l count_l · contrib_l over its
 //     lanes. Average L2 miss rate, summed per-core IPC and the worst CPI are
-//     the same multiplicity-weighted reductions (finishPlacement).
+//     the same multiplicity-weighted reductions (placementCycles).
 //  2. Across the placements of a sweep, the miss-rate-per-group-load table
 //     depends only on the phase, so it is computed once for the whole sweep.
 //  3. Everything in a lane's CPI that does not change across fixed-point
@@ -89,6 +92,10 @@ type phaseCtx struct {
 	// memoised sweep pendMemo[i] is where pend[i]'s result will be stored.
 	pend     []pendingPlacement
 	pendMemo []pendingMemo
+
+	// bound[i] is BestTime's lower bound on the time of the placement at
+	// index i of its placements slice.
+	bound []float64
 
 	// respFP/respSeed cache the response-factor hash state after mixing
 	// the phase fingerprint and separator — the prefix is identical for
@@ -347,12 +354,6 @@ func coreBytes(c []topology.CoreID) []byte {
 // paying for the rest of the loop.
 func (m *Machine) solveBlock(ctx *phaseCtx, p *workload.PhaseProfile) {
 	nPl := len(ctx.pend)
-	freq := m.Topo.FrequencyHz * m.clockScale()
-	lineBytes := 64.0
-	storeFrac := 1 - p.LoadFraction
-	trafficPerMiss := lineBytes * (1 + p.StoreBandwidthBoost*storeFrac)
-	prefetchHide := 1 - 0.6*p.PrefetchFriendly
-
 	if cap(ctx.bus) < nPl {
 		ctx.bus = make([]float64, nPl)
 		ctx.traffic = make([]float64, nPl)
@@ -374,7 +375,7 @@ func (m *Machine) solveBlock(ctx *phaseCtx, p *workload.PhaseProfile) {
 		// Advance every live lane in one element-wise step; each lane reads
 		// its placement's bus factor from ls.bus, which starts at 1
 		// (sizeDerived) and is rewritten below by the update that moves it.
-		advanceLanes(ls, prefetchHide, p.MLP, freq, trafficPerMiss)
+		m.stepLanes(ls, p)
 
 		for o := range ctx.pend {
 			if ctx.converged[o] {
@@ -407,6 +408,18 @@ func (m *Machine) solveBlock(ctx *phaseCtx, p *workload.PhaseProfile) {
 			}
 		}
 	}
+}
+
+// stepLanes advances every live lane of the block one fixed-point step at
+// its placement's current bus factor: the phase-level operands of the lane
+// kernel, then the kernel itself (advanceLanes).
+func (m *Machine) stepLanes(ls *laneState, p *workload.PhaseProfile) {
+	freq := m.Topo.FrequencyHz * m.clockScale()
+	lineBytes := 64.0
+	storeFrac := 1 - p.LoadFraction
+	trafficPerMiss := lineBytes * (1 + p.StoreBandwidthBoost*storeFrac)
+	prefetchHide := 1 - 0.6*p.PrefetchFriendly
+	advanceLanes(ls, prefetchHide, p.MLP, freq, trafficPerMiss)
 }
 
 // log2Tab caches math.Log2(n) for the thread counts that actually occur —
@@ -467,16 +480,22 @@ func (m *Machine) responseFactorCtx(ctx *phaseCtx, p *workload.PhaseProfile, pl 
 	return math.Exp(m.params.ResponseSigma * z)
 }
 
-// finishPlacement turns one solved placement into *res: cycle accounting,
-// PMU event synthesis and power-model activity. o is the placement's index
-// within the solve block (its slot in ctx.pend/ctx.bus/ctx.traffic) and pl
-// the placement queued there. Every field of *res is overwritten.
-func (m *Machine) finishPlacement(ctx *phaseCtx, o int, pl *topology.Placement, p *workload.PhaseProfile, idio float64, res *Result) {
+// placementCycles is the cycle accounting of the placement in block slot o,
+// pl the placement queued there, whose lanes hold their CPIs at a bus factor
+// no smaller than 1: the serial section at bus factor busFactor, the
+// heaviest thread's parallel share at the worst lane CPI, synchronisation
+// and the bandwidth wall, times the response factor. It returns the wall
+// cycles, the average L2 miss rate and the summed per-core IPC.
+//
+// Every operation from busFactor and the lane CPIs to wallCycles is a sum
+// or product of non-negative operands, a max or a division by a positive
+// constant, so for a phase that passes Validate and parameters SetParams
+// accepts, wallCycles is monotone non-decreasing in busFactor and in each
+// lane's CPI — BestTime's lower bound rests on that.
+func (m *Machine) placementCycles(ctx *phaseCtx, o int, pl *topology.Placement, p *workload.PhaseProfile, idio, busFactor float64) (wallCycles, avgMissL2, sumIPC float64) {
 	pe := &ctx.pend[o]
 	laneLo, laneHi := int(pe.laneOff), int(pe.laneOff+pe.laneN)
 	n := pl.Threads()
-	busFactor := ctx.bus[o]
-	busUtil := m.fsb.Utilization(ctx.traffic[o])
 	freq := m.Topo.FrequencyHz * m.clockScale()
 
 	// --- Work division ------------------------------------------------
@@ -509,7 +528,7 @@ func (m *Machine) finishPlacement(ctx *phaseCtx, o int, pl *topology.Placement, 
 	// per-core IPC and L2 miss rate sum with each lane's multiplicity. A
 	// lane whose CPI is not positive contributes no IPC rather than +Inf.
 	ls := &ctx.lanes
-	var maxCPI, sumIPC, sumMiss float64
+	var maxCPI, sumMiss float64
 	for l := laneLo; l < laneHi; l++ {
 		c := ls.cpi[l]
 		if c > maxCPI {
@@ -520,7 +539,7 @@ func (m *Machine) finishPlacement(ctx *phaseCtx, o int, pl *topology.Placement, 
 		}
 		sumMiss += float64(ls.cnt[l] * ls.miss[l])
 	}
-	avgMissL2 := sumMiss / float64(n)
+	avgMissL2 = sumMiss / float64(n)
 	parCycles := parInstr * heavyShare * maxCPI * critFactor * idioFactor
 
 	syncCycles := 0.0
@@ -544,12 +563,26 @@ func (m *Machine) finishPlacement(ctx *phaseCtx, o int, pl *topology.Placement, 
 	totalBytes := p.Instructions * mpiL1 * avgMissL2 * trafficPerMiss
 	bwCycles := m.fsb.MinTransferTime(totalBytes) * freq
 
-	wallCycles := serCycles + parCycles + syncCycles
+	wallCycles = serCycles + parCycles + syncCycles
 	if bwCycles > wallCycles {
 		wallCycles = bwCycles
 	}
 	wallCycles *= m.responseFactorCtx(ctx, p, pl)
-	timeSec := wallCycles / freq
+	return wallCycles, avgMissL2, sumIPC
+}
+
+// finishPlacement turns one solved placement into *res: cycle accounting
+// (placementCycles) at the solved bus factor, PMU event synthesis and
+// power-model activity. o is the placement's index within the solve block
+// (its slot in ctx.pend/ctx.bus/ctx.traffic) and pl the placement queued
+// there. Every field of *res is overwritten.
+func (m *Machine) finishPlacement(ctx *phaseCtx, o int, pl *topology.Placement, p *workload.PhaseProfile, idio float64, res *Result) {
+	busFactor := ctx.bus[o]
+	wallCycles, avgMissL2, sumIPC := m.placementCycles(ctx, o, pl, p, idio, busFactor)
+	n := pl.Threads()
+	busUtil := m.fsb.Utilization(ctx.traffic[o])
+	timeSec := wallCycles / (m.Topo.FrequencyHz * m.clockScale())
+	cls0 := m.classOf(pl.Cores[0])
 
 	res.TimeSec = timeSec
 	res.WallCycles = wallCycles
@@ -560,7 +593,8 @@ func (m *Machine) finishPlacement(ctx *phaseCtx, o int, pl *topology.Placement, 
 
 	// --- Activity for the power model ------------------------------------
 	// The representative core is the placement's first: lane 0's.
-	stall := m.stallFraction(p, mpiL1, ls.miss[laneLo], busFactor, cls0)
+	mpiL1 := p.MemRefsPerInstr * p.L1MissRate
+	stall := m.stallFraction(p, mpiL1, ctx.lanes.miss[ctx.pend[o].laneOff], busFactor, cls0)
 	res.Activity = Activity{
 		TimeSec:          timeSec,
 		ActiveCores:      n,
@@ -569,7 +603,7 @@ func (m *Machine) finishPlacement(ctx *phaseCtx, o int, pl *topology.Placement, 
 		PeakIPC:          m.params.PeakIssueIPC,
 		AvgCoreUtil:      1 - stall,
 		BusUtilization:   busUtil,
-		BusBytes:         res.Counts[pmu.BusTransMem] * lineBytes,
+		BusBytes:         res.Counts[pmu.BusTransMem] * 64,
 		L2AccessesPerSec: res.Counts[pmu.L2References] / math.Max(timeSec, 1e-12),
 		FreqScale:        m.clockScale(),
 	}
@@ -667,4 +701,108 @@ func (m *Machine) ApplyNoise(res *Result) {
 	if m.noiseSrc != nil {
 		m.perturb(res)
 	}
+}
+
+// bestTimeSolved counts the placements BestTime has solved exactly since the
+// process started. It is the prune census: BenchmarkBestTimeHetero (root
+// bench_test.go) reads it through a linkname to report the solved share.
+//
+//go:linkname bestTimeSolved
+var bestTimeSolved atomic.Int64
+
+// BestTime returns the minimum TimeSec of phase p with idiosyncrasy idio
+// over placements and the lowest index that attains it: the same bits and
+// index as a strict-< scan of RunPhaseSweepDeterministic's results. It draws
+// no noise and neither reads nor writes the memo (memoised results are the
+// same bits anyway). It panics when placements is empty.
+//
+// It gets there by branch and bound. Every placement's bus factor starts at
+// 1, and each damped update averages it with bus.LatencyFactor ≥ 1, so it
+// never falls below 1; and placementCycles is monotone in the bus factor and
+// the lane CPIs, which the lane step is monotone in too. So the time after
+// one lane step at bus factor 1 — solveBlock's first iteration through the
+// same kernel — fed to placementCycles at bus factor 1 is a lower bound, bit
+// for bit, on the exact time of a phase that passes Validate under Params
+// that SetParams accepts. BestTime bounds every placement, solves the
+// placement of least bound exactly, then solves, in slice order and in
+// blocks, only the placements whose bound does not exceed the best time
+// found so far. A placement of exactly minimal time is never skipped (its
+// bound is at most its time), and ties go to the lower index, so at is the
+// first index of the minimum. It allocates nothing once the pooled scratch
+// is warm.
+func (m *Machine) BestTime(p *workload.PhaseProfile, idio float64, placements []topology.Placement) (t float64, at int) {
+	if len(placements) == 0 {
+		panic("machine: BestTime over no placements")
+	}
+	ctx := ctxPool.Get().(*phaseCtx)
+	bound, first := m.sweepBounds(ctx, p, idio, placements)
+	freq := m.Topo.FrequencyHz * m.clockScale()
+
+	// The exact solve of the least bound sets the incumbent; every other
+	// placement is solved only while its bound can still beat it.
+	t, at = math.Inf(1), len(placements)
+	solved := 0
+	flush := func() {
+		m.solveBlock(ctx, p)
+		for o := range ctx.pend {
+			idx := ctx.pend[o].idx
+			wall, _, _ := m.placementCycles(ctx, o, &placements[idx], p, idio, ctx.bus[o])
+			if tt := wall / freq; tt < t || (tt == t && idx < at) {
+				t, at = tt, idx
+			}
+		}
+		solved += len(ctx.pend)
+		ctx.resetBlock()
+	}
+	m.prepPlacement(ctx, p, &placements[first], first)
+	flush()
+	for i := range placements {
+		if i == first || bound[i] > t {
+			continue
+		}
+		m.prepPlacement(ctx, p, &placements[i], i)
+		if len(ctx.pend) == sweepSolveBlock {
+			flush()
+		}
+	}
+	if len(ctx.pend) > 0 {
+		flush()
+	}
+	bestTimeSolved.Add(int64(solved))
+	ctxPool.Put(ctx)
+	return t, at
+}
+
+// sweepBounds is BestTime's first pass on ctx: it returns every placement's
+// lower bound (in ctx's scratch, bound[i] for placements[i]) and the index of
+// the least, the first among equals. Placements are bounded a solve block at
+// a time: one lane step from bus factor 1, then placementCycles at bus
+// factor 1.
+func (m *Machine) sweepBounds(ctx *phaseCtx, p *workload.PhaseProfile, idio float64, placements []topology.Placement) (bound []float64, first int) {
+	ctx.resetPhase()
+	ctx.resetBlock()
+	ctx.bindMachine(m)
+	freq := m.Topo.FrequencyHz * m.clockScale()
+	if cap(ctx.bound) < len(placements) {
+		ctx.bound = make([]float64, len(placements))
+	}
+	bound = ctx.bound[:len(placements)]
+	for i := range placements {
+		m.prepPlacement(ctx, p, &placements[i], i)
+		if len(ctx.pend) < sweepSolveBlock && i < len(placements)-1 {
+			continue
+		}
+		ctx.lanes.sizeDerived()
+		m.stepLanes(&ctx.lanes, p)
+		for o := range ctx.pend {
+			idx := ctx.pend[o].idx
+			wall, _, _ := m.placementCycles(ctx, o, &placements[idx], p, idio, 1)
+			bound[idx] = wall / freq
+			if bound[idx] < bound[first] {
+				first = idx
+			}
+		}
+		ctx.resetBlock()
+	}
+	return bound, first
 }

@@ -7,9 +7,12 @@
 #   - pass the bit-identity tests: the parallel pipeline against its
 #     one-worker run, RunPhaseSweep against per-placement RunPhase, the lane
 #     and GEMM kernels against their scalar references, the fleet scorer
-#     against its O(M) reference and against the legacy-stream pin;
+#     against its O(M) reference and against the legacy-stream pin, and
+#     Machine.BestTime against the full sweep's minimum, its lower bound
+#     against every exact time;
 #   - reproduce the pinned fleet schedule digest (scripts/fleet_smoke.sh);
-#   - write the pinned `actor-train -fast` bank, byte for byte;
+#   - write the pinned `actor-train -fast` bank and the pinned
+#     `actor-train -fast -loo` leave-one-out banks, byte for byte;
 #   - print `actorsim -fast` byte-identically to the first leg.
 set -euo pipefail
 
@@ -18,8 +21,11 @@ cd "$(dirname "$0")/.."
 # sha256 of `actor-train -fast -bank` (seed 42). A change that moves it
 # changes model arithmetic: re-pin only with the reason in CHANGES.md.
 BANK_SHA256=89ad510828ba7843bfd63698c14bc3827dc0cbd66f21341b4432cc8b13b19f47
+# sha256 of the sorted `sha256sum loo-*.json` listing `actor-train -fast -loo`
+# writes (one bank per left-out benchmark); re-pin under the same rule.
+LOO_SHA256=f702240b573b1cb3f3bd5b9414154426eeef5ecf04703ea235f522f963143230
 
-TESTS='TestParallelPipelineDeterminism|TestRunPhaseSweep|TestHeteroSweepMatchesRunPhaseProperty|TestConcurrentHeteroSweeps|TestShardedMemoConcurrentSweeps|BitIdenti|TestGOMAXPROCSDeterminism|TestLegacyStreamPinned'
+TESTS='TestParallelPipelineDeterminism|TestRunPhaseSweep|TestHeteroSweepMatchesRunPhaseProperty|TestConcurrentHeteroSweeps|TestShardedMemoConcurrentSweeps|BitIdenti|TestGOMAXPROCSDeterminism|TestLegacyStreamPinned|TestBestTimeMatchesSweep|TestSweepBoundNeverExceedsTime|TestBestTimeBoundProperty'
 PKGS=(./internal/exp ./internal/machine ./internal/ann ./internal/fleet)
 
 ncpu="$(getconf _NPROCESSORS_ONLN)"
@@ -47,6 +53,12 @@ for kernels in avx2 noasm; do
             echo "FAIL $leg: actor-train"; fail=1
         elif ! bank="$(sha256sum "$out/bank.json" | cut -d' ' -f1)" || [ "$bank" != "$BANK_SHA256" ]; then
             echo "FAIL $leg: actor-train -fast bank sha256 $bank, pinned $BANK_SHA256"; fail=1
+        elif ! { rm -rf "$out/loo" && mkdir "$out/loo" &&
+                go run ./cmd/actor-train -fast -loo -bank "$out/loo/bank.json" >"$out/loo.log" 2>&1; }; then
+            cat "$out/loo.log"
+            echo "FAIL $leg: actor-train -loo"; fail=1
+        elif ! loo="$(cd "$out/loo" && sha256sum loo-*.json | sha256sum | cut -d' ' -f1)" || [ "$loo" != "$LOO_SHA256" ]; then
+            echo "FAIL $leg: actor-train -fast -loo banks sha256 $loo, pinned $LOO_SHA256"; fail=1
         elif ! go run ./cmd/actorsim -fast >"$out/sim.txt" 2>"$out/sim.log"; then
             cat "$out/sim.log"
             echo "FAIL $leg: actorsim"; fail=1
