@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build build-cmds test race bench bench-smoke bench-contract dist-e2e load-smoke fuzz-smoke fleet-smoke determinism recal-e2e fmt vet ci clean
+.PHONY: build build-cmds test race test-noasm cross-arm64 bench bench-smoke bench-contract dist-e2e load-smoke fuzz-smoke fleet-smoke determinism recal-e2e fmt vet ci clean
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,17 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+## test-noasm: the scalar-only build — -tags actor_noasm compiles no
+## assembly at all, so every kernel runs its pure-Go reference (what
+## non-amd64 ports run).
+test-noasm:
+	$(GO) test -tags actor_noasm ./...
+
+## cross-arm64: build and vet for arm64, proving no port is stranded on
+## missing assembly (build only: nothing runs).
+cross-arm64:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
 
 ## bench: print the full benchmark suite with allocation stats.
 bench:
@@ -86,7 +97,8 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet build build-cmds race bench-contract
+## ci: the CI workflow's test job, step for step.
+ci: fmt vet build build-cmds race test-noasm cross-arm64 bench-smoke bench-contract
 
 clean:
 	rm -rf bin

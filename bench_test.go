@@ -401,48 +401,6 @@ func BenchmarkAblationSearchVsPrediction(b *testing.B) {
 	b.ReportMetric(tPred, "prediction-time-sec")
 }
 
-// BenchmarkAblationHiddenTopology compares hidden-layer widths of the
-// paper's three-layer network on identical training data (the paper cites
-// the universal-approximation property of three-layer nets; this
-// quantifies what the width buys here).
-func BenchmarkAblationHiddenTopology(b *testing.B) {
-	s, _ := sharedSuite(b)
-	collector := dataset.NewCollector(s.Noisy, s.Truth)
-	collector.Repetitions = 3
-	samples, err := collector.CollectSuite(s.Benches)
-	if err != nil {
-		b.Fatal(err)
-	}
-	train := dataset.LeaveOneOut(samples, "LU")
-	ss, err := dataset.ToSamples(train, pmu.FullEventSet(), "2b")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, topo := range []struct {
-		name   string
-		hidden int
-	}{
-		{"h16", 16},
-		{"h8", 8},
-	} {
-		topo := topo
-		b.Run(topo.name, func(b *testing.B) {
-			cfg := ann.DefaultConfig()
-			cfg.MaxEpochs = 120
-			cfg.Hidden = topo.hidden
-			var est float64
-			for i := 0; i < b.N; i++ {
-				ens, err := ann.TrainEnsemble(ss, 5, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				est = ens.EstimateMSE
-			}
-			b.ReportMetric(est, "estimate-mse")
-		})
-	}
-}
-
 // --- Fleet scheduling benchmarks ------------------------------------------
 
 // fleetBench builds the seeded fleet + job stream pair the fleet

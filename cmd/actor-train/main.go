@@ -11,8 +11,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,25 +23,47 @@ import (
 )
 
 func main() {
-	f := actor.BindFlags(flag.CommandLine)
-	loo := flag.Bool("loo", false, "write one leave-one-out bank per benchmark (default: one bank over the full suite)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the command behind main: it parses args, trains, writes the bank
+// (or the leave-one-out banks) and a one-line summary to stdout, errors to
+// stderr, and returns the exit code — 0 on success, 1 on a failed training
+// or write, 2 on a bad flag.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("actor-train", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	f := actor.BindFlags(fs)
+	loo := fs.Bool("loo", false, "write one leave-one-out bank per benchmark (default: one bank over the full suite)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := train(f, *loo, stdout); err != nil {
+		fmt.Fprintln(stderr, "actor-train:", err)
+		return 1
+	}
+	return 0
+}
+
+func train(f *actor.Flags, loo bool, stdout io.Writer) error {
 	eng, err := f.Engine()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if dir := filepath.Dir(f.Bank); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	ctx := context.Background()
 
-	if *loo {
+	if loo {
 		banks, err := eng.TrainLeaveOneOut(ctx)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		names := make([]string, 0, len(banks))
 		for name := range banks {
@@ -49,11 +73,11 @@ func main() {
 		dir := filepath.Dir(f.Bank)
 		for _, name := range names {
 			if err := banks[name].Save(filepath.Join(dir, "loo-"+name+".json")); err != nil {
-				fatal(err)
+				return err
 			}
 		}
-		fmt.Printf("wrote %d leave-one-out banks to %s\n", len(names), dir)
-		return
+		fmt.Fprintf(stdout, "wrote %d leave-one-out banks to %s\n", len(names), dir)
+		return nil
 	}
 
 	// Whole-suite bank: the deployment scenario the paper describes ("the
@@ -61,17 +85,13 @@ func main() {
 	// used for any desired application").
 	bank, err := eng.Train(ctx)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := bank.Save(f.Bank); err != nil {
-		fatal(err)
+		return err
 	}
 	meta := bank.Meta()
-	fmt.Printf("wrote %s bank (%d event sets, %d configs) to %s\n",
+	fmt.Fprintf(stdout, "wrote %s bank (%d event sets, %d configs) to %s\n",
 		meta.Kind, len(meta.EventSets), len(meta.Configs), f.Bank)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "actor-train:", err)
-	os.Exit(1)
+	return nil
 }

@@ -77,6 +77,12 @@ func main() {
 	recalMargin := flag.Float64("recal-margin", 0, "relative holdout improvement a candidate must clear to be promoted")
 	canaryFrac := flag.Float64("canary-frac", 0, "fraction of live traffic shadow-scored on a candidate before promotion (0 promotes immediately)")
 	flag.Parse()
+	if *recalInterval <= 0 {
+		// time.NewTicker would panic inside the loop's goroutine and take
+		// the serving process down with it.
+		fmt.Fprintf(os.Stderr, "actord: -recal-interval %s: must be positive\n", *recalInterval)
+		os.Exit(2)
+	}
 
 	var swap swapHandler
 	loading := loadingHandler()

@@ -24,17 +24,17 @@ func synthSamples(n int, seed int64, noise float64) []Sample {
 
 func TestNewNetworkShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	n, err := NewNetwork([]int{3, 5, 1}, rng)
+	n, err := NewNetwork([]int{3, Hidden, 1}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n.InputDim() != 3 {
 		t.Errorf("InputDim = %d", n.InputDim())
 	}
-	if len(n.w) != 2 || len(n.w[0]) != 5*4 || len(n.w[1]) != 6 {
-		t.Errorf("weights %v, want a 5×4 hidden layer and a 1×6 output unit (incl. bias)", n.w)
+	if len(n.w) != 2 || len(n.w[0]) != Hidden*4 || len(n.w[1]) != Hidden+1 {
+		t.Errorf("weights %v, want a %d×4 hidden layer and a 1×%d output unit (incl. bias)", n.w, Hidden, Hidden+1)
 	}
-	for _, sizes := range [][]int{{3}, {3, 1}, {3, 0, 1}, {3, 4, 4, 1}, {3, 4, 2}} {
+	for _, sizes := range [][]int{{3}, {3, 1}, {3, 0, 1}, {0, Hidden, 1}, {3, 5, 1}, {3, Hidden + 1, 1}, {3, 4, 4, 1}, {3, Hidden, 2}} {
 		if _, err := NewNetwork(sizes, rng); err == nil {
 			t.Errorf("network %v accepted", sizes)
 		}
@@ -42,7 +42,7 @@ func TestNewNetworkShapes(t *testing.T) {
 }
 
 func TestPredictDeterministic(t *testing.T) {
-	e := randomEnsemble(t, rand.New(rand.NewSource(1)), 3, []int{2, 4, 1}, 1)
+	e := randomEnsemble(t, rand.New(rand.NewSource(1)), 3, 2, 1)
 	x := []float64{0.3, -0.7}
 	if e.Predict(x) != e.Predict(x) {
 		t.Error("Predict not deterministic")
@@ -50,7 +50,7 @@ func TestPredictDeterministic(t *testing.T) {
 }
 
 func TestPredictPanicsOnDimMismatch(t *testing.T) {
-	e := randomEnsemble(t, rand.New(rand.NewSource(1)), 3, []int{2, 4, 1}, 1)
+	e := randomEnsemble(t, rand.New(rand.NewSource(1)), 3, 2, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic on wrong input dimension")

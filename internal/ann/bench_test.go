@@ -11,13 +11,13 @@ import (
 // PERFORMANCE.md.
 
 // BenchmarkDenseForward drives the output unit's forward pass over a batch
-// of 16 hidden activations per row, the rows at the lane stride of a
+// of Hidden activations per row, the rows at the lane stride of a
 // four-target lockstep run (64).
 func BenchmarkDenseForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(20))
-	const batch, inDim, ldx = 8, 16, 64
+	const batch, ldx = 8, 4 * Hidden
 	x := make([]float64, batch*ldx)
-	w := make([]float64, inDim+1)
+	w := make([]float64, Hidden+1)
 	out := make([]float64, batch)
 	for i := range x {
 		x[i] = rng.NormFloat64()
@@ -27,17 +27,19 @@ func BenchmarkDenseForward(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		denseForward(out, x, w, batch, inDim, ldx)
+		denseForward(out, x, w, batch, ldx)
 	}
 }
 
+// BenchmarkSGDStep drives the output unit's update at the same shape as
+// BenchmarkDenseForward.
 func BenchmarkSGDStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(22))
-	const batch, units, inDim = 8, 16, 13
-	w := make([]float64, units*(inDim+1))
-	vel := make([]float64, units*(inDim+1))
-	d := make([]float64, batch*units)
-	x := make([]float64, batch*inDim)
+	const batch, ldx = 8, 4 * Hidden
+	w := make([]float64, Hidden+1)
+	vel := make([]float64, Hidden+1)
+	d := make([]float64, batch)
+	x := make([]float64, batch*ldx)
 	for i := range w {
 		w[i] = rng.NormFloat64()
 	}
@@ -49,13 +51,13 @@ func BenchmarkSGDStep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sgdStep(w, vel, d, x, batch, units, inDim, inDim, 0.01, 0.9)
+		sgdStep(w, vel, d, x, batch, ldx, 0.01, 0.9)
 	}
 }
 
 // BenchmarkSGDFeatureMajor drives the bound feature-major update at the
 // lockstep trainer's shape for a leave-one-out bank: 13 features plus the
-// bias row, four targets of 16 hidden units (64 lanes), batch 8.
+// bias row, four targets of Hidden units (64 lanes), batch 8.
 func BenchmarkSGDFeatureMajor(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	const batch, rows, lanes = 8, 14, 64

@@ -9,7 +9,7 @@
 // independent outputs (batch samples, units, weight indices) and performs,
 // per output, exactly the operation sequence of the scalar reference — so
 // the binding choice never changes a single output bit. gemm_simd_test.go
-// fuzzes that equivalence across odd shapes.
+// fuzzes that equivalence across batch tails and row strides.
 package ann
 
 var (

@@ -31,8 +31,8 @@ type Ensemble struct {
 
 // NewEnsemble assembles an ensemble from trained members and the scaler
 // they were trained under, and packs the members for stacked inference.
-// Every member must be an [inputs, hidden, 1] network of one hidden width
-// taking the scaler's feature count, and the scaler must be usable: a
+// Every member must be an [inputs, Hidden, 1] network taking the scaler's
+// feature count, and the scaler must be usable: a
 // standard deviation that is not positive or an inverted target range would
 // turn every prediction into ±Inf or NaN. Nets is read-only from here on —
 // the stack holds a copy of the members' weights.
@@ -52,9 +52,6 @@ func NewEnsemble(nets []*Network, scaler *Scaler, estimateMSE float64) (*Ensembl
 		}
 		if err := checkSizes(n.Sizes); err != nil {
 			return nil, fmt.Errorf("ann: net %d: %w", i, err)
-		}
-		if h := nets[0].Sizes[1]; n.Sizes[1] != h {
-			return nil, fmt.Errorf("ann: net %d has %d hidden units, net 0 has %d; members share one width", i, n.Sizes[1], h)
 		}
 		if n.InputDim() != len(scaler.Mean) {
 			return nil, fmt.Errorf("ann: net %d: input dim %d does not match the scaler's %d features",

@@ -3,7 +3,6 @@ package ann
 import (
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // FineTuneEnsembles fine-tunes bases[i] on sets[i] for every i — ensemble i
@@ -13,15 +12,13 @@ import (
 // on fold i and estimates on fold (i+1) mod k. The base's Scaler is reused,
 // not refit: the member weights are expressed in the base's normalised
 // feature space, so refitting the scaler on the new samples would silently
-// invalidate the warm start. cfg.Hidden is ignored; the width is taken from
-// the base networks. With cfg.WarmStartEpochs > 0 each member trains
-// at most that many epochs at halved patience; otherwise cfg.MaxEpochs
-// applies. Deterministic under cfg.Seed at any GOMAXPROCS.
+// invalidate the warm start. With cfg.WarmStartEpochs > 0 each member
+// trains at most that many epochs at halved patience; otherwise
+// cfg.MaxEpochs applies. Deterministic under cfg.Seed at any GOMAXPROCS.
 //
-// Targets whose bases share member count and topology and whose base
-// scalers turn their samples into bitwise-identical feature rows train
-// together in one lockstep run per fold member; any other target forms its
-// own group.
+// Targets whose bases share a member count and whose base scalers turn
+// their samples into bitwise-identical feature rows train together in one
+// lockstep run per fold member; any other target forms its own group.
 func FineTuneEnsembles(bases []*Ensemble, sets [][]Sample, cfg Config) ([]*Ensemble, error) {
 	if len(bases) != len(sets) {
 		return nil, fmt.Errorf("ann: %d base ensembles for %d sample sets", len(bases), len(sets))
@@ -46,15 +43,12 @@ func FineTuneEnsembles(bases []*Ensemble, sets [][]Sample, cfg Config) ([]*Ensem
 
 	out := make([]*Ensemble, len(sets))
 	groups, merged := groupShared(packed, func(a, b int) bool {
-		na, nb := bases[a].Nets, bases[b].Nets
-		return len(na) == len(nb) && slices.Equal(na[0].Sizes, nb[0].Sizes)
+		return len(bases[a].Nets) == len(bases[b].Nets)
 	})
 	for g, ids := range groups {
 		ds := merged[g]
 		first := bases[ids[0]].Nets
-		// The base width drives trainCore's shape check.
 		mcfg := cfg
-		mcfg.Hidden = first[0].Sizes[1]
 		if cfg.WarmStartEpochs > 0 {
 			// Fine-tuning starts next to a minimum the base member already
 			// found — cap the epochs and halve the patience, exactly as

@@ -1,9 +1,8 @@
 // Batched linear-algebra kernels for the trainer: the output unit's
-// forward pass and a fused momentum/AXPY weight update that consumes a
-// whole mini-batch per call — each for the network's flat row-major layers
-// — plus the forward, η·δ and update kernels of the feature-major hidden
-// layer the lockstep trainer and the stacked ensemble keep (lockstep.go,
-// stack.go).
+// forward pass and a fused momentum/AXPY update of its flat weights, each
+// consuming a whole mini-batch per call, plus the forward, η·δ and update
+// kernels of the feature-major hidden layer the lockstep trainer and the
+// stacked ensemble keep (lockstep.go, stack.go).
 //
 // Register blocking is over *independent* outputs only — every individual
 // output accumulates in exactly the order the per-sample path uses (bias
@@ -41,15 +40,16 @@ func fastExp(x float64) float64 {
 
 // denseForward computes the linear output unit for a mini-batch:
 //
-//	out[b] = w[inDim] + Σ_i x[b·ldx+i] · w[i]
+//	out[b] = w[Hidden] + Σ_i x[b·ldx+i] · w[i]
 //
-// x holds batch rows of hidden activations at stride ldx (≥ inDim). Each
+// x holds batch rows of Hidden activations at stride ldx (≥ Hidden). Each
 // sum accumulates bias first, then ascending i — Network.forward's order.
-func denseForwardScalar(out, x, w []float64, batch, inDim, ldx int) {
+func denseForwardScalar(out, x, w []float64, batch, ldx int) {
 	for b := 0; b < batch; b++ {
-		sum := w[inDim]
-		for i, wv := range w[:inDim] {
-			sum += wv * x[b*ldx+i]
+		xb := x[b*ldx:][:Hidden]
+		sum := w[Hidden]
+		for i, wv := range w[:Hidden] {
+			sum += wv * xb[i]
 		}
 		out[b] = sum
 	}
@@ -76,27 +76,24 @@ func stackForwardScalar(acts, wT, x []float64) {
 	}
 }
 
-// hiddenEta runs the backprop recurrence into the lanes of a feature-major
-// hidden layer, already multiplied by the learning rate: for every sample b
-// and unit j,
+// hiddenEta runs the backprop recurrence from the linear output unit into
+// the lanes of a feature-major hidden layer, already multiplied by the
+// learning rate: for every sample b and hidden unit j,
 //
-//	t[b·ld+j] = lr · ( ( Σ_k wNext[k·(units+1)+j] · dNext[b·unitsNext+k] ) · a·(1−a) )
+//	t[b·ld+j] = lr · ( (0 + w[j]·d[b]) · a·(1−a) )
 //
-// where a = acts[b·ld+j] and ld is the row stride of t and acts. The k-sum
-// ascends; per element this is the per-sample backward pass's δ followed by
-// the η·δ that sgdStep forms from it, so the update that consumes t sees
-// the reference's bits.
-func hiddenEtaScalar(t, dNext, wNext, acts []float64, batch, units, unitsNext, ld int, lr float64) {
-	rowW := units + 1
-	for b := 0; b < batch; b++ {
-		tb := t[b*ld:][:units]
-		ab := acts[b*ld:][:units]
-		nd := dNext[b*unitsNext:][:unitsNext]
-		for j := range tb {
+// where a = acts[b·ld+j], d holds the batch's output deltas, w is the
+// output unit's weights and ld is the row stride of t and acts. Per element
+// this is the per-sample backward pass's δ — a one-term sum started from
+// zero, so a −0 product becomes +0 — followed by the η·δ that sgdStep forms
+// from it, so the update that consumes t sees the reference's bits.
+func hiddenEtaScalar(t, d, w, acts []float64, batch, ld int, lr float64) {
+	for b, db := range d[:batch] {
+		tb := t[b*ld:][:Hidden]
+		ab := acts[b*ld:][:Hidden]
+		for j, wj := range w[:Hidden] {
 			var sum float64
-			for k, ndk := range nd {
-				sum += wNext[k*rowW+j] * ndk
-			}
+			sum += wj * db
 			a := ab[j]
 			tb[j] = lr * (sum * a * (1 - a))
 		}
@@ -157,67 +154,58 @@ func sgdFeatureMajorScalar(w, vel, t, x []float64, batch, rows, lanes, ldx int, 
 	}
 }
 
-// sgdStep applies one summed-gradient step for a whole mini-batch to a
-// layer's flat weights, fusing the momentum update and the AXPY into one
-// pass over each weight row:
+// sgdStep applies one summed-gradient step for a whole mini-batch to the
+// linear output unit's weights — Hidden input weights, then the bias —
+// fusing the momentum update and the AXPY into one pass:
 //
-//	v ← μ·v − η·Σ_b δ_b ⊗ [x_b, 1] ;  w ← w + v
+//	v ← μ·v − η·Σ_b δ_b·[x_b, 1] ;  w ← w + v
 //
-// The momentum decay is folded first, then four samples are drained per
-// velocity traversal with the per-sample term computed as (η·δ)·x. At
-// batch == 1 this is exactly v[i] = μ·v[i] − (η·δ)·x[i], reproducing the
-// per-sample update bit-for-bit.
-func sgdStepScalar(w, vel, d, x []float64, batch, units, inDim, ldx int, lr, momentum float64) {
-	rowW := inDim + 1
-	for j := 0; j < units; j++ {
-		row := w[j*rowW:][:rowW]
-		v := vel[j*rowW:][:rowW]
-		var b int
-		if batch >= 4 {
-			// The first block folds the momentum decay into its
-			// traversal, sparing a separate pass over the velocity row.
-			t0 := lr * d[j]
-			t1 := lr * d[1*units+j]
-			t2 := lr * d[2*units+j]
-			t3 := lr * d[3*units+j]
-			x0 := x[:inDim]
-			x1 := x[1*ldx:][:inDim]
-			x2 := x[2*ldx:][:inDim]
-			x3 := x[3*ldx:][:inDim]
-			for i := range x0 {
-				v[i] = momentum*v[i] - (t0*x0[i] + t1*x1[i] + t2*x2[i] + t3*x3[i])
-			}
-			v[inDim] = momentum*v[inDim] - (t0 + t1 + t2 + t3)
-			b = 4
-		} else {
-			for i, vv := range v {
-				v[i] = momentum * vv
-			}
+// d holds the batch's output deltas and x its hidden activations, one row
+// of Hidden per sample at stride ldx. The momentum decay is folded first,
+// then four samples are drained per velocity traversal with the per-sample
+// term computed as (η·δ)·x. At batch == 1 this is exactly
+// v[i] = μ·v[i] − (η·δ)·x[i], reproducing the per-sample update
+// bit-for-bit.
+func sgdStepScalar(w, vel, d, x []float64, batch, ldx int, lr, momentum float64) {
+	w, v := w[:Hidden+1], vel[:Hidden+1]
+	var b int
+	if batch >= 4 {
+		// The first block folds the momentum decay into its traversal,
+		// sparing a separate pass over the velocities.
+		t0, t1, t2, t3 := lr*d[0], lr*d[1], lr*d[2], lr*d[3]
+		x0 := x[:Hidden]
+		x1 := x[ldx:][:Hidden]
+		x2 := x[2*ldx:][:Hidden]
+		x3 := x[3*ldx:][:Hidden]
+		for i := range x0 {
+			v[i] = momentum*v[i] - (t0*x0[i] + t1*x1[i] + t2*x2[i] + t3*x3[i])
 		}
-		for ; b+4 <= batch; b += 4 {
-			t0 := lr * d[(b+0)*units+j]
-			t1 := lr * d[(b+1)*units+j]
-			t2 := lr * d[(b+2)*units+j]
-			t3 := lr * d[(b+3)*units+j]
-			x0 := x[(b+0)*ldx:][:inDim]
-			x1 := x[(b+1)*ldx:][:inDim]
-			x2 := x[(b+2)*ldx:][:inDim]
-			x3 := x[(b+3)*ldx:][:inDim]
-			for i := range x0 {
-				v[i] -= t0*x0[i] + t1*x1[i] + t2*x2[i] + t3*x3[i]
-			}
-			v[inDim] -= t0 + t1 + t2 + t3
-		}
-		for ; b < batch; b++ {
-			t := lr * d[b*units+j]
-			xb := x[b*ldx:][:inDim]
-			for i, xv := range xb {
-				v[i] -= t * xv
-			}
-			v[inDim] -= t
-		}
+		v[Hidden] = momentum*v[Hidden] - (t0 + t1 + t2 + t3)
+		b = 4
+	} else {
 		for i, vv := range v {
-			row[i] += vv
+			v[i] = momentum * vv
 		}
+	}
+	for ; b+4 <= batch; b += 4 {
+		t0, t1, t2, t3 := lr*d[b], lr*d[b+1], lr*d[b+2], lr*d[b+3]
+		x0 := x[b*ldx:][:Hidden]
+		x1 := x[(b+1)*ldx:][:Hidden]
+		x2 := x[(b+2)*ldx:][:Hidden]
+		x3 := x[(b+3)*ldx:][:Hidden]
+		for i := range x0 {
+			v[i] -= t0*x0[i] + t1*x1[i] + t2*x2[i] + t3*x3[i]
+		}
+		v[Hidden] -= t0 + t1 + t2 + t3
+	}
+	for ; b < batch; b++ {
+		t := lr * d[b]
+		for i, xv := range x[b*ldx:][:Hidden] {
+			v[i] -= t * xv
+		}
+		v[Hidden] -= t
+	}
+	for i, vv := range v {
+		w[i] += vv
 	}
 }

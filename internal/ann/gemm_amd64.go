@@ -20,29 +20,33 @@ func init() {
 	}
 }
 
+// The assembly hard-codes the output unit's fan-in: Hidden = 16, four
+// vectors of four. This constant does not compile under any other width.
+const _ = uint(Hidden-16) + uint(16-Hidden)
+
 //go:noescape
 func sigmoidVec4(v *float64, n int)
 
 //go:noescape
-func dotRows4(out, x, w *float64, rows, inDim, ldx int)
+func dotRows4(out, x, w *float64, rows, ldx int)
 
 //go:noescape
 func stackSums4(acc, wT, x *float64, lanes, inDim int)
 
 //go:noescape
-func deltaRows4(d, acts, wNext, dNext *float64, rows, ld, units4, unitsNext, rowW int, scale float64)
+func deltaRows4(t, acts, w, d *float64, rows, ld int, scale float64)
 
 //go:noescape
 func sgdFeatureMajor4(w, vel, t, x *float64, batch, rows, lanes, ldx int, mom float64)
 
 //go:noescape
-func sgdFoldAll(vel, x0, x1, x2, x3, d *float64, units, inDim int, lr, mom float64)
+func sgdFoldAll(vel, x0, x1, x2, x3, d *float64, lr, mom float64)
 
 //go:noescape
-func sgdAxpyAll(vel, x0, x1, x2, x3, d *float64, units, inDim int, lr float64)
+func sgdAxpyAll(vel, x0, x1, x2, x3, d *float64, lr float64)
 
 //go:noescape
-func axpyNegAll(vel, x, d *float64, units, inDim int, lr float64)
+func axpyNegAll(vel, x, d *float64, lr float64)
 
 //go:noescape
 func vecScale4(v *float64, n int, s float64)
@@ -53,26 +57,24 @@ func vecAdd4(dst, src *float64, n int)
 // denseForwardAVX2 computes the output unit with four rows per instruction
 // straight from their stride — one sum chain per row, so no packing buffer
 // — and the row tail through the scalar reference.
-func denseForwardAVX2(out, x, w []float64, batch, inDim, ldx int) {
+func denseForwardAVX2(out, x, w []float64, batch, ldx int) {
 	b4 := batch &^ 3
-	if b4 == 0 || inDim == 0 {
-		denseForwardScalar(out, x, w, batch, inDim, ldx)
-		return
+	if b4 > 0 {
+		_ = x[(b4-1)*ldx+Hidden-1]
+		_ = w[Hidden]
+		_ = out[b4-1]
+		dotRows4(&out[0], &x[0], &w[0], b4, ldx)
 	}
-	_ = x[(b4-1)*ldx+inDim-1]
-	_ = w[inDim]
-	_ = out[b4-1]
-	dotRows4(&out[0], &x[0], &w[0], b4, inDim, ldx)
 	if b4 < batch {
-		denseForwardScalar(out[b4:], x[b4*ldx:], w, batch-b4, inDim, ldx)
+		denseForwardScalar(out[b4:], x[b4*ldx:], w, batch-b4, ldx)
 	}
 }
 
 // stackForwardAVX2 computes a stacked ensemble's hidden activations four
 // lanes per instruction: one pass over the feature-major weights for the
 // pre-activations, one sigmoid pass over all lanes. A lane is one hidden
-// unit, so nothing is reduced across lanes. len(acts) is a multiple of 4
-// (newStack pads it).
+// unit, so nothing is reduced across lanes. len(acts) is a multiple of
+// Hidden.
 func stackForwardAVX2(acts, wT, x []float64) {
 	if len(acts) == 0 || len(x) == 0 {
 		stackForwardScalar(acts, wT, x)
@@ -82,49 +84,27 @@ func stackForwardAVX2(acts, wT, x []float64) {
 	sigmoidVec4(&acts[0], len(acts))
 }
 
-// hiddenEtaAVX2 runs the scaled backprop recurrence with four units per
-// vector lane and the whole batch per call. wNext is row-major in k, so
-// the four j-columns of one k are contiguous — no transpose needed; the
-// k-sum ascends inside each lane. The unit tail runs the scalar
-// reference's expression.
-func hiddenEtaAVX2(t, dNext, wNext, acts []float64, batch, units, unitsNext, ld int, lr float64) {
-	units4 := units &^ 3
-	if units4 == 0 || unitsNext == 0 || batch == 0 {
-		hiddenEtaScalar(t, dNext, wNext, acts, batch, units, unitsNext, ld, lr)
+// hiddenEtaAVX2 runs the scaled backprop recurrence with four hidden units
+// per vector lane — a sample's Hidden units in four vectors — and the whole
+// batch per call. Each lane gets the scalar reference's expression.
+func hiddenEtaAVX2(t, d, w, acts []float64, batch, ld int, lr float64) {
+	if batch == 0 {
 		return
 	}
 	// Panic, as the scalar reference would, before the assembly touches
 	// memory a slice does not cover.
-	_ = t[(batch-1)*ld+units-1]
-	_ = acts[(batch-1)*ld+units-1]
-	_ = dNext[batch*unitsNext-1]
-	_ = wNext[unitsNext*(units+1)-1]
-	deltaRows4(&t[0], &acts[0], &wNext[0], &dNext[0], batch, ld, units4, unitsNext, units+1, lr)
-	if units4 == units {
-		return
-	}
-	rowW := units + 1
-	for b := 0; b < batch; b++ {
-		tb := t[b*ld:][:units]
-		ab := acts[b*ld:][:units]
-		nd := dNext[b*unitsNext:][:unitsNext]
-		for j := units4; j < units; j++ {
-			var sum float64
-			for k, ndk := range nd {
-				sum += wNext[k*rowW+j] * ndk
-			}
-			a := ab[j]
-			tb[j] = lr * (sum * a * (1 - a))
-		}
-	}
+	_ = t[(batch-1)*ld+Hidden-1]
+	_ = acts[(batch-1)*ld+Hidden-1]
+	_ = d[batch-1]
+	_ = w[Hidden-1]
+	deltaRows4(&t[0], &acts[0], &w[0], &d[0], batch, ld, lr)
 }
 
 // sgdFeatureMajorAVX2 runs the feature-major update four lanes per
 // instruction, carrying each velocity through the whole batch in a
-// register before w += v. Lane counts that are not a multiple of four
-// (the trainer always pads to four) take the scalar reference.
+// register before w += v. lanes is a multiple of Hidden.
 func sgdFeatureMajorAVX2(w, vel, t, x []float64, batch, rows, lanes, ldx int, momentum float64) {
-	if lanes&3 != 0 || lanes == 0 || rows == 0 || batch == 0 {
+	if lanes == 0 || rows == 0 || batch == 0 {
 		sgdFeatureMajorScalar(w, vel, t, x, batch, rows, lanes, ldx, momentum)
 		return
 	}
@@ -135,43 +115,32 @@ func sgdFeatureMajorAVX2(w, vel, t, x []float64, batch, rows, lanes, ldx int, mo
 	sgdFeatureMajor4(&w[0], &vel[0], &t[0], &x[0], batch, rows, lanes, ldx, momentum)
 }
 
-// sgdStepAVX2 applies the fused momentum/AXPY update with four weight
-// indices per vector lane. The 4-sample blocks run whole layers per
-// assembly call (the unit loop, the i tails and the bias column all live
-// in the routine); each vel element still receives the reference's exact
-// operation sequence — momentum fold first, then one subtraction per
-// sample block and straggler, then w += vel — only the j/b loop nesting
-// is swapped, which no element can observe.
-func sgdStepAVX2(w, vel, d, x []float64, batch, units, inDim, ldx int, lr, momentum float64) {
-	if units == 0 || inDim == 0 {
-		sgdStepScalar(w, vel, d, x, batch, units, inDim, ldx, lr, momentum)
-		return
+// sgdStepAVX2 applies the output unit's fused momentum/AXPY update with
+// four weights per vector lane: every pass runs the Hidden input weights as
+// four vectors and the bias as a scalar. Each element receives the
+// reference's exact operation sequence — momentum fold first, then one
+// subtraction per sample block and straggler, then w += vel.
+func sgdStepAVX2(w, vel, d, x []float64, batch, ldx int, lr, momentum float64) {
+	_ = w[Hidden]
+	_ = vel[Hidden]
+	if batch > 0 {
+		_ = d[batch-1]
+		_ = x[(batch-1)*ldx+Hidden-1]
 	}
-	n := units * (inDim + 1)
 	var b int
 	if batch >= 4 {
-		sgdFoldAll(&vel[0], &x[0], &x[ldx], &x[2*ldx], &x[3*ldx], &d[0],
-			units, inDim, lr, momentum)
+		sgdFoldAll(&vel[0], &x[0], &x[ldx], &x[2*ldx], &x[3*ldx], &d[0], lr, momentum)
 		b = 4
 	} else {
-		if r4 := n &^ 3; r4 > 0 {
-			vecScale4(&vel[0], r4, momentum)
-		}
-		for i := n &^ 3; i < n; i++ {
-			vel[i] = momentum * vel[i]
-		}
+		vecScale4(&vel[0], Hidden, momentum)
+		vel[Hidden] = momentum * vel[Hidden]
 	}
 	for ; b+4 <= batch; b += 4 {
-		sgdAxpyAll(&vel[0], &x[(b+0)*ldx], &x[(b+1)*ldx], &x[(b+2)*ldx], &x[(b+3)*ldx],
-			&d[b*units], units, inDim, lr)
+		sgdAxpyAll(&vel[0], &x[b*ldx], &x[(b+1)*ldx], &x[(b+2)*ldx], &x[(b+3)*ldx], &d[b], lr)
 	}
 	for ; b < batch; b++ {
-		axpyNegAll(&vel[0], &x[b*ldx], &d[b*units], units, inDim, lr)
+		axpyNegAll(&vel[0], &x[b*ldx], &d[b], lr)
 	}
-	if r4 := n &^ 3; r4 > 0 {
-		vecAdd4(&w[0], &vel[0], r4)
-	}
-	for i := n &^ 3; i < n; i++ {
-		w[i] += vel[i]
-	}
+	vecAdd4(&w[0], &vel[0], Hidden)
+	w[Hidden] += vel[Hidden]
 }

@@ -7,7 +7,7 @@
 // multiplies, adds, subtracts and divides, in the same order, with no FMA
 // contraction (a fused multiply-add rounds once where the reference rounds
 // twice, which would break bit-identity). Reductions (the i-sums of the
-// forward pass, the k-sums of backprop) always stay within one lane.
+// forward passes) always stay within one lane.
 //
 // The EXPCORE macro is fastExp from gemm.go transcribed operation for
 // operation; see that file for the algorithm. Lanes whose input is below
@@ -16,6 +16,11 @@
 // because SSE/AVX exceptions are masked in Go.
 
 #include "textflag.h"
+
+// The output unit's fan-in, ann.Hidden = 16 (gemm_amd64.go asserts it): in
+// bytes, and in vectors of four.
+#define HIDDEN_BYTES 128
+#define HIDDEN_VECS 4
 
 DATA expconsts<>+0(SB)/8, $0x4086280000000000   // 709.0 (overflow clamp)
 DATA expconsts<>+8(SB)/8, $0x4086280000000000
@@ -149,35 +154,29 @@ sigdone:
 	VZEROUPPER
 	RET
 
-// func dotRows4(out, x, w *float64, rows, inDim, ldx int)
-// A one-unit dense layer, four rows per instruction:
+// func dotRows4(out, x, w *float64, rows, ldx int)
+// The linear output unit, four rows per instruction:
 //
-//	out[b] = w[inDim] + Σ_i w[i]·x[b*ldx+i]   for b < rows
+//	out[b] = w[Hidden] + Σ_i w[i]·x[b*ldx+i]   for b < rows
 //
 // Each group of four rows is transposed in registers four columns at a
 // time (no packing buffer, any row stride), and its lane sums bias-first
 // then ascending i, exactly like the scalar forward. rows is a positive
-// multiple of 4, inDim ≥ 1.
-TEXT ·dotRows4(SB), NOSPLIT, $0-48
+// multiple of 4.
+TEXT ·dotRows4(SB), NOSPLIT, $0-40
 	MOVQ out+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ w+16(FP), DX
 	MOVQ rows+24(FP), BX
-	MOVQ inDim+32(FP), CX
-	MOVQ ldx+40(FP), R8
+	MOVQ ldx+32(FP), R8
 	SHLQ $3, R8                 // row stride in bytes
 	LEAQ (R8)(R8*2), R9         // three rows
-	VBROADCASTSD (DX)(CX*8), Y7 // bias
-	MOVQ CX, R10
-	SHRQ $2, R10                // column blocks of four
-	ANDQ $3, CX                 // tail columns
+	VBROADCASTSD HIDDEN_BYTES(DX), Y7 // bias
 drgroup:
 	VMOVAPD Y7, Y0              // the group's four sums
 	MOVQ SI, R11                // row 0's column cursor
 	MOVQ DX, R12                // weight cursor
-	MOVQ R10, R13
-	TESTQ R13, R13
-	JZ   drtail
+	MOVQ $HIDDEN_VECS, R13
 drblock:
 	VMOVUPD (R11), Y1           // row 0, columns i..i+3
 	VMOVUPD (R11)(R8*1), Y2     // row 1
@@ -207,24 +206,6 @@ drblock:
 	ADDQ $32, R12
 	DECQ R13
 	JNZ  drblock
-drtail:
-	MOVQ CX, R13
-	TESTQ R13, R13
-	JZ   drstore
-drtloop:
-	VMOVSD  (R11), X1           // column i of the four rows, gathered
-	VMOVHPD (R11)(R8*1), X1, X1
-	VMOVSD  (R11)(R8*2), X2
-	VMOVHPD (R11)(R9*1), X2, X2
-	VINSERTF128 $1, X2, Y1, Y1
-	VBROADCASTSD (R12), Y2
-	VMULPD  Y1, Y2, Y2
-	VADDPD  Y2, Y0, Y0
-	ADDQ $8, R11
-	ADDQ $8, R12
-	DECQ R13
-	JNZ  drtloop
-drstore:
 	VMOVUPD Y0, (DI)
 	ADDQ $32, DI
 	LEAQ (SI)(R8*4), SI         // next four rows
@@ -310,57 +291,45 @@ ssdone:
 	VZEROUPPER
 	RET
 
-// func deltaRows4(d, acts, wNext, dNext *float64, rows, ld, units4, unitsNext, rowW int, scale float64)
-// The backprop recurrence of a batch, four units per instruction, scaled:
+// func deltaRows4(t, acts, w, d *float64, rows, ld int, scale float64)
+// The backprop recurrence from the linear output unit into the hidden
+// layer, four units per instruction, scaled:
 //
-//	d[b*ld+j] = ((Σ_k wNext[k*rowW+j]·dNext[b*unitsNext+k]) · a·(1−a)) · scale
+//	t[b*ld+j] = ((0 + w[j]·d[b]) · a·(1−a)) · scale
 //
-// with a = acts[b*ld+j], for b < rows and j < units4. The k-sum starts
-// from zero and ascends within each lane. units4 is a positive multiple of
-// 4 (the caller handles the j tail); rows, unitsNext ≥ 1. The lockstep
-// trainer passes the learning rate as scale.
-TEXT ·deltaRows4(SB), NOSPLIT, $0-80
-	MOVQ d+0(FP), DI
+// with a = acts[b*ld+j], for b < rows and j < Hidden. The sum starts from
+// zero like the scalar reference's, so a −0 product becomes +0. rows ≥ 1.
+// The lockstep trainer passes the learning rate as scale.
+TEXT ·deltaRows4(SB), NOSPLIT, $0-56
+	MOVQ t+0(FP), DI
 	MOVQ acts+8(FP), R9
-	MOVQ wNext+16(FP), DX
-	MOVQ dNext+24(FP), SI
+	MOVQ w+16(FP), DX
+	MOVQ d+24(FP), SI
 	MOVQ rows+32(FP), BX
 	MOVQ ld+40(FP), R8
-	MOVQ units4+48(FP), CX
-	MOVQ rowW+64(FP), R11
-	VBROADCASTSD scale+72(FP), Y7
+	VBROADCASTSD scale+48(FP), Y7
 	LEAQ expconsts<>(SB), AX
 	VMOVUPD 384(AX), Y6         // 1.0
 	SHLQ $3, R8                 // ld in bytes
-	SHLQ $3, CX                 // units4 in bytes
-	SHLQ $3, R11                // rowW in bytes
 drloop:
+	VBROADCASTSD (SI), Y1       // d[b]
 	XORQ AX, AX                 // j in bytes
 djloop:
-	VXORPD Y0, Y0, Y0
-	LEAQ (DX)(AX*1), R13        // &wNext[j] column cursor
-	MOVQ SI, R12                // dNext cursor
-	MOVQ unitsNext+56(FP), R10
-dkloop:
-	VBROADCASTSD (R12), Y1
-	VMULPD  (R13), Y1, Y1       // wNext[k*rowW+j..j+3] · dNext[k]
-	VADDPD  Y1, Y0, Y0
-	ADDQ R11, R13
-	ADDQ $8, R12
-	DECQ R10
-	JNZ  dkloop
-	VMOVUPD (R9)(AX*1), Y1      // a
-	VMULPD  Y1, Y0, Y0          // s·a
-	VSUBPD  Y1, Y6, Y2          // 1−a
-	VMULPD  Y2, Y0, Y0          // (s·a)·(1−a)
+	VXORPD  Y0, Y0, Y0
+	VMULPD  (DX)(AX*1), Y1, Y2  // w[j..j+3] · d[b]
+	VADDPD  Y2, Y0, Y0          // 0 + w·d
+	VMOVUPD (R9)(AX*1), Y2      // a
+	VMULPD  Y2, Y0, Y0          // s·a
+	VSUBPD  Y2, Y6, Y3          // 1−a
+	VMULPD  Y3, Y0, Y0          // (s·a)·(1−a)
 	VMULPD  Y7, Y0, Y0          // ·scale
 	VMOVUPD Y0, (DI)(AX*1)
 	ADDQ $32, AX
-	CMPQ AX, CX
+	CMPQ AX, $HIDDEN_BYTES
 	JLT  djloop
 	ADDQ R8, DI
 	ADDQ R8, R9
-	MOVQ R12, SI                // next sample's dNext row
+	ADDQ $8, SI                 // next sample's delta
 	DECQ BX
 	JNZ  drloop
 	VZEROUPPER
@@ -461,210 +430,118 @@ fmstore:
 	VZEROUPPER
 	RET
 
-// func sgdFoldAll(vel, x0, x1, x2, x3, d *float64, units, inDim int, lr, mom float64)
-// The momentum-folding first block of the weight update, all units in one
-// call. For each unit j (t_k = lr·d[k·units+j], rowW = inDim+1):
+// SGDBLOCK: Y0 = ((t0·x0[i..i+3] + t1·x1[..]) + t2·x2[..]) + t3·x3[..] at
+// byte offset AX, with t0..t3 broadcast in Y4..Y7 and the rows x0..x3 at
+// SI, DX, R8, R9. Clobbers Y1.
+#define SGDBLOCK \
+	VMOVUPD (SI)(AX*1), Y0 \
+	VMULPD  Y4, Y0, Y0     \
+	VMOVUPD (DX)(AX*1), Y1 \
+	VMULPD  Y5, Y1, Y1     \
+	VADDPD  Y1, Y0, Y0     \
+	VMOVUPD (R8)(AX*1), Y1 \
+	VMULPD  Y6, Y1, Y1     \
+	VADDPD  Y1, Y0, Y0     \
+	VMOVUPD (R9)(AX*1), Y1 \
+	VMULPD  Y7, Y1, Y1     \
+	VADDPD  Y1, Y0, Y0
+
+// SGDLOADT: Y4..Y7 = t_k = lr·d[k] (k < 4) of one four-sample block, with
+// lr in Y9 and d at R10.
+#define SGDLOADT \
+	VBROADCASTSD (R10), Y4     \
+	VMULPD Y9, Y4, Y4          \
+	VBROADCASTSD 8(R10), Y5    \
+	VMULPD Y9, Y5, Y5          \
+	VBROADCASTSD 16(R10), Y6   \
+	VMULPD Y9, Y6, Y6          \
+	VBROADCASTSD 24(R10), Y7   \
+	VMULPD Y9, Y7, Y7
+
+// func sgdFoldAll(vel, x0, x1, x2, x3, d *float64, lr, mom float64)
+// The momentum-folding first block of the output unit's update. With
+// t_k = lr·d[k]:
 //
-//	vel[j*rowW+i]     = mom·v − (((t0·x0[i] + t1·x1[i]) + t2·x2[i]) + t3·x3[i])
-//	vel[j*rowW+inDim] = mom·v − (((t0 + t1) + t2) + t3)
+//	vel[i]      = mom·v − (((t0·x0[i] + t1·x1[i]) + t2·x2[i]) + t3·x3[i])   i < Hidden
+//	vel[Hidden] = mom·v − (((t0 + t1) + t2) + t3)
 //
-// Interior i runs four lanes wide; the i tail and the bias column use
-// scalar AVX ops with the reference's exact association. units ≥ 1.
-TEXT ·sgdFoldAll(SB), NOSPLIT, $0-80
+// The Hidden weights run four lanes wide; the bias uses scalar AVX ops
+// with the reference's exact association.
+TEXT ·sgdFoldAll(SB), NOSPLIT, $0-64
 	MOVQ vel+0(FP), DI
 	MOVQ x0+8(FP), SI
 	MOVQ x1+16(FP), DX
 	MOVQ x2+24(FP), R8
 	MOVQ x3+32(FP), R9
 	MOVQ d+40(FP), R10
-	MOVQ units+48(FP), CX
-	MOVQ inDim+56(FP), R13
-	VBROADCASTSD lr+64(FP), Y9
-	VBROADCASTSD mom+72(FP), Y8
-	MOVQ CX, R11
-	SHLQ $3, R11                // d stride: units·8 bytes
-	LEAQ (R11)(R11*2), BX       // 3·units·8 bytes
-	MOVQ R13, R12
-	ANDQ $-4, R12
-	SHLQ $3, R12                // vector span: (inDim&^3)·8 bytes
-	SHLQ $3, R13                // row span: inDim·8 bytes (bias offset)
-sfajloop:
-	VBROADCASTSD (R10), Y4      // t0 = lr·d[j]
-	VMULPD Y9, Y4, Y4
-	VBROADCASTSD (R10)(R11*1), Y5
-	VMULPD Y9, Y5, Y5
-	VBROADCASTSD (R10)(R11*2), Y6
-	VMULPD Y9, Y6, Y6
-	VBROADCASTSD (R10)(BX*1), Y7
-	VMULPD Y9, Y7, Y7
+	VBROADCASTSD lr+48(FP), Y9
+	VBROADCASTSD mom+56(FP), Y8
+	SGDLOADT
 	XORQ AX, AX
-	CMPQ AX, R12
-	JGE  sfatail
 sfavloop:
-	VMOVUPD (SI)(AX*1), Y0
-	VMULPD  Y4, Y0, Y0          // t0·x0
-	VMOVUPD (DX)(AX*1), Y1
-	VMULPD  Y5, Y1, Y1
-	VADDPD  Y1, Y0, Y0          // + t1·x1
-	VMOVUPD (R8)(AX*1), Y1
-	VMULPD  Y6, Y1, Y1
-	VADDPD  Y1, Y0, Y0          // + t2·x2
-	VMOVUPD (R9)(AX*1), Y1
-	VMULPD  Y7, Y1, Y1
-	VADDPD  Y1, Y0, Y0          // + t3·x3
+	SGDBLOCK
 	VMOVUPD (DI)(AX*1), Y2
 	VMULPD  Y8, Y2, Y2          // mom·v
 	VSUBPD  Y0, Y2, Y2          // − sum
 	VMOVUPD Y2, (DI)(AX*1)
 	ADDQ $32, AX
-	CMPQ AX, R12
+	CMPQ AX, $HIDDEN_BYTES
 	JLT  sfavloop
-sfatail:
-	CMPQ AX, R13
-	JGE  sfabias
-sfatloop:
-	VMOVSD (SI)(AX*1), X0
-	VMULSD X4, X0, X0
-	VMOVSD (DX)(AX*1), X1
-	VMULSD X5, X1, X1
-	VADDSD X1, X0, X0
-	VMOVSD (R8)(AX*1), X1
-	VMULSD X6, X1, X1
-	VADDSD X1, X0, X0
-	VMOVSD (R9)(AX*1), X1
-	VMULSD X7, X1, X1
-	VADDSD X1, X0, X0
-	VMOVSD (DI)(AX*1), X2
-	VMULSD X8, X2, X2
-	VSUBSD X0, X2, X2
-	VMOVSD X2, (DI)(AX*1)
-	ADDQ $8, AX
-	CMPQ AX, R13
-	JLT  sfatloop
-sfabias:
 	VADDSD X5, X4, X10          // (t0+t1)
 	VADDSD X6, X10, X10         // +t2
 	VADDSD X7, X10, X10         // +t3
-	VMOVSD (DI)(R13*1), X2
+	VMOVSD HIDDEN_BYTES(DI), X2
 	VMULSD X8, X2, X2
 	VSUBSD X10, X2, X2
-	VMOVSD X2, (DI)(R13*1)
-	LEAQ 8(DI)(R13*1), DI       // next vel row (rowW doubles)
-	ADDQ $8, R10                // next unit's d column
-	DECQ CX
-	JNZ  sfajloop
+	VMOVSD X2, HIDDEN_BYTES(DI)
 	VZEROUPPER
 	RET
 
-// func sgdAxpyAll(vel, x0, x1, x2, x3, d *float64, units, inDim int, lr float64)
-// A non-folding 4-sample block of the weight update, all units in one call:
+// func sgdAxpyAll(vel, x0, x1, x2, x3, d *float64, lr float64)
+// A non-folding 4-sample block of the output unit's update:
 //
-//	vel[j*rowW+i]     −= ((t0·x0[i] + t1·x1[i]) + t2·x2[i]) + t3·x3[i]
-//	vel[j*rowW+inDim] −= ((t0 + t1) + t2) + t3
+//	vel[i]      −= ((t0·x0[i] + t1·x1[i]) + t2·x2[i]) + t3·x3[i]   i < Hidden
+//	vel[Hidden] −= ((t0 + t1) + t2) + t3
 //
-// with t_k = lr·d[k·units+j]. Same tail/bias handling as sgdFoldAll.
-TEXT ·sgdAxpyAll(SB), NOSPLIT, $0-72
+// with t_k = lr·d[k]. Same bias handling as sgdFoldAll.
+TEXT ·sgdAxpyAll(SB), NOSPLIT, $0-56
 	MOVQ vel+0(FP), DI
 	MOVQ x0+8(FP), SI
 	MOVQ x1+16(FP), DX
 	MOVQ x2+24(FP), R8
 	MOVQ x3+32(FP), R9
 	MOVQ d+40(FP), R10
-	MOVQ units+48(FP), CX
-	MOVQ inDim+56(FP), R13
-	VBROADCASTSD lr+64(FP), Y9
-	MOVQ CX, R11
-	SHLQ $3, R11
-	LEAQ (R11)(R11*2), BX
-	MOVQ R13, R12
-	ANDQ $-4, R12
-	SHLQ $3, R12
-	SHLQ $3, R13
-sajloop:
-	VBROADCASTSD (R10), Y4
-	VMULPD Y9, Y4, Y4
-	VBROADCASTSD (R10)(R11*1), Y5
-	VMULPD Y9, Y5, Y5
-	VBROADCASTSD (R10)(R11*2), Y6
-	VMULPD Y9, Y6, Y6
-	VBROADCASTSD (R10)(BX*1), Y7
-	VMULPD Y9, Y7, Y7
+	VBROADCASTSD lr+48(FP), Y9
+	SGDLOADT
 	XORQ AX, AX
-	CMPQ AX, R12
-	JGE  satail
 savloop:
-	VMOVUPD (SI)(AX*1), Y0
-	VMULPD  Y4, Y0, Y0
-	VMOVUPD (DX)(AX*1), Y1
-	VMULPD  Y5, Y1, Y1
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD (R8)(AX*1), Y1
-	VMULPD  Y6, Y1, Y1
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD (R9)(AX*1), Y1
-	VMULPD  Y7, Y1, Y1
-	VADDPD  Y1, Y0, Y0
+	SGDBLOCK
 	VMOVUPD (DI)(AX*1), Y2
 	VSUBPD  Y0, Y2, Y2
 	VMOVUPD Y2, (DI)(AX*1)
 	ADDQ $32, AX
-	CMPQ AX, R12
+	CMPQ AX, $HIDDEN_BYTES
 	JLT  savloop
-satail:
-	CMPQ AX, R13
-	JGE  sabias
-satloop:
-	VMOVSD (SI)(AX*1), X0
-	VMULSD X4, X0, X0
-	VMOVSD (DX)(AX*1), X1
-	VMULSD X5, X1, X1
-	VADDSD X1, X0, X0
-	VMOVSD (R8)(AX*1), X1
-	VMULSD X6, X1, X1
-	VADDSD X1, X0, X0
-	VMOVSD (R9)(AX*1), X1
-	VMULSD X7, X1, X1
-	VADDSD X1, X0, X0
-	VMOVSD (DI)(AX*1), X2
-	VSUBSD X0, X2, X2
-	VMOVSD X2, (DI)(AX*1)
-	ADDQ $8, AX
-	CMPQ AX, R13
-	JLT  satloop
-sabias:
 	VADDSD X5, X4, X10
 	VADDSD X6, X10, X10
 	VADDSD X7, X10, X10
-	VMOVSD (DI)(R13*1), X2
+	VMOVSD HIDDEN_BYTES(DI), X2
 	VSUBSD X10, X2, X2
-	VMOVSD X2, (DI)(R13*1)
-	LEAQ 8(DI)(R13*1), DI
-	ADDQ $8, R10
-	DECQ CX
-	JNZ  sajloop
+	VMOVSD X2, HIDDEN_BYTES(DI)
 	VZEROUPPER
 	RET
 
-// func axpyNegAll(vel, x, d *float64, units, inDim int, lr float64)
-// A single straggler sample of the weight update, all units in one call:
-// with t = lr·d[j], vel[j*rowW+i] −= t·x[i] and vel[j*rowW+inDim] −= t.
-TEXT ·axpyNegAll(SB), NOSPLIT, $0-48
+// func axpyNegAll(vel, x, d *float64, lr float64)
+// A single straggler sample of the output unit's update: with t = lr·d[0],
+// vel[i] −= t·x[i] for i < Hidden and vel[Hidden] −= t.
+TEXT ·axpyNegAll(SB), NOSPLIT, $0-32
 	MOVQ vel+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ d+16(FP), R10
-	MOVQ units+24(FP), CX
-	MOVQ inDim+32(FP), R13
-	VBROADCASTSD lr+40(FP), Y9
-	MOVQ R13, R12
-	ANDQ $-4, R12
-	SHLQ $3, R12
-	SHLQ $3, R13
-anjloop:
+	VBROADCASTSD lr+24(FP), Y9
 	VBROADCASTSD (R10), Y4
-	VMULPD Y9, Y4, Y4           // t = lr·d[j]
+	VMULPD Y9, Y4, Y4           // t = lr·d
 	XORQ AX, AX
-	CMPQ AX, R12
-	JGE  antail
 anvloop:
 	VMOVUPD (SI)(AX*1), Y0
 	VMULPD  Y4, Y0, Y0
@@ -672,28 +549,11 @@ anvloop:
 	VSUBPD  Y0, Y1, Y1
 	VMOVUPD Y1, (DI)(AX*1)
 	ADDQ $32, AX
-	CMPQ AX, R12
+	CMPQ AX, $HIDDEN_BYTES
 	JLT  anvloop
-antail:
-	CMPQ AX, R13
-	JGE  anbias
-antloop:
-	VMOVSD (SI)(AX*1), X0
-	VMULSD X4, X0, X0
-	VMOVSD (DI)(AX*1), X1
-	VSUBSD X0, X1, X1
-	VMOVSD X1, (DI)(AX*1)
-	ADDQ $8, AX
-	CMPQ AX, R13
-	JLT  antloop
-anbias:
-	VMOVSD (DI)(R13*1), X2
+	VMOVSD HIDDEN_BYTES(DI), X2
 	VSUBSD X4, X2, X2
-	VMOVSD X2, (DI)(R13*1)
-	LEAQ 8(DI)(R13*1), DI
-	ADDQ $8, R10
-	DECQ CX
-	JNZ  anjloop
+	VMOVSD X2, HIDDEN_BYTES(DI)
 	VZEROUPPER
 	RET
 

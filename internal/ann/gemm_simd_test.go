@@ -1,8 +1,8 @@
 //go:build amd64 && !actor_noasm
 
 // Bit-identity enforcement for the AVX2 kernels: every test drives the
-// vector and scalar implementations over the same inputs — including odd
-// shapes that exercise tail lanes, batch=1 and units=1 — and requires the
+// vector and scalar implementations over the same inputs — including batch
+// tails, batch=1 and padded row strides — and requires the
 // outputs to match to the last bit (math.Float64bits equality, so NaN
 // payloads and signed zeros count too).
 package ann
@@ -97,171 +97,147 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// TestDenseForwardBitIdentical draws random shapes, strides and weight
-// scales for the output unit's forward pass.
+// TestDenseForwardBitIdentical draws random batch sizes, strides and
+// weight scales for the output unit's forward pass.
 func TestDenseForwardBitIdentical(t *testing.T) {
 	needAVX2(t)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
 		batch := 1 + rng.Intn(9)
-		inDim := 1 + rng.Intn(17)
-		ldx := inDim + rng.Intn(3)
-		x := randSlice(rng, batch*ldx)
-		w := randSlice(rng, inDim+1)
-		got := make([]float64, batch)
-		want := make([]float64, batch)
-		denseForwardAVX2(got, x, w, batch, inDim, ldx)
-		denseForwardScalar(want, x, w, batch, inDim, ldx)
-		if i := diffIndex(got, want); i >= 0 {
-			t.Fatalf("trial %d (batch=%d inDim=%d ldx=%d): out[%d] = %x, want %x",
-				trial, batch, inDim, ldx, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-		}
+		requireDenseForwardMatches(t, rng, batch, Hidden+rng.Intn(3))
 	}
 }
 
 // TestDenseForwardOneUnitBitIdentical sweeps the output unit's forward pass
-// (run once per target and batch) over every batch tail, every column tail
-// and strided rows.
+// (run once per target and batch) over every batch tail and strided rows.
 func TestDenseForwardOneUnitBitIdentical(t *testing.T) {
 	needAVX2(t)
 	rng := rand.New(rand.NewSource(8))
 	for batch := 1; batch <= 13; batch++ {
-		for inDim := 1; inDim <= 19; inDim++ {
-			for _, pad := range []int{0, 1, 47} {
-				ldx := inDim + pad
-				x := randSlice(rng, batch*ldx)
-				w := randSlice(rng, inDim+1)
-				got := make([]float64, batch)
-				want := make([]float64, batch)
-				denseForwardAVX2(got, x, w, batch, inDim, ldx)
-				denseForwardScalar(want, x, w, batch, inDim, ldx)
-				if i := diffIndex(got, want); i >= 0 {
-					t.Fatalf("batch=%d inDim=%d ldx=%d: out[%d] = %x, want %x", batch, inDim, ldx, i,
-						math.Float64bits(got[i]), math.Float64bits(want[i]))
-				}
-			}
+		for _, pad := range []int{0, 1, 47} {
+			requireDenseForwardMatches(t, rng, batch, Hidden+pad)
 		}
 	}
 }
 
+// requireDenseForwardMatches runs both implementations of the output
+// unit's forward pass on one random case and fails on the first differing
+// bit.
+func requireDenseForwardMatches(t *testing.T, rng *rand.Rand, batch, ldx int) {
+	t.Helper()
+	x := randSlice(rng, batch*ldx)
+	w := randSlice(rng, Hidden+1)
+	got := make([]float64, batch)
+	want := make([]float64, batch)
+	denseForwardAVX2(got, x, w, batch, ldx)
+	denseForwardScalar(want, x, w, batch, ldx)
+	if i := diffIndex(got, want); i >= 0 {
+		t.Fatalf("batch=%d ldx=%d: out[%d] = %x, want %x", batch, ldx, i,
+			math.Float64bits(got[i]), math.Float64bits(want[i]))
+	}
+}
+
+// requireSGDStepMatches runs both implementations of the output unit's
+// update on copies of one random case and fails on the first differing
+// bit.
+func requireSGDStepMatches(t *testing.T, rng *rand.Rand, batch, ldx int) {
+	t.Helper()
+	lr, momentum := rng.Float64(), rng.Float64()
+	w := randSlice(rng, Hidden+1)
+	vel := randSlice(rng, Hidden+1)
+	d := randSlice(rng, batch)
+	x := randSlice(rng, batch*ldx)
+
+	wGot := append([]float64(nil), w...)
+	velGot := append([]float64(nil), vel...)
+	sgdStepAVX2(wGot, velGot, d, x, batch, ldx, lr, momentum)
+	wWant := append([]float64(nil), w...)
+	velWant := append([]float64(nil), vel...)
+	sgdStepScalar(wWant, velWant, d, x, batch, ldx, lr, momentum)
+	if i := diffIndex(wGot, wWant); i >= 0 {
+		t.Fatalf("batch=%d ldx=%d: w[%d] = %x, want %x", batch, ldx, i,
+			math.Float64bits(wGot[i]), math.Float64bits(wWant[i]))
+	}
+	if i := diffIndex(velGot, velWant); i >= 0 {
+		t.Fatalf("batch=%d ldx=%d: vel[%d] = %x, want %x", batch, ldx, i,
+			math.Float64bits(velGot[i]), math.Float64bits(velWant[i]))
+	}
+}
+
+// TestSGDStepBitIdentical holds the output unit's update to its scalar
+// reference, and that reference to the row-major multi-unit update of the
+// reference trainer (reference_test.go) at one unit.
 func TestSGDStepBitIdentical(t *testing.T) {
 	needAVX2(t)
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		batch := 1 + rng.Intn(9)
-		units := 1 + rng.Intn(17)
-		inDim := 1 + rng.Intn(17)
-		ldx := inDim + rng.Intn(3)
-		lr := rng.Float64()
-		momentum := rng.Float64()
-		w := randSlice(rng, units*(inDim+1))
-		vel := randSlice(rng, units*(inDim+1))
-		d := randSlice(rng, batch*units)
-		x := randSlice(rng, batch*ldx)
+		ldx := Hidden + rng.Intn(3)
+		requireSGDStepMatches(t, rng, batch, ldx)
 
-		wGot := append([]float64(nil), w...)
-		velGot := append([]float64(nil), vel...)
-		sgdStepAVX2(wGot, velGot, d, x, batch, units, inDim, ldx, lr, momentum)
-
-		wWant := append([]float64(nil), w...)
-		velWant := append([]float64(nil), vel...)
-		sgdStepScalar(wWant, velWant, d, x, batch, units, inDim, ldx, lr, momentum)
-
-		if i := diffIndex(wGot, wWant); i >= 0 {
-			t.Fatalf("trial %d (batch=%d units=%d inDim=%d): w[%d] = %x, want %x",
-				trial, batch, units, inDim, i,
-				math.Float64bits(wGot[i]), math.Float64bits(wWant[i]))
+		lr, momentum := rng.Float64(), rng.Float64()
+		w, vel := randSlice(rng, Hidden+1), randSlice(rng, Hidden+1)
+		d, x := randSlice(rng, batch), randSlice(rng, batch*ldx)
+		wRef, velRef := append([]float64(nil), w...), append([]float64(nil), vel...)
+		sgdStepScalar(w, vel, d, x, batch, ldx, lr, momentum)
+		refSGDStep(wRef, velRef, d, x, batch, 1, Hidden, ldx, lr, momentum)
+		if i := diffIndex(w, wRef); i >= 0 {
+			t.Fatalf("trial %d (batch=%d): w[%d] = %x, row-major reference %x", trial, batch, i,
+				math.Float64bits(w[i]), math.Float64bits(wRef[i]))
 		}
-		if i := diffIndex(velGot, velWant); i >= 0 {
-			t.Fatalf("trial %d (batch=%d units=%d inDim=%d): vel[%d] = %x, want %x",
-				trial, batch, units, inDim, i,
-				math.Float64bits(velGot[i]), math.Float64bits(velWant[i]))
+		if i := diffIndex(vel, velRef); i >= 0 {
+			t.Fatalf("trial %d (batch=%d): vel[%d] = %x, row-major reference %x", trial, batch, i,
+				math.Float64bits(vel[i]), math.Float64bits(velRef[i]))
 		}
 	}
 }
 
-// FuzzDenseForwardBitIdentity lets the fuzzer search shape corners and
-// value patterns the fixed trials miss.
+// FuzzDenseForwardBitIdentity lets the fuzzer search batch tails, strides
+// and value patterns the fixed trials miss.
 func FuzzDenseForwardBitIdentity(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(3), uint8(0))
-	f.Add(int64(7), uint8(1), uint8(1), uint8(2))
-	f.Add(int64(9), uint8(8), uint8(13), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, batchB, inDimB, padB uint8) {
+	f.Add(int64(1), uint8(4), uint8(0))
+	f.Add(int64(7), uint8(1), uint8(2))
+	f.Add(int64(9), uint8(8), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, batchB, padB uint8) {
 		fz := simd.Detect()
 		if !fz.AVX2 || !fz.OSYMM {
 			t.Skip("no AVX2")
 		}
-		batch := 1 + int(batchB%12)
-		inDim := 1 + int(inDimB%20)
-		ldx := inDim + int(padB%4)
-		rng := rand.New(rand.NewSource(seed))
-		x := randSlice(rng, batch*ldx)
-		w := randSlice(rng, inDim+1)
-		got := make([]float64, batch)
-		want := make([]float64, batch)
-		denseForwardAVX2(got, x, w, batch, inDim, ldx)
-		denseForwardScalar(want, x, w, batch, inDim, ldx)
-		if i := diffIndex(got, want); i >= 0 {
-			t.Fatalf("batch=%d inDim=%d ldx=%d: out[%d] = %x, want %x", batch, inDim, ldx, i,
-				math.Float64bits(got[i]), math.Float64bits(want[i]))
-		}
+		requireDenseForwardMatches(t, rand.New(rand.NewSource(seed)), 1+int(batchB%12), Hidden+int(padB%4))
 	})
 }
 
 // FuzzSGDStepBitIdentity fuzzes the weight-update drain order across batch
 // sizes on both sides of the momentum-folding threshold.
 func FuzzSGDStepBitIdentity(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(3), uint8(2), uint8(0))
-	f.Add(int64(3), uint8(3), uint8(16), uint8(13), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, batchB, unitsB, inDimB, padB uint8) {
+	f.Add(int64(1), uint8(4), uint8(0))
+	f.Add(int64(3), uint8(3), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, batchB, padB uint8) {
 		fz := simd.Detect()
 		if !fz.AVX2 || !fz.OSYMM {
 			t.Skip("no AVX2")
 		}
-		batch := 1 + int(batchB%12)
-		units := 1 + int(unitsB%20)
-		inDim := 1 + int(inDimB%20)
-		ldx := inDim + int(padB%4)
-		rng := rand.New(rand.NewSource(seed))
-		w := randSlice(rng, units*(inDim+1))
-		vel := randSlice(rng, units*(inDim+1))
-		d := randSlice(rng, batch*units)
-		x := randSlice(rng, batch*ldx)
-		lr, momentum := rng.Float64(), rng.Float64()
-
-		wGot := append([]float64(nil), w...)
-		velGot := append([]float64(nil), vel...)
-		sgdStepAVX2(wGot, velGot, d, x, batch, units, inDim, ldx, lr, momentum)
-		wWant := append([]float64(nil), w...)
-		velWant := append([]float64(nil), vel...)
-		sgdStepScalar(wWant, velWant, d, x, batch, units, inDim, ldx, lr, momentum)
-		if i := diffIndex(wGot, wWant); i >= 0 {
-			t.Fatalf("batch=%d units=%d inDim=%d: w[%d] mismatch", batch, units, inDim, i)
-		}
-		if i := diffIndex(velGot, velWant); i >= 0 {
-			t.Fatalf("batch=%d units=%d inDim=%d: vel[%d] mismatch", batch, units, inDim, i)
-		}
+		requireSGDStepMatches(t, rand.New(rand.NewSource(seed)), 1+int(batchB%12), Hidden+int(padB%4))
 	})
 }
 
 // FuzzStackedEnsembleBitIdentical fuzzes the stacked inference pass over
-// ensemble shapes and weight scales: the AVX2 kernel against the scalar
+// member counts, feature counts and weight scales: the AVX2 kernel against the scalar
 // kernel on the packed weights, and Ensemble.Predict (whichever kernel is
 // bound) against the members' own forward passes.
 func FuzzStackedEnsembleBitIdentical(f *testing.F) {
-	f.Add(int64(1), uint8(5), uint8(16), uint8(13), uint8(0))
-	f.Add(int64(2), uint8(3), uint8(1), uint8(1), uint8(3))
-	f.Add(int64(3), uint8(10), uint8(17), uint8(3), uint8(6))
-	f.Fuzz(func(t *testing.T, seed int64, kB, hiddenB, inDimB, scaleB uint8) {
+	f.Add(int64(1), uint8(5), uint8(13), uint8(0))
+	f.Add(int64(2), uint8(3), uint8(1), uint8(3))
+	f.Add(int64(3), uint8(10), uint8(3), uint8(6))
+	f.Fuzz(func(t *testing.T, seed int64, kB, inDimB, scaleB uint8) {
 		fz := simd.Detect()
 		if !fz.AVX2 || !fz.OSYMM {
 			t.Skip("no AVX2")
 		}
 		k := 1 + int(kB%12)
-		h := 1 + int(hiddenB%20)
 		d := 1 + int(inDimB%20)
 		rng := rand.New(rand.NewSource(seed))
-		e := randomEnsemble(t, rng, k, []int{d, h, 1}, math.Pow(10, float64(scaleB%7)-2))
+		e := randomEnsemble(t, rng, k, d, math.Pow(10, float64(scaleB%7)-2))
 		s := e.stack
 		got := make([]float64, s.lanes)
 		want := make([]float64, s.lanes)
@@ -270,11 +246,11 @@ func FuzzStackedEnsembleBitIdentical(f *testing.F) {
 			stackForwardAVX2(got, s.wT, nx)
 			stackForwardScalar(want, s.wT, nx)
 			if i := diffIndex(got, want); i >= 0 {
-				t.Fatalf("k=%d [%d,%d,1] x=%v: lane %d = %x, want %x", k, d, h, x, i,
+				t.Fatalf("k=%d d=%d x=%v: lane %d = %x, want %x", k, d, x, i,
 					math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
 			if p, m := e.Predict(x), memberMean(e, x); !bitsEqual(p, m) {
-				t.Fatalf("k=%d [%d,%d,1] x=%v: Predict = %x, members give %x", k, d, h, x,
+				t.Fatalf("k=%d d=%d x=%v: Predict = %x, members give %x", k, d, x,
 					math.Float64bits(p), math.Float64bits(m))
 			}
 		}
@@ -282,7 +258,7 @@ func FuzzStackedEnsembleBitIdentical(f *testing.F) {
 }
 
 // sgdFeatureMajorCase draws one feature-major update: inputs whose first
-// column is the bias input 1, lanes a multiple of four (the trainer pads).
+// column is the bias input 1, lanes a multiple of Hidden.
 func sgdFeatureMajorCase(rng *rand.Rand, batch, rows, lanes, ldx int) (w, vel, tv, x []float64) {
 	w = randSlice(rng, rows*lanes)
 	vel = randSlice(rng, rows*lanes)
@@ -314,41 +290,39 @@ func requireSGDFeatureMajorMatches(t *testing.T, w, vel, tv, x []float64, batch,
 
 // TestSGDFeatureMajorBitIdentical also holds the feature-major update to
 // the row-major one it replaces for the first layer: transposing a layer,
-// updating it feature-major and transposing back gives sgdStep's bits.
+// updating it feature-major and transposing back gives the reference
+// trainer's row-major bits (refSGDStep).
 func TestSGDFeatureMajorBitIdentical(t *testing.T) {
 	needAVX2(t)
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 200; trial++ {
 		batch := 1 + rng.Intn(12)
 		inDim := 1 + rng.Intn(17)
-		units := 1 + rng.Intn(20)
-		lanes := (units + 3) &^ 3
+		units := Hidden * (1 + rng.Intn(4))
 		rows, ldx := inDim+1, inDim+1+rng.Intn(3)
 		lr, momentum := rng.Float64(), rng.Float64()
-		w, vel, _, x := sgdFeatureMajorCase(rng, batch, rows, lanes, ldx)
+		w, vel, _, x := sgdFeatureMajorCase(rng, batch, rows, units, ldx)
 		d := randSlice(rng, batch*units)
-		tv := make([]float64, batch*lanes)
-		for b := 0; b < batch; b++ {
-			for j := 0; j < units; j++ {
-				tv[b*lanes+j] = lr * d[b*units+j]
-			}
+		tv := make([]float64, batch*units)
+		for i, dv := range d {
+			tv[i] = lr * dv
 		}
-		requireSGDFeatureMajorMatches(t, w, vel, tv, x, batch, rows, lanes, ldx, momentum)
+		requireSGDFeatureMajorMatches(t, w, vel, tv, x, batch, rows, units, ldx, momentum)
 
 		// The row-major twin: row j = unit j's feature weights, then its bias.
 		rw := make([]float64, units*rows)
 		rv := make([]float64, units*rows)
 		for j := 0; j < units; j++ {
 			for i := 0; i < inDim; i++ {
-				rw[j*rows+i], rv[j*rows+i] = w[(i+1)*lanes+j], vel[(i+1)*lanes+j]
+				rw[j*rows+i], rv[j*rows+i] = w[(i+1)*units+j], vel[(i+1)*units+j]
 			}
 			rw[j*rows+inDim], rv[j*rows+inDim] = w[j], vel[j]
 		}
-		sgdStep(rw, rv, d, x[1:], batch, units, inDim, ldx, lr, momentum)
-		sgdFeatureMajor(w, vel, tv, x, batch, rows, lanes, ldx, momentum)
+		refSGDStep(rw, rv, d, x[1:], batch, units, inDim, ldx, lr, momentum)
+		sgdFeatureMajor(w, vel, tv, x, batch, rows, units, ldx, momentum)
 		for j := 0; j < units; j++ {
 			for i := 0; i <= inDim; i++ {
-				fm := (i+1)*lanes + j
+				fm := (i+1)*units + j
 				if i == inDim {
 					fm = j
 				}
@@ -364,19 +338,19 @@ func TestSGDFeatureMajorBitIdentical(t *testing.T) {
 
 // FuzzFeatureMajorSGDBitIdentical fuzzes the feature-major update kernel
 // against its scalar reference across batch sizes on both sides of the
-// momentum-folding block, lane counts and input strides.
+// momentum-folding block, target counts and input strides.
 func FuzzFeatureMajorSGDBitIdentical(f *testing.F) {
-	f.Add(int64(1), uint8(8), uint8(13), uint8(16), uint8(0))
-	f.Add(int64(2), uint8(3), uint8(1), uint8(1), uint8(2))
-	f.Add(int64(3), uint8(5), uint8(5), uint8(4), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, batchB, inDimB, vecsB, padB uint8) {
+	f.Add(int64(1), uint8(8), uint8(13), uint8(3), uint8(0))
+	f.Add(int64(2), uint8(3), uint8(1), uint8(0), uint8(2))
+	f.Add(int64(3), uint8(5), uint8(5), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, batchB, inDimB, targetsB, padB uint8) {
 		fz := simd.Detect()
 		if !fz.AVX2 || !fz.OSYMM {
 			t.Skip("no AVX2")
 		}
 		batch := 1 + int(batchB%13)
 		rows := 2 + int(inDimB%20)
-		lanes := 4 * (1 + int(vecsB%24))
+		lanes := Hidden * (1 + int(targetsB%6))
 		ldx := rows + int(padB%4)
 		rng := rand.New(rand.NewSource(seed))
 		w, vel, tv, x := sgdFeatureMajorCase(rng, batch, rows, lanes, ldx)
@@ -389,35 +363,42 @@ func TestHiddenEtaBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		batch := 1 + rng.Intn(9)
-		units := 1 + rng.Intn(20)
-		unitsNext := 1 + rng.Intn(5)
-		ld := units + rng.Intn(9)
+		ld := Hidden + rng.Intn(9)
 		lr := rng.Float64()
-		dNext := randSlice(rng, batch*unitsNext)
-		wNext := randSlice(rng, unitsNext*(units+1))
+		d := randSlice(rng, batch)
+		w := randSlice(rng, Hidden+1)
+		if trial%4 == 0 {
+			// A zero delta makes a −0 product against every negative
+			// weight, which the sum started from zero turns into +0.
+			d[rng.Intn(batch)] = 0
+		}
 		acts := randSlice(rng, batch*ld)
 		for i := range acts {
 			acts[i] = 1 / (1 + math.Exp(-acts[i]))
 		}
 		got := make([]float64, batch*ld)
 		want := make([]float64, batch*ld)
-		hiddenEtaAVX2(got, dNext, wNext, acts, batch, units, unitsNext, ld, lr)
-		hiddenEtaScalar(want, dNext, wNext, acts, batch, units, unitsNext, ld, lr)
+		hiddenEtaAVX2(got, d, w, acts, batch, ld, lr)
+		hiddenEtaScalar(want, d, w, acts, batch, ld, lr)
 		if i := diffIndex(got, want); i >= 0 {
-			t.Fatalf("trial %d (batch=%d units=%d next=%d ld=%d): t[%d] = %x, want %x",
-				trial, batch, units, unitsNext, ld, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			t.Fatalf("trial %d (batch=%d ld=%d): t[%d] = %x, want %x",
+				trial, batch, ld, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 		}
 		// η·δ is lr times the reference trainer's δ, element by element.
-		d := make([]float64, batch*units)
-		packed := make([]float64, batch*units)
+		delta := make([]float64, batch*Hidden)
+		packed := make([]float64, batch*Hidden)
 		for b := 0; b < batch; b++ {
-			copy(packed[b*units:(b+1)*units], acts[b*ld:])
+			copy(packed[b*Hidden:(b+1)*Hidden], acts[b*ld:])
 		}
-		hiddenDelta(d, dNext, wNext, packed, batch, units, unitsNext)
+		hiddenDelta(delta, d, w, packed, batch, Hidden, 1)
 		for b := 0; b < batch; b++ {
-			for j := 0; j < units; j++ {
-				if !bitsEqual(lr*d[b*units+j], got[b*ld+j]) {
-					t.Fatalf("trial %d: sample %d unit %d: η·δ %v, lr·δ %v", trial, b, j, got[b*ld+j], lr*d[b*units+j])
+			for j := 0; j < Hidden; j++ {
+				g := got[b*ld+j]
+				if !bitsEqual(lr*delta[b*Hidden+j], g) {
+					t.Fatalf("trial %d: sample %d unit %d: η·δ %v, lr·δ %v", trial, b, j, g, lr*delta[b*Hidden+j])
+				}
+				if d[b] == 0 && math.Signbit(g) {
+					t.Fatalf("trial %d: sample %d unit %d: zero delta gave η·δ −0, want +0", trial, b, j)
 				}
 			}
 		}

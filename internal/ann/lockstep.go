@@ -8,7 +8,7 @@ import (
 	"slices"
 )
 
-// trainCore is the one training loop. It fits len(tr.y) [d, cfg.Hidden, 1]
+// trainCore is the one training loop. It fits len(tr.y) [d, Hidden, 1]
 // networks in lockstep — one per target of the packed corpus tr — to the
 // trainIdx rows, early-stopping each on its labels over the validIdx rows
 // of vd (vd may alias tr: fold views are index slices into one corpus).
@@ -26,10 +26,7 @@ func trainCore(tr *dataSet, trainIdx []int, vd *dataSet, validIdx []int, inits [
 	if len(trainIdx) == 0 {
 		return nil, nil, errors.New("ann: empty training set")
 	}
-	if cfg.Hidden < 1 {
-		return nil, nil, fmt.Errorf("ann: hidden layer width %d, need at least 1", cfg.Hidden)
-	}
-	sizes := []int{tr.d, cfg.Hidden, 1}
+	sizes := []int{tr.d, Hidden, 1}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nets := make([]*Network, len(tr.y))
 	if inits != nil {
@@ -110,8 +107,8 @@ func trainCore(tr *dataSet, trainIdx []int, vd *dataSet, validIdx []int, inits [
 
 // lockstep is the working state of trainCore: the live targets' hidden
 // layers packed feature-major — row 0 the biases, row i+1 every lane's
-// weight for feature i — with lane s·hp+j holding hidden unit j of live
-// target s, plus the batch scratch of that layer. A target whose early
+// weight for feature i — with lane s·Hidden+j holding hidden unit j of
+// live target s, plus the batch scratch of that layer. A target whose early
 // stop fires is compacted out of the lanes (retire), so stopped targets
 // cost nothing.
 //
@@ -121,11 +118,8 @@ func trainCore(tr *dataSet, trainIdx []int, vd *dataSet, validIdx []int, inits [
 // sequence (sgdFeatureMajor) — the bits of the row-major layer it stands
 // for.
 type lockstep struct {
-	// d is the feature count and h the hidden width.
-	d, h int
-	// hp is the lanes per target: h rounded up to the vector width. Pad
-	// lanes hold zero weights and a zero η·δ.
-	hp int
+	// d is the feature count.
+	d int
 	// rows is the scratch capacity in samples.
 	rows int
 	// w0 and v0 are the hidden layer's weights and velocities, (d+1) rows
@@ -157,16 +151,13 @@ type target struct {
 	res        TrainResult
 }
 
-// newLockstep packs nets (one [d, h, 1] shape) into lanes, with batch
+// newLockstep packs nets (one [d, Hidden, 1] shape) into lanes, with batch
 // scratch for rows samples.
 func newLockstep(nets []*Network, rows int) *lockstep {
-	d, h := nets[0].Sizes[0], nets[0].Sizes[1]
-	hp := (h + 3) &^ 3
-	lanes := len(nets) * hp
+	d := nets[0].Sizes[0]
+	lanes := len(nets) * Hidden
 	ls := &lockstep{
 		d:     d,
-		h:     h,
-		hp:    hp,
 		rows:  rows,
 		w0:    make([]float64, (d+1)*lanes),
 		v0:    make([]float64, (d+1)*lanes),
@@ -175,9 +166,9 @@ func newLockstep(nets []*Network, rows int) *lockstep {
 		eta0:  make([]float64, rows*lanes),
 	}
 	for s, n := range nets {
-		for j := 0; j < h; j++ {
+		for j := 0; j < Hidden; j++ {
 			row := n.layerRow(0, j)
-			u := s*hp + j
+			u := s*Hidden + j
 			ls.w0[u] = row[d]
 			for i, w := range row[:d] {
 				ls.w0[(i+1)*lanes+u] = w
@@ -189,7 +180,7 @@ func newLockstep(nets []*Network, rows int) *lockstep {
 }
 
 // lanes returns the live lane count.
-func (ls *lockstep) lanes() int { return len(ls.live) * ls.hp }
+func (ls *lockstep) lanes() int { return len(ls.live) * Hidden }
 
 // epoch runs one epoch of mini-batch gradient descent for every live
 // target, leaving each target's summed squared error in sum: the shuffled
@@ -223,7 +214,7 @@ func (ls *lockstep) forward0(ds *dataSet, idx []int) {
 // into its out.
 func (ls *lockstep) forward(s, m int) {
 	tg := ls.live[s]
-	denseForward(tg.out, ls.acts0[s*ls.hp:], tg.net.w[1], m, ls.h, ls.lanes())
+	denseForward(tg.out, ls.acts0[s*Hidden:], tg.net.w[1], m, ls.lanes())
 }
 
 // step runs forward, backward and weight update of one mini-batch for every
@@ -247,9 +238,9 @@ func (ls *lockstep) step(ds *dataSet, idx []int, lr, momentum float64) {
 
 		// The hidden deltas go straight into the lanes as η·δ; then the
 		// fused momentum/AXPY update of the output unit.
-		a0 := ls.acts0[s*ls.hp:]
-		hiddenEta(ls.eta0[s*ls.hp:], tg.out, tg.net.w[1], a0, m, ls.h, 1, lanes, lr)
-		sgdStep(tg.net.w[1], tg.vel, tg.out, a0, m, 1, ls.h, lanes, lr, momentum)
+		a0 := ls.acts0[s*Hidden:]
+		hiddenEta(ls.eta0[s*Hidden:], tg.out, tg.net.w[1], a0, m, lanes, lr)
+		sgdStep(tg.net.w[1], tg.vel, tg.out, a0, m, lanes, lr, momentum)
 	}
 	d1 := ds.d + 1
 	sgdFeatureMajor(ls.w0[:d1*lanes], ls.v0[:d1*lanes], ls.eta0, ls.x, m, d1, lanes, d1, momentum)
@@ -283,8 +274,8 @@ func (ls *lockstep) validate(ds *dataSet, idx []int) {
 // the same shape.
 func (ls *lockstep) snapshot(s int, dst *Network) {
 	lanes := ls.lanes()
-	for j := 0; j < ls.h; j++ {
-		u := s*ls.hp + j
+	for j := 0; j < Hidden; j++ {
+		u := s*Hidden + j
 		row := dst.layerRow(0, j)
 		row[ls.d] = ls.w0[u]
 		for i := range row[:ls.d] {
@@ -309,16 +300,12 @@ func (ls *lockstep) retire() {
 			from = append(from, s)
 		}
 	}
-	old, hp := ls.lanes(), ls.hp
-	lanes := len(keep) * hp
+	old, lanes := ls.lanes(), len(keep)*Hidden
 	for i := 0; i <= ls.d; i++ {
 		for n, s := range from {
-			copy(ls.w0[i*lanes+n*hp:][:hp], ls.w0[i*old+s*hp:][:hp])
-			copy(ls.v0[i*lanes+n*hp:][:hp], ls.v0[i*old+s*hp:][:hp])
+			copy(ls.w0[i*lanes+n*Hidden:][:Hidden], ls.w0[i*old+s*Hidden:][:Hidden])
+			copy(ls.v0[i*lanes+n*Hidden:][:Hidden], ls.v0[i*old+s*Hidden:][:Hidden])
 		}
 	}
-	// Pad lanes move with the new row stride; hiddenEta never writes
-	// them, so zero the whole η·δ scratch.
-	clear(ls.eta0)
 	ls.live = keep
 }

@@ -3,7 +3,7 @@
 // linear output unit — trained by backpropagation with momentum, early
 // stopping on a validation set, and k-fold cross-validation ensembles whose
 // averaged output is the final prediction (the paper's Section IV-A
-// methodology). [inputs, hidden, 1] is the only shape; the constructors
+// methodology). [inputs, Hidden, 1] is the only shape; the constructors
 // refuse any other.
 //
 // The implementation is self-contained (stdlib only), deterministic under a
@@ -35,6 +35,10 @@ import (
 	"math/rand"
 )
 
+// Hidden is the width of the one sigmoid hidden layer: every network is the
+// paper's three-layer [inputs, Hidden, 1].
+const Hidden = 16
+
 // Network is a three-layer feed-forward neural network — a sigmoid hidden
 // layer and a linear output unit — suited to scalar regression targets such
 // as IPC.
@@ -47,19 +51,20 @@ type Network struct {
 	w [][]float64
 }
 
-// checkSizes enforces the one network shape: [inputs, hidden, 1] with at
-// least one input and one hidden unit.
+// checkSizes enforces the one network shape: [inputs, Hidden, 1] with at
+// least one input.
 func checkSizes(sizes []int) error {
 	if len(sizes) != 3 {
-		return fmt.Errorf("ann: layer sizes %v: a network has exactly one hidden layer, [inputs, hidden, 1]", sizes)
+		return fmt.Errorf("ann: layer sizes %v: a network has exactly one hidden layer, [inputs, %d, 1]", sizes, Hidden)
 	}
-	for _, s := range sizes {
-		if s < 1 {
-			return fmt.Errorf("ann: invalid layer size %d", s)
-		}
+	if sizes[0] < 1 {
+		return fmt.Errorf("ann: %d inputs: a network needs at least one", sizes[0])
 	}
 	if sizes[2] != 1 {
 		return fmt.Errorf("ann: output layer of %d units: a network has one linear output unit", sizes[2])
+	}
+	if sizes[1] != Hidden {
+		return fmt.Errorf("ann: hidden layer of %d units: a network has %d hidden units", sizes[1], Hidden)
 	}
 	return nil
 }
@@ -73,7 +78,7 @@ func (n *Network) layerRow(l, j int) []float64 {
 	return n.w[l][j*w : (j+1)*w]
 }
 
-// NewNetwork creates an [inputs, hidden, 1] network with small random
+// NewNetwork creates an [inputs, Hidden, 1] network with small random
 // initial weights drawn from rng (uniform in ±1/sqrt(fanIn), the classic
 // backprop initialisation that keeps sigmoid units in their linear region).
 func NewNetwork(sizes []int, rng *rand.Rand) (*Network, error) {

@@ -11,9 +11,10 @@ import (
 
 // The row-major, one-target trainer the lockstep loop replaced, kept as the
 // reference its bit-identity tests hold it to: each target trained alone,
-// both layers row-major — the hidden layer's forward pass and δ through the
-// scalar loops below, the output unit and both updates through the
-// dispatched kernels — each ensemble's members fanned out on their own.
+// both layers row-major — the hidden layer's forward pass and δ and both
+// layers' updates through the scalar loops below, the output unit's
+// forward pass through the dispatched kernel — each ensemble's members
+// fanned out on their own.
 
 // hiddenForward computes the sigmoid hidden layer for a mini-batch:
 //
@@ -59,6 +60,72 @@ func hiddenDelta(d, dNext, wNext, acts []float64, batch, units, unitsNext int) {
 	}
 }
 
+// refSGDStep applies one summed-gradient step for a whole mini-batch to a
+// row-major layer of units rows of (inDim+1) weights, the bias last,
+// fusing the momentum update and the AXPY into one pass over each row:
+//
+//	v ← μ·v − η·Σ_b δ_b ⊗ [x_b, 1] ;  w ← w + v
+//
+// d holds the batch's deltas, units per sample. The momentum decay is
+// folded first, then four samples are drained per velocity traversal with
+// the per-sample term computed as (η·δ)·x. At batch == 1 this is exactly
+// v[i] = μ·v[i] − (η·δ)·x[i], reproducing the per-sample update
+// bit-for-bit.
+func refSGDStep(w, vel, d, x []float64, batch, units, inDim, ldx int, lr, momentum float64) {
+	rowW := inDim + 1
+	for j := 0; j < units; j++ {
+		row := w[j*rowW:][:rowW]
+		v := vel[j*rowW:][:rowW]
+		var b int
+		if batch >= 4 {
+			// The first block folds the momentum decay into its
+			// traversal, sparing a separate pass over the velocity row.
+			t0 := lr * d[j]
+			t1 := lr * d[1*units+j]
+			t2 := lr * d[2*units+j]
+			t3 := lr * d[3*units+j]
+			x0 := x[:inDim]
+			x1 := x[1*ldx:][:inDim]
+			x2 := x[2*ldx:][:inDim]
+			x3 := x[3*ldx:][:inDim]
+			for i := range x0 {
+				v[i] = momentum*v[i] - (t0*x0[i] + t1*x1[i] + t2*x2[i] + t3*x3[i])
+			}
+			v[inDim] = momentum*v[inDim] - (t0 + t1 + t2 + t3)
+			b = 4
+		} else {
+			for i, vv := range v {
+				v[i] = momentum * vv
+			}
+		}
+		for ; b+4 <= batch; b += 4 {
+			t0 := lr * d[(b+0)*units+j]
+			t1 := lr * d[(b+1)*units+j]
+			t2 := lr * d[(b+2)*units+j]
+			t3 := lr * d[(b+3)*units+j]
+			x0 := x[(b+0)*ldx:][:inDim]
+			x1 := x[(b+1)*ldx:][:inDim]
+			x2 := x[(b+2)*ldx:][:inDim]
+			x3 := x[(b+3)*ldx:][:inDim]
+			for i := range x0 {
+				v[i] -= t0*x0[i] + t1*x1[i] + t2*x2[i] + t3*x3[i]
+			}
+			v[inDim] -= t0 + t1 + t2 + t3
+		}
+		for ; b < batch; b++ {
+			t := lr * d[b*units+j]
+			xb := x[b*ldx:][:inDim]
+			for i, xv := range xb {
+				v[i] -= t * xv
+			}
+			v[inDim] -= t
+		}
+		for i, vv := range v {
+			row[i] += vv
+		}
+	}
+}
+
 // copyWeightsFrom overwrites n's weights with src's (same topology).
 func (n *Network) copyWeightsFrom(src *Network) {
 	for l := range n.w {
@@ -81,17 +148,16 @@ func (n *Network) zeroLike() [][]float64 {
 type batchScratch struct {
 	rows            int
 	x               []float64 // gathered inputs, rows×inDim
-	hidden, dHidden []float64 // rows×Sizes[1]
+	hidden, dHidden []float64 // rows×Hidden
 	out             []float64 // rows outputs, overwritten by their errors
 }
 
 func (n *Network) newBatchScratch(rows int) *batchScratch {
-	h := n.Sizes[1]
 	return &batchScratch{
 		rows:    rows,
 		x:       make([]float64, rows*n.Sizes[0]),
-		hidden:  make([]float64, rows*h),
-		dHidden: make([]float64, rows*h),
+		hidden:  make([]float64, rows*Hidden),
+		dHidden: make([]float64, rows*Hidden),
 		out:     make([]float64, rows),
 	}
 }
@@ -99,12 +165,12 @@ func (n *Network) newBatchScratch(rows int) *batchScratch {
 // forwardBatch gathers the listed rows into bs.x and runs the network over
 // them into bs.hidden and bs.out.
 func (n *Network) forwardBatch(ds *dataSet, idx []int, bs *batchScratch) {
-	d, h := ds.d, n.Sizes[1]
+	d := ds.d
 	for r, id := range idx {
 		copy(bs.x[r*d:(r+1)*d], ds.row(id))
 	}
-	hiddenForward(bs.hidden, bs.x, n.w[0], len(idx), d, h, d)
-	denseForward(bs.out, bs.hidden, n.w[1], len(idx), h, h)
+	hiddenForward(bs.hidden, bs.x, n.w[0], len(idx), d, Hidden, d)
+	denseForward(bs.out, bs.hidden, n.w[1], len(idx), Hidden)
 }
 
 // epochBatched runs one epoch over the shuffled order in consecutive chunks
@@ -121,7 +187,7 @@ func (n *Network) epochBatched(ds *dataSet, y []float64, order []int, batch int,
 // returning the batch's summed squared error before the update.
 func (n *Network) batchStep(ds *dataSet, y []float64, batchIdx []int, lr, momentum float64, vel [][]float64, bs *batchScratch) float64 {
 	m := len(batchIdx)
-	d, h := ds.d, n.Sizes[1]
+	d, h := ds.d, Hidden
 	n.forwardBatch(ds, batchIdx, bs)
 	var sum float64
 	for r, id := range batchIdx {
@@ -130,8 +196,8 @@ func (n *Network) batchStep(ds *dataSet, y []float64, batchIdx []int, lr, moment
 		sum += e * e
 	}
 	hiddenDelta(bs.dHidden, bs.out, n.w[1], bs.hidden, m, h, 1)
-	sgdStep(n.w[0], vel[0], bs.dHidden, bs.x, m, h, d, d, lr, momentum)
-	sgdStep(n.w[1], vel[1], bs.out, bs.hidden, m, 1, h, h, lr, momentum)
+	refSGDStep(n.w[0], vel[0], bs.dHidden, bs.x, m, h, d, d, lr, momentum)
+	refSGDStep(n.w[1], vel[1], bs.out, bs.hidden, m, 1, h, h, lr, momentum)
 	return sum
 }
 
@@ -159,7 +225,7 @@ func refTrainCore(ds *dataSet, y []float64, trainIdx []int, vds *dataSet, vy []f
 	if len(trainIdx) == 0 {
 		return nil, TrainResult{}, errors.New("ann: empty training set")
 	}
-	sizes := []int{ds.d, cfg.Hidden, 1}
+	sizes := []int{ds.d, Hidden, 1}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var net *Network
 	if init != nil {
@@ -292,7 +358,6 @@ func refTrainEnsemble(samples []Sample, k int, cfg Config) (*Ensemble, error) {
 
 // refFineTuneEnsemble is FineTuneEnsemble on the reference trainer.
 func refFineTuneEnsemble(base *Ensemble, samples []Sample, cfg Config) (*Ensemble, error) {
-	cfg.Hidden = base.Nets[0].Sizes[1]
 	ds, err := base.Scaler.pack(samples)
 	if err != nil {
 		return nil, err

@@ -47,7 +47,7 @@ func Train(train, valid []Sample, cfg Config) (*Network, TrainResult, error) {
 // TrainFrom is Train with a warm start: when init is non-nil, training
 // fine-tunes a copy of init's weights instead of a fresh random
 // initialisation (init itself is never mutated). The init topology must
-// match the one cfg.Hidden and the sample dimension imply. cfg.Seed still
+// be [len(x), Hidden, 1] for the samples' x. cfg.Seed still
 // drives the epoch shuffles, so fine-tuning is deterministic.
 func TrainFrom(init *Network, train, valid []Sample, cfg Config) (*Network, TrainResult, error) {
 	if len(train) == 0 {

@@ -13,19 +13,19 @@ func memberMean(e *Ensemble, x []float64) float64 {
 	nx := e.Scaler.XInto(nil, x)
 	var sum float64
 	for _, n := range e.Nets {
-		sum += n.forward(nx, make([]float64, n.Sizes[1]))
+		sum += n.forward(nx, make([]float64, Hidden))
 	}
 	return e.Scaler.InvY(sum / float64(len(e.Nets)))
 }
 
-// randomEnsemble builds k random-weight members of the given layer sizes
-// under a random scaler. scale stretches the weights: at 1 the hidden units
-// sit in their linear region, at 1e3 they saturate.
-func randomEnsemble(t testing.TB, rng *rand.Rand, k int, sizes []int, scale float64) *Ensemble {
+// randomEnsemble builds k random-weight [d, Hidden, 1] members under a
+// random scaler. scale stretches the weights: at 1 the hidden units sit in
+// their linear region, at 1e3 they saturate.
+func randomEnsemble(t testing.TB, rng *rand.Rand, k, d int, scale float64) *Ensemble {
 	t.Helper()
 	nets := make([]*Network, k)
 	for m := range nets {
-		n, err := NewNetwork(sizes, rng)
+		n, err := NewNetwork([]int{d, Hidden, 1}, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func randomEnsemble(t testing.TB, rng *rand.Rand, k int, sizes []int, scale floa
 		}
 		nets[m] = n
 	}
-	sc := &Scaler{Mean: make([]float64, sizes[0]), Std: make([]float64, sizes[0]), YMin: -rng.Float64(), YMax: 1 + rng.Float64()}
+	sc := &Scaler{Mean: make([]float64, d), Std: make([]float64, d), YMin: -rng.Float64(), YMax: 1 + rng.Float64()}
 	for i := range sc.Mean {
 		sc.Mean[i] = rng.NormFloat64()
 		sc.Std[i] = 0.1 + rng.Float64()
@@ -90,19 +90,17 @@ func requireStackMatchesMembers(t *testing.T, e *Ensemble, inputs [][]float64, l
 func TestStackedEnsembleBitIdenticalToMembers(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, k := range []int{3, 5, 7, 10} {
-		for _, h := range []int{1, 3, 4, 16, 17} {
-			for _, d := range []int{1, 3, 13} {
-				for _, scale := range []float64{1, 1e3} {
-					e := randomEnsemble(t, rng, k, []int{d, h, 1}, scale)
-					requireStackMatchesMembers(t, e, stackInputs(rng, d, 40), "random")
-				}
+		for _, d := range []int{1, 3, 13} {
+			for _, scale := range []float64{1, 1e3} {
+				e := randomEnsemble(t, rng, k, d, scale)
+				requireStackMatchesMembers(t, e, stackInputs(rng, d, 40), "random")
 			}
 		}
 	}
 
 	set := synthSamples(240, 5, 0.01)
 	for _, k := range []int{3, 5} {
-		e, err := TrainEnsemble(set, k, Config{Hidden: 16, MaxEpochs: 30, Seed: 9})
+		e, err := TrainEnsemble(set, k, Config{MaxEpochs: 30, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +112,7 @@ func TestStackedEnsembleBitIdenticalToMembers(t *testing.T) {
 // goroutines; each must read the sequential answers (run under -race).
 func TestStackedEnsembleConcurrentPredict(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	e := randomEnsemble(t, rng, 5, []int{13, 16, 1}, 1)
+	e := randomEnsemble(t, rng, 5, 13, 1)
 	inputs := stackInputs(rng, 13, 64)
 	want := make([]float64, len(inputs))
 	for i, x := range inputs {
@@ -139,19 +137,16 @@ func TestStackedEnsembleConcurrentPredict(t *testing.T) {
 
 func TestNewEnsembleRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	net, err := NewNetwork([]int{2, 3, 1}, rng)
+	net, err := NewNetwork([]int{2, Hidden, 1}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nets := []*Network{net}
-	narrow, err := NewNetwork([]int{2, 2, 1}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// NewNetwork refuses these shapes; Sizes is exported, so NewEnsemble
 	// checks them again.
+	narrow := &Network{Sizes: []int{2, 2, 1}, w: [][]float64{make([]float64, 6), make([]float64, 3)}}
 	deep := &Network{Sizes: []int{2, 3, 3, 1}, w: [][]float64{make([]float64, 9), make([]float64, 12), make([]float64, 4)}}
-	wide := &Network{Sizes: []int{2, 3, 2}, w: [][]float64{make([]float64, 9), make([]float64, 8)}}
+	wide := &Network{Sizes: []int{2, Hidden, 2}, w: [][]float64{make([]float64, 3*Hidden), make([]float64, 2*(Hidden+1))}}
 	ok := func() *Scaler { return &Scaler{Mean: []float64{0, 0}, Std: []float64{1, 1}, YMax: 1} }
 	cases := map[string]func() ([]*Network, *Scaler){
 		"no members":     func() ([]*Network, *Scaler) { return nil, ok() },

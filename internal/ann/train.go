@@ -9,9 +9,6 @@ type Sample struct {
 
 // Config controls network construction and training.
 type Config struct {
-	// Hidden is the width of the one sigmoid hidden layer: every network is
-	// the paper's three-layer [inputs, Hidden, 1]. It must be at least 1.
-	Hidden int
 	// LearningRate is the backprop step size η.
 	LearningRate float64
 	// Momentum is the velocity retention μ.
@@ -47,12 +44,11 @@ type Config struct {
 }
 
 // DefaultConfig returns the training configuration used throughout the
-// reproduction: 16 hidden units, η = 0.05, μ = 0.5, up to 400 epochs with
+// reproduction: η = 0.05, μ = 0.5, up to 400 epochs with
 // patience 25, per-sample updates and cold-start ensembles (BatchSize and
 // WarmStartEpochs are opt-in performance knobs).
 func DefaultConfig() Config {
 	return Config{
-		Hidden:       16,
 		LearningRate: 0.05,
 		Momentum:     0.5,
 		MaxEpochs:    400,

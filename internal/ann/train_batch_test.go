@@ -92,7 +92,7 @@ func TestBatchedEpochMatchesPerSampleAtBatchOne(t *testing.T) {
 	withTargets(ds,
 		func(x []float64, _ float64) float64 { return 0.1 + 0.8*x[0]*x[0]/4 },
 		func(_ []float64, y float64) float64 { return 1 - y })
-	init, err := NewNetwork([]int{3, 16, 1}, rand.New(rand.NewSource(5)))
+	init, err := NewNetwork([]int{3, Hidden, 1}, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestBatchedEpochMatchesPerSampleAtBatchOne(t *testing.T) {
 	for i, tg := range ls.live {
 		tg.y = ds.y[i]
 	}
-	acts, deltas := make([]float64, 16), make([]float64, 16)
+	acts, deltas := make([]float64, Hidden), make([]float64, Hidden)
 	got := init.Clone()
 	rng := rand.New(rand.NewSource(5))
 	order := identityIdx(ds.n())
@@ -142,7 +142,7 @@ func TestBatchedMSEMatchesPerSample(t *testing.T) {
 	nets := make([]*Network, len(ds.y))
 	for i := range nets {
 		var err error
-		if nets[i], err = NewNetwork([]int{3, 17, 1}, rng); err != nil {
+		if nets[i], err = NewNetwork([]int{3, Hidden, 1}, rng); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,13 +252,15 @@ func TestWarmStartReachesColdStartValidMSE(t *testing.T) {
 }
 
 // TestTrainFromRejectsTopologyMismatch asserts warm-start initial weights
-// must match the configured topology.
+// must match the samples' feature count.
 func TestTrainFromRejectsTopologyMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	init, _ := NewNetwork([]int{3, 8, 1}, rng)
-	samples := synthSamples(30, 3, 0)
-	cfg := DefaultConfig() // Hidden = [16], mismatching init's 8
-	if _, _, err := TrainFrom(init, samples, nil, cfg); err == nil {
+	init, err := NewNetwork([]int{4, Hidden, 1}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := synthSamples(30, 3, 0) // three features, mismatching init's four
+	if _, _, err := TrainFrom(init, samples, nil, DefaultConfig()); err == nil {
 		t.Error("topology mismatch accepted")
 	}
 }

@@ -98,9 +98,6 @@ func (lt *LiveTuner) currentCandidate() int {
 	return c
 }
 
-// Decided reports whether the tuner has locked a concurrency level.
-func (lt *LiveTuner) Decided() bool { return lt.decided }
-
 // Choice returns the locked concurrency level (0 before a decision).
 func (lt *LiveTuner) Choice() int {
 	if !lt.decided {
@@ -108,9 +105,6 @@ func (lt *LiveTuner) Choice() int {
 	}
 	return lt.choice
 }
-
-// Executions returns the number of completed Begin/End pairs.
-func (lt *LiveTuner) Executions() int { return lt.executions }
 
 // LiveProbe is one candidate thread count's accumulated probe time.
 type LiveProbe struct {

@@ -134,3 +134,9 @@ func TestDefaultCandidates(t *testing.T) {
 		t.Errorf("DefaultCandidates(0) = %v", got)
 	}
 }
+
+// Decided reports whether the tuner has locked a concurrency level.
+func (lt *LiveTuner) Decided() bool { return lt.decided }
+
+// Executions returns the number of completed Begin/End pairs.
+func (lt *LiveTuner) Executions() int { return lt.executions }

@@ -145,9 +145,6 @@ func (c *CG) Checksum() float64 {
 	return s
 }
 
-// Residual returns the current residual norm ρ = r·r.
-func (c *CG) Residual() float64 { return c.rho }
-
 func dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {

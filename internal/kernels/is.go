@@ -101,14 +101,3 @@ func (s *IS) Checksum() float64 {
 	}
 	return float64(acc)
 }
-
-// Sorted reports whether the output array is non-decreasing (used by the
-// correctness tests).
-func (s *IS) Sorted() bool {
-	for i := 1; i < len(s.sorted); i++ {
-		if s.sorted[i] < s.sorted[i-1] {
-			return false
-		}
-	}
-	return true
-}

@@ -208,3 +208,17 @@ func TestFFT1DRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// Residual returns the current residual norm ρ = r·r.
+func (c *CG) Residual() float64 { return c.rho }
+
+// Sorted reports whether the output array is non-decreasing (used by the
+// correctness tests).
+func (s *IS) Sorted() bool {
+	for i := 1; i < len(s.sorted); i++ {
+		if s.sorted[i] < s.sorted[i-1] {
+			return false
+		}
+	}
+	return true
+}

@@ -86,3 +86,6 @@ func TestActivityCarriesFreqScale(t *testing.T) {
 		t.Errorf("nominal Activity.FreqScale = %g, want 1", b.FreqScale)
 	}
 }
+
+// FrequencyScale returns the machine's clock scale (1 = nominal).
+func (m *Machine) FrequencyScale() float64 { return m.freqScale }

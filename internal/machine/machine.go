@@ -216,9 +216,6 @@ func (m *Machine) WithFrequency(scale float64) *Machine {
 	return &cp
 }
 
-// FrequencyScale returns the machine's clock scale (1 = nominal).
-func (m *Machine) FrequencyScale() float64 { return m.freqScale }
-
 // Params returns the machine's core parameters. Mutate via SetParams — the
 // field is unexported so memoised machines can never serve phase responses
 // computed under superseded parameters.

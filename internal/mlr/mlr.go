@@ -92,19 +92,6 @@ func (m *Model) Predict(x []float64) float64 {
 // InputDim returns the expected feature dimension.
 func (m *Model) InputDim() int { return len(m.Coef) - 1 }
 
-// MSE returns the model's mean squared error on the set.
-func (m *Model) MSE(set []ann.Sample) float64 {
-	if len(set) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range set {
-		d := m.Predict(s.X) - s.Y
-		sum += d * d
-	}
-	return sum / float64(len(set))
-}
-
 // solveGauss solves a·x = b by Gaussian elimination with partial pivoting.
 // a and b are modified in place.
 func solveGauss(a [][]float64, b []float64) ([]float64, error) {

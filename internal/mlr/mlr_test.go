@@ -107,3 +107,16 @@ func TestPredictionInterpolatesQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// MSE returns the model's mean squared error on the set.
+func (m *Model) MSE(set []ann.Sample) float64 {
+	if len(set) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, s := range set {
+		d := m.Predict(s.X) - s.Y
+		sum += d * d
+	}
+	return sum / float64(len(set))
+}

@@ -272,3 +272,23 @@ func TestSamplingBudget(t *testing.T) {
 		}
 	}
 }
+
+// Width returns the number of simultaneously programmable counters.
+func (f *CounterFile) Width() int { return f.width }
+
+// Programmed returns the currently selected events.
+func (f *CounterFile) Programmed() []Event {
+	return append([]Event(nil), f.programmed...)
+}
+
+// NumRounds returns how many sampled timesteps the plan needs.
+func (p *RotationPlan) NumRounds() int { return len(p.Rounds) }
+
+// RoundsRemaining returns how many more timesteps must be observed.
+func (s *Sampler) RoundsRemaining() int {
+	r := len(s.plan.Rounds) - s.round
+	if r < 0 {
+		return 0
+	}
+	return r
+}

@@ -22,9 +22,6 @@ func NewCounterFile(width int) (*CounterFile, error) {
 	return &CounterFile{width: width}, nil
 }
 
-// Width returns the number of simultaneously programmable counters.
-func (f *CounterFile) Width() int { return f.width }
-
 // Program selects the events counted during the next interval. It rejects
 // more events than the hardware has counters for, duplicate events, and
 // fixed events (which need no programming).
@@ -47,11 +44,6 @@ func (f *CounterFile) Program(events ...Event) error {
 	}
 	f.programmed = append(f.programmed[:0], events...)
 	return nil
-}
-
-// Programmed returns the currently selected events.
-func (f *CounterFile) Programmed() []Event {
-	return append([]Event(nil), f.programmed...)
 }
 
 // Read extracts the counts visible after an interval: the fixed counters
@@ -77,9 +69,6 @@ type RotationPlan struct {
 	// Events is the flattened, deduplicated event list the plan covers.
 	Events []Event
 }
-
-// NumRounds returns how many sampled timesteps the plan needs.
-func (p *RotationPlan) NumRounds() int { return len(p.Rounds) }
 
 // PlanRotation builds a rotation schedule measuring the requested events on
 // a counter file of the given width, subject to a budget of at most
@@ -148,15 +137,6 @@ func NewSampler(file *CounterFile, plan *RotationPlan) *Sampler {
 
 // Done reports whether the rotation completed a full cycle.
 func (s *Sampler) Done() bool { return s.round >= len(s.plan.Rounds) }
-
-// RoundsRemaining returns how many more timesteps must be observed.
-func (s *Sampler) RoundsRemaining() int {
-	r := len(s.plan.Rounds) - s.round
-	if r < 0 {
-		return 0
-	}
-	return r
-}
 
 // Observe ingests one timestep's ground-truth counts. It programs the
 // counter file for the current round, reads back the visible counts, and

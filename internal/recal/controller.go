@@ -93,17 +93,6 @@ func (c *Controller) SetState(s State) {
 	c.mu.Unlock()
 }
 
-// CompareAndSetState moves from → to atomically, reporting whether it did.
-func (c *Controller) CompareAndSetState(from, to State) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.state != from {
-		return false
-	}
-	c.state = to
-	return true
-}
-
 // Record appends ev to the bounded event log.
 func (c *Controller) Record(ev Event) {
 	c.mu.Lock()

@@ -79,3 +79,14 @@ func TestControllerStateMachine(t *testing.T) {
 		t.Fatalf("state string = %q", got)
 	}
 }
+
+// CompareAndSetState moves from → to atomically, reporting whether it did.
+func (c *Controller) CompareAndSetState(from, to State) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.state != from {
+		return false
+	}
+	c.state = to
+	return true
+}

@@ -137,15 +137,6 @@ func (b *Builder) Groups(count, size int, opts ...GroupOption) *Builder {
 // Frequency sets the nominal clock in Hz.
 func (b *Builder) Frequency(hz float64) *Builder { b.freqHz = hz; return b }
 
-// Bus sets the front-side-bus bandwidth in bytes per second.
-func (b *Builder) Bus(bytesPerSec float64) *Builder { b.busBW = bytesPerSec; return b }
-
-// L2 sets the per-group shared-cache capacity in bytes.
-func (b *Builder) L2(bytes int64) *Builder { b.l2Bytes = bytes; return b }
-
-// L1 sets the per-core private-cache capacity in bytes.
-func (b *Builder) L1(bytes int64) *Builder { b.l1Bytes = bytes; return b }
-
 // Build materialises and validates the topology.
 func (b *Builder) Build() (*Topology, error) {
 	if b.err != nil {

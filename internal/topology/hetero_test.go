@@ -381,3 +381,23 @@ func TestEnumerateHeteroProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Heterogeneous reports whether any core deviates from DefaultClass.
+func (t *Topology) Heterogeneous() bool {
+	def := DefaultClass()
+	for _, c := range t.Classes {
+		if c.FreqMult != def.FreqMult || c.CPIMult != def.CPIMult {
+			return true
+		}
+	}
+	return false
+}
+
+// ClassOf returns the class descriptor of core c, falling back to
+// DefaultClass on homogeneous topologies.
+func (t *Topology) ClassOf(c CoreID) CoreClass {
+	if len(t.Classes) == 0 {
+		return DefaultClass()
+	}
+	return t.Classes[t.ClassIndexOf(c)]
+}

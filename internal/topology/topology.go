@@ -82,17 +82,6 @@ type Topology struct {
 	CoreClasses []int
 }
 
-// Heterogeneous reports whether any core deviates from DefaultClass.
-func (t *Topology) Heterogeneous() bool {
-	def := DefaultClass()
-	for _, c := range t.Classes {
-		if c.FreqMult != def.FreqMult || c.CPIMult != def.CPIMult {
-			return true
-		}
-	}
-	return false
-}
-
 // ClassIndexOf returns the class-table index of core c (0 for cores on
 // homogeneous topologies or outside the class map).
 func (t *Topology) ClassIndexOf(c CoreID) int {
@@ -100,15 +89,6 @@ func (t *Topology) ClassIndexOf(c CoreID) int {
 		return 0
 	}
 	return t.CoreClasses[c]
-}
-
-// ClassOf returns the class descriptor of core c, falling back to
-// DefaultClass on homogeneous topologies.
-func (t *Topology) ClassOf(c CoreID) CoreClass {
-	if len(t.Classes) == 0 {
-		return DefaultClass()
-	}
-	return t.Classes[t.ClassIndexOf(c)]
 }
 
 // QuadCoreXeon returns the topology of the paper's experimental platform:
@@ -305,16 +285,6 @@ func (p Placement) coOccupancy(t *Topology) []int {
 		}
 	}
 	return occ
-}
-
-// GroupLoad reports how many threads of the placement share the L2 group of
-// core c (including the thread on c itself).
-func (p Placement) GroupLoad(t *Topology, c CoreID) int {
-	gi := t.GroupOf(c)
-	if gi < 0 {
-		return 0
-	}
-	return p.coOccupancy(t)[gi]
 }
 
 // PaperConfigs returns the five configurations evaluated in the paper on the

@@ -207,3 +207,13 @@ func TestEnumeratePlacementsFuncStreams(t *testing.T) {
 		}
 	}
 }
+
+// GroupLoad reports how many threads of the placement share the L2 group of
+// core c (including the thread on c itself).
+func (p Placement) GroupLoad(t *Topology, c CoreID) int {
+	gi := t.GroupOf(c)
+	if gi < 0 {
+		return 0
+	}
+	return p.coOccupancy(t)[gi]
+}

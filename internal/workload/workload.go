@@ -192,15 +192,6 @@ func (b *Benchmark) Validate() error {
 	return nil
 }
 
-// TotalInstructions returns the dynamic instruction count of the whole run.
-func (b *Benchmark) TotalInstructions() float64 {
-	var t float64
-	for i := range b.Phases {
-		t += b.Phases[i].Instructions
-	}
-	return t * float64(b.Iterations)
-}
-
 // PhaseNames returns the phase names in execution order.
 func (b *Benchmark) PhaseNames() []string {
 	names := make([]string, len(b.Phases))

@@ -104,3 +104,12 @@ func TestPhaseNames(t *testing.T) {
 		t.Errorf("PhaseNames = %v", names)
 	}
 }
+
+// TotalInstructions returns the dynamic instruction count of the whole run.
+func (b *Benchmark) TotalInstructions() float64 {
+	var t float64
+	for i := range b.Phases {
+		t += b.Phases[i].Instructions
+	}
+	return t * float64(b.Iterations)
+}

@@ -207,6 +207,14 @@ func TestTrainDeterministic(t *testing.T) {
 	}
 }
 
+// net16 renders one [2, 16, 1] bank member — the one network shape: every
+// hidden unit weighs the two features w0 and w1 with bias 0, and the output
+// unit weighs every hidden unit 1/16 with bias outBias.
+func net16(w0, w1, outBias string) string {
+	return `{"sizes":[2,16,1],"weights":[[` + strings.Repeat(w0+","+w1+",0,", 15) + w0 + "," + w1 + `,0],[` +
+		strings.Repeat("0.0625,", 16) + outBias + `]]}`
+}
+
 // decodeBankRejects lists payloads DecodeBank must refuse, each with a
 // fragment its error must carry. FuzzDecodeBank seeds from the same rows.
 func decodeBankRejects() []struct{ name, data, want string } {
@@ -232,28 +240,29 @@ func decodeBankRejects() []struct{ name, data, want string } {
 			"predictors":[{"events":["L2_LINES_IN"]}]}`, "holds no models"},
 		{"bad net shape", `{"format":"actor-bank","version":1,"configs":["1","4"],"sample_config":"4",
 			"predictors":[{"events":["L2_LINES_IN"],"ann":{"1":{"scaler":{"mean":[0,0],"std":[1,1],"ymin":0,"ymax":1},
-			"nets":[{"sizes":[2,3,1],"weights":[[0.1],[0.2]]}]}}}]}`, "weights"},
+			"nets":[{"sizes":[2,16,1],"weights":[[0.1],[0.2]]}]}}}]}`, "weights"},
 		{"scaler/net dim mismatch", `{"format":"actor-bank","version":1,"configs":["1","4"],"sample_config":"4",
 			"predictors":[{"events":["L2_LINES_IN"],"ann":{"1":{"scaler":{"mean":[0,0,0],"std":[1,1,1],"ymin":0,"ymax":1},
-			"nets":[{"sizes":[2,1,1],"weights":[[0.1,0.2,0.3],[0.4,0.5]]}]}}}]}`, "does not match the scaler"},
+			"nets":[` + net16("0.1", "0.2", "0.5") + `]}}}]}`, "does not match the scaler"},
 		{"net with one layer size", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2],"weights":[]}]`), "exactly one hidden layer"},
-		{"net layer count mismatch", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1,1],"weights":[]}]`), "0 weight layers for 3 layer sizes"},
-		{"net unit count mismatch", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,2,1],"weights":[[1,2,3],[1,2,3]]}]`), "layer 0 has 3 weights, want 6"},
-		{"net short weight row", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1,1],"weights":[[1,2],[1,2]]}]`), "layer 0 has 2 weights, want 3"},
+		{"net layer count mismatch", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,16,1],"weights":[]}]`), "0 weight layers for 3 layer sizes"},
+		{"net unit count mismatch", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,16,1],"weights":[[1,2,3],[1,2,3]]}]`), "layer 0 has 3 weights, want 48"},
+		{"net short weight row", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,16,1],"weights":[[`+strings.Repeat("1,2,3,", 15)+`1,2,3],[1,2]]}]`), "layer 1 has 2 weights, want 17"},
 		{"empty ensemble", annBank(`[0,0]`, `[1,1]`, `[]`), "no member networks"},
-		{"scaler mean/std mismatch", annBank(`[0,0]`, `[1]`, `[{"sizes":[2,1,1],"weights":[[1,2,3],[1,0]]}]`), "mean/std length mismatch"},
-		{"zero scaler std", annBank(`[0,0]`, `[1,0]`, `[{"sizes":[2,1,1],"weights":[[1,2,3],[1,0]]}]`), `predictor 0 target "1": ann: scaler std[1] = 0`},
-		{"negative scaler std", annBank(`[0,0]`, `[-1,1]`, `[{"sizes":[2,1,1],"weights":[[1,2,3],[1,0]]}]`), `predictor 0 target "1": ann: scaler std[0] = -1`},
+		{"scaler mean/std mismatch", annBank(`[0,0]`, `[1]`, `[`+net16("1", "2", "0")+`]`), "mean/std length mismatch"},
+		{"zero scaler std", annBank(`[0,0]`, `[1,0]`, `[`+net16("1", "2", "0")+`]`), `predictor 0 target "1": ann: scaler std[1] = 0`},
+		{"negative scaler std", annBank(`[0,0]`, `[-1,1]`, `[`+net16("1", "2", "0")+`]`), `predictor 0 target "1": ann: scaler std[0] = -1`},
 		{"inverted target range", `{"format":"actor-bank","version":1,"configs":["1","4"],"sample_config":"4",
 			"predictors":[{"events":["L2_LINES_IN"],"ann":{"1":{"scaler":{"mean":[0,0],"std":[1,1],"ymin":2,"ymax":1},
-			"nets":[{"sizes":[2,1,1],"weights":[[1,2,3],[1,0]]}]}}}]}`, `predictor 0 target "1": ann: scaler target range is inverted`},
-		{"overflowing weights", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1,1],"weights":[[1,2,3],[1,1e308]]},{"sizes":[2,1,1],"weights":[[1,2,3],[1,1e308]]}]`), `predictor 0: target "1" predicts a non-finite IPC`},
+			"nets":[` + net16("1", "2", "0") + `]}}}]}`, `predictor 0 target "1": ann: scaler target range is inverted`},
+		{"overflowing weights", annBank(`[0,0]`, `[1,1]`, `[`+net16("1", "2", "1e308")+`,`+net16("1", "2", "1e308")+`]`), `predictor 0: target "1" predicts a non-finite IPC`},
 		{"empty coefficient vector", `{"format":"actor-bank","version":1,"configs":["1","4"],"sample_config":"4",
 			"predictors":[{"events":["L2_LINES_IN"],"mlr":{"1":[]}}]}`, "at least an intercept"},
 		{"two hidden layers", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1,1,1],"weights":[[1,2,3],[1,0],[1,0]]}]`), `predictor 0 target "1" net 0: ann: layer sizes [2 1 1 1]: a network has exactly one hidden layer`},
 		{"no hidden layer", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1],"weights":[[1,2,3]]}]`), `predictor 0 target "1" net 0: ann: layer sizes [2 1]: a network has exactly one hidden layer`},
 		{"two-unit output layer", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1,2],"weights":[[1,2,3],[1,0,1,0]]}]`), "output layer of 2 units: a network has one linear output unit"},
-		{"ensemble mixing widths", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1,1],"weights":[[1,2,3],[1,0]]},{"sizes":[2,2,1],"weights":[[1,2,3,1,2,3],[1,1,0]]}]`), "net 1 has 2 hidden units, net 0 has 1; members share one width"},
+		{"ensemble mixing widths", annBank(`[0,0]`, `[1,1]`, `[`+net16("1", "2", "0")+`,{"sizes":[2,2,1],"weights":[[1,2,3,1,2,3],[1,1,0]]}]`), `net 1: ann: hidden layer of 2 units: a network has 16 hidden units`},
+		{"hidden width other than 16", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,8,1],"weights":[[`+strings.Repeat("1,2,3,", 7)+`1,2,3],[`+strings.Repeat("1,", 8)+`0]]}]`), `net 0: ann: hidden layer of 8 units: a network has 16 hidden units`},
 	}
 }
 

@@ -129,8 +129,8 @@ func FuzzDecodeBank(f *testing.F) {
 	// two-member ANN predictor and a reduced MLR predictor.
 	f.Add([]byte(`{"format":"actor-bank","version":1,"configs":["1","4"],"sample_config":"4","predictors":[
 		{"events":["L2_LINES_IN"],"ann":{"1":{"scaler":{"mean":[1,0.01],"std":[0.5,0.02],"ymin":0.2,"ymax":3},"estimate_mse":0.01,"nets":[
-			{"sizes":[2,2,1],"weights":[[0.1,-0.2,0.3,0.4,0.5,-0.6],[0.7,-0.8,0.9]]},
-			{"sizes":[2,2,1],"weights":[[-0.3,0.2,0.1,0.6,-0.5,0.4],[0.2,0.8,-0.1]]}]}}},
+			` + net16("0.1", "-0.2", "0.3") + `,
+			` + net16("-0.3", "0.2", "0.1") + `]}}},
 		{"events":[],"mlr":{"1":[0.5,0.25]}}]}`))
 	for _, tc := range decodeBankRejects() {
 		f.Add([]byte(tc.data))

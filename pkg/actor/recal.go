@@ -126,9 +126,18 @@ type Recalibrator struct {
 // EnableRecalibration switches the server's online recalibration loop on:
 // predict traffic starts feeding the observation store and the /v1/recal/*
 // admin routes come alive. Call once, before serving traffic; a second call
-// fails. The caller drives the loop — periodically via Run, or manually via
-// Tick/Trigger.
+// fails, and so does a non-finite Margin or CanaryFrac. The caller drives
+// the loop — periodically via Run, or manually via Tick/Trigger.
 func (s *Server) EnableRecalibration(cfg RecalConfig) (*Recalibrator, error) {
+	// A NaN would pass every clamp in withDefaults and then fail every
+	// comparison: no candidate would clear a NaN margin, and a NaN canary
+	// fraction would skip the canary the caller asked for.
+	if math.IsNaN(cfg.Margin) || math.IsInf(cfg.Margin, 0) {
+		return nil, fmt.Errorf("actor: recalibration margin %v is not finite", cfg.Margin)
+	}
+	if math.IsNaN(cfg.CanaryFrac) || math.IsInf(cfg.CanaryFrac, 0) {
+		return nil, fmt.Errorf("actor: canary fraction %v is not finite", cfg.CanaryFrac)
+	}
 	cfg = cfg.withDefaults()
 	seed := s.Bank().Meta().Seed
 	storeCfg := cfg.Store
@@ -210,7 +219,8 @@ func (r *Recalibrator) Tick(ctx context.Context) {
 	}
 }
 
-// Run drives Tick on a fixed interval until ctx is cancelled.
+// Run drives Tick on a fixed interval until ctx is cancelled. interval must
+// be positive: like time.NewTicker, Run panics otherwise.
 func (r *Recalibrator) Run(ctx context.Context, interval time.Duration) {
 	t := time.NewTicker(interval)
 	defer t.Stop()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -54,6 +55,34 @@ func predictAs(t *testing.T, srv *actor.Server, bank *actor.Bank, phase string, 
 		t.Fatalf("predict = %d: %s", rec.Code, rec.Body)
 	}
 	return rec.Body.String()
+}
+
+// TestEnableRecalibrationRejectsNonFinite refuses the margins and canary
+// fractions no clamp can repair: a NaN margin fails every promotion test, a
+// NaN canary fraction silently skips the canary. Refused configurations do
+// not latch the loop on, so a valid one still enables it afterwards.
+func TestEnableRecalibrationRejectsNonFinite(t *testing.T) {
+	srv, _ := newRecalServer(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		cfg  actor.RecalConfig
+		want string
+	}{
+		{"margin NaN", actor.RecalConfig{Margin: nan}, "margin NaN is not finite"},
+		{"margin +Inf", actor.RecalConfig{Margin: inf}, "margin +Inf is not finite"},
+		{"margin -Inf", actor.RecalConfig{Margin: -inf}, "margin -Inf is not finite"},
+		{"canary NaN", actor.RecalConfig{CanaryFrac: nan}, "canary fraction NaN is not finite"},
+		{"canary +Inf", actor.RecalConfig{CanaryFrac: inf}, "canary fraction +Inf is not finite"},
+		{"canary -Inf", actor.RecalConfig{CanaryFrac: -inf}, "canary fraction -Inf is not finite"},
+	} {
+		if _, err := srv.EnableRecalibration(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := srv.EnableRecalibration(actor.RecalConfig{Margin: -1, CanaryFrac: 2}); err != nil {
+		t.Fatalf("finite out-of-range values clamp, but were refused: %v", err)
+	}
 }
 
 // TestRecalLifecycle drives the full loop end to end in-process: steady

@@ -25,6 +25,18 @@ var surfaceExceptions = map[string]string{
 	"internal/topology.ConfigByName": "test fixture shared by the machine, dvfs and root benchmark tests, which name paper configurations through it; one copy beats three",
 }
 
+// stdlibMethods are method names the standard library calls through its
+// own interfaces (fmt.Stringer, error, http.Handler, http.RoundTripper,
+// sort.Interface, heap.Interface, json.Marshaler, io.Closer, …): an
+// implementation needs no selector in the module to be live.
+var stdlibMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true, "Is": true, "As": true,
+	"ServeHTTP": true, "RoundTrip": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+	"Read": true, "Write": true, "Close": true,
+}
+
 // surfaceKey names one package-level identifier: its package directory
 // (slash-separated, relative to the repository root) and its name.
 type surfaceKey struct{ dir, name string }
@@ -36,11 +48,15 @@ func (k surfaceKey) String() string { return k.dir + "." + k.name }
 // that no other non-test file references — by a pkg.Name selector from
 // another package, or by a bare Name elsewhere in its own package. Test
 // files, examples/, cmd/ and benchmarks/ are all scanned; only non-test
-// files count as callers. Methods are out of scope. It parses and never
-// type-checks, so a bare identifier that merely shares a declared name
-// (a shadowing local, say) also counts as a reference and the guard errs
-// toward missing dead code. The one way it can report live code is a name
-// used only as a composite-literal key, which it reads as a field name.
+// files count as callers. It parses and never type-checks, so a bare
+// identifier that merely shares a declared name (a shadowing local, say)
+// also counts as a reference and the guard errs toward missing dead code.
+// The one way it can report live code is a name used only as a
+// composite-literal key, which it reads as a field name.
+//
+// Exported methods under internal/ are held to a looser rule (see
+// methodsWithoutCallers): some non-test file must select a member of that
+// name, on any type.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	files := map[string][]*ast.File{} // dir → its non-test files
@@ -127,6 +143,9 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	for _, m := range missing {
 		t.Errorf("%s is exported but no non-test file references it; delete or unexport it", m)
 	}
+	for _, m := range methodsWithoutCallers(t, fset, files) {
+		t.Errorf("%s is an exported method but no non-test file selects it; delete it or move it into its package's tests", m)
+	}
 	for k := range surfaceExceptions {
 		var dir, name string
 		if i := strings.LastIndex(k, "."); i >= 0 {
@@ -136,6 +155,65 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			t.Errorf("exception %s names no exported declaration", k)
 		}
 	}
+}
+
+// methodsWithoutCallers returns the exported methods declared in files
+// under internal/ whose name no .Name selector in files uses, as
+// "position: dir.Recv.Name". Without types it cannot tell whose method a
+// selector calls, so any selector of the name counts. A method whose name
+// an interface of the module declares, or a standard-library interface
+// (stdlibMethods), may be called through that interface instead; those are
+// exempt, and the test logs each exemption it applies.
+func methodsWithoutCallers(t *testing.T, fset *token.FileSet, files map[string][]*ast.File) []string {
+	selected := map[string]bool{}
+	inInterface := map[string]bool{}
+	methods := map[string]*ast.FuncDecl{} // "dir.Recv.Name" → declaration
+	for dir, fs := range files {
+		for _, f := range fs {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					selected[n.Sel.Name] = true
+				case *ast.InterfaceType:
+					for _, m := range n.Methods.List {
+						for _, id := range m.Names {
+							inInterface[id.Name] = true
+						}
+					}
+				case *ast.FuncDecl:
+					if n.Recv != nil && n.Name.IsExported() && strings.HasPrefix(dir, "internal/") {
+						methods[dir+"."+receiverType(n.Recv.List[0].Type)+"."+n.Name.Name] = n
+					}
+				}
+				return true
+			})
+		}
+	}
+	var missing, exempt []string
+	for k, fd := range methods {
+		name := fd.Name.Name
+		switch {
+		case selected[name]:
+		case inInterface[name]:
+			exempt = append(exempt, k+": declared in an interface of the module")
+		case stdlibMethods[name]:
+			exempt = append(exempt, k+": a standard-library interface method")
+		default:
+			missing = append(missing, fset.Position(fd.Name.Pos()).String()+": "+k)
+		}
+	}
+	std := make([]string, 0, len(stdlibMethods))
+	for name := range stdlibMethods {
+		std = append(std, name)
+	}
+	sort.Strings(std)
+	t.Logf("method names exempt as standard-library interface methods: %s", strings.Join(std, ", "))
+	sort.Strings(exempt)
+	for _, e := range exempt {
+		t.Logf("method exemption %s", e)
+	}
+	sort.Strings(missing)
+	return missing
 }
 
 // declaredNames returns the package-level names a declaration introduces;
