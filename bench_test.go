@@ -637,17 +637,17 @@ func BenchmarkRunPhaseSweepHetero(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(placements)), "ns/placement")
 }
 
-// bestTimeSolved is machine's count of the placements Machine.BestTime has
-// solved exactly, read for the prune census below.
+// searchSolved is machine's count of the placements Search.Best has solved
+// exactly, read for the prune census below.
 //
-//go:linkname bestTimeSolved github.com/greenhpc/actor/internal/machine.bestTimeSolved
-var bestTimeSolved atomic.Int64
+//go:linkname searchSolved github.com/greenhpc/actor/internal/machine.searchSolved
+var searchSolved atomic.Int64
 
 // BenchmarkBestTimeHetero is BenchmarkRunPhaseSweepHetero's machine,
 // placements and phase rotation through the oracle search the scaling
-// studies run (Machine.BestTime): ns/placement is per candidate, solved-pct
-// the share of placement-phases it solved exactly rather than pruned by
-// their lower bound.
+// studies run (machine.Search, prepared once): ns/placement is per
+// candidate, solved-pct the share of placement-phases it solved exactly
+// rather than pruned by their lower bound.
 func BenchmarkBestTimeHetero(b *testing.B) {
 	topo, err := topology.ParseDesc("16x4+32x2:little")
 	if err != nil {
@@ -659,17 +659,18 @@ func BenchmarkBestTimeHetero(b *testing.B) {
 	}
 	placements := topology.BalancedPlacements(topo)
 	bench, _ := npb.ByName("SP")
-	m.BestTime(&bench.Phases[0], bench.Idiosyncrasy, placements) // resolve the plans
-	solved0 := bestTimeSolved.Load()
+	s := machine.NewSearch(m, placements)
+	s.Best(&bench.Phases[0], bench.Idiosyncrasy) // warm the scratch
+	solved0 := searchSolved.Load()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.BestTime(&bench.Phases[i%len(bench.Phases)], bench.Idiosyncrasy, placements)
+		s.Best(&bench.Phases[i%len(bench.Phases)], bench.Idiosyncrasy)
 	}
 	b.StopTimer()
 	n := float64(b.N * len(placements))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/placement")
-	b.ReportMetric(100*float64(bestTimeSolved.Load()-solved0)/n, "solved-pct")
+	b.ReportMetric(100*float64(searchSolved.Load()-solved0)/n, "solved-pct")
 }
 
 func BenchmarkMLRFit(b *testing.B) {

@@ -78,10 +78,12 @@
 // (class, load) key of a placement and weights every reduction by how many
 // threads share the key — bit-identical to per-placement RunPhase, and
 // within rounding of the per-thread model. The scaling studies' oracle
-// searches run machine.BestTime on the same engine: it bounds every
-// placement's time from below with one lane step at the uncontended bus,
-// solves the fixed point only where the bound can still beat the best time
-// found, and returns the minimum a full sweep would, bit for bit.
+// searches run machine.Search on the same engine, prepared once per machine:
+// it bounds every placement's time from below with one lane step at the
+// uncontended bus over the machine's few distinct (class, load) keys, takes
+// the response factor's exp only where a bound can still win, solves the
+// fixed point only where the bound can still beat the best time found, and
+// returns the minimum a full sweep would, bit for bit.
 //
 // On amd64 machines with AVX2 the hot numeric kernels — the ANN trainer's
 // dense forward, backprop delta and SGD update, and the sweep engine's

@@ -13,6 +13,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"github.com/greenhpc/actor/internal/core"
 	"github.com/greenhpc/actor/internal/dvfs"
@@ -138,30 +139,20 @@ func (s *Suite) FutureScaling() (*FutureScalingResult, error) {
 // AverageGain returns the mean throttling gain across the suite at the
 // given core count.
 func (r *FutureScalingResult) AverageGain(cores int) float64 {
-	row := r.Gain[cores]
-	var sum float64
-	for _, v := range row {
-		sum += v
-	}
-	return sum / float64(len(row))
+	return meanGain(r.Gain[cores])
 }
 
 // Render prints the scaling table.
 func (r *FutureScalingResult) Render(w io.Writer) {
 	report.Section(w, "Extension: throttling opportunity on future many-core machines")
 	headers := []string{"cores", "configs"}
-	var benchNames []string
-	for name := range r.Gain[r.Cores[0]] {
-		benchNames = append(benchNames, name)
-	}
-	// Stable ordering.
-	benchNames = sortStrings(benchNames)
-	headers = append(headers, benchNames...)
+	names := benchNames(r.Gain[r.Cores[0]])
+	headers = append(headers, names...)
 	headers = append(headers, "AVG")
 	t := report.NewTable("oracle per-phase throttling gain vs all cores (time saved)", headers...)
 	for _, cores := range r.Cores {
 		cells := []string{fmt.Sprintf("%d", cores), fmt.Sprintf("%d", r.Placements[cores])}
-		for _, b := range benchNames {
+		for _, b := range names {
 			cells = append(cells, fmt.Sprintf("%4.1f%%", 100*r.Gain[cores][b]))
 		}
 		cells = append(cells, fmt.Sprintf("%4.1f%%", 100*r.AverageGain(cores)))
@@ -282,12 +273,23 @@ func (r *CoSchedulingResult) Render(w io.Writer) {
 	t.Render(w)
 }
 
-func sortStrings(in []string) []string {
-	out := append([]string(nil), in...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+// benchNames returns a gain row's benchmark names in sorted order: the
+// column order of the scaling tables.
+func benchNames(row map[string]float64) []string {
+	names := make([]string, 0, len(row))
+	for name := range row {
+		names = append(names, name)
 	}
-	return out
+	sort.Strings(names)
+	return names
+}
+
+// meanGain returns the mean of a gain row, summed in benchNames order so the
+// result does not depend on map iteration.
+func meanGain(row map[string]float64) float64 {
+	var sum float64
+	for _, name := range benchNames(row) {
+		sum += row[name]
+	}
+	return sum / float64(len(row))
 }

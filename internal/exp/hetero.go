@@ -95,31 +95,22 @@ func (s *Suite) HeteroScaling(scenarios []HeteroScenario) (*HeteroScalingResult,
 
 // AverageGain returns the mean gain across the suite for a scenario.
 func (r *HeteroScalingResult) AverageGain(scenario string) float64 {
-	row := r.Gain[scenario]
-	var sum float64
-	for _, v := range row {
-		sum += v
-	}
-	return sum / float64(len(row))
+	return meanGain(r.Gain[scenario])
 }
 
 // Render prints the hetero-scaling table.
 func (r *HeteroScalingResult) Render(w io.Writer) {
 	report.Section(w, "Extension: throttling opportunity on heterogeneous big/little machines")
 	headers := []string{"scenario", "cores", "configs"}
-	var benchNames []string
-	for name := range r.Gain[r.Scenarios[0].Name] {
-		benchNames = append(benchNames, name)
-	}
-	benchNames = sortStrings(benchNames)
-	headers = append(headers, benchNames...)
+	names := benchNames(r.Gain[r.Scenarios[0].Name])
+	headers = append(headers, names...)
 	headers = append(headers, "AVG")
 	t := report.NewTable("oracle per-phase throttling gain vs all cores (time saved)", headers...)
 	for _, sc := range r.Scenarios {
 		cells := []string{sc.Name,
 			fmt.Sprintf("%d", r.Cores[sc.Name]),
 			fmt.Sprintf("%d", r.Placements[sc.Name])}
-		for _, b := range benchNames {
+		for _, b := range names {
 			cells = append(cells, fmt.Sprintf("%4.1f%%", 100*r.Gain[sc.Name][b]))
 		}
 		cells = append(cells, fmt.Sprintf("%4.1f%%", 100*r.AverageGain(sc.Name)))

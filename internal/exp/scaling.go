@@ -30,6 +30,7 @@ type scale struct {
 
 	m          *machine.Machine
 	placements []topology.Placement
+	search     *machine.Search
 }
 
 func (sc *scale) build() error {
@@ -41,6 +42,7 @@ func (sc *scale) build() error {
 		return fmt.Errorf("%s: %w", sc.name, err)
 	}
 	sc.placements = sc.enumerate(topo)
+	sc.search = machine.NewSearch(sc.m, sc.placements)
 	return nil
 }
 
@@ -51,19 +53,19 @@ type phaseTimes struct{ all, best float64 }
 // scalingGains builds every scale and returns gain[scale][bench] =
 // 1 − bestTime/allCoresTime with oracle per-phase placements.
 //
-// Both stages fan out through the parallel engine. The search stage runs one
-// task per (scale, benchmark, phase), the scale with the most placements
-// first: tasks are claimed in order, so the work left when the queue runs dry
-// is a single phase of the smallest machine rather than a whole benchmark of
-// the largest, and consecutive tasks of a worker search the same placements,
-// which keeps its pooled machine context's placement plans warm. A task
-// takes the all-cores time from RunPhase and the oracle's from
-// Machine.BestTime, which solves the fixed point only for the placements
-// whose lower bound can still beat the best time found, and returns the
-// minimum a full RunPhaseSweep would, bit for bit. Each task writes only its
-// own slot; the slots of a cell are then added up serially in phase order —
-// the additions a per-cell loop would make, in its order — and the machine
-// model is pure, so the gains are bit-identical at any GOMAXPROCS.
+// Both stages fan out through the parallel engine. Building a scale prepares
+// its oracle search (machine.NewSearch) once, and every task of the scale
+// shares it. The search stage runs one task per (scale, benchmark, phase),
+// the scale with the most placements first: tasks are claimed in order, so
+// the work left when the queue runs dry is a single phase of the smallest
+// machine rather than a whole benchmark of the largest. A task takes the
+// all-cores time from RunPhase and the oracle's from Search.Best, which
+// solves the fixed point only for the placements whose lower bound can still
+// beat the best time found, and returns the minimum a full RunPhaseSweep
+// would, bit for bit. Each task writes only its own slot; the slots of a
+// cell are then added up serially in phase order — the additions a per-cell
+// loop would make, in its order — and the machine model is pure, so the
+// gains are bit-identical at any GOMAXPROCS.
 func scalingGains(scales []scale, benches []*workload.Benchmark) ([][]float64, error) {
 	errs := make([]error, len(scales))
 	parallel.ForEach(len(scales), func(si int) { errs[si] = scales[si].build() })
@@ -103,7 +105,7 @@ func scalingGains(scales []scale, benches []*workload.Benchmark) ([][]float64, e
 		t := &tasks[i]
 		pls := t.sc.placements
 		all := t.sc.m.RunPhase(t.phase, t.idio, pls[len(pls)-1]).TimeSec
-		best, _ := t.sc.m.BestTime(t.phase, t.idio, pls)
+		best, _ := t.sc.search.Best(t.phase, t.idio)
 		*t.out = phaseTimes{all, best}
 	})
 

@@ -155,3 +155,24 @@ func TestScalingFanOutBitIdenticalToCellLoop(t *testing.T) {
 		})
 	}
 }
+
+// TestAverageGainIsDeterministic: both scaling results average a row in
+// sorted benchmark order, the tables' column order, whatever order the map
+// iterates in. The row's values make the order visible: 1 vanishes next to
+// ±1e16.
+func TestAverageGainIsDeterministic(t *testing.T) {
+	row := map[string]float64{"a": 1e16, "b": 1, "c": -1e16, "d": 1, "e": 1, "f": 1}
+	// In sorted order 1e16 + 1 rounds back to 1e16, cancels against -1e16,
+	// and the three trailing 1s sum to 3.
+	want := 3.0 / 6
+	hetero := &HeteroScalingResult{Gain: map[string]map[string]float64{"s": row}}
+	future := &FutureScalingResult{Gain: map[int]map[string]float64{8: row}}
+	for i := 0; i < 200; i++ {
+		if got := hetero.AverageGain("s"); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: HeteroScalingResult.AverageGain = %v, sorted-order mean %v", i, got, want)
+		}
+		if got := future.AverageGain(8); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: FutureScalingResult.AverageGain = %v, sorted-order mean %v", i, got, want)
+		}
+	}
+}

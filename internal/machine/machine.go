@@ -71,7 +71,7 @@ func DefaultParams() Params {
 // accounting would read stale scratch. A negative or non-finite latency,
 // penalty or ResponseSigma, or an issue width that is not finite and
 // positive, breaks what every time in the model rests on — non-negative
-// cycle terms and a positive CPI — and with it the lower bound BestTime
+// cycle terms and a positive CPI — and with it the lower bound Search
 // prunes by.
 func (p Params) validate() error {
 	for _, f := range []struct {
@@ -506,40 +506,6 @@ func (m *Machine) clockScale() float64 {
 		return 1
 	}
 	return m.freqScale
-}
-
-// responseFactor derives the deterministic per-(phase, placement) execution
-// perturbation from the phase fingerprint: a log-normal-ish factor with
-// relative sigma Params.ResponseSigma, identical on every run (it is part
-// of the machine's ground truth, not measurement noise). Single-thread
-// executions are unperturbed: the idiosyncrasies modelled here are
-// interactions with the co-location of threads.
-func (m *Machine) responseFactor(p *workload.PhaseProfile, pl topology.Placement) float64 {
-	if m.params.ResponseSigma <= 0 || p.Fingerprint == "" || pl.Threads() <= 1 {
-		return 1
-	}
-	h := uint64(1469598103934665603)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-	}
-	mix(p.Fingerprint)
-	mix("|")
-	mix(pl.Name)
-	// Map the hash to an approximately standard normal value by summing
-	// uniform draws (Irwin–Hall with n=4, variance 1/3 each → scale).
-	var z float64
-	for i := 0; i < 4; i++ {
-		h ^= h >> 33
-		h *= 0xff51afd7ed558ccd
-		h ^= h >> 33
-		u := float64(h%1_000_003) / 1_000_003.0
-		z += u - 0.5
-	}
-	z *= math.Sqrt(3) // var(sum of 4 U(-0.5,0.5)) = 1/3 → scale to 1
-	return math.Exp(m.params.ResponseSigma * z)
 }
 
 func placementEqual(a, b topology.Placement) bool {

@@ -233,6 +233,27 @@ func TestResponseFactorProperties(t *testing.T) {
 	if m.responseFactor(&p, cfg3) == a {
 		t.Error("distinct placements share a response factor")
 	}
+
+	// The engine's factor, fingerprint prefix cached across placements and
+	// phases, is the reference's bit for bit.
+	topo, err := topology.ParseDesc("12x4+8x2:little")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hm, err := New(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &phaseCtx{}
+	for _, fp := range []string{p.Fingerprint, "OTHER/p", ""} {
+		q := p
+		q.Fingerprint = fp
+		for _, pl := range topology.BalancedPlacements(topo) {
+			if got, want := hm.responseFactorCtx(ctx, &q, &pl), hm.responseFactor(&q, pl); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%q %s: response factor %v, reference %v", fp, pl.Name, got, want)
+			}
+		}
+	}
 }
 
 func TestImbalanceFactor(t *testing.T) {

@@ -93,6 +93,41 @@ func referencePhase(m *Machine, p *workload.PhaseProfile, idio float64, pl topol
 	return res
 }
 
+// responseFactor is the reference for the engine's response factor
+// (responseFactorCtx), written out in one piece: the FNV fold over the
+// fingerprint, the separator and the placement name, the Irwin–Hall z and
+// the exp. It derives the deterministic per-(phase, placement) execution
+// perturbation from the phase fingerprint: a log-normal-ish factor with
+// relative sigma Params.ResponseSigma. Single-thread executions are
+// unperturbed.
+func (m *Machine) responseFactor(p *workload.PhaseProfile, pl topology.Placement) float64 {
+	if m.params.ResponseSigma <= 0 || p.Fingerprint == "" || pl.Threads() <= 1 {
+		return 1
+	}
+	h := uint64(1469598103934665603)
+	mix := func(s string) {
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= 1099511628211
+		}
+	}
+	mix(p.Fingerprint)
+	mix("|")
+	mix(pl.Name)
+	// Map the hash to an approximately standard normal value by summing
+	// uniform draws (Irwin–Hall with n=4, variance 1/3 each → scale).
+	var z float64
+	for i := 0; i < 4; i++ {
+		h ^= h >> 33
+		h *= 0xff51afd7ed558ccd
+		h ^= h >> 33
+		u := float64(h%1_000_003) / 1_000_003.0
+		z += u - 0.5
+	}
+	z *= math.Sqrt(3) // var(sum of 4 U(-0.5,0.5)) = 1/3 → scale to 1
+	return math.Exp(m.params.ResponseSigma * z)
+}
+
 // worstRelDiff returns the largest relative difference between any float
 // field of got and want (+Inf when an integer field differs).
 func worstRelDiff(got, want Result) float64 {
@@ -214,11 +249,12 @@ func TestSweepAllocatesNothing(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("warm RunPhaseSweep allocates %.0f objects/op, want 0", allocs)
 	}
-	m.BestTime(&p, 0.1, placements)
+	s := NewSearch(m, placements)
+	s.Best(&p, 0.1)
 	if allocs := testing.AllocsPerRun(5, func() {
-		m.BestTime(&p, 0.1, placements)
+		s.Best(&p, 0.1)
 	}); allocs != 0 {
-		t.Errorf("warm BestTime allocates %.0f objects/op, want 0", allocs)
+		t.Errorf("warm Search.Best allocates %.0f objects/op, want 0", allocs)
 	}
 	all := placements[len(placements)-1]
 	m.RunPhase(&p, 0.1, all)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"github.com/greenhpc/actor/internal/pmu"
@@ -15,8 +14,8 @@ import (
 // This file is the batched phase-sweep engine: the lane form of the phase
 // model plus RunPhaseSweep, which evaluates one phase across many placements
 // in a single call. RunPhase is the same engine on a block of one, and
-// BestTime the same engine searching for the fastest placement, solving only
-// the placements a lower bound cannot rule out.
+// Search (search.go) the same engine searching for the fastest placement,
+// solving only the placements a lower bound cannot rule out.
 //
 // The model is defined over lanes (see lanes.go): a placement of n threads is
 // a short list of (core class, L2 group load, multiplicity) lanes in the order
@@ -39,7 +38,8 @@ import (
 //     idempotent from that point, so skipping the rest is exact).
 //  4. A placement's lane list depends only on the topology and class layout,
 //     never on the phase, so it is resolved once and replayed for every later
-//     phase swept over the same placements (placementPlan).
+//     phase swept over the same placements (placementPlan; a Search resolves
+//     its placements' plans once, when it is built).
 //
 // What holds bit for bit, test-enforced: RunPhaseSweep equals RunPhase per
 // placement in slice order (both run solveBlock/finishPlacement), memoised
@@ -93,9 +93,8 @@ type phaseCtx struct {
 	pend     []pendingPlacement
 	pendMemo []pendingMemo
 
-	// bound[i] is BestTime's lower bound on the time of the placement at
-	// index i of its placements slice.
-	bound []float64
+	// srch is the per-call scratch of Search.Best.
+	srch searchScratch
 
 	// respFP/respSeed cache the response-factor hash state after mixing
 	// the phase fingerprint and separator — the prefix is identical for
@@ -216,10 +215,8 @@ func (m *Machine) computePhase(p *workload.PhaseProfile, idio float64, pl topolo
 }
 
 // prepPlacement appends one placement to the current solve block: one lane
-// per entry of the placement's plan, with the iteration-invariant part of
-// that lane's CPI fully factored out. The factored terms are the exact
-// sub-expressions (same operands, same order) of the threadCPI composition
-// (see lanes.go).
+// per entry of the placement's plan (see queueLanes), the plan resolved on
+// first sight of the placement at index idx and replayed after that.
 func (m *Machine) prepPlacement(ctx *phaseCtx, p *workload.PhaseProfile, pl *topology.Placement, idx int) {
 	n := pl.Threads()
 	if n == 0 {
@@ -227,38 +224,38 @@ func (m *Machine) prepPlacement(ctx *phaseCtx, p *workload.PhaseProfile, pl *top
 	}
 	ctx.sizeFor(len(m.Topo.L2Groups), n, len(m.classes))
 
-	// Phase-level terms of the CPI composition (identical for every lane).
-	mpiL1 := p.MemRefsPerInstr * p.L1MissRate
-	branch := p.BranchRate * p.BranchMissRate * m.params.BranchMissPenaltyCycles
-	tlb := p.MemRefsPerInstr * p.TLBMissRate * m.params.TLBMissPenaltyCycles
-	mlpL2 := math.Max(1, 0.7*p.MLP) // L2 hits overlap slightly less than misses
-	memPfx := m.params.MemLatencyCycles * m.clockScale()
-
 	for len(ctx.plans) <= idx {
 		ctx.plans = append(ctx.plans, placementPlan{})
 	}
 	plan := &ctx.plans[idx]
 	if !coresEqual(plan.cores, pl.Cores) {
-		m.resolvePlan(ctx, plan, pl.Cores)
+		plan.cores = append(plan.cores[:0], pl.Cores...)
+		plan.lanes = m.resolvePlan(ctx, plan.lanes[:0], pl.Cores)
 	}
+	m.queueLanes(ctx, p, plan.lanes, idx)
+}
 
+// queueLanes appends the placement at index idx, whose plan is lanes, to the
+// current solve block: one lane per plan entry, with the iteration-invariant
+// part of that lane's CPI fully factored out (appendLane).
+func (m *Machine) queueLanes(ctx *phaseCtx, p *workload.PhaseProfile, lanes []planLane, idx int) {
+	lt := m.laneTermsOf(p)
 	laneOff := ctx.lanes.len()
-	for _, ln := range plan.lanes {
-		m.appendLane(ctx, p, ln, mpiL1, branch, tlb, mlpL2, memPfx)
+	for _, ln := range lanes {
+		m.appendLane(ctx, p, ln, &lt)
 	}
 	ctx.pend = append(ctx.pend, pendingPlacement{
-		idx: idx, laneOff: int32(laneOff), laneN: int32(len(plan.lanes)),
+		idx: idx, laneOff: int32(laneOff), laneN: int32(len(lanes)),
 	})
 }
 
-// resolvePlan rebuilds plan for cores: each thread's solve key is its core's
-// class and the number of placement threads sharing its L2 group, and each
-// distinct key becomes one lane, counted once per thread that carries it.
-// The plan's slices are reused, so re-resolving a slot allocates only when a
-// larger placement than any before lands in it.
-func (m *Machine) resolvePlan(ctx *phaseCtx, plan *placementPlan, cores []topology.CoreID) {
-	plan.cores = append(plan.cores[:0], cores...)
-	plan.lanes = plan.lanes[:0]
+// resolvePlan appends the plan of a placement over cores to dst and returns
+// the extended slice: each thread's solve key is its core's class and the
+// number of placement threads sharing its L2 group, and each distinct key
+// becomes one lane, counted once per thread that carries it. ctx must be
+// sized for the placement (sizeFor).
+func (m *Machine) resolvePlan(ctx *phaseCtx, dst []planLane, cores []topology.CoreID) []planLane {
+	lo := len(dst)
 
 	// Per-L2-group occupancy of this placement.
 	occ := ctx.occ
@@ -281,24 +278,41 @@ func (m *Machine) resolvePlan(ctx *phaseCtx, plan *placementPlan, cores []topolo
 		keyv := ci*stride + load
 		ln := ctx.keyToLane[keyv]
 		if ln == 0 {
-			plan.lanes = append(plan.lanes, planLane{load: int32(load), ci: int32(ci)})
-			ln = len(plan.lanes) // lane index + 1
+			dst = append(dst, planLane{load: int32(load), ci: int32(ci)})
+			ln = len(dst) - lo // lane index + 1
 			ctx.keyToLane[keyv] = ln
 			ctx.keyScratch = append(ctx.keyScratch, keyv)
 		}
-		plan.lanes[ln-1].cnt++
+		dst[lo+ln-1].cnt++
 	}
 	for _, kv := range ctx.keyScratch {
 		ctx.keyToLane[kv] = 0
 	}
 	ctx.keyScratch = ctx.keyScratch[:0]
+	return dst
+}
+
+// laneTerms are the phase-level terms of the CPI composition, identical for
+// every lane of a phase.
+type laneTerms struct {
+	mpiL1, branch, tlb, mlpL2, memPfx float64
+}
+
+func (m *Machine) laneTermsOf(p *workload.PhaseProfile) laneTerms {
+	return laneTerms{
+		mpiL1:  p.MemRefsPerInstr * p.L1MissRate,
+		branch: p.BranchRate * p.BranchMissRate * m.params.BranchMissPenaltyCycles,
+		tlb:    p.MemRefsPerInstr * p.TLBMissRate * m.params.TLBMissPenaltyCycles,
+		mlpL2:  math.Max(1, 0.7*p.MLP), // L2 hits overlap slightly less than misses
+		memPfx: m.params.MemLatencyCycles * m.clockScale(),
+	}
 }
 
 // appendLane creates one (class, load) lane, factoring everything that does
 // not change across fixed-point iterations out of threadCPI while
 // preserving the exact association order of the scalar expressions (see
 // lanes.go for the term-by-term correspondence).
-func (m *Machine) appendLane(ctx *phaseCtx, p *workload.PhaseProfile, ln planLane, mpiL1, branch, tlb, mlpL2, memPfx float64) {
+func (m *Machine) appendLane(ctx *phaseCtx, p *workload.PhaseProfile, ln planLane, lt *laneTerms) {
 	load := int(ln.load)
 	missL2 := ctx.missFor(m, p, load)
 	cls := &m.classes[ln.ci]
@@ -307,11 +321,11 @@ func (m *Machine) appendLane(ctx *phaseCtx, p *workload.PhaseProfile, ln planLan
 	if load > 1 {
 		l2Lat *= 1 + 0.35*float64(load-1)
 	}
-	l2Term := mpiL1 * (1 - missL2) * l2Lat / mlpL2
+	l2Term := lt.mpiL1 * (1 - missL2) * l2Lat / lt.mlpL2
 	ctx.lanes.append(
-		coreCPI+branch+tlb+l2Term,         // CPI base: core + branch + TLB + L2
-		memPfx*cls.FreqMult,               // memory-latency prefix (× busFactor × prefetchHide per iter)
-		mpiL1*missL2,                      // L2 misses per instruction
+		coreCPI+lt.branch+lt.tlb+l2Term,   // CPI base: core + branch + TLB + L2
+		lt.memPfx*cls.FreqMult,            // memory-latency prefix (× busFactor × prefetchHide per iter)
+		lt.mpiL1*missL2,                   // L2 misses per instruction
 		cls.CPIMult/m.params.PeakIssueIPC, // issue-width clamp
 		cls.FreqMult,                      // nominal-clock referencing divisor
 		float64(ln.cnt),
@@ -443,29 +457,45 @@ func log2N(n int) float64 {
 	return math.Log2(float64(n))
 }
 
-// responseFactorCtx is responseFactor with the phase-fingerprint prefix of
-// the FNV fold cached in the context: every placement of a sweep shares the
-// hash state after mixing Fingerprint and the separator, so only the
-// placement name is folded per result. The byte sequence folded into the
-// hash is identical either way, so the factor is bit-identical to
-// responseFactor (test-enforced).
+// responseFactorCtx derives the deterministic per-(phase, placement)
+// execution perturbation from the phase fingerprint: a log-normal-ish factor
+// exp(ResponseSigma·z) with z from responseZ, identical on every run (it is
+// part of the machine's ground truth, not measurement noise). Single-thread
+// executions are unperturbed: the idiosyncrasies modelled here are
+// interactions with the co-location of threads. The fingerprint's prefix of
+// the hash is cached in the context, since every placement of a sweep shares
+// it. The per-thread reference (reference_test.go) derives the same factor
+// on its own, bit for bit (test-enforced).
 func (m *Machine) responseFactorCtx(ctx *phaseCtx, p *workload.PhaseProfile, pl *topology.Placement) float64 {
 	if m.params.ResponseSigma <= 0 || p.Fingerprint == "" || pl.Threads() <= 1 {
 		return 1
 	}
 	if ctx.respFP != p.Fingerprint {
-		h := uint64(1469598103934665603)
-		for i := 0; i < len(p.Fingerprint); i++ {
-			h ^= uint64(p.Fingerprint[i])
-			h *= 1099511628211
-		}
-		h ^= uint64('|')
-		h *= 1099511628211
-		ctx.respFP, ctx.respSeed = p.Fingerprint, h
+		ctx.respFP, ctx.respSeed = p.Fingerprint, responseSeed(p.Fingerprint)
 	}
-	h := ctx.respSeed
-	for i := 0; i < len(pl.Name); i++ {
-		h ^= uint64(pl.Name[i])
+	return math.Exp(m.params.ResponseSigma * responseZ(ctx.respSeed, pl.Name))
+}
+
+// responseSeed is the FNV-1a state after folding a phase fingerprint and the
+// "|" separator: the prefix every placement's response hash starts from.
+func responseSeed(fingerprint string) uint64 {
+	h := uint64(1469598103934665603)
+	for i := 0; i < len(fingerprint); i++ {
+		h ^= uint64(fingerprint[i])
+		h *= 1099511628211
+	}
+	h ^= uint64('|')
+	h *= 1099511628211
+	return h
+}
+
+// responseZ folds a placement name into a phase's response seed and maps the
+// hash to an approximately standard normal value by summing uniform draws
+// (Irwin–Hall with n=4, variance 1/3 each → scale), so |z| ≤ 2√3.
+func responseZ(seed uint64, name string) float64 {
+	h := seed
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
 		h *= 1099511628211
 	}
 	var z float64
@@ -476,26 +506,24 @@ func (m *Machine) responseFactorCtx(ctx *phaseCtx, p *workload.PhaseProfile, pl 
 		u := float64(h%1_000_003) / 1_000_003.0
 		z += u - 0.5
 	}
-	z *= math.Sqrt(3)
-	return math.Exp(m.params.ResponseSigma * z)
+	return z * math.Sqrt(3) // var(sum of 4 U(-0.5,0.5)) = 1/3 → scale to 1
 }
 
-// placementCycles is the cycle accounting of the placement in block slot o,
-// pl the placement queued there, whose lanes hold their CPIs at a bus factor
-// no smaller than 1: the serial section at bus factor busFactor, the
-// heaviest thread's parallel share at the worst lane CPI, synchronisation
-// and the bandwidth wall, times the response factor. It returns the wall
-// cycles, the average L2 miss rate and the summed per-core IPC.
+// placementCycles is the cycle accounting of one placement of n threads whose
+// first core has class cls0, before the response factor, which its callers
+// apply: the serial section at bus factor busFactor, the heaviest thread's
+// parallel share at the worst lane CPI, synchronisation and the bandwidth
+// wall. cpi, cnt and miss hold the placement's lanes in plan order — each
+// lane's CPI at a bus factor no smaller than 1, its multiplicity and its L2
+// miss rate. It returns the wall cycles, the average L2 miss rate and the
+// summed per-core IPC.
 //
 // Every operation from busFactor and the lane CPIs to wallCycles is a sum
 // or product of non-negative operands, a max or a division by a positive
 // constant, so for a phase that passes Validate and parameters SetParams
 // accepts, wallCycles is monotone non-decreasing in busFactor and in each
-// lane's CPI — BestTime's lower bound rests on that.
-func (m *Machine) placementCycles(ctx *phaseCtx, o int, pl *topology.Placement, p *workload.PhaseProfile, idio, busFactor float64) (wallCycles, avgMissL2, sumIPC float64) {
-	pe := &ctx.pend[o]
-	laneLo, laneHi := int(pe.laneOff), int(pe.laneOff+pe.laneN)
-	n := pl.Threads()
+// lane's CPI — the lower bound Search prunes by rests on that.
+func (m *Machine) placementCycles(ctx *phaseCtx, p *workload.PhaseProfile, idio, busFactor float64, n int, cls0 *topology.CoreClass, cpi, cnt, miss []float64) (wallCycles, avgMissL2, sumIPC float64) {
 	freq := m.Topo.FrequencyHz * m.clockScale()
 
 	// --- Work division ------------------------------------------------
@@ -510,7 +538,6 @@ func (m *Machine) placementCycles(ctx *phaseCtx, o int, pl *topology.Placement, 
 	// --- Cycle accounting ----------------------------------------------
 	// Serial section runs on one thread — the placement's first core, with
 	// a single-thread L2 share and that core's class.
-	cls0 := m.classOf(pl.Cores[0])
 	serMiss := ctx.missFor(m, p, 1)
 	serCPI := m.threadCPI(p, mpiL1, serMiss, busFactor, 1, cls0) / cls0.FreqMult
 	serCycles := serInstr * serCPI
@@ -527,17 +554,16 @@ func (m *Machine) placementCycles(ctx *phaseCtx, o int, pl *topology.Placement, 
 	// barrier (the heaviest chunk share executed at the worst CPI), and the
 	// per-core IPC and L2 miss rate sum with each lane's multiplicity. A
 	// lane whose CPI is not positive contributes no IPC rather than +Inf.
-	ls := &ctx.lanes
 	var maxCPI, sumMiss float64
-	for l := laneLo; l < laneHi; l++ {
-		c := ls.cpi[l]
+	cnt, miss = cnt[:len(cpi)], miss[:len(cpi)]
+	for l, c := range cpi {
 		if c > maxCPI {
 			maxCPI = c
 		}
 		if c > 0 {
-			sumIPC += float64(ls.cnt[l] * (1 / (c * critFactor * idioFactor)))
+			sumIPC += float64(cnt[l] * (1 / (c * critFactor * idioFactor)))
 		}
-		sumMiss += float64(ls.cnt[l] * ls.miss[l])
+		sumMiss += float64(cnt[l] * miss[l])
 	}
 	avgMissL2 = sumMiss / float64(n)
 	parCycles := parInstr * heavyShare * maxCPI * critFactor * idioFactor
@@ -567,22 +593,32 @@ func (m *Machine) placementCycles(ctx *phaseCtx, o int, pl *topology.Placement, 
 	if bwCycles > wallCycles {
 		wallCycles = bwCycles
 	}
-	wallCycles *= m.responseFactorCtx(ctx, p, pl)
 	return wallCycles, avgMissL2, sumIPC
 }
 
+// slotCycles is placementCycles over the lanes of block slot o, solved to
+// the slot's bus factor: the exact accounting of a placement of n threads
+// whose first core has class cls0.
+func (m *Machine) slotCycles(ctx *phaseCtx, o int, p *workload.PhaseProfile, idio float64, n int, cls0 *topology.CoreClass) (wallCycles, avgMissL2, sumIPC float64) {
+	pe := &ctx.pend[o]
+	lo, hi := int(pe.laneOff), int(pe.laneOff+pe.laneN)
+	ls := &ctx.lanes
+	return m.placementCycles(ctx, p, idio, ctx.bus[o], n, cls0, ls.cpi[lo:hi], ls.cnt[lo:hi], ls.miss[lo:hi])
+}
+
 // finishPlacement turns one solved placement into *res: cycle accounting
-// (placementCycles) at the solved bus factor, PMU event synthesis and
-// power-model activity. o is the placement's index within the solve block
-// (its slot in ctx.pend/ctx.bus/ctx.traffic) and pl the placement queued
-// there. Every field of *res is overwritten.
+// (placementCycles) at the solved bus factor times the response factor, PMU
+// event synthesis and power-model activity. o is the placement's index within
+// the solve block (its slot in ctx.pend/ctx.bus/ctx.traffic) and pl the
+// placement queued there. Every field of *res is overwritten.
 func (m *Machine) finishPlacement(ctx *phaseCtx, o int, pl *topology.Placement, p *workload.PhaseProfile, idio float64, res *Result) {
 	busFactor := ctx.bus[o]
-	wallCycles, avgMissL2, sumIPC := m.placementCycles(ctx, o, pl, p, idio, busFactor)
 	n := pl.Threads()
+	cls0 := m.classOf(pl.Cores[0])
+	wallCycles, avgMissL2, sumIPC := m.slotCycles(ctx, o, p, idio, n, cls0)
+	wallCycles *= m.responseFactorCtx(ctx, p, pl)
 	busUtil := m.fsb.Utilization(ctx.traffic[o])
 	timeSec := wallCycles / (m.Topo.FrequencyHz * m.clockScale())
-	cls0 := m.classOf(pl.Cores[0])
 
 	res.TimeSec = timeSec
 	res.WallCycles = wallCycles
@@ -701,108 +737,4 @@ func (m *Machine) ApplyNoise(res *Result) {
 	if m.noiseSrc != nil {
 		m.perturb(res)
 	}
-}
-
-// bestTimeSolved counts the placements BestTime has solved exactly since the
-// process started. It is the prune census: BenchmarkBestTimeHetero (root
-// bench_test.go) reads it through a linkname to report the solved share.
-//
-//go:linkname bestTimeSolved
-var bestTimeSolved atomic.Int64
-
-// BestTime returns the minimum TimeSec of phase p with idiosyncrasy idio
-// over placements and the lowest index that attains it: the same bits and
-// index as a strict-< scan of RunPhaseSweepDeterministic's results. It draws
-// no noise and neither reads nor writes the memo (memoised results are the
-// same bits anyway). It panics when placements is empty.
-//
-// It gets there by branch and bound. Every placement's bus factor starts at
-// 1, and each damped update averages it with bus.LatencyFactor ≥ 1, so it
-// never falls below 1; and placementCycles is monotone in the bus factor and
-// the lane CPIs, which the lane step is monotone in too. So the time after
-// one lane step at bus factor 1 — solveBlock's first iteration through the
-// same kernel — fed to placementCycles at bus factor 1 is a lower bound, bit
-// for bit, on the exact time of a phase that passes Validate under Params
-// that SetParams accepts. BestTime bounds every placement, solves the
-// placement of least bound exactly, then solves, in slice order and in
-// blocks, only the placements whose bound does not exceed the best time
-// found so far. A placement of exactly minimal time is never skipped (its
-// bound is at most its time), and ties go to the lower index, so at is the
-// first index of the minimum. It allocates nothing once the pooled scratch
-// is warm.
-func (m *Machine) BestTime(p *workload.PhaseProfile, idio float64, placements []topology.Placement) (t float64, at int) {
-	if len(placements) == 0 {
-		panic("machine: BestTime over no placements")
-	}
-	ctx := ctxPool.Get().(*phaseCtx)
-	bound, first := m.sweepBounds(ctx, p, idio, placements)
-	freq := m.Topo.FrequencyHz * m.clockScale()
-
-	// The exact solve of the least bound sets the incumbent; every other
-	// placement is solved only while its bound can still beat it.
-	t, at = math.Inf(1), len(placements)
-	solved := 0
-	flush := func() {
-		m.solveBlock(ctx, p)
-		for o := range ctx.pend {
-			idx := ctx.pend[o].idx
-			wall, _, _ := m.placementCycles(ctx, o, &placements[idx], p, idio, ctx.bus[o])
-			if tt := wall / freq; tt < t || (tt == t && idx < at) {
-				t, at = tt, idx
-			}
-		}
-		solved += len(ctx.pend)
-		ctx.resetBlock()
-	}
-	m.prepPlacement(ctx, p, &placements[first], first)
-	flush()
-	for i := range placements {
-		if i == first || bound[i] > t {
-			continue
-		}
-		m.prepPlacement(ctx, p, &placements[i], i)
-		if len(ctx.pend) == sweepSolveBlock {
-			flush()
-		}
-	}
-	if len(ctx.pend) > 0 {
-		flush()
-	}
-	bestTimeSolved.Add(int64(solved))
-	ctxPool.Put(ctx)
-	return t, at
-}
-
-// sweepBounds is BestTime's first pass on ctx: it returns every placement's
-// lower bound (in ctx's scratch, bound[i] for placements[i]) and the index of
-// the least, the first among equals. Placements are bounded a solve block at
-// a time: one lane step from bus factor 1, then placementCycles at bus
-// factor 1.
-func (m *Machine) sweepBounds(ctx *phaseCtx, p *workload.PhaseProfile, idio float64, placements []topology.Placement) (bound []float64, first int) {
-	ctx.resetPhase()
-	ctx.resetBlock()
-	ctx.bindMachine(m)
-	freq := m.Topo.FrequencyHz * m.clockScale()
-	if cap(ctx.bound) < len(placements) {
-		ctx.bound = make([]float64, len(placements))
-	}
-	bound = ctx.bound[:len(placements)]
-	for i := range placements {
-		m.prepPlacement(ctx, p, &placements[i], i)
-		if len(ctx.pend) < sweepSolveBlock && i < len(placements)-1 {
-			continue
-		}
-		ctx.lanes.sizeDerived()
-		m.stepLanes(&ctx.lanes, p)
-		for o := range ctx.pend {
-			idx := ctx.pend[o].idx
-			wall, _, _ := m.placementCycles(ctx, o, &placements[idx], p, idio, 1)
-			bound[idx] = wall / freq
-			if bound[idx] < bound[first] {
-				first = idx
-			}
-		}
-		ctx.resetBlock()
-	}
-	return bound, first
 }

@@ -8,8 +8,9 @@
 #     one-worker run, RunPhaseSweep against per-placement RunPhase, the lane
 #     and GEMM kernels against their scalar references, the fleet scorer
 #     against its O(M) reference and against the legacy-stream pin, and
-#     Machine.BestTime against the full sweep's minimum, its lower bound
-#     against every exact time;
+#     the oracle search (machine.Search) against the full sweep's minimum,
+#     its lower bounds against every exact time and the prefilter's exp
+#     bound against math.Exp;
 #   - reproduce the pinned fleet schedule digest (scripts/fleet_smoke.sh);
 #   - write the pinned `actor-train -fast` bank and the pinned
 #     `actor-train -fast -loo` leave-one-out banks, byte for byte;
@@ -25,7 +26,7 @@ BANK_SHA256=89ad510828ba7843bfd63698c14bc3827dc0cbd66f21341b4432cc8b13b19f47
 # writes (one bank per left-out benchmark); re-pin under the same rule.
 LOO_SHA256=f702240b573b1cb3f3bd5b9414154426eeef5ecf04703ea235f522f963143230
 
-TESTS='TestParallelPipelineDeterminism|TestRunPhaseSweep|TestHeteroSweepMatchesRunPhaseProperty|TestConcurrentHeteroSweeps|TestShardedMemoConcurrentSweeps|BitIdenti|TestGOMAXPROCSDeterminism|TestLegacyStreamPinned|TestBestTimeMatchesSweep|TestSweepBoundNeverExceedsTime|TestBestTimeBoundProperty'
+TESTS='TestParallelPipelineDeterminism|TestRunPhaseSweep|TestHeteroSweepMatchesRunPhaseProperty|TestConcurrentHeteroSweeps|TestShardedMemoConcurrentSweeps|BitIdenti|TestGOMAXPROCSDeterminism|TestLegacyStreamPinned|TestSearchMatchesSweep|TestSearchBoundNeverExceedsTime|TestSearchBoundProperty|TestExpLowerBound'
 PKGS=(./internal/exp ./internal/machine ./internal/ann ./internal/fleet)
 
 ncpu="$(getconf _NPROCESSORS_ONLN)"
