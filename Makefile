@@ -70,10 +70,10 @@ fuzz-smoke:
 		done; \
 	done
 
-## fleet-smoke: seeded 100-job/16-machine fleet scheduling run on the
-## incremental scorer — asserts the pinned deterministic schedule digest,
-## zero QoS-bound violations and a clean `actorfleet -verify` (CI; see
-## docs/FLEET.md).
+## fleet-smoke: seeded 100-job/16-machine and 5000-job/1000-machine fleet
+## scheduling runs on the incremental scorer — asserts each pinned
+## deterministic schedule digest, zero QoS-bound violations and a clean
+## `actorfleet -verify` (CI; see docs/FLEET.md).
 fleet-smoke:
 	scripts/fleet_smoke.sh
 

@@ -432,8 +432,8 @@ func BenchmarkFleetGenJobs(b *testing.B) {
 }
 
 // BenchmarkFleetSchedule is the fleet headline: 10k jobs against a 1000
-// machine heterogeneous fleet on the shipped incremental scorer (treap
-// probe order, interned templates, decision memo). Every iteration asserts
+// machine heterogeneous fleet on the shipped incremental scorer (bucketed
+// probe index, interned templates, decision memo). Every iteration asserts
 // the schedule digest of the first run, and internal/fleet's
 // TestScorerBitIdentity holds that digest to the O(M) reference's.
 // templates and decision-entries are why the incremental probe runs in

@@ -14,7 +14,8 @@
 //     external cache pressure, resident memory sensitivity, plus a
 //     machine-wide bus-demand sum) recomputed from its resident set in
 //     job-ID order after every placement and completion;
-//   - a machine's congestion key K is a pure function of that template;
+//   - a machine's congestion key K is a pure function of its residual
+//     state, independent of the job;
 //   - an arriving job is placed on the feasible machine with the smallest
 //     (K, machine index), where feasibility means the job's predicted
 //     slowdown — relative to its solo-best time across the fleet's machine
@@ -26,24 +27,29 @@
 //
 // Two scorers implement the policy. The naive reference re-scores every
 // machine on every arrival — O(M) template builds and candidate solves.
-// The incremental scorer maintains machines in a congestion-ordered treap
-// (placing or completing a job updates only the touched machine's key, in
-// O(log M)) and walks them in key order on the calling goroutine until the
-// first feasible machine. A machine's canonical template is rebuilt and
-// interned into a small integer id only when its resident set changes, so a
-// probe is a lookup of (template id, job signature, budget) in an
-// internal/memo table (see keys.go) plus the resident-impact check, and
-// identical co-run configurations are solved once fleet-wide. Both paths
-// evaluate candidates through the same pure functions over the same
-// template values, so their schedules are byte-identical — the same
-// scalar/SIMD pattern the kernel engine uses; Options.Scorer selects the
-// naive reference.
+// The incremental scorer files machines in a probe index (probe.go): one
+// bitset of machines per (K, template id) bucket, the buckets sorted by
+// (K, template id). Placing or completing a job moves only the touched
+// machine, one bit cleared and one set. An arrival walks the buckets of
+// equal K in ascending K and their members in index order, on the calling
+// goroutine, until the first feasible machine; a bucket alone at its K
+// whose template is full or cannot take the job is passed over whole. The
+// bucket key is the pair because K is not a function of the template id:
+// it sums group pressures in real group order, so machines of one
+// canonical template may differ in K's last bits. A machine's canonical
+// template is rebuilt and interned into a small integer id only when its
+// resident set changes, so a probe is a lookup of (template id, job
+// signature, budget) in an internal/memo table (see keys.go) plus the
+// resident-impact check, and identical co-run configurations are solved
+// once fleet-wide. Both paths evaluate candidates through the same pure
+// functions over the same template values, so their schedules are
+// byte-identical — the same scalar/SIMD pattern the kernel engine uses;
+// the tests plug the naive reference in through an unexported Options
+// seam.
 package fleet
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -333,7 +339,9 @@ func (m *machState) recompute(c *Class) {
 	// K orders machines least-congested-first: bus demand dominates, then
 	// mean cache pressure, then plain occupancy. Any monotone combination
 	// works — the policy only needs K to be a pure function of the
-	// template so both scorers order machines identically.
+	// machine's residual state so both scorers order machines identically.
+	// It is not one of the template id: press sums in real group order,
+	// which the canonical template forgets.
 	m.congestion = m.busSum + 0.5*press/float64(ng) + 0.5*used
 	canonGroups(c, m, m.views[:0])
 }
@@ -355,29 +363,44 @@ type groupView struct {
 // as the final tie-break. Machines whose residual states are equal
 // group-for-group produce element-wise identical views (the real index
 // never feeds scoring), which is what makes the score memo shareable
-// across machines.
+// across machines. The order is total, so the insertion sort over at most
+// maxGroups views gives the one answer any sort would.
 func canonGroups(c *Class, m *machState, dst []groupView) []groupView {
 	ng := len(c.groupSize)
 	dst = dst[:0]
 	for g := 0; g < ng; g++ {
-		dst = append(dst, groupView{
+		v := groupView{
 			kind:    c.groupKind[g],
 			free:    int(m.free[g]),
 			occ:     int(m.occ[g]),
 			ws:      m.ws[g],
 			sensMax: m.sensMax[g],
 			real:    g,
-		})
+		}
+		dst = append(dst, v)
+		i := g
+		for ; i > 0 && v.before(&dst[i-1]); i-- {
+			dst[i] = dst[i-1]
+		}
+		dst[i] = v
 	}
-	slices.SortFunc(dst, func(a, b groupView) int {
-		return cmp.Or(
-			cmp.Compare(a.kind, b.kind),
-			cmp.Compare(b.free, a.free),
-			cmp.Compare(a.ws, b.ws),
-			cmp.Compare(a.occ, b.occ),
-			cmp.Compare(a.sensMax, b.sensMax),
-			cmp.Compare(a.real, b.real),
-		)
-	})
 	return dst
+}
+
+// before is canonGroups' order: kind ascending, free descending, then ws,
+// occ, sensMax ascending and the real index last.
+func (a *groupView) before(b *groupView) bool {
+	switch {
+	case a.kind != b.kind:
+		return a.kind < b.kind
+	case a.free != b.free:
+		return a.free > b.free
+	case a.ws != b.ws:
+		return a.ws < b.ws
+	case a.occ != b.occ:
+		return a.occ < b.occ
+	case a.sensMax != b.sensMax:
+		return a.sensMax < b.sensMax
+	}
+	return a.real < b.real
 }

@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"math/rand"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -69,6 +72,60 @@ func TestScorerBitIdentity(t *testing.T) {
 	if nai.ScoredMachines <= 2*inc.ScoredMachines {
 		t.Fatalf("incremental scorer did not reduce scoring work: inc=%d naive=%d",
 			inc.ScoredMachines, nai.ScoredMachines)
+	}
+}
+
+// TestScorerBitIdentityAtScale holds the two scorers to one schedule on a
+// fleet large enough for the probe index to pass over whole buckets: 200
+// machines in the benchmark's class mix, 2 000 jobs.
+func TestScorerBitIdentityAtScale(t *testing.T) {
+	f, err := ParseFleet("80*4x2+2x2:little,120*2x2", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := GenJobs(StreamConfig{Jobs: 2000, Seed: 42, ArrivalRate: 12, MeanSize: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := mustSchedule(t, f, jobs, Options{})
+	nai := mustSchedule(t, f, jobs, naive(Options{}))
+	const want = 0x3d09e447252156cf
+	if inc.Digest() != want || nai.Digest() != want {
+		t.Fatalf("digests: incremental %016x, naive %016x, want %016x", inc.Digest(), nai.Digest(), uint64(want))
+	}
+	for i := range inc.Placed {
+		if inc.Placed[i] != nai.Placed[i] {
+			t.Fatalf("row %d diverges:\nincremental %+v\nnaive       %+v", i, inc.Placed[i], nai.Placed[i])
+		}
+	}
+}
+
+// TestScheduleRefusesMalformedStream: a job's ID is its stream position and
+// indexes the result, and a job needs a thread and an iteration; Schedule
+// refuses a stream that breaks either before it places anything.
+func TestScheduleRefusesMalformedStream(t *testing.T) {
+	f, jobs := testStream(t, 20)
+	for _, tc := range []struct {
+		name, want string
+		breakIt    func(js []Job)
+	}{
+		{"ID out of range", "job at stream position 3 has ID 99", func(js []Job) { js[3].ID = 99 }},
+		{"duplicate ID", "job at stream position 5 has ID 4", func(js []Job) { js[5].ID = 4 }},
+		{"negative ID", "job at stream position 0 has ID -1", func(js []Job) { js[0].ID = -1 }},
+		{"no threads", "job 7 has thread budget 0", func(js []Job) { js[7].MaxThreads = 0 }},
+		{"no iterations", "job 9 has size 0", func(js []Job) { js[9].Size = 0 }},
+	} {
+		bad := slices.Clone(jobs)
+		tc.breakIt(bad)
+		for _, opt := range []Options{{}, {Scorer: ScorerBinpack}} {
+			res, err := Schedule(f, bad, opt)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s (%s): got %v, want an error naming %q", tc.name, opt.Scorer, err, tc.want)
+			}
+			if res != nil {
+				t.Errorf("%s (%s): a refused stream returned a result", tc.name, opt.Scorer)
+			}
+		}
 	}
 }
 
@@ -237,30 +294,110 @@ func TestCoSchedulingParity(t *testing.T) {
 	}
 }
 
-// TestTreapOrder exercises the probe structure directly: after inserts and
-// updates, a walk must agree with a sorted reference.
-func TestTreapOrder(t *testing.T) {
-	const n = 200
-	tr := newMachTreap(n)
+// TestProbeIndexOrder exercises the probe structure directly. Random moves
+// over a fleet spanning several bitset and summary words, with few K values
+// shared across templates, empty buckets and refill them. After each round
+// a walk must visit the machines in (K, index) order, except for K groups
+// held by one skipped template, which it must pass over and count as the
+// machines they hold.
+func TestProbeIndexOrder(t *testing.T) {
+	const n = 4200 // 66 words, 2 summary words
+	rng := rand.New(rand.NewSource(3))
+	x := newProbeIndex(n)
 	keys := make([]float64, n)
+	tmpls := make([]int32, n)
+	move := func(i int, k float64, tmpl int32) {
+		keys[i], tmpls[i] = k, tmpl
+		x.move(i, k, tmpl)
+	}
 	for i := 0; i < n; i++ {
-		keys[i] = float64((i * 37 % 50)) // many duplicate keys: index tie-break
-		tr.Insert(int32(i), keys[i])
+		move(i, float64(i%3), int32(i%5)) // K 0..2 shared by every template
 	}
-	for i := 0; i < n; i += 3 {
-		keys[i] = float64(i % 7)
-		tr.Update(int32(i), keys[i])
+	skipped := map[int32]bool{0: true, 3: true}
+	type pair struct {
+		k    float64
+		tmpl int32
 	}
-	var got []int32
-	tr.Walk(func(i int32) bool { got = append(got, i); return true })
-	if len(got) != n {
-		t.Fatalf("walk visited %d of %d", len(got), n)
-	}
-	for i := 1; i < len(got); i++ {
-		a, b := got[i-1], got[i]
-		if keys[a] > keys[b] || (keys[a] == keys[b] && a >= b) {
-			t.Fatalf("walk out of order at %d: (%.0f,%d) before (%.0f,%d)", i, keys[a], a, keys[b], b)
+	seen, emptied, refilled := map[pair]bool{}, map[pair]bool{}, 0
+	skips := 0
+	for round := 0; round < 40; round++ {
+		// Bulk moves onto the common pairs, then a handful onto rare ones —
+		// K values no other template uses, which whole-bucket skips act on.
+		for range 1500 {
+			move(rng.Intn(n), float64(rng.Intn(3)), int32(rng.Intn(5)))
 		}
+		for range rng.Intn(3) {
+			tmpl := []int32{3, 5, 6}[rng.Intn(3)]
+			move(rng.Intn(n), 10+float64(tmpl), tmpl)
+			move(rng.Intn(n), 20+float64(rng.Intn(2)), int32(rng.Intn(2))) // K 20 or 21, two templates
+		}
+		live := map[pair]bool{}
+		for i := range keys {
+			live[pair{keys[i], tmpls[i]}] = true
+		}
+		for p := range seen {
+			if !live[p] {
+				emptied[p] = true
+			}
+		}
+		for p := range live {
+			if emptied[p] {
+				refilled++
+				delete(emptied, p)
+			}
+			seen[p] = true
+		}
+
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.Slice(want, func(a, b int) bool {
+			ia, ib := want[a], want[b]
+			return keys[ia] < keys[ib] || (keys[ia] == keys[ib] && ia < ib)
+		})
+		var visits []int
+		wantSkip := 0
+		for g := 0; g < len(want); {
+			e := g + 1
+			one := true
+			for e < len(want) && keys[want[e]] == keys[want[g]] {
+				one = one && tmpls[want[e]] == tmpls[want[g]]
+				e++
+			}
+			if one && skipped[tmpls[want[g]]] {
+				wantSkip += e - g
+			} else {
+				visits = append(visits, want[g:e]...)
+			}
+			g = e
+		}
+
+		var got []int
+		gotSkip := 0
+		x.walk(func(first, size int) bool {
+			if skipped[tmpls[first]] {
+				gotSkip += size
+				return true
+			}
+			return false
+		}, func(i int) bool { got = append(got, i); return true })
+		if !slices.Equal(got, visits) {
+			t.Fatalf("round %d: walk visits %v, (K, index) order without the skipped buckets is %v", round, got, visits)
+		}
+		if gotSkip != wantSkip {
+			t.Fatalf("round %d: walk skipped %d machines, want %d", round, gotSkip, wantSkip)
+		}
+		skips += gotSkip
+	}
+	if refilled == 0 || skips == 0 {
+		t.Fatalf("%d buckets emptied and refilled, %d machines skipped: the moves miss a case", refilled, skips)
+	}
+	// A walk stops when visit says so.
+	calls := 0
+	x.walk(func(int, int) bool { return false }, func(int) bool { calls++; return calls < 7 })
+	if calls != 7 {
+		t.Fatalf("walk went on for %d visits after the 7th returned false", calls-7)
 	}
 }
 

@@ -129,6 +129,15 @@ func (k *bestKey) hash() uint64 {
 
 const hashInit = 0x9e3779b97f4a7c15
 
+// splitmix64 is the 64-bit finaliser every deterministic hash and draw of
+// the package mixes through.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // mix folds one word into a running hash, carrying the product's high half
 // back down so float bit patterns (which differ mostly in their top bits)
 // spread into the low bits that select a memo shard and probe start.

@@ -4,7 +4,7 @@ import "github.com/greenhpc/actor/internal/parallel"
 
 // The O(M) reference scorer: it re-scores every machine on every arrival
 // and on every queue retry, recomputing each template-level decision. It
-// implements the incremental scorer's policy without its treap, its
+// implements the incremental scorer's policy without its probe index, its
 // decision memo or its single-machine retry, so TestScorerBitIdentity and
 // TestGOMAXPROCSDeterminism compare the shipped scorer against it.
 

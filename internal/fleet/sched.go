@@ -190,8 +190,16 @@ type run struct {
 	s      *scorer
 	opt    Options
 	states []machState
-	treap  *machTreap // incremental scorer only
-	byID   map[int]*placedJob
+	probe  *probeIndex // incremental scorer only
+
+	// byID holds the record of every resident job at its ID (Schedule
+	// refuses a stream whose IDs are not positions), nil before placement
+	// and after completion, so a completed job's stale heap events find no
+	// record; live counts the non-nil slots. Completed records wait in
+	// spare for the next placement.
+	byID  []*placedJob
+	live  int
+	spare []*placedJob
 
 	heap    compHeap
 	pending []int // queued job indices, FIFO
@@ -235,6 +243,16 @@ func (s *scorer) schedule(jobs []Job, opt Options) (*Result, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("fleet: empty job stream")
 	}
+	for i := range jobs {
+		switch j := &jobs[i]; {
+		case j.ID != i:
+			return nil, fmt.Errorf("fleet: job at stream position %d has ID %d", i, j.ID)
+		case j.MaxThreads < 1:
+			return nil, fmt.Errorf("fleet: job %d has thread budget %d", i, j.MaxThreads)
+		case j.Size < 1:
+			return nil, fmt.Errorf("fleet: job %d has size %d", i, j.Size)
+		}
+	}
 	r := s.newRun(len(jobs), ropt)
 
 	order := make([]int, len(jobs))
@@ -250,7 +268,7 @@ func (s *scorer) schedule(jobs []Job, opt Options) (*Result, error) {
 	})
 
 	ai := 0
-	for ai < len(order) || len(r.byID) > 0 {
+	for ai < len(order) || r.live > 0 {
 		// Next event: completions win ties against arrivals so freed
 		// capacity is visible to a simultaneously arriving job.
 		ct, hasComp := r.peek()
@@ -307,8 +325,7 @@ func (s *scorer) schedule(jobs []Job, opt Options) (*Result, error) {
 }
 
 // newRun builds the idle-fleet state of one scheduling pass: every machine
-// recomputed and interned, and the congestion treap for the incremental
-// scorer.
+// recomputed and interned, and the probe index for the incremental scorer.
 func (s *scorer) newRun(jobs int, opt Options) *run {
 	f := s.f
 	r := &run{
@@ -316,7 +333,7 @@ func (s *scorer) newRun(jobs int, opt Options) *run {
 		s:      s,
 		opt:    opt,
 		states: make([]machState, f.Machines()),
-		byID:   make(map[int]*placedJob, 64),
+		byID:   make([]*placedJob, jobs),
 		res:    &Result{Scorer: opt.Scorer, QoS: opt.QoS, Placed: make([]Placed, jobs)},
 	}
 	for i := range r.states {
@@ -326,9 +343,9 @@ func (s *scorer) newRun(jobs int, opt Options) *run {
 		r.totalPower += m.power
 	}
 	if opt.Scorer == ScorerIncremental {
-		r.treap = newMachTreap(f.Machines())
+		r.probe = newProbeIndex(f.Machines())
 		for i := range r.states {
-			r.treap.Insert(int32(i), r.states[i].congestion)
+			r.probe.move(i, r.states[i].congestion, r.states[i].tmpl)
 		}
 	}
 	return r
@@ -405,11 +422,14 @@ func (r *run) selectMachine(j *Job) (int, candidate, bool) {
 	}
 }
 
-// selectIncremental walks machines in treap order on the calling goroutine
-// and stops at the first feasible one — identical to the O(M) argmin over
-// (congestion, index) because the congestion key is job-independent.
-// Nearly every probe is a decision-table hit, so there is nothing for a
-// fan-out to overlap.
+// selectIncremental walks machines in (congestion, index) order on the
+// calling goroutine and stops at the first feasible one — identical to the
+// O(M) argmin over (congestion, index) because the congestion key is
+// job-independent. A bucket the probe index offers whole shares one
+// template: when its machines are full or the template's decision is
+// infeasible, every member would be rejected, so it is passed over and
+// counted as the machines it would have scored. Nearly every probe is a
+// decision-table hit, so there is nothing for a fan-out to overlap.
 func (r *run) selectIncremental(j *Job) (int, candidate, bool) {
 	soloBest := r.s.soloBest(j)
 	r.arrival++
@@ -418,22 +438,39 @@ func (r *run) selectIncremental(j *Job) (int, candidate, bool) {
 	}
 	var cand candidate
 	mi := -1
-	r.treap.Walk(func(i int32) bool {
+	r.probe.walk(func(first, n int) bool {
+		m := &r.states[first]
+		if m.freeTotal < 1 {
+			return true
+		}
+		if r.decidedOn(m, j, soloBest).feasible {
+			return false
+		}
+		r.scored += int64(n)
+		return true
+	}, func(i int) bool {
 		m := &r.states[i]
 		if m.freeTotal < 1 {
 			return true
 		}
 		r.scored++
-		d := &r.decided[m.tmpl]
-		if d.arrival != r.arrival {
-			*d = arrivalDecision{r.arrival, r.s.decide(m, j, soloBest, r.opt.QoS)}
-		}
-		if cand = r.s.admit(m, j, d.dec, r.opt.QoS); cand.feasible {
-			mi = int(i)
+		if cand = r.s.admit(m, j, r.decidedOn(m, j, soloBest), r.opt.QoS); cand.feasible {
+			mi = i
 		}
 		return mi < 0
 	})
 	return mi, cand, mi >= 0
+}
+
+// decidedOn is the decision on m's template for the current arrival, taken
+// from the decision table on the first call of the arrival that reaches the
+// template and from decided on every later one.
+func (r *run) decidedOn(m *machState, j *Job, soloBest float64) *candidate {
+	d := &r.decided[m.tmpl]
+	if d.arrival != r.arrival {
+		*d = arrivalDecision{r.arrival, r.s.decide(m, j, soloBest, r.opt.QoS)}
+	}
+	return d.dec
 }
 
 // selectBinpack is the interference-blind baseline: first machine by index
@@ -492,8 +529,8 @@ func (r *run) advance(mi int, t float64) {
 
 // refresh recomputes machine mi's aggregates after a residency change and
 // re-derives every resident's interference factor and completion event.
-// Power, occupancy and (for the incremental scorer) the congestion treap
-// are updated from the recomputed state.
+// Power, occupancy and (for the incremental scorer) the probe index are
+// updated from the recomputed state.
 func (r *run) refresh(mi int, t float64) {
 	m := &r.states[mi]
 	c := r.f.Classes[m.class]
@@ -507,15 +544,21 @@ func (r *run) refresh(mi int, t float64) {
 		pj.seq++
 		r.heap.push(compEvent{t: t + pj.remWork*pj.factor, id: pj.id, seq: pj.seq})
 	}
-	if r.treap != nil {
-		r.treap.Update(int32(mi), m.congestion)
+	if r.probe != nil {
+		r.probe.move(mi, m.congestion, m.tmpl)
 	}
 }
 
 // place admits job j on machine mi under the chosen candidate at time t.
 func (r *run) place(j *Job, mi int, cand candidate, t float64) {
 	r.advance(mi, t)
-	pj := &placedJob{
+	var pj *placedJob
+	if n := len(r.spare); n > 0 {
+		pj, r.spare = r.spare[n-1], r.spare[:n-1]
+	} else {
+		pj = new(placedJob)
+	}
+	*pj = placedJob{
 		id: j.ID, machine: mi, threads: cand.threads, dist: cand.dist,
 		wsJ: j.wsJ, shareJ: j.shareJ, busJ: cand.busJ, sensJ: cand.sensJ,
 		unitSec: cand.unitSec, soloBest: r.s.soloBest(j),
@@ -523,11 +566,15 @@ func (r *run) place(j *Job, mi int, cand candidate, t float64) {
 		lastT:   t, start: t, arrival: j.Arrival,
 	}
 	m := &r.states[mi]
-	pos := sort.Search(len(m.residents), func(i int) bool { return m.residents[i].id >= pj.id })
+	pos := len(m.residents)
+	for pos > 0 && m.residents[pos-1].id > pj.id {
+		pos--
+	}
 	m.residents = append(m.residents, nil)
 	copy(m.residents[pos+1:], m.residents[pos:])
 	m.residents[pos] = pj
 	r.byID[pj.id] = pj
+	r.live++
 	r.refresh(mi, t)
 }
 
@@ -543,12 +590,14 @@ func (r *run) complete(jobs []Job, id int, t float64) {
 			break
 		}
 	}
-	delete(r.byID, id)
+	r.byID[id] = nil
+	r.live--
 	solo := pj.soloBest * float64(jobs[id].Size)
 	r.res.Placed[id] = Placed{
 		JobID: id, Machine: mi, Threads: pj.threads, Dist: pj.dist,
 		Start: pj.start, Finish: t, SoloSec: solo,
 		Slowdown: (t - pj.start) / solo,
 	}
+	r.spare = append(r.spare, pj)
 	r.refresh(mi, t)
 }

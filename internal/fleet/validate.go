@@ -12,10 +12,11 @@ import (
 // Validate checks that res is a correct schedule of jobs on f, from the
 // rows alone. It shares with the scheduler the specification a schedule is
 // judged against — the shape space (enumerateShapes), the canonical
-// placement of a shape (placementFor) and the power constants — and none of
-// its machinery: no scorer, no memo table, no machine state, and every
-// solo time comes from an uncached machine.RunPhase solve. The error names
-// the first violated property:
+// placement of a shape (placementFor), the interference model
+// (composeFactor, wsContribution) and the power constants — and none of
+// its machinery: no scorer, no memo table, no machine state, no event
+// heap, and every solo time comes from an uncached machine.RunPhase solve.
+// The error names the first violated property:
 //
 //   - every job is placed exactly once, on a machine of the fleet, with
 //     Arrival ≤ Start < Finish;
@@ -23,10 +24,14 @@ import (
 //     of the machine's real L2 groups;
 //   - no group of any machine ever hosts more threads than it has cores;
 //   - SoloSec is Size × the job's fastest solo iteration over every class
-//     and admissible shape (1e-12 relative), and Slowdown is the running
-//     time over it;
+//     and admissible shape (1e-12 relative);
 //   - Violations counts the rows beyond 1+QoS, and is zero unless the
 //     scorer is the interference-blind bin-packer;
+//   - every Finish is what processor sharing gives (1e-9 relative): each
+//     machine's rows, started at their Start, run Size solo iterations of
+//     their shape stretched by composeFactor over the rows resident with
+//     them, completions before starts at one instant;
+//   - Slowdown is the running time over SoloSec;
 //   - Makespan is the last Finish, and EnergyJ is the fleet's base power
 //     over it plus every row's core power over its own running time.
 func Validate(f *Fleet, jobs []Job, res *Result) error {
@@ -50,6 +55,7 @@ func Validate(f *Fleet, jobs []Job, res *Result) error {
 
 	var makespan, coreJ float64
 	violations := 0
+	shapes := make([]soloMetrics, len(jobs)) // each row's shape, solved solo
 	for i := range jobs {
 		j, p := &jobs[i], &res.Placed[i]
 		if j.ID != i || p.JobID != i {
@@ -81,9 +87,6 @@ func Validate(f *Fleet, jobs []Job, res *Result) error {
 		if relDiff(p.SoloSec, solo) > 1e-12 {
 			return fmt.Errorf("fleet: validate: solo time: job %d reports %.17g s, uncached solves give %.17g s", i, p.SoloSec, solo)
 		}
-		if slow := (p.Finish - p.Start) / p.SoloSec; relDiff(p.Slowdown, slow) > 1e-12 {
-			return fmt.Errorf("fleet: validate: slowdown: job %d reports %.17g, rows give %.17g", i, p.Slowdown, slow)
-		}
 		if p.Slowdown > (1+res.QoS)*(1+1e-9) {
 			if res.Scorer != ScorerBinpack {
 				return fmt.Errorf("fleet: validate: QoS bound: job %d slowed %.6f×, bound %.6f×", i, p.Slowdown, 1+res.QoS)
@@ -92,14 +95,23 @@ func Validate(f *Fleet, jobs []Job, res *Result) error {
 		}
 
 		makespan = math.Max(makespan, p.Finish)
-		sens := v.soloFor(ci, j, makeShapeKey(v.byReal[ci], p.Dist)).sensJ
-		coreJ += float64(p.Threads) * (staticCoreW + dynCoreW*(1-sens)) * (p.Finish - p.Start)
+		shapes[i] = v.soloFor(ci, j, makeShapeKey(v.byReal[ci], p.Dist))
+		coreJ += float64(p.Threads) * (staticCoreW + dynCoreW*(1-shapes[i].sensJ)) * (p.Finish - p.Start)
 	}
 	if violations != res.Violations {
 		return fmt.Errorf("fleet: validate: QoS bound: %d rows beyond it, result counts %d", violations, res.Violations)
 	}
 	if err := v.checkCapacity(res.Placed); err != nil {
 		return err
+	}
+	if err := v.checkFinish(jobs, res.Placed, shapes); err != nil {
+		return err
+	}
+	for i := range res.Placed {
+		p := &res.Placed[i]
+		if slow := (p.Finish - p.Start) / p.SoloSec; relDiff(p.Slowdown, slow) > 1e-12 {
+			return fmt.Errorf("fleet: validate: slowdown: job %d reports %.17g, rows give %.17g", i, p.Slowdown, slow)
+		}
 	}
 	if res.Makespan != makespan {
 		return fmt.Errorf("fleet: validate: makespan: result %.17g s, last finish %.17g s", res.Makespan, makespan)
@@ -204,6 +216,102 @@ func (v *validator) checkCapacity(rows []Placed) error {
 					mi, g, occ[g], size, e.t, e.row)
 			}
 		}
+	}
+	return nil
+}
+
+// checkFinish re-simulates each machine from its rows' starts alone and
+// compares every Finish with the instant the simulation completes the row.
+// Between events every resident row works off its remaining interference-
+// free seconds at the rate 1/factor, where factor is composeFactor of the
+// row's solo sensitivity, its threads' external working-set pressure in
+// the groups they occupy and the machine's summed bus demand — re-derived
+// over the resident rows at every start and completion. At one instant
+// completions come first (the earliest, then the lowest job ID), as the
+// simulator frees cores before it places.
+func (v *validator) checkFinish(jobs []Job, rows []Placed, shapes []soloMetrics) error {
+	order := make([]int, len(rows))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(
+			cmp.Compare(rows[a].Machine, rows[b].Machine),
+			cmp.Compare(rows[a].Start, rows[b].Start),
+			cmp.Compare(a, b),
+		)
+	})
+	type resident struct {
+		row                 int
+		rem, factor, finish float64
+	}
+	var active []resident // by job ID
+	for lo := 0; lo < len(order); {
+		mi := rows[order[lo]].Machine
+		hi := lo
+		for hi < len(order) && rows[order[hi]].Machine == mi {
+			hi++
+		}
+		c := v.f.Classes[v.f.MachineClass[mi]]
+		now := 0.0
+		for next := lo; next < hi || len(active) > 0; {
+			done := -1
+			for a := range active {
+				if done < 0 || active[a].finish < active[done].finish {
+					done = a // active is by job ID: the first of equal finishes wins
+				}
+			}
+			start := next < hi && (done < 0 || rows[order[next]].Start < active[done].finish)
+			t := 0.0
+			if start {
+				t = rows[order[next]].Start
+			} else {
+				t = active[done].finish
+			}
+			for a := range active {
+				r := &active[a]
+				if dt := t - now; dt > 0 {
+					r.rem = math.Max(r.rem-dt/r.factor, 0)
+				}
+			}
+			now = t
+			if start {
+				i := order[next]
+				next++
+				at, _ := slices.BinarySearchFunc(active, i, func(r resident, row int) int { return cmp.Compare(r.row, row) })
+				active = slices.Insert(active, at, resident{row: i, rem: shapes[i].unitSec * float64(jobs[i].Size)})
+			} else {
+				i := active[done].row
+				if relDiff(rows[i].Finish, t) > 1e-9 {
+					return fmt.Errorf("fleet: validate: finish time: job %d reports %.17g s, processor sharing on machine %d finishes it at %.17g s",
+						i, rows[i].Finish, mi, t)
+				}
+				active = slices.Delete(active, done, done+1)
+			}
+
+			var ws [maxGroups]float64
+			bus := 0.0
+			for _, r := range active {
+				j, p := &jobs[r.row], &rows[r.row]
+				bus += shapes[r.row].busJ
+				for g, k := range p.Dist {
+					ws[g] += wsContribution(j.wsJ, j.shareJ, int(k))
+				}
+			}
+			for a := range active {
+				r := &active[a]
+				j, p := &jobs[r.row], &rows[r.row]
+				ext := 0.0
+				for g, k := range p.Dist {
+					if k > 0 {
+						ext += float64(k) * (ws[g] - wsContribution(j.wsJ, j.shareJ, int(k))) / c.l2Bytes
+					}
+				}
+				r.factor = composeFactor(shapes[r.row].sensJ, ext/float64(p.Threads), bus)
+				r.finish = t + r.rem*r.factor
+			}
+		}
+		lo = hi
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package fleet
 import (
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -31,7 +30,7 @@ func TestValidateSchedules(t *testing.T) {
 }
 
 // TestValidateStudy validates the 10 000-job / 1000-machine study the
-// benchmarks schedule.
+// benchmarks schedule, and pins its incremental schedule and scoring work.
 func TestValidateStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10 000-job study")
@@ -48,6 +47,11 @@ func TestValidateStudy(t *testing.T) {
 		res := mustSchedule(t, f, jobs, Options{Scorer: scorer})
 		if err := Validate(f, jobs, res); err != nil {
 			t.Errorf("%s: %v", scorer, err)
+		}
+		// The incremental schedule and the work that found it are pinned:
+		// a change to the probe order that moves neither keeps both.
+		if scorer == ScorerIncremental && (res.Digest() != 0x790da54ad3bad15a || res.ScoredMachines != 362792) {
+			t.Errorf("incremental: digest %016x scored %d, want 790da54ad3bad15a scored 362792", res.Digest(), res.ScoredMachines)
 		}
 	}
 }
@@ -79,6 +83,26 @@ func TestValidateNamesTheViolation(t *testing.T) {
 	if a < 0 {
 		t.Fatal("no two rows to build the capacity fault from")
 	}
+	// The finish-time fault: a row whose Finish, moved later, still ends
+	// before every later start on its machine, so only its running time
+	// changes.
+	late := -1
+	for i := range good.Placed {
+		p, clear := &good.Placed[i], true
+		for k := range good.Placed {
+			q := &good.Placed[k]
+			if q.Machine == p.Machine && q.Start >= p.Finish && q.Start <= p.Finish*(1+1e-6) {
+				clear = false
+			}
+		}
+		if clear {
+			late = i
+			break
+		}
+	}
+	if late < 0 {
+		t.Fatal("no row to build the finish-time fault from")
+	}
 	for _, tc := range []struct {
 		property string
 		breakIt  func(r *Result)
@@ -99,6 +123,7 @@ func TestValidateNamesTheViolation(t *testing.T) {
 			p.Dist[g] = int8(p.Threads)
 		}},
 		{"solo time", func(r *Result) { r.Placed[3].SoloSec *= 1 + 1e-9 }},
+		{"finish time", func(r *Result) { r.Placed[late].Finish *= 1 + 1e-6 }},
 		{"slowdown", func(r *Result) { r.Placed[3].Slowdown *= 1 + 1e-9 }},
 		{"QoS bound", func(r *Result) {
 			p := &r.Placed[3]
@@ -153,9 +178,9 @@ func TestTemplatesNeverStale(t *testing.T) {
 	check("start")
 	rng := rand.New(rand.NewSource(5))
 	now, next := 0.0, 0
-	for next < len(jobs) || len(r.byID) > 0 {
+	for next < len(jobs) || r.live > 0 {
 		now += rng.ExpFloat64()
-		if next < len(jobs) && (len(r.byID) == 0 || rng.Intn(2) == 0) {
+		if next < len(jobs) && (r.live == 0 || rng.Intn(2) == 0) {
 			j := &jobs[next]
 			next++
 			if mi, cand, ok := r.selectMachine(j); ok {
@@ -164,11 +189,12 @@ func TestTemplatesNeverStale(t *testing.T) {
 			}
 			continue
 		}
-		ids := make([]int, 0, len(r.byID))
-		for id := range r.byID {
-			ids = append(ids, id)
+		var ids []int
+		for id, pj := range r.byID {
+			if pj != nil {
+				ids = append(ids, id)
+			}
 		}
-		sort.Ints(ids)
 		r.complete(jobs, ids[rng.Intn(len(ids))], now)
 		check("a completion")
 	}

@@ -11,7 +11,7 @@
 #     the oracle search (machine.Search) against the full sweep's minimum,
 #     its lower bounds against every exact time and the prefilter's exp
 #     bound against math.Exp;
-#   - reproduce the pinned fleet schedule digest (scripts/fleet_smoke.sh);
+#   - reproduce the pinned fleet schedule digests (scripts/fleet_smoke.sh);
 #   - write the pinned `actor-train -fast` bank and the pinned
 #     `actor-train -fast -loo` leave-one-out banks, byte for byte;
 #   - print `actorsim -fast` byte-identically to the first leg.
