@@ -78,8 +78,8 @@ fleet-smoke:
 	scripts/fleet_smoke.sh
 
 ## determinism: the bit-identity tests, the pinned fleet digest, the pinned
-## `actor-train -fast` bank and `-loo` bank bytes and the printed `actorsim -fast` tables
-## under every GOMAXPROCS={1,2,N} × {AVX2, -tags actor_noasm} leg — a PR
+## `actor-train -fast` bank and `-loo` bank bytes and the pinned `actorsim -fast`
+## and `actorsim -fast hetero` outputs under every GOMAXPROCS={1,2,N} × {AVX2, -tags actor_noasm} leg — a PR
 ## that changes model arithmetic proves here that determinism survived (CI).
 determinism:
 	scripts/determinism.sh

@@ -612,10 +612,13 @@ func BenchmarkEnsemblePredict(b *testing.B) {
 	}
 }
 
-// BenchmarkRunPhaseSweepHetero measures the memo-less sweep path the hetero
-// study runs (internal/machine's BenchmarkSweepLanes covers only the lane
-// step inside it): one phase across the 4 224 balanced placements of the
-// 128-core big/little machine per iteration.
+// BenchmarkRunPhaseSweepHetero measures a full memo-less RunPhaseSweep over a
+// large placement set: one phase across the 4 224 balanced placements of the
+// 128-core big/little machine per iteration, every placement's lane list
+// resolved and its fixed point solved (internal/machine's BenchmarkSweepLanes
+// covers only the lane step inside it). The hetero study itself takes each
+// phase's minimum through machine.Search (BenchmarkBestTimeHetero); this is
+// what a caller that needs every placement's Result pays.
 func BenchmarkRunPhaseSweepHetero(b *testing.B) {
 	topo, err := topology.ParseDesc("16x4+32x2:little")
 	if err != nil {
@@ -628,7 +631,7 @@ func BenchmarkRunPhaseSweepHetero(b *testing.B) {
 	placements := topology.BalancedPlacements(topo)
 	dst := make([]machine.Result, len(placements))
 	bench, _ := npb.ByName("SP")
-	m.RunPhaseSweep(&bench.Phases[0], bench.Idiosyncrasy, placements, dst) // resolve the plans
+	m.RunPhaseSweep(&bench.Phases[0], bench.Idiosyncrasy, placements, dst) // warm the pooled scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -891,7 +894,7 @@ func BenchmarkBankPredict(b *testing.B) {
 // BenchmarkRecalObserve is BenchmarkServePredict with the online
 // recalibration loop enabled: steady state is the memo-hit path plus one
 // observation-store ingest per request (phase hash, rate vector copy,
-// reservoir admission, per-phase error EWMA). The recal tax must not break
+// per-phase error EWMA, window accounting). The recal tax must not break
 // the fast path's zero-allocation invariant — the store preallocates every
 // buffer and the observation rides the pooled scratch.
 func BenchmarkRecalObserve(b *testing.B) {

@@ -110,14 +110,15 @@ type groupKind struct {
 }
 
 // Class is one machine class of the fleet: a parsed topology plus the
-// shared (memoised) machine model every solo-placement solve runs on.
+// machine model every solo-placement solve runs on.
 type Class struct {
 	// Desc is the topology descriptor the class was built from.
 	Desc string
 	// Topo is the parsed topology.
 	Topo *topology.Topology
-	// Model is the ground-truth machine model, memoised so canonical solo
-	// placements are solved once per (phase, load multiset) fleet-wide.
+	// Model is the ground-truth machine model. It carries no phase memo:
+	// the scorer's solo table already solves each (class, signature, shape)
+	// once per scheduling run.
 	Model *machine.Machine
 
 	kinds      []groupKind // distinct group kinds, canonical order
@@ -146,7 +147,6 @@ func NewClass(desc string, params *machine.Params) (*Class, error) {
 	if params != nil {
 		m.SetParams(*params)
 	}
-	m = m.WithMemo()
 	c := &Class{
 		Desc:    desc,
 		Topo:    topo,

@@ -381,8 +381,12 @@ func (m *Machine) threadCPI(p *workload.PhaseProfile, mpiL1, missL2, busFactor f
 	return cpi
 }
 
-// classOf returns the class descriptor of core c (DefaultClass for
-// out-of-range cores, which RunPhase rejects elsewhere).
+// classOf returns the class descriptor of core c (class 0 for out-of-range
+// cores). The solve path checks no placement: RunPhase returns a time for
+// {0, 99}, {-1} or {0, 0} alike. Placements are validated where they enter
+// the program — bank configurations are names resolved through the
+// topology's enumeration, and Env.Validate and PaperConfigsOn call
+// topology.ValidatePlacement.
 func (m *Machine) classOf(c topology.CoreID) *topology.CoreClass {
 	return &m.classes[m.classIdxOf(c)]
 }

@@ -16,7 +16,7 @@ import (
 var raceEnabled bool
 
 // referencePhase is the phase model written out per thread, in the
-// accumulation order PR ≤ 14 used: no lanes, no plans, every fixed-point
+// accumulation order PR ≤ 14 used: no lanes, every fixed-point
 // iteration run, and every reduction adding one term per thread in thread
 // order. It shares only the model's leaf formulas (threadCPI, stallFraction,
 // eventCounts, the cache and bus models) with the engine under test.
@@ -243,7 +243,7 @@ func TestSweepAllocatesNothing(t *testing.T) {
 	placements := topology.BalancedPlacements(topo)
 	dst := make([]Result, len(placements))
 	p := testPhase()
-	m.RunPhaseSweep(&p, 0.1, placements, dst) // warm the scratch and the plans
+	m.RunPhaseSweep(&p, 0.1, placements, dst) // warm the pooled scratch
 	if allocs := testing.AllocsPerRun(5, func() {
 		m.RunPhaseSweep(&p, 0.1, placements, dst)
 	}); allocs != 0 {

@@ -1,10 +1,8 @@
 package machine
 
 import (
-	"bytes"
 	"math"
 	"sync"
-	"unsafe"
 
 	"github.com/greenhpc/actor/internal/pmu"
 	"github.com/greenhpc/actor/internal/topology"
@@ -36,10 +34,11 @@ import (
 //     placement carrying its own bus factor and a convergence mask that
 //     retires it the moment the damped update stops moving (the update is
 //     idempotent from that point, so skipping the rest is exact).
-//  4. A placement's lane list depends only on the topology and class layout,
-//     never on the phase, so it is resolved once and replayed for every later
-//     phase swept over the same placements (placementPlan; a Search resolves
-//     its placements' plans once, when it is built).
+//  4. A placement's lane list (its plan) depends only on the topology and
+//     class layout, never on the phase. A sweep resolves each placement's
+//     plan into one scratch slice just before queueing its lanes and keeps
+//     nothing between calls. A Search, which scores the same placements for
+//     every phase, resolves each lane list once, when it is built.
 //
 // What holds bit for bit, test-enforced: RunPhaseSweep equals RunPhase per
 // placement in slice order (both run solveBlock/finishPlacement), memoised
@@ -63,6 +62,9 @@ import (
 const sweepSolveBlock = 64
 
 // phaseCtx is the reusable scratch of one phase evaluation (or one sweep).
+// A pooled context carries nothing from one call to the next but buffer
+// capacity and the response-seed prefix (respFP/respSeed, keyed by the
+// fingerprint it was folded from), so any machine may pick it up.
 type phaseCtx struct {
 	occ []int // per-L2-group occupancy of the placement being prepared
 
@@ -78,6 +80,9 @@ type phaseCtx struct {
 	// lists the keys written so the map clears in O(distinct keys).
 	keyToLane  []int
 	keyScratch []int
+
+	// plan is the lane list of the placement being queued (resolvePlan).
+	plan []planLane
 
 	// lanes is the flat struct-of-arrays lane state shared by every
 	// placement of the current solve block (see laneState).
@@ -103,30 +108,11 @@ type phaseCtx struct {
 	// FNV fold visits the same bytes in the same order either way).
 	respFP   string
 	respSeed uint64
-
-	// plans[i] is the lane list last resolved for the placement at index i
-	// of a sweep's placements slice (RunPhase uses index 0). The list
-	// depends only on the topology and class layout, never on the phase, so
-	// sweeping the same placements across many phases resolves each once
-	// and replays it afterwards; a lookup is an index plus one memory compare
-	// against the plan's own copy of the cores, and a different placement
-	// turning up at the index just re-resolves in place. planTopo/planSig
-	// pin the machine the plans were built against; a pooled context picked
-	// up by a machine with a different topology or class layout drops them.
-	plans    []placementPlan
-	planTopo *topology.Topology
-	planSig  uint64
-}
-
-// placementPlan is the phase-independent solve structure of one placement:
-// its lanes in first-appearance order, so lane 0 is the first thread's.
-type placementPlan struct {
-	cores []topology.CoreID // the cores the lanes were resolved for (owned copy)
-	lanes []planLane
 }
 
 // planLane is one distinct (class, load) key of a placement and the number
-// of its threads that carry it.
+// of its threads that carry it. A placement's plan is its lanes in
+// first-appearance order, so lane 0 is the first thread's.
 type planLane struct {
 	load, ci, cnt int32
 }
@@ -207,32 +193,23 @@ func (m *Machine) computePhase(p *workload.PhaseProfile, idio float64, pl topolo
 	ctx := ctxPool.Get().(*phaseCtx)
 	ctx.resetPhase()
 	ctx.resetBlock()
-	ctx.bindMachine(m)
 	m.prepPlacement(ctx, p, &pl, 0)
 	m.solveBlock(ctx, p)
 	m.finishPlacement(ctx, 0, &pl, p, idio, res)
 	ctxPool.Put(ctx)
 }
 
-// prepPlacement appends one placement to the current solve block: one lane
-// per entry of the placement's plan (see queueLanes), the plan resolved on
-// first sight of the placement at index idx and replayed after that.
+// prepPlacement appends the placement at index idx to the current solve
+// block: its plan resolved into the context's scratch, then one lane per plan
+// entry (see queueLanes).
 func (m *Machine) prepPlacement(ctx *phaseCtx, p *workload.PhaseProfile, pl *topology.Placement, idx int) {
 	n := pl.Threads()
 	if n == 0 {
 		panic("machine: placement with no cores")
 	}
 	ctx.sizeFor(len(m.Topo.L2Groups), n, len(m.classes))
-
-	for len(ctx.plans) <= idx {
-		ctx.plans = append(ctx.plans, placementPlan{})
-	}
-	plan := &ctx.plans[idx]
-	if !coresEqual(plan.cores, pl.Cores) {
-		plan.cores = append(plan.cores[:0], pl.Cores...)
-		plan.lanes = m.resolvePlan(ctx, plan.lanes[:0], pl.Cores)
-	}
-	m.queueLanes(ctx, p, plan.lanes, idx)
+	ctx.plan = m.resolvePlan(ctx, ctx.plan[:0], pl.Cores)
+	m.queueLanes(ctx, p, ctx.plan, idx)
 }
 
 // queueLanes appends the placement at index idx, whose plan is lanes, to the
@@ -331,31 +308,6 @@ func (m *Machine) appendLane(ctx *phaseCtx, p *workload.PhaseProfile, ln planLan
 		float64(ln.cnt),
 		missL2,
 	)
-}
-
-// bindMachine drops machine-derived caches when a pooled context is reused
-// by a machine with a different topology or class layout. Plans depend only
-// on (Topo, classSig), so machines derived via WithNoise/WithFrequency/
-// WithMemo — which share both — keep each other's plans warm.
-func (ctx *phaseCtx) bindMachine(m *Machine) {
-	if ctx.planTopo == m.Topo && ctx.planSig == m.classSig {
-		return
-	}
-	ctx.planTopo, ctx.planSig = m.Topo, m.classSig
-	for i := range ctx.plans {
-		ctx.plans[i].cores = ctx.plans[i].cores[:0]
-	}
-}
-
-// coresEqual compares two core lists by content — a plan must re-resolve when
-// a caller edits a placement's Cores in place — as one memory compare over the
-// slices' bytes.
-func coresEqual(a, b []topology.CoreID) bool {
-	return bytes.Equal(coreBytes(a), coreBytes(b))
-}
-
-func coreBytes(c []topology.CoreID) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(c))), len(c)*int(unsafe.Sizeof(topology.CoreID(0))))
 }
 
 // solveBlock iterates the CPI ↔ bus-bandwidth fixed point for every
@@ -670,7 +622,6 @@ func (m *Machine) RunPhaseSweep(p *workload.PhaseProfile, idio float64, placemen
 func (m *Machine) sweepOn(ctx *phaseCtx, p *workload.PhaseProfile, idio float64, placements []topology.Placement, dst []Result) {
 	ctx.resetPhase()
 	ctx.resetBlock()
-	ctx.bindMachine(m)
 	useMemo := m.memo != nil && p.Fingerprint != ""
 	var seed uint64
 	if useMemo {

@@ -3,6 +3,7 @@ package machine
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -226,7 +227,7 @@ func heteroSweepFixture(t *testing.T) (m *Machine, a, b []topology.Placement) {
 		b[i] = a[len(a)-1-i]
 	}
 	for i := range a {
-		if coresEqual(a[i].Cores, b[i].Cores) {
+		if slices.Equal(a[i].Cores, b[i].Cores) {
 			t.Fatalf("fixture: index %d holds the same cores in both sets", i)
 		}
 	}
@@ -242,10 +243,11 @@ func checkSweepAgainstRunPhase(t *testing.T, what string, m *Machine, p *workloa
 	}
 }
 
-// TestSweepPlansFollowPlacementContent pins the plan cache of a sweep
-// context: plans are looked up by index but verified by content, so a
-// different placement set on the same context — and a Cores slice edited in
-// place — re-resolves instead of replaying a stale lane list.
+// TestSweepPlansFollowPlacementContent sweeps one context three times: set A,
+// then set B (different cores at every index), then set B again after one of
+// its Cores slices is edited in place. Each sweep must equal RunPhase on the
+// placements as they are at that moment, so no lane list resolved for an
+// index in an earlier sweep may be replayed for whatever sits there later.
 func TestSweepPlansFollowPlacementContent(t *testing.T) {
 	m, setA, setB := heteroSweepFixture(t)
 	p := testPhase()
@@ -361,7 +363,6 @@ func TestSweepContextReleasesPlacements(t *testing.T) {
 	for _, m := range []*Machine{plain, plain.WithMemo()} {
 		ctx := &phaseCtx{}
 		m.sweepOn(ctx, &p, 0.1, placements, dst)
-		ctx.planTopo = nil // the machine's topology, not the caller's placements
 		walk("ctx", reflect.ValueOf(ctx))
 	}
 }

@@ -9,7 +9,7 @@ var (
 
 // smallStore returns a store with tight windows so tests stay fast.
 func smallStore() *Store {
-	return NewStore(StoreConfig{Reservoir: 64, RefWindow: 32, Window: 32, Seed: 9})
+	return NewStore(StoreConfig{RefWindow: 32, Window: 32})
 }
 
 func TestDriftSteadyTrafficNoTrip(t *testing.T) {

@@ -10,13 +10,13 @@
 // model was calibrated against?" and "what happened, when?" with bounded
 // memory, no allocation on the observation path, and fully deterministic
 // behaviour under a seed: the same observation sequence always produces
-// the same reservoir contents, the same drift verdicts and the same canary
-// admissions.
+// the same drift verdicts and the same canary admissions. The store keeps
+// windowed statistics, not the observations: a retrain reseeds a fresh
+// simulator campaign when drift triggers it.
 package recal
 
-// splitmix64 is the per-step generator behind reservoir admission and
-// canary hashing: one multiply-xor-shift pipeline with full 64-bit
-// avalanche, deterministic and allocation-free.
+// splitmix64 is the hash behind canary admission: one multiply-xor-shift
+// pipeline with full 64-bit avalanche, deterministic and allocation-free.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -17,7 +17,6 @@ type Snapshot struct {
 	// last re-arm (promotion, rejection or rollback).
 	Observed  uint64 `json:"observed"`
 	WindowSeq uint64 `json:"window_seq"`
-	Reservoir int    `json:"reservoir"`
 	// Drift is the verdict CheckDrift returns right now.
 	Drift Verdict `json:"drift"`
 	// Phases is the per-phase prediction-error EWMA table.

@@ -29,11 +29,8 @@ type Obs struct {
 	Err float64
 }
 
-// StoreConfig bounds and seeds a Store. Zero fields take the defaults.
+// StoreConfig bounds a Store. Zero fields take the defaults.
 type StoreConfig struct {
-	// Reservoir is the capacity of the uniform sample over all
-	// observations since the last Reset (Algorithm R). Default 1024.
-	Reservoir int
 	// RefWindow is how many observations after a Reset form the reference
 	// window drift is measured against. Default 256.
 	RefWindow int
@@ -45,14 +42,9 @@ type StoreConfig struct {
 	MaxPhases int
 	// EWMAAlpha is the per-phase error EWMA smoothing factor. Default 0.05.
 	EWMAAlpha float64
-	// Seed drives reservoir admission.
-	Seed int64
 }
 
 func (c StoreConfig) withDefaults() StoreConfig {
-	if c.Reservoir <= 0 {
-		c.Reservoir = 1024
-	}
 	if c.RefWindow <= 0 {
 		c.RefWindow = 256
 	}
@@ -93,10 +85,11 @@ type PhaseErr struct {
 	ErrEWMA float64 `json:"err_ewma"`
 }
 
-// Store is the bounded observation store: a seeded reservoir sample of all
-// traffic since the last Reset, a frozen reference window (the first
-// RefWindow observations after arming), a rolling current window, and a
-// bounded per-phase prediction-error EWMA table. Observe is allocation-free
+// Store is the bounded observation store: a frozen reference window (the
+// first RefWindow observations after arming), a rolling current window, and
+// a bounded per-phase prediction-error EWMA table — the state drift
+// detection reads. It keeps no sample of the observations themselves:
+// retraining collects its own samples from the simulator. Observe is allocation-free
 // and safe for concurrent use; all memory is bounded by StoreConfig.
 type Store struct {
 	cfg StoreConfig
@@ -104,9 +97,6 @@ type Store struct {
 	mu    sync.Mutex
 	total uint64 // observations over the store's lifetime (never reset)
 	seq   uint64 // observations since the last Reset
-	rng   uint64 // splitmix64 admission state
-
-	res []Obs
 
 	// Reference window: Welford IPC statistics plus the phase set.
 	refN      int
@@ -129,16 +119,14 @@ func NewStore(cfg StoreConfig) *Store {
 	cfg = cfg.withDefaults()
 	return &Store{
 		cfg:       cfg,
-		rng:       splitmix64(uint64(cfg.Seed)),
-		res:       make([]Obs, 0, cfg.Reservoir),
 		refPhases: make([]uint64, 0, cfg.MaxPhases),
 		win:       make([]winObs, cfg.Window),
 		phases:    make([]phaseStat, 0, cfg.MaxPhases),
 	}
 }
 
-// Observe records one observation: reservoir admission, per-phase error
-// EWMA, and reference-then-rolling window accounting. Allocation-free.
+// Observe records one observation: per-phase error EWMA, and
+// reference-then-rolling window accounting. Allocation-free.
 // Returns the observation's lifetime sequence number (1-based, monotonic
 // across Resets) — the logical clock canary admission and event records
 // key on.
@@ -146,19 +134,6 @@ func (s *Store) Observe(o Obs) uint64 {
 	s.mu.Lock()
 	s.total++
 	s.seq++
-
-	// Reservoir (Algorithm R): the first Reservoir observations fill it;
-	// afterwards the n-th observation replaces a uniform slot with
-	// probability Reservoir/n. The admission stream is seeded, so a given
-	// observation sequence always leaves the same reservoir.
-	if len(s.res) < s.cfg.Reservoir {
-		s.res = append(s.res, o)
-	} else {
-		s.rng = splitmix64(s.rng)
-		if j := s.rng % s.seq; j < uint64(s.cfg.Reservoir) {
-			s.res[j] = o
-		}
-	}
 
 	found := false
 	for i := range s.phases {
@@ -216,15 +191,14 @@ func (s *Store) Observe(o Obs) uint64 {
 }
 
 // Reset re-arms the store after a bank promotion, rejection or rollback:
-// the reservoir, reference window, rolling window and phase table start
-// over against the new model, so drift is always measured relative to the
-// traffic the current bank generation started serving under. The lifetime
-// observation counter and the admission stream continue — resetting at a
-// deterministic point keeps everything downstream deterministic.
+// the reference window, rolling window and phase table start over against
+// the new model, so drift is always measured relative to the traffic the
+// current bank generation started serving under. The lifetime observation
+// counter continues — resetting at a deterministic point keeps everything
+// downstream deterministic.
 func (s *Store) Reset() {
 	s.mu.Lock()
 	s.seq = 0
-	s.res = s.res[:0]
 	s.refN, s.refIPCN = 0, 0
 	s.refMean, s.refM2 = 0, 0
 	s.refPhases = s.refPhases[:0]
@@ -245,20 +219,6 @@ func (s *Store) Seq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.seq
-}
-
-// ReservoirLen returns the current reservoir fill.
-func (s *Store) ReservoirLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.res)
-}
-
-// Reservoir returns a copy of the reservoir contents (admission order).
-func (s *Store) Reservoir() []Obs {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Obs(nil), s.res...)
 }
 
 // Phases returns a copy of the per-phase error table in first-seen order.

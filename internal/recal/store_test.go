@@ -24,72 +24,8 @@ func obsStream(seed int64, n int, phases []uint64, mean, errMean float64) []Obs 
 	return out
 }
 
-func TestStoreReservoirDeterministic(t *testing.T) {
-	stream := obsStream(1, 5000, []uint64{HashPhase([]byte("a")), HashPhase([]byte("b"))}, 1.2, 0.05)
-	mk := func(seed int64) []Obs {
-		s := NewStore(StoreConfig{Reservoir: 64, Seed: seed})
-		for _, o := range stream {
-			s.Observe(o)
-		}
-		return s.Reservoir()
-	}
-	r1, r2 := mk(42), mk(42)
-	if len(r1) != 64 {
-		t.Fatalf("reservoir fill = %d, want 64", len(r1))
-	}
-	for i := range r1 {
-		if r1[i] != r2[i] {
-			t.Fatalf("reservoir diverged at slot %d under the same seed", i)
-		}
-	}
-	r3 := mk(7)
-	same := true
-	for i := range r1 {
-		if r1[i] != r3[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different admission seeds produced identical reservoirs over 5000 observations")
-	}
-}
-
-// TestStoreReservoirUniform checks Algorithm R actually samples the whole
-// stream, not just a prefix: tag each observation with its index and
-// require the sampled indices to span the stream.
-func TestStoreReservoirUniform(t *testing.T) {
-	s := NewStore(StoreConfig{Reservoir: 128, Seed: 3})
-	const n = 20000
-	for i := 0; i < n; i++ {
-		var o Obs
-		o.IPC = float64(i)
-		o.HasIPC = true
-		s.Observe(o)
-	}
-	res := s.Reservoir()
-	if len(res) != 128 {
-		t.Fatalf("reservoir fill = %d, want 128", len(res))
-	}
-	var sum float64
-	late := 0
-	for _, o := range res {
-		sum += o.IPC
-		if o.IPC >= n/2 {
-			late++
-		}
-	}
-	mean := sum / float64(len(res))
-	if mean < 0.35*n || mean > 0.65*n {
-		t.Errorf("sampled index mean %.0f is far from the stream midpoint %.0f", mean, float64(n)/2)
-	}
-	if late < 32 || late > 96 {
-		t.Errorf("%d/128 samples from the second half; want roughly half", late)
-	}
-}
-
 func TestStorePhaseTableBounded(t *testing.T) {
-	s := NewStore(StoreConfig{MaxPhases: 8, Seed: 1})
+	s := NewStore(StoreConfig{MaxPhases: 8})
 	for i := 0; i < 100; i++ {
 		s.Observe(Obs{Phase: uint64(i), Err: 0.1})
 	}
@@ -99,7 +35,7 @@ func TestStorePhaseTableBounded(t *testing.T) {
 }
 
 func TestStoreResetRearms(t *testing.T) {
-	s := NewStore(StoreConfig{Reservoir: 16, RefWindow: 8, Window: 8, Seed: 1})
+	s := NewStore(StoreConfig{RefWindow: 8, Window: 8})
 	for i := 0; i < 40; i++ {
 		s.Observe(Obs{Phase: 1, IPC: 1, HasIPC: true})
 	}
@@ -113,8 +49,8 @@ func TestStoreResetRearms(t *testing.T) {
 	if s.Total() != 40 {
 		t.Fatalf("total after reset = %d, want 40 (lifetime counter never resets)", s.Total())
 	}
-	if s.ReservoirLen() != 0 || len(s.Phases()) != 0 {
-		t.Fatal("reset left reservoir or phase table populated")
+	if len(s.Phases()) != 0 {
+		t.Fatal("reset left the phase table populated")
 	}
 	v := s.CheckDrift(DriftConfig{})
 	if v.Armed || v.WindowFull {

@@ -139,17 +139,12 @@ func (s *Server) EnableRecalibration(cfg RecalConfig) (*Recalibrator, error) {
 		return nil, fmt.Errorf("actor: canary fraction %v is not finite", cfg.CanaryFrac)
 	}
 	cfg = cfg.withDefaults()
-	seed := s.Bank().Meta().Seed
-	storeCfg := cfg.Store
-	if storeCfg.Seed == 0 {
-		storeCfg.Seed = parallel.SeedFor(seed, "recal/store")
-	}
 	r := &Recalibrator{
 		srv:   s,
 		eng:   s.eng,
 		cfg:   cfg,
-		store: recal.NewStore(storeCfg),
-		ctl:   recal.NewController(parallel.SeedFor(seed, "recal/canary")),
+		store: recal.NewStore(cfg.Store),
+		ctl:   recal.NewController(parallel.SeedFor(s.Bank().Meta().Seed, "recal/canary")),
 	}
 	if !s.recal.CompareAndSwap(nil, r) {
 		return nil, fmt.Errorf("actor: recalibration already enabled")
@@ -483,7 +478,6 @@ func (r *Recalibrator) Status() recal.Snapshot {
 		History:    len(r.history),
 		Observed:   r.store.Total(),
 		WindowSeq:  r.store.Seq(),
-		Reservoir:  r.store.ReservoirLen(),
 		Drift:      r.store.CheckDrift(r.cfg.Drift),
 		Phases:     r.store.Phases(),
 		Events:     r.ctl.Events(),

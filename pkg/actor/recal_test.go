@@ -92,7 +92,7 @@ func TestEnableRecalibrationRejectsNonFinite(t *testing.T) {
 func TestRecalLifecycle(t *testing.T) {
 	srv, bank := newRecalServer(t)
 	rec, err := srv.EnableRecalibration(actor.RecalConfig{
-		Store: recal.StoreConfig{Reservoir: 64, RefWindow: 16, Window: 16},
+		Store: recal.StoreConfig{RefWindow: 16, Window: 16},
 	})
 	if err != nil {
 		t.Fatal(err)

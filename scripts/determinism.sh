@@ -14,7 +14,8 @@
 #   - reproduce the pinned fleet schedule digests (scripts/fleet_smoke.sh);
 #   - write the pinned `actor-train -fast` bank and the pinned
 #     `actor-train -fast -loo` leave-one-out banks, byte for byte;
-#   - print `actorsim -fast` byte-identically to the first leg.
+#   - print the pinned `actorsim -fast` and `actorsim -fast hetero`
+#     outputs, byte for byte.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -25,6 +26,12 @@ BANK_SHA256=89ad510828ba7843bfd63698c14bc3827dc0cbd66f21341b4432cc8b13b19f47
 # sha256 of the sorted `sha256sum loo-*.json` listing `actor-train -fast -loo`
 # writes (one bank per left-out benchmark); re-pin under the same rule.
 LOO_SHA256=f702240b573b1cb3f3bd5b9414154426eeef5ecf04703ea235f522f963143230
+# sha256 of `actorsim -fast` (the whole evaluation, seed 42) and of
+# `actorsim -fast hetero` (the oracle scaling study) on stdout. Pinned, not
+# compared leg against leg, so a change that moves every leg alike fails
+# too; re-pin under the same rule.
+ACTORSIM_SHA256=0a63d7739428e10f2d4c7f89989b09a3d359e2a52a3d33ea7a944fda37aa0b1b
+HETERO_SHA256=50d1fa7294326c4d51b038c4882aaea05992c0de865d3dd46fdbac800aa26fb6
 
 TESTS='TestParallelPipelineDeterminism|TestRunPhaseSweep|TestHeteroSweepMatchesRunPhaseProperty|TestConcurrentHeteroSweeps|TestShardedMemoConcurrentSweeps|BitIdenti|TestGOMAXPROCSDeterminism|TestLegacyStreamPinned|TestSearchMatchesSweep|TestSearchBoundNeverExceedsTime|TestSearchBoundProperty|TestExpLowerBound'
 PKGS=(./internal/exp ./internal/machine ./internal/ann ./internal/fleet)
@@ -60,14 +67,15 @@ for kernels in avx2 noasm; do
             echo "FAIL $leg: actor-train -loo"; fail=1
         elif ! loo="$(cd "$out/loo" && sha256sum loo-*.json | sha256sum | cut -d' ' -f1)" || [ "$loo" != "$LOO_SHA256" ]; then
             echo "FAIL $leg: actor-train -fast -loo banks sha256 $loo, pinned $LOO_SHA256"; fail=1
-        elif ! go run ./cmd/actorsim -fast >"$out/sim.txt" 2>"$out/sim.log"; then
+        elif ! go build -o "$out/actorsim" ./cmd/actorsim >"$out/sim.log" 2>&1 ||
+                ! "$out/actorsim" -fast >"$out/sim.txt" 2>>"$out/sim.log" ||
+                ! "$out/actorsim" -fast hetero >"$out/hetero.txt" 2>>"$out/sim.log"; then
             cat "$out/sim.log"
             echo "FAIL $leg: actorsim"; fail=1
-        elif [ ! -e "$out/sim.first" ]; then
-            mv "$out/sim.txt" "$out/sim.first"
-            echo "ok   $leg (reference output: $(wc -l <"$out/sim.first") lines)"
-        elif ! cmp "$out/sim.first" "$out/sim.txt"; then
-            echo "FAIL $leg: actorsim -fast output differs from the first leg"; fail=1
+        elif ! sim="$(sha256sum "$out/sim.txt" | cut -d' ' -f1)" || [ "$sim" != "$ACTORSIM_SHA256" ]; then
+            echo "FAIL $leg: actorsim -fast output sha256 $sim, pinned $ACTORSIM_SHA256"; fail=1
+        elif ! het="$(sha256sum "$out/hetero.txt" | cut -d' ' -f1)" || [ "$het" != "$HETERO_SHA256" ]; then
+            echo "FAIL $leg: actorsim -fast hetero output sha256 $het, pinned $HETERO_SHA256"; fail=1
         else
             echo "ok   $leg"
         fi
