@@ -12,8 +12,8 @@
 //
 //   - every machine carries a residual template (per-L2-group free cores,
 //     external cache pressure, resident memory sensitivity, plus a
-//     machine-wide bus-demand sum) recomputed from its resident set in
-//     job-ID order after every placement and completion;
+//     machine-wide bus-demand sum) computed from its resident set in
+//     job-ID order;
 //   - a machine's congestion key K is a pure function of its residual
 //     state, independent of the job;
 //   - an arriving job is placed on the feasible machine with the smallest
@@ -27,25 +27,34 @@
 //
 // Two scorers implement the policy. The naive reference re-scores every
 // machine on every arrival — O(M) template builds and candidate solves.
-// The incremental scorer files machines in a probe index (probe.go): one
-// bitset of machines per (K, template id) bucket, the buckets sorted by
-// (K, template id). Placing or completing a job moves only the touched
-// machine, one bit cleared and one set. An arrival walks the buckets of
-// equal K in ascending K and their members in index order, on the calling
-// goroutine, until the first feasible machine; a bucket alone at its K
-// whose template is full or cannot take the job is passed over whole. The
-// bucket key is the pair because K is not a function of the template id:
-// it sums group pressures in real group order, so machines of one
-// canonical template may differ in K's last bits. A machine's canonical
-// template is rebuilt and interned into a small integer id only when its
-// resident set changes, so a probe is a lookup of (template id, job
-// signature, budget) in an internal/memo table (see keys.go) plus the
-// resident-impact check, and identical co-run configurations are solved
-// once fleet-wide. Both paths evaluate candidates through the same pure
-// functions over the same template values, so their schedules are
-// byte-identical — the same scalar/SIMD pattern the kernel engine uses;
-// the tests plug the naive reference in through an unexported Options
-// seam.
+// The incremental scorer interns each machine's resident state: its class
+// plus the ordered list of its residents' (job class, real distribution),
+// where a job class is a (signature, thread budget) pair numbered once per
+// stream. Every aggregate, the canonical template, the congestion key K and
+// the residents' interference factors are pure functions of the state, so
+// machines in one state share one read-only record, computed once. A
+// transition table maps an event on a state — a placement, keyed (state,
+// insert position, job class, distribution), or a completion, keyed (state,
+// removed position) — to the next state, so an event is a table read, and
+// only a state's first appearance runs the recompute, re-sorts the
+// canonical template and interns it into a small template id.
+//
+// The probe index (probe.go) files machines in one bitset bucket per live
+// state, sorted by (K, state id); an event moves only the touched machine,
+// one bit cleared and one set. Admission of a job class to a state — the
+// template-level shape decision, memoised in an internal/memo table under
+// (template id, signature, budget) (see keys.go), then the resident-impact
+// check — is a verdict computed once per (job class, state). An arrival
+// steps through the groups of buckets of equal K in ascending K, asks for
+// one verdict per bucket, and takes the lowest member of the group's
+// feasible buckets, on the calling goroutine: it costs the buckets it
+// passes, not the machines. The binpack baseline is the exception: its
+// states almost never repeat, so each machine keeps a record of its own,
+// recomputed in place. The naive and incremental paths evaluate
+// candidates through the same pure functions over the same template
+// values, so their schedules are byte-identical — the same scalar/SIMD
+// pattern the kernel engine uses; the tests plug the naive reference in
+// through an unexported Options seam.
 package fleet
 
 import (
@@ -210,7 +219,8 @@ func NewFleet(classes []*Class, counts []int) (*Fleet, error) {
 }
 
 // maxSpecMachines bounds the fleet a spec may describe: a Fleet holds a
-// class index per machine, and a run holds a machState (≈1 KiB) per machine.
+// class index per machine, and a run holds a machState (a few words) per
+// machine — plus, in a binpack run, a resState (≈1 KiB) per machine.
 const maxSpecMachines = 1 << 20
 
 // ParseFleet builds a fleet from a compact spec: comma-separated
@@ -260,13 +270,26 @@ func (f *Fleet) TotalCores() int {
 	return n
 }
 
-// machState is the runtime state of one fleet machine. Aggregates are
-// always recomputed from the resident list in job-ID order, so two
-// scheduling runs that reach the same resident set through any event
-// interleaving hold bit-identical floats.
+// machState is the runtime state of one fleet machine: its class, its
+// resident list in job-ID order, and the record of its resident state —
+// everything derived from the two. The incremental scorer interns that
+// record (run.intern in sched.go), so machines in one resident state
+// share it read-only and a placement or completion swaps the pointer; a
+// binpack run gives every machine a record of its own and recomputes it in
+// place.
 type machState struct {
 	class     int
 	residents []*placedJob // sorted by job ID
+	*resState
+}
+
+// resState is a resident state's aggregates: a pure function of the
+// machine's class and the ordered list of its residents' (job class, real
+// distribution), accumulated in job-ID order, never incrementally, so two
+// machines that reach one resident list through any event interleaving hold
+// bit-identical floats.
+type resState struct {
+	id int32 // index in the run's state table; unused in a binpack run
 
 	// Per-real-group aggregates.
 	free    [maxGroups]int16   // free cores
@@ -280,16 +303,19 @@ type machState struct {
 	congestion float64 // the policy's machine-ordering key K
 	power      float64 // instantaneous power draw (W)
 
+	// factors holds each resident's interference factor, by position in
+	// the resident list (residentFactor).
+	factors []float64
+
 	// views holds the canonical template — the class's groups in
-	// canonGroups order — rebuilt by recompute, so a probe reads it instead
-	// of re-sorting. tmpl is the id scorer.intern gave (class, busSum,
-	// maxSens, views); scorer.retemplate keeps the two in step.
+	// canonGroups order — so a probe reads it instead of re-sorting. tmpl
+	// is the id scorer.intern gave (class, busSum, maxSens, views).
 	views [maxGroups]groupView
 	tmpl  int32
 }
 
-// canon returns m's canonical template as of the last recompute.
-func (m *machState) canon(c *Class) []groupView { return m.views[:len(c.groupSize)] }
+// canon returns the canonical template of st on a class-c machine.
+func (st *resState) canon(c *Class) []groupView { return st.views[:len(c.groupSize)] }
 
 // wsContribution is the external L2 pressure k threads of a job exert on
 // one group: the first thread brings the full per-thread footprint, and
@@ -301,49 +327,54 @@ func wsContribution(wsJ, shareJ float64, k int) float64 {
 	return wsJ * (1 + float64(k-1)*(1-shareJ))
 }
 
-// recompute rebuilds every aggregate of m from its resident list. The sums
-// accumulate in job-ID order (the list's invariant), never incrementally,
-// so aggregate floats depend only on the resident set — not on the order
-// placements and completions happened to interleave.
-func (m *machState) recompute(c *Class) {
+// recompute rebuilds every aggregate of st from the resident list of a
+// class-c machine. The sums accumulate in job-ID order (the list's
+// invariant), never incrementally, so aggregate floats depend only on the
+// resident list — not on the order placements and completions happened to
+// interleave.
+func (st *resState) recompute(c *Class, residents []*placedJob) {
 	ng := len(c.groupSize)
 	for g := 0; g < ng; g++ {
-		m.occ[g], m.ws[g], m.sensMax[g] = 0, 0, 0
+		st.occ[g], st.ws[g], st.sensMax[g] = 0, 0, 0
 	}
-	m.busSum, m.maxSens = 0, 0
-	m.power = basePowerW
-	for _, r := range m.residents {
-		m.busSum += r.busJ
-		if r.sensJ > m.maxSens {
-			m.maxSens = r.sensJ
+	st.busSum, st.maxSens = 0, 0
+	st.power = basePowerW
+	for _, r := range residents {
+		st.busSum += r.busJ
+		if r.sensJ > st.maxSens {
+			st.maxSens = r.sensJ
 		}
-		m.power += float64(r.threads) * (staticCoreW + dynCoreW*(1-r.sensJ))
+		st.power += float64(r.threads) * (staticCoreW + dynCoreW*(1-r.sensJ))
 		for g := 0; g < ng; g++ {
 			if k := int(r.dist[g]); k > 0 {
-				m.occ[g] += int16(k)
-				m.ws[g] += wsContribution(r.wsJ, r.shareJ, k)
-				if r.sensJ > m.sensMax[g] {
-					m.sensMax[g] = r.sensJ
+				st.occ[g] += int16(k)
+				st.ws[g] += wsContribution(r.wsJ, r.shareJ, k)
+				if r.sensJ > st.sensMax[g] {
+					st.sensMax[g] = r.sensJ
 				}
 			}
 		}
 	}
-	m.freeTotal = 0
+	st.freeTotal = 0
 	var press float64
 	for g := 0; g < ng; g++ {
-		m.free[g] = int16(c.groupSize[g]) - m.occ[g]
-		m.freeTotal += int(m.free[g])
-		press += m.ws[g] / c.l2Bytes
+		st.free[g] = int16(c.groupSize[g]) - st.occ[g]
+		st.freeTotal += int(st.free[g])
+		press += st.ws[g] / c.l2Bytes
 	}
-	used := 1 - float64(m.freeTotal)/float64(c.cores)
+	used := 1 - float64(st.freeTotal)/float64(c.cores)
 	// K orders machines least-congested-first: bus demand dominates, then
 	// mean cache pressure, then plain occupancy. Any monotone combination
 	// works — the policy only needs K to be a pure function of the
 	// machine's residual state so both scorers order machines identically.
 	// It is not one of the template id: press sums in real group order,
 	// which the canonical template forgets.
-	m.congestion = m.busSum + 0.5*press/float64(ng) + 0.5*used
-	canonGroups(c, m, m.views[:0])
+	st.congestion = st.busSum + 0.5*press/float64(ng) + 0.5*used
+	st.factors = st.factors[:0]
+	for _, r := range residents {
+		st.factors = append(st.factors, residentFactor(c, st, r))
+	}
+	canonGroups(c, st, st.views[:0])
 }
 
 // groupView is one group of a machine's canonical template: the residual
@@ -358,23 +389,23 @@ type groupView struct {
 	real    int
 }
 
-// canonGroups fills dst with m's groups in canonical template order: by
+// canonGroups fills dst with st's groups in canonical template order: by
 // kind, then most-free first, then lightest pressure, with the real index
 // as the final tie-break. Machines whose residual states are equal
 // group-for-group produce element-wise identical views (the real index
 // never feeds scoring), which is what makes the score memo shareable
 // across machines. The order is total, so the insertion sort over at most
 // maxGroups views gives the one answer any sort would.
-func canonGroups(c *Class, m *machState, dst []groupView) []groupView {
+func canonGroups(c *Class, st *resState, dst []groupView) []groupView {
 	ng := len(c.groupSize)
 	dst = dst[:0]
 	for g := 0; g < ng; g++ {
 		v := groupView{
 			kind:    c.groupKind[g],
-			free:    int(m.free[g]),
-			occ:     int(m.occ[g]),
-			ws:      m.ws[g],
-			sensMax: m.sensMax[g],
+			free:    int(st.free[g]),
+			occ:     int(st.occ[g]),
+			ws:      st.ws[g],
+			sensMax: st.sensMax[g],
 			real:    g,
 		}
 		dst = append(dst, v)

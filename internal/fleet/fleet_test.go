@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -101,8 +102,9 @@ func TestScorerBitIdentityAtScale(t *testing.T) {
 }
 
 // TestScheduleRefusesMalformedStream: a job's ID is its stream position and
-// indexes the result, and a job needs a thread and an iteration; Schedule
-// refuses a stream that breaks either before it places anything.
+// indexes the result, a job needs a thread and an iteration, and it arrives
+// at a finite time no earlier than zero; Schedule refuses a stream that
+// breaks any of these before it places anything.
 func TestScheduleRefusesMalformedStream(t *testing.T) {
 	f, jobs := testStream(t, 20)
 	for _, tc := range []struct {
@@ -114,6 +116,9 @@ func TestScheduleRefusesMalformedStream(t *testing.T) {
 		{"negative ID", "job at stream position 0 has ID -1", func(js []Job) { js[0].ID = -1 }},
 		{"no threads", "job 7 has thread budget 0", func(js []Job) { js[7].MaxThreads = 0 }},
 		{"no iterations", "job 9 has size 0", func(js []Job) { js[9].Size = 0 }},
+		{"NaN arrival", "job 2 arrives at NaN", func(js []Job) { js[2].Arrival = math.NaN() }},
+		{"infinite arrival", "job 19 arrives at +Inf", func(js []Job) { js[19].Arrival = math.Inf(1) }},
+		{"negative arrival", "job 0 arrives at -1", func(js []Job) { js[0].Arrival = -1 }},
 	} {
 		bad := slices.Clone(jobs)
 		tc.breakIt(bad)
@@ -125,6 +130,28 @@ func TestScheduleRefusesMalformedStream(t *testing.T) {
 			if res != nil {
 				t.Errorf("%s (%s): a refused stream returned a result", tc.name, opt.Scorer)
 			}
+		}
+	}
+}
+
+// TestScheduleRefusesNonFiniteQoS: a NaN bound makes every "slowdown beyond
+// the bound" test false, so it would admit anything and count no violation;
+// an infinite one admits anything outright. Schedule refuses both, and
+// Validate refuses a result that claims one.
+func TestScheduleRefusesNonFiniteQoS(t *testing.T) {
+	f, jobs := testStream(t, 20)
+	good := mustSchedule(t, f, jobs, Options{})
+	for _, qos := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
+		for _, scorer := range []string{ScorerIncremental, ScorerBinpack} {
+			res, err := Schedule(f, jobs, Options{QoS: qos, Scorer: scorer})
+			if err == nil || !strings.Contains(err.Error(), "not a finite non-negative number") || res != nil {
+				t.Errorf("QoS %g (%s): got a result: %t, error %v; want a refusal", qos, scorer, res != nil, err)
+			}
+		}
+		bad := *good
+		bad.QoS = qos
+		if err := Validate(f, jobs, &bad); qos != -0.5 && (err == nil || !strings.Contains(err.Error(), "QoS bound")) {
+			t.Errorf("QoS %g: Validate gave %v, want a QoS bound refusal", qos, err)
 		}
 	}
 }
@@ -295,109 +322,129 @@ func TestCoSchedulingParity(t *testing.T) {
 }
 
 // TestProbeIndexOrder exercises the probe structure directly. Random moves
-// over a fleet spanning several bitset and summary words, with few K values
-// shared across templates, empty buckets and refill them. After each round
-// a walk must visit the machines in (K, index) order, except for K groups
-// held by one skipped template, which it must pass over and count as the
-// machines they hold.
+// over a fleet spanning several bitset and summary words, between states
+// whose K values repeat across states, empty buckets and refill them. After
+// each round, with random sets of full and feasible states, choose must
+// pick the machine and count the scored machines that a brute-force scan in
+// (K, index) order does, and judge every state the scan passes and no other
+// state with a free core, each once.
 func TestProbeIndexOrder(t *testing.T) {
 	const n = 4200 // 66 words, 2 summary words
+	const states = 14
 	rng := rand.New(rand.NewSource(3))
 	x := newProbeIndex(n)
-	keys := make([]float64, n)
-	tmpls := make([]int32, n)
-	move := func(i int, k float64, tmpl int32) {
-		keys[i], tmpls[i] = k, tmpl
-		x.move(i, k, tmpl)
+	ks := make([]float64, states) // few K values, each shared by several states
+	for s := range ks {
+		ks[s] = float64(rng.Intn(4))
 	}
-	for i := 0; i < n; i++ {
-		move(i, float64(i%3), int32(i%5)) // K 0..2 shared by every template
+	at := make([]int32, n)
+	move := func(i int, s int32) {
+		at[i] = s
+		x.move(i, ks[s], s)
 	}
-	skipped := map[int32]bool{0: true, 3: true}
-	type pair struct {
-		k    float64
-		tmpl int32
+	for i := range at {
+		move(i, int32(i%3))
 	}
-	seen, emptied, refilled := map[pair]bool{}, map[pair]bool{}, 0
-	skips := 0
-	for round := 0; round < 40; round++ {
-		// Bulk moves onto the common pairs, then a handful onto rare ones —
-		// K values no other template uses, which whole-bucket skips act on.
+	byK := make([]int, n)
+	for i := range byK {
+		byK[i] = i
+	}
+	seen, emptied := map[int32]bool{}, map[int32]bool{}
+	refilled, chosen, none, partial := 0, 0, 0, 0
+	for round := 0; round < 60; round++ {
+		// Bulk moves onto the common states, then a handful onto rare ones,
+		// whose buckets empty and refill.
 		for range 1500 {
-			move(rng.Intn(n), float64(rng.Intn(3)), int32(rng.Intn(5)))
+			move(rng.Intn(n), int32(rng.Intn(6)))
 		}
-		for range rng.Intn(3) {
-			tmpl := []int32{3, 5, 6}[rng.Intn(3)]
-			move(rng.Intn(n), 10+float64(tmpl), tmpl)
-			move(rng.Intn(n), 20+float64(rng.Intn(2)), int32(rng.Intn(2))) // K 20 or 21, two templates
+		for range rng.Intn(4) {
+			move(rng.Intn(n), int32(6+rng.Intn(states-6)))
 		}
-		live := map[pair]bool{}
-		for i := range keys {
-			live[pair{keys[i], tmpls[i]}] = true
+		live := map[int32]bool{}
+		for _, s := range at {
+			live[s] = true
 		}
-		for p := range seen {
-			if !live[p] {
-				emptied[p] = true
+		for s := range seen {
+			if !live[s] {
+				emptied[s] = true
 			}
 		}
-		for p := range live {
-			if emptied[p] {
+		for s := range live {
+			if emptied[s] {
 				refilled++
-				delete(emptied, p)
+				delete(emptied, s)
 			}
-			seen[p] = true
+			seen[s] = true
+		}
+		full, feasible := make([]bool, states), make([]bool, states)
+		for s := range full {
+			full[s] = rng.Intn(5) == 0
+			feasible[s] = rng.Intn(4) == 0
 		}
 
-		want := make([]int, n)
-		for i := range want {
-			want[i] = i
-		}
-		sort.Slice(want, func(a, b int) bool {
-			ia, ib := want[a], want[b]
-			return keys[ia] < keys[ib] || (keys[ia] == keys[ib] && ia < ib)
+		sort.Slice(byK, func(a, b int) bool {
+			ia, ib := byK[a], byK[b]
+			return ks[at[ia]] < ks[at[ib]] || (ks[at[ia]] == ks[at[ib]] && ia < ib)
 		})
-		var visits []int
-		wantSkip := 0
-		for g := 0; g < len(want); {
-			e := g + 1
-			one := true
-			for e < len(want) && keys[want[e]] == keys[want[g]] {
-				one = one && tmpls[want[e]] == tmpls[want[g]]
-				e++
+		want, wantScored := -1, int64(0)
+		passed := map[int32]bool{}
+		for _, i := range byK {
+			if s := at[i]; !full[s] {
+				passed[s] = true
+				wantScored++
+				if feasible[s] {
+					want = i
+					break
+				}
 			}
-			if one && skipped[tmpls[want[g]]] {
-				wantSkip += e - g
-			} else {
-				visits = append(visits, want[g:e]...)
+		}
+		asked := map[int32]bool{}
+		got, gotScored := x.choose(func(s int32, member int) probeVerdict {
+			if at[member] != s {
+				t.Fatalf("round %d: asked about state %d with member %d, which is in state %d", round, s, member, at[member])
 			}
-			g = e
-		}
-
-		var got []int
-		gotSkip := 0
-		x.walk(func(first, size int) bool {
-			if skipped[tmpls[first]] {
-				gotSkip += size
-				return true
+			if asked[s] {
+				t.Fatalf("round %d: asked about state %d twice", round, s)
 			}
-			return false
-		}, func(i int) bool { got = append(got, i); return true })
-		if !slices.Equal(got, visits) {
-			t.Fatalf("round %d: walk visits %v, (K, index) order without the skipped buckets is %v", round, got, visits)
+			asked[s] = true
+			switch {
+			case full[s]:
+				return probeFull
+			case feasible[s]:
+				return probeFeasible
+			}
+			return probeInfeasible
+		})
+		if got != want || gotScored != wantScored {
+			t.Fatalf("round %d: choose gives machine %d, %d scored; the (K, index) scan gives %d, %d scored", round, got, gotScored, want, wantScored)
 		}
-		if gotSkip != wantSkip {
-			t.Fatalf("round %d: walk skipped %d machines, want %d", round, gotSkip, wantSkip)
+		for s := range passed {
+			if !asked[s] {
+				t.Fatalf("round %d: the scan passes state %d, which was never judged", round, s)
+			}
 		}
-		skips += gotSkip
+		for s := range asked {
+			if !full[s] && !passed[s] {
+				t.Fatalf("round %d: state %d was judged, but the scan never reaches it", round, s)
+			}
+		}
+		if want < 0 {
+			none++
+			continue
+		}
+		chosen++
+		// A rejected bucket of the chosen machine's K with members on both
+		// sides of it is counted in part.
+		for i := want + 1; i < n; i++ {
+			if s := at[i]; ks[s] == ks[at[want]] && s != at[want] && !full[s] && !feasible[s] && x.buckets[x.byState[s]].head() < want {
+				partial++
+				break
+			}
+		}
 	}
-	if refilled == 0 || skips == 0 {
-		t.Fatalf("%d buckets emptied and refilled, %d machines skipped: the moves miss a case", refilled, skips)
-	}
-	// A walk stops when visit says so.
-	calls := 0
-	x.walk(func(int, int) bool { return false }, func(int) bool { calls++; return calls < 7 })
-	if calls != 7 {
-		t.Fatalf("walk went on for %d visits after the 7th returned false", calls-7)
+	if refilled == 0 || chosen == 0 || none == 0 || partial == 0 {
+		t.Fatalf("%d buckets refilled, %d rounds chose a machine, %d chose none, %d counted a bucket in part: the rounds miss a case",
+			refilled, chosen, none, partial)
 	}
 }
 

@@ -111,8 +111,13 @@ func GenJobs(cfg StreamConfig) ([]Job, error) {
 	if cfg.Jobs <= 0 {
 		return nil, fmt.Errorf("fleet: stream of %d jobs", cfg.Jobs)
 	}
-	if cfg.ArrivalRate <= 0 || cfg.MeanSize < 1 {
-		return nil, fmt.Errorf("fleet: arrival rate %g, mean size %g", cfg.ArrivalRate, cfg.MeanSize)
+	// The comparisons are written to fail on NaN. A size is converted to an
+	// int, so the Pareto cap must fit in one.
+	if !(cfg.ArrivalRate > 0) || math.IsInf(cfg.ArrivalRate, 1) {
+		return nil, fmt.Errorf("fleet: arrival rate %g is not a finite positive number", cfg.ArrivalRate)
+	}
+	if !(cfg.MeanSize >= 1 && cfg.MeanSize*sizeCapMult < math.MaxInt) {
+		return nil, fmt.Errorf("fleet: mean size %g is not in [1, %g]", cfg.MeanSize, math.MaxInt/sizeCapMult)
 	}
 	maxT := cfg.MaxThreads
 	if maxT == 0 {

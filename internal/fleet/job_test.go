@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/greenhpc/actor/internal/npb"
@@ -96,6 +97,43 @@ func TestGenJobsStream(t *testing.T) {
 	}
 	if !sawMaxT {
 		t.Errorf("no job of %d drew the full budget %d", len(long), cfg.MaxThreads)
+	}
+}
+
+// TestGenJobsRefusesBadParameters: a NaN rate or mean size passes every
+// ordered comparison, and a mean size whose Pareto cap does not fit an int
+// overflows the size conversion; GenJobs refuses them all, and the largest
+// mean size it accepts still draws sizes in range.
+func TestGenJobsRefusesBadParameters(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		rate, mean float64
+		want       string
+	}{
+		{nan, 3, "arrival rate NaN"},
+		{inf, 3, "arrival rate +Inf"},
+		{0, 3, "arrival rate 0"},
+		{-1, 3, "arrival rate -1"},
+		{2, nan, "mean size NaN"},
+		{2, inf, "mean size +Inf"},
+		{2, 1e300, "mean size 1e+300"},
+		{2, math.MaxInt / sizeCapMult, "mean size"},
+		{2, 0.5, "mean size 0.5"},
+	} {
+		jobs, err := GenJobs(StreamConfig{Jobs: 10, Seed: 42, ArrivalRate: tc.rate, MeanSize: tc.mean})
+		if err == nil || !strings.Contains(err.Error(), tc.want) || jobs != nil {
+			t.Errorf("rate %g, mean size %g: got %d jobs, %v; want an error naming %q", tc.rate, tc.mean, len(jobs), err, tc.want)
+		}
+	}
+	mean := math.Nextafter(math.MaxInt/sizeCapMult, 0)
+	jobs, err := GenJobs(StreamConfig{Jobs: 200, Seed: 42, ArrivalRate: 2, MeanSize: mean})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range jobs {
+		if jobs[i].Size < 1 || float64(jobs[i].Size) > mean*sizeCapMult {
+			t.Fatalf("mean size %g: job %d has size %d", mean, i, jobs[i].Size)
+		}
 	}
 }
 

@@ -79,9 +79,9 @@ type groupKey struct {
 
 // templateKey is a machine's canonical residual template — everything about
 // the machine a shape decision reads. scorer.intern maps it to a small
-// integer id when a machine's resident set changes, so the per-probe
-// decision key carries the id instead of these 432 bytes. A class fixes how
-// many groups are in use; the rest stay zero.
+// integer id once per new resident state, so the decision key carries the
+// id instead of these 432 bytes. A class fixes how many groups are in use;
+// the rest stay zero.
 type templateKey struct {
 	class           int
 	busSum, maxSens uint64

@@ -10,9 +10,9 @@ import (
 
 // emptyViews returns the canonical template of an idle class-c machine.
 func emptyViews(c *Class) []groupView {
-	m := &machState{}
-	m.recompute(c)
-	return canonGroups(c, m, nil)
+	var st resState
+	st.recompute(c, nil)
+	return canonGroups(c, &st, nil)
 }
 
 // TestShapeKeyStringPinned pins shapeKey.String() to the literal texts of
@@ -104,22 +104,23 @@ func TestDecisionKeyEquality(t *testing.T) {
 	}
 	s := newScorer(f)
 	state := func(ci int, busSum, maxSens float64, views ...groupView) *machState {
-		m := &machState{class: ci, busSum: busSum, maxSens: maxSens}
+		m := &machState{class: ci, resState: &resState{busSum: busSum, maxSens: maxSens}}
 		copy(m.views[:], views)
 		return m
 	}
+	intern := func(m *machState) int32 { return s.intern(m.class, m.resState) }
 	views := []groupView{
 		{kind: 0, free: 3, occ: 1, ws: 3e5, sensMax: 0.4, real: 0},
 		{kind: 1, free: 2, occ: 0, ws: 0, sensMax: 0, real: 2},
 		{kind: 1, free: 0, occ: 2, ws: 7e5, sensMax: 0.6, real: 1},
 	}
-	base := s.intern(state(1, 0.8, 0.6, views...))
+	base := intern(state(1, 0.8, 0.6, views...))
 
 	// Same residual state on another machine: only the real indices —
 	// which never feed scoring — differ.
 	twin := append([]groupView(nil), views...)
 	twin[1].real, twin[2].real = 1, 2
-	if id := s.intern(state(1, 0.8, 0.6, twin...)); id != base {
+	if id := intern(state(1, 0.8, 0.6, twin...)); id != base {
 		t.Fatalf("equal residual states on different real groups interned apart: %d vs %d", id, base)
 	}
 	// The same through the scheduler's own path: one resident thread on
@@ -128,25 +129,25 @@ func TestDecisionKeyEquality(t *testing.T) {
 	for m, g := range map[*machState]int{&onFirst: 1, &onSecond: 2} {
 		pj := &placedJob{threads: 1, wsJ: 2e5, shareJ: 0.3, busJ: 0.2, sensJ: 0.5}
 		pj.dist[g] = 1
-		m.class, m.residents = 1, []*placedJob{pj}
-		m.recompute(f.Classes[1])
+		m.class, m.residents, m.resState = 1, []*placedJob{pj}, new(resState)
+		m.recompute(f.Classes[1], m.residents)
 	}
 	if onFirst.canon(f.Classes[1])[1].real == onSecond.canon(f.Classes[1])[1].real {
 		t.Fatal("test machines hold their resident on the same real group")
 	}
-	if a, b := s.intern(&onFirst), s.intern(&onSecond); a != b || a == base {
+	if a, b := intern(&onFirst), intern(&onSecond); a != b || a == base {
 		t.Fatalf("mirrored machines interned to %d and %d (base %d)", a, b, base)
 	}
 
 	seen := map[int32]string{base: "base"}
 	differs := func(name string, m *machState) {
 		t.Helper()
-		id := s.intern(m)
+		id := intern(m)
 		if prev, dup := seen[id]; dup {
 			t.Errorf("%s: interned to id %d, the id of %s", name, id, prev)
 		}
 		seen[id] = name
-		if again := s.intern(m); again != id {
+		if again := intern(m); again != id {
 			t.Errorf("%s: interned to %d, then to %d", name, id, again)
 		}
 	}
@@ -180,7 +181,7 @@ func TestDecisionKeyEquality(t *testing.T) {
 			t.Errorf("unused group %d of the template key holds %+v", g, key.groups[g])
 		}
 	}
-	if id := s.intern(wide); id != base {
+	if id := intern(wide); id != base {
 		t.Errorf("state beyond the class's groups changed the id: %d vs %d", id, base)
 	}
 
@@ -225,10 +226,11 @@ func classShapes(c *Class, maxT int) int {
 // TestMemoStateBoundedByCatalogue: the solo and solo-best memos are
 // grow-only, so what bounds them must be the catalogue (classes ×
 // signatures × shapes), not the stream: a 1000-job run stays inside it.
-// The template table grows with what happened, never with what was probed:
-// one idle template per class plus at most one per placement and one per
-// completion; and the decision table holds at most one entry per template,
-// signature and budget.
+// The state and template tables grow with what happened, never with what
+// was probed: one idle state per class plus at most one per placement and
+// one per completion, and at most one template per state. The decision
+// table holds at most one entry per template, signature and budget, and the
+// verdict rows at most one per state and job class.
 func TestMemoStateBoundedByCatalogue(t *testing.T) {
 	f, jobs := testStream(t, 1000)
 	sigs := map[string]bool{}
@@ -244,10 +246,11 @@ func TestMemoStateBoundedByCatalogue(t *testing.T) {
 	bestBound := len(sigs) * maxT
 
 	s := newScorer(f)
-	res, err := s.schedule(jobs, Options{})
+	r, err := s.schedule(jobs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := r.res
 	if res.Violations != 0 {
 		t.Fatalf("%d QoS violations", res.Violations)
 	}
@@ -255,11 +258,17 @@ func TestMemoStateBoundedByCatalogue(t *testing.T) {
 	_, _, best := s.best.Stats()
 	hits, _, decisions := s.decision.Stats()
 	_, _, templates := s.template.Stats()
-	templateBound := len(f.Classes) + 2*len(jobs)
-	t.Logf("1000 jobs: solo %d/%d, best %d/%d, templates %d/%d, decision entries %d (%d hits)",
-		solo, soloBound, best, bestBound, templates, templateBound, decisions, hits)
-	if templates < uint64(len(f.Classes)) || templates > uint64(templateBound) || int(templates) != res.Templates {
-		t.Errorf("template table holds %d entries (result says %d), event bound is %d", templates, res.Templates, templateBound)
+	stateBound := len(f.Classes) + 2*len(jobs)
+	t.Logf("1000 jobs: solo %d/%d, best %d/%d, states %d/%d, templates %d, decision entries %d (%d hits), verdicts %d over %d job classes",
+		solo, soloBound, best, bestBound, len(r.table), stateBound, templates, decisions, hits, len(r.verdicts), len(r.classes))
+	if len(r.table) < len(f.Classes) || len(r.table) > stateBound || len(r.table) != res.States {
+		t.Errorf("state table holds %d entries (result says %d), event bound is %d", len(r.table), res.States, stateBound)
+	}
+	if templates < uint64(len(f.Classes)) || templates > uint64(len(r.table)) || int(templates) != res.Templates {
+		t.Errorf("template table holds %d entries (result says %d) for %d states", templates, res.Templates, len(r.table))
+	}
+	if len(r.verdicts) == 0 || len(r.verdicts) > len(r.table)*len(r.classes) {
+		t.Errorf("%d verdicts for %d states and %d job classes", len(r.verdicts), len(r.table), len(r.classes))
 	}
 	if decisions > templates*uint64(bestBound) || int(decisions) != res.DecisionEntries {
 		t.Errorf("decision table holds %d entries (result says %d) for %d templates", decisions, res.DecisionEntries, templates)

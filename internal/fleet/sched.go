@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -23,7 +25,7 @@ type Options struct {
 	// Scorer picks the placement engine; empty means incremental.
 	Scorer string
 
-	// selectRef, when set, replaces the incremental walk and its
+	// selectRef, when set, replaces the incremental probe and its
 	// single-machine queue retry with a reference selection: the tests'
 	// O(M) argmin, which must schedule byte-identically.
 	selectRef func(r *run, j *Job) (int, candidate, bool)
@@ -34,8 +36,8 @@ func (o *Options) resolve() (Options, error) {
 	if r.QoS == 0 {
 		r.QoS = 0.25
 	}
-	if r.QoS < 0 {
-		return r, fmt.Errorf("fleet: negative QoS bound %g", r.QoS)
+	if r.QoS < 0 || math.IsNaN(r.QoS) || math.IsInf(r.QoS, 0) {
+		return r, fmt.Errorf("fleet: QoS bound %g is not a finite non-negative number", r.QoS)
 	}
 	switch r.Scorer {
 	case "":
@@ -76,9 +78,12 @@ type Result struct {
 	// ScoredMachines counts machines scored — the work the perf story is
 	// about: naive pays jobs×machines, incremental a few per arrival.
 	ScoredMachines int64
-	// Templates and DecisionEntries are the sizes the template and decision
-	// tables ended the run at: how few distinct residual states the fleet
-	// passed through, and how many decisions were ever computed for them.
+	// States, Templates and DecisionEntries are the sizes the resident
+	// state, template and decision tables ended the run at: how few
+	// distinct resident lists and canonical templates the fleet passed
+	// through, and how many decisions were ever computed for them. A
+	// binpack run fills none of them.
+	States          int
 	Templates       int
 	DecisionEntries int
 }
@@ -123,7 +128,6 @@ type placedJob struct {
 	soloBest    float64 // fleet-wide best unit seconds
 
 	remWork float64 // remaining work in interference-free seconds
-	factor  float64 // current interference stretch
 	lastT   float64 // last time remWork was reconciled
 	start   float64
 	arrival float64
@@ -192,6 +196,22 @@ type run struct {
 	states []machState
 	probe  *probeIndex // incremental scorer only
 
+	// The resident-state table (incremental scorer only): table[id] is the
+	// shared record of state id, byList interns records by (class, ordered
+	// list of residents' (job class, real dist)), and next maps an event
+	// on a state to the state it leads to. key is byList's scratch key.
+	table  []*resState
+	byList map[string]int32
+	next   map[transition]int32
+	key    []byte
+
+	// classOf holds every job's class, (signature, budget), numbered in
+	// stream order; classes holds each class's solo best and verdict row,
+	// and verdicts the candidates the rows index.
+	classOf  []int32
+	classes  []jobClass
+	verdicts []candidate
+
 	// byID holds the record of every resident job at its ID (Schedule
 	// refuses a stream whose IDs are not positions), nil before placement
 	// and after completion, so a completed job's stale heap events find no
@@ -210,31 +230,40 @@ type run struct {
 	energy     float64
 	busySec    float64
 
-	// arrival numbers selectIncremental's calls and decided[id] holds the
-	// decision on template id of the call stamped in it, so machines
-	// sharing a template pay one decision-table probe per arrival.
-	arrival int
-	decided []arrivalDecision
-
 	scored int64
 	res    *Result
 }
 
-type arrivalDecision struct {
-	arrival int
-	dec     *candidate
+// jobClass is what a run keeps per job class: the class's solo best, zero
+// until its first use, and its verdict row — state id → 1 + the index of
+// the class's verdict on the state in run.verdicts, or 0 before the first.
+type jobClass struct {
+	soloBest float64
+	row      []int32
+}
+
+// transition is an event on resident state from: the placement of a job of
+// class jc with real distribution dist at position pos of the resident
+// list, or, with jc = -1, the completion of the resident at position pos.
+type transition struct {
+	from, jc, pos int32
+	dist          distVec
 }
 
 // Schedule places the job stream on the fleet and simulates it to
 // completion. Jobs and fleet are read-only; one Fleet serves concurrent
 // Schedule calls.
 func Schedule(f *Fleet, jobs []Job, opt Options) (*Result, error) {
-	return newScorer(f).schedule(jobs, opt)
+	r, err := newScorer(f).schedule(jobs, opt)
+	if err != nil {
+		return nil, err
+	}
+	return r.res, nil
 }
 
-// schedule is Schedule on a caller-held scorer, so a test can read the
-// memo tables the run filled.
-func (s *scorer) schedule(jobs []Job, opt Options) (*Result, error) {
+// schedule is Schedule on a caller-held scorer, returning the finished run,
+// so a test can read the tables the run and the scorer filled.
+func (s *scorer) schedule(jobs []Job, opt Options) (*run, error) {
 	f := s.f
 	ropt, err := opt.resolve()
 	if err != nil {
@@ -243,17 +272,10 @@ func (s *scorer) schedule(jobs []Job, opt Options) (*Result, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("fleet: empty job stream")
 	}
-	for i := range jobs {
-		switch j := &jobs[i]; {
-		case j.ID != i:
-			return nil, fmt.Errorf("fleet: job at stream position %d has ID %d", i, j.ID)
-		case j.MaxThreads < 1:
-			return nil, fmt.Errorf("fleet: job %d has thread budget %d", i, j.MaxThreads)
-		case j.Size < 1:
-			return nil, fmt.Errorf("fleet: job %d has size %d", i, j.Size)
-		}
+	r, err := s.newRun(jobs, ropt)
+	if err != nil {
+		return nil, err
 	}
-	r := s.newRun(len(jobs), ropt)
 
 	order := make([]int, len(jobs))
 	for i := range order {
@@ -318,37 +340,140 @@ func (s *scorer) schedule(jobs []Job, opt Options) (*Result, error) {
 	res.MeanSlowdown = sumSlow / float64(len(jobs))
 	res.MeanWait = sumWait / float64(len(jobs))
 	res.ScoredMachines = r.scored
+	res.States = len(r.table)
 	res.Templates = int(s.templates.Load())
 	_, _, decisions := s.decision.Stats()
 	res.DecisionEntries = int(decisions)
-	return res, nil
+	return r, nil
 }
 
-// newRun builds the idle-fleet state of one scheduling pass: every machine
-// recomputed and interned, and the probe index for the incremental scorer.
-func (s *scorer) newRun(jobs int, opt Options) *run {
+// newRun checks the job stream and builds the idle-fleet state of one
+// scheduling pass. Checking the stream also numbers its job classes. An
+// incremental run interns each class's idle state and files every machine
+// in the probe index; a binpack run gives each machine a record of its own.
+func (s *scorer) newRun(jobs []Job, opt Options) (*run, error) {
 	f := s.f
 	r := &run{
-		f:      f,
-		s:      s,
-		opt:    opt,
-		states: make([]machState, f.Machines()),
-		byID:   make([]*placedJob, jobs),
-		res:    &Result{Scorer: opt.Scorer, QoS: opt.QoS, Placed: make([]Placed, jobs)},
+		f:       f,
+		s:       s,
+		opt:     opt,
+		states:  make([]machState, f.Machines()),
+		byID:    make([]*placedJob, len(jobs)),
+		classOf: make([]int32, len(jobs)),
+		res:     &Result{Scorer: opt.Scorer, QoS: opt.QoS, Placed: make([]Placed, len(jobs))},
 	}
+	ids := map[bestKey]int32{}
+	for i := range jobs {
+		j := &jobs[i]
+		switch {
+		case j.ID != i:
+			return nil, fmt.Errorf("fleet: job at stream position %d has ID %d", i, j.ID)
+		case j.MaxThreads < 1:
+			return nil, fmt.Errorf("fleet: job %d has thread budget %d", i, j.MaxThreads)
+		case j.Size < 1:
+			return nil, fmt.Errorf("fleet: job %d has size %d", i, j.Size)
+		case !(j.Arrival >= 0) || math.IsInf(j.Arrival, 1):
+			return nil, fmt.Errorf("fleet: job %d arrives at %g", i, j.Arrival)
+		}
+		key := bestKey{sig: j.SigKey, maxT: j.MaxThreads}
+		id, ok := ids[key]
+		if !ok {
+			id = int32(len(ids))
+			ids[key] = id
+		}
+		r.classOf[i] = id
+	}
+	r.classes = make([]jobClass, len(ids))
+	if opt.Scorer == ScorerBinpack {
+		own := make([]resState, len(r.states))
+		for i := range r.states {
+			m := &r.states[i]
+			m.class, m.resState = f.MachineClass[i], &own[i]
+			m.recompute(f.Classes[m.class], nil)
+			r.totalPower += m.power
+		}
+		return r, nil
+	}
+	r.byList, r.next = map[string]int32{}, map[transition]int32{}
+	r.probe = newProbeIndex(f.Machines())
 	for i := range r.states {
 		m := &r.states[i]
 		m.class = f.MachineClass[i]
-		s.retemplate(m)
+		m.resState = r.intern(m)
 		r.totalPower += m.power
+		r.probe.move(i, m.congestion, m.id)
 	}
-	if opt.Scorer == ScorerIncremental {
-		r.probe = newProbeIndex(f.Machines())
-		for i := range r.states {
-			r.probe.move(i, r.states[i].congestion, r.states[i].tmpl)
+	return r, nil
+}
+
+// intern returns the shared record of m's resident state, recomputing it
+// only when the state is new. A state is the machine's class plus the
+// ordered list of its residents' (job class, real distribution): that is
+// all recompute reads, given the SigKey contract — jobs of one signature
+// have one footprint (wsJ, shareJ) and one solo solve (busJ, sensJ, unitSec)
+// per (machine class, signature, shape), and one solo best per (signature,
+// budget) — and the shape is a function of the class and the real
+// distribution. Interning by the list, not by the path, gives a state
+// reached two ways one id, one probe bucket and one verdict per job class.
+func (r *run) intern(m *machState) *resState {
+	c := r.f.Classes[m.class]
+	k := binary.LittleEndian.AppendUint32(r.key[:0], uint32(m.class))
+	for _, pj := range m.residents {
+		k = binary.LittleEndian.AppendUint32(k, uint32(r.classOf[pj.id]))
+		for _, d := range pj.dist[:len(c.groupSize)] {
+			k = append(k, byte(d))
 		}
 	}
-	return r
+	r.key = k
+	if id, ok := r.byList[string(k)]; ok {
+		return r.table[id]
+	}
+	st := &resState{id: int32(len(r.table))}
+	st.recompute(c, m.residents)
+	st.tmpl = r.s.intern(m.class, st)
+	r.table = append(r.table, st)
+	r.byList[string(k)] = st.id
+	return st
+}
+
+// step returns the state m is in after event e, which has just changed its
+// resident list: a table read, or on the event's first occurrence, intern.
+func (r *run) step(m *machState, e transition) *resState {
+	if id, ok := r.next[e]; ok {
+		return r.table[id]
+	}
+	st := r.intern(m)
+	r.next[e] = st.id
+	return st
+}
+
+// class returns job j's class record, its solo best filled on first use.
+func (r *run) class(j *Job) *jobClass {
+	jc := &r.classes[r.classOf[j.ID]]
+	if jc.soloBest == 0 {
+		jc.soloBest = r.s.soloBest(j)
+	}
+	return jc
+}
+
+// verdict is the admission of job j to a machine in m's resident state:
+// admit of the template's decision — the candidate mapped onto real groups —
+// or an infeasible candidate. Every input of the pair is a function of the
+// state and j's class, so it is computed once per (job class, state), on
+// first use, and read back for every machine in the state.
+func (r *run) verdict(j *Job, m *machState) candidate {
+	jc := r.class(j)
+	if int(m.id) >= len(jc.row) {
+		jc.row = append(jc.row, make([]int32, len(r.table)-len(jc.row))...)
+	}
+	v := jc.row[m.id]
+	if v == 0 {
+		dec := r.s.decide(m, j, jc.soloBest, r.opt.QoS)
+		r.verdicts = append(r.verdicts, r.s.admit(m, j, dec, r.opt.QoS))
+		v = int32(len(r.verdicts))
+		jc.row[m.id] = v
+	}
+	return r.verdicts[v-1]
 }
 
 // peek returns the next live completion event time.
@@ -393,8 +518,7 @@ func (r *run) drainAfterCompletion(jobs []Job, mi int, t float64) {
 		var cand candidate
 		var ok bool
 		if r.opt.Scorer == ScorerIncremental && r.opt.selectRef == nil {
-			m := &r.states[mi]
-			cand = r.s.admit(m, j, r.s.decide(m, j, r.s.soloBest(j), r.opt.QoS), r.opt.QoS)
+			cand = r.verdict(j, &r.states[mi])
 			r.scored++
 			pmi, ok = mi, cand.feasible
 		} else {
@@ -422,55 +546,28 @@ func (r *run) selectMachine(j *Job) (int, candidate, bool) {
 	}
 }
 
-// selectIncremental walks machines in (congestion, index) order on the
-// calling goroutine and stops at the first feasible one — identical to the
-// O(M) argmin over (congestion, index) because the congestion key is
-// job-independent. A bucket the probe index offers whole shares one
-// template: when its machines are full or the template's decision is
-// infeasible, every member would be rejected, so it is passed over and
-// counted as the machines it would have scored. Nearly every probe is a
-// decision-table hit, so there is nothing for a fan-out to overlap.
+// selectIncremental finds the first machine in (congestion, index) order
+// on which j is admissible — identical to the O(M) argmin over (congestion,
+// index) because the congestion key is job-independent. The probe index
+// asks for one verdict per bucket of machines in one resident state, so an
+// arrival costs the buckets it passes, not the machines; the machines of a
+// rejected bucket ahead of the chosen one count as scored. Nearly every
+// verdict is a table read, so there is nothing for a fan-out to overlap.
 func (r *run) selectIncremental(j *Job) (int, candidate, bool) {
-	soloBest := r.s.soloBest(j)
-	r.arrival++
-	if n := int(r.s.templates.Load()); n > len(r.decided) {
-		r.decided = append(r.decided, make([]arrivalDecision, n)...) // at least doubles
-	}
-	var cand candidate
-	mi := -1
-	r.probe.walk(func(first, n int) bool {
-		m := &r.states[first]
-		if m.freeTotal < 1 {
-			return true
+	mi, scored := r.probe.choose(func(state int32, member int) probeVerdict {
+		switch {
+		case r.table[state].freeTotal < 1:
+			return probeFull
+		case r.verdict(j, &r.states[member]).feasible:
+			return probeFeasible
 		}
-		if r.decidedOn(m, j, soloBest).feasible {
-			return false
-		}
-		r.scored += int64(n)
-		return true
-	}, func(i int) bool {
-		m := &r.states[i]
-		if m.freeTotal < 1 {
-			return true
-		}
-		r.scored++
-		if cand = r.s.admit(m, j, r.decidedOn(m, j, soloBest), r.opt.QoS); cand.feasible {
-			mi = i
-		}
-		return mi < 0
+		return probeInfeasible
 	})
-	return mi, cand, mi >= 0
-}
-
-// decidedOn is the decision on m's template for the current arrival, taken
-// from the decision table on the first call of the arrival that reaches the
-// template and from decided on every later one.
-func (r *run) decidedOn(m *machState, j *Job, soloBest float64) *candidate {
-	d := &r.decided[m.tmpl]
-	if d.arrival != r.arrival {
-		*d = arrivalDecision{r.arrival, r.s.decide(m, j, soloBest, r.opt.QoS)}
+	r.scored += scored
+	if mi < 0 {
+		return 0, candidate{}, false
 	}
-	return d.dec
+	return mi, r.verdict(j, &r.states[mi]), true
 }
 
 // selectBinpack is the interference-blind baseline: first machine by index
@@ -516,9 +613,9 @@ func (r *run) selectBinpack(j *Job) (int, candidate, bool) {
 // time t under the factors in force since the last event that touched it.
 func (r *run) advance(mi int, t float64) {
 	m := &r.states[mi]
-	for _, pj := range m.residents {
+	for i, pj := range m.residents {
 		if dt := t - pj.lastT; dt > 0 {
-			pj.remWork -= dt / pj.factor
+			pj.remWork -= dt / m.factors[i]
 			if pj.remWork < 0 {
 				pj.remWork = 0
 			}
@@ -527,25 +624,26 @@ func (r *run) advance(mi int, t float64) {
 	}
 }
 
-// refresh recomputes machine mi's aggregates after a residency change and
-// re-derives every resident's interference factor and completion event.
-// Power, occupancy and (for the incremental scorer) the probe index are
-// updated from the recomputed state.
-func (r *run) refresh(mi int, t float64) {
+// refresh moves machine mi to the resident state event e leads to, after
+// its resident list changed — the shared record of the state in an
+// incremental run, its own record recomputed in a binpack run — and
+// re-derives every resident's completion event from the state's factors.
+// Power, occupancy and (for the incremental scorer) the probe index follow
+// the state.
+func (r *run) refresh(mi int, e transition, t float64) {
 	m := &r.states[mi]
-	c := r.f.Classes[m.class]
-	oldPower := m.power
-	oldOcc := c.cores - m.freeTotal
-	r.s.retemplate(m)
-	r.totalPower += m.power - oldPower
-	r.totalOcc += (c.cores - m.freeTotal) - oldOcc
-	for _, pj := range m.residents {
-		pj.factor = residentFactor(c, m, pj)
-		pj.seq++
-		r.heap.push(compEvent{t: t + pj.remWork*pj.factor, id: pj.id, seq: pj.seq})
+	oldPower, oldFree := m.power, m.freeTotal
+	if r.probe == nil {
+		m.recompute(r.f.Classes[m.class], m.residents)
+	} else {
+		m.resState = r.step(m, e)
+		r.probe.move(mi, m.congestion, m.id)
 	}
-	if r.probe != nil {
-		r.probe.move(mi, m.congestion, m.tmpl)
+	r.totalPower += m.power - oldPower
+	r.totalOcc += oldFree - m.freeTotal
+	for i, pj := range m.residents {
+		pj.seq++
+		r.heap.push(compEvent{t: t + pj.remWork*m.factors[i], id: pj.id, seq: pj.seq})
 	}
 }
 
@@ -561,7 +659,7 @@ func (r *run) place(j *Job, mi int, cand candidate, t float64) {
 	*pj = placedJob{
 		id: j.ID, machine: mi, threads: cand.threads, dist: cand.dist,
 		wsJ: j.wsJ, shareJ: j.shareJ, busJ: cand.busJ, sensJ: cand.sensJ,
-		unitSec: cand.unitSec, soloBest: r.s.soloBest(j),
+		unitSec: cand.unitSec, soloBest: r.class(j).soloBest,
 		remWork: cand.unitSec * float64(j.Size),
 		lastT:   t, start: t, arrival: j.Arrival,
 	}
@@ -575,7 +673,7 @@ func (r *run) place(j *Job, mi int, cand candidate, t float64) {
 	m.residents[pos] = pj
 	r.byID[pj.id] = pj
 	r.live++
-	r.refresh(mi, t)
+	r.refresh(mi, transition{from: m.id, jc: r.classOf[j.ID], pos: int32(pos), dist: cand.dist}, t)
 }
 
 // complete retires job id at time t and records its schedule row.
@@ -584,12 +682,8 @@ func (r *run) complete(jobs []Job, id int, t float64) {
 	mi := pj.machine
 	r.advance(mi, t)
 	m := &r.states[mi]
-	for i, have := range m.residents {
-		if have == pj {
-			m.residents = append(m.residents[:i], m.residents[i+1:]...)
-			break
-		}
-	}
+	pos := slices.Index(m.residents, pj)
+	m.residents = slices.Delete(m.residents, pos, pos+1)
 	r.byID[id] = nil
 	r.live--
 	solo := pj.soloBest * float64(jobs[id].Size)
@@ -599,5 +693,5 @@ func (r *run) complete(jobs []Job, id int, t float64) {
 		Slowdown: (t - pj.start) / solo,
 	}
 	r.spare = append(r.spare, pj)
-	r.refresh(mi, t)
+	r.refresh(mi, transition{from: m.id, jc: -1, pos: int32(pos)}, t)
 }

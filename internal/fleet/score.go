@@ -134,8 +134,8 @@ type scorer struct {
 	template  memo.Table[templateKey, int32]
 	templates atomic.Int32
 	// decision memoises chooseShape per (template id, signature, budget).
-	// Only the incremental scorer consults it; the O(M) reference
-	// recomputes.
+	// Only the incremental scorer consults it, when it computes a verdict
+	// (run.verdict); the O(M) reference recomputes.
 	decision memo.Table[decisionKey, candidate]
 
 	pool sync.Pool // *scratch
@@ -153,18 +153,12 @@ func newScorer(f *Fleet) *scorer {
 	return s
 }
 
-// retemplate brings m's aggregates, canonical template and template id up
-// to date with its resident list — the one thing to call after changing it.
-func (s *scorer) retemplate(m *machState) {
-	m.recompute(s.f.Classes[m.class])
-	m.tmpl = s.intern(m)
-}
-
-// intern returns the id of m's canonical template as of its last recompute.
-// Machines whose residual states are equal group-for-group — whichever real
-// groups hold them — share an id, and with it every memoised decision.
-func (s *scorer) intern(m *machState) int32 {
-	key, h := makeTemplateKey(m.class, m.canon(s.f.Classes[m.class]), m.busSum, m.maxSens)
+// intern returns the id of the canonical template of st on a class-ci
+// machine. Machines whose residual states are equal group-for-group —
+// whichever real groups hold them — share an id, and with it every
+// memoised decision.
+func (s *scorer) intern(ci int, st *resState) int32 {
+	key, h := makeTemplateKey(ci, st.canon(s.f.Classes[ci]), st.busSum, st.maxSens)
 	if id := s.template.Get(h, &key); id != nil {
 		return *id
 	}
@@ -212,8 +206,8 @@ func (s *scorer) soloBest(j *Job) float64 {
 	defer s.pool.Put(sc)
 	best := math.Inf(1)
 	for ci, c := range s.f.Classes {
-		empty := &machState{class: ci}
-		empty.recompute(c)
+		var empty resState
+		empty.recompute(c, nil)
 		views := empty.canon(c)
 		sc.shapes = enumerateShapes(views, j.MaxThreads, sc.shapes)
 		for _, sh := range sc.shapes {
@@ -300,7 +294,9 @@ func (s *scorer) decide(m *machState, j *Job, soloBest, qos float64) *candidate 
 // admit takes the template-level decision dec for job j to machine m:
 // placing the job must not push any resident's predicted slowdown beyond
 // its own QoS bound. The returned candidate has dist mapped to m's real
-// group indices; it is infeasible when dec is or a resident objects.
+// group indices; it is infeasible when dec is or a resident objects. It
+// reads only m's resident state and j's class, which is what lets a run
+// keep one verdict per (job class, state) (run.verdict).
 func (s *scorer) admit(m *machState, j *Job, dec *candidate, qos float64) candidate {
 	if !dec.feasible {
 		return candidate{}
@@ -339,17 +335,17 @@ func (s *scorer) admit(m *machState, j *Job, dec *candidate, qos float64) candid
 	return out
 }
 
-// residentFactor recomputes the realised interference factor of resident r
-// on machine m from the current residual state — the same composeFactor
-// the admission path uses, so admission bounds are exact.
-func residentFactor(c *Class, m *machState, r *placedJob) float64 {
+// residentFactor computes the realised interference factor of resident r
+// of a class-c machine in resident state st — the same composeFactor the
+// admission path uses, so admission bounds are exact.
+func residentFactor(c *Class, st *resState, r *placedJob) float64 {
 	var ext float64
 	for g := 0; g < len(c.groupSize); g++ {
 		if k := int(r.dist[g]); k > 0 {
 			own := wsContribution(r.wsJ, r.shareJ, k)
-			ext += float64(k) * ((m.ws[g] - own) / c.l2Bytes)
+			ext += float64(k) * ((st.ws[g] - own) / c.l2Bytes)
 		}
 	}
 	ext /= float64(r.threads)
-	return composeFactor(r.sensJ, ext, m.busSum)
+	return composeFactor(r.sensJ, ext, st.busSum)
 }

@@ -18,6 +18,7 @@ import (
 // heap, and every solo time comes from an uncached machine.RunPhase solve.
 // The error names the first violated property:
 //
+//   - the QoS bound is finite;
 //   - every job is placed exactly once, on a machine of the fleet, with
 //     Arrival ≤ Start < Finish;
 //   - 1 ≤ Threads ≤ MaxThreads, and Dist sums to Threads within the sizes
@@ -35,6 +36,9 @@ import (
 //   - Makespan is the last Finish, and EnergyJ is the fleet's base power
 //     over it plus every row's core power over its own running time.
 func Validate(f *Fleet, jobs []Job, res *Result) error {
+	if math.IsNaN(res.QoS) || math.IsInf(res.QoS, 0) {
+		return fmt.Errorf("fleet: validate: QoS bound: %g is not finite", res.QoS)
+	}
 	if len(res.Placed) != len(jobs) {
 		return fmt.Errorf("fleet: validate: placed once: %d rows for %d jobs", len(res.Placed), len(jobs))
 	}

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -147,32 +149,66 @@ func TestValidateNamesTheViolation(t *testing.T) {
 
 // TestTemplatesNeverStale drives a run through a random interleaving of
 // placements and completions and, after every event, re-derives every
-// machine's canonical template from its resident list alone: the cached
-// views and the interned id must be what a fresh recompute, canonGroups and
-// intern give, and no id may ever name two templates.
+// machine's resident state from its resident list alone. The shared record
+// must equal a fresh recompute field for field, with the id intern gives
+// the fresh template; machines with equal resident lists must share one
+// record; no template id may ever name two templates; and every verdict a
+// job class holds on the state must be a fresh admit of a fresh
+// chooseShape.
 func TestTemplatesNeverStale(t *testing.T) {
 	f, jobs := testStream(t, 400)
 	s := newScorer(f)
-	r := s.newRun(len(jobs), Options{QoS: 0.25, Scorer: ScorerIncremental})
+	opt := Options{QoS: 0.25, Scorer: ScorerIncremental}
+	r, err := s.newRun(jobs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	named := map[int32]templateKey{}
+	member := map[int32]*Job{} // a job of each class
+	for i := range jobs {
+		if jc := r.classOf[i]; member[jc] == nil {
+			member[jc] = &jobs[i]
+		}
+	}
+	sc := &scratch{}
 	check := func(event string) {
 		t.Helper()
+		byList := map[string]*resState{}
 		for mi := range r.states {
 			m := &r.states[mi]
 			c := f.Classes[m.class]
-			fresh := machState{class: m.class, residents: m.residents}
-			fresh.recompute(c)
-			if want := canonGroups(c, &fresh, nil); !slices.Equal(m.canon(c), want) {
-				t.Fatalf("after %s: machine %d caches views %+v, residents give %+v", event, mi, m.canon(c), want)
+			fresh := resState{id: m.id}
+			fresh.recompute(c, m.residents)
+			fresh.tmpl = s.intern(m.class, &fresh)
+			if !reflect.DeepEqual(*m.resState, fresh) {
+				t.Fatalf("after %s: machine %d shares record %+v, its residents give %+v", event, mi, *m.resState, fresh)
 			}
-			if id := s.intern(&fresh); id != m.tmpl {
-				t.Fatalf("after %s: machine %d carries template %d, residents intern to %d", event, mi, m.tmpl, id)
+			list := fmt.Sprint(m.class)
+			for _, pj := range m.residents {
+				list += fmt.Sprintf(" %s/%d:%v", jobs[pj.id].SigKey, jobs[pj.id].MaxThreads, pj.dist)
 			}
+			if prev, ok := byList[list]; ok && prev != m.resState {
+				t.Fatalf("after %s: machine %d has the resident list of another machine, but not its record", event, mi)
+			}
+			byList[list] = m.resState
 			key, _ := makeTemplateKey(m.class, m.canon(c), m.busSum, m.maxSens)
 			if prev, ok := named[m.tmpl]; ok && prev != key {
 				t.Fatalf("after %s: template id %d names two templates", event, m.tmpl)
 			}
 			named[m.tmpl] = key
+			fm := &machState{class: m.class, residents: m.residents, resState: &fresh}
+			for jc := range r.classes {
+				row := r.classes[jc].row
+				if int(m.id) >= len(row) || row[m.id] == 0 {
+					continue
+				}
+				j := member[int32(jc)]
+				dec := s.chooseShape(fm, j, s.soloBest(j), opt.QoS, sc)
+				if want, got := s.admit(fm, j, &dec, opt.QoS), r.verdicts[row[m.id]-1]; got != want {
+					t.Fatalf("after %s: class %s/%d holds %+v on machine %d's state, a fresh admit gives %+v",
+						event, j.SigKey, j.MaxThreads, got, mi, want)
+				}
+			}
 		}
 	}
 	check("start")
@@ -198,7 +234,7 @@ func TestTemplatesNeverStale(t *testing.T) {
 		r.complete(jobs, ids[rng.Intn(len(ids))], now)
 		check("a completion")
 	}
-	if len(named) < 10 {
-		t.Errorf("run passed through only %d templates", len(named))
+	if len(named) < 10 || len(r.verdicts) < 10 {
+		t.Errorf("run passed through only %d templates and holds %d verdicts", len(named), len(r.verdicts))
 	}
 }

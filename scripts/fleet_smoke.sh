@@ -12,6 +12,7 @@
 # which scripts/determinism.sh runs beside this script on every leg.
 # -verify has fleet.Validate re-check each schedule independently of the
 # scheduler: a run it refuses prints no digest line and fails here too.
+# Last, a NaN QoS bound, mean size or arrival rate must be refused (exit 1).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -42,5 +43,18 @@ check() {
 
 check "incremental, 16 machines" "$SMOKE_WANT" "$("$bin/actorfleet" "${SMOKE[@]}" -digest -verify)"
 check "incremental, 1000 machines" "$STUDY_WANT" "$("$bin/actorfleet" "${STUDY[@]}" -digest -verify)"
+
+# A NaN passes every ordered comparison, so each parameter that feeds one
+# must be refused outright: exit 1 and no digest line.
+for bad in "-qos NaN" "-meansize NaN" "-rate NaN"; do
+    # shellcheck disable=SC2086 # $bad is a flag and its value
+    if out="$("$bin/actorfleet" "${SMOKE[@]}" $bad -digest 2>&1)"; then
+        echo "FAIL $bad: accepted: $out"; fail=1
+    elif [ $? -ne 1 ]; then
+        echo "FAIL $bad: exit code is not 1: $out"; fail=1
+    else
+        echo "ok   $bad refused: $out"
+    fi
+done
 
 exit "$fail"
