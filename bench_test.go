@@ -1,6 +1,7 @@
 // Benchmark harness: one testing.B benchmark per table/figure in the
 // paper's evaluation, plus micro-benchmarks for the core building blocks
-// and ablation benchmarks for the design choices called out in DESIGN.md.
+// and ablation benchmarks for the paper's design choices (ANN over MLR, the
+// ensemble size, prediction over empirical search).
 //
 // The figure benchmarks report the paper-relevant headline metrics via
 // b.ReportMetric, so `go test -bench=Fig -benchmem` regenerates both the
@@ -29,11 +30,9 @@ import (
 	"github.com/greenhpc/actor/internal/dataset"
 	"github.com/greenhpc/actor/internal/exp"
 	"github.com/greenhpc/actor/internal/fleet"
-	"github.com/greenhpc/actor/internal/kernels"
 	"github.com/greenhpc/actor/internal/machine"
 	"github.com/greenhpc/actor/internal/mlr"
 	"github.com/greenhpc/actor/internal/npb"
-	"github.com/greenhpc/actor/internal/omp"
 	"github.com/greenhpc/actor/internal/pmu"
 	"github.com/greenhpc/actor/internal/power"
 	"github.com/greenhpc/actor/internal/topology"
@@ -272,7 +271,7 @@ func BenchmarkStrategyReplay(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (design choices from DESIGN.md) ------------------
+// --- Ablation benchmarks (the paper's design choices) ---------------------
 
 // BenchmarkAblationANNvsMLR compares the paper's ANN ensembles against the
 // prior-work multiple-linear-regression predictor on identical data.
@@ -720,32 +719,6 @@ func BenchmarkPMURotation(b *testing.B) {
 			}
 		}
 		s.Rates()
-	}
-}
-
-func BenchmarkKernels(b *testing.B) {
-	for _, k := range kernels.All(1) {
-		k := k
-		b.Run(k.Name(), func(b *testing.B) {
-			team := omp.NewTeam(2)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k.Step(team)
-			}
-		})
-	}
-}
-
-func BenchmarkOMPParallelFor(b *testing.B) {
-	team := omp.NewTeam(4)
-	data := make([]float64, 1<<16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		team.ParallelBlocks(len(data), func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				data[j] = data[j]*0.5 + 1
-			}
-		})
 	}
 }
 

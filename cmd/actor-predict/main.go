@@ -28,7 +28,7 @@ func main() {
 // run is the command behind main: it parses args, reads the rates from
 // stdin, writes the ranking and the recommendation to stdout and errors to
 // stderr, and returns the exit code — 0 on success, 1 on a failed
-// prediction, 2 on a bad flag.
+// prediction, 2 on a bad flag or a positional argument.
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("actor-predict", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -37,6 +37,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "actor-predict: unexpected argument %q\n", fs.Arg(0))
+		fs.Usage()
 		return 2
 	}
 	if err := predict(f, stdin, stdout); err != nil {

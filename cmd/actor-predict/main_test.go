@@ -71,6 +71,13 @@ func TestRunExitCodesAndOutput(t *testing.T) {
 			code:       2,
 			stderrHave: []string{"flag provided but not defined: -fast"},
 		},
+		{
+			name:       "stray argument",
+			args:       []string{"-bank", bank, "oops"},
+			stdin:      `{"IPC":1.1}`,
+			code:       2,
+			stderrHave: []string{`unexpected argument "oops"`, "Usage of actor-predict"},
+		},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr strings.Builder

@@ -29,7 +29,7 @@ func main() {
 // run is the command behind main: it parses args, trains, writes the bank
 // (or the leave-one-out banks) and a one-line summary to stdout, errors to
 // stderr, and returns the exit code — 0 on success, 1 on a failed training
-// or write, 2 on a bad flag.
+// or write, 2 on a bad flag or a positional argument.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("actor-train", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -39,6 +39,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "actor-train: unexpected argument %q\n", fs.Arg(0))
+		fs.Usage()
 		return 2
 	}
 	if err := train(f, *loo, stdout); err != nil {

@@ -30,6 +30,12 @@ func TestRunExitCodesAndOutput(t *testing.T) {
 			stderrHave: []string{"flag provided but not defined: -bogus"},
 		},
 		{
+			name:       "stray argument",
+			args:       []string{"-fast", "-mlr", "-bank", filepath.Join(dir, "stray.json"), "oops"},
+			code:       2,
+			stderrHave: []string{`unexpected argument "oops"`, "Usage of actor-train"},
+		},
+		{
 			name:       "mlr bank",
 			args:       []string{"-fast", "-mlr", "-bank", filepath.Join(dir, "mlr.json")},
 			bank:       filepath.Join(dir, "mlr.json"),

@@ -46,6 +46,11 @@ func main() {
 	out := flag.String("out", "", "write merged sweeps to this file (default stdout)")
 	quiet := flag.Bool("q", false, "suppress per-event warnings (summary still printed)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "actorctl: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	bank, err := f.LoadBank()
 	if err != nil {

@@ -77,6 +77,11 @@ func main() {
 	recalMargin := flag.Float64("recal-margin", 0, "relative holdout improvement a candidate must clear to be promoted")
 	canaryFrac := flag.Float64("canary-frac", 0, "fraction of live traffic shadow-scored on a candidate before promotion (0 promotes immediately)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "actord: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *recalInterval <= 0 {
 		// time.NewTicker would panic inside the loop's goroutine and take
 		// the serving process down with it.

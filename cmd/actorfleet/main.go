@@ -30,7 +30,8 @@ func main() {
 
 // run is the command behind main: it parses args, writes the study (or the
 // digest line) to stdout and errors to stderr, and returns the exit code —
-// 0 on success, 1 on a failed run, 2 on a bad flag.
+// 0 on success, 1 on a failed run, 2 on a bad flag or a positional
+// argument.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("actorfleet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -50,6 +51,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "actorfleet: unexpected argument %q\n", fs.Arg(0))
+		fs.Usage()
 		return 2
 	}
 	fail := func(err error) int {

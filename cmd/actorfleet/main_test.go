@@ -43,6 +43,14 @@ func TestRunExitCodesAndOutput(t *testing.T) {
 			code:       2,
 			stderrHave: []string{"flag provided but not defined: -machines"},
 		},
+		{
+			// flag parsing stops at the first positional argument, so
+			// accepting one would silently drop -qos NaN behind it.
+			name:       "stray argument",
+			args:       slices.Concat(smoke, []string{"-digest", "oops", "-qos", "NaN"}),
+			code:       2,
+			stderrHave: []string{`unexpected argument "oops"`, "Usage of actorfleet"},
+		},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr strings.Builder

@@ -58,6 +58,11 @@ func main() {
 	p99Max := flag.Duration("p99-max", 0, "fail when p99 latency exceeds this (0: no gate)")
 	minRPS := flag.Float64("min-rps", 0, "fail when achieved throughput falls below this (0: no gate)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "actorload: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if err := run(*addr, *duration, *rate, *seed, *conns, *amp, *period, *tail,
 		*vectors, *phaseChange, *jsonOut, *check, *p99Max, *minRPS); err != nil {

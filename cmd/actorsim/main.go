@@ -20,33 +20,54 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/greenhpc/actor/pkg/actor"
 )
 
 func main() {
-	f := actor.BindFlags(flag.CommandLine, actor.FlagsPlatform)
-	bench := flag.String("bench", "SP", "benchmark for the phases subcommand")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	cmd := "all"
-	if flag.NArg() > 0 {
-		cmd = flag.Arg(0)
+// run is the command behind main: it parses args, writes the study to
+// stdout and errors to stderr, and returns the exit code — 0 on success, 1
+// on a failed or unknown study, 2 on a bad flag or more than one study.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("actorsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	f := actor.BindFlags(fs, actor.FlagsPlatform)
+	bench := fs.String("bench", "SP", "benchmark for the phases subcommand")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 1 {
+		fmt.Fprintf(stderr, "actorsim: unexpected argument %q (one study at a time)\n", fs.Arg(1))
+		fs.Usage()
+		return 2
+	}
+	study := "all"
+	if fs.NArg() == 1 {
+		study = fs.Arg(0)
+	}
+
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "actorsim:", err)
+		return 1
 	}
 
 	eng, err := f.Engine()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	if err := eng.RunStudy(context.Background(), os.Stdout, cmd, *bench); err != nil {
-		fatal(err)
+	if err := eng.RunStudy(context.Background(), stdout, study, *bench); err != nil {
+		return fail(err)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "actorsim:", err)
-	os.Exit(1)
+	return 0
 }

@@ -13,7 +13,7 @@
 // The package provides the adaptation strategies evaluated in the paper's
 // Fig. 8 — static all-cores, oracle global, oracle per-phase, and
 // prediction-based — plus the online empirical-search baseline of the
-// authors' earlier work, and a live instrumentation API for real programs.
+// authors' earlier work.
 package core
 
 import (

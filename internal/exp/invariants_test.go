@@ -6,10 +6,10 @@ import (
 	"github.com/greenhpc/actor/internal/core"
 )
 
-// TestOracleInvariantsAcrossSuite pins the DESIGN.md §6 strategy ordering
-// for every benchmark: per-phase oracle total time ≤ global oracle total
-// time ≤ the best static configuration's time, all measured noiselessly
-// and without migration charges (pure schedule quality).
+// TestOracleInvariantsAcrossSuite pins the strategy ordering for every
+// benchmark: per-phase oracle total time ≤ global oracle total time ≤ the
+// best static configuration's time, all measured noiselessly and without
+// migration charges (pure schedule quality).
 func TestOracleInvariantsAcrossSuite(t *testing.T) {
 	s := newFastSuite(t)
 	for _, b := range s.Benches {

@@ -232,9 +232,11 @@ func TestCoSchedulingParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth.SetParams(params)
-	configs, err := topology.PaperConfigsOn(cls.Topo)
-	if err != nil {
-		t.Fatal(err)
+	configs := topology.PaperConfigs()
+	for _, cfg := range configs {
+		if err := cls.Topo.ValidatePlacement(cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// The daemon profile of exp.backgroundTask (unexported there).

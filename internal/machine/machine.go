@@ -385,7 +385,7 @@ func (m *Machine) threadCPI(p *workload.PhaseProfile, mpiL1, missL2, busFactor f
 // cores). The solve path checks no placement: RunPhase returns a time for
 // {0, 99}, {-1} or {0, 0} alike. Placements are validated where they enter
 // the program — bank configurations are names resolved through the
-// topology's enumeration, and Env.Validate and PaperConfigsOn call
+// topology's enumeration, and Env.Validate calls
 // topology.ValidatePlacement.
 func (m *Machine) classOf(c topology.CoreID) *topology.CoreClass {
 	return &m.classes[m.classIdxOf(c)]

@@ -17,8 +17,8 @@
 //     span 0.32–4.64), which is what phase-granularity adaptation exploits.
 //
 // The benchmark set totals 59 phases, matching the paper's Fig. 7 phase
-// population. See EXPERIMENTS.md for the measured-vs-paper calibration
-// table produced by cmd/calibrate.
+// population. TestCalibrationScalability, TestCalibrationPowerEnergy and
+// TestSPPhaseHeterogeneity in npb_test.go pin these facts with tolerances.
 package npb
 
 import (

@@ -316,21 +316,6 @@ func TestEnumerateBalancedSpreads(t *testing.T) {
 	}
 }
 
-func TestPaperConfigsOnValidation(t *testing.T) {
-	if _, err := PaperConfigsOn(QuadCoreXeon()); err != nil {
-		t.Errorf("PaperConfigsOn(QuadCoreXeon): %v", err)
-	}
-	small, err := NewBuilder("tiny").Group(2).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PaperConfigsOn(small); err == nil {
-		t.Error("PaperConfigsOn accepted a 2-core machine")
-	} else if !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("error not descriptive: %v", err)
-	}
-}
-
 // TestEnumerateHeteroProperties fuzzes builder topologies (group sizes and
 // classes) through the enumeration invariants: unique names, valid
 // placements, all-cores last, streaming order equals materialised order.

@@ -314,17 +314,3 @@ func ConfigByName(name string) (Placement, bool) {
 	}
 	return Placement{}, false
 }
-
-// PaperConfigsOn returns the paper's five configurations validated against
-// an arbitrary topology. It fails with a descriptive error when t cannot
-// host them (fewer than four cores) instead of silently assuming the
-// quad-core Xeon.
-func PaperConfigsOn(t *Topology) ([]Placement, error) {
-	cfgs := PaperConfigs()
-	for _, cfg := range cfgs {
-		if err := t.ValidatePlacement(cfg); err != nil {
-			return nil, fmt.Errorf("paper config %q does not fit topology %q: %w", cfg.Name, t.Name, err)
-		}
-	}
-	return cfgs, nil
-}

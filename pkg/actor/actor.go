@@ -26,8 +26,8 @@
 // promotes survivors through an atomic generation-tagged bank swap with
 // instant rollback (see docs/SERVING.md, "Continuous recalibration").
 //
-// Every cmd/ entry point (actor-train, actor-predict, actorsim, actor-live,
-// calibrate, actord) is a thin wrapper over this package.
+// The cmd/ entry points (actor-train, actor-predict, actorsim, actord,
+// actorctl) are thin wrappers over this package.
 package actor
 
 import (

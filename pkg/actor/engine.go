@@ -508,13 +508,3 @@ func (e *Engine) RunStudy(ctx context.Context, w io.Writer, study, bench string)
 		return fmt.Errorf("actor: unknown study %q (scalability, phases, power, accuracy, ranks, throttle, extensions, hetero, generalize, robustness, all)", study)
 	}
 }
-
-// Calibrate prints the platform model's behaviour against every
-// quantitative target quoted in the paper — the tuning harness behind
-// cmd/calibrate.
-func Calibrate(ctx context.Context, w io.Writer) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return exp.RunCalibration(w)
-}

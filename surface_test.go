@@ -5,8 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -317,6 +319,61 @@ func receiverType(e ast.Expr) string {
 			return x.Name
 		default:
 			return ""
+		}
+	}
+}
+
+// TestEveryCommandIsExecuted fails for every cmd/<name> that nothing runs.
+// A command counts as executed when its directory holds a _test.go file,
+// or when a scripts/*.sh that a Makefile recipe runs names ./cmd/<name>
+// outside a comment. Linking alone (make build-cmds) does not count.
+func TestEveryCommandIsExecuted(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scriptRe := regexp.MustCompile(`scripts/[\w.-]+\.sh`)
+	cmdRe := regexp.MustCompile(`\./cmd/([\w-]+)`)
+	scripted := map[string]string{} // command → a script that runs it
+	for _, line := range strings.Split(string(makefile), "\n") {
+		if !strings.HasPrefix(line, "\t") {
+			continue // only recipe lines run anything
+		}
+		for _, script := range scriptRe.FindAllString(line, -1) {
+			body, err := os.ReadFile(script)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sl := range strings.Split(string(body), "\n") {
+				if strings.HasPrefix(strings.TrimSpace(sl), "#") {
+					continue
+				}
+				for _, m := range cmdRe.FindAllStringSubmatch(sl, -1) {
+					scripted[m[1]] = script
+				}
+			}
+		}
+	}
+
+	dirs, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		name := d.Name()
+		tests, err := filepath.Glob(filepath.Join("cmd", name, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case len(tests) > 0:
+		case scripted[name] != "":
+			t.Logf("cmd/%s has no tests; %s runs it", name, scripted[name])
+		default:
+			t.Errorf("cmd/%s has no _test.go and no script a Makefile target runs names ./cmd/%s; test it or delete it", name, name)
 		}
 	}
 }
