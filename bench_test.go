@@ -676,6 +676,29 @@ func BenchmarkBestTimeHetero(b *testing.B) {
 	b.ReportMetric(100*float64(searchSolved.Load()-solved0)/n, "solved-pct")
 }
 
+// BenchmarkHeteroSearchBuild is the hetero study's build stage on its largest
+// machine: machine.NewBalancedSearch over the 4 224 balanced placements of
+// 16x4+32x2:little, from the topology's occupancies to the search's flat
+// arrays. ns/placement is per candidate.
+func BenchmarkHeteroSearchBuild(b *testing.B) {
+	topo, err := topology.ParseDesc("16x4+32x2:little")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := machine.New(topo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var s *machine.Search
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s = machine.NewBalancedSearch(m)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.Len()), "ns/placement")
+}
+
 func BenchmarkMLRFit(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	samples := make([]ann.Sample, 400)

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -67,9 +68,17 @@ func myApp() *workload.Benchmark {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run trains the bank on the NPB suite, runs MYAPP under every strategy and
+// writes the table to w.
+func run(w io.Writer) error {
 	truth, err := machine.New(topology.QuadCoreXeon())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	noisy := truth.WithNoise(noise.New(7).Fork("machine"), 0.02, 0.08)
 	env := core.NewEnv(noisy, truth, power.Default())
@@ -79,7 +88,7 @@ func main() {
 	collector.Repetitions = 3
 	suite, err := collector.CollectSuite(npb.All())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var samples []dataset.PhaseSample
 	for _, name := range npb.Names() {
@@ -89,12 +98,12 @@ func main() {
 	cfg.MaxEpochs = 150
 	bank, err := core.TrainANNBank(samples, []int{12}, []string{"1", "2a", "2b", "3"}, 5, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	app := myApp()
 	if err := app.Validate(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	strategies := []core.Strategy{
 		&core.Static{Config: "4"},
@@ -109,7 +118,7 @@ func main() {
 	for _, st := range strategies {
 		res, err := st.Run(app, env)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		cfgs := ""
 		for _, ph := range app.PhaseNames() {
@@ -125,5 +134,6 @@ func main() {
 			fmt.Sprintf("%.0f", res.ED2),
 			cfgs)
 	}
-	t.Render(os.Stdout)
+	t.Render(w)
+	return nil
 }

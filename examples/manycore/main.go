@@ -12,6 +12,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -46,13 +47,21 @@ func phases() []workload.PhaseProfile {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run sweeps both phases over every placement of each machine and writes the
+// table and the closing note to w.
+func run(w io.Writer) error {
 	t := report.NewTable("throttling value vs core count",
 		"cores", "phase", "configs", "all-cores (s)", "best (s)", "best placement", "gain")
 	for _, cores := range []int{4, 8, 16, 32} {
 		topo := topology.Manycore(cores, 2)
 		m, err := machine.New(topo)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		placements := topology.EnumeratePlacements(topo)
 		for _, p := range phases() {
@@ -76,8 +85,9 @@ func main() {
 			)
 		}
 	}
-	t.Render(os.Stdout)
-	fmt.Println("\nNote how the candidate-configuration count grows with cores:")
-	fmt.Println("empirical search must probe each one, while ACTOR predicts from")
-	fmt.Println("one sampling period — the paper's scaling argument (Section IV-B).")
+	t.Render(w)
+	fmt.Fprintln(w, "\nNote how the candidate-configuration count grows with cores:")
+	fmt.Fprintln(w, "empirical search must probe each one, while ACTOR predicts from")
+	fmt.Fprintln(w, "one sampling period — the paper's scaling argument (Section IV-B).")
+	return nil
 }

@@ -44,7 +44,7 @@ func (m *SharingModel) EffectiveShare(nShare int, sharing float64) float64 {
 	}
 	// Distinct footprint in the cache scales as 1 + (n-1)(1-sharing);
 	// each thread's useful share is capacity divided by that pressure.
-	pressure := 1 + float64(nShare-1)*(1-sharing)
+	pressure := 1 + float64(float64(nShare-1)*(1-sharing))
 	return m.CapacityBytes / pressure
 }
 
@@ -74,9 +74,9 @@ func (m *SharingModel) MissRate(ws, share, cold, locExp float64) float64 {
 	default:
 		// Exceeds share: miss rate rises toward 1 with the locality
 		// exponent controlling steepness.
-		capMiss = 1 - math.Pow(1/ratio, locExp)*(1-0.02)
+		capMiss = 1 - float64(math.Pow(1/ratio, locExp)*(1-0.02))
 	}
-	miss := cold + (1-cold)*clamp01(capMiss)
+	miss := cold + float64((1-cold)*clamp01(capMiss))
 	return clamp01(miss)
 }
 

@@ -17,6 +17,7 @@ import (
 
 	"github.com/greenhpc/actor/internal/core"
 	"github.com/greenhpc/actor/internal/dvfs"
+	"github.com/greenhpc/actor/internal/machine"
 	"github.com/greenhpc/actor/internal/parallel"
 	"github.com/greenhpc/actor/internal/report"
 	"github.com/greenhpc/actor/internal/topology"
@@ -116,9 +117,12 @@ func (s *Suite) FutureScaling() (*FutureScalingResult, error) {
 	scales := make([]scale, len(res.Cores))
 	for si, cores := range res.Cores {
 		scales[si] = scale{
-			name:      fmt.Sprintf("future scaling at %d cores", cores),
-			topo:      func() (*topology.Topology, error) { return topology.Manycore(cores, 2), nil },
-			enumerate: topology.EnumeratePlacements,
+			name: fmt.Sprintf("future scaling at %d cores", cores),
+			topo: func() (*topology.Topology, error) { return topology.Manycore(cores, 2), nil },
+			prepare: func(m *machine.Machine) (*machine.Search, topology.Placement) {
+				pls := topology.EnumeratePlacements(m.Topo)
+				return machine.NewSearch(m, pls), pls[len(pls)-1]
+			},
 		}
 	}
 	gains, err := scalingGains(scales, s.Benches)
@@ -126,7 +130,7 @@ func (s *Suite) FutureScaling() (*FutureScalingResult, error) {
 		return nil, err
 	}
 	for si, cores := range res.Cores {
-		res.Placements[cores] = len(scales[si].placements)
+		res.Placements[cores] = scales[si].search.Len()
 		row := map[string]float64{}
 		for bi, b := range s.Benches {
 			row[b.Name] = gains[si][bi]

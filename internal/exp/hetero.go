@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 
+	"github.com/greenhpc/actor/internal/machine"
 	"github.com/greenhpc/actor/internal/report"
 	"github.com/greenhpc/actor/internal/topology"
 )
@@ -52,13 +53,17 @@ type HeteroScalingResult struct {
 
 // HeteroScaling evaluates the suite's benchmarks on the given scenarios
 // (DefaultHeteroScenarios when nil). Candidates are the balanced placement
-// space (topology.EnumerateBalancedFunc): per-family thread counts spread
+// space (topology.BalancedOccupancy): per-family thread counts spread
 // evenly across each family's L2 groups — the schedules a runtime would
 // actually choose, and the space that stays tractable at 128 cores where
 // the full occupancy-multiset enumeration has millions of members.
 //
-// The study runs on the shared scaling driver (scalingGains): one task per
-// (scenario, benchmark, phase), bit-identical at any GOMAXPROCS.
+// No placement list is built: each scenario's oracle search comes straight
+// from the occupancies (machine.NewBalancedSearch), and the only placement
+// listed core by core is the all-cores one (topology.BalancedAllCores),
+// which RunPhase times as the baseline. The study runs on the shared
+// scaling driver (scalingGains): one task per (scenario, benchmark, phase),
+// bit-identical at any GOMAXPROCS.
 func (s *Suite) HeteroScaling(scenarios []HeteroScenario) (*HeteroScalingResult, error) {
 	if scenarios == nil {
 		scenarios = DefaultHeteroScenarios()
@@ -66,9 +71,11 @@ func (s *Suite) HeteroScaling(scenarios []HeteroScenario) (*HeteroScalingResult,
 	scales := make([]scale, len(scenarios))
 	for si, sc := range scenarios {
 		scales[si] = scale{
-			name:      fmt.Sprintf("hetero scenario %q", sc.Name),
-			topo:      func() (*topology.Topology, error) { return topology.ParseDesc(sc.Desc) },
-			enumerate: topology.BalancedPlacements,
+			name: fmt.Sprintf("hetero scenario %q", sc.Name),
+			topo: func() (*topology.Topology, error) { return topology.ParseDesc(sc.Desc) },
+			prepare: func(m *machine.Machine) (*machine.Search, topology.Placement) {
+				return machine.NewBalancedSearch(m), topology.BalancedAllCores(m.Topo)
+			},
 		}
 	}
 	gains, err := scalingGains(scales, s.Benches)
@@ -83,7 +90,7 @@ func (s *Suite) HeteroScaling(scenarios []HeteroScenario) (*HeteroScalingResult,
 	}
 	for si, sc := range scenarios {
 		res.Cores[sc.Name] = scales[si].m.Topo.NumCores
-		res.Placements[sc.Name] = len(scales[si].placements)
+		res.Placements[sc.Name] = scales[si].search.Len()
 		row := map[string]float64{}
 		for bi, b := range s.Benches {
 			row[b.Name] = gains[si][bi]

@@ -17,20 +17,20 @@ import (
 )
 
 // scale is one synthetic machine of a scaling study. The study supplies
-// name, topo and enumerate; scalingGains builds the rest.
+// name, topo and prepare; scalingGains builds the rest.
 type scale struct {
 	// name labels the scale in errors.
 	name string
 	// topo builds the machine's topology.
 	topo func() (*topology.Topology, error)
-	// enumerate lists the candidate placements, the all-cores placement
-	// last: the "use the whole machine" default the gain is normalised
-	// against.
-	enumerate func(*topology.Topology) []topology.Placement
+	// prepare builds the oracle search over the machine's candidate
+	// placements and returns it with the all-cores placement: the "use the
+	// whole machine" default the gain is normalised against.
+	prepare func(*machine.Machine) (*machine.Search, topology.Placement)
 
-	m          *machine.Machine
-	placements []topology.Placement
-	search     *machine.Search
+	m      *machine.Machine
+	all    topology.Placement
+	search *machine.Search
 }
 
 func (sc *scale) build() error {
@@ -41,8 +41,7 @@ func (sc *scale) build() error {
 	if sc.m, err = machine.New(topo); err != nil {
 		return fmt.Errorf("%s: %w", sc.name, err)
 	}
-	sc.placements = sc.enumerate(topo)
-	sc.search = machine.NewSearch(sc.m, sc.placements)
+	sc.search, sc.all = sc.prepare(sc.m)
 	return nil
 }
 
@@ -54,9 +53,10 @@ type phaseTimes struct{ all, best float64 }
 // 1 − bestTime/allCoresTime with oracle per-phase placements.
 //
 // Both stages fan out through the parallel engine. Building a scale prepares
-// its oracle search (machine.NewSearch) once, and every task of the scale
-// shares it. The search stage runs one task per (scale, benchmark, phase),
-// the scale with the most placements first: tasks are claimed in order, so
+// its oracle search (scale.prepare) once, and every task of the scale shares
+// it. The search stage runs one task per (scale, benchmark, phase), the
+// scale with the most placements (Search.Len) first: tasks are claimed in
+// order, so
 // the work left when the queue runs dry is a single phase of the smallest
 // machine rather than a whole benchmark of the largest. A task takes the
 // all-cores time from RunPhase and the oracle's from Search.Best, which
@@ -85,7 +85,7 @@ func scalingGains(scales []scale, benches []*workload.Benchmark) ([][]float64, e
 		heaviestFirst[si] = si
 	}
 	sort.SliceStable(heaviestFirst, func(i, j int) bool {
-		return len(scales[heaviestFirst[i]].placements) > len(scales[heaviestFirst[j]].placements)
+		return scales[heaviestFirst[i]].search.Len() > scales[heaviestFirst[j]].search.Len()
 	})
 	type task struct {
 		sc    *scale
@@ -103,8 +103,7 @@ func scalingGains(scales []scale, benches []*workload.Benchmark) ([][]float64, e
 	}
 	parallel.ForEach(len(tasks), func(i int) {
 		t := &tasks[i]
-		pls := t.sc.placements
-		all := t.sc.m.RunPhase(t.phase, t.idio, pls[len(pls)-1]).TimeSec
+		all := t.sc.m.RunPhase(t.phase, t.idio, t.sc.all).TimeSec
 		best, _ := t.sc.search.Best(t.phase, t.idio)
 		*t.out = phaseTimes{all, best}
 	})

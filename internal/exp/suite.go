@@ -33,7 +33,7 @@ type Options struct {
 	// Topology, when non-nil, replaces the paper's quad-core Xeon with an
 	// arbitrary (possibly heterogeneous) machine; the configuration space
 	// becomes the topology's canonical placement enumeration (balanced
-	// spreads above 32 cores — see topology.EnumerateBalancedFunc) with
+	// spreads above 32 cores — see topology.BalancedPlacements) with
 	// the all-cores placement as the sampling configuration. Because the
 	// prediction pipeline trains one model per non-sampling configuration
 	// and labels IPC at every configuration, the suite thins large spaces

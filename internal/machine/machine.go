@@ -357,17 +357,17 @@ func (m *Machine) groupOf(c topology.CoreID) int {
 // bit-identical to the homogeneous model.
 func (m *Machine) threadCPI(p *workload.PhaseProfile, mpiL1, missL2, busFactor float64, groupLoad int, cls *topology.CoreClass) float64 {
 	coreCPI := cls.CPIMult / p.BaseIPC
-	branch := p.BranchRate * p.BranchMissRate * m.params.BranchMissPenaltyCycles
-	tlb := p.MemRefsPerInstr * p.TLBMissRate * m.params.TLBMissPenaltyCycles
+	branch := float64(p.BranchRate * p.BranchMissRate * m.params.BranchMissPenaltyCycles)
+	tlb := float64(p.MemRefsPerInstr * p.TLBMissRate * m.params.TLBMissPenaltyCycles)
 
 	mlpL2 := math.Max(1, 0.7*p.MLP) // L2 hits overlap slightly less than misses
 	l2Lat := m.params.L2LatencyCycles
 	if groupLoad > 1 {
-		l2Lat *= 1 + 0.35*float64(groupLoad-1)
+		l2Lat *= 1 + float64(0.35*float64(groupLoad-1))
 	}
 	l2Term := mpiL1 * (1 - missL2) * l2Lat / mlpL2
 
-	prefetchHide := 1 - 0.6*p.PrefetchFriendly
+	prefetchHide := 1 - float64(0.6*p.PrefetchFriendly)
 	// Memory service time is a wall-clock constant: its cost in core
 	// cycles scales with the clock (DVFS and, per class, FreqMult).
 	memLat := m.params.MemLatencyCycles * m.clockScale() * cls.FreqMult * busFactor * prefetchHide
@@ -436,7 +436,7 @@ func (m *Machine) eventCounts(c *pmu.Counts, p *workload.PhaseProfile, avgMiss, 
 	c[pmu.L1DMisses] = l1Miss
 	c[pmu.L2References] = l1Miss
 	c[pmu.L2Misses] = l2Miss
-	c[pmu.BusTransMem] = l2Miss * (1 + p.StoreBandwidthBoost*storeFrac)
+	c[pmu.BusTransMem] = l2Miss * (1 + float64(p.StoreBandwidthBoost*storeFrac))
 	c[pmu.BusDrdyClocks] = busUtil * wallCycles
 	c[pmu.LoadsRetired] = memRefs * p.LoadFraction
 	c[pmu.StoresRetired] = memRefs * storeFrac
@@ -492,7 +492,7 @@ func (m *Machine) MigrationPenalty(p *workload.PhaseProfile, from, to topology.P
 		}
 		ws := math.Min(p.WorkingSetBytes, float64(m.Topo.L2BytesPerGroup))
 		// Refill plus displaced-line writebacks and coherence traffic.
-		refillBytes += 1.8 * ws
+		refillBytes += float64(1.8 * ws)
 	}
 	if refillBytes == 0 {
 		return 0, 0

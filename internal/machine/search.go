@@ -14,8 +14,10 @@ import (
 // strict-< scan of RunPhaseSweepDeterministic's results would find them.
 // Everything about the placements that does not depend on the phase — each
 // placement's lane plan, thread count and first-core class, and the machine's
-// distinct (class, load) keys — is prepared once, by NewSearch, from the
-// Search's own copy: editing the placements afterwards does not change it.
+// distinct (class, load) keys — is prepared once, by NewSearch from a
+// placement list or by NewBalancedSearch from the topology's balanced
+// occupancies, into the Search's own arrays: editing the placements
+// afterwards does not change it.
 // Parameters are read from the machine at each Best call. A Search is
 // immutable, so any number of goroutines may call Best at once.
 type Search struct {
@@ -110,6 +112,108 @@ func NewSearch(m *Machine, placements []topology.Placement) *Search {
 	ctxPool.Put(ctx)
 	return s
 }
+
+// NewBalancedSearch prepares the oracle search of m over the balanced
+// placements of its topology: the Search NewSearch(m,
+// topology.BalancedPlacements(m.Topo)) returns, built from each placement's
+// per-group occupancy (topology.BalancedOccupancy) without listing its
+// cores. Consecutive groups whose cores share one class and that each hold
+// k threads add k per group to one (class, k) lane; only a group that mixes
+// classes has its occupied cores visited one by one.
+func NewBalancedSearch(m *Machine) *Search {
+	groups := m.Topo.L2Groups
+	// groupCls[g] is the class of every core of group g, or -1 when the
+	// group mixes classes; a group's load is at most its size.
+	groupCls := make([]int32, len(groups))
+	maxLoad := 0
+	for g, cores := range groups {
+		maxLoad = max(maxLoad, len(cores))
+		ci := int32(m.classIdxOf(cores[0]))
+		for _, c := range cores[1:] {
+			if int32(m.classIdxOf(c)) != ci {
+				ci = -1
+				break
+			}
+		}
+		groupCls[g] = ci
+	}
+	// A (class, load) pair is the dense index ci·stride + load: keyAt holds
+	// its index in keys plus one, laneAt its lane in the current plan plus
+	// one (cleared after each placement).
+	stride := maxLoad + 1
+	keyAt := make([]int32, len(m.classes)*stride)
+	laneAt := make([]int32, len(keyAt))
+
+	s := &Search{m: m, laneOff: []int32{0}}
+	var names []byte
+	var nameEnd []int
+	topology.BalancedOccupancy(m.Topo, func(name []byte, n int, occ []int) bool {
+		names = append(names, name...)
+		nameEnd = append(nameEnd, len(names))
+		s.threads = append(s.threads, int32(n))
+		s.maxThreads = max(s.maxThreads, n)
+
+		lo := len(s.lanes)
+		add := func(ci int32, load, cnt int) {
+			kv := int(ci)*stride + load
+			if laneAt[kv] == 0 {
+				s.lanes = append(s.lanes, planLane{load: int32(load), ci: ci})
+				laneAt[kv] = int32(len(s.lanes) - lo)
+			}
+			s.lanes[lo+int(laneAt[kv])-1].cnt += int32(cnt)
+		}
+		cls0 := int32(-1)
+		for g := 0; g < len(occ); {
+			k, ci := occ[g], groupCls[g]
+			if k == 0 {
+				g++
+				continue
+			}
+			if cls0 < 0 {
+				cls0 = int32(m.classIdxOf(groups[g][0]))
+			}
+			if ci < 0 {
+				for _, c := range groups[g][:k] {
+					add(int32(m.classIdxOf(c)), k, 1)
+				}
+				g++
+				continue
+			}
+			// A run of consecutive single-class groups holding the same
+			// load is one lane entry.
+			end := g + 1
+			for end < len(occ) && occ[end] == k && groupCls[end] == ci {
+				end++
+			}
+			add(ci, k, k*(end-g))
+			g = end
+		}
+		s.cls0 = append(s.cls0, cls0)
+		for _, ln := range s.lanes[lo:] {
+			kv := int(ln.ci)*stride + int(ln.load)
+			laneAt[kv] = 0
+			if keyAt[kv] == 0 {
+				s.keys = append(s.keys, planLane{load: ln.load, ci: ln.ci})
+				keyAt[kv] = int32(len(s.keys))
+			}
+			s.key = append(s.key, keyAt[kv]-1)
+			s.cnt = append(s.cnt, float64(ln.cnt))
+		}
+		s.laneOff = append(s.laneOff, int32(len(s.lanes)))
+		return true
+	})
+	all := string(names)
+	s.names = make([]string, len(nameEnd))
+	start := 0
+	for i, end := range nameEnd {
+		s.names[i] = all[start:end]
+		start = end
+	}
+	return s
+}
+
+// Len returns the number of placements the search ranges over.
+func (s *Search) Len() int { return len(s.names) }
 
 // Best returns the minimum TimeSec of phase p with idiosyncrasy idio over the
 // search's placements and the lowest index that attains it: the same bits and

@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -262,6 +263,45 @@ func TestSearchKeepsItsOwnPlacements(t *testing.T) {
 	}
 	if err := searchMatchesScan(s, &p, 0.1, dst); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBalancedSearchMatchesNewSearch: the search built from the balanced
+// occupancies is, field for field, the search NewSearch builds from the
+// listed balanced placements — on single-family machines, the hetero-study
+// descriptors, interleaved families and groups that mix classes.
+func TestBalancedSearchMatchesNewSearch(t *testing.T) {
+	topos := []*topology.Topology{topology.QuadCoreXeon(), topology.Manycore(8, 2), topology.Manycore(12, 4), {
+		Name:            "mixed-class groups",
+		NumCores:        8,
+		L2Groups:        [][]topology.CoreID{{0, 1, 2}, {3, 4, 5}, {6, 7}},
+		L2BytesPerGroup: 2 << 20,
+		L1BytesPerCore:  32 << 10,
+		FrequencyHz:     2.4e9,
+		BusBandwidth:    8.5e9,
+		Classes:         []topology.CoreClass{topology.DefaultClass(), topology.LittleClass()},
+		CoreClasses:     []int{0, 1, 1, 0, 1, 1, 1, 1},
+	}}
+	for _, desc := range []string{"16x4", "12x4+8x2:little", "16x4+16x2:little", "16x4+32x2:little",
+		"1x4+2x2:little+1x4", "2x2+1x4:little+3x1", "4x2:little+2x4"} {
+		topo, err := topology.ParseDesc(desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topos = append(topos, topo)
+	}
+	for _, topo := range topos {
+		m, err := New(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := NewBalancedSearch(m), NewSearch(m, topology.BalancedPlacements(topo))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: NewBalancedSearch differs from NewSearch over BalancedPlacements", topo.Name)
+		}
+		if got.Len() != len(want.names) {
+			t.Errorf("%s: Len = %d, want %d", topo.Name, got.Len(), len(want.names))
+		}
 	}
 }
 

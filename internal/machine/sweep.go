@@ -48,9 +48,20 @@ import (
 // build. What does not: PR ≤ 14 summed one term per thread, so its outputs
 // differ from these in the last ULPs (k equal addends versus one product);
 // TestLaneModelMatchesPerThreadReference bounds the difference at 1e-12
-// relative against a per-thread reference in that older order. The products
-// in the reductions are wrapped in float64(...) so no architecture fuses them
-// into the following add.
+// relative against a per-thread reference in that older order.
+//
+// Go may fuse a*b + c into one FMA instruction where the target has one
+// (go1.24 does on arm64, not on amd64), which rounds once where amd64
+// rounds twice. An explicit float64(...) conversion forces the
+// product's rounding, so every product that feeds an add or subtract in the
+// phase model — here, in machine.go and in internal/cache — is wrapped: the
+// reductions, the L2 port-contention factor, the damped bus update, the
+// store-traffic and prefetch terms, the cycle accounting. The one fusable
+// site left is expLower's polynomial, a pruning bound whose 1e-9 slack
+// absorbs either rounding and which moves only which placements are solved,
+// never Best's answer. `GOARCH=arm64 go build
+// -gcflags=github.com/greenhpc/actor/internal/machine=-S ./internal/machine`
+// lists every fused instruction (FMADDD, FMSUBD, FNMSUBD) with its line.
 //
 // Scratch state lives in a pooled phaseCtx and Result holds no pointer, so
 // steady-state evaluation allocates nothing.
@@ -296,7 +307,7 @@ func (m *Machine) appendLane(ctx *phaseCtx, p *workload.PhaseProfile, ln planLan
 	coreCPI := cls.CPIMult / p.BaseIPC
 	l2Lat := m.params.L2LatencyCycles
 	if load > 1 {
-		l2Lat *= 1 + 0.35*float64(load-1)
+		l2Lat *= 1 + float64(0.35*float64(load-1))
 	}
 	l2Term := lt.mpiL1 * (1 - missL2) * l2Lat / lt.mlpL2
 	ctx.lanes.append(
@@ -355,7 +366,7 @@ func (m *Machine) solveBlock(ctx *phaseCtx, p *workload.PhaseProfile) {
 				traffic += float64(ls.cnt[l] * ls.contrib[l])
 			}
 			newFactor := m.fsb.LatencyFactor(traffic)
-			updated := 0.5*ctx.bus[o] + 0.5*newFactor
+			updated := float64(0.5*ctx.bus[o]) + float64(0.5*newFactor)
 			ctx.traffic[o] = traffic
 			if updated == ctx.bus[o] {
 				// Exact fixed point: every further iteration recomputes
@@ -383,8 +394,8 @@ func (m *Machine) stepLanes(ls *laneState, p *workload.PhaseProfile) {
 	freq := m.Topo.FrequencyHz * m.clockScale()
 	lineBytes := 64.0
 	storeFrac := 1 - p.LoadFraction
-	trafficPerMiss := lineBytes * (1 + p.StoreBandwidthBoost*storeFrac)
-	prefetchHide := 1 - 0.6*p.PrefetchFriendly
+	trafficPerMiss := lineBytes * (1 + float64(p.StoreBandwidthBoost*storeFrac))
+	prefetchHide := 1 - float64(0.6*p.PrefetchFriendly)
 	advanceLanes(ls, prefetchHide, p.MLP, freq, trafficPerMiss)
 }
 
@@ -479,7 +490,7 @@ func (m *Machine) placementCycles(ctx *phaseCtx, p *workload.PhaseProfile, idio,
 	freq := m.Topo.FrequencyHz * m.clockScale()
 
 	// --- Work division ------------------------------------------------
-	parInstr := p.Instructions * p.ParallelFraction
+	parInstr := float64(p.Instructions * p.ParallelFraction)
 	serInstr := p.Instructions - parInstr
 	imb := imbalanceFactor(p.ChunkGranularity, n)
 	// Heaviest thread's share of the parallel instructions.
@@ -492,11 +503,11 @@ func (m *Machine) placementCycles(ctx *phaseCtx, p *workload.PhaseProfile, idio,
 	// a single-thread L2 share and that core's class.
 	serMiss := ctx.missFor(m, p, 1)
 	serCPI := m.threadCPI(p, mpiL1, serMiss, busFactor, 1, cls0) / cls0.FreqMult
-	serCycles := serInstr * serCPI
+	serCycles := float64(serInstr * serCPI)
 
 	// Critical-section serialisation and hidden idiosyncrasy both grow
 	// with thread count; neither is visible in the cache/bus counters.
-	critFactor := 1 + p.CriticalFraction*float64(n-1)
+	critFactor := 1 + float64(p.CriticalFraction*float64(n-1))
 	idioFactor := 1 + idio*float64(n-1)/3
 	if idioFactor < 0.5 {
 		idioFactor = 0.5
@@ -518,7 +529,7 @@ func (m *Machine) placementCycles(ctx *phaseCtx, p *workload.PhaseProfile, idio,
 		sumMiss += float64(cnt[l] * miss[l])
 	}
 	avgMissL2 = sumMiss / float64(n)
-	parCycles := parInstr * heavyShare * maxCPI * critFactor * idioFactor
+	parCycles := float64(parInstr * heavyShare * maxCPI * critFactor * idioFactor)
 
 	syncCycles := 0.0
 	if n > 1 {
@@ -537,7 +548,7 @@ func (m *Machine) placementCycles(ctx *phaseCtx, p *workload.PhaseProfile, idio,
 	// known, benign artifact of the analytic composition.
 	lineBytes := 64.0
 	storeFrac := 1 - p.LoadFraction
-	trafficPerMiss := lineBytes * (1 + p.StoreBandwidthBoost*storeFrac)
+	trafficPerMiss := lineBytes * (1 + float64(p.StoreBandwidthBoost*storeFrac))
 	totalBytes := p.Instructions * mpiL1 * avgMissL2 * trafficPerMiss
 	bwCycles := m.fsb.MinTransferTime(totalBytes) * freq
 

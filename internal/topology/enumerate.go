@@ -1,8 +1,6 @@
 package topology
 
 import (
-	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -156,8 +154,7 @@ func patternName(fp famPattern) string {
 }
 
 // patternCores materialises the core list of a pattern: each family's parts
-// claim the leading cores of its groups in ascending group order, and the
-// final list is emitted in global topology group order.
+// claim the leading cores of its groups in ascending group order.
 func patternCores(t *Topology, fams []groupFamily, fp famPattern) []CoreID {
 	occ := make([]int, len(t.L2Groups))
 	n := 0
@@ -167,11 +164,15 @@ func patternCores(t *Topology, fams []groupFamily, fp famPattern) []CoreID {
 			n += k
 		}
 	}
+	return occupancyCores(t, occ, n)
+}
+
+// occupancyCores lists the first occ[g] cores of every group g in global
+// topology group order: the n cores of a placement with that occupancy.
+func occupancyCores(t *Topology, occ []int, n int) []CoreID {
 	cores := make([]CoreID, 0, n)
 	for gi, g := range t.L2Groups {
-		for i := 0; i < occ[gi]; i++ {
-			cores = append(cores, g[i])
-		}
+		cores = append(cores, g[:occ[gi]]...)
 	}
 	return cores
 }
@@ -238,86 +239,112 @@ func BalancedPlacements(t *Topology) []Placement {
 // pick). The full multiset enumeration grows combinatorially on large
 // heterogeneous machines — a 128-core big/little part has millions of
 // distinct occupancy multisets — while the balanced space is
-// Π(familyCores+1), a few thousand at 128 cores, which keeps hetero-scaling
-// studies tractable without losing the placements that matter.
+// Π(familyCores+1) − 1, a few thousand at 128 cores, which keeps
+// hetero-scaling studies tractable without losing the placements that
+// matter.
 //
-// Order: ascending total thread count, then family-0-heavy first; the last
-// placement is always the all-cores configuration (the convention the exp
-// drivers normalise against). Names are "n" on single-family topologies and
-// "n:t0/t1/..." (per-family counts) otherwise.
+// It lists each BalancedOccupancy entry's cores: the first occ[g] cores of
+// every group g, in topology group order. Order and names are
+// BalancedOccupancy's; the last placement is always the all-cores
+// configuration (BalancedAllCores), the convention the exp drivers
+// normalise against. Enumeration stops early when yield returns false, and
+// each yielded Placement owns its Cores slice.
 func EnumerateBalancedFunc(t *Topology, yield func(Placement) bool) {
-	fams := t.groupFamilies()
-	type vec struct {
-		total  int
-		counts []int
-	}
-	var vecs []vec
-	cur := make([]int, len(fams))
-	var rec func(fi, total int)
-	rec = func(fi, total int) {
-		if fi == len(fams) {
-			if total > 0 {
-				vecs = append(vecs, vec{total, append([]int(nil), cur...)})
-			}
-			return
-		}
-		for take := 0; take <= fams[fi].capacity(); take++ {
-			cur[fi] = take
-			rec(fi+1, total+take)
-		}
-	}
-	rec(0, 0)
-	sort.SliceStable(vecs, func(i, j int) bool {
-		if vecs[i].total != vecs[j].total {
-			return vecs[i].total < vecs[j].total
-		}
-		for k := range vecs[i].counts {
-			if vecs[i].counts[k] != vecs[j].counts[k] {
-				return vecs[i].counts[k] > vecs[j].counts[k]
-			}
-		}
-		return false
+	BalancedOccupancy(t, func(name []byte, threads int, occ []int) bool {
+		return yield(Placement{Name: string(name), Cores: occupancyCores(t, occ, threads)})
 	})
-	for _, v := range vecs {
-		fp := make(famPattern, len(fams))
-		for fi, tcount := range v.counts {
-			fp[fi] = balancedPartition(tcount, &fams[fi])
+}
+
+// BalancedAllCores returns the last placement EnumerateBalancedFunc yields:
+// every core, in topology group order, under its balanced name.
+func BalancedAllCores(t *Topology) Placement {
+	fams := t.groupFamilies()
+	counts := make([]int, len(fams))
+	occ := make([]int, len(t.L2Groups))
+	n := 0
+	for fi := range fams {
+		counts[fi] = fams[fi].capacity()
+		fams[fi].respread(occ, 0, counts[fi])
+		n += counts[fi]
+	}
+	return Placement{Name: string(appendBalancedName(nil, n, counts)), Cores: occupancyCores(t, occ, n)}
+}
+
+// BalancedOccupancy streams the balanced placements of t without listing
+// their cores. Each entry is one per-family thread-count vector: its name,
+// its thread count and its per-L2-group occupancy, where occ[g] threads sit
+// on the first occ[g] cores of group g. Within a family, the first t mod g
+// groups (ascending topology group order) hold ⌊t/g⌋+1 threads and the rest
+// ⌊t/g⌋.
+//
+// Order: ascending thread count, then the count vectors in descending
+// lexicographic order (family-0-heavy first). It is generated directly: for
+// each total, family f takes from min(cap_f, rem) down to
+// max(0, rem − Σ_{f' > f} cap_f'). Names are "n" on single-family
+// topologies and "n:t0/t1/..." (per-family counts) otherwise.
+//
+// name and occ are rewritten for the next entry once yield returns, so
+// yield copies what it keeps. Enumeration stops when yield returns false.
+func BalancedOccupancy(t *Topology, yield func(name []byte, threads int, occ []int) bool) {
+	fams := t.groupFamilies()
+	suffixCap := make([]int, len(fams)+1)
+	for fi := len(fams) - 1; fi >= 0; fi-- {
+		suffixCap[fi] = suffixCap[fi+1] + fams[fi].capacity()
+	}
+	counts := make([]int, len(fams))
+	occ := make([]int, len(t.L2Groups))
+	var name []byte
+	total := 0
+	var rec func(fi, rem int) bool
+	rec = func(fi, rem int) bool {
+		if fi == len(fams) {
+			name = appendBalancedName(name[:0], total, counts)
+			return yield(name, total, occ)
 		}
-		name := strconv.Itoa(v.total)
-		if len(fams) > 1 {
-			parts := make([]string, len(fams))
-			for fi, tcount := range v.counts {
-				parts[fi] = strconv.Itoa(tcount)
+		f := &fams[fi]
+		for take := min(f.capacity(), rem); take >= max(0, rem-suffixCap[fi+1]); take-- {
+			f.respread(occ, counts[fi], take)
+			counts[fi] = take
+			if !rec(fi+1, rem-take) {
+				return false
 			}
-			name = name + ":" + strings.Join(parts, "/")
 		}
-		if !yield(Placement{Name: name, Cores: patternCores(t, fams, fp)}) {
+		return true
+	}
+	for total = 1; total <= suffixCap[0]; total++ {
+		if !rec(0, total) {
 			return
 		}
 	}
 }
 
-// balancedPartition spreads n threads over the family's groups as evenly as
-// possible, non-increasing (r groups of q+1 then the rest of q).
-func balancedPartition(n int, f *groupFamily) []int {
-	if n == 0 {
-		return nil
-	}
-	if n > f.capacity() {
-		panic(fmt.Sprintf("topology: %d threads exceed family capacity %d", n, f.capacity()))
-	}
+// respread moves the family's balanced occupancy in occ from n threads to
+// to. Thread k (0-based) sits on the family's group k mod g, which is
+// BalancedOccupancy's spread, so a move touches only the groups of the
+// threads it adds or drops.
+func (f *groupFamily) respread(occ []int, n, to int) {
 	g := len(f.groups)
-	q, r := n/g, n%g
-	var part []int
-	for i := 0; i < g; i++ {
-		k := q
-		if i < r {
-			k++
-		}
-		if k == 0 {
-			break
-		}
-		part = append(part, k)
+	for ; n < to; n++ {
+		occ[f.groups[n%g]]++
 	}
-	return part
+	for ; n > to; n-- {
+		occ[f.groups[(n-1)%g]]--
+	}
+}
+
+// appendBalancedName appends the balanced name of a count vector totalling
+// n: "n" for one family, "n:t0/t1/..." for several.
+func appendBalancedName(dst []byte, n int, counts []int) []byte {
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	if len(counts) < 2 {
+		return dst
+	}
+	for fi, c := range counts {
+		sep := byte('/')
+		if fi == 0 {
+			sep = ':'
+		}
+		dst = strconv.AppendInt(append(dst, sep), int64(c), 10)
+	}
+	return dst
 }
