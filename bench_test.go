@@ -431,15 +431,15 @@ func BenchmarkFleetGenJobs(b *testing.B) {
 }
 
 // BenchmarkFleetSchedule is the fleet headline: 10k jobs against a 1000
-// machine heterogeneous fleet on the shipped incremental scorer (interned
-// resident states, one probe bucket per state, verdict rows, interned
-// templates, decision memo). Every iteration asserts the schedule digest of
-// the first run, and internal/fleet's TestScorerBitIdentity holds that
-// digest to the O(M) reference's. states, templates and decision-entries
-// are why the incremental probe runs in order on one goroutine: with a few
-// hundred of each against some hundred thousand probes, nearly every probe
-// is a table hit and there is no work for a fan-out to overlap. A workload
-// that multiplies them is the one to re-measure that choice on.
+// machine heterogeneous fleet on the shipped incremental scorer (the solo
+// table, interned resident states with one probe bucket each, and one
+// verdict per job class and state). Every iteration asserts the schedule
+// digest of the first run, and internal/fleet's TestScorerBitIdentity holds
+// that digest to the O(M) reference's. states is why the incremental probe
+// runs in order on one goroutine: with under a hundred states against some
+// hundred thousand probes, nearly every probe is a table hit and there is
+// no work for a fan-out to overlap. A workload that multiplies them is the
+// one to re-measure that choice on.
 func BenchmarkFleetSchedule(b *testing.B) {
 	const spec = "400*4x2+2x2:little,600*2x2"
 	f, stream := fleetBench(b, spec, 10000, 60)
@@ -468,8 +468,6 @@ func BenchmarkFleetSchedule(b *testing.B) {
 		b.ReportMetric(res.ED2/bp.ED2, "ED2-vs-binpack")
 		b.ReportMetric(float64(res.Violations), "qos-violations")
 		b.ReportMetric(float64(res.States), "states")
-		b.ReportMetric(float64(res.Templates), "templates")
-		b.ReportMetric(float64(res.DecisionEntries), "decision-entries")
 	})
 }
 

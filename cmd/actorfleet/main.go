@@ -62,6 +62,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "actorfleet:", err)
 		return 1
 	}
+	// fleet.Options reads a zero bound as its default, so an explicit
+	// -qos 0 would schedule under 0.25 without a word.
+	if *qos == 0 {
+		return fail(fmt.Errorf("QoS bound %g is not positive", *qos))
+	}
 
 	f, err := fleet.ParseFleet(*spec, nil)
 	if err != nil {

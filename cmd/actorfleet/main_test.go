@@ -32,6 +32,13 @@ func TestRunExitCodesAndOutput(t *testing.T) {
 			stderrHave: []string{`unknown scorer "naive"`, "incremental, binpack"},
 		},
 		{
+			// fleet.Options reads a zero bound as its 0.25 default.
+			name:       "zero QoS bound is refused, naming the bound",
+			args:       slices.Concat(smoke, []string{"-digest", "-qos", "0"}),
+			code:       1,
+			stderrHave: []string{"QoS bound 0 is not positive"},
+		},
+		{
 			name:       "bad fleet spec",
 			args:       []string{"-fleet", "12*nope", "-digest"},
 			code:       1,

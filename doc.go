@@ -58,8 +58,8 @@
 // machines ("count*descriptor" terms, e.g. "400*4x2+2x2:little,600*2x2"),
 // and the interference-aware scheduler places each under a QoS degradation
 // bound, reporting fleet ED² and utilization against naive bin-packing.
-// The shipped incremental scorer (bucketed probe order, templates interned
-// when a machine changes, decisions memoised per template) is
+// The shipped incremental scorer (bucketed probe order, resident states
+// interned when a machine changes, one verdict per job class and state) is
 // digest-identical to the O(M) reference its tests keep, actorfleet
 // -scorer picks it or the bin-packing baseline, schedules are
 // byte-identical across runs and GOMAXPROCS settings, and actorfleet

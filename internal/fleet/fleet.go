@@ -26,35 +26,46 @@
 //     machine model's batched sweep on canonical placements.
 //
 // Two scorers implement the policy. The naive reference re-scores every
-// machine on every arrival — O(M) template builds and candidate solves.
-// The incremental scorer interns each machine's resident state: its class
-// plus the ordered list of its residents' (job class, real distribution),
-// where a job class is a (signature, thread budget) pair numbered once per
-// stream. Every aggregate, the canonical template, the congestion key K and
-// the residents' interference factors are pure functions of the state, so
-// machines in one state share one read-only record, computed once. A
-// transition table maps an event on a state — a placement, keyed (state,
-// insert position, job class, distribution), or a completion, keyed (state,
-// removed position) — to the next state, so an event is a table read, and
-// only a state's first appearance runs the recompute, re-sorts the
-// canonical template and interns it into a small template id.
+// machine on every arrival — O(M) candidate evaluations. The incremental
+// scorer keeps each fact of a decision in one of three tables of its run
+// (sched.go), held once and never invalidated:
+//
+//   - the solo table: the solo metrics per (machine class, signature,
+//     shape), one machine-model solve each (keys.go);
+//   - the resident-state table: a state is a machine's class plus the
+//     ordered list of its residents' (job class, real distribution), where
+//     a job class is a (signature, thread budget) pair numbered once per
+//     stream. Every aggregate, the canonical template, the congestion key K
+//     and the residents' interference factors are pure functions of the
+//     state, so machines in one state share one read-only record. An event
+//     builds the state's key from the resident list and reads the table;
+//     only a state's first appearance runs the recompute;
+//   - the verdict rows: admission of a job class to a state — the shape
+//     decision on the state's canonical template, then the resident-impact
+//     check — computed once per (job class, state). A job class also holds
+//     its fleet-wide solo best.
 //
 // The probe index (probe.go) files machines in one bitset bucket per live
 // state, sorted by (K, state id); an event moves only the touched machine,
-// one bit cleared and one set. Admission of a job class to a state — the
-// template-level shape decision, memoised in an internal/memo table under
-// (template id, signature, budget) (see keys.go), then the resident-impact
-// check — is a verdict computed once per (job class, state). An arrival
-// steps through the groups of buckets of equal K in ascending K, asks for
-// one verdict per bucket, and takes the lowest member of the group's
-// feasible buckets, on the calling goroutine: it costs the buckets it
-// passes, not the machines. The binpack baseline is the exception: its
-// states almost never repeat, so each machine keeps a record of its own,
-// recomputed in place. The naive and incremental paths evaluate
-// candidates through the same pure functions over the same template
-// values, so their schedules are byte-identical — the same scalar/SIMD
-// pattern the kernel engine uses; the tests plug the naive reference in
-// through an unexported Options seam.
+// one bit cleared and one set. An arrival steps through the groups of
+// buckets of equal K in ascending K, asks for one verdict per bucket, and
+// takes the lowest member of the group's feasible buckets: it costs the
+// buckets it passes, not the machines. A run is one goroutine and shares
+// nothing, so the package takes no lock. The binpack baseline is the
+// exception to the state table: its states almost never repeat, so each
+// machine keeps a record of its own, recomputed in place. The naive and
+// incremental paths evaluate candidates through the same pure functions
+// over the same template values, so their schedules are byte-identical —
+// the same scalar/SIMD pattern the kernel engine uses; the tests plug the
+// naive reference in through an unexported Options seam.
+//
+// Every product that feeds an add or subtract is wrapped in an explicit
+// float64(...) conversion, which forces its rounding: Go may fuse a*b + c
+// into one FMA where the target has one (go1.24 does on arm64, not on
+// amd64), and an arm64 schedule would then drift from the amd64 one in the
+// last bits. `GOARCH=arm64 go build
+// -gcflags=github.com/greenhpc/actor/internal/fleet=-S ./internal/fleet`
+// lists no fused instruction (FMADDD, FMSUBD, FNMADDD, FNMSUBD).
 package fleet
 
 import (
@@ -126,8 +137,8 @@ type Class struct {
 	// Topo is the parsed topology.
 	Topo *topology.Topology
 	// Model is the ground-truth machine model. It carries no phase memo:
-	// the scorer's solo table already solves each (class, signature, shape)
-	// once per scheduling run.
+	// a run's solo table already solves each (class, signature, shape)
+	// once.
 	Model *machine.Machine
 
 	kinds      []groupKind // distinct group kinds, canonical order
@@ -308,10 +319,8 @@ type resState struct {
 	factors []float64
 
 	// views holds the canonical template — the class's groups in
-	// canonGroups order — so a probe reads it instead of re-sorting. tmpl
-	// is the id scorer.intern gave (class, busSum, maxSens, views).
+	// canonGroups order — so a verdict reads it instead of re-sorting.
 	views [maxGroups]groupView
-	tmpl  int32
 }
 
 // canon returns the canonical template of st on a class-c machine.
@@ -324,7 +333,7 @@ func wsContribution(wsJ, shareJ float64, k int) float64 {
 	if k <= 0 {
 		return 0
 	}
-	return wsJ * (1 + float64(k-1)*(1-shareJ))
+	return float64(wsJ * (1 + float64(float64(k-1)*(1-shareJ))))
 }
 
 // recompute rebuilds every aggregate of st from the resident list of a
@@ -344,7 +353,7 @@ func (st *resState) recompute(c *Class, residents []*placedJob) {
 		if r.sensJ > st.maxSens {
 			st.maxSens = r.sensJ
 		}
-		st.power += float64(r.threads) * (staticCoreW + dynCoreW*(1-r.sensJ))
+		st.power += float64(float64(r.threads) * (staticCoreW + float64(dynCoreW*(1-r.sensJ))))
 		for g := 0; g < ng; g++ {
 			if k := int(r.dist[g]); k > 0 {
 				st.occ[g] += int16(k)
@@ -367,9 +376,9 @@ func (st *resState) recompute(c *Class, residents []*placedJob) {
 	// mean cache pressure, then plain occupancy. Any monotone combination
 	// works — the policy only needs K to be a pure function of the
 	// machine's residual state so both scorers order machines identically.
-	// It is not one of the template id: press sums in real group order,
-	// which the canonical template forgets.
-	st.congestion = st.busSum + 0.5*press/float64(ng) + 0.5*used
+	// It is not a function of the canonical template: press sums in real
+	// group order, which the template forgets.
+	st.congestion = st.busSum + 0.5*press/float64(ng) + float64(0.5*used)
 	st.factors = st.factors[:0]
 	for _, r := range residents {
 		st.factors = append(st.factors, residentFactor(c, st, r))
@@ -393,8 +402,8 @@ type groupView struct {
 // kind, then most-free first, then lightest pressure, with the real index
 // as the final tie-break. Machines whose residual states are equal
 // group-for-group produce element-wise identical views (the real index
-// never feeds scoring), which is what makes the score memo shareable
-// across machines. The order is total, so the insertion sort over at most
+// never feeds scoring), so they get one shape decision whichever real
+// groups hold their residents. The order is total, so the insertion sort over at most
 // maxGroups views gives the one answer any sort would.
 func canonGroups(c *Class, st *resState, dst []groupView) []groupView {
 	ng := len(c.groupSize)

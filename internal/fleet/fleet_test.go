@@ -157,19 +157,20 @@ func TestScheduleRefusesNonFiniteQoS(t *testing.T) {
 }
 
 // TestGOMAXPROCSDeterminism: the schedule does not depend on GOMAXPROCS.
-// The incremental scorer runs on the calling goroutine, so what this guards
-// is the naive reference's fan-out merge and stream generation.
+// Both scorers run a pass on the calling goroutine, so what this guards is
+// stream generation and the absence of concurrency in a run: a fan-out
+// added to either one must keep its merge order.
 func TestGOMAXPROCSDeterminism(t *testing.T) {
 	f, jobs := testStream(t, 120)
-	par := mustSchedule(t, f, jobs, naive(Options{}))
+	ref := mustSchedule(t, f, jobs, naive(Options{}))
 	prev := runtime.GOMAXPROCS(1)
-	_, seqJobs := testStream(t, 120)
-	seq := mustSchedule(t, f, seqJobs, naive(Options{}))
-	inc := mustSchedule(t, f, seqJobs, Options{})
+	_, oneJobs := testStream(t, 120)
+	one := mustSchedule(t, f, oneJobs, naive(Options{}))
+	inc := mustSchedule(t, f, oneJobs, Options{})
 	runtime.GOMAXPROCS(prev)
-	if par.Digest() != seq.Digest() || par.Digest() != inc.Digest() {
-		t.Fatalf("schedule depends on GOMAXPROCS: %x (parallel) vs %x (sequential naive) vs %x (sequential incremental)",
-			par.Digest(), seq.Digest(), inc.Digest())
+	if ref.Digest() != one.Digest() || ref.Digest() != inc.Digest() {
+		t.Fatalf("schedule depends on GOMAXPROCS: %x (naive, GOMAXPROCS=%d) vs %x (naive, GOMAXPROCS=1) vs %x (incremental, GOMAXPROCS=1)",
+			ref.Digest(), prev, one.Digest(), inc.Digest())
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 // Job is one arriving unit of work: an application drawn from the
 // benchmark suite (its per-phase PMU signatures are the job's identity for
-// the score memo), a heavy-tailed size in outer iterations, and a moldable
+// the solo table), a heavy-tailed size in outer iterations, and a moldable
 // thread budget — the scheduler picks the actual thread count and
 // placement, exactly as the single-node runtime picks among the paper
 // configurations.
@@ -65,6 +65,14 @@ const paretoAlpha = 1.5
 // pathological draw cannot dominate a whole study.
 const sizeCapMult = 50.0
 
+// splitmix64 is the 64-bit finaliser behind every draw of a job stream.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // jobDraws is the private random stream of one job: splitmix64 over a
 // counter that starts at a hash of (seed, job index). Job i draws the same
 // numbers whatever the stream's length and whichever jobs were generated
@@ -82,7 +90,7 @@ func (d *jobDraws) next() uint64 {
 }
 
 // unit draws uniformly from [0, 1).
-func (d *jobDraws) unit() float64 { return float64(d.next()>>11) / (1 << 53) }
+func (d *jobDraws) unit() float64 { return float64(float64(d.next()>>11) / (1 << 53)) }
 
 // intn draws uniformly from [0, n).
 func (d *jobDraws) intn(n int) int {
@@ -97,8 +105,8 @@ func footprint(phases []workload.PhaseProfile) (wsJ, shareJ float64) {
 	for pi := range phases {
 		p := &phases[pi]
 		work += p.Instructions
-		ws += p.Instructions * p.WorkingSetBytes
-		share += p.Instructions * p.SharingFactor
+		ws += float64(p.Instructions * p.WorkingSetBytes)
+		share += float64(p.Instructions * p.SharingFactor)
 	}
 	return ws / work, share / work
 }

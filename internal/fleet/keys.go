@@ -2,16 +2,13 @@ package fleet
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"strconv"
 )
 
-// The scorer's memo keys: fixed-size comparable structs stored in
-// internal/memo tables. Floats enter as exact bit patterns — a memo may
-// only serve a cached value to a caller whose inputs would reproduce it bit
-// for bit. Every key hashes only the fields it uses, so unused tail
-// entries of the fixed arrays must be zero for == to agree with the hash.
+// The keys of a run's solo table and job classes: comparable structs used
+// as plain map keys. Unused tail entries of a shape key's fixed array stay
+// zero, so == compares only the loads the shape has.
 
 // kindLoad is one occupied group of a shape: the group's kind and the
 // threads it hosts.
@@ -65,90 +62,9 @@ type soloKey struct {
 	shape shapeKey
 }
 
-// bestKey keys a signature's fleet-wide solo-best unit time at a budget.
+// bestKey is a job class: a signature and a budget, which fix the job's
+// fleet-wide solo-best unit time.
 type bestKey struct {
 	sig  string
 	maxT int
-}
-
-// groupKey is the scoring-relevant residual state of one canonical group.
-type groupKey struct {
-	kind, free, occ int16
-	ws, sensMax     uint64
-}
-
-// templateKey is a machine's canonical residual template — everything about
-// the machine a shape decision reads. scorer.intern maps it to a small
-// integer id once per new resident state, so the decision key carries the
-// id instead of these 432 bytes. A class fixes how many groups are in use;
-// the rest stay zero.
-type templateKey struct {
-	class           int
-	busSum, maxSens uint64
-	groups          [maxGroups]groupKey
-}
-
-// makeTemplateKey builds the key of the canonical template (views, busSum,
-// maxSens) of a class-ci machine, and its hash.
-func makeTemplateKey(ci int, views []groupView, busSum, maxSens float64) (templateKey, uint64) {
-	k := templateKey{class: ci, busSum: math.Float64bits(busSum), maxSens: math.Float64bits(maxSens)}
-	h := mix(mix(mix(hashInit, uint64(ci)), k.busSum), k.maxSens)
-	for i := range views {
-		g := &views[i]
-		gk := groupKey{int16(g.kind), int16(g.free), int16(g.occ), math.Float64bits(g.ws), math.Float64bits(g.sensMax)}
-		k.groups[i] = gk
-		h = mix(h, uint64(gk.kind)<<32|uint64(gk.free)<<16|uint64(gk.occ))
-		h = mix(mix(h, gk.ws), gk.sensMax)
-	}
-	return k, splitmix64(h)
-}
-
-// decisionKey keys a shape decision: the interned template of the machine
-// and the job's signature and budget.
-type decisionKey struct {
-	tmpl int32
-	maxT int
-	sig  string
-}
-
-func (k *decisionKey) hash() uint64 {
-	return splitmix64(mix(mixString(mix(hashInit, uint64(k.tmpl)), k.sig), uint64(k.maxT)))
-}
-
-func (k *soloKey) hash() uint64 {
-	h := mixString(mix(hashInit, uint64(k.class)), k.sig)
-	for _, l := range k.shape.kl[:k.shape.n] {
-		h = mix(h, uint64(l.kind)<<8|uint64(l.load))
-	}
-	return splitmix64(h)
-}
-
-func (k *bestKey) hash() uint64 {
-	return splitmix64(mix(mixString(hashInit, k.sig), uint64(k.maxT)))
-}
-
-const hashInit = 0x9e3779b97f4a7c15
-
-// splitmix64 is the 64-bit finaliser every deterministic hash and draw of
-// the package mixes through.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// mix folds one word into a running hash, carrying the product's high half
-// back down so float bit patterns (which differ mostly in their top bits)
-// spread into the low bits that select a memo shard and probe start.
-func mix(h, v uint64) uint64 {
-	h = (h ^ v) * 0x9e3779b97f4a7c15
-	return h ^ h>>32
-}
-
-func mixString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = mix(h, uint64(s[i]))
-	}
-	return mix(h, uint64(len(s)))
 }

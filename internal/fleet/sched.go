@@ -78,14 +78,10 @@ type Result struct {
 	// ScoredMachines counts machines scored — the work the perf story is
 	// about: naive pays jobs×machines, incremental a few per arrival.
 	ScoredMachines int64
-	// States, Templates and DecisionEntries are the sizes the resident
-	// state, template and decision tables ended the run at: how few
-	// distinct resident lists and canonical templates the fleet passed
-	// through, and how many decisions were ever computed for them. A
-	// binpack run fills none of them.
-	States          int
-	Templates       int
-	DecisionEntries int
+	// States is the size the resident-state table ended the run at: how
+	// few distinct resident lists the fleet passed through. A binpack run
+	// keeps no table.
+	States int
 }
 
 // Digest is an FNV-1a fingerprint of the schedule rows in job-ID order
@@ -188,21 +184,27 @@ func (h *compHeap) pop() compEvent {
 	return top
 }
 
-// run is the mutable state of one scheduling pass.
+// run is one scheduling pass: the machines' states, the event loop's
+// queues and the three tables every admission decision reads — the solo
+// table, the resident-state table and the job classes' verdict rows. Each
+// fact is held once; a pass runs on the calling goroutine.
 type run struct {
 	f      *Fleet
-	s      *scorer
 	opt    Options
 	states []machState
 	probe  *probeIndex // incremental scorer only
 
+	// solo holds the solo metrics per (class, signature, shape); shapes is
+	// the candidate buffer soloBest and chooseShape enumerate into.
+	solo   map[soloKey]soloMetrics
+	shapes []shape
+
 	// The resident-state table (incremental scorer only): table[id] is the
-	// shared record of state id, byList interns records by (class, ordered
-	// list of residents' (job class, real dist)), and next maps an event
-	// on a state to the state it leads to. key is byList's scratch key.
+	// shared record of state id, and byList interns records by (class,
+	// ordered list of residents' (job class, real dist)). key is byList's
+	// scratch key.
 	table  []*resState
 	byList map[string]int32
-	next   map[transition]int32
 	key    []byte
 
 	// classOf holds every job's class, (signature, budget), numbered in
@@ -242,29 +244,20 @@ type jobClass struct {
 	row      []int32
 }
 
-// transition is an event on resident state from: the placement of a job of
-// class jc with real distribution dist at position pos of the resident
-// list, or, with jc = -1, the completion of the resident at position pos.
-type transition struct {
-	from, jc, pos int32
-	dist          distVec
-}
-
 // Schedule places the job stream on the fleet and simulates it to
 // completion. Jobs and fleet are read-only; one Fleet serves concurrent
 // Schedule calls.
 func Schedule(f *Fleet, jobs []Job, opt Options) (*Result, error) {
-	r, err := newScorer(f).schedule(jobs, opt)
+	r, err := schedule(f, jobs, opt)
 	if err != nil {
 		return nil, err
 	}
 	return r.res, nil
 }
 
-// schedule is Schedule on a caller-held scorer, returning the finished run,
-// so a test can read the tables the run and the scorer filled.
-func (s *scorer) schedule(jobs []Job, opt Options) (*run, error) {
-	f := s.f
+// schedule is Schedule returning the finished run, so a test can read the
+// tables it filled.
+func schedule(f *Fleet, jobs []Job, opt Options) (*run, error) {
 	ropt, err := opt.resolve()
 	if err != nil {
 		return nil, err
@@ -272,7 +265,7 @@ func (s *scorer) schedule(jobs []Job, opt Options) (*run, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("fleet: empty job stream")
 	}
-	r, err := s.newRun(jobs, ropt)
+	r, err := newRun(f, jobs, ropt)
 	if err != nil {
 		return nil, err
 	}
@@ -341,9 +334,6 @@ func (s *scorer) schedule(jobs []Job, opt Options) (*run, error) {
 	res.MeanWait = sumWait / float64(len(jobs))
 	res.ScoredMachines = r.scored
 	res.States = len(r.table)
-	res.Templates = int(s.templates.Load())
-	_, _, decisions := s.decision.Stats()
-	res.DecisionEntries = int(decisions)
 	return r, nil
 }
 
@@ -351,13 +341,13 @@ func (s *scorer) schedule(jobs []Job, opt Options) (*run, error) {
 // scheduling pass. Checking the stream also numbers its job classes. An
 // incremental run interns each class's idle state and files every machine
 // in the probe index; a binpack run gives each machine a record of its own.
-func (s *scorer) newRun(jobs []Job, opt Options) (*run, error) {
-	f := s.f
+func newRun(f *Fleet, jobs []Job, opt Options) (*run, error) {
 	r := &run{
 		f:       f,
-		s:       s,
 		opt:     opt,
 		states:  make([]machState, f.Machines()),
+		solo:    map[soloKey]soloMetrics{},
+		shapes:  make([]shape, 0, 2*maxGroups),
 		byID:    make([]*placedJob, len(jobs)),
 		classOf: make([]int32, len(jobs)),
 		res:     &Result{Scorer: opt.Scorer, QoS: opt.QoS, Placed: make([]Placed, len(jobs))},
@@ -394,7 +384,7 @@ func (s *scorer) newRun(jobs []Job, opt Options) (*run, error) {
 		}
 		return r, nil
 	}
-	r.byList, r.next = map[string]int32{}, map[transition]int32{}
+	r.byList = map[string]int32{}
 	r.probe = newProbeIndex(f.Machines())
 	for i := range r.states {
 		m := &r.states[i]
@@ -406,15 +396,16 @@ func (s *scorer) newRun(jobs []Job, opt Options) (*run, error) {
 	return r, nil
 }
 
-// intern returns the shared record of m's resident state, recomputing it
-// only when the state is new. A state is the machine's class plus the
-// ordered list of its residents' (job class, real distribution): that is
-// all recompute reads, given the SigKey contract — jobs of one signature
-// have one footprint (wsJ, shareJ) and one solo solve (busJ, sensJ, unitSec)
-// per (machine class, signature, shape), and one solo best per (signature,
-// budget) — and the shape is a function of the class and the real
-// distribution. Interning by the list, not by the path, gives a state
-// reached two ways one id, one probe bucket and one verdict per job class.
+// intern returns the shared record of m's resident state — a key build over
+// the residents and one map read — recomputing it only when the state is
+// new. A state is the machine's class plus the ordered list of its
+// residents' (job class, real distribution): that is all recompute reads,
+// given the SigKey contract — jobs of one signature have one footprint
+// (wsJ, shareJ) and one solo solve (busJ, sensJ, unitSec) per (machine
+// class, signature, shape), and one solo best per (signature, budget) — and
+// the shape is a function of the class and the real distribution. Interning
+// by the list, not by the path, gives a state reached two ways one id, one
+// probe bucket and one verdict per job class.
 func (r *run) intern(m *machState) *resState {
 	c := r.f.Classes[m.class]
 	k := binary.LittleEndian.AppendUint32(r.key[:0], uint32(m.class))
@@ -430,20 +421,8 @@ func (r *run) intern(m *machState) *resState {
 	}
 	st := &resState{id: int32(len(r.table))}
 	st.recompute(c, m.residents)
-	st.tmpl = r.s.intern(m.class, st)
 	r.table = append(r.table, st)
 	r.byList[string(k)] = st.id
-	return st
-}
-
-// step returns the state m is in after event e, which has just changed its
-// resident list: a table read, or on the event's first occurrence, intern.
-func (r *run) step(m *machState, e transition) *resState {
-	if id, ok := r.next[e]; ok {
-		return r.table[id]
-	}
-	st := r.intern(m)
-	r.next[e] = st.id
 	return st
 }
 
@@ -451,16 +430,17 @@ func (r *run) step(m *machState, e transition) *resState {
 func (r *run) class(j *Job) *jobClass {
 	jc := &r.classes[r.classOf[j.ID]]
 	if jc.soloBest == 0 {
-		jc.soloBest = r.s.soloBest(j)
+		jc.soloBest = r.soloBest(j)
 	}
 	return jc
 }
 
 // verdict is the admission of job j to a machine in m's resident state:
-// admit of the template's decision — the candidate mapped onto real groups —
-// or an infeasible candidate. Every input of the pair is a function of the
-// state and j's class, so it is computed once per (job class, state), on
-// first use, and read back for every machine in the state.
+// admit of chooseShape's decision on the state's template — the candidate
+// mapped onto real groups — or an infeasible candidate. Every input of the
+// pair is a function of the state and j's class, so it is computed once per
+// (job class, state), on first use, and read back for every machine in the
+// state.
 func (r *run) verdict(j *Job, m *machState) candidate {
 	jc := r.class(j)
 	if int(m.id) >= len(jc.row) {
@@ -468,8 +448,8 @@ func (r *run) verdict(j *Job, m *machState) candidate {
 	}
 	v := jc.row[m.id]
 	if v == 0 {
-		dec := r.s.decide(m, j, jc.soloBest, r.opt.QoS)
-		r.verdicts = append(r.verdicts, r.s.admit(m, j, dec, r.opt.QoS))
+		dec := r.chooseShape(m, j, jc.soloBest)
+		r.verdicts = append(r.verdicts, r.admit(m, j, &dec))
 		v = int32(len(r.verdicts))
 		jc.row[m.id] = v
 	}
@@ -494,8 +474,8 @@ func (r *run) peek() (float64, bool) {
 func (r *run) accrue(t float64) {
 	dt := t - r.lastT
 	if dt > 0 {
-		r.energy += r.totalPower * dt
-		r.busySec += float64(r.totalOcc) * dt
+		r.energy += float64(r.totalPower * dt)
+		r.busySec += float64(float64(r.totalOcc) * dt)
 	}
 	if t > r.lastT {
 		r.lastT = t
@@ -598,7 +578,7 @@ func (r *run) selectBinpack(j *Job) (int, candidate, bool) {
 				break
 			}
 		}
-		sm := r.s.soloFor(m.class, j, makeShapeKey(views, dist))
+		sm := r.soloFor(m.class, j, makeShapeKey(views, dist))
 		cand := candidate{feasible: true, threads: t,
 			unitSec: sm.unitSec, busJ: sm.busJ, sensJ: sm.sensJ}
 		for i := range views {
@@ -624,26 +604,25 @@ func (r *run) advance(mi int, t float64) {
 	}
 }
 
-// refresh moves machine mi to the resident state event e leads to, after
-// its resident list changed — the shared record of the state in an
-// incremental run, its own record recomputed in a binpack run — and
-// re-derives every resident's completion event from the state's factors.
-// Power, occupancy and (for the incremental scorer) the probe index follow
-// the state.
-func (r *run) refresh(mi int, e transition, t float64) {
+// refresh moves machine mi to the resident state its changed resident list
+// is in — the interned record of the state in an incremental run, its own
+// record recomputed in a binpack run — and re-derives every resident's
+// completion event from the state's factors. Power, occupancy and (for the
+// incremental scorer) the probe index follow the state.
+func (r *run) refresh(mi int, t float64) {
 	m := &r.states[mi]
 	oldPower, oldFree := m.power, m.freeTotal
 	if r.probe == nil {
 		m.recompute(r.f.Classes[m.class], m.residents)
 	} else {
-		m.resState = r.step(m, e)
+		m.resState = r.intern(m)
 		r.probe.move(mi, m.congestion, m.id)
 	}
 	r.totalPower += m.power - oldPower
 	r.totalOcc += oldFree - m.freeTotal
 	for i, pj := range m.residents {
 		pj.seq++
-		r.heap.push(compEvent{t: t + pj.remWork*m.factors[i], id: pj.id, seq: pj.seq})
+		r.heap.push(compEvent{t: t + float64(pj.remWork*m.factors[i]), id: pj.id, seq: pj.seq})
 	}
 }
 
@@ -673,7 +652,7 @@ func (r *run) place(j *Job, mi int, cand candidate, t float64) {
 	m.residents[pos] = pj
 	r.byID[pj.id] = pj
 	r.live++
-	r.refresh(mi, transition{from: m.id, jc: r.classOf[j.ID], pos: int32(pos), dist: cand.dist}, t)
+	r.refresh(mi, t)
 }
 
 // complete retires job id at time t and records its schedule row.
@@ -693,5 +672,5 @@ func (r *run) complete(jobs []Job, id int, t float64) {
 		Slowdown: (t - pj.start) / solo,
 	}
 	r.spare = append(r.spare, pj)
-	r.refresh(mi, transition{from: m.id, jc: -1, pos: int32(pos)}, t)
+	r.refresh(mi, t)
 }

@@ -2,11 +2,8 @@ package fleet
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"github.com/greenhpc/actor/internal/machine"
-	"github.com/greenhpc/actor/internal/memo"
 	"github.com/greenhpc/actor/internal/topology"
 )
 
@@ -24,7 +21,7 @@ func composeFactor(sens, extPress, busTotal float64) float64 {
 	if over < 0 {
 		over = 0
 	}
-	f := (1 + kCache*sens*extPress) * (1 + kBus*sens*over)
+	f := (1 + float64(kCache*sens*extPress)) * (1 + float64(kBus*sens*over))
 	if f > maxFactor {
 		f = maxFactor
 	}
@@ -108,7 +105,7 @@ type soloMetrics struct {
 // empty machine of class c: the first real groups of each kind host the
 // sorted loads. The placement is named after the shape so the machine
 // model's deterministic response perturbation is keyed consistently for
-// both scorers.
+// the scheduler and the validator.
 func (c *Class) placementFor(sk shapeKey) topology.Placement {
 	pl := topology.Placement{Name: "fleet:" + sk.String()}
 	var nextGroup [maxGroups]int
@@ -120,60 +117,14 @@ func (c *Class) placementFor(sk shapeKey) topology.Placement {
 	return pl
 }
 
-// scorer holds the scoring memos shared by a scheduling run (and safely by
-// the tests' O(M) reference, which scores machines concurrently), all
-// internal/memo tables over the typed keys of keys.go.
-type scorer struct {
-	f *Fleet
-	// solo memoises the solo metrics per (class, signature, shape).
-	solo memo.Table[soloKey, soloMetrics]
-	// best memoises soloBest per (signature, budget).
-	best memo.Table[bestKey, float64]
-	// template interns canonical residual templates into ids, dense from 0
-	// in first-seen order; templates counts the ids handed out.
-	template  memo.Table[templateKey, int32]
-	templates atomic.Int32
-	// decision memoises chooseShape per (template id, signature, budget).
-	// Only the incremental scorer consults it, when it computes a verdict
-	// (run.verdict); the O(M) reference recomputes.
-	decision memo.Table[decisionKey, candidate]
-
-	pool sync.Pool // *scratch
-}
-
-type scratch struct {
-	shapes []shape
-}
-
-func newScorer(f *Fleet) *scorer {
-	s := &scorer{f: f}
-	s.pool.New = func() any {
-		return &scratch{shapes: make([]shape, 0, 2*maxGroups)}
-	}
-	return s
-}
-
-// intern returns the id of the canonical template of st on a class-ci
-// machine. Machines whose residual states are equal group-for-group —
-// whichever real groups hold them — share an id, and with it every
-// memoised decision.
-func (s *scorer) intern(ci int, st *resState) int32 {
-	key, h := makeTemplateKey(ci, st.canon(s.f.Classes[ci]), st.busSum, st.maxSens)
-	if id := s.template.Get(h, &key); id != nil {
-		return *id
-	}
-	return *s.template.Put(h, key, s.templates.Add(1)-1)
-}
-
 // soloFor solves (or recalls) the solo metrics of job j's signature under
 // shape sk on class ci.
-func (s *scorer) soloFor(ci int, j *Job, sk shapeKey) *soloMetrics {
+func (r *run) soloFor(ci int, j *Job, sk shapeKey) soloMetrics {
 	key := soloKey{class: ci, sig: j.SigKey, shape: sk}
-	h := key.hash()
-	if m := s.solo.Get(h, &key); m != nil {
+	if m, ok := r.solo[key]; ok {
 		return m
 	}
-	c := s.f.Classes[ci]
+	c := r.f.Classes[ci]
 	pls := []topology.Placement{c.placementFor(sk)}
 	var m soloMetrics
 	var res [1]machine.Result
@@ -181,43 +132,37 @@ func (s *scorer) soloFor(ci int, j *Job, sk shapeKey) *soloMetrics {
 	for pi := range j.Phases {
 		c.Model.RunPhaseSweep(&j.Phases[pi], j.Idio, pls, res[:])
 		m.unitSec += res[0].TimeSec
-		m.busJ += res[0].TimeSec * res[0].Activity.BusUtilization
-		util += res[0].TimeSec * res[0].Activity.AvgCoreUtil
+		m.busJ += float64(res[0].TimeSec * res[0].Activity.BusUtilization)
+		util += float64(res[0].TimeSec * res[0].Activity.AvgCoreUtil)
 	}
 	m.busJ /= m.unitSec
 	m.sensJ = 1 - util/m.unitSec
 	if m.sensJ < 0 {
 		m.sensJ = 0
 	}
-	return s.solo.Put(h, key, m)
+	r.solo[key] = m
+	return m
 }
 
 // soloBest returns the fastest solo unit time of j's signature across
 // every fleet class and admissible shape with budget j.MaxThreads — the QoS
 // reference point: a job's degradation bound is relative to the best the
-// fleet could have given it on an empty machine.
-func (s *scorer) soloBest(j *Job) float64 {
-	key := bestKey{sig: j.SigKey, maxT: j.MaxThreads}
-	h := key.hash()
-	if v := s.best.Get(h, &key); v != nil {
-		return *v
-	}
-	sc := s.pool.Get().(*scratch)
-	defer s.pool.Put(sc)
+// fleet could have given it on an empty machine. A run asks once per job
+// class (run.class).
+func (r *run) soloBest(j *Job) float64 {
 	best := math.Inf(1)
-	for ci, c := range s.f.Classes {
+	for ci, c := range r.f.Classes {
 		var empty resState
 		empty.recompute(c, nil)
 		views := empty.canon(c)
-		sc.shapes = enumerateShapes(views, j.MaxThreads, sc.shapes)
-		for _, sh := range sc.shapes {
-			m := s.soloFor(ci, j, makeShapeKey(views, sh.dist))
-			if m.unitSec < best {
+		r.shapes = enumerateShapes(views, j.MaxThreads, r.shapes)
+		for _, sh := range r.shapes {
+			if m := r.soloFor(ci, j, makeShapeKey(views, sh.dist)); m.unitSec < best {
 				best = m.unitSec
 			}
 		}
 	}
-	return *s.best.Put(h, key, best)
+	return best
 }
 
 // candidate is a scoring decision for (machine template, job): the chosen
@@ -235,26 +180,24 @@ type candidate struct {
 }
 
 // chooseShape evaluates every admissible shape of j on m's canonical
-// template and returns the decision: the feasible shape
-// with the fastest predicted unit time (solo × interference), candidate
-// order breaking ties. It reads nothing of m but the template, which is
-// what lets the incremental scorer memoise it under the template's id
-// (decide).
-func (s *scorer) chooseShape(m *machState, j *Job, soloBest, qos float64, sc *scratch) candidate {
-	c := s.f.Classes[m.class]
+// template and returns the decision: the feasible shape with the fastest
+// predicted unit time (solo × interference), candidate order breaking ties.
+// It reads nothing of m but the class and the template.
+func (r *run) chooseShape(m *machState, j *Job, soloBest float64) candidate {
+	c := r.f.Classes[m.class]
 	views := m.canon(c)
-	sc.shapes = enumerateShapes(views, j.MaxThreads, sc.shapes)
-	bound := (1 + qos) * soloBest
+	r.shapes = enumerateShapes(views, j.MaxThreads, r.shapes)
+	bound := (1 + r.opt.QoS) * soloBest
 	var dec candidate
 	bestPred := math.Inf(1)
-	for _, sh := range sc.shapes {
-		sm := s.soloFor(m.class, j, makeShapeKey(views, sh.dist))
+	for _, sh := range r.shapes {
+		sm := r.soloFor(m.class, j, makeShapeKey(views, sh.dist))
 		// External cache pressure the job sees: resident working sets in
 		// the groups it occupies, thread-weighted.
 		var ext float64
 		for i := range views {
 			if k := int(sh.dist[i]); k > 0 {
-				ext += float64(k) * (views[i].ws / c.l2Bytes)
+				ext += float64(float64(k) * (views[i].ws / c.l2Bytes))
 			}
 		}
 		ext /= float64(sh.threads)
@@ -279,29 +222,17 @@ func (s *scorer) chooseShape(m *machState, j *Job, soloBest, qos float64, sc *sc
 	return dec
 }
 
-// decide is chooseShape on m's template, memoised under the template's id.
-func (s *scorer) decide(m *machState, j *Job, soloBest, qos float64) *candidate {
-	key := decisionKey{tmpl: m.tmpl, maxT: j.MaxThreads, sig: j.SigKey}
-	h := key.hash()
-	if dec := s.decision.Get(h, &key); dec != nil {
-		return dec
-	}
-	sc := s.pool.Get().(*scratch)
-	defer s.pool.Put(sc)
-	return s.decision.Put(h, key, s.chooseShape(m, j, soloBest, qos, sc))
-}
-
 // admit takes the template-level decision dec for job j to machine m:
 // placing the job must not push any resident's predicted slowdown beyond
 // its own QoS bound. The returned candidate has dist mapped to m's real
 // group indices; it is infeasible when dec is or a resident objects. It
 // reads only m's resident state and j's class, which is what lets a run
 // keep one verdict per (job class, state) (run.verdict).
-func (s *scorer) admit(m *machState, j *Job, dec *candidate, qos float64) candidate {
+func (r *run) admit(m *machState, j *Job, dec *candidate) candidate {
 	if !dec.feasible {
 		return candidate{}
 	}
-	c := s.f.Classes[m.class]
+	c := r.f.Classes[m.class]
 	views := m.canon(c)
 
 	// Map the canonical-group distribution onto real groups, then check
@@ -318,17 +249,17 @@ func (s *scorer) admit(m *machState, j *Job, dec *candidate, qos float64) candid
 	}
 	out.dist = real
 	newBus := m.busSum + dec.busJ
-	for _, r := range m.residents {
+	for _, pj := range m.residents {
 		var ext float64
 		for g := 0; g < len(c.groupSize); g++ {
-			if k := int(r.dist[g]); k > 0 {
-				own := wsContribution(r.wsJ, r.shareJ, k)
-				ext += float64(k) * ((m.ws[g] - own + addWs[g]) / c.l2Bytes)
+			if k := int(pj.dist[g]); k > 0 {
+				own := wsContribution(pj.wsJ, pj.shareJ, k)
+				ext += float64(float64(k) * ((m.ws[g] - own + addWs[g]) / c.l2Bytes))
 			}
 		}
-		ext /= float64(r.threads)
-		fac := composeFactor(r.sensJ, ext, newBus)
-		if r.unitSec*fac > (1+qos)*r.soloBest {
+		ext /= float64(pj.threads)
+		fac := composeFactor(pj.sensJ, ext, newBus)
+		if pj.unitSec*fac > (1+r.opt.QoS)*pj.soloBest {
 			return candidate{}
 		}
 	}
@@ -343,7 +274,7 @@ func residentFactor(c *Class, st *resState, r *placedJob) float64 {
 	for g := 0; g < len(c.groupSize); g++ {
 		if k := int(r.dist[g]); k > 0 {
 			own := wsContribution(r.wsJ, r.shareJ, k)
-			ext += float64(k) * ((st.ws[g] - own) / c.l2Bytes)
+			ext += float64(float64(k) * ((st.ws[g] - own) / c.l2Bytes))
 		}
 	}
 	ext /= float64(r.threads)

@@ -14,8 +14,8 @@ import (
 // judged against — the shape space (enumerateShapes), the canonical
 // placement of a shape (placementFor), the interference model
 // (composeFactor, wsContribution) and the power constants — and none of
-// its machinery: no scorer, no memo table, no machine state, no event
-// heap, and every solo time comes from an uncached machine.RunPhase solve.
+// its machinery: no run, no state table, no verdict rows, no event heap,
+// and every solo time comes from an uncached machine.RunPhase solve.
 // The error names the first violated property:
 //
 //   - the QoS bound is finite;
@@ -87,7 +87,7 @@ func Validate(f *Fleet, jobs []Job, res *Result) error {
 			return fmt.Errorf("fleet: validate: distribution: job %d spreads %d threads, runs %d", i, sum, p.Threads)
 		}
 
-		solo := float64(j.Size) * v.soloBest(j)
+		solo := float64(float64(j.Size) * v.soloBest(j))
 		if relDiff(p.SoloSec, solo) > 1e-12 {
 			return fmt.Errorf("fleet: validate: solo time: job %d reports %.17g s, uncached solves give %.17g s", i, p.SoloSec, solo)
 		}
@@ -100,7 +100,7 @@ func Validate(f *Fleet, jobs []Job, res *Result) error {
 
 		makespan = math.Max(makespan, p.Finish)
 		shapes[i] = v.soloFor(ci, j, makeShapeKey(v.byReal[ci], p.Dist))
-		coreJ += float64(p.Threads) * (staticCoreW + dynCoreW*(1-shapes[i].sensJ)) * (p.Finish - p.Start)
+		coreJ += float64(float64(p.Threads) * (staticCoreW + float64(dynCoreW*(1-shapes[i].sensJ))) * (p.Finish - p.Start))
 	}
 	if violations != res.Violations {
 		return fmt.Errorf("fleet: validate: QoS bound: %d rows beyond it, result counts %d", violations, res.Violations)
@@ -120,7 +120,7 @@ func Validate(f *Fleet, jobs []Job, res *Result) error {
 	if res.Makespan != makespan {
 		return fmt.Errorf("fleet: validate: makespan: result %.17g s, last finish %.17g s", res.Makespan, makespan)
 	}
-	energy := basePowerW*float64(f.Machines())*makespan + coreJ
+	energy := float64(basePowerW*float64(f.Machines())*makespan) + coreJ
 	if relDiff(res.EnergyJ, energy) > 1e-9 {
 		return fmt.Errorf("fleet: validate: energy: result %.17g J, rows integrate to %.17g J", res.EnergyJ, energy)
 	}
@@ -157,8 +157,8 @@ func (v *validator) soloFor(ci int, j *Job, sk shapeKey) soloMetrics {
 	for pi := range j.Phases {
 		r := v.models[ci].RunPhase(&j.Phases[pi], j.Idio, pl)
 		m.unitSec += r.TimeSec
-		m.busJ += r.TimeSec * r.Activity.BusUtilization
-		util += r.TimeSec * r.Activity.AvgCoreUtil
+		m.busJ += float64(r.TimeSec * r.Activity.BusUtilization)
+		util += float64(r.TimeSec * r.Activity.AvgCoreUtil)
 	}
 	m.busJ /= m.unitSec
 	m.sensJ = math.Max(1-util/m.unitSec, 0)
@@ -312,7 +312,7 @@ func (v *validator) checkFinish(jobs []Job, rows []Placed, shapes []soloMetrics)
 					}
 				}
 				r.factor = composeFactor(shapes[r.row].sensJ, ext/float64(p.Threads), bus)
-				r.finish = t + r.rem*r.factor
+				r.finish = t + float64(r.rem*r.factor)
 			}
 		}
 		lo = hi

@@ -150,27 +150,23 @@ func TestValidateNamesTheViolation(t *testing.T) {
 // TestTemplatesNeverStale drives a run through a random interleaving of
 // placements and completions and, after every event, re-derives every
 // machine's resident state from its resident list alone. The shared record
-// must equal a fresh recompute field for field, with the id intern gives
-// the fresh template; machines with equal resident lists must share one
-// record; no template id may ever name two templates; and every verdict a
-// job class holds on the state must be a fresh admit of a fresh
-// chooseShape.
+// must equal a fresh recompute field for field, canonical template
+// included; machines with equal resident lists must share one record; and
+// every verdict a job class holds on the state must be a fresh admit of a
+// fresh chooseShape.
 func TestTemplatesNeverStale(t *testing.T) {
 	f, jobs := testStream(t, 400)
-	s := newScorer(f)
 	opt := Options{QoS: 0.25, Scorer: ScorerIncremental}
-	r, err := s.newRun(jobs, opt)
+	r, err := newRun(f, jobs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	named := map[int32]templateKey{}
 	member := map[int32]*Job{} // a job of each class
 	for i := range jobs {
 		if jc := r.classOf[i]; member[jc] == nil {
 			member[jc] = &jobs[i]
 		}
 	}
-	sc := &scratch{}
 	check := func(event string) {
 		t.Helper()
 		byList := map[string]*resState{}
@@ -179,7 +175,6 @@ func TestTemplatesNeverStale(t *testing.T) {
 			c := f.Classes[m.class]
 			fresh := resState{id: m.id}
 			fresh.recompute(c, m.residents)
-			fresh.tmpl = s.intern(m.class, &fresh)
 			if !reflect.DeepEqual(*m.resState, fresh) {
 				t.Fatalf("after %s: machine %d shares record %+v, its residents give %+v", event, mi, *m.resState, fresh)
 			}
@@ -191,11 +186,6 @@ func TestTemplatesNeverStale(t *testing.T) {
 				t.Fatalf("after %s: machine %d has the resident list of another machine, but not its record", event, mi)
 			}
 			byList[list] = m.resState
-			key, _ := makeTemplateKey(m.class, m.canon(c), m.busSum, m.maxSens)
-			if prev, ok := named[m.tmpl]; ok && prev != key {
-				t.Fatalf("after %s: template id %d names two templates", event, m.tmpl)
-			}
-			named[m.tmpl] = key
 			fm := &machState{class: m.class, residents: m.residents, resState: &fresh}
 			for jc := range r.classes {
 				row := r.classes[jc].row
@@ -203,8 +193,8 @@ func TestTemplatesNeverStale(t *testing.T) {
 					continue
 				}
 				j := member[int32(jc)]
-				dec := s.chooseShape(fm, j, s.soloBest(j), opt.QoS, sc)
-				if want, got := s.admit(fm, j, &dec, opt.QoS), r.verdicts[row[m.id]-1]; got != want {
+				dec := r.chooseShape(fm, j, r.soloBest(j))
+				if want, got := r.admit(fm, j, &dec), r.verdicts[row[m.id]-1]; got != want {
 					t.Fatalf("after %s: class %s/%d holds %+v on machine %d's state, a fresh admit gives %+v",
 						event, j.SigKey, j.MaxThreads, got, mi, want)
 				}
@@ -234,7 +224,7 @@ func TestTemplatesNeverStale(t *testing.T) {
 		r.complete(jobs, ids[rng.Intn(len(ids))], now)
 		check("a completion")
 	}
-	if len(named) < 10 || len(r.verdicts) < 10 {
-		t.Errorf("run passed through only %d templates and holds %d verdicts", len(named), len(r.verdicts))
+	if len(r.table) < 10 || len(r.verdicts) < 10 {
+		t.Errorf("run passed through only %d states and holds %d verdicts", len(r.table), len(r.verdicts))
 	}
 }

@@ -1,8 +1,8 @@
-// Package memo provides the one grow-only memo table the simulator's phase
-// memo and the fleet scheduler's score memos are built on. Both cache the
-// result of a pure, deterministic computation keyed by a fixed-size
-// comparable struct; entries are never evicted or overwritten, so whatever
-// bounds the key space bounds the table.
+// Package memo provides the grow-only memo table the simulator's phase memo
+// (internal/machine, its only user) is built on. It caches the result of a
+// pure, deterministic computation keyed by a fixed-size comparable struct,
+// shared by concurrent sweeps; entries are never evicted or overwritten, so
+// whatever bounds the key space bounds the table.
 package memo
 
 import (

@@ -2,8 +2,9 @@
 # determinism.sh — the one place a change to model arithmetic proves that
 # determinism survived it (CI; `make determinism`).
 #
-# Every leg of GOMAXPROCS={1,2,N} × {AVX2 kernels, -tags actor_noasm}
-# must
+# Every alternative of TESTS must match a test (checked first, with
+# go test -list), and every leg of GOMAXPROCS={1,2,N} × {AVX2 kernels,
+# -tags actor_noasm} must
 #   - pass the bit-identity tests: the parallel pipeline against its
 #     one-worker run, RunPhaseSweep against per-placement RunPhase, the lane
 #     and GEMM kernels against their scalar references, the fleet scorer
@@ -36,6 +37,20 @@ HETERO_SHA256=50d1fa7294326c4d51b038c4882aaea05992c0de865d3dd46fdbac800aa26fb6
 
 TESTS='TestParallelPipelineDeterminism|TestRunPhaseSweep|TestHeteroSweepMatchesRunPhaseProperty|TestConcurrentHeteroSweeps|TestShardedMemoConcurrentSweeps|BitIdenti|TestGOMAXPROCSDeterminism|TestLegacyStreamPinned|TestSearchMatchesSweep|TestBalancedSearchMatchesNewSearch|TestSearchBoundNeverExceedsTime|TestSearchBoundProperty|TestExpLowerBound'
 PKGS=(./internal/exp ./internal/machine ./internal/ann ./internal/fleet)
+
+# go test -run drops an alternative that matches nothing without a word, so
+# a renamed or deleted test would leave the matrix unnoticed: each
+# alternative must list at least one test in PKGS before any leg runs.
+IFS='|' read -ra alts <<<"$TESTS"
+for alt in "${alts[@]}"; do
+    if ! listed="$(go test -list "$alt" "${PKGS[@]}")"; then
+        echo "$listed"
+        echo "FAIL go test -list $alt"; exit 1
+    fi
+    if ! grep -qE '^(Test|Fuzz|Example)' <<<"$listed"; then
+        echo "FAIL TESTS alternative $alt matches no test in ${PKGS[*]}"; exit 1
+    fi
+done
 
 ncpu="$(getconf _NPROCESSORS_ONLN)"
 procs="$(printf '%s\n' 1 2 "$ncpu" | sort -nu)"

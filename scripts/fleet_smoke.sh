@@ -12,7 +12,8 @@
 # which scripts/determinism.sh runs beside this script on every leg.
 # -verify has fleet.Validate re-check each schedule independently of the
 # scheduler: a run it refuses prints no digest line and fails here too.
-# Last, a NaN QoS bound, mean size or arrival rate must be refused (exit 1).
+# Last, a NaN QoS bound, mean size or arrival rate and a zero QoS bound
+# must be refused (exit 1).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -45,8 +46,9 @@ check "incremental, 16 machines" "$SMOKE_WANT" "$("$bin/actorfleet" "${SMOKE[@]}
 check "incremental, 1000 machines" "$STUDY_WANT" "$("$bin/actorfleet" "${STUDY[@]}" -digest -verify)"
 
 # A NaN passes every ordered comparison, so each parameter that feeds one
-# must be refused outright: exit 1 and no digest line.
-for bad in "-qos NaN" "-meansize NaN" "-rate NaN"; do
+# must be refused outright: exit 1 and no digest line. So must a zero QoS
+# bound, which the library would read as its 0.25 default.
+for bad in "-qos NaN" "-qos 0" "-meansize NaN" "-rate NaN"; do
     # shellcheck disable=SC2086 # $bad is a flag and its value
     if out="$("$bin/actorfleet" "${SMOKE[@]}" $bad -digest 2>&1)"; then
         echo "FAIL $bad: accepted: $out"; fail=1

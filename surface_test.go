@@ -328,13 +328,107 @@ func receiverType(e ast.Expr) string {
 // or when a scripts/*.sh that a Makefile recipe runs names ./cmd/<name>
 // outside a comment. Linking alone (make build-cmds) does not count.
 func TestEveryCommandIsExecuted(t *testing.T) {
+	cmds := programs(t, "cmd")
+	for _, dir := range sortedKeys(cmds) {
+		switch by := cmds[dir]; by {
+		case "":
+			t.Errorf("%s has no _test.go and no script a Makefile target runs names ./%s; test it or delete it", dir, dir)
+		case "tests":
+		default:
+			t.Logf("%s has no tests; %s runs it", dir, by)
+		}
+	}
+}
+
+// TestEveryInternalPackageIsExecuted fails for every package under
+// internal/ that no executed program reaches: none of its importers,
+// followed back through the module's non-test files, is a cmd/ or
+// examples/ program that TestEveryCommandIsExecuted's rule counts as
+// executed. A package only tests import ships nothing. It parses import
+// blocks only, across every build constraint, so a package imported by an
+// arm64 or actor_noasm file alone counts as reached.
+func TestEveryInternalPackageIsExecuted(t *testing.T) {
+	fset := token.NewFileSet()
+	imports := map[string][]string{} // package dir → module package dirs it imports
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		deps := imports[dir]
+		for _, imp := range f.Imports {
+			ip, _ := strconv.Unquote(imp.Path.Value)
+			if rel, ok := strings.CutPrefix(ip, modulePath+"/"); ok {
+				deps = append(deps, rel)
+			}
+		}
+		imports[dir] = deps // listed even when it imports nothing of the module
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reached := map[string]string{} // package dir → the program that reaches it
+	var queue []string
+	for _, parent := range []string{"cmd", "examples"} {
+		progs := programs(t, parent)
+		for _, dir := range sortedKeys(progs) {
+			if progs[dir] != "" {
+				reached[dir] = dir
+				queue = append(queue, dir)
+			}
+		}
+	}
+	for len(queue) > 0 {
+		dir := queue[0]
+		queue = queue[1:]
+		for _, dep := range imports[dir] {
+			if _, ok := reached[dep]; !ok {
+				reached[dep] = reached[dir]
+				queue = append(queue, dep)
+			}
+		}
+	}
+	for _, dir := range sortedKeys(imports) {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		if by, ok := reached[dir]; ok {
+			t.Logf("%s runs in %s", dir, by)
+		} else {
+			t.Errorf("%s is imported by no executed cmd/ or examples/ program, directly or transitively; use it or delete it", dir)
+		}
+	}
+}
+
+// programs returns every program directory under parent ("cmd" or
+// "examples") with what executes it: "tests" when the directory holds a
+// _test.go file, else a scripts/*.sh that a Makefile recipe runs and that
+// names ./<parent>/<name> outside a comment, else "".
+func programs(t *testing.T, parent string) map[string]string {
+	t.Helper()
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
 	}
 	scriptRe := regexp.MustCompile(`scripts/[\w.-]+\.sh`)
-	cmdRe := regexp.MustCompile(`\./cmd/([\w-]+)`)
-	scripted := map[string]string{} // command → a script that runs it
+	progRe := regexp.MustCompile(`\./(` + parent + `/[\w-]+)`)
+	scripted := map[string]string{} // program dir → a script that runs it
 	for _, line := range strings.Split(string(makefile), "\n") {
 		if !strings.HasPrefix(line, "\t") {
 			continue // only recipe lines run anything
@@ -348,32 +442,41 @@ func TestEveryCommandIsExecuted(t *testing.T) {
 				if strings.HasPrefix(strings.TrimSpace(sl), "#") {
 					continue
 				}
-				for _, m := range cmdRe.FindAllStringSubmatch(sl, -1) {
+				for _, m := range progRe.FindAllStringSubmatch(sl, -1) {
 					scripted[m[1]] = script
 				}
 			}
 		}
 	}
 
-	dirs, err := os.ReadDir("cmd")
+	dirs, err := os.ReadDir(parent)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := map[string]string{}
 	for _, d := range dirs {
 		if !d.IsDir() {
 			continue
 		}
-		name := d.Name()
-		tests, err := filepath.Glob(filepath.Join("cmd", name, "*_test.go"))
+		dir := parent + "/" + d.Name()
+		tests, err := filepath.Glob(filepath.Join(parent, d.Name(), "*_test.go"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch {
-		case len(tests) > 0:
-		case scripted[name] != "":
-			t.Logf("cmd/%s has no tests; %s runs it", name, scripted[name])
-		default:
-			t.Errorf("cmd/%s has no _test.go and no script a Makefile target runs names ./cmd/%s; test it or delete it", name, name)
+		if len(tests) > 0 {
+			out[dir] = "tests"
+		} else {
+			out[dir] = scripted[dir]
 		}
 	}
+	return out
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
