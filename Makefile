@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build build-cmds test race test-noasm cross-arm64 bench bench-smoke bench-contract dist-e2e load-smoke fuzz-smoke fleet-smoke determinism recal-e2e fmt vet ci clean
+.PHONY: build build-cmds test race test-noasm cross-arm64 fma-check bench bench-smoke bench-contract dist-e2e load-smoke fuzz-smoke fleet-smoke determinism recal-e2e fmt vet ci clean
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,12 @@ test-noasm:
 ## missing assembly (build only: nothing runs).
 cross-arm64:
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
+
+## fma-check: read the arm64 assembly of every package held to the same
+## bits on every target and fail on any fused multiply-add whose source
+## line lacks a `// fma-ok: <reason>` marker (internal/ann not yet covered).
+fma-check:
+	scripts/fma_check.sh
 
 ## bench: print the full benchmark suite with allocation stats.
 bench:
@@ -98,7 +104,7 @@ vet:
 	$(GO) vet ./...
 
 ## ci: the CI workflow's test job, step for step.
-ci: fmt vet build build-cmds race test-noasm cross-arm64 bench-smoke bench-contract
+ci: fmt vet build build-cmds race test-noasm cross-arm64 fma-check bench-smoke bench-contract
 
 clean:
 	rm -rf bin

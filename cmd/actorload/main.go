@@ -21,8 +21,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"os"
 	"time"
@@ -43,37 +46,65 @@ type metrics struct {
 }
 
 func main() {
-	addr := flag.String("addr", "http://127.0.0.1:7690", "actord base URL")
-	duration := flag.Duration("duration", 5*time.Second, "trace duration")
-	rate := flag.Float64("rate", 2000, "mean request rate (req/s)")
-	seed := flag.Int64("seed", 1, "trace seed (same seed, same trace)")
-	conns := flag.Int("conns", 8, "concurrent sender connections")
-	amp := flag.Float64("amp", 0.5, "diurnal rate amplitude (0 disables, 1 swings 0..2x)")
-	period := flag.Duration("period", 0, "diurnal period (0: one cycle over the whole trace)")
-	tail := flag.Float64("tail", 1.5, "Pareto shape for burst sizes (0 disables bursts)")
-	vectors := flag.Int("vectors", 32, "distinct rate-vector population (Zipf popularity)")
-	phaseChange := flag.Bool("phase-change", true, "relabel the second half of the trace with a new phase")
-	jsonOut := flag.String("json", "-", "write the metrics JSON here (- for stdout)")
-	check := flag.Bool("check", false, "after the run, replay each distinct request twice and fail unless responses are byte-identical")
-	p99Max := flag.Duration("p99-max", 0, "fail when p99 latency exceeds this (0: no gate)")
-	minRPS := flag.Float64("min-rps", 0, "fail when achieved throughput falls below this (0: no gate)")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "actorload: unexpected argument %q\n", flag.Arg(0))
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	if err := run(*addr, *duration, *rate, *seed, *conns, *amp, *period, *tail,
-		*vectors, *phaseChange, *jsonOut, *check, *p99Max, *minRPS); err != nil {
-		fmt.Fprintln(os.Stderr, "actorload:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(addr string, duration time.Duration, rate float64, seed int64, conns int,
+// run is the command behind main: it parses args, writes the metrics JSON
+// to stdout (or -json) and progress and errors to stderr, and returns the
+// exit code — 0 on success, 1 on a failed run or gate, 2 on a bad flag or a
+// positional argument. Flags that give no schedule are refused before the
+// target is dialled.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("actorload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "http://127.0.0.1:7690", "actord base URL")
+	duration := fs.Duration("duration", 5*time.Second, "trace duration")
+	rate := fs.Float64("rate", 2000, "mean request rate (req/s)")
+	seed := fs.Int64("seed", 1, "trace seed (same seed, same trace)")
+	conns := fs.Int("conns", 8, "concurrent sender connections")
+	amp := fs.Float64("amp", 0.5, "diurnal rate amplitude (0 disables, 1 swings 0..2x)")
+	period := fs.Duration("period", 0, "diurnal period (0: one cycle over the whole trace)")
+	tail := fs.Float64("tail", 1.5, "Pareto shape for burst sizes (0 disables bursts)")
+	vectors := fs.Int("vectors", 32, "distinct rate-vector population (Zipf popularity)")
+	phaseChange := fs.Bool("phase-change", true, "relabel the second half of the trace with a new phase")
+	jsonOut := fs.String("json", "-", "write the metrics JSON here (- for stdout)")
+	check := fs.Bool("check", false, "after the run, replay each distinct request twice and fail unless responses are byte-identical")
+	p99Max := fs.Duration("p99-max", 0, "fail when p99 latency exceeds this (0: no gate)")
+	minRPS := fs.Float64("min-rps", 0, "fail when achieved throughput falls below this (0: no gate)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "actorload: unexpected argument %q\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
+	// loadgen.Trace has no schedule for these: every gap would be 0 or NaN.
+	if !(*rate > 0 && *rate <= math.MaxFloat64) {
+		fmt.Fprintf(stderr, "actorload: -rate %g is not a finite positive rate\n", *rate)
+		return 2
+	}
+	if math.IsNaN(*amp) || math.IsInf(*amp, 0) {
+		fmt.Fprintf(stderr, "actorload: -amp %g is not finite\n", *amp)
+		return 2
+	}
+
+	if err := replay(*addr, *duration, *rate, *seed, *conns, *amp, *period, *tail,
+		*vectors, *phaseChange, *jsonOut, *check, *p99Max, *minRPS, stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "actorload:", err)
+		return 1
+	}
+	return 0
+}
+
+// replay synthesizes the trace, replays it against addr and applies the
+// gates.
+func replay(addr string, duration time.Duration, rate float64, seed int64, conns int,
 	amp float64, period time.Duration, tail float64, vectors int, phaseChange bool,
-	jsonOut string, check bool, p99Max time.Duration, minRPS float64) error {
+	jsonOut string, check bool, p99Max time.Duration, minRPS float64, stdout, stderr io.Writer) error {
 	ctx := context.Background()
 	events, err := fetchEvents(ctx, addr)
 	if err != nil {
@@ -92,7 +123,7 @@ func run(addr string, duration time.Duration, rate float64, seed int64, conns in
 		Events:      events,
 	}
 	trace := loadgen.Trace(cfg)
-	fmt.Fprintf(os.Stderr, "trace: %d requests over %v (seed %d, %d vectors)\n",
+	fmt.Fprintf(stderr, "trace: %d requests over %v (seed %d, %d vectors)\n",
 		len(trace), duration, seed, vectors)
 
 	client := &http.Client{Transport: &http.Transport{
@@ -120,19 +151,19 @@ func run(addr string, duration time.Duration, rate float64, seed int64, conns in
 		return err
 	}
 	if jsonOut == "-" || jsonOut == "" {
-		fmt.Println(string(out))
+		fmt.Fprintln(stdout, string(out))
 	} else if err := os.WriteFile(jsonOut, append(out, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "%.0f req/s, p50 %.0fus p99 %.0fus p999 %.0fus max %.0fus, %d/%d errors\n",
+	fmt.Fprintf(stderr, "%.0f req/s, p50 %.0fus p99 %.0fus p999 %.0fus max %.0fus, %d/%d errors\n",
 		m.ReqPerSec, m.P50us, m.P99us, m.P999us, m.MaxUs, m.Errors, m.Sent)
 
 	if check {
-		fmt.Fprintln(os.Stderr, "determinism check: replaying each distinct request twice...")
+		fmt.Fprintln(stderr, "determinism check: replaying each distinct request twice...")
 		if err := loadgen.Check(ctx, client, url, trace); err != nil {
 			return err
 		}
-		fmt.Fprintln(os.Stderr, "determinism check: responses byte-identical")
+		fmt.Fprintln(stderr, "determinism check: responses byte-identical")
 	}
 	if res.Errors > 0 {
 		return fmt.Errorf("%d of %d requests failed", res.Errors, res.Sent)

@@ -94,7 +94,9 @@ func RefitMLRBank(base *Bank, samples []dataset.PhaseSample, targets []string, r
 			}
 			coef := make([]float64, len(live.Coef))
 			for i := range coef {
-				coef[i] = blend*live.Coef[i] + (1-blend)*fit.Coef[i]
+				// Each product is rounded before the sum (no arm64 FMA),
+				// so the blend has the same bits on every target.
+				coef[i] = float64(blend*live.Coef[i]) + float64((1-blend)*fit.Coef[i])
 			}
 			m, err := mlr.NewModel(coef)
 			if err != nil {

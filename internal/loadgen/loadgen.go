@@ -69,9 +69,11 @@ type Request struct {
 }
 
 // Trace synthesizes the full request schedule for cfg. Offsets are
-// non-decreasing.
+// non-decreasing. It returns nil for a non-positive Duration, for a Rate that
+// is not finite and positive and for a non-finite Amp: under the last two
+// every gap is 0 or NaN, so the offset would never reach Duration.
 func Trace(cfg Config) []Request {
-	if cfg.Rate <= 0 || cfg.Duration <= 0 {
+	if !(cfg.Rate > 0 && cfg.Rate <= math.MaxFloat64) || math.IsNaN(cfg.Amp) || math.IsInf(cfg.Amp, 0) || cfg.Duration <= 0 {
 		return nil
 	}
 	if cfg.Period <= 0 {
@@ -105,10 +107,13 @@ func Trace(cfg Config) []Request {
 		burst := 1
 		if cfg.TailAlpha > 0 {
 			// Pareto(α) with x_m = 1, capped so one draw cannot swamp the run.
-			burst = int(math.Ceil(math.Pow(1-arrivals.Float64(), -1/cfg.TailAlpha)))
-			if burst > 64 {
-				burst = 64
+			// The cap comes before the conversion: a tiny α draws +Inf,
+			// which int(...) would not turn into a large count.
+			b := math.Ceil(math.Pow(1-arrivals.Float64(), -1/cfg.TailAlpha))
+			if !(b <= 64) {
+				b = 64
 			}
+			burst = int(b)
 		}
 		phase := 0
 		if cfg.PhaseChange && t >= cfg.Duration/2 {

@@ -107,6 +107,68 @@ func TestTraceShape(t *testing.T) {
 	}
 }
 
+// TestTraceRefusesUnschedulableConfigs: a rate that is not finite and
+// positive, a non-finite amplitude or a non-positive duration yields no
+// trace. Under the rate and amplitude rows every gap is 0 or NaN, so a trace
+// that did not stop at the guard would never reach its duration.
+func TestTraceRefusesUnschedulableConfigs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"rate +Inf", func(c *Config) { c.Rate = math.Inf(1) }},
+		{"rate NaN", func(c *Config) { c.Rate = math.NaN() }},
+		{"rate -Inf", func(c *Config) { c.Rate = math.Inf(-1) }},
+		{"rate 0", func(c *Config) { c.Rate = 0 }},
+		{"rate negative", func(c *Config) { c.Rate = -5 }},
+		{"amp NaN", func(c *Config) { c.Amp = math.NaN() }},
+		{"amp +Inf", func(c *Config) { c.Amp = math.Inf(1) }},
+		{"amp -Inf", func(c *Config) { c.Amp = math.Inf(-1) }},
+		{"duration 0", func(c *Config) { c.Duration = 0 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig()
+			c.edit(&cfg)
+			if trace := Trace(cfg); trace != nil {
+				t.Errorf("Trace returned %d requests, want nil", len(trace))
+			}
+		})
+	}
+}
+
+// TestTraceCapsEveryBurst: a Pareto shape so small that its draws overflow
+// to +Inf still yields bursts of exactly the 64-request cap, not bursts
+// lost to an out-of-range conversion; an infinite shape means bursts of one.
+func TestTraceCapsEveryBurst(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		alpha float64
+		burst int
+	}{
+		{"alpha 1e-300 draws +Inf", 1e-300, 64},
+		{"alpha +Inf draws 1", math.Inf(1), 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Rate = 20
+			cfg.TailAlpha = c.alpha
+			trace := Trace(cfg)
+			if len(trace) == 0 {
+				t.Fatal("empty trace")
+			}
+			bursts := map[time.Duration]int{}
+			for _, r := range trace {
+				bursts[r.At]++
+			}
+			for at, n := range bursts {
+				if n != c.burst {
+					t.Errorf("burst at %v has %d requests, want %d", at, n, c.burst)
+				}
+			}
+		})
+	}
+}
+
 // TestRunAgainstServer replays a short trace against a live httptest
 // server and checks the accounting: everything dispatched, errors counted,
 // latencies recorded.

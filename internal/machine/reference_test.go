@@ -128,6 +128,108 @@ func (m *Machine) responseFactor(p *workload.PhaseProfile, pl topology.Placement
 	return math.Exp(m.params.ResponseSigma * z)
 }
 
+// referenceBounds is Search's bound pass as it was taken per placement
+// before the per-phase accounting record (phaseAcct): each placement's lanes
+// gathered from the key table into scratch and the whole cycle accounting
+// re-derived by referencePlacementCycles at bus factor 1. It returns every
+// placement's b0 and prefilter bound. The key table is the engine's, stepped
+// once from bus factor 1.
+func referenceBounds(s *Search, p *workload.PhaseProfile, idio float64) (b0, cheap []float64) {
+	m := s.m
+	ctx := &phaseCtx{}
+	ctx.resetPhase(m, p, idio)
+	ctx.sizeFor(len(m.Topo.L2Groups), s.maxThreads, len(m.classes))
+	lt := m.laneTermsOf(p)
+	for _, k := range s.keys {
+		m.appendLane(ctx, p, k, &lt)
+	}
+	ls := &ctx.lanes
+	ls.sizeDerived()
+	m.stepLanes(ctx, p)
+
+	sigma := m.params.ResponseSigma
+	resp := sigma > 0 && p.Fingerprint != ""
+	seed := responseSeed(p.Fingerprint)
+	freq := m.Topo.FrequencyHz * m.clockScale()
+	b0, cheap = make([]float64, len(s.names)), make([]float64, len(s.names))
+	cpi, miss := make([]float64, len(s.keys)), make([]float64, len(s.keys))
+	for i := range s.names {
+		lo, hi := s.laneOff[i], s.laneOff[i+1]
+		for j, k := range s.key[lo:hi] {
+			cpi[j], miss[j] = ls.cpi[k], ls.miss[k]
+		}
+		nl := hi - lo
+		wall, _, _ := referencePlacementCycles(m, p, idio, 1, int(s.threads[i]), &m.classes[s.cls0[i]], cpi[:nl], s.cnt[lo:hi], miss[:nl])
+		b0[i] = wall
+		lower := 1.0
+		if resp && s.threads[i] > 1 {
+			lower = expLower(sigma * responseZ(seed, s.names[i]))
+		}
+		cheap[i] = wall * lower / freq
+	}
+	return b0, cheap
+}
+
+// referencePlacementCycles is the cycle accounting of one placement of n
+// threads whose first core has class cls0 as one function of nine
+// arguments, every phase-level term derived on each call: the serial
+// section at bus factor busFactor, the heaviest thread's parallel share at
+// the worst lane CPI, synchronisation and the bandwidth wall. cpi, cnt and
+// miss hold the placement's lanes in plan order. It returns the wall cycles
+// before the response factor, the average L2 miss rate and the summed
+// per-core IPC.
+func referencePlacementCycles(m *Machine, p *workload.PhaseProfile, idio, busFactor float64, n int, cls0 *topology.CoreClass, cpi, cnt, miss []float64) (wallCycles, avgMissL2, sumIPC float64) {
+	freq := m.Topo.FrequencyHz * m.clockScale()
+
+	parInstr := float64(p.Instructions * p.ParallelFraction)
+	serInstr := p.Instructions - parInstr
+	imb := imbalanceFactor(p.ChunkGranularity, n)
+	heavyShare := imb / float64(n)
+
+	mpiL1 := p.MemRefsPerInstr * p.L1MissRate
+
+	serMiss := m.l2.MissRateShared(p.WorkingSetBytes, 1, p.SharingFactor, p.ColdMissRate, p.LocalityExp)
+	serCPI := m.threadCPI(p, mpiL1, serMiss, busFactor, 1, cls0) / cls0.FreqMult
+	serCycles := float64(serInstr * serCPI)
+
+	critFactor := 1 + float64(p.CriticalFraction*float64(n-1))
+	idioFactor := 1 + idio*float64(n-1)/3
+	if idioFactor < 0.5 {
+		idioFactor = 0.5
+	}
+
+	var maxCPI, sumMiss float64
+	cnt, miss = cnt[:len(cpi)], miss[:len(cpi)]
+	for l, c := range cpi {
+		if c > maxCPI {
+			maxCPI = c
+		}
+		if c > 0 {
+			sumIPC += float64(cnt[l] * (1 / (c * critFactor * idioFactor)))
+		}
+		sumMiss += float64(cnt[l] * miss[l])
+	}
+	avgMissL2 = sumMiss / float64(n)
+	parCycles := float64(parInstr * heavyShare * maxCPI * critFactor * idioFactor)
+
+	syncCycles := 0.0
+	if n > 1 {
+		syncCycles = p.SyncCycles * (1 + log2N(n)) * idioFactor
+	}
+
+	lineBytes := 64.0
+	storeFrac := 1 - p.LoadFraction
+	trafficPerMiss := lineBytes * (1 + float64(p.StoreBandwidthBoost*storeFrac))
+	totalBytes := p.Instructions * mpiL1 * avgMissL2 * trafficPerMiss
+	bwCycles := m.fsb.MinTransferTime(totalBytes) * freq
+
+	wallCycles = serCycles + parCycles + syncCycles
+	if bwCycles > wallCycles {
+		wallCycles = bwCycles
+	}
+	return wallCycles, avgMissL2, sumIPC
+}
+
 // worstRelDiff returns the largest relative difference between any float
 // field of got and want (+Inf when an integer field differs).
 func worstRelDiff(got, want Result) float64 {

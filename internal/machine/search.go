@@ -52,8 +52,9 @@ type searchScratch struct {
 	// factor, z[i] its response z (where resp and more than one thread) and
 	// cheap[i] the prefilter bound, at most the exact bound.
 	b0, z, cheap []float64
-	// cpi and miss hold one placement's lanes gathered from the key table.
-	cpi, miss []float64
+	// ser[ci] is the serial section's cycles at bus factor 1 on a first
+	// core of class ci.
+	ser []float64
 	// factor[o] is the response factor of the placement in solve-block
 	// slot o, taken once for its bound.
 	factor []float64
@@ -223,32 +224,37 @@ func (s *Search) Len() int { return len(s.names) }
 //
 // It gets there by branch and bound. Every placement's bus factor starts at
 // 1, and each damped update averages it with bus.LatencyFactor ≥ 1, so it
-// never falls below 1; and placementCycles is monotone in the bus factor and
-// the lane CPIs, which the lane step is monotone in too. So the time after
-// one lane step at bus factor 1 — through the kernel of solveBlock's first
-// iteration — fed to placementCycles at bus factor 1 and times the response
-// factor is a lower bound, bit for bit, on the exact time of a phase that
-// passes Validate under Params that SetParams accepts. Best solves the
-// placement of least prefilter bound exactly, then solves, in slice order and
-// in blocks, only the placements whose bound does not exceed the best time
-// found so far. A placement of exactly minimal time is never skipped (its
-// bound is at most its time), and ties go to the lower index, so at is the
-// first index of the minimum.
+// never falls below 1; and the cycle accounting is monotone in the bus factor
+// and the lane CPIs (wallCycles), which the lane step is monotone in too. So
+// the time after one lane step at bus factor 1 — through the kernel of
+// solveBlock's first iteration — fed to the accounting at bus factor 1 and
+// times the response factor is a lower bound, bit for bit, on the exact time
+// of a phase that passes Validate under Params that SetParams accepts. Best
+// solves the placement of least prefilter bound exactly, then solves, in
+// slice order and in blocks, only the placements whose bound does not exceed
+// the best time found so far. A placement of exactly minimal time is never
+// skipped (its bound is at most its time), and ties go to the lower index, so
+// at is the first index of the minimum.
 //
 // The bound is cheap to take. At bus factor 1 a lane's CPI after one step
 // depends only on the phase and its (class, load) key, and the step is
 // element-wise, so one step over the machine's few distinct keys gives every
-// placement's lane CPIs with the bits a per-placement step would. The
-// response factor's exp is taken only where it can matter: a placement whose
-// prefilter bound — the response factor replaced by expLower, which never
-// exceeds it — already exceeds the best time cannot have an exact bound that
-// does not.
+// placement's lane CPIs with the bits a per-placement step would. The rest
+// of the accounting that does not depend on the lanes is per phase: the
+// serial section at bus factor 1 per core class, and the terms of each
+// thread count in the context's accounting record (phaseAcct). So one
+// placement's bound is its lanes' worst CPI and weighted miss sum, one
+// table read and the tail the exact path ends in (wallCycles): the same
+// operations in the same order, so the same bits. The response factor's exp
+// is taken only where it can matter: a placement whose prefilter bound — the
+// response factor replaced by expLower, which never exceeds it — already
+// exceeds the best time cannot have an exact bound that does not.
 func (s *Search) Best(p *workload.PhaseProfile, idio float64) (t float64, at int) {
 	m := s.m
 	ctx := ctxPool.Get().(*phaseCtx)
 	first := s.bounds(ctx, p, idio)
 	sc := &ctx.srch
-	freq := m.Topo.FrequencyHz * m.clockScale()
+	freq := ctx.acct.freq
 
 	// The exact solve of the least bound sets the incumbent; every other
 	// placement is solved only while its bound can still beat it.
@@ -262,7 +268,7 @@ func (s *Search) Best(p *workload.PhaseProfile, idio float64) (t float64, at int
 		m.solveBlock(ctx, p)
 		for o := range ctx.pend {
 			idx := ctx.pend[o].idx
-			wall, _, _ := m.slotCycles(ctx, o, p, idio, int(s.threads[idx]), &m.classes[s.cls0[idx]])
+			wall, _, _ := m.placementCycles(ctx, o, p, int(s.threads[idx]), &m.classes[s.cls0[idx]])
 			wall *= sc.factor[o]
 			if tt := wall / freq; tt < t || (tt == t && idx < at) {
 				t, at = tt, idx
@@ -298,12 +304,14 @@ func (s *Search) Best(p *workload.PhaseProfile, idio float64) (t float64, at int
 // bounds is Best's first pass on ctx: it fills ctx.srch for phase p and
 // returns the index of the least prefilter bound, the first among equals.
 // The key table is one lane per distinct (class, load) key stepped once from
-// bus factor 1; each placement's bound cycles are placementCycles at bus
-// factor 1 over its plan's lanes read from that table. It leaves the solve
-// block empty.
+// bus factor 1, and the serial cycles at bus factor 1 are taken once per
+// core class. A placement's bound cycles are then its plan's worst lane CPI
+// and multiplicity-weighted miss sum, read from the key table, fed with its
+// first core's serial cycles to the accounting's shared tail (wallCycles):
+// the exact path's formula at bus factor 1. It leaves the solve block empty.
 func (s *Search) bounds(ctx *phaseCtx, p *workload.PhaseProfile, idio float64) (first int) {
 	m := s.m
-	ctx.resetPhase()
+	ctx.resetPhase(m, p, idio)
 	ctx.resetBlock()
 	ctx.sizeFor(len(m.Topo.L2Groups), s.maxThreads, len(m.classes))
 	lt := m.laneTermsOf(p)
@@ -312,37 +320,44 @@ func (s *Search) bounds(ctx *phaseCtx, p *workload.PhaseProfile, idio float64) (
 	}
 	ls := &ctx.lanes
 	ls.sizeDerived()
-	m.stepLanes(ls, p)
+	m.stepLanes(ctx, p)
 
 	sc := &ctx.srch
 	n := len(s.names)
 	sc.b0 = growFloats(sc.b0, n)
 	sc.z = growFloats(sc.z, n)
 	sc.cheap = growFloats(sc.cheap, n)
-	sc.cpi = growFloats(sc.cpi, len(s.keys))
-	sc.miss = growFloats(sc.miss, len(s.keys))
+	sc.ser = growFloats(sc.ser, len(m.classes))
+	for ci := range m.classes {
+		sc.ser[ci] = m.serialCycles(ctx, p, 1, &m.classes[ci])
+	}
 	sigma := m.params.ResponseSigma
 	sc.resp = sigma > 0 && p.Fingerprint != ""
 	var seed uint64
 	if sc.resp {
 		seed = responseSeed(p.Fingerprint)
 	}
-	freq := m.Topo.FrequencyHz * m.clockScale()
+	a := &ctx.acct
 	for i := range s.names {
 		lo, hi := s.laneOff[i], s.laneOff[i+1]
+		cnt := s.cnt[lo:hi]
+		var maxCPI, sumMiss float64
 		for j, k := range s.key[lo:hi] {
-			sc.cpi[j], sc.miss[j] = ls.cpi[k], ls.miss[k]
+			if c := ls.cpi[k]; c > maxCPI {
+				maxCPI = c
+			}
+			sumMiss += float64(cnt[j] * ls.miss[k])
 		}
-		nl := hi - lo
-		wall, _, _ := m.placementCycles(ctx, p, idio, 1, int(s.threads[i]), &m.classes[s.cls0[i]], sc.cpi[:nl], s.cnt[lo:hi], sc.miss[:nl])
+		threads := int(s.threads[i])
+		wall, _ := m.wallCycles(a, a.thread(p, threads), threads, sc.ser[s.cls0[i]], maxCPI, sumMiss)
 		sc.b0[i] = wall
 		lower := 1.0 // the response factor, or a lower bound on it
-		if sc.resp && s.threads[i] > 1 {
+		if sc.resp && threads > 1 {
 			z := responseZ(seed, s.names[i])
 			sc.z[i] = z
 			lower = expLower(sigma * z)
 		}
-		cheap := wall * lower / freq
+		cheap := wall * lower / a.freq
 		sc.cheap[i] = cheap
 		if cheap < sc.cheap[first] {
 			first = i
@@ -368,7 +383,7 @@ func (s *Search) factor(sc *searchScratch, i int) float64 {
 // x ≈ −1.6, or NaN or ±Inf from a non-finite or huge x — it returns 0, so a
 // bound it scales prunes nothing.
 func expLower(x float64) float64 {
-	p := 1 + x*(1+x*(0.5+x*(1.0/6)))
+	p := 1 + x*(1+x*(0.5+x*(1.0/6))) // fma-ok: a pruning bound; its 1e-9 slack absorbs either rounding
 	if !(p > 0 && p <= math.MaxFloat64) {
 		return 0
 	}

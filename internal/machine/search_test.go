@@ -176,25 +176,33 @@ func randomParams(r [7]uint32) Params {
 	}
 }
 
-// TestSearchBoundProperty runs both checks above on random asymmetric
-// topologies, random Validate-passing phases, random valid Params — response
-// sigmas up to 4, where the prefilter's cubic is loose or negative — clock
-// scales and idiosyncrasies.
+// propertyCase builds one random case of the bound property tests from
+// quick's draws: a random asymmetric topology over every placement, a random
+// Validate-passing phase, random valid Params — response sigmas up to 4,
+// where the prefilter's cubic is loose or negative — a clock scale and an
+// idiosyncrasy.
+func propertyCase(t *testing.T, bg, bs, lg, ls, fr, cr uint8, pr [20]uint32, par [7]uint32, clockRaw, idioRaw uint16) (m *Machine, placements []topology.Placement, p workload.PhaseProfile, idio float64) {
+	topo := buildFuzzTopo(t, bg, bs, lg, ls, fr, cr)
+	placements = topology.EnumeratePlacements(topo)
+	p = randomPhase(pr)
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetParams(randomParams(par))
+	m = m.WithFrequency(0.25 + float64(clockRaw)/math.MaxUint16*0.75)
+	idio = (float64(idioRaw)/math.MaxUint16 - 0.5) * 0.8
+	return m, placements, p, idio
+}
+
+// TestSearchBoundProperty runs both checks above on random property cases
+// (propertyCase).
 func TestSearchBoundProperty(t *testing.T) {
 	f := func(bg, bs, lg, ls, fr, cr uint8, pr [20]uint32, par [7]uint32, clockRaw, idioRaw uint16) bool {
-		topo := buildFuzzTopo(t, bg, bs, lg, ls, fr, cr)
-		placements := topology.EnumeratePlacements(topo)
-		p := randomPhase(pr)
-		if err := p.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		m, err := New(topo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.SetParams(randomParams(par))
-		m = m.WithFrequency(0.25 + float64(clockRaw)/math.MaxUint16*0.75)
-		idio := (float64(idioRaw)/math.MaxUint16 - 0.5) * 0.8
+		m, placements, p, idio := propertyCase(t, bg, bs, lg, ls, fr, cr, pr, par, clockRaw, idioRaw)
 		dst := make([]Result, len(placements))
 		m.RunPhaseSweep(&p, idio, placements, dst)
 		s := NewSearch(m, placements)
@@ -211,6 +219,92 @@ func TestSearchBoundProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSearchBoundsMatchReference: the bound pass, which reads the per-phase
+// accounting record, gives every placement the b0 and the prefilter bound of
+// the per-placement reference (referenceBounds) bit for bit — on every
+// machine the scaling studies search and every NPB phase, and on random
+// property cases.
+func TestSearchBoundsMatchReference(t *testing.T) {
+	forEachOraclePhase(t, func(c oracleCase, s *Search, p *workload.PhaseProfile, idio float64, _ []Result) {
+		if err := boundsMatchReference(s, p, idio); err != nil {
+			t.Errorf("%s %s: %v", c.name, p.Fingerprint, err)
+		}
+	})
+	f := func(bg, bs, lg, ls, fr, cr uint8, pr [20]uint32, par [7]uint32, clockRaw, idioRaw uint16) bool {
+		m, placements, p, idio := propertyCase(t, bg, bs, lg, ls, fr, cr, pr, par, clockRaw, idioRaw)
+		if err := boundsMatchReference(NewSearch(m, placements), &p, idio); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// boundsMatchReference reports the first placement whose b0 or prefilter
+// bound from the bound pass differs in any bit from the reference's.
+func boundsMatchReference(s *Search, p *workload.PhaseProfile, idio float64) error {
+	ctx := &phaseCtx{}
+	s.bounds(ctx, p, idio)
+	wantB0, wantCheap := referenceBounds(s, p, idio)
+	sc := &ctx.srch
+	for i := range s.names {
+		if math.Float64bits(sc.b0[i]) != math.Float64bits(wantB0[i]) {
+			return fmt.Errorf("placement %s: b0 %v, reference %v", s.names[i], sc.b0[i], wantB0[i])
+		}
+		if math.Float64bits(sc.cheap[i]) != math.Float64bits(wantCheap[i]) {
+			return fmt.Errorf("placement %s: prefilter bound %v, reference %v", s.names[i], sc.cheap[i], wantCheap[i])
+		}
+	}
+	return nil
+}
+
+// TestSearchPruneCensus pins how many placements Best solves exactly over
+// every NPB phase on the four hetero machines, each searched over its
+// balanced placements: the census PERFORMANCE.md reports. A change to the
+// bound, the prefilter or the search order that moves what is pruned moves
+// these counts; a change that keeps every bound's bits keeps them.
+func TestSearchPruneCensus(t *testing.T) {
+	census := []struct {
+		desc   string
+		solved int64
+	}{
+		{"16x4", 1217},
+		{"12x4+8x2:little", 7222},
+		{"16x4+16x2:little", 16142},
+		{"16x4+32x2:little", 27557},
+	}
+	var solved, placementPhases int64
+	for _, c := range census {
+		topo, err := topology.ParseDesc(c.desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewBalancedSearch(m)
+		solved0 := searchSolved.Load()
+		for _, b := range npb.All() {
+			for pi := range b.Phases {
+				s.Best(&b.Phases[pi], b.Idiosyncrasy)
+				placementPhases += int64(s.Len())
+			}
+		}
+		got := searchSolved.Load() - solved0
+		if got != c.solved {
+			t.Errorf("%s: Best solved %d placements over every NPB phase, census %d", c.desc, got, c.solved)
+		}
+		solved += got
+	}
+	if solved != 52138 || placementPhases != 428576 {
+		t.Errorf("hetero study: %d of %d placement-phases solved, census 52138 of 428576", solved, placementPhases)
 	}
 }
 

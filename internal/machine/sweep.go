@@ -24,9 +24,15 @@ import (
 //  1. The fixed point advances one CPI per lane per iteration, and a
 //     placement's offered bus traffic is Σ_l count_l · contrib_l over its
 //     lanes. Average L2 miss rate, summed per-core IPC and the worst CPI are
-//     the same multiplicity-weighted reductions (placementCycles).
+//     the same multiplicity-weighted reductions (placementCycles); what is
+//     left of the cycle accounting after them is one shared tail
+//     (wallCycles), which Search's bound pass calls too.
 //  2. Across the placements of a sweep, the miss-rate-per-group-load table
 //     depends only on the phase, so it is computed once for the whole sweep.
+//     So is the accounting's per-phase record (phaseAcct): the phase
+//     scalars, and the parallel share, critical-section, idiosyncrasy and
+//     sync terms of each thread count, filled on the phase's first use of
+//     that count.
 //  3. Everything in a lane's CPI that does not change across fixed-point
 //     iterations is precomputed once per lane, leaving the per-iteration step
 //     a handful of element-wise operations over struct-of-arrays lane blocks.
@@ -61,7 +67,9 @@ import (
 // absorbs either rounding and which moves only which placements are solved,
 // never Best's answer. `GOARCH=arm64 go build
 // -gcflags=github.com/greenhpc/actor/internal/machine=-S ./internal/machine`
-// lists every fused instruction (FMADDD, FMSUBD, FNMSUBD) with its line.
+// lists every fused instruction (FMADDD, FMSUBD, FNMSUBD) with its line, and
+// `make fma-check` fails on any whose line lacks a `// fma-ok:` marker —
+// only expLower's carries one.
 //
 // Scratch state lives in a pooled phaseCtx and Result holds no pointer, so
 // steady-state evaluation allocates nothing.
@@ -85,6 +93,10 @@ type phaseCtx struct {
 	// outside any L2 group.
 	missByLoad []float64
 	haveMiss   []bool
+
+	// acct is the per-phase part of the cycle accounting, valid across
+	// every placement of one sweep or search (see phaseAcct).
+	acct phaseAcct
 
 	// keyToLane maps a (class, load) solve key — key = class·(n+1) + load —
 	// to laneIndex+1 while one placement's plan is being resolved; keyScratch
@@ -145,13 +157,89 @@ type pendingMemo struct {
 	hash, coresHash uint64
 }
 
+// phaseAcct is the part of a placement's cycle accounting that is the same
+// for every placement of a phase: the phase scalars, set by resetPhase, and
+// the terms that depend only on the placement's thread count n, filled per n
+// on first use (thread). The exact path (placementCycles) and Search's bound
+// pass both read it and share one tail (wallCycles), so the accounting is
+// one formula, derived once per phase rather than once per placement.
+type phaseAcct struct {
+	idio           float64 // the phase's idiosyncrasy
+	mpiL1          float64 // L1 misses per instruction
+	freq           float64 // the clock in Hz, DVFS scale included
+	parInstr       float64 // instructions of the parallel section
+	serInstr       float64 // instructions of the serial section
+	instrMpi       float64 // L1 misses over the phase: Instructions·mpiL1
+	trafficPerMiss float64 // bus bytes moved per L2 miss
+
+	// perN[n] holds the terms of a placement of n threads where ok; it is
+	// sized with missByLoad (sizeFor).
+	perN []threadAcct
+}
+
+// threadAcct is the part of the cycle accounting that depends only on a
+// placement's thread count.
+type threadAcct struct {
+	ok bool
+	// parShare is the heaviest thread's share of the parallel
+	// instructions: parInstr · imbalance/n.
+	parShare float64
+	// Critical-section serialisation and hidden idiosyncrasy both grow
+	// with thread count; neither is visible in the cache/bus counters.
+	crit, idio float64
+	sync       float64 // synchronisation cycles
+}
+
 var ctxPool = sync.Pool{New: func() any { return &phaseCtx{} }}
 
-// resetPhase invalidates the per-phase miss-rate cache.
-func (ctx *phaseCtx) resetPhase() {
+// resetPhase points the context's per-phase state at phase p with
+// idiosyncrasy idio on machine m: it sets the accounting's phase scalars and
+// invalidates the miss-rate and per-thread-count caches.
+func (ctx *phaseCtx) resetPhase(m *Machine, p *workload.PhaseProfile, idio float64) {
 	for i := range ctx.haveMiss {
 		ctx.haveMiss[i] = false
 	}
+	a := &ctx.acct
+	for i := range a.perN {
+		a.perN[i].ok = false
+	}
+	a.idio = idio
+	a.mpiL1 = p.MemRefsPerInstr * p.L1MissRate
+	a.freq = m.Topo.FrequencyHz * m.clockScale()
+	a.parInstr = float64(p.Instructions * p.ParallelFraction)
+	a.serInstr = p.Instructions - a.parInstr
+	a.instrMpi = p.Instructions * a.mpiL1
+	lineBytes := 64.0
+	storeFrac := 1 - p.LoadFraction
+	a.trafficPerMiss = lineBytes * (1 + float64(p.StoreBandwidthBoost*storeFrac))
+}
+
+// thread returns the accounting terms of a placement of n threads of phase
+// p, computed on the phase's first use of n (fillThread). The context must
+// be sized for n (sizeFor).
+func (a *phaseAcct) thread(p *workload.PhaseProfile, n int) *threadAcct {
+	if t := &a.perN[n]; t.ok {
+		return t
+	}
+	return a.fillThread(p, n)
+}
+
+// fillThread computes and caches the accounting terms of n threads.
+func (a *phaseAcct) fillThread(p *workload.PhaseProfile, n int) *threadAcct {
+	t := &a.perN[n]
+	imb := imbalanceFactor(p.ChunkGranularity, n)
+	t.parShare = float64(a.parInstr * (imb / float64(n)))
+	t.crit = 1 + float64(p.CriticalFraction*float64(n-1))
+	t.idio = 1 + a.idio*float64(n-1)/3
+	if t.idio < 0.5 {
+		t.idio = 0.5
+	}
+	t.sync = 0
+	if n > 1 {
+		t.sync = p.SyncCycles * (1 + log2N(n)) * t.idio
+	}
+	t.ok = true
+	return t
 }
 
 // resetBlock clears the lane and placement state of the current solve block
@@ -180,6 +268,12 @@ func (ctx *phaseCtx) sizeFor(nGroups, n, nClasses int) {
 	}
 	ctx.missByLoad = ctx.missByLoad[:cap(ctx.missByLoad)]
 	ctx.haveMiss = ctx.haveMiss[:cap(ctx.haveMiss)]
+	if cap(ctx.acct.perN) < n+1 {
+		grown := make([]threadAcct, n+1)
+		copy(grown, ctx.acct.perN)
+		ctx.acct.perN = grown
+	}
+	ctx.acct.perN = ctx.acct.perN[:cap(ctx.acct.perN)]
 	if keySpace := nClasses * (n + 1); cap(ctx.keyToLane) < keySpace {
 		// Entries are always cleared back to zero after each placement, so
 		// growth may start from a fresh zeroed array.
@@ -202,11 +296,11 @@ func (ctx *phaseCtx) missFor(m *Machine, p *workload.PhaseProfile, load int) flo
 // except measurement noise — on pooled scratch: a solve block of one.
 func (m *Machine) computePhase(p *workload.PhaseProfile, idio float64, pl topology.Placement, res *Result) {
 	ctx := ctxPool.Get().(*phaseCtx)
-	ctx.resetPhase()
+	ctx.resetPhase(m, p, idio)
 	ctx.resetBlock()
 	m.prepPlacement(ctx, p, &pl, 0)
 	m.solveBlock(ctx, p)
-	m.finishPlacement(ctx, 0, &pl, p, idio, res)
+	m.finishPlacement(ctx, 0, &pl, p, res)
 	ctxPool.Put(ctx)
 }
 
@@ -352,7 +446,7 @@ func (m *Machine) solveBlock(ctx *phaseCtx, p *workload.PhaseProfile) {
 		// Advance every live lane in one element-wise step; each lane reads
 		// its placement's bus factor from ls.bus, which starts at 1
 		// (sizeDerived) and is rewritten below by the update that moves it.
-		m.stepLanes(ls, p)
+		m.stepLanes(ctx, p)
 
 		for o := range ctx.pend {
 			if ctx.converged[o] {
@@ -390,13 +484,9 @@ func (m *Machine) solveBlock(ctx *phaseCtx, p *workload.PhaseProfile) {
 // stepLanes advances every live lane of the block one fixed-point step at
 // its placement's current bus factor: the phase-level operands of the lane
 // kernel, then the kernel itself (advanceLanes).
-func (m *Machine) stepLanes(ls *laneState, p *workload.PhaseProfile) {
-	freq := m.Topo.FrequencyHz * m.clockScale()
-	lineBytes := 64.0
-	storeFrac := 1 - p.LoadFraction
-	trafficPerMiss := lineBytes * (1 + float64(p.StoreBandwidthBoost*storeFrac))
+func (m *Machine) stepLanes(ctx *phaseCtx, p *workload.PhaseProfile) {
 	prefetchHide := 1 - float64(0.6*p.PrefetchFriendly)
-	advanceLanes(ls, prefetchHide, p.MLP, freq, trafficPerMiss)
+	advanceLanes(&ctx.lanes, prefetchHide, p.MLP, ctx.acct.freq, ctx.acct.trafficPerMiss)
 }
 
 // log2Tab caches math.Log2(n) for the thread counts that actually occur —
@@ -472,101 +562,76 @@ func responseZ(seed uint64, name string) float64 {
 	return z * math.Sqrt(3) // var(sum of 4 U(-0.5,0.5)) = 1/3 → scale to 1
 }
 
-// placementCycles is the cycle accounting of one placement of n threads whose
-// first core has class cls0, before the response factor, which its callers
-// apply: the serial section at bus factor busFactor, the heaviest thread's
-// parallel share at the worst lane CPI, synchronisation and the bandwidth
-// wall. cpi, cnt and miss hold the placement's lanes in plan order — each
-// lane's CPI at a bus factor no smaller than 1, its multiplicity and its L2
-// miss rate. It returns the wall cycles, the average L2 miss rate and the
-// summed per-core IPC.
+// serialCycles is the serial section's cycles at bus factor busFactor. The
+// serial section runs on one thread — the placement's first core, of class
+// cls, with a single-thread L2 share.
+func (m *Machine) serialCycles(ctx *phaseCtx, p *workload.PhaseProfile, busFactor float64, cls *topology.CoreClass) float64 {
+	serCPI := m.threadCPI(p, ctx.acct.mpiL1, ctx.missFor(m, p, 1), busFactor, 1, cls) / cls.FreqMult
+	return float64(ctx.acct.serInstr * serCPI)
+}
+
+// wallCycles is the tail of the cycle accounting every caller shares, before
+// the response factor, which its callers apply: the serial section's cycles
+// serCycles, the heaviest thread's parallel share at maxCPI, the worst lane
+// CPI, and synchronisation, against the bandwidth wall that sumMiss, the
+// lanes' multiplicity-weighted L2 miss rates, sets. t holds the terms of the
+// placement's thread count n. It returns the wall cycles and the average L2
+// miss rate.
 //
-// Every operation from busFactor and the lane CPIs to wallCycles is a sum
-// or product of non-negative operands, a max or a division by a positive
-// constant, so for a phase that passes Validate and parameters SetParams
-// accepts, wallCycles is monotone non-decreasing in busFactor and in each
-// lane's CPI — the lower bound Search prunes by rests on that.
-func (m *Machine) placementCycles(ctx *phaseCtx, p *workload.PhaseProfile, idio, busFactor float64, n int, cls0 *topology.CoreClass, cpi, cnt, miss []float64) (wallCycles, avgMissL2, sumIPC float64) {
-	freq := m.Topo.FrequencyHz * m.clockScale()
-
-	// --- Work division ------------------------------------------------
-	parInstr := float64(p.Instructions * p.ParallelFraction)
-	serInstr := p.Instructions - parInstr
-	imb := imbalanceFactor(p.ChunkGranularity, n)
-	// Heaviest thread's share of the parallel instructions.
-	heavyShare := imb / float64(n)
-
-	mpiL1 := p.MemRefsPerInstr * p.L1MissRate
-
-	// --- Cycle accounting ----------------------------------------------
-	// Serial section runs on one thread — the placement's first core, with
-	// a single-thread L2 share and that core's class.
-	serMiss := ctx.missFor(m, p, 1)
-	serCPI := m.threadCPI(p, mpiL1, serMiss, busFactor, 1, cls0) / cls0.FreqMult
-	serCycles := float64(serInstr * serCPI)
-
-	// Critical-section serialisation and hidden idiosyncrasy both grow
-	// with thread count; neither is visible in the cache/bus counters.
-	critFactor := 1 + float64(p.CriticalFraction*float64(n-1))
-	idioFactor := 1 + idio*float64(n-1)/3
-	if idioFactor < 0.5 {
-		idioFactor = 0.5
-	}
-
-	// One pass over the lanes: the slowest thread gates the end-of-phase
-	// barrier (the heaviest chunk share executed at the worst CPI), and the
-	// per-core IPC and L2 miss rate sum with each lane's multiplicity. A
-	// lane whose CPI is not positive contributes no IPC rather than +Inf.
-	var maxCPI, sumMiss float64
-	cnt, miss = cnt[:len(cpi)], miss[:len(cpi)]
-	for l, c := range cpi {
-		if c > maxCPI {
-			maxCPI = c
-		}
-		if c > 0 {
-			sumIPC += float64(cnt[l] * (1 / (c * critFactor * idioFactor)))
-		}
-		sumMiss += float64(cnt[l] * miss[l])
-	}
+// Every operation from the bus factor and the lane CPIs to the wall cycles —
+// here, in serialCycles and in the lane step — is a sum or product of
+// non-negative operands, a max or a division by a positive constant, so for
+// a phase that passes Validate and parameters SetParams accepts, the wall
+// cycles are monotone non-decreasing in the bus factor and in each lane's
+// CPI — the lower bound Search prunes by rests on that.
+func (m *Machine) wallCycles(a *phaseAcct, t *threadAcct, n int, serCycles, maxCPI, sumMiss float64) (wall, avgMissL2 float64) {
 	avgMissL2 = sumMiss / float64(n)
-	parCycles := float64(parInstr * heavyShare * maxCPI * critFactor * idioFactor)
-
-	syncCycles := 0.0
-	if n > 1 {
-		syncCycles = p.SyncCycles * (1 + log2N(n)) * idioFactor
-	}
+	parCycles := float64(t.parShare * maxCPI * t.crit * t.idio)
+	wall = serCycles + parCycles + t.sync
 
 	// Bandwidth wall: the phase cannot finish faster than its total bus
 	// traffic takes to transfer. In the saturated regime execution time is
 	// proportional to bytes moved — the mechanism behind IS and MG losing
 	// performance when destructive L2 sharing multiplies their misses.
 	//
-	// Note: near saturation the queueing factor above and this wall
-	// overlap slightly; lowering the clock reduces offered load and hence
+	// Note: near saturation the queueing factor and this wall overlap
+	// slightly; lowering the clock reduces offered load and hence
 	// queueing, which can shave up to ~10% off a saturated phase's
 	// latency-inflated compute path. The wall bounds the effect; it is a
 	// known, benign artifact of the analytic composition.
-	lineBytes := 64.0
-	storeFrac := 1 - p.LoadFraction
-	trafficPerMiss := lineBytes * (1 + float64(p.StoreBandwidthBoost*storeFrac))
-	totalBytes := p.Instructions * mpiL1 * avgMissL2 * trafficPerMiss
-	bwCycles := m.fsb.MinTransferTime(totalBytes) * freq
-
-	wallCycles = serCycles + parCycles + syncCycles
-	if bwCycles > wallCycles {
-		wallCycles = bwCycles
+	if bw := m.fsb.MinTransferTime(a.instrMpi*avgMissL2*a.trafficPerMiss) * a.freq; bw > wall {
+		wall = bw
 	}
-	return wallCycles, avgMissL2, sumIPC
+	return wall, avgMissL2
 }
 
-// slotCycles is placementCycles over the lanes of block slot o, solved to
-// the slot's bus factor: the exact accounting of a placement of n threads
-// whose first core has class cls0.
-func (m *Machine) slotCycles(ctx *phaseCtx, o int, p *workload.PhaseProfile, idio float64, n int, cls0 *topology.CoreClass) (wallCycles, avgMissL2, sumIPC float64) {
+// placementCycles is the exact cycle accounting of the placement in solve
+// block slot o, of n threads whose first core has class cls0, at the slot's
+// solved bus factor: one pass over its lanes — the slowest thread gates the
+// end-of-phase barrier (the heaviest chunk share executed at the worst CPI),
+// and the per-core IPC and L2 miss rate sum with each lane's multiplicity, in
+// plan order — then the shared tail (wallCycles). A lane whose CPI is not
+// positive contributes no IPC rather than +Inf. It returns the wall cycles
+// before the response factor, the average L2 miss rate and the summed
+// per-core IPC.
+func (m *Machine) placementCycles(ctx *phaseCtx, o int, p *workload.PhaseProfile, n int, cls0 *topology.CoreClass) (wallCycles, avgMissL2, sumIPC float64) {
 	pe := &ctx.pend[o]
 	lo, hi := int(pe.laneOff), int(pe.laneOff+pe.laneN)
 	ls := &ctx.lanes
-	return m.placementCycles(ctx, p, idio, ctx.bus[o], n, cls0, ls.cpi[lo:hi], ls.cnt[lo:hi], ls.miss[lo:hi])
+	t := ctx.acct.thread(p, n)
+	var maxCPI, sumMiss float64
+	cnt, miss := ls.cnt[lo:hi], ls.miss[lo:hi]
+	for l, c := range ls.cpi[lo:hi] {
+		if c > maxCPI {
+			maxCPI = c
+		}
+		if c > 0 {
+			sumIPC += float64(cnt[l] * (1 / (c * t.crit * t.idio)))
+		}
+		sumMiss += float64(cnt[l] * miss[l])
+	}
+	wallCycles, avgMissL2 = m.wallCycles(&ctx.acct, t, n, m.serialCycles(ctx, p, ctx.bus[o], cls0), maxCPI, sumMiss)
+	return wallCycles, avgMissL2, sumIPC
 }
 
 // finishPlacement turns one solved placement into *res: cycle accounting
@@ -574,14 +639,14 @@ func (m *Machine) slotCycles(ctx *phaseCtx, o int, p *workload.PhaseProfile, idi
 // event synthesis and power-model activity. o is the placement's index within
 // the solve block (its slot in ctx.pend/ctx.bus/ctx.traffic) and pl the
 // placement queued there. Every field of *res is overwritten.
-func (m *Machine) finishPlacement(ctx *phaseCtx, o int, pl *topology.Placement, p *workload.PhaseProfile, idio float64, res *Result) {
+func (m *Machine) finishPlacement(ctx *phaseCtx, o int, pl *topology.Placement, p *workload.PhaseProfile, res *Result) {
 	busFactor := ctx.bus[o]
 	n := pl.Threads()
 	cls0 := m.classOf(pl.Cores[0])
-	wallCycles, avgMissL2, sumIPC := m.slotCycles(ctx, o, p, idio, n, cls0)
+	wallCycles, avgMissL2, sumIPC := m.placementCycles(ctx, o, p, n, cls0)
 	wallCycles *= m.responseFactorCtx(ctx, p, pl)
 	busUtil := m.fsb.Utilization(ctx.traffic[o])
-	timeSec := wallCycles / (m.Topo.FrequencyHz * m.clockScale())
+	timeSec := wallCycles / ctx.acct.freq
 
 	res.TimeSec = timeSec
 	res.WallCycles = wallCycles
@@ -592,8 +657,7 @@ func (m *Machine) finishPlacement(ctx *phaseCtx, o int, pl *topology.Placement, 
 
 	// --- Activity for the power model ------------------------------------
 	// The representative core is the placement's first: lane 0's.
-	mpiL1 := p.MemRefsPerInstr * p.L1MissRate
-	stall := m.stallFraction(p, mpiL1, ctx.lanes.miss[ctx.pend[o].laneOff], busFactor, cls0)
+	stall := m.stallFraction(p, ctx.acct.mpiL1, ctx.lanes.miss[ctx.pend[o].laneOff], busFactor, cls0)
 	res.Activity = Activity{
 		TimeSec:          timeSec,
 		ActiveCores:      n,
@@ -631,7 +695,7 @@ func (m *Machine) RunPhaseSweep(p *workload.PhaseProfile, idio float64, placemen
 
 // sweepOn is RunPhaseSweep on the given scratch context.
 func (m *Machine) sweepOn(ctx *phaseCtx, p *workload.PhaseProfile, idio float64, placements []topology.Placement, dst []Result) {
-	ctx.resetPhase()
+	ctx.resetPhase(m, p, idio)
 	ctx.resetBlock()
 	useMemo := m.memo != nil && p.Fingerprint != ""
 	var seed uint64
@@ -646,7 +710,7 @@ func (m *Machine) sweepOn(ctx *phaseCtx, p *workload.PhaseProfile, idio float64,
 		for o := range ctx.pend {
 			idx := ctx.pend[o].idx
 			pl := &placements[idx]
-			m.finishPlacement(ctx, o, pl, p, idio, &dst[idx])
+			m.finishPlacement(ctx, o, pl, p, &dst[idx])
 			if useMemo {
 				pm := ctx.pendMemo[o]
 				m.memo.Put(pm.hash, m.keyFor(p, idio, pl, pm.coresHash), dst[idx])

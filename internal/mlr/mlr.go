@@ -3,6 +3,11 @@
 // paper argues ANNs match regression accuracy while eliminating the
 // hand-tuned, machine-specific model derivation; this package exists so the
 // repository can reproduce that comparison (see the ablation benchmarks).
+//
+// Every product that feeds an add or subtract is wrapped in an explicit
+// float64(...) conversion, which forces its rounding, so arm64 (where Go
+// fuses a*b + c into one FMA) fits and predicts the bits amd64 does.
+// `make fma-check` fails on any fused instruction left in the listing.
 package mlr
 
 import (
@@ -49,9 +54,9 @@ func Fit(samples []ann.Sample, ridge float64) (*Model, error) {
 		copy(row[1:], s.X)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				a[i][j] += row[i] * row[j]
+				a[i][j] += float64(row[i] * row[j])
 			}
-			b[i] += row[i] * s.Y
+			b[i] += float64(row[i] * s.Y)
 		}
 	}
 	if ridge < 0 {
@@ -84,7 +89,7 @@ func (m *Model) Predict(x []float64) float64 {
 	}
 	y := m.Coef[0]
 	for i, v := range x {
-		y += m.Coef[i+1] * v
+		y += float64(m.Coef[i+1] * v)
 	}
 	return y
 }
@@ -116,9 +121,9 @@ func solveGauss(a [][]float64, b []float64) ([]float64, error) {
 				continue
 			}
 			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
+				a[r][c] -= float64(f * a[col][c])
 			}
-			b[r] -= f * b[col]
+			b[r] -= float64(f * b[col])
 		}
 	}
 	// Back substitution.
@@ -126,7 +131,7 @@ func solveGauss(a [][]float64, b []float64) ([]float64, error) {
 	for r := n - 1; r >= 0; r-- {
 		sum := b[r]
 		for c := r + 1; c < n; c++ {
-			sum -= a[r][c] * x[c]
+			sum -= float64(a[r][c] * x[c])
 		}
 		x[r] = sum / a[r][r]
 	}

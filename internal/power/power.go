@@ -8,6 +8,12 @@
 // at four cores ≈ 14% above one core on average; the best-scaling code (BT)
 // near ×1.31; bandwidth-bound codes nearly flat because stalled cores burn
 // little dynamic power while the bus/DRAM term is already saturated.
+//
+// Every product that feeds an add is wrapped in an explicit float64(...)
+// conversion, which forces its rounding: Go may fuse a*b + c into one FMA
+// where the target has one (go1.24 does on arm64, not on amd64), and the
+// energy totals would then differ between the two in the last bits.
+// `make fma-check` fails on any fused instruction left in the listing.
 package power
 
 import (
@@ -68,15 +74,15 @@ func (m *Model) Power(a machine.Activity) float64 {
 	if fs <= 0 {
 		fs = 1
 	}
-	perCore := m.StaticPerCoreWatts*fs + m.DynPerCoreWatts*fs*fs*fs*a.AvgCoreUtil*(0.3+0.7*ipcRel)
-	p += float64(a.ActiveCores) * perCore
+	perCore := float64(m.StaticPerCoreWatts*fs) + float64(m.DynPerCoreWatts*fs*fs*fs*a.AvgCoreUtil*(0.3+float64(0.7*ipcRel)))
+	p += float64(float64(a.ActiveCores) * perCore)
 
 	l2Busy := 0.0
 	if m.L2RefRateFull > 0 {
 		l2Busy = math.Min(a.L2AccessesPerSec/m.L2RefRateFull, 1)
 	}
-	p += m.L2Watts * l2Busy
-	p += m.BusWatts * a.BusUtilization
+	p += float64(m.L2Watts * l2Busy)
+	p += float64(m.BusWatts * a.BusUtilization)
 	return p
 }
 
@@ -94,8 +100,10 @@ type Accumulator struct {
 
 // Add integrates one interval at the given power.
 func (ac *Accumulator) Add(timeSec, watts float64) {
-	ac.TimeSec += timeSec
-	ac.EnergyJ += watts * timeSec
+	// Callers pass products (time × iterations); once Add is inlined the
+	// conversion keeps that product from fusing into the sum.
+	ac.TimeSec += float64(timeSec)
+	ac.EnergyJ += float64(watts * timeSec)
 }
 
 // AvgPower returns energy/time, or 0 for an empty accumulator.

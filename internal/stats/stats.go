@@ -38,7 +38,9 @@ func summarize(xs []float64) (summary, error) {
 		var ss float64
 		for _, x := range xs {
 			d := x - s.Mean
-			ss += d * d
+			// The conversion keeps the square from fusing into an FMA
+			// (arm64): the same bits on every target.
+			ss += float64(d * d)
 		}
 		s.StdDev = math.Sqrt(ss / float64(s.N-1))
 	}

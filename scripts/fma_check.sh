@@ -1,0 +1,50 @@
+#!/usr/bin/env bash
+# fma_check.sh — fail on any fused multiply-add in the arm64 build of the
+# packages whose floating-point results must be the same bits on every
+# target (CI; `make fma-check`).
+#
+# Go may fuse a*b + c into one FMA instruction where the target has one
+# (go1.24 does on arm64, not on amd64), which rounds once where amd64
+# rounds twice. These packages wrap every product that feeds an add or
+# subtract in float64(...), which forces its rounding. This script builds
+# each of them for arm64 with -S and fails on every fused instruction
+# (FMADDD, FMSUBD, FNMADDD, FNMSUBD and their single-precision forms) whose
+# source line — in the package or inlined into it — does not carry a
+# `// fma-ok: <reason>` marker. Nothing runs on arm64: the listing is read.
+#
+# Not yet covered: internal/ann (its GEMM and training kernels still fuse).
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+PKGS=(machine cache fleet power mlr core stats exp dvfs metrics)
+mod="$(go list -m)"
+
+fail=0
+for pkg in "${PKGS[@]}"; do
+    if ! listing="$(GOARCH=arm64 go build -gcflags="$mod/internal/$pkg=-S" -o /dev/null "./internal/$pkg" 2>&1)"; then
+        echo "$listing"
+        echo "FAIL internal/$pkg: arm64 build"; exit 1
+    fi
+    # A listing with no function in it would pass vacuously.
+    if ! grep -q ' STEXT ' <<<"$listing"; then
+        echo "FAIL internal/$pkg: the arm64 build printed no assembly listing"; exit 1
+    fi
+    sites="$(grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD|FMADDS|FMSUBS|FNMADDS|FNMSUBS)\b' <<<"$listing" |
+        grep -oE '\([^()]+\.go:[0-9]+\)' | tr -d '()' | sort -u || true)"
+    while IFS= read -r site; do
+        [ -n "$site" ] || continue
+        file="${site%:*}" line="${site##*:}"
+        src="$(sed -n "${line}p" "$file")"
+        if ! grep -q '// fma-ok: ' <<<"$src"; then
+            echo "FAIL internal/$pkg: fused multiply-add at $site:"
+            echo "    ${src#"${src%%[![:space:]]*}"}"
+            fail=1
+        fi
+    done <<<"$sites"
+done
+if [ "$fail" -ne 0 ]; then
+    echo "wrap each product that feeds an add or subtract in float64(...)"
+    exit 1
+fi
+echo "fma-check: no unmarked fused multiply-add in ${PKGS[*]}"
