@@ -29,7 +29,7 @@ cross-arm64:
 
 ## fma-check: read the arm64 assembly of every package held to the same
 ## bits on every target and fail on any fused multiply-add whose source
-## line lacks a `// fma-ok: <reason>` marker (internal/ann not yet covered).
+## line lacks a `// fma-ok: <reason>` marker.
 fma-check:
 	scripts/fma_check.sh
 

@@ -250,10 +250,9 @@ func BenchmarkExtensionHeteroScaling(b *testing.B) {
 	b.ReportMetric(r.AverageGain("64b+64L")*100, "gain128hetero-pct")
 }
 
-// BenchmarkStrategyReplay measures the execute() engine's per-iteration
-// replay: since PR 4 each phase's placement responses are precomputed on
-// the batched sweep path and iterations only copy rows (plus in-order
-// noise), so this tracks the whole-benchmark strategy replay throughput.
+// BenchmarkStrategyReplay measures the execute() engine's whole-benchmark
+// strategy replay: one RunPhase per phase execution on a memoised machine,
+// so after the first run every execution is a memo hit.
 func BenchmarkStrategyReplay(b *testing.B) {
 	m, err := machine.New(topology.QuadCoreXeon())
 	if err != nil {

@@ -71,9 +71,9 @@
 // Topology descriptors follow the grammar of topology.ParseDesc —
 // "count x groupSize [:class]" terms joined by "+", where a class is
 // "big", "little", or an inline "name(freqMult,cpiMult[,smtWidth])"
-// definition — and build the same heterogeneous descriptors the
-// topology.NewBuilder API assembles programmatically. Strategy replays,
-// figure drivers and served sweeps execute on the batched phase-sweep
+// definition, with an optional "@GHz" clock — and are the one way to
+// describe a machine other than the paper's quad-core Xeon. Figure drivers
+// and served sweeps execute on the batched phase-sweep
 // engine (machine.RunPhaseSweep), which solves one lane per distinct
 // (class, load) key of a placement and weights every reduction by how many
 // threads share the key — bit-identical to per-placement RunPhase, and

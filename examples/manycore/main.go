@@ -1,11 +1,12 @@
 // Manycore: the paper predicts that scalability limits — and therefore the
 // value of concurrency throttling — grow as core counts rise and the
-// compute-to-cache ratio falls. This example synthesises 8-, 16- and
-// 32-core machines, runs a bandwidth-bound and a compute-bound workload on
-// every distinct placement, and shows the gap between "use all cores" and
-// the best placement widening with scale — while the number of candidate
-// configurations grows, which is the paper's argument for prediction over
-// empirical search.
+// compute-to-cache ratio falls. This example builds 4- to 32-core machines
+// from the descriptors "2x2" … "16x2" (topology.ParseDesc: dual-core L2
+// groups, 1 MiB of L2 per core, a bus that grows sublinearly), runs a
+// bandwidth-bound and a compute-bound workload on every distinct placement,
+// and shows the gap between "use all cores" and the best placement widening
+// with scale — while the number of candidate configurations grows, which is
+// the paper's argument for prediction over empirical search.
 //
 //	go run ./examples/manycore
 package main
@@ -58,7 +59,10 @@ func run(w io.Writer) error {
 	t := report.NewTable("throttling value vs core count",
 		"cores", "phase", "configs", "all-cores (s)", "best (s)", "best placement", "gain")
 	for _, cores := range []int{4, 8, 16, 32} {
-		topo := topology.Manycore(cores, 2)
+		topo, err := topology.ParseDesc(fmt.Sprintf("%dx2", cores/2))
+		if err != nil {
+			return err
+		}
 		m, err := machine.New(topo)
 		if err != nil {
 			return err

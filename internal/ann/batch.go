@@ -134,7 +134,7 @@ func (n *Network) mseIdx(ds *dataSet, y []float64, idx []int) float64 {
 	var sum float64
 	for _, id := range idx {
 		e := n.forward(ds.row(id), hidden) - y[id]
-		sum += e * e
+		sum += float64(e * e)
 	}
 	return sum / float64(len(idx))
 }

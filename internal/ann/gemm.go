@@ -32,9 +32,17 @@ func fastExp(x float64) float64 {
 	} else if x < -708 {
 		return 0
 	}
-	k := math.Floor(x*log2e + 0.5)
-	r := (x - k*ln2hi) - k*ln2lo
-	p := 1 + r*(1+r*(0.5+r*(1.0/6+r*(1.0/24+r*(1.0/120+r*(1.0/720+r*(1.0/5040+r*(1.0/40320))))))))
+	k := math.Floor(float64(x*log2e) + 0.5)
+	r := (x - float64(k*ln2hi)) - float64(k*ln2lo)
+	// Horner's scheme, innermost term first.
+	p := 1.0/5040 + float64(r*(1.0/40320))
+	p = 1.0/720 + float64(r*p)
+	p = 1.0/120 + float64(r*p)
+	p = 1.0/24 + float64(r*p)
+	p = 1.0/6 + float64(r*p)
+	p = 0.5 + float64(r*p)
+	p = 1 + float64(r*p)
+	p = 1 + float64(r*p)
 	return p * math.Float64frombits(uint64(int64(k)+1023)<<52)
 }
 
@@ -49,7 +57,7 @@ func denseForwardScalar(out, x, w []float64, batch, ldx int) {
 		xb := x[b*ldx:][:Hidden]
 		sum := w[Hidden]
 		for i, wv := range w[:Hidden] {
-			sum += wv * xb[i]
+			sum += float64(wv * xb[i])
 		}
 		out[b] = sum
 	}
@@ -68,7 +76,7 @@ func stackForwardScalar(acts, wT, x []float64) {
 	copy(acts, wT[:lanes])
 	for i, xv := range x {
 		for u, w := range wT[(i+1)*lanes:][:lanes] {
-			acts[u] += w * xv
+			acts[u] += float64(w * xv)
 		}
 	}
 	for u, s := range acts {
@@ -93,7 +101,7 @@ func hiddenEtaScalar(t, d, w, acts []float64, batch, ld int, lr float64) {
 		ab := acts[b*ld:][:Hidden]
 		for j, wj := range w[:Hidden] {
 			var sum float64
-			sum += wj * db
+			sum += float64(wj * db)
 			a := ab[j]
 			tb[j] = lr * (sum * a * (1 - a))
 		}
@@ -124,7 +132,7 @@ func sgdFeatureMajorScalar(w, vel, t, x []float64, batch, rows, lanes, ldx int, 
 			t2 := t[2*lanes:][:lanes]
 			t3 := t[3*lanes:][:lanes]
 			for u := range vr {
-				vr[u] = momentum*vr[u] - (t0[u]*x0 + t1[u]*x1 + t2[u]*x2 + t3[u]*x3)
+				vr[u] = float64(momentum*vr[u]) - (float64(t0[u]*x0) + float64(t1[u]*x1) + float64(t2[u]*x2) + float64(t3[u]*x3))
 			}
 			b = 4
 		} else {
@@ -139,13 +147,13 @@ func sgdFeatureMajorScalar(w, vel, t, x []float64, batch, rows, lanes, ldx int, 
 			t2 := t[(b+2)*lanes:][:lanes]
 			t3 := t[(b+3)*lanes:][:lanes]
 			for u := range vr {
-				vr[u] -= t0[u]*x0 + t1[u]*x1 + t2[u]*x2 + t3[u]*x3
+				vr[u] -= float64(t0[u]*x0) + float64(t1[u]*x1) + float64(t2[u]*x2) + float64(t3[u]*x3)
 			}
 		}
 		for ; b < batch; b++ {
 			xv := x[b*ldx+i]
 			for u, tv := range t[b*lanes:][:lanes] {
-				vr[u] -= tv * xv
+				vr[u] -= float64(tv * xv)
 			}
 		}
 		for u, vv := range vr {
@@ -172,15 +180,15 @@ func sgdStepScalar(w, vel, d, x []float64, batch, ldx int, lr, momentum float64)
 	if batch >= 4 {
 		// The first block folds the momentum decay into its traversal,
 		// sparing a separate pass over the velocities.
-		t0, t1, t2, t3 := lr*d[0], lr*d[1], lr*d[2], lr*d[3]
+		t0, t1, t2, t3 := float64(lr*d[0]), float64(lr*d[1]), float64(lr*d[2]), float64(lr*d[3])
 		x0 := x[:Hidden]
 		x1 := x[ldx:][:Hidden]
 		x2 := x[2*ldx:][:Hidden]
 		x3 := x[3*ldx:][:Hidden]
 		for i := range x0 {
-			v[i] = momentum*v[i] - (t0*x0[i] + t1*x1[i] + t2*x2[i] + t3*x3[i])
+			v[i] = float64(momentum*v[i]) - (float64(t0*x0[i]) + float64(t1*x1[i]) + float64(t2*x2[i]) + float64(t3*x3[i]))
 		}
-		v[Hidden] = momentum*v[Hidden] - (t0 + t1 + t2 + t3)
+		v[Hidden] = float64(momentum*v[Hidden]) - (t0 + t1 + t2 + t3)
 		b = 4
 	} else {
 		for i, vv := range v {
@@ -188,20 +196,20 @@ func sgdStepScalar(w, vel, d, x []float64, batch, ldx int, lr, momentum float64)
 		}
 	}
 	for ; b+4 <= batch; b += 4 {
-		t0, t1, t2, t3 := lr*d[b], lr*d[b+1], lr*d[b+2], lr*d[b+3]
+		t0, t1, t2, t3 := float64(lr*d[b]), float64(lr*d[b+1]), float64(lr*d[b+2]), float64(lr*d[b+3])
 		x0 := x[b*ldx:][:Hidden]
 		x1 := x[(b+1)*ldx:][:Hidden]
 		x2 := x[(b+2)*ldx:][:Hidden]
 		x3 := x[(b+3)*ldx:][:Hidden]
 		for i := range x0 {
-			v[i] -= t0*x0[i] + t1*x1[i] + t2*x2[i] + t3*x3[i]
+			v[i] -= float64(t0*x0[i]) + float64(t1*x1[i]) + float64(t2*x2[i]) + float64(t3*x3[i])
 		}
 		v[Hidden] -= t0 + t1 + t2 + t3
 	}
 	for ; b < batch; b++ {
-		t := lr * d[b]
+		t := float64(lr * d[b])
 		for i, xv := range x[b*ldx:][:Hidden] {
-			v[i] -= t * xv
+			v[i] -= float64(t * xv)
 		}
 		v[Hidden] -= t
 	}

@@ -232,7 +232,7 @@ func (ls *lockstep) step(ds *dataSet, idx []int, lr, momentum float64) {
 		for r, id := range idx {
 			e := tg.out[r] - tg.y[id]
 			tg.out[r] = e
-			sum += e * e
+			sum += float64(e * e)
 		}
 		tg.sum += sum
 
@@ -261,7 +261,7 @@ func (ls *lockstep) validate(ds *dataSet, idx []int) {
 			ls.forward(s, len(chunk))
 			for r, id := range chunk {
 				e := tg.out[r] - tg.vy[id]
-				tg.valid += e * e
+				tg.valid += float64(e * e)
 			}
 		}
 	}

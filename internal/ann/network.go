@@ -92,7 +92,9 @@ func NewNetwork(sizes []int, rng *rand.Rand) (*Network, error) {
 		scale := 1 / math.Sqrt(float64(fanIn))
 		layer := make([]float64, sizes[l+1]*(fanIn+1))
 		for i := range layer {
-			layer[i] = rng.Float64()*2*scale - scale
+			// rand's Float64, inlined, ends in a product the compiler would
+			// fuse with the doubling (formed as f+f): convert it first.
+			layer[i] = float64(float64(rng.Float64())*2*scale) - scale
 		}
 		n.w[l] = layer
 	}
@@ -115,14 +117,14 @@ func (n *Network) forward(x, hidden []float64) float64 {
 		row := n.layerRow(0, j)
 		sum := row[d] // bias
 		for i, v := range x {
-			sum += row[i] * v
+			sum += float64(row[i] * v)
 		}
 		hidden[j] = sigmoid(sum)
 	}
 	out := n.w[1]
 	sum := out[len(hidden)] // bias; the output unit is linear
 	for j, a := range hidden {
-		sum += out[j] * a
+		sum += float64(out[j] * a)
 	}
 	return sum
 }

@@ -53,7 +53,7 @@ func FitScaler(samples []Sample) (*Scaler, error) {
 	for _, s := range samples {
 		for i, v := range s.X {
 			dv := v - sc.Mean[i]
-			sc.Std[i] += dv * dv
+			sc.Std[i] += float64(dv * dv)
 		}
 	}
 	for i := range sc.Std {
@@ -87,7 +87,7 @@ func (sc *Scaler) Y(y float64) float64 {
 
 // InvY maps a network output back to the raw target scale.
 func (sc *Scaler) InvY(y float64) float64 {
-	return sc.YMin + (y-0.1)/0.8*(sc.YMax-sc.YMin)
+	return sc.YMin + float64((y-0.1)/0.8*(sc.YMax-sc.YMin))
 }
 
 // pack normalises a whole sample set straight into a packed dataSet (two

@@ -52,7 +52,7 @@ func (s *stack) sum(x, acts []float64) float64 {
 		row := s.w2[m*(Hidden+1):][:Hidden+1]
 		out := row[Hidden]
 		for j, a := range acts[m*Hidden:][:Hidden] {
-			out += row[j] * a
+			out += float64(row[j] * a)
 		}
 		sum += out
 	}

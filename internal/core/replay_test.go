@@ -11,49 +11,9 @@ import (
 	"github.com/greenhpc/actor/internal/topology"
 )
 
-// TestReplayTableMatchesRunPhaseWithNoise pins the replay engine's ground
-// contract: a replayTable row plus ApplyNoise is bit-identical — noise
-// stream included — to calling RunPhase in the same order on an
-// identically-seeded machine, for both on-table and off-table placements.
-func TestReplayTableMatchesRunPhaseWithNoise(t *testing.T) {
-	mkEnv := func() *Env {
-		m, err := machine.New(topology.QuadCoreXeon())
-		if err != nil {
-			t.Fatal(err)
-		}
-		noisy := m.WithNoise(noise.New(99), 0.03, 0.12)
-		return NewEnv(noisy, m, power.Default())
-	}
-	b, _ := npb.ByName("SP")
-	p := &b.Phases[0]
-
-	// The probe sequence mixes table placements with one the table has
-	// never seen (core 3 alone), exercising the fallback path.
-	offTable := topology.Placement{Name: "solo3", Cores: []topology.CoreID{3}}
-	seq := []topology.Placement{}
-	for _, name := range []string{"4", "1", "2a", "4", "2b", "3", "4"} {
-		pl, _ := topology.ConfigByName(name)
-		seq = append(seq, pl)
-	}
-	seq = append(seq, offTable, seq[0])
-
-	envA := mkEnv()
-	rt := newReplayTable(newReplayIndex(envA.replayCandidates()))
-	envB := mkEnv()
-
-	for i, pl := range seq {
-		got := rt.run(envA, p, b.Idiosyncrasy, pl)
-		want := envB.Machine.RunPhase(p, b.Idiosyncrasy, pl)
-		if got.TimeSec != want.TimeSec || got.AggIPC != want.AggIPC ||
-			got.Counts != want.Counts {
-			t.Fatalf("replay step %d (%s) diverges from sequential RunPhase", i, pl.Name)
-		}
-	}
-}
-
 // TestExecuteStrategiesOnHeteroTopology runs the full strategy engine on a
 // heterogeneous machine: static, search and oracles over the enumerated
-// placement space, confirming the replay path needs nothing quad-core.
+// placement space, confirming the strategy engine needs nothing quad-core.
 func TestExecuteStrategiesOnHeteroTopology(t *testing.T) {
 	topo, err := topology.ParseDesc("2x2+2x2:little")
 	if err != nil {
@@ -94,7 +54,7 @@ func TestExecuteStrategiesOnHeteroTopology(t *testing.T) {
 // the paper's quad-core configs on a smaller machine must fail with a
 // descriptive error instead of panicking deep in the solve.
 func TestEnvValidateRejectsMismatchedTopology(t *testing.T) {
-	topo, err := topology.NewBuilder("tiny").Group(2).Build()
+	topo, err := topology.ParseDesc("1x2")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,90 +144,12 @@ type phasePolicy interface {
 	finalConfig() string
 }
 
-// replayIndex maps candidate-placement names to row indices; the candidate
-// set is a property of the Env, so execute builds one index shared by
-// every phase's table instead of one map per phase.
-type replayIndex struct {
-	cands []topology.Placement
-	idx   map[string]int
-}
-
-func newReplayIndex(cands []topology.Placement) *replayIndex {
-	ri := &replayIndex{cands: cands, idx: make(map[string]int, len(cands))}
-	for i := range cands {
-		if _, dup := ri.idx[cands[i].Name]; !dup {
-			ri.idx[cands[i].Name] = i
-		}
-	}
-	return ri
-}
-
-// replayTable holds one phase's deterministic sweep rows across the
-// environment's candidate placements, filled lazily on first use of each
-// placement (a static policy therefore solves exactly one row per phase;
-// an adaptive policy fills the rows it probes). After the fill, the
-// per-iteration strategy replay degenerates to a row copy plus an in-order
-// measurement-noise draw — the last per-iteration RunPhase hot loop now
-// runs on the batched sweep engine's deterministic path. Policies thereby
-// rank precomputed rows; placements outside the table (a policy inventing
-// its own placement) fall back to RunPhase with identical semantics.
-type replayTable struct {
-	index *replayIndex
-	rows  []machine.Result
-	have  []bool
-}
-
-// replayCandidates is the placement universe a policy can return: the
-// configuration space plus the sampling configuration (when it is not
-// already one of the configs).
-func (e *Env) replayCandidates() []topology.Placement {
-	cands := make([]topology.Placement, 0, len(e.Configs)+1)
-	cands = append(cands, e.Configs...)
-	inSpace := false
-	for _, c := range e.Configs {
-		if samePlacement(c, e.SampleConfig) {
-			inSpace = true
-			break
-		}
-	}
-	if !inSpace && e.SampleConfig.Threads() > 0 {
-		cands = append(cands, e.SampleConfig)
-	}
-	return cands
-}
-
-func newReplayTable(index *replayIndex) *replayTable {
-	return &replayTable{
-		index: index,
-		rows:  make([]machine.Result, len(index.cands)),
-		have:  make([]bool, len(index.cands)),
-	}
-}
-
-// run executes the phase under pl: a (lazily filled) table row plus one
-// in-order noise application when pl is a candidate, a direct RunPhase
-// otherwise. Both paths are bit-identical — noise stream included — to
-// what RunPhase alone would have produced: deterministic fills never touch
-// the noise stream, so when they happen cannot matter.
-func (rt *replayTable) run(env *Env, p *workload.PhaseProfile, idio float64, pl topology.Placement) machine.Result {
-	if i, ok := rt.index.idx[pl.Name]; ok && samePlacement(rt.index.cands[i], pl) {
-		if !rt.have[i] {
-			env.Machine.RunPhaseSweepDeterministic(p, idio, rt.index.cands[i:i+1], rt.rows[i:i+1])
-			rt.have[i] = true
-		}
-		res := rt.rows[i]
-		env.Machine.ApplyNoise(&res)
-		return res
-	}
-	return env.Machine.RunPhase(p, idio, pl)
-}
-
 // execute drives the benchmark iteration-by-iteration under per-phase
 // policies, accounting time, energy, and migration penalties. This is the
-// shared engine beneath every strategy. Each phase's placement responses
-// are computed once on the batched sweep engine's deterministic path (see
-// replayTable); the iteration loop only replays rows and draws measurement
-// noise in execution order.
+// shared engine beneath every strategy. Each execution is one
+// Machine.RunPhase, which draws measurement noise per execution, in
+// execution order; on a memoised machine (the exp suite's, whose noisy copies
+// share their truth's memo) each (phase, placement) response is solved once.
 func execute(name string, b *workload.Benchmark, env *Env, policies []phasePolicy) (RunResult, error) {
 	if err := env.Validate(); err != nil {
 		return RunResult{}, err
@@ -242,11 +164,6 @@ func execute(name string, b *workload.Benchmark, env *Env, policies []phasePolic
 		Strategy:     name,
 		Benchmark:    b.Name,
 		PhaseConfigs: make(map[string]string, len(b.Phases)),
-	}
-	index := newReplayIndex(env.replayCandidates())
-	tables := make([]*replayTable, len(b.Phases))
-	for pi := range b.Phases {
-		tables[pi] = newReplayTable(index)
 	}
 	var acc power.Accumulator
 	var prev topology.Placement
@@ -263,7 +180,7 @@ func execute(name string, b *workload.Benchmark, env *Env, policies []phasePolic
 					acc.Add(extraSec, env.Power.Power(migrationActivity(env, pl, extraSec, extraBytes)))
 				}
 			}
-			r := tables[pi].run(env, p, b.Idiosyncrasy, pl)
+			r := env.Machine.RunPhase(p, b.Idiosyncrasy, pl)
 			acc.Add(r.TimeSec, env.Power.Power(r.Activity))
 			if err := policies[pi].observe(it, r); err != nil {
 				return RunResult{}, err

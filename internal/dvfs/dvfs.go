@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/greenhpc/actor/internal/machine"
 	"github.com/greenhpc/actor/internal/power"
@@ -59,8 +58,9 @@ var MinED2 Objective = func(t, e float64) float64 { return e * t * t }
 // Evaluator runs phases at joint operating points. With a noiseless Base
 // (every in-repo caller: oracles evaluate ground truth) it is safe for
 // concurrent use — the exp drivers fan benchmarks out across one shared
-// evaluator, whose frequency-scaled machines all share the base machine's
-// phase-response memo. A noisy Base would not be: its frequency-scaled
+// evaluator. It holds no state of its own: each evaluation runs on
+// Base.WithFrequency, a struct copy that shares the base machine's
+// phase-response memo. A noisy Base would not be safe: its frequency-scaled
 // copies would share one noise source, racing under concurrent use and
 // consuming draws in level-grouped rather than space order.
 type Evaluator struct {
@@ -68,11 +68,6 @@ type Evaluator struct {
 	Base *machine.Machine
 	// Power is the power model.
 	Power *power.Model
-
-	// cache of frequency-scaled machines, guarded by mu (the exp drivers
-	// run Study for several benchmarks concurrently).
-	mu     sync.Mutex
-	scaled map[float64]*machine.Machine
 }
 
 // NewEvaluator builds an evaluator over the machine and power model.
@@ -80,24 +75,13 @@ func NewEvaluator(base *machine.Machine, pm *power.Model) (*Evaluator, error) {
 	if base == nil || pm == nil {
 		return nil, errors.New("dvfs: nil machine or power model")
 	}
-	return &Evaluator{Base: base, Power: pm, scaled: map[float64]*machine.Machine{}}, nil
-}
-
-func (ev *Evaluator) machineAt(scale float64) *machine.Machine {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	if m, ok := ev.scaled[scale]; ok {
-		return m
-	}
-	m := ev.Base.WithFrequency(scale)
-	ev.scaled[scale] = m
-	return m
+	return &Evaluator{Base: base, Power: pm}, nil
 }
 
 // RunPhase executes one phase at a joint operating point, returning time
 // and energy.
 func (ev *Evaluator) RunPhase(p *workload.PhaseProfile, idio float64, cfg Config) (timeSec, energyJ float64) {
-	res := ev.machineAt(cfg.FreqScale).RunPhase(p, idio, cfg.Placement)
+	res := ev.Base.WithFrequency(cfg.FreqScale).RunPhase(p, idio, cfg.Placement)
 	return res.TimeSec, ev.Power.Energy(res.Activity)
 }
 
@@ -145,7 +129,7 @@ func (ev *Evaluator) BestPerPhase(b *workload.Benchmark, space []Config, obj Obj
 		p := &b.Phases[pi]
 		for _, g := range groups {
 			d := dst[:len(g.placements)]
-			ev.machineAt(g.scale).RunPhaseSweep(p, b.Idiosyncrasy, g.placements, d)
+			ev.Base.WithFrequency(g.scale).RunPhaseSweep(p, b.Idiosyncrasy, g.placements, d)
 			for k, si := range g.spaceIdx {
 				scores[si] = te{d[k].TimeSec, ev.Power.Energy(d[k].Activity)}
 			}

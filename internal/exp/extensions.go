@@ -118,7 +118,7 @@ func (s *Suite) FutureScaling() (*FutureScalingResult, error) {
 	for si, cores := range res.Cores {
 		scales[si] = scale{
 			name: fmt.Sprintf("future scaling at %d cores", cores),
-			topo: func() (*topology.Topology, error) { return topology.Manycore(cores, 2), nil },
+			topo: func() (*topology.Topology, error) { return topology.ParseDesc(fmt.Sprintf("%dx2", cores/2)) },
 			prepare: func(m *machine.Machine) (*machine.Search, topology.Placement) {
 				pls := topology.EnumeratePlacements(m.Topo)
 				return machine.NewSearch(m, pls), pls[len(pls)-1]

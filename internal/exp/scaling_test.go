@@ -105,7 +105,11 @@ func TestScalingFanOutBitIdenticalToCellLoop(t *testing.T) {
 	futureCores := []int{4, 8, 16, 32}
 	futureScales := make([]cellLoopScale, len(futureCores))
 	for si, cores := range futureCores {
-		futureScales[si] = newCellLoopScale(t, topology.Manycore(cores, 2), topology.EnumeratePlacements)
+		topo, err := topology.ParseDesc(fmt.Sprintf("%dx2", cores/2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		futureScales[si] = newCellLoopScale(t, topo, topology.EnumeratePlacements)
 	}
 	studies = append(studies, study{
 		name: "future",

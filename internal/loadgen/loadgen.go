@@ -68,12 +68,27 @@ type Request struct {
 	Body []byte
 }
 
+// maxTraceRate and maxTraceArrivals bound the schedules Trace builds. Above a
+// peak rate of one arrival per nanosecond the gaps round to 0 on
+// time.Duration's clock and the offset stalls; past ten million expected
+// arrival points (each a burst of up to 64 requests) the schedule would not
+// fit in memory. cmd/actorload refuses its flags by the same two bounds.
+const (
+	maxTraceRate     = 1e9
+	maxTraceArrivals = 1e7
+)
+
 // Trace synthesizes the full request schedule for cfg. Offsets are
-// non-decreasing. It returns nil for a non-positive Duration, for a Rate that
-// is not finite and positive and for a non-finite Amp: under the last two
-// every gap is 0 or NaN, so the offset would never reach Duration.
+// non-decreasing. It returns nil, having built nothing, for a non-positive
+// Duration, for a Rate that is not finite and positive, for a non-finite Amp,
+// for a peak rate Rate·(1+|Amp|) above maxTraceRate (1e9 per second, +Inf
+// included) and for more than maxTraceArrivals (1e7) expected arrival
+// points, Rate·Duration: under each of these the offset would never reach
+// Duration, or would only after more requests than memory holds.
 func Trace(cfg Config) []Request {
-	if !(cfg.Rate > 0 && cfg.Rate <= math.MaxFloat64) || math.IsNaN(cfg.Amp) || math.IsInf(cfg.Amp, 0) || cfg.Duration <= 0 {
+	// NaN fails every comparison, so a NaN Rate or Amp fails the first two.
+	peak := cfg.Rate * (1 + math.Abs(cfg.Amp))
+	if !(cfg.Rate > 0) || !(peak <= maxTraceRate) || cfg.Duration <= 0 || cfg.Rate*cfg.Duration.Seconds() > maxTraceArrivals {
 		return nil
 	}
 	if cfg.Period <= 0 {

@@ -108,9 +108,11 @@ func TestTraceShape(t *testing.T) {
 }
 
 // TestTraceRefusesUnschedulableConfigs: a rate that is not finite and
-// positive, a non-finite amplitude or a non-positive duration yields no
-// trace. Under the rate and amplitude rows every gap is 0 or NaN, so a trace
-// that did not stop at the guard would never reach its duration.
+// positive, a non-finite amplitude, a non-positive duration, a peak rate over
+// one arrival per nanosecond or more than ten million expected arrivals
+// yields no trace. Under most rows every gap is 0 or NaN, so a trace that did
+// not stop at the guard would never reach its duration; under the last it
+// would build a hundred million arrivals.
 func TestTraceRefusesUnschedulableConfigs(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -125,6 +127,14 @@ func TestTraceRefusesUnschedulableConfigs(t *testing.T) {
 		{"amp +Inf", func(c *Config) { c.Amp = math.Inf(1) }},
 		{"amp -Inf", func(c *Config) { c.Amp = math.Inf(-1) }},
 		{"duration 0", func(c *Config) { c.Duration = 0 }},
+		// Finite but unschedulable: the peak rate overflows to +Inf, every
+		// gap rounds to 0 ns, or the schedule holds too many arrivals.
+		{"amp 1e308 peaks at +Inf", func(c *Config) { c.Amp = 1e308 }},
+		{"amp -1e308 peaks at +Inf", func(c *Config) { c.Amp = -1e308 }},
+		{"rate 1e12", func(c *Config) { c.Rate = 1e12 }},
+		{"rate 1e12 for 1ns", func(c *Config) { c.Rate, c.Duration = 1e12, time.Nanosecond }},
+		{"peak just over 1e9", func(c *Config) { c.Rate, c.Amp, c.Duration = 5e8, 1.01, time.Microsecond }},
+		{"rate 1e8 for 1s", func(c *Config) { c.Rate, c.Amp, c.Duration = 1e8, 0, time.Second }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := testConfig()
@@ -133,6 +143,20 @@ func TestTraceRefusesUnschedulableConfigs(t *testing.T) {
 				t.Errorf("Trace returned %d requests, want nil", len(trace))
 			}
 		})
+	}
+}
+
+// TestTraceSchedulesAtThePeakRateBound: a peak of exactly one arrival per
+// nanosecond still advances the offset and ends inside the duration.
+func TestTraceSchedulesAtThePeakRateBound(t *testing.T) {
+	cfg := testConfig()
+	cfg.Rate, cfg.Amp, cfg.TailAlpha, cfg.Duration = 5e8, 1, 0, 20*time.Microsecond
+	trace := Trace(cfg)
+	if len(trace) == 0 {
+		t.Fatal("Trace refused a peak rate of exactly 1e9 per second")
+	}
+	if last := trace[len(trace)-1].At; last >= cfg.Duration {
+		t.Errorf("last offset %v is not inside the %v trace", last, cfg.Duration)
 	}
 }
 

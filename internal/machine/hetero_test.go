@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -9,27 +11,30 @@ import (
 	"github.com/greenhpc/actor/internal/workload"
 )
 
-// buildFuzzTopo derives a valid asymmetric big/little topology from fuzz
-// bytes: 1–3 big groups of 1–3 cores plus 0–2 little groups of 1–2 cores
-// with fuzzed class multipliers.
-func buildFuzzTopo(t *testing.T, bigGroups, bigSize, littleGroups, littleSize, freqRaw, cpiRaw uint8) *topology.Topology {
+// mustDesc parses a topology descriptor or fails the test.
+func mustDesc(t testing.TB, desc string) *topology.Topology {
 	t.Helper()
-	b := topology.NewBuilder("fuzz").
-		Groups(int(bigGroups%3)+1, int(bigSize%3)+1)
-	if lg := int(littleGroups % 3); lg > 0 {
-		b.DefineClass(topology.CoreClass{
-			Name:     "little",
-			FreqMult: 0.3 + float64(freqRaw%70)/100, // 0.30–0.99
-			CPIMult:  1 + float64(cpiRaw%100)/100,   // 1.00–1.99
-			SMTWidth: 1,
-		})
-		b.Groups(lg, int(littleSize%2)+1, topology.Class("little"))
-	}
-	topo, err := b.Build()
+	topo, err := topology.ParseDesc(desc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return topo
+}
+
+// buildFuzzTopo derives a valid asymmetric big/little topology from fuzz
+// bytes: 1–3 big groups of 1–3 cores plus 0–2 little groups of 1–2 cores
+// with fuzzed class multipliers. The multipliers are written with the
+// shortest repr that round-trips, so the descriptor carries their exact bits.
+func buildFuzzTopo(t *testing.T, bigGroups, bigSize, littleGroups, littleSize, freqRaw, cpiRaw uint8) *topology.Topology {
+	t.Helper()
+	desc := fmt.Sprintf("%dx%d", int(bigGroups%3)+1, int(bigSize%3)+1)
+	if lg := int(littleGroups % 3); lg > 0 {
+		freq := 0.3 + float64(freqRaw%70)/100 // 0.30–0.99
+		cpi := 1 + float64(cpiRaw%100)/100    // 1.00–1.99
+		desc += fmt.Sprintf("+%dx%d:little(%s,%s)", lg, int(littleSize%2)+1,
+			strconv.FormatFloat(freq, 'g', -1, 64), strconv.FormatFloat(cpi, 'g', -1, 64))
+	}
+	return mustDesc(t, desc)
 }
 
 // TestHeteroSweepMatchesRunPhaseProperty is the satellite property test:
@@ -69,11 +74,7 @@ func TestHeteroSweepMatchesRunPhaseProperty(t *testing.T) {
 // big core of the same machine, and a mixed placement lands in between the
 // all-big and all-little extremes on total throughput.
 func TestHeteroClassesChangePerformance(t *testing.T) {
-	topo, err := topology.NewBuilder("bl").Group(2).Group(2, topology.Class("little")).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(topo)
+	m, err := New(mustDesc(t, "1x2+1x2:little"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +98,7 @@ func TestHeteroClassesChangePerformance(t *testing.T) {
 // ordinary cores of the declaring group, so placing two threads on the two
 // siblings of one physical core behaves like tightly coupled threads.
 func TestHeteroSMTSiblingsShareL2(t *testing.T) {
-	topo, err := topology.NewBuilder("smt").
-		DefineClass(topology.CoreClass{Name: "smt2", FreqMult: 1, CPIMult: 1.4, SMTWidth: 2}).
-		Groups(2, 1, topology.Class("smt2")).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo := mustDesc(t, "2x1:smt2(1,1.4,2)")
 	m, err := New(topo)
 	if err != nil {
 		t.Fatal(err)

@@ -305,7 +305,7 @@ func TestRunPhaseQuickProperties(t *testing.T) {
 }
 
 func TestManycoreMachine(t *testing.T) {
-	m, err := New(topology.Manycore(16, 2))
+	m, err := New(mustDesc(t, "8x2"))
 	if err != nil {
 		t.Fatal(err)
 	}

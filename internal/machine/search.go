@@ -11,7 +11,8 @@ import (
 
 // Search is the oracle search of one machine over a fixed list of candidate
 // placements: for any phase, the fastest placement and its time, as a
-// strict-< scan of RunPhaseSweepDeterministic's results would find them.
+// strict-< scan of a noiseless machine's RunPhaseSweep results would find
+// them.
 // Everything about the placements that does not depend on the phase — each
 // placement's lane plan, thread count and first-core class, and the machine's
 // distinct (class, load) keys — is prepared once, by NewSearch from a
@@ -218,9 +219,9 @@ func (s *Search) Len() int { return len(s.names) }
 
 // Best returns the minimum TimeSec of phase p with idiosyncrasy idio over the
 // search's placements and the lowest index that attains it: the same bits and
-// index as a strict-< scan of RunPhaseSweepDeterministic's results. It draws
-// no noise and neither reads nor writes the memo (memoised results are the
-// same bits anyway). It allocates nothing once the pooled scratch is warm.
+// index as a strict-< scan of a noiseless machine's RunPhaseSweep results. It
+// draws no noise and neither reads nor writes the memo (memoised results are
+// the same bits anyway). It allocates nothing once the pooled scratch is warm.
 //
 // It gets there by branch and bound. Every placement's bus factor starts at
 // 1, and each damped update averages it with bus.LatencyFactor ≥ 1, so it

@@ -35,7 +35,7 @@ type oracleCase struct {
 
 // oracleCases lists the machines the scaling studies search: the big/little
 // scenarios of exp.DefaultHeteroScenarios over their balanced placements,
-// FutureScaling's Manycore(4…32, 2) and the quad-core Xeon over every
+// FutureScaling's 2x2…16x2 and the quad-core Xeon over every
 // placement.
 func oracleCases(t *testing.T) []oracleCase {
 	t.Helper()
@@ -55,7 +55,7 @@ func oracleCases(t *testing.T) []oracleCase {
 		add(desc, topo, topology.BalancedPlacements)
 	}
 	for _, cores := range []int{4, 8, 16, 32} {
-		add(fmt.Sprintf("manycore-%d", cores), topology.Manycore(cores, 2), topology.EnumeratePlacements)
+		add(fmt.Sprintf("manycore-%d", cores), mustDesc(t, fmt.Sprintf("%dx2", cores/2)), topology.EnumeratePlacements)
 	}
 	add("xeon", topology.QuadCoreXeon(), topology.EnumeratePlacements)
 	return cases
@@ -309,15 +309,16 @@ func TestSearchPruneCensus(t *testing.T) {
 }
 
 // TestSearchIgnoresNoiseAndMemo: on a memoised, noisy machine Search.Best is
-// the minimum over RunPhaseSweepDeterministic, makes no memo lookup and
-// consumes no noise draw.
+// the minimum over a noiseless, memo-less copy's RunPhaseSweep, makes no memo
+// lookup and consumes no noise draw.
 func TestSearchIgnoresNoiseAndMemo(t *testing.T) {
-	topo := topology.Manycore(8, 2)
+	topo := mustDesc(t, "4x2")
 	placements := topology.EnumeratePlacements(topo)
 	p := testPhase()
 	m, ref := sweepMachines(t, topo, true, true)
+	plain, _ := sweepMachines(t, topo, false, false)
 	dst := make([]Result, len(placements))
-	m.RunPhaseSweepDeterministic(&p, 0.1, placements, dst)
+	plain.RunPhaseSweep(&p, 0.1, placements, dst)
 	hits, misses := m.MemoStats()
 	if err := searchMatchesScan(NewSearch(m, placements), &p, 0.1, dst); err != nil {
 		t.Fatal(err)
@@ -325,8 +326,8 @@ func TestSearchIgnoresNoiseAndMemo(t *testing.T) {
 	if h, ms := m.MemoStats(); h != hits || ms != misses {
 		t.Errorf("Search.Best looked up the memo: hits %d→%d, misses %d→%d", hits, h, misses, ms)
 	}
-	// RunPhaseSweepDeterministic and Search.Best drew nothing: the next
-	// noisy result matches a twin machine's first.
+	// Search.Best drew nothing: the next noisy result matches a twin
+	// machine's first.
 	if !resultsBitIdentical(m.RunPhase(&p, 0.1, placements[0]), ref.RunPhase(&p, 0.1, placements[0])) {
 		t.Error("Search.Best consumed measurement-noise draws")
 	}
@@ -365,7 +366,7 @@ func TestSearchKeepsItsOwnPlacements(t *testing.T) {
 // listed balanced placements — on single-family machines, the hetero-study
 // descriptors, interleaved families and groups that mix classes.
 func TestBalancedSearchMatchesNewSearch(t *testing.T) {
-	topos := []*topology.Topology{topology.QuadCoreXeon(), topology.Manycore(8, 2), topology.Manycore(12, 4), {
+	topos := []*topology.Topology{topology.QuadCoreXeon(), mustDesc(t, "4x2"), mustDesc(t, "3x4"), {
 		Name:            "mixed-class groups",
 		NumCores:        8,
 		L2Groups:        [][]topology.CoreID{{0, 1, 2}, {3, 4, 5}, {6, 7}},

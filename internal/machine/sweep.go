@@ -742,25 +742,3 @@ func (m *Machine) sweepOn(ctx *phaseCtx, p *workload.PhaseProfile, idio float64,
 		}
 	}
 }
-
-// RunPhaseSweepDeterministic fills dst like RunPhaseSweep but never draws
-// or applies measurement noise, leaving the machine's noise stream
-// untouched: dst receives exactly what a noiseless copy of the machine
-// would produce. Strategy replay uses it to precompute a phase's response
-// across every candidate placement once, then applies per-execution noise
-// in iteration order with ApplyNoise — the combination is bit-identical to
-// calling RunPhase per iteration, noise stream included.
-func (m *Machine) RunPhaseSweepDeterministic(p *workload.PhaseProfile, idio float64, placements []topology.Placement, dst []Result) {
-	det := *m
-	det.noiseSrc = nil
-	det.RunPhaseSweep(p, idio, placements, dst)
-}
-
-// ApplyNoise perturbs res in place, consuming exactly the measurement-noise
-// draws RunPhase would have consumed for one execution. It is a no-op on
-// machines without a noise source.
-func (m *Machine) ApplyNoise(res *Result) {
-	if m.noiseSrc != nil {
-		m.perturb(res)
-	}
-}

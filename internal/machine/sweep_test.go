@@ -68,9 +68,9 @@ func sweepMachines(t *testing.T, topo *topology.Topology, memoise, noisy bool) (
 func TestRunPhaseSweepMatchesSequentialRunPhase(t *testing.T) {
 	topos := []*topology.Topology{
 		topology.QuadCoreXeon(),
-		topology.Manycore(8, 2),
-		topology.Manycore(32, 2),
-		topology.Manycore(16, 4),
+		mustDesc(t, "4x2"),
+		mustDesc(t, "16x2"),
+		mustDesc(t, "4x4"),
 	}
 	phases := []workload.PhaseProfile{testPhase()}
 	bound := testPhase()
@@ -109,7 +109,7 @@ func TestRunPhaseSweepMatchesSequentialRunPhase(t *testing.T) {
 // sweep-vs-loop equivalence on the 32-core synthetic topology, where the
 // per-group-load vectorisation actually collapses work.
 func TestRunPhaseSweepPropertyRandomPhases(t *testing.T) {
-	topo := topology.Manycore(32, 2)
+	topo := mustDesc(t, "16x2")
 	placements := topology.EnumeratePlacements(topo)
 	sweepM, loopM := sweepMachines(t, topo, true, false)
 	dst := make([]Result, len(placements))
@@ -146,7 +146,7 @@ func TestRunPhaseSweepPropertyRandomPhases(t *testing.T) {
 // goroutine must observe results bit-identical to an isolated sequential
 // machine, regardless of who computes and who hits.
 func TestShardedMemoConcurrentSweeps(t *testing.T) {
-	topo := topology.Manycore(16, 2)
+	topo := mustDesc(t, "8x2")
 	placements := topology.EnumeratePlacements(topo)
 	shared, err := New(topo)
 	if err != nil {

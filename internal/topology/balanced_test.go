@@ -98,16 +98,12 @@ func mixedClassTopology() *Topology {
 // groups.
 func balancedTopologies(t *testing.T) []*Topology {
 	t.Helper()
-	topos := []*Topology{QuadCoreXeon(), Manycore(8, 2), Manycore(12, 4), mixedClassTopology()}
-	for _, desc := range []string{"16x4", "12x4+8x2:little", "16x4+16x2:little", "16x4+32x2:little",
+	topos := []*Topology{QuadCoreXeon()}
+	for _, desc := range []string{"4x2", "3x4", "16x4", "12x4+8x2:little", "16x4+16x2:little", "16x4+32x2:little",
 		"1x4+2x2:little+1x4", "2x2+1x4:little+3x1", "4x2:little+2x4"} {
-		topo, err := ParseDesc(desc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		topos = append(topos, topo)
+		topos = append(topos, mustDesc(t, desc))
 	}
-	return topos
+	return append(topos, mixedClassTopology())
 }
 
 // TestBalancedPlacementsMatchReference: the sort-free generator lists the

@@ -18,8 +18,8 @@ import (
 // on a little group are distinct configurations.
 //
 // Within a group, threads occupy the group's cores in listed order (prefix
-// occupancy). For groups whose cores all share one class — everything the
-// builder produces — this is exhaustive over distinct configurations; for
+// occupancy). For groups whose cores all share one class — everything
+// ParseDesc produces — this is exhaustive over distinct configurations; for
 // hand-built groups mixing classes it is a documented canonical choice.
 
 // groupFamily is a maximal set of interchangeable L2 groups: same size and
@@ -178,36 +178,14 @@ func occupancyCores(t *Topology, occ []int, n int) []CoreID {
 }
 
 // EnumeratePlacements generates one canonical placement for every distinct
-// (thread count, per-family occupancy multiset) combination on topology t.
+// (thread count, per-family occupancy multiset) combination on topology t,
+// in ascending thread count and canonical occupancy order within a count.
 // This generalises the paper's {1, 2a, 2b, 3, 4} to arbitrary machines,
 // including heterogeneous ones (see the file comment for the equivalence
-// classes).
-//
-// The result is materialised; sweeps that only need one pass should use
-// EnumeratePlacementsFunc, which streams the same placements in the same
-// order without building the slice.
+// classes). familyPatterns emits each distinct (per-family split ×
+// per-family partition) combination exactly once, so no dedup pass runs.
 func EnumeratePlacements(t *Topology) []Placement {
 	var out []Placement
-	EnumeratePlacementsFunc(t, func(p Placement) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
-}
-
-// EnumeratePlacementsFunc streams the canonical placements of topology t to
-// yield, in the same order EnumeratePlacements returns them (ascending
-// thread count, canonical occupancy order within a count). Enumeration
-// stops early when yield returns false. Each yielded Placement owns its
-// Cores slice, so callers may retain it.
-//
-// familyPatterns emits each distinct (per-family split × per-family
-// partition) combination exactly once, so no dedup pass runs here — the
-// per-pattern occupancy-key allocation the old generator paid (it built a
-// string key per pattern to guard a generator that could revisit
-// patterns) is gone entirely, and the readable key is only rendered for
-// placements that need a name suffix.
-func EnumeratePlacementsFunc(t *Topology, yield func(Placement) bool) {
 	fams := t.groupFamilies()
 	for n := 1; n <= t.NumCores; n++ {
 		pats := familyPatterns(fams, n)
@@ -216,24 +194,13 @@ func EnumeratePlacementsFunc(t *Topology, yield func(Placement) bool) {
 			if len(pats) > 1 {
 				name = name + ":" + patternName(fp)
 			}
-			if !yield(Placement{Name: name, Cores: patternCores(t, fams, fp)}) {
-				return
-			}
+			out = append(out, Placement{Name: name, Cores: patternCores(t, fams, fp)})
 		}
 	}
-}
-
-// BalancedPlacements materialises EnumerateBalancedFunc's stream.
-func BalancedPlacements(t *Topology) []Placement {
-	var out []Placement
-	EnumerateBalancedFunc(t, func(p Placement) bool {
-		out = append(out, p)
-		return true
-	})
 	return out
 }
 
-// EnumerateBalancedFunc streams one placement per distinct per-family
+// BalancedPlacements lists one placement per distinct per-family
 // thread-count vector, spreading each family's threads across its groups as
 // evenly as possible (the schedule an OS or OpenMP runtime would actually
 // pick). The full multiset enumeration grows combinatorially on large
@@ -243,19 +210,21 @@ func BalancedPlacements(t *Topology) []Placement {
 // hetero-scaling studies tractable without losing the placements that
 // matter.
 //
-// It lists each BalancedOccupancy entry's cores: the first occ[g] cores of
-// every group g, in topology group order. Order and names are
+// Each placement holds a BalancedOccupancy entry's cores: the first occ[g]
+// cores of every group g, in topology group order. Order and names are
 // BalancedOccupancy's; the last placement is always the all-cores
 // configuration (BalancedAllCores), the convention the exp drivers
-// normalise against. Enumeration stops early when yield returns false, and
-// each yielded Placement owns its Cores slice.
-func EnumerateBalancedFunc(t *Topology, yield func(Placement) bool) {
+// normalise against.
+func BalancedPlacements(t *Topology) []Placement {
+	var out []Placement
 	BalancedOccupancy(t, func(name []byte, threads int, occ []int) bool {
-		return yield(Placement{Name: string(name), Cores: occupancyCores(t, occ, threads)})
+		out = append(out, Placement{Name: string(name), Cores: occupancyCores(t, occ, threads)})
+		return true
 	})
+	return out
 }
 
-// BalancedAllCores returns the last placement EnumerateBalancedFunc yields:
+// BalancedAllCores returns the last placement BalancedPlacements lists:
 // every core, in topology group order, under its balanced name.
 func BalancedAllCores(t *Topology) Placement {
 	fams := t.groupFamilies()

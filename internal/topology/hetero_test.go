@@ -1,16 +1,17 @@
 package topology
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// The TestBuilder* tests check ParseDesc, which builds every descriptor
+// machine, on the behaviours a descriptor can reach.
+
 func TestBuilderBigLittle(t *testing.T) {
-	topo, err := NewBuilder("test").Group(4).Group(2, Class("little")).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo := mustDesc(t, "1x4+1x2:little")
 	if topo.NumCores != 6 {
 		t.Errorf("NumCores = %d, want 6", topo.NumCores)
 	}
@@ -32,68 +33,53 @@ func TestBuilderBigLittle(t *testing.T) {
 }
 
 func TestBuilderAllDefaultStaysHomogeneous(t *testing.T) {
-	topo, err := NewBuilder("homog").Groups(2, 2).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(topo.Classes) != 0 || topo.CoreClasses != nil {
-		t.Errorf("all-default build grew class tables: %v %v", topo.Classes, topo.CoreClasses)
-	}
-	if topo.Heterogeneous() {
-		t.Error("default-class topology reports Heterogeneous")
+	// Naming "big", or defining it with its own values, is still all-default.
+	for _, desc := range []string{"2x2", "1x2+1x2:big", "2x2:big(1,1,1)"} {
+		topo := mustDesc(t, desc)
+		if topo.Classes != nil || topo.CoreClasses != nil {
+			t.Errorf("%q grew class tables: %v %v", desc, topo.Classes, topo.CoreClasses)
+		}
+		if topo.Heterogeneous() {
+			t.Errorf("%q: default-class topology reports Heterogeneous", desc)
+		}
 	}
 }
 
 func TestBuilderSMTExpansion(t *testing.T) {
-	topo, err := NewBuilder("smt").
-		DefineClass(CoreClass{Name: "smt2", FreqMult: 1, CPIMult: 1.4, SMTWidth: 2}).
-		Group(2, Class("smt2")).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo := mustDesc(t, "1x2:smt2(1,1.4,2)")
 	if topo.NumCores != 4 {
 		t.Errorf("2 cores × SMT2 = %d logical cores, want 4", topo.NumCores)
 	}
-	if len(topo.L2Groups[0]) != 4 {
+	if len(topo.L2Groups) != 1 || len(topo.L2Groups[0]) != 4 {
 		t.Errorf("SMT siblings not in the declaring group: %v", topo.L2Groups)
 	}
 }
 
 func TestBuilderUndefinedClassFails(t *testing.T) {
-	if _, err := NewBuilder("x").Group(2, Class("mythical")).Build(); err == nil {
+	if _, err := ParseDesc("1x2:mythical"); err == nil {
 		t.Error("undefined class accepted")
 	}
 }
 
 func TestBuilderClassRedefinition(t *testing.T) {
-	// Changing a referenced class must fail (groups store a class index;
-	// rewriting would silently retarget declared cores)...
-	_, err := NewBuilder("m").
-		Group(4).
-		DefineClass(CoreClass{Name: "big", FreqMult: 0.5, CPIMult: 1, SMTWidth: 1}).
-		Group(4).
-		Build()
-	if err == nil {
-		t.Error("redefining a referenced class accepted")
+	// Changing a referenced class must fail (the cores already declared
+	// would silently change class), the built-in default included...
+	for _, desc := range []string{"1x4+1x4:big(0.5,1)", "2x2:c(1,1.5)+4x2:c(1,1.7)", "1x2:c(1,1)+1x2:c(1,1,2)"} {
+		if _, err := ParseDesc(desc); err == nil {
+			t.Errorf("%q: redefining a referenced class accepted", desc)
+		}
 	}
-	// ...but identical re-definition (the same inline class in two
-	// descriptor specs) and pre-use redefinition stay legal.
+	// ...but identical re-definition (the same inline class in two specs)
+	// and redefinition before the first reference stay legal.
 	if _, err := ParseDesc("2x2:c(1,1.5)+4x2:c(1,1.5)"); err != nil {
 		t.Errorf("identical inline redefinition rejected: %v", err)
 	}
-	if _, err := ParseDesc("2x2:c(1,1.5)+4x2:c(1,1.7)"); err == nil {
-		t.Error("conflicting inline redefinition accepted")
-	}
-	topo, err := NewBuilder("pre").
-		DefineClass(CoreClass{Name: "big", FreqMult: 0.5, CPIMult: 1, SMTWidth: 1}).
-		Group(2).
-		Build()
-	if err != nil {
-		t.Fatalf("pre-use redefinition rejected: %v", err)
-	}
-	if !topo.Heterogeneous() {
+	if !mustDesc(t, "1x2:big(0.5,1)").Heterogeneous() {
 		t.Error("pre-use redefinition of the default class did not take effect")
+	}
+	topo := mustDesc(t, "1x2:little(0.5,2)+1x2:little")
+	if got := topo.ClassOf(3); got != (CoreClass{Name: "little", FreqMult: 0.5, CPIMult: 2, SMTWidth: 1}) {
+		t.Errorf("a later reference to a redefined class got %+v", got)
 	}
 }
 
@@ -243,30 +229,21 @@ func TestEnumerateAsymmetricGroups(t *testing.T) {
 // TestEnumerateHeteroClasses checks that same-shape groups of different
 // classes are not canonicalized together.
 func TestEnumerateHeteroClasses(t *testing.T) {
-	topo, err := NewBuilder("bl").Group(2).Group(2, Class("little")).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo := mustDesc(t, "1x2+1x2:little")
 	pls := EnumeratePlacements(topo)
 	// Families {big 1×2} and {little 1×2}: n=1 → 1|0, 0|1; n=2 → 2|0,
 	// 1+?... patterns: (2|), (1|1), (|2); n=3 → (2|1), (1|2); n=4 → (2|2).
 	if len(pls) != 8 {
 		t.Fatalf("got %d placements, want 8: %v", len(pls), pls)
 	}
-	homog, err := NewBuilder("hh").Groups(2, 2).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	homog := mustDesc(t, "2x2")
 	if got := len(EnumeratePlacements(homog)); got != 5 {
 		t.Fatalf("homogeneous 2x2: %d placements, want 5", got)
 	}
 }
 
 func TestEnumerateBalanced(t *testing.T) {
-	topo, err := ParseDesc("2x2+2x2:little")
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo := mustDesc(t, "2x2+2x2:little")
 	pls := BalancedPlacements(topo)
 	// Π(capacity_f + 1) − 1 = 5×5−1 vectors.
 	if len(pls) != 24 {
@@ -290,7 +267,7 @@ func TestEnumerateBalanced(t *testing.T) {
 		}
 	}
 	// Homogeneous machines keep plain "n" names.
-	homog := Manycore(8, 2)
+	homog := mustDesc(t, "4x2")
 	for _, pl := range BalancedPlacements(homog) {
 		if strings.Contains(pl.Name, ":") {
 			t.Errorf("homogeneous balanced name %q has a family suffix", pl.Name)
@@ -301,7 +278,7 @@ func TestEnumerateBalanced(t *testing.T) {
 // TestEnumerateBalancedSpreads checks the even-spread shape: 3 threads on
 // a 2×2-group family occupy both groups (2+1), never one group.
 func TestEnumerateBalancedSpreads(t *testing.T) {
-	topo := Manycore(4, 2)
+	topo := mustDesc(t, "2x2")
 	for _, pl := range BalancedPlacements(topo) {
 		if pl.Threads() != 3 {
 			continue
@@ -316,20 +293,20 @@ func TestEnumerateBalancedSpreads(t *testing.T) {
 	}
 }
 
-// TestEnumerateHeteroProperties fuzzes builder topologies (group sizes and
-// classes) through the enumeration invariants: unique names, valid
-// placements, all-cores last, streaming order equals materialised order.
+// TestEnumerateHeteroProperties fuzzes descriptor topologies (group sizes
+// and classes) through the enumeration invariants: unique names, valid
+// placements, all-cores last.
 func TestEnumerateHeteroProperties(t *testing.T) {
 	f := func(bigGroups, bigSize, littleGroups, littleSize uint8) bool {
 		bg := int(bigGroups%3) + 1
 		bs := int(bigSize%3) + 1
 		lg := int(littleGroups % 3)
 		ls := int(littleSize%2) + 1
-		b := NewBuilder("fuzz").Groups(bg, bs)
+		desc := fmt.Sprintf("%dx%d", bg, bs)
 		if lg > 0 {
-			b.Groups(lg, ls, Class("little"))
+			desc += fmt.Sprintf("+%dx%d:little", lg, ls)
 		}
-		topo, err := b.Build()
+		topo, err := ParseDesc(desc)
 		if err != nil {
 			return false
 		}
@@ -346,19 +323,6 @@ func TestEnumerateHeteroProperties(t *testing.T) {
 		}
 		if pls[len(pls)-1].Threads() != topo.NumCores {
 			return false
-		}
-		var streamed []Placement
-		EnumeratePlacementsFunc(topo, func(p Placement) bool {
-			streamed = append(streamed, p)
-			return true
-		})
-		if len(streamed) != len(pls) {
-			return false
-		}
-		for i := range pls {
-			if streamed[i].Name != pls[i].Name {
-				return false
-			}
 		}
 		return true
 	}

@@ -5,11 +5,11 @@
 //
 // The reference machine is the Intel Xeon QX6600 used in the paper: four
 // cores arranged as two dual-core dies on one package, each die pair sharing
-// a 4 MB L2 cache, connected to memory over a 1066 MHz front-side bus. The
-// package also synthesises hypothetical machines: homogeneous many-cores
-// (Manycore), and arbitrary heterogeneous descriptors built with NewBuilder
-// or parsed from a compact descriptor string (ParseDesc) — see builder.go
-// for the grammar.
+// a 4 MB L2 cache, connected to memory over a 1066 MHz front-side bus
+// (QuadCoreXeon). Every other machine — homogeneous many-cores and
+// heterogeneous big/little or SMT parts alike — is built from a compact
+// descriptor string such as "16x2" or "16x4+32x2:little" (ParseDesc, whose
+// comment gives the grammar and the defaults).
 package topology
 
 import (
@@ -35,7 +35,7 @@ type CoreClass struct {
 	// here: a class with SMTWidth > 1 should carry the per-sibling
 	// contention in its CPIMult.
 	CPIMult float64
-	// SMTWidth is the number of hardware threads the builder materialises
+	// SMTWidth is the number of hardware threads ParseDesc materialises
 	// per declared core of this class. Siblings appear as distinct CoreIDs
 	// in the same L2 group, so placements and enumeration treat them like
 	// ordinary cores.
@@ -49,8 +49,8 @@ func DefaultClass() CoreClass {
 }
 
 // LittleClass is a representative efficiency-core class: 60% clock, 30%
-// more cycles per instruction. Used by the builder when a group references
-// "little" without defining it.
+// more cycles per instruction: the class a descriptor spec names "little"
+// without defining it.
 func LittleClass() CoreClass {
 	return CoreClass{Name: "little", FreqMult: 0.6, CPIMult: 1.3, SMTWidth: 1}
 }
@@ -104,38 +104,6 @@ func QuadCoreXeon() *Topology {
 		L1BytesPerCore:  32 << 10,
 		FrequencyHz:     2.4e9,
 		BusBandwidth:    8.5e9,
-	}
-}
-
-// Manycore synthesises a hypothetical future machine with the given number
-// of cores grouped into shared-L2 pairs of the given size. Per-core cache
-// capacity shrinks relative to QX6600 to reflect the reduced
-// compute-to-cache ratio the paper predicts for many-core parts.
-func Manycore(cores, groupSize int) *Topology {
-	if cores <= 0 {
-		panic("topology: Manycore needs at least one core")
-	}
-	if groupSize <= 0 || cores%groupSize != 0 {
-		panic(fmt.Sprintf("topology: %d cores not divisible into groups of %d", cores, groupSize))
-	}
-	groups := make([][]CoreID, 0, cores/groupSize)
-	for g := 0; g < cores/groupSize; g++ {
-		grp := make([]CoreID, groupSize)
-		for i := range grp {
-			grp[i] = CoreID(g*groupSize + i)
-		}
-		groups = append(groups, grp)
-	}
-	return &Topology{
-		Name:            fmt.Sprintf("synthetic %d-core (L2 shared by %d)", cores, groupSize),
-		NumCores:        cores,
-		L2Groups:        groups,
-		L2BytesPerGroup: int64(groupSize) * (1 << 20), // 1 MB per core: reduced ratio
-		L1BytesPerCore:  32 << 10,
-		FrequencyHz:     2.4e9,
-		// Bandwidth grows sublinearly with core count: the wall the
-		// paper warns about.
-		BusBandwidth: 8.5e9 * (1 + 0.25*float64(cores-4)/4),
 	}
 }
 

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -101,22 +102,6 @@ func TestGroupLoad(t *testing.T) {
 	}
 }
 
-func TestManycore(t *testing.T) {
-	topo := Manycore(16, 2)
-	if err := topo.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if len(topo.L2Groups) != 8 {
-		t.Errorf("groups = %d, want 8", len(topo.L2Groups))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Manycore(5, 2) did not panic on indivisible cores")
-		}
-	}()
-	Manycore(5, 2)
-}
-
 func TestEnumeratePlacementsQuadCore(t *testing.T) {
 	topo := QuadCoreXeon()
 	pls := EnumeratePlacements(topo)
@@ -147,7 +132,7 @@ func TestEnumeratePlacementsProperties(t *testing.T) {
 		// Derive a valid (cores, groupSize) pair from fuzz input.
 		groups := int(groupIn%3) + 1  // 1..3 cores per group
 		ngroups := int(coresIn%4) + 1 // 1..4 groups
-		topo := Manycore(groups*ngroups, groups)
+		topo := mustDesc(t, fmt.Sprintf("%dx%d", ngroups, groups))
 		pls := EnumeratePlacements(topo)
 		if len(pls) == 0 {
 			return false
@@ -167,44 +152,6 @@ func TestEnumeratePlacementsProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestEnumeratePlacementsFuncStreams pins the streaming iterator's
-// contract: it yields exactly the placements EnumeratePlacements
-// materialises, in the same order, and stops as soon as yield returns
-// false (so 32-core sweeps can consume placements without building the
-// full slice).
-func TestEnumeratePlacementsFuncStreams(t *testing.T) {
-	for _, topo := range []*Topology{QuadCoreXeon(), Manycore(32, 2), Manycore(12, 4)} {
-		want := EnumeratePlacements(topo)
-		var got []Placement
-		EnumeratePlacementsFunc(topo, func(p Placement) bool {
-			got = append(got, p)
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("%s: streamed %d placements, materialised %d", topo.Name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Name != want[i].Name || len(got[i].Cores) != len(want[i].Cores) {
-				t.Fatalf("%s: placement %d differs: %v vs %v", topo.Name, i, got[i], want[i])
-			}
-			for j := range want[i].Cores {
-				if got[i].Cores[j] != want[i].Cores[j] {
-					t.Fatalf("%s: placement %d cores differ: %v vs %v", topo.Name, i, got[i], want[i])
-				}
-			}
-		}
-		// Early stop: the iterator must not call yield again after false.
-		calls := 0
-		EnumeratePlacementsFunc(topo, func(Placement) bool {
-			calls++
-			return calls < 3
-		})
-		if calls != 3 {
-			t.Errorf("%s: yield called %d times after early stop, want 3", topo.Name, calls)
-		}
 	}
 }
 

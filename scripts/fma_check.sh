@@ -11,13 +11,11 @@
 # (FMADDD, FMSUBD, FNMADDD, FNMSUBD and their single-precision forms) whose
 # source line — in the package or inlined into it — does not carry a
 # `// fma-ok: <reason>` marker. Nothing runs on arm64: the listing is read.
-#
-# Not yet covered: internal/ann (its GEMM and training kernels still fuse).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-PKGS=(machine cache fleet power mlr core stats exp dvfs metrics)
+PKGS=(ann machine cache fleet power mlr core stats exp dvfs metrics)
 mod="$(go list -m)"
 
 fail=0
