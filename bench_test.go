@@ -287,18 +287,16 @@ func BenchmarkAblationANNvsMLR(b *testing.B) {
 	events := pmu.FullEventSet()
 	targets := s.Targets()
 
-	evalPred := func(p core.Predictor) float64 {
+	evalPred := func(p *core.Predictor) float64 {
 		var errSum float64
 		var n int
+		var vals []float64
 		for _, ps := range test {
-			preds, err := p.PredictIPC(ps.Rates)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, tgt := range targets {
+			vals = p.PredictInto(vals, ps.Rates)
+			for i, tgt := range p.TargetNames() {
 				obs := ps.MeasuredIPC[tgt]
 				if obs > 0 {
-					d := (preds[tgt] - obs) / obs
+					d := (vals[i] - obs) / obs
 					if d < 0 {
 						d = -d
 					}

@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"time"
@@ -83,22 +82,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	// loadgen.Trace has no schedule for these: every gap would be 0 or NaN,
-	// or the schedule would not fit in memory. The last two bounds are
-	// loadgen.Trace's own.
-	if !(*rate > 0 && *rate <= math.MaxFloat64) {
-		fmt.Fprintf(stderr, "actorload: -rate %g is not a finite positive rate\n", *rate)
-		return 2
-	}
-	if math.IsNaN(*amp) || math.IsInf(*amp, 0) {
-		fmt.Fprintf(stderr, "actorload: -amp %g is not finite\n", *amp)
-		return 2
-	}
-	if peak := *rate * (1 + math.Abs(*amp)); !(peak <= 1e9) {
-		fmt.Fprintf(stderr, "actorload: -rate %g and -amp %g peak at %g req/s, over the limit of 1e9\n", *rate, *amp, peak)
-		return 2
-	}
-	if n := *rate * duration.Seconds(); n > 1e7 {
-		fmt.Fprintf(stderr, "actorload: -rate %g over -duration %v is %g arrivals, over the limit of 1e7\n", *rate, *duration, n)
+	// or the schedule would not fit in memory.
+	if err := (loadgen.Config{Rate: *rate, Amp: *amp, Duration: *duration}).Check(); err != nil {
+		fmt.Fprintf(stderr, "actorload: %v\n", err)
 		return 2
 	}
 

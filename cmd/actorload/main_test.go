@@ -19,17 +19,17 @@ func TestRunExitCodes(t *testing.T) {
 	}{
 		// Under each of these every trace gap is 0 or NaN: the run would
 		// never finish synthesizing its trace.
-		{"infinite rate", []string{"-addr", closed, "-rate", "Inf"}, 2, []string{"-rate +Inf is not a finite positive rate"}},
-		{"NaN rate", []string{"-addr", closed, "-rate", "NaN"}, 2, []string{"-rate NaN is not a finite positive rate"}},
-		{"zero rate", []string{"-addr", closed, "-rate", "0"}, 2, []string{"-rate 0 is not a finite positive rate"}},
-		{"NaN amplitude", []string{"-addr", closed, "-amp", "NaN"}, 2, []string{"-amp NaN is not finite"}},
-		{"infinite amplitude", []string{"-addr", closed, "-amp", "-Inf"}, 2, []string{"-amp -Inf is not finite"}},
+		{"infinite rate", []string{"-addr", closed, "-rate", "Inf"}, 2, []string{"rate +Inf is not a finite positive rate"}},
+		{"NaN rate", []string{"-addr", closed, "-rate", "NaN"}, 2, []string{"rate NaN is not a finite positive rate"}},
+		{"zero rate", []string{"-addr", closed, "-rate", "0"}, 2, []string{"rate 0 is not a finite positive rate"}},
+		{"NaN amplitude", []string{"-addr", closed, "-amp", "NaN"}, 2, []string{"amp NaN is not finite"}},
+		{"infinite amplitude", []string{"-addr", closed, "-amp", "-Inf"}, 2, []string{"amp -Inf is not finite"}},
 		// Finite, but the peak rate overflows to +Inf, every gap rounds to
 		// 0 ns, or the schedule would hold too many arrivals.
 		{"huge amplitude", []string{"-addr", closed, "-amp", "1e308"}, 2, []string{"peak at +Inf req/s, over the limit of 1e9"}},
 		{"huge rate", []string{"-addr", closed, "-rate", "1e12"}, 2, []string{"peak at 1.5e+12 req/s, over the limit of 1e9"}},
 		{"huge rate for 1ns", []string{"-addr", closed, "-rate", "1e12", "-amp", "0", "-duration", "1ns"}, 2, []string{"peak at 1e+12 req/s"}},
-		{"too many arrivals", []string{"-addr", closed, "-rate", "1e8", "-duration", "1s"}, 2, []string{"-rate 1e+08 over -duration 1s is 1e+08 arrivals, over the limit of 1e7"}},
+		{"too many arrivals", []string{"-addr", closed, "-rate", "1e8", "-duration", "1s"}, 2, []string{"rate 1e+08 over duration 1s is 1e+08 arrivals, over the limit of 1e7"}},
 		{"unknown flag", []string{"-qps", "10"}, 2, []string{"flag provided but not defined: -qps"}},
 		{"stray argument", []string{"-addr", closed, "oops", "-rate", "NaN"}, 2, []string{`unexpected argument "oops"`, "Usage of actorload"}},
 		{"valid flags reach the target", []string{"-addr", closed, "-duration", "100ms", "-rate", "10"}, 1, []string{"actorload: fetching " + closed + "/v1/bank"}},

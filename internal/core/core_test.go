@@ -7,6 +7,7 @@ import (
 	"github.com/greenhpc/actor/internal/ann"
 	"github.com/greenhpc/actor/internal/dataset"
 	"github.com/greenhpc/actor/internal/machine"
+	"github.com/greenhpc/actor/internal/mlr"
 	"github.com/greenhpc/actor/internal/noise"
 	"github.com/greenhpc/actor/internal/npb"
 	"github.com/greenhpc/actor/internal/pmu"
@@ -290,14 +291,60 @@ func TestPredictionRequiresBank(t *testing.T) {
 }
 
 func TestPredictorValidation(t *testing.T) {
-	if _, err := NewANNPredictor(nil, nil); err == nil {
-		t.Error("empty ANN predictor accepted")
+	if _, err := NewPredictor(nil, nil, nil); err == nil {
+		t.Error("empty predictor accepted")
 	}
-	if _, err := NewMLRPredictor(nil, nil); err == nil {
-		t.Error("empty MLR predictor accepted")
+	m, err := mlr.NewModel([]float64{1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPredictor(nil, []string{"1", "2"}, []Model{m}); err == nil {
+		t.Error("predictor with a target but no model accepted")
+	}
+	if _, err := NewPredictor(nil, []string{"1", "1"}, []Model{m, m}); err == nil {
+		t.Error("predictor with two models for one target accepted")
+	}
+	if _, err := NewPredictor([]pmu.Event{pmu.L2Misses}, []string{"1"}, []Model{m}); err == nil {
+		t.Error("model with the wrong input dimension accepted")
 	}
 	if _, err := NewBank(); err == nil {
 		t.Error("empty bank accepted")
+	}
+}
+
+// TestDecideTieBreak holds the decision rule's tie order: two targets whose
+// models are identical predict the same IPC, and the lower name must win on
+// every call — not whichever one a map visit reached first.
+func TestDecideTieBreak(t *testing.T) {
+	m, err := mlr.NewModel([]float64{1.5, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := mlr.NewModel([]float64{1.5, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPredictor(nil, []string{"3", "2b"}, []Model{m, other})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates := pmu.Rates{pmu.Instructions: 0.5} // the sampled IPC loses
+	for i := 0; i < 1000; i++ {
+		if got := Decide(p, p.PredictInto(nil, rates), "4", rates); got != "2b" {
+			t.Fatalf("call %d: Decide picked %q of two tied targets, want the lower name %q", i, got, "2b")
+		}
+	}
+	// An observed sampling configuration tied with the best prediction
+	// loses to a lower name and beats a higher one.
+	for sample, want := range map[string]string{"4": "2b", "1": "1"} {
+		tied := pmu.Rates{pmu.Instructions: 1.5}
+		if got := Decide(p, p.PredictInto(nil, tied), sample, tied); got != want {
+			t.Errorf("sample %q tied at the top: Decide picked %q, want %q", sample, got, want)
+		}
+	}
+	// Without an observed IPC the sampling configuration does not compete.
+	if got := Decide(p, p.PredictInto(nil, pmu.Rates{}), "1", pmu.Rates{}); got != "2b" {
+		t.Errorf("no observed IPC: Decide picked %q, want %q", got, "2b")
 	}
 }
 

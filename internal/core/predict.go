@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/greenhpc/actor/internal/machine"
 	"github.com/greenhpc/actor/internal/pmu"
@@ -13,7 +14,7 @@ import (
 // concurrency for the first few timesteps (rotating event pairs through the
 // two-counter PMU within the 20% sampling budget), predict IPC on every
 // alternative configuration with the trained models, and lock each phase to
-// the configuration with the highest predicted IPC.
+// the configuration Decide picks: the highest IPC, ties to the lowest name.
 type Prediction struct {
 	// Bank supplies predictors per feature-set size; the strategy picks
 	// the richest one fitting the sampling budget (the paper's reduced
@@ -56,14 +57,14 @@ func (p *Prediction) Run(b *workload.Benchmark, env *Env) (RunResult, error) {
 // selected configuration).
 type predictionPolicy struct {
 	env     *Env
-	pred    Predictor
+	pred    *Predictor
 	sampler *pmu.Sampler
 	rounds  int
 	decided bool
 	choice  topology.Placement
 }
 
-func newPredictionPolicy(env *Env, pred Predictor, budget int) (*predictionPolicy, error) {
+func newPredictionPolicy(env *Env, pred *Predictor, budget int) (*predictionPolicy, error) {
 	file, err := pmu.NewCounterFile(env.CounterWidth)
 	if err != nil {
 		return nil, err
@@ -100,31 +101,51 @@ func (pp *predictionPolicy) observe(_ int, res machine.Result) error {
 	return pp.decide()
 }
 
-// decide ranks the sampling configuration's observed IPC against the
-// predicted IPC of every other configuration and locks in the winner.
+// decide predicts every target configuration's IPC from the sampled rates
+// and locks in the configuration Decide picks.
 func (pp *predictionPolicy) decide() error {
 	rates := pp.sampler.Rates()
-	preds, err := pp.pred.PredictIPC(rates)
-	if err != nil {
-		return err
-	}
-	bestName := pp.env.SampleConfig.Name
-	bestIPC := rates[pmu.Instructions] // observed IPC at the sample config
-	for name, ipc := range preds {
-		if name == pp.env.SampleConfig.Name {
-			continue
-		}
-		if ipc > bestIPC {
-			bestIPC, bestName = ipc, name
-		}
-	}
-	pl, ok := pp.env.configByName(bestName)
+	best := Decide(pp.pred, pp.pred.PredictInto(nil, rates), pp.env.SampleConfig.Name, rates)
+	pl, ok := pp.env.configByName(best)
 	if !ok {
-		return fmt.Errorf("core: predictor proposed unknown config %q", bestName)
+		return fmt.Errorf("core: predictor proposed unknown config %q", best)
 	}
 	pp.choice = pl
 	pp.decided = true
 	return nil
+}
+
+// CompareChoices orders two candidate configurations under ACTOR's decision
+// rule: negative when configuration a at IPC x ranks before configuration b
+// at IPC y — higher IPC first, ties to the lower name — positive when b
+// ranks first, zero when they tie outright. The served ranking sorts with
+// it, so its top entry is the configuration Decide picks.
+func CompareChoices(a string, x float64, b string, y float64) int {
+	switch {
+	case x > y:
+		return -1
+	case x < y:
+		return 1
+	}
+	return strings.Compare(a, b)
+}
+
+// Decide is ACTOR's decision step, the paper's eq. (2) put to use: of p's
+// target configurations at their predicted IPCs (vals, in TargetNames
+// order) and — when rates carry pmu.Instructions — the sampling
+// configuration sample at its observed IPC, it returns the one
+// CompareChoices ranks first.
+func Decide(p *Predictor, vals []float64, sample string, rates pmu.Rates) string {
+	best, bestIPC, found := "", 0.0, false
+	if obs, ok := rates[pmu.Instructions]; ok {
+		best, bestIPC, found = sample, obs, true
+	}
+	for i, name := range p.names {
+		if !found || CompareChoices(name, vals[i], best, bestIPC) < 0 {
+			best, bestIPC, found = name, vals[i], true
+		}
+	}
+	return best
 }
 
 func (pp *predictionPolicy) sampledRounds() int { return pp.rounds }

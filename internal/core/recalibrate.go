@@ -20,33 +20,33 @@ func FineTuneANNBank(base *Bank, samples []dataset.PhaseSample, targets []string
 	if base == nil || len(base.predictors) == 0 {
 		return nil, errors.New("core: fine-tuning needs a non-empty base bank")
 	}
-	aps := make([]*ANNPredictor, len(base.predictors))
+	bases := make([][]*ann.Ensemble, len(base.predictors))
 	for i, bp := range base.predictors {
-		ap, ok := bp.(*ANNPredictor)
-		if !ok {
-			return nil, fmt.Errorf("core: fine-tuning an ANN bank, found %T predictor", bp)
+		bases[i] = make([]*ann.Ensemble, len(targets))
+		for j, t := range targets {
+			switch m := bp.model(t).(type) {
+			case *ann.Ensemble:
+				bases[i][j] = m
+			case nil:
+				return nil, fmt.Errorf("core: base bank has no model for target %q", t)
+			default:
+				return nil, fmt.Errorf("core: fine-tuning an ANN bank, found a %T model", m)
+			}
 		}
-		aps[i] = ap
 	}
 	// Predictors fan out; each one's targets fine-tune in lockstep inside
 	// FineTuneEnsembles, and its folds fan out one level further.
-	preds, err := parallel.Map(len(aps), func(i int) (Predictor, error) {
-		ap := aps[i]
-		byTarget, err := dataset.ToSamplesMulti(samples, ap.events, targets)
+	preds, err := parallel.Map(len(bases), func(i int) (*Predictor, error) {
+		bp := base.predictors[i]
+		sets, err := targetSets(samples, bp.events, targets)
 		if err != nil {
 			return nil, err
 		}
-		bases := make([]*ann.Ensemble, len(targets))
-		for j, t := range targets {
-			if bases[j] = ap.targets[t]; bases[j] == nil {
-				return nil, fmt.Errorf("core: base bank has no model for target %q", t)
-			}
-		}
-		ensembles, err := ann.FineTuneEnsembles(bases, targetSets(byTarget, targets), cfg)
+		ensembles, err := ann.FineTuneEnsembles(bases[i], sets, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("fine-tune ANN (events=%d, targets %v): %w", ap.NumEvents(), targets, err)
+			return nil, fmt.Errorf("fine-tune ANN (events=%d, targets %v): %w", bp.NumEvents(), targets, err)
 		}
-		return NewANNPredictor(ap.events, targetModels(targets, ensembles))
+		return NewPredictor(bp.events, targets, models(ensembles))
 	})
 	if err != nil {
 		return nil, err
@@ -68,25 +68,26 @@ func RefitMLRBank(base *Bank, samples []dataset.PhaseSample, targets []string, r
 	if blend < 0 || blend > 1 {
 		return nil, fmt.Errorf("core: blend %v outside [0, 1]", blend)
 	}
-	var preds []Predictor
+	var preds []*Predictor
 	for _, bp := range base.predictors {
-		mp, ok := bp.(*MLRPredictor)
-		if !ok {
-			return nil, fmt.Errorf("core: refitting an MLR bank, found %T predictor", bp)
-		}
-		byTarget, err := dataset.ToSamplesMulti(samples, mp.events, targets)
+		sets, err := targetSets(samples, bp.events, targets)
 		if err != nil {
 			return nil, err
 		}
-		models := make(map[string]*mlr.Model, len(targets))
-		for _, t := range targets {
-			live, ok := mp.targets[t]
-			if !ok {
+		ms := make([]Model, len(targets))
+		for j, t := range targets {
+			var live *mlr.Model
+			switch m := bp.model(t).(type) {
+			case *mlr.Model:
+				live = m
+			case nil:
 				return nil, fmt.Errorf("core: base bank has no model for target %q", t)
+			default:
+				return nil, fmt.Errorf("core: refitting an MLR bank, found a %T model", m)
 			}
-			fit, err := mlr.Fit(byTarget[t], ridge)
+			fit, err := mlr.Fit(sets[j], ridge)
 			if err != nil {
-				return nil, fmt.Errorf("refit MLR (events=%d, target=%s): %w", mp.NumEvents(), t, err)
+				return nil, fmt.Errorf("refit MLR (events=%d, target=%s): %w", bp.NumEvents(), t, err)
 			}
 			if len(fit.Coef) != len(live.Coef) {
 				return nil, fmt.Errorf("core: refit target %q coefficient count %d, live %d",
@@ -98,13 +99,11 @@ func RefitMLRBank(base *Bank, samples []dataset.PhaseSample, targets []string, r
 				// so the blend has the same bits on every target.
 				coef[i] = float64(blend*live.Coef[i]) + float64((1-blend)*fit.Coef[i])
 			}
-			m, err := mlr.NewModel(coef)
-			if err != nil {
+			if ms[j], err = mlr.NewModel(coef); err != nil {
 				return nil, err
 			}
-			models[t] = m
 		}
-		p, err := NewMLRPredictor(mp.events, models)
+		p, err := NewPredictor(bp.events, targets, ms)
 		if err != nil {
 			return nil, err
 		}

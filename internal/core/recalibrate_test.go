@@ -5,6 +5,7 @@ import (
 
 	"github.com/greenhpc/actor/internal/ann"
 	"github.com/greenhpc/actor/internal/dataset"
+	"github.com/greenhpc/actor/internal/mlr"
 	"github.com/greenhpc/actor/internal/noise"
 	"github.com/greenhpc/actor/internal/npb"
 )
@@ -51,21 +52,17 @@ func TestRefitMLRBank(t *testing.T) {
 	if len(blended.predictors) != len(live.predictors) {
 		t.Fatalf("predictor count changed: %d → %d", len(live.predictors), len(blended.predictors))
 	}
+	coef := func(p *Predictor, tgt string) []float64 { return p.model(tgt).(*mlr.Model).Coef }
 	for pi, p := range blended.predictors {
-		mp := p.(*MLRPredictor)
-		lp := live.predictors[pi].(*MLRPredictor)
-		ap := again.predictors[pi].(*MLRPredictor)
-		if len(mp.events) != len(lp.events) {
-			t.Fatalf("predictor %d event count changed: %d → %d", pi, len(lp.events), len(mp.events))
+		lp, ap := live.predictors[pi], again.predictors[pi]
+		if len(p.events) != len(lp.events) {
+			t.Fatalf("predictor %d event count changed: %d → %d", pi, len(lp.events), len(p.events))
 		}
 		for _, tgt := range recalTargets {
-			bc, lc, ac := mp.targets[tgt].Coef, lp.targets[tgt].Coef, ap.targets[tgt].Coef
+			bc, ac := coef(p, tgt), coef(ap, tgt)
 			for i := range bc {
 				if bc[i] != ac[i] {
 					t.Fatalf("refit not deterministic: predictor %d target %s coef %d", pi, tgt, i)
-				}
-				if bc[i] == lc[i] {
-					continue // a coefficient can coincide, but not all — checked below
 				}
 			}
 		}
@@ -77,10 +74,9 @@ func TestRefitMLRBank(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pi, p := range kept.predictors {
-		mp, lp := p.(*MLRPredictor), live.predictors[pi].(*MLRPredictor)
 		for _, tgt := range recalTargets {
-			for i, c := range mp.targets[tgt].Coef {
-				if c != lp.targets[tgt].Coef[i] {
+			for i, c := range coef(p, tgt) {
+				if c != coef(live.predictors[pi], tgt)[i] {
 					t.Fatalf("blend 1 moved predictor %d target %s coef %d", pi, tgt, i)
 				}
 			}
@@ -122,24 +118,15 @@ func TestFineTuneANNBank(t *testing.T) {
 		t.Fatalf("predictor count changed: %d → %d", len(live.predictors), len(tuned.predictors))
 	}
 	rates := fresh[0].Rates
-	got1, err := tuned.predictors[0].PredictIPC(rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := again.predictors[0].PredictIPC(rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveOut, err := live.predictors[0].PredictIPC(rates)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got1 := tuned.predictors[0].PredictInto(nil, rates)
+	got2 := again.predictors[0].PredictInto(nil, rates)
+	liveOut := live.predictors[0].PredictInto(nil, rates)
 	moved := false
-	for _, tgt := range recalTargets {
-		if got1[tgt] != got2[tgt] {
-			t.Fatalf("fine-tuning not deterministic for target %s: %v vs %v", tgt, got1[tgt], got2[tgt])
+	for i, tgt := range tuned.predictors[0].TargetNames() {
+		if got1[i] != got2[i] {
+			t.Fatalf("fine-tuning not deterministic for target %s: %v vs %v", tgt, got1[i], got2[i])
 		}
-		if got1[tgt] != liveOut[tgt] {
+		if got1[i] != liveOut[i] {
 			moved = true
 		}
 	}
@@ -148,12 +135,9 @@ func TestFineTuneANNBank(t *testing.T) {
 	}
 
 	// The live bank must be untouched by fine-tuning.
-	liveOut2, err := live.predictors[0].PredictIPC(rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tgt := range recalTargets {
-		if liveOut[tgt] != liveOut2[tgt] {
+	liveOut2 := live.predictors[0].PredictInto(nil, rates)
+	for i, tgt := range live.predictors[0].TargetNames() {
+		if liveOut[i] != liveOut2[i] {
 			t.Fatalf("fine-tuning mutated the live bank (target %s)", tgt)
 		}
 	}

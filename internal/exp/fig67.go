@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/greenhpc/actor/internal/core"
 	"github.com/greenhpc/actor/internal/dataset"
@@ -95,7 +96,8 @@ type Fig6Result struct {
 // Fig7Result is the configuration-selection accuracy (paper Fig. 7).
 type Fig7Result struct {
 	// Hist buckets phases by the oracle rank of the configuration the
-	// predictor selects (rank 1 = true best of the 5 configurations).
+	// runtime's rule (core.Decide: highest IPC, ties to the lowest name)
+	// selects (rank 1 = true best of the 5 configurations).
 	Hist *metrics.RankHistogram
 	// PerBench maps benchmark → selected configuration per phase.
 	PerBench map[string][]string
@@ -139,34 +141,26 @@ func (s *Suite) EvalPrediction(loo *LOOModels) (*Fig6Result, *Fig7Result, error)
 			byPhase[ps.Phase] = append(byPhase[ps.Phase], ps)
 		}
 
+		at, err := targetIndex(pred, targets)
+		if err != nil {
+			return benchEval{}, err
+		}
+		var vals []float64
 		for pi, phaseName := range phaseOrder {
 			reps := byPhase[phaseName]
 			// Fig. 6: accumulate per-target errors over every repetition.
 			for _, ps := range reps {
-				preds, err := pred.PredictIPC(ps.Rates)
-				if err != nil {
-					return benchEval{}, err
-				}
-				for _, tgt := range targets {
+				vals = pred.PredictInto(vals, ps.Rates)
+				for ti, tgt := range targets {
 					ev.errors = append(ev.errors,
-						metrics.RelativeError(ps.MeasuredIPC[tgt], preds[tgt]))
+						metrics.RelativeError(ps.MeasuredIPC[tgt], vals[at[ti]]))
 				}
 			}
 			// Fig. 7: one selection per phase, from the first repetition
-			// (the runtime's single sampling pass).
+			// (the runtime's single sampling pass), by the runtime's rule.
 			ps := reps[0]
-			preds, err := pred.PredictIPC(ps.Rates)
-			if err != nil {
-				return benchEval{}, err
-			}
-			bestName := sampleName
-			bestIPC := ps.Rates[pmu.Instructions]
-			for _, tgt := range targets {
-				if preds[tgt] > bestIPC {
-					bestIPC, bestName = preds[tgt], tgt
-				}
-			}
-			ev.selections = append(ev.selections, bestName)
+			vals = pred.PredictInto(vals, ps.Rates)
+			ev.selections = append(ev.selections, core.Decide(pred, vals, sampleName, ps.Rates))
 			ev.rankings = append(ev.rankings,
 				core.RankConfigsByTime(&b.Phases[pi], b.Idiosyncrasy, s.Truth, s.Configs))
 		}
@@ -223,4 +217,18 @@ func (r *Fig7Result) Render(w io.Writer) {
 	worst := len(r.Hist.Counts)
 	report.KV(w, "worst config selected (paper 0%)", "%.1f%%", r.Hist.Fraction(worst)*100)
 	report.KV(w, "phases scored", "%d", r.Hist.Total)
+}
+
+// targetIndex maps each of targets to its position in pred's TargetNames,
+// so per-target scores keep the suite's configuration order.
+func targetIndex(pred *core.Predictor, targets []string) ([]int, error) {
+	at := make([]int, len(targets))
+	for i, tgt := range targets {
+		j, ok := slices.BinarySearch(pred.TargetNames(), tgt)
+		if !ok {
+			return nil, fmt.Errorf("exp: predictor has no model for target %q", tgt)
+		}
+		at[i] = j
+	}
+	return at, nil
 }

@@ -7,7 +7,6 @@ import (
 	"github.com/greenhpc/actor/internal/core"
 	"github.com/greenhpc/actor/internal/dataset"
 	"github.com/greenhpc/actor/internal/metrics"
-	"github.com/greenhpc/actor/internal/pmu"
 	"github.com/greenhpc/actor/internal/report"
 	"github.com/greenhpc/actor/internal/workload"
 )
@@ -59,9 +58,14 @@ func (s *Suite) Generalize(apps int) (*GeneralizeResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	at, err := targetIndex(pred, targets)
+	if err != nil {
+		return nil, err
+	}
 	res := &GeneralizeResult{Apps: apps}
 	hist := metrics.NewRankHistogram(len(s.Configs))
 	sampleName := s.SampleConfig().Name
+	var vals []float64
 	for _, b := range pop {
 		collector := s.newCollector()
 		collector.Repetitions = 1
@@ -70,23 +74,13 @@ func (s *Suite) Generalize(apps int) (*GeneralizeResult, error) {
 			return nil, err
 		}
 		for pi, ps := range samples {
-			preds, err := pred.PredictIPC(ps.Rates)
-			if err != nil {
-				return nil, err
-			}
-			for _, tgt := range targets {
+			vals = pred.PredictInto(vals, ps.Rates)
+			for ti, tgt := range targets {
 				res.Errors = append(res.Errors,
-					metrics.RelativeError(ps.MeasuredIPC[tgt], preds[tgt]))
-			}
-			bestName := sampleName
-			bestIPC := ps.Rates[pmu.Instructions]
-			for _, tgt := range targets {
-				if preds[tgt] > bestIPC {
-					bestIPC, bestName = preds[tgt], tgt
-				}
+					metrics.RelativeError(ps.MeasuredIPC[tgt], vals[at[ti]]))
 			}
 			ranking := core.RankConfigsByTime(&b.Phases[pi], b.Idiosyncrasy, s.Truth, s.Configs)
-			hist.Add(ranking, bestName)
+			hist.Add(ranking, core.Decide(pred, vals, sampleName, ps.Rates))
 		}
 	}
 	res.MedianErr, err = metrics.Median(res.Errors)

@@ -72,23 +72,40 @@ type Request struct {
 // peak rate of one arrival per nanosecond the gaps round to 0 on
 // time.Duration's clock and the offset stalls; past ten million expected
 // arrival points (each a burst of up to 64 requests) the schedule would not
-// fit in memory. cmd/actorload refuses its flags by the same two bounds.
+// fit in memory.
 const (
 	maxTraceRate     = 1e9
 	maxTraceArrivals = 1e7
 )
 
+// Check reports why Trace would refuse c, or nil when it builds c's
+// schedule: a non-positive Duration, a Rate that is not finite and positive,
+// a non-finite Amp, a peak rate Rate·(1+|Amp|) above 1e9 per second (+Inf
+// included) or more than 1e7 expected arrival points, Rate·Duration. Under
+// each of these the offset would never reach Duration, or would only after
+// more requests than memory holds.
+func (c Config) Check() error {
+	// NaN fails every comparison, so a NaN Rate or Amp fails here.
+	switch peak := c.Rate * (1 + math.Abs(c.Amp)); {
+	case !(c.Rate > 0 && c.Rate <= math.MaxFloat64):
+		return fmt.Errorf("rate %g is not a finite positive rate", c.Rate)
+	case math.IsNaN(c.Amp) || math.IsInf(c.Amp, 0):
+		return fmt.Errorf("amp %g is not finite", c.Amp)
+	case !(peak <= maxTraceRate):
+		return fmt.Errorf("rate %g and amp %g peak at %g req/s, over the limit of 1e9", c.Rate, c.Amp, peak)
+	case c.Duration <= 0:
+		return fmt.Errorf("duration %v is not positive", c.Duration)
+	case c.Rate*c.Duration.Seconds() > maxTraceArrivals:
+		return fmt.Errorf("rate %g over duration %v is %g arrivals, over the limit of 1e7", c.Rate, c.Duration, c.Rate*c.Duration.Seconds())
+	}
+	return nil
+}
+
 // Trace synthesizes the full request schedule for cfg. Offsets are
-// non-decreasing. It returns nil, having built nothing, for a non-positive
-// Duration, for a Rate that is not finite and positive, for a non-finite Amp,
-// for a peak rate Rate·(1+|Amp|) above maxTraceRate (1e9 per second, +Inf
-// included) and for more than maxTraceArrivals (1e7) expected arrival
-// points, Rate·Duration: under each of these the offset would never reach
-// Duration, or would only after more requests than memory holds.
+// non-decreasing. It returns nil, having built nothing, for a cfg that
+// Check refuses.
 func Trace(cfg Config) []Request {
-	// NaN fails every comparison, so a NaN Rate or Amp fails the first two.
-	peak := cfg.Rate * (1 + math.Abs(cfg.Amp))
-	if !(cfg.Rate > 0) || !(peak <= maxTraceRate) || cfg.Duration <= 0 || cfg.Rate*cfg.Duration.Seconds() > maxTraceArrivals {
+	if cfg.Check() != nil {
 		return nil
 	}
 	if cfg.Period <= 0 {
@@ -110,7 +127,7 @@ func Trace(cfg Config) []Request {
 	// not a queueing-theory instrument).
 	t := time.Duration(0)
 	for t < cfg.Duration {
-		inst := cfg.Rate * (1 + cfg.Amp*math.Sin(2*math.Pi*float64(t)/float64(cfg.Period)))
+		inst := cfg.Rate * (1 + float64(cfg.Amp*math.Sin(2*math.Pi*float64(t)/float64(cfg.Period))))
 		if inst < cfg.Rate*0.01 {
 			inst = cfg.Rate * 0.01 // keep the trough from stalling the clock
 		}
@@ -124,7 +141,7 @@ func Trace(cfg Config) []Request {
 			// Pareto(α) with x_m = 1, capped so one draw cannot swamp the run.
 			// The cap comes before the conversion: a tiny α draws +Inf,
 			// which int(...) would not turn into a large count.
-			b := math.Ceil(math.Pow(1-arrivals.Float64(), -1/cfg.TailAlpha))
+			b := math.Ceil(math.Pow(1-float64(arrivals.Float64()), -1/cfg.TailAlpha))
 			if !(b <= 64) {
 				b = 64
 			}
@@ -156,7 +173,7 @@ func vectorBodies(cfg Config) [2][][]byte {
 		for v := 0; v < cfg.Vectors; v++ {
 			rng := parallel.Rand(cfg.Seed, fmt.Sprintf("loadgen/vector/%d", v))
 			var b bytes.Buffer
-			fmt.Fprintf(&b, `{"phase":%q,"rates":{"IPC":%.6f`, phase, 0.2+3.0*rng.Float64())
+			fmt.Fprintf(&b, `{"phase":%q,"rates":{"IPC":%.6f`, phase, 0.2+float64(3.0*rng.Float64()))
 			for _, ev := range cfg.Events {
 				fmt.Fprintf(&b, `,%q:%.6f`, ev, rng.Float64()*0.1)
 			}

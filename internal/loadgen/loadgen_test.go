@@ -112,7 +112,8 @@ func TestTraceShape(t *testing.T) {
 // one arrival per nanosecond or more than ten million expected arrivals
 // yields no trace. Under most rows every gap is 0 or NaN, so a trace that did
 // not stop at the guard would never reach its duration; under the last it
-// would build a hundred million arrivals.
+// would build a hundred million arrivals. Config.Check, the one bound
+// cmd/actorload also applies to its flags, refuses every row.
 func TestTraceRefusesUnschedulableConfigs(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -142,7 +143,13 @@ func TestTraceRefusesUnschedulableConfigs(t *testing.T) {
 			if trace := Trace(cfg); trace != nil {
 				t.Errorf("Trace returned %d requests, want nil", len(trace))
 			}
+			if err := cfg.Check(); err == nil {
+				t.Error("Check accepted a config Trace refuses")
+			}
 		})
+	}
+	if err := testConfig().Check(); err != nil {
+		t.Errorf("Check refused the schedulable test config: %v", err)
 	}
 }
 

@@ -45,7 +45,7 @@ func (s *Source) Multiplicative(sigma float64) float64 {
 		return 1
 	}
 	// Log-normal with E[X]=1: mu = -0.5*ln(1+sigma^2), s2 = ln(1+sigma^2).
-	s2 := math.Log(1 + sigma*sigma)
-	mu := -0.5 * s2
-	return math.Exp(mu + math.Sqrt(s2)*s.rng.NormFloat64())
+	s2 := math.Log(1 + float64(sigma*sigma))
+	mu := float64(-0.5 * s2)
+	return math.Exp(mu + float64(math.Sqrt(s2)*s.rng.NormFloat64()))
 }

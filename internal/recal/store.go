@@ -140,7 +140,7 @@ func (s *Store) Observe(o Obs) uint64 {
 		if s.phases[i].hash == o.Phase {
 			p := &s.phases[i]
 			p.n++
-			p.ewma += s.cfg.EWMAAlpha * (o.Err - p.ewma)
+			p.ewma += float64(s.cfg.EWMAAlpha * (o.Err - p.ewma))
 			found = true
 			break
 		}
@@ -156,7 +156,7 @@ func (s *Store) Observe(o Obs) uint64 {
 			s.refIPCN++
 			d := o.IPC - s.refMean
 			s.refMean += d / float64(s.refIPCN)
-			s.refM2 += d * (o.IPC - s.refMean)
+			s.refM2 += float64(d * (o.IPC - s.refMean))
 		}
 		known := false
 		for _, h := range s.refPhases {

@@ -70,7 +70,7 @@ func parseDesc(desc string) (*Topology, error) {
 	}
 	t := &Topology{FrequencyHz: 2.4e9, L1BytesPerCore: 32 << 10}
 	if at := strings.LastIndex(s, "@"); at >= 0 {
-		ghz, err := strconv.ParseFloat(s[at+1:], 64)
+		ghz, err := strconv.ParseFloat(strings.TrimSpace(s[at+1:]), 64)
 		if err != nil || !finitePositive(ghz*1e9) {
 			return nil, fmt.Errorf("bad clock %q", s[at+1:])
 		}
@@ -130,7 +130,7 @@ func parseDesc(desc string) (*Topology, error) {
 	t.L2BytesPerGroup = int64(maxGroup) << 20
 	t.BusBandwidth = 8.5e9
 	if t.NumCores > 4 {
-		t.BusBandwidth *= 1 + 0.25*float64(t.NumCores-4)/4
+		t.BusBandwidth *= 1 + float64(0.25*float64(t.NumCores-4)/4)
 	}
 	var name strings.Builder
 	for i, r := range runs {

@@ -83,6 +83,9 @@ func TestParseDescFields(t *testing.T) {
 		{"4x2:little+2x4", "16-core (4x2 little + 2x4 big)", 16, []int{4, 2, 2, 4},
 			[]CoreClass{little, big}, []int{8, 0, 8, 1}, 4 * mib, ghz24, 0x420bb4f3e6000000},
 		{" 3 x 2 : little ", "6-core (3x2 little)", 6, []int{3, 2}, []CoreClass{little}, []int{6, 0}, 2 * mib, ghz24, 0x4201cfc15d000000},
+		// The clock text is trimmed like every other field.
+		{"3x2 @ 1.5", "6-core (3x2 big)", 6, []int{3, 2}, nil, nil, 2 * mib, 0x41d65a0bc0000000, 0x4201cfc15d000000},
+		{" 3 x 2 : big @ 1.5 ", "6-core (3x2 big)", 6, []int{3, 2}, nil, nil, 2 * mib, 0x41d65a0bc0000000, 0x4201cfc15d000000},
 		// Naming the default class, defining it with its own values, or an
 		// empty class name: still homogeneous.
 		{"2x2:big", "4-core (2x2 big)", 4, []int{2, 2}, nil, nil, 2 * mib, ghz24, 0x41ffaa3b50000000},

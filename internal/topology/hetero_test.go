@@ -120,7 +120,9 @@ func TestParseDesc(t *testing.T) {
 	for _, bad := range []string{"", "x", "2x", "x2", "0x2", "2x2:nosuch", "2x2:c(", "2x2@-1", "2x2:c(1)",
 		"2x2:c(1,1,-1)", "2x2:c(1,1,0)", "2x2:c(0,1)", "2x2:c(1,-2)",
 		// Non-finite clocks and multipliers: NaN fails every sign check.
-		"2x2@NaN", "2x2@Inf", "2x2@+Inf", "2x2@1e300", "2x2:e(NaN,1)", "2x2:e(1,NaN)", "2x2:e(Inf,1)", "2x2:e(1,Inf)"} {
+		"2x2@NaN", "2x2@Inf", "2x2@+Inf", "2x2@1e300", "2x2:e(NaN,1)", "2x2:e(1,NaN)", "2x2:e(Inf,1)", "2x2:e(1,Inf)",
+		// A trimmed clock is still a number, finite and positive.
+		"2x2 @ ", "2x2 @ NaN", "2x2 @ -1"} {
 		if _, err := ParseDesc(bad); err == nil {
 			t.Errorf("ParseDesc(%q) accepted", bad)
 		}

@@ -40,7 +40,9 @@ func Generate(name string, cfg GenConfig) (*Benchmark, error) {
 		return nil, fmt.Errorf("workload: bad iteration range [%d, %d]", cfg.MinIterations, cfg.MaxIterations)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	span := func(lo, hi float64) float64 { return lo + (hi-lo)*rng.Float64() }
+	// Both roundings are forced: Float64's inlined scaling product would
+	// otherwise fuse into span(lo, lo+2)'s rewritten f+f on arm64.
+	span := func(lo, hi float64) float64 { return lo + float64((hi-lo)*float64(rng.Float64())) }
 	intSpan := func(lo, hi int) int {
 		if hi == lo {
 			return lo

@@ -34,8 +34,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
+	"github.com/greenhpc/actor/internal/core"
 	"github.com/greenhpc/actor/internal/pmu"
 )
 
@@ -94,16 +94,12 @@ type Prediction struct {
 	Observed bool `json:"observed,omitempty"`
 }
 
-// rankPredictions orders predictions by descending IPC, breaking ties by
-// configuration name so the ranking is deterministic.
+// rankPredictions orders predictions best first under the runtime's
+// decision rule (core.CompareChoices: descending IPC, ties to the lower
+// configuration name), so the ranking is deterministic and its top entry is
+// the configuration core.Decide picks for the same values.
 func rankPredictions(ps []Prediction) {
 	slices.SortFunc(ps, func(a, b Prediction) int {
-		switch {
-		case a.IPC > b.IPC:
-			return -1
-		case a.IPC < b.IPC:
-			return 1
-		}
-		return strings.Compare(a.Config, b.Config)
+		return core.CompareChoices(a.Config, a.IPC, b.Config, b.IPC)
 	})
 }

@@ -72,9 +72,6 @@ type Provenance struct {
 // safe for concurrent use: prediction allocates only its result slice.
 type Bank struct {
 	bank *core.Bank
-	// preds is the bank's predictor list (richest first), cached here so
-	// the per-request selection never copies it.
-	preds []core.Predictor
 	// gapPairs lists, in canonical configuration order, where each target
 	// that both the richest and the most-reduced predictor model sits in
 	// their TargetNames — what disagreement walks. Empty for
@@ -87,8 +84,8 @@ type Bank struct {
 // disagreement that may follow it. The serving path keeps one in its pooled
 // request scratch; the zero value is ready to use.
 type predictBuf struct {
-	pred   core.Predictor // the predictor the last predictPMU ran
-	vals   []float64      // its per-target IPCs, in pred.TargetNames order
+	pred   *core.Predictor // the predictor the last predictPMU ran
+	vals   []float64       // its per-target IPCs, in pred.TargetNames order
 	ranked []Prediction
 	// rich and red hold the richest and most-reduced predictors' values
 	// when disagreement has to evaluate them itself.
@@ -105,7 +102,7 @@ func newBank(cb *core.Bank, meta Meta) *Bank {
 		}
 		meta.EventSets = append(meta.EventSets, names)
 	}
-	b := &Bank{bank: cb, preds: preds, meta: meta}
+	b := &Bank{bank: cb, meta: meta}
 	if len(preds) > 1 {
 		rich, red := preds[0].TargetNames(), preds[len(preds)-1].TargetNames()
 		for _, cfg := range meta.Configs {
@@ -182,8 +179,9 @@ func (b *Bank) predictPMU(pr pmu.Rates, buf *predictBuf) []Prediction {
 // predictorFor returns the richest predictor whose every feature event is
 // present in pr, falling back to the richest predictor overall. Predictors
 // are ordered by descending event count, so the first covered one wins.
-func (b *Bank) predictorFor(pr pmu.Rates) core.Predictor {
-	for _, p := range b.preds {
+func (b *Bank) predictorFor(pr pmu.Rates) *core.Predictor {
+	preds := b.bank.Predictors()
+	for _, p := range preds {
 		covered := true
 		for _, e := range p.Events() {
 			if _, ok := pr[e]; !ok {
@@ -195,7 +193,7 @@ func (b *Bank) predictorFor(pr pmu.Rates) core.Predictor {
 			return p
 		}
 	}
-	return b.preds[0]
+	return preds[0]
 }
 
 // disagreement is the label-free prediction-error proxy the recalibration
@@ -213,12 +211,13 @@ func (b *Bank) disagreement(pr pmu.Rates, buf *predictBuf) float64 {
 	if len(b.gapPairs) == 0 {
 		return 0
 	}
+	preds := b.bank.Predictors()
 	rich, red := buf.vals, buf.vals
-	if p := b.preds[0]; p != buf.pred {
+	if p := preds[0]; p != buf.pred {
 		buf.rich = p.PredictInto(buf.rich, pr)
 		rich = buf.rich
 	}
-	if p := b.preds[len(b.preds)-1]; p != buf.pred {
+	if p := preds[len(preds)-1]; p != buf.pred {
 		buf.red = p.PredictInto(buf.red, pr)
 		red = buf.red
 	}

@@ -262,6 +262,15 @@ func decodeBankRejects() []struct{ name, data, want string } {
 		{"no hidden layer", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1],"weights":[[1,2,3]]}]`), `predictor 0 target "1" net 0: ann: layer sizes [2 1]: a network has exactly one hidden layer`},
 		{"two-unit output layer", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,1,2],"weights":[[1,2,3],[1,0,1,0]]}]`), "output layer of 2 units: a network has one linear output unit"},
 		{"ensemble mixing widths", annBank(`[0,0]`, `[1,1]`, `[`+net16("1", "2", "0")+`,{"sizes":[2,2,1],"weights":[[1,2,3,1,2,3],[1,1,0]]}]`), `net 1: ann: hidden layer of 2 units: a network has 16 hidden units`},
+		{"unknown kind", `{"format":"actor-bank","version":1,"kind":"banana","configs":["1","4"],"sample_config":"4",
+			"predictors":[{"events":["L2_LINES_IN"],"mlr":{"1":[0.1,0.2]}}]}`, `bank kind "banana" is neither "ann" nor "mlr"`},
+		{"MLR models in an ANN bank", `{"format":"actor-bank","version":1,"kind":"ann","configs":["1","4"],"sample_config":"4",
+			"predictors":[{"events":["L2_LINES_IN"],"mlr":{"1":[0.1,0.2]}}]}`, `predictor 0 holds mlr models in a bank of kind "ann"`},
+		{"ANN models in an MLR bank", strings.Replace(annBank(`[0,0]`, `[1,1]`, `[`+net16("1", "2", "0")+`]`), `"version":1,`, `"version":1,"kind":"mlr",`, 1),
+			`predictor 0 holds ann models in a bank of kind "mlr"`},
+		{"families mixed under an inferred kind", `{"format":"actor-bank","version":1,"configs":["1","4"],"sample_config":"4",
+			"predictors":[{"events":["L2_LINES_IN"],"mlr":{"1":[0.1,0.2,0.3]}},{"events":[],"ann":{"1":{"scaler":{"mean":[0],"std":[1],"ymin":0,"ymax":1},"nets":[]}}}]}`,
+			`predictor 1 holds ann models in a bank of kind "mlr"`},
 		{"hidden width other than 16", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,8,1],"weights":[[`+strings.Repeat("1,2,3,", 7)+`1,2,3],[`+strings.Repeat("1,", 8)+`0]]}]`), `net 0: ann: hidden layer of 8 units: a network has 16 hidden units`},
 	}
 }

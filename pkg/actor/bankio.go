@@ -3,7 +3,9 @@ package actor
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"github.com/greenhpc/actor/internal/ann"
 	"github.com/greenhpc/actor/internal/core"
@@ -98,35 +100,33 @@ func (b *Bank) Encode() ([]byte, error) {
 		Provenance:   b.meta.Provenance,
 	}
 	for _, p := range b.bank.Predictors() {
-		bp := bankPredictor{}
+		// Both maps start empty; omitempty drops the family not present.
+		bp := bankPredictor{ANN: map[string]bankEnsemble{}, MLR: map[string][]float64{}}
 		for _, e := range p.Events() {
 			bp.Events = append(bp.Events, e.String())
 		}
-		switch pred := p.(type) {
-		case *core.ANNPredictor:
-			bp.ANN = make(map[string]bankEnsemble, len(pred.Targets()))
-			for name, ens := range pred.Targets() {
+		for i, m := range p.Models() {
+			name := p.TargetNames()[i]
+			switch m := m.(type) {
+			case *ann.Ensemble:
 				be := bankEnsemble{
 					Scaler: bankScaler{
-						Mean: ens.Scaler.Mean,
-						Std:  ens.Scaler.Std,
-						YMin: ens.Scaler.YMin,
-						YMax: ens.Scaler.YMax,
+						Mean: m.Scaler.Mean,
+						Std:  m.Scaler.Std,
+						YMin: m.Scaler.YMin,
+						YMax: m.Scaler.YMax,
 					},
-					EstimateMSE: ens.EstimateMSE,
+					EstimateMSE: m.EstimateMSE,
 				}
-				for _, net := range ens.Nets {
+				for _, net := range m.Nets {
 					be.Nets = append(be.Nets, bankNet{Sizes: net.Sizes, Weights: net.FlatWeights()})
 				}
 				bp.ANN[name] = be
-			}
-		case *core.MLRPredictor:
-			bp.MLR = make(map[string][]float64, len(pred.Targets()))
-			for name, m := range pred.Targets() {
+			case *mlr.Model:
 				bp.MLR[name] = m.Coef
+			default:
+				return nil, fmt.Errorf("actor: cannot serialise a %T model", m)
 			}
-		default:
-			return nil, fmt.Errorf("actor: cannot serialise predictor type %T", p)
 		}
 		bf.Predictors = append(bf.Predictors, bp)
 	}
@@ -137,7 +137,7 @@ func (b *Bank) Encode() ([]byte, error) {
 // vector. Models that cannot produce a finite IPC even there — overflowing
 // weights, a vanishing std — would answer every request with a 500, so the
 // bank is refused at load instead.
-func probePredictor(p core.Predictor) error {
+func probePredictor(p *core.Predictor) error {
 	for i, ipc := range p.PredictInto(nil, pmu.Rates{}) {
 		if math.IsNaN(ipc) || math.IsInf(ipc, 0) {
 			return fmt.Errorf("target %q predicts a non-finite IPC (%v) for the all-zero rate vector", p.TargetNames()[i], ipc)
@@ -185,8 +185,11 @@ func DecodeBank(data []byte) (*Bank, error) {
 		return nil, fmt.Errorf("bank holds no predictors")
 	}
 
-	var preds []core.Predictor
 	kind := bf.Kind
+	if kind != "" && kind != KindANN && kind != KindMLR {
+		return nil, fmt.Errorf("bank kind %q is neither %q nor %q", kind, KindANN, KindMLR)
+	}
+	var preds []*core.Predictor
 	for i, bp := range bf.Predictors {
 		events := make([]pmu.Event, 0, len(bp.Events))
 		for _, name := range bp.Events {
@@ -196,15 +199,31 @@ func DecodeBank(data []byte) (*Bank, error) {
 			}
 			events = append(events, e)
 		}
+		var family Kind
 		switch {
 		case len(bp.ANN) > 0 && len(bp.MLR) > 0:
 			return nil, fmt.Errorf("predictor %d carries both ANN and MLR models", i)
 		case len(bp.ANN) > 0:
-			if kind == "" {
-				kind = KindANN
-			}
-			targets := make(map[string]*ann.Ensemble, len(bp.ANN))
-			for name, be := range bp.ANN {
+			family = KindANN
+		case len(bp.MLR) > 0:
+			family = KindMLR
+		default:
+			return nil, fmt.Errorf("predictor %d holds no models", i)
+		}
+		if kind == "" {
+			kind = family // inferred from the first predictor
+		}
+		if family != kind {
+			return nil, fmt.Errorf("predictor %d holds %s models in a bank of kind %q", i, family, kind)
+		}
+		// Targets are decoded in name order, so which bad model an error
+		// names never depends on map iteration order.
+		var names []string
+		var models []core.Model
+		if family == KindANN {
+			names = slices.Sorted(maps.Keys(bp.ANN))
+			for _, name := range names {
+				be := bp.ANN[name]
 				nets := make([]*ann.Network, len(be.Nets))
 				for ni, bn := range be.Nets {
 					net, err := ann.NewNetworkFromFlat(bn.Sizes, bn.Weights)
@@ -225,39 +244,26 @@ func DecodeBank(data []byte) (*Bank, error) {
 				if err != nil {
 					return nil, fmt.Errorf("predictor %d target %q: %w", i, name, err)
 				}
-				targets[name] = ens
+				models = append(models, ens)
 			}
-			p, err := core.NewANNPredictor(events, targets)
-			if err == nil {
-				err = probePredictor(p)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("predictor %d: %w", i, err)
-			}
-			preds = append(preds, p)
-		case len(bp.MLR) > 0:
-			if kind == "" {
-				kind = KindMLR
-			}
-			targets := make(map[string]*mlr.Model, len(bp.MLR))
-			for name, coef := range bp.MLR {
-				m, err := mlr.NewModel(coef)
+		} else {
+			names = slices.Sorted(maps.Keys(bp.MLR))
+			for _, name := range names {
+				m, err := mlr.NewModel(bp.MLR[name])
 				if err != nil {
 					return nil, fmt.Errorf("predictor %d target %q: %w", i, name, err)
 				}
-				targets[name] = m
+				models = append(models, m)
 			}
-			p, err := core.NewMLRPredictor(events, targets)
-			if err == nil {
-				err = probePredictor(p)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("predictor %d: %w", i, err)
-			}
-			preds = append(preds, p)
-		default:
-			return nil, fmt.Errorf("predictor %d holds no models", i)
 		}
+		p, err := core.NewPredictor(events, names, models)
+		if err == nil {
+			err = probePredictor(p)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("predictor %d: %w", i, err)
+		}
+		preds = append(preds, p)
 	}
 	cb, err := core.NewBank(preds...)
 	if err != nil {

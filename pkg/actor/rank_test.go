@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/greenhpc/actor/internal/core"
 	"github.com/greenhpc/actor/internal/pmu"
 )
 
@@ -63,9 +64,16 @@ func TestDisagreementReusesPredictPMU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	preds := bank.bank.Predictors()
+	byName := func(p *core.Predictor, pr pmu.Rates) map[string]float64 {
+		out := make(map[string]float64)
+		for i, v := range p.PredictInto(nil, pr) {
+			out[p.TargetNames()[i]] = v
+		}
+		return out
+	}
 	want := func(pr pmu.Rates) float64 {
-		rich, _ := bank.preds[0].PredictIPC(pr)
-		red, _ := bank.preds[len(bank.preds)-1].PredictIPC(pr)
+		rich, red := byName(preds[0], pr), byName(preds[len(preds)-1], pr)
 		var sum float64
 		n := 0
 		for _, cfg := range bank.meta.Configs {
@@ -80,7 +88,7 @@ func TestDisagreementReusesPredictPMU(t *testing.T) {
 		return sum / float64(n)
 	}
 	var buf predictBuf // reused across cases, like the pooled scratch
-	for i, p := range bank.preds {
+	for i, p := range preds {
 		pr := pmu.Rates{pmu.Instructions: 1.3}
 		for j, e := range p.Events() {
 			pr[e] = 0.004 * float64(i+j+1)

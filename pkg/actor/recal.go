@@ -312,8 +312,8 @@ func (r *Recalibrator) runRetrain(ctx context.Context, trigger string) (RecalOut
 		return out, err
 	}
 
-	out.CandidateErr = medianRelErr(cb.Predictors()[0], hold, targets)
-	out.LiveErr = medianRelErr(live.preds[0], hold, targets)
+	out.CandidateErr = medianRelErr(cb.Predictors()[0], hold)
+	out.LiveErr = medianRelErr(live.bank.Predictors()[0], hold)
 	if !(out.CandidateErr <= out.LiveErr*(1-r.cfg.Margin)) {
 		out.Outcome = "rejected"
 		r.ctl.Record(recal.Event{
@@ -493,16 +493,14 @@ func (r *Recalibrator) Status() recal.Snapshot {
 }
 
 // medianRelErr scores one predictor on held-out samples: the median of
-// |predicted - measured| / |measured| over every (sample, target) pair, in
-// deterministic (sample, canonical target) order.
-func medianRelErr(p core.Predictor, hold []dataset.PhaseSample, targets []string) float64 {
-	errs := make([]float64, 0, len(hold)*len(targets))
+// |predicted - measured| / |measured| over every (sample, target) pair with
+// a measured IPC.
+func medianRelErr(p *core.Predictor, hold []dataset.PhaseSample) float64 {
+	errs := make([]float64, 0, len(hold)*len(p.TargetNames()))
+	var vals []float64
 	for i := range hold {
-		byCfg, err := p.PredictIPC(hold[i].Rates)
-		if err != nil {
-			return math.Inf(1)
-		}
-		for _, t := range targets {
+		vals = p.PredictInto(vals, hold[i].Rates)
+		for j, t := range p.TargetNames() {
 			m, ok := hold[i].MeasuredIPC[t]
 			if !ok {
 				continue
@@ -511,7 +509,7 @@ func medianRelErr(p core.Predictor, hold []dataset.PhaseSample, targets []string
 			if den < 1e-9 {
 				den = 1e-9
 			}
-			errs = append(errs, math.Abs(byCfg[t]-m)/den)
+			errs = append(errs, math.Abs(vals[j]-m)/den)
 		}
 	}
 	if len(errs) == 0 {
