@@ -134,7 +134,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		go rec.Run(ctx, *recalInterval)
+		go recalLoop(ctx, rec, *recalInterval)
 		fmt.Fprintf(os.Stderr, "actord: recalibration loop on (interval %s, margin %g, canary %g)\n",
 			*recalInterval, *recalMargin, *canaryFrac)
 	}
@@ -167,4 +167,19 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "actord:", err)
 	os.Exit(1)
+}
+
+// recalLoop drives rec.Tick every interval until ctx is cancelled. The
+// library owns no goroutine, so actord runs its control loop.
+func recalLoop(ctx context.Context, rec *actor.Recalibrator, interval time.Duration) {
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+			rec.Tick(ctx)
+		}
+	}
 }

@@ -19,6 +19,11 @@ import (
 // placement list or by NewBalancedSearch from the topology's balanced
 // occupancies, into the Search's own arrays: editing the placements
 // afterwards does not change it.
+// What depends on the phase Best takes per call, each part once: the key
+// table, one lane per distinct key, from which every bound is read and every
+// solve copies its lanes; every placement's bound cycles; and a placement's
+// response z, the hash of its name, only where a bound that needs no z
+// cannot rule the placement out.
 // Parameters are read from the machine at each Best call. A Search is
 // immutable, so any number of goroutines may call Best at once.
 type Search struct {
@@ -47,15 +52,31 @@ type Search struct {
 type searchScratch struct {
 	// resp reports whether the phase of the last bound pass carries a
 	// response factor (ResponseSigma > 0 and a fingerprint); placements of
-	// more than one thread then take exp(ResponseSigma·z[i]).
-	resp bool
+	// more than one thread then take exp(sigma·z[i]). seed is the phase's
+	// response seed, sigma the ResponseSigma and lowFac the z-free factor
+	// (lowFactor) the bound pass scales lo by.
+	resp          bool
+	seed          uint64
+	sigma, lowFac float64
 	// b0[i] is placement i's cycles at bus factor 1 before the response
-	// factor, z[i] its response z (where resp and more than one thread) and
-	// cheap[i] the prefilter bound, at most the exact bound.
+	// factor. Where noZ[i], z has not been taken and cheap[i] holds only lo,
+	// the z-free bound b0·lowFac/freq; otherwise z[i] is the placement's
+	// response z (where resp and more than one thread) and cheap[i] the
+	// prefilter bound, at most the exact bound and at least lo.
 	b0, z, cheap []float64
+	noZ          []bool
+	// hashed counts the z taken by the last Best call.
+	hashed int
 	// ser[ci] is the serial section's cycles at bus factor 1 on a first
 	// core of class ci.
 	ser []float64
+	// cand holds the placements Best's second pass has yet to decide, in
+	// slice order, while a batch of z fills.
+	cand []int32
+	// keys is the key table: one lane per distinct (class, load) key of the
+	// search, in the search's key order, stepped once from bus factor 1.
+	// Best's solves copy their lanes' invariant factors from it.
+	keys laneState
 	// factor[o] is the response factor of the placement in solve-block
 	// slot o, taken once for its bound.
 	factor []float64
@@ -67,6 +88,10 @@ type searchScratch struct {
 //
 //go:linkname searchSolved
 var searchSolved atomic.Int64
+
+// searchHashed counts the response z Search.Best has taken since the process
+// started: the hash census TestSearchHashCensus pins.
+var searchHashed atomic.Int64
 
 // NewSearch prepares the oracle search of m over placements. It panics when
 // placements is empty or holds a placement with no cores, as RunPhase does on
@@ -249,7 +274,15 @@ func (s *Search) Len() int { return len(s.names) }
 // operations in the same order, so the same bits. The response factor's exp
 // is taken only where it can matter: a placement whose prefilter bound — the
 // response factor replaced by expLower, which never exceeds it — already
-// exceeds the best time cannot have an exact bound that does not.
+// exceeds the best time cannot have an exact bound that does not. Nor is the
+// prefilter bound's z, the hash of the placement's name, taken where it
+// cannot matter: the z-free bound lo = b0·lowFactor(sigma)/freq never exceeds
+// the prefilter bound, since lowFactor never exceeds expLower(sigma·z) for a
+// z responseZ returns, so a placement whose lo exceeds the best time is
+// skipped unhashed, and every skip and every solve is the one the prefilter
+// alone would make. The solves copy their lanes' invariant factors from the
+// bound pass's key table — what appendLane gives each (class, load) key —
+// rather than deriving them lane by lane.
 func (s *Search) Best(p *workload.PhaseProfile, idio float64) (t float64, at int) {
 	m := s.m
 	ctx := ctxPool.Get().(*phaseCtx)
@@ -262,7 +295,13 @@ func (s *Search) Best(p *workload.PhaseProfile, idio float64) (t float64, at int
 	t, at = math.Inf(1), len(s.names)
 	solved := 0
 	queue := func(i int, factor float64) {
-		m.queueLanes(ctx, p, s.lanes[s.laneOff[i]:s.laneOff[i+1]], i)
+		lo, hi := s.laneOff[i], s.laneOff[i+1]
+		laneOff := ctx.lanes.len()
+		kt := &sc.keys
+		for j, k := range s.key[lo:hi] {
+			ctx.lanes.append(kt.base[k], kt.pfx[k], kt.q[k], kt.min[k], kt.divf[k], s.cnt[int(lo)+j], kt.miss[k])
+		}
+		ctx.pend = append(ctx.pend, pendingPlacement{idx: i, laneOff: int32(laneOff), laneN: hi - lo})
 		sc.factor = append(sc.factor, factor)
 	}
 	flush := func() {
@@ -279,25 +318,64 @@ func (s *Search) Best(p *workload.PhaseProfile, idio float64) (t float64, at int
 		ctx.resetBlock()
 		sc.factor = sc.factor[:0]
 	}
-	queue(first, s.factor(sc, first))
-	flush()
-	for i := range s.names {
-		if i == first || sc.cheap[i] > t {
-			continue
+	// decide solves placement i, whose z has been taken, if its bounds do not
+	// exceed the best time.
+	decide := func(i int) {
+		if sc.cheap[i] > t {
+			return
 		}
 		factor := s.factor(sc, i)
 		if sc.b0[i]*factor/freq > t {
-			continue
+			return
 		}
 		queue(i, factor)
 		if len(ctx.pend) == sweepSolveBlock {
 			flush()
 		}
 	}
+	queue(first, s.factor(sc, first))
+	flush()
+	// A placement whose lo exceeds the best time has a prefilter bound that
+	// does too. The rest that still lack z wait in cand, with every
+	// placement after them, until four are batched; the best time changes
+	// only in decide, so the waiting ones are decided in slice order against
+	// the time each would have met.
+	var batch [4]int32
+	nb := 0
+	cand := sc.cand[:0]
+	drain := func() {
+		s.takeZ(sc, &batch, nb, freq)
+		nb = 0
+		for _, i := range cand {
+			decide(int(i))
+		}
+		cand = cand[:0]
+	}
+	for i := range s.names {
+		switch {
+		case i == first || sc.cheap[i] > t:
+		case sc.noZ[i]:
+			batch[nb] = int32(i)
+			nb++
+			cand = append(cand, int32(i))
+			if nb == len(batch) {
+				drain()
+			}
+		case nb > 0:
+			cand = append(cand, int32(i))
+		default:
+			decide(i)
+		}
+	}
+	if nb > 0 {
+		drain()
+	}
+	sc.cand = cand
 	if len(ctx.pend) > 0 {
 		flush()
 	}
 	searchSolved.Add(int64(solved))
+	searchHashed.Add(int64(sc.hashed))
 	ctxPool.Put(ctx)
 	return t, at
 }
@@ -306,44 +384,67 @@ func (s *Search) Best(p *workload.PhaseProfile, idio float64) (t float64, at int
 // returns the index of the least prefilter bound, the first among equals.
 // The key table is one lane per distinct (class, load) key stepped once from
 // bus factor 1, and the serial cycles at bus factor 1 are taken once per
-// core class. A placement's bound cycles are then its plan's worst lane CPI
-// and multiplicity-weighted miss sum, read from the key table, fed with its
-// first core's serial cycles to the accounting's shared tail (wallCycles):
-// the exact path's formula at bus factor 1. It leaves the solve block empty.
+// core class. A placement's bound cycles b0 are then its plan's worst lane
+// CPI and multiplicity-weighted miss sum, read from the key table, fed with
+// its first core's serial cycles to the accounting's shared tail
+// (wallCycles): the exact path's formula at bus factor 1. A placement that
+// carries a response factor first gets the z-free bound lo = b0·lowFac/freq,
+// at most its prefilter bound; its z is taken, four names at a time, only
+// when lo does not exceed the least prefilter bound found so far, so every
+// placement that could be the least is hashed and the rest keep lo (noZ). It
+// leaves the solve block empty and the key table in ctx.srch.keys.
 func (s *Search) bounds(ctx *phaseCtx, p *workload.PhaseProfile, idio float64) (first int) {
 	m := s.m
 	ctx.resetPhase(m, p, idio)
 	ctx.resetBlock()
 	ctx.sizeFor(len(m.Topo.L2Groups), s.maxThreads, len(m.classes))
+	// The key table is built and stepped as the context's lane block, in
+	// the buffers of sc.keys: the swaps give each its own.
+	sc := &ctx.srch
+	ctx.lanes, sc.keys = sc.keys, ctx.lanes
+	ctx.lanes.reset()
 	lt := m.laneTermsOf(p)
 	for _, k := range s.keys {
 		m.appendLane(ctx, p, k, &lt)
 	}
-	ls := &ctx.lanes
-	ls.sizeDerived()
+	ctx.lanes.sizeDerived()
 	m.stepLanes(ctx, p)
+	ctx.lanes, sc.keys = sc.keys, ctx.lanes
+	ls := &sc.keys
 
-	sc := &ctx.srch
 	n := len(s.names)
 	sc.b0 = growFloats(sc.b0, n)
 	sc.z = growFloats(sc.z, n)
 	sc.cheap = growFloats(sc.cheap, n)
+	if cap(sc.noZ) < n {
+		sc.noZ = make([]bool, n)
+	}
+	sc.noZ = sc.noZ[:n]
 	sc.ser = growFloats(sc.ser, len(m.classes))
 	for ci := range m.classes {
 		sc.ser[ci] = m.serialCycles(ctx, p, 1, &m.classes[ci])
 	}
-	sigma := m.params.ResponseSigma
-	sc.resp = sigma > 0 && p.Fingerprint != ""
-	var seed uint64
+	sc.sigma = m.params.ResponseSigma
+	sc.resp = sc.sigma > 0 && p.Fingerprint != ""
+	sc.hashed = 0
 	if sc.resp {
-		seed = responseSeed(p.Fingerprint)
+		sc.seed = responseSeed(p.Fingerprint)
+		sc.lowFac = lowFactor(sc.sigma)
 	}
 	a := &ctx.acct
+	first, least := -1, math.Inf(1)
+	consider := func(i int) {
+		if c := sc.cheap[i]; first < 0 || c < least || (c == least && i < first) {
+			first, least = i, c
+		}
+	}
+	var batch [4]int32
+	nb := 0
 	for i := range s.names {
-		lo, hi := s.laneOff[i], s.laneOff[i+1]
-		cnt := s.cnt[lo:hi]
+		from, to := s.laneOff[i], s.laneOff[i+1]
+		cnt := s.cnt[from:to]
 		var maxCPI, sumMiss float64
-		for j, k := range s.key[lo:hi] {
+		for j, k := range s.key[from:to] {
 			if c := ls.cpi[k]; c > maxCPI {
 				maxCPI = c
 			}
@@ -352,29 +453,58 @@ func (s *Search) bounds(ctx *phaseCtx, p *workload.PhaseProfile, idio float64) (
 		threads := int(s.threads[i])
 		wall, _ := m.wallCycles(a, a.thread(p, threads), threads, sc.ser[s.cls0[i]], maxCPI, sumMiss)
 		sc.b0[i] = wall
-		lower := 1.0 // the response factor, or a lower bound on it
-		if sc.resp && threads > 1 {
-			z := responseZ(seed, s.names[i])
-			sc.z[i] = z
-			lower = expLower(sigma * z)
+		if !sc.resp || threads <= 1 {
+			sc.cheap[i], sc.noZ[i] = wall/a.freq, false // the response factor is 1
+			consider(i)
+			continue
 		}
-		cheap := wall * lower / a.freq
-		sc.cheap[i] = cheap
-		if cheap < sc.cheap[first] {
-			first = i
+		lo := wall * sc.lowFac / a.freq
+		sc.cheap[i], sc.noZ[i] = lo, true
+		if lo > least {
+			continue
+		}
+		batch[nb] = int32(i)
+		if nb++; nb == len(batch) {
+			s.takeZ(sc, &batch, nb, a.freq)
+			for _, j := range batch {
+				consider(int(j))
+			}
+			nb = 0
 		}
 	}
-	ctx.resetBlock()
+	if nb > 0 {
+		s.takeZ(sc, &batch, nb, a.freq)
+		for _, j := range batch[:nb] {
+			consider(int(j))
+		}
+	}
 	return first
 }
 
+// takeZ takes the response z of the n ≤ 4 placements batch[:n], in one
+// responseZ4 call, and replaces their lo by the prefilter bound
+// b0·expLower(sigma·z)/freq. It pads a short batch with its last index.
+func (s *Search) takeZ(sc *searchScratch, batch *[4]int32, n int, freq float64) {
+	for j := n; j < len(batch); j++ {
+		batch[j] = batch[n-1]
+	}
+	z := responseZ4(sc.seed, s.names[batch[0]], s.names[batch[1]], s.names[batch[2]], s.names[batch[3]])
+	for j, i := range batch[:n] {
+		sc.z[i] = z[j]
+		sc.cheap[i] = sc.b0[i] * expLower(sc.sigma*z[j]) / freq
+		sc.noZ[i] = false
+	}
+	sc.hashed += n
+}
+
 // factor is placement i's response factor for the phase of the last bound
-// pass: the factor responseFactorCtx returns, bit for bit.
+// pass: the factor responseFactorCtx returns, bit for bit. Placement i's z
+// must have been taken.
 func (s *Search) factor(sc *searchScratch, i int) float64 {
 	if !sc.resp || s.threads[i] <= 1 {
 		return 1
 	}
-	return math.Exp(s.m.params.ResponseSigma * sc.z[i])
+	return math.Exp(sc.sigma * sc.z[i])
 }
 
 // expLower returns a lower bound on math.Exp(x): the cubic Taylor polynomial
@@ -389,6 +519,68 @@ func expLower(x float64) float64 {
 		return 0
 	}
 	return p * (1 - 1e-9)
+}
+
+// zMin is the least z responseZ can return: each of its four terms u − 0.5
+// is at least −0.5 exactly, so their sum is at least −2, and rounding is
+// monotone.
+var zMin = -2 * math.Sqrt(3)
+
+// lowFactor returns, for sigma ≥ 0, a lower bound on expLower(sigma·z) for
+// every z that responseZ can return: expLower at sigma·zMin, the least
+// argument, less 1e-12 for rounding (the cubic's Horner form is monotone only
+// up to a few ulps), and 0 where that is not positive.
+func lowFactor(sigma float64) float64 {
+	return max(0, float64(expLower(sigma*zMin))-1e-12)
+}
+
+// responseZ4 is responseZ of four names under one seed, bit for bit: the four
+// FNV folds and finalisers are independent chains, interleaved so that each
+// multiply's latency overlaps the others'. The remainder, below 2^20,
+// converts to float64 through int64, exactly.
+func responseZ4(seed uint64, n0, n1, n2, n3 string) (z [4]float64) {
+	const prime = 1099511628211
+	h0, h1, h2, h3 := seed, seed, seed, seed
+	l := min(len(n0), len(n1), len(n2), len(n3))
+	for i := 0; i < l; i++ {
+		h0 = (h0 ^ uint64(n0[i])) * prime
+		h1 = (h1 ^ uint64(n1[i])) * prime
+		h2 = (h2 ^ uint64(n2[i])) * prime
+		h3 = (h3 ^ uint64(n3[i])) * prime
+	}
+	for _, c := range []byte(n0[l:]) {
+		h0 = (h0 ^ uint64(c)) * prime
+	}
+	for _, c := range []byte(n1[l:]) {
+		h1 = (h1 ^ uint64(c)) * prime
+	}
+	for _, c := range []byte(n2[l:]) {
+		h2 = (h2 ^ uint64(c)) * prime
+	}
+	for _, c := range []byte(n3[l:]) {
+		h3 = (h3 ^ uint64(c)) * prime
+	}
+	var z0, z1, z2, z3 float64
+	for range 4 {
+		h0 ^= h0 >> 33
+		h1 ^= h1 >> 33
+		h2 ^= h2 >> 33
+		h3 ^= h3 >> 33
+		h0 *= 0xff51afd7ed558ccd
+		h1 *= 0xff51afd7ed558ccd
+		h2 *= 0xff51afd7ed558ccd
+		h3 *= 0xff51afd7ed558ccd
+		h0 ^= h0 >> 33
+		h1 ^= h1 >> 33
+		h2 ^= h2 >> 33
+		h3 ^= h3 >> 33
+		z0 += float64(int64(h0%1_000_003))/1_000_003.0 - 0.5
+		z1 += float64(int64(h1%1_000_003))/1_000_003.0 - 0.5
+		z2 += float64(int64(h2%1_000_003))/1_000_003.0 - 0.5
+		z3 += float64(int64(h3%1_000_003))/1_000_003.0 - 0.5
+	}
+	sqrt3 := math.Sqrt(3)
+	return [4]float64{z0 * sqrt3, z1 * sqrt3, z2 * sqrt3, z3 * sqrt3}
 }
 
 // growFloats returns buf resized to n, reallocated only when it is short.

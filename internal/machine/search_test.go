@@ -88,15 +88,50 @@ func searchMatchesScan(s *Search, p *workload.PhaseProfile, idio float64, dst []
 	return nil
 }
 
-// boundsUnderTimes reports the first placement whose prefilter bound exceeds
-// its exact bound or whose exact bound exceeds its exact time in dst, and a
-// bound pass that does not report the least prefilter bound.
+// boundsEveryZ is the bound pass with every z taken: s.bounds on ctx, then
+// the z of every placement it left at its z-free bound lo (noZ), in batches
+// of four as Best takes them. It returns the least prefilter bound's index
+// and every placement's lo — b0·lowFac/freq where the placement carries a
+// response factor, its prefilter bound otherwise.
+func boundsEveryZ(s *Search, ctx *phaseCtx, p *workload.PhaseProfile, idio float64) (first int, lo []float64) {
+	first = s.bounds(ctx, p, idio)
+	sc := &ctx.srch
+	freq := ctx.acct.freq
+	lo = make([]float64, len(s.names))
+	var batch [4]int32
+	nb := 0
+	for i := range s.names {
+		lo[i] = sc.cheap[i]
+		if sc.resp && s.threads[i] > 1 {
+			lo[i] = sc.b0[i] * sc.lowFac / freq
+		}
+		if sc.noZ[i] {
+			batch[nb] = int32(i)
+			if nb++; nb == len(batch) {
+				s.takeZ(sc, &batch, nb, freq)
+				nb = 0
+			}
+		}
+	}
+	if nb > 0 {
+		s.takeZ(sc, &batch, nb, freq)
+	}
+	return first, lo
+}
+
+// boundsUnderTimes reports the first placement whose z-free bound lo exceeds
+// its prefilter bound, whose prefilter bound exceeds its exact bound or whose
+// exact bound exceeds its exact time in dst, and a bound pass that does not
+// report the least prefilter bound.
 func boundsUnderTimes(s *Search, p *workload.PhaseProfile, idio float64, placements []topology.Placement, dst []Result) error {
 	ctx := &phaseCtx{}
-	first := s.bounds(ctx, p, idio)
+	first, lo := boundsEveryZ(s, ctx, p, idio)
 	sc := &ctx.srch
 	freq := s.m.Topo.FrequencyHz * s.m.clockScale()
 	for i := range placements {
+		if !(lo[i] <= sc.cheap[i]) {
+			return fmt.Errorf("placement %s: z-free bound %v > prefilter bound %v", placements[i].Name, lo[i], sc.cheap[i])
+		}
 		bound := sc.b0[i] * s.factor(sc, i) / freq
 		if !(sc.cheap[i] <= bound) {
 			return fmt.Errorf("placement %s: prefilter bound %v > bound %v", placements[i].Name, sc.cheap[i], bound)
@@ -247,13 +282,17 @@ func TestSearchBoundsMatchReference(t *testing.T) {
 }
 
 // boundsMatchReference reports the first placement whose b0 or prefilter
-// bound from the bound pass differs in any bit from the reference's.
+// bound from the bound pass, every z taken (boundsEveryZ), differs in any bit
+// from the reference's, or whose z-free bound exceeds its prefilter bound.
 func boundsMatchReference(s *Search, p *workload.PhaseProfile, idio float64) error {
 	ctx := &phaseCtx{}
-	s.bounds(ctx, p, idio)
+	_, lo := boundsEveryZ(s, ctx, p, idio)
 	wantB0, wantCheap := referenceBounds(s, p, idio)
 	sc := &ctx.srch
 	for i := range s.names {
+		if !(lo[i] <= sc.cheap[i]) {
+			return fmt.Errorf("placement %s: z-free bound %v > prefilter bound %v", s.names[i], lo[i], sc.cheap[i])
+		}
 		if math.Float64bits(sc.b0[i]) != math.Float64bits(wantB0[i]) {
 			return fmt.Errorf("placement %s: b0 %v, reference %v", s.names[i], sc.b0[i], wantB0[i])
 		}
@@ -305,6 +344,50 @@ func TestSearchPruneCensus(t *testing.T) {
 	}
 	if solved != 52138 || placementPhases != 428576 {
 		t.Errorf("hetero study: %d of %d placement-phases solved, census 52138 of 428576", solved, placementPhases)
+	}
+}
+
+// TestSearchHashCensus pins how many response z Best takes over every NPB
+// phase on the four hetero machines, each searched over its balanced
+// placements: the z census PERFORMANCE.md reports. A placement's z is taken
+// only where its z-free bound does not already rule it out, so a change
+// that hashes every placement — or moves lowFactor, the bound or the
+// search order — moves these counts.
+func TestSearchHashCensus(t *testing.T) {
+	census := []struct {
+		desc   string
+		hashed int64
+	}{
+		{"16x4", 2988},
+		{"12x4+8x2:little", 24800},
+		{"16x4+16x2:little", 63318},
+		{"16x4+32x2:little", 124310},
+	}
+	var hashed int64
+	for _, c := range census {
+		topo, err := topology.ParseDesc(c.desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewBalancedSearch(m)
+		hashed0 := searchHashed.Load()
+		for _, b := range npb.All() {
+			for pi := range b.Phases {
+				s.Best(&b.Phases[pi], b.Idiosyncrasy)
+			}
+		}
+		got := searchHashed.Load() - hashed0
+		if got != c.hashed {
+			t.Errorf("%s: Best took %d response z over every NPB phase, census %d", c.desc, got, c.hashed)
+		}
+		hashed += got
+	}
+	if hashed != 215416 {
+		t.Errorf("hetero study: %d response z taken over 428576 placement-phases, census 215416", hashed)
 	}
 }
 
@@ -485,6 +568,131 @@ func TestExpLowerBound(t *testing.T) {
 			}
 		}
 	}
+}
+
+// irwinHallZ is responseZ's z for the four remainders k (each below
+// 1 000 003), with responseZ's arithmetic.
+func irwinHallZ(k [4]uint64) float64 {
+	var z float64
+	for _, ki := range k {
+		z += float64(ki)/1_000_003.0 - 0.5
+	}
+	return z * math.Sqrt(3)
+}
+
+// TestLowFactorBound: the z-free factor never exceeds expLower(σ·z) for a z
+// responseZ can return — at the Irwin–Hall extremes and every mix of small,
+// middle and extreme remainders, on a dense grid of z, and just above the
+// least z — for σ up to 4 on a dense grid and ulp by ulp where σ·zMin
+// crosses the cubic's root, beyond which the cubic is not positive and the
+// factor is 0.
+func TestLowFactorBound(t *testing.T) {
+	var zs []float64
+	ks := []uint64{0, 1, 2, 3, 1000, 500_001, 999_999, 1_000_001, 1_000_002}
+	for _, a := range ks {
+		for _, b := range ks {
+			for _, c := range ks {
+				for _, d := range ks {
+					zs = append(zs, irwinHallZ([4]uint64{a, b, c, d}))
+				}
+			}
+		}
+	}
+	zMax := irwinHallZ([4]uint64{1_000_002, 1_000_002, 1_000_002, 1_000_002})
+	if zLeast := irwinHallZ([4]uint64{}); zLeast != zMin {
+		t.Fatalf("least Irwin–Hall z %v, zMin %v", zLeast, zMin)
+	}
+	const zSteps = 1 << 10
+	for k := 0; k <= zSteps; k++ {
+		zs = append(zs, zMin+(zMax-zMin)*float64(k)/zSteps)
+	}
+	for z, k := zMin, 0; k < 1<<8; k++ {
+		zs = append(zs, z)
+		z = math.Nextafter(z, 0)
+	}
+	check := func(sigma float64) {
+		lf := lowFactor(sigma)
+		if !(lf >= 0 && lf <= 1) {
+			t.Fatalf("lowFactor(%v) = %v, want within [0, 1]", sigma, lf)
+		}
+		for _, z := range zs {
+			if e := expLower(sigma * z); !(lf <= e) {
+				t.Fatalf("lowFactor(%v) = %v > expLower(σ·%v) = %v", sigma, lf, z, e)
+			}
+		}
+	}
+	const sigmaSteps = 1 << 12
+	for k := 0; k <= sigmaSteps; k++ {
+		check(4 * float64(k) / sigmaSteps)
+	}
+	// σ·zMin crosses the cubic's real root, near −1.596, at σ ≈ 0.4607.
+	root := 1.5961 / (2 * math.Sqrt(3))
+	for sigma, k := root-1e-4, 0; k < 1<<12; k++ {
+		check(sigma)
+		sigma = math.Nextafter(sigma, 1)
+	}
+	for sigma := root - 1e-3; sigma <= root+1e-3; sigma += 1e-7 {
+		check(sigma)
+	}
+	for _, sigma := range []float64{0.47, 1, 4} {
+		if lf := lowFactor(sigma); lf != 0 {
+			t.Errorf("lowFactor(%v) = %v where the cubic is not positive, want 0", sigma, lf)
+		}
+	}
+}
+
+// checkResponseZ4 reports the first of four names whose responseZ4 z differs
+// in any bit from responseZ's.
+func checkResponseZ4(seed uint64, names [4]string) error {
+	got := responseZ4(seed, names[0], names[1], names[2], names[3])
+	for j, name := range names {
+		if want := responseZ(seed, name); math.Float64bits(got[j]) != math.Float64bits(want) {
+			return fmt.Errorf("seed %#x name %q (lane %d): responseZ4 %v, responseZ %v", seed, name, j, got[j], want)
+		}
+	}
+	return nil
+}
+
+// TestResponseZ4MatchesResponseZ: the batched z equals responseZ bit for bit
+// on every balanced placement name of the four hetero machines under every
+// NPB fingerprint, batched in order and with the names of a batch far apart
+// (so of different lengths).
+func TestResponseZ4MatchesResponseZ(t *testing.T) {
+	var names []string
+	for _, desc := range []string{"16x4", "12x4+8x2:little", "16x4+16x2:little", "16x4+32x2:little"} {
+		for _, pl := range topology.BalancedPlacements(mustDesc(t, desc)) {
+			names = append(names, pl.Name)
+		}
+	}
+	n := len(names)
+	for _, b := range npb.All() {
+		for _, ph := range b.Phases {
+			seed := responseSeed(ph.Fingerprint)
+			for i := range names {
+				for _, batch := range [][4]string{
+					{names[i], names[(i+1)%n], names[(i+2)%n], names[(i+3)%n]},
+					{names[i], names[n-1-i], names[(i*7)%n], names[(i+n/2)%n]},
+				} {
+					if err := checkResponseZ4(seed, batch); err != nil {
+						t.Fatalf("%s: %v", ph.Fingerprint, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzResponseZ4: responseZ4 equals responseZ bit for bit on any seed and
+// any four names, empty and non-ASCII ones included.
+func FuzzResponseZ4(f *testing.F) {
+	f.Add(uint64(0), "", "", "", "")
+	f.Add(responseSeed("SP/x_solve"), "55:16/39", "1", "64:32/32", "12:4/8")
+	f.Add(responseSeed("IS/rank_count"), "2:1|1", "héllo", "\xff\x00", "4224:16/32/…")
+	f.Fuzz(func(t *testing.T, seed uint64, n0, n1, n2, n3 string) {
+		if err := checkResponseZ4(seed, [4]string{n0, n1, n2, n3}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestSetParamsRejectsUnevaluable: SetParams panics on each parameter the

@@ -13,7 +13,8 @@ import (
 // model plus RunPhaseSweep, which evaluates one phase across many placements
 // in a single call. RunPhase is the same engine on a block of one, and
 // Search (search.go) the same engine searching for the fastest placement,
-// solving only the placements a lower bound cannot rule out.
+// solving only the placements a lower bound cannot rule out and hashing a
+// placement's name into its response z only where a z-free bound cannot.
 //
 // The model is defined over lanes (see lanes.go): a placement of n threads is
 // a short list of (core class, L2 group load, multiplicity) lanes in the order
@@ -44,7 +45,10 @@ import (
 //     class layout, never on the phase. A sweep resolves each placement's
 //     plan into one scratch slice just before queueing its lanes and keeps
 //     nothing between calls. A Search, which scores the same placements for
-//     every phase, resolves each lane list once, when it is built.
+//     every phase, resolves each lane list once, when it is built, and per
+//     phase derives each distinct (class, load) lane once, in the key table
+//     of its bound pass: its solves copy their lanes from that table, where
+//     a sweep derives each lane as it queues it (queueLanes).
 //
 // What holds bit for bit, test-enforced: RunPhaseSweep equals RunPhase per
 // placement in slice order (both run solveBlock/finishPlacement), memoised

@@ -271,6 +271,10 @@ func decodeBankRejects() []struct{ name, data, want string } {
 		{"families mixed under an inferred kind", `{"format":"actor-bank","version":1,"configs":["1","4"],"sample_config":"4",
 			"predictors":[{"events":["L2_LINES_IN"],"mlr":{"1":[0.1,0.2,0.3]}},{"events":[],"ann":{"1":{"scaler":{"mean":[0],"std":[1],"ymin":0,"ymax":1},"nets":[]}}}]}`,
 			`predictor 1 holds ann models in a bank of kind "mlr"`},
+		{"ANN target outside the configuration space", strings.Replace(annBank(`[0,0]`, `[1,1]`, `[`+net16("1", "2", "0")+`]`), `"ann":{"1":`, `"ann":{"9":`, 1),
+			`predictor 0 target "9" is not in the bank's configuration space [1 4]`},
+		{"MLR target outside the configuration space", `{"format":"actor-bank","version":1,"configs":["1","4"],"sample_config":"4",
+			"predictors":[{"events":["L2_LINES_IN"],"mlr":{"1":[0.1,0.2],"9":[0.1,0.2]}}]}`, `predictor 0 target "9" is not in the bank's configuration space [1 4]`},
 		{"hidden width other than 16", annBank(`[0,0]`, `[1,1]`, `[{"sizes":[2,8,1],"weights":[[`+strings.Repeat("1,2,3,", 7)+`1,2,3],[`+strings.Repeat("1,", 8)+`0]]}]`), `net 0: ann: hidden layer of 8 units: a network has 16 hidden units`},
 	}
 }

@@ -171,14 +171,7 @@ func DecodeBank(data []byte) (*Bank, error) {
 	if len(bf.Configs) == 0 {
 		return nil, fmt.Errorf("bank lists no configurations")
 	}
-	sampleOK := false
-	for _, c := range bf.Configs {
-		if c == bf.SampleConfig {
-			sampleOK = true
-			break
-		}
-	}
-	if !sampleOK {
+	if !slices.Contains(bf.Configs, bf.SampleConfig) {
 		return nil, fmt.Errorf("bank sampling configuration %q is not in its configuration space %v", bf.SampleConfig, bf.Configs)
 	}
 	if len(bf.Predictors) == 0 {
@@ -217,11 +210,22 @@ func DecodeBank(data []byte) (*Bank, error) {
 			return nil, fmt.Errorf("predictor %d holds %s models in a bank of kind %q", i, family, kind)
 		}
 		// Targets are decoded in name order, so which bad model an error
-		// names never depends on map iteration order.
+		// names never depends on map iteration order. A target outside the
+		// configuration space would be recommended as a configuration the
+		// bank was never trained to run.
 		var names []string
-		var models []core.Model
 		if family == KindANN {
 			names = slices.Sorted(maps.Keys(bp.ANN))
+		} else {
+			names = slices.Sorted(maps.Keys(bp.MLR))
+		}
+		for _, name := range names {
+			if !slices.Contains(bf.Configs, name) {
+				return nil, fmt.Errorf("predictor %d target %q is not in the bank's configuration space %v", i, name, bf.Configs)
+			}
+		}
+		var models []core.Model
+		if family == KindANN {
 			for _, name := range names {
 				be := bp.ANN[name]
 				nets := make([]*ann.Network, len(be.Nets))
@@ -247,7 +251,6 @@ func DecodeBank(data []byte) (*Bank, error) {
 				models = append(models, ens)
 			}
 		} else {
-			names = slices.Sorted(maps.Keys(bp.MLR))
 			for _, name := range names {
 				m, err := mlr.NewModel(bp.MLR[name])
 				if err != nil {

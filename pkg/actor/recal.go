@@ -10,7 +10,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/greenhpc/actor/internal/core"
 	"github.com/greenhpc/actor/internal/dataset"
@@ -127,7 +126,7 @@ type Recalibrator struct {
 // predict traffic starts feeding the observation store and the /v1/recal/*
 // admin routes come alive. Call once, before serving traffic; a second call
 // fails, and so does a non-finite Margin or CanaryFrac. The caller drives
-// the loop — periodically via Run, or manually via Tick/Trigger.
+// the loop through Tick (actord calls it on a ticker) or Trigger.
 func (s *Server) EnableRecalibration(cfg RecalConfig) (*Recalibrator, error) {
 	// A NaN would pass every clamp in withDefaults and then fail every
 	// comparison: no candidate would clear a NaN margin, and a NaN canary
@@ -193,7 +192,7 @@ func (r *Recalibrator) shadowScore(sc *predictScratch) {
 // Tick runs one control-loop step: during a canary it checks completion or
 // failure; when idle it evaluates drift and retrains on a trip. Retraining
 // is synchronous within Tick (off the request path — Tick runs in the
-// caller's goroutine, typically Run's).
+// caller's goroutine; actord drives it on a ticker).
 func (r *Recalibrator) Tick(ctx context.Context) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -210,21 +209,6 @@ func (r *Recalibrator) Tick(ctx context.Context) {
 	case recal.StateIdle:
 		if v := r.store.CheckDrift(r.cfg.Drift); v.Tripped {
 			_, _ = r.retrainLocked(ctx, "drift:"+v.Reason)
-		}
-	}
-}
-
-// Run drives Tick on a fixed interval until ctx is cancelled. interval must
-// be positive: like time.NewTicker, Run panics otherwise.
-func (r *Recalibrator) Run(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			r.Tick(ctx)
 		}
 	}
 }

@@ -11,9 +11,11 @@
 #     against its O(M) reference and against the legacy-stream pin, and
 #     the oracle search (machine.Search) against the full sweep's minimum,
 #     its lower bounds against every exact time and, bit for bit, against
-#     the per-placement reference bound, its pinned prune census, the
-#     prefilter's exp bound against math.Exp, and the search built from
-#     balanced occupancies against the one built from the listed placements;
+#     the per-placement reference bound, its pinned prune and hash
+#     censuses, the prefilter's exp bound against math.Exp, the z-free
+#     factor against that bound, the batched response z against responseZ,
+#     and the search built from balanced occupancies against the one built
+#     from the listed placements;
 #   - reproduce the pinned fleet schedule digests (scripts/fleet_smoke.sh);
 #   - write the pinned `actor-train -fast` bank and the pinned
 #     `actor-train -fast -loo` leave-one-out banks, byte for byte;
@@ -36,7 +38,7 @@ LOO_SHA256=f702240b573b1cb3f3bd5b9414154426eeef5ecf04703ea235f522f963143230
 ACTORSIM_SHA256=0a63d7739428e10f2d4c7f89989b09a3d359e2a52a3d33ea7a944fda37aa0b1b
 HETERO_SHA256=50d1fa7294326c4d51b038c4882aaea05992c0de865d3dd46fdbac800aa26fb6
 
-TESTS='TestParallelPipelineDeterminism|TestRunPhaseSweep|TestHeteroSweepMatchesRunPhaseProperty|TestConcurrentHeteroSweeps|TestShardedMemoConcurrentSweeps|BitIdenti|TestGOMAXPROCSDeterminism|TestLegacyStreamPinned|TestSearchMatchesSweep|TestBalancedSearchMatchesNewSearch|TestSearchBoundNeverExceedsTime|TestSearchBoundProperty|TestSearchBoundsMatchReference|TestSearchPruneCensus|TestExpLowerBound'
+TESTS='TestParallelPipelineDeterminism|TestRunPhaseSweep|TestHeteroSweepMatchesRunPhaseProperty|TestConcurrentHeteroSweeps|TestShardedMemoConcurrentSweeps|BitIdenti|TestGOMAXPROCSDeterminism|TestLegacyStreamPinned|TestSearchMatchesSweep|TestBalancedSearchMatchesNewSearch|TestSearchBoundNeverExceedsTime|TestSearchBoundProperty|TestSearchBoundsMatchReference|TestSearchPruneCensus|TestSearchHashCensus|TestExpLowerBound|TestLowFactorBound|TestResponseZ4MatchesResponseZ'
 PKGS=(./internal/exp ./internal/machine ./internal/ann ./internal/fleet)
 
 # go test -run drops an alternative that matches nothing without a word, so

@@ -323,6 +323,63 @@ func receiverType(e ast.Expr) string {
 	}
 }
 
+// TestActorOwnsNoGoroutine is TestServerOwnsNoGoroutine's static twin: no
+// non-test file of pkg/actor holds a go statement, a chan type, a send, a
+// receive or a select. The library runs on its callers' goroutines; actord
+// drives the recalibration loop's Tick itself.
+func TestActorOwnsNoGoroutine(t *testing.T) {
+	files, err := filepath.Glob("pkg/actor/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, p := range files {
+		if strings.HasSuffix(p, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var what string
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				what = "go statement"
+			case *ast.ChanType:
+				what = "chan type"
+			case *ast.SendStmt:
+				what = "send"
+			case *ast.SelectStmt:
+				what = "select"
+			case *ast.UnaryExpr:
+				if n.Op == token.ARROW {
+					what = "receive"
+				}
+			}
+			if what != "" {
+				t.Errorf("%s: %s in pkg/actor, which owns no goroutine", fset.Position(n.Pos()), what)
+			}
+			return true
+		})
+	}
+}
+
+// TestGoModRequiresNothing: go.mod has no require directive, alone or as a
+// block — the module builds from the standard library alone.
+func TestGoModRequiresNothing(t *testing.T) {
+	data, err := os.ReadFile("go.mod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(data), "\n") {
+		line, _, _ = strings.Cut(line, "//")
+		if fields := strings.Fields(line); len(fields) > 0 && strings.HasPrefix(fields[0], "require") {
+			t.Errorf("go.mod:%d: %q: the module requires nothing outside the standard library", i+1, strings.TrimSpace(line))
+		}
+	}
+}
+
 // TestEveryCommandIsExecuted fails for every cmd/<name> that nothing runs.
 // A command counts as executed when its directory holds a _test.go file,
 // or when a scripts/*.sh that a Makefile recipe runs names ./cmd/<name>
