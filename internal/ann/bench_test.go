@@ -79,6 +79,30 @@ func BenchmarkSGDFeatureMajor(b *testing.B) {
 	}
 }
 
+// BenchmarkStackForward drives the bound layer-0 forward pass (the
+// pre-activations and the sigmoid of every lane) at the same leave-one-out
+// shape: 13 features, four targets of Hidden units (64 lanes). The
+// lockstep trainer runs it once per batch row, the ensemble once per
+// prediction.
+func BenchmarkStackForward(b *testing.B) {
+	rng := rand.New(rand.NewSource(24))
+	const inDim, lanes = 13, 64
+	wT := make([]float64, (inDim+1)*lanes)
+	x := make([]float64, inDim)
+	for i := range wT {
+		wT[i] = rng.NormFloat64()
+	}
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	acts := make([]float64, lanes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stackForward(acts, wT, x)
+	}
+}
+
 func BenchmarkANNTrain(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	samples := make([]Sample, 200)

@@ -2,10 +2,12 @@
 
 // AVX2 bindings of the trainer kernels: thin Go drivers over the assembly
 // routines in gemm_amd64.s. Each driver keeps the scalar reference's loop
-// structure, hands the 4-wide interior to assembly and finishes tails with
-// the reference's own code — so every output is produced by the exact
-// scalar operation sequence whether it went through a vector lane or the
-// tail. See gemm_simd_test.go for the fuzzed bit-identity enforcement.
+// structure, hands the vector interior to assembly — four lanes wide, or
+// one Hidden block of sixteen lanes where the lanes are hidden units — and
+// finishes tails with the reference's own code, so every output is
+// produced by the exact scalar operation sequence whether it went through
+// a vector lane or the tail. See gemm_simd_test.go for the fuzzed
+// bit-identity enforcement.
 package ann
 
 import "github.com/greenhpc/actor/internal/simd"
@@ -20,24 +22,22 @@ func init() {
 	}
 }
 
-// The assembly hard-codes the output unit's fan-in: Hidden = 16, four
-// vectors of four. This constant does not compile under any other width.
+// The assembly hard-codes the output unit's fan-in and the lane block of
+// the feature-major kernels: Hidden = 16, four vectors of four. This
+// constant does not compile under any other width.
 const _ = uint(Hidden-16) + uint(16-Hidden)
-
-//go:noescape
-func sigmoidVec4(v *float64, n int)
 
 //go:noescape
 func dotRows4(out, x, w *float64, rows, ldx int)
 
 //go:noescape
-func stackSums4(acc, wT, x *float64, lanes, inDim int)
+func stackForward16(acts, wT, x *float64, lanes, inDim int)
 
 //go:noescape
 func deltaRows4(t, acts, w, d *float64, rows, ld int, scale float64)
 
 //go:noescape
-func sgdFeatureMajor4(w, vel, t, x *float64, batch, rows, lanes, ldx int, mom float64)
+func sgdFeatureMajor16(w, vel, t, x *float64, batch, rows, lanes, ldx int, mom float64)
 
 //go:noescape
 func sgdFoldAll(vel, x0, x1, x2, x3, d *float64, lr, mom float64)
@@ -70,18 +70,27 @@ func denseForwardAVX2(out, x, w []float64, batch, ldx int) {
 	}
 }
 
-// stackForwardAVX2 computes a stacked ensemble's hidden activations four
-// lanes per instruction: one pass over the feature-major weights for the
-// pre-activations, one sigmoid pass over all lanes. A lane is one hidden
-// unit, so nothing is reduced across lanes. len(acts) is a multiple of
-// Hidden.
+// stackForwardAVX2 computes a stacked ensemble's hidden activations in one
+// pass, one Hidden block of sixteen lanes per step: the block's
+// pre-activations over the feature-major weights, then its sigmoid as four
+// interleaved vector chains. A lane is one hidden unit, so nothing is
+// reduced across lanes. len(acts) is a multiple of Hidden.
 func stackForwardAVX2(acts, wT, x []float64) {
 	if len(acts) == 0 || len(x) == 0 {
 		stackForwardScalar(acts, wT, x)
 		return
 	}
-	stackSums4(&acts[0], &wT[0], &x[0], len(acts), len(x))
-	sigmoidVec4(&acts[0], len(acts))
+	mustHiddenBlocks(len(acts))
+	_ = wT[(len(x)+1)*len(acts)-1]
+	stackForward16(&acts[0], &wT[0], &x[0], len(acts), len(x))
+}
+
+// mustHiddenBlocks panics unless lanes is a whole number of Hidden blocks,
+// the only width the sixteen-lane kernels advance by.
+func mustHiddenBlocks(lanes int) {
+	if lanes%Hidden != 0 {
+		panic("ann: lane count is not a multiple of Hidden")
+	}
 }
 
 // hiddenEtaAVX2 runs the scaled backprop recurrence with four hidden units
@@ -100,19 +109,21 @@ func hiddenEtaAVX2(t, d, w, acts []float64, batch, ld int, lr float64) {
 	deltaRows4(&t[0], &acts[0], &w[0], &d[0], batch, ld, lr)
 }
 
-// sgdFeatureMajorAVX2 runs the feature-major update four lanes per
-// instruction, carrying each velocity through the whole batch in a
-// register before w += v. lanes is a multiple of Hidden.
+// sgdFeatureMajorAVX2 runs the feature-major update one Hidden block of
+// sixteen lanes per step, carrying the block's four velocity vectors
+// through the whole batch in registers before w += v. lanes is a multiple
+// of Hidden.
 func sgdFeatureMajorAVX2(w, vel, t, x []float64, batch, rows, lanes, ldx int, momentum float64) {
 	if lanes == 0 || rows == 0 || batch == 0 {
 		sgdFeatureMajorScalar(w, vel, t, x, batch, rows, lanes, ldx, momentum)
 		return
 	}
+	mustHiddenBlocks(lanes)
 	_ = w[rows*lanes-1]
 	_ = vel[rows*lanes-1]
 	_ = t[batch*lanes-1]
 	_ = x[(batch-1)*ldx+rows-1]
-	sgdFeatureMajor4(&w[0], &vel[0], &t[0], &x[0], batch, rows, lanes, ldx, momentum)
+	sgdFeatureMajor16(&w[0], &vel[0], &t[0], &x[0], batch, rows, lanes, ldx, momentum)
 }
 
 // sgdStepAVX2 applies the output unit's fused momentum/AXPY update with

@@ -1,19 +1,23 @@
 //go:build amd64 && !actor_noasm
 
 // AVX2 vector kernels for the batched trainer. Every routine vectorizes
-// across INDEPENDENT outputs only — four batch samples, four units, or
-// four weight indices per instruction — and performs, per output, exactly
-// the operation sequence of the scalar reference in gemm.go: the same
-// multiplies, adds, subtracts and divides, in the same order, with no FMA
-// contraction (a fused multiply-add rounds once where the reference rounds
-// twice, which would break bit-identity). Reductions (the i-sums of the
-// forward passes) always stay within one lane.
+// across INDEPENDENT outputs only — four batch samples or four weight
+// indices per instruction, and, where a layer's lanes are hidden units,
+// one Hidden block of sixteen lanes (four vectors) per step — and
+// performs, per output, exactly the operation sequence of the scalar
+// reference in gemm.go: the same multiplies, adds, subtracts and divides,
+// in the same order, with no FMA contraction (a fused multiply-add rounds
+// once where the reference rounds twice, which would break bit-identity).
+// Reductions (the i-sums of the forward passes) always stay within one
+// lane. The sixteen-lane kernels interleave their four vectors instruction
+// by instruction, so four independent dependency chains are in flight.
 //
-// The EXPCORE macro is fastExp from gemm.go transcribed operation for
-// operation; see that file for the algorithm. Lanes whose input is below
-// the underflow cutoff are computed anyway and zeroed at the end (the
-// scalar path returns 0 early) — the discarded lanes cannot raise traps
-// because SSE/AVX exceptions are masked in Go.
+// The SIGMOID16 macro is sigmoid(v) = 1/(1+fastExp(−v)) from gemm.go and
+// network.go transcribed operation for operation; see gemm.go for the
+// algorithm. Lanes whose argument −v is below the underflow cutoff are
+// computed anyway and zeroed at the end (the scalar path returns 0 early)
+// — the discarded lanes cannot raise traps because SSE/AVX exceptions are
+// masked in Go.
 
 #include "textflag.h"
 
@@ -26,10 +30,10 @@ DATA expconsts<>+0(SB)/8, $0x4086280000000000   // 709.0 (overflow clamp)
 DATA expconsts<>+8(SB)/8, $0x4086280000000000
 DATA expconsts<>+16(SB)/8, $0x4086280000000000
 DATA expconsts<>+24(SB)/8, $0x4086280000000000
-DATA expconsts<>+32(SB)/8, $0xc086200000000000  // -708.0 (underflow cutoff)
-DATA expconsts<>+40(SB)/8, $0xc086200000000000
-DATA expconsts<>+48(SB)/8, $0xc086200000000000
-DATA expconsts<>+56(SB)/8, $0xc086200000000000
+DATA expconsts<>+32(SB)/8, $0x4086200000000000  // 708.0 (v > 708: e^-v underflows)
+DATA expconsts<>+40(SB)/8, $0x4086200000000000
+DATA expconsts<>+48(SB)/8, $0x4086200000000000
+DATA expconsts<>+56(SB)/8, $0x4086200000000000
 DATA expconsts<>+64(SB)/8, $0x3ff71547652b82fe  // log2(e)
 DATA expconsts<>+72(SB)/8, $0x3ff71547652b82fe
 DATA expconsts<>+80(SB)/8, $0x3ff71547652b82fe
@@ -84,75 +88,128 @@ DATA expconsts<>+464(SB)/8, $0x8000000000000000
 DATA expconsts<>+472(SB)/8, $0x8000000000000000
 GLOBL expconsts<>(SB), RODATA|NOPTR, $480
 
-// EXPCORE: Y0 = fastExp(Y0) for four lanes. R13 = &expconsts. Clobbers
-// Y1-Y4. Transcribes gemm.go fastExp operation for operation:
+// HORNER4: one Horner step p = c + r·p on the four chains (p in Y12-Y15,
+// r in Y8-Y11), c at byte offset off of the constant table R13: one
+// VMULPD then one VADDPD per chain — two roundings, exactly like the
+// scalar `c + r*p`.
+#define HORNER4(off) \
+	VMULPD  Y8, Y12, Y12    \
+	VMULPD  Y9, Y13, Y13    \
+	VMULPD  Y10, Y14, Y14   \
+	VMULPD  Y11, Y15, Y15   \
+	VADDPD  off(R13), Y12, Y12 \
+	VADDPD  off(R13), Y13, Y13 \
+	VADDPD  off(R13), Y14, Y14 \
+	VADDPD  off(R13), Y15, Y15
+
+// SIGMOID16: Y0-Y3 = sigmoid(Y0-Y3), one Hidden block of sixteen lanes as
+// four chains interleaved instruction by instruction. The pre-activations
+// v must also be stored at DI (the underflow mask reads them back, which
+// leaves four registers per chain: x Y0-Y3, k Y4-Y7, r Y8-Y11, p
+// Y12-Y15). R13 = &expconsts. Per lane, with x = −v, it transcribes
+// sigmoid(v) = 1/(1 + fastExp(x)):
 //
-//	Y4 ← x < -708 (LT_OQ: false on NaN, like the scalar <)
+//	x  ← v XOR sign bit (−v, exact)
 //	x  ← 709 < x ? 709 : x (VMINPD with 709 first: NaN passes through)
 //	k  ← floor(x·log2e + 0.5) (VROUNDPD mode 1 = math.Floor)
 //	r  ← (x − k·ln2hi) − k·ln2lo
-//	p  ← Horner degree 8, each step one VMULPD then one VADDPD —
-//	     two roundings, exactly like the scalar `c + r*p`
+//	p  ← Horner degree 8
 //	k  → k + (2^52 + 1023), <<52: the exponent bits of 2^k. On live lanes
 //	     −1021 ≤ k ≤ 1023, so the sum is exact and its low mantissa bits
 //	     hold the integer k+1023 the scalar uint64(int64(k)+1023) forms
 //	     (underflowed lanes are garbage here; a NaN lane stays NaN in p)
-//	Y0 ← p · 2^k, then zero the x < -708 lanes (the scalar early return)
-#define EXPCORE \
-	VCMPPD  $0x11, 32(R13), Y0, Y4 \
-	VMOVUPD 0(R13), Y1             \
-	VMINPD  Y0, Y1, Y0             \
-	VMULPD  64(R13), Y0, Y1        \
-	VADDPD  96(R13), Y1, Y1        \
-	VROUNDPD $1, Y1, Y1            \
-	VMULPD  128(R13), Y1, Y2       \
-	VSUBPD  Y2, Y0, Y2             \
-	VMULPD  160(R13), Y1, Y3       \
-	VSUBPD  Y3, Y2, Y2             \
-	VMOVUPD 192(R13), Y3           \
-	VMULPD  Y2, Y3, Y3             \
-	VADDPD  224(R13), Y3, Y3       \
-	VMULPD  Y2, Y3, Y3             \
-	VADDPD  256(R13), Y3, Y3       \
-	VMULPD  Y2, Y3, Y3             \
-	VADDPD  288(R13), Y3, Y3       \
-	VMULPD  Y2, Y3, Y3             \
-	VADDPD  320(R13), Y3, Y3       \
-	VMULPD  Y2, Y3, Y3             \
-	VADDPD  352(R13), Y3, Y3       \
-	VMULPD  Y2, Y3, Y3             \
-	VADDPD  96(R13), Y3, Y3        \
-	VMULPD  Y2, Y3, Y3             \
-	VADDPD  384(R13), Y3, Y3       \
-	VMULPD  Y2, Y3, Y3             \
-	VADDPD  384(R13), Y3, Y3       \
-	VADDPD  416(R13), Y1, Y1       \
-	VPSLLQ  $52, Y1, Y1            \
-	VMULPD  Y1, Y3, Y0             \
-	VANDNPD Y0, Y4, Y0
-
-// func sigmoidVec4(v *float64, n int)
-// v[0:n] = 1/(1+fastExp(-v[0:n])); n must be a multiple of 4.
-TEXT ·sigmoidVec4(SB), NOSPLIT, $0-16
-	MOVQ v+0(FP), DI
-	MOVQ n+8(FP), CX
-	LEAQ expconsts<>(SB), R13
-	SHRQ $2, CX
-	JZ   sigdone
-sigloop:
-	VMOVUPD (DI), Y0
-	VXORPD  448(R13), Y0, Y0 // -x (sign flip, exact)
-	EXPCORE
-	VADDPD  384(R13), Y0, Y0 // 1 + e
-	VMOVUPD 384(R13), Y1
-	VDIVPD  Y0, Y1, Y0       // 1 / (1 + e)
-	VMOVUPD Y0, (DI)
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  sigloop
-sigdone:
-	VZEROUPPER
-	RET
+//	e  ← p · 2^k, zeroed where v > 708 (GT_OQ: false on NaN), which is
+//	     exactly where the scalar x < -708 returns 0 early
+//	Y  ← 1 / (1 + e)
+#define SIGMOID16 \
+	VXORPD  448(R13), Y0, Y0 \
+	VXORPD  448(R13), Y1, Y1 \
+	VXORPD  448(R13), Y2, Y2 \
+	VXORPD  448(R13), Y3, Y3 \
+	VMOVUPD 0(R13), Y4       \
+	VMOVUPD 0(R13), Y5       \
+	VMOVUPD 0(R13), Y6       \
+	VMOVUPD 0(R13), Y7       \
+	VMINPD  Y0, Y4, Y0       \
+	VMINPD  Y1, Y5, Y1       \
+	VMINPD  Y2, Y6, Y2       \
+	VMINPD  Y3, Y7, Y3       \
+	VMULPD  64(R13), Y0, Y4  \
+	VMULPD  64(R13), Y1, Y5  \
+	VMULPD  64(R13), Y2, Y6  \
+	VMULPD  64(R13), Y3, Y7  \
+	VADDPD  96(R13), Y4, Y4  \
+	VADDPD  96(R13), Y5, Y5  \
+	VADDPD  96(R13), Y6, Y6  \
+	VADDPD  96(R13), Y7, Y7  \
+	VROUNDPD $1, Y4, Y4      \
+	VROUNDPD $1, Y5, Y5      \
+	VROUNDPD $1, Y6, Y6      \
+	VROUNDPD $1, Y7, Y7      \
+	VMULPD  128(R13), Y4, Y8 \
+	VMULPD  128(R13), Y5, Y9 \
+	VMULPD  128(R13), Y6, Y10 \
+	VMULPD  128(R13), Y7, Y11 \
+	VSUBPD  Y8, Y0, Y8       \
+	VSUBPD  Y9, Y1, Y9       \
+	VSUBPD  Y10, Y2, Y10     \
+	VSUBPD  Y11, Y3, Y11     \
+	VMULPD  160(R13), Y4, Y12 \
+	VMULPD  160(R13), Y5, Y13 \
+	VMULPD  160(R13), Y6, Y14 \
+	VMULPD  160(R13), Y7, Y15 \
+	VSUBPD  Y12, Y8, Y8      \
+	VSUBPD  Y13, Y9, Y9      \
+	VSUBPD  Y14, Y10, Y10    \
+	VSUBPD  Y15, Y11, Y11    \
+	VMOVUPD 192(R13), Y12    \
+	VMOVUPD 192(R13), Y13    \
+	VMOVUPD 192(R13), Y14    \
+	VMOVUPD 192(R13), Y15    \
+	HORNER4(224)             \
+	HORNER4(256)             \
+	HORNER4(288)             \
+	HORNER4(320)             \
+	HORNER4(352)             \
+	HORNER4(96)              \
+	HORNER4(384)             \
+	HORNER4(384)             \
+	VADDPD  416(R13), Y4, Y4 \
+	VADDPD  416(R13), Y5, Y5 \
+	VADDPD  416(R13), Y6, Y6 \
+	VADDPD  416(R13), Y7, Y7 \
+	VPSLLQ  $52, Y4, Y4      \
+	VPSLLQ  $52, Y5, Y5      \
+	VPSLLQ  $52, Y6, Y6      \
+	VPSLLQ  $52, Y7, Y7      \
+	VMULPD  Y4, Y12, Y0      \
+	VMULPD  Y5, Y13, Y1      \
+	VMULPD  Y6, Y14, Y2      \
+	VMULPD  Y7, Y15, Y3      \
+	VMOVUPD (DI), Y8         \
+	VMOVUPD 32(DI), Y9       \
+	VMOVUPD 64(DI), Y10      \
+	VMOVUPD 96(DI), Y11      \
+	VCMPPD  $0x1e, 32(R13), Y8, Y8 \
+	VCMPPD  $0x1e, 32(R13), Y9, Y9 \
+	VCMPPD  $0x1e, 32(R13), Y10, Y10 \
+	VCMPPD  $0x1e, 32(R13), Y11, Y11 \
+	VANDNPD Y0, Y8, Y0       \
+	VANDNPD Y1, Y9, Y1       \
+	VANDNPD Y2, Y10, Y2      \
+	VANDNPD Y3, Y11, Y3      \
+	VADDPD  384(R13), Y0, Y0 \
+	VADDPD  384(R13), Y1, Y1 \
+	VADDPD  384(R13), Y2, Y2 \
+	VADDPD  384(R13), Y3, Y3 \
+	VMOVUPD 384(R13), Y4     \
+	VMOVUPD 384(R13), Y5     \
+	VMOVUPD 384(R13), Y6     \
+	VMOVUPD 384(R13), Y7     \
+	VDIVPD  Y0, Y4, Y0       \
+	VDIVPD  Y1, Y5, Y1       \
+	VDIVPD  Y2, Y6, Y2       \
+	VDIVPD  Y3, Y7, Y3
 
 // func dotRows4(out, x, w *float64, rows, ldx int)
 // The linear output unit, four rows per instruction:
@@ -214,29 +271,30 @@ drblock:
 	VZEROUPPER
 	RET
 
-// func stackSums4(acc, wT, x *float64, lanes, inDim int)
-// Pre-activations of a stacked ensemble (stack.go) for one input x: wT is
-// (inDim+1) feature-major rows of `lanes` columns, bias row first, and
+// func stackForward16(acts, wT, x *float64, lanes, inDim int)
+// The hidden activations of a stacked ensemble (stack.go) for one input
+// x: wT is (inDim+1) feature-major rows of `lanes` columns, bias row
+// first, and
 //
-//	acc[u] = wT[u] + Σ_i wT[(i+1)*lanes+u]·x[i]
+//	acts[u] = sigmoid( wT[u] + Σ_i wT[(i+1)*lanes+u]·x[i] )
 //
-// Four lanes advance per instruction and four vectors share each broadcast
-// of x[i]; every lane accumulates bias-first then ascending i with a
-// separate multiply and add, exactly like the scalar forward. lanes is a
-// positive multiple of 4, inDim ≥ 1.
-TEXT ·stackSums4(SB), NOSPLIT, $0-40
-	MOVQ acc+0(FP), DI
+// One Hidden block of sixteen lanes per step: its four pre-activation
+// vectors share each broadcast of x[i], every lane accumulating bias-first
+// then ascending i with a separate multiply and add, exactly like the
+// scalar forward; the block's pre-activations are stored, then SIGMOID16
+// runs its four chains and overwrites them. lanes is a positive multiple
+// of Hidden, inDim ≥ 1.
+TEXT ·stackForward16(SB), NOSPLIT, $0-40
+	MOVQ acts+0(FP), DI
 	MOVQ wT+8(FP), SI
 	MOVQ x+16(FP), DX
-	MOVQ lanes+24(FP), CX
+	MOVQ lanes+24(FP), BX
 	MOVQ inDim+32(FP), R8
-	MOVQ CX, R10
+	LEAQ expconsts<>(SB), R13
+	MOVQ BX, R10
 	SHLQ $3, R10                // row stride in bytes
-	SHRQ $2, CX                 // vectors
-	MOVQ CX, BX
-	SHRQ $2, BX                 // blocks of four vectors
-	JZ   ss1setup
-ss4loop:
+	SHRQ $4, BX                 // Hidden blocks
+sfblock:
 	VMOVUPD (SI), Y0            // bias row
 	VMOVUPD 32(SI), Y1
 	VMOVUPD 64(SI), Y2
@@ -244,7 +302,7 @@ ss4loop:
 	LEAQ (SI)(R10*1), R9        // feature-row cursor
 	MOVQ DX, AX                 // x cursor
 	MOVQ R8, R11
-ss4iloop:
+sfiloop:
 	VBROADCASTSD (AX), Y4
 	VMULPD  (R9), Y4, Y5
 	VADDPD  Y5, Y0, Y0
@@ -257,37 +315,20 @@ ss4iloop:
 	ADDQ R10, R9
 	ADDQ $8, AX
 	DECQ R11
-	JNZ  ss4iloop
+	JNZ  sfiloop
+	VMOVUPD Y0, (DI)            // pre-activations, for SIGMOID16's mask
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	SIGMOID16
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
 	VMOVUPD Y3, 96(DI)
-	ADDQ $128, DI
-	ADDQ $128, SI
+	ADDQ $HIDDEN_BYTES, DI
+	ADDQ $HIDDEN_BYTES, SI
 	DECQ BX
-	JNZ  ss4loop
-ss1setup:
-	ANDQ $3, CX                 // leftover vectors
-	JZ   ssdone
-ss1loop:
-	VMOVUPD (SI), Y0
-	LEAQ (SI)(R10*1), R9
-	MOVQ DX, AX
-	MOVQ R8, R11
-ss1iloop:
-	VBROADCASTSD (AX), Y4
-	VMULPD  (R9), Y4, Y5
-	VADDPD  Y5, Y0, Y0
-	ADDQ R10, R9
-	ADDQ $8, AX
-	DECQ R11
-	JNZ  ss1iloop
-	VMOVUPD Y0, (DI)
-	ADDQ $32, DI
-	ADDQ $32, SI
-	DECQ CX
-	JNZ  ss1loop
-ssdone:
+	JNZ  sfblock
 	VZEROUPPER
 	RET
 
@@ -335,42 +376,60 @@ djloop:
 	VZEROUPPER
 	RET
 
-// SGDFMBLOCK: Y1 = ((t0·x0 + t1·x1) + t2·x2) + t3·x3 for one four-sample
-// block of sgdFeatureMajor4, advancing the t cursor R12 and the x cursor
-// R13 past it. Clobbers Y2.
-#define SGDFMBLOCK \
-	VBROADCASTSD (R13), Y1 \
-	VMULPD  (R12), Y1, Y1  \
-	ADDQ R10, R12          \
-	ADDQ R11, R13          \
-	VBROADCASTSD (R13), Y2 \
-	VMULPD  (R12), Y2, Y2  \
-	VADDPD  Y2, Y1, Y1     \
-	ADDQ R10, R12          \
-	ADDQ R11, R13          \
-	VBROADCASTSD (R13), Y2 \
-	VMULPD  (R12), Y2, Y2  \
-	VADDPD  Y2, Y1, Y1     \
-	ADDQ R10, R12          \
-	ADDQ R11, R13          \
-	VBROADCASTSD (R13), Y2 \
-	VMULPD  (R12), Y2, Y2  \
-	VADDPD  Y2, Y1, Y1     \
+// SGDFM16STEP: sample b's term of one Hidden block of sgdFeatureMajor16,
+// Y9-Y12 = t_b[0:16]·x_b with x_b broadcast once into Y8, advancing the t
+// cursor R12 and the x cursor R13 to sample b+1.
+#define SGDFM16STEP \
+	VBROADCASTSD (R13), Y8 \
+	VMULPD  (R12), Y8, Y9  \
+	VMULPD  32(R12), Y8, Y10 \
+	VMULPD  64(R12), Y8, Y11 \
+	VMULPD  96(R12), Y8, Y12 \
 	ADDQ R10, R12          \
 	ADDQ R11, R13
 
-// func sgdFeatureMajor4(w, vel, t, x *float64, batch, rows, lanes, ldx int, mom float64)
-// The feature-major weight update (gemm.go sgdFeatureMajor), four lanes
-// per instruction and the whole batch per element: for each of the rows
-// rows of lanes weights, with t_b = t[b*lanes+u] and x_b = x[b*ldx+i],
+// SGDFM16BLOCK: Y4-Y7 = ((t0·x0 + t1·x1) + t2·x2) + t3·x3 for one
+// four-sample block of one Hidden block, advancing R12 and R13 past it.
+// The first term is formed straight in Y4-Y7. Clobbers Y8-Y12.
+#define SGDFM16BLOCK \
+	VBROADCASTSD (R13), Y8 \
+	VMULPD  (R12), Y8, Y4  \
+	VMULPD  32(R12), Y8, Y5 \
+	VMULPD  64(R12), Y8, Y6 \
+	VMULPD  96(R12), Y8, Y7 \
+	ADDQ R10, R12          \
+	ADDQ R11, R13          \
+	SGDFM16STEP            \
+	VADDPD  Y9, Y4, Y4     \
+	VADDPD  Y10, Y5, Y5    \
+	VADDPD  Y11, Y6, Y6    \
+	VADDPD  Y12, Y7, Y7    \
+	SGDFM16STEP            \
+	VADDPD  Y9, Y4, Y4     \
+	VADDPD  Y10, Y5, Y5    \
+	VADDPD  Y11, Y6, Y6    \
+	VADDPD  Y12, Y7, Y7    \
+	SGDFM16STEP            \
+	VADDPD  Y9, Y4, Y4     \
+	VADDPD  Y10, Y5, Y5    \
+	VADDPD  Y11, Y6, Y6    \
+	VADDPD  Y12, Y7, Y7
+
+// func sgdFeatureMajor16(w, vel, t, x *float64, batch, rows, lanes, ldx int, mom float64)
+// The feature-major weight update (gemm.go sgdFeatureMajor), one Hidden
+// block of sixteen lanes per step and the whole batch per element: for
+// each of the rows rows of lanes weights, with t_b = t[b*lanes+u] and
+// x_b = x[b*ldx+i],
 //
 //	v = mom·v − (((t0·x0 + t1·x1) + t2·x2) + t3·x3)   first block (or v = mom·v if batch < 4)
 //	v −= ((t4·x4 + t5·x5) + t6·x6) + t7·x7           each later block
 //	v −= t_b·x_b                                    each straggler
 //	w += v
 //
-// lanes is a positive multiple of 4; rows, batch ≥ 1.
-TEXT ·sgdFeatureMajor4(SB), NOSPLIT, $0-72
+// The block's four velocities (Y0-Y3) and four block sums (Y4-Y7) stay in
+// registers through the whole batch, and each x_b is broadcast once for
+// all four. lanes is a positive multiple of Hidden; rows, batch ≥ 1.
+TEXT ·sgdFeatureMajor16(SB), NOSPLIT, $0-72
 	MOVQ w+0(FP), DI
 	MOVQ vel+8(FP), SI
 	MOVQ t+16(FP), DX
@@ -378,50 +437,74 @@ TEXT ·sgdFeatureMajor4(SB), NOSPLIT, $0-72
 	MOVQ rows+40(FP), R9
 	MOVQ lanes+48(FP), R10
 	MOVQ ldx+56(FP), R11
-	VBROADCASTSD mom+64(FP), Y8
+	VBROADCASTSD mom+64(FP), Y13
 	SHLQ $3, R10                // lane row in bytes (t, w and vel rows)
 	SHLQ $3, R11                // x row in bytes
 fmrow:
 	XORQ AX, AX                 // lane offset in bytes
-fmlane:
+fmblock:
 	VMOVUPD (SI)(AX*1), Y0      // v
+	VMOVUPD 32(SI)(AX*1), Y1
+	VMOVUPD 64(SI)(AX*1), Y2
+	VMOVUPD 96(SI)(AX*1), Y3
 	LEAQ (DX)(AX*1), R12        // &t[0*lanes+u]
 	MOVQ R8, R13                // &x[0*ldx+i]
 	MOVQ batch+32(FP), BX       // samples left
 	CMPQ BX, $4
 	JLT  fmscale
-	SGDFMBLOCK
-	VMULPD  Y8, Y0, Y0          // mom·v
-	VSUBPD  Y1, Y0, Y0          // − block
+	SGDFM16BLOCK
+	VMULPD  Y13, Y0, Y0         // mom·v
+	VMULPD  Y13, Y1, Y1
+	VMULPD  Y13, Y2, Y2
+	VMULPD  Y13, Y3, Y3
+	VSUBPD  Y4, Y0, Y0          // − block
+	VSUBPD  Y5, Y1, Y1
+	VSUBPD  Y6, Y2, Y2
+	VSUBPD  Y7, Y3, Y3
 	SUBQ $4, BX
 	JMP  fmblocks
 fmscale:
-	VMULPD  Y8, Y0, Y0
+	VMULPD  Y13, Y0, Y0
+	VMULPD  Y13, Y1, Y1
+	VMULPD  Y13, Y2, Y2
+	VMULPD  Y13, Y3, Y3
 fmblocks:
 	CMPQ BX, $4
 	JLT  fmtail
-	SGDFMBLOCK
-	VSUBPD  Y1, Y0, Y0
+	SGDFM16BLOCK
+	VSUBPD  Y4, Y0, Y0
+	VSUBPD  Y5, Y1, Y1
+	VSUBPD  Y6, Y2, Y2
+	VSUBPD  Y7, Y3, Y3
 	SUBQ $4, BX
 	JMP  fmblocks
 fmtail:
 	TESTQ BX, BX
 	JZ   fmstore
 fmtloop:
-	VBROADCASTSD (R13), Y1
-	VMULPD  (R12), Y1, Y1       // t·x
-	VSUBPD  Y1, Y0, Y0
-	ADDQ R10, R12
-	ADDQ R11, R13
+	SGDFM16STEP                 // t·x
+	VSUBPD  Y9, Y0, Y0
+	VSUBPD  Y10, Y1, Y1
+	VSUBPD  Y11, Y2, Y2
+	VSUBPD  Y12, Y3, Y3
 	DECQ BX
 	JNZ  fmtloop
 fmstore:
 	VMOVUPD Y0, (SI)(AX*1)
-	VADDPD  (DI)(AX*1), Y0, Y1  // w + v
-	VMOVUPD Y1, (DI)(AX*1)
-	ADDQ $32, AX
+	VMOVUPD Y1, 32(SI)(AX*1)
+	VMOVUPD Y2, 64(SI)(AX*1)
+	VMOVUPD Y3, 96(SI)(AX*1)
+	VADDPD  (DI)(AX*1), Y0, Y0  // w + v
+	VADDPD  32(DI)(AX*1), Y1, Y1
+	VADDPD  64(DI)(AX*1), Y2, Y2
+	VADDPD  96(DI)(AX*1), Y3, Y3
+	VMOVUPD Y0, (DI)(AX*1)
+	VMOVUPD Y1, 32(DI)(AX*1)
+	VMOVUPD Y2, 64(DI)(AX*1)
+	VMOVUPD Y3, 96(DI)(AX*1)
+	ADDQ $HIDDEN_BYTES, AX
 	CMPQ AX, R10
-	JLT  fmlane
+	JLT  fmblock
 	ADDQ R10, SI
 	ADDQ R10, DI
 	ADDQ $8, R8                 // next input

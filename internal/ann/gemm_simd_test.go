@@ -60,31 +60,58 @@ func expInputs(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// sigmoidVec applies the sigmoid elementwise: the vector kernel
-// stackForwardAVX2 runs (sigmoidVec4), then the scalar sigmoid for the tail.
-func sigmoidVec(v []float64) {
-	if n4 := len(v) &^ 3; n4 > 0 {
-		sigmoidVec4(&v[0], n4)
-	}
-	for i := len(v) &^ 3; i < len(v); i++ {
-		v[i] = sigmoid(v[i])
-	}
-}
-
+// TestSigmoidVecBitIdentical drives the vector sigmoid of the fused forward
+// kernel with every expInputs edge, and its negation (so fastExp sees the
+// edge as its argument too), as a pre-activation: a bias row of edges,
+// zero weights and x = +1, so a lane's pre-activation is edge + 0·1, the
+// edge itself. Each edge fills a whole Hidden block, so it reaches every
+// lane of the kernel's four chains; random blocks follow. One edge cannot
+// be produced that way and is named in unreachable: the sum starts from
+// the bias and adds at least one product, so −0 + (+0) reaches the
+// sigmoid as +0.
 func TestSigmoidVecBitIdentical(t *testing.T) {
 	needAVX2(t)
+	unreachable := map[uint64]string{
+		math.Float64bits(math.Copysign(0, -1)): "−0 + 0·1 is +0: a forward pass never hands the sigmoid −0",
+	}
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{0, 1, 3, 4, 5, 8, 13, 100} {
-		in := expInputs(rng, n)
-		got := append([]float64(nil), in...)
-		sigmoidVec(got)
-		want := append([]float64(nil), in...)
-		for i := range want {
-			want[i] = sigmoid(want[i])
-		}
-		if i := diffIndex(got, want); i >= 0 {
-			t.Fatalf("n=%d: sigmoidVec(%v)[%d] = %x, sigmoid = %x",
-				n, in[i], i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+	var pre []float64
+	for _, e := range expInputs(rng, 23) {
+		pre = append(pre, e, -e)
+	}
+	for _, inDim := range []int{1, 3, 13} {
+		for _, extra := range []int{0, 1, 3} {
+			lanes := (len(pre) + extra) * Hidden
+			bias := expInputs(rng, lanes)
+			for i, e := range pre {
+				for j := 0; j < Hidden; j++ {
+					bias[i*Hidden+j] = e
+				}
+			}
+			wT := make([]float64, (inDim+1)*lanes)
+			copy(wT, bias)
+			x := make([]float64, inDim)
+			for i := range x {
+				x[i] = 1
+			}
+			got := make([]float64, lanes)
+			want := make([]float64, lanes)
+			stackForwardAVX2(got, wT, x)
+			stackForwardScalar(want, wT, x)
+			if i := diffIndex(got, want); i >= 0 {
+				t.Fatalf("inDim=%d lanes=%d: sigmoid(%v) lane %d = %x, scalar %x", inDim, lanes,
+					bias[i], i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+			for u, v := range bias {
+				p := v
+				if _, ok := unreachable[math.Float64bits(v)]; ok {
+					p = 0
+				}
+				if s := sigmoid(p); !bitsEqual(got[u], s) {
+					t.Fatalf("inDim=%d lanes=%d: lane %d (pre-activation %v) = %x, sigmoid %x",
+						inDim, lanes, u, v, math.Float64bits(got[u]), math.Float64bits(s))
+				}
+			}
 		}
 	}
 }
@@ -229,6 +256,8 @@ func FuzzStackedEnsembleBitIdentical(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(13), uint8(0))
 	f.Add(int64(2), uint8(3), uint8(1), uint8(3))
 	f.Add(int64(3), uint8(10), uint8(3), uint8(6))
+	// The leave-one-out shape: 13 features, four members of Hidden lanes.
+	f.Add(int64(4), uint8(3), uint8(12), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, kB, inDimB, scaleB uint8) {
 		fz := simd.Detect()
 		if !fz.AVX2 || !fz.OSYMM {
@@ -343,6 +372,10 @@ func FuzzFeatureMajorSGDBitIdentical(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(13), uint8(3), uint8(0))
 	f.Add(int64(2), uint8(3), uint8(1), uint8(0), uint8(2))
 	f.Add(int64(3), uint8(5), uint8(5), uint8(1), uint8(1))
+	// The leave-one-out shape: 13 features and the bias row, four targets
+	// of Hidden lanes, batch 8 and a five-row straggler batch.
+	f.Add(int64(4), uint8(7), uint8(12), uint8(3), uint8(0))
+	f.Add(int64(5), uint8(4), uint8(12), uint8(3), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, batchB, inDimB, targetsB, padB uint8) {
 		fz := simd.Detect()
 		if !fz.AVX2 || !fz.OSYMM {

@@ -299,8 +299,10 @@ type PhaseSweep struct {
 // Sweep evaluates the requested phases across every placement of the
 // engine's configuration space in one batched RunPhaseSweep call per phase
 // on the ground-truth machine. Results are deterministic and served from
-// the shared sharded memo when warm, so repeated sweeps of the same phase
-// are allocation-free.
+// the shared sharded memo when warm, so a repeated sweep solves nothing;
+// it still allocates the returned sweeps and one row slice per phase,
+// which are the caller's, and two scratch slices (the phase list and the
+// results), four objects for one phase.
 func (e *Engine) Sweep(ctx context.Context, req SweepRequest) ([]PhaseSweep, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -43,6 +43,27 @@ func TestEngineSweep(t *testing.T) {
 	}
 }
 
+// TestEngineSweepAllocations pins what a warm single-phase sweep
+// allocates: the phase index list and the result scratch, and the returned
+// sweep list and its row slice, which the caller keeps. The phase itself
+// is served from the memo.
+func TestEngineSweepAllocations(t *testing.T) {
+	eng, _ := servingFixture(t)
+	ctx := context.Background()
+	req := actor.SweepRequest{Bench: "SP", Phases: []string{"x_solve"}}
+	if _, err := eng.Sweep(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := eng.Sweep(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 4 {
+		t.Fatalf("warm single-phase sweep allocates %v objects, want 4 (phase list, result scratch, sweep list, rows)", allocs)
+	}
+}
+
 func TestEngineSweepErrors(t *testing.T) {
 	eng, _ := servingFixture(t)
 	ctx := context.Background()

@@ -18,7 +18,9 @@
 #     from the listed placements;
 #   - reproduce the pinned fleet schedule digests (scripts/fleet_smoke.sh);
 #   - write the pinned `actor-train -fast` bank and the pinned
-#     `actor-train -fast -loo` leave-one-out banks, byte for byte;
+#     `actor-train -fast -loo` leave-one-out banks, and the same two at
+#     paper fidelity (no -fast: the options train_loo trains at), byte
+#     for byte;
 #   - print the pinned `actorsim -fast` and `actorsim -fast hetero`
 #     outputs, byte for byte.
 set -euo pipefail
@@ -31,6 +33,10 @@ BANK_SHA256=89ad510828ba7843bfd63698c14bc3827dc0cbd66f21341b4432cc8b13b19f47
 # sha256 of the sorted `sha256sum loo-*.json` listing `actor-train -fast -loo`
 # writes (one bank per left-out benchmark); re-pin under the same rule.
 LOO_SHA256=f702240b573b1cb3f3bd5b9414154426eeef5ecf04703ea235f522f963143230
+# The same two pins without -fast: `actor-train -bank` and `actor-train -loo`
+# at the paper-fidelity defaults (exp.DefaultOptions). Same re-pin rule.
+BANK_FULL_SHA256=9ba53dc4732f87809cb28034c69b35547dc7297d26cdac0539d5b5a45af94827
+LOO_FULL_SHA256=606a121643c05c8f021fe0e917b00e72b9ba663e1c781763176c76b356004960
 # sha256 of `actorsim -fast` (the whole evaluation, seed 42) and of
 # `actorsim -fast hetero` (the oracle scaling study) on stdout. Pinned, not
 # compared leg against leg, so a change that moves every leg alike fails
@@ -86,6 +92,17 @@ for kernels in avx2 noasm; do
             echo "FAIL $leg: actor-train -loo"; fail=1
         elif ! loo="$(cd "$out/loo" && sha256sum loo-*.json | sha256sum | cut -d' ' -f1)" || [ "$loo" != "$LOO_SHA256" ]; then
             echo "FAIL $leg: actor-train -fast -loo banks sha256 $loo, pinned $LOO_SHA256"; fail=1
+        elif ! go run ./cmd/actor-train -bank "$out/bank-full.json" >"$out/train-full.log" 2>&1; then
+            cat "$out/train-full.log"
+            echo "FAIL $leg: actor-train (paper fidelity)"; fail=1
+        elif ! bank="$(sha256sum "$out/bank-full.json" | cut -d' ' -f1)" || [ "$bank" != "$BANK_FULL_SHA256" ]; then
+            echo "FAIL $leg: actor-train bank sha256 $bank, pinned $BANK_FULL_SHA256"; fail=1
+        elif ! { rm -rf "$out/loo" && mkdir "$out/loo" &&
+                go run ./cmd/actor-train -loo -bank "$out/loo/bank.json" >"$out/loo-full.log" 2>&1; }; then
+            cat "$out/loo-full.log"
+            echo "FAIL $leg: actor-train -loo (paper fidelity)"; fail=1
+        elif ! loo="$(cd "$out/loo" && sha256sum loo-*.json | sha256sum | cut -d' ' -f1)" || [ "$loo" != "$LOO_FULL_SHA256" ]; then
+            echo "FAIL $leg: actor-train -loo banks sha256 $loo, pinned $LOO_FULL_SHA256"; fail=1
         elif ! go build -o "$out/actorsim" ./cmd/actorsim >"$out/sim.log" 2>&1 ||
                 ! "$out/actorsim" -fast >"$out/sim.txt" 2>>"$out/sim.log" ||
                 ! "$out/actorsim" -fast hetero >"$out/hetero.txt" 2>>"$out/sim.log"; then
