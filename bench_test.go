@@ -292,7 +292,7 @@ func BenchmarkAblationANNvsMLR(b *testing.B) {
 		var n int
 		var vals []float64
 		for _, ps := range test {
-			vals = p.PredictInto(vals, ps.Rates)
+			vals = p.PredictInto(vals, &ps.Rates)
 			for i, tgt := range p.TargetNames() {
 				obs := ps.MeasuredIPC[tgt]
 				if obs > 0 {

@@ -328,7 +328,12 @@ func TestDecideTieBreak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rates := pmu.Rates{pmu.Instructions: 0.5} // the sampled IPC loses
+	ipc := func(v float64) *pmu.Rates {
+		var r pmu.Rates
+		r.Set(pmu.Instructions, v)
+		return &r
+	}
+	rates := ipc(0.5) // the sampled IPC loses
 	for i := 0; i < 1000; i++ {
 		if got := Decide(p, p.PredictInto(nil, rates), "4", rates); got != "2b" {
 			t.Fatalf("call %d: Decide picked %q of two tied targets, want the lower name %q", i, got, "2b")
@@ -337,13 +342,13 @@ func TestDecideTieBreak(t *testing.T) {
 	// An observed sampling configuration tied with the best prediction
 	// loses to a lower name and beats a higher one.
 	for sample, want := range map[string]string{"4": "2b", "1": "1"} {
-		tied := pmu.Rates{pmu.Instructions: 1.5}
+		tied := ipc(1.5)
 		if got := Decide(p, p.PredictInto(nil, tied), sample, tied); got != want {
 			t.Errorf("sample %q tied at the top: Decide picked %q, want %q", sample, got, want)
 		}
 	}
 	// Without an observed IPC the sampling configuration does not compete.
-	if got := Decide(p, p.PredictInto(nil, pmu.Rates{}), "1", pmu.Rates{}); got != "2b" {
+	if got := Decide(p, p.PredictInto(nil, &pmu.Rates{}), "1", &pmu.Rates{}); got != "2b" {
 		t.Errorf("no observed IPC: Decide picked %q, want %q", got, "2b")
 	}
 }

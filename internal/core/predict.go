@@ -105,7 +105,7 @@ func (pp *predictionPolicy) observe(_ int, res machine.Result) error {
 // and locks in the configuration Decide picks.
 func (pp *predictionPolicy) decide() error {
 	rates := pp.sampler.Rates()
-	best := Decide(pp.pred, pp.pred.PredictInto(nil, rates), pp.env.SampleConfig.Name, rates)
+	best := Decide(pp.pred, pp.pred.PredictInto(nil, &rates), pp.env.SampleConfig.Name, &rates)
 	pl, ok := pp.env.configByName(best)
 	if !ok {
 		return fmt.Errorf("core: predictor proposed unknown config %q", best)
@@ -135,9 +135,9 @@ func CompareChoices(a string, x float64, b string, y float64) int {
 // order) and — when rates carry pmu.Instructions — the sampling
 // configuration sample at its observed IPC, it returns the one
 // CompareChoices ranks first.
-func Decide(p *Predictor, vals []float64, sample string, rates pmu.Rates) string {
+func Decide(p *Predictor, vals []float64, sample string, rates *pmu.Rates) string {
 	best, bestIPC, found := "", 0.0, false
-	if obs, ok := rates[pmu.Instructions]; ok {
+	if obs, ok := rates.Get(pmu.Instructions); ok {
 		best, bestIPC, found = sample, obs, true
 	}
 	for i, name := range p.names {

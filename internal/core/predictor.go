@@ -112,7 +112,7 @@ func (p *Predictor) model(name string) Model {
 // PredictInto writes the predicted IPC of every target configuration, in
 // TargetNames order, into dst (grown when too small) and returns the filled
 // slice. It allocates nothing when dst has the capacity.
-func (p *Predictor) PredictInto(dst []float64, rates pmu.Rates) []float64 {
+func (p *Predictor) PredictInto(dst []float64, rates *pmu.Rates) []float64 {
 	bp, ok := p.vecPool.Get().(*[]float64)
 	if !ok {
 		bp = new([]float64)

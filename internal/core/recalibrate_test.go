@@ -117,7 +117,7 @@ func TestFineTuneANNBank(t *testing.T) {
 	if len(tuned.predictors) != len(live.predictors) {
 		t.Fatalf("predictor count changed: %d → %d", len(live.predictors), len(tuned.predictors))
 	}
-	rates := fresh[0].Rates
+	rates := &fresh[0].Rates
 	got1 := tuned.predictors[0].PredictInto(nil, rates)
 	got2 := again.predictors[0].PredictInto(nil, rates)
 	liveOut := live.predictors[0].PredictInto(nil, rates)

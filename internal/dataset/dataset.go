@@ -30,7 +30,8 @@ type PhaseSample struct {
 	// Bench and Phase identify the source parallel region.
 	Bench, Phase string
 	// Rates are the averaged per-cycle event rates observed at the
-	// sampling configuration (Rates[pmu.Instructions] is sampled IPC).
+	// sampling configuration: Rates.V[pmu.Instructions] is the sampled IPC,
+	// and Rates.Has the events the rotation measured.
 	Rates pmu.Rates
 	// MeasuredIPC maps configuration name → noisy measured aggregate IPC
 	// (what a training run would record).
@@ -43,7 +44,7 @@ type PhaseSample struct {
 // Features flattens the sample's rates into the model input vector
 // [sampled IPC, event rates...] for the given event list.
 func (s *PhaseSample) Features(events []pmu.Event) []float64 {
-	return s.Rates.Vector(events)
+	return s.Rates.VectorInto(nil, events)
 }
 
 // Collector gathers PhaseSamples from benchmarks on a machine pair: a noisy

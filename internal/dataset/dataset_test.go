@@ -36,7 +36,7 @@ func TestCollectBenchmark(t *testing.T) {
 		if s.Bench != "CG" {
 			t.Errorf("sample bench = %q", s.Bench)
 		}
-		if s.Rates[pmu.Instructions] <= 0 {
+		if ipc, ok := s.Rates.Get(pmu.Instructions); !ok || ipc <= 0 {
 			t.Error("sample has no IPC")
 		}
 		for _, cfg := range c.Configs {
@@ -50,7 +50,7 @@ func TestCollectBenchmark(t *testing.T) {
 		// All twelve programmable events must be present after a full
 		// rotation.
 		for _, e := range pmu.FullEventSet() {
-			if _, ok := s.Rates[e]; !ok {
+			if _, ok := s.Rates.Get(e); !ok {
 				t.Errorf("event %v missing from rates", e)
 			}
 		}
@@ -70,7 +70,7 @@ func TestCollectRepetitionsDiffer(t *testing.T) {
 	if a.Phase != bb.Phase {
 		t.Fatal("expected consecutive repetitions of one phase")
 	}
-	if a.Rates[pmu.Instructions] == bb.Rates[pmu.Instructions] {
+	if a.Rates.V[pmu.Instructions] == bb.Rates.V[pmu.Instructions] {
 		t.Error("repetitions produced identical sampled IPC")
 	}
 	// Ground truth is noise-free and identical.
@@ -88,7 +88,7 @@ func TestFeaturesVector(t *testing.T) {
 	if len(x) != len(events)+1 {
 		t.Fatalf("feature vector length %d, want %d", len(x), len(events)+1)
 	}
-	if x[0] != samples[0].Rates[pmu.Instructions] {
+	if x[0] != samples[0].Rates.V[pmu.Instructions] {
 		t.Error("feature[0] is not the sampled IPC")
 	}
 }
@@ -110,10 +110,18 @@ func TestLeaveOneOut(t *testing.T) {
 	}
 }
 
+// ipcAndL2 is a rate vector carrying an IPC and an L2 miss rate.
+func ipcAndL2(ipc, l2 float64) pmu.Rates {
+	var r pmu.Rates
+	r.Set(pmu.Instructions, ipc)
+	r.Set(pmu.L2Misses, l2)
+	return r
+}
+
 func TestToSamples(t *testing.T) {
 	ps := []PhaseSample{{
 		Bench: "A", Phase: "p",
-		Rates:       pmu.Rates{pmu.Instructions: 1.5, pmu.L2Misses: 0.01},
+		Rates:       ipcAndL2(1.5, 0.01),
 		MeasuredIPC: map[string]float64{"2b": 2.5},
 	}}
 	events := []pmu.Event{pmu.L2Misses}
@@ -150,12 +158,12 @@ func TestToSamplesMultiSharesFeatures(t *testing.T) {
 	ps := []PhaseSample{
 		{
 			Bench: "A", Phase: "p",
-			Rates:       pmu.Rates{pmu.Instructions: 1.5, pmu.L2Misses: 0.01},
+			Rates:       ipcAndL2(1.5, 0.01),
 			MeasuredIPC: map[string]float64{"1": 1.1, "2b": 2.5},
 		},
 		{
 			Bench: "A", Phase: "q",
-			Rates:       pmu.Rates{pmu.Instructions: 0.8, pmu.L2Misses: 0.04},
+			Rates:       ipcAndL2(0.8, 0.04),
 			MeasuredIPC: map[string]float64{"1": 0.7, "2b": 1.9},
 		},
 	}

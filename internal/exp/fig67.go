@@ -150,7 +150,7 @@ func (s *Suite) EvalPrediction(loo *LOOModels) (*Fig6Result, *Fig7Result, error)
 			reps := byPhase[phaseName]
 			// Fig. 6: accumulate per-target errors over every repetition.
 			for _, ps := range reps {
-				vals = pred.PredictInto(vals, ps.Rates)
+				vals = pred.PredictInto(vals, &ps.Rates)
 				for ti, tgt := range targets {
 					ev.errors = append(ev.errors,
 						metrics.RelativeError(ps.MeasuredIPC[tgt], vals[at[ti]]))
@@ -159,8 +159,8 @@ func (s *Suite) EvalPrediction(loo *LOOModels) (*Fig6Result, *Fig7Result, error)
 			// Fig. 7: one selection per phase, from the first repetition
 			// (the runtime's single sampling pass), by the runtime's rule.
 			ps := reps[0]
-			vals = pred.PredictInto(vals, ps.Rates)
-			ev.selections = append(ev.selections, core.Decide(pred, vals, sampleName, ps.Rates))
+			vals = pred.PredictInto(vals, &ps.Rates)
+			ev.selections = append(ev.selections, core.Decide(pred, vals, sampleName, &ps.Rates))
 			ev.rankings = append(ev.rankings,
 				core.RankConfigsByTime(&b.Phases[pi], b.Idiosyncrasy, s.Truth, s.Configs))
 		}

@@ -74,13 +74,13 @@ func (s *Suite) Generalize(apps int) (*GeneralizeResult, error) {
 			return nil, err
 		}
 		for pi, ps := range samples {
-			vals = pred.PredictInto(vals, ps.Rates)
+			vals = pred.PredictInto(vals, &ps.Rates)
 			for ti, tgt := range targets {
 				res.Errors = append(res.Errors,
 					metrics.RelativeError(ps.MeasuredIPC[tgt], vals[at[ti]]))
 			}
 			ranking := core.RankConfigsByTime(&b.Phases[pi], b.Idiosyncrasy, s.Truth, s.Configs)
-			hist.Add(ranking, core.Decide(pred, vals, sampleName, ps.Rates))
+			hist.Add(ranking, core.Decide(pred, vals, sampleName, &ps.Rates))
 		}
 	}
 	res.MedianErr, err = metrics.Median(res.Errors)

@@ -8,6 +8,10 @@
 // the rotation scheduler with the paper's 20%-of-iterations sampling budget,
 // and the reduced event sets used for short-iteration applications (FT, IS,
 // MG in the paper).
+//
+// Counts and Rates are fixed-size vectors indexed by Event; Rates, the one
+// form of the sampled feature vector from the sampler to the serving path,
+// also carries the set of events that were measured.
 package pmu
 
 import "fmt"
@@ -123,46 +127,53 @@ func ReducedEventSet(maxPairs int) []Event {
 // measure simply reads zero.
 type Counts [NumEvents]float64
 
-// Rates converts raw counts into per-cycle event rates, the feature form
-// the ANN consumes. Instructions become IPC; every programmable event is
-// divided by the observed cycle count. A zero cycle count yields nil.
-func (c Counts) Rates() Rates {
-	cyc := c[Cycles]
-	if cyc <= 0 {
-		return nil
+// Mask is a set of events: bit e is set when Event e is in the set.
+type Mask uint32
+
+const _ Mask = 1 << (NumEvents - 1) // fails to compile once events outgrow Mask
+
+// MaskOf returns the set of the given events.
+func MaskOf(events []Event) Mask {
+	var m Mask
+	for _, e := range events {
+		m |= 1 << uint(e)
 	}
-	r := make(Rates, NumEvents)
-	for e := Event(0); int(e) < NumEvents; e++ {
-		if e == Cycles {
-			continue
-		}
-		r[e] = c[e] / cyc
-	}
-	return r
+	return m
 }
 
-// Rates maps events to per-cycle rates. Rates[Instructions] is IPC.
-type Rates map[Event]float64
-
-// Vector flattens the rates into a feature vector ordered as
-// [IPC, events...] for the given programmable event list. Missing events
-// yield zeros (the model treats unmeasured features as average after
-// normalisation).
-func (r Rates) Vector(events []Event) []float64 {
-	return r.VectorInto(nil, events)
+// Rates is a vector of per-cycle event rates, indexed by Event, with the
+// set of events it carries: V[Instructions] is IPC. Like Counts it is a
+// fixed-size value, so producing, copying and reading it allocates
+// nothing; an event not in Has reads zero.
+type Rates struct {
+	V   [NumEvents]float64
+	Has Mask
 }
 
-// VectorInto is the allocation-free form of Vector: it writes the feature
-// vector into dst (grown if too small) and returns the filled slice.
-func (r Rates) VectorInto(dst []float64, events []Event) []float64 {
+// Set records the rate of e.
+func (r *Rates) Set(e Event, v float64) {
+	r.V[e] = v
+	r.Has |= 1 << uint(e)
+}
+
+// Get returns the rate of e and whether r carries it.
+func (r *Rates) Get(e Event) (float64, bool) {
+	return r.V[e], r.Has&(1<<uint(e)) != 0
+}
+
+// VectorInto writes the feature vector [IPC, events...] for the given
+// programmable event list into dst (grown if too small) and returns the
+// filled slice. Missing events yield zeros (the model treats unmeasured
+// features as average after normalisation).
+func (r *Rates) VectorInto(dst []float64, events []Event) []float64 {
 	n := 1 + len(events)
 	if cap(dst) < n {
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
-	dst[0] = r[Instructions]
+	dst[0] = r.V[Instructions]
 	for i, e := range events {
-		dst[1+i] = r[e]
+		dst[1+i] = r.V[e]
 	}
 	return dst
 }

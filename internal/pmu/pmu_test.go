@@ -122,24 +122,37 @@ func TestCounterFileReadVisibility(t *testing.T) {
 }
 
 func TestRatesNormalisation(t *testing.T) {
-	c := Counts{Instructions: 1000, Cycles: 2000, L2Misses: 100}
-	r := c.Rates()
-	if r[Instructions] != 0.5 {
-		t.Errorf("IPC = %g, want 0.5", r[Instructions])
+	file, _ := NewCounterFile(2)
+	plan, _ := PlanRotation([]Event{L2Misses}, 2, 0)
+	s := NewSampler(file, plan)
+	if err := s.Observe(Counts{Instructions: 1000, Cycles: 2000, L2Misses: 100, BusTransMem: 7}); err != nil {
+		t.Fatal(err)
 	}
-	if r[L2Misses] != 0.05 {
-		t.Errorf("L2Misses rate = %g, want 0.05", r[L2Misses])
+	r := s.Rates()
+	if ipc, ok := r.Get(Instructions); !ok || ipc != 0.5 {
+		t.Errorf("IPC = %g (present %v), want 0.5", ipc, ok)
 	}
-	if bad := (Counts{Instructions: 10}).Rates(); bad != nil {
-		t.Error("Rates with zero cycles should be nil")
+	if v, ok := r.Get(L2Misses); !ok || v != 0.05 {
+		t.Errorf("L2Misses rate = %g (present %v), want 0.05", v, ok)
+	}
+	if v, ok := r.Get(BusTransMem); ok || v != 0 {
+		t.Errorf("unmeasured BusTransMem = %g (present %v), want absent zero", v, ok)
+	}
+	if r.Has != MaskOf([]Event{Instructions, L2Misses}) {
+		t.Errorf("Has = %b, want IPC and L2Misses", r.Has)
+	}
+	if (Rates{}).Has != 0 || NewSampler(file, plan).Rates() != (Rates{}) {
+		t.Error("a sampler with no observation should carry no rates")
 	}
 }
 
 func TestRatesVector(t *testing.T) {
-	r := Rates{Instructions: 1.2, L2Misses: 0.01}
-	v := r.Vector([]Event{L2Misses, BusTransMem})
+	var r Rates
+	r.Set(Instructions, 1.2)
+	r.Set(L2Misses, 0.01)
+	v := r.VectorInto(nil, []Event{L2Misses, BusTransMem})
 	if len(v) != 3 || v[0] != 1.2 || v[1] != 0.01 || v[2] != 0 {
-		t.Errorf("Vector = %v", v)
+		t.Errorf("VectorInto = %v", v)
 	}
 }
 
@@ -234,20 +247,20 @@ func TestSamplerAveragesRates(t *testing.T) {
 		t.Fatal("sampler not done after full rotation")
 	}
 	r := s.Rates()
-	if r[Instructions] != 1.5 { // mean of IPC 1.0 and 2.0
-		t.Errorf("mean IPC = %g, want 1.5", r[Instructions])
+	if r.V[Instructions] != 1.5 { // mean of IPC 1.0 and 2.0
+		t.Errorf("mean IPC = %g, want 1.5", r.V[Instructions])
 	}
-	if r[L2Misses] != 0.05 {
-		t.Errorf("L2Misses rate = %g, want 0.05 (from its round only)", r[L2Misses])
+	if r.V[L2Misses] != 0.05 {
+		t.Errorf("L2Misses rate = %g, want 0.05 (from its round only)", r.V[L2Misses])
 	}
-	if r[L1DMisses] != 0.1 {
-		t.Errorf("L1DMisses rate = %g, want 0.1", r[L1DMisses])
+	if r.V[L1DMisses] != 0.1 {
+		t.Errorf("L1DMisses rate = %g, want 0.1", r.V[L1DMisses])
 	}
 	// Extra observations are ignored.
 	if err := s.Observe(Counts{Instructions: 1, Cycles: 1}); err != nil {
 		t.Errorf("post-completion observation errored: %v", err)
 	}
-	if got := s.Rates()[Instructions]; got != 1.5 {
+	if got := s.Rates().V[Instructions]; got != 1.5 {
 		t.Errorf("post-completion observation changed rates: %g", got)
 	}
 }

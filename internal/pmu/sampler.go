@@ -118,13 +118,11 @@ func PlanRotation(events []Event, width, maxRounds int) (*RotationPlan, error) {
 // accumulates per-cycle rates. Each call to Observe consumes the
 // ground-truth counts of one timestep at the sampling configuration.
 type Sampler struct {
-	file    *CounterFile
-	plan    *RotationPlan
-	round   int
-	summed  [NumEvents]float64 // sum of per-cycle rates per event
-	nSeen   [NumEvents]int     // observations per event
-	ipcSum  float64
-	ipcSeen int
+	file   *CounterFile
+	plan   *RotationPlan
+	round  int
+	summed [NumEvents]float64 // sum of per-cycle rates per event; IPC at Instructions
+	nSeen  [NumEvents]int     // observations per event
 }
 
 // NewSampler builds a sampler for the plan on the counter file.
@@ -153,8 +151,8 @@ func (s *Sampler) Observe(truth Counts) error {
 	if cyc <= 0 {
 		return errors.New("pmu: observation with zero cycles")
 	}
-	s.ipcSum += visible[Instructions] / cyc
-	s.ipcSeen++
+	s.summed[Instructions] += visible[Instructions] / cyc
+	s.nSeen[Instructions]++
 	for _, e := range s.plan.Rounds[s.round] {
 		s.summed[e] += visible[e] / cyc
 		s.nSeen[e]++
@@ -164,16 +162,12 @@ func (s *Sampler) Observe(truth Counts) error {
 }
 
 // Rates returns the averaged per-cycle rates across the completed rounds,
-// with Rates[Instructions] the mean sampled IPC. Unmeasured events are
-// absent from the map.
+// with Instructions the mean sampled IPC. Unmeasured events are absent.
 func (s *Sampler) Rates() Rates {
-	r := make(Rates, NumEvents)
-	if s.ipcSeen > 0 {
-		r[Instructions] = s.ipcSum / float64(s.ipcSeen)
-	}
+	var r Rates
 	for e := Event(0); int(e) < NumEvents; e++ {
 		if s.nSeen[e] > 0 {
-			r[e] = s.summed[e] / float64(s.nSeen[e])
+			r.Set(e, s.summed[e]/float64(s.nSeen[e]))
 		}
 	}
 	return r

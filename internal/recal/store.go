@@ -2,24 +2,17 @@ package recal
 
 import "sync"
 
-// MaxVals is the width of an observation's fixed rate vector, indexed by
-// event id. It must be at least the platform's event catalogue size
-// (pmu.NumEvents); keeping it a package constant keeps Obs a fixed-size
-// value the store can copy without allocating.
-const MaxVals = 16
-
-// Obs is one sampled observation off the predict path: the request's rate
-// vector (indexed by event id, with a presence mask), the observed IPC at
+// Obs is one sampled observation off the predict path: the observed IPC at
 // the sampling configuration when the request carried one, the phase label
 // hash, and the label-free prediction-error proxy the serving layer
 // computed for the request.
 type Obs struct {
 	// Phase is HashPhase of the request's phase label.
 	Phase uint64
-	// Mask has bit e set when Vals[e] is present in the request.
+	// Mask is filled by nothing and read by nothing. It remains only
+	// because the benchmark module's observe probe sets it; it goes with
+	// the next change to that module.
 	Mask uint64
-	// Vals holds the observed per-cycle rates, indexed by event id.
-	Vals [MaxVals]float64
 	// IPC is the observed IPC at the sampling configuration; HasIPC
 	// reports whether the request carried one.
 	IPC    float64

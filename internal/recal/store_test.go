@@ -17,8 +17,6 @@ func obsStream(seed int64, n int, phases []uint64, mean, errMean float64) []Obs 
 			HasIPC: true,
 			Err:    errMean + 0.01*rng.NormFloat64(),
 		}
-		o.Vals[0] = o.IPC
-		o.Mask = 1
 		out = append(out, o)
 	}
 	return out

@@ -32,6 +32,7 @@ package actor
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -45,15 +46,17 @@ import (
 // rate sampled at the maximal-concurrency configuration.
 type Rates map[string]float64
 
-// toPMU resolves mnemonic keys into the internal event space.
+// toPMU resolves mnemonic keys into the internal event space, refusing an
+// unknown mnemonic, a rate that is not a finite number and two keys that
+// name one event, as /v1/predict does.
 func (r Rates) toPMU() (pmu.Rates, error) {
-	out := make(pmu.Rates, len(r))
+	var out pmu.Rates
 	for name, v := range r {
 		e, known := eventIDByName[name]
-		if _, dup := out[e]; !known || dup {
-			return nil, r.resolveError()
+		if _, dup := out.Get(e); !known || dup || math.IsNaN(v) || math.IsInf(v, 0) {
+			return pmu.Rates{}, r.resolveError()
 		}
-		out[e] = v
+		out.Set(e, v)
 	}
 	return out, nil
 }
@@ -67,17 +70,21 @@ func (r Rates) resolveError() error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	seen := make(map[pmu.Event]bool, len(r))
+	var seen pmu.Rates
 	for _, name := range names {
 		e, ok := eventIDByName[name]
 		if !ok {
 			return fmt.Errorf("actor: unknown event %q (IPC plus the PAPI mnemonics of the bank's event sets are accepted)", name)
 		}
-		if seen[e] {
+		v := r[name]
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("actor: rate %q must be a finite number", name)
+		}
+		if _, dup := seen.Get(e); dup {
 			// Map keys are distinct, so only the "IPC" alias can collide.
 			return fmt.Errorf("actor: %q and %q name the same event", e.String(), "IPC")
 		}
-		seen[e] = true
+		seen.Set(e, v)
 	}
 	return nil
 }

@@ -69,9 +69,13 @@ type Provenance struct {
 }
 
 // Bank is a trained predictor bank plus its platform metadata. Banks are
-// safe for concurrent use: prediction allocates only its result slice.
+// safe for concurrent use: prediction allocates only its result slice and
+// the per-target values behind it.
 type Bank struct {
 	bank *core.Bank
+	// needs[i] is the event set of bank.Predictors()[i]: what a rate
+	// vector must carry for predictorFor to pick it.
+	needs []pmu.Mask
 	// gapPairs lists, in canonical configuration order, where each target
 	// that both the richest and the most-reduced predictor model sits in
 	// their TargetNames — what disagreement walks. Empty for
@@ -95,14 +99,16 @@ type predictBuf struct {
 // newBank wraps a trained core bank, deriving the per-predictor event sets.
 func newBank(cb *core.Bank, meta Meta) *Bank {
 	preds := cb.Predictors()
+	b := &Bank{bank: cb}
 	for _, p := range preds {
 		names := make([]string, 0, p.NumEvents())
 		for _, e := range p.Events() {
 			names = append(names, e.String())
 		}
 		meta.EventSets = append(meta.EventSets, names)
+		b.needs = append(b.needs, pmu.MaskOf(p.Events()))
 	}
-	b := &Bank{bank: cb, meta: meta}
+	b.meta = meta
 	if len(preds) > 1 {
 		rich, red := preds[0].TargetNames(), preds[len(preds)-1].TargetNames()
 		for _, cfg := range meta.Configs {
@@ -142,6 +148,8 @@ func (b *Bank) Select(maxRounds, width int) []string {
 // predicted IPC, and when rates carry an "IPC" entry the sampling
 // configuration joins the ranking with its directly observed IPC (marked
 // Observed) — exactly the comparison the runtime's decision step makes.
+// Rates are refused as /v1/predict refuses them: an unknown mnemonic, a
+// rate that is not a finite number, or "IPC" beside its mnemonic.
 func (b *Bank) Predict(ctx context.Context, rates Rates) ([]Prediction, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -151,15 +159,15 @@ func (b *Bank) Predict(ctx context.Context, rates Rates) ([]Prediction, error) {
 		return nil, err
 	}
 	var buf predictBuf // fresh: the ranking is the caller's to keep
-	return b.predictPMU(pr, &buf), nil
+	return b.predictPMU(&pr, &buf), nil
 }
 
 // predictPMU is Predict past mnemonic resolution: rank every target
 // configuration for already-resolved event rates. The serving fast path
-// calls this directly with a pooled pmu.Rates it fills itself and a pooled
-// buf, so a request allocates neither the rates map nor the ranking. The
-// returned slice is buf.ranked, valid until buf's next use.
-func (b *Bank) predictPMU(pr pmu.Rates, buf *predictBuf) []Prediction {
+// calls this directly with the rate vector its decoder filled and a pooled
+// buf, so a request allocates nothing for the ranking. The returned slice
+// is buf.ranked, valid until buf's next use.
+func (b *Bank) predictPMU(pr *pmu.Rates, buf *predictBuf) []Prediction {
 	pred := b.predictorFor(pr)
 	buf.pred = pred
 	buf.vals = pred.PredictInto(buf.vals, pr)
@@ -168,7 +176,7 @@ func (b *Bank) predictPMU(pr pmu.Rates, buf *predictBuf) []Prediction {
 	for i, name := range names {
 		out = append(out, Prediction{Config: name, IPC: buf.vals[i]})
 	}
-	if obs, ok := pr[pmu.Instructions]; ok {
+	if obs, ok := pr.Get(pmu.Instructions); ok {
 		out = append(out, Prediction{Config: b.meta.SampleConfig, IPC: obs, Observed: true})
 	}
 	rankPredictions(out)
@@ -179,18 +187,11 @@ func (b *Bank) predictPMU(pr pmu.Rates, buf *predictBuf) []Prediction {
 // predictorFor returns the richest predictor whose every feature event is
 // present in pr, falling back to the richest predictor overall. Predictors
 // are ordered by descending event count, so the first covered one wins.
-func (b *Bank) predictorFor(pr pmu.Rates) *core.Predictor {
+func (b *Bank) predictorFor(pr *pmu.Rates) *core.Predictor {
 	preds := b.bank.Predictors()
-	for _, p := range preds {
-		covered := true
-		for _, e := range p.Events() {
-			if _, ok := pr[e]; !ok {
-				covered = false
-				break
-			}
-		}
-		if covered {
-			return p
+	for i, need := range b.needs {
+		if pr.Has&need == need {
+			return preds[i]
 		}
 	}
 	return preds[0]
@@ -207,7 +208,7 @@ func (b *Bank) predictorFor(pr pmu.Rates) *core.Predictor {
 //
 // buf is the one predictPMU has just filled for the same rates: whichever
 // of the two predictors it ran is not evaluated again.
-func (b *Bank) disagreement(pr pmu.Rates, buf *predictBuf) float64 {
+func (b *Bank) disagreement(pr *pmu.Rates, buf *predictBuf) float64 {
 	if len(b.gapPairs) == 0 {
 		return 0
 	}

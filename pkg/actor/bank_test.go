@@ -3,6 +3,7 @@ package actor_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -338,5 +339,44 @@ func TestPredictRatesOrderIndependent(t *testing.T) {
 				t.Fatalf("run %d: Predict(%v) error = %v, want one mentioning %s", i, tc.rates, err, tc.want)
 			}
 		}
+	}
+}
+
+// TestPredictRefusesNonFiniteRates holds Bank.Predict to the wire's rule: a
+// rate that is NaN or ±Inf is refused with /v1/predict's reason, whether it
+// is the IPC or an event rate, instead of ranking a non-finite IPC.
+func TestPredictRefusesNonFiniteRates(t *testing.T) {
+	_, bank := servingFixture(t)
+	event := bank.Meta().EventSets[0][0]
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, key := range []string{"IPC", event} {
+			rates := testRates(bank, 1.2)
+			rates[key] = v
+			ranked, err := bank.Predict(context.Background(), rates)
+			want := `rate "` + key + `" must be a finite number`
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Predict with %s = %v: ranking %v, error %v; want one mentioning %s", key, v, ranked, err, want)
+			}
+		}
+	}
+}
+
+// TestBankPredictAllocs pins Bank.Predict's allocations: the ranking the
+// caller keeps and the per-target values behind it. Resolving the rates
+// allocates nothing.
+func TestBankPredictAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	_, bank := annFixture(t)
+	rates := testRates(bank, 1.2)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := bank.Predict(ctx, rates); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Errorf("Bank.Predict allocates %v objects per call, want 2", allocs)
 	}
 }

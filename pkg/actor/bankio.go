@@ -138,7 +138,7 @@ func (b *Bank) Encode() ([]byte, error) {
 // weights, a vanishing std — would answer every request with a 500, so the
 // bank is refused at load instead.
 func probePredictor(p *core.Predictor) error {
-	for i, ipc := range p.PredictInto(nil, pmu.Rates{}) {
+	for i, ipc := range p.PredictInto(nil, &pmu.Rates{}) {
 		if math.IsNaN(ipc) || math.IsInf(ipc, 0) {
 			return fmt.Errorf("target %q predicts a non-finite IPC (%v) for the all-zero rate vector", p.TargetNames()[i], ipc)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net/http"
 	"sync"
 
@@ -535,17 +536,15 @@ var eventIDByName = func() map[string]pmu.Event {
 }()
 
 // predictScratch is the pooled per-request state of /v1/predict: the body
-// buffer, the parsed rate vector as parallel arrays, the memo key under
-// construction, and for the miss path a reusable pmu.Rates map and the
-// bank's ranking buffers. Name slices alias the body buffer or the scanner
-// arena, so the scratch is only valid while both are held.
+// buffer, the parsed rate vector, the memo key under construction and the
+// bank's ranking buffers. names[e] is the mnemonic event e arrived under,
+// kept for the duplicate and alias rejections; it aliases the body buffer
+// or the scanner arena, so the scratch is only valid while both are held.
 type predictScratch struct {
 	body  []byte
 	key   []byte
-	names [][]byte
-	ids   []pmu.Event
-	vals  []float64
-	pr    pmu.Rates
+	rates pmu.Rates
+	names [pmu.NumEvents][]byte
 	rank  predictBuf
 }
 
@@ -553,15 +552,12 @@ var predictScratchPool = sync.Pool{New: func() any {
 	return &predictScratch{
 		body: make([]byte, 0, 4096),
 		key:  make([]byte, 0, 256),
-		pr:   make(pmu.Rates, pmu.NumEvents),
 	}
 }}
 
 func getPredictScratch() *predictScratch {
 	sc := predictScratchPool.Get().(*predictScratch)
-	sc.names = sc.names[:0]
-	sc.ids = sc.ids[:0]
-	sc.vals = sc.vals[:0]
+	sc.rates = pmu.Rates{}
 	sc.rank.pred = nil // never compare against a previous request's bank
 	return sc
 }
@@ -628,63 +624,44 @@ func decodePredictRequest(scan *wire.Scanner, body []byte, sc *predictScratch) (
 	if err := endBody(scan, body); err != nil {
 		return nil, err
 	}
-	if len(sc.ids) == 0 {
+	if sc.rates.Has == 0 {
 		return nil, errRatesMissing
 	}
 	return phase, nil
 }
 
 // addRate records mnemonic=v, rejecting a repeated mnemonic and two
-// mnemonics that resolve to one event. The vectors are a dozen entries, so
-// the linear probe beats any map.
+// mnemonics that resolve to one event.
 func (sc *predictScratch) addRate(mnemonic []byte, id pmu.Event, v float64) error {
-	for i, seen := range sc.ids {
-		if seen != id {
-			continue
-		}
-		if bytes.Equal(sc.names[i], mnemonic) {
+	if _, seen := sc.rates.Get(id); seen {
+		if bytes.Equal(sc.names[id], mnemonic) {
 			return fmt.Errorf("duplicate event %q", mnemonic)
 		}
-		return fmt.Errorf("%q and %q name the same event", sc.names[i], mnemonic)
+		return fmt.Errorf("%q and %q name the same event", sc.names[id], mnemonic)
 	}
-	sc.names = append(sc.names, mnemonic)
-	sc.ids = append(sc.ids, id)
-	sc.vals = append(sc.vals, v)
+	sc.names[id] = mnemonic
+	sc.rates.Set(id, v)
 	return nil
 }
 
-// pmuRates rebuilds the reusable pmu.Rates map from the parsed pairs.
-func (sc *predictScratch) pmuRates() pmu.Rates {
-	clear(sc.pr)
-	for i, id := range sc.ids {
-		sc.pr[id] = sc.vals[i]
-	}
-	return sc.pr
-}
-
 // buildMemoKey canonicalizes the request into the memo key: bank version,
-// pair count, (event id, float64 bits) pairs sorted by id, then the phase
-// bytes. The fixed-width prefix makes the layout unambiguous, and the
-// grammar guarantees the ids are distinct.
+// pair count, (event id, float64 bits) pairs in ascending id order, then
+// the phase bytes. The fixed-width prefix makes the layout unambiguous.
 func (sc *predictScratch) buildMemoKey(bankVersion int, phase []byte) []byte {
-	// Insertion-sort ids and vals together; names are done being useful.
-	ids, vals := sc.ids, sc.vals
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-			vals[j], vals[j-1] = vals[j-1], vals[j]
-		}
-	}
+	n := bits.OnesCount32(uint32(sc.rates.Has))
 	k := sc.key[:0]
 	k = append(k,
 		byte(bankVersion), byte(bankVersion>>8), byte(bankVersion>>16), byte(bankVersion>>24),
-		byte(len(ids)), byte(len(ids)>>8))
-	for i, id := range ids {
-		k = append(k, byte(id))
-		bits := math.Float64bits(vals[i])
-		k = append(k,
-			byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
-			byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
+		byte(n), byte(n>>8))
+	for id := pmu.Event(0); int(id) < pmu.NumEvents; id++ {
+		v, ok := sc.rates.Get(id)
+		if !ok {
+			continue
+		}
+		b := math.Float64bits(v)
+		k = append(k, byte(id),
+			byte(b), byte(b>>8), byte(b>>16), byte(b>>24),
+			byte(b>>32), byte(b>>40), byte(b>>48), byte(b>>56))
 	}
 	k = append(k, phase...)
 	sc.key = k

@@ -63,13 +63,14 @@ func TestServedDecisionRegret(t *testing.T) {
 		pi := slices.IndexFunc(b.Phases, func(p workload.PhaseProfile) bool { return p.Name == ps.Phase })
 
 		pred := bank.bank.Select(pmu.SamplingBudget(b.Iterations, 0.20), 2)
-		sampled := pmu.Rates{pmu.Instructions: ps.Rates[pmu.Instructions]}
-		body := PredictRequest{Rates: Rates{"IPC": ps.Rates[pmu.Instructions]}}
+		var sampled pmu.Rates
+		sampled.Set(pmu.Instructions, ps.Rates.V[pmu.Instructions])
+		body := PredictRequest{Rates: Rates{"IPC": ps.Rates.V[pmu.Instructions]}}
 		for _, e := range pred.Events() {
-			sampled[e] = ps.Rates[e]
-			body.Rates[e.String()] = ps.Rates[e]
+			sampled.Set(e, ps.Rates.V[e])
+			body.Rates[e.String()] = ps.Rates.V[e]
 		}
-		want := core.Decide(pred, pred.PredictInto(nil, sampled), sample, sampled)
+		want := core.Decide(pred, pred.PredictInto(nil, &sampled), sample, &sampled)
 
 		raw, err := json.Marshal(body)
 		if err != nil {

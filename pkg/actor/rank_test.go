@@ -65,14 +65,14 @@ func TestDisagreementReusesPredictPMU(t *testing.T) {
 		t.Fatal(err)
 	}
 	preds := bank.bank.Predictors()
-	byName := func(p *core.Predictor, pr pmu.Rates) map[string]float64 {
+	byName := func(p *core.Predictor, pr *pmu.Rates) map[string]float64 {
 		out := make(map[string]float64)
 		for i, v := range p.PredictInto(nil, pr) {
 			out[p.TargetNames()[i]] = v
 		}
 		return out
 	}
-	want := func(pr pmu.Rates) float64 {
+	want := func(pr *pmu.Rates) float64 {
 		rich, red := byName(preds[0], pr), byName(preds[len(preds)-1], pr)
 		var sum float64
 		n := 0
@@ -89,9 +89,10 @@ func TestDisagreementReusesPredictPMU(t *testing.T) {
 	}
 	var buf predictBuf // reused across cases, like the pooled scratch
 	for i, p := range preds {
-		pr := pmu.Rates{pmu.Instructions: 1.3}
+		pr := &pmu.Rates{}
+		pr.Set(pmu.Instructions, 1.3)
 		for j, e := range p.Events() {
-			pr[e] = 0.004 * float64(i+j+1)
+			pr.Set(e, 0.004*float64(i+j+1))
 		}
 		if ran := bank.predictorFor(pr); ran != p {
 			t.Fatalf("rates covering predictor %d are served by another predictor", i)

@@ -151,23 +151,13 @@ func (s *Server) EnableRecalibration(cfg RecalConfig) (*Recalibrator, error) {
 	return r, nil
 }
 
-// observe ingests one fast-path predict request: phase hash, rate vector,
-// observed IPC and the prediction-error proxy. Allocation-free — it runs on
-// the memo-hit path — and, when a canary is live and admission says so,
-// shadow-scores the candidate on the same rates.
+// observe ingests one fast-path predict request: phase hash, observed IPC
+// and the prediction-error proxy. Allocation-free — it runs on the memo-hit
+// path — and, when a canary is live and admission says so, shadow-scores
+// the candidate on the same rates.
 func (r *Recalibrator) observe(sc *predictScratch, phase []byte, obsErr float64) {
-	var o recal.Obs
-	o.Phase = recal.HashPhase(phase)
-	o.Err = obsErr
-	for i, id := range sc.ids {
-		if int(id) < recal.MaxVals {
-			o.Mask |= 1 << uint64(id)
-			o.Vals[id] = sc.vals[i]
-		}
-		if id == pmu.Instructions {
-			o.IPC, o.HasIPC = sc.vals[i], true
-		}
-	}
+	o := recal.Obs{Phase: recal.HashPhase(phase), Err: obsErr}
+	o.IPC, o.HasIPC = sc.rates.Get(pmu.Instructions)
 	seq := r.store.Observe(o)
 	if r.ctl.CanaryAdmit(seq) {
 		r.shadowScore(sc)
@@ -182,7 +172,7 @@ func (r *Recalibrator) shadowScore(sc *predictScratch) {
 	if cand == nil {
 		return
 	}
-	ranked := cand.predictPMU(sc.pmuRates(), &sc.rank)
+	ranked := cand.predictPMU(&sc.rates, &sc.rank)
 	if len(ranked) == 0 || math.IsNaN(ranked[0].IPC) || math.IsInf(ranked[0].IPC, 0) {
 		r.ctl.Failed.Add(1)
 	}
@@ -483,7 +473,7 @@ func medianRelErr(p *core.Predictor, hold []dataset.PhaseSample) float64 {
 	errs := make([]float64, 0, len(hold)*len(p.TargetNames()))
 	var vals []float64
 	for i := range hold {
-		vals = p.PredictInto(vals, hold[i].Rates)
+		vals = p.PredictInto(vals, &hold[i].Rates)
 		for j, t := range p.TargetNames() {
 			m, ok := hold[i].MeasuredIPC[t]
 			if !ok {

@@ -313,12 +313,11 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request, sc *predic
 		writeBody(w, http.StatusOK, entry.resp)
 		return
 	}
-	pr := sc.pmuRates()
-	ranked := st.bank.predictPMU(pr, &sc.rank)
+	ranked := st.bank.predictPMU(&sc.rates, &sc.rank)
 	var obsErr float64
 	if rec != nil {
 		// Miss path only: hits reuse the value cached in the memo entry.
-		obsErr = st.bank.disagreement(pr, &sc.rank)
+		obsErr = st.bank.disagreement(&sc.rates, &sc.rank)
 	}
 	e := wire.GetEmitter()
 	encodePredictResponse(e, phase, ranked)

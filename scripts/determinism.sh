@@ -15,7 +15,8 @@
 #     censuses, the prefilter's exp bound against math.Exp, the z-free
 #     factor against that bound, the batched response z against responseZ,
 #     and the search built from balanced occupancies against the one built
-#     from the listed placements;
+#     from the listed placements, and the pinned sha256 of the served
+#     /v1/predict replies and their memo keys on the seed-42 -fast bank;
 #   - reproduce the pinned fleet schedule digests (scripts/fleet_smoke.sh);
 #   - write the pinned `actor-train -fast` bank and the pinned
 #     `actor-train -fast -loo` leave-one-out banks, and the same two at
@@ -44,8 +45,8 @@ LOO_FULL_SHA256=606a121643c05c8f021fe0e917b00e72b9ba663e1c781763176c76b356004960
 ACTORSIM_SHA256=0a63d7739428e10f2d4c7f89989b09a3d359e2a52a3d33ea7a944fda37aa0b1b
 HETERO_SHA256=50d1fa7294326c4d51b038c4882aaea05992c0de865d3dd46fdbac800aa26fb6
 
-TESTS='TestParallelPipelineDeterminism|TestRunPhaseSweep|TestHeteroSweepMatchesRunPhaseProperty|TestConcurrentHeteroSweeps|TestShardedMemoConcurrentSweeps|BitIdenti|TestGOMAXPROCSDeterminism|TestLegacyStreamPinned|TestSearchMatchesSweep|TestBalancedSearchMatchesNewSearch|TestSearchBoundNeverExceedsTime|TestSearchBoundProperty|TestSearchBoundsMatchReference|TestSearchPruneCensus|TestSearchHashCensus|TestExpLowerBound|TestLowFactorBound|TestResponseZ4MatchesResponseZ'
-PKGS=(./internal/exp ./internal/machine ./internal/ann ./internal/fleet)
+TESTS='TestParallelPipelineDeterminism|TestRunPhaseSweep|TestHeteroSweepMatchesRunPhaseProperty|TestConcurrentHeteroSweeps|TestShardedMemoConcurrentSweeps|BitIdenti|TestGOMAXPROCSDeterminism|TestLegacyStreamPinned|TestSearchMatchesSweep|TestBalancedSearchMatchesNewSearch|TestSearchBoundNeverExceedsTime|TestSearchBoundProperty|TestSearchBoundsMatchReference|TestSearchPruneCensus|TestSearchHashCensus|TestExpLowerBound|TestLowFactorBound|TestResponseZ4MatchesResponseZ|TestServedPredictBytesPinned'
+PKGS=(./internal/exp ./internal/machine ./internal/ann ./internal/fleet ./pkg/actor)
 
 # go test -run drops an alternative that matches nothing without a word, so
 # a renamed or deleted test would leave the matrix unnoticed: each
