@@ -111,15 +111,6 @@ func groupShared(sets []*dataSet, same func(a, b int) bool) ([][]int, []*dataSet
 	return groups, merged
 }
 
-// identityIdx returns [0, 1, …, n).
-func identityIdx(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
 // mseIdx returns the network's mean squared error against labels y over
 // the listed rows of the packed corpus, one per-sample forward pass each —
 // the ensemble's fold estimates.

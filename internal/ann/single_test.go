@@ -81,3 +81,12 @@ func FineTuneEnsemble(base *Ensemble, samples []Sample, cfg Config) (*Ensemble, 
 	}
 	return ens[0], nil
 }
+
+// identityIdx returns [0, 1, …, n).
+func identityIdx(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}

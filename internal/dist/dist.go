@@ -48,12 +48,6 @@ type Options struct {
 	// Retries is how many times a failed shard is reassigned before it
 	// falls back to in-process evaluation (default 3).
 	Retries int
-	// BackoffBase/BackoffMax shape the exponential backoff between a
-	// shard's attempts (defaults 25ms base, 1s cap); the jitter stream is
-	// derived per shard with parallel.SeedFor, so schedules are
-	// reproducible for a given Seed.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// HedgeFloor is the minimum straggler delay before a hedge fires
 	// (default 250ms). Once ≥5 shards have completed, the delay becomes
 	// max(HedgeFloor, 2×p99 of completed-shard latencies).
@@ -61,18 +55,22 @@ type Options struct {
 	// ShardUnits is how many (benchmark, phase) units each shard carries
 	// (default 1 — finest recovery granularity).
 	ShardUnits int
-	// MaxInFlight caps concurrently outstanding shards (default
-	// 2×len(Workers), min 4).
-	MaxInFlight int
-	// DeadAfter is the consecutive-failure count that moves a worker from
-	// suspect to dead (default 3).
-	DeadAfter int
-	// Seed drives backoff jitter (default: the engine's platform seed).
-	// It never influences results — only scheduling.
-	Seed int64
 	// Logf receives warnings (degradation, fallbacks); nil discards them.
 	Logf func(format string, args ...any)
 }
+
+// The coordinator's fixed scheduling constants.
+const (
+	// backoffBase and backoffMax shape the exponential backoff between a
+	// shard's attempts. The jitter stream is derived per shard from the
+	// engine's platform seed with parallel.SeedFor, so schedules are
+	// reproducible; the seed never influences results, only scheduling.
+	backoffBase = 25 * time.Millisecond
+	backoffMax  = time.Second
+	// deadAfter is the consecutive-failure count that moves a worker from
+	// suspect to dead.
+	deadAfter = 3
+)
 
 // Stats counts what the fault-tolerance machinery actually did during a
 // Run; read it after Run returns.
@@ -113,36 +111,18 @@ func New(eng *actor.Engine, opts Options) *Coordinator {
 	if opts.Retries <= 0 {
 		opts.Retries = 3
 	}
-	if opts.BackoffBase <= 0 {
-		opts.BackoffBase = 25 * time.Millisecond
-	}
-	if opts.BackoffMax <= 0 {
-		opts.BackoffMax = time.Second
-	}
 	if opts.HedgeFloor <= 0 {
 		opts.HedgeFloor = 250 * time.Millisecond
 	}
 	if opts.ShardUnits <= 0 {
 		opts.ShardUnits = 1
 	}
-	if opts.MaxInFlight <= 0 {
-		opts.MaxInFlight = 2 * len(opts.Workers)
-		if opts.MaxInFlight < 4 {
-			opts.MaxInFlight = 4
-		}
-	}
-	if opts.DeadAfter <= 0 {
-		opts.DeadAfter = 3
-	}
-	if opts.Seed == 0 {
-		opts.Seed = eng.Seed()
-	}
 	c := &Coordinator{eng: eng, opts: opts, client: opts.Client}
 	if c.client == nil {
 		c.client = &http.Client{}
 	}
 	for _, url := range opts.Workers {
-		c.workers = append(c.workers, &worker{url: url, deadAfter: opts.DeadAfter})
+		c.workers = append(c.workers, &worker{url: url})
 	}
 	return c
 }
@@ -202,7 +182,8 @@ func (c *Coordinator) Run(ctx context.Context) ([]actor.PhaseSweep, error) {
 	// discipline): merge order is fixed by shard index, never by arrival.
 	results := make([][]actor.PhaseSweep, len(shards))
 	errs := make([]error, len(shards))
-	sem := make(chan struct{}, c.opts.MaxInFlight)
+	// At most max(4, 2 per worker) shards are outstanding at once.
+	sem := make(chan struct{}, max(4, 2*len(c.workers)))
 	var wg sync.WaitGroup
 	for i := range shards {
 		wg.Add(1)
@@ -266,7 +247,7 @@ func (c *Coordinator) runShard(ctx context.Context, idx int, units []actor.Sweep
 		Units:       units,
 	}
 	req.Shard = actor.ShardSpec{Index: idx, Total: 0, Fingerprint: req.Fingerprint()}
-	rng := parallel.Rand(c.opts.Seed, fmt.Sprintf("dist-shard-%d", idx))
+	rng := parallel.Rand(c.eng.Seed(), fmt.Sprintf("dist-shard-%d", idx))
 	var last *worker
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -290,10 +271,7 @@ func (c *Coordinator) runShard(ctx context.Context, idx int, units []actor.Sweep
 		// Exponential backoff with full jitter from the shard's own seeded
 		// stream: retry schedules are reproducible and never synchronized
 		// across shards.
-		d := c.opts.BackoffBase << attempt
-		if d > c.opts.BackoffMax {
-			d = c.opts.BackoffMax
-		}
+		d := min(backoffBase<<attempt, backoffMax)
 		d = time.Duration(rng.Int63n(int64(d) + 1))
 		select {
 		case <-time.After(d):

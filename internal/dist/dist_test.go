@@ -376,7 +376,7 @@ func TestAllWorkersDead(t *testing.T) {
 // TestWorkerStateMachine drives the transitions directly:
 // joining → ready → suspect → ready → suspect → dead.
 func TestWorkerStateMachine(t *testing.T) {
-	w := &worker{url: "http://x", deadAfter: 3}
+	w := &worker{url: "http://x"}
 	if got := w.snapshot(); got != Joining {
 		t.Fatalf("initial state %s, want joining", got)
 	}

@@ -15,7 +15,7 @@ import (
 //
 // Workers start Joining and become Ready on a successful /readyz probe. A
 // failed request (or a not-ready probe) moves a Ready worker to Suspect;
-// any success moves a Suspect worker back to Ready; DeadAfter consecutive
+// any success moves a Suspect worker back to Ready; deadAfter consecutive
 // failures moves it to Dead, which is terminal for the run. New shards are
 // only assigned to Ready workers; Suspect and Joining workers are
 // re-probed when the Ready pool empties.
@@ -31,7 +31,7 @@ const (
 	// Suspect means the worker failed its latest request or reported
 	// not-ready; it gets no new shards until a probe succeeds.
 	Suspect
-	// Dead means the worker accumulated DeadAfter consecutive failures;
+	// Dead means the worker accumulated deadAfter consecutive failures;
 	// it is excluded for the remainder of the run.
 	Dead
 )
@@ -58,9 +58,6 @@ type worker struct {
 	state       State
 	consecFails int
 	inflight    int
-	// deadAfter is the consecutive-failure budget before Dead (from
-	// Options.DeadAfter).
-	deadAfter int
 }
 
 // snapshot returns the worker's current state.
@@ -93,7 +90,7 @@ func (w *worker) markFailure() {
 		return
 	}
 	w.consecFails++
-	if w.consecFails >= w.deadAfter {
+	if w.consecFails >= deadAfter {
 		w.state = Dead
 		return
 	}

@@ -162,9 +162,3 @@ func (m *Machine) MemoStats() (hits, misses uint64) {
 	hits, misses, _ = m.memo.Stats()
 	return hits, misses
 }
-
-// memoEquivalent reports whether two float64s are identical including NaN
-// (used by tests asserting cached results are bit-identical).
-func memoEquivalent(a, b float64) bool {
-	return a == b || (math.IsNaN(a) && math.IsNaN(b))
-}

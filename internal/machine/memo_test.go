@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -193,4 +194,10 @@ func TestMemoSetParamsBeforeWithMemoStaysInvalidatable(t *testing.T) {
 	if memoEquivalent(after.TimeSec, before.TimeSec) {
 		t.Error("SetParams after late memoisation served a stale response (epoch re-issued)")
 	}
+}
+
+// memoEquivalent reports whether two float64s are identical including NaN
+// (cached results must be bit-identical).
+func memoEquivalent(a, b float64) bool {
+	return a == b || (math.IsNaN(a) && math.IsNaN(b))
 }

@@ -2,45 +2,25 @@ package recal
 
 import "math"
 
-// DriftConfig sets the trip thresholds of the drift detector. Zero fields
-// take the defaults.
-type DriftConfig struct {
-	// NovelFrac trips when at least this fraction of the current window's
-	// observations carry a phase label absent from the reference window —
-	// the workload mix itself changed. Default 0.25.
-	NovelFrac float64
-	// MeanShiftZ trips when the current window's mean observed IPC is this
-	// many reference standard deviations away from the reference mean — a
-	// distribution shift in the input rates. Default 4.
-	MeanShiftZ float64
-	// ErrEWMA trips when any phase's prediction-error EWMA (with at least
-	// MinPhaseObs observations) exceeds it. Default 0.5.
-	ErrEWMA float64
-	// MinPhaseObs is the burn-in before a phase's EWMA may trip. Default 32.
-	MinPhaseObs uint64
-	// MinWindowIPC is how many window observations must carry an observed
-	// IPC before the mean-shift statistic is trusted. Default 16.
-	MinWindowIPC int
-}
-
-func (c DriftConfig) withDefaults() DriftConfig {
-	if c.NovelFrac <= 0 {
-		c.NovelFrac = 0.25
-	}
-	if c.MeanShiftZ <= 0 {
-		c.MeanShiftZ = 4
-	}
-	if c.ErrEWMA <= 0 {
-		c.ErrEWMA = 0.5
-	}
-	if c.MinPhaseObs == 0 {
-		c.MinPhaseObs = 32
-	}
-	if c.MinWindowIPC <= 0 {
-		c.MinWindowIPC = 16
-	}
-	return c
-}
+// The drift detector's trip thresholds.
+const (
+	// novelFracTrip trips when at least this fraction of the current
+	// window's observations carry a phase label absent from the reference
+	// window — the workload mix itself changed.
+	novelFracTrip = 0.25
+	// meanShiftZTrip trips when the current window's mean observed IPC is
+	// this many reference standard deviations away from the reference mean
+	// — a distribution shift in the input rates.
+	meanShiftZTrip = 4
+	// errEWMATrip trips when any phase's prediction-error EWMA, with at
+	// least minPhaseObs observations behind it, reaches it.
+	errEWMATrip = 0.5
+	// minPhaseObs is the burn-in before a phase's EWMA may trip.
+	minPhaseObs = 32
+	// minWindowIPC is how many window observations must carry an observed
+	// IPC before the mean-shift statistic is trusted.
+	minWindowIPC = 16
+)
 
 // Verdict is one drift evaluation: whether the retrain trigger tripped,
 // why, and the statistics behind the decision.
@@ -60,18 +40,17 @@ type Verdict struct {
 // CheckDrift evaluates the detector against the store's current state.
 // Purely a read: calling it never perturbs future verdicts, so the control
 // loop may poll at any cadence without changing what is detected.
-func (s *Store) CheckDrift(cfg DriftConfig) Verdict {
-	cfg = cfg.withDefaults()
+func (s *Store) CheckDrift() Verdict {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
 	v := Verdict{
-		Armed:      s.refN >= s.cfg.RefWindow,
-		WindowFull: s.winN == len(s.win),
+		Armed:      s.refN >= refWindow,
+		WindowFull: s.winN == window,
 	}
 	for i := range s.phases {
 		p := &s.phases[i]
-		if p.n >= cfg.MinPhaseObs && p.ewma > v.MaxErrEWMA {
+		if p.n >= minPhaseObs && p.ewma > v.MaxErrEWMA {
 			v.MaxErrEWMA = p.ewma
 		}
 	}
@@ -93,17 +72,17 @@ func (s *Store) CheckDrift(cfg DriftConfig) Verdict {
 		}
 	}
 	v.NovelFrac = float64(novel) / float64(s.winN)
-	if ipcN >= cfg.MinWindowIPC && s.refIPCN >= 2 {
+	if ipcN >= minWindowIPC && s.refIPCN >= 2 {
 		refStd := math.Sqrt(s.refM2 / float64(s.refIPCN-1))
 		v.MeanShiftZ = math.Abs(ipcSum/float64(ipcN)-s.refMean) / math.Max(refStd, 1e-9)
 	}
 
 	switch {
-	case v.MaxErrEWMA >= cfg.ErrEWMA:
+	case v.MaxErrEWMA >= errEWMATrip:
 		v.Tripped, v.Reason = true, "error-ewma"
-	case v.NovelFrac >= cfg.NovelFrac:
+	case v.NovelFrac >= novelFracTrip:
 		v.Tripped, v.Reason = true, "novel-phase"
-	case v.MeanShiftZ >= cfg.MeanShiftZ:
+	case v.MeanShiftZ >= meanShiftZTrip:
 		v.Tripped, v.Reason = true, "mean-shift"
 	}
 	return v

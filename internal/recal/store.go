@@ -22,46 +22,34 @@ type Obs struct {
 	Err float64
 }
 
-// StoreConfig bounds a Store. Zero fields take the defaults.
-type StoreConfig struct {
-	// RefWindow is how many observations after a Reset form the reference
-	// window drift is measured against. Default 256.
-	RefWindow int
-	// Window is the rolling current-traffic window compared against the
-	// reference. Default 256.
-	Window int
-	// MaxPhases bounds the per-phase error table and the reference phase
-	// set. Default 64.
-	MaxPhases int
-	// EWMAAlpha is the per-phase error EWMA smoothing factor. Default 0.05.
-	EWMAAlpha float64
-}
+// The store's bounds.
+const (
+	// refWindow is how many observations after a Reset form the reference
+	// window drift is measured against.
+	refWindow = 256
+	// window is the rolling current-traffic window compared against the
+	// reference.
+	window = 256
+	// maxPhases bounds the per-phase error table and the reference phase
+	// set.
+	maxPhases = 64
+	// ewmaAlpha is the per-phase error EWMA smoothing factor.
+	ewmaAlpha = 0.05
+)
 
-func (c StoreConfig) withDefaults() StoreConfig {
-	if c.RefWindow <= 0 {
-		c.RefWindow = 256
-	}
-	if c.Window <= 0 {
-		c.Window = 256
-	}
-	if c.MaxPhases <= 0 {
-		c.MaxPhases = 64
-	}
-	if c.EWMAAlpha <= 0 {
-		c.EWMAAlpha = 0.05
-	}
-	return c
-}
+// StoreConfig has no fields: every bound of a Store is a constant. It
+// remains only because the benchmark module's observe probe builds its
+// store with NewStore(StoreConfig{}); it goes with the next change to that
+// module.
+type StoreConfig struct{}
 
 // winObs is one entry of the rolling current-traffic window.
 type winObs struct {
-	phase  uint64
 	ipc    float64
 	hasIPC bool
 	// novel reports whether the phase was absent from the reference
 	// window's phase set when this observation arrived.
 	novel bool
-	err   float64
 }
 
 // phaseStat is one phase's running prediction-error EWMA.
@@ -79,14 +67,13 @@ type PhaseErr struct {
 }
 
 // Store is the bounded observation store: a frozen reference window (the
-// first RefWindow observations after arming), a rolling current window, and
+// first refWindow observations after arming), a rolling current window, and
 // a bounded per-phase prediction-error EWMA table — the state drift
 // detection reads. It keeps no sample of the observations themselves:
-// retraining collects its own samples from the simulator. Observe is allocation-free
-// and safe for concurrent use; all memory is bounded by StoreConfig.
+// retraining collects its own samples from the simulator. Observe is
+// allocation-free and safe for concurrent use; all memory is bounded by
+// the constants above.
 type Store struct {
-	cfg StoreConfig
-
 	mu    sync.Mutex
 	total uint64 // observations over the store's lifetime (never reset)
 	seq   uint64 // observations since the last Reset
@@ -99,7 +86,7 @@ type Store struct {
 	refPhases []uint64
 
 	// Rolling current window (ring buffer).
-	win   []winObs
+	win   [window]winObs
 	winN  int
 	winAt int
 
@@ -108,13 +95,10 @@ type Store struct {
 
 // NewStore builds a store with every buffer preallocated to its bound, so
 // Observe never allocates.
-func NewStore(cfg StoreConfig) *Store {
-	cfg = cfg.withDefaults()
+func NewStore(StoreConfig) *Store {
 	return &Store{
-		cfg:       cfg,
-		refPhases: make([]uint64, 0, cfg.MaxPhases),
-		win:       make([]winObs, cfg.Window),
-		phases:    make([]phaseStat, 0, cfg.MaxPhases),
+		refPhases: make([]uint64, 0, maxPhases),
+		phases:    make([]phaseStat, 0, maxPhases),
 	}
 }
 
@@ -133,16 +117,16 @@ func (s *Store) Observe(o Obs) uint64 {
 		if s.phases[i].hash == o.Phase {
 			p := &s.phases[i]
 			p.n++
-			p.ewma += float64(s.cfg.EWMAAlpha * (o.Err - p.ewma))
+			p.ewma += float64(ewmaAlpha * (o.Err - p.ewma))
 			found = true
 			break
 		}
 	}
-	if !found && len(s.phases) < s.cfg.MaxPhases {
+	if !found && len(s.phases) < maxPhases {
 		s.phases = append(s.phases, phaseStat{hash: o.Phase, n: 1, ewma: o.Err})
 	}
 
-	if s.refN < s.cfg.RefWindow {
+	if s.refN < refWindow {
 		// Still arming: this observation belongs to the reference window.
 		s.refN++
 		if o.HasIPC {
@@ -158,7 +142,7 @@ func (s *Store) Observe(o Obs) uint64 {
 				break
 			}
 		}
-		if !known && len(s.refPhases) < s.cfg.MaxPhases {
+		if !known && len(s.refPhases) < maxPhases {
 			s.refPhases = append(s.refPhases, o.Phase)
 		}
 	} else {
@@ -169,12 +153,12 @@ func (s *Store) Observe(o Obs) uint64 {
 				break
 			}
 		}
-		s.win[s.winAt] = winObs{phase: o.Phase, ipc: o.IPC, hasIPC: o.HasIPC, novel: novel, err: o.Err}
+		s.win[s.winAt] = winObs{ipc: o.IPC, hasIPC: o.HasIPC, novel: novel}
 		s.winAt++
-		if s.winAt == len(s.win) {
+		if s.winAt == window {
 			s.winAt = 0
 		}
-		if s.winN < len(s.win) {
+		if s.winN < window {
 			s.winN++
 		}
 	}

@@ -242,19 +242,6 @@ func (p Placement) String() string {
 	return fmt.Sprintf("%s%v", p.Name, p.Cores)
 }
 
-// coOccupancy returns, for each L2 group, how many of the placement's
-// threads live in that group.
-func (p Placement) coOccupancy(t *Topology) []int {
-	occ := make([]int, len(t.L2Groups))
-	for _, c := range p.Cores {
-		gi := t.GroupOf(c)
-		if gi >= 0 {
-			occ[gi]++
-		}
-	}
-	return occ
-}
-
 // PaperConfigs returns the five configurations evaluated in the paper on the
 // quad-core Xeon, in canonical order: 1, 2a, 2b, 3, 4.
 //

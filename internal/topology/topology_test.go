@@ -164,3 +164,16 @@ func (p Placement) GroupLoad(t *Topology, c CoreID) int {
 	}
 	return p.coOccupancy(t)[gi]
 }
+
+// coOccupancy returns, for each L2 group, how many of the placement's
+// threads live in that group.
+func (p Placement) coOccupancy(t *Topology) []int {
+	occ := make([]int, len(t.L2Groups))
+	for _, c := range p.Cores {
+		gi := t.GroupOf(c)
+		if gi >= 0 {
+			occ[gi]++
+		}
+	}
+	return occ
+}

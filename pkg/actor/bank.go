@@ -149,7 +149,9 @@ func (b *Bank) Select(maxRounds, width int) []string {
 // configuration joins the ranking with its directly observed IPC (marked
 // Observed) — exactly the comparison the runtime's decision step makes.
 // Rates are refused as /v1/predict refuses them: an unknown mnemonic, a
-// rate that is not a finite number, or "IPC" beside its mnemonic.
+// rate that is not a finite number, or "IPC" beside its mnemonic. Rates so
+// extreme that a model's arithmetic overflows give an error, not a ranking
+// with a non-finite IPC in it.
 func (b *Bank) Predict(ctx context.Context, rates Rates) ([]Prediction, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -159,7 +161,23 @@ func (b *Bank) Predict(ctx context.Context, rates Rates) ([]Prediction, error) {
 		return nil, err
 	}
 	var buf predictBuf // fresh: the ranking is the caller's to keep
-	return b.predictPMU(&pr, &buf), nil
+	ranked := b.predictPMU(&pr, &buf)
+	if err := nonFinite(ranked); err != nil {
+		return nil, err
+	}
+	return ranked, nil
+}
+
+// nonFinite reports the first prediction in ranked whose IPC is NaN or
+// infinite. The ranking cannot order a NaN, so where one lands says nothing:
+// every entry is checked.
+func nonFinite(ranked []Prediction) error {
+	for _, p := range ranked {
+		if math.IsNaN(p.IPC) || math.IsInf(p.IPC, 0) {
+			return fmt.Errorf("actor: configuration %q predicts a non-finite IPC (%v)", p.Config, p.IPC)
+		}
+	}
+	return nil
 }
 
 // predictPMU is Predict past mnemonic resolution: rank every target

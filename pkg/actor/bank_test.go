@@ -361,6 +361,32 @@ func TestPredictRefusesNonFiniteRates(t *testing.T) {
 	}
 }
 
+// TestPredictRefusesOverflowingRates: finite rates so large that a model's
+// arithmetic overflows give an error naming the non-finite prediction, on
+// the ANN bank and the MLR bank alike, instead of a ranking with NaNs in
+// it. Rates two hundred orders of magnitude past any counter still rank.
+func TestPredictRefusesOverflowingRates(t *testing.T) {
+	_, mlr := servingFixture(t)
+	_, ann := annFixture(t)
+	for _, bank := range []*actor.Bank{ann, mlr} {
+		at := func(v float64) actor.Rates {
+			rates := actor.Rates{"IPC": 1.2}
+			for _, name := range bank.Meta().EventSets[0] {
+				rates[name] = v
+			}
+			return rates
+		}
+		kind := bank.Meta().Kind
+		ranked, err := bank.Predict(context.Background(), at(1.7e308))
+		if err == nil || !strings.Contains(err.Error(), "non-finite IPC") {
+			t.Errorf("%s bank at 1.7e308: ranking %v, error %v; want a non-finite IPC error", kind, ranked, err)
+		}
+		if ranked, err := bank.Predict(context.Background(), at(1e300)); err != nil {
+			t.Errorf("%s bank at 1e300: ranking %v, error %v", kind, ranked, err)
+		}
+	}
+}
+
 // TestBankPredictAllocs pins Bank.Predict's allocations: the ranking the
 // caller keeps and the per-target values behind it. Resolving the rates
 // allocates nothing.

@@ -133,14 +133,3 @@ func (m *predictMemo) put(key, resp []byte, obsErr float64) {
 	}
 	m.lines[base+victim].Store(e)
 }
-
-// entries counts installed lines (test hook; O(sets*ways)).
-func (m *predictMemo) entries() int {
-	n := 0
-	for i := range m.lines {
-		if m.lines[i].Load() != nil {
-			n++
-		}
-	}
-	return n
-}

@@ -102,3 +102,14 @@ func TestPredictMemoConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// entries counts installed lines (O(sets*ways)).
+func (m *predictMemo) entries() int {
+	n := 0
+	for i := range m.lines {
+		if m.lines[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -20,10 +20,10 @@ import (
 )
 
 // This file is the serving half of online recalibration: the Recalibrator
-// ties internal/recal's traffic-facing machinery (observation store, drift
-// detector, canary admission) to the things only pkg/actor can do — warm-
-// start retraining off the live bank, holdout validation, and the atomic
-// zero-downtime bank swap in Server.
+// owns the control loop — canary admission, the event log, warm-start
+// retraining off the live bank, holdout validation and the atomic
+// zero-downtime bank swap in Server — and reads internal/recal's
+// traffic-facing machinery (observation store, drift detector).
 //
 // Determinism is the design invariant. A retrain's sample campaign is
 // collected from the engine's simulated platform under a noise stream
@@ -45,7 +45,15 @@ const recalBlend = 0.5
 // limits how far back a rollback sequence can reach.
 const maxRecalHistory = 32
 
-// RecalConfig tunes the recalibration loop. Zero fields take defaults.
+// canaryMin is the number of shadow-scored requests a canary needs before
+// auto-promotion.
+const canaryMin = 64
+
+// maxRecalEvents bounds the retained event log; older events are dropped.
+const maxRecalEvents = 64
+
+// RecalConfig tunes the recalibration loop. The zero value promotes any
+// candidate at least as good as the live bank, with no canary.
 type RecalConfig struct {
 	// Margin is the relative holdout improvement a candidate must clear:
 	// it is promoted iff candidateErr <= liveErr*(1-Margin). 0 accepts any
@@ -53,31 +61,9 @@ type RecalConfig struct {
 	Margin float64
 	// CanaryFrac, when > 0, holds a validated candidate in canary mode
 	// first: that fraction of live predict traffic is shadow-scored on the
-	// candidate, and promotion waits until CanaryMin requests scored with
-	// zero failures. 0 promotes immediately.
+	// candidate, and promotion waits until 64 requests scored with zero
+	// failures. 0 promotes immediately.
 	CanaryFrac float64
-	// CanaryMin is the number of shadow-scored requests a canary needs
-	// before auto-promotion. Default 64.
-	CanaryMin uint64
-	// Store and Drift configure the observation store and drift detector.
-	Store recal.StoreConfig
-	Drift recal.DriftConfig
-}
-
-func (c RecalConfig) withDefaults() RecalConfig {
-	if c.Margin < 0 {
-		c.Margin = 0
-	}
-	if c.CanaryFrac < 0 {
-		c.CanaryFrac = 0
-	}
-	if c.CanaryFrac > 1 {
-		c.CanaryFrac = 1
-	}
-	if c.CanaryMin == 0 {
-		c.CanaryMin = 64
-	}
-	return c
 }
 
 // RecalOutcome is what one retrain attempt decided, returned by Trigger and
@@ -95,8 +81,8 @@ type RecalOutcome struct {
 	LiveErr      float64 `json:"live_err"`
 }
 
-// errRecalBusy is returned by Trigger when a retrain or canary is already
-// in flight; the admin handler maps it to 409.
+// errRecalBusy is returned by Trigger while a canary is in flight; the
+// admin handler maps it to 409.
 var errRecalBusy = errors.New("actor: recalibration busy")
 
 // Recalibrator drives online recalibration for one Server: it ingests
@@ -110,40 +96,52 @@ type Recalibrator struct {
 	cfg RecalConfig
 
 	store *recal.Store
-	ctl   *recal.Controller
 
 	// candidate is the validated bank shadow-scored during canary mode;
-	// nil outside canary. Atomic because the predict hot path reads it.
+	// the loop is in canary exactly while it is set. Atomic because the
+	// predict hot path reads it.
 	candidate atomic.Pointer[Bank]
+	// admitBelow is the canary admission threshold over the full uint64
+	// range (0 = no canary); salt seeds the admission hash so different
+	// banks sample different request subsequences deterministically.
+	admitBelow atomic.Uint64
+	salt       uint64
+	// scored and failed count canary shadow predictions since the canary
+	// began.
+	scored, failed atomic.Uint64
 
-	// mu serialises the control plane: Tick, Trigger, Promote, Rollback.
+	// mu serialises the control plane: Tick, Trigger, Promote, Rollback,
+	// Status.
 	mu      sync.Mutex
 	attempt int // lifetime retrain attempts, part of the gen-seed chain
 	history []*Bank
+	events  []recal.Event // oldest first, at most maxRecalEvents
 }
 
 // EnableRecalibration switches the server's online recalibration loop on:
 // predict traffic starts feeding the observation store and the /v1/recal/*
 // admin routes come alive. Call once, before serving traffic; a second call
-// fails, and so does a non-finite Margin or CanaryFrac. The caller drives
-// the loop through Tick (actord calls it on a ticker) or Trigger.
+// fails, and so does a non-finite Margin or CanaryFrac. A negative Margin
+// clamps to 0 and CanaryFrac clamps to [0, 1]. The caller drives the loop
+// through Tick (actord calls it on a ticker) or Trigger.
 func (s *Server) EnableRecalibration(cfg RecalConfig) (*Recalibrator, error) {
-	// A NaN would pass every clamp in withDefaults and then fail every
-	// comparison: no candidate would clear a NaN margin, and a NaN canary
-	// fraction would skip the canary the caller asked for.
+	// A NaN would pass every clamp below and then fail every comparison:
+	// no candidate would clear a NaN margin, and a NaN canary fraction
+	// would skip the canary the caller asked for.
 	if math.IsNaN(cfg.Margin) || math.IsInf(cfg.Margin, 0) {
 		return nil, fmt.Errorf("actor: recalibration margin %v is not finite", cfg.Margin)
 	}
 	if math.IsNaN(cfg.CanaryFrac) || math.IsInf(cfg.CanaryFrac, 0) {
 		return nil, fmt.Errorf("actor: canary fraction %v is not finite", cfg.CanaryFrac)
 	}
-	cfg = cfg.withDefaults()
+	cfg.Margin = max(cfg.Margin, 0)
+	cfg.CanaryFrac = min(max(cfg.CanaryFrac, 0), 1)
 	r := &Recalibrator{
 		srv:   s,
 		eng:   s.eng,
 		cfg:   cfg,
-		store: recal.NewStore(cfg.Store),
-		ctl:   recal.NewController(parallel.SeedFor(s.Bank().Meta().Seed, "recal/canary")),
+		store: recal.NewStore(recal.StoreConfig{}),
+		salt:  splitmix64(uint64(parallel.SeedFor(s.Bank().Meta().Seed, "recal/canary"))),
 	}
 	if !s.recal.CompareAndSwap(nil, r) {
 		return nil, fmt.Errorf("actor: recalibration already enabled")
@@ -158,10 +156,39 @@ func (s *Server) EnableRecalibration(cfg RecalConfig) (*Recalibrator, error) {
 func (r *Recalibrator) observe(sc *predictScratch, phase []byte, obsErr float64) {
 	o := recal.Obs{Phase: recal.HashPhase(phase), Err: obsErr}
 	o.IPC, o.HasIPC = sc.rates.Get(pmu.Instructions)
-	seq := r.store.Observe(o)
-	if r.ctl.CanaryAdmit(seq) {
+	if r.admit(r.store.Observe(o)) {
 		r.shadowScore(sc)
 	}
+}
+
+// admit reports whether the observation with lifetime sequence number seq
+// is shadow-scored on the canary candidate. Lock-free — this runs on the
+// predict hot path — and a pure function of (seq, salt, threshold), so a
+// seeded serial trace always samples the same requests.
+func (r *Recalibrator) admit(seq uint64) bool {
+	t := r.admitBelow.Load()
+	return t != 0 && splitmix64(seq^r.salt) < t
+}
+
+// armCanary opens admission to frac of the observations (frac in [0, 1])
+// and zeroes the shadow-scoring tallies.
+func (r *Recalibrator) armCanary(frac float64) {
+	r.scored.Store(0)
+	r.failed.Store(0)
+	t := uint64(math.MaxUint64)
+	if frac < 1 {
+		t = uint64(frac * float64(math.MaxUint64))
+	}
+	r.admitBelow.Store(t)
+}
+
+// splitmix64 is the hash behind canary admission: one multiply-xor-shift
+// pipeline with full 64-bit avalanche, deterministic and allocation-free.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // shadowScore runs the canary candidate on a live request's rates, off the
@@ -172,11 +199,10 @@ func (r *Recalibrator) shadowScore(sc *predictScratch) {
 	if cand == nil {
 		return
 	}
-	ranked := cand.predictPMU(&sc.rates, &sc.rank)
-	if len(ranked) == 0 || math.IsNaN(ranked[0].IPC) || math.IsInf(ranked[0].IPC, 0) {
-		r.ctl.Failed.Add(1)
+	if ranked := cand.predictPMU(&sc.rates, &sc.rank); len(ranked) == 0 || nonFinite(ranked) != nil {
+		r.failed.Add(1)
 	}
-	r.ctl.Scored.Add(1)
+	r.scored.Add(1)
 }
 
 // Tick runs one control-loop step: during a canary it checks completion or
@@ -186,53 +212,61 @@ func (r *Recalibrator) shadowScore(sc *predictScratch) {
 func (r *Recalibrator) Tick(ctx context.Context) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch r.ctl.State() {
-	case recal.StateCanary:
-		scored, failed := r.ctl.Scored.Load(), r.ctl.Failed.Load()
+	if r.candidate.Load() != nil {
+		scored, failed := r.scored.Load(), r.failed.Load()
 		if failed > 0 {
 			r.abortCanaryLocked(fmt.Sprintf("%d/%d shadow predictions failed", failed, scored))
 			return
 		}
-		if scored >= r.cfg.CanaryMin {
+		if scored >= canaryMin {
 			_ = r.promoteLocked()
 		}
-	case recal.StateIdle:
-		if v := r.store.CheckDrift(r.cfg.Drift); v.Tripped {
-			_, _ = r.retrainLocked(ctx, "drift:"+v.Reason)
-		}
+		return
+	}
+	if v := r.store.CheckDrift(); v.Tripped {
+		_, _ = r.retrainLocked(ctx, "drift:"+v.Reason)
 	}
 }
 
-// Trigger forces a retrain attempt right now, regardless of drift. Returns
-// errRecalBusy while a retrain or canary is already in flight.
+// Trigger forces a retrain attempt right now, regardless of drift. A
+// retrain already running finishes first (Trigger waits on the control
+// lock); a canary in flight returns errRecalBusy.
 func (r *Recalibrator) Trigger(ctx context.Context) (RecalOutcome, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if st := r.ctl.State(); st != recal.StateIdle {
-		return RecalOutcome{}, fmt.Errorf("%w (%s)", errRecalBusy, st)
+	if r.candidate.Load() != nil {
+		return RecalOutcome{}, fmt.Errorf("%w (canary)", errRecalBusy)
 	}
 	return r.retrainLocked(ctx, "manual")
+}
+
+// recordLocked stamps ev with the store's lifetime observation count and
+// appends it to the bounded event log. Caller holds r.mu.
+func (r *Recalibrator) recordLocked(ev recal.Event) {
+	ev.Seq = r.store.Total()
+	if len(r.events) == maxRecalEvents {
+		copy(r.events, r.events[1:])
+		r.events = r.events[:maxRecalEvents-1]
+	}
+	r.events = append(r.events, ev)
 }
 
 // retrainLocked is one full shadow-retrain attempt: collect a fresh
 // characterisation campaign under the generation seed, warm-start a
 // candidate from the live bank, validate both on the held-out split, and
-// promote, canary or reject. Caller holds r.mu and state is Idle.
+// promote, canary or reject. Caller holds r.mu and no canary is in flight.
 func (r *Recalibrator) retrainLocked(ctx context.Context, trigger string) (RecalOutcome, error) {
-	r.ctl.SetState(recal.StateTraining)
 	out, err := r.runRetrain(ctx, trigger)
 	if err != nil {
-		// Infrastructure failure (not a rejection): record it, re-arm the
-		// store so the detector measures against fresh traffic, back to idle.
-		r.ctl.Record(recal.Event{
-			Seq:        r.store.Total(),
+		// Infrastructure failure (not a rejection): record it and re-arm
+		// the store so the detector measures against fresh traffic.
+		r.recordLocked(recal.Event{
 			Generation: out.Generation,
 			Kind:       "rejected",
 			Trigger:    trigger,
 			Detail:     err.Error(),
 		})
 		r.store.Reset()
-		r.ctl.SetState(recal.StateIdle)
 	}
 	return out, err
 }
@@ -273,9 +307,6 @@ func (r *Recalibrator) runRetrain(ctx context.Context, trigger string) (RecalOut
 	case KindANN:
 		cfg := r.eng.suite.Opts.ANN
 		cfg.Seed = genSeed
-		if cfg.WarmStartEpochs == 0 {
-			cfg.WarmStartEpochs = (cfg.MaxEpochs + 3) / 4
-		}
 		cb, err = core.FineTuneANNBank(live.bank, train, targets, cfg)
 	case KindMLR:
 		cb, err = core.RefitMLRBank(live.bank, train, targets, r.eng.cfg.ridge, recalBlend)
@@ -290,8 +321,7 @@ func (r *Recalibrator) runRetrain(ctx context.Context, trigger string) (RecalOut
 	out.LiveErr = medianRelErr(live.bank.Predictors()[0], hold)
 	if !(out.CandidateErr <= out.LiveErr*(1-r.cfg.Margin)) {
 		out.Outcome = "rejected"
-		r.ctl.Record(recal.Event{
-			Seq:          r.store.Total(),
+		r.recordLocked(recal.Event{
 			Generation:   gen,
 			Kind:         "rejected",
 			Trigger:      trigger,
@@ -300,7 +330,6 @@ func (r *Recalibrator) runRetrain(ctx context.Context, trigger string) (RecalOut
 			LiveErr:      out.LiveErr,
 		})
 		r.store.Reset()
-		r.ctl.SetState(recal.StateIdle)
 		return out, nil
 	}
 
@@ -321,10 +350,8 @@ func (r *Recalibrator) runRetrain(ctx context.Context, trigger string) (RecalOut
 	if r.cfg.CanaryFrac > 0 {
 		out.Outcome = "canary"
 		r.candidate.Store(cand)
-		r.ctl.BeginCanary(r.cfg.CanaryFrac)
-		r.ctl.SetState(recal.StateCanary)
-		r.ctl.Record(recal.Event{
-			Seq:          r.store.Total(),
+		r.armCanary(r.cfg.CanaryFrac)
+		r.recordLocked(recal.Event{
 			Generation:   gen,
 			Kind:         "canary-begin",
 			Trigger:      trigger,
@@ -342,15 +369,12 @@ func (r *Recalibrator) runRetrain(ctx context.Context, trigger string) (RecalOut
 func (r *Recalibrator) installLocked(cand *Bank) error {
 	prev := r.srv.Bank()
 	if err := r.srv.SwapBank(cand); err != nil {
-		r.ctl.Record(recal.Event{
-			Seq:        r.store.Total(),
+		r.recordLocked(recal.Event{
 			Generation: cand.meta.Generation,
 			Kind:       "rejected",
 			Detail:     "swap failed: " + err.Error(),
 		})
-		r.candidate.Store(nil)
-		r.ctl.EndCanary()
-		r.ctl.SetState(recal.StateIdle)
+		r.endCanary()
 		return err
 	}
 	r.history = append(r.history, prev)
@@ -359,10 +383,8 @@ func (r *Recalibrator) installLocked(cand *Bank) error {
 		r.history[len(r.history)-1] = nil
 		r.history = r.history[:len(r.history)-1]
 	}
-	r.candidate.Store(nil)
-	r.ctl.EndCanary()
+	r.endCanary()
 	ev := recal.Event{
-		Seq:        r.store.Total(),
 		Generation: cand.meta.Generation,
 		Kind:       "promoted",
 	}
@@ -371,10 +393,15 @@ func (r *Recalibrator) installLocked(cand *Bank) error {
 		ev.CandidateErr = p.CandidateErr
 		ev.LiveErr = p.LiveErr
 	}
-	r.ctl.Record(ev)
+	r.recordLocked(ev)
 	r.store.Reset()
-	r.ctl.SetState(recal.StateIdle)
 	return nil
+}
+
+// endCanary drops the canary candidate and closes admission.
+func (r *Recalibrator) endCanary() {
+	r.candidate.Store(nil)
+	r.admitBelow.Store(0)
 }
 
 // Promote force-completes a canary, installing the candidate immediately.
@@ -386,29 +413,23 @@ func (r *Recalibrator) Promote() error {
 
 func (r *Recalibrator) promoteLocked() error {
 	cand := r.candidate.Load()
-	if cand == nil || r.ctl.State() != recal.StateCanary {
+	if cand == nil {
 		return fmt.Errorf("actor: no canary candidate to promote")
 	}
 	return r.installLocked(cand)
 }
 
-// abortCanaryLocked discards the canary candidate without swapping.
+// abortCanaryLocked discards the canary candidate without swapping. Caller
+// holds r.mu and a canary is in flight.
 func (r *Recalibrator) abortCanaryLocked(detail string) {
-	cand := r.candidate.Load()
-	gen := 0
-	if cand != nil {
-		gen = cand.meta.Generation
-	}
-	r.candidate.Store(nil)
-	r.ctl.EndCanary()
-	r.ctl.Record(recal.Event{
-		Seq:        r.store.Total(),
+	gen := r.candidate.Load().meta.Generation
+	r.endCanary()
+	r.recordLocked(recal.Event{
 		Generation: gen,
 		Kind:       "canary-abort",
 		Detail:     detail,
 	})
 	r.store.Reset()
-	r.ctl.SetState(recal.StateIdle)
 }
 
 // Rollback restores the previous bank generation. During a canary it aborts
@@ -419,7 +440,7 @@ func (r *Recalibrator) abortCanaryLocked(detail string) {
 func (r *Recalibrator) Rollback() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.ctl.State() == recal.StateCanary {
+	if r.candidate.Load() != nil {
 		r.abortCanaryLocked("rollback requested")
 		return nil
 	}
@@ -432,8 +453,7 @@ func (r *Recalibrator) Rollback() error {
 	}
 	r.history = r.history[:len(r.history)-1]
 	r.store.Reset()
-	r.ctl.Record(recal.Event{
-		Seq:        r.store.Total(),
+	r.recordLocked(recal.Event{
 		Generation: prev.meta.Generation,
 		Kind:       "rollback",
 	})
@@ -444,23 +464,23 @@ func (r *Recalibrator) Rollback() error {
 func (r *Recalibrator) Status() recal.Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.ctl.State()
 	snap := recal.Snapshot{
 		Enabled:    true,
-		State:      st.String(),
+		State:      "idle",
 		Generation: r.srv.Bank().meta.Generation,
 		History:    len(r.history),
 		Observed:   r.store.Total(),
 		WindowSeq:  r.store.Seq(),
-		Drift:      r.store.CheckDrift(r.cfg.Drift),
+		Drift:      r.store.CheckDrift(),
 		Phases:     r.store.Phases(),
-		Events:     r.ctl.Events(),
+		Events:     append([]recal.Event(nil), r.events...),
 	}
-	if st == recal.StateCanary {
+	if r.candidate.Load() != nil {
+		snap.State = "canary"
 		snap.Canary = recal.Canary{
 			Frac:   r.cfg.CanaryFrac,
-			Scored: r.ctl.Scored.Load(),
-			Failed: r.ctl.Failed.Load(),
+			Scored: r.scored.Load(),
+			Failed: r.failed.Load(),
 		}
 	}
 	return snap

@@ -85,15 +85,21 @@ func TestEnableRecalibrationRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// recalWindow is the observation store's reference and rolling window
+// length: 256 observations arm the drift detector, 256 more fill the window.
+const recalWindow = 256
+
 // TestRecalLifecycle drives the full loop end to end in-process: steady
 // traffic arms the drift detector, a phase flip trips it, Tick retrains and
 // promotes a new generation with provenance on /v1/bank, and rollback
 // restores the previous generation's /v1/bank body byte-identically.
+//
+// Each side of the flip spreads over 16 labels, 16 observations apiece:
+// below the 32-observation burn-in of the per-phase error EWMA, so only the
+// novel-phase statistic can trip.
 func TestRecalLifecycle(t *testing.T) {
 	srv, bank := newRecalServer(t)
-	rec, err := srv.EnableRecalibration(actor.RecalConfig{
-		Store: recal.StoreConfig{RefWindow: 16, Window: 16},
-	})
+	rec, err := srv.EnableRecalibration(actor.RecalConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,20 +112,20 @@ func TestRecalLifecycle(t *testing.T) {
 		t.Fatalf("generation 0 must be omitted from /v1/bank: %s", bankBefore)
 	}
 
-	// 16 steady observations arm the reference window; a Tick here must not
-	// retrain (window empty, nothing tripped).
-	for i := 0; i < 16; i++ {
-		predictAs(t, srv, bank, "steady", 1.1)
+	// The steady observations arm the reference window; a Tick here must
+	// not retrain (window empty, nothing tripped).
+	for i := 0; i < recalWindow; i++ {
+		predictAs(t, srv, bank, fmt.Sprintf("steady%d", i%16), 1.1)
 	}
 	rec.Tick(context.Background())
 	if got := do(t, srv, http.MethodGet, "/v1/bank", "").Body.String(); got != bankBefore {
 		t.Fatal("bank changed before any drift")
 	}
 
-	// The phase flip: 16 observations under a label the reference window
-	// never saw fill the rolling window with 100% novel mass.
-	for i := 0; i < 16; i++ {
-		predictAs(t, srv, bank, "shifted", 1.1)
+	// The phase flip: observations under labels the reference window never
+	// saw fill the rolling window with 100% novel mass.
+	for i := 0; i < recalWindow; i++ {
+		predictAs(t, srv, bank, fmt.Sprintf("shifted%d", i%16), 1.1)
 	}
 	st := statusOf(t, srv)
 	if !st.Drift.Tripped || st.Drift.Reason != "novel-phase" {
@@ -289,7 +295,7 @@ func TestRecalPromotedBankRoundTrip(t *testing.T) {
 // scored cleanly, and a rollback mid-canary aborts without ever swapping.
 func TestRecalCanary(t *testing.T) {
 	srv, bank := newRecalServer(t)
-	rec, err := srv.EnableRecalibration(actor.RecalConfig{CanaryFrac: 1, CanaryMin: 4})
+	rec, err := srv.EnableRecalibration(actor.RecalConfig{CanaryFrac: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,14 +340,14 @@ func TestRecalCanary(t *testing.T) {
 	if !began {
 		t.Fatal("no canary began in 8 attempts")
 	}
-	// CanaryFrac 1 admits every observation, so CanaryMin requests plus a
-	// Tick auto-promote.
-	for i := 0; i < 4; i++ {
+	// CanaryFrac 1 admits every observation, so the 64 requests a canary
+	// needs plus a Tick auto-promote.
+	for i := 0; i < 64; i++ {
 		predictAs(t, srv, bank, fmt.Sprintf("p%d", i), 1.1)
 	}
 	st = statusOf(t, srv)
-	if st.Canary.Scored < 4 || st.Canary.Failed != 0 {
-		t.Fatalf("canary tallies = %+v, want >=4 scored, 0 failed", st.Canary)
+	if st.Canary.Scored < 64 || st.Canary.Failed != 0 {
+		t.Fatalf("canary tallies = %+v, want >=64 scored, 0 failed", st.Canary)
 	}
 	rec.Tick(context.Background())
 	if st = statusOf(t, srv); st.State != "idle" || st.Generation != 1 {
@@ -504,5 +510,65 @@ func TestRecalSwapRace(t *testing.T) {
 	}
 	if got := predictAs(t, srv, bankA, "x", 1.1); got != wantA {
 		t.Fatal("settled server does not serve bank A's bytes")
+	}
+}
+
+// TestRecalCanaryConcurrent shadow-scores a canary from several predict
+// goroutines while another polls status and ticks the loop: under -race it
+// checks that admission, the tallies and the event log are safe to reach at
+// once, and the canary still promotes once enough requests scored.
+func TestRecalCanaryConcurrent(t *testing.T) {
+	srv, bank := newRecalServer(t)
+	rec, err := srv.EnableRecalibration(actor.RecalConfig{CanaryFrac: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	began := false
+	for i := 0; i < 8 && !began; i++ {
+		out, err := rec.Trigger(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		began = out.Outcome == "canary"
+	}
+	if !began {
+		t.Fatal("no canary began in 8 attempts")
+	}
+
+	const workers, reqs = 4, 32
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < reqs; i++ {
+				body, _ := json.Marshal(actor.PredictRequest{Phase: fmt.Sprintf("w%dr%d", w, i), Rates: testRates(bank, 1.1)})
+				rr := httptest.NewRecorder()
+				srv.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(string(body))))
+				if rr.Code != http.StatusOK {
+					t.Errorf("predict = %d: %s", rr.Code, rr.Body)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 16; i++ {
+			_ = rec.Status()
+			rec.Tick(context.Background())
+		}
+	}()
+	wg.Wait()
+	<-done
+
+	rec.Tick(context.Background())
+	st := statusOf(t, srv)
+	if st.State != "idle" || st.Generation != 1 {
+		t.Fatalf("canary did not promote after %d scored requests: %+v", workers*reqs, st)
+	}
+	if last := st.Events[len(st.Events)-1]; last.Kind != "promoted" {
+		t.Fatalf("last event = %+v, want promoted", last)
 	}
 }

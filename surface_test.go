@@ -60,33 +60,7 @@ func (k surfaceKey) String() string { return k.dir + "." + k.name }
 // methodsWithoutCallers): some non-test file must select a member of that
 // name, on any type.
 func TestInternalExportsHaveCallers(t *testing.T) {
-	fset := token.NewFileSet()
-	files := map[string][]*ast.File{} // dir → its non-test files
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if p != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(p))
-		files[dir] = append(files[dir], f)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fset, files := parseNonTestFiles(t)
 
 	declared := map[surfaceKey]token.Pos{}
 	for dir, fs := range files {
@@ -104,31 +78,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		}
 	}
 
-	used := map[surfaceKey]bool{}
-	for dir, fs := range files {
-		for _, f := range fs {
-			imports := map[string]string{} // local name → package dir
-			for _, imp := range f.Imports {
-				ip, _ := strconv.Unquote(imp.Path.Value)
-				rel, ok := strings.CutPrefix(ip, modulePath+"/")
-				if !ok {
-					continue
-				}
-				local := path.Base(rel)
-				if pf := files[rel]; len(pf) > 0 {
-					local = pf[0].Name.Name
-				}
-				if imp.Name != nil {
-					local = imp.Name.Name
-				}
-				imports[local] = rel
-			}
-			for _, decl := range f.Decls {
-				markReferences(decl, dir, imports, used)
-			}
-		}
-	}
-
+	used := references(files)
 	var missing []string
 	for k, pos := range declared {
 		reason, excepted := surfaceExceptions[k.String()]
@@ -159,6 +109,137 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	}
 }
 
+// TestUnexportedFuncsHaveCallers fails for every unexported func or method
+// declared in a non-test file, anywhere in the repository, that no non-test
+// file of its own package calls (main and init excepted). A helper only
+// tests call belongs in those tests. A func counts as called when a
+// non-test file of its package names it (as TestInternalExportsHaveCallers
+// reads references); a method when one selects a member of its name, on
+// any type, or when an interface of its package declares the name. Like
+// TestInternalExportsHaveCallers it parses without type-checking, so a
+// reference from a file of any build constraint counts, and so does a
+// bare identifier or selector that only shares the name.
+func TestUnexportedFuncsHaveCallers(t *testing.T) {
+	fset, files := parseNonTestFiles(t)
+	used := references(files)
+	selected, inInterface := memberNames(files)
+	var missing []string
+	for dir, fs := range files {
+		for _, f := range fs {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Name.IsExported() {
+					continue
+				}
+				name, k := fd.Name.Name, surfaceKey{dir, fd.Name.Name}
+				switch {
+				case fd.Recv != nil:
+					if !selected[k] && !inInterface[k] {
+						missing = append(missing, fset.Position(fd.Name.Pos()).String()+": "+dir+"."+receiverType(fd.Recv.List[0].Type)+"."+name)
+					}
+				case name == "init" || (name == "main" && f.Name.Name == "main"):
+				case !used[k]:
+					missing = append(missing, fset.Position(fd.Name.Pos()).String()+": "+k.String())
+				}
+			}
+		}
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("%s is unexported but no non-test file of its package references it; delete it or move it into the tests that call it", m)
+	}
+}
+
+// parseNonTestFiles parses every non-test .go file of the repository, the
+// benchmarks module included, keyed by package directory (slash-separated,
+// relative to the repository root).
+func parseNonTestFiles(t *testing.T) (*token.FileSet, map[string][]*ast.File) {
+	t.Helper()
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		files[dir] = append(files[dir], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files
+}
+
+// references returns every package-level name the files refer to, as
+// markReferences records them.
+func references(files map[string][]*ast.File) map[surfaceKey]bool {
+	used := map[surfaceKey]bool{}
+	for dir, fs := range files {
+		for _, f := range fs {
+			imports := map[string]string{} // local name → package dir
+			for _, imp := range f.Imports {
+				ip, _ := strconv.Unquote(imp.Path.Value)
+				rel, ok := strings.CutPrefix(ip, modulePath+"/")
+				if !ok {
+					continue
+				}
+				local := path.Base(rel)
+				if pf := files[rel]; len(pf) > 0 {
+					local = pf[0].Name.Name
+				}
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+				imports[local] = rel
+			}
+			for _, decl := range f.Decls {
+				markReferences(decl, dir, imports, used)
+			}
+		}
+	}
+	return used
+}
+
+// memberNames returns, keyed by package directory, the member names the
+// files of that package select (x.Name) and the method names its
+// interfaces declare.
+func memberNames(files map[string][]*ast.File) (selected, inInterface map[surfaceKey]bool) {
+	selected, inInterface = map[surfaceKey]bool{}, map[surfaceKey]bool{}
+	for dir, fs := range files {
+		for _, f := range fs {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					selected[surfaceKey{dir, n.Sel.Name}] = true
+				case *ast.InterfaceType:
+					for _, m := range n.Methods.List {
+						for _, id := range m.Names {
+							inInterface[surfaceKey{dir, id.Name}] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return selected, inInterface
+}
+
 // methodsWithoutCallers returns the exported methods declared in files
 // under internal/ whose name no .Name selector in files uses, as
 // "position: dir.Recv.Name". Without types it cannot tell whose method a
@@ -167,28 +248,26 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 // (stdlibMethods), may be called through that interface instead; those are
 // exempt, and the test logs each exemption it applies.
 func methodsWithoutCallers(t *testing.T, fset *token.FileSet, files map[string][]*ast.File) []string {
+	selectedIn, inInterfaceIn := memberNames(files)
 	selected := map[string]bool{}
+	for k := range selectedIn {
+		selected[k.name] = true
+	}
 	inInterface := map[string]bool{}
+	for k := range inInterfaceIn {
+		inInterface[k.name] = true
+	}
 	methods := map[string]*ast.FuncDecl{} // "dir.Recv.Name" → declaration
 	for dir, fs := range files {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
 		for _, f := range fs {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					selected[n.Sel.Name] = true
-				case *ast.InterfaceType:
-					for _, m := range n.Methods.List {
-						for _, id := range m.Names {
-							inInterface[id.Name] = true
-						}
-					}
-				case *ast.FuncDecl:
-					if n.Recv != nil && n.Name.IsExported() && strings.HasPrefix(dir, "internal/") {
-						methods[dir+"."+receiverType(n.Recv.List[0].Type)+"."+n.Name.Name] = n
-					}
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.IsExported() {
+					methods[dir+"."+receiverType(fd.Recv.List[0].Type)+"."+fd.Name.Name] = fd
 				}
-				return true
-			})
+			}
 		}
 	}
 	var missing, exempt []string
