@@ -90,10 +90,11 @@ fleet-smoke:
 determinism:
 	scripts/determinism.sh
 
-## recal-e2e: end-to-end online recalibration — a real actord -recal under
-## drifted actorload traffic must promote a new bank generation with
-## provenance on /v1/bank, and rolling back must restore the original
-## generation's body byte-identically (CI; see docs/SERVING.md).
+## recal-e2e: end-to-end recalibration — actorrecalctl trigger against a
+## real actord -recal must promote a new bank generation with provenance on
+## /v1/bank, rolling back must restore the original generation's body
+## byte-identically, and the promote route must be gone (CI; see
+## docs/SERVING.md).
 recal-e2e:
 	scripts/recal_e2e.sh
 

@@ -18,10 +18,8 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
-	_ "unsafe" // go:linkname
 
 	pubactor "github.com/greenhpc/actor/pkg/actor"
 
@@ -612,7 +610,8 @@ func BenchmarkEnsemblePredict(b *testing.B) {
 // 128-core big/little machine per iteration, every placement's lane list
 // resolved and its fixed point solved (internal/machine's BenchmarkSweepLanes
 // covers only the lane step inside it). The hetero study itself takes each
-// phase's minimum through machine.Search (BenchmarkBestTimeHetero); this is
+// phase's minimum through machine.Search (internal/machine's
+// BenchmarkBestTimeHetero); this is
 // what a caller that needs every placement's Result pays.
 func BenchmarkRunPhaseSweepHetero(b *testing.B) {
 	topo, err := topology.ParseDesc("16x4+32x2:little")
@@ -633,42 +632,6 @@ func BenchmarkRunPhaseSweepHetero(b *testing.B) {
 		m.RunPhaseSweep(&bench.Phases[i%len(bench.Phases)], bench.Idiosyncrasy, placements, dst)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(placements)), "ns/placement")
-}
-
-// searchSolved is machine's count of the placements Search.Best has solved
-// exactly, read for the prune census below.
-//
-//go:linkname searchSolved github.com/greenhpc/actor/internal/machine.searchSolved
-var searchSolved atomic.Int64
-
-// BenchmarkBestTimeHetero is BenchmarkRunPhaseSweepHetero's machine,
-// placements and phase rotation through the oracle search the scaling
-// studies run (machine.Search, prepared once): ns/placement is per
-// candidate, solved-pct the share of placement-phases it solved exactly
-// rather than pruned by their lower bound.
-func BenchmarkBestTimeHetero(b *testing.B) {
-	topo, err := topology.ParseDesc("16x4+32x2:little")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := machine.New(topo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	placements := topology.BalancedPlacements(topo)
-	bench, _ := npb.ByName("SP")
-	s := machine.NewSearch(m, placements)
-	s.Best(&bench.Phases[0], bench.Idiosyncrasy) // warm the scratch
-	solved0 := searchSolved.Load()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Best(&bench.Phases[i%len(bench.Phases)], bench.Idiosyncrasy)
-	}
-	b.StopTimer()
-	n := float64(b.N * len(placements))
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/placement")
-	b.ReportMetric(100*float64(searchSolved.Load()-solved0)/n, "solved-pct")
 }
 
 // BenchmarkHeteroSearchBuild is the hetero study's build stage on its largest
@@ -881,33 +844,4 @@ func BenchmarkBankPredict(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkRecalObserve is BenchmarkServePredict with the online
-// recalibration loop enabled: steady state is the memo-hit path plus one
-// observation-store ingest per request (phase hash, rate vector copy,
-// per-phase error EWMA, window accounting). The recal tax must not break
-// the fast path's zero-allocation invariant — the store preallocates every
-// buffer and the observation rides the pooled scratch.
-func BenchmarkRecalObserve(b *testing.B) {
-	srv, req, rdr, body, w := newServeBench(b)
-	if _, err := srv.EnableRecalibration(pubactor.RecalConfig{}); err != nil {
-		b.Fatal(err)
-	}
-	rdr.Reset(body)
-	srv.ServeHTTP(w, req)
-	if w.code != http.StatusOK {
-		b.Fatalf("predict = %d", w.code)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rdr.Reset(body)
-		w.code = 0
-		srv.ServeHTTP(w, req)
-		if w.code != http.StatusOK {
-			b.Fatalf("predict = %d", w.code)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }

@@ -14,18 +14,17 @@
 // memo. See docs/SERVING.md for a train → save → serve → curl walkthrough
 // and the distributed-evaluation quickstart.
 //
-// With -recal the online recalibration loop runs alongside serving:
-// predict traffic feeds a drift detector, drift (or POST /v1/recal/trigger)
-// starts a shadow retrain warm-started from the live bank, validated
-// candidates are swapped in with zero downtime (optionally after a canary
-// phase, -canary-frac), and POST /v1/recal/rollback restores the previous
-// generation instantly. GET /v1/recal/status reports the loop; see
-// cmd/actorrecalctl for the admin CLI.
+// With -recal the /v1/recal/* admin routes come alive. Recalibration runs
+// only when asked: POST /v1/recal/trigger retrains a candidate warm-started
+// from the live bank, validates it on a held-out split and swaps it in with
+// zero downtime if it clears -recal-margin, and POST /v1/recal/rollback
+// restores the previous generation instantly. GET /v1/recal/status reports
+// the generation and the event log; see cmd/actorrecalctl for the admin
+// CLI.
 //
 // Usage:
 //
-//	actord [-bank models/bank.json] [-addr :7690]
-//	       [-recal] [-recal-interval 30s] [-recal-margin 0] [-canary-frac 0]
+//	actord [-bank models/bank.json] [-addr :7690] [-recal] [-recal-margin 0]
 package main
 
 import (
@@ -72,20 +71,12 @@ func loadingHandler() http.Handler {
 func main() {
 	f := actor.BindFlags(flag.CommandLine, actor.FlagsBank)
 	addr := flag.String("addr", ":7690", "listen address")
-	recalOn := flag.Bool("recal", false, "enable the online recalibration loop")
-	recalInterval := flag.Duration("recal-interval", 30*time.Second, "drift-check cadence of the recalibration loop")
+	recalOn := flag.Bool("recal", false, "enable the /v1/recal/* admin routes (trigger, rollback, status)")
 	recalMargin := flag.Float64("recal-margin", 0, "relative holdout improvement a candidate must clear to be promoted")
-	canaryFrac := flag.Float64("canary-frac", 0, "fraction of live traffic shadow-scored on a candidate before promotion (0 promotes immediately)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "actord: unexpected argument %q\n", flag.Arg(0))
 		flag.Usage()
-		os.Exit(2)
-	}
-	if *recalInterval <= 0 {
-		// time.NewTicker would panic inside the loop's goroutine and take
-		// the serving process down with it.
-		fmt.Fprintf(os.Stderr, "actord: -recal-interval %s: must be positive\n", *recalInterval)
 		os.Exit(2)
 	}
 
@@ -127,16 +118,10 @@ func main() {
 	defer stop()
 
 	if *recalOn {
-		rec, err := srv.EnableRecalibration(actor.RecalConfig{
-			Margin:     *recalMargin,
-			CanaryFrac: *canaryFrac,
-		})
-		if err != nil {
+		if _, err := srv.EnableRecalibration(actor.RecalConfig{Margin: *recalMargin}); err != nil {
 			fatal(err)
 		}
-		go recalLoop(ctx, rec, *recalInterval)
-		fmt.Fprintf(os.Stderr, "actord: recalibration loop on (interval %s, margin %g, canary %g)\n",
-			*recalInterval, *recalMargin, *canaryFrac)
+		fmt.Fprintf(os.Stderr, "actord: recalibration on (margin %g); POST /v1/recal/trigger retrains\n", *recalMargin)
 	}
 
 	var ready http.Handler = srv
@@ -167,19 +152,4 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "actord:", err)
 	os.Exit(1)
-}
-
-// recalLoop drives rec.Tick every interval until ctx is cancelled. The
-// library owns no goroutine, so actord runs its control loop.
-func recalLoop(ctx context.Context, rec *actor.Recalibrator, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			rec.Tick(ctx)
-		}
-	}
 }

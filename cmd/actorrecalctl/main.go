@@ -1,10 +1,12 @@
-// Command actorrecalctl is the admin CLI of actord's online recalibration
-// loop (actord -recal):
+// Command actorrecalctl is the admin CLI of actord's recalibration routes
+// (actord -recal):
 //
 //	actorrecalctl [-addr http://localhost:7690] status     # GET  /v1/recal/status
 //	actorrecalctl [-addr ...] trigger                      # POST /v1/recal/trigger
-//	actorrecalctl [-addr ...] promote                      # POST /v1/recal/promote
 //	actorrecalctl [-addr ...] rollback                     # POST /v1/recal/rollback
+//
+// trigger retrains, validates and promotes or rejects in one synchronous
+// call; rollback restores the previous generation.
 //
 // The response body is printed verbatim; a non-2xx status exits 1, so the
 // command composes into scripts and CI gates (see scripts/recal_e2e.sh).
@@ -35,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", "http://localhost:7690", "actord base URL")
 	timeout := fs.Duration("timeout", 2*time.Minute, "request timeout (trigger can retrain synchronously)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: actorrecalctl [-addr URL] [-timeout D] status|trigger|promote|rollback\n")
+		fmt.Fprintf(stderr, "usage: actorrecalctl [-addr URL] [-timeout D] status|trigger|rollback\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -53,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch cmd := fs.Arg(0); cmd {
 	case "status":
 		method, path = http.MethodGet, "/v1/recal/status"
-	case "trigger", "promote", "rollback":
+	case "trigger", "rollback":
 		method, path = http.MethodPost, "/v1/recal/"+cmd
 	default:
 		fmt.Fprintf(stderr, "actorrecalctl: unknown command %q\n", cmd)

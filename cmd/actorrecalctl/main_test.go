@@ -8,8 +8,8 @@ import (
 )
 
 // fakeActord answers the recalibration routes the way actord does: status
-// on GET, the three actions on POST, and a conflict for promote when no
-// candidate is waiting.
+// on GET, the two actions on POST, and a conflict for rollback when no
+// previous generation is retained.
 func fakeActord(t *testing.T) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -19,9 +19,9 @@ func fakeActord(t *testing.T) *httptest.Server {
 	mux.HandleFunc("POST /v1/recal/trigger", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{"triggered":true}`))
 	})
-	mux.HandleFunc("POST /v1/recal/promote", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/recal/rollback", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusConflict)
-		w.Write([]byte(`{"error":"no candidate to promote"}`))
+		w.Write([]byte(`{"error":"no previous bank generation to roll back to"}`))
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -50,11 +50,11 @@ func TestRunExitCodesAndOutput(t *testing.T) {
 			stdout: `{"triggered":true}`,
 		},
 		{
-			name:       "non-2xx promote prints the body and names the status",
-			args:       []string{"-addr", addr, "promote"},
+			name:       "non-2xx rollback prints the body and names the status",
+			args:       []string{"-addr", addr, "rollback"},
 			code:       1,
-			stdout:     `{"error":"no candidate to promote"}`,
-			stderrHave: []string{"actorrecalctl: POST /v1/recal/promote: 409 Conflict"},
+			stdout:     `{"error":"no previous bank generation to roll back to"}`,
+			stderrHave: []string{"actorrecalctl: POST /v1/recal/rollback: 409 Conflict"},
 		},
 		{
 			name:       "unreachable actord",
@@ -76,7 +76,7 @@ func TestRunExitCodesAndOutput(t *testing.T) {
 		},
 		{
 			name:       "extra argument",
-			args:       []string{"-addr", addr, "status", "promote"},
+			args:       []string{"-addr", addr, "status", "rollback"},
 			code:       2,
 			stderrHave: []string{"usage: actorrecalctl"},
 		},

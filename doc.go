@@ -31,17 +31,16 @@
 //	go run ./cmd/actor-train -fast -bank models/bank.json
 //	go run ./cmd/actord -bank models/bank.json
 //
-// A served bank need not stay frozen: actord -recal runs the online
-// recalibration loop (internal/recal + pkg/actor's Recalibrator). Sampled
-// predict-path observations feed a seeded drift detector; a trip retrains
-// a shadow candidate warm-started from the live bank under a pure
-// (seed, generation, attempt) noise chain, validates it on a held-out
-// split, and promotes it — optionally through a canary — via an atomic
-// generation-tagged bank swap with instant rollback. /v1/bank carries the
-// provenance chain, cmd/actorrecalctl drives the /v1/recal/* admin
-// routes, and the same traffic trace reproduces the same promotion
-// decisions and bank bytes at any GOMAXPROCS. See the "Continuous
-// recalibration" section of docs/SERVING.md.
+// A served bank need not stay frozen: actord -recal turns on
+// recalibration (pkg/actor's Recalibrator), which runs only when asked.
+// Each trigger retrains a candidate warm-started from the live bank under
+// a pure (seed, generation, attempt) noise chain, validates it on a
+// held-out split, and promotes it via an atomic generation-tagged bank
+// swap with instant rollback. /v1/bank carries the provenance chain,
+// cmd/actorrecalctl drives the /v1/recal/* admin routes, and the same
+// sequence of triggers reproduces the same promotion decisions and bank
+// bytes at any GOMAXPROCS. See the "Continuous recalibration" section of
+// docs/SERVING.md.
 //
 // Whole-config-space evaluation shards across a fleet of actord workers:
 // cmd/actorctl partitions the (benchmark × phase) workload, fans shards

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"sort"
 	"sync"
@@ -268,19 +269,24 @@ func (c *Coordinator) runShard(ctx context.Context, idx int, units []actor.Sweep
 		c.retries.Add(1)
 		c.logf("dist: shard %d attempt %d on %s failed: %v", idx, attempt, w.url, err)
 		last = w
-		// Exponential backoff with full jitter from the shard's own seeded
-		// stream: retry schedules are reproducible and never synchronized
-		// across shards.
-		d := min(backoffBase<<attempt, backoffMax)
-		d = time.Duration(rng.Int63n(int64(d) + 1))
 		select {
-		case <-time.After(d):
+		case <-time.After(backoffDelay(rng, attempt)):
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
 	c.logf("dist: shard %d exhausted its workers; degrading to in-process evaluation", idx)
 	return c.evalLocal(ctx, units)
+}
+
+// backoffDelay is the wait after a shard's failed attempt: exponential
+// backoff with full jitter from the shard's own seeded stream, so retry
+// schedules are reproducible and never synchronized across shards. The
+// shift is capped because backoffBase<<39 wraps negative; 25 ms << 6
+// already exceeds backoffMax.
+func backoffDelay(rng *rand.Rand, attempt int) time.Duration {
+	d := min(backoffBase<<min(attempt, 6), backoffMax)
+	return time.Duration(rng.Int63n(int64(d) + 1))
 }
 
 // pickWorker returns the least-loaded Ready worker, excluding the one that

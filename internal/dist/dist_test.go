@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/greenhpc/actor/internal/dist/faultinject"
+	"github.com/greenhpc/actor/internal/parallel"
 	"github.com/greenhpc/actor/pkg/actor"
 )
 
@@ -456,5 +457,19 @@ func TestHedgeDelayFloor(t *testing.T) {
 	}
 	if d := c.hedgeDelay(); d < time.Second {
 		t.Fatalf("p99-derived delay = %v, want ≥ 2×p99", d)
+	}
+}
+
+// TestBackoffDelayBounded: every retry's backoff lies in [0, backoffMax],
+// including the attempts whose uncapped shift would wrap negative (39 and
+// beyond) and make the jitter draw panic.
+func TestBackoffDelayBounded(t *testing.T) {
+	rng := parallel.Rand(1, "backoff")
+	for _, attempt := range []int{0, 5, 6, 38, 39, 63, 64, 1000} {
+		for range 100 {
+			if d := backoffDelay(rng, attempt); d < 0 || d > backoffMax {
+				t.Fatalf("attempt %d: delay %v outside [0, %v]", attempt, d, backoffMax)
+			}
+		}
 	}
 }

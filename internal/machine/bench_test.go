@@ -1,6 +1,11 @@
 package machine
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/greenhpc/actor/internal/npb"
+	"github.com/greenhpc/actor/internal/topology"
+)
 
 // BenchmarkSweepLanes drives the bound lane kernel (scalar or AVX2, see
 // lanes.go) through 16 fixed-point iteration steps over a synthetic block
@@ -31,4 +36,34 @@ func BenchmarkSweepLanes(b *testing.B) {
 		}
 	}
 	_ = sink
+}
+
+// BenchmarkBestTimeHetero is the root BenchmarkRunPhaseSweepHetero's
+// machine, placements and phase rotation through the oracle search the
+// scaling studies run (Search, prepared once): ns/placement is per
+// candidate, solved-pct the share of placement-phases it solved exactly
+// rather than pruned by their lower bound.
+func BenchmarkBestTimeHetero(b *testing.B) {
+	topo, err := topology.ParseDesc("16x4+32x2:little")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := New(topo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	placements := topology.BalancedPlacements(topo)
+	bench, _ := npb.ByName("SP")
+	s := NewSearch(m, placements)
+	s.Best(&bench.Phases[0], bench.Idiosyncrasy) // warm the scratch
+	solved0 := searchSolved.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Best(&bench.Phases[i%len(bench.Phases)], bench.Idiosyncrasy)
+	}
+	b.StopTimer()
+	n := float64(b.N * len(placements))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/placement")
+	b.ReportMetric(100*float64(searchSolved.Load()-solved0)/n, "solved-pct")
 }

@@ -3,7 +3,6 @@ package machine
 import (
 	"math"
 	"sync/atomic"
-	_ "unsafe" // for go:linkname
 
 	"github.com/greenhpc/actor/internal/topology"
 	"github.com/greenhpc/actor/internal/workload"
@@ -83,10 +82,8 @@ type searchScratch struct {
 }
 
 // searchSolved counts the placements Search.Best has solved exactly since
-// the process started. It is the prune census: BenchmarkBestTimeHetero (root
-// bench_test.go) reads it through a linkname to report the solved share.
-//
-//go:linkname searchSolved
+// the process started. It is the prune census: BenchmarkBestTimeHetero
+// (bench_test.go) reads it to report the solved share.
 var searchSolved atomic.Int64
 
 // searchHashed counts the response z Search.Best has taken since the process

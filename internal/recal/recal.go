@@ -1,17 +1,12 @@
-// Package recal implements the traffic-facing half of actord's online
-// recalibration loop: a bounded observation store sampled off /v1/predict
-// traffic, a drift detector over it with fixed trip thresholds, and the
-// wire shapes of the loop's status and event log.
+// Package recal holds the wire shapes of actord's recalibration admin
+// routes — the GET /v1/recal/status Snapshot and its event log — and a
+// bounded observation store with its phase-label hash.
 //
-// The package is deliberately ignorant of banks and engines — the serving
-// layer (pkg/actor) owns the control loop: retraining, validation, canary
-// admission, the event log and the atomic bank swap. This package answers
-// "has traffic drifted away from the window the live model was calibrated
-// against?" with bounded memory, no allocation on the observation path,
-// and fully deterministic behaviour: the same observation sequence always
-// produces the same drift verdicts. The store keeps windowed statistics,
-// not the observations: a retrain reseeds a fresh simulator campaign when
-// drift triggers it.
+// The package is deliberately ignorant of banks and engines: the serving
+// layer (pkg/actor) owns recalibration, which runs only when asked
+// (Recalibrator.Trigger) and reseeds a fresh simulator campaign each time.
+// No predict traffic reaches it. The Store is fed by nothing in this
+// module; the benchmark module times its Observe.
 package recal
 
 // HashPhase maps a phase label to its 64-bit identity (FNV-1a). The store

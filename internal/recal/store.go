@@ -2,10 +2,9 @@ package recal
 
 import "sync"
 
-// Obs is one sampled observation off the predict path: the observed IPC at
-// the sampling configuration when the request carried one, the phase label
-// hash, and the label-free prediction-error proxy the serving layer
-// computed for the request.
+// Obs is one observation of a predict request: the phase label hash, the
+// observed IPC at the sampling configuration when the request carried one,
+// and a prediction-error value.
 type Obs struct {
 	// Phase is HashPhase of the request's phase label.
 	Phase uint64
@@ -17,18 +16,15 @@ type Obs struct {
 	// reports whether the request carried one.
 	IPC    float64
 	HasIPC bool
-	// Err is the prediction-error proxy: the live bank's richest-vs-
-	// most-reduced predictor disagreement on this request's rates.
+	// Err is the request's prediction error, folded into its phase's EWMA.
 	Err float64
 }
 
 // The store's bounds.
 const (
-	// refWindow is how many observations after a Reset form the reference
-	// window drift is measured against.
+	// refWindow is how many observations form the reference window.
 	refWindow = 256
-	// window is the rolling current-traffic window compared against the
-	// reference.
+	// window is the rolling current-traffic window.
 	window = 256
 	// maxPhases bounds the per-phase error table and the reference phase
 	// set.
@@ -59,24 +55,17 @@ type phaseStat struct {
 	ewma float64
 }
 
-// PhaseErr is a phase error statistic as reported by Phases.
-type PhaseErr struct {
-	Hash    uint64  `json:"phase_hash"`
-	Count   uint64  `json:"count"`
-	ErrEWMA float64 `json:"err_ewma"`
-}
-
 // Store is the bounded observation store: a frozen reference window (the
-// first refWindow observations after arming), a rolling current window, and
-// a bounded per-phase prediction-error EWMA table — the state drift
-// detection reads. It keeps no sample of the observations themselves:
-// retraining collects its own samples from the simulator. Observe is
-// allocation-free and safe for concurrent use; all memory is bounded by
+// first refWindow observations), a rolling current window, and a bounded
+// per-phase prediction-error EWMA table. Nothing in the module feeds or
+// reads one: it remains only because the benchmark module builds one and
+// times Observe, and it goes with the next change to that module. Observe
+// is allocation-free and safe for concurrent use; all memory is bounded by
 // the constants above.
 type Store struct {
 	mu    sync.Mutex
-	total uint64 // observations over the store's lifetime (never reset)
-	seq   uint64 // observations since the last Reset
+	total uint64 // observations over the store's lifetime
+	seq   uint64 // equal to total: nothing re-arms a Store
 
 	// Reference window: Welford IPC statistics plus the phase set.
 	refN      int
@@ -104,9 +93,7 @@ func NewStore(StoreConfig) *Store {
 
 // Observe records one observation: per-phase error EWMA, and
 // reference-then-rolling window accounting. Allocation-free.
-// Returns the observation's lifetime sequence number (1-based, monotonic
-// across Resets) — the logical clock canary admission and event records
-// key on.
+// Returns the observation's lifetime sequence number (1-based).
 func (s *Store) Observe(o Obs) uint64 {
 	s.mu.Lock()
 	s.total++
@@ -165,46 +152,4 @@ func (s *Store) Observe(o Obs) uint64 {
 	total := s.total
 	s.mu.Unlock()
 	return total
-}
-
-// Reset re-arms the store after a bank promotion, rejection or rollback:
-// the reference window, rolling window and phase table start over against
-// the new model, so drift is always measured relative to the traffic the
-// current bank generation started serving under. The lifetime observation
-// counter continues — resetting at a deterministic point keeps everything
-// downstream deterministic.
-func (s *Store) Reset() {
-	s.mu.Lock()
-	s.seq = 0
-	s.refN, s.refIPCN = 0, 0
-	s.refMean, s.refM2 = 0, 0
-	s.refPhases = s.refPhases[:0]
-	s.winN, s.winAt = 0, 0
-	s.phases = s.phases[:0]
-	s.mu.Unlock()
-}
-
-// Total returns the lifetime observation count (monotonic across Resets).
-func (s *Store) Total() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
-
-// Seq returns the observation count since the last Reset.
-func (s *Store) Seq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
-// Phases returns a copy of the per-phase error table in first-seen order.
-func (s *Store) Phases() []PhaseErr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]PhaseErr, 0, len(s.phases))
-	for _, p := range s.phases {
-		out = append(out, PhaseErr{Hash: p.hash, Count: p.n, ErrEWMA: p.ewma})
-	}
-	return out
 }

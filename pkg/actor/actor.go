@@ -19,12 +19,12 @@
 // predictions are bit-identical across the trip, so a bank trained in one
 // process can be served by cmd/actord in another.
 //
-// Server is that serving layer, and Recalibrator keeps it honest under
-// drift: Server.EnableRecalibration streams sampled predict-path
-// observations into a drift detector, retrains shadow candidates
-// warm-started from the live bank, validates them on a held-out split and
-// promotes survivors through an atomic generation-tagged bank swap with
-// instant rollback (see docs/SERVING.md, "Continuous recalibration").
+// Server is that serving layer, and Recalibrator refreshes its bank on
+// request: after Server.EnableRecalibration, each Recalibrator.Trigger
+// retrains a candidate warm-started from the live bank, validates it on a
+// held-out split and promotes it through an atomic generation-tagged bank
+// swap, and Recalibrator.Rollback undoes a promotion (see docs/SERVING.md,
+// "Continuous recalibration").
 //
 // The cmd/ entry points (actor-train, actor-predict, actorsim, actord,
 // actorctl) are thin wrappers over this package.

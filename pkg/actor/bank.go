@@ -46,15 +46,15 @@ type Meta struct {
 }
 
 // Provenance is the audit record of one promoted recalibration: which
-// generation it grew from, what tripped the retrain, how much data trained
+// generation it grew from, what started the retrain, how much data trained
 // and validated it, and the holdout errors the promotion decision compared.
-// It deliberately excludes wall-clock timestamps and canary tallies so a
-// recalibrated bank's bytes are a pure function of the training seed chain.
+// It deliberately excludes wall-clock timestamps so a recalibrated bank's
+// bytes are a pure function of the training seed chain.
 type Provenance struct {
 	// Parent is the generation this bank was warm-started from.
 	Parent int `json:"parent"`
-	// Trigger is what started the retrain: "manual", or "drift:" plus the
-	// detector's reason.
+	// Trigger is what started the retrain: "manual". Banks promoted by
+	// older builds may carry "drift:" plus a drift detector's reason.
 	Trigger string `json:"trigger,omitempty"`
 	// TrainSamples and HoldoutSamples count the recalibration campaign's
 	// split.
@@ -76,24 +76,14 @@ type Bank struct {
 	// needs[i] is the event set of bank.Predictors()[i]: what a rate
 	// vector must carry for predictorFor to pick it.
 	needs []pmu.Mask
-	// gapPairs lists, in canonical configuration order, where each target
-	// that both the richest and the most-reduced predictor model sits in
-	// their TargetNames — what disagreement walks. Empty for
-	// single-predictor banks.
-	gapPairs [][2]int
-	meta     Meta
+	meta  Meta
 }
 
-// predictBuf is the working memory of one predictPMU call and the
-// disagreement that may follow it. The serving path keeps one in its pooled
-// request scratch; the zero value is ready to use.
+// predictBuf is the working memory of one predictPMU call. The serving path
+// keeps one in its pooled request scratch; the zero value is ready to use.
 type predictBuf struct {
-	pred   *core.Predictor // the predictor the last predictPMU ran
-	vals   []float64       // its per-target IPCs, in pred.TargetNames order
+	vals   []float64 // the chosen predictor's per-target IPCs
 	ranked []Prediction
-	// rich and red hold the richest and most-reduced predictors' values
-	// when disagreement has to evaluate them itself.
-	rich, red []float64
 }
 
 // newBank wraps a trained core bank, deriving the per-predictor event sets.
@@ -109,16 +99,6 @@ func newBank(cb *core.Bank, meta Meta) *Bank {
 		b.needs = append(b.needs, pmu.MaskOf(p.Events()))
 	}
 	b.meta = meta
-	if len(preds) > 1 {
-		rich, red := preds[0].TargetNames(), preds[len(preds)-1].TargetNames()
-		for _, cfg := range meta.Configs {
-			i, okRich := slices.BinarySearch(rich, cfg)
-			j, okRed := slices.BinarySearch(red, cfg)
-			if okRich && okRed {
-				b.gapPairs = append(b.gapPairs, [2]int{i, j})
-			}
-		}
-	}
 	return b
 }
 
@@ -187,7 +167,6 @@ func nonFinite(ranked []Prediction) error {
 // is buf.ranked, valid until buf's next use.
 func (b *Bank) predictPMU(pr *pmu.Rates, buf *predictBuf) []Prediction {
 	pred := b.predictorFor(pr)
-	buf.pred = pred
 	buf.vals = pred.PredictInto(buf.vals, pr)
 	names := pred.TargetNames()
 	out := slices.Grow(buf.ranked[:0], len(names)+1)
@@ -213,43 +192,6 @@ func (b *Bank) predictorFor(pr *pmu.Rates) *core.Predictor {
 		}
 	}
 	return preds[0]
-}
-
-// disagreement is the label-free prediction-error proxy the recalibration
-// observer records per request: the mean relative gap between the richest
-// and the most-reduced predictor's IPC predictions across the target
-// configurations. Live traffic carries no ground-truth IPC for the target
-// configs, but the two predictors were trained on the same campaign — when
-// traffic drifts off that campaign's distribution their extrapolations
-// diverge, so the gap rises with model staleness. Zero for single-predictor
-// banks. Deterministic: configs are walked in canonical meta order.
-//
-// buf is the one predictPMU has just filled for the same rates: whichever
-// of the two predictors it ran is not evaluated again.
-func (b *Bank) disagreement(pr *pmu.Rates, buf *predictBuf) float64 {
-	if len(b.gapPairs) == 0 {
-		return 0
-	}
-	preds := b.bank.Predictors()
-	rich, red := buf.vals, buf.vals
-	if p := preds[0]; p != buf.pred {
-		buf.rich = p.PredictInto(buf.rich, pr)
-		rich = buf.rich
-	}
-	if p := preds[len(preds)-1]; p != buf.pred {
-		buf.red = p.PredictInto(buf.red, pr)
-		red = buf.red
-	}
-	var sum float64
-	for _, at := range b.gapPairs {
-		r, d := rich[at[0]], red[at[1]]
-		den := math.Abs(r)
-		if den < 1e-9 {
-			den = 1e-9
-		}
-		sum += math.Abs(r-d) / den
-	}
-	return sum / float64(len(b.gapPairs))
 }
 
 // BestConfig returns the single best configuration for the observed rates:

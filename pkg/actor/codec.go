@@ -558,7 +558,6 @@ var predictScratchPool = sync.Pool{New: func() any {
 func getPredictScratch() *predictScratch {
 	sc := predictScratchPool.Get().(*predictScratch)
 	sc.rates = pmu.Rates{}
-	sc.rank.pred = nil // never compare against a previous request's bank
 	return sc
 }
 

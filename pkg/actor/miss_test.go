@@ -58,8 +58,8 @@ func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 // TestServePredictMissAllocs pins the miss path's allocation budget: a
 // /v1/predict request the memo has never seen allocates the three objects
 // the memo retains for it — entry, key, body — and nothing in decode,
-// inference, ranking or emit. With recalibration on, the miss also computes
-// the predictor-disagreement proxy inside the same budget.
+// inference, ranking or emit. Enabling recalibration leaves the miss path
+// alone: the same budget holds with it on.
 func TestServePredictMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")

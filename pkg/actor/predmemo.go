@@ -32,12 +32,8 @@ type predictMemo struct {
 }
 
 type memoEntry struct {
-	key  []byte // canonical key, owned by the entry
-	resp []byte // encoded response body, immutable
-	// obsErr is the recalibration observer's prediction-error proxy for
-	// this request, computed once on the miss that installed the entry so
-	// hits can feed the observation store without re-running a predictor.
-	obsErr  float64
+	key     []byte // canonical key, owned by the entry
+	resp    []byte // encoded response body, immutable
 	lastUse atomic.Uint64
 }
 
@@ -70,41 +66,31 @@ func memoHash(key []byte) uint64 {
 	return h
 }
 
-// lookup returns the cached entry for key, or nil. Lock-free: probes the
-// set's ways through atomic pointers and stamps the hit's LRU clock.
-func (m *predictMemo) lookup(key []byte) *memoEntry {
+// get returns the cached response body for key, or nil. Lock-free: probes
+// the set's ways through atomic pointers and stamps the hit's LRU clock.
+func (m *predictMemo) get(key []byte) []byte {
 	base := int(memoHash(key)&m.setMask) * m.ways
 	for w := 0; w < m.ways; w++ {
 		e := m.lines[base+w].Load()
 		if e != nil && bytes.Equal(e.key, key) {
 			e.lastUse.Store(m.clock.Add(1))
-			return e
+			return e.resp
 		}
 	}
 	return nil
 }
 
-// get returns the cached response body for key, or nil.
-func (m *predictMemo) get(key []byte) []byte {
-	if e := m.lookup(key); e != nil {
-		return e.resp
-	}
-	return nil
-}
-
 // put installs resp under key, evicting the set's LRU way when full. Both
-// slices are copied: callers hand in pooled scratch. obsErr rides along so
-// memo hits can observe without recomputing it.
-func (m *predictMemo) put(key, resp []byte, obsErr float64) {
+// slices are copied: callers hand in pooled scratch.
+func (m *predictMemo) put(key, resp []byte) {
 	if len(resp) > memoMaxResp {
 		return
 	}
 	set := int(memoHash(key) & m.setMask)
 	base := set * m.ways
 	e := &memoEntry{
-		key:    append([]byte(nil), key...),
-		resp:   append([]byte(nil), resp...),
-		obsErr: obsErr,
+		key:  append([]byte(nil), key...),
+		resp: append([]byte(nil), resp...),
 	}
 	e.lastUse.Store(m.clock.Add(1))
 

@@ -13,7 +13,7 @@ func TestPredictMemoRoundTrip(t *testing.T) {
 	if got := m.get(key); got != nil {
 		t.Fatalf("empty memo returned %q", got)
 	}
-	m.put(key, []byte("body"), 0)
+	m.put(key, []byte("body"))
 	if got := m.get(key); !bytes.Equal(got, []byte("body")) {
 		t.Fatalf("get = %q, want body", got)
 	}
@@ -30,14 +30,14 @@ func TestPredictMemoBounded(t *testing.T) {
 	m := newPredictMemo()
 	total := memoSets * memoWays
 	for i := 0; i < 4*total; i++ {
-		m.put([]byte(fmt.Sprintf("key-%d", i)), []byte("r"), 0)
+		m.put([]byte(fmt.Sprintf("key-%d", i)), []byte("r"))
 	}
 	if n := m.entries(); n > total {
 		t.Fatalf("memo holds %d entries, capacity is %d", n, total)
 	}
 	// Oversized responses are never cached.
 	big := make([]byte, memoMaxResp+1)
-	m.put([]byte("big"), big, 0)
+	m.put([]byte("big"), big)
 	if m.get([]byte("big")) != nil {
 		t.Fatal("oversized response was cached")
 	}
@@ -57,7 +57,7 @@ func TestPredictMemoLRU(t *testing.T) {
 		}
 	}
 	for _, k := range keys[:memoWays] {
-		m.put(k, k, 0)
+		m.put(k, k)
 	}
 	// Touch every resident key except the first: it becomes the LRU victim.
 	for _, k := range keys[1:memoWays] {
@@ -65,7 +65,7 @@ func TestPredictMemoLRU(t *testing.T) {
 			t.Fatalf("key %q missing before eviction", k)
 		}
 	}
-	m.put(keys[memoWays], keys[memoWays], 0)
+	m.put(keys[memoWays], keys[memoWays])
 	if m.get(keys[0]) != nil {
 		t.Errorf("LRU key %q survived eviction", keys[0])
 	}
@@ -96,7 +96,7 @@ func TestPredictMemoConcurrent(t *testing.T) {
 					t.Errorf("key %q returned %q", key, got)
 					return
 				}
-				m.put(key, want, 0)
+				m.put(key, want)
 			}
 		}(g)
 	}

@@ -58,9 +58,8 @@ type Server struct {
 	swapMu  sync.Mutex
 	nextGen int
 
-	// recal, when non-nil, is the online recalibration subsystem
-	// (EnableRecalibration): predict traffic feeds its observation store
-	// and the /v1/recal/* admin routes come alive.
+	// recal, when non-nil, is the recalibration subsystem
+	// (EnableRecalibration): the /v1/recal/* admin routes come alive.
 	recal atomic.Pointer[Recalibrator]
 }
 
@@ -103,7 +102,6 @@ func NewServer(eng *Engine) (*Server, error) {
 	s.mux.HandleFunc("/v1/eval", s.handleEval)
 	s.mux.HandleFunc("/v1/recal/status", s.handleRecalStatus)
 	s.mux.HandleFunc("/v1/recal/trigger", s.handleRecalTrigger)
-	s.mux.HandleFunc("/v1/recal/promote", s.handleRecalPromote)
 	s.mux.HandleFunc("/v1/recal/rollback", s.handleRecalRollback)
 	return s, nil
 }
@@ -305,27 +303,15 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request, sc *predic
 	// predictor see the same bank even mid-swap.
 	st := s.state.Load()
 	key := sc.buildMemoKey(st.gen, phase)
-	rec := s.recal.Load()
-	if entry := s.memo.lookup(key); entry != nil {
-		if rec != nil {
-			rec.observe(sc, phase, entry.obsErr)
-		}
-		writeBody(w, http.StatusOK, entry.resp)
+	if resp := s.memo.get(key); resp != nil {
+		writeBody(w, http.StatusOK, resp)
 		return
 	}
 	ranked := st.bank.predictPMU(&sc.rates, &sc.rank)
-	var obsErr float64
-	if rec != nil {
-		// Miss path only: hits reuse the value cached in the memo entry.
-		obsErr = st.bank.disagreement(&sc.rates, &sc.rank)
-	}
 	e := wire.GetEmitter()
 	encodePredictResponse(e, phase, ranked)
 	if respBody, ok := finish(w, e); ok {
-		s.memo.put(key, respBody, obsErr)
-		if rec != nil {
-			rec.observe(sc, phase, obsErr)
-		}
+		s.memo.put(key, respBody)
 		writeBody(w, http.StatusOK, respBody)
 	}
 	wire.PutEmitter(e)

@@ -1,21 +1,16 @@
 #!/usr/bin/env bash
-# recal_e2e.sh — CI end-to-end check of online recalibration
-# (make recal-e2e): train a fast MLR bank, start a real actord with the
-# recalibration loop on a fast tick, and drive seeded drifted traffic at it
-# (actorload's phase-flip trace relabels the second half "shifted", which
-# the reference window never saw — the novel-phase detector's textbook
-# trip; the per-phase error EWMA usually fires even earlier on the trace's
-# random rate vectors). Asserts that a retrain attempt eventually promotes
-# a new bank generation, that /v1/bank carries the generation + provenance
-# chain with a drift trigger, and
-# that forced rollbacks restore the original generation's /v1/bank body
-# byte-identically.
+# recal_e2e.sh — CI end-to-end check of recalibration (make recal-e2e):
+# train a fast MLR bank, start a real actord -recal, and drive the loop
+# through actorrecalctl. Asserts that a triggered retrain promotes a new
+# bank generation, that /v1/bank carries the generation + provenance chain
+# with the "manual" trigger, that rolling back restores the original
+# generation's /v1/bank body byte-identically, and that the promote route
+# is gone.
 #
-# A retrain attempt may legitimately be *rejected* — on a stationary
+# A retrain attempt may legitimately be *rejected*: on a stationary
 # simulated platform a fresh campaign only beats the live bank at margin 0
-# about half the time, and each rejection re-arms the detector against
-# fresh traffic. The loop below just keeps the drifted traffic coming;
-# every round reseeds the attempt chain, so promotion converges quickly.
+# about half the time. Every trigger reseeds the attempt chain, so the
+# loop below retries until one promotes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,14 +31,14 @@ gen_of() { # first "generation" field of stdin JSON (top-level in status)
 }
 
 echo "== building binaries"
-$GO build -o "$workdir/bin/" ./cmd/actor-train ./cmd/actord ./cmd/actorload ./cmd/actorrecalctl
+$GO build -o "$workdir/bin/" ./cmd/actor-train ./cmd/actord ./cmd/actorrecalctl
 
 echo "== training a fast MLR bank"
 "$workdir/bin/actor-train" -fast -mlr -bank "$workdir/bank.json" >/dev/null
 
 echo "== starting actord -recal on :$port"
 "$workdir/bin/actord" -bank "$workdir/bank.json" -addr "127.0.0.1:$port" \
-  -recal -recal-interval 250ms 2>"$workdir/actord.log" &
+  -recal 2>"$workdir/actord.log" &
 pids+=($!)
 ok=""
 for _ in $(seq 1 100); do
@@ -62,25 +57,23 @@ if grep -q '"generation"' "$workdir/bank-gen0.json"; then
   exit 1
 fi
 
-echo "== driving drifted traffic until a promotion lands"
+echo "== triggering retrains until a promotion lands"
 gen=0
-for round in $(seq 1 8); do
-  "$workdir/bin/actorload" -addr "$base" -duration 3s -rate 800 -seed $((42 + round)) \
-    -conns 4 >/dev/null
-  sleep 1 # let the loop tick over the now-full windows
+for attempt in $(seq 1 8); do
+  outcome=$("$workdir/bin/actorrecalctl" -addr "$base" trigger | grep -o '"outcome": *"[a-z]*"' || true)
   gen=$("$workdir/bin/actorrecalctl" -addr "$base" status | gen_of)
-  echo "   round $round: live generation $gen"
+  echo "   attempt $attempt: $outcome, live generation $gen"
   if [ "$gen" -ge 1 ]; then break; fi
 done
 if [ "$gen" -lt 1 ]; then
-  echo "FAIL: no promotion after 8 rounds of drifted traffic"
+  echo "FAIL: no promotion after 8 triggers"
   "$workdir/bin/actorrecalctl" -addr "$base" status
   exit 1
 fi
 
 echo "== checking /v1/bank provenance"
 curl -fsS "$base/v1/bank" >"$workdir/bank-promoted.json"
-for field in '"generation"' '"provenance"' '"trigger": "drift:' '"candidate_err"'; do
+for field in '"generation"' '"provenance"' '"trigger": "manual"' '"candidate_err"'; do
   if ! grep -q "$field" "$workdir/bank-promoted.json"; then
     echo "FAIL: promoted /v1/bank lacks $field"
     cat "$workdir/bank-promoted.json"
@@ -100,4 +93,11 @@ if ! cmp -s "$workdir/bank-gen0.json" "$workdir/bank-restored.json"; then
   exit 1
 fi
 
-echo "PASS: drift -> promotion with provenance, rollback byte-identical"
+echo "== checking the promote route is gone"
+code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$base/v1/recal/promote")
+if [ "$code" = 200 ]; then
+  echo "FAIL: POST /v1/recal/promote answered 200"
+  exit 1
+fi
+
+echo "PASS: trigger -> promotion with provenance, rollback byte-identical, no promote route"

@@ -404,8 +404,8 @@ func receiverType(e ast.Expr) string {
 
 // TestActorOwnsNoGoroutine is TestServerOwnsNoGoroutine's static twin: no
 // non-test file of pkg/actor holds a go statement, a chan type, a send, a
-// receive or a select. The library runs on its callers' goroutines; actord
-// drives the recalibration loop's Tick itself.
+// receive or a select. The library runs on its callers' goroutines:
+// recalibration runs on the one that calls Trigger.
 func TestActorOwnsNoGoroutine(t *testing.T) {
 	files, err := filepath.Glob("pkg/actor/*.go")
 	if err != nil {
