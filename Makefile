@@ -63,17 +63,18 @@ dist-e2e:
 load-smoke:
 	scripts/load_smoke.sh
 
-## fuzz-smoke: run every Fuzz* target of the wire codec, the serving path
-## and bank format, the fleet spec parser, the topology descriptor parser
-## and the SIMD bit-identity kernels (ann, machine) for 10 s each (the
-## toolchain fuzzes one target per invocation). A crasher lands under the
-## package's testdata/fuzz/ — commit it (CI).
+## fuzz-smoke: run every Fuzz* target in the module for 10 s each (the
+## toolchain fuzzes one target per invocation). The (package, target) pairs
+## come from `go test -list`, so a target added to any package runs without
+## editing this list. A crasher lands under the package's testdata/fuzz/ —
+## commit it (CI).
 fuzz-smoke:
-	@set -e; for pkg in ./pkg/actor ./internal/wire ./internal/fleet ./internal/topology ./internal/ann ./internal/machine; do \
-		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
-			echo "== fuzz $$pkg $$target"; \
-			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s $$pkg; \
-		done; \
+	@set -e; list="$$($(GO) test -list '^Fuzz' ./...)"; \
+	pairs="$$(echo "$$list" | awk '/^Fuzz/ { t[n++] = $$1; next } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }')"; \
+	[ -n "$$pairs" ] || { echo "fuzz-smoke: go test -list found no Fuzz targets"; exit 1; }; \
+	echo "$$pairs" | while read -r pkg target; do \
+		echo "== fuzz $$pkg $$target"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s $$pkg < /dev/null; \
 	done
 
 ## fleet-smoke: seeded 100-job/16-machine and 5000-job/1000-machine fleet

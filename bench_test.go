@@ -381,7 +381,7 @@ func BenchmarkAblationSearchVsPrediction(b *testing.B) {
 	}
 	var tSearch, tPred float64
 	for i := 0; i < b.N; i++ {
-		rs, err := (&core.Search{ProbesPerConfig: 1}).Run(is, env)
+		rs, err := (&core.Search{}).Run(is, env)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -555,7 +555,7 @@ func BenchmarkTrainANNBank(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	events := len(pmu.ReducedEventSet(pmu.SamplingBudget(cg.Iterations, 0.20)))
+	events := len(pmu.ReducedEventSet(pmu.SamplingBudget(cg.Iterations, pmu.MaxSampleFraction)))
 	train := dataset.LeaveOneOut(samples, "CG")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -676,10 +676,7 @@ func BenchmarkMLRFit(b *testing.B) {
 }
 
 func BenchmarkPMURotation(b *testing.B) {
-	file, err := pmu.NewCounterFile(2)
-	if err != nil {
-		b.Fatal(err)
-	}
+	file := pmu.NewCounterFile()
 	truth := pmu.Counts{
 		pmu.Instructions: 1e9, pmu.Cycles: 2e9,
 		pmu.L2Misses: 1e6, pmu.BusTransMem: 2e6, pmu.L1DMisses: 5e6,
@@ -689,7 +686,7 @@ func BenchmarkPMURotation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err := pmu.PlanRotation(pmu.FullEventSet(), 2, 0)
+		plan, err := pmu.PlanRotation(pmu.FullEventSet(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

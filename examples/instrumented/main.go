@@ -108,7 +108,7 @@ func run(w io.Writer) error {
 	strategies := []core.Strategy{
 		&core.Static{Config: "4"},
 		&core.Static{Config: "2b"},
-		&core.Search{ProbesPerConfig: 1},
+		&core.Search{},
 		core.OracleGlobal{},
 		core.OraclePhase{},
 		&core.Prediction{Bank: bank},

@@ -27,9 +27,6 @@ func (ds *dataSet) n() int { return len(ds.x) / (ds.d + 1) }
 // then the features.
 func (ds *dataSet) input(i int) []float64 { return ds.x[i*(ds.d+1) : (i+1)*(ds.d+1)] }
 
-// row returns the features of row i (without the leading 1).
-func (ds *dataSet) row(i int) []float64 { return ds.input(i)[1:] }
-
 // checkFinite rejects a sample with a NaN or infinite feature or label:
 // one such value would train every network of the run into NaN weights (or
 // an ensemble whose error estimate is NaN) without any error.
@@ -109,23 +106,4 @@ func groupShared(sets []*dataSet, same func(a, b int) bool) ([][]int, []*dataSet
 		merged[g].y = append(merged[g].y, ds.y[0])
 	}
 	return groups, merged
-}
-
-// mseIdx returns the network's mean squared error against labels y over
-// the listed rows of the packed corpus, one per-sample forward pass each —
-// the ensemble's fold estimates.
-func (n *Network) mseIdx(ds *dataSet, y []float64, idx []int) float64 {
-	if len(idx) == 0 {
-		return 0
-	}
-	if ds.d != n.Sizes[0] {
-		panic(fmt.Sprintf("ann: input dim %d, want %d", ds.d, n.Sizes[0]))
-	}
-	hidden := make([]float64, n.Sizes[1])
-	var sum float64
-	for _, id := range idx {
-		e := n.forward(ds.row(id), hidden) - y[id]
-		sum += float64(e * e)
-	}
-	return sum / float64(len(idx))
 }

@@ -202,9 +202,16 @@ func trainFolds(ds *dataSet, foldIdx [][]int, cfg Config, init func(member int) 
 			return
 		}
 		nets[member] = got
+		// Score the estimate fold through the lockstep validation pass:
+		// the stacked kernel, with each network's per-sample MSE bits.
+		ls := newLockstep(got, validRows)
+		for t, tg := range ls.live {
+			tg.vy = ds.y[t]
+		}
+		ls.validate(ds, foldIdx[estFold])
 		estimates[member] = make([]float64, targets)
-		for t, net := range got {
-			estimates[member][t] = net.mseIdx(ds, ds.y[t], foldIdx[estFold])
+		for t, tg := range ls.live {
+			estimates[member][t] = tg.valid
 		}
 	})
 	if err := parallel.FirstError(errs); err != nil {

@@ -51,7 +51,8 @@ func fastExp(x float64) float64 {
 //	out[b] = w[Hidden] + Σ_i x[b·ldx+i] · w[i]
 //
 // x holds batch rows of Hidden activations at stride ldx (≥ Hidden). Each
-// sum accumulates bias first, then ascending i — Network.forward's order.
+// sum accumulates bias first, then ascending i — the order of the
+// per-sample reference forward pass (Network.forward, reference_test.go).
 func denseForwardScalar(out, x, w []float64, batch, ldx int) {
 	for b := 0; b < batch; b++ {
 		xb := x[b*ldx:][:Hidden]
@@ -69,8 +70,8 @@ func denseForwardScalar(out, x, w []float64, batch, ldx int) {
 //
 //	acts[u] = sigmoid( wT[u] + Σ_i wT[(i+1)·lanes+u] · x[i] )
 //
-// Each lane accumulates bias first, then ascending i — Network.forward's
-// order for the hidden unit the lane holds.
+// Each lane accumulates bias first, then ascending i — the reference
+// Network.forward's order for the hidden unit the lane holds.
 func stackForwardScalar(acts, wT, x []float64) {
 	lanes := len(acts)
 	copy(acts, wT[:lanes])

@@ -49,9 +49,9 @@ func trainCore(tr *dataSet, trainIdx []int, vd *dataSet, validIdx []int, inits [
 
 	// All working memory for the whole run is allocated here and reused
 	// across every epoch and batch. The shuffled order holds corpus row
-	// ids directly. Validation forward passes batch at least 16 rows.
+	// ids directly. Validation forward passes batch at least validRows rows.
 	batch := max(cfg.BatchSize, 1)
-	ls := newLockstep(nets, max(batch, 16))
+	ls := newLockstep(nets, max(batch, validRows))
 	validate := len(validIdx) > 0
 	for t, tg := range ls.live {
 		tg.y = tr.y[t]
@@ -68,7 +68,7 @@ func trainCore(tr *dataSet, trainIdx []int, vd *dataSet, validIdx []int, inits [
 
 	for epoch := 0; epoch < cfg.MaxEpochs && len(ls.live) > 0; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		ls.epoch(tr, order, batch, cfg.LearningRate, cfg.Momentum)
+		ls.epoch(tr, order, batch)
 		for _, tg := range ls.live {
 			tg.res.Epochs = epoch + 1
 			tg.res.TrainMSE = tg.sum / float64(len(order))
@@ -151,6 +151,10 @@ type target struct {
 	res        TrainResult
 }
 
+// validRows is the least number of rows one validation forward pass
+// batches, whatever the training batch size.
+const validRows = 16
+
 // newLockstep packs nets (one [d, Hidden, 1] shape) into lanes, with batch
 // scratch for rows samples.
 func newLockstep(nets []*Network, rows int) *lockstep {
@@ -188,12 +192,12 @@ func (ls *lockstep) lanes() int { return len(ls.live) * Hidden }
 // → fixed batch partition, so training stays deterministic under a seed).
 // Gradients are summed (not averaged) over a chunk, so a batch of one
 // reproduces per-sample backprop bit-for-bit.
-func (ls *lockstep) epoch(ds *dataSet, order []int, batch int, lr, momentum float64) {
+func (ls *lockstep) epoch(ds *dataSet, order []int, batch int) {
 	for _, tg := range ls.live {
 		tg.sum = 0
 	}
 	for start := 0; start < len(order); start += batch {
-		ls.step(ds, order[start:min(start+batch, len(order))], lr, momentum)
+		ls.step(ds, order[start:min(start+batch, len(order))])
 	}
 }
 
@@ -220,7 +224,7 @@ func (ls *lockstep) forward(s, m int) {
 // step runs forward, backward and weight update of one mini-batch for every
 // live target, adding each target's summed squared error (computed before
 // the update, as the per-sample path does) to its sum.
-func (ls *lockstep) step(ds *dataSet, idx []int, lr, momentum float64) {
+func (ls *lockstep) step(ds *dataSet, idx []int) {
 	m := len(idx)
 	lanes := ls.lanes()
 	ls.forward0(ds, idx)
@@ -239,8 +243,8 @@ func (ls *lockstep) step(ds *dataSet, idx []int, lr, momentum float64) {
 		// The hidden deltas go straight into the lanes as η·δ; then the
 		// fused momentum/AXPY update of the output unit.
 		a0 := ls.acts0[s*Hidden:]
-		hiddenEta(ls.eta0[s*Hidden:], tg.out, tg.net.w[1], a0, m, lanes, lr)
-		sgdStep(tg.net.w[1], tg.vel, tg.out, a0, m, lanes, lr, momentum)
+		hiddenEta(ls.eta0[s*Hidden:], tg.out, tg.net.w[1], a0, m, lanes, learningRate)
+		sgdStep(tg.net.w[1], tg.vel, tg.out, a0, m, lanes, learningRate, momentum)
 	}
 	d1 := ds.d + 1
 	sgdFeatureMajor(ls.w0[:d1*lanes], ls.v0[:d1*lanes], ls.eta0, ls.x, m, d1, lanes, d1, momentum)

@@ -1,6 +1,7 @@
 // Package ann implements the artificial neural networks at the heart of the
 // paper's predictor: three-layer networks — one sigmoid hidden layer and a
-// linear output unit — trained by backpropagation with momentum, early
+// linear output unit — trained by backpropagation with momentum at one
+// step size and momentum (η = 0.05, μ = 0.5, package constants), early
 // stopping on a validation set, and k-fold cross-validation ensembles whose
 // averaged output is the final prediction (the paper's Section IV-A
 // methodology). [inputs, Hidden, 1] is the only shape; the constructors
@@ -107,26 +108,6 @@ func NewNetwork(sizes []int, rng *rand.Rand) (*Network, error) {
 // with each other.
 func sigmoid(x float64) float64 {
 	return 1 / (1 + fastExp(-x))
-}
-
-// forward runs the network on input x (length Sizes[0]), leaving the hidden
-// activations in hidden (length Sizes[1]) and returning the output.
-func (n *Network) forward(x, hidden []float64) float64 {
-	d := n.Sizes[0]
-	for j := range hidden {
-		row := n.layerRow(0, j)
-		sum := row[d] // bias
-		for i, v := range x {
-			sum += float64(row[i] * v)
-		}
-		hidden[j] = sigmoid(sum)
-	}
-	out := n.w[1]
-	sum := out[len(hidden)] // bias; the output unit is linear
-	for j, a := range hidden {
-		sum += float64(out[j] * a)
-	}
-	return sum
 }
 
 // InputDim returns the expected input vector length.

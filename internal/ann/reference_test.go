@@ -252,7 +252,7 @@ func refTrainCore(ds *dataSet, y []float64, trainIdx []int, vds *dataSet, vy []f
 	}
 	for epoch := 0; epoch < cfg.MaxEpochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		sum := net.epochBatched(ds, y, order, batch, cfg.LearningRate, cfg.Momentum, vel, bs)
+		sum := net.epochBatched(ds, y, order, batch, learningRate, momentum, vel, bs)
 		res.Epochs = epoch + 1
 		res.TrainMSE = sum / float64(len(order))
 		if len(validIdx) == 0 {
@@ -367,4 +367,47 @@ func refFineTuneEnsemble(base *Ensemble, samples []Sample, cfg Config) (*Ensembl
 		return nil, err
 	}
 	return NewEnsemble(nets, base.Scaler, est)
+}
+
+// row returns the features of row i (without the leading 1).
+func (ds *dataSet) row(i int) []float64 { return ds.input(i)[1:] }
+
+// forward runs the network on input x (length Sizes[0]), leaving the hidden
+// activations in hidden (length Sizes[1]) and returning the output.
+func (n *Network) forward(x, hidden []float64) float64 {
+	d := n.Sizes[0]
+	for j := range hidden {
+		row := n.layerRow(0, j)
+		sum := row[d] // bias
+		for i, v := range x {
+			sum += float64(row[i] * v)
+		}
+		hidden[j] = sigmoid(sum)
+	}
+	out := n.w[1]
+	sum := out[len(hidden)] // bias; the output unit is linear
+	for j, a := range hidden {
+		sum += float64(out[j] * a)
+	}
+	return sum
+}
+
+// mseIdx returns the network's mean squared error against labels y over
+// the listed rows of the packed corpus, one per-sample forward pass each:
+// the reference the lockstep validation pass, which scores the ensemble's
+// fold estimates, is pinned to.
+func (n *Network) mseIdx(ds *dataSet, y []float64, idx []int) float64 {
+	if len(idx) == 0 {
+		return 0
+	}
+	if ds.d != n.Sizes[0] {
+		panic(fmt.Sprintf("ann: input dim %d, want %d", ds.d, n.Sizes[0]))
+	}
+	hidden := make([]float64, n.Sizes[1])
+	var sum float64
+	for _, id := range idx {
+		e := n.forward(ds.row(id), hidden) - y[id]
+		sum += float64(e * e)
+	}
+	return sum / float64(len(idx))
 }

@@ -7,12 +7,16 @@ type Sample struct {
 	Y float64
 }
 
-// Config controls network construction and training.
+// Backprop runs at one step size and one momentum throughout the
+// reproduction: every update is v ← μv − η∂E/∂w; w ← w + v.
+const (
+	learningRate = 0.05 // η
+	momentum     = 0.5  // μ, the velocity retention
+)
+
+// Config controls network construction and training. The step size and
+// momentum are the package constants η = 0.05 and μ = 0.5.
 type Config struct {
-	// LearningRate is the backprop step size η.
-	LearningRate float64
-	// Momentum is the velocity retention μ.
-	Momentum float64
 	// MaxEpochs bounds training length.
 	MaxEpochs int
 	// Patience is the number of consecutive non-improving validation
@@ -44,16 +48,14 @@ type Config struct {
 }
 
 // DefaultConfig returns the training configuration used throughout the
-// reproduction: η = 0.05, μ = 0.5, up to 400 epochs with
-// patience 25, per-sample updates and cold-start ensembles (BatchSize and
-// WarmStartEpochs are opt-in performance knobs).
+// reproduction: up to 400 epochs with patience 25, per-sample updates and
+// cold-start ensembles (BatchSize and WarmStartEpochs are opt-in
+// performance knobs).
 func DefaultConfig() Config {
 	return Config{
-		LearningRate: 0.05,
-		Momentum:     0.5,
-		MaxEpochs:    400,
-		Patience:     25,
-		Seed:         1,
+		MaxEpochs: 400,
+		Patience:  25,
+		Seed:      1,
 	}
 }
 

@@ -114,11 +114,11 @@ func TestBatchedEpochMatchesPerSampleAtBatchOne(t *testing.T) {
 	order := identityIdx(ds.n())
 	for epoch := 0; epoch < 10; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		ls.epoch(ds, order, 1, 0.05, 0.5)
+		ls.epoch(ds, order, 1)
 		for i, ref := range refs {
 			var sum float64
 			for _, id := range order {
-				sum += ref.backprop(ds.row(id), ds.y[i][id], 0.05, 0.5, vels[i], acts, deltas)
+				sum += ref.backprop(ds.row(id), ds.y[i][id], learningRate, momentum, vels[i], acts, deltas)
 			}
 			if math.Float64bits(sum) != math.Float64bits(ls.live[i].sum) {
 				t.Fatalf("epoch %d target %d: squared-error sums differ: %v vs %v", epoch, i, sum, ls.live[i].sum)

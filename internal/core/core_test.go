@@ -42,16 +42,6 @@ func TestEnvValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := *env
-	bad.CounterWidth = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero counter width accepted")
-	}
-	bad = *env
-	bad.MaxSampleFraction = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero sampling fraction accepted")
-	}
-	bad = *env
 	bad.Configs = nil
 	if err := bad.Validate(); err == nil {
 		t.Error("empty config space accepted")
@@ -196,7 +186,7 @@ func TestRankConfigsByTime(t *testing.T) {
 func TestSearchStrategy(t *testing.T) {
 	env := newEnv(t)
 	b := smallBench(t)
-	res, err := (&Search{ProbesPerConfig: 1}).Run(b, env)
+	res, err := (&Search{}).Run(b, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,14 +228,14 @@ func trainSmallBank(t *testing.T, env *Env) *Bank {
 func TestBankSelect(t *testing.T) {
 	env := newEnv(t)
 	bank := trainSmallBank(t, env)
-	if got := bank.Select(6, 2); len(got.Events()) != 12 {
+	if got := bank.Select(6); len(got.Events()) != 12 {
 		t.Errorf("budget 6 selected %d events, want 12", len(got.Events()))
 	}
-	if got := bank.Select(2, 2); len(got.Events()) != 4 {
+	if got := bank.Select(2); len(got.Events()) != 4 {
 		t.Errorf("budget 2 selected %d events, want 4", len(got.Events()))
 	}
 	// Nothing fits → smallest predictor.
-	if got := bank.Select(1, 2); len(got.Events()) != 4 {
+	if got := bank.Select(1); len(got.Events()) != 4 {
 		t.Errorf("budget 1 selected %d events, want smallest (4)", len(got.Events()))
 	}
 }
@@ -261,7 +251,7 @@ func TestPredictionStrategyRuns(t *testing.T) {
 	if res.SampleRounds == 0 {
 		t.Error("prediction strategy never sampled")
 	}
-	budget := pmu.SamplingBudget(b.Iterations, env.MaxSampleFraction)
+	budget := pmu.SamplingBudget(b.Iterations, pmu.MaxSampleFraction)
 	if res.SampleRounds > budget*len(b.Phases) {
 		t.Errorf("sampled %d rounds, budget %d per phase", res.SampleRounds, budget)
 	}

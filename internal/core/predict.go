@@ -11,35 +11,28 @@ import (
 )
 
 // Prediction is ACTOR's headline strategy: sample counters at maximal
-// concurrency for the first few timesteps (rotating event pairs through the
-// two-counter PMU within the 20% sampling budget), predict IPC on every
-// alternative configuration with the trained models, and lock each phase to
-// the configuration Decide picks: the highest IPC, ties to the lowest name.
+// concurrency for the first few timesteps (rotating events through the
+// pmu.CounterWidth counters within the pmu.MaxSampleFraction sampling
+// budget), predict IPC on every alternative configuration with the trained
+// models, and lock each phase to the configuration Decide picks: the
+// highest IPC, ties to the lowest name.
 type Prediction struct {
 	// Bank supplies predictors per feature-set size; the strategy picks
 	// the richest one fitting the sampling budget (the paper's reduced
 	// event sets for FT, IS and MG).
 	Bank *Bank
-	// DisplayName overrides the default name in reports (useful when
-	// comparing ANN and MLR banks).
-	DisplayName string
 }
 
 // Name implements Strategy.
-func (p *Prediction) Name() string {
-	if p.DisplayName != "" {
-		return p.DisplayName
-	}
-	return "prediction"
-}
+func (p *Prediction) Name() string { return "prediction" }
 
 // Run implements Strategy.
 func (p *Prediction) Run(b *workload.Benchmark, env *Env) (RunResult, error) {
 	if p.Bank == nil {
 		return RunResult{}, fmt.Errorf("core: prediction strategy has no predictor bank")
 	}
-	budget := pmu.SamplingBudget(b.Iterations, env.MaxSampleFraction)
-	pred := p.Bank.Select(budget, env.CounterWidth)
+	budget := pmu.SamplingBudget(b.Iterations, pmu.MaxSampleFraction)
+	pred := p.Bank.Select(budget)
 
 	policies := make([]phasePolicy, len(b.Phases))
 	for i := range policies {
@@ -65,18 +58,14 @@ type predictionPolicy struct {
 }
 
 func newPredictionPolicy(env *Env, pred *Predictor, budget int) (*predictionPolicy, error) {
-	file, err := pmu.NewCounterFile(env.CounterWidth)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := pmu.PlanRotation(pred.Events(), env.CounterWidth, budget)
+	plan, err := pmu.PlanRotation(pred.Events(), budget)
 	if err != nil {
 		return nil, err
 	}
 	return &predictionPolicy{
 		env:     env,
 		pred:    pred,
-		sampler: pmu.NewSampler(file, plan),
+		sampler: pmu.NewSampler(pmu.NewCounterFile(), plan),
 	}, nil
 }
 

@@ -3,13 +3,14 @@
 //
 // ACTOR instruments iterative parallel programs at phase (parallel region)
 // granularity. For each phase it samples hardware performance counters for
-// a few timesteps at maximal concurrency — rotating event pairs through the
-// two-counter PMU, within a sampling budget of at most 20% of total
-// iterations — feeds the observed event rates to an offline-trained
-// Predictor (one Model per target configuration: an ANN ensemble, or the
-// prior-work linear-regression baseline), predicts aggregate IPC for every
-// candidate thread count and placement, and locks the phase to the
-// configuration Decide picks for the rest of the run.
+// a few timesteps at maximal concurrency — rotating events through the
+// pmu.CounterWidth counters, within a sampling budget of at most
+// pmu.MaxSampleFraction of total iterations — feeds the observed event
+// rates to an offline-trained Predictor (one Model per target
+// configuration: an ANN ensemble, or the prior-work linear-regression
+// baseline), predicts aggregate IPC for every candidate thread count and
+// placement, and locks the phase to the configuration Decide picks for the
+// rest of the run.
 //
 // The package provides the adaptation strategies evaluated in the paper's
 // Fig. 8 — static all-cores, oracle global, oracle per-phase, and
@@ -145,11 +146,11 @@ func NewBank(preds ...*Predictor) (*Bank, error) {
 }
 
 // Select returns the richest predictor whose event rotation fits within
-// maxRounds timesteps on a counter file of the given width, falling back to
-// the smallest predictor when none fit. It allocates nothing.
-func (b *Bank) Select(maxRounds, counterWidth int) *Predictor {
+// maxRounds timesteps on the pmu.CounterWidth counters, falling back to the
+// smallest predictor when none fit. It allocates nothing.
+func (b *Bank) Select(maxRounds int) *Predictor {
 	for _, p := range b.predictors {
-		need := (p.NumEvents() + counterWidth - 1) / counterWidth
+		need := (p.NumEvents() + pmu.CounterWidth - 1) / pmu.CounterWidth
 		if need <= maxRounds {
 			return p
 		}
@@ -162,9 +163,9 @@ func (b *Bank) Select(maxRounds, counterWidth int) *Predictor {
 func (b *Bank) Predictors() []*Predictor { return b.predictors }
 
 // eventSet is the feature set of ec events: the head of the reduced event
-// set that a (ec+1)/2-round rotation on a two-counter PMU samples.
+// set that the shortest rotation covering ec events samples.
 func eventSet(ec int) []pmu.Event {
-	events := pmu.ReducedEventSet((ec + 1) / 2)
+	events := pmu.ReducedEventSet((ec + pmu.CounterWidth - 1) / pmu.CounterWidth)
 	if len(events) > ec {
 		events = events[:ec]
 	}

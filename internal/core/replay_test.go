@@ -41,7 +41,7 @@ func TestExecuteStrategiesOnHeteroTopology(t *testing.T) {
 	if ro.TimeSec > rs.TimeSec {
 		t.Errorf("phase oracle (%.2fs) slower than all-cores static (%.2fs) on hetero machine", ro.TimeSec, rs.TimeSec)
 	}
-	rsearch, err := (&Search{ProbesPerConfig: 1}).Run(b, env)
+	rsearch, err := (&Search{}).Run(b, env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,17 +29,13 @@ type Env struct {
 	// SampleConfig is the maximal-concurrency configuration used during
 	// counter sampling.
 	SampleConfig topology.Placement
-	// CounterWidth is the PMU's simultaneous-event limit.
-	CounterWidth int
-	// MaxSampleFraction caps sampling at this fraction of total
-	// iterations (0.20 in the paper).
-	MaxSampleFraction float64
 }
 
 // NewEnv builds an environment over the given machines and power model with
-// the paper's configuration space and sampling rules. The machines must
-// model the quad-core Xeon (or any topology hosting cores 0–3); Validate
-// reports a descriptive error otherwise. For other machines use NewEnvWith.
+// the paper's configuration space; sampling follows pmu.CounterWidth and
+// pmu.MaxSampleFraction. The machines must model the quad-core Xeon (or any
+// topology hosting cores 0–3); Validate reports a descriptive error
+// otherwise. For other machines use NewEnvWith.
 func NewEnv(meas, truth *machine.Machine, pm *power.Model) *Env {
 	return NewEnvWith(meas, truth, pm, topology.PaperConfigs())
 }
@@ -50,12 +46,10 @@ func NewEnv(meas, truth *machine.Machine, pm *power.Model) *Env {
 // becomes the sampling configuration.
 func NewEnvWith(meas, truth *machine.Machine, pm *power.Model, cfgs []topology.Placement) *Env {
 	env := &Env{
-		Machine:           meas,
-		Truth:             truth,
-		Power:             pm,
-		Configs:           cfgs,
-		CounterWidth:      2,
-		MaxSampleFraction: 0.20,
+		Machine: meas,
+		Truth:   truth,
+		Power:   pm,
+		Configs: cfgs,
 	}
 	if len(cfgs) > 0 {
 		env.SampleConfig = cfgs[len(cfgs)-1]
@@ -74,10 +68,6 @@ func (e *Env) Validate() error {
 		return errors.New("core: Env.Configs is empty")
 	case e.SampleConfig.Threads() == 0:
 		return errors.New("core: Env.SampleConfig has no cores")
-	case e.CounterWidth < 1:
-		return fmt.Errorf("core: Env.CounterWidth = %d", e.CounterWidth)
-	case e.MaxSampleFraction <= 0 || e.MaxSampleFraction > 1:
-		return fmt.Errorf("core: Env.MaxSampleFraction = %g", e.MaxSampleFraction)
 	}
 	// The configuration space must fit the measurement machine: the paper
 	// configs silently assumed the quad-core Xeon, which turned a

@@ -1,8 +1,9 @@
 // Package dataset builds the supervised training data for ACTOR's
 // predictors: it executes benchmark phases on the (noisy) machine model at
-// the sampling configuration, collects hardware event rates through the
-// PMU's rotating two-counter window, and pairs the resulting feature
-// vectors with measured IPC at every target configuration.
+// the sampling configuration, collects the full event set's rates through
+// the PMU's rotating pmu.CounterWidth-counter window, and pairs the
+// resulting feature vectors with measured IPC at every target
+// configuration.
 //
 // It also provides the leave-one-out splits used in the paper's evaluation
 // ("we use each benchmark for evaluation by training as many models as
@@ -60,11 +61,6 @@ type Collector struct {
 	SampleConfig topology.Placement
 	// Configs are all configurations needing IPC labels.
 	Configs []topology.Placement
-	// Events are the programmable events to rotate through.
-	Events []pmu.Event
-	// CounterWidth is the PMU's simultaneous counter limit (2 on the
-	// paper's platform).
-	CounterWidth int
 	// Repetitions is how many independent noisy observations to collect
 	// per phase (more repetitions expose the noise distribution to the
 	// model).
@@ -73,14 +69,19 @@ type Collector struct {
 	// engine: every (benchmark, phase, repetition) task runs on its own
 	// noisy machine whose noise stream is forked from NoiseBase under a
 	// stable task key, so results are bit-identical at any GOMAXPROCS.
-	// When nil, collection runs sequentially on Noisy's shared stream
-	// (the legacy behaviour).
+	// When nil, collection runs sequentially on Noisy's shared stream.
+	// That sequential path is the one Engine.Train, actor-train and
+	// actord collect on, and its draw order defines the pinned bank
+	// bytes (BANK_SHA256, BANK_FULL_SHA256 in scripts/determinism.sh);
+	// leave-one-out training (the LOO pins) and recalibration campaigns
+	// take the forked path. The two draw different noise, so both stay.
 	NoiseBase *noise.Source
 }
 
 // NewCollector returns a collector with the paper's defaults: sampling at
-// configuration 4, labels for all five configurations, the full
-// twelve-event set on a 2-wide counter file, and 6 repetitions per phase.
+// configuration 4, labels for all five configurations and 6 repetitions
+// per phase. Every phase rotates the full twelve-event set through the
+// pmu.CounterWidth counters.
 func NewCollector(noisy, truth *machine.Machine) *Collector {
 	cfgs := topology.PaperConfigs()
 	return &Collector{
@@ -88,8 +89,6 @@ func NewCollector(noisy, truth *machine.Machine) *Collector {
 		Truth:        truth,
 		SampleConfig: cfgs[len(cfgs)-1],
 		Configs:      cfgs,
-		Events:       pmu.FullEventSet(),
-		CounterWidth: 2,
 		Repetitions:  6,
 	}
 }
@@ -134,15 +133,11 @@ func (c *Collector) CollectBenchmark(b *workload.Benchmark) ([]PhaseSample, erro
 // collectPhase runs one full sampling rotation plus per-config measurement
 // for a single phase on the given noisy machine.
 func (c *Collector) collectPhase(noisy *machine.Machine, b *workload.Benchmark, p *workload.PhaseProfile) (PhaseSample, error) {
-	file, err := pmu.NewCounterFile(c.CounterWidth)
+	plan, err := pmu.PlanRotation(pmu.FullEventSet(), 0)
 	if err != nil {
 		return PhaseSample{}, err
 	}
-	plan, err := pmu.PlanRotation(c.Events, c.CounterWidth, 0)
-	if err != nil {
-		return PhaseSample{}, err
-	}
-	sampler := pmu.NewSampler(file, plan)
+	sampler := pmu.NewSampler(pmu.NewCounterFile(), plan)
 	for !sampler.Done() {
 		res := noisy.RunPhase(p, b.Idiosyncrasy, c.SampleConfig)
 		if err := sampler.Observe(res.Counts); err != nil {

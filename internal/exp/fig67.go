@@ -57,7 +57,7 @@ func (s *Suite) TrainLeaveOneOut() (*LOOModels, error) {
 	targets := s.Targets()
 	banks, err := parallel.Map(len(s.Benches), func(i int) (looBank, error) {
 		b := s.Benches[i]
-		budget := pmu.SamplingBudget(b.Iterations, 0.20)
+		budget := pmu.SamplingBudget(b.Iterations, pmu.MaxSampleFraction)
 		events := pmu.ReducedEventSet(budget)
 		train := dataset.LeaveOneOut(suiteSamples, b.Name)
 		cfg := s.Opts.ANN
@@ -127,8 +127,8 @@ func (s *Suite) EvalPrediction(loo *LOOModels) (*Fig6Result, *Fig7Result, error)
 		b := s.Benches[i]
 		var ev benchEval
 		bank := loo.Banks[b.Name]
-		budget := pmu.SamplingBudget(b.Iterations, 0.20)
-		pred := bank.Select(budget, 2)
+		budget := pmu.SamplingBudget(b.Iterations, pmu.MaxSampleFraction)
+		pred := bank.Select(budget)
 
 		samples := loo.SuiteSamples[b.Name]
 		// Group the repetitions by phase, preserving order.

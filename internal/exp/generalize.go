@@ -54,7 +54,7 @@ func (s *Suite) Generalize(apps int) (*GeneralizeResult, error) {
 	}
 	pred := bank.Predictors()[0]
 
-	pop, err := workload.GeneratePopulation("RAND", apps, workload.DefaultGenConfig(s.Opts.Seed+777))
+	pop, err := workload.GeneratePopulation("RAND", apps, s.Opts.Seed+777)
 	if err != nil {
 		return nil, err
 	}

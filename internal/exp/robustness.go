@@ -55,7 +55,7 @@ func Robustness(opts Options, seeds []int64) (*RobustnessResult, error) {
 func (r *RobustnessResult) Render(w io.Writer) {
 	report.Section(w, fmt.Sprintf("Robustness across %d seeds (mean ± 95%% CI)", len(r.Seeds)))
 	line := func(name string, vals []float64, paper float64) {
-		mean, hw, err := stats.MeanCI(vals, 1.96)
+		mean, hw, err := stats.MeanCI(vals)
 		if err != nil {
 			fmt.Fprintf(w, "  %s: error: %v\n", name, err)
 			return

@@ -25,7 +25,15 @@ import (
 	"github.com/greenhpc/actor/internal/workload"
 )
 
-// Options tunes experiment fidelity (training cost vs accuracy).
+// The suite's noisy machine perturbs every measurement at these levels (see
+// machine.WithNoise): run times by timeSigma, event counts by countSigma.
+const (
+	timeSigma  = 0.03
+	countSigma = 0.12
+)
+
+// Options tunes experiment fidelity (training cost vs accuracy). The
+// measurement noise is fixed at timeSigma and countSigma.
 type Options struct {
 	// Seed drives every stochastic component (measurement noise, fold
 	// shuffles, weight initialisation).
@@ -44,8 +52,6 @@ type Options struct {
 	// themselves. Nil keeps the paper platform and its {1, 2a, 2b, 3, 4}
 	// space bit-for-bit.
 	Topology *topology.Topology
-	// TimeSigma and CountSigma are the machine measurement noise levels.
-	TimeSigma, CountSigma float64
 	// Repetitions is the number of noisy sampling passes per phase when
 	// building training data.
 	Repetitions int
@@ -55,19 +61,17 @@ type Options struct {
 	ANN ann.Config
 }
 
-// DefaultOptions mirrors the paper: 10-fold ensembles, moderate counter
-// noise, six sampling repetitions per phase. Training runs on the batched
-// warm-start engine (mini-batch GEMM passes; one base model per ensemble
-// with bounded per-fold fine-tuning) — the knobs that made leave-one-out
-// training the pipeline's fast path; see ann.Config and PERFORMANCE.md.
+// DefaultOptions mirrors the paper: 10-fold ensembles and six sampling
+// repetitions per phase. Training runs on the batched warm-start engine
+// (mini-batch GEMM passes; one base model per ensemble with bounded
+// per-fold fine-tuning) — the knobs that made leave-one-out training the
+// pipeline's fast path; see ann.Config and PERFORMANCE.md.
 func DefaultOptions() Options {
 	cfg := ann.DefaultConfig()
 	cfg.BatchSize = 8
 	cfg.WarmStartEpochs = 60
 	return Options{
 		Seed:        42,
-		TimeSigma:   0.03,
-		CountSigma:  0.12,
 		Repetitions: 6,
 		Folds:       10,
 		ANN:         cfg,
@@ -85,8 +89,6 @@ func FastOptions() Options {
 	cfg.WarmStartEpochs = 30
 	return Options{
 		Seed:        42,
-		TimeSigma:   0.03,
-		CountSigma:  0.12,
 		Repetitions: 3,
 		Folds:       5,
 		ANN:         cfg,
@@ -146,7 +148,7 @@ func NewSuite(opts Options) (*Suite, error) {
 	}
 	truth = truth.WithMemo()
 	src := noise.New(opts.Seed)
-	noisy := truth.WithNoise(src.Fork("machine"), opts.TimeSigma, opts.CountSigma)
+	noisy := truth.WithNoise(src.Fork("machine"), timeSigma, countSigma)
 	return &Suite{
 		Opts:      opts,
 		Truth:     truth,

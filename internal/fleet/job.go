@@ -52,10 +52,15 @@ type StreamConfig struct {
 	// MeanSize is the mean job size in iterations; sizes follow a
 	// bounded Pareto (alpha 1.5), so a few jobs carry much of the work.
 	MeanSize float64
-	// MaxThreads caps the per-job thread budget (drawn uniformly from
-	// 1..MaxThreads). Zero means 4, the paper's configuration space.
-	MaxThreads int
 }
+
+// maxJobThreads caps a generated job's thread budget, drawn uniformly from
+// 1..maxJobThreads: the paper's configuration space tops out at 4 threads.
+const maxJobThreads = 4
+
+// maxStreamJobs bounds the stream GenJobs generates: a stream holds a Job
+// (about 100 bytes) per job, and Schedule adds a placement row per job.
+const maxStreamJobs = 1 << 20
 
 // paretoAlpha shapes job sizes; 1.5 gives the heavy tail the loadgen
 // traces use while keeping a finite mean.
@@ -119,6 +124,9 @@ func GenJobs(cfg StreamConfig) ([]Job, error) {
 	if cfg.Jobs <= 0 {
 		return nil, fmt.Errorf("fleet: stream of %d jobs", cfg.Jobs)
 	}
+	if cfg.Jobs > maxStreamJobs {
+		return nil, fmt.Errorf("fleet: stream of %d jobs exceeds the limit of %d", cfg.Jobs, maxStreamJobs)
+	}
 	// The comparisons are written to fail on NaN. A size is converted to an
 	// int, so the Pareto cap must fit in one.
 	if !(cfg.ArrivalRate > 0) || math.IsInf(cfg.ArrivalRate, 1) {
@@ -126,13 +134,6 @@ func GenJobs(cfg StreamConfig) ([]Job, error) {
 	}
 	if !(cfg.MeanSize >= 1 && cfg.MeanSize*sizeCapMult < math.MaxInt) {
 		return nil, fmt.Errorf("fleet: mean size %g is not in [1, %g]", cfg.MeanSize, math.MaxInt/sizeCapMult)
-	}
-	maxT := cfg.MaxThreads
-	if maxT == 0 {
-		maxT = 4
-	}
-	if maxT < 1 {
-		return nil, fmt.Errorf("fleet: max threads %d", maxT)
 	}
 	benches := npb.All()
 	sort.Slice(benches, func(i, j int) bool { return benches[i].Name < benches[j].Name })
@@ -165,7 +166,7 @@ func GenJobs(cfg StreamConfig) ([]Job, error) {
 			size = sizeCap
 		}
 		j.Size = max(int(size), 1)
-		j.MaxThreads = 1 + d.intn(maxT)
+		j.MaxThreads = 1 + d.intn(maxJobThreads)
 		// Exponential inter-arrival gap of the Poisson process.
 		t += -math.Log(1-d.unit()) / cfg.ArrivalRate
 		j.Arrival = t

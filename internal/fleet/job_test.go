@@ -20,7 +20,6 @@ import (
 // checked against those pins (TestLegacyStreamPinned).
 func legacyGenJobs(t testing.TB, cfg StreamConfig) []Job {
 	t.Helper()
-	const maxT = 4
 	benches := npb.All()
 	sort.Slice(benches, func(i, j int) bool { return benches[i].Name < benches[j].Name })
 	xm := math.Max(cfg.MeanSize*(paretoAlpha-1)/paretoAlpha, 1)
@@ -32,7 +31,7 @@ func legacyGenJobs(t testing.TB, cfg StreamConfig) []Job {
 		size := math.Min(xm*math.Pow(1-rng.Float64(), -1/paretoAlpha), cfg.MeanSize*sizeCapMult)
 		j := Job{
 			ID: i, SigKey: b.Name, Phases: b.Phases, Idio: b.Idiosyncrasy,
-			MaxThreads: 1 + rng.Intn(maxT),
+			MaxThreads: 1 + rng.Intn(maxJobThreads),
 			Size:       max(int(size), 1),
 		}
 		j.wsJ, j.shareJ = footprint(b.Phases)
@@ -70,7 +69,7 @@ func TestGenJobsStream(t *testing.T) {
 		}
 		return jobs
 	}
-	cfg := StreamConfig{Jobs: 500, Seed: 9, ArrivalRate: 5, MeanSize: 4, MaxThreads: 6}
+	cfg := StreamConfig{Jobs: 500, Seed: 9, ArrivalRate: 5, MeanSize: 4}
 	short := gen(cfg)
 	prev := runtime.GOMAXPROCS(1)
 	seq := gen(cfg)
@@ -87,24 +86,31 @@ func TestGenJobsStream(t *testing.T) {
 	sawMaxT := false
 	for i := range long {
 		j := &long[i]
-		if j.ID != i || j.MaxThreads < 1 || j.MaxThreads > cfg.MaxThreads || j.Size < 1 || j.Size > sizeCap {
-			t.Fatalf("job %d out of range: ID %d, budget %d of 1..%d, size %d of 1..%d", i, j.ID, j.MaxThreads, cfg.MaxThreads, j.Size, sizeCap)
+		if j.ID != i || j.MaxThreads < 1 || j.MaxThreads > maxJobThreads || j.Size < 1 || j.Size > sizeCap {
+			t.Fatalf("job %d out of range: ID %d, budget %d of 1..%d, size %d of 1..%d", i, j.ID, j.MaxThreads, maxJobThreads, j.Size, sizeCap)
 		}
 		if i > 0 && !(j.Arrival > long[i-1].Arrival) {
 			t.Fatalf("job %d arrives at %g, job %d at %g", i, j.Arrival, i-1, long[i-1].Arrival)
 		}
-		sawMaxT = sawMaxT || j.MaxThreads == cfg.MaxThreads
+		sawMaxT = sawMaxT || j.MaxThreads == maxJobThreads
 	}
 	if !sawMaxT {
-		t.Errorf("no job of %d drew the full budget %d", len(long), cfg.MaxThreads)
+		t.Errorf("no job of %d drew the full budget %d", len(long), maxJobThreads)
 	}
 }
 
 // TestGenJobsRefusesBadParameters: a NaN rate or mean size passes every
-// ordered comparison, and a mean size whose Pareto cap does not fit an int
-// overflows the size conversion; GenJobs refuses them all, and the largest
-// mean size it accepts still draws sizes in range.
+// ordered comparison, a mean size whose Pareto cap does not fit an int
+// overflows the size conversion, and a stream past maxStreamJobs would be
+// allocated whole before any job is drawn; GenJobs refuses them all, and
+// the largest mean size it accepts still draws sizes in range.
 func TestGenJobsRefusesBadParameters(t *testing.T) {
+	for _, n := range []int{maxStreamJobs + 1, math.MaxInt32} {
+		jobs, err := GenJobs(StreamConfig{Jobs: n, Seed: 42, ArrivalRate: 2, MeanSize: 3})
+		if want := fmt.Sprintf("stream of %d jobs exceeds the limit of %d", n, maxStreamJobs); err == nil || !strings.Contains(err.Error(), want) || jobs != nil {
+			t.Errorf("%d jobs: got %d jobs, %v; want an error naming %q", n, len(jobs), err, want)
+		}
+	}
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
 		rate, mean float64

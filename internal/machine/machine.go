@@ -127,7 +127,7 @@ type Machine struct {
 	classSig  uint64
 
 	// noiseSrc, when non-nil, perturbs RunPhase results with run-to-run
-	// variance (time ±~1%, event counts per TimeSigma/CountSigma).
+	// variance (run times per timeSigma, event counts per countSigma).
 	noiseSrc   *noise.Source
 	timeSigma  float64
 	countSigma float64

@@ -1,13 +1,13 @@
 // Package pmu models the hardware performance monitoring unit of the
 // paper's platform: a Core-2-class PMU that can program only **two** event
-// counters simultaneously, forcing ACTOR to rotate event pairs across
-// timesteps to collect its twelve-event feature vector (the paper's
-// "collection across multiple timesteps").
+// counters simultaneously (CounterWidth), forcing ACTOR to rotate event
+// pairs across timesteps to collect its twelve-event feature vector (the
+// paper's "collection across multiple timesteps").
 //
 // The package provides the event catalogue, the programmable counter file,
-// the rotation scheduler with the paper's 20%-of-iterations sampling budget,
-// and the reduced event sets used for short-iteration applications (FT, IS,
-// MG in the paper).
+// the rotation scheduler with the paper's 20%-of-iterations sampling budget
+// (MaxSampleFraction), and the reduced event sets used for short-iteration
+// applications (FT, IS, MG in the paper).
 //
 // Counts and Rates are fixed-size vectors indexed by Event; Rates, the one
 // form of the sampled feature vector from the sampler to the serving path,
@@ -105,17 +105,17 @@ func FullEventSet() []Event {
 }
 
 // ReducedEventSet returns the truncated event list fitting within
-// maxPairs rotation rounds (two events per round). The paper uses reduced
-// sets for applications with few iterations (FT, IS, MG) so that sampling
-// stays under 20% of execution.
+// maxPairs rotation rounds (CounterWidth events per round). The paper uses
+// reduced sets for applications with few iterations (FT, IS, MG) so that
+// sampling stays under MaxSampleFraction of execution.
 func ReducedEventSet(maxPairs int) []Event {
 	full := FullEventSet()
-	n := maxPairs * 2
+	n := maxPairs * CounterWidth
 	if n >= len(full) {
 		return full
 	}
-	if n < 2 {
-		n = 2
+	if n < CounterWidth {
+		n = CounterWidth
 	}
 	return full[:n]
 }

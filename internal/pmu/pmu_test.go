@@ -68,22 +68,20 @@ func TestReducedEventSet(t *testing.T) {
 }
 
 func TestCounterFileWidth(t *testing.T) {
-	if _, err := NewCounterFile(0); err == nil {
-		t.Error("NewCounterFile(0) accepted")
+	f := NewCounterFile()
+	full := FullEventSet()
+	if err := f.Program(full[:CounterWidth]...); err != nil {
+		t.Errorf("programming %d events rejected: %v", CounterWidth, err)
 	}
-	f, err := NewCounterFile(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Width() != 2 {
-		t.Errorf("Width = %d", f.Width())
+	if got := f.Programmed(); len(got) != CounterWidth {
+		t.Errorf("Programmed = %v, want %d events", got, CounterWidth)
 	}
 }
 
 func TestCounterFileProgramErrors(t *testing.T) {
-	f, _ := NewCounterFile(2)
-	if err := f.Program(L2Misses, BusTransMem, L1DMisses); err == nil {
-		t.Error("programming 3 events on width 2 accepted")
+	f := NewCounterFile()
+	if err := f.Program(FullEventSet()[:CounterWidth+1]...); err == nil {
+		t.Errorf("programming %d events on width %d accepted", CounterWidth+1, CounterWidth)
 	}
 	if err := f.Program(Instructions); err == nil {
 		t.Error("programming a fixed counter accepted")
@@ -101,7 +99,7 @@ func TestCounterFileProgramErrors(t *testing.T) {
 }
 
 func TestCounterFileReadVisibility(t *testing.T) {
-	f, _ := NewCounterFile(2)
+	f := NewCounterFile()
 	truth := Counts{
 		Instructions: 1000, Cycles: 2000,
 		L2Misses: 10, BusTransMem: 20, L1DMisses: 30,
@@ -122,8 +120,8 @@ func TestCounterFileReadVisibility(t *testing.T) {
 }
 
 func TestRatesNormalisation(t *testing.T) {
-	file, _ := NewCounterFile(2)
-	plan, _ := PlanRotation([]Event{L2Misses}, 2, 0)
+	file := NewCounterFile()
+	plan, _ := PlanRotation([]Event{L2Misses}, 0)
 	s := NewSampler(file, plan)
 	if err := s.Observe(Counts{Instructions: 1000, Cycles: 2000, L2Misses: 100, BusTransMem: 7}); err != nil {
 		t.Fatal(err)
@@ -157,7 +155,7 @@ func TestRatesVector(t *testing.T) {
 }
 
 func TestPlanRotationCoverage(t *testing.T) {
-	plan, err := PlanRotation(FullEventSet(), 2, 0)
+	plan, err := PlanRotation(FullEventSet(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +180,7 @@ func TestPlanRotationCoverage(t *testing.T) {
 }
 
 func TestPlanRotationBudgetTruncates(t *testing.T) {
-	plan, err := PlanRotation(FullEventSet(), 2, 2)
+	plan, err := PlanRotation(FullEventSet(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +200,7 @@ func TestPlanRotationBudgetTruncates(t *testing.T) {
 }
 
 func TestPlanRotationEmptyEvents(t *testing.T) {
-	plan, err := PlanRotation(nil, 2, 0)
+	plan, err := PlanRotation(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +210,14 @@ func TestPlanRotationEmptyEvents(t *testing.T) {
 }
 
 func TestPlanRotationRejectsDuplicates(t *testing.T) {
-	if _, err := PlanRotation([]Event{L2Misses, L2Misses}, 2, 0); err == nil {
+	if _, err := PlanRotation([]Event{L2Misses, L2Misses}, 0); err == nil {
 		t.Error("duplicate events accepted")
 	}
 }
 
 func TestSamplerAveragesRates(t *testing.T) {
-	file, _ := NewCounterFile(2)
-	plan, _ := PlanRotation([]Event{L2Misses, BusTransMem, L1DMisses, DTLBMisses}, 2, 0)
+	file := NewCounterFile()
+	plan, _ := PlanRotation([]Event{L2Misses, BusTransMem, L1DMisses, DTLBMisses}, 0)
 	s := NewSampler(file, plan)
 	if s.Done() {
 		t.Fatal("sampler done before any observation")
@@ -266,8 +264,8 @@ func TestSamplerAveragesRates(t *testing.T) {
 }
 
 func TestSamplerRejectsZeroCycles(t *testing.T) {
-	file, _ := NewCounterFile(2)
-	plan, _ := PlanRotation([]Event{L2Misses}, 2, 0)
+	file := NewCounterFile()
+	plan, _ := PlanRotation([]Event{L2Misses}, 0)
 	s := NewSampler(file, plan)
 	if err := s.Observe(Counts{Instructions: 10}); err == nil {
 		t.Error("zero-cycle observation accepted")
@@ -280,14 +278,11 @@ func TestSamplingBudget(t *testing.T) {
 		want  int
 	}{{400, 80}, {10, 2}, {6, 1}, {4, 1}, {1, 1}, {0, 1}}
 	for _, c := range cases {
-		if got := SamplingBudget(c.iters, 0.20); got != c.want {
+		if got := SamplingBudget(c.iters, MaxSampleFraction); got != c.want {
 			t.Errorf("SamplingBudget(%d) = %d, want %d", c.iters, got, c.want)
 		}
 	}
 }
-
-// Width returns the number of simultaneously programmable counters.
-func (f *CounterFile) Width() int { return f.width }
 
 // Programmed returns the currently selected events.
 func (f *CounterFile) Programmed() []Event {

@@ -5,29 +5,30 @@ import (
 	"fmt"
 )
 
-// CounterFile models the PMU's programmable counter registers. Width is the
-// number of events that can be counted simultaneously (2 on the paper's
-// platform). Instructions and Cycles are fixed counters and always
-// available.
+// CounterWidth is the number of events the PMU counts simultaneously: the
+// paper's platform has two programmable counters, so its twelve events
+// rotate over six rounds.
+const CounterWidth = 2
+
+// MaxSampleFraction is the paper's sampling cap: monitoring may take at
+// most this fraction of an application's iterations.
+const MaxSampleFraction = 0.20
+
+// CounterFile models the PMU's CounterWidth programmable counter registers.
+// Instructions and Cycles are fixed counters and always available.
 type CounterFile struct {
-	width      int
 	programmed []Event
 }
 
-// NewCounterFile returns a counter file of the given width.
-func NewCounterFile(width int) (*CounterFile, error) {
-	if width < 1 {
-		return nil, errors.New("pmu: counter width must be ≥ 1")
-	}
-	return &CounterFile{width: width}, nil
-}
+// NewCounterFile returns an unprogrammed counter file.
+func NewCounterFile() *CounterFile { return &CounterFile{} }
 
 // Program selects the events counted during the next interval. It rejects
 // more events than the hardware has counters for, duplicate events, and
 // fixed events (which need no programming).
 func (f *CounterFile) Program(events ...Event) error {
-	if len(events) > f.width {
-		return fmt.Errorf("pmu: %d events exceed counter width %d", len(events), f.width)
+	if len(events) > CounterWidth {
+		return fmt.Errorf("pmu: %d events exceed counter width %d", len(events), CounterWidth)
 	}
 	for i, e := range events {
 		if e < 0 || int(e) >= NumEvents {
@@ -70,15 +71,12 @@ type RotationPlan struct {
 	Events []Event
 }
 
-// PlanRotation builds a rotation schedule measuring the requested events on
-// a counter file of the given width, subject to a budget of at most
-// maxRounds sampled timesteps (≤ 0 means unlimited). When the budget is too
-// small for every event, lower-priority events (later in the list) are
-// dropped — the paper's "reduced number of events" fallback.
-func PlanRotation(events []Event, width, maxRounds int) (*RotationPlan, error) {
-	if width < 1 {
-		return nil, errors.New("pmu: width must be ≥ 1")
-	}
+// PlanRotation builds a rotation schedule measuring the requested events
+// CounterWidth at a time, subject to a budget of at most maxRounds sampled
+// timesteps (≤ 0 means unlimited). When the budget is too small for every
+// event, lower-priority events (later in the list) are dropped — the
+// paper's "reduced number of events" fallback.
+func PlanRotation(events []Event, maxRounds int) (*RotationPlan, error) {
 	var prog []Event
 	var seen [NumEvents]bool
 	for _, e := range events {
@@ -94,9 +92,9 @@ func PlanRotation(events []Event, width, maxRounds int) (*RotationPlan, error) {
 		seen[e] = true
 		prog = append(prog, e)
 	}
-	need := (len(prog) + width - 1) / width
+	need := (len(prog) + CounterWidth - 1) / CounterWidth
 	if maxRounds > 0 && need > maxRounds {
-		prog = prog[:maxRounds*width]
+		prog = prog[:maxRounds*CounterWidth]
 		need = maxRounds
 	}
 	if len(prog) == 0 {
@@ -105,7 +103,7 @@ func PlanRotation(events []Event, width, maxRounds int) (*RotationPlan, error) {
 	}
 	plan := &RotationPlan{Events: append([]Event(nil), prog...)}
 	for i := 0; i < need; i++ {
-		lo, hi := i*width, (i+1)*width
+		lo, hi := i*CounterWidth, (i+1)*CounterWidth
 		if hi > len(prog) {
 			hi = len(prog)
 		}
@@ -175,7 +173,8 @@ func (s *Sampler) Rates() Rates {
 
 // SamplingBudget computes the maximum number of sampled timesteps allowed
 // for an application with the given iteration count under the paper's rule
-// that monitoring may consume at most maxFraction (0.20) of execution.
+// that monitoring may consume at most maxFraction (MaxSampleFraction) of
+// execution.
 // At least one round is always allowed.
 func SamplingBudget(iterations int, maxFraction float64) int {
 	if iterations < 1 {

@@ -12,10 +12,9 @@ import (
 
 // summary holds the usual moments of a sample.
 type summary struct {
-	N        int
-	Mean     float64
-	StdDev   float64 // sample standard deviation (n−1)
-	Min, Max float64
+	N      int
+	Mean   float64
+	StdDev float64 // sample standard deviation (n−1)
 }
 
 // summarize computes a summary; it errors on empty input.
@@ -23,15 +22,9 @@ func summarize(xs []float64) (summary, error) {
 	if len(xs) == 0 {
 		return summary{}, errors.New("stats: empty sample")
 	}
-	s := summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
+	s := summary{N: len(xs)}
 	for _, x := range xs {
 		s.Mean += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
 	}
 	s.Mean /= float64(s.N)
 	if s.N > 1 {
@@ -47,9 +40,12 @@ func summarize(xs []float64) (summary, error) {
 	return s, nil
 }
 
-// MeanCI returns the mean and its normal-approximation confidence interval
-// half-width at the given z (1.96 ≈ 95 %).
-func MeanCI(xs []float64, z float64) (mean, halfWidth float64, err error) {
+// z95 is the standard normal quantile of a two-sided 95 % interval.
+const z95 = 1.96
+
+// MeanCI returns the mean and its normal-approximation 95 % confidence
+// interval half-width.
+func MeanCI(xs []float64) (mean, halfWidth float64, err error) {
 	s, err := summarize(xs)
 	if err != nil {
 		return 0, 0, err
@@ -57,5 +53,5 @@ func MeanCI(xs []float64, z float64) (mean, halfWidth float64, err error) {
 	if s.N < 2 {
 		return s.Mean, math.Inf(1), nil
 	}
-	return s.Mean, z * s.StdDev / math.Sqrt(float64(s.N)), nil
+	return s.Mean, z95 * s.StdDev / math.Sqrt(float64(s.N)), nil
 }

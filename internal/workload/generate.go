@@ -5,57 +5,31 @@ import (
 	"math/rand"
 )
 
-// GenConfig bounds the random-benchmark generator.
-type GenConfig struct {
-	// Phases is the number of parallel regions per benchmark (range).
-	MinPhases, MaxPhases int
-	// Iterations is the outer timestep count (range).
-	MinIterations, MaxIterations int
-	// Seed drives the generator.
-	Seed int64
-}
+// The generator's ranges resemble the NPB population: 3–12 phases per
+// benchmark, 4–400 outer timesteps.
+const (
+	genMinPhases, genMaxPhases         = 3, 12
+	genMinIterations, genMaxIterations = 4, 400
+)
 
-// DefaultGenConfig produces applications resembling the NPB population:
-// 3–12 phases, 4–400 timesteps.
-func DefaultGenConfig(seed int64) GenConfig {
-	return GenConfig{
-		MinPhases:     3,
-		MaxPhases:     12,
-		MinIterations: 4,
-		MaxIterations: 400,
-		Seed:          seed,
-	}
-}
-
-// Generate synthesises a random, valid benchmark. Phases are drawn from
-// three archetypes (compute-dense, balanced, streaming/bandwidth-bound)
-// with every characteristic jittered, so a generated population spans the
-// behaviour space between BT-like and IS-like codes. The result always
-// passes Validate.
-func Generate(name string, cfg GenConfig) (*Benchmark, error) {
-	if cfg.MinPhases < 1 || cfg.MaxPhases < cfg.MinPhases {
-		return nil, fmt.Errorf("workload: bad phase range [%d, %d]", cfg.MinPhases, cfg.MaxPhases)
-	}
-	if cfg.MinIterations < 1 || cfg.MaxIterations < cfg.MinIterations {
-		return nil, fmt.Errorf("workload: bad iteration range [%d, %d]", cfg.MinIterations, cfg.MaxIterations)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+// Generate synthesises a random, valid benchmark from seed. Phases are
+// drawn from three archetypes (compute-dense, balanced, streaming/
+// bandwidth-bound) with every characteristic jittered, so a generated
+// population spans the behaviour space between BT-like and IS-like codes.
+// The result always passes Validate.
+func Generate(name string, seed int64) (*Benchmark, error) {
+	rng := rand.New(rand.NewSource(seed))
 	// Both roundings are forced: Float64's inlined scaling product would
 	// otherwise fuse into span(lo, lo+2)'s rewritten f+f on arm64.
 	span := func(lo, hi float64) float64 { return lo + float64((hi-lo)*float64(rng.Float64())) }
-	intSpan := func(lo, hi int) int {
-		if hi == lo {
-			return lo
-		}
-		return lo + rng.Intn(hi-lo+1)
-	}
+	intSpan := func(lo, hi int) int { return lo + rng.Intn(hi-lo+1) }
 
 	b := &Benchmark{
 		Name:         name,
-		Iterations:   intSpan(cfg.MinIterations, cfg.MaxIterations),
+		Iterations:   intSpan(genMinIterations, genMaxIterations),
 		Idiosyncrasy: span(-0.1, 0.1),
 	}
-	nPhases := intSpan(cfg.MinPhases, cfg.MaxPhases)
+	nPhases := intSpan(genMinPhases, genMaxPhases)
 	for i := 0; i < nPhases; i++ {
 		var p PhaseProfile
 		switch rng.Intn(3) {
@@ -116,12 +90,10 @@ func Generate(name string, cfg GenConfig) (*Benchmark, error) {
 
 // GeneratePopulation creates n random benchmarks named prefix-1..n with
 // seeds derived from the base seed.
-func GeneratePopulation(prefix string, n int, cfg GenConfig) ([]*Benchmark, error) {
+func GeneratePopulation(prefix string, n int, seed int64) ([]*Benchmark, error) {
 	out := make([]*Benchmark, 0, n)
 	for i := 0; i < n; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)*1_000_003
-		b, err := Generate(fmt.Sprintf("%s-%d", prefix, i+1), c)
+		b, err := Generate(fmt.Sprintf("%s-%d", prefix, i+1), seed+int64(i)*1_000_003)
 		if err != nil {
 			return nil, err
 		}

@@ -7,13 +7,13 @@ import (
 
 func TestGenerateValidBenchmarks(t *testing.T) {
 	f := func(seed int64) bool {
-		b, err := Generate("X", DefaultGenConfig(seed))
+		b, err := Generate("X", seed)
 		if err != nil {
 			return false
 		}
 		return b.Validate() == nil &&
-			len(b.Phases) >= 3 && len(b.Phases) <= 12 &&
-			b.Iterations >= 4 && b.Iterations <= 400
+			len(b.Phases) >= genMinPhases && len(b.Phases) <= genMaxPhases &&
+			b.Iterations >= genMinIterations && b.Iterations <= genMaxIterations
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -21,11 +21,11 @@ func TestGenerateValidBenchmarks(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a, err := Generate("X", DefaultGenConfig(5))
+	a, err := Generate("X", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Generate("X", DefaultGenConfig(5))
+	b, _ := Generate("X", 5)
 	if len(a.Phases) != len(b.Phases) || a.Iterations != b.Iterations {
 		t.Fatal("same seed produced different structure")
 	}
@@ -37,15 +37,15 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateSeedsDiffer(t *testing.T) {
-	a, _ := Generate("X", DefaultGenConfig(1))
-	b, _ := Generate("X", DefaultGenConfig(2))
+	a, _ := Generate("X", 1)
+	b, _ := Generate("X", 2)
 	if a.Phases[0].Instructions == b.Phases[0].Instructions {
 		t.Error("different seeds produced identical first phases")
 	}
 }
 
 func TestGenerateFingerprints(t *testing.T) {
-	b, _ := Generate("APP", DefaultGenConfig(9))
+	b, _ := Generate("APP", 9)
 	seen := map[string]bool{}
 	for _, p := range b.Phases {
 		if p.Fingerprint == "" || seen[p.Fingerprint] {
@@ -55,22 +55,8 @@ func TestGenerateFingerprints(t *testing.T) {
 	}
 }
 
-func TestGenerateRejectsBadConfig(t *testing.T) {
-	bad := DefaultGenConfig(1)
-	bad.MinPhases = 0
-	if _, err := Generate("X", bad); err == nil {
-		t.Error("zero MinPhases accepted")
-	}
-	bad = DefaultGenConfig(1)
-	bad.MaxIterations = 1
-	bad.MinIterations = 10
-	if _, err := Generate("X", bad); err == nil {
-		t.Error("inverted iteration range accepted")
-	}
-}
-
 func TestGeneratePopulation(t *testing.T) {
-	pop, err := GeneratePopulation("R", 5, DefaultGenConfig(3))
+	pop, err := GeneratePopulation("R", 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,11 +106,11 @@ func newBank(cb *core.Bank, meta Meta) *Bank {
 func (b *Bank) Meta() Meta { return b.meta }
 
 // Select returns the feature event names of the richest predictor whose
-// counter rotation fits within maxRounds sampling timesteps on a PMU that
-// can program width events simultaneously — the paper's reduced-event-set
-// fallback, exposed so callers can plan their sampling.
-func (b *Bank) Select(maxRounds, width int) []string {
-	p := b.bank.Select(maxRounds, width)
+// counter rotation fits within maxRounds sampling timesteps on the paper's
+// two-counter PMU — the reduced-event-set fallback, exposed so callers can
+// plan their sampling.
+func (b *Bank) Select(maxRounds int) []string {
+	p := b.bank.Select(maxRounds)
 	names := make([]string, 0, p.NumEvents())
 	for _, e := range p.Events() {
 		names = append(names, e.String())

@@ -126,8 +126,8 @@ func TestPredictorSelectionByCoverage(t *testing.T) {
 	if reflect.DeepEqual(fromReduced, fromRich) {
 		t.Error("reduced-set rates were served by the rich predictor (outputs identical)")
 	}
-	if got := bank.Select(1, 2); !reflect.DeepEqual(got, sets[1]) {
-		t.Errorf("Select(1, 2) = %v, want the 2-event set %v", got, sets[1])
+	if got := bank.Select(1); !reflect.DeepEqual(got, sets[1]) {
+		t.Errorf("Select(1) = %v, want the 2-event set %v", got, sets[1])
 	}
 }
 

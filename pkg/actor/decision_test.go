@@ -62,7 +62,7 @@ func TestServedDecisionRegret(t *testing.T) {
 		b := s.Benches[bi]
 		pi := slices.IndexFunc(b.Phases, func(p workload.PhaseProfile) bool { return p.Name == ps.Phase })
 
-		pred := bank.bank.Select(pmu.SamplingBudget(b.Iterations, 0.20), 2)
+		pred := bank.bank.Select(pmu.SamplingBudget(b.Iterations, pmu.MaxSampleFraction))
 		var sampled pmu.Rates
 		sampled.Set(pmu.Instructions, ps.Rates.V[pmu.Instructions])
 		body := PredictRequest{Rates: Rates{"IPC": ps.Rates.V[pmu.Instructions]}}

@@ -162,15 +162,12 @@ func (e *Engine) Train(ctx context.Context) (*Bank, error) {
 		ecs = []int{12, 4, 2}
 	}
 	var bank *core.Bank
-	switch e.cfg.kind {
-	case KindANN:
+	if e.cfg.kind == KindMLR {
+		bank, err = core.TrainMLRBank(all, ecs, targets, mlrRidge)
+	} else {
 		cfg := e.suite.Opts.ANN
 		cfg.Seed = parallel.SeedFor(e.cfg.seed, "suite-bank")
 		bank, err = core.TrainANNBank(all, ecs, targets, e.suite.Opts.Folds, cfg)
-	case KindMLR:
-		bank, err = core.TrainMLRBank(all, ecs, targets, e.cfg.ridge)
-	default:
-		return nil, fmt.Errorf("actor: unknown model kind %q", e.cfg.kind)
 	}
 	if err != nil {
 		return nil, err

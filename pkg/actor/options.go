@@ -21,15 +21,16 @@ type config struct {
 	reps        int
 	eventCounts []int
 	kind        Kind
-	ridge       float64
 	maxEpochs   int
 }
 
+// mlrRidge is the ridge term of every MLR fit an Engine makes.
+const mlrRidge = 1e-8
+
 func defaultConfig() config {
 	return config{
-		seed:  42,
-		kind:  KindANN,
-		ridge: 1e-8,
+		seed: 42,
+		kind: KindANN,
 	}
 }
 
@@ -80,14 +81,10 @@ func WithEventCounts(counts ...int) Option {
 	return func(c *config) { c.eventCounts = counts }
 }
 
-// WithKind selects the model family Train builds (KindANN by default).
-func WithKind(k Kind) Option {
-	return func(c *config) { c.kind = k }
-}
-
-// WithMLR is shorthand for WithKind(KindMLR).
+// WithMLR makes Train build the prior-work linear-regression baseline
+// (KindMLR) instead of the default ANN bank (KindANN).
 func WithMLR() Option {
-	return WithKind(KindMLR)
+	return func(c *config) { c.kind = KindMLR }
 }
 
 // WithMaxEpochs caps the ANN training epochs per member network — a fidelity

@@ -174,7 +174,7 @@ func (r *Recalibrator) retrainLocked(ctx context.Context) (RecalOutcome, error) 
 		cfg.Seed = genSeed
 		cb, err = core.FineTuneANNBank(live.bank, train, targets, cfg)
 	case KindMLR:
-		cb, err = core.RefitMLRBank(live.bank, train, targets, eng.cfg.ridge, recalBlend)
+		cb, err = core.RefitMLRBank(live.bank, train, targets, mlrRidge, recalBlend)
 	default:
 		err = fmt.Errorf("actor: cannot recalibrate bank kind %q", live.meta.Kind)
 	}
