@@ -311,7 +311,6 @@ func BenchmarkAblationANNvsMLR(b *testing.B) {
 	// its accuracy/cost tradeoff against MLR.
 	cfg := ann.DefaultConfig()
 	cfg.MaxEpochs = 150
-	cfg.BatchSize = 8
 	cfg.WarmStartEpochs = 30
 	b.Run("batched", func(b *testing.B) {
 		var annErr, mlrErr float64
@@ -351,7 +350,6 @@ func BenchmarkAblationEnsembleSize(b *testing.B) {
 	}
 	cfg := ann.DefaultConfig()
 	cfg.MaxEpochs = 120
-	cfg.BatchSize = 8
 	cfg.WarmStartEpochs = 30
 	for _, k := range []int{3, 10} {
 		kName := map[int]string{3: "k3", 10: "k10"}[k]

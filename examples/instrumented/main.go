@@ -80,7 +80,7 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	noisy := truth.WithNoise(noise.New(7).Fork("machine"), 0.02, 0.08)
+	noisy := truth.WithNoise(noise.New(7).Fork("machine"))
 	env := core.NewEnv(noisy, truth, power.Default())
 
 	// Train the predictor on the NPB suite — MYAPP is unseen.

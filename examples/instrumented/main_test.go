@@ -9,7 +9,7 @@ import (
 
 // outputSHA256 is the sha256 of run's output. A change that moves it changes
 // what the example prints: re-pin it with the reason.
-const outputSHA256 = "6da783bfa1ae1e48c0f71b20aaf4490a57ad8e5f017d445c85f25f9713160b52"
+const outputSHA256 = "e5ca0a89f1c9f0fbca961719a7d794292ac581385a0990c8eab7ebf41cd8aa38"
 
 // TestRunOutputPinned: run succeeds, prints the same bytes twice and prints
 // the pinned bytes.

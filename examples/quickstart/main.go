@@ -36,7 +36,7 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	noisy := truth.WithNoise(noise.New(42).Fork("machine"), 0.02, 0.08)
+	noisy := truth.WithNoise(noise.New(42).Fork("machine"))
 	env := core.NewEnv(noisy, truth, power.Default())
 
 	// 2. Offline training: collect counter samples from a few training

@@ -9,7 +9,7 @@ import (
 
 // outputSHA256 is the sha256 of run's output. A change that moves it changes
 // what the example prints: re-pin it with the reason.
-const outputSHA256 = "1bd8a18cfeb5530abf1086404fbcf8b7e09d2e3312fcbf136f900956265f15f7"
+const outputSHA256 = "ab66be8bd8ff845779c0b9f84f2fd0ed1b8636b2e69443a3e1aa0f2baefa00f5"
 
 // TestRunOutputPinned: run succeeds, prints the same bytes twice and prints
 // the pinned bytes.

@@ -103,26 +103,9 @@ func BenchmarkStackForward(b *testing.B) {
 	}
 }
 
-func BenchmarkANNTrain(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	samples := make([]Sample, 200)
-	for i := range samples {
-		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		samples[i] = Sample{X: x, Y: x[0]*x[1] - x[2]}
-	}
-	cfg := DefaultConfig()
-	cfg.MaxEpochs = 50
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Train(samples[:160], samples[160:], cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkANNTrainBatched is BenchmarkANNTrain on the mini-batch GEMM
-// engine (Config.BatchSize = 8) — the inner-loop configuration the
-// evaluation pipeline trains with (see exp.FastOptions).
+// BenchmarkANNTrainBatched trains one network on 160 samples for 50
+// epochs on the mini-batch GEMM engine — the inner loop every ensemble
+// member runs.
 func BenchmarkANNTrainBatched(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	samples := make([]Sample, 200)
@@ -132,7 +115,6 @@ func BenchmarkANNTrainBatched(b *testing.B) {
 	}
 	cfg := DefaultConfig()
 	cfg.MaxEpochs = 50
-	cfg.BatchSize = 8
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Train(samples[:160], samples[160:], cfg); err != nil {

@@ -50,7 +50,7 @@ func trainCore(tr *dataSet, trainIdx []int, vd *dataSet, validIdx []int, inits [
 	// All working memory for the whole run is allocated here and reused
 	// across every epoch and batch. The shuffled order holds corpus row
 	// ids directly. Validation forward passes batch at least validRows rows.
-	batch := max(cfg.BatchSize, 1)
+	batch := cfg.batchRows()
 	ls := newLockstep(nets, max(batch, validRows))
 	validate := len(validIdx) > 0
 	for t, tg := range ls.live {

@@ -76,7 +76,7 @@ func TestLockstepBitIdenticalToIndependentTrainers(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.MaxEpochs = 40
 			cfg.Patience = 4
-			cfg.BatchSize = c.b
+			cfg.batch = c.b
 			cfg.Seed = int64(len(name))
 			if c.mode == "warm" {
 				cfg.WarmStartEpochs = 12
@@ -151,7 +151,7 @@ func TestLockstepBitIdenticalToIndependentTrainers(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.MaxEpochs = 300
 		cfg.Patience = 6
-		cfg.BatchSize = 5
+		cfg.batch = 5
 		nets, res, err := trainCore(ds, trainIdx, ds, validIdx, nil, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -1,10 +1,10 @@
 // Package ann implements the artificial neural networks at the heart of the
 // paper's predictor: three-layer networks — one sigmoid hidden layer and a
-// linear output unit — trained by backpropagation with momentum at one
-// step size and momentum (η = 0.05, μ = 0.5, package constants), early
-// stopping on a validation set, and k-fold cross-validation ensembles whose
-// averaged output is the final prediction (the paper's Section IV-A
-// methodology). [inputs, Hidden, 1] is the only shape; the constructors
+// linear output unit — trained by mini-batch backpropagation with momentum
+// at one step size, momentum and batch size (η = 0.05, μ = 0.5, B = 8,
+// package constants), early stopping on a validation set, and k-fold
+// cross-validation ensembles whose averaged output is the final prediction
+// (the paper's Section IV-A methodology). [inputs, Hidden, 1] is the only shape; the constructors
 // refuse any other.
 //
 // The implementation is self-contained (stdlib only), deterministic under a
@@ -19,14 +19,14 @@
 // matrices; folds, batches and validation sets are index views into it)
 // through one loop, trainCore, that trains every target sharing the
 // corpus's feature rows in lockstep (lockstep.go): fused
-// forward/backward/update passes over Config.BatchSize samples at a time,
-// with the hidden layer of all targets packed into one feature-major matrix.
-// Each target's result is bit-identical to training it alone, and at the
-// default batch size of one to classic per-sample stochastic backprop (the
-// references live beside the tests that pin them). Config.WarmStartEpochs
-// > 0 makes TrainEnsemble fine-tune every fold from one shared base model
-// instead of training each from scratch. Both knobs preserve determinism
-// under a seed (fixed shuffle → fixed batch partition); together they make
+// forward/backward/update passes over B samples at a time, with the hidden
+// layer of all targets packed into one feature-major matrix. Each target's
+// result is bit-identical to training it alone, and at a batch of one to
+// classic per-sample stochastic backprop (the references live beside the
+// tests that pin them). Config.WarmStartEpochs > 0 makes TrainEnsemble
+// fine-tune every fold from one shared base model instead of training each
+// from scratch. Training stays deterministic under a seed (fixed shuffle →
+// fixed batch partition); batching and warm starts together make
 // leave-one-out training the pipeline's fast path (see PERFORMANCE.md).
 package ann
 

@@ -239,7 +239,7 @@ func refTrainCore(ds *dataSet, y []float64, trainIdx []int, vds *dataSet, vy []f
 			return nil, TrainResult{}, err
 		}
 	}
-	batch := max(cfg.BatchSize, 1)
+	batch := cfg.batchRows()
 	vel := net.zeroLike()
 	order := append([]int(nil), trainIdx...)
 	bs := net.newBatchScratch(max(batch, 16))

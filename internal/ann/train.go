@@ -7,15 +7,22 @@ type Sample struct {
 	Y float64
 }
 
-// Backprop runs at one step size and one momentum throughout the
-// reproduction: every update is v ← μv − η∂E/∂w; w ← w + v.
+// Backprop runs at one step size, one momentum and one mini-batch size
+// throughout the reproduction: every update is v ← μv − η∂E/∂w; w ← w + v,
+// with the gradient summed (not averaged) over batchSize samples, so one
+// batch step approximates batchSize consecutive per-sample steps at the
+// same step size. Batches are consecutive chunks of each epoch's shuffled
+// order (fixed shuffle → fixed batch partition), so training stays
+// deterministic under Seed at any GOMAXPROCS.
 const (
 	learningRate = 0.05 // η
 	momentum     = 0.5  // μ, the velocity retention
+	batchSize    = 8    // B, samples per fused forward/backward/update pass
 )
 
-// Config controls network construction and training. The step size and
-// momentum are the package constants η = 0.05 and μ = 0.5.
+// Config controls network construction and training. The step size,
+// momentum and mini-batch size are the package constants η = 0.05, μ = 0.5
+// and B = 8.
 type Config struct {
 	// MaxEpochs bounds training length.
 	MaxEpochs int
@@ -25,17 +32,6 @@ type Config struct {
 	Patience int
 	// Seed makes training deterministic.
 	Seed int64
-	// BatchSize is the mini-batch size B of the fused GEMM training pass.
-	// 0 or 1 (the default) is per-sample stochastic backprop — the classic
-	// update rule, which the pass reproduces bit-for-bit at B = 1. Larger
-	// values process B samples per fused
-	// forward/backward/update call with summed (not averaged) gradients,
-	// so one batch step approximates B consecutive per-sample steps at
-	// the same learning rate. The epoch shuffle is unchanged and batches
-	// are consecutive chunks of the shuffled order (fixed shuffle → fixed
-	// batch partition), so training remains deterministic under Seed at
-	// any GOMAXPROCS.
-	BatchSize int
 	// WarmStartEpochs, when > 0, switches TrainEnsemble to warm-start
 	// mode: one base network is trained per ensemble on (almost) the full
 	// dataset, and each fold member then fine-tunes a copy of the base
@@ -45,12 +41,24 @@ type Config struct {
 	// 0 (the default) keeps the sequential-equivalent cold-start
 	// behaviour. See TrainEnsemble for the fold protocol.
 	WarmStartEpochs int
+
+	// batch, when non-zero, replaces batchSize. Only in-package tests set
+	// it, to hold the lockstep pass to the per-sample reference at other
+	// batch sizes.
+	batch int
+}
+
+// batchRows returns the mini-batch size training runs at.
+func (c Config) batchRows() int {
+	if c.batch > 0 {
+		return c.batch
+	}
+	return batchSize
 }
 
 // DefaultConfig returns the training configuration used throughout the
-// reproduction: up to 400 epochs with patience 25, per-sample updates and
-// cold-start ensembles (BatchSize and WarmStartEpochs are opt-in
-// performance knobs).
+// reproduction: up to 400 epochs with patience 25 and cold-start ensembles
+// (WarmStartEpochs is an opt-in performance knob).
 func DefaultConfig() Config {
 	return Config{
 		MaxEpochs: 400,

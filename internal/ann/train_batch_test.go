@@ -161,28 +161,6 @@ func TestBatchedMSEMatchesPerSample(t *testing.T) {
 	}
 }
 
-// TestTrainBatchSizeZeroAndOneEquivalent asserts the dispatch: BatchSize 0
-// and 1 are the same sequential-equivalent configuration.
-func TestTrainBatchSizeZeroAndOneEquivalent(t *testing.T) {
-	samples := synthSamples(80, 17, 0.02)
-	scaler, _ := FitScaler(samples)
-	norm := normalise(scaler, samples)
-	cfg := DefaultConfig()
-	cfg.MaxEpochs = 30
-	a, _, err := Train(norm[:60], norm[60:], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.BatchSize = 1
-	b, _, err := Train(norm[:60], norm[60:], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !weightsEqual(a, b) {
-		t.Error("BatchSize 0 and 1 trained different networks")
-	}
-}
-
 // TestBatchedTrainingLearns asserts mini-batch training (B > 1) still fits
 // the synthetic nonlinear target well below its variance.
 func TestBatchedTrainingLearns(t *testing.T) {
@@ -192,7 +170,6 @@ func TestBatchedTrainingLearns(t *testing.T) {
 	train, valid := norm[:320], norm[320:]
 	cfg := DefaultConfig()
 	cfg.MaxEpochs = 300
-	cfg.BatchSize = 8
 	net, res, err := Train(train, valid, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +203,6 @@ func TestWarmStartReachesColdStartValidMSE(t *testing.T) {
 	train, valid := norm[:240], norm[240:]
 	cfg := DefaultConfig()
 	cfg.MaxEpochs = 200
-	cfg.BatchSize = 8
 
 	_, cold, err := Train(train, valid, cfg)
 	if err != nil {
@@ -308,7 +284,6 @@ func TestWarmStartEnsembleDeterministicAndSound(t *testing.T) {
 	}
 
 	warm := cold
-	warm.BatchSize = 8
 	warm.WarmStartEpochs = 40
 	a, err := TrainEnsemble(samples, 5, warm)
 	if err != nil {

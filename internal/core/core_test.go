@@ -22,7 +22,7 @@ func newEnv(t *testing.T) *Env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy := truth.WithNoise(noise.New(3), 0.01, 0.05)
+	noisy := truth.WithNoise(noise.New(3))
 	return NewEnv(noisy, truth, power.Default())
 }
 

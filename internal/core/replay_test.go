@@ -24,7 +24,7 @@ func TestExecuteStrategiesOnHeteroTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth = truth.WithMemo()
-	noisy := truth.WithNoise(noise.New(7), 0.03, 0.12)
+	noisy := truth.WithNoise(noise.New(7))
 	cfgs := topology.EnumeratePlacements(topo)
 	env := NewEnvWith(noisy, truth, power.Default(), cfgs)
 	b, _ := npb.ByName("CG")

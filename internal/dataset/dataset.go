@@ -121,7 +121,7 @@ func (c *Collector) CollectBenchmark(b *workload.Benchmark) ([]PhaseSample, erro
 		pi, rep := i/c.Repetitions, i%c.Repetitions
 		p := &b.Phases[pi]
 		key := fmt.Sprintf("collect/%s/%s/%d", b.Name, p.Name, rep)
-		noisy := c.Noisy.WithNoiseSource(c.NoiseBase.Fork(key))
+		noisy := c.Noisy.WithNoise(c.NoiseBase.Fork(key))
 		s, err := c.collectPhase(noisy, b, p)
 		if err != nil {
 			return PhaseSample{}, fmt.Errorf("collect %s/%s: %w", b.Name, p.Name, err)

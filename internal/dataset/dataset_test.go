@@ -16,7 +16,7 @@ func newCollector(t *testing.T, reps int) *Collector {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy := truth.WithNoise(noise.New(1), 0.02, 0.05)
+	noisy := truth.WithNoise(noise.New(1))
 	c := NewCollector(noisy, truth)
 	c.Repetitions = reps
 	return c

@@ -46,16 +46,16 @@ func renderEverything(t *testing.T) string {
 // byte-identical Render output when the engine is pinned to one worker
 // (GOMAXPROCS=1) and when it fans out across every core.
 //
-// The pipeline trains on the batched warm-start engine (FastOptions), so
-// this covers the mini-batch GEMM pass and the shared base-model
+// The pipeline trains warm-started (FastOptions), so this covers the
+// mini-batch GEMM pass and the shared base-model
 // fine-tuning: a fixed shuffle fixes the batch partition, and per-task
 // seeds fix every fold's stream, at any GOMAXPROCS.
 func TestParallelPipelineDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the leave-one-out pipeline twice")
 	}
-	if opts := FastOptions(); opts.ANN.BatchSize <= 1 || opts.ANN.WarmStartEpochs <= 0 {
-		t.Error("FastOptions no longer enables the batched warm-start trainer; this test must cover it")
+	if opts := FastOptions(); opts.ANN.WarmStartEpochs <= 0 {
+		t.Error("FastOptions no longer enables the warm-start trainer; this test must cover it")
 	}
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)

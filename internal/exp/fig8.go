@@ -61,7 +61,7 @@ func (s *Suite) Fig8Throttling(loo *LOOModels) (*Fig8Result, error) {
 		default:
 			return core.RunResult{}, fmt.Errorf("fig8: unknown strategy %q", name)
 		}
-		noisy := s.Noisy.WithNoiseSource(base.Fork(b.Name + "/" + name))
+		noisy := s.Noisy.WithNoise(base.Fork(b.Name + "/" + name))
 		env := core.NewEnvWith(noisy, s.Truth, s.Power, s.Configs)
 		r, err := strat.Run(b, env)
 		if err != nil {

@@ -25,15 +25,9 @@ import (
 	"github.com/greenhpc/actor/internal/workload"
 )
 
-// The suite's noisy machine perturbs every measurement at these levels (see
-// machine.WithNoise): run times by timeSigma, event counts by countSigma.
-const (
-	timeSigma  = 0.03
-	countSigma = 0.12
-)
-
 // Options tunes experiment fidelity (training cost vs accuracy). The
-// measurement noise is fixed at timeSigma and countSigma.
+// measurement noise levels are the machine model's (see machine.WithNoise)
+// and the mini-batch size is the trainer's.
 type Options struct {
 	// Seed drives every stochastic component (measurement noise, fold
 	// shuffles, weight initialisation).
@@ -62,13 +56,12 @@ type Options struct {
 }
 
 // DefaultOptions mirrors the paper: 10-fold ensembles and six sampling
-// repetitions per phase. Training runs on the batched warm-start engine
-// (mini-batch GEMM passes; one base model per ensemble with bounded
-// per-fold fine-tuning) — the knobs that made leave-one-out training the
-// pipeline's fast path; see ann.Config and PERFORMANCE.md.
+// repetitions per phase. Training runs warm-started (one base model per
+// ensemble with bounded per-fold fine-tuning) on the trainer's mini-batch
+// GEMM passes — what made leave-one-out training the pipeline's fast path;
+// see ann.Config and PERFORMANCE.md.
 func DefaultOptions() Options {
 	cfg := ann.DefaultConfig()
-	cfg.BatchSize = 8
 	cfg.WarmStartEpochs = 60
 	return Options{
 		Seed:        42,
@@ -80,12 +73,11 @@ func DefaultOptions() Options {
 
 // FastOptions trades a little fidelity for speed; used by the test suite so
 // the full pipeline stays runnable in seconds. Like DefaultOptions it
-// enables batched warm-start training.
+// enables warm-start training.
 func FastOptions() Options {
 	cfg := ann.DefaultConfig()
 	cfg.MaxEpochs = 150
 	cfg.Patience = 12
-	cfg.BatchSize = 8
 	cfg.WarmStartEpochs = 30
 	return Options{
 		Seed:        42,
@@ -148,7 +140,7 @@ func NewSuite(opts Options) (*Suite, error) {
 	}
 	truth = truth.WithMemo()
 	src := noise.New(opts.Seed)
-	noisy := truth.WithNoise(src.Fork("machine"), timeSigma, countSigma)
+	noisy := truth.WithNoise(src.Fork("machine"))
 	return &Suite{
 		Opts:      opts,
 		Truth:     truth,

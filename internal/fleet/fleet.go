@@ -165,7 +165,7 @@ func NewClass(desc string, params *machine.Params) (*Class, error) {
 		return nil, err
 	}
 	if params != nil {
-		m.SetParams(*params)
+		m = m.WithParams(*params)
 	}
 	c := &Class{
 		Desc:    desc,

@@ -232,7 +232,7 @@ func TestCoSchedulingParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth.SetParams(params)
+	truth = truth.WithParams(params)
 	configs := topology.PaperConfigs()
 	for _, cfg := range configs {
 		if err := cls.Topo.ValidatePlacement(cfg); err != nil {

@@ -48,7 +48,7 @@ func Validate(f *Fleet, jobs []Job, res *Result) error {
 		if err != nil {
 			return fmt.Errorf("fleet: validate: class %s: %w", c.Desc, err)
 		}
-		m.SetParams(c.Model.Params())
+		m = m.WithParams(c.Model.Params())
 		v.models = append(v.models, m)
 		byReal := make([]groupView, len(c.groupSize))
 		for g := range byReal {

@@ -101,10 +101,9 @@ func (p Params) validate() error {
 type Machine struct {
 	Topo *topology.Topology
 
-	// params is unexported so every parameter change funnels through
-	// SetParams: a direct write on a memoised machine used to be a
-	// documented footgun (it served phase responses computed under the
-	// superseded parameters). Read with Params().
+	// params is fixed when the machine is built: WithParams returns a
+	// copy, so a memo never serves a response computed under other
+	// parameters. Read with Params().
 	params Params
 
 	l2  *cache.SharingModel
@@ -127,10 +126,8 @@ type Machine struct {
 	classSig  uint64
 
 	// noiseSrc, when non-nil, perturbs RunPhase results with run-to-run
-	// variance (run times per timeSigma, event counts per countSigma).
-	noiseSrc   *noise.Source
-	timeSigma  float64
-	countSigma float64
+	// variance (run times at timeSigma, event counts at countSigma).
+	noiseSrc *noise.Source
 
 	// freqScale scales the core clock relative to the topology's nominal
 	// frequency (1 = nominal). DVFS extension: lowering the clock
@@ -142,16 +139,10 @@ type Machine struct {
 	// memo, when non-nil, caches the deterministic part of RunPhase.
 	// Shared across WithNoise/WithFrequency copies; see WithMemo.
 	memo *phaseMemo
-
-	// paramsEpoch is the machine's position in the shared memo's params
-	// history — part of the memo key, advanced by SetParams — so memoised
-	// responses computed under superseded Params are never served
-	// (auto-calibration tunes Params at runtime).
-	paramsEpoch uint64
 }
 
 // New builds a machine for the topology with default parameters and no
-// measurement noise (ground truth — used for oracles and calibration).
+// measurement noise (ground truth — used for oracles).
 func New(t *topology.Topology) (*Machine, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -216,48 +207,48 @@ func (m *Machine) WithFrequency(scale float64) *Machine {
 	return &cp
 }
 
-// Params returns the machine's core parameters. Mutate via SetParams — the
-// field is unexported so memoised machines can never serve phase responses
-// computed under superseded parameters.
+// Params returns the machine's core parameters.
 func (m *Machine) Params() Params { return m.params }
 
-// SetParams replaces the machine's core parameters and moves the machine
-// to a fresh params epoch in the phase-memo key, invalidating every
-// memoised response computed under the old parameters. Epochs are drawn
-// from a counter on the shared memo, so two derived machines (WithNoise,
-// WithFrequency copies share one memo) that diverge their Params can never
-// collide on an epoch and serve each other's entries.
+// WithParams returns a copy of the machine with core parameters p. A
+// memoised machine's copy gets a fresh memo of its own, so neither machine
+// ever serves a response computed under the other's parameters.
 //
 // It panics, as WithFrequency does on a non-positive scale, on parameters
 // the model cannot evaluate (see Params.validate).
-func (m *Machine) SetParams(p Params) {
+func (m *Machine) WithParams(p Params) *Machine {
 	if err := p.validate(); err != nil {
-		panic("machine: SetParams: " + err.Error())
+		panic("machine: WithParams: " + err.Error())
 	}
-	m.params = p
-	if m.memo != nil {
-		m.paramsEpoch = m.memo.nextEpoch()
-	} else {
-		m.paramsEpoch++
-	}
-}
-
-// WithNoise returns a copy of the machine whose RunPhase results carry
-// deterministic, seeded measurement noise: execution time with relative
-// sigma timeSigma and each event count with relative sigma countSigma.
-func (m *Machine) WithNoise(src *noise.Source, timeSigma, countSigma float64) *Machine {
 	cp := *m
-	cp.noiseSrc = src
-	cp.timeSigma = timeSigma
-	cp.countSigma = countSigma
+	cp.params = p
+	if cp.memo != nil {
+		cp.memo = &phaseMemo{}
+	}
 	return &cp
 }
 
-// WithNoiseSource returns a copy of the machine drawing measurement noise
-// from src at the machine's existing sigmas. The parallel evaluation engine
-// forks one source per task from a (seed, task key) pair so that every
-// task's noise stream is private and independent of execution order.
-func (m *Machine) WithNoiseSource(src *noise.Source) *Machine {
+// The noisy machine perturbs every measurement at these relative levels:
+// run times by timeSigma, each event count by countSigma.
+const (
+	timeSigma  = 0.03
+	countSigma = 0.12
+)
+
+// timeNoise and countNoise are the two levels' log-normal constants,
+// worked out once.
+var (
+	timeNoise  = noise.NewMultiplicative(timeSigma)
+	countNoise = noise.NewMultiplicative(countSigma)
+)
+
+// WithNoise returns a copy of the machine whose RunPhase results carry
+// deterministic measurement noise drawn from src: execution time at
+// relative sigma timeSigma and each event count at countSigma. The
+// parallel evaluation engine forks one source per task from a (seed, task
+// key) pair, so every task's noise stream is private and independent of
+// execution order.
+func (m *Machine) WithNoise(src *noise.Source) *Machine {
 	cp := *m
 	cp.noiseSrc = src
 	return &cp
@@ -451,7 +442,7 @@ func (m *Machine) eventCounts(c *pmu.Counts, p *workload.PhaseProfile, avgMiss, 
 // from the noise stream are deterministic (the old map-backed Counts
 // iterated in random order, silently breaking seed reproducibility).
 func (m *Machine) perturb(r *Result) {
-	tf := m.noiseSrc.Multiplicative(m.timeSigma)
+	tf := timeNoise.Draw(m.noiseSrc)
 	r.TimeSec *= tf
 	r.WallCycles *= tf
 	r.AggIPC /= tf
@@ -464,7 +455,7 @@ func (m *Machine) perturb(r *Result) {
 			r.Counts[e] = r.WallCycles
 			continue
 		}
-		r.Counts[e] *= m.noiseSrc.Multiplicative(m.countSigma)
+		r.Counts[e] *= countNoise.Draw(m.noiseSrc)
 	}
 }
 

@@ -150,7 +150,7 @@ func TestSerialFractionLimitsSpeedup(t *testing.T) {
 func TestNoisyMachine(t *testing.T) {
 	m := newMachine(t)
 	src := noise.New(1)
-	nm := m.WithNoise(src, 0.05, 0.05)
+	nm := m.WithNoise(src)
 	p := testPhase()
 	cfg, _ := topology.ConfigByName("4")
 	a := nm.RunPhase(&p, 0, cfg)
@@ -163,7 +163,7 @@ func TestNoisyMachine(t *testing.T) {
 		t.Error("instruction counts differ under noise")
 	}
 	// Same seed → same stream.
-	nm2 := m.WithNoise(noise.New(1), 0.05, 0.05)
+	nm2 := m.WithNoise(noise.New(1))
 	c := nm2.RunPhase(&p, 0, cfg)
 	if c.TimeSec != a.TimeSec {
 		t.Error("noise not reproducible under equal seeds")

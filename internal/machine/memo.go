@@ -2,7 +2,6 @@ package machine
 
 import (
 	"math"
-	"sync/atomic"
 
 	"github.com/greenhpc/actor/internal/memo"
 	"github.com/greenhpc/actor/internal/topology"
@@ -19,19 +18,15 @@ import (
 //
 // The table itself is internal/memo's grow-only Table: hits are lock-free
 // and allocation-free, and every Result served is a value copy of the stored
-// one. This file owns only the key, its hash and the params-epoch counter.
+// one. This file owns only the key and its hash. Params are not in the key:
+// they are fixed when a machine is built, and WithParams gives its copy a
+// memo of its own.
 //
 // The cache deliberately excludes measurement noise: RunPhase applies
 // perturbation after the lookup, so noisy machines share the memo with
 // their noiseless ground-truth counterpart.
 type phaseMemo struct {
 	memo.Table[memoKey, Result]
-
-	// epochCounter allocates params epochs (see Machine.SetParams). It
-	// lives on the shared memo so every machine sharing the cache draws
-	// from one sequence: each SetParams call gets a unique epoch and two
-	// derived machines with different Params cannot key the same entries.
-	epochCounter atomic.Uint64
 }
 
 type memoKey struct {
@@ -40,14 +35,10 @@ type memoKey struct {
 	coresHash   uint64
 	freqScale   float64
 	idio        float64
-	paramsEpoch uint64
 }
 
-// nextEpoch returns a fresh, never-before-issued params epoch.
-func (c *phaseMemo) nextEpoch() uint64 { return c.epochCounter.Add(1) }
-
-// memoSeed folds the placement-independent key fields — fingerprint, clock
-// scale, idiosyncrasy and params epoch — into a partial FNV-1a hash.
+// memoSeed folds the placement-independent key fields — fingerprint and
+// clock scale — and the class layout into a partial FNV-1a hash.
 // RunPhaseSweep computes it once per phase and extends it per placement,
 // so the per-lookup hashing cost in a sweep is just the placement tail.
 func (m *Machine) memoSeed(p *workload.PhaseProfile) uint64 {
@@ -57,8 +48,6 @@ func (m *Machine) memoSeed(p *workload.PhaseProfile) uint64 {
 		h *= 1099511628211
 	}
 	h ^= math.Float64bits(m.clockScale())
-	h *= 1099511628211
-	h ^= m.paramsEpoch
 	h *= 1099511628211
 	// Class layout: heterogeneous machines fold their per-core class
 	// multipliers into every key, so a response computed under one class
@@ -97,7 +86,6 @@ func (m *Machine) keyFor(p *workload.PhaseProfile, idio float64, pl *topology.Pl
 		coresHash:   coresHash,
 		freqScale:   m.clockScale(),
 		idio:        idio,
-		paramsEpoch: m.paramsEpoch,
 	}
 }
 
@@ -129,10 +117,7 @@ func hashCores(cores []topology.CoreID) uint64 {
 // WithMemo returns a copy of the machine that serves the deterministic part
 // of RunPhase from a shared phase-response cache. Derived machines
 // (WithNoise, WithFrequency) share the memo — frequency-scaled results are
-// distinguished by the cache key. Params changes are made through
-// SetParams, which bumps the params epoch in the cache key (the Params
-// field is unexported precisely so stale cached responses cannot be served
-// by accident).
+// distinguished by the cache key. A WithParams copy gets a memo of its own.
 //
 // Results served from the cache are value copies — the hot hit path performs
 // zero allocations and callers may mutate what they receive (measurement
@@ -143,12 +128,6 @@ func (m *Machine) WithMemo() *Machine {
 	cp := *m
 	if cp.memo == nil {
 		cp.memo = &phaseMemo{}
-		// Start the epoch sequence at the machine's current epoch:
-		// SetParams calls made before memoisation advanced paramsEpoch
-		// without a memo counter, and the first post-memoisation
-		// SetParams must not re-issue the epoch the cache is already
-		// keyed under.
-		cp.memo.epochCounter.Store(cp.paramsEpoch)
 	}
 	return &cp
 }

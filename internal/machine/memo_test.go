@@ -53,7 +53,7 @@ func TestMemoKeyDiscriminates(t *testing.T) {
 
 func TestMemoSharedWithNoiseForkKeepsVariance(t *testing.T) {
 	truth := newMachine(t).WithMemo()
-	noisy := truth.WithNoise(noise.New(7), 0.05, 0.1)
+	noisy := truth.WithNoise(noise.New(7))
 	p := testPhase()
 	cfg, _ := topology.ConfigByName("4")
 
@@ -107,7 +107,7 @@ func TestMemoHitAllocatesNothing(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("memoised RunPhase hit allocates %.1f objects/op, want 0", allocs)
 	}
-	noisy := m.WithNoise(noise.New(7), 0.05, 0.1)
+	noisy := m.WithNoise(noise.New(7))
 	if r := noisy.RunPhase(&p, 0.1, cfg); r.TimeSec == r1.TimeSec {
 		t.Fatal("noisy machine applied no noise")
 	}
@@ -116,6 +116,65 @@ func TestMemoHitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestMemoDerivedCopies: a WithParams copy never serves its source's memo
+// entries and the source never serves the copy's, even when the params are
+// equal; WithNoise and WithFrequency copies share the source's memo both
+// ways.
+func TestMemoDerivedCopies(t *testing.T) {
+	p := testPhase()
+	cfg, _ := topology.ConfigByName("4")
+	slow := DefaultParams()
+	slow.MemLatencyCycles *= 4
+	rows := []struct {
+		name   string
+		derive func(*Machine) *Machine
+		shared bool
+	}{
+		{"WithParams", func(m *Machine) *Machine { return m.WithParams(slow) }, false},
+		{"WithParams/equal", func(m *Machine) *Machine { return m.WithParams(m.Params()) }, false},
+		{"WithNoise", func(m *Machine) *Machine { return m.WithNoise(noise.New(7)) }, true},
+		{"WithFrequency", func(m *Machine) *Machine { return m.WithFrequency(1) }, true},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			src := newMachine(t).WithMemo()
+			first := src.RunPhase(&p, 0.1, cfg) // miss: fills the source's memo
+			cp := r.derive(src)
+			if src.Params() != DefaultParams() {
+				t.Fatal("deriving a copy changed the source's params")
+			}
+			got := cp.RunPhase(&p, 0.1, cfg) // the source's entry, if shared
+			cp.RunPhase(&p, 0.3, cfg)        // a new entry, computed by the copy
+			src.RunPhase(&p, 0.3, cfg)       // the copy's entry, if shared
+			wantHits := uint64(0)
+			if r.shared {
+				wantHits = 2
+			}
+			for name, m := range map[string]*Machine{"source": src, "copy": cp} {
+				if hits, misses := m.MemoStats(); hits != wantHits || misses != 2 {
+					t.Errorf("%s memo: %d hits / %d misses, want %d / 2", name, hits, misses, wantHits)
+				}
+			}
+			switch r.name {
+			case "WithParams":
+				if got.TimeSec <= first.TimeSec {
+					t.Errorf("4× memory latency did not slow the phase: %g vs %g", got.TimeSec, first.TimeSec)
+				}
+			case "WithParams/equal", "WithFrequency":
+				if !resultsBitIdentical(got, first) {
+					t.Error("copy's result differs from the source's")
+				}
+			}
+		})
+	}
+	if hits, misses := newMachine(t).WithParams(slow).MemoStats(); hits != 0 || misses != 0 {
+		t.Error("WithParams gave an unmemoised machine a memo")
+	}
+}
+
+// TestMemoSetParamsInvalidates: a WithParams copy never serves a response
+// memoised under its source's params, and copying back to the original
+// params recomputes the original bits.
 func TestMemoSetParamsInvalidates(t *testing.T) {
 	m := newMachine(t).WithMemo()
 	p := testPhase()
@@ -125,56 +184,55 @@ func TestMemoSetParamsInvalidates(t *testing.T) {
 
 	slow := m.Params()
 	slow.MemLatencyCycles *= 4
-	m.SetParams(slow)
-	after := m.RunPhase(&p, 0.1, cfg)
+	sm := m.WithParams(slow)
+	after := sm.RunPhase(&p, 0.1, cfg)
 	if memoEquivalent(after.TimeSec, before.TimeSec) {
 		t.Error("params change served a stale memoised response")
 	}
 	if after.TimeSec <= before.TimeSec {
 		t.Errorf("4× memory latency did not slow the phase: %g vs %g", after.TimeSec, before.TimeSec)
 	}
-	if _, misses := m.MemoStats(); misses != 2 {
-		t.Errorf("misses = %d, want 2 (one per params epoch)", misses)
-	}
 
-	// Restoring the old values under a new epoch must still recompute —
-	// the key carries the epoch, not the parameter values — and the result
-	// must equal the original computation.
-	orig := slow
-	orig.MemLatencyCycles /= 4
-	m.SetParams(orig)
-	restored := m.RunPhase(&p, 0.1, cfg)
-	if !memoEquivalent(restored.TimeSec, before.TimeSec) {
+	// Copying back to the old values still recomputes (the copy's memo is
+	// fresh), and the result equals the original computation.
+	restoredM := sm.WithParams(m.Params())
+	restored := restoredM.RunPhase(&p, 0.1, cfg)
+	if !resultsBitIdentical(restored, before) {
 		t.Error("recomputation under restored params diverged from the original")
 	}
-	if _, misses := m.MemoStats(); misses != 3 {
-		t.Errorf("misses = %d, want 3", misses)
+	if hits, misses := restoredM.MemoStats(); hits != 0 || misses != 1 {
+		t.Errorf("restored copy memo: %d hits / %d misses, want 0 / 1", hits, misses)
 	}
 }
 
+// TestMemoSetParamsOnDerivedMachinesCannotCollide: two machines that share
+// a memo (a WithFrequency fork) and then take different params through
+// WithParams never serve each other's entries.
 func TestMemoSetParamsOnDerivedMachinesCannotCollide(t *testing.T) {
-	a := newMachine(t).WithMemo()
-	b := a.WithFrequency(1) // shares a's memo
+	base := newMachine(t).WithMemo()
 	p := testPhase()
 	cfg, _ := topology.ConfigByName("4")
 
-	fast := a.Params()
+	fast := base.Params()
 	fast.MemLatencyCycles /= 2
-	slow := a.Params()
+	slow := base.Params()
 	slow.MemLatencyCycles *= 2
-	a.SetParams(fast)
-	b.SetParams(slow) // epochs come from the shared memo: must differ from a's
+	a := base.WithParams(fast)
+	b := base.WithFrequency(1).WithParams(slow)
 
 	ra := a.RunPhase(&p, 0.1, cfg)
 	rb := b.RunPhase(&p, 0.1, cfg)
 	if memoEquivalent(ra.TimeSec, rb.TimeSec) {
-		t.Error("derived machines with diverged Params shared a memo entry (epoch collision)")
+		t.Error("derived machines with diverged Params shared a memo entry")
 	}
 	if rb.TimeSec <= ra.TimeSec {
 		t.Errorf("2× vs 0.5× memory latency ordering wrong: %g vs %g", rb.TimeSec, ra.TimeSec)
 	}
 }
 
+// TestMemoSetParamsBeforeWithMemoStaysInvalidatable: params set before a
+// memo exists are the ones the memo caches under, and a later WithParams
+// copy of the memoised machine does not serve them.
 func TestMemoSetParamsBeforeWithMemoStaysInvalidatable(t *testing.T) {
 	m := newMachine(t)
 	p := testPhase()
@@ -182,17 +240,17 @@ func TestMemoSetParamsBeforeWithMemoStaysInvalidatable(t *testing.T) {
 
 	pre := m.Params()
 	pre.MemLatencyCycles /= 2
-	m.SetParams(pre) // advances the epoch before any memo exists
-
-	mm := m.WithMemo()
-	before := mm.RunPhase(&p, 0.1, cfg) // caches under the pre-memo epoch
+	mm := m.WithParams(pre).WithMemo()
+	before := mm.RunPhase(&p, 0.1, cfg) // caches under the pre-memo params
+	if want := m.WithParams(pre).RunPhase(&p, 0.1, cfg); !resultsBitIdentical(before, want) {
+		t.Error("memoised machine computed under other params than it was built with")
+	}
 
 	slow := mm.Params()
 	slow.MemLatencyCycles *= 8
-	mm.SetParams(slow) // the fresh memo's counter must not re-issue that epoch
-	after := mm.RunPhase(&p, 0.1, cfg)
+	after := mm.WithParams(slow).RunPhase(&p, 0.1, cfg)
 	if memoEquivalent(after.TimeSec, before.TimeSec) {
-		t.Error("SetParams after late memoisation served a stale response (epoch re-issued)")
+		t.Error("WithParams after late memoisation served a stale response")
 	}
 }
 

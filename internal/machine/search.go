@@ -252,7 +252,7 @@ func (s *Search) Len() int { return len(s.names) }
 // the time after one lane step at bus factor 1 — through the kernel of
 // solveBlock's first iteration — fed to the accounting at bus factor 1 and
 // times the response factor is a lower bound, bit for bit, on the exact time
-// of a phase that passes Validate under Params that SetParams accepts. Best
+// of a phase that passes Validate under Params that WithParams accepts. Best
 // solves the placement of least prefilter bound exactly, then solves, in
 // slice order and in blocks, only the placements whose bound does not exceed
 // the best time found so far. A placement of exactly minimal time is never

@@ -198,7 +198,7 @@ func randomPhase(r [20]uint32) workload.PhaseProfile {
 	}
 }
 
-// randomParams builds Params SetParams accepts from random words.
+// randomParams builds Params WithParams accepts from random words.
 func randomParams(r [7]uint32) Params {
 	return Params{
 		L2LatencyCycles:         unit(r[0]) * 60,
@@ -227,7 +227,7 @@ func propertyCase(t *testing.T, bg, bs, lg, ls, fr, cr uint8, pr [20]uint32, par
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetParams(randomParams(par))
+	m = m.WithParams(randomParams(par))
 	m = m.WithFrequency(0.25 + float64(clockRaw)/math.MaxUint16*0.75)
 	idio = (float64(idioRaw)/math.MaxUint16 - 0.5) * 0.8
 	return m, placements, p, idio
@@ -695,8 +695,9 @@ func FuzzResponseZ4(f *testing.F) {
 	})
 }
 
-// TestSetParamsRejectsUnevaluable: SetParams panics on each parameter the
-// model cannot evaluate, one row per field, and accepts the defaults.
+// TestSetParamsRejectsUnevaluable: WithParams, which sets a copy's params,
+// panics on each parameter the model cannot evaluate, one row per field,
+// and accepts the defaults.
 func TestSetParamsRejectsUnevaluable(t *testing.T) {
 	rows := []struct {
 		field string
@@ -718,14 +719,13 @@ func TestSetParamsRejectsUnevaluable(t *testing.T) {
 			defer func() {
 				msg, _ := recover().(string)
 				if !strings.Contains(msg, r.field) {
-					t.Errorf("SetParams panic = %q, want one naming %s", msg, r.field)
+					t.Errorf("WithParams panic = %q, want one naming %s", msg, r.field)
 				}
 			}()
-			m.SetParams(p)
+			m.WithParams(p)
 		})
 	}
 	valid := DefaultParams()
 	valid.ResponseSigma = 0
-	m.SetParams(valid)
-	m.SetParams(DefaultParams())
+	m.WithParams(valid).WithParams(DefaultParams())
 }

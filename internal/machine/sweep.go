@@ -585,7 +585,7 @@ func (m *Machine) serialCycles(ctx *phaseCtx, p *workload.PhaseProfile, busFacto
 // Every operation from the bus factor and the lane CPIs to the wall cycles —
 // here, in serialCycles and in the lane step — is a sum or product of
 // non-negative operands, a max or a division by a positive constant, so for
-// a phase that passes Validate and parameters SetParams accepts, the wall
+// a phase that passes Validate and parameters WithParams accepts, the wall
 // cycles are monotone non-decreasing in the bus factor and in each lane's
 // CPI — the lower bound Search prunes by rests on that.
 func (m *Machine) wallCycles(a *phaseAcct, t *threadAcct, n int, serCycles, maxCPI, sumMiss float64) (wall, avgMissL2 float64) {

@@ -53,7 +53,7 @@ func sweepMachines(t *testing.T, topo *topology.Topology, memoise, noisy bool) (
 			m = m.WithMemo()
 		}
 		if noisy {
-			m = m.WithNoise(noise.New(1234), 0.03, 0.12)
+			m = m.WithNoise(noise.New(1234))
 		}
 		return m
 	}

@@ -2,9 +2,10 @@
 //
 // The paper's accuracy results (median IPC prediction error ≈ 9%) only make
 // sense against realistic run-to-run variance in hardware counter readings
-// and power-meter samples. This package supplies reproducible multiplicative
-// noise streams used by the machine model and the PMU sampler. Every stream is derived from an explicit seed so experiments
-// are bit-reproducible.
+// and power-meter samples. This package supplies the reproducible
+// multiplicative noise streams the machine model perturbs its measurements
+// with. Every stream is derived from an explicit seed so experiments are
+// bit-reproducible.
 package noise
 
 import (
@@ -37,15 +38,22 @@ func (s *Source) Fork(id string) *Source {
 	return New(h ^ s.seed)
 }
 
-// Multiplicative returns a noise factor with mean ≈ 1 and relative standard
-// deviation sigma, drawn from a log-normal distribution (always positive).
-// sigma = 0 returns exactly 1.
-func (s *Source) Multiplicative(sigma float64) float64 {
-	if sigma <= 0 {
-		return 1
-	}
+// Multiplicative is a log-normal noise level: factors with mean ≈ 1 and
+// relative standard deviation sigma, always positive. Its constants are
+// worked out once, by NewMultiplicative, rather than on every draw.
+type Multiplicative struct {
+	mu, sd float64
+}
+
+// NewMultiplicative returns the noise level of relative standard deviation
+// sigma ≥ 0. Sigma = 0 draws exactly 1.
+func NewMultiplicative(sigma float64) Multiplicative {
 	// Log-normal with E[X]=1: mu = -0.5*ln(1+sigma^2), s2 = ln(1+sigma^2).
 	s2 := math.Log(1 + float64(sigma*sigma))
-	mu := float64(-0.5 * s2)
-	return math.Exp(mu + float64(math.Sqrt(s2)*s.rng.NormFloat64()))
+	return Multiplicative{mu: float64(-0.5 * s2), sd: math.Sqrt(s2)}
+}
+
+// Draw returns the next noise factor at level m from src.
+func (m Multiplicative) Draw(src *Source) float64 {
+	return math.Exp(m.mu + float64(m.sd*src.rng.NormFloat64()))
 }
