@@ -84,9 +84,12 @@ type Result struct {
 	States int
 }
 
-// Digest is an FNV-1a fingerprint of the schedule rows in job-ID order
-// (scorer name and work counters excluded), the equality witness of the
-// incremental-vs-naive and GOMAXPROCS determinism properties.
+// Digest is a fingerprint of the schedule rows in job-ID order (scorer name
+// and work counters excluded), the equality witness of the
+// incremental-vs-naive and GOMAXPROCS determinism properties. It is
+// FNV-1a's loop and prime from 1469598103934665603, which is not FNV's
+// 64-bit offset basis (14695981039346656037); the value is kept because
+// the fleet digests are pinned.
 func (r *Result) Digest() uint64 {
 	h := uint64(1469598103934665603)
 	mix := func(v uint64) {

@@ -175,7 +175,8 @@ func New(t *topology.Topology) (*Machine, error) {
 }
 
 // classSignature hashes the class layout (per-core class index plus each
-// class's multipliers) for the memo seed.
+// class's multipliers) for the memo seed, with memoSeed's FNV-1a loop and
+// start value.
 func classSignature(classes []topology.CoreClass, coreClass []int) uint64 {
 	h := uint64(1469598103934665603)
 	mix := func(v uint64) {

@@ -38,7 +38,10 @@ type memoKey struct {
 }
 
 // memoSeed folds the placement-independent key fields — fingerprint and
-// clock scale — and the class layout into a partial FNV-1a hash.
+// clock scale — and the class layout into a partial hash: FNV-1a's loop
+// and prime from 1469598103934665603, which is not FNV's 64-bit offset
+// basis (14695981039346656037). Any start value keys the memo as well;
+// this one is kept so every key stays in the shard it has always used.
 // RunPhaseSweep computes it once per phase and extends it per placement,
 // so the per-lookup hashing cost in a sweep is just the placement tail.
 func (m *Machine) memoSeed(p *workload.PhaseProfile) uint64 {
@@ -103,8 +106,9 @@ func (c *phaseMemo) lookup(m *Machine, p *workload.PhaseProfile, idio float64, p
 	c.Put(hash, key, *res)
 }
 
-// hashCores folds a placement's core list into an FNV-1a hash, so distinct
-// core sets that happen to share a placement name cannot collide.
+// hashCores folds a placement's core list into a hash (memoSeed's FNV-1a
+// loop and start value), so distinct core sets that happen to share a
+// placement name cannot collide.
 func hashCores(cores []topology.CoreID) uint64 {
 	h := uint64(1469598103934665603)
 	for _, c := range cores {

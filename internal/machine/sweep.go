@@ -533,8 +533,12 @@ func (m *Machine) responseFactorCtx(ctx *phaseCtx, p *workload.PhaseProfile, pl 
 	return math.Exp(m.params.ResponseSigma * responseZ(ctx.respSeed, pl.Name))
 }
 
-// responseSeed is the FNV-1a state after folding a phase fingerprint and the
+// responseSeed is the hash state after folding a phase fingerprint and the
 // "|" separator: the prefix every placement's response hash starts from.
+// The fold is FNV-1a's loop and prime from 1469598103934665603, which is
+// not FNV's 64-bit offset basis (14695981039346656037); the value is kept
+// because every simulated response, and so every pinned output, hashes
+// through it.
 func responseSeed(fingerprint string) uint64 {
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(fingerprint); i++ {

@@ -28,9 +28,12 @@ func New(seed int64) *Source {
 
 // Fork derives an independent child stream identified by id. Forking is
 // stable: the same (seed, id) pair always yields the same stream regardless
-// of how many values the parent has produced.
+// of how many values the parent has produced. The id is hashed with
+// FNV-1a's loop and prime from 1469598103934665603, which is not FNV's
+// 64-bit offset basis (14695981039346656037); the value is kept because
+// every pinned output draws from streams forked through it.
 func (s *Source) Fork(id string) *Source {
-	h := int64(1469598103934665603) // FNV-1a offset basis
+	h := int64(1469598103934665603)
 	for _, b := range []byte(id) {
 		h ^= int64(b)
 		h *= 1099511628211

@@ -104,9 +104,12 @@ func Rand(base int64, key string) *rand.Rand {
 }
 
 // SeedFor derives a per-task RNG seed from a base seed and a stable task
-// key (FNV-1a over the key, mixed with the base). The same (base, key) pair
-// always yields the same seed, decoupling each task's random stream from
-// execution order.
+// key (FNV-1a's loop and prime over the key, avalanched and mixed with the
+// base). The same (base, key) pair always yields the same seed, decoupling
+// each task's random stream from execution order. The hash starts from
+// 1469598103934665603, which is not FNV's 64-bit offset basis
+// (14695981039346656037); the value is kept because every pinned output
+// seeds its tasks through it.
 func SeedFor(base int64, key string) int64 {
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(key); i++ {

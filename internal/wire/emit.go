@@ -208,15 +208,6 @@ func (e *Emitter) Float(f float64) {
 	e.B = appendJSONFloat(e.B, f)
 }
 
-// Int writes one integer value.
-func (e *Emitter) Int(v int64) {
-	if e.err != nil {
-		return
-	}
-	e.valuePreamble()
-	e.B = strconv.AppendInt(e.B, v, 10)
-}
-
 // Bool writes one boolean value.
 func (e *Emitter) Bool(v bool) {
 	if e.err != nil {

@@ -2,6 +2,7 @@ package actor
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,15 +15,18 @@ import (
 	"github.com/greenhpc/actor/internal/wire"
 )
 
-// This file composes internal/wire's Emitter and Scanner into the server's
-// per-type codecs, and is the one place that knows the wire format.
-// Encoding is byte-identical to a json.Encoder configured with
-// SetIndent("", " "), HTML escaping and a trailing newline — enforced by
-// codec property and fuzz tests against encoding/json. Decoding is the
-// strict v1 request grammar (see "request grammar" below): the scanner is
-// the only decoder, and what it does not accept is rejected with a
-// documented reason. encoding/json is the tests' reference, not a
-// serving-path fallback.
+// This file is the one place that knows the wire format. Only the hot
+// bodies are hand-encoded: the /v1/predict, /v1/sweep and /v1/eval replies,
+// whose encoding cost is paid per request, compose internal/wire's Emitter.
+// Every other body — /v1/bank (encoded once per bank), the health and
+// readiness probes, errors and the recalibration admin replies — is off the
+// per-request path and goes through encoding/json (marshalCold, writeCold).
+// Both produce the bytes of a json.Encoder configured with
+// SetIndent("", " "), HTML escaping and a trailing newline; the Emitter is
+// held to that by codec property and fuzz tests against encoding/json.
+// Decoding is the strict v1 request grammar (see "request grammar" below):
+// the scanner is the only decoder, and what it does not accept is rejected
+// with a documented reason.
 
 // headerJSONValue is the shared Content-Type value slice. Handlers assign
 // it into the header map directly: http.Header.Set allocates a fresh
@@ -34,6 +38,42 @@ func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header()["Content-Type"] = headerJSONValue
 	w.WriteHeader(code)
 	_, _ = w.Write(body)
+}
+
+// errorReply and statusReply are the error and probe bodies.
+type errorReply struct {
+	Error string `json:"error"`
+}
+
+type statusReply struct {
+	Status string `json:"status"`
+}
+
+// marshalCold encodes a cold body: encoding/json, indented by one space,
+// with a trailing newline — the bytes the Emitter is held to.
+func marshalCold(v any) ([]byte, error) {
+	body, err := json.MarshalIndent(v, "", " ")
+	if err != nil {
+		return nil, err
+	}
+	return append(body, '\n'), nil
+}
+
+// writeCold encodes v and writes it. A value encoding/json refuses (a NaN
+// or ±Inf) withholds the whole body; the client gets a 500 with a JSON
+// error body instead, the contract finish keeps on the hot path.
+func writeCold(w http.ResponseWriter, code int, v any) {
+	body, err := marshalCold(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = marshalCold(errorReply{"encoding response: " + err.Error()})
+	}
+	writeBody(w, code, body)
+}
+
+// writeError answers code with a JSON error body.
+func writeError(w http.ResponseWriter, code int, format string, args ...any) {
+	writeCold(w, code, errorReply{fmt.Sprintf(format, args...)})
 }
 
 // finish returns e's completed document. A non-finite float anywhere in it
@@ -48,7 +88,7 @@ func finish(w http.ResponseWriter, e *wire.Emitter) ([]byte, bool) {
 	return body, true
 }
 
-// writeWire encodes one response with build and writes it.
+// writeWire encodes one hot response with build and writes it.
 func writeWire(w http.ResponseWriter, code int, build func(e *wire.Emitter)) {
 	e := wire.GetEmitter()
 	build(e)
@@ -56,33 +96,6 @@ func writeWire(w http.ResponseWriter, code int, build func(e *wire.Emitter)) {
 		writeBody(w, code, body)
 	}
 	wire.PutEmitter(e)
-}
-
-// encodeJSON renders build's document to a fresh byte slice (used for the
-// precomputed /v1/bank, health and readyz bodies).
-func encodeJSON(build func(e *wire.Emitter)) ([]byte, error) {
-	e := wire.GetEmitter()
-	defer wire.PutEmitter(e)
-	build(e)
-	body, err := e.Finish()
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), body...), nil
-}
-
-func encodeError(e *wire.Emitter, msg string) {
-	e.BeginObject()
-	e.Key("error")
-	e.Str(msg)
-	e.EndObject()
-}
-
-func encodeStatus(e *wire.Emitter, status string) {
-	e.BeginObject()
-	e.Key("status")
-	e.Str(status)
-	e.EndObject()
 }
 
 func encodePrediction(e *wire.Emitter, p *Prediction) {
@@ -164,93 +177,6 @@ func encodeEvalResponse(e *wire.Emitter, fingerprint string, sweeps []PhaseSweep
 	e.Str(fingerprint)
 	e.Key("sweeps")
 	encodePhaseSweeps(e, sweeps)
-	e.EndObject()
-}
-
-func encodeStrings(e *wire.Emitter, ss []string) {
-	if ss == nil {
-		e.Null()
-		return
-	}
-	e.BeginArray()
-	for _, s := range ss {
-		e.Str(s)
-	}
-	e.EndArray()
-}
-
-func encodeBankInfo(e *wire.Emitter, info *BankInfo) {
-	e.BeginObject()
-	e.Key("meta")
-	m := &info.Meta
-	e.BeginObject()
-	e.Key("version")
-	e.Int(int64(m.Version))
-	e.Key("kind")
-	e.Str(string(m.Kind))
-	if m.Topology != "" {
-		e.Key("topology")
-		e.Str(m.Topology)
-	}
-	if m.TopologyName != "" {
-		e.Key("topology_name")
-		e.Str(m.TopologyName)
-	}
-	if m.Cores != 0 {
-		e.Key("cores")
-		e.Int(int64(m.Cores))
-	}
-	e.Key("seed")
-	e.Int(m.Seed)
-	if m.Folds != 0 {
-		e.Key("folds")
-		e.Int(int64(m.Folds))
-	}
-	e.Key("configs")
-	encodeStrings(e, m.Configs)
-	e.Key("sample_config")
-	e.Str(m.SampleConfig)
-	if len(m.EventSets) != 0 {
-		e.Key("event_sets")
-		e.BeginArray()
-		for _, set := range m.EventSets {
-			encodeStrings(e, set)
-		}
-		e.EndArray()
-	}
-	if m.Generation != 0 {
-		e.Key("generation")
-		e.Int(int64(m.Generation))
-	}
-	if m.Provenance != nil {
-		p := m.Provenance
-		e.Key("provenance")
-		e.BeginObject()
-		e.Key("parent")
-		e.Int(int64(p.Parent))
-		if p.Trigger != "" {
-			e.Key("trigger")
-			e.Str(p.Trigger)
-		}
-		e.Key("train_samples")
-		e.Int(int64(p.TrainSamples))
-		e.Key("holdout_samples")
-		e.Int(int64(p.HoldoutSamples))
-		e.Key("candidate_err")
-		e.Float(p.CandidateErr)
-		e.Key("live_err")
-		e.Float(p.LiveErr)
-		e.Key("margin")
-		e.Float(p.Margin)
-		e.EndObject()
-	}
-	e.EndObject()
-	e.Key("benches")
-	encodeStrings(e, info.Benches)
-	if info.Topology != "" {
-		e.Key("topology_desc")
-		e.Str(info.Topology)
-	}
 	e.EndObject()
 }
 

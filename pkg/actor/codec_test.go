@@ -2,6 +2,7 @@ package actor
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/greenhpc/actor/internal/recal"
 	"github.com/greenhpc/actor/internal/wire"
 )
 
@@ -26,9 +28,18 @@ func stdlibBytes(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
+// emit renders build's document to a fresh byte slice.
+func emit(build func(e *wire.Emitter)) ([]byte, error) {
+	e := wire.GetEmitter()
+	defer wire.PutEmitter(e)
+	build(e)
+	body, err := e.Finish()
+	return append([]byte(nil), body...), err
+}
+
 func wireBytes(t *testing.T, build func(e *wire.Emitter)) []byte {
 	t.Helper()
-	body, err := encodeJSON(build)
+	body, err := emit(build)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,94 +117,50 @@ func TestEncodeSweepResponseMatchesStdlib(t *testing.T) {
 	}
 }
 
-func TestEncodeBankInfoMatchesStdlib(t *testing.T) {
-	full := BankInfo{
-		Meta: Meta{
-			Version:      3,
-			Kind:         "mlr",
-			Topology:     "2s2c1t",
-			TopologyName: "paper quad Xeon",
-			Cores:        4,
-			Seed:         -42,
-			Folds:        5,
-			Configs:      []string{"1x1", "4x2"},
-			SampleConfig: "4x2",
-			EventSets:    [][]string{{"INST_RETIRED", "L2_MISSES"}, {"INST_RETIRED"}},
-			Generation:   2,
-			Provenance: &Provenance{
-				Parent:         1,
-				Trigger:        "drift:novel-phase",
-				TrainSamples:   96,
-				HoldoutSamples: 32,
-				CandidateErr:   0.041,
-				LiveErr:        0.057,
-				Margin:         0.1,
-			},
-		},
-		Benches:  []string{"SP", "CG"},
-		Topology: "2s2c1t",
-	}
-	minimal := BankInfo{
-		Meta: Meta{Kind: "ann", Configs: nil, SampleConfig: ""},
-		// nil Benches must encode as null, like the stdlib tag would.
-	}
-	empties := BankInfo{
-		Meta: Meta{
-			Configs:   []string{},
-			EventSets: [][]string{},
-		},
-		Benches: []string{},
-	}
-	// A promoted generation whose provenance omits the optional trigger:
-	// the omitempty on trigger and the zero-generation omission both have
-	// to match the stdlib tags exactly.
-	manualGen := BankInfo{
-		Meta: Meta{
-			Kind:       "mlr",
-			Generation: 1,
-			Provenance: &Provenance{Parent: 0, TrainSamples: 3, HoldoutSamples: 1},
-		},
-	}
-	for _, info := range []BankInfo{full, minimal, empties, manualGen} {
-		got := wireBytes(t, func(e *wire.Emitter) { encodeBankInfo(e, &info) })
-		want := stdlibBytes(t, info)
-		checkBytes(t, got, want)
-	}
-}
-
-func TestEncodeErrorAndStatusMatchStdlib(t *testing.T) {
-	for _, msg := range nastyStrings {
-		got := wireBytes(t, func(e *wire.Emitter) { encodeError(e, msg) })
-		want := stdlibBytes(t, struct {
-			Error string `json:"error"`
-		}{msg})
-		checkBytes(t, got, want)
-
-		got = wireBytes(t, func(e *wire.Emitter) { encodeStatus(e, msg) })
-		want = stdlibBytes(t, struct {
-			Status string `json:"status"`
-		}{msg})
-		checkBytes(t, got, want)
-	}
-}
-
-// TestEncodeNaNWithholdsBody pins the all-or-nothing failure mode: a NaN
-// anywhere in a response withholds every byte of it, and the client gets a
-// 500 with a JSON error body instead — never headers without a body.
+// TestEncodeNaNWithholdsBody pins the all-or-nothing failure mode on both
+// encoders: a NaN anywhere in a response withholds every byte of it, and
+// the client gets a 500 with a JSON error body instead — never headers
+// without a body. The hot case is a sweep reply on the Emitter; the cold
+// case is GET /v1/recal/status with a NaN in its event log, on
+// encoding/json.
 func TestEncodeNaNWithholdsBody(t *testing.T) {
 	nan := func(e *wire.Emitter) {
 		encodeSweepResponse(e, []PhaseSweep{{Bench: "SP", Rows: []SweepRow{{AggIPC: math.NaN()}}}})
 	}
-	if _, err := encodeJSON(nan); err == nil {
+	if _, err := emit(nan); err == nil {
 		t.Fatal("encoding a NaN succeeded; json.Encoder refuses it")
 	}
 	rec := httptest.NewRecorder()
 	writeWire(rec, http.StatusOK, nan)
-	want := wireBytes(t, func(e *wire.Emitter) {
-		encodeError(e, "encoding response: "+wire.ErrUnsupportedValue.Error())
-	})
+	want := stdlibBytes(t, errorReply{"encoding response: " + wire.ErrUnsupportedValue.Error()})
 	if rec.Code != http.StatusInternalServerError || !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Errorf("NaN response = %d %q, want 500 %q", rec.Code, rec.Body, want)
+	}
+
+	eng, err := New(WithFast(), WithRepetitions(1), WithMLR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Train(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	r, err := srv.EnableRecalibration(RecalConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.mu.Lock()
+	r.recordLocked(recal.Event{Kind: "rejected", CandidateErr: math.NaN()})
+	r.mu.Unlock()
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/recal/status", nil))
+	want = stdlibBytes(t, errorReply{"encoding response: json: unsupported value: NaN"})
+	if rec.Code != http.StatusInternalServerError || !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Errorf("NaN status = %d %q, want 500 %q", rec.Code, rec.Body, want)
 	}
 }
 
@@ -206,7 +173,7 @@ func FuzzEncodePredictResponse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, phase, config string, bits uint64, observed bool) {
 		ipc := math.Float64frombits(bits)
 		preds := []Prediction{{Config: config, IPC: ipc, Observed: observed}}
-		got, err := encodeJSON(func(e *wire.Emitter) { encodePredictResponse(e, []byte(phase), preds) })
+		got, err := emit(func(e *wire.Emitter) { encodePredictResponse(e, []byte(phase), preds) })
 		if math.IsNaN(ipc) || math.IsInf(ipc, 0) {
 			if err == nil {
 				t.Fatal("NaN/Inf encoded without error")

@@ -246,26 +246,6 @@ func (e *Engine) wrapBank(bank *core.Bank) *Bank {
 	})
 }
 
-// Predict returns the attached bank's ranked configuration predictions for
-// the observed rates. See Bank.Predict.
-func (e *Engine) Predict(ctx context.Context, rates Rates) ([]Prediction, error) {
-	b := e.Bank()
-	if b == nil {
-		return nil, fmt.Errorf("actor: no bank attached (Train, LoadBank or AttachBank first)")
-	}
-	return b.Predict(ctx, rates)
-}
-
-// BestConfig returns the single best configuration for the observed rates.
-// See Bank.BestConfig.
-func (e *Engine) BestConfig(ctx context.Context, rates Rates) (Prediction, error) {
-	b := e.Bank()
-	if b == nil {
-		return Prediction{}, fmt.Errorf("actor: no bank attached (Train, LoadBank or AttachBank first)")
-	}
-	return b.BestConfig(ctx, rates)
-}
-
 // SweepRequest names the workload a Sweep evaluates: one benchmark, and
 // optionally a subset of its phases (all phases when empty).
 type SweepRequest struct {

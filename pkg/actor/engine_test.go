@@ -83,9 +83,6 @@ func TestEngineOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Predict(context.Background(), actor.Rates{"IPC": 1}); err == nil || !strings.Contains(err.Error(), "no bank attached") {
-		t.Errorf("predict without bank = %v", err)
-	}
 	if err := eng.RunStudy(context.Background(), nil, "nope", ""); err == nil || !strings.Contains(err.Error(), "unknown study") {
 		t.Errorf("unknown study = %v", err)
 	}

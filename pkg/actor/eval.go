@@ -3,7 +3,6 @@ package actor
 import (
 	"fmt"
 	"strconv"
-	"sync"
 )
 
 // This file is the wire contract of distributed sweep evaluation: the
@@ -57,8 +56,11 @@ type EvalResponse struct {
 	Sweeps      []PhaseSweep `json:"sweeps"`
 }
 
-// ShardFingerprint derives a shard's stable identity: FNV-1a over the
-// platform identity (topology descriptor, seed) and the unit list. The same
+// ShardFingerprint derives a shard's stable identity: FNV-1a's byte loop and
+// prime over the platform identity (topology descriptor, seed) and the unit
+// list, from the start value 1469598103934665603 — not FNV's 64-bit offset
+// basis (14695981039346656037), but kept, because a coordinator and its
+// workers must agree on it even when built from different commits. The same
 // (platform, units) pair always yields the same fingerprint, independent of
 // shard index or worker — it is the key duplicate deliveries and hedged
 // responses are deduplicated by.
@@ -107,49 +109,22 @@ func (e *Engine) Workload() []SweepRequest {
 // Seed returns the seed the engine's platform was built with.
 func (e *Engine) Seed() int64 { return e.cfg.seed }
 
-// evalCache is the worker-side idempotency cache: fingerprint → the fully
-// encoded /v1/eval response body, so a re-delivered or hedged shard costs
-// one Write instead of a re-encode. Results are deterministic, so the
-// cache only saves recomputation; correctness never depends on a hit.
-// Bounded FIFO.
-type evalCache struct {
-	mu    sync.Mutex
-	limit int
-	order []string
-	byFP  map[string][]byte
-}
-
-func newEvalCache(limit int) *evalCache {
-	return &evalCache{limit: limit, byFP: make(map[string][]byte, limit)}
-}
-
-func (c *evalCache) get(fp string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.byFP[fp]
-	return s, ok
-}
-
-func (c *evalCache) put(fp string, body []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.byFP[fp]; ok {
-		return
-	}
-	if len(c.order) >= c.limit {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.byFP, oldest)
-	}
-	c.order = append(c.order, fp)
-	c.byFP[fp] = body
-}
-
 // validateEval checks an EvalRequest against the serving platform; the
 // returned error is a client error (HTTP 400/409 class).
 func (s *Server) validateEval(req *EvalRequest) error {
 	if len(req.Units) == 0 {
 		return fmt.Errorf(`bad payload: "units" is required and must be non-empty`)
+	}
+	// A shard names at most len(Workload()) units, which every shard a
+	// partition of the workload fits under. Without the cap a body under
+	// maxRequestBody could repeat one unit tens of thousands of times and
+	// buy a reply hundreds of times its size.
+	workload := 0
+	for _, b := range s.eng.suite.Benches {
+		workload += len(b.Phases)
+	}
+	if len(req.Units) > workload {
+		return fmt.Errorf(`bad payload: "units" names %d units, the workload has %d`, len(req.Units), workload)
 	}
 	meta := s.Bank().Meta()
 	if req.Topology != s.eng.TopologyDesc() {

@@ -111,6 +111,12 @@ func TestServerEvalRejections(t *testing.T) {
 		{"fingerprint mismatch", mk(func(r *actor.EvalRequest) {
 			r.Shard.Fingerprint = "deadbeef"
 		}), "corrupt or truncated", http.StatusConflict},
+		// One unit past the whole workload; TestEvalCacheBounded serves
+		// shards at the limit.
+		{"more units than the workload", mk(func(r *actor.EvalRequest) {
+			r.Units = append(eng.Workload(), r.Units[0])
+			r.Shard.Fingerprint = r.Fingerprint()
+		}), "bad payload", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 )
 
@@ -16,7 +17,7 @@ import (
 // unknown phases (400) among them — further passes miss the machine memo no
 // more. Distinct /v1/predict bodies, three times the predict memo's
 // capacity of them, evict rather than grow it, and touch the machine memo
-// not at all; the eval result cache stays within its limit.
+// not at all; the eval result cache stays within its capacity.
 func TestNoRouteMintsUnboundedMemoKeys(t *testing.T) {
 	eng, err := New(WithFast(), WithRepetitions(1), WithMLR())
 	if err != nil {
@@ -93,11 +94,8 @@ func TestNoRouteMintsUnboundedMemoKeys(t *testing.T) {
 	if _, m := truth.MemoStats(); m != misses {
 		t.Errorf("predicts missed the machine memo: misses %d → %d", misses, m)
 	}
-	srv.evals.mu.Lock()
-	n, limit := len(srv.evals.byFP), srv.evals.limit
-	srv.evals.mu.Unlock()
-	if n > limit {
-		t.Errorf("eval cache holds %d shards, limit %d", n, limit)
+	if n := srv.evals.entries(); n > capacity {
+		t.Errorf("eval cache holds %d shards, capacity %d", n, capacity)
 	}
 }
 
@@ -109,4 +107,73 @@ func testRates(b *Bank, ipc float64) Rates {
 		r[name] = 0.001 * float64(i+1)
 	}
 	return r
+}
+
+// TestEvalCacheBounded posts more distinct shards than the eval cache has
+// lines, among them two whole-workload shards (the most units a shard may
+// name) whose replies on a 24-config machine exceed the per-entry cap: they
+// are served, and the cache holds at most
+// memoSets × memoWays entries of at most memoMaxResp bytes each, and a
+// re-delivered shard, cached or not, gets the bytes of its first delivery.
+func TestEvalCacheBounded(t *testing.T) {
+	eng, err := New(WithFast(), WithRepetitions(1), WithMLR(), WithTopology("8x2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Train(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	post := func(units []SweepRequest) []byte {
+		t.Helper()
+		req := EvalRequest{Topology: eng.TopologyDesc(), Seed: eng.Seed(), BankVersion: BankVersion, Units: units}
+		req.Shard.Fingerprint = req.Fingerprint()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/eval", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("eval of %d units = %d: %s", len(units), rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+
+	units := eng.Workload()
+	capacity := memoSets * memoWays
+	// Shards of three units (i, j, k) are distinct for distinct triples.
+	var shards [][]SweepRequest
+	for i := 0; len(shards) < capacity+capacity/2; i++ {
+		n := len(units)
+		shards = append(shards, []SweepRequest{units[i%n], units[(i/n)%n], units[(i/(n*n))%n]})
+	}
+	whole := units
+	reversed := slices.Clone(units)
+	slices.Reverse(reversed)
+	shards = append(shards, whole, reversed)
+	first := make([][]byte, len(shards))
+	for i, sh := range shards {
+		first[i] = post(sh)
+	}
+	if n := len(first[len(shards)-1]); n <= memoMaxResp {
+		t.Fatalf("whole-workload reply is %d bytes, within the %d-byte cap: the test no longer reaches it", n, memoMaxResp)
+	}
+	if n := srv.evals.entries(); n > capacity {
+		t.Errorf("eval cache holds %d entries after %d distinct shards, capacity %d", n, len(shards), capacity)
+	}
+	for i := range srv.evals.lines {
+		if e := srv.evals.lines[i].Load(); e != nil && len(e.resp) > memoMaxResp {
+			t.Errorf("eval cache entry of %d bytes, cap %d", len(e.resp), memoMaxResp)
+		}
+	}
+	for _, i := range []int{0, capacity, len(shards) - 2, len(shards) - 1} {
+		if got := post(shards[i]); !bytes.Equal(got, first[i]) {
+			t.Errorf("re-delivered shard %d diverged from its first reply", i)
+		}
+	}
 }

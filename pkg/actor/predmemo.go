@@ -6,23 +6,25 @@ import (
 	"sync/atomic"
 )
 
-// predictMemo is the serving-side prediction cache: an exact-key memo from
-// (bank version, phase, rate vector) to the fully encoded /v1/predict
-// response body. Keys canonicalize the rate vector as sorted
-// (event id, float64 bits) pairs, so two requests hit the same line iff
-// they parse to the same rates — a hit serves bytes that are provably what
-// the miss path would have produced, which is why memo on/off byte-identity
-// holds by construction.
+// bodyMemo is the server's bounded cache of fully encoded response
+// bodies, one instance per route that caches: /v1/predict keyed by the
+// canonical request (bank generation, phase, rate vector as sorted
+// (event id, float64 bits) pairs) and /v1/eval keyed by the shard
+// fingerprint. Two predict requests hit the same line iff they parse to
+// the same rates, so a hit serves bytes that are provably what the miss
+// path would have produced, which is why memo on/off byte-identity holds by
+// construction; an eval hit is the same shard, whose rows are
+// deterministic.
 //
 // The layout is internal/cache's SetAssoc — power-of-two sets × small ways,
 // true-LRU within a set via a global clock — adapted for concurrency the
 // way internal/memo's grow-only Table is: lock-free probes through per-way
 // atomic pointers, a per-set mutex only on install, and entries that are
-// immutable once published. It is deliberately not built on that table
-// (nor merged with evalCache): request bodies mint unbounded keys, so this
-// cache must evict and cap value size, and the table can do neither
-// without branching on its caller.
-type predictMemo struct {
+// immutable once published. It is deliberately not built on that table:
+// request bodies mint unbounded keys, so this cache must evict and cap
+// value size, and the table can do neither without branching on its
+// caller.
+type bodyMemo struct {
 	sets    int
 	setMask uint64
 	ways    int
@@ -39,15 +41,15 @@ type memoEntry struct {
 
 const (
 	memoSets = 512
-	memoWays = 4 // 2048 entries; a line is one distinct (phase, rates) vector
+	memoWays = 4 // 2048 entries; a line is one distinct request
 	// memoMaxResp skips caching pathologically large responses (a bank with
-	// thousands of configurations) so the memo's footprint stays bounded by
-	// sets*ways*memoMaxResp in the worst case.
+	// thousands of configurations, a many-unit eval shard) so the memo's
+	// footprint stays bounded by sets*ways*memoMaxResp in the worst case.
 	memoMaxResp = 64 << 10
 )
 
-func newPredictMemo() *predictMemo {
-	return &predictMemo{
+func newBodyMemo() *bodyMemo {
+	return &bodyMemo{
 		sets:    memoSets,
 		setMask: memoSets - 1,
 		ways:    memoWays,
@@ -56,7 +58,10 @@ func newPredictMemo() *predictMemo {
 	}
 }
 
-// memoHash is FNV-1a over the canonical key.
+// memoHash runs FNV-1a's byte loop and prime over the key from the start
+// value 1469598103934665603, which is not FNV's 64-bit offset basis
+// (14695981039346656037). Any start value spreads keys as well; this one
+// is kept so every key stays in the set it has always landed in.
 func memoHash(key []byte) uint64 {
 	h := uint64(1469598103934665603)
 	for _, b := range key {
@@ -68,7 +73,7 @@ func memoHash(key []byte) uint64 {
 
 // get returns the cached response body for key, or nil. Lock-free: probes
 // the set's ways through atomic pointers and stamps the hit's LRU clock.
-func (m *predictMemo) get(key []byte) []byte {
+func (m *bodyMemo) get(key []byte) []byte {
 	base := int(memoHash(key)&m.setMask) * m.ways
 	for w := 0; w < m.ways; w++ {
 		e := m.lines[base+w].Load()
@@ -82,7 +87,7 @@ func (m *predictMemo) get(key []byte) []byte {
 
 // put installs resp under key, evicting the set's LRU way when full. Both
 // slices are copied: callers hand in pooled scratch.
-func (m *predictMemo) put(key, resp []byte) {
+func (m *bodyMemo) put(key, resp []byte) {
 	if len(resp) > memoMaxResp {
 		return
 	}

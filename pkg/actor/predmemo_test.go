@@ -8,7 +8,7 @@ import (
 )
 
 func TestPredictMemoRoundTrip(t *testing.T) {
-	m := newPredictMemo()
+	m := newBodyMemo()
 	key := []byte("\x01\x00\x00\x00\x01\x00k")
 	if got := m.get(key); got != nil {
 		t.Fatalf("empty memo returned %q", got)
@@ -27,7 +27,7 @@ func TestPredictMemoRoundTrip(t *testing.T) {
 }
 
 func TestPredictMemoBounded(t *testing.T) {
-	m := newPredictMemo()
+	m := newBodyMemo()
 	total := memoSets * memoWays
 	for i := 0; i < 4*total; i++ {
 		m.put([]byte(fmt.Sprintf("key-%d", i)), []byte("r"))
@@ -46,7 +46,7 @@ func TestPredictMemoBounded(t *testing.T) {
 // TestPredictMemoLRU fills one set and checks that the least-recently-used
 // way is the one evicted.
 func TestPredictMemoLRU(t *testing.T) {
-	m := newPredictMemo()
+	m := newBodyMemo()
 	// Manufacture keys that all land in the same set.
 	set := int(memoHash([]byte("seed")) & m.setMask)
 	var keys [][]byte
@@ -80,7 +80,7 @@ func TestPredictMemoLRU(t *testing.T) {
 // run under -race this is the lock-free probe's data-race check. Every hit
 // must return the exact body installed for that key.
 func TestPredictMemoConcurrent(t *testing.T) {
-	m := newPredictMemo()
+	m := newBodyMemo()
 	const goroutines = 8
 	const keySpace = 64
 	var wg sync.WaitGroup
@@ -104,7 +104,7 @@ func TestPredictMemoConcurrent(t *testing.T) {
 }
 
 // entries counts installed lines (O(sets*ways)).
-func (m *predictMemo) entries() int {
+func (m *bodyMemo) entries() int {
 	n := 0
 	for i := range m.lines {
 		if m.lines[i].Load() != nil {

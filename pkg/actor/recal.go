@@ -2,15 +2,14 @@ package actor
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 	"sync"
 
 	"github.com/greenhpc/actor/internal/core"
 	"github.com/greenhpc/actor/internal/dataset"
+	"github.com/greenhpc/actor/internal/metrics"
 	"github.com/greenhpc/actor/internal/noise"
 	"github.com/greenhpc/actor/internal/parallel"
 	"github.com/greenhpc/actor/internal/recal"
@@ -259,7 +258,7 @@ func (r *Recalibrator) Status() recal.Snapshot {
 
 // medianRelErr scores one predictor on held-out samples: the median of
 // |predicted - measured| / |measured| over every (sample, target) pair with
-// a measured IPC.
+// a measured IPC, or +Inf when there is none.
 func medianRelErr(p *core.Predictor, hold []dataset.PhaseSample) float64 {
 	errs := make([]float64, 0, len(hold)*len(p.TargetNames()))
 	var vals []float64
@@ -277,31 +276,14 @@ func medianRelErr(p *core.Predictor, hold []dataset.PhaseSample) float64 {
 			errs = append(errs, math.Abs(vals[j]-m)/den)
 		}
 	}
-	if len(errs) == 0 {
-		return math.Inf(1)
+	med, err := metrics.Median(errs)
+	if err != nil {
+		return math.Inf(1) // no measured IPC to score against
 	}
-	sort.Float64s(errs)
-	mid := len(errs) / 2
-	if len(errs)%2 == 1 {
-		return errs[mid]
-	}
-	return (errs[mid-1] + errs[mid]) / 2
+	return med
 }
 
 // --- admin endpoints ---
-
-// writeJSONAdmin renders admin responses through encoding/json: these
-// endpoints are control-plane, not hot-path, so the stdlib's indented
-// encoding (matching the wire emitter's style) is plenty.
-func writeJSONAdmin(w http.ResponseWriter, code int, v any) {
-	body, err := json.MarshalIndent(v, "", " ")
-	if err != nil {
-		w.Header()["Content-Type"] = headerJSONValue
-		w.WriteHeader(code)
-		return
-	}
-	writeBody(w, code, append(body, '\n'))
-}
 
 // recalEnabled loads the recalibrator or answers 503.
 func (s *Server) recalEnabled(w http.ResponseWriter) *Recalibrator {
@@ -314,19 +296,19 @@ func (s *Server) recalEnabled(w http.ResponseWriter) *Recalibrator {
 
 func (s *Server) handleRecalStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeBody(w, http.StatusMethodNotAllowed, errUseGETBody)
+		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	rec := s.recalEnabled(w)
 	if rec == nil {
 		return
 	}
-	writeJSONAdmin(w, http.StatusOK, rec.Status())
+	writeCold(w, http.StatusOK, rec.Status())
 }
 
 func (s *Server) handleRecalTrigger(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeBody(w, http.StatusMethodNotAllowed, errUsePOSTBody)
+		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	rec := s.recalEnabled(w)
@@ -338,12 +320,12 @@ func (s *Server) handleRecalTrigger(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSONAdmin(w, http.StatusOK, out)
+	writeCold(w, http.StatusOK, out)
 }
 
 func (s *Server) handleRecalRollback(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeBody(w, http.StatusMethodNotAllowed, errUsePOSTBody)
+		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	rec := s.recalEnabled(w)
@@ -354,5 +336,5 @@ func (s *Server) handleRecalRollback(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	writeJSONAdmin(w, http.StatusOK, rec.Status())
+	writeCold(w, http.StatusOK, rec.Status())
 }

@@ -122,3 +122,62 @@ func TestServedPredictBytesPinned(t *testing.T) {
 		t.Errorf("memo keys sha256 %s, pinned %s", got, servedKeysSHA256)
 	}
 }
+
+// servedColdSHA256 is the pinned sha256 of the cold bodies coldRequests
+// gets from the seed-42 WithFast bank: /v1/bank, the health and readiness
+// probes (ready and draining), both 405 bodies, one 400 and one 413. These
+// bodies are encoded once per bank or once per process; the pin holds
+// their bytes across commits whatever encodes them. Re-pin only with the
+// reason in CHANGES.md.
+const servedColdSHA256 = "80d2a75da8fda70fdfb10ebc1c9bf7f40957878057fc5d2ad91c7c3b60b10cf6"
+
+// coldRequests lists the pinned cold requests in order; drain marks the
+// point where the server begins draining, so the last readyz reads 503.
+var coldRequests = []struct {
+	method, path string
+	body         []byte
+	drain        bool
+}{
+	{method: http.MethodGet, path: "/v1/bank"},
+	{method: http.MethodGet, path: "/healthz"},
+	{method: http.MethodGet, path: "/readyz"},
+	{method: http.MethodPost, path: "/healthz"},
+	{method: http.MethodGet, path: "/v1/predict"},
+	{method: http.MethodPost, path: "/v1/sweep", body: []byte(`{"bench":1}`)},
+	{method: http.MethodPost, path: "/v1/predict", body: bytes.Repeat([]byte(" "), maxRequestBody+1)},
+	{method: http.MethodGet, path: "/readyz", drain: true},
+}
+
+// TestServedColdBytesPinned serves coldRequests on an in-process Server
+// and compares the sha256 of every status code, length and body with
+// servedColdSHA256.
+func TestServedColdBytesPinned(t *testing.T) {
+	eng, err := New(WithFast())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Train(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	h := sha256.New()
+	for _, req := range coldRequests {
+		if req.drain {
+			srv.BeginDrain()
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(req.method, req.path, bytes.NewReader(req.body)))
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s Content-Type %q", req.method, req.path, ct)
+		}
+		fmt.Fprintf(h, "%s %s %d %d\n", req.method, req.path, rec.Code, rec.Body.Len())
+		h.Write(rec.Body.Bytes())
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != servedColdSHA256 {
+		t.Errorf("served cold bodies sha256 %s, pinned %s", got, servedColdSHA256)
+	}
+}

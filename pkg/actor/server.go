@@ -42,12 +42,15 @@ type Server struct {
 	// requests finish.
 	draining atomic.Bool
 
-	evals *evalCache
-
 	// memo caches fully encoded /v1/predict responses by exact canonical
 	// request. The bank state's memo generation joins the key, so entries
 	// cached against a previous bank can never be served after a swap.
-	memo *predictMemo
+	memo *bodyMemo
+
+	// evals caches fully encoded /v1/eval responses by shard fingerprint,
+	// so a re-delivered or hedged shard costs one Write. Results are
+	// deterministic, so a hit only saves recomputation.
+	evals *bodyMemo
 
 	// state is the served bank plus everything derived from it, swapped as
 	// one unit (SwapBank) so a request observes a single consistent bank.
@@ -83,8 +86,8 @@ func NewServer(eng *Engine) (*Server, error) {
 	s := &Server{
 		eng:   eng,
 		mux:   http.NewServeMux(),
-		evals: newEvalCache(256),
-		memo:  newPredictMemo(),
+		memo:  newBodyMemo(),
+		evals: newBodyMemo(),
 	}
 	// The initial memo generation is the bank's format version, preserving
 	// the historical key layout; swaps move strictly upward from there.
@@ -113,7 +116,7 @@ func (s *Server) encodeBankState(bank *Bank, gen int) (*bankState, error) {
 		Benches:  s.eng.BenchNames(),
 		Topology: s.eng.TopologyDesc(),
 	}
-	body, err := encodeJSON(func(e *wire.Emitter) { encodeBankInfo(e, &info) })
+	body, err := marshalCold(info)
 	if err != nil {
 		return nil, fmt.Errorf("actor: encoding bank info: %w", err)
 	}
@@ -172,43 +175,12 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // served, as during any drain.
 func (s *Server) Close() { s.BeginDrain() }
 
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	writeWire(w, code, func(e *wire.Emitter) { encodeError(e, msg) })
-}
-
-// Responses that never vary are encoded once at init and served as cached
-// bytes: the health and readiness bodies and the method-mismatch errors.
-var (
-	statusOKBody       = mustEncodeStatus("ok")
-	statusReadyBody    = mustEncodeStatus("ready")
-	statusDrainingBody = mustEncodeStatus("draining")
-	errUseGETBody      = mustEncodeError("use GET")
-	errUsePOSTBody     = mustEncodeError("use POST")
-)
-
-func mustEncodeStatus(status string) []byte {
-	b, err := encodeJSON(func(e *wire.Emitter) { encodeStatus(e, status) })
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-func mustEncodeError(msg string) []byte {
-	b, err := encodeJSON(func(e *wire.Emitter) { encodeError(e, msg) })
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeBody(w, http.StatusMethodNotAllowed, errUseGETBody)
+		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	writeBody(w, http.StatusOK, statusOKBody)
+	writeCold(w, http.StatusOK, statusReply{"ok"})
 }
 
 // handleReadyz is the readiness probe, distinct from liveness: a 503 here
@@ -217,14 +189,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // consumes this.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeBody(w, http.StatusMethodNotAllowed, errUseGETBody)
+		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	if s.draining.Load() {
-		writeBody(w, http.StatusServiceUnavailable, statusDrainingBody)
+		writeCold(w, http.StatusServiceUnavailable, statusReply{"draining"})
 		return
 	}
-	writeBody(w, http.StatusOK, statusReadyBody)
+	writeCold(w, http.StatusOK, statusReply{"ready"})
 }
 
 // BankInfo is the /v1/bank response: the bank header plus the serving
@@ -240,7 +212,7 @@ type BankInfo struct {
 // buffer goes out framed instead of chunked.
 func (s *Server) handleBank(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeBody(w, http.StatusMethodNotAllowed, errUseGETBody)
+		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	st := s.state.Load()
@@ -272,7 +244,7 @@ type PredictResponse struct {
 // documented `bad payload` rejection.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeBody(w, http.StatusMethodNotAllowed, errUsePOSTBody)
+		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	sc := getPredictScratch()
@@ -343,7 +315,7 @@ func decodePOSTBody(w http.ResponseWriter, r *http.Request, decode func(body []b
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeBody(w, http.StatusMethodNotAllowed, errUsePOSTBody)
+		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	var req SweepRequest
@@ -394,7 +366,7 @@ func writeBadPayload(w http.ResponseWriter, err error) {
 // on the wrong machine.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeBody(w, http.StatusMethodNotAllowed, errUsePOSTBody)
+		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	var req EvalRequest
@@ -410,7 +382,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := req.Shard.Fingerprint
-	if cached, ok := s.evals.get(fp); ok {
+	if cached := s.evals.get([]byte(fp)); cached != nil {
 		writeBody(w, http.StatusOK, cached)
 		return
 	}
@@ -427,7 +399,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	e := wire.GetEmitter()
 	encodeEvalResponse(e, fp, sweeps)
 	if body, ok := finish(w, e); ok {
-		s.evals.put(fp, append([]byte(nil), body...))
+		s.evals.put([]byte(fp), body)
 		writeBody(w, http.StatusOK, body)
 	}
 	wire.PutEmitter(e)

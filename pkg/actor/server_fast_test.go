@@ -335,8 +335,9 @@ func TestServerPredictMemoIdentity(t *testing.T) {
 }
 
 // TestServerBankContentLength checks the precomputed /v1/bank response: an
-// explicit, correct Content-Length and a body byte-identical to the
-// json.Encoder output.
+// explicit, correct Content-Length and a body that encodes the engine's
+// BankInfo. The server encodes it with encoding/json too, so this checks
+// content; TestServedColdBytesPinned holds the bytes across commits.
 func TestServerBankContentLength(t *testing.T) {
 	srv := newTestServer(t)
 	eng, bank := servingFixture(t)
