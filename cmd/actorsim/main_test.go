@@ -40,6 +40,13 @@ func TestRunExitCodesAndOutput(t *testing.T) {
 			stderrHave: []string{`unexpected argument "power"`},
 		},
 		{
+			// -folds hands a negative count to actor.New, which refuses it
+			name:       "negative folds",
+			args:       []string{"-fast", "-folds", "-3", "accuracy"},
+			code:       1,
+			stderrHave: []string{"actorsim: actor: folds must not be negative"},
+		},
+		{
 			name:       "unknown flag",
 			args:       []string{"-bogus"},
 			code:       2,

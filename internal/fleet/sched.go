@@ -6,6 +6,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"github.com/greenhpc/actor/internal/fnv"
 )
 
 // Scorer names select the placement engine. Incremental runs the policy —
@@ -86,30 +88,22 @@ type Result struct {
 
 // Digest is a fingerprint of the schedule rows in job-ID order (scorer name
 // and work counters excluded), the equality witness of the
-// incremental-vs-naive and GOMAXPROCS determinism properties. It is
-// FNV-1a's loop and prime from 1469598103934665603, which is not FNV's
-// 64-bit offset basis (14695981039346656037); the value is kept because
-// the fleet digests are pinned.
+// incremental-vs-naive and GOMAXPROCS determinism properties: the module's
+// FNV-1a fold (internal/fnv) over each row's fields, byte by byte.
 func (r *Result) Digest() uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= 1099511628211
-		}
-	}
+	h := fnv.Start
 	for i := range r.Placed {
 		p := &r.Placed[i]
-		mix(uint64(p.JobID))
-		mix(uint64(p.Machine))
-		mix(uint64(p.Threads))
+		h = fnv.WordBytes(h, uint64(p.JobID))
+		h = fnv.WordBytes(h, uint64(p.Machine))
+		h = fnv.WordBytes(h, uint64(p.Threads))
 		var d uint64
 		for g := 0; g < maxGroups; g++ {
 			d = d<<4 | uint64(p.Dist[g])
 		}
-		mix(d)
-		mix(math.Float64bits(p.Start))
-		mix(math.Float64bits(p.Finish))
+		h = fnv.WordBytes(h, d)
+		h = fnv.WordBytes(h, math.Float64bits(p.Start))
+		h = fnv.WordBytes(h, math.Float64bits(p.Finish))
 	}
 	return h
 }

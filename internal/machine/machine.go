@@ -20,6 +20,7 @@ import (
 
 	"github.com/greenhpc/actor/internal/bus"
 	"github.com/greenhpc/actor/internal/cache"
+	"github.com/greenhpc/actor/internal/fnv"
 	"github.com/greenhpc/actor/internal/noise"
 	"github.com/greenhpc/actor/internal/pmu"
 	"github.com/greenhpc/actor/internal/topology"
@@ -175,20 +176,15 @@ func New(t *topology.Topology) (*Machine, error) {
 }
 
 // classSignature hashes the class layout (per-core class index plus each
-// class's multipliers) for the memo seed, with memoSeed's FNV-1a loop and
-// start value.
+// class's multipliers) for the memo seed.
 func classSignature(classes []topology.CoreClass, coreClass []int) uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
+	h := fnv.Start
 	for _, c := range classes {
-		mix(math.Float64bits(c.FreqMult))
-		mix(math.Float64bits(c.CPIMult))
+		h = fnv.Word(h, math.Float64bits(c.FreqMult))
+		h = fnv.Word(h, math.Float64bits(c.CPIMult))
 	}
 	for _, ci := range coreClass {
-		mix(uint64(ci))
+		h = fnv.Word(h, uint64(ci))
 	}
 	return h
 }

@@ -3,6 +3,7 @@ package machine
 import (
 	"math"
 
+	"github.com/greenhpc/actor/internal/fnv"
 	"github.com/greenhpc/actor/internal/memo"
 	"github.com/greenhpc/actor/internal/topology"
 	"github.com/greenhpc/actor/internal/workload"
@@ -16,11 +17,15 @@ import (
 // the same (phase, placement) pair at every timestep, so hit rates in the
 // evaluation pipeline are extremely high.
 //
-// The table itself is internal/memo's grow-only Table: hits are lock-free
-// and allocation-free, and every Result served is a value copy of the stored
-// one. This file owns only the key and its hash. Params are not in the key:
-// they are fixed when a machine is built, and WithParams gives its copy a
-// memo of its own.
+// The table itself is internal/memo's grow-only Table, a sync.Map from a
+// key's memoHash to an entry holding the full key, which a hit compares
+// before it serves the result. The first key stored under a hash keeps it:
+// another key with the same hash is computed on every lookup and never
+// stored, and is never served the first key's result. Hits take no lock
+// and allocate nothing, and every Result served is a value copy of the
+// stored one. This file owns only the key and its hash. Params are not in
+// the key: they are fixed when a machine is built, and WithParams gives its
+// copy a memo of its own.
 //
 // The cache deliberately excludes measurement noise: RunPhase applies
 // perturbation after the lookup, so noisy machines share the memo with
@@ -38,45 +43,25 @@ type memoKey struct {
 }
 
 // memoSeed folds the placement-independent key fields — fingerprint and
-// clock scale — and the class layout into a partial hash: FNV-1a's loop
-// and prime from 1469598103934665603, which is not FNV's 64-bit offset
-// basis (14695981039346656037). Any start value keys the memo as well;
-// this one is kept so every key stays in the shard it has always used.
-// RunPhaseSweep computes it once per phase and extends it per placement,
-// so the per-lookup hashing cost in a sweep is just the placement tail.
+// clock scale — and the class layout into a partial hash. RunPhaseSweep
+// computes it once per phase and extends it per placement, so the
+// per-lookup hashing cost in a sweep is just the placement tail.
 func (m *Machine) memoSeed(p *workload.PhaseProfile) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(p.Fingerprint); i++ {
-		h ^= uint64(p.Fingerprint[i])
-		h *= 1099511628211
-	}
-	h ^= math.Float64bits(m.clockScale())
-	h *= 1099511628211
+	h := fnv.String(fnv.Start, p.Fingerprint)
+	h = fnv.Word(h, math.Float64bits(m.clockScale()))
 	// Class layout: heterogeneous machines fold their per-core class
 	// multipliers into every key, so a response computed under one class
 	// table can never serve a machine with another.
-	h ^= m.classSig
-	h *= 1099511628211
-	return h
+	return fnv.Word(h, m.classSig)
 }
 
-// memoHash extends a memoSeed with the placement identity (name plus the
-// caller-computed coresHash, which the verification key reuses) and the
-// idiosyncrasy, then avalanches so shard and probe bits are independent.
+// memoHash extends a memoSeed with the idiosyncrasy and the placement
+// identity: its name plus the caller-computed coresHash, which the
+// verification key reuses.
 func memoHash(seed uint64, idio float64, pl *topology.Placement, coresHash uint64) uint64 {
-	h := seed
-	h ^= math.Float64bits(idio)
-	h *= 1099511628211
-	for i := 0; i < len(pl.Name); i++ {
-		h ^= uint64(pl.Name[i])
-		h *= 1099511628211
-	}
-	h ^= coresHash
-	h *= 1099511628211
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
+	h := fnv.Word(seed, math.Float64bits(idio))
+	h = fnv.String(h, pl.Name)
+	return fnv.Word(h, coresHash)
 }
 
 // keyFor builds the full verification key for a lookup. coresHash is the
@@ -93,7 +78,7 @@ func (m *Machine) keyFor(p *workload.PhaseProfile, idio float64, pl *topology.Pl
 }
 
 // lookup writes the memoised deterministic result for the task into *res,
-// computing and inserting it on first use.
+// computing and storing it on first use.
 func (c *phaseMemo) lookup(m *Machine, p *workload.PhaseProfile, idio float64, pl topology.Placement, res *Result) {
 	coresHash := hashCores(pl.Cores)
 	hash := memoHash(m.memoSeed(p), idio, &pl, coresHash)
@@ -106,14 +91,12 @@ func (c *phaseMemo) lookup(m *Machine, p *workload.PhaseProfile, idio float64, p
 	c.Put(hash, key, *res)
 }
 
-// hashCores folds a placement's core list into a hash (memoSeed's FNV-1a
-// loop and start value), so distinct core sets that happen to share a
-// placement name cannot collide.
+// hashCores folds a placement's core list into a hash, so distinct core
+// sets that happen to share a placement name cannot collide.
 func hashCores(cores []topology.CoreID) uint64 {
-	h := uint64(1469598103934665603)
+	h := fnv.Start
 	for _, c := range cores {
-		h ^= uint64(c)
-		h *= 1099511628211
+		h = fnv.Word(h, uint64(c))
 	}
 	return h
 }

@@ -116,6 +116,51 @@ func TestMemoHitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestMemoHashCollisionNeverServesAnotherKey plants key A's entry under the
+// hash of key B, as an equal-hash pair of distinct keys would leave it, and
+// looks B up through RunPhase and RunPhaseSweep: every lookup of B is a
+// counted miss, B's result is computed each time and never stored, and A
+// keeps the hash and is still served with A's bits.
+func TestMemoHashCollisionNeverServesAnotherKey(t *testing.T) {
+	plain := newMachine(t)
+	m := plain.WithMemo()
+	p := testPhase()
+	plA, _ := topology.ConfigByName("2a")
+	plB, _ := topology.ConfigByName("2b")
+	resA := plain.RunPhase(&p, 0.1, plA)
+	wantB := plain.RunPhase(&p, 0.1, plB)
+	if resultsBitIdentical(resA, wantB) {
+		t.Fatal("A and B have the same result: the test could not tell them apart")
+	}
+
+	coresA, coresB := hashCores(plA.Cores), hashCores(plB.Cores)
+	keyA := m.keyFor(&p, 0.1, &plA, coresA)
+	hashB := memoHash(m.memoSeed(&p), 0.1, &plB, coresB)
+	m.memo.Put(hashB, keyA, resA)
+
+	for i := 0; i < 2; i++ {
+		if got := m.RunPhase(&p, 0.1, plB); !resultsBitIdentical(got, wantB) {
+			t.Fatalf("RunPhase %d of B was served another key's result", i)
+		}
+	}
+	dst := make([]Result, 1)
+	m.RunPhaseSweep(&p, 0.1, []topology.Placement{plB}, dst)
+	if !resultsBitIdentical(dst[0], wantB) {
+		t.Fatal("RunPhaseSweep of B was served another key's result")
+	}
+	if hits, misses := m.MemoStats(); hits != 0 || misses != 3 {
+		t.Errorf("B's lookups: %d hits / %d misses, want 0/3", hits, misses)
+	}
+
+	got := m.memo.Get(hashB, &keyA)
+	if got == nil || !resultsBitIdentical(*got, resA) {
+		t.Fatal("the hash's first key lost its entry to B")
+	}
+	if hits, misses := m.MemoStats(); hits != 1 || misses != 3 {
+		t.Errorf("after A's lookup: %d hits / %d misses, want 1/3", hits, misses)
+	}
+}
+
 // TestMemoDerivedCopies: a WithParams copy never serves its source's memo
 // entries and the source never serves the copy's, even when the params are
 // equal; WithNoise and WithFrequency copies share the source's memo both

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"github.com/greenhpc/actor/internal/fnv"
 	"github.com/greenhpc/actor/internal/topology"
 	"github.com/greenhpc/actor/internal/workload"
 )
@@ -536,7 +537,7 @@ func lowFactor(sigma float64) float64 {
 // multiply's latency overlaps the others'. The remainder, below 2^20,
 // converts to float64 through int64, exactly.
 func responseZ4(seed uint64, n0, n1, n2, n3 string) (z [4]float64) {
-	const prime = 1099511628211
+	const prime = fnv.Prime
 	h0, h1, h2, h3 := seed, seed, seed, seed
 	l := min(len(n0), len(n1), len(n2), len(n3))
 	for i := 0; i < l; i++ {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"github.com/greenhpc/actor/internal/fnv"
 	"github.com/greenhpc/actor/internal/pmu"
 	"github.com/greenhpc/actor/internal/topology"
 	"github.com/greenhpc/actor/internal/workload"
@@ -121,7 +122,8 @@ type phaseCtx struct {
 	converged []bool
 
 	// pend lists the block's placements awaiting solve + finish; on a
-	// memoised sweep pendMemo[i] is where pend[i]'s result will be stored.
+	// memoised sweep pendMemo[i] holds the hashes pend[i]'s memo lookup
+	// computed, which its result is stored under.
 	pend     []pendingPlacement
 	pendMemo []pendingMemo
 
@@ -154,9 +156,9 @@ type pendingPlacement struct {
 	laneOff, laneN int32
 }
 
-// pendingMemo is what a memoised sweep keeps of a miss between lookup and
-// store: the two hashes the lookup computed. The verification key is rebuilt
-// from the placement at store time (keyFor is field copies).
+// pendingMemo is what a memoised sweep keeps of a miss between Get and Put:
+// the two hashes the lookup computed. The verification key is rebuilt from
+// the placement at Put time (keyFor is field copies).
 type pendingMemo struct {
 	hash, coresHash uint64
 }
@@ -535,35 +537,18 @@ func (m *Machine) responseFactorCtx(ctx *phaseCtx, p *workload.PhaseProfile, pl 
 
 // responseSeed is the hash state after folding a phase fingerprint and the
 // "|" separator: the prefix every placement's response hash starts from.
-// The fold is FNV-1a's loop and prime from 1469598103934665603, which is
-// not FNV's 64-bit offset basis (14695981039346656037); the value is kept
-// because every simulated response, and so every pinned output, hashes
-// through it.
 func responseSeed(fingerprint string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(fingerprint); i++ {
-		h ^= uint64(fingerprint[i])
-		h *= 1099511628211
-	}
-	h ^= uint64('|')
-	h *= 1099511628211
-	return h
+	return fnv.Word(fnv.String(fnv.Start, fingerprint), '|')
 }
 
 // responseZ folds a placement name into a phase's response seed and maps the
 // hash to an approximately standard normal value by summing uniform draws
 // (Irwin–Hall with n=4, variance 1/3 each → scale), so |z| ≤ 2√3.
 func responseZ(seed uint64, name string) float64 {
-	h := seed
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
+	h := fnv.String(seed, name)
 	var z float64
 	for i := 0; i < 4; i++ {
-		h ^= h >> 33
-		h *= 0xff51afd7ed558ccd
-		h ^= h >> 33
+		h = fnv.Avalanche(h)
 		u := float64(h%1_000_003) / 1_000_003.0
 		z += u - 0.5
 	}
@@ -688,7 +673,8 @@ func (m *Machine) finishPlacement(ctx *phaseCtx, o int, pl *topology.Placement, 
 // solve (the L2 miss-rate table, the scratch buffers, the memo key prefix)
 // out of the placement loop and solves memo-missing placements as
 // multi-lane blocks (see solveBlock). It allocates nothing once the pooled
-// scratch is warm; a memoised machine allocates the entry it stores per miss.
+// scratch is warm; a memoised machine allocates per miss the entry it stores
+// and the map's own node for it.
 //
 // It panics when dst is shorter than placements, mirroring RunPhase's
 // contract violations.

@@ -142,9 +142,11 @@ func TestRunPhaseSweepPropertyRandomPhases(t *testing.T) {
 }
 
 // TestShardedMemoConcurrentSweeps hammers one shared memo from concurrent
-// sweeps over overlapping placement sets (run under -race in CI): every
-// goroutine must observe results bit-identical to an isolated sequential
-// machine, regardless of who computes and who hits.
+// sweeps over overlapping placement sets, so racing misses store the same
+// key (run under -race in CI): every goroutine must observe results
+// bit-identical to an isolated sequential machine, regardless of who
+// computes, who stores and who hits. The name is kept from the sharded
+// table the memo used to be; scripts/determinism.sh runs the test by it.
 func TestShardedMemoConcurrentSweeps(t *testing.T) {
 	topo := mustDesc(t, "8x2")
 	placements := topology.EnumeratePlacements(topo)

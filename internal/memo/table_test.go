@@ -15,8 +15,8 @@ type val struct {
 	xs []float64
 }
 
-// spread is a well-mixed hash for tests that want keys scattered over
-// shards and slots.
+// spread is a well-mixed hash (a bijection on uint64) for tests that want
+// distinct keys under distinct hashes.
 func spread(k uint64) uint64 {
 	k ^= k >> 33
 	k *= 0xff51afd7ed558ccd
@@ -25,56 +25,29 @@ func spread(k uint64) uint64 {
 	return k ^ k>>33
 }
 
-// TestGetAfterPutAcrossGrowth fills one shard far past its initial
-// capacity: every pointer handed out by Put must stay the canonical one
-// through several copy-on-write doublings.
-func TestGetAfterPutAcrossGrowth(t *testing.T) {
-	var tb Table[key, val]
-	const n = 1000 // 64 → 2048 slots: five doublings
-	ptrs := make([]*val, n)
-	for i := uint64(0); i < n; i++ {
-		k := key{a: i, s: "k"}
-		// Low six bits fixed: every key lands in shard 5.
-		ptrs[i] = tb.Put(spread(i)<<6|5, k, val{n: i, xs: []float64{float64(i)}})
-	}
-	for i := uint64(0); i < n; i++ {
-		k := key{a: i, s: "k"}
-		got := tb.Get(spread(i)<<6|5, &k)
-		if got == nil {
-			t.Fatalf("key %d lost after growth", i)
-		}
-		if got != ptrs[i] || got.n != i || &got.xs[0] != &ptrs[i].xs[0] {
-			t.Fatalf("key %d: Get returned %p (%+v), Put had returned %p", i, got, *got, ptrs[i])
-		}
-	}
-	for sh := range tb.shards {
-		if c := tb.shards[sh].count; (sh == 5) != (c == n) {
-			t.Fatalf("shard %d holds %d entries", sh, c)
-		}
-	}
-	if a := tb.shards[5].slots.Load(); uint64(n)*2 > a.mask+1 {
-		t.Fatalf("shard at %d/%d slots exceeds 50%% load", n, a.mask+1)
-	}
-	absent := key{a: n, s: "k"}
-	if tb.Get(spread(n)<<6|5, &absent) != nil {
-		t.Fatal("Get invented an entry")
-	}
-}
-
-// TestEqualHashDistinctKeys: the hash only routes; K decides identity.
+// TestEqualHashDistinctKeys: the first key stored under a hash keeps it;
+// every other key under that hash is a counted miss, is never stored and
+// is never served the first key's value.
 func TestEqualHashDistinctKeys(t *testing.T) {
 	var tb Table[key, val]
 	keys := []key{{a: 1}, {a: 2}, {a: 1, b: 1}, {a: 1, s: "x"}, {a: 1, s: "y"}}
 	const h = 0xdeadbeef
-	for i, k := range keys {
-		tb.Put(h, k, val{n: uint64(i)})
-	}
-	for i, k := range keys {
-		if got := tb.Get(h, &k); got == nil || got.n != uint64(i) {
-			t.Fatalf("key %+v under the shared hash resolved to %v, want n=%d", k, got, i)
+	first := tb.Put(h, keys[0], val{n: 0})
+	for i, k := range keys[1:] {
+		if got := tb.Put(h, k, val{n: uint64(i + 1)}); got != nil {
+			t.Fatalf("Put of key %+v under a held hash returned %+v, want nil", k, *got)
+		}
+		if got := tb.Get(h, &k); got != nil {
+			t.Fatalf("key %+v under the shared hash was served %+v", k, *got)
 		}
 	}
-	// The same K under another hash is a different probe: the contract is
+	if got := tb.Get(h, &keys[0]); got != first || got.n != 0 {
+		t.Fatalf("the hash's first key resolved to %v, want its own entry %p (n=0)", got, first)
+	}
+	if hits, misses, entries := tb.Stats(); hits != 1 || misses != uint64(len(keys)-1) || entries != 1 {
+		t.Fatalf("stats = %d hits / %d misses / %d entries, want 1/%d/1", hits, misses, entries, len(keys)-1)
+	}
+	// The same K under another hash is a different lookup: the contract is
 	// that equal keys hash equal, so this is simply absent.
 	if tb.Get(h+64, &keys[0]) != nil {
 		t.Fatal("entry found under a hash it was not stored with")
@@ -137,7 +110,7 @@ func TestCounters(t *testing.T) {
 	}
 	check(0, 0, 0)
 	k := key{a: 1}
-	tb.Get(1, &k) // empty shard
+	tb.Get(1, &k) // absent hash
 	check(0, 1, 0)
 	tb.Put(1, k, val{})
 	check(0, 1, 1) // Put counts an entry, never a lookup
@@ -145,14 +118,13 @@ func TestCounters(t *testing.T) {
 	tb.Get(1, &k)
 	check(2, 1, 1)
 	other := key{a: 2}
-	tb.Get(1, &other) // populated shard, absent key
+	tb.Get(1, &other) // held hash, another key
 	check(2, 2, 1)
 }
 
 // TestConcurrentReadersAndWriters mirrors machine's TestMemoConcurrentAccess
-// one level down: writers fill overlapping key ranges (growing shards under
-// the readers) while readers probe; every value read must be the one its
-// key determines.
+// one level down: writers fill overlapping key ranges while readers probe;
+// every value read must be the one its key determines.
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	var tb Table[key, val]
 	const (
@@ -169,8 +141,8 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			// so every key is Put by all four.
 			for n := uint64(0); n < keys; n++ {
 				i := (n + uint64(w)*keys/writers) % keys
-				if v := tb.Put(spread(i), key{a: i}, val{n: i * 3}); v.n != i*3 {
-					t.Errorf("Put(%d) returned n=%d", i, v.n)
+				if v := tb.Put(spread(i), key{a: i}, val{n: i * 3}); v == nil || v.n != i*3 {
+					t.Errorf("Put(%d) returned %v", i, v)
 				}
 			}
 		}()

@@ -11,6 +11,8 @@ package noise
 import (
 	"math"
 	"math/rand"
+
+	"github.com/greenhpc/actor/internal/fnv"
 )
 
 // Source is a deterministic noise stream.
@@ -28,17 +30,10 @@ func New(seed int64) *Source {
 
 // Fork derives an independent child stream identified by id. Forking is
 // stable: the same (seed, id) pair always yields the same stream regardless
-// of how many values the parent has produced. The id is hashed with
-// FNV-1a's loop and prime from 1469598103934665603, which is not FNV's
-// 64-bit offset basis (14695981039346656037); the value is kept because
-// every pinned output draws from streams forked through it.
+// of how many values the parent has produced. The id is hashed with the
+// module's FNV-1a fold (internal/fnv).
 func (s *Source) Fork(id string) *Source {
-	h := int64(1469598103934665603)
-	for _, b := range []byte(id) {
-		h ^= int64(b)
-		h *= 1099511628211
-	}
-	return New(h ^ s.seed)
+	return New(int64(fnv.String(fnv.Start, id)) ^ s.seed)
 }
 
 // Multiplicative is a log-normal noise level: factors with mean ≈ 1 and

@@ -15,6 +15,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"github.com/greenhpc/actor/internal/fnv"
 )
 
 // Workers returns the fan-out width used by ForEach: GOMAXPROCS at call
@@ -104,21 +106,10 @@ func Rand(base int64, key string) *rand.Rand {
 }
 
 // SeedFor derives a per-task RNG seed from a base seed and a stable task
-// key (FNV-1a's loop and prime over the key, avalanched and mixed with the
-// base). The same (base, key) pair always yields the same seed, decoupling
-// each task's random stream from execution order. The hash starts from
-// 1469598103934665603, which is not FNV's 64-bit offset basis
-// (14695981039346656037); the value is kept because every pinned output
-// seeds its tasks through it.
+// key (the module's FNV-1a fold over the key, internal/fnv, avalanched so
+// near-identical keys give unrelated seeds, and mixed with the base). The
+// same (base, key) pair always yields the same seed, decoupling each task's
+// random stream from execution order.
 func SeedFor(base int64, key string) int64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	// Final avalanche so near-identical keys give unrelated seeds.
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return int64(h) ^ base
+	return int64(fnv.Avalanche(fnv.String(fnv.Start, key))) ^ base
 }

@@ -9,15 +9,12 @@
 // module; the benchmark module times its Observe.
 package recal
 
+import "github.com/greenhpc/actor/internal/fnv"
+
 // HashPhase maps a phase label to its 64-bit identity (FNV-1a). The store
 // tracks phases by hash so the observation path never retains or allocates
 // label strings; the empty label hashes to the FNV offset basis and is a
 // perfectly ordinary phase.
 func HashPhase(label []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range label {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
+	return fnv.Bytes(fnv.OffsetBasis, label)
 }

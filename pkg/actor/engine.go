@@ -17,10 +17,10 @@ import (
 )
 
 // Engine is the facade over one simulated platform: the machine pair
-// (noisy + ground truth) with its shared sharded phase memo, the power
-// model, the configuration space and the benchmark suite. Engines are safe
-// for concurrent use; the expensive state (the memo) is shared and
-// lock-free on the hot path.
+// (noisy + ground truth) with its shared phase memo, the power model, the
+// configuration space and the benchmark suite. Engines are safe for
+// concurrent use; the expensive state (the memo) is shared and lock-free
+// on the hot path.
 type Engine struct {
 	cfg   config
 	suite *exp.Suite
@@ -35,6 +35,9 @@ func New(opts ...Option) (*Engine, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	eopts := exp.DefaultOptions()
 	if cfg.fast {
@@ -276,7 +279,7 @@ type PhaseSweep struct {
 // Sweep evaluates the requested phases across every placement of the
 // engine's configuration space in one batched RunPhaseSweep call per phase
 // on the ground-truth machine. Results are deterministic and served from
-// the shared sharded memo when warm, so a repeated sweep solves nothing;
+// the shared phase memo when warm, so a repeated sweep solves nothing;
 // it still allocates the returned sweeps and one row slice per phase,
 // which are the caller's, and two scratch slices (the phase list and the
 // results), four objects for one phase.

@@ -76,8 +76,28 @@ func TestEngineSweepErrors(t *testing.T) {
 }
 
 func TestEngineOptionValidation(t *testing.T) {
-	if _, err := actor.New(actor.WithTopology("not a descriptor")); err == nil {
-		t.Error("New accepted a bad topology descriptor")
+	for _, c := range []struct {
+		name string
+		opts []actor.Option
+		err  string // "" = accepted
+	}{
+		{"bad topology descriptor", []actor.Option{actor.WithTopology("not a descriptor")}, "topology"},
+		{"negative folds", []actor.Option{actor.WithFast(), actor.WithFolds(-3)}, "folds must not be negative"},
+		{"one ANN fold", []actor.Option{actor.WithFast(), actor.WithFolds(1)}, "at least 3 folds"},
+		{"two ANN folds", []actor.Option{actor.WithFolds(2), actor.WithFast()}, "at least 3 folds"},
+		{"three ANN folds", []actor.Option{actor.WithFast(), actor.WithFolds(3)}, ""},
+		{"two MLR folds", []actor.Option{actor.WithFast(), actor.WithFolds(2), actor.WithMLR()}, ""},
+		{"negative MLR folds", []actor.Option{actor.WithFast(), actor.WithMLR(), actor.WithFolds(-1)}, "folds must not be negative"},
+		{"negative repetitions", []actor.Option{actor.WithFast(), actor.WithRepetitions(-1)}, "repetitions must not be negative"},
+		{"negative max epochs", []actor.Option{actor.WithFast(), actor.WithMaxEpochs(-1)}, "max epochs must not be negative"},
+	} {
+		_, err := actor.New(c.opts...)
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("%s: New refused: %v", c.name, err)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("%s: New = %v, want an error naming %q", c.name, err, c.err)
+		}
 	}
 	eng, err := actor.New(actor.WithFast())
 	if err != nil {

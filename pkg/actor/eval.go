@@ -3,6 +3,8 @@ package actor
 import (
 	"fmt"
 	"strconv"
+
+	"github.com/greenhpc/actor/internal/fnv"
 )
 
 // This file is the wire contract of distributed sweep evaluation: the
@@ -56,23 +58,17 @@ type EvalResponse struct {
 	Sweeps      []PhaseSweep `json:"sweeps"`
 }
 
-// ShardFingerprint derives a shard's stable identity: FNV-1a's byte loop and
-// prime over the platform identity (topology descriptor, seed) and the unit
-// list, from the start value 1469598103934665603 — not FNV's 64-bit offset
-// basis (14695981039346656037), but kept, because a coordinator and its
-// workers must agree on it even when built from different commits. The same
-// (platform, units) pair always yields the same fingerprint, independent of
-// shard index or worker — it is the key duplicate deliveries and hedged
-// responses are deduplicated by.
+// ShardFingerprint derives a shard's stable identity: the module's FNV-1a
+// fold (internal/fnv) over the platform identity (topology descriptor, seed)
+// and the unit list. A coordinator and its workers must agree on it even
+// when built from different commits. The same (platform, units) pair always
+// yields the same fingerprint, independent of shard index or worker — it is
+// the key duplicate deliveries and hedged responses are deduplicated by.
 func ShardFingerprint(topology string, seed int64, units []SweepRequest) string {
-	h := uint64(1469598103934665603)
+	h := fnv.Start
 	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-		h ^= 0xff // field separator so ("ab","c") != ("a","bc")
-		h *= 1099511628211
+		// 0xff is a field separator, so ("ab","c") != ("a","bc").
+		h = fnv.Word(fnv.String(h, s), 0xff)
 	}
 	mix(topology)
 	mix(strconv.FormatInt(seed, 10))

@@ -73,7 +73,7 @@ func (f *Flags) Options() []Option {
 	if f.Topology != "" {
 		opts = append(opts, WithTopology(f.Topology))
 	}
-	if f.Folds > 0 {
+	if f.Folds != 0 {
 		opts = append(opts, WithFolds(f.Folds))
 	}
 	if f.MLR {

@@ -1,5 +1,7 @@
 package actor
 
+import "fmt"
+
 // Kind selects the model family a bank is trained with.
 type Kind string
 
@@ -22,6 +24,23 @@ type config struct {
 	eventCounts []int
 	kind        Kind
 	maxEpochs   int
+}
+
+// validate refuses what training would refuse only after the whole
+// collection campaign, and the negative counts it would silently replace
+// by their defaults.
+func (c *config) validate() error {
+	switch {
+	case c.folds < 0:
+		return fmt.Errorf("actor: folds must not be negative (0 = default), got %d", c.folds)
+	case c.reps < 0:
+		return fmt.Errorf("actor: repetitions must not be negative (0 = default), got %d", c.reps)
+	case c.maxEpochs < 0:
+		return fmt.Errorf("actor: max epochs must not be negative (0 = default), got %d", c.maxEpochs)
+	case c.kind == KindANN && c.folds > 0 && c.folds < 3:
+		return fmt.Errorf("actor: an ANN ensemble needs at least 3 folds (train/stop/estimate), got %d", c.folds)
+	}
+	return nil
 }
 
 // mlrRidge is the ridge term of every MLR fit an Engine makes.
@@ -62,13 +81,14 @@ func WithSeed(seed int64) Option {
 }
 
 // WithFolds overrides the cross-validation ensemble size (10 by default,
-// 5 with WithFast; the ANN trainer needs at least 3).
+// 5 with WithFast). New refuses a negative k, and a k of 1 or 2 for the
+// ANN trainer, which needs at least 3.
 func WithFolds(k int) Option {
 	return func(c *config) { c.folds = k }
 }
 
 // WithRepetitions overrides how many independent noisy sampling passes are
-// collected per phase when building training data.
+// collected per phase when building training data. New refuses a negative n.
 func WithRepetitions(n int) Option {
 	return func(c *config) { c.reps = n }
 }
@@ -88,7 +108,8 @@ func WithMLR() Option {
 }
 
 // WithMaxEpochs caps the ANN training epochs per member network — a fidelity
-// knob below WithFast used by smoke tests and benchmarks.
+// knob below WithFast used by smoke tests and benchmarks. New refuses a
+// negative n.
 func WithMaxEpochs(n int) Option {
 	return func(c *config) { c.maxEpochs = n }
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"sync"
 	"sync/atomic"
+
+	"github.com/greenhpc/actor/internal/fnv"
 )
 
 // bodyMemo is the server's bounded cache of fully encoded response
@@ -17,13 +19,11 @@ import (
 // deterministic.
 //
 // The layout is internal/cache's SetAssoc — power-of-two sets × small ways,
-// true-LRU within a set via a global clock — adapted for concurrency the
-// way internal/memo's grow-only Table is: lock-free probes through per-way
-// atomic pointers, a per-set mutex only on install, and entries that are
-// immutable once published. It is deliberately not built on that table:
-// request bodies mint unbounded keys, so this cache must evict and cap
-// value size, and the table can do neither without branching on its
-// caller.
+// true-LRU within a set via a global clock — made concurrent with lock-free
+// probes through per-way atomic pointers, a per-set mutex only on install,
+// and entries that are immutable once published. Request bodies mint
+// unbounded keys, so unlike the simulator's grow-only phase memo this cache
+// must evict and cap value size.
 type bodyMemo struct {
 	sets    int
 	setMask uint64
@@ -58,17 +58,9 @@ func newBodyMemo() *bodyMemo {
 	}
 }
 
-// memoHash runs FNV-1a's byte loop and prime over the key from the start
-// value 1469598103934665603, which is not FNV's 64-bit offset basis
-// (14695981039346656037). Any start value spreads keys as well; this one
-// is kept so every key stays in the set it has always landed in.
+// memoHash is the module's FNV-1a fold (internal/fnv) over the key.
 func memoHash(key []byte) uint64 {
-	h := uint64(1469598103934665603)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
+	return fnv.Bytes(fnv.Start, key)
 }
 
 // get returns the cached response body for key, or nil. Lock-free: probes

@@ -26,7 +26,8 @@
 #     paper fidelity (no -fast: the options train_loo trains at), byte
 #     for byte;
 #   - print the pinned `actorsim -fast` and `actorsim -fast hetero`
-#     outputs, byte for byte.
+#     outputs, and the pinned `actorsim all` output at paper fidelity (no
+#     -fast), byte for byte.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -47,6 +48,10 @@ LOO_FULL_SHA256=606a121643c05c8f021fe0e917b00e72b9ba663e1c781763176c76b356004960
 # too; re-pin under the same rule.
 ACTORSIM_SHA256=0a63d7739428e10f2d4c7f89989b09a3d359e2a52a3d33ea7a944fda37aa0b1b
 HETERO_SHA256=50d1fa7294326c4d51b038c4882aaea05992c0de865d3dd46fdbac800aa26fb6
+# sha256 of `actorsim all` with no flags (paper fidelity, seed 42) on
+# stdout: every printed figure at the options the paper's numbers come
+# from. Same re-pin rule.
+ACTORSIM_FULL_SHA256=84dbba33fe7fdf9ee9e33accc6346627dd56d4835475bc2544ce0290e1f63d81
 
 TESTS='TestParallelPipelineDeterminism|TestRunPhaseSweep|TestHeteroSweepMatchesRunPhaseProperty|TestConcurrentHeteroSweeps|TestShardedMemoConcurrentSweeps|BitIdenti|TestGOMAXPROCSDeterminism|TestLegacyStreamPinned|TestSearchMatchesSweep|TestBalancedSearchMatchesNewSearch|TestSearchBoundNeverExceedsTime|TestSearchBoundProperty|TestSearchBoundsMatchReference|TestSearchPruneCensus|TestSearchHashCensus|TestExpLowerBound|TestLowFactorBound|TestResponseZ4MatchesResponseZ|TestServedPredictBytesPinned|TestServedColdBytesPinned|TestRunOutputPinned'
 PKGS=(./internal/exp ./internal/machine ./internal/ann ./internal/fleet ./pkg/actor ./examples/...)
@@ -109,13 +114,16 @@ for kernels in avx2 noasm; do
             echo "FAIL $leg: actor-train -loo banks sha256 $loo, pinned $LOO_FULL_SHA256"; fail=1
         elif ! go build -o "$out/actorsim" ./cmd/actorsim >"$out/sim.log" 2>&1 ||
                 ! "$out/actorsim" -fast >"$out/sim.txt" 2>>"$out/sim.log" ||
-                ! "$out/actorsim" -fast hetero >"$out/hetero.txt" 2>>"$out/sim.log"; then
+                ! "$out/actorsim" -fast hetero >"$out/hetero.txt" 2>>"$out/sim.log" ||
+                ! "$out/actorsim" all >"$out/sim-full.txt" 2>>"$out/sim.log"; then
             cat "$out/sim.log"
             echo "FAIL $leg: actorsim"; fail=1
         elif ! sim="$(sha256sum "$out/sim.txt" | cut -d' ' -f1)" || [ "$sim" != "$ACTORSIM_SHA256" ]; then
             echo "FAIL $leg: actorsim -fast output sha256 $sim, pinned $ACTORSIM_SHA256"; fail=1
         elif ! het="$(sha256sum "$out/hetero.txt" | cut -d' ' -f1)" || [ "$het" != "$HETERO_SHA256" ]; then
             echo "FAIL $leg: actorsim -fast hetero output sha256 $het, pinned $HETERO_SHA256"; fail=1
+        elif ! full="$(sha256sum "$out/sim-full.txt" | cut -d' ' -f1)" || [ "$full" != "$ACTORSIM_FULL_SHA256" ]; then
+            echo "FAIL $leg: actorsim all output sha256 $full, pinned $ACTORSIM_FULL_SHA256"; fail=1
         else
             echo "ok   $leg"
         fi
