@@ -21,8 +21,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -36,29 +38,63 @@ import (
 )
 
 func main() {
-	f := actor.BindFlags(flag.CommandLine, actor.FlagsBank)
-	workers := flag.String("workers", "", "comma-separated actord base URLs (empty = in-process evaluation)")
-	local := flag.Bool("local", false, "force in-process evaluation (ignore -workers)")
-	timeout := flag.Duration("timeout", 15*time.Second, "per-attempt request timeout")
-	retries := flag.Int("retries", 3, "times a failed shard is reassigned before in-process fallback")
-	hedge := flag.Duration("hedge", 250*time.Millisecond, "minimum straggler delay before a shard is hedged")
-	shardUnits := flag.Int("shard-units", 1, "(benchmark, phase) units per shard")
-	out := flag.String("out", "", "write merged sweeps to this file (default stdout)")
-	quiet := flag.Bool("q", false, "suppress per-event warnings (summary still printed)")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "actorctl: unexpected argument %q\n", flag.Arg(0))
-		flag.Usage()
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command behind main: it parses args, writes the merged sweeps
+// to stdout (or -out) and the summary and errors to stderr, and returns the
+// exit code — 0 on success, 1 on a failed run, 2 on a bad flag or a
+// positional argument.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("actorctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	f := actor.BindFlags(fs, actor.FlagsBank)
+	workers := fs.String("workers", "", "comma-separated actord base URLs (empty = in-process evaluation)")
+	local := fs.Bool("local", false, "force in-process evaluation (ignore -workers)")
+	timeout := fs.Duration("timeout", 15*time.Second, "per-attempt request timeout")
+	retries := fs.Int("retries", 3, "times a failed shard is reassigned before in-process fallback")
+	hedge := fs.Duration("hedge", 250*time.Millisecond, "minimum straggler delay before a shard is hedged")
+	shardUnits := fs.Int("shard-units", 1, "(benchmark, phase) units per shard")
+	out := fs.String("out", "", "write merged sweeps to this file (default stdout)")
+	quiet := fs.Bool("q", false, "suppress per-event warnings (summary still printed)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "actorctl: unexpected argument %q\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "actorctl:", err)
+		return 1
+	}
+	// dist.New reads a non-positive setting as its default, so an explicit
+	// -retries 0 would still reassign three times without a word.
+	for _, d := range []struct {
+		name string
+		bad  bool
+	}{
+		{"timeout", *timeout <= 0},
+		{"retries", *retries < 1},
+		{"hedge", *hedge <= 0},
+		{"shard-units", *shardUnits < 1},
+	} {
+		if d.bad {
+			return fail(fmt.Errorf("-%s %s is not positive", d.name, fs.Lookup(d.name).Value))
+		}
 	}
 
 	bank, err := f.LoadBank()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	eng, err := actor.ForBank(bank)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	var urls []string
@@ -71,11 +107,11 @@ func main() {
 	}
 	transport, err := faultinject.FromEnv(http.DefaultTransport, os.Getenv("ACTOR_FAULTS"))
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	logf := func(format string, args ...any) {
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+			fmt.Fprintf(stderr, format+"\n", args...)
 		}
 	}
 	coord := dist.New(eng, dist.Options{
@@ -93,32 +129,29 @@ func main() {
 	start := time.Now()
 	sweeps, err := coord.Run(ctx)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
-	w := os.Stdout
+	w := stdout
 	if *out != "" {
-		w, err = os.Create(*out)
+		file, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		defer w.Close()
+		defer file.Close()
+		w = file
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	if err := enc.Encode(sweeps); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	st := coord.Stats()
-	fmt.Fprintf(os.Stderr, "actorctl: %d shards in %s — %d remote, %d local, %d retries, %d hedges (%d won)\n",
+	fmt.Fprintf(stderr, "actorctl: %d shards in %s — %d remote, %d local, %d retries, %d hedges (%d won)\n",
 		st.Shards, time.Since(start).Round(time.Millisecond), st.Remote, st.Local, st.Retries, st.Hedges, st.HedgeWins)
 	for _, ws := range coord.WorkerStates() {
-		fmt.Fprintf(os.Stderr, "actorctl: worker %s: %s\n", ws.URL, ws.State)
+		fmt.Fprintf(stderr, "actorctl: worker %s: %s\n", ws.URL, ws.State)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "actorctl:", err)
-	os.Exit(1)
+	return 0
 }

@@ -162,7 +162,7 @@ func execute(name string, b *workload.Benchmark, env *Env, policies []phasePolic
 		for pi := range b.Phases {
 			p := &b.Phases[pi]
 			pl := policies[pi].place(it)
-			if havePrev && !samePlacement(prev, pl) {
+			if havePrev {
 				extraSec, extraBytes := env.Machine.MigrationPenalty(p, prev, pl)
 				if extraSec > 0 {
 					res.Migrations++
@@ -209,18 +209,6 @@ func migrationActivity(env *Env, pl topology.Placement, extraSec, extraBytes flo
 		BusBytes:         extraBytes,
 		L2AccessesPerSec: 0,
 	}
-}
-
-func samePlacement(a, b topology.Placement) bool {
-	if len(a.Cores) != len(b.Cores) {
-		return false
-	}
-	for i := range a.Cores {
-		if a.Cores[i] != b.Cores[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // staticPolicy pins a phase to one placement for the whole run.

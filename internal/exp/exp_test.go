@@ -5,6 +5,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/greenhpc/actor/internal/core"
+	"github.com/greenhpc/actor/internal/metrics"
 )
 
 // newFastSuite builds the suite with reduced-fidelity training options.
@@ -177,6 +180,29 @@ func TestFig6And7Accuracy(t *testing.T) {
 	worst := len(f7.Hist.Counts)
 	if f7.Hist.Counts[worst-1] > 1 {
 		t.Errorf("worst config selected %d times, paper: never", f7.Hist.Counts[worst-1])
+	}
+	// Against doing nothing: "always 4" (Fig 8's baseline, and the suite's
+	// sampling configuration, so one control stands for both) ranked over
+	// the same phases on the same truth machine. It picks the best
+	// configuration in about three phases of four; the predictor must beat it.
+	always := s.SampleConfig().Name
+	if always != "4" {
+		t.Fatalf("sampling configuration %q, want 4", always)
+	}
+	control := metrics.NewRankHistogram(len(s.Configs))
+	for _, b := range s.Benches {
+		for pi := range b.Phases {
+			control.Add(core.RankConfigsByTime(&b.Phases[pi], b.Idiosyncrasy, s.Truth, s.Configs), always)
+		}
+	}
+	if control.Total != f7.Hist.Total {
+		t.Fatalf("control scored %d phases, Fig 7 %d", control.Total, f7.Hist.Total)
+	}
+	t.Logf("rank-1 rate: predictor %.1f%%, always-%s %.1f%% (%d phases)",
+		f7.Hist.Fraction(1)*100, always, control.Fraction(1)*100, control.Total)
+	if f7.Hist.Fraction(1) <= control.Fraction(1) {
+		t.Errorf("rank-1 rate %.1f%% does not beat always-%s's %.1f%%",
+			f7.Hist.Fraction(1)*100, always, control.Fraction(1)*100)
 	}
 	out := render(f6.Render) + render(f7.Render)
 	if !strings.Contains(out, "Figure 6") || !strings.Contains(out, "Figure 7") {

@@ -197,9 +197,6 @@ func NewClass(desc string, params *machine.Params) (*Class, error) {
 	return c, nil
 }
 
-// Cores returns the class's core count.
-func (c *Class) Cores() int { return c.cores }
-
 // Fleet is a static fleet description: classes plus the class index of
 // every machine. Scheduling runs build their runtime state from it, so one
 // Fleet serves many Schedule calls (and both scorers of a comparison).

@@ -17,10 +17,12 @@ package machine
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/greenhpc/actor/internal/bus"
 	"github.com/greenhpc/actor/internal/cache"
 	"github.com/greenhpc/actor/internal/fnv"
+	"github.com/greenhpc/actor/internal/memo"
 	"github.com/greenhpc/actor/internal/noise"
 	"github.com/greenhpc/actor/internal/pmu"
 	"github.com/greenhpc/actor/internal/topology"
@@ -137,9 +139,10 @@ type Machine struct {
 	// falls roughly cubically. See WithFrequency.
 	freqScale float64
 
-	// memo, when non-nil, caches the deterministic part of RunPhase.
-	// Shared across WithNoise/WithFrequency copies; see WithMemo.
-	memo *phaseMemo
+	// memo, when non-nil, caches the deterministic part of RunPhaseSweep
+	// (see memoKey). Shared across WithNoise/WithFrequency copies; see
+	// WithMemo.
+	memo *memo.Table[memoKey, Result]
 }
 
 // New builds a machine for the topology with default parameters and no
@@ -220,7 +223,7 @@ func (m *Machine) WithParams(p Params) *Machine {
 	cp := *m
 	cp.params = p
 	if cp.memo != nil {
-		cp.memo = &phaseMemo{}
+		cp.memo = &memo.Table[memoKey, Result]{}
 	}
 	return &cp
 }
@@ -305,23 +308,17 @@ type Activity struct {
 // placements (no cores); profile validity is the caller's responsibility
 // (see workload.PhaseProfile.Validate).
 //
-// The deterministic part of the result is served from the phase memo when
-// one is enabled (see WithMemo); measurement noise, when configured, is
-// drawn per call and applied after, so noisy results keep their run-to-run
-// variance while the expensive fixed-point solve is shared. To evaluate one
-// phase across many placements, prefer RunPhaseSweep, which additionally
-// hoists the placement-independent part of the solve out of the loop.
+// RunPhase is RunPhaseSweep over the one placement: the deterministic part
+// of the result is served from the phase memo when one is enabled (see
+// WithMemo); measurement noise, when configured, is drawn per call and
+// applied after, so noisy results keep their run-to-run variance while the
+// expensive fixed-point solve is shared. To evaluate one phase across many
+// placements, call RunPhaseSweep, which hoists the placement-independent
+// part of the solve out of the placement loop.
 func (m *Machine) RunPhase(p *workload.PhaseProfile, idio float64, pl topology.Placement) Result {
-	var res Result
-	if m.memo != nil && p.Fingerprint != "" {
-		m.memo.lookup(m, p, idio, pl, &res)
-	} else {
-		m.computePhase(p, idio, pl, &res)
-	}
-	if m.noiseSrc != nil {
-		m.perturb(&res)
-	}
-	return res
+	var res [1]Result
+	m.RunPhaseSweep(p, idio, []topology.Placement{pl}, res[:])
+	return res[0]
 }
 
 // groupOf returns the precomputed L2-group index of core c, or -1 for cores
@@ -464,7 +461,7 @@ func (m *Machine) perturb(r *Result) {
 // observation that throttling saves no power on average: off-chip refill
 // traffic offsets idle-core savings.
 func (m *Machine) MigrationPenalty(p *workload.PhaseProfile, from, to topology.Placement) (extraSec, extraBusBytes float64) {
-	if placementEqual(from, to) {
+	if slices.Equal(from.Cores, to.Cores) {
 		return 0, 0
 	}
 	fromOcc := make(map[int]int)
@@ -498,18 +495,6 @@ func (m *Machine) clockScale() float64 {
 		return 1
 	}
 	return m.freqScale
-}
-
-func placementEqual(a, b topology.Placement) bool {
-	if len(a.Cores) != len(b.Cores) {
-		return false
-	}
-	for i := range a.Cores {
-		if a.Cores[i] != b.Cores[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // imbalanceFactor returns the ratio heaviest-thread-work / even-share for a

@@ -9,13 +9,13 @@ import (
 	"github.com/greenhpc/actor/internal/workload"
 )
 
-// phaseMemo is a concurrency-safe cache of the deterministic part of
-// RunPhase, keyed by everything that part depends on: the phase identity
-// (Fingerprint), the placement (name and core set — the name feeds the
-// response-factor hash, the cores feed group loads), the clock scale and
-// the benchmark idiosyncrasy. Strategy replays and figure drivers execute
-// the same (phase, placement) pair at every timestep, so hit rates in the
-// evaluation pipeline are extremely high.
+// memoKey is the full key of the phase memo (Machine.memo), a cache of
+// the deterministic part of RunPhaseSweep keyed by everything that part
+// depends on: the phase identity (Fingerprint), the placement (name and core
+// set — the name feeds the response-factor hash, the cores feed group
+// loads), the clock scale and the benchmark idiosyncrasy. Strategy replays
+// and figure drivers execute the same (phase, placement) pair at every
+// timestep, so hit rates in the evaluation pipeline are extremely high.
 //
 // The table itself is internal/memo's grow-only Table, a sync.Map from a
 // key's memoHash to an entry holding the full key, which a hit compares
@@ -27,13 +27,9 @@ import (
 // the key: they are fixed when a machine is built, and WithParams gives its
 // copy a memo of its own.
 //
-// The cache deliberately excludes measurement noise: RunPhase applies
+// The cache deliberately excludes measurement noise: the sweep applies
 // perturbation after the lookup, so noisy machines share the memo with
 // their noiseless ground-truth counterpart.
-type phaseMemo struct {
-	memo.Table[memoKey, Result]
-}
-
 type memoKey struct {
 	fingerprint string
 	placement   string
@@ -77,20 +73,6 @@ func (m *Machine) keyFor(p *workload.PhaseProfile, idio float64, pl *topology.Pl
 	}
 }
 
-// lookup writes the memoised deterministic result for the task into *res,
-// computing and storing it on first use.
-func (c *phaseMemo) lookup(m *Machine, p *workload.PhaseProfile, idio float64, pl topology.Placement, res *Result) {
-	coresHash := hashCores(pl.Cores)
-	hash := memoHash(m.memoSeed(p), idio, &pl, coresHash)
-	key := m.keyFor(p, idio, &pl, coresHash)
-	if hit := c.Get(hash, &key); hit != nil {
-		*res = *hit
-		return
-	}
-	m.computePhase(p, idio, pl, res)
-	c.Put(hash, key, *res)
-}
-
 // hashCores folds a placement's core list into a hash, so distinct core
 // sets that happen to share a placement name cannot collide.
 func hashCores(cores []topology.CoreID) uint64 {
@@ -114,7 +96,7 @@ func hashCores(cores []topology.CoreID) uint64 {
 func (m *Machine) WithMemo() *Machine {
 	cp := *m
 	if cp.memo == nil {
-		cp.memo = &phaseMemo{}
+		cp.memo = &memo.Table[memoKey, Result]{}
 	}
 	return &cp
 }

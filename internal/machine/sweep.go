@@ -298,18 +298,6 @@ func (ctx *phaseCtx) missFor(m *Machine, p *workload.PhaseProfile, load int) flo
 	return ctx.missByLoad[load]
 }
 
-// computePhase is the deterministic phase model — everything RunPhase does
-// except measurement noise — on pooled scratch: a solve block of one.
-func (m *Machine) computePhase(p *workload.PhaseProfile, idio float64, pl topology.Placement, res *Result) {
-	ctx := ctxPool.Get().(*phaseCtx)
-	ctx.resetPhase(m, p, idio)
-	ctx.resetBlock()
-	m.prepPlacement(ctx, p, &pl, 0)
-	m.solveBlock(ctx, p)
-	m.finishPlacement(ctx, 0, &pl, p, res)
-	ctxPool.Put(ctx)
-}
-
 // prepPlacement appends the placement at index idx to the current solve
 // block: its plan resolved into the context's scratch, then one lane per plan
 // entry (see queueLanes).

@@ -569,14 +569,15 @@ func (sc *predictScratch) addRate(mnemonic []byte, id pmu.Event, v float64) erro
 	return nil
 }
 
-// buildMemoKey canonicalizes the request into the memo key: bank version,
-// pair count, (event id, float64 bits) pairs in ascending id order, then
-// the phase bytes. The fixed-width prefix makes the layout unambiguous.
-func (sc *predictScratch) buildMemoKey(bankVersion int, phase []byte) []byte {
+// buildMemoKey canonicalizes the request into the memo key: the bank
+// format version (BankVersion), pair count, (event id, float64 bits) pairs
+// in ascending id order, then the phase bytes. The fixed-width prefix makes
+// the layout unambiguous.
+func (sc *predictScratch) buildMemoKey(phase []byte) []byte {
 	n := bits.OnesCount32(uint32(sc.rates.Has))
 	k := sc.key[:0]
 	k = append(k,
-		byte(bankVersion), byte(bankVersion>>8), byte(bankVersion>>16), byte(bankVersion>>24),
+		byte(BankVersion), byte(BankVersion>>8), byte(BankVersion>>16), byte(BankVersion>>24),
 		byte(n), byte(n>>8))
 	for id := pmu.Event(0); int(id) < pmu.NumEvents; id++ {
 		v, ok := sc.rates.Get(id)

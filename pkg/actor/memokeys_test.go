@@ -88,7 +88,7 @@ func TestNoRouteMintsUnboundedMemoKeys(t *testing.T) {
 	for i := 0; i < 3*capacity; i++ {
 		post("/v1/predict", marshal(PredictRequest{Rates: testRates(bank, 0.5+float64(i)/float64(capacity))}), http.StatusOK)
 	}
-	if n := srv.memo.entries(); n > capacity {
+	if n := srv.state.Load().memo.entries(); n > capacity {
 		t.Errorf("predict memo holds %d entries after %d distinct bodies, capacity %d", n, 3*capacity, capacity)
 	}
 	if _, m := truth.MemoStats(); m != misses {

@@ -305,9 +305,9 @@ func TestRecalDisabledRoutes(t *testing.T) {
 	}
 }
 
-// TestRecalMemoInvalidationOnSwap: a request cached under one bank
-// generation must be re-predicted — not replayed from the memo — after
-// SwapBank installs a different bank.
+// TestRecalMemoInvalidationOnSwap: a request cached under one bank must be
+// re-predicted — not replayed from the memo — after SwapBank installs a
+// different bank.
 func TestRecalMemoInvalidationOnSwap(t *testing.T) {
 	eng, bankA := newRecalEngine(t)
 	srv, err := actor.NewServer(eng)
@@ -409,7 +409,7 @@ func TestRecalSwapRace(t *testing.T) {
 	}
 
 	// Settle on bank A: with no swap in flight the served bytes must be
-	// exactly bank A's, proving the final memo generation is coherent.
+	// exactly bank A's, proving the final state's memo is coherent.
 	if err := srv.SwapBank(bankA); err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func TestServedPredictBytesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key := sc.buildMemoKey(srv.state.Load().gen, phase)
+		key := sc.buildMemoKey(phase)
 		fmt.Fprintf(keys, "%d\n", len(key))
 		keys.Write(key)
 		wire.PutScanner(scan)

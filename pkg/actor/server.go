@@ -42,38 +42,34 @@ type Server struct {
 	// requests finish.
 	draining atomic.Bool
 
-	// memo caches fully encoded /v1/predict responses by exact canonical
-	// request. The bank state's memo generation joins the key, so entries
-	// cached against a previous bank can never be served after a swap.
-	memo *bodyMemo
-
 	// evals caches fully encoded /v1/eval responses by shard fingerprint,
 	// so a re-delivered or hedged shard costs one Write. Results are
 	// deterministic, so a hit only saves recomputation.
-	evals *bodyMemo
+	evals bodyMemo
 
 	// state is the served bank plus everything derived from it, swapped as
 	// one unit (SwapBank) so a request observes a single consistent bank.
 	state atomic.Pointer[bankState]
-	// swapMu serialises SwapBank; nextGen is the memo-key generation
-	// counter, monotonically increasing across swaps (including rollbacks,
-	// which install a fresh generation of old content).
-	swapMu  sync.Mutex
-	nextGen int
+	// swapMu serialises SwapBank, so the engine's attached bank and the
+	// stored state always name the same bank.
+	swapMu sync.Mutex
 
 	// recal, when non-nil, is the recalibration subsystem
 	// (EnableRecalibration): the /v1/recal/* admin routes come alive.
 	recal atomic.Pointer[Recalibrator]
 }
 
-// bankState is one immutable served-bank snapshot: the bank, the memo key
-// generation that isolates its cache entries, and the pre-encoded /v1/bank
-// response. Handlers load it once per request and never see a torn swap.
+// bankState is one served-bank snapshot: the bank, the pre-encoded /v1/bank
+// response and the bank's own /v1/predict memo, which caches fully encoded
+// responses by exact canonical request. Every state gets a fresh memo, so a
+// body cached against one bank is never served for another, and a
+// swapped-out bank's bodies go with its state. Handlers load the state once
+// per request and never see a torn swap.
 type bankState struct {
 	bank *Bank
-	gen  int    // memo-key generation, unique per installed state
 	body []byte // encoded /v1/bank response
 	blen []string
+	memo bodyMemo
 }
 
 // NewServer builds a Server over the engine's attached bank. The engine
@@ -84,15 +80,10 @@ func NewServer(eng *Engine) (*Server, error) {
 		return nil, fmt.Errorf("actor: serving needs a bank attached to the engine")
 	}
 	s := &Server{
-		eng:   eng,
-		mux:   http.NewServeMux(),
-		memo:  newBodyMemo(),
-		evals: newBodyMemo(),
+		eng: eng,
+		mux: http.NewServeMux(),
 	}
-	// The initial memo generation is the bank's format version, preserving
-	// the historical key layout; swaps move strictly upward from there.
-	s.nextGen = bank.Meta().Version
-	st, err := s.encodeBankState(bank, s.nextGen)
+	st, err := s.encodeBankState(bank)
 	if err != nil {
 		return nil, err
 	}
@@ -109,8 +100,9 @@ func NewServer(eng *Engine) (*Server, error) {
 	return s, nil
 }
 
-// encodeBankState renders one bank into a complete, immutable bankState.
-func (s *Server) encodeBankState(bank *Bank, gen int) (*bankState, error) {
+// encodeBankState renders one bank into a complete bankState with an empty
+// predict memo.
+func (s *Server) encodeBankState(bank *Bank) (*bankState, error) {
 	info := BankInfo{
 		Meta:     bank.Meta(),
 		Benches:  s.eng.BenchNames(),
@@ -122,7 +114,6 @@ func (s *Server) encodeBankState(bank *Bank, gen int) (*bankState, error) {
 	}
 	return &bankState{
 		bank: bank,
-		gen:  gen,
 		body: body,
 		blen: []string{strconv.Itoa(len(body))},
 	}, nil
@@ -134,21 +125,21 @@ func (s *Server) Bank() *Bank { return s.state.Load().bank }
 // SwapBank atomically replaces the served bank with b: /v1/bank, /v1/predict
 // and /v1/eval all flip to the new bank in one pointer store, with zero
 // downtime and no torn state. The swap validates b against the engine's
-// platform (AttachBank) and advances the memo generation, so prediction
-// cache entries from the previous bank can never satisfy a request again.
+// platform (AttachBank) and installs a fresh prediction memo with the new
+// state, so bodies cached against the previous bank can never satisfy a
+// request again.
 // In-flight requests that already loaded the old state finish against it —
 // old bytes for the old bank, never a mix.
 func (s *Server) SwapBank(b *Bank) error {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	st, err := s.encodeBankState(b, s.nextGen+1)
+	st, err := s.encodeBankState(b)
 	if err != nil {
 		return err
 	}
 	if err := s.eng.AttachBank(b); err != nil {
 		return err
 	}
-	s.nextGen++
 	s.state.Store(st)
 	return nil
 }
@@ -274,8 +265,8 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request, sc *predic
 	// One state load serves the whole request: the memo key and the
 	// predictor see the same bank even mid-swap.
 	st := s.state.Load()
-	key := sc.buildMemoKey(st.gen, phase)
-	if resp := s.memo.get(key); resp != nil {
+	key := sc.buildMemoKey(phase)
+	if resp := st.memo.get(key); resp != nil {
 		writeBody(w, http.StatusOK, resp)
 		return
 	}
@@ -283,7 +274,7 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request, sc *predic
 	e := wire.GetEmitter()
 	encodePredictResponse(e, phase, ranked)
 	if respBody, ok := finish(w, e); ok {
-		s.memo.put(key, respBody)
+		st.memo.put(key, respBody)
 		writeBody(w, http.StatusOK, respBody)
 	}
 	wire.PutEmitter(e)
